@@ -95,49 +95,6 @@ func BenchmarkListing1_RuleEvaluation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationExprCompilation isolates the statement compiler: the
-// same Listing-1 rule at window 1000, once with compiled closures (the
-// default) and once forced onto the tree-walking interpreter. The ratio of
-// the two is the compiled_over_interpreted figure scripts/bench_cep.sh
-// records in BENCH_cep.json.
-func BenchmarkAblationExprCompilation(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		compiled bool
-	}{{"compiled", true}, {"interpreted", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := cep.New(cep.WithCompiledExprs(mode.compiled))
-			r := core.Rule{Name: "bench", Attribute: busdata.AttrDelay, Kind: core.QuadtreeLeaves, Window: 1000}
-			if _, err := eng.AddStatement("bench", r.StreamEPL()); err != nil {
-				b.Fatal(err)
-			}
-			for loc := 0; loc < 24; loc++ {
-				for h := 0; h < 24; h++ {
-					err := eng.SendEvent(r.ThresholdStream(), map[string]cep.Value{
-						"location": fmt.Sprintf("a%02d", loc), "hour": float64(h),
-						"day": "weekday", "value": 1e12,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := eng.SendEvent(core.BusStream, map[string]cep.Value{
-					"leafArea": fmt.Sprintf("a%02d", i%24),
-					"hour":     float64(i % 24),
-					"day":      "weekday",
-					"delay":    float64(i % 300),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Listing 2: the threshold SQL query ---
 
 func BenchmarkListing2_ThresholdQuery(b *testing.B) {
@@ -497,14 +454,13 @@ func BenchmarkStormPipelineFaults(b *testing.B) {
 // BenchmarkStormThroughput measures end-to-end transport throughput of the
 // batched data plane on a Figure-8-shaped topology (spout → fields → two
 // shuffle stages → splitter → direct-grouped engines → sink), across batch
-// sizes, with telemetry tracing on and off, and across the acking modes:
-// off (no reliability), xor (the sharded checksum acker, the default when
-// acking is enabled), tree (the explicit per-tree tracker, kept for
-// ablation) and epoch (barrier checkpointing — no per-tuple tracking, so
-// the hot path should be near the ack=off baseline). batch=1 is the
-// pre-batching per-tuple transport (ablation baseline); the acceptance
-// bars are ≥ 2× tuples/s at batch=64 with telemetry and acking off,
-// ack=xor within 1.5× of ack=off there, and ack=epoch within 1.15×.
+// sizes 1 and 64, with telemetry tracing on and off, and across the acking
+// modes: off (no reliability), xor (the sharded checksum acker, the default
+// when acking is enabled) and epoch (barrier checkpointing — no per-tuple
+// tracking, so the hot path should be near the ack=off baseline). batch=1
+// is per-tuple transport; the acceptance bars are ≥ 2× tuples/s at batch=64
+// with telemetry and acking off, ack=xor within 1.5× of ack=off there, and
+// ack=epoch within 1.15×.
 func BenchmarkStormThroughput(b *testing.B) {
 	onoff := func(v bool) string {
 		if v {
@@ -512,9 +468,9 @@ func BenchmarkStormThroughput(b *testing.B) {
 		}
 		return "off"
 	}
-	for _, size := range []int{1, 8, 64, 256} {
+	for _, size := range []int{1, 64} {
 		for _, tel := range []bool{false, true} {
-			for _, ack := range []string{"off", "tree", "xor", "epoch"} {
+			for _, ack := range []string{"off", "xor", "epoch"} {
 				name := fmt.Sprintf("batch=%d/telemetry=%s/ack=%s", size, onoff(tel), ack)
 				b.Run(name, func(b *testing.B) {
 					opts := []storm.Option{
@@ -525,8 +481,6 @@ func BenchmarkStormThroughput(b *testing.B) {
 						opts = append(opts, storm.WithTelemetry(telemetry.NewRegistry()))
 					}
 					switch ack {
-					case "tree":
-						opts = append(opts, storm.WithAckTimeout(30*time.Second), storm.WithAckMode(storm.AckTree))
 					case "xor":
 						opts = append(opts, storm.WithAckTimeout(30*time.Second), storm.WithAckMode(storm.AckXOR))
 					case "epoch":
@@ -772,53 +726,6 @@ func BenchmarkMapReduceWordCount(b *testing.B) {
 }
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
-
-// BenchmarkAblationJoinStrategy compares evaluation strategies on the
-// Listing 1 rule with a large threshold stream: the engine's indexed
-// equi-joins against the nested-loop fallback (both with incremental
-// evaluation off, so the join actually runs per event), and the default
-// incremental mode whose maintained state skips the join entirely.
-func BenchmarkAblationJoinStrategy(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts []cep.Option
-	}{
-		{"indexed", []cep.Option{cep.WithIncremental(false)}},
-		{"nested-loop", []cep.Option{cep.WithIncremental(false), cep.WithIndexJoins(false)}},
-		{"incremental", nil},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := cep.New(mode.opts...)
-			r := core.Rule{Name: "abl", Attribute: busdata.AttrDelay, Kind: core.QuadtreeLeaves, Window: 10}
-			if _, err := eng.AddStatement("abl", r.StreamEPL()); err != nil {
-				b.Fatal(err)
-			}
-			for loc := 0; loc < 48; loc++ {
-				for h := 0; h < 24; h++ {
-					err := eng.SendEvent(r.ThresholdStream(), map[string]cep.Value{
-						"location": fmt.Sprintf("a%02d", loc), "hour": float64(h),
-						"day": "weekday", "value": 1e12,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := eng.SendEvent(core.BusStream, map[string]cep.Value{
-					"leafArea": fmt.Sprintf("a%02d", i%48),
-					"hour":     float64(i % 24),
-					"day":      "weekday",
-					"delay":    float64(i % 300),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationSpatialIndex compares per-point location resolution of
 // the Region Quadtree against a uniform grid of comparable area count, and

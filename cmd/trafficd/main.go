@@ -61,7 +61,6 @@ type options struct {
 	ackTimeout    time.Duration
 	ackRetries    int
 	ackMode       storm.AckMode
-	ackShards     int
 	epochInterval time.Duration
 	failurePolicy string
 	runDeadline   time.Duration
@@ -75,9 +74,6 @@ type options struct {
 	workerID        int
 	workerPeers     string
 	workerHeartbeat time.Duration
-	workerNoDelay   bool
-	workerSndbuf    int
-	workerRcvbuf    int
 }
 
 // parseFlags parses the command line into options, validating flag
@@ -97,8 +93,7 @@ func parseFlags(args []string) (options, error) {
 	fs.BoolVar(&opt.noTelemetry, "telemetry.off", false, "disable the telemetry registry and tuple tracing entirely")
 	fs.DurationVar(&opt.ackTimeout, "ack.timeout", 0, "enable at-least-once delivery: replay anchored tuples not acked within this timeout (0 = off)")
 	fs.IntVar(&opt.ackRetries, "ack.retries", 3, "replays per anchored tuple before it expires as dropped")
-	fs.StringVar(&ackMode, "ack.mode", "xor", "ack tracking engine: xor (sharded checksum acker), tree (per-tree tracker) or epoch (barrier checkpoints with spout replay)")
-	fs.IntVar(&opt.ackShards, "ack.shards", 0, "lock-striped shards in the xor acker, rounded up to a power of two (0 = default 8)")
+	fs.StringVar(&ackMode, "ack.mode", "xor", "reliability engine, xor|epoch: xor (per-tuple checksum acker, at-least-once) or epoch (barrier checkpoints with spout replay)")
 	fs.DurationVar(&opt.epochInterval, "epoch.interval", 0, "barrier injection period under -ack.mode epoch (0 = the storm default, 100ms)")
 	fs.StringVar(&opt.failurePolicy, "failure.policy", "failfast", "task failure policy: failfast (first error fails the run) or degrade (quarantine failing tasks, keep running)")
 	fs.DurationVar(&opt.runDeadline, "run.deadline", 0, "cancel the run gracefully after this duration (0 = no deadline)")
@@ -109,18 +104,12 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&opt.workerID, "worker.id", 0, "this process's index into -worker.peers (multi-worker mode)")
 	fs.StringVar(&opt.workerPeers, "worker.peers", "", "comma-separated host:port list, one per worker process; empty = single-process mode")
 	fs.DurationVar(&opt.workerHeartbeat, "worker.heartbeat", time.Second, "peer heartbeat period; a peer silent for 4 periods is declared lost")
-	fs.BoolVar(&opt.workerNoDelay, "worker.nodelay", true, "set TCP_NODELAY on peer connections (the per-peer writer already coalesces frames, so Nagle only adds latency); false re-enables Nagle")
-	fs.IntVar(&opt.workerSndbuf, "worker.sndbuf", 0, "kernel send-buffer bytes for peer connections (0 = OS default)")
-	fs.IntVar(&opt.workerRcvbuf, "worker.rcvbuf", 0, "kernel receive-buffer bytes for peer connections (0 = OS default)")
 	if err := fs.Parse(args); err != nil {
 		return opt, err
 	}
 	var err error
 	if opt.ackMode, err = storm.ParseAckMode(ackMode); err != nil {
 		return opt, fmt.Errorf("-ack.mode: %w", err)
-	}
-	if opt.ackShards < 0 {
-		return opt, fmt.Errorf("-ack.shards must be >= 0, got %d", opt.ackShards)
 	}
 	if opt.epochInterval < 0 {
 		return opt, fmt.Errorf("-epoch.interval must be >= 0, got %v", opt.epochInterval)
@@ -135,7 +124,7 @@ func parseFlags(args []string) (options, error) {
 		var orphan string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "ack.retries", "ack.mode", "ack.shards", "epoch.interval":
+			case "ack.retries", "ack.mode", "epoch.interval":
 				orphan = f.Name
 			}
 		})
@@ -145,28 +134,6 @@ func parseFlags(args []string) (options, error) {
 	}
 	if opt.ackTimeout > 0 && opt.ackTimeout < time.Millisecond {
 		return opt, fmt.Errorf("-ack.timeout %v is below the 1ms sweep granularity (see storm.WithAckTimeout)", opt.ackTimeout)
-	}
-	if opt.workerSndbuf < 0 {
-		return opt, fmt.Errorf("-worker.sndbuf must be >= 0, got %d", opt.workerSndbuf)
-	}
-	if opt.workerRcvbuf < 0 {
-		return opt, fmt.Errorf("-worker.rcvbuf must be >= 0, got %d", opt.workerRcvbuf)
-	}
-	// The socket knobs configure peer connections, which only exist in
-	// multi-worker mode: reject them outright in single-process mode
-	// instead of accepting configuration that never takes effect (same
-	// policy as the -ack.* knobs above).
-	if opt.workerPeers == "" {
-		var orphan string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "worker.nodelay", "worker.sndbuf", "worker.rcvbuf":
-				orphan = f.Name
-			}
-		})
-		if orphan != "" {
-			return opt, fmt.Errorf("-%s has no effect without -worker.peers (single-process mode)", orphan)
-		}
 	}
 	if opt.tracesPath == "" {
 		return opt, fmt.Errorf("-traces is required")
@@ -388,8 +355,6 @@ func run(opt options) error {
 		stormOpts = append(stormOpts,
 			storm.WithWorker(opt.workerID, peers),
 			storm.WithHeartbeat(opt.workerHeartbeat),
-			storm.WithTCPNoDelay(opt.workerNoDelay),
-			storm.WithSocketBuffers(opt.workerSndbuf, opt.workerRcvbuf),
 		)
 	}
 	if opt.ackTimeout > 0 {
@@ -398,9 +363,6 @@ func run(opt options) error {
 			storm.WithMaxRetries(opt.ackRetries),
 			storm.WithAckMode(opt.ackMode),
 		)
-		if opt.ackShards > 0 {
-			stormOpts = append(stormOpts, storm.WithAckShards(opt.ackShards))
-		}
 		if opt.epochInterval > 0 {
 			stormOpts = append(stormOpts, storm.WithEpochInterval(opt.epochInterval))
 		}

@@ -1,10 +1,17 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"trafficcep/internal/busdata"
+	"trafficcep/internal/geo"
 	"trafficcep/internal/storm"
 )
 
@@ -32,10 +39,9 @@ func TestParseFlagsAckValidation(t *testing.T) {
 		},
 		{
 			name: "acking enabled with knobs",
-			args: []string{"-ack.timeout", "5s", "-ack.retries", "7", "-ack.mode", "tree", "-ack.shards", "16"},
+			args: []string{"-ack.timeout", "5s", "-ack.retries", "7", "-ack.mode", "xor"},
 			check: func(t *testing.T, opt options) {
-				if opt.ackTimeout != 5*time.Second || opt.ackRetries != 7 ||
-					opt.ackMode != storm.AckTree || opt.ackShards != 16 {
+				if opt.ackTimeout != 5*time.Second || opt.ackRetries != 7 || opt.ackMode != storm.AckXOR {
 					t.Errorf("parsed ack options = %+v", opt)
 				}
 			},
@@ -47,13 +53,8 @@ func TestParseFlagsAckValidation(t *testing.T) {
 		},
 		{
 			name:    "mode without timeout",
-			args:    []string{"-ack.mode", "tree"},
+			args:    []string{"-ack.mode", "epoch"},
 			wantErr: "-ack.mode has no effect without -ack.timeout",
-		},
-		{
-			name:    "shards without timeout",
-			args:    []string{"-ack.shards", "4"},
-			wantErr: "-ack.shards has no effect without -ack.timeout",
 		},
 		{
 			name:    "retries with explicit zero timeout",
@@ -66,9 +67,9 @@ func TestParseFlagsAckValidation(t *testing.T) {
 			wantErr: `unknown ack mode "bogus"`,
 		},
 		{
-			name:    "negative shards",
-			args:    []string{"-ack.timeout", "1s", "-ack.shards", "-2"},
-			wantErr: "-ack.shards must be >= 0",
+			name:    "retired tree mode lists the valid modes",
+			args:    []string{"-ack.timeout", "1s", "-ack.mode", "tree"},
+			wantErr: `unknown ack mode "tree" (want xor or epoch)`,
 		},
 		{
 			name:    "sub-millisecond timeout",
@@ -99,8 +100,8 @@ func TestParseFlagsAckValidation(t *testing.T) {
 			wantErr: "-epoch.interval has no effect without -ack.mode epoch",
 		},
 		{
-			name:    "epoch interval under tree mode",
-			args:    []string{"-ack.timeout", "1s", "-ack.mode", "tree", "-epoch.interval", "25ms"},
+			name:    "epoch interval under xor mode",
+			args:    []string{"-ack.timeout", "1s", "-ack.mode", "xor", "-epoch.interval", "25ms"},
 			wantErr: "-epoch.interval has no effect without -ack.mode epoch",
 		},
 		{
@@ -142,89 +143,90 @@ func TestParseFlagsAckValidation(t *testing.T) {
 	}
 }
 
-// TestParseFlagsWorkerSocketValidation pins the peer-socket knobs the same
-// way: -worker.nodelay/-worker.sndbuf/-worker.rcvbuf configure peer
-// connections, which only exist in multi-worker mode, so setting one
-// without -worker.peers is rejected rather than silently ignored.
-func TestParseFlagsWorkerSocketValidation(t *testing.T) {
-	base := []string{"-traces", "t.csv"}
-	peers := []string{"-worker.peers", "h0:7000,h1:7000"}
-	cases := []struct {
-		name    string
-		args    []string
-		wantErr string // substring; "" = must parse
-		check   func(t *testing.T, opt options)
-	}{
-		{
-			name: "defaults",
-			args: nil,
-			check: func(t *testing.T, opt options) {
-				if !opt.workerNoDelay {
-					t.Error("default -worker.nodelay = false, want true")
-				}
-				if opt.workerSndbuf != 0 || opt.workerRcvbuf != 0 {
-					t.Errorf("default socket buffers = %d/%d, want 0/0 (OS defaults)",
-						opt.workerSndbuf, opt.workerRcvbuf)
-				}
-			},
-		},
-		{
-			name: "socket knobs with peers",
-			args: append(append([]string{}, peers...),
-				"-worker.nodelay=false", "-worker.sndbuf", "262144", "-worker.rcvbuf", "131072"),
-			check: func(t *testing.T, opt options) {
-				if opt.workerNoDelay || opt.workerSndbuf != 262144 || opt.workerRcvbuf != 131072 {
-					t.Errorf("parsed worker options = %+v", opt)
-				}
-			},
-		},
-		{
-			name:    "nodelay without peers",
-			args:    []string{"-worker.nodelay=false"},
-			wantErr: "-worker.nodelay has no effect without -worker.peers",
-		},
-		{
-			name:    "nodelay without peers even when explicitly default",
-			args:    []string{"-worker.nodelay=true"},
-			wantErr: "-worker.nodelay has no effect without -worker.peers",
-		},
-		{
-			name:    "sndbuf without peers",
-			args:    []string{"-worker.sndbuf", "65536"},
-			wantErr: "-worker.sndbuf has no effect without -worker.peers",
-		},
-		{
-			name:    "rcvbuf without peers",
-			args:    []string{"-worker.rcvbuf", "65536"},
-			wantErr: "-worker.rcvbuf has no effect without -worker.peers",
-		},
-		{
-			name:    "negative sndbuf",
-			args:    append(append([]string{}, peers...), "-worker.sndbuf", "-1"),
-			wantErr: "-worker.sndbuf must be >= 0",
-		},
-		{
-			name:    "negative rcvbuf",
-			args:    append(append([]string{}, peers...), "-worker.rcvbuf", "-4096"),
-			wantErr: "-worker.rcvbuf must be >= 0",
-		},
+// TestShippedTopologyDetectionsReproducible runs the embedded topology
+// twice over one feed and requires the same stored-detection count. The
+// feed makes that count depend on nothing but the order in which
+// PreProcess sees each vehicle's traces: every delay is 0, and each vehicle
+// repeats stand, jump 1 km, stand, jump back on a 20 s tick — standing is
+// 0 km/h and a 180 km/h jump is discarded as GPS noise, so in feed order
+// every attribute of every tuple is exactly 0, every threshold is 0, and
+// no window average can exceed it however the parallel bolts downstream
+// interleave. Two BusReader tasks split the feed round-robin; with an odd
+// vehicle count that hands one task a vehicle's even ticks and the other
+// its odd ticks, PreProcess then sees ticks two apart — the same jump over
+// 40 s, a plausible 90 km/h — and the speed rule fires a different number
+// of times on every run.
+func TestShippedTopologyDetectionsReproducible(t *testing.T) {
+	const vehicles, ticks = 5, 120
+	start := time.Date(2013, 1, 7, 10, 0, 0, 0, time.UTC)
+	var traces []busdata.Trace
+	for k := 0; k < ticks; k++ {
+		for v := 0; v < vehicles; v++ {
+			pos := geo.Point{Lat: 53.30 + 0.02*float64(v), Lon: -6.26}
+			if k%4 >= 2 {
+				pos.Lat += 0.009 // ≈ 1 km north
+			}
+			traces = append(traces, busdata.Trace{
+				Timestamp: start.Add(time.Duration(k) * 20 * time.Second),
+				LineID:    fmt.Sprintf("L%d", v), Pos: pos,
+				BusStop: fmt.Sprintf("S%d", v), VehicleID: fmt.Sprintf("V%d", v),
+			})
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			args := append(append([]string{}, base...), tc.args...)
-			opt, err := parseFlags(args)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("parseFlags(%q) error = %v, want substring %q", args, err, tc.wantErr)
-				}
-				return
+	path := filepath.Join(t.TempDir(), "traces.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := busdata.WriteCSV(f, traces); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opt, err := parseFlags([]string{"-traces", path, "-monitor", "0", "-telemetry.off"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// run reports on stdout; point it at a file for the duration.
+	stored := func() (detections, engineTuples int) {
+		t.Helper()
+		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Close()
+		saved := os.Stdout
+		os.Stdout = out
+		err = run(opt)
+		os.Stdout = saved
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		field := func(re string) int {
+			m := regexp.MustCompile(re).FindSubmatch(text)
+			if m == nil {
+				t.Fatalf("no %q in trafficd output:\n%s", re, text)
 			}
-			if err != nil {
-				t.Fatalf("parseFlags(%q) unexpected error: %v", args, err)
-			}
-			if tc.check != nil {
-				tc.check(t, opt)
-			}
-		})
+			n, _ := strconv.Atoi(string(m[1]))
+			return n
+		}
+		return field(`detected events stored: (\d+)`), field(`EsperBolt\s+executed=(\d+)`)
+	}
+	first, tuples := stored()
+	second, _ := stored()
+	if tuples == 0 {
+		t.Fatal("no tuple reached the engines: the run proves nothing")
+	}
+	if first != second {
+		t.Errorf("identical runs stored %d and %d detections", first, second)
+	}
+	if first != 0 {
+		t.Errorf("stored %d detections over a feed whose attributes are all 0 in per-vehicle order", first)
 	}
 }

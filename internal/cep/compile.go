@@ -13,34 +13,34 @@ import (
 // registration is resolved here:
 //
 //   - field references become direct row[idx].Fields[name] accesses using
-//     the statement's bind table (PR 3) — no alias hashing, no map of refs;
-//   - aggregate references become slot reads (see evalContext.aggF) with a
-//     pre-rendered key for the map fallback — the interpreter re-rendered
-//     CallExpr.String() on every single access, the largest measured tax;
+//     the statement's bind table — no alias hashing, no map of refs;
+//   - aggregate references become slot reads (see evalContext.aggF), with a
+//     pre-rendered key for the keyed map the recompute path fills;
 //   - numeric comparison/arithmetic chains run unboxed through compiledNum
 //     when the type analysis (staticNum) can rule out the string arms;
 //   - AND/OR short-circuit through compiledBool without boxing booleans;
 //   - literal-only subtrees fold to constants.
 //
-// Eligibility is per expression: any node the compiler does not understand
-// (an alias outside the bind table, an aggregate the statement did not
-// collect) makes that one expression fall back to a closure over the
-// tree-walking interpreter, with identical semantics. The engine-level
-// ablation WithCompiledExprs(false) wraps *every* expression that way,
-// which is exactly the pre-compiler evaluation order.
+// The compiler is total over epl.Expr: a node that can never evaluate (a
+// qualified reference whose alias is not a FROM item, an aggregate the
+// statement did not collect, an operator the parser does not produce)
+// compiles to a closure returning a preallocated error, so the failure
+// surfaces at that node's place in the evaluation order — a short-circuit
+// that skips the node skips the error.
 //
-// Equivalence contract: a compiled expression returns the same value as the
-// interpreter and errs exactly when the interpreter errs, but error
-// messages may differ and a type error may surface before sibling operands
-// are evaluated (the interpreter evaluates both operands first; compiled
-// numeric forms fail fast). The differential harness and
-// FuzzCompiledExprEquivalence compare value and error presence, not text.
+// Equivalence contract with eval (expr.go), the one-shot tree-walking
+// evaluator: a compiled expression returns the same value and errs exactly
+// when eval errs, but error messages may differ and a type error may
+// surface before sibling operands are evaluated (eval evaluates both
+// operands first; compiled numeric forms fail fast).
+// FuzzCompiledExprEquivalence and TestCompiledMatchesEval compare value and
+// error presence, not text.
 
 // compiledExpr evaluates an expression to a boxed Value.
 type compiledExpr func(ctx *evalContext) (Value, error)
 
 // compiledNum evaluates a numeric subtree unboxed. It fails exactly where
-// the interpreter's enclosing numeric operation would: non-numeric operand
+// eval's enclosing numeric operation would: non-numeric operand
 // (including NULL), unbound alias, failed sub-expression.
 type compiledNum func(ctx *evalContext) (float64, error)
 
@@ -48,15 +48,12 @@ type compiledNum func(ctx *evalContext) (float64, error)
 type compiledBool func(ctx *evalContext) (bool, error)
 
 // stmtCompiled holds the compiled form of every expression a statement
-// evaluates at runtime. It is always non-nil on a compiled Statement; with
-// WithCompiledExprs(false) the closures are interpreter wrappers.
+// evaluates at runtime.
 type stmtCompiled struct {
-	compiled bool // specialized closures vs interpreter wrappers
-
 	// aggKeys/aggCalls are the statement's distinct aggregate calls in
 	// first-appearance order, deduplicated by rendering — the same dedup
 	// planAggSpecs performs, so slot i here is spec i there (verified at
-	// compile time, see compileIncremental). aggArgC[i] extracts the
+	// registration, see compileIncremental). aggArgC[i] extracts the
 	// argument (nil for count(*) and arity errors); aggOf maps rendering
 	// to slot.
 	aggKeys  []string
@@ -69,22 +66,12 @@ type stmtCompiled struct {
 	havingC  compiledBool
 	orderC   []compiledExpr
 	filtersC [][]compiledBool // parallel to Statement.filters
-
-	// needAggMap is true when some evaluated expression reads aggregates
-	// through the keyed map (interpreter mode, a fallback expression
-	// containing an aggregate, or a slot misalignment): the incremental
-	// evaluators then box aggregate values into aggScratch instead of
-	// filling the unboxed slots.
-	needAggMap bool
 }
 
 // compileStatement lowers every expression of a fully-planned statement.
 // Called at the end of compile(), after the incremental planner ran.
 func compileStatement(st *Statement) *stmtCompiled {
-	comp := &stmtCompiled{
-		compiled: st.engine.compiledExprs,
-		aggOf:    make(map[string]int),
-	}
+	comp := &stmtCompiled{aggOf: make(map[string]int)}
 	for _, call := range st.aggCalls {
 		key := call.String()
 		if _, dup := comp.aggOf[key]; dup {
@@ -94,7 +81,7 @@ func compileStatement(st *Statement) *stmtCompiled {
 		comp.aggKeys = append(comp.aggKeys, key)
 		comp.aggCalls = append(comp.aggCalls, call)
 	}
-	c := &exprCompiler{bind: st.bind, aggOf: comp.aggOf, compiled: comp.compiled}
+	c := &exprCompiler{bind: st.bind, aggOf: comp.aggOf}
 
 	comp.aggArgC = make([]compiledExpr, len(comp.aggCalls))
 	for i, call := range comp.aggCalls {
@@ -128,7 +115,6 @@ func compileStatement(st *Statement) *stmtCompiled {
 	if st.inc != nil {
 		compileIncremental(st.inc, c, comp)
 	}
-	comp.needAggMap = !comp.compiled || c.aggFallback
 	return comp
 }
 
@@ -152,7 +138,8 @@ func compileIncremental(inc *incState, c *exprCompiler, comp *stmtCompiled) {
 	// The evaluators write slot i for spec i; compiled aggregate references
 	// read slot aggOf[key]. Both orderings come from the same in-order
 	// dedup of st.aggCalls — but verify rather than assume: silently
-	// reading the wrong slot would be far worse than the keyed-map path.
+	// reading the wrong slot would be far worse than recomputing, which
+	// delivers aggregates through the keyed map.
 	aligned := len(specs) == len(comp.aggKeys)
 	for i, spec := range specs {
 		if !spec.star && len(spec.call.Args) == 1 {
@@ -163,40 +150,33 @@ func compileIncremental(inc *incState, c *exprCompiler, comp *stmtCompiled) {
 		}
 	}
 	if !aligned {
-		c.aggFallback = true
+		inc.disable()
 	}
 }
 
 // exprCompiler compiles one statement's expressions against its bind table
 // and aggregate slots.
 type exprCompiler struct {
-	bind        map[*epl.FieldRef]int
-	aggOf       map[string]int
-	compiled    bool
-	aggFallback bool // an interpreter-fallback expression reads an aggregate
+	bind  map[*epl.FieldRef]int
+	aggOf map[string]int
 }
 
-func interpValue(e epl.Expr) compiledExpr {
-	return func(ctx *evalContext) (Value, error) { return eval(e, ctx) }
+// errValue and errNum are the compiled forms of a node that can never
+// evaluate: they return err, allocated once at registration.
+func errValue(err error) compiledExpr {
+	return func(*evalContext) (Value, error) { return nil, err }
 }
 
-func interpBool(e epl.Expr) compiledBool {
-	return func(ctx *evalContext) (bool, error) { return evalBool(e, ctx) }
+func errNum(err error) compiledNum {
+	return func(*evalContext) (float64, error) { return 0, err }
 }
 
-// value compiles e, falling back to the tree-walking interpreter for the
-// whole expression when any node is ineligible. Returns nil for nil input.
+// value compiles e. Returns nil for nil input.
 func (c *exprCompiler) value(e epl.Expr) compiledExpr {
 	if e == nil {
 		return nil
 	}
-	if c.compiled {
-		if f := c.compileValue(e); f != nil {
-			return f
-		}
-		c.noteFallback(e)
-	}
-	return interpValue(e)
+	return c.compileValue(e)
 }
 
 // boolean is value for predicate positions (WHERE/HAVING/filters).
@@ -204,13 +184,7 @@ func (c *exprCompiler) boolean(e epl.Expr) compiledBool {
 	if e == nil {
 		return nil
 	}
-	if c.compiled {
-		if f := c.compileBool(e); f != nil {
-			return f
-		}
-		c.noteFallback(e)
-	}
-	return interpBool(e)
+	return c.compileBool(e)
 }
 
 func (c *exprCompiler) values(es []epl.Expr) []compiledExpr {
@@ -235,12 +209,6 @@ func (c *exprCompiler) booleans(es []epl.Expr) []compiledBool {
 	return out
 }
 
-func (c *exprCompiler) noteFallback(e epl.Expr) {
-	if epl.HasAggregate(e) {
-		c.aggFallback = true
-	}
-}
-
 // constExpr reports whether e is built from literals and operators only, so
 // it can be folded at compile time.
 func constExpr(e epl.Expr) bool {
@@ -256,14 +224,14 @@ func constExpr(e epl.Expr) bool {
 }
 
 // foldConst evaluates a literal-only subtree once. Deterministic errors
-// (1/0) are folded too: the closure re-reports the same error the
-// interpreter would raise on every evaluation.
+// (1/0) are folded too: the closure re-reports, on every evaluation, the
+// error eval raised.
 func foldConst(e epl.Expr) compiledExpr {
 	v, err := eval(e, &evalContext{})
 	return func(*evalContext) (Value, error) { return v, err }
 }
 
-// compileValue lowers e to a boxed-result closure; nil means ineligible.
+// compileValue lowers e to a boxed-result closure.
 func (c *exprCompiler) compileValue(e epl.Expr) compiledExpr {
 	if constExpr(e) {
 		return foldConst(e)
@@ -275,9 +243,6 @@ func (c *exprCompiler) compileValue(e epl.Expr) compiledExpr {
 		switch x.Op {
 		case "NOT":
 			sub := c.compileBool(x.Expr)
-			if sub == nil {
-				return nil
-			}
 			return func(ctx *evalContext) (Value, error) {
 				b, err := sub(ctx)
 				if err != nil {
@@ -287,9 +252,6 @@ func (c *exprCompiler) compileValue(e epl.Expr) compiledExpr {
 			}
 		case "-":
 			sub := c.compileNum(x.Expr)
-			if sub == nil {
-				return nil
-			}
 			return func(ctx *evalContext) (Value, error) {
 				n, err := sub(ctx)
 				if err != nil {
@@ -298,14 +260,11 @@ func (c *exprCompiler) compileValue(e epl.Expr) compiledExpr {
 				return -n, nil
 			}
 		}
-		return nil
+		return errValue(fmt.Errorf("cep: unknown unary operator %q", x.Op))
 	case *epl.BinaryExpr:
 		switch x.Op {
 		case "AND", "OR", "=", "!=", "<", "<=", ">", ">=":
 			b := c.compileBool(x)
-			if b == nil {
-				return nil
-			}
 			return func(ctx *evalContext) (Value, error) {
 				v, err := b(ctx)
 				if err != nil {
@@ -316,19 +275,19 @@ func (c *exprCompiler) compileValue(e epl.Expr) compiledExpr {
 		case "+", "-", "*", "/":
 			return c.compileArith(x)
 		}
-		return nil
+		return errValue(fmt.Errorf("cep: unknown operator %q", x.Op))
 	case *epl.CallExpr:
 		if epl.AggregateFuncs[x.Func] {
 			return c.compileAgg(x)
 		}
 		return c.compileScalarCall(x)
 	}
-	return nil
+	return errValue(fmt.Errorf("cep: cannot evaluate %T", e))
 }
 
 // compileField bakes the bind-table position into the closure. A qualified
-// reference the bind table does not know (unknown alias) stays on the
-// interpreter, which owns the aliasOrder-scan fallback and its error.
+// reference the bind table does not know names no FROM item: it can only
+// ever report the alias unbound.
 func (c *exprCompiler) compileField(x *epl.FieldRef) compiledExpr {
 	field := x.Field
 	if x.Alias == "" {
@@ -344,11 +303,11 @@ func (c *exprCompiler) compileField(x *epl.FieldRef) compiledExpr {
 			return nil, errMissing
 		}
 	}
+	errUnbound := fmt.Errorf("cep: alias %q is not bound", x.Alias)
 	idx, ok := c.bind[x]
 	if !ok {
-		return nil
+		return errValue(errUnbound)
 	}
-	errUnbound := fmt.Errorf("cep: alias %q is not bound", x.Alias)
 	return func(ctx *evalContext) (Value, error) {
 		if ev := ctx.row[idx]; ev != nil {
 			return ev.Fields[field], nil
@@ -364,12 +323,12 @@ func (c *exprCompiler) fieldNum(x *epl.FieldRef) compiledNum {
 		g := c.compileField(x)
 		return numWrap(g)
 	}
+	errUnbound := fmt.Errorf("cep: alias %q is not bound", x.Alias)
 	idx, ok := c.bind[x]
 	if !ok {
-		return nil
+		return errNum(errUnbound)
 	}
 	field := x.Field
-	errUnbound := fmt.Errorf("cep: alias %q is not bound", x.Alias)
 	return func(ctx *evalContext) (float64, error) {
 		ev := ctx.row[idx]
 		if ev == nil {
@@ -413,7 +372,7 @@ func (c *exprCompiler) staticNum(e epl.Expr) bool {
 	return false
 }
 
-// compileNum lowers e to an unboxed float64 closure; nil means ineligible.
+// compileNum lowers e to an unboxed float64 closure.
 func (c *exprCompiler) compileNum(e epl.Expr) compiledNum {
 	if constExpr(e) {
 		v, err := eval(e, &evalContext{})
@@ -431,9 +390,6 @@ func (c *exprCompiler) compileNum(e epl.Expr) compiledNum {
 	case *epl.UnaryExpr:
 		if x.Op == "-" {
 			sub := c.compileNum(x.Expr)
-			if sub == nil {
-				return nil
-			}
 			return func(ctx *evalContext) (float64, error) {
 				n, err := sub(ctx)
 				if err != nil {
@@ -457,11 +413,7 @@ func (c *exprCompiler) compileNum(e epl.Expr) compiledNum {
 			return c.compileAggNum(x)
 		}
 	}
-	g := c.compileValue(e)
-	if g == nil {
-		return nil
-	}
-	return numWrap(g)
+	return numWrap(c.compileValue(e))
 }
 
 func numWrap(g compiledExpr) compiledNum {
@@ -480,13 +432,10 @@ func numWrap(g compiledExpr) compiledNum {
 
 // compileArith lowers +,-,*,/ to a boxed-result closure. The numeric arms
 // run unboxed; only `+` over two dynamically-typed sides keeps the boxed
-// numeric-else-concat dispatch of the interpreter.
+// numeric-else-concat dispatch of eval.
 func (c *exprCompiler) compileArith(x *epl.BinaryExpr) compiledExpr {
 	if x.Op == "+" && !c.staticNum(x.Left) && !c.staticNum(x.Right) {
 		l, r := c.compileValue(x.Left), c.compileValue(x.Right)
-		if l == nil || r == nil {
-			return nil
-		}
 		return func(ctx *evalContext) (Value, error) {
 			lv, err := l(ctx)
 			if err != nil {
@@ -510,9 +459,6 @@ func (c *exprCompiler) compileArith(x *epl.BinaryExpr) compiledExpr {
 		}
 	}
 	n := c.compileArithNum(x)
-	if n == nil {
-		return nil
-	}
 	return func(ctx *evalContext) (Value, error) {
 		f, err := n(ctx)
 		if err != nil {
@@ -527,9 +473,6 @@ var errDivZero = fmt.Errorf("cep: division by zero")
 func (c *exprCompiler) compileArithNum(x *epl.BinaryExpr) compiledNum {
 	l := c.compileNum(x.Left)
 	r := c.compileNum(x.Right)
-	if l == nil || r == nil {
-		return nil
-	}
 	switch x.Op {
 	case "+":
 		return func(ctx *evalContext) (float64, error) {
@@ -583,7 +526,7 @@ func (c *exprCompiler) compileArithNum(x *epl.BinaryExpr) compiledNum {
 			return a / b, nil
 		}
 	}
-	return nil
+	return errNum(fmt.Errorf("cep: unknown operator %q", x.Op))
 }
 
 // compileBool lowers a predicate to an unboxed bool closure.
@@ -600,9 +543,6 @@ func (c *exprCompiler) compileBool(e epl.Expr) compiledBool {
 	case *epl.UnaryExpr:
 		if x.Op == "NOT" {
 			sub := c.compileBool(x.Expr)
-			if sub == nil {
-				return nil
-			}
 			return func(ctx *evalContext) (bool, error) {
 				b, err := sub(ctx)
 				if err != nil {
@@ -615,9 +555,6 @@ func (c *exprCompiler) compileBool(e epl.Expr) compiledBool {
 		switch x.Op {
 		case "AND":
 			l, r := c.compileBool(x.Left), c.compileBool(x.Right)
-			if l == nil || r == nil {
-				return nil
-			}
 			return func(ctx *evalContext) (bool, error) {
 				lb, err := l(ctx)
 				if err != nil || !lb {
@@ -627,9 +564,6 @@ func (c *exprCompiler) compileBool(e epl.Expr) compiledBool {
 			}
 		case "OR":
 			l, r := c.compileBool(x.Left), c.compileBool(x.Right)
-			if l == nil || r == nil {
-				return nil
-			}
 			return func(ctx *evalContext) (bool, error) {
 				lb, err := l(ctx)
 				if err != nil || lb {
@@ -639,9 +573,6 @@ func (c *exprCompiler) compileBool(e epl.Expr) compiledBool {
 			}
 		case "=", "!=":
 			l, r := c.compileValue(x.Left), c.compileValue(x.Right)
-			if l == nil || r == nil {
-				return nil
-			}
 			want := x.Op == "="
 			return func(ctx *evalContext) (bool, error) {
 				lv, err := l(ctx)
@@ -659,9 +590,6 @@ func (c *exprCompiler) compileBool(e epl.Expr) compiledBool {
 		}
 	}
 	g := c.compileValue(e)
-	if g == nil {
-		return nil
-	}
 	return func(ctx *evalContext) (bool, error) {
 		v, err := g(ctx)
 		if err != nil {
@@ -678,70 +606,64 @@ func (c *exprCompiler) compileBool(e epl.Expr) compiledBool {
 //
 // NaN caution (found by FuzzCompiledExprEquivalence): valueCompare is a
 // three-way compare that answers 0 when neither a<b nor a>b holds, so a
-// NaN operand makes `<=` and `>=` TRUE through the interpreter. The
-// unboxed forms below use !(a>b) / !(a<b) — not IEEE a<=b — to reproduce
-// that exactly.
+// NaN operand makes `<=` and `>=` TRUE through eval. The unboxed forms
+// below use !(a>b) / !(a<b) — not IEEE a<=b — to reproduce that exactly.
 func (c *exprCompiler) compileCompare(x *epl.BinaryExpr) compiledBool {
 	op := x.Op
 	if c.staticNum(x.Left) || c.staticNum(x.Right) {
 		l, r := c.compileNum(x.Left), c.compileNum(x.Right)
-		if l != nil && r != nil {
-			switch op {
-			case "<":
-				return func(ctx *evalContext) (bool, error) {
-					a, err := l(ctx)
-					if err != nil {
-						return false, err
-					}
-					b, err := r(ctx)
-					if err != nil {
-						return false, err
-					}
-					return a < b, nil
+		switch op {
+		case "<":
+			return func(ctx *evalContext) (bool, error) {
+				a, err := l(ctx)
+				if err != nil {
+					return false, err
 				}
-			case "<=":
-				return func(ctx *evalContext) (bool, error) {
-					a, err := l(ctx)
-					if err != nil {
-						return false, err
-					}
-					b, err := r(ctx)
-					if err != nil {
-						return false, err
-					}
-					return !(a > b), nil
+				b, err := r(ctx)
+				if err != nil {
+					return false, err
 				}
-			case ">":
-				return func(ctx *evalContext) (bool, error) {
-					a, err := l(ctx)
-					if err != nil {
-						return false, err
-					}
-					b, err := r(ctx)
-					if err != nil {
-						return false, err
-					}
-					return a > b, nil
+				return a < b, nil
+			}
+		case "<=":
+			return func(ctx *evalContext) (bool, error) {
+				a, err := l(ctx)
+				if err != nil {
+					return false, err
 				}
-			default:
-				return func(ctx *evalContext) (bool, error) {
-					a, err := l(ctx)
-					if err != nil {
-						return false, err
-					}
-					b, err := r(ctx)
-					if err != nil {
-						return false, err
-					}
-					return !(a < b), nil
+				b, err := r(ctx)
+				if err != nil {
+					return false, err
 				}
+				return !(a > b), nil
+			}
+		case ">":
+			return func(ctx *evalContext) (bool, error) {
+				a, err := l(ctx)
+				if err != nil {
+					return false, err
+				}
+				b, err := r(ctx)
+				if err != nil {
+					return false, err
+				}
+				return a > b, nil
+			}
+		default:
+			return func(ctx *evalContext) (bool, error) {
+				a, err := l(ctx)
+				if err != nil {
+					return false, err
+				}
+				b, err := r(ctx)
+				if err != nil {
+					return false, err
+				}
+				return !(a < b), nil
 			}
 		}
 	}
 	l, r := c.compileValue(x.Left), c.compileValue(x.Right)
-	if l == nil || r == nil {
-		return nil
-	}
 	return func(ctx *evalContext) (bool, error) {
 		lv, err := l(ctx)
 		if err != nil {
@@ -768,6 +690,13 @@ func (c *exprCompiler) compileCompare(x *epl.BinaryExpr) compiledBool {
 	}
 }
 
+// errAggNotCollected is the error of an aggregate call outside the places
+// a statement collects aggregates from (SELECT, HAVING, ORDER BY) — inside
+// GROUP BY, say: no evaluator ever computes it.
+func errAggNotCollected(key string) error {
+	return fmt.Errorf("cep: aggregate %s was not pre-computed", key)
+}
+
 // compileAgg lowers an aggregate reference: a slot read when the evaluator
 // filled the unboxed slots, a keyed-map lookup otherwise (recompute path,
 // ORDER BY over projected outputs) — with the key rendered once, here.
@@ -775,9 +704,7 @@ func (c *exprCompiler) compileAgg(x *epl.CallExpr) compiledExpr {
 	key := x.String()
 	slot, ok := c.aggOf[key]
 	if !ok {
-		// An aggregate the statement did not collect (e.g. inside GROUP
-		// BY): the interpreter owns the runtime error for that.
-		return nil
+		return errValue(errAggNotCollected(key))
 	}
 	fn := x.Func
 	return func(ctx *evalContext) (Value, error) {
@@ -804,7 +731,7 @@ func (c *exprCompiler) compileAggNum(x *epl.CallExpr) compiledNum {
 	key := x.String()
 	slot, ok := c.aggOf[key]
 	if !ok {
-		return nil
+		return errNum(errAggNotCollected(key))
 	}
 	fn := x.Func
 	return func(ctx *evalContext) (float64, error) {
@@ -829,8 +756,8 @@ func (c *exprCompiler) compileAggNum(x *epl.CallExpr) compiledNum {
 	}
 }
 
-// compileScalarCall resolves the function at evaluation time (matching the
-// interpreter: RegisterFunction after statement creation takes effect, and
+// compileScalarCall resolves the function at evaluation time (matching
+// eval: RegisterFunction after statement creation takes effect, and
 // user registrations shadow built-ins) but pre-compiles the arguments into
 // a per-call-site scratch buffer.
 func (c *exprCompiler) compileScalarCall(x *epl.CallExpr) compiledExpr {

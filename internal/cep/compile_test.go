@@ -1,54 +1,35 @@
 package cep
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+
+	"trafficcep/internal/epl"
 )
-
-func TestCompiledIntrospection(t *testing.T) {
-	eng := New()
-	st, err := eng.AddStatement("r", `SELECT w.loc AS l, sum(w.x) AS s FROM s.win:length(5) AS w GROUP BY w.loc`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Compiled() {
-		t.Fatal("statement should compile under the default engine")
-	}
-
-	off := New(WithCompiledExprs(false))
-	st2, err := off.AddStatement("r", `SELECT w.loc AS l, sum(w.x) AS s FROM s.win:length(5) AS w GROUP BY w.loc`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Compiled() {
-		t.Fatal("WithCompiledExprs(false) must leave the statement interpreted")
-	}
-}
 
 // TestCompiledScalarFunctionShadowing pins the late-binding contract:
 // compiled call sites resolve the function registry at evaluation time, so
 // a RegisterFunction call AFTER AddStatement — including one that shadows
-// a builtin — affects already-compiled statements, exactly like the
-// interpreter.
+// a builtin — affects already-compiled statements, exactly like eval.
 func TestCompiledScalarFunctionShadowing(t *testing.T) {
-	for _, compiled := range []bool{true, false} {
-		eng := New(WithCompiledExprs(compiled))
-		st, err := eng.AddStatement("r", `SELECT abs(w.x) AS a FROM s.std:lastevent() AS w`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last []Output
-		st.AddListener(func(_ *Statement, outs []Output) { last = outs })
-		send(t, eng, "s", map[string]Value{"x": -3.0})
-		if last[0].Fields["a"] != 3.0 {
-			t.Fatalf("compiled=%v: builtin abs = %v", compiled, last[0].Fields["a"])
-		}
-		eng.RegisterFunction("abs", func(args []Value) (Value, error) { return 42.0, nil })
-		send(t, eng, "s", map[string]Value{"x": -3.0})
-		if last[0].Fields["a"] != 42.0 {
-			t.Fatalf("compiled=%v: late-registered shadow not visible, got %v", compiled, last[0].Fields["a"])
-		}
+	eng := New()
+	st, err := eng.AddStatement("r", `SELECT abs(w.x) AS a FROM s.std:lastevent() AS w`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last []Output
+	st.AddListener(func(_ *Statement, outs []Output) { last = outs })
+	send(t, eng, "s", map[string]Value{"x": -3.0})
+	if last[0].Fields["a"] != 3.0 {
+		t.Fatalf("builtin abs = %v", last[0].Fields["a"])
+	}
+	eng.RegisterFunction("abs", func(args []Value) (Value, error) { return 42.0, nil })
+	send(t, eng, "s", map[string]Value{"x": -3.0})
+	if last[0].Fields["a"] != 42.0 {
+		t.Fatalf("late-registered shadow not visible, got %v", last[0].Fields["a"])
 	}
 }
 
@@ -75,11 +56,14 @@ func TestTriggerPlanBreakRebuildsIndexes(t *testing.T) {
 		return batch
 	}
 
-	run := func(opts ...Option) (st *Statement, feedFn func(stream string, f map[string]Value) error, batches *[][]string) {
-		eng := New(opts...)
+	run := func(recompute bool) (st *Statement, feedFn func(stream string, f map[string]Value) error, batches *[][]string) {
+		eng := New()
 		st, err := eng.AddStatement("r", src)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if recompute {
+			forceRecompute(st)
 		}
 		var collected [][]string
 		batches = &collected
@@ -89,14 +73,14 @@ func TestTriggerPlanBreakRebuildsIndexes(t *testing.T) {
 		return st, func(stream string, f map[string]Value) error { return eng.SendEvent(stream, f) }, batches
 	}
 
-	stInc, sendInc, incBatches := run()
-	stRec, sendRec, recBatches := run(WithIncremental(false))
+	stInc, sendInc, incBatches := run(false)
+	stRec, sendRec, recBatches := run(true)
 
 	if got := stInc.IncrementalStrategy(); got != "trigger" {
 		t.Fatalf("precondition: strategy = %q, want trigger (the scenario exercises nothing otherwise)", got)
 	}
-	if stRec.IncrementalStrategy() != "" {
-		t.Fatal("reference rig must recompute")
+	if got := stRec.IncrementalStrategy(); got != "broken" {
+		t.Fatalf("reference rig must recompute, strategy = %q", got)
 	}
 
 	feed := []struct {
@@ -148,5 +132,133 @@ func TestTriggerPlanBreakRebuildsIndexes(t *testing.T) {
 				t.Fatalf("batch %d output %d:\n inc: %s\n rec: %s", bi, j, a[j], b[j])
 			}
 		}
+	}
+}
+
+// listing1EPL is the Listing-1 template rule in the text
+// core.Rule.StreamEPL renders (this package cannot import core): the
+// windowed average of attr per location loc against the thresholds fed on
+// stream thr.
+func listing1EPL(loc, attr string, window int, thr string) string {
+	return fmt.Sprintf(`SELECT bd2.%[1]s AS location, avg(bd2.%[2]s) AS observed, avg(thresholds.value) AS threshold
+FROM bus.std:lastevent() AS bd UNIDIRECTIONAL,
+     bus.std:groupwin(%[1]s).win:length(%[3]d) AS bd2,
+     %[4]s.win:keepall() AS thresholds
+WHERE bd.hour = thresholds.hour AND bd.day = thresholds.day
+  AND bd.%[1]s = thresholds.location AND bd.%[1]s = bd2.%[1]s
+GROUP BY bd2.%[1]s
+HAVING avg(bd2.%[2]s) > avg(thresholds.value)`, loc, attr, window, thr)
+}
+
+// listing1Scenarios are the four template rules of the shipped topology,
+// each over a feed of thresholds and enriched bus events.
+func listing1Scenarios() []diffScenario {
+	var out []diffScenario
+	for _, r := range []struct {
+		name, loc, attr string
+		window          int
+	}{
+		{"leafDelay", "leafArea", "delay", 10},
+		{"leafSpeed", "leafArea", "speed", 100},
+		{"stopDelay", "stopId", "delay", 10},
+		{"stopActual", "stopId", "actualDelay", 10},
+	} {
+		thr := "thresholds_" + r.name
+		src := listing1EPL(r.loc, r.attr, r.window, thr)
+		rng := rand.New(rand.NewSource(int64(r.window) + int64(len(r.name))))
+		var feed []diffEvent
+		for i := 0; i < 200; i++ {
+			loc := fmt.Sprintf("L%d", rng.Intn(3))
+			if i%10 == 0 {
+				feed = append(feed, diffEvent{thr, map[string]Value{
+					"location": loc, "hour": rng.Intn(2), "day": "weekday", "value": float64(rng.Intn(5)),
+				}})
+			}
+			feed = append(feed, diffEvent{"bus", map[string]Value{
+				r.loc: loc, "hour": rng.Intn(2), "day": "weekday", r.attr: float64(rng.Intn(9)) - 2,
+			}})
+		}
+		out = append(out, diffScenario{"Listing1/" + r.name, map[string]string{r.name: src}, feed})
+	}
+	return out
+}
+
+// statementExprs lists every expression st evaluates — HAVING (nil when
+// absent), WHERE conjuncts, SELECT items, GROUP BY keys, ORDER BY keys,
+// aggregate arguments — and each one compiled against the statement's own
+// bind table and aggregate slots.
+func statementExprs(st *Statement) ([]epl.Expr, []compiledExpr) {
+	q := st.Query
+	exprs := append([]epl.Expr{q.Having}, st.conjuncts...)
+	for _, s := range q.Select {
+		if !s.Star {
+			exprs = append(exprs, s.Expr)
+		}
+	}
+	exprs = append(exprs, q.GroupBy...)
+	for _, o := range q.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	for _, call := range st.comp.aggCalls {
+		exprs = append(exprs, call.Args...)
+	}
+	c := &exprCompiler{bind: st.bind, aggOf: st.comp.aggOf}
+	return exprs, c.values(exprs)
+}
+
+// TestCompiledMatchesEval holds the compiler to eval on real statements:
+// every expression of the four shipped Listing-1 rules and of every
+// differential scenario — SELECT items, WHERE conjuncts, GROUP BY keys,
+// HAVING, ORDER BY keys, aggregate arguments — is compiled against the
+// statement's own bind table and aggregate slots, then evaluated by both
+// over rows assembled from the scenario's feed. Same value, and an error
+// from one exactly when from the other.
+func TestCompiledMatchesEval(t *testing.T) {
+	for _, sc := range append(listing1Scenarios(), diffScenarios()...) {
+		sc := sc
+		t.Run(sc.label, func(t *testing.T) {
+			agreed := 0
+			for name, src := range sc.stmts {
+				st, err := New().AddStatement(name, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exprs, compiled := statementExprs(st)
+
+				row := make([]*Event, len(st.items))
+				aggs := make(map[string]Value, len(st.comp.aggKeys))
+				for i, ev := range sc.feed {
+					for _, idx := range st.itemsByStream[ev.stream] {
+						row[idx] = &Event{Stream: ev.stream, Fields: ev.fields}
+					}
+					for k, key := range st.comp.aggKeys {
+						aggs[key] = float64((i*7+k*3)%11) - 3
+						if (i+k)%13 == 0 {
+							aggs[key] = nil
+						}
+					}
+					ctx := &evalContext{row: row, aliasOrder: st.aliasOrder, aggs: aggs}
+					for j, e := range exprs {
+						if e == nil {
+							continue
+						}
+						want, errWant := eval(e, ctx)
+						got, errGot := compiled[j](ctx)
+						if (errWant == nil) != (errGot == nil) {
+							t.Fatalf("%s: %v at event %d: eval err=%v, compiled err=%v", name, e, i, errWant, errGot)
+						}
+						if errWant == nil {
+							if valueKey(want) != valueKey(got) {
+								t.Fatalf("%s: %v at event %d: eval %#v, compiled %#v", name, e, i, want, got)
+							}
+							agreed++
+						}
+					}
+				}
+			}
+			if agreed == 0 {
+				t.Fatal("no expression ever evaluated without error; the scenario compares nothing")
+			}
+		})
 	}
 }

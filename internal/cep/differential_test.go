@@ -9,13 +9,17 @@ import (
 )
 
 // Differential harness: every scenario drives the same random event feed
-// through four engines — the cross product of incremental evaluation
-// on/off and expression compilation on/off — and asserts the emitted
-// outputs are identical batch by batch across all rigs. Fields are
+// through two engines — one evaluating incrementally where the planner
+// arms a plan, one recomputing every statement from its windows — and
+// asserts the emitted outputs are identical batch by batch. Fields are
 // integer-valued so maintained sums cancel exactly under retraction and
 // the comparison can demand equality, not tolerance. Batches are compared
 // as sorted multisets: group emission order is documented to differ
-// between the modes once groups die and are re-created.
+// between the paths once groups die and are re-created.
+//
+// That the compiled expressions agree with eval is held per expression, by
+// FuzzCompiledExprEquivalence and TestCompiledMatchesEval over these same
+// scenarios.
 
 func canonFields(f map[string]Value) string {
 	keys := make([]string, 0, len(f))
@@ -41,9 +45,19 @@ type diffRig struct {
 	batches [][]string
 }
 
-func newDiffRig(t *testing.T, stmts map[string]string, opts ...Option) *diffRig {
+// forceRecompute takes a statement off the incremental path the way
+// production does: it breaks the plan, here before any event arrives, so
+// every evaluation recomputes the join from the windows. A statement the
+// planner found ineligible recomputes already.
+func forceRecompute(st *Statement) {
+	if st.inc != nil {
+		st.inc.disable()
+	}
+}
+
+func newDiffRig(t *testing.T, stmts map[string]string, recompute bool) *diffRig {
 	t.Helper()
-	rig := &diffRig{eng: New(opts...)}
+	rig := &diffRig{eng: New()}
 	names := make([]string, 0, len(stmts))
 	for name := range stmts {
 		names = append(names, name)
@@ -53,6 +67,9 @@ func newDiffRig(t *testing.T, stmts map[string]string, opts ...Option) *diffRig 
 		st, err := rig.eng.AddStatement(name, stmts[name])
 		if err != nil {
 			t.Fatalf("add %s: %v", name, err)
+		}
+		if recompute {
+			forceRecompute(st)
 		}
 		st.AddListener(func(_ *Statement, outs []Output) {
 			batch := make([]string, len(outs))
@@ -71,53 +88,46 @@ type diffEvent struct {
 	fields map[string]Value
 }
 
-func runDifferential(t *testing.T, label string, stmts map[string]string, feed []diffEvent) {
+// diffScenario is one set of statements and the feed that drives them.
+type diffScenario struct {
+	label string
+	stmts map[string]string
+	feed  []diffEvent
+}
+
+func runDifferential(t *testing.T, sc diffScenario) {
 	t.Helper()
-	// Rig 0 (incremental + compiled, the production default) is the
-	// reference; every other rig must match it event for event.
-	rigs := []struct {
-		name string
-		rig  *diffRig
-	}{
-		{"inc+compiled", newDiffRig(t, stmts)},
-		{"rec+compiled", newDiffRig(t, stmts, WithIncremental(false))},
-		{"inc+interp", newDiffRig(t, stmts, WithCompiledExprs(false))},
-		{"rec+interp", newDiffRig(t, stmts, WithIncremental(false), WithCompiledExprs(false))},
-	}
-	ref := rigs[0]
-	for i, ev := range feed {
-		errRef := ref.rig.eng.SendEvent(ev.stream, ev.fields)
-		for _, other := range rigs[1:] {
-			errOther := other.rig.eng.SendEvent(ev.stream, ev.fields)
-			if (errRef == nil) != (errOther == nil) {
-				t.Fatalf("%s: event %d error mismatch: %s=%v %s=%v",
-					label, i, ref.name, errRef, other.name, errOther)
+	inc, rec := newDiffRig(t, sc.stmts, false), newDiffRig(t, sc.stmts, true)
+	for i, ev := range sc.feed {
+		errInc := inc.eng.SendEvent(ev.stream, ev.fields)
+		errRec := rec.eng.SendEvent(ev.stream, ev.fields)
+		if (errInc == nil) != (errRec == nil) {
+			t.Fatalf("event %d error mismatch: incremental=%v recompute=%v\n%v", i, errInc, errRec, sc.stmts)
+		}
+		if len(inc.batches) != len(rec.batches) {
+			t.Fatalf("event %d: incremental emitted %d batches, recompute %d\n%v",
+				i, len(inc.batches), len(rec.batches), sc.stmts)
+		}
+		for bi := len(inc.batches) - 1; bi >= 0; bi-- {
+			a, b := inc.batches[bi], rec.batches[bi]
+			if len(a) != len(b) {
+				t.Fatalf("event %d batch %d: %d vs %d outputs\n incremental: %v\n recompute: %v\n%v",
+					i, bi, len(a), len(b), a, b, sc.stmts)
 			}
-			if len(ref.rig.batches) != len(other.rig.batches) {
-				t.Fatalf("%s: event %d: %s emitted %d batches, %s %d",
-					label, i, ref.name, len(ref.rig.batches), other.name, len(other.rig.batches))
-			}
-			for bi := len(ref.rig.batches) - 1; bi >= 0; bi-- {
-				a, b := ref.rig.batches[bi], other.rig.batches[bi]
-				if len(a) != len(b) {
-					t.Fatalf("%s: event %d batch %d: %d vs %d outputs\n %s: %v\n %s: %v",
-						label, i, bi, len(a), len(b), ref.name, a, other.name, b)
-				}
-				for j := range a {
-					if a[j] != b[j] {
-						t.Fatalf("%s: event %d batch %d output %d:\n %s: %s\n %s: %s",
-							label, i, bi, j, ref.name, a[j], other.name, b[j])
-					}
+			for j := range a {
+				if a[j] != b[j] {
+					t.Fatalf("event %d batch %d output %d:\n incremental: %s\n recompute: %s\n%v",
+						i, bi, j, a[j], b[j], sc.stmts)
 				}
 			}
 		}
 	}
 	total := 0
-	for _, b := range ref.rig.batches {
+	for _, b := range inc.batches {
 		total += len(b)
 	}
 	if total == 0 {
-		t.Fatalf("%s: scenario produced no outputs; it exercises nothing", label)
+		t.Fatalf("scenario produced no outputs; it exercises nothing\n%v", sc.stmts)
 	}
 }
 
@@ -163,7 +173,22 @@ func randBusEvent(rng *rand.Rand, stream string) diffEvent {
 	return diffEvent{stream: stream, fields: f}
 }
 
-func TestDifferentialGroupedSingleWindow(t *testing.T) {
+// diffScenarios builds the randomized scenarios, the same ones on every
+// call: grouped and ungrouped single windows, two-window joins, the
+// Listing-1 shape, an INSERT INTO cascade, and ORDER BY.
+func diffScenarios() []diffScenario {
+	var out []diffScenario
+	busFeed := func(rng *rand.Rand, n int, streams ...string) []diffEvent {
+		feed := make([]diffEvent, n)
+		for i := range feed {
+			stream := streams[0]
+			if len(streams) > 1 {
+				stream = streams[rng.Intn(len(streams))]
+			}
+			feed[i] = randBusEvent(rng, stream)
+		}
+		return feed
+	}
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		where := ""
@@ -176,45 +201,23 @@ func TestDifferentialGroupedSingleWindow(t *testing.T) {
 		}
 		src := fmt.Sprintf("SELECT w.loc AS loc, %s FROM s0.%s AS w %s GROUP BY w.loc %s",
 			randAggList(rng), randView(rng), where, having)
-		feed := make([]diffEvent, 300)
-		for i := range feed {
-			feed[i] = randBusEvent(rng, "s0")
-		}
-		runDifferential(t, fmt.Sprintf("grouped/seed=%d [%s]", seed, src), map[string]string{"r": src}, feed)
+		out = append(out, diffScenario{fmt.Sprintf("GroupedSingleWindow/seed=%d", seed),
+			map[string]string{"r": src}, busFeed(rng, 300, "s0")})
 	}
-}
-
-func TestDifferentialUngroupedSingleWindow(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(200 + seed))
 		src := fmt.Sprintf("SELECT %s FROM s0.%s AS w", randAggList(rng), randView(rng))
-		feed := make([]diffEvent, 300)
-		for i := range feed {
-			feed[i] = randBusEvent(rng, "s0")
-		}
-		runDifferential(t, fmt.Sprintf("ungrouped/seed=%d [%s]", seed, src), map[string]string{"r": src}, feed)
+		out = append(out, diffScenario{fmt.Sprintf("UngroupedSingleWindow/seed=%d", seed),
+			map[string]string{"r": src}, busFeed(rng, 300, "s0")})
 	}
-}
-
-func TestDifferentialTwoWindowJoin(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(300 + seed))
 		src := fmt.Sprintf(`SELECT l.loc AS loc, avg(r.a) AS x, count(*) AS c, sum(l.a) AS y
 			FROM s0.%s AS l, s1.%s AS r WHERE l.loc = r.loc GROUP BY l.loc`,
 			randView(rng), randView(rng))
-		feed := make([]diffEvent, 300)
-		for i := range feed {
-			if rng.Intn(2) == 0 {
-				feed[i] = randBusEvent(rng, "s0")
-			} else {
-				feed[i] = randBusEvent(rng, "s1")
-			}
-		}
-		runDifferential(t, fmt.Sprintf("join/seed=%d [%s]", seed, src), map[string]string{"r": src}, feed)
+		out = append(out, diffScenario{fmt.Sprintf("TwoWindowJoin/seed=%d", seed),
+			map[string]string{"r": src}, busFeed(rng, 300, "s0", "s1")})
 	}
-}
-
-func TestDifferentialListing1Shape(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(400 + seed))
 		uni := ""
@@ -237,14 +240,10 @@ func TestDifferentialListing1Shape(t *testing.T) {
 				}})
 			}
 		}
-		for i := 0; i < 300; i++ {
-			feed = append(feed, randBusEvent(rng, "bus"))
-		}
-		runDifferential(t, fmt.Sprintf("listing1/seed=%d", seed), map[string]string{"r": src}, feed)
+		feed = append(feed, busFeed(rng, 300, "bus")...)
+		out = append(out, diffScenario{fmt.Sprintf("Listing1Shape/seed=%d", seed),
+			map[string]string{"r": src}, feed})
 	}
-}
-
-func TestDifferentialInsertIntoCascade(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(500 + seed))
 		stmts := map[string]string{
@@ -253,23 +252,22 @@ func TestDifferentialInsertIntoCascade(t *testing.T) {
 			"downstream": fmt.Sprintf(`SELECT g.loc AS loc, avg(g.a) AS m, max(g.a) AS hi
 				FROM derived.%s AS g GROUP BY g.loc`, randView(rng)),
 		}
-		feed := make([]diffEvent, 250)
-		for i := range feed {
-			feed[i] = randBusEvent(rng, "s0")
-		}
-		runDifferential(t, fmt.Sprintf("cascade/seed=%d", seed), stmts, feed)
+		out = append(out, diffScenario{fmt.Sprintf("InsertIntoCascade/seed=%d", seed),
+			stmts, busFeed(rng, 250, "s0")})
 	}
-}
-
-func TestDifferentialOrderBy(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(600 + seed))
 		src := fmt.Sprintf(`SELECT w.loc AS loc, sum(w.a) AS s FROM s0.%s AS w
 			GROUP BY w.loc ORDER BY w.loc`, randView(rng))
-		feed := make([]diffEvent, 250)
-		for i := range feed {
-			feed[i] = randBusEvent(rng, "s0")
-		}
-		runDifferential(t, fmt.Sprintf("orderby/seed=%d", seed), map[string]string{"r": src}, feed)
+		out = append(out, diffScenario{fmt.Sprintf("OrderBy/seed=%d", seed),
+			map[string]string{"r": src}, busFeed(rng, 250, "s0")})
+	}
+	return out
+}
+
+func TestDifferential(t *testing.T) {
+	for _, sc := range diffScenarios() {
+		sc := sc
+		t.Run(sc.label, func(t *testing.T) { runDifferential(t, sc) })
 	}
 }

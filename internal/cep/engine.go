@@ -25,20 +25,11 @@ type Engine struct {
 	procTime time.Duration
 
 	// disableIndexJoins turns off equi-join hash indexing for statements
-	// compiled after the call; joins then run as filtered nested loops.
-	// Kept for the join-strategy ablation benchmark.
+	// registered while it is set, so every join runs as the filtered nested
+	// loop that non-equi conjuncts always take. Nothing outside this
+	// package's tests and benchmarks sets it: they use it to hold the
+	// nested-loop path to the indexed path's results.
 	disableIndexJoins bool
-
-	// incremental arms delta-driven evaluation for eligible statements
-	// compiled while it is set (the default): windows' add/remove deltas
-	// maintain join and aggregate state so evaluation cost is independent
-	// of window length. Ineligible statements recompute as before.
-	incremental bool
-
-	// compiledExprs lowers statement expressions to specialized closures
-	// at registration (the default); off, every expression is evaluated by
-	// the tree-walking interpreter — the expression-compilation ablation.
-	compiledExprs bool
 
 	// name prefixes this engine's metric names in the telemetry registry;
 	// latHist records per-event processing latency when a registry is
@@ -51,31 +42,6 @@ type Engine struct {
 // Option configures an Engine at construction; the engine is never
 // mutated after New returns, so option state needs no locking.
 type Option func(*Engine)
-
-// WithIndexJoins enables or disables equi-join hash indexing for the
-// engine's statements. Indexing is on by default; disabling it runs joins
-// as filtered nested loops (the join-strategy ablation).
-func WithIndexJoins(enabled bool) Option {
-	return func(e *Engine) { e.disableIndexJoins = !enabled }
-}
-
-// WithIncremental enables or disables incremental evaluation for the
-// engine's statements. It is on by default; disabling it recomputes the
-// full join and all aggregates on every evaluation (the evaluation-
-// strategy ablation).
-func WithIncremental(enabled bool) Option {
-	return func(e *Engine) { e.incremental = enabled }
-}
-
-// WithCompiledExprs enables or disables the statement compiler for
-// statements registered after New. It is on by default; disabling it
-// evaluates expression trees with the tree-walking interpreter on every
-// tuple (the expression-compilation ablation). Results are identical
-// either way — the differential harness and FuzzCompiledExprEquivalence
-// enforce it.
-func WithCompiledExprs(enabled bool) Option {
-	return func(e *Engine) { e.compiledExprs = enabled }
-}
 
 // WithRegistry attaches a telemetry registry: the engine records a
 // per-event processing-latency histogram on the hot path and can be
@@ -95,12 +61,10 @@ func WithName(name string) Option {
 // New creates an engine configured by options.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		stmts:         make(map[string]*Statement),
-		byStream:      make(map[string][]*Statement),
-		funcs:         make(map[string]ScalarFunc),
-		name:          "cep",
-		incremental:   true,
-		compiledExprs: true,
+		stmts:    make(map[string]*Statement),
+		byStream: make(map[string][]*Statement),
+		funcs:    make(map[string]ScalarFunc),
+		name:     "cep",
 	}
 	for _, opt := range opts {
 		opt(e)

@@ -63,29 +63,33 @@ func oneNumeric(name string, args []Value) (float64, error) {
 // expression's rendering), and the scalar function registry.
 //
 // Join rows are position-indexed: row[i] is the event bound to the i-th
-// FROM item (nil while unbound). aliasOrder names the positions. bind is
-// the statement's compile-time FieldRef→position resolution; field
-// references not in bind (or when bind is nil) fall back to scanning
-// aliasOrder.
+// FROM item (nil while unbound). Compiled expressions carry the positions
+// of their field references; aliasOrder names the positions for eval,
+// which resolves a qualified reference by scanning it.
 type evalContext struct {
 	row        []*Event
-	aliasOrder []string // FROM order, parallel to row
-	bind       map[*epl.FieldRef]int
+	aliasOrder []string // FROM order, parallel to row; read by eval only
 	aggs       map[string]Value
 	funcs      map[string]ScalarFunc
 
 	// aggF/aggNull are the unboxed aggregate slots filled by the
-	// incremental evaluators when the statement compiled cleanly: slot i
-	// holds the value of the statement's i-th distinct aggregate (the
-	// ordering of stmtCompiled.aggKeys), aggNull[i] marking SQL NULL.
-	// Compiled aggregate references read the slots when aggF is non-nil
-	// and fall back to the aggs map otherwise; the tree-walking
-	// interpreter only ever reads the map.
+	// incremental evaluators: slot i holds the value of the statement's
+	// i-th distinct aggregate (the ordering of stmtCompiled.aggKeys),
+	// aggNull[i] marking SQL NULL. Compiled aggregate references read the
+	// slots when aggF is non-nil and the aggs map — what the recompute
+	// path fills — otherwise; eval only ever reads the map.
 	aggF    []float64
 	aggNull []bool
 }
 
-// eval evaluates an expression tree.
+// eval is the one-shot evaluator: it walks the expression tree on every
+// call. It serves the callers that evaluate an expression once or a few
+// times, where compiling would not amortise — EvalScalar (sqlstore's
+// Listing-2 SELECT runs every expression once per stored row) and the
+// statement compiler's constant folding. Standing statements never call it
+// per tuple: they run the closures compile.go builds. It is also the
+// reference those closures are held to, by FuzzCompiledExprEquivalence and
+// TestCompiledMatchesEval.
 func eval(e epl.Expr, ctx *evalContext) (Value, error) {
 	switch x := e.(type) {
 	case *epl.NumberLit:
@@ -153,12 +157,6 @@ func eval(e epl.Expr, ctx *evalContext) (Value, error) {
 
 func evalField(ref *epl.FieldRef, ctx *evalContext) (Value, error) {
 	if ref.Alias != "" {
-		if idx, ok := ctx.bind[ref]; ok {
-			if ev := ctx.row[idx]; ev != nil {
-				return ev.Get(ref.Field), nil
-			}
-			return nil, fmt.Errorf("cep: alias %q is not bound", ref.Alias)
-		}
 		for i, alias := range ctx.aliasOrder {
 			if alias == ref.Alias {
 				if ev := ctx.row[i]; ev != nil {
@@ -301,7 +299,7 @@ func computeAggregate(call *epl.CallExpr, arg compiledExpr, rows [][]*Event, bas
 		sum, sumSq float64
 		min, max   float64
 	)
-	ctx := &evalContext{aliasOrder: base.aliasOrder, bind: base.bind, funcs: base.funcs}
+	ctx := &evalContext{funcs: base.funcs}
 	for _, row := range rows {
 		ctx.row = row
 		v, err := arg(ctx)

@@ -8,13 +8,16 @@ import (
 )
 
 // FuzzCompiledExprEquivalence drives randomly shaped expression trees
-// through both evaluators — the tree-walking interpreter and the closure
-// compiler — against randomly typed rows, and asserts the equivalence
-// contract the compiler documents: identical values (under the engine's
-// valueKey rendering, which owns cross-type numeric equality) and
+// through both evaluators — eval, the tree-walking one-shot evaluator, and
+// the closure compiler — against randomly typed rows, and asserts the
+// equivalence contract the compiler documents: identical values (under the
+// engine's valueKey rendering, which owns cross-type numeric equality) and
 // identical error presence. Error TEXT may differ, and the compiled form
 // may fail fast before a sibling operand is evaluated; both are inside
-// the contract, so only presence is compared.
+// the contract, so only presence is compared. The compiler is total, so
+// the trees include the nodes that can only fail — references through an
+// alias that names no FROM item, aggregates the statement did not collect
+// — which must fail in both exactly when evaluation reaches them.
 //
 // The input bytes are an instruction stream: each byte picks the next
 // node kind or leaf value, so the fuzzer mutates tree shapes and row
@@ -34,6 +37,14 @@ func (r *fuzzReader) byte() byte {
 }
 
 var fuzzFieldNames = [4]string{"f0", "f1", "f2", "f3"}
+
+// fuzzCollected are the aggregate calls the fuzzed "statement" collected:
+// the compiler gets a slot for each and both evaluators a value.
+var fuzzCollected = [3]*epl.CallExpr{
+	{Func: "sum", Args: []epl.Expr{&epl.FieldRef{Alias: "r", Field: "f0"}}},
+	{Func: "count", Star: true},
+	{Func: "avg", Args: []epl.Expr{&epl.FieldRef{Alias: "r", Field: "f1"}}},
+}
 
 // fuzzValue decodes one typed field value; the bool result is false for
 // "field absent".
@@ -69,7 +80,12 @@ func fuzzExpr(r *fuzzReader, depth int) epl.Expr {
 		case 2:
 			return &epl.BoolLit{Value: r.byte()%2 == 0}
 		case 3:
-			return &epl.FieldRef{Alias: "r", Field: fuzzFieldNames[r.byte()%4]}
+			b := r.byte()
+			alias := "r"
+			if b%16 >= 12 {
+				alias = "zz" // names no FROM item
+			}
+			return &epl.FieldRef{Alias: alias, Field: fuzzFieldNames[b%4]}
 		case 4:
 			return &epl.FieldRef{Field: fuzzFieldNames[r.byte()%4]}
 		default:
@@ -94,8 +110,11 @@ func fuzzExpr(r *fuzzReader, depth int) epl.Expr {
 		fn := []string{"abs", "sqrt", "floor", "ceil"}[r.byte()%4]
 		return &epl.CallExpr{Func: fn, Args: []epl.Expr{fuzzExpr(r, depth-1)}}
 	case 6:
-		// Aggregate outside an aggregation context: both evaluators must
-		// report the error.
+		if r.byte()%2 == 0 {
+			return fuzzCollected[int(r.byte())%len(fuzzCollected)]
+		}
+		// An aggregate nobody computed (unless its argument happens to
+		// render as a collected one): both evaluators must report it.
 		return &epl.CallExpr{Func: "avg", Args: []epl.Expr{fuzzExpr(r, depth-1)}}
 	default:
 		return fuzzExpr(r, 0)
@@ -109,6 +128,11 @@ func FuzzCompiledExprEquivalence(f *testing.F) {
 	f.Add([]byte{3, 2, 4, 0, 0, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7})
 	f.Add([]byte("differential seed: mixed types"))
+	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 1, 2, 1, 2, 0, 3, 12})               // true OR zz.f0: never reached
+	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 1, 1, 2, 3, 13, 0, 5})               // zz.f1 < 2: reached
+	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 2, 0, 0, 6, 0, 0, 6, 0, 2, 5, 0, 3}) // sum(r.f0) + avg(r.f1), avg NULL
+	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 2, 2, 0, 7, 2, 1, 6, 1, 0, 5})       // false AND avg(2): never reached
+	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 2, 1, 4, 6, 0, 1, 6, 1, 3, 2})       // count(*) > avg(r.f2): reached
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 
@@ -122,34 +146,44 @@ func FuzzCompiledExprEquivalence(f *testing.F) {
 
 		expr := fuzzExpr(r, int(r.byte()%4))
 
-		// Bind every qualified reference to position 0, exactly as a
-		// single-item statement's bind table would.
+		// The collected aggregates' values, decoded last so the bytes that
+		// shape the tree mean what they always did: eval reads them from the
+		// keyed map, the compiled form from the unboxed slots.
+		aggOf := make(map[string]int, len(fuzzCollected))
+		aggs := make(map[string]Value, len(fuzzCollected))
+		aggF := make([]float64, len(fuzzCollected))
+		aggNull := make([]bool, len(fuzzCollected))
+		for i, call := range fuzzCollected {
+			aggOf[call.String()] = i
+			if b := r.byte(); b%4 == 3 {
+				aggs[call.String()], aggNull[i] = nil, true
+			} else {
+				aggF[i] = float64(int(b%9) - 4)
+				aggs[call.String()] = aggF[i]
+			}
+		}
+
+		// Bind every reference through the one FROM alias to position 0,
+		// exactly as a single-item statement's bind table would.
 		bind := make(map[*epl.FieldRef]int)
 		epl.WalkExpr(expr, func(x epl.Expr) {
 			if ref, ok := x.(*epl.FieldRef); ok && ref.Alias == "r" {
 				bind[ref] = 0
 			}
 		})
-		c := &exprCompiler{bind: bind, compiled: true}
-		compiled := c.value(expr)
+		compiled := (&exprCompiler{bind: bind, aggOf: aggOf}).value(expr)
 
-		mkCtx := func() *evalContext {
-			return &evalContext{
-				row:        []*Event{ev},
-				aliasOrder: []string{"r"},
-				bind:       bind,
-			}
-		}
-		vi, erri := eval(expr, mkCtx())
-		vc, errc := compiled(mkCtx())
+		row, aliases := []*Event{ev}, []string{"r"}
+		vi, erri := eval(expr, &evalContext{row: row, aliasOrder: aliases, aggs: aggs})
+		vc, errc := compiled(&evalContext{row: row, aggF: aggF, aggNull: aggNull})
 
 		if (erri == nil) != (errc == nil) {
-			t.Fatalf("error presence diverged for %v over %v:\n interp: v=%v err=%v\n compiled: v=%v err=%v",
-				expr, fields, vi, erri, vc, errc)
+			t.Fatalf("error presence diverged for %v over %v, aggregates %v:\n eval: v=%v err=%v\n compiled: v=%v err=%v",
+				expr, fields, aggs, vi, erri, vc, errc)
 		}
 		if erri == nil && valueKey(vi) != valueKey(vc) {
-			t.Fatalf("value diverged for %v over %v:\n interp: %#v\n compiled: %#v",
-				expr, fields, vi, vc)
+			t.Fatalf("value diverged for %v over %v, aggregates %v:\n eval: %#v\n compiled: %#v",
+				expr, fields, aggs, vi, vc)
 		}
 	})
 }

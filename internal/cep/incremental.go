@@ -57,7 +57,6 @@ type incState struct {
 	row        []*Event
 	ctx        *evalContext
 	deltaCtx   *evalContext
-	aggScratch map[string]Value
 	pinScratch [1]*Event
 	groupVals  []Value
 	keyBufA    []byte
@@ -65,8 +64,7 @@ type incState struct {
 
 	// aggF/aggNull are the unboxed aggregate slots handed to compiled
 	// expressions via the eval context (slot i = plan spec i = compiled
-	// aggKeys i); used instead of aggScratch when the statement compiled
-	// without aggregate fallbacks.
+	// aggKeys i).
 	aggF    []float64
 	aggNull []bool
 }
@@ -370,8 +368,8 @@ func planAggSpecs(st *Statement) ([]*aggSpec, bool) {
 func newIncState(st *Statement, trig *incTriggerPlan, delta *incDeltaPlan) *incState {
 	s := &incState{st: st, trig: trig, delta: delta}
 	s.row = make([]*Event, len(st.items))
-	s.ctx = &evalContext{row: s.row, aliasOrder: st.aliasOrder, bind: st.bind, funcs: st.engine.funcs}
-	s.deltaCtx = &evalContext{row: st.rowScratch, aliasOrder: st.aliasOrder, bind: st.bind, funcs: st.engine.funcs}
+	s.ctx = &evalContext{row: s.row, funcs: st.engine.funcs}
+	s.deltaCtx = &evalContext{row: st.rowScratch, funcs: st.engine.funcs}
 	if n := len(st.Query.GroupBy); n > 0 {
 		s.groupVals = make([]Value, n)
 	}
@@ -408,8 +406,7 @@ func (s *incState) strategy() string {
 // IncrementalStrategy reports which incremental plan the statement runs:
 // "trigger" (factorized per-item accumulators around a lastevent item),
 // "delta" (delta joins into maintained groups), "broken" (maintenance
-// failed, recomputing), or "" (recompute: engine incremental evaluation
-// disabled or query ineligible).
+// failed, recomputing), or "" (recompute: the query is ineligible).
 func (st *Statement) IncrementalStrategy() string {
 	if st.inc == nil {
 		return ""
@@ -489,7 +486,7 @@ type incItemState struct {
 	filtersC  []compiledBool // compiled form of filters
 	keyFields []string       // this item's fields forming the accumulator key
 	srcFields []string       // trigger fields probing each keyField
-	aggIdx    []int      // positions in plan.aggs anchored at this item
+	aggIdx    []int          // positions in plan.aggs anchored at this item
 	accs      map[string]*itemAcc
 	keyBuf    []byte
 	probed    *itemAcc // evaluation scratch: result of the latest probe
@@ -723,7 +720,7 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 func (s *incState) trigApply(ip *incItemState, ev *Event, sign int) error {
 	// s.ctx is shared with trigEvaluate: drop any aggregate bindings left
 	// from a prior evaluation so a (mis-typed) aggregate reference in a
-	// filter or aggregate argument errors exactly like the interpreter
+	// filter or aggregate argument errors exactly like the recompute path
 	// instead of silently reading stale slots.
 	s.ctx.aggs = nil
 	s.ctx.aggF, s.ctx.aggNull = nil, nil
@@ -837,42 +834,22 @@ func (s *incState) trigEvaluate() ([]Output, error) {
 		row[ip.idx] = acc.last
 	}
 
-	comp := s.st.comp
-	if comp.needAggMap {
-		// Keyed-map delivery: interpreter mode, or a fallback expression
-		// reads aggregates through the map.
-		if s.aggScratch == nil {
-			s.aggScratch = make(map[string]Value, len(p.aggs))
-		}
-		for _, spec := range p.aggs {
-			f, null, err := s.trigAggFloat(spec, ctx, rowsTotal)
-			if err != nil {
-				return nil, err
-			}
-			if null {
-				s.aggScratch[spec.key] = nil
-			} else {
-				s.aggScratch[spec.key] = f
-			}
-		}
-		ctx.aggs = s.aggScratch
-	} else {
-		// Unboxed slot delivery: compiled aggregate references read
-		// ctx.aggF directly, no per-evaluation map or boxing.
-		if s.aggF == nil {
-			s.aggF = make([]float64, len(p.aggs))
-			s.aggNull = make([]bool, len(p.aggs))
-		}
-		for i, spec := range p.aggs {
-			f, null, err := s.trigAggFloat(spec, ctx, rowsTotal)
-			if err != nil {
-				return nil, err
-			}
-			s.aggF[i], s.aggNull[i] = f, null
-		}
-		ctx.aggF, ctx.aggNull = s.aggF, s.aggNull
+	// Unboxed slot delivery: compiled aggregate references read ctx.aggF
+	// directly, no per-evaluation map or boxing.
+	if s.aggF == nil {
+		s.aggF = make([]float64, len(p.aggs))
+		s.aggNull = make([]bool, len(p.aggs))
 	}
+	for i, spec := range p.aggs {
+		f, null, err := s.trigAggFloat(spec, ctx, rowsTotal)
+		if err != nil {
+			return nil, err
+		}
+		s.aggF[i], s.aggNull[i] = f, null
+	}
+	ctx.aggF, ctx.aggNull = s.aggF, s.aggNull
 
+	comp := s.st.comp
 	if comp.havingC != nil {
 		pass, err := comp.havingC(ctx)
 		if err != nil {
@@ -1249,21 +1226,13 @@ func (s *incState) deltaEvaluate() ([]Output, error) {
 		return nil, nil
 	}
 	comp := st.comp
-	useSlots := !comp.needAggMap
 	ctx := s.ctx
-	if useSlots {
-		if s.aggF == nil {
-			s.aggF = make([]float64, len(p.aggs))
-			s.aggNull = make([]bool, len(p.aggs))
-		}
-		ctx.aggs = nil
-	} else {
-		if s.aggScratch == nil {
-			s.aggScratch = make(map[string]Value, len(p.aggs))
-		}
-		ctx.aggs = s.aggScratch
+	if s.aggF == nil {
+		s.aggF = make([]float64, len(p.aggs))
+		s.aggNull = make([]bool, len(p.aggs))
 	}
-	ctx.aggF, ctx.aggNull = nil, nil
+	ctx.aggs = nil
+	ctx.aggF, ctx.aggNull = s.aggF, s.aggNull
 	var outputs []Output
 	for _, gs := range p.order {
 		if gs.dead {
@@ -1280,16 +1249,7 @@ func (s *incState) deltaEvaluate() ([]Output, error) {
 			default:
 				f, null = anchoredAggFloat(spec, &gs.aggs[j], 1)
 			}
-			if useSlots {
-				s.aggF[j], s.aggNull[j] = f, null
-			} else if null {
-				s.aggScratch[spec.key] = nil
-			} else {
-				s.aggScratch[spec.key] = f
-			}
-		}
-		if useSlots {
-			ctx.aggF, ctx.aggNull = s.aggF, s.aggNull
+			s.aggF[j], s.aggNull[j] = f, null
 		}
 		ctx.row = gs.lastRow
 		if comp.havingC != nil {

@@ -69,24 +69,6 @@ func TestIncrementalStrategySelection(t *testing.T) {
 	}
 }
 
-func TestIncrementalDisabledByOption(t *testing.T) {
-	eng := New(WithIncremental(false))
-	st, err := eng.AddStatement("r", `SELECT avg(w.x) AS a FROM s.win:length(5) AS w`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st.IncrementalStrategy(); got != "" {
-		t.Fatalf("strategy = %q, want recompute", got)
-	}
-	for i := 0; i < 4; i++ {
-		send(t, eng, "s", map[string]Value{"x": float64(i)})
-	}
-	m := st.Metrics()
-	if m.IncrementalEvals != 0 || m.RecomputeFallbacks != 0 {
-		t.Fatalf("disabled engine counted incremental metrics: %+v", m)
-	}
-}
-
 func TestIncrementalAndFallbackCounters(t *testing.T) {
 	eng := New()
 	fast, err := eng.AddStatement("fast", `SELECT avg(w.x) AS a FROM s.win:length(5) AS w`)
@@ -192,7 +174,7 @@ func TestIndexConjunctUnknownAliasRejected(t *testing.T) {
 			Right: &epl.FieldRef{Alias: "r", Field: "loc"},
 		},
 	}
-	eng := New(WithIncremental(false))
+	eng := New()
 	_, err := eng.AddQuery("r", q)
 	if err == nil {
 		t.Fatal("unknown alias in equi conjunct must be a compile error")
@@ -285,11 +267,14 @@ func TestListing1IncrementalMatchesRecompute(t *testing.T) {
 		eng  *Engine
 		outs []string
 	}
-	build := func(opts ...Option) *mode {
-		m := &mode{eng: New(opts...)}
+	build := func(recompute bool) *mode {
+		m := &mode{eng: New()}
 		st, err := m.eng.AddStatement("r", src)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if recompute {
+			forceRecompute(st)
 		}
 		st.AddListener(func(_ *Statement, outs []Output) {
 			for _, o := range outs {
@@ -298,8 +283,8 @@ func TestListing1IncrementalMatchesRecompute(t *testing.T) {
 		})
 		return m
 	}
-	inc := build()
-	rec := build(WithIncremental(false))
+	inc := build(false)
+	rec := build(true)
 
 	rng := rand.New(rand.NewSource(11))
 	feed := func(m *mode, stream string, f map[string]Value) {

@@ -46,12 +46,10 @@ type Statement struct {
 
 	// inc holds the statement's incremental-evaluation state when the
 	// planner proved the query safe for delta-driven evaluation; nil when
-	// the engine runs with incremental evaluation disabled or the query
-	// uses features the incremental path cannot prove correct.
+	// the query uses features the incremental path cannot prove correct.
 	inc *incState
 
-	// comp holds the compiled (or interpreter-wrapped, with
-	// WithCompiledExprs(false)) form of every expression the statement
+	// comp holds the compiled form of every expression the statement
 	// evaluates; always non-nil after compile().
 	comp *stmtCompiled
 
@@ -71,8 +69,8 @@ type StatementMetrics struct {
 	Firings     uint64
 	Errors      uint64
 	// IncrementalEvals counts evaluations served by the incremental path;
-	// RecomputeFallbacks counts evaluations that fell back to a full join
-	// recompute while the engine had incremental evaluation enabled.
+	// RecomputeFallbacks counts evaluations served by a full join recompute
+	// (the query is ineligible, or its incremental plan broke).
 	IncrementalEvals   uint64
 	RecomputeFallbacks uint64
 	ProcTime           time.Duration
@@ -177,17 +175,10 @@ func compile(name string, q *epl.Query, eng *Engine) (*Statement, error) {
 	}
 	st.hasAgg = len(st.aggCalls) > 0
 
-	if eng.incremental {
-		st.inc = planIncremental(st, aliasToIdx)
-	}
+	st.inc = planIncremental(st, aliasToIdx)
 	st.comp = compileStatement(st)
 	return st, nil
 }
-
-// Compiled reports whether the statement's expressions were lowered to
-// specialized closures at registration, or run through the tree-walking
-// interpreter (the engine was built with WithCompiledExprs(false)).
-func (st *Statement) Compiled() bool { return st.comp.compiled }
 
 // splitConjuncts flattens a WHERE tree into AND-connected conjuncts.
 func splitConjuncts(e epl.Expr) []epl.Expr {
@@ -407,9 +398,7 @@ func (st *Statement) evaluate() ([]Output, error) {
 		st.metrics.IncrementalEvals++
 		return st.inc.evaluate()
 	}
-	if st.engine.incremental {
-		st.metrics.RecomputeFallbacks++
-	}
+	st.metrics.RecomputeFallbacks++
 	rows, err := st.joinRows()
 	if err != nil {
 		return nil, err
@@ -417,7 +406,7 @@ func (st *Statement) evaluate() ([]Output, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	base := &evalContext{aliasOrder: st.aliasOrder, bind: st.bind, funcs: st.engine.funcs}
+	base := &evalContext{funcs: st.engine.funcs}
 
 	var outputs []Output
 	if st.hasAgg || len(st.Query.GroupBy) > 0 {
@@ -448,7 +437,7 @@ func (st *Statement) joinRows() ([][]*Event, error) {
 	for i := range row {
 		row[i] = nil
 	}
-	probeCtx := &evalContext{row: row, aliasOrder: st.aliasOrder, bind: st.bind, funcs: st.engine.funcs}
+	probeCtx := &evalContext{row: row, funcs: st.engine.funcs}
 
 	var rec func(level int) error
 	rec = func(level int) error {
@@ -514,7 +503,7 @@ func (st *Statement) evaluateGrouped(rows [][]*Event, base *evalContext) ([]Outp
 	}
 	groups := make(map[string]*group)
 	var order []*group
-	keyCtx := &evalContext{aliasOrder: st.aliasOrder, bind: st.bind, funcs: st.engine.funcs}
+	keyCtx := &evalContext{funcs: st.engine.funcs}
 	var vals []Value
 	if n := len(st.Query.GroupBy); n > 0 {
 		vals = make([]Value, n)
@@ -551,7 +540,7 @@ func (st *Statement) evaluateGrouped(rows [][]*Event, base *evalContext) ([]Outp
 		// The representative row for non-aggregated expressions is the
 		// most recent row of the group.
 		repr := grp.rows[len(grp.rows)-1]
-		ctx := &evalContext{row: repr, aliasOrder: st.aliasOrder, bind: st.bind, aggs: aggs, funcs: st.engine.funcs}
+		ctx := &evalContext{row: repr, aggs: aggs, funcs: st.engine.funcs}
 		if st.comp.havingC != nil {
 			pass, err := st.comp.havingC(ctx)
 			if err != nil {
@@ -573,7 +562,7 @@ func (st *Statement) evaluateGrouped(rows [][]*Event, base *evalContext) ([]Outp
 // evaluateRows handles aggregate-free queries: one output per join row.
 func (st *Statement) evaluateRows(rows [][]*Event, base *evalContext) ([]Output, error) {
 	var outputs []Output
-	ctx := &evalContext{aliasOrder: st.aliasOrder, bind: st.bind, funcs: st.engine.funcs}
+	ctx := &evalContext{funcs: st.engine.funcs}
 	for _, row := range rows {
 		ctx.row = row
 		ctx.aggs = nil
@@ -687,7 +676,7 @@ func (st *Statement) orderOutputs(outputs []Output) error {
 	}
 	keysOf := make([]keyed, len(outputs))
 	row := make([]*Event, len(st.items))
-	ctx := &evalContext{row: row, aliasOrder: st.aliasOrder, bind: st.bind, funcs: st.engine.funcs}
+	ctx := &evalContext{row: row, funcs: st.engine.funcs}
 	for i, o := range outputs {
 		for j, alias := range st.aliasOrder {
 			row[j] = o.Row[alias]

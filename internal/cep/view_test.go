@@ -277,7 +277,8 @@ func TestUniqueViaEngine(t *testing.T) {
 
 func TestIndexJoinsDisabledSameResults(t *testing.T) {
 	run := func(disable bool) []Output {
-		e := New(WithIndexJoins(!disable))
+		e := New()
+		e.disableIndexJoins = disable
 		st, err := e.AddStatement("r",
 			`SELECT a.v AS av, b.v AS bv FROM s.std:lastevent() AS a, t.win:keepall() AS b WHERE a.k = b.k`)
 		if err != nil {

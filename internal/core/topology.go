@@ -145,9 +145,10 @@ func (rt *RoutingTable) EnginesFor(values map[string]any) []int {
 type TrafficConfig struct {
 	// Traces is the input feed, replayed at full speed (§5).
 	Traces []busdata.Trace
-	// SpoutTasks parallelizes the BusReader (tasks read the feed
-	// round-robin, preserving per-vehicle order only with 1 task; use
-	// FieldsGrouping downstream for per-vehicle state).
+	// SpoutTasks is the BusReader parallelism; defaults to 1. Tasks split
+	// the feed round-robin, so any value above 1 delivers one vehicle's
+	// traces to PreProcess out of order: its speed and actual-delay deltas,
+	// and every detection derived from them, stop being reproducible.
 	SpoutTasks int
 	// Tree is the Region Quadtree for the AreaTracker.
 	Tree *quadtree.Tree
@@ -318,7 +319,7 @@ func (b *preProcessBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	// The input payload was cloned: release it for spout reuse. PreProcess
 	// is the single consumer of the single-delivery BusReader edge, so it is
 	// the one component allowed to release (busdata/values.go). Replayed
-	// roots are safe — the ack tracker caches its own copy of the payload.
+	// roots are safe — the acker caches its own copy of the payload.
 	busdata.PutValues(t.Values)
 	out["speed"] = e.SpeedKmh
 	out["actualDelay"] = e.ActualDelay

@@ -1,13 +1,9 @@
 package storm
 
-// The sharded XOR acker: Storm's classic acker algorithm, replacing the
-// tree-walking ackTracker as the default reliability implementation
-// (WithAckMode selects between them; the tree stays as the ablation).
-//
-// The tree tracker follows every anchored tuple tree edge by edge — one
-// global mutex acquisition per delivery and per completed Execute — which
-// costs 4.5x over acking-off at batch 64. The XOR acker keeps O(1) state
-// per *root* instead of per edge:
+// The sharded XOR acker: Storm's classic acker algorithm, the per-tuple
+// at-least-once reliability implementation (WithAckMode(AckEpoch) selects
+// barrier checkpointing instead, see epoch.go). It keeps O(1) state per
+// *root*, not per edge of the tuple tree:
 //
 //   - Every delivery of an anchored tuple is one *edge*, tagged with a
 //     random non-zero 64-bit id (a per-collector splitmix64 stream).
@@ -23,27 +19,26 @@ package storm
 //
 // State is sharded: root ids embed the owning worker in their low bits
 // (any worker computes the owner with a mask — no per-hop sub-anchors or
-// id translation as in the tree tracker's beginRemote) and the sequence
-// bits above select one of N shards, each an independently locked
-// power-of-two slot table. Sequential roots land on rotating shards, so
-// concurrent spout registration and bolt completion traffic spreads over
-// N locks instead of serializing on one.
+// id translation) and the sequence bits above select one of ackShards
+// shards, each an independently locked power-of-two slot table. Sequential
+// roots land on rotating shards, so concurrent spout registration and bolt
+// completion traffic spreads over several locks instead of serializing on
+// one.
 //
 // Updates are batched: each bolt executor accumulates ackUpdate entries
 // per shard (local roots) and per worker (remote roots) in an ackBatcher
 // and flushes on the same triggers as its tuple batches — before blocking
 // on input and on executor exit — so the common case pays one shard lock
 // per flush, not per tuple, and cross-worker ack traffic ships as one
-// coalesced frameAckBatch per flush instead of one ackResult per envelope.
+// coalesced frameAckBatch per flush.
 //
-// Failure semantics are identical to the tree tracker: a failed Execute,
-// a routing drop or an undeliverable batch marks the root failed (the
-// fail bit rides the same update, and every fail update carries a live
-// edge of the tree, so a failed tree cannot reach zero before the fail
-// bit lands); a drained failed tree waits out an exponential backoff and
-// is replayed from the cached root tuple; a tree past MaxRetries expires
-// as dropped; a tree that never drains is replayed by the deadline
-// sweeper. At-least-once, exactly as before.
+// Failure semantics: a failed Execute, a routing drop or an undeliverable
+// batch marks the root failed (the fail bit rides the same update, and
+// every fail update carries a live edge of the tree, so a failed tree
+// cannot reach zero before the fail bit lands); a drained failed tree
+// waits out an exponential backoff and is replayed from the cached root
+// tuple; a tree past MaxRetries expires as dropped; a tree that never
+// drains is replayed by the deadline sweeper. At-least-once.
 
 import (
 	"fmt"
@@ -63,9 +58,6 @@ const (
 	// XOR-checksum acker: O(1) state per root, no global mutex, batched
 	// updates riding the transport's flush triggers.
 	AckXOR AckMode = iota
-	// AckTree keeps the original tree-walking tracker (per-delivery
-	// reference counts under one mutex) as the ablation baseline.
-	AckTree
 	// AckEpoch replaces per-tuple tracking entirely with aligned epoch
 	// barriers and per-epoch spout replay (see epoch.go): zero per-tuple
 	// ack traffic, effectively-once output for idempotent sinks. Spouts
@@ -77,25 +69,21 @@ func (m AckMode) String() string {
 	switch m {
 	case AckXOR:
 		return "xor"
-	case AckTree:
-		return "tree"
 	case AckEpoch:
 		return "epoch"
 	}
 	return fmt.Sprintf("AckMode(%d)", int(m))
 }
 
-// ParseAckMode parses "xor", "tree" or "epoch" (case-insensitive).
+// ParseAckMode parses "xor" or "epoch" (case-insensitive).
 func ParseAckMode(s string) (AckMode, error) {
 	switch strings.ToLower(s) {
 	case "xor":
 		return AckXOR, nil
-	case "tree":
-		return AckTree, nil
 	case "epoch":
 		return AckEpoch, nil
 	}
-	return 0, fmt.Errorf("storm: unknown ack mode %q (want xor, tree or epoch)", s)
+	return 0, fmt.Errorf("storm: unknown ack mode %q (want xor or epoch)", s)
 }
 
 // ackUpdate is one checksum update: XOR xor into root's checksum, OR fail
@@ -158,6 +146,9 @@ type kvEntry struct {
 }
 
 const (
+	// ackShards is the number of lock-striped shards (a power of two: the
+	// shard index is a mask over the root sequence).
+	ackShards      = 8
 	initShardSlots = 1024
 	maxShardSlots  = 1 << 20
 	maxShardFree   = 4096
@@ -330,7 +321,7 @@ type xorAcker struct {
 	wg     sync.WaitGroup
 }
 
-func newXorAcker(r *Runtime, timeout time.Duration, maxRetries, shards int) *xorAcker {
+func newXorAcker(r *Runtime, timeout time.Duration, maxRetries int) *xorAcker {
 	workerBits := uint(0)
 	if n := len(r.cfg.peers); n > 1 {
 		workerBits = uint(bits.Len(uint(n - 1)))
@@ -340,9 +331,9 @@ func newXorAcker(r *Runtime, timeout time.Duration, maxRetries, shards int) *xor
 		self:       uint64(r.cfg.selfWorker),
 		workerMask: 1<<workerBits - 1,
 		workerBits: workerBits,
-		shardMask:  uint64(shards - 1),
-		shardBits:  uint(bits.Len(uint(shards - 1))),
-		shards:     make([]*ackerShard, shards),
+		shardMask:  ackShards - 1,
+		shardBits:  uint(bits.Len(ackShards - 1)),
+		shards:     make([]*ackerShard, ackShards),
 		shuffle:    make(map[*subscription]*uint64),
 		stopCh:     make(chan struct{}),
 	}
@@ -405,8 +396,7 @@ func (a *xorAcker) slotKey(root uint64) uint64 {
 }
 
 // newRoot allocates the next root id for this worker. Returns 0 when the
-// acker is stopped (the emission then proceeds unanchored, matching the
-// tree tracker's begin).
+// acker is stopped (the emission then proceeds unanchored).
 func (a *xorAcker) newRoot() uint64 {
 	if a.stopped.Load() {
 		return 0

@@ -15,7 +15,6 @@ import (
 func TestAckModeParseAndString(t *testing.T) {
 	for in, want := range map[string]AckMode{
 		"xor": AckXOR, "XOR": AckXOR, "Xor": AckXOR,
-		"tree": AckTree, "TREE": AckTree,
 		"epoch": AckEpoch, "EPOCH": AckEpoch, "Epoch": AckEpoch,
 	} {
 		got, err := ParseAckMode(in)
@@ -23,11 +22,13 @@ func TestAckModeParseAndString(t *testing.T) {
 			t.Errorf("ParseAckMode(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseAckMode("bogus"); err == nil {
-		t.Error("ParseAckMode(bogus) succeeded, want error")
+	for _, in := range []string{"bogus", "tree"} {
+		if _, err := ParseAckMode(in); err == nil {
+			t.Errorf("ParseAckMode(%s) succeeded, want error", in)
+		}
 	}
-	if AckXOR.String() != "xor" || AckTree.String() != "tree" || AckEpoch.String() != "epoch" {
-		t.Errorf("String() = %q/%q/%q, want xor/tree/epoch", AckXOR, AckTree, AckEpoch)
+	if AckXOR.String() != "xor" || AckEpoch.String() != "epoch" {
+		t.Errorf("String() = %q/%q, want xor/epoch", AckXOR, AckEpoch)
 	}
 }
 
@@ -106,18 +107,6 @@ func TestAckModeTimeoutQuantization(t *testing.T) {
 	}
 }
 
-// TestAckShardsRoundToPowerOfTwo pins the fill() normalization the XOR
-// acker's mask indexing depends on.
-func TestAckShardsRoundToPowerOfTwo(t *testing.T) {
-	for in, want := range map[int]int{0: 8, 1: 1, 2: 2, 3: 4, 8: 8, 9: 16, 100: 128} {
-		c := config{AckShards: in}
-		c.fill()
-		if c.AckShards != want {
-			t.Errorf("fill() AckShards %d → %d, want %d", in, c.AckShards, want)
-		}
-	}
-}
-
 // diffCounts is the comparable outcome of one differential run: spout
 // callbacks, fault totals, and per-task delivery counters (ProcNanos is
 // timing and excluded).
@@ -144,10 +133,10 @@ func stripNanos(m map[string][]TaskMetrics) map[string][]TaskMetrics {
 }
 
 // diffScenario runs the Figure-8-shaped anchored pipeline with induced
-// failures under one (mode, batch, workers) configuration: every i%5==0
+// failures under the XOR acker at one (batch, workers) cell: every i%5==0
 // tuple fails its first attempt (transient, replays once, then acks) and
 // tuple 7 fails every attempt (poison, expires after maxRetries replays).
-func diffScenario(t *testing.T, mode AckMode, batch, workers int) diffCounts {
+func diffScenario(t *testing.T, batch, workers int) diffCounts {
 	t.Helper()
 	const n = 40
 	spout := newAckSpout(n)
@@ -182,7 +171,6 @@ func diffScenario(t *testing.T, mode AckMode, batch, workers int) diffCounts {
 	opts := []Option{
 		WithAckTimeout(150 * time.Millisecond),
 		WithMaxRetries(1),
-		WithAckMode(mode),
 		WithFailurePolicy(Degrade),
 		WithQuarantineAfter(1_000_000),
 		WithBatchSize(batch),
@@ -198,7 +186,7 @@ func diffScenario(t *testing.T, mode AckMode, batch, workers int) diffCounts {
 			t.Fatal(err)
 		}
 		if err := rt.Run(); err != nil {
-			t.Fatalf("mode=%v batch=%d: %v", mode, batch, err)
+			t.Fatalf("batch=%d: %v", batch, err)
 		}
 		ft := rt.FaultTotals()
 		res.Replays, res.AckedN, res.Dropped = ft.Replays, ft.Acked, ft.Dropped
@@ -208,7 +196,7 @@ func diffScenario(t *testing.T, mode AckMode, batch, workers int) diffCounts {
 		rig.run(t, 30*time.Second)
 		for i, err := range rig.errs {
 			if err != nil {
-				t.Fatalf("mode=%v batch=%d worker %d: %v", mode, batch, i, err)
+				t.Fatalf("batch=%d worker %d: %v", batch, i, err)
 			}
 		}
 		for _, rt := range rig.rts {
@@ -226,13 +214,14 @@ func diffScenario(t *testing.T, mode AckMode, batch, workers int) diffCounts {
 	return res
 }
 
-// TestAckerDifferentialCountEquivalence is the XOR-vs-tree harness: under
-// identical induced failures, both ack engines must produce identical
-// spout callbacks, replay/ack/drop totals and per-task delivery counters,
-// at batch sizes 1 and 64, in-process and across a 2-worker loopback
-// cluster. Any semantic drift between the engines shows up as a counter
-// mismatch here.
+// TestAckerDifferentialCountEquivalence pins the XOR acker's outcome under
+// identical induced failures: the absolute spout callbacks and
+// replay/ack/drop totals at every cell, and — since none of them may
+// depend on how the tuples travelled — identical per-task delivery
+// counters, callbacks and totals across batch sizes 1 and 64, in-process
+// and across a 2-worker loopback cluster.
 func TestAckerDifferentialCountEquivalence(t *testing.T) {
+	ref := diffScenario(t, 1, 1)
 	for _, tc := range []struct {
 		batch, workers int
 	}{
@@ -243,35 +232,21 @@ func TestAckerDifferentialCountEquivalence(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("batch=%d/workers=%d", tc.batch, tc.workers), func(t *testing.T) {
-			tree := diffScenario(t, AckTree, tc.batch, tc.workers)
-			xor := diffScenario(t, AckXOR, tc.batch, tc.workers)
+			r := diffScenario(t, tc.batch, tc.workers)
 
-			// Absolute expectations first, so a failure names the broken
-			// engine instead of just "they differ": 39 of 40 tuples ack
-			// (tuple 7 expires), 8 transients replay once each, the poison
-			// replays once before expiring.
-			for name, r := range map[string]diffCounts{"tree": tree, "xor": xor} {
-				if len(r.Acked) != 39 || r.Failed["7"] != 1 || len(r.Failed) != 1 {
-					t.Errorf("%s: acked %d ids, failed %v; want 39 acked and only id 7 failed",
-						name, len(r.Acked), r.Failed)
-				}
-				if r.Replays != 9 {
-					t.Errorf("%s: replays = %d, want 9 (8 transient + 1 poison)", name, r.Replays)
-				}
-				if r.AckedN != 39 || r.Dropped != 1 {
-					t.Errorf("%s: acked = %d dropped = %d, want 39 and 1", name, r.AckedN, r.Dropped)
-				}
+			// 39 of 40 tuples ack (tuple 7 expires), 8 transients replay
+			// once each, the poison replays once before expiring.
+			if len(r.Acked) != 39 || r.Failed["7"] != 1 || len(r.Failed) != 1 {
+				t.Errorf("acked %d ids, failed %v; want 39 acked and only id 7 failed", len(r.Acked), r.Failed)
 			}
-			if !reflect.DeepEqual(tree.Acked, xor.Acked) || !reflect.DeepEqual(tree.Failed, xor.Failed) {
-				t.Errorf("spout callbacks diverge:\n tree acked=%v failed=%v\n xor  acked=%v failed=%v",
-					tree.Acked, tree.Failed, xor.Acked, xor.Failed)
+			if r.Replays != 9 {
+				t.Errorf("replays = %d, want 9 (8 transient + 1 poison)", r.Replays)
 			}
-			if tree.Replays != xor.Replays || tree.AckedN != xor.AckedN || tree.Dropped != xor.Dropped {
-				t.Errorf("fault totals diverge: tree {replays %d acked %d dropped %d} vs xor {replays %d acked %d dropped %d}",
-					tree.Replays, tree.AckedN, tree.Dropped, xor.Replays, xor.AckedN, xor.Dropped)
+			if r.AckedN != 39 || r.Dropped != 1 {
+				t.Errorf("acked = %d dropped = %d, want 39 and 1", r.AckedN, r.Dropped)
 			}
-			if !reflect.DeepEqual(tree.Tasks, xor.Tasks) {
-				t.Errorf("per-task counters diverge:\n tree: %v\n xor:  %v", tree.Tasks, xor.Tasks)
+			if !reflect.DeepEqual(ref, r) {
+				t.Errorf("counts diverge from a second batch=1/workers=1 run:\n ref: %+v\n got: %+v", ref, r)
 			}
 		})
 	}
@@ -292,8 +267,8 @@ func TestAckerSlotKeyDensity(t *testing.T) {
 		{name: "two-workers", cfg: config{selfWorker: 1, peers: []string{"a", "b"}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const shards = 8
-			a := newXorAcker(&Runtime{cfg: tc.cfg}, time.Second, 3, shards)
+			const shards = ackShards
+			a := newXorAcker(&Runtime{cfg: tc.cfg}, time.Second, 3)
 			seen := make([]map[uint64]uint64, shards) // shard → ring slot → root
 			for i := range seen {
 				seen[i] = make(map[uint64]uint64, initShardSlots)
@@ -496,7 +471,7 @@ func TestAckerFlushMidExecuteSettlesChain(t *testing.T) {
 // that may be mid-teardown. A late drop or replay completion arriving
 // after cancellation must be a no-op.
 func TestAckerStopSkipsRemoteSends(t *testing.T) {
-	a := newXorAcker(&Runtime{cfg: config{selfWorker: 0, peers: []string{"a", "b"}}}, time.Hour, 3, 8)
+	a := newXorAcker(&Runtime{cfg: config{selfWorker: 0, peers: []string{"a", "b"}}}, time.Hour, 3)
 	var sends atomic.Int32
 	a.sendRemote = func(worker int, ents []ackUpdate) {
 		if worker != 1 {
@@ -524,7 +499,7 @@ func TestAckerStopSkipsRemoteSends(t *testing.T) {
 // awaiting replay. Each re-entry used to re-arm the deadline, shoving the
 // replay arbitrarily far into the future under a steady duplicate trickle.
 func TestAckerDuplicateFailKeepsBackoffDeadline(t *testing.T) {
-	a := newXorAcker(&Runtime{cfg: config{}}, time.Hour, 3, 8)
+	a := newXorAcker(&Runtime{cfg: config{}}, time.Hour, 3)
 	spout := newAckSpout(0)
 	rc := &runningComponent{spec: &componentSpec{id: "src"}}
 	ts := &taskState{ackSpout: spout}
@@ -575,7 +550,7 @@ func TestAckerDuplicateFailKeepsBackoffDeadline(t *testing.T) {
 // any update straggling in afterwards must land in a fresh placeholder
 // (the root id is gone), never re-fire Ack for the same message id.
 func TestAckerZeroChecksumRegisterSingleAck(t *testing.T) {
-	a := newXorAcker(&Runtime{cfg: config{}}, time.Hour, 3, 8)
+	a := newXorAcker(&Runtime{cfg: config{}}, time.Hour, 3)
 	spout := newAckSpout(0)
 	rc := &runningComponent{spec: &componentSpec{id: "src"}}
 	ts := &taskState{ackSpout: spout}

@@ -21,8 +21,8 @@ package storm
 //     contract: the sending side hands the batch to the destination
 //     executor's channel and never touches it again; the receiving executor
 //     returns it to the pool after processing every envelope. Replayed ack
-//     roots are copied out of transport-owned memory by the tracker (see
-//     faults.go), so pool reuse cannot corrupt them.
+//     roots are copied out of transport-owned memory by the acker (see
+//     acker.go), so pool reuse cannot corrupt them.
 //   - Fields-grouping keys are rendered into a reused scratch buffer and
 //     hashed with an inlined FNV-1a instead of fnv.New32a() + fmt.Fprintf
 //     per tuple, and each subscription memoizes its last key → task index so
@@ -186,7 +186,7 @@ func (r *Runtime) recycleBatchVals(b *Batch) {
 
 // outBatcher accumulates one sending executor's emissions per destination
 // executor. It is owned by that executor's goroutine and never shared; the
-// ack tracker's replay collector bypasses it (taskCollector.out == nil) and
+// acker's replay collector bypasses it (taskCollector.out == nil) and
 // ships single-envelope batches immediately instead.
 type outBatcher struct {
 	r       *Runtime

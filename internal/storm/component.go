@@ -19,12 +19,12 @@ type Tuple struct {
 	// re-emit through their Collector propagate it automatically.
 	Trace telemetry.TupleTrace
 
-	// ack ties the tuple to its anchored root in the ack tracker (zero when
+	// ack ties the tuple to its anchored root in the acker (zero when
 	// unanchored). Bolts that re-emit propagate it automatically, extending
 	// the tuple tree.
 	ack uint64
 	// edge is this delivery's random edge id in the XOR acker's checksum
-	// (zero under the tree tracker or when unanchored): XORed into the
+	// (zero when unanchored): XORed into the
 	// root's checksum once by the emitter and once by the executor that
 	// consumes the delivery (see acker.go).
 	edge uint64
@@ -105,7 +105,7 @@ type Spout interface {
 }
 
 // ReplayableSpout opts a spout task into epoch-based recovery
-// (WithAckMode(AckEpoch), DESIGN.md §12). Checkpoint snapshots the task's
+// (WithAckMode(AckEpoch), DESIGN.md §8). Checkpoint snapshots the task's
 // replay position (typically a source offset) and is called between
 // NextTuple calls each time an epoch barrier is injected; Restore rewinds
 // the task to a snapshot taken earlier, after which NextTuple must re-emit

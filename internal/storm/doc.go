@@ -31,14 +31,15 @@
 //
 // Delivery is at-most-once by default. Enabling ack tracking
 // (WithAckTimeout) upgrades anchored spout emissions
-// (AnchorCollector.EmitAnchored) to at-least-once: an acker-style tracker
-// follows each tuple tree and replays it on failure or timeout with bounded
-// retries, mirroring Storm's reliability API. Across workers the tree is
-// tracked hierarchically: an anchored envelope crossing the wire opens a
-// local sub-anchor on the receiver, which follows the local subtree and
-// reports a single ack/fail result frame back to the sender — so a root
-// never drains prematurely while deltas are in flight on other connections.
-// Component invocations are panic-isolated, and the FailFast/Degrade
+// (AnchorCollector.EmitAnchored) to at-least-once: the XOR acker keeps one
+// checksum per tuple tree — every delivery's edge id is XORed in when the
+// edge is created and again when it is consumed — and replays the root on
+// failure or timeout with bounded retries, mirroring Storm's reliability
+// API. Root ids name their owning worker, so across workers an anchored
+// envelope travels untranslated and each worker ships its checksum updates
+// straight to the owner; see acker.go. WithAckMode(AckEpoch) replaces
+// per-tuple tracking with aligned barrier checkpoints and spout rewind —
+// effectively-once for idempotent sinks; see epoch.go. Component invocations are panic-isolated, and the FailFast/Degrade
 // failure policies (WithFailurePolicy) choose between surfacing the first
 // task error and quarantining repeatedly failing tasks; see faults.go.
 //

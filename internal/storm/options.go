@@ -62,13 +62,11 @@ func WithMaxRetries(n int) Option { return func(c *config) { c.MaxRetries = n } 
 // WithAckMode selects the ack-tracking engine used when WithAckTimeout is
 // set. AckXOR (the default) tracks each anchored tree as a single rotating
 // XOR checksum sharded across lock-striped tables — O(1) state per root,
-// updates batched onto the existing transport. AckTree keeps the explicit
-// per-tree tracker (global mutex, per-hop sub-anchors) for ablation and
-// comparison; see DESIGN.md §10. AckEpoch drops per-tuple tracking
-// entirely: aligned epoch barriers flow through the topology and the
-// runtime rewinds ReplayableSpouts to the last committed epoch on loss —
-// effectively-once for idempotent sinks; see DESIGN.md §12 and
-// WithEpochInterval.
+// updates batched onto the existing transport: per-tuple at-least-once for
+// any spout. AckEpoch drops per-tuple tracking entirely: aligned epoch
+// barriers flow through the topology and the runtime rewinds
+// ReplayableSpouts to the last committed epoch on loss — effectively-once
+// for idempotent sinks. See DESIGN.md "Reliability" and WithEpochInterval.
 func WithAckMode(m AckMode) Option { return func(c *config) { c.AckMode = m } }
 
 // WithEpochInterval sets how often the epoch coordinator opens a new epoch
@@ -80,11 +78,6 @@ func WithAckMode(m AckMode) Option { return func(c *config) { c.AckMode = m } }
 // Defaults to 100ms; values below 1ms are rounded up to 1ms. Setting it
 // under any other ack mode is a configuration error.
 func WithEpochInterval(d time.Duration) Option { return func(c *config) { c.EpochInterval = d } }
-
-// WithAckShards sets how many lock-striped shards the XOR acker spreads
-// roots over (rounded up to a power of two; defaults to 8). Ignored under
-// AckTree.
-func WithAckShards(n int) Option { return func(c *config) { c.AckShards = n } }
 
 // WithBatchSize sets how many envelopes the inter-executor transport packs
 // into one channel send (see batch.go for the flush triggers and ownership
@@ -118,19 +111,6 @@ func WithWorker(self int, peers []string) Option {
 // silent intervals, failing the peer's in-flight anchored tuples and
 // unblocking shutdown. Defaults to 1s.
 func WithHeartbeat(d time.Duration) Option { return func(c *config) { c.heartbeat = d } }
-
-// WithTCPNoDelay toggles TCP_NODELAY on peer connections in distributed
-// runs. It defaults to true — the per-peer writer already coalesces frames
-// into large writes, so Nagle's algorithm only adds latency — and false
-// re-enables Nagle for ablation on high-RTT links.
-func WithTCPNoDelay(enabled bool) Option { return func(c *config) { c.tcpNoDelayOff = !enabled } }
-
-// WithSocketBuffers sets the kernel socket buffer sizes (SO_SNDBUF /
-// SO_RCVBUF, in bytes) on peer connections in distributed runs. Zero for
-// either keeps the OS default.
-func WithSocketBuffers(sndbuf, rcvbuf int) Option {
-	return func(c *config) { c.sockSndbuf, c.sockRcvbuf = sndbuf, rcvbuf }
-}
 
 // WithTransport overrides the inter-executor transport with a custom
 // implementation (see the Transport contract in transport.go). The runtime

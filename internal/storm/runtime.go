@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/bits"
 	"net"
 	"reflect"
 	"sync"
@@ -54,12 +53,9 @@ type config struct {
 	// expires as dropped and the spout's Fail callback fires. Defaults to 3.
 	MaxRetries int
 	// AckMode selects the reliability implementation behind AckTimeout:
-	// AckXOR (default) is the sharded XOR-checksum acker, AckTree the
-	// original tree-walking tracker kept as the ablation (see acker.go).
+	// AckXOR (default) is the sharded XOR-checksum acker (see acker.go),
+	// AckEpoch barrier checkpointing (see epoch.go).
 	AckMode AckMode
-	// AckShards is the XOR acker's shard count (rounded up to a power of
-	// two). Defaults to 8.
-	AckShards int
 	// EpochInterval is the epoch coordinator's barrier injection period
 	// under AckEpoch (see epoch.go). Defaults to 100ms; floored at 1ms.
 	// Positive under any other mode is a configuration error.
@@ -91,13 +87,6 @@ type config struct {
 	// listener, when set, is the pre-bound listener for peers[selfWorker]
 	// (tests bind :0 first to learn free ports).
 	listener net.Listener
-	// tcpNoDelayOff re-enables Nagle on peer connections (TCP_NODELAY is
-	// on by default: the per-peer writer already coalesces frames, so
-	// Nagle only adds latency). sockSndbuf/sockRcvbuf set the kernel
-	// socket buffer sizes when positive; zero keeps the OS defaults.
-	tcpNoDelayOff bool
-	sockSndbuf    int
-	sockRcvbuf    int
 }
 
 func (c *config) fill() {
@@ -116,10 +105,6 @@ func (c *config) fill() {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 3
 	}
-	if c.AckShards <= 0 {
-		c.AckShards = 8
-	}
-	c.AckShards = 1 << bits.Len(uint(c.AckShards-1)) // power of two for mask indexing
 	// Sub-millisecond timeouts cannot be honored: the deadline sweeper's
 	// tick floor is 1ms (sweepTick), so a 100µs timeout would silently fire
 	// up to 10x late. Round up to the granularity instead.
@@ -173,7 +158,7 @@ type taskState struct {
 	bolt  Bolt
 
 	// ackSpout caches the AckingSpout assertion on spout (nil when the
-	// spout doesn't implement it): the ack trackers check it once per
+	// spout doesn't implement it): the acker checks it once per
 	// resolved tuple, which is too hot for a repeated interface assertion.
 	ackSpout AckingSpout
 	// ownsVals caches the ValuesOwner assertion on bolt: such a bolt takes
@@ -333,14 +318,13 @@ type Runtime struct {
 	valsMu   sync.Mutex
 	valsFree []map[string]any
 
-	// Exactly one of tracker/acker/epochs is non-nil while a run with
-	// AckTimeout > 0 is active — tracker under AckTree, epochs under
-	// AckEpoch, acker under AckXOR (the default). done is the run
-	// context's cancellation channel (nil for Run/Background).
-	tracker *ackTracker
-	acker   *xorAcker
-	epochs  *epochCoordinator
-	done    <-chan struct{}
+	// Exactly one of acker/epochs is non-nil while a run with
+	// AckTimeout > 0 is active — epochs under AckEpoch, acker under
+	// AckXOR (the default). done is the run context's cancellation
+	// channel (nil for Run/Background).
+	acker  *xorAcker
+	epochs *epochCoordinator
+	done   <-chan struct{}
 
 	placements []Placement
 	monitor    *Monitor
@@ -572,18 +556,14 @@ func (r *Runtime) Run() error {
 func (r *Runtime) RunContext(ctx context.Context) error {
 	r.done = ctx.Done()
 	if r.cfg.AckTimeout > 0 {
-		switch r.cfg.AckMode {
-		case AckTree:
-			r.tracker = newAckTracker(r, r.cfg.AckTimeout, r.cfg.MaxRetries)
-			r.tracker.start(r.done)
-		case AckEpoch:
-			// No per-tuple machinery at all: tracker and acker stay nil,
-			// so EmitAnchored degrades to plain Emit and reliability rides
+		if r.cfg.AckMode == AckEpoch {
+			// No per-tuple machinery at all: the acker stays nil, so
+			// EmitAnchored degrades to plain Emit and reliability rides
 			// the barrier protocol (started below, once the transport is
 			// settled — the coordinator speaks over the control plane).
 			r.epochs = newEpochCoordinator(r)
-		default:
-			r.acker = newXorAcker(r, r.cfg.AckTimeout, r.cfg.MaxRetries, r.cfg.AckShards)
+		} else {
+			r.acker = newXorAcker(r, r.cfg.AckTimeout, r.cfg.MaxRetries)
 			r.acker.start(r.done)
 		}
 	}
@@ -650,9 +630,6 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 
 // stopAcking stops whichever reliability implementation the run started.
 func (r *Runtime) stopAcking() {
-	if r.tracker != nil {
-		r.tracker.stop()
-	}
 	if r.acker != nil {
 		r.acker.stop()
 	}
@@ -842,11 +819,6 @@ func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) {
 	// zero, and waitTask below blocks on tuple trees whose deliveries could
 	// otherwise still sit in this executor's buffers.
 	out.flushAll()
-	if r.tracker != nil {
-		for _, ts := range ex.tasks {
-			r.tracker.waitTask(ts)
-		}
-	}
 	if r.acker != nil {
 		for _, ts := range ex.tasks {
 			r.acker.waitTask(ts)
@@ -947,30 +919,26 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 			err := r.panicErr(rc, cur.ts, "Execute", p)
 			// The tuple was attempted: count it executed so per-edge
 			// accounting (emitted upstream == executed + dropped) still
-			// reconciles, and fail its anchor so the tracker replays it.
+			// reconciles, and fail its anchor so the acker replays it.
 			cur.ts.executed.Add(1)
 			r.taskFailed(rc, cur.ts, fmt.Errorf("storm: bolt %s task %d: %w", rc.spec.id, cur.ts.ctx.TaskID, err))
 			if cur.ack != 0 {
-				if ab != nil {
-					// Consume the delivery edge plus whatever the poisoned
-					// call emitted before dying, failing the tree. If the
-					// call chained its input edge onto an emission, retarget
-					// that envelope onto a fresh edge first so the fail
-					// update still carries a live edge (same invariant as
-					// the error path).
-					x := col.pendXor
-					if col.chainEdge != 0 {
-						x ^= col.chainEdge
-						col.chainEdge = 0
-					} else if col.chainBatch != nil {
-						e := col.edges.next()
-						col.chainBatch.envs[col.chainIdx].tuple.edge = e
-						x ^= cur.edge ^ e
-					}
-					ab.push(cur.ack, x, true)
-				} else {
-					r.tracker.finish(cur.ack, true)
+				// Consume the delivery edge plus whatever the poisoned
+				// call emitted before dying, failing the tree. If the
+				// call chained its input edge onto an emission, retarget
+				// that envelope onto a fresh edge first so the fail
+				// update still carries a live edge (same invariant as
+				// the error path).
+				x := col.pendXor
+				if col.chainEdge != 0 {
+					x ^= col.chainEdge
+					col.chainEdge = 0
+				} else if col.chainBatch != nil {
+					e := col.edges.next()
+					col.chainBatch.envs[col.chainIdx].tuple.edge = e
+					x ^= cur.edge ^ e
 				}
+				ab.push(cur.ack, x, true)
 			}
 			if col.chainBatch != nil {
 				col.chainBatch = nil
@@ -1026,11 +994,7 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 						}
 					}
 					if env.tuple.ack != 0 {
-						if ab != nil {
-							ab.push(env.tuple.ack, env.tuple.edge, true)
-						} else {
-							r.tracker.finish(env.tuple.ack, true)
-						}
+						ab.push(env.tuple.ack, env.tuple.edge, true)
 					}
 					if env.pooled {
 						freed = append(freed, env.tuple.Values) // never executed: recycle now
@@ -1102,38 +1066,34 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 					ts.consecErr = 0
 				}
 				if env.tuple.ack != 0 {
-					if ab != nil {
-						// Settle the hop's ack update. The consumed input
-						// edge either cancels against a chained emission
-						// (out-edge = in-edge; the downstream hop consumes
-						// it instead) or is XORed in explicitly; fresh edges
-						// from further emissions ride along. A clean chained
-						// pass-through nets to zero and pushes nothing.
-						x := col.pendXor
-						fail := err != nil || col.pendFail
-						if col.chainEdge != 0 {
-							x ^= col.chainEdge
-							col.chainEdge = 0
-						} else if col.chainBatch != nil {
-							if fail {
-								// Errored after chaining: retarget the still
-								// pinned envelope onto a fresh edge so this
-								// fail update carries a live edge — it both
-								// consumes the input edge and introduces the
-								// new one, so the tree cannot zero out
-								// before the fail bit lands.
-								e := col.edges.next()
-								col.chainBatch.envs[col.chainIdx].tuple.edge = e
-								x ^= env.tuple.edge ^ e
-							}
-							col.chainBatch = nil
-							col.out.pinned = nil
+					// Settle the hop's ack update. The consumed input
+					// edge either cancels against a chained emission
+					// (out-edge = in-edge; the downstream hop consumes
+					// it instead) or is XORed in explicitly; fresh edges
+					// from further emissions ride along. A clean chained
+					// pass-through nets to zero and pushes nothing.
+					x := col.pendXor
+					fail := err != nil || col.pendFail
+					if col.chainEdge != 0 {
+						x ^= col.chainEdge
+						col.chainEdge = 0
+					} else if col.chainBatch != nil {
+						if fail {
+							// Errored after chaining: retarget the still
+							// pinned envelope onto a fresh edge so this
+							// fail update carries a live edge — it both
+							// consumes the input edge and introduces the
+							// new one, so the tree cannot zero out
+							// before the fail bit lands.
+							e := col.edges.next()
+							col.chainBatch.envs[col.chainIdx].tuple.edge = e
+							x ^= env.tuple.edge ^ e
 						}
-						if x != 0 || fail {
-							ab.push(env.tuple.ack, x, fail)
-						}
-					} else {
-						r.tracker.finish(env.tuple.ack, err != nil)
+						col.chainBatch = nil
+						col.out.pinned = nil
+					}
+					if x != 0 || fail {
+						ab.push(env.tuple.ack, x, fail)
 					}
 				}
 				if col.inValsPtr != 0 {
@@ -1227,11 +1187,11 @@ type taskCollector struct {
 	nowNanos int64
 	// inAck anchors a bolt's emissions to the input tuple's tracked tree.
 	inAck uint64
-	// XOR-acker state (acker.go), all dead under the tree tracker: edges
-	// is this collector's private edge-id stream; pendXor accumulates the
-	// edge ids created by the current NextTuple/Execute call and pendFail
-	// whether any of them was dropped at routing; ab batches the updates
-	// (nil on spout and replay collectors, which apply directly).
+	// XOR-acker state (acker.go): edges is this collector's private
+	// edge-id stream; pendXor accumulates the edge ids created by the
+	// current NextTuple/Execute call and pendFail whether any of them was
+	// dropped at routing; ab batches the updates (nil on spout and replay
+	// collectors, which apply directly).
 	edges    edgeState
 	pendXor  uint64
 	pendFail bool
@@ -1259,7 +1219,7 @@ type taskCollector struct {
 	// pooled map.
 	rootVals []kvEntry
 	// shuffle overrides the task's round-robin counters; set only on the
-	// ack tracker's replay collector, which runs on a different goroutine
+	// acker's replay collector, which runs on a different goroutine
 	// than the task's own executor.
 	shuffle map[*subscription]*uint64
 	// Pooled-Values settlement (bolt executors only; see runBoltExecutor).
@@ -1278,7 +1238,7 @@ type taskCollector struct {
 
 	// out is the owning executor's batch buffer; emissions are buffered per
 	// destination executor and flushed per batch.go's triggers. Nil on the
-	// ack tracker's replay collector, whose emissions ship immediately in
+	// acker's replay collector, whose emissions ship immediately in
 	// single-envelope batches (replays are rare and latency-sensitive).
 	out *outBatcher
 	// start is the executor's clock reading at the start of the current
@@ -1375,29 +1335,15 @@ func mapPtr(m map[string]any) uintptr {
 	return reflect.ValueOf(m).Pointer()
 }
 
-// EmitAnchored implements AnchorCollector: on a spout collector with ack
-// tracking enabled the emission is registered with the tracker before
-// delivery (one "emitter hold" keeps the tree alive until every initial
-// send was issued); everywhere else it is a plain Emit.
+// EmitAnchored implements AnchorCollector: on a spout collector with the
+// XOR acker running the emission is registered as a tracked root;
+// everywhere else it is a plain Emit.
 func (c *taskCollector) EmitAnchored(msgID string, values map[string]any) {
 	if ak := c.r.acker; ak != nil && c.ts.spout != nil {
 		c.emitAnchoredXOR(ak, msgID, DefaultStream, -1, values)
 		return
 	}
-	tr := c.r.tracker
-	if tr == nil || c.ts.spout == nil {
-		c.Emit(values)
-		return
-	}
-	c.ts.emitted.Add(1)
-	t := Tuple{Stream: DefaultStream, Values: values, Trace: c.outTrace()}
-	id := tr.begin(c.rc, c.ts, msgID, &t, -1)
-	for _, sub := range c.rc.subs[DefaultStream] {
-		c.deliver(sub, &t, -1)
-	}
-	if id != 0 {
-		tr.finish(id, false)
-	}
+	c.Emit(values)
 }
 
 // emitAnchoredXOR is the XOR-acker root emission shared by EmitAnchored
@@ -1470,22 +1416,7 @@ func (c *taskCollector) EmitDirectAnchored(msgID, stream string, task int, value
 		c.emitAnchoredXOR(ak, msgID, stream, task, values)
 		return
 	}
-	tr := c.r.tracker
-	if tr == nil || c.ts.spout == nil {
-		c.EmitDirect(stream, task, values)
-		return
-	}
-	c.ts.emitted.Add(1)
-	t := Tuple{Stream: stream, Values: values, Trace: c.outTrace()}
-	id := tr.begin(c.rc, c.ts, msgID, &t, task)
-	for _, sub := range c.rc.subs[stream] {
-		if sub.grouping.Type == DirectGrouping {
-			c.deliver(sub, &t, task)
-		}
-	}
-	if id != 0 {
-		tr.finish(id, false)
-	}
+	c.EmitDirect(stream, task, values)
 }
 
 // ReportDrop implements DropReporter: the current input tuple was
@@ -1497,7 +1428,7 @@ func (c *taskCollector) ReportDrop() { c.ts.dropped.Add(1) }
 
 // Acking implements AnchorCollector.
 func (c *taskCollector) Acking() bool {
-	return (c.r.tracker != nil || c.r.acker != nil) && c.ts.spout != nil
+	return c.r.acker != nil && c.ts.spout != nil
 }
 
 // deliver routes one tuple to the tasks selected by the subscription's
@@ -1629,27 +1560,24 @@ func (c *taskCollector) shuffleCtr(sub *subscription) *uint64 {
 }
 
 // dropRouted counts a tuple that could not be routed to any live task of
-// the target component, and fails its anchored tree (if any) so the ack
-// tracker replays or expires it instead of waiting for a timeout.
+// the target component, and fails its anchored tree (if any) so the acker
+// replays or expires it instead of waiting for a timeout.
 func (c *taskCollector) dropRouted(target *runningComponent, t *Tuple) {
 	target.dropped.Add(1)
 	if t.ack != 0 {
-		if c.r.acker != nil {
-			// The fail bit rides the emitter's pending update (which always
-			// carries a live edge of the tree), so the root cannot resolve
-			// clean before the drop is known.
-			c.pendFail = true
-		} else {
-			c.r.tracker.markFailed(t.ack)
-		}
+		// The fail bit rides the emitter's pending update (which always
+		// carries a live edge of the tree), so the root cannot resolve
+		// clean before the drop is known.
+		c.pendFail = true
 	}
 }
 
-// send enqueues one envelope for the chosen task. The anchored-tree hold is
-// taken at enqueue time — before the envelope may sit in a batch buffer —
-// so the tracker can never observe a tree as drained while deliveries are
-// still buffered. The replay collector (out == nil) ships the envelope
-// immediately in its own pooled batch.
+// send enqueues one envelope for the chosen task. An anchored delivery's
+// edge id is folded into the emitter's pending update at enqueue time —
+// before the envelope may sit in a batch buffer — so the acker can never
+// observe a tree as drained while deliveries are still buffered. The replay
+// collector (out == nil) ships the envelope immediately in its own pooled
+// batch.
 func (c *taskCollector) send(target *runningComponent, taskIdx int, t *Tuple) {
 	// t is shared across every send of one emission (AllGrouping fans it
 	// out N times; emitAnchoredXOR reads it again after delivery), so the
@@ -1658,24 +1586,20 @@ func (c *taskCollector) send(target *runningComponent, taskIdx int, t *Tuple) {
 	edge := t.edge
 	chained := false
 	if t.ack != 0 {
-		if c.r.acker != nil {
-			if c.chainEdge != 0 && c.out != nil {
-				// First anchored emission of this Execute call: reuse the
-				// input edge instead of minting one. The hop then needs no
-				// ack update unless it emits again, errors, or drops.
-				edge = c.chainEdge
-				c.chainEdge = 0
-				chained = true
-			} else {
-				// XOR mode: tag the delivery with a fresh edge id (each
-				// send owns its own edge) and accumulate it for the
-				// emitter's side of the double-XOR.
-				e := c.edges.next()
-				edge = e
-				c.pendXor ^= e
-			}
+		if c.chainEdge != 0 && c.out != nil {
+			// First anchored emission of this Execute call: reuse the
+			// input edge instead of minting one. The hop then needs no
+			// ack update unless it emits again, errors, or drops.
+			edge = c.chainEdge
+			c.chainEdge = 0
+			chained = true
 		} else {
-			c.r.tracker.inc(t.ack)
+			// Tag the delivery with a fresh edge id (each send owns its
+			// own edge) and accumulate it for the emitter's side of the
+			// double-XOR.
+			e := c.edges.next()
+			edge = e
+			c.pendXor ^= e
 		}
 	}
 	route := target.taskRoute[taskIdx]

@@ -4,9 +4,9 @@ package storm
 // directed connection per ordered worker pair (each worker dials every
 // other and announces itself with a hello frame), heartbeat liveness, and
 // the distributed halves of producer accounting (eof frames), anchored-
-// tuple tracking (ackResult frames for forwarded subtrees), rebalance
-// drains (fence/fenceAck), and the control plane (request/response frames
-// for e.g. remote rule migration).
+// tuple tracking (ackBatch frames carrying checksum updates to each
+// root's owner), rebalance drains (fence/fenceAck), and the control plane
+// (request/response frames for e.g. remote rule migration).
 //
 // Per-sender FIFO comes straight from TCP: everything a worker sends to a
 // given peer — batches, the eofs that retire the emitting executors, drain
@@ -296,7 +296,7 @@ func (p *tcpPeer) Close() error {
 // failFrames accounts for queued frames a peer took to its grave, exactly
 // like dropBatch accounts a batch a send error already lost: per-envelope
 // dropped counts on the destination component, failed anchors so the
-// trackers replay or expire the trees, and the run error under FailFast.
+// acker replays or expires the trees, and the run error under FailFast.
 func (t *tcpTransport) failFrames(frames []qFrame, anchors []anchorRef, cause error) {
 	for i := range frames {
 		f := &frames[i]
@@ -307,8 +307,6 @@ func (t *tcpTransport) failFrames(frames []qFrame, anchors []anchorRef, cause er
 		for _, a := range anchors[f.aoff : f.aoff+int32(f.alen)] {
 			if t.r.acker != nil {
 				t.r.acker.apply(a.ack, a.edge, true)
-			} else if t.r.tracker != nil {
-				t.r.tracker.finish(a.ack, true)
 			}
 		}
 		if t.r.policy != Degrade {
@@ -393,9 +391,6 @@ func newTCPTransport(r *Runtime) (*tcpTransport, error) {
 	if n := len(r.cfg.peers); n > 1 {
 		t.ackWorkerMask = 1<<uint(bits.Len(uint(n-1))) - 1
 	}
-	if r.tracker != nil {
-		r.tracker.onRemoteResolve = t.sendAckResult
-	}
 	if r.acker != nil {
 		r.acker.sendRemote = t.sendAckBatch
 	}
@@ -420,7 +415,9 @@ func newTCPTransport(r *Runtime) (*tcpTransport, error) {
 			t.Close()
 			return nil, fmt.Errorf("storm: worker %d dialing worker %d (%s): %w", t.self, w, addr, err)
 		}
-		t.tuneConn(conn)
+		// The socket keeps Go's defaults: TCP_NODELAY on (the per-peer writer
+		// already coalesces frames, so Nagle would only add latency) and
+		// OS-sized kernel buffers.
 		f := getFrameBuf()
 		f.b = appendHelloFrame(f.b[:0], t.self)
 		_, err = conn.Write(f.b) // synchronous: the hello must precede every queued frame
@@ -452,23 +449,6 @@ func (t *tcpTransport) dial(addr string, deadline time.Time) (net.Conn, error) {
 			return nil, err
 		case <-time.After(50 * time.Millisecond):
 		}
-	}
-}
-
-// tuneConn applies the configured socket options to a peer connection:
-// TCP_NODELAY (on unless disabled — the writer already coalesces, so Nagle
-// only adds latency) and optional kernel buffer sizes.
-func (t *tcpTransport) tuneConn(conn net.Conn) {
-	tc, ok := conn.(*net.TCPConn)
-	if !ok {
-		return
-	}
-	tc.SetNoDelay(!t.r.cfg.tcpNoDelayOff)
-	if n := t.r.cfg.sockSndbuf; n > 0 {
-		tc.SetWriteBuffer(n)
-	}
-	if n := t.r.cfg.sockRcvbuf; n > 0 {
-		tc.SetReadBuffer(n)
 	}
 }
 
@@ -541,7 +521,6 @@ func (t *tcpTransport) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		t.tuneConn(conn)
 		t.wg.Add(1)
 		go t.readLoop(conn)
 	}
@@ -675,15 +654,11 @@ func (t *tcpTransport) dispatch(peer int, typ byte, body []byte, dec *frameDecod
 				break
 			}
 		}
-		switch {
-		case t.r.tracker != nil:
-			t.adoptAnchors(peer, b)
-		case t.r.acker != nil:
-			// XOR mode: root ids are global and every worker can route
-			// checksum updates to the owner directly, so anchored envelopes
-			// pass through untranslated — no per-hop sub-anchor needed.
-		default:
-			t.releaseAnchors(peer, b, dec)
+		// With the XOR acker running, root ids are global and every worker
+		// routes checksum updates to the owner directly, so anchored
+		// envelopes pass through untranslated.
+		if t.r.acker == nil {
+			t.releaseAnchors(b, dec)
 		}
 		return t.r.DeliverLocal(destEID, b)
 	case frameEOF:
@@ -692,15 +667,6 @@ func (t *tcpTransport) dispatch(peer int, typ byte, body []byte, dec *frameDecod
 			return err
 		}
 		t.r.remoteExecDone(int(eid))
-		return nil
-	case frameAckResult:
-		id, rest, err := decodeUvarint(body)
-		if err != nil || len(rest) != 1 {
-			return errShortFrame
-		}
-		if t.r.tracker != nil {
-			t.r.tracker.finish(id, rest[0] != 0)
-		}
 		return nil
 	case frameAckBatch:
 		count, b, err := decodeUvarint(body)
@@ -790,63 +756,30 @@ func (t *tcpTransport) dispatch(peer int, typ byte, body []byte, dec *frameDecod
 	return fmt.Errorf("storm: unknown frame type %d", typ)
 }
 
-// adoptAnchors opens a local sub-anchor for every anchored envelope
-// received from a peer: the local tracker follows the local subtree
-// (including further sub-contracted hops) and reports one ackResult back
-// to the sender when it drains — the counting that prevents a root from
-// being acked while partial results are still in flight on other
-// connections. Without a local tracker (configuration mismatch between
-// workers) tracking degrades to at-most-once: the delivery is acked
-// immediately so the sender's tree is not wedged.
-func (t *tcpTransport) adoptAnchors(peer int, b *Batch) {
-	for i := range b.envs {
-		ack := b.envs[i].tuple.ack
-		if ack == 0 {
-			continue
-		}
-		id := uint64(0)
-		if t.r.tracker != nil {
-			id = t.r.tracker.beginRemote(peer, ack)
-		}
-		if id == 0 {
-			// Tracker missing or stopped: resolve the sender's hold now.
-			t.sendAckResult(peer, ack, t.r.tracker != nil)
-		}
-		b.envs[i].tuple.ack = id
-	}
-}
-
 // releaseAnchors handles anchored envelopes arriving at a worker that runs
 // no acking at all (configuration mismatch): tracking degrades to
-// at-most-once. An envelope carrying an XOR edge has that edge consumed
-// (without the fail bit) by forwarding one checksum update to the root's
-// owner, so the sender's tree can still resolve; a tree-mode envelope gets
-// an immediate ackResult back to the sender, exactly like adoptAnchors
-// without a tracker. Either way the anchor fields are zeroed so local
-// executors never touch a tracker/acker that does not exist here.
+// at-most-once. Each envelope's edge is consumed (without the fail bit) by
+// forwarding one checksum update to the root's owner, so the sender's tree
+// can still resolve, and the anchor fields are zeroed so local executors
+// never touch an acker that does not exist here.
 //
 // XOR updates coalesce per batch into the decoder's per-owner scratch
 // slices (one ackBatch frame per owning worker per inbound batch) instead
 // of allocating a one-element slice per envelope.
-func (t *tcpTransport) releaseAnchors(peer int, b *Batch, dec *frameDecoder) {
+func (t *tcpTransport) releaseAnchors(b *Batch, dec *frameDecoder) {
 	for i := range b.envs {
 		env := &b.envs[i]
 		if env.tuple.ack == 0 {
 			continue
 		}
-		if env.tuple.edge != 0 {
-			owner := int(env.tuple.ack & t.ackWorkerMask)
-			if owner != t.self {
-				if dec.ackScratch == nil {
-					dec.ackScratch = make([][]ackUpdate, len(t.peers))
-				}
-				if len(dec.ackScratch[owner]) == 0 {
-					dec.ackDirty = append(dec.ackDirty, owner)
-				}
-				dec.ackScratch[owner] = append(dec.ackScratch[owner], ackUpdate{root: env.tuple.ack, xor: env.tuple.edge})
+		if owner := int(env.tuple.ack & t.ackWorkerMask); owner != t.self {
+			if dec.ackScratch == nil {
+				dec.ackScratch = make([][]ackUpdate, len(t.peers))
 			}
-		} else {
-			t.sendAckResult(peer, env.tuple.ack, false)
+			if len(dec.ackScratch[owner]) == 0 {
+				dec.ackDirty = append(dec.ackDirty, owner)
+			}
+			dec.ackScratch[owner] = append(dec.ackScratch[owner], ackUpdate{root: env.tuple.ack, xor: env.tuple.edge})
 		}
 		env.tuple.ack, env.tuple.edge = 0, 0
 	}
@@ -868,17 +801,6 @@ func (t *tcpTransport) sendAckBatch(worker int, ents []ackUpdate) {
 	}
 	if p := t.peers[worker]; p != nil {
 		p.sendSmall(func(buf []byte) []byte { return appendAckBatchFrame(buf, ents) })
-	}
-}
-
-// sendAckResult reports a forwarded subtree's resolution to the worker it
-// came from; best-effort (a dead peer's roots expire on their own).
-func (t *tcpTransport) sendAckResult(peer int, id uint64, failed bool) {
-	if peer < 0 || peer >= len(t.peers) {
-		return
-	}
-	if p := t.peers[peer]; p != nil {
-		p.sendSmall(func(b []byte) []byte { return appendAckResultFrame(b, id, failed) })
 	}
 }
 

@@ -190,16 +190,17 @@ func TestDistributedSenderPeerLossFailsQueuedAnchors(t *testing.T) {
 	r := &Runtime{cfg: config{peers: []string{"a", "b"}, selfWorker: 0}}
 	// Not started: apply() resolves synchronously, and the hour-long
 	// timeout keeps the sweeper out of the picture.
-	r.acker = newXorAcker(r, time.Hour, 3, 2)
+	r.acker = newXorAcker(r, time.Hour, 3)
 	rig := newSenderRig(t, r, 4<<10)
 
-	// Wedge the writer: three 64 KiB frames overflow both socket buffers,
-	// so the writev blocks mid-take. Wait until the queue was swapped out
-	// (the writer owns the wedge frames) before queueing the real payload.
-	for i := 0; i < 3; i++ {
-		if err := rig.peer.Send(record(uint32(i), 64<<10)); err != nil {
-			t.Fatal(err)
-		}
+	// Wedge the writer: one 192 KiB frame overflows both socket buffers, so
+	// the writev blocks mid-take. (One frame, not several: a writer that
+	// woke after the first of several would block on it with the rest
+	// still queued, and the wait below would never end.) Wait until the
+	// queue was swapped out (the writer owns the wedge frame) before
+	// queueing the real payload.
+	if err := rig.peer.Send(record(0, 192<<10)); err != nil {
+		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -210,7 +211,7 @@ func TestDistributedSenderPeerLossFailsQueuedAnchors(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("writer never took the wedge frames")
+			t.Fatal("writer never took the wedge frame")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

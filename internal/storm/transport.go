@@ -106,7 +106,7 @@ func (r *Runtime) localExec(ex *executor) bool {
 
 // deliverOrDrop routes one batch through the transport; on a failed
 // hand-off every envelope is counted as dropped on the destination
-// component and its anchored tree (if any) is failed so the tracker can
+// component and its anchored tree (if any) is failed so the acker can
 // replay or expire it.
 func (r *Runtime) deliverOrDrop(dest *executor, b *Batch) {
 	if err := r.tr.Deliver(dest.eid, b); err != nil {
@@ -120,15 +120,11 @@ func (r *Runtime) deliverOrDrop(dest *executor, b *Batch) {
 func (r *Runtime) dropBatch(target *runningComponent, b *Batch, cause error) {
 	for _, env := range b.envs {
 		target.dropped.Add(1)
-		if env.tuple.ack != 0 {
-			if r.acker != nil {
-				// Consume the lost delivery's edge with the fail bit set; the
-				// owner (local shard or remote worker) replays or expires the
-				// root instead of waiting out its timeout.
-				r.acker.apply(env.tuple.ack, env.tuple.edge, true)
-			} else if r.tracker != nil {
-				r.tracker.finish(env.tuple.ack, true)
-			}
+		if env.tuple.ack != 0 && r.acker != nil {
+			// Consume the lost delivery's edge with the fail bit set; the
+			// owner (local shard or remote worker) replays or expires the
+			// root instead of waiting out its timeout.
+			r.acker.apply(env.tuple.ack, env.tuple.edge, true)
 		}
 	}
 	if r.policy != Degrade {

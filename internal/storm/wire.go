@@ -5,19 +5,19 @@ package storm
 // A frame is `uint32 big-endian payload length | payload`, and the payload
 // starts with a one-byte frame type. Batch frames carry the destination
 // executor's dense id, the sender's routing-table epoch, and the envelopes
-// — local task index, anchored-tree id (in the *sender's* tracker id
-// space), stream, optional trace context, and the payload values under a
-// typed tag-per-value codec that round-trips every Go type the topologies
-// emit. Unsupported payload types fail encoding; the transport surfaces
-// the failure as a counted drop rather than shipping a lossy rendering.
+// — local task index, anchored root id and edge id, stream, optional trace
+// context, and the payload values under a typed tag-per-value codec that
+// round-trips every Go type the topologies emit. Unsupported payload types
+// fail encoding; the transport surfaces the failure as a counted drop
+// rather than shipping a lossy rendering.
 //
 // Decoding copies everything out of the receive buffer: strings are
 // materialized with string() and maps/slices are freshly allocated, so the
 // pooled read buffer can be reused for the next frame the moment a decode
 // returns. This mirrors the in-process batch-pool contract (the receiver
 // releases transport memory only after the payload no longer references
-// it) and is what keeps ack-tracker replay holds valid: a root cached at
-// EmitAnchored time — or a failed envelope executed long after arrival —
+// it) and is what keeps the acker's replay snapshots valid: a root cached
+// at EmitAnchored time — or a failed envelope executed long after arrival —
 // never aliases wire memory.
 
 import (
@@ -34,7 +34,7 @@ const (
 	frameHello        byte = iota + 1 // worker id handshake, dialer → acceptor
 	frameBatch                        // envelope batch for one executor
 	frameEOF                          // a sender-side executor exited
-	frameAckResult                    // a forwarded anchored subtree resolved
+	_                                 // 4 is reserved (a retired ack frame); rejected as unknown
 	frameFence                        // drain barrier request for a component
 	frameFenceAck                     // drain barrier completion
 	frameHeartbeat                    // liveness keepalive
@@ -269,8 +269,8 @@ func decodeValue(b []byte) (any, []byte, error) {
 // --- batch frames ---
 
 // appendBatchFrame encodes a complete batch frame (header included) into
-// buf. The envelopes' ack ids are written as-is: they live in the sending
-// worker's tracker id space and come back verbatim in ackResult frames.
+// buf. The envelopes' ack ids are written as-is: XOR-acker root ids are
+// global (the owning worker is encoded in the low bits).
 func appendBatchFrame(buf []byte, destEID int, epoch uint64, envs []envelope) ([]byte, error) {
 	buf = beginFrame(buf, frameBatch)
 	buf = appendUvarint(buf, uint64(destEID))
@@ -282,8 +282,7 @@ func appendBatchFrame(buf []byte, destEID int, epoch uint64, envs []envelope) ([
 		buf = appendUvarint(buf, uint64(env.local))
 		buf = appendUvarint(buf, env.tuple.ack)
 		if env.tuple.ack != 0 {
-			// Anchored envelopes carry their XOR-acker edge id (zero under
-			// the tree tracker; that mode ignores it on receipt).
+			// Anchored envelopes carry their XOR-acker edge id.
 			buf = binary.BigEndian.AppendUint64(buf, env.tuple.edge)
 		}
 		buf = appendWireString(buf, env.tuple.Stream)
@@ -507,16 +506,6 @@ func appendHelloFrame(buf []byte, worker int) []byte {
 
 func appendEOFFrame(buf []byte, eid int) []byte {
 	return endFrame(appendUvarint(beginFrame(buf, frameEOF), uint64(eid)))
-}
-
-func appendAckResultFrame(buf []byte, id uint64, failed bool) []byte {
-	buf = appendUvarint(beginFrame(buf, frameAckResult), id)
-	if failed {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	return endFrame(buf)
 }
 
 // appendAckBatchFrame encodes a coalesced batch of XOR-acker checksum

@@ -3,6 +3,7 @@ package storm
 import (
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,7 +98,7 @@ func TestWireBatchRoundTrip(t *testing.T) {
 }
 
 // TestWireDecodeCopiesOutOfBuffer scribbles over the receive buffer after a
-// decode and asserts the decoded payload is untouched. The ack tracker
+// decode and asserts the decoded payload is untouched. The acker
 // caches replay roots and executors may process envelopes long after
 // arrival, so decoded values must never alias wire memory (the transport
 // reuses its read buffer for the next frame).
@@ -196,7 +197,7 @@ func TestWireControlFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireSmallFrames pins the fixed frames' layout: hello, eof, ackResult,
+// TestWireSmallFrames pins the fixed frames' layout: hello, eof,
 // fence/fenceAck and heartbeat.
 func TestWireSmallFrames(t *testing.T) {
 	check := func(frame []byte, typ byte) []byte {
@@ -217,11 +218,6 @@ func TestWireSmallFrames(t *testing.T) {
 	if eid, _, _ := decodeUvarint(b); eid != 11 {
 		t.Errorf("eof eid = %d", eid)
 	}
-	b = check(appendAckResultFrame(nil, 77, true), frameAckResult)
-	id, rest, _ := decodeUvarint(b)
-	if id != 77 || len(rest) != 1 || rest[0] != 1 {
-		t.Errorf("ackResult = %d %v", id, rest)
-	}
 	b = check(appendFenceFrame(nil, frameFence, 9, "esper"), frameFence)
 	epoch, rest, _ := decodeUvarint(b)
 	comp, _, _ := decodeWireString(rest)
@@ -230,6 +226,22 @@ func TestWireSmallFrames(t *testing.T) {
 	}
 	check(appendFenceFrame(nil, frameFenceAck, 9, "esper"), frameFenceAck)
 	check(appendHeartbeatFrame(nil), frameHeartbeat)
+}
+
+// TestWireRejectsReservedFrameType pins the frame numbering: type 4 stays
+// reserved between eof and fence, and a well-formed frame of that type (the
+// layout the retired ackResult frame had: uvarint id + fail byte) is
+// rejected like any unknown frame instead of being dispatched.
+func TestWireRejectsReservedFrameType(t *testing.T) {
+	if frameEOF != 3 || frameFence != 5 {
+		t.Fatalf("frame numbers shifted: eof = %d, fence = %d; want 3 and 5", frameEOF, frameFence)
+	}
+	const reserved = frameEOF + 1
+	body := append(appendUvarint(nil, 77), 1)
+	err := (&tcpTransport{}).dispatch(0, reserved, body, nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown frame type 4") {
+		t.Fatalf("dispatch(type %d) = %v, want unknown frame type error", reserved, err)
+	}
 }
 
 // FuzzWireFrame throws arbitrary payloads at the batch and control

@@ -1,19 +1,17 @@
 #!/bin/sh
 # Runs the CEP hot-path benchmarks and records ns/op per series into
 # BENCH_cep.json at the repo root. Non-blocking: meant for tracking the
-# incremental-evaluation and expression-compilation numbers over time, not
-# as a pass/fail gate.
-#
-# Sweeps the statement-compiler ablation (BenchmarkAblationExprCompilation
-# runs the Listing-1 rule at window=1000 compiled and interpreted) and
-# records the measured speedup under the top-level key
-# "compiled_over_interpreted" (interpreted ns / compiled ns, > 1 is a win)
-# so the compiler's effect stays machine-checkable.
+# Listing-1 evaluation cost across window lengths
+# (BenchmarkListing1_RuleEvaluation) and what each evaluation path of a
+# standing statement costs (BenchmarkAblationJoinStrategy in internal/cep:
+# incremental, recompute with indexed joins, recompute with nested loops)
+# over time, not as a pass/fail gate.
 #
 # Usage: scripts/bench_cep.sh [benchtime] [count]   (default 1s 3)
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/bench_merge.sh
 benchtime="${1:-1s}"
 count="${2:-3}"
 out="BENCH_cep.json"
@@ -21,8 +19,8 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkListing1_RuleEvaluation|BenchmarkAblationJoinStrategy|BenchmarkAblationExprCompilation' \
-	-benchtime "$benchtime" -count "$count" . | tee "$raw"
+	-bench 'BenchmarkListing1_RuleEvaluation|BenchmarkAblationJoinStrategy' \
+	-benchtime "$benchtime" -count "$count" . ./internal/cep | tee "$raw"
 
 # Each series records its best-of-count ns/op: the minimum filters
 # scheduler noise on a shared box.
@@ -37,10 +35,6 @@ awk -v benchtime="$benchtime" '
 	END {
 		if (n == 0) { print "bench_cep.sh: no benchmark lines parsed" > "/dev/stderr"; exit 1 }
 		printf "{\n  \"benchtime\": \"%s\",\n", benchtime
-		comp = best["BenchmarkAblationExprCompilation/compiled"]
-		interp = best["BenchmarkAblationExprCompilation/interpreted"]
-		if (comp > 0 && interp > 0)
-			printf "  \"compiled_over_interpreted\": %.3f,\n", interp / comp
 		printf "  \"ns_per_op\": {\n"
 		for (i = 0; i < n; i++)
 			printf "    \"%s\": %s%s\n", names[i], best[names[i]], (i < n-1 ? "," : "")
@@ -48,24 +42,6 @@ awk -v benchtime="$benchtime" '
 	}
 ' "$raw" > "$out.tmp"
 
-# Preserve every top-level section other writers maintain (none today, but
-# bench_storm.sh learned this the hard way): merge the old file under the
-# fresh results, fresh keys winning, into a third file — naming $out both
-# as --slurpfile input and redirect target would truncate it before jq
-# reads it.
-if [ -f "$out" ] && jq -e 'type == "object"' "$out" > /dev/null 2>&1; then
-	jq --slurpfile old "$out" '$old[0] + .' "$out.tmp" > "$out.merged"
-	# Guard: the merge must not lose any top-level key the old file had.
-	missing="$(jq -r --slurpfile old "$out" '(($old[0] | keys) - keys)[]' "$out.merged")"
-	if [ -n "$missing" ]; then
-		echo "bench_cep.sh: merge dropped top-level section(s): $missing" >&2
-		rm -f "$out.tmp" "$out.merged"
-		exit 1
-	fi
-	mv "$out.merged" "$out"
-	rm -f "$out.tmp"
-else
-	mv "$out.tmp" "$out"
-fi
+bench_merge "$out" "$out.tmp"
 
 echo "wrote $out"

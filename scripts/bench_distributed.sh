@@ -16,6 +16,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/bench_merge.sh
 benchtime="${1:-300000x}"
 out="BENCH_storm.json"
 raw="$(mktemp)"
@@ -60,19 +61,11 @@ if [ -z "$wire_ns" ] || [ -z "$wire_allocs" ]; then
 	exit 1
 fi
 
-if [ -f "$out" ]; then
-	jq --slurpfile d "$section" \
-		--argjson wns "$wire_ns" --argjson wallocs "$wire_allocs" \
-		'.dist_2w_over_1w = $d[0].dist_2w_over_1w
-		 | .distributed = (($d[0] | del(.dist_2w_over_1w)) + {wire: {"BenchmarkWireBatchRoundTrip": {ns_per_op: $wns, allocs_per_op: $wallocs}}})' \
-		"$out" > "$out.tmp"
-else
-	jq -n --slurpfile d "$section" \
-		--argjson wns "$wire_ns" --argjson wallocs "$wire_allocs" \
-		'{dist_2w_over_1w: $d[0].dist_2w_over_1w,
-		  distributed: (($d[0] | del(.dist_2w_over_1w)) + {wire: {"BenchmarkWireBatchRoundTrip": {ns_per_op: $wns, allocs_per_op: $wallocs}}})}' \
-		> "$out.tmp"
-fi
-mv "$out.tmp" "$out"
+jq -n --slurpfile d "$section" \
+	--argjson wns "$wire_ns" --argjson wallocs "$wire_allocs" \
+	'{dist_2w_over_1w: $d[0].dist_2w_over_1w,
+	  distributed: (($d[0] | del(.dist_2w_over_1w)) + {wire: {"BenchmarkWireBatchRoundTrip": {ns_per_op: $wns, allocs_per_op: $wallocs}}})}' \
+	> "$out.tmp"
+bench_merge "$out" "$out.tmp"
 
 echo "wrote distributed section of $out"

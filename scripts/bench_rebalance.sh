@@ -8,6 +8,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/bench_merge.sh
 out="BENCH_rebalance.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
@@ -35,6 +36,7 @@ awk '
 		printf "  \"rebalance_us\": %s\n", us
 		printf "}\n"
 	}
-' "$raw" > "$out"
+' "$raw" > "$out.tmp"
+bench_merge "$out" "$out.tmp"
 
 echo "wrote $out"

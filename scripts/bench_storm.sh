@@ -2,12 +2,11 @@
 # Runs the Storm transport benchmarks and records ns/op per configuration
 # into BENCH_storm.json at the repo root. Non-blocking: meant for tracking
 # the batched data plane (batch size x telemetry x acking) over time, not
-# as a pass/fail gate. batch=1 is the ablation row: the pre-batching
-# one-channel-send-per-tuple transport. The ack dimension sweeps
-# off/tree/xor/epoch — tree is the retired per-tuple tracker kept as
-# ablation, xor the sharded checksum acker, which targets <= 1.5x ack=off
-# at batch=64/telemetry=off, and epoch the barrier-checkpointing mode,
-# which carries no per-tuple state and targets <= 1.15x ack=off there.
+# as a pass/fail gate. The sweep is batch {1,64} x telemetry {off,on} x
+# ack {off,xor,epoch}: batch=1 is one channel send per tuple; xor is the
+# sharded checksum acker, which targets <= 1.5x ack=off at
+# batch=64/telemetry=off, and epoch the barrier-checkpointing mode, which
+# carries no per-tuple state and targets <= 1.15x ack=off there.
 # The measured ratios are recorded under "ack_xor_over_off_batch64" and
 # "ack_epoch_over_off_batch64" so the targets stay machine-checkable.
 #
@@ -15,6 +14,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/bench_merge.sh
 benchtime="${1:-300000x}"
 count="${2:-3}"
 out="BENCH_storm.json"
@@ -56,27 +56,6 @@ awk -v benchtime="$benchtime" '
 	}
 ' "$raw" > "$out.tmp"
 
-# Preserve every top-level section maintained by other writers (the
-# "distributed" object and "dist_2w_over_1w" ratio from
-# bench_distributed.sh, plus anything added later): merge the old file
-# under the fresh results, fresh keys winning. Cherry-picking sections by
-# name here is how dist_2w_over_1w got silently dropped once. The merge
-# must land in a third file: `jq ... "$out.tmp" > "$out"` with $out also
-# named via --slurpfile would truncate $out before jq reads it, silently
-# nulling the preserved sections.
-if [ -f "$out" ] && jq -e 'type == "object"' "$out" > /dev/null 2>&1; then
-	jq --slurpfile old "$out" '$old[0] + .' "$out.tmp" > "$out.merged"
-	# Guard: the merge must not lose any top-level key the old file had.
-	missing="$(jq -r --slurpfile old "$out" '(($old[0] | keys) - keys)[]' "$out.merged")"
-	if [ -n "$missing" ]; then
-		echo "bench_storm.sh: merge dropped top-level section(s): $missing" >&2
-		rm -f "$out.tmp" "$out.merged"
-		exit 1
-	fi
-	mv "$out.merged" "$out"
-	rm -f "$out.tmp"
-else
-	mv "$out.tmp" "$out"
-fi
+bench_merge "$out" "$out.tmp"
 
 echo "wrote $out"
