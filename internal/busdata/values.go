@@ -1,45 +1,29 @@
 package busdata
 
-import "sync"
+// rowFields sizes a trace's payload map for the row the Figure 8 pipeline
+// grows it into, so that enriching it in place never rehashes: the 11
+// fields FillValues writes, speed/actualDelay/heading from PreProcess, one
+// layer<i>Area per quadtree layer plus leafArea and areaPath from the
+// AreaTracker (a depth-8 tree has nine layers; two to spare), and stopId
+// from the BusStopsTracker. 28 is also the most a Go map holds in 32 slots.
+const rowFields = 11 + 3 + 11 + 2 + 1
 
-// Pooled tuple-payload maps for the spout hot path. The BusReader spout
-// historically allocated one map[string]any literal per trace; at city-scale
-// feed rates that allocation (plus the boxed values inside it) dominates the
-// spout's cost. GetValues/PutValues recycle the maps through a sync.Pool
-// under a single-consumer release contract:
-//
-//   - the emitter fills a pooled map with FillValues and emits it;
-//   - ONLY the sole consumer of a single-delivery edge may release it back
-//     with PutValues, after it has copied out everything it needs;
-//   - components whose output fans out (all-grouping, multiple direct
-//     targets) or that retain the map must never release it — an unreleased
-//     map is simply garbage-collected, so skipping a release is always safe
-//     while a double release never is.
-//
-// In the Figure 8 topology the BusReader→PreProcess edge is fields-grouped
-// with exactly one delivery per tuple and PreProcess clones the payload
-// before emitting, so PreProcess is the releasing consumer.
-var valuesPool = sync.Pool{
-	New: func() any { return make(map[string]any, 16) },
-}
-
-// GetValues returns an empty payload map from the pool.
+// GetValues returns an empty payload map with room for the fully enriched
+// row. The map belongs to whoever it is handed to next: see DESIGN.md,
+// "Payload ownership".
 func GetValues() map[string]any {
-	return valuesPool.Get().(map[string]any)
+	return make(map[string]any, rowFields)
 }
 
-// PutValues clears m and returns it to the pool. A nil map is ignored.
-func PutValues(m map[string]any) {
-	if m == nil {
-		return
-	}
-	clear(m)
-	valuesPool.Put(m)
-}
+// PutValues does nothing: a payload map travels from the spout to the
+// engines' windows and is reclaimed by the garbage collector when the last
+// window drops it, so there is nothing to give back. It exists because the
+// benchmark pairs it with GetValues.
+func PutValues(map[string]any) {}
 
 // FillValues writes the trace's tuple payload — the exact 11-field schema
-// the BusReader spout emits — into m and returns it. Callers pass a pooled
-// map (GetValues) on the hot path; any map works.
+// the BusReader spout emits — into m and returns it. Callers pass a
+// GetValues map on the hot path; any map works.
 func (tr *Trace) FillValues(m map[string]any) map[string]any {
 	m["ts"] = float64(tr.Timestamp.Unix())
 	m["hour"] = float64(tr.Hour())

@@ -25,7 +25,6 @@ func testTrace() Trace {
 func TestFillValuesSchema(t *testing.T) {
 	tr := testTrace()
 	m := tr.FillValues(GetValues())
-	defer PutValues(m)
 	want := map[string]any{
 		"ts":         float64(tr.Timestamp.Unix()),
 		"hour":       8.0,
@@ -49,61 +48,32 @@ func TestFillValuesSchema(t *testing.T) {
 	}
 }
 
-// TestPooledValuesReuseSavesAllocs asserts the pool contract pays: filling a
-// recycled map allocates strictly less than building a fresh map per trace,
-// and reusing a pooled map with pre-boxed values allocates nothing at all.
-func TestPooledValuesReuseSavesAllocs(t *testing.T) {
-	tr := testTrace()
-	fresh := testing.AllocsPerRun(200, func() {
-		m := make(map[string]any, 16)
-		tr.FillValues(m)
-	})
-	// Single goroutine: Put then Get returns the same map, so the steady
-	// state exercises actual reuse rather than pool misses.
-	pooled := testing.AllocsPerRun(200, func() {
-		m := tr.FillValues(GetValues())
-		PutValues(m)
-	})
-	if pooled >= fresh {
-		t.Errorf("pooled fill allocates %.1f/op, fresh map %.1f/op — pooling saves nothing", pooled, fresh)
+// TestValuesRoomForEnrichedRow asserts the sizing GetValues promises: a
+// map it returns takes every field the pipeline adds without growing, so
+// filling it to rowFields entries allocates nothing beyond the map itself.
+func TestValuesRoomForEnrichedRow(t *testing.T) {
+	keys := make([]string, rowFields)
+	for i := range keys {
+		keys[i] = "field" + string(rune('A'+i))
 	}
-	// With values already boxed, storing into a recycled map is alloc-free:
-	// the remaining pooled-fill allocations are interface boxing, not maps.
-	keys := []string{"ts", "hour", "day", "lineId", "direction", "lat", "lon", "delay", "congestion", "busStop", "vehicleId"}
-	boxed := make([]any, len(keys))
-	m0 := tr.FillValues(GetValues())
-	for i, k := range keys {
-		boxed[i] = m0[k]
-	}
-	PutValues(m0)
-	reuse := testing.AllocsPerRun(200, func() {
+	var boxed any = 1.0
+	empty := testing.AllocsPerRun(200, func() { _ = GetValues() })
+	full := testing.AllocsPerRun(200, func() {
 		m := GetValues()
-		for i, k := range keys {
-			m[k] = boxed[i]
+		for _, k := range keys {
+			m[k] = boxed
 		}
-		PutValues(m)
 	})
-	if reuse != 0 {
-		t.Errorf("recycled map with pre-boxed values allocates %.1f/op, want 0", reuse)
+	if full != empty {
+		t.Errorf("filling %d fields allocates %.1f/op, the empty map %.1f/op: the map grew", rowFields, full, empty)
 	}
 }
 
-// BenchmarkTraceFillValues reports the allocs/op of the pooled spout payload
-// path next to the historical fresh-map path.
+// BenchmarkTraceFillValues reports the cost of building one spout payload.
 func BenchmarkTraceFillValues(b *testing.B) {
 	tr := testTrace()
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := make(map[string]any, 16)
-			tr.FillValues(m)
-		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := tr.FillValues(GetValues())
-			PutValues(m)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.FillValues(GetValues())
+	}
 }

@@ -80,12 +80,12 @@ func BenchmarkAblationExprCompilation(b *testing.B) {
 	st, _ := benchListing1(b, New())
 	exprs, compiled := statementExprs(st)
 
-	bus := &Event{Stream: "bus", Fields: map[string]Value{
+	bus := st.engine.bind(&Event{Stream: "bus", Fields: map[string]Value{
 		"leafArea": "a07", "hour": 7.0, "day": "weekday", "delay": 42.0,
-	}}
-	thr := &Event{Stream: "thresholds_abl", Fields: map[string]Value{
+	}})
+	thr := st.engine.bind(&Event{Stream: "thresholds_abl", Fields: map[string]Value{
 		"location": "a07", "hour": 7.0, "day": "weekday", "value": 1e12,
-	}}
+	}})
 	aggs := make(map[string]Value, len(st.comp.aggKeys))
 	for i, key := range st.comp.aggKeys {
 		aggs[key] = float64(40 + i)

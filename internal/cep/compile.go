@@ -12,8 +12,12 @@ import (
 // compiled once and evaluated millions of times; everything resolvable at
 // registration is resolved here:
 //
-//   - field references become direct row[idx].Fields[name] accesses using
-//     the statement's bind table — no alias hashing, no map of refs;
+//   - alias-qualified field references become row[idx].slots[slot] reads:
+//     idx from the statement's bind table, slot from the schema of the
+//     FROM item's stream (event.go) — no alias hashing, no field hashing.
+//     Unqualified references stay by-name lookups in Fields: which bound
+//     event supplies the field is decided per evaluation by which one HAS
+//     it, and a slot cannot tell an absent field from a NULL one;
 //   - aggregate references become slot reads (see evalContext.aggF), with a
 //     pre-rendered key for the keyed map the recompute path fills;
 //   - numeric comparison/arithmetic chains run unboxed through compiledNum
@@ -81,7 +85,7 @@ func compileStatement(st *Statement) *stmtCompiled {
 		comp.aggKeys = append(comp.aggKeys, key)
 		comp.aggCalls = append(comp.aggCalls, call)
 	}
-	c := &exprCompiler{bind: st.bind, aggOf: comp.aggOf}
+	c := st.exprCompiler(comp.aggOf)
 
 	comp.aggArgC = make([]compiledExpr, len(comp.aggCalls))
 	for i, call := range comp.aggCalls {
@@ -154,11 +158,23 @@ func compileIncremental(inc *incState, c *exprCompiler, comp *stmtCompiled) {
 	}
 }
 
-// exprCompiler compiles one statement's expressions against its bind table
-// and aggregate slots.
+// exprCompiler compiles one statement's expressions against its bind table,
+// the schemas of its FROM items' streams (parallel to row positions) and
+// its aggregate slots.
 type exprCompiler struct {
-	bind  map[*epl.FieldRef]int
-	aggOf map[string]int
+	bind    map[*epl.FieldRef]int
+	schemas []*streamSchema
+	aggOf   map[string]int
+}
+
+// exprCompiler returns a compiler over the statement's bind table and the
+// schemas of its FROM items.
+func (st *Statement) exprCompiler(aggOf map[string]int) *exprCompiler {
+	schemas := make([]*streamSchema, len(st.items))
+	for i, it := range st.items {
+		schemas[i] = it.schema
+	}
+	return &exprCompiler{bind: st.bind, schemas: schemas, aggOf: aggOf}
 }
 
 // errValue and errNum are the compiled forms of a node that can never
@@ -308,9 +324,10 @@ func (c *exprCompiler) compileField(x *epl.FieldRef) compiledExpr {
 	if !ok {
 		return errValue(errUnbound)
 	}
+	slot := c.schemas[idx].slotOf(field)
 	return func(ctx *evalContext) (Value, error) {
 		if ev := ctx.row[idx]; ev != nil {
-			return ev.Fields[field], nil
+			return ev.slots[slot], nil
 		}
 		return nil, errUnbound
 	}
@@ -328,13 +345,13 @@ func (c *exprCompiler) fieldNum(x *epl.FieldRef) compiledNum {
 	if !ok {
 		return errNum(errUnbound)
 	}
-	field := x.Field
+	slot := c.schemas[idx].slotOf(x.Field)
 	return func(ctx *evalContext) (float64, error) {
 		ev := ctx.row[idx]
 		if ev == nil {
 			return 0, errUnbound
 		}
-		v := ev.Fields[field]
+		v := ev.slots[slot]
 		if f, ok := v.(float64); ok {
 			return f, nil
 		}

@@ -202,8 +202,7 @@ func statementExprs(st *Statement) ([]epl.Expr, []compiledExpr) {
 	for _, call := range st.comp.aggCalls {
 		exprs = append(exprs, call.Args...)
 	}
-	c := &exprCompiler{bind: st.bind, aggOf: st.comp.aggOf}
-	return exprs, c.values(exprs)
+	return exprs, st.exprCompiler(st.comp.aggOf).values(exprs)
 }
 
 // TestCompiledMatchesEval holds the compiler to eval on real statements:
@@ -229,7 +228,7 @@ func TestCompiledMatchesEval(t *testing.T) {
 				aggs := make(map[string]Value, len(st.comp.aggKeys))
 				for i, ev := range sc.feed {
 					for _, idx := range st.itemsByStream[ev.stream] {
-						row[idx] = &Event{Stream: ev.stream, Fields: ev.fields}
+						row[idx] = st.engine.bind(&Event{Stream: ev.stream, Fields: ev.fields})
 					}
 					for k, key := range st.comp.aggKeys {
 						aggs[key] = float64((i*7+k*3)%11) - 3

@@ -20,6 +20,8 @@ type Engine struct {
 	stmts    map[string]*Statement
 	byStream map[string][]*Statement
 	funcs    map[string]ScalarFunc
+	// schemas holds one slot table per stream any statement ever read from.
+	schemas map[string]*streamSchema
 
 	eventsIn uint64
 	procTime time.Duration
@@ -64,6 +66,7 @@ func New(opts ...Option) *Engine {
 		stmts:    make(map[string]*Statement),
 		byStream: make(map[string][]*Statement),
 		funcs:    make(map[string]ScalarFunc),
+		schemas:  make(map[string]*streamSchema),
 		name:     "cep",
 	}
 	for _, opt := range opts {
@@ -82,6 +85,26 @@ func (e *Engine) RegisterFunction(name string, fn ScalarFunc) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.funcs[lower(name)] = fn
+}
+
+// schemaFor returns stream's slot table, creating it on first use. Called
+// with the engine lock held.
+func (e *Engine) schemaFor(stream string) *streamSchema {
+	sch := e.schemas[stream]
+	if sch == nil {
+		sch = newStreamSchema()
+		e.schemas[stream] = sch
+	}
+	return sch
+}
+
+// bind readies an event for this engine's statements. A stream without a
+// schema has no statement reading it, so there is nothing to bind.
+func (e *Engine) bind(ev *Event) *Event {
+	if sch := e.schemas[ev.Stream]; sch != nil {
+		sch.bind(ev)
+	}
+	return ev
 }
 
 func lower(s string) string {
@@ -190,7 +213,9 @@ const maxDerivedEvents = 10000
 // statement registration order; events produced by INSERT INTO statements
 // are processed breadth-first afterwards, in the same serial turn. The
 // first evaluation error is returned, but every statement still sees the
-// event.
+// event. fields is kept, not copied, for as long as a window holds the
+// event — the caller must not write to it after the call — and the fields
+// statements reference are bound to slots here, once (see Event).
 func (e *Engine) SendEventAt(stream string, ts time.Time, fields map[string]Value) error {
 	// An explicit (possibly historical) event time must not pollute the
 	// latency measurement, so processing start is read separately here.
@@ -198,13 +223,11 @@ func (e *Engine) SendEventAt(stream string, ts time.Time, fields map[string]Valu
 }
 
 func (e *Engine) sendEventAt(stream string, ts, start time.Time, fields map[string]Value) error {
-	ev := NewEvent(stream, ts, fields)
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.eventsIn++
 	var firstErr error
-	queue := []*Event{ev}
+	queue := []*Event{e.bind(NewEvent(stream, ts, fields))}
 	derived := 0
 	for len(queue) > 0 {
 		cur := queue[0]
@@ -213,7 +236,7 @@ func (e *Engine) sendEventAt(stream string, ts, start time.Time, fields map[stri
 			err := st.process(cur, func(d *Event) {
 				derived++
 				if derived <= maxDerivedEvents {
-					queue = append(queue, d)
+					queue = append(queue, e.bind(d))
 				}
 			})
 			if err != nil && firstErr == nil {

@@ -11,7 +11,76 @@ import (
 type Event struct {
 	Stream string
 	Ts     time.Time
+	// Fields is the map the caller sent, never copied: listeners read any
+	// field through it, whether or not a statement references it.
 	Fields map[string]Value
+
+	// slots holds the fields the engine's statements reference, at the
+	// positions of the stream's schema, bound once when the event enters
+	// the engine (streamSchema.bind). Everything a statement does with an
+	// event after that — expressions, window and join keys — indexes slots
+	// and leaves Fields alone: an event leaving a window long after it
+	// arrived costs one cache miss instead of a cold map probe. A field the
+	// event lacks binds nil, which is what a missing field reads as.
+	slots []Value
+}
+
+// streamSchema is an engine's field → slot table for one stream. It only
+// grows, and only while a statement is being registered, so a slot index
+// baked into a compiled statement stays valid for the engine's lifetime. A
+// statement registered later may append slots; events bound before that
+// carry the shorter slice, but they sit only in the windows of statements
+// compiled against the shorter schema, so no index ever exceeds the slice
+// it meets (a violation would be an index-out-of-range panic, not a silent
+// wrong read).
+type streamSchema struct {
+	names []string
+	slot  map[string]int
+}
+
+func newStreamSchema() *streamSchema {
+	return &streamSchema{slot: make(map[string]int)}
+}
+
+// slotOf returns field's slot, appending one if the field is new.
+func (s *streamSchema) slotOf(field string) int {
+	i, ok := s.slot[field]
+	if !ok {
+		i = len(s.names)
+		s.names = append(s.names, field)
+		s.slot[field] = i
+	}
+	return i
+}
+
+// slotsOf is slotOf over a field list.
+func (s *streamSchema) slotsOf(fields []string) []int {
+	out := make([]int, len(fields))
+	for i, f := range fields {
+		out[i] = s.slotOf(f)
+	}
+	return out
+}
+
+// bind fills ev.slots from ev.Fields: one map lookup per referenced field,
+// on the map the caller has just built.
+func (s *streamSchema) bind(ev *Event) {
+	ev.slots = make([]Value, len(s.names))
+	for i, name := range s.names {
+		ev.slots[i] = ev.Fields[name]
+	}
+}
+
+// appendSlotsKey appends the composite hash key of ev's values at slots —
+// compositeKey over those values — to buf.
+func appendSlotsKey(buf []byte, ev *Event, slots []int) []byte {
+	for i, sl := range slots {
+		if i > 0 {
+			buf = append(buf, keySep)
+		}
+		buf = appendValueKey(buf, ev.slots[sl])
+	}
+	return buf
 }
 
 // NewEvent builds an event. The fields map is used as-is; callers must not

@@ -38,6 +38,10 @@ func (r *fuzzReader) byte() byte {
 
 var fuzzFieldNames = [4]string{"f0", "f1", "f2", "f3"}
 
+// fuzzNeverField is a field no fuzzed row carries: a reference to it takes
+// a slot that every binding fills with the missing-field nil.
+const fuzzNeverField = "f9"
+
 // fuzzCollected are the aggregate calls the fuzzed "statement" collected:
 // the compiler gets a slot for each and both evaluators a value.
 var fuzzCollected = [3]*epl.CallExpr{
@@ -81,11 +85,13 @@ func fuzzExpr(r *fuzzReader, depth int) epl.Expr {
 			return &epl.BoolLit{Value: r.byte()%2 == 0}
 		case 3:
 			b := r.byte()
-			alias := "r"
+			alias, field := "r", fuzzFieldNames[b%4]
 			if b%16 >= 12 {
 				alias = "zz" // names no FROM item
+			} else if b >= 192 {
+				field = fuzzNeverField
 			}
-			return &epl.FieldRef{Alias: alias, Field: fuzzFieldNames[b%4]}
+			return &epl.FieldRef{Alias: alias, Field: field}
 		case 4:
 			return &epl.FieldRef{Field: fuzzFieldNames[r.byte()%4]}
 		default:
@@ -133,6 +139,9 @@ func FuzzCompiledExprEquivalence(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 2, 0, 0, 6, 0, 0, 6, 0, 2, 5, 0, 3}) // sum(r.f0) + avg(r.f1), avg NULL
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 2, 2, 0, 7, 2, 1, 6, 1, 0, 5})       // false AND avg(2): never reached
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 2, 1, 4, 6, 0, 1, 6, 1, 3, 2})       // count(*) > avg(r.f2): reached
+	f.Add([]byte{7, 7, 7, 7, 0, 3, 1})                                        // r.f1 with every field absent: NULL
+	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 1, 1, 0, 3, 192, 0, 0, 1})           // r.f9 = 1: a field no row has
+	f.Add([]byte{0, 5, 0, 5, 7, 0, 5, 1, 0, 0, 3, 2, 4, 2})                   // r.f2 + f2, f2 absent: NULL vs not found
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 
@@ -171,7 +180,12 @@ func FuzzCompiledExprEquivalence(f *testing.F) {
 				bind[ref] = 0
 			}
 		})
-		compiled := (&exprCompiler{bind: bind, aggOf: aggOf}).value(expr)
+		// Compile first, then bind: the compiler hands out a slot per field it
+		// meets, and the event must carry every one of them — the order an
+		// engine guarantees by registering statements before it takes events.
+		schema := newStreamSchema()
+		compiled := (&exprCompiler{bind: bind, schemas: []*streamSchema{schema}, aggOf: aggOf}).value(expr)
+		schema.bind(ev)
 
 		row, aliases := []*Event{ev}, []string{"r"}
 		vi, erri := eval(expr, &evalContext{row: row, aliasOrder: aliases, aggs: aggs})

@@ -467,9 +467,9 @@ func (s *incState) evaluate() ([]Output, error) {
 type incTriggerPlan struct {
 	trigIdx int
 	trigWin *lastEventWin
-	// pairChecks are trigger-field pairs an equi class constrains to be
-	// equal among themselves (WHERE t.a = i.x AND t.b = i.x).
-	pairChecks [][2]string
+	// pairChecks are pairs of trigger-event slots an equi class constrains
+	// to be equal among themselves (WHERE t.a = i.x AND t.b = i.x).
+	pairChecks [][2]int
 	// emitFilters are conjuncts over the trigger item only (or with no
 	// field references); they are checked once per evaluation.
 	// emitFiltersC is the compiled form.
@@ -481,15 +481,15 @@ type incTriggerPlan struct {
 
 // incItemState is one non-trigger item's maintained accumulators.
 type incItemState struct {
-	idx       int
-	filters   []epl.Expr     // pure, item-local conjuncts applied on maintenance
-	filtersC  []compiledBool // compiled form of filters
-	keyFields []string       // this item's fields forming the accumulator key
-	srcFields []string       // trigger fields probing each keyField
-	aggIdx    []int          // positions in plan.aggs anchored at this item
-	accs      map[string]*itemAcc
-	keyBuf    []byte
-	probed    *itemAcc // evaluation scratch: result of the latest probe
+	idx      int
+	filters  []epl.Expr     // pure, item-local conjuncts applied on maintenance
+	filtersC []compiledBool // compiled form of filters
+	keySlots []int          // this item's event slots forming the accumulator key
+	srcSlots []int          // trigger-event slots probing each key slot
+	aggIdx   []int          // positions in plan.aggs anchored at this item
+	accs     map[string]*itemAcc
+	keyBuf   []byte
+	probed   *itemAcc // evaluation scratch: result of the latest probe
 }
 
 // itemAcc accumulates one join key's matching events within an item.
@@ -500,27 +500,13 @@ type itemAcc struct {
 }
 
 func (ip *incItemState) eventKey(ev *Event) []byte {
-	buf := ip.keyBuf[:0]
-	for i, f := range ip.keyFields {
-		if i > 0 {
-			buf = append(buf, keySep)
-		}
-		buf = appendValueKey(buf, ev.Get(f))
-	}
-	ip.keyBuf = buf
-	return buf
+	ip.keyBuf = appendSlotsKey(ip.keyBuf[:0], ev, ip.keySlots)
+	return ip.keyBuf
 }
 
 func (ip *incItemState) probeKey(e *Event) []byte {
-	buf := ip.keyBuf[:0]
-	for i, f := range ip.srcFields {
-		if i > 0 {
-			buf = append(buf, keySep)
-		}
-		buf = appendValueKey(buf, e.Get(f))
-	}
-	ip.keyBuf = buf
-	return buf
+	ip.keyBuf = appendSlotsKey(ip.keyBuf[:0], e, ip.srcSlots)
+	return ip.keyBuf
 }
 
 // planTrigger attempts strategy 1. See incTriggerPlan.
@@ -684,17 +670,18 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 		}
 		p.items[i] = &incItemState{idx: i, filters: singles[i], accs: make(map[string]*itemAcc)}
 	}
+	trigSchema := st.items[trig].schema
 	for _, root := range classOrder {
 		members := classes[root]
-		trigField := ""
+		trigSlot := -1
 		for _, m := range members {
 			if m.item != trig {
 				continue
 			}
-			if trigField == "" {
-				trigField = m.field
+			if trigSlot < 0 {
+				trigSlot = trigSchema.slotOf(m.field)
 			} else {
-				p.pairChecks = append(p.pairChecks, [2]string{trigField, m.field})
+				p.pairChecks = append(p.pairChecks, [2]int{trigSlot, trigSchema.slotOf(m.field)})
 			}
 		}
 		for _, m := range members {
@@ -702,8 +689,8 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 				continue
 			}
 			ip := p.items[m.item]
-			ip.keyFields = append(ip.keyFields, m.field)
-			ip.srcFields = append(ip.srcFields, trigField)
+			ip.keySlots = append(ip.keySlots, st.items[m.item].schema.slotOf(m.field))
+			ip.srcSlots = append(ip.srcSlots, trigSlot)
 		}
 	}
 	for ai, spec := range aggs {
@@ -816,7 +803,7 @@ func (s *incState) trigEvaluate() ([]Output, error) {
 		}
 	}
 	for _, pc := range p.pairChecks {
-		if !valueEq(e.Get(pc[0]), e.Get(pc[1])) {
+		if !valueEq(e.slots[pc[0]], e.slots[pc[1]]) {
 			return nil, nil
 		}
 	}
@@ -1088,7 +1075,7 @@ func (s *incState) deltaJoin(pin int, pinEv *Event, sign int) error {
 						return err
 					}
 					s.keyBufA = appendValueKey(s.keyBufA[:0], v)
-					s.keyBufB = appendValueKey(s.keyBufB[:0], pinEv.Get(it.indexFields[k]))
+					s.keyBufB = appendValueKey(s.keyBufB[:0], pinEv.slots[it.indexSlots[k]])
 					if !bytes.Equal(s.keyBufA, s.keyBufB) {
 						return nil
 					}

@@ -80,16 +80,19 @@ type StatementMetrics struct {
 type fromItemState struct {
 	spec epl.FromItem
 	win  window
+	// schema is the slot table of the item's stream: every field of the
+	// item a statement touches is resolved through it at registration.
+	schema *streamSchema
 
 	// Join indexing: when probeExprs is non-empty, the item's window is
-	// additionally indexed on indexFields; candidates are found by
-	// evaluating probeExprs (compiled form: probeC) against the
+	// additionally indexed on the fields at indexSlots; candidates are
+	// found by evaluating probeExprs (compiled form: probeC) against the
 	// already-bound row.
-	indexFields []string
-	probeExprs  []epl.Expr
-	probeC      []compiledExpr
-	index       map[string][]*Event
-	keyBuf      []byte
+	indexSlots []int
+	probeExprs []epl.Expr
+	probeC     []compiledExpr
+	index      map[string][]*Event
+	keyBuf     []byte
 }
 
 // compile builds a Statement from a parsed query.
@@ -105,11 +108,12 @@ func compile(name string, q *epl.Query, eng *Engine) (*Statement, error) {
 	}
 	aliasToIdx := make(map[string]int, len(q.From))
 	for i, f := range q.From {
-		win, err := buildWindow(f.Views)
+		sch := eng.schemaFor(f.Stream)
+		win, err := buildWindow(f.Views, sch)
 		if err != nil {
 			return nil, fmt.Errorf("cep: statement %q item %q: %w", name, f.Alias, err)
 		}
-		st.items = append(st.items, &fromItemState{spec: f, win: win})
+		st.items = append(st.items, &fromItemState{spec: f, win: win, schema: sch})
 		st.itemsByStream[f.Stream] = append(st.itemsByStream[f.Stream], i)
 		st.aliasOrder = append(st.aliasOrder, f.Alias)
 		aliasToIdx[f.Alias] = i
@@ -158,7 +162,7 @@ func compile(name string, q *epl.Query, eng *Engine) (*Statement, error) {
 		st.filters[pos] = append(st.filters[pos], c)
 	}
 	for _, it := range st.items {
-		if len(it.indexFields) > 0 {
+		if len(it.indexSlots) > 0 {
 			it.index = make(map[string][]*Event)
 		}
 	}
@@ -218,7 +222,7 @@ func (st *Statement) tryIndexConjunct(c epl.Expr, aliasToIdx map[string]int) boo
 		innerIdx = ri
 	}
 	it := st.items[innerIdx]
-	it.indexFields = append(it.indexFields, inner.Field)
+	it.indexSlots = append(it.indexSlots, it.schema.slotOf(inner.Field))
 	it.probeExprs = append(it.probeExprs, outer)
 	return true
 }
@@ -314,6 +318,7 @@ func (st *Statement) process(ev *Event, derive func(*Event)) error {
 			}
 			if st.Query.InsertInto != "" && derive != nil {
 				for _, o := range outputs {
+					// Bound to its stream's slots by the engine, as it queues it.
 					derive(NewEvent(st.Query.InsertInto, ev.Ts, o.Fields))
 				}
 			}
@@ -357,15 +362,8 @@ func (st *Statement) rebuildIndexes() {
 }
 
 func (it *fromItemState) indexKey(ev *Event) []byte {
-	buf := it.keyBuf[:0]
-	for i, f := range it.indexFields {
-		if i > 0 {
-			buf = append(buf, keySep)
-		}
-		buf = appendValueKey(buf, ev.Get(f))
-	}
-	it.keyBuf = buf
-	return buf
+	it.keyBuf = appendSlotsKey(it.keyBuf[:0], ev, it.indexSlots)
+	return it.keyBuf
 }
 
 func (it *fromItemState) indexAdd(ev *Event) {

@@ -33,8 +33,10 @@ type window interface {
 
 // buildWindow compiles a view chain into a window. Supported chains are the
 // ones the paper's rules use: nothing (defaults to win:keepall), a single
-// view, or std:groupwin(fields...) followed by at most one window view.
-func buildWindow(views []epl.ViewSpec) (window, error) {
+// view, or std:groupwin(fields...) followed by at most one window view. Key
+// fields of groupwin and unique views are resolved to slots of sch, the
+// schema of the stream the window reads.
+func buildWindow(views []epl.ViewSpec, sch *streamSchema) (window, error) {
 	if len(views) == 0 {
 		return &keepAllWin{}, nil
 	}
@@ -51,20 +53,20 @@ func buildWindow(views []epl.ViewSpec) (window, error) {
 		if len(rest) > 1 {
 			return nil, fmt.Errorf("cep: unsupported view chain of %d views after groupwin", len(rest))
 		}
-		factory := func() (window, error) { return buildWindow(rest) }
+		factory := func() (window, error) { return buildWindow(rest, sch) }
 		// Validate the sub-chain once, eagerly.
 		if _, err := factory(); err != nil {
 			return nil, err
 		}
-		return newGroupWin(fields, factory), nil
+		return newGroupWin(sch.slotsOf(fields), factory), nil
 	}
 	if len(views) > 1 {
 		return nil, fmt.Errorf("cep: unsupported view chain of %d views", len(views))
 	}
-	return buildSimpleWindow(views[0])
+	return buildSimpleWindow(views[0], sch)
 }
 
-func buildSimpleWindow(v epl.ViewSpec) (window, error) {
+func buildSimpleWindow(v epl.ViewSpec, sch *streamSchema) (window, error) {
 	key := v.Namespace + ":" + v.Name
 	switch key {
 	case "std:lastevent":
@@ -104,7 +106,7 @@ func buildSimpleWindow(v epl.ViewSpec) (window, error) {
 			}
 			fields[i] = ref.Field
 		}
-		return newUniqueWin(fields), nil
+		return newUniqueWin(sch.slotsOf(fields)), nil
 	}
 	return nil, fmt.Errorf("cep: unknown view %s", key)
 }
@@ -321,30 +323,22 @@ func (w *timeBatchWin) size() int          { return len(w.buf) }
 // materializes the key string (the map lookup on a []byte-to-string
 // conversion does not allocate; only first-seen keys do).
 type uniqueWin struct {
-	fields []string
+	keys   []int // event slots forming the key
 	byKey  map[string]*uniqueSlot
 	order  []*uniqueSlot // slot creation order for deterministic contents
 	keyBuf []byte
-	valBuf []Value
 	addBuf [1]*Event
 	rmBuf  [1]*Event
 }
 
 type uniqueSlot struct{ ev *Event }
 
-func newUniqueWin(fields []string) *uniqueWin {
-	return &uniqueWin{
-		fields: fields,
-		byKey:  make(map[string]*uniqueSlot),
-		valBuf: make([]Value, len(fields)),
-	}
+func newUniqueWin(keys []int) *uniqueWin {
+	return &uniqueWin{keys: keys, byKey: make(map[string]*uniqueSlot)}
 }
 
 func (w *uniqueWin) insert(ev *Event) (added, removed []*Event) {
-	for i, f := range w.fields {
-		w.valBuf[i] = ev.Get(f)
-	}
-	w.keyBuf = appendCompositeKey(w.keyBuf[:0], w.valBuf)
+	w.keyBuf = appendSlotsKey(w.keyBuf[:0], ev, w.keys)
 	slot, ok := w.byKey[string(w.keyBuf)]
 	if ok {
 		w.rmBuf[0] = slot.ev
@@ -373,32 +367,23 @@ func (w *uniqueWin) size() int { return len(w.byKey) }
 // to a per-group sub-window (std:groupwin(...).<view>). Group iteration
 // order is group creation order, keeping evaluation deterministic.
 type groupWin struct {
-	fields  []string
+	keys    []int // event slots forming the group key
 	factory func() (window, error)
 	groups  map[string]window
 	order   []string
 	total   int
 	keyBuf  []byte
-	valBuf  []Value
 }
 
-func newGroupWin(fields []string, factory func() (window, error)) *groupWin {
-	return &groupWin{
-		fields:  fields,
-		factory: factory,
-		groups:  make(map[string]window),
-		valBuf:  make([]Value, len(fields)),
-	}
+func newGroupWin(keys []int, factory func() (window, error)) *groupWin {
+	return &groupWin{keys: keys, factory: factory, groups: make(map[string]window)}
 }
 
 func (w *groupWin) insert(ev *Event) (added, removed []*Event) {
-	for i, f := range w.fields {
-		w.valBuf[i] = ev.Get(f)
-	}
 	// Render the group key into the reusable buffer; the key string is
 	// only materialized when a new group is created — the lookup on a
 	// hit does not allocate.
-	w.keyBuf = appendCompositeKey(w.keyBuf[:0], w.valBuf)
+	w.keyBuf = appendSlotsKey(w.keyBuf[:0], ev, w.keys)
 	sub, ok := w.groups[string(w.keyBuf)]
 	if !ok {
 		// The factory was validated at build time; it cannot fail here.

@@ -7,9 +7,16 @@ import (
 	"trafficcep/internal/epl"
 )
 
-// mkEvent builds a bare event for direct window testing.
+// viewSchema is the slot table the directly-built windows of this file
+// resolve their key fields through; mkEvent binds against it, so a test
+// builds its window before its events.
+var viewSchema = newStreamSchema()
+
+// mkEvent builds a bare bound event for direct window testing.
 func mkEvent(ts int, fields map[string]Value) *Event {
-	return &Event{Stream: "s", Ts: time.Unix(int64(ts), 0), Fields: fields}
+	ev := &Event{Stream: "s", Ts: time.Unix(int64(ts), 0), Fields: fields}
+	viewSchema.bind(ev)
+	return ev
 }
 
 func ids(evs []*Event) []int {
@@ -39,7 +46,7 @@ func buildFromSpec(t *testing.T, spec string) window {
 	if err != nil {
 		t.Fatalf("parse %s: %v", spec, err)
 	}
-	w, err := buildWindow(q.From[0].Views)
+	w, err := buildWindow(q.From[0].Views, viewSchema)
 	if err != nil {
 		t.Fatalf("build %s: %v", spec, err)
 	}
@@ -197,7 +204,7 @@ func TestNoViewDefaultsToKeepAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := buildWindow(q.From[0].Views)
+	w, err := buildWindow(q.From[0].Views, viewSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +235,7 @@ func TestBuildWindowErrors(t *testing.T) {
 		},
 	}
 	for i, views := range bad {
-		if _, err := buildWindow(views); err == nil {
+		if _, err := buildWindow(views, viewSchema); err == nil {
 			t.Errorf("case %d: expected error for %v", i, views)
 		}
 	}

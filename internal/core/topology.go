@@ -20,6 +20,16 @@ import (
 // This file implements the seven-component traffic-monitoring topology of
 // Figure 8: BusReader spout → PreProcess → AreaTracker → BusStopsTracker →
 // Splitter → EsperBolt(×N) → EventsStorer.
+//
+// One payload map per trace (DESIGN.md, "Payload ownership"): the spout
+// builds the row, sized for everything the pipeline will add; PreProcess,
+// AreaTracker and BusStopsTracker each write their fields into that same
+// map and re-emit it, which they may do only as the sole receiver of their
+// input (storm.TaskContext.ExclusiveInput — otherwise they clone once, see
+// enricher). From BusStopsTracker's emit on the row is read-only for
+// everyone: the Splitter hands the one map to every engine responsible for
+// it, the Rebalancer and the routing table read it, and the engines keep it
+// in their windows un-copied.
 
 // Component ids of the Figure 8 topology.
 const (
@@ -268,9 +278,6 @@ func (s *busReaderSpout) NextTuple(col storm.Collector) (bool, error) {
 		return false, nil
 	}
 	tr := &s.traces[s.idx]
-	// Pooled payload map: PreProcess — the sole consumer of this edge —
-	// releases it after cloning (see busdata/values.go for the contract),
-	// so the spout hot path allocates no map per trace.
 	vals := tr.FillValues(busdata.GetValues())
 	// With ack tracking on (trafficd -ack.timeout) anchor each trace under
 	// its position in the feed, so lost tuples are replayed at-least-once.
@@ -291,23 +298,40 @@ func (s *busReaderSpout) Ack(string) {}
 // dropped by the runtime.
 func (s *busReaderSpout) Fail(string) {}
 
-// preProcessBolt adds speed, actual delay and heading (§3.1).
-type preProcessBolt struct {
-	pre *busdata.Preprocessor
+// enricher is the part the three enrichment bolts share: whether the row
+// may be written in place is a fact of the topology the task runs in,
+// looked up once in Prepare. The zero value clones, which is always safe.
+type enricher struct {
+	inPlace bool
 }
 
-func (b *preProcessBolt) Prepare(storm.TaskContext) error {
-	b.pre = busdata.NewPreprocessor()
+func (e *enricher) Prepare(ctx storm.TaskContext) error {
+	e.inPlace = ctx.ExclusiveInput
 	return nil
 }
 
-func (b *preProcessBolt) Cleanup() error { return nil }
+// row returns the map the bolt writes its fields into and emits: the input
+// itself when this task is its only receiver, a clone when another
+// subscriber, or another task under an all grouping, reads it too.
+func (e *enricher) row(t storm.Tuple) map[string]any {
+	if e.inPlace {
+		return t.Values
+	}
+	return cloneValues(t.Values)
+}
 
-// OwnsInputValues marks the bolt as taking ownership of its input Values
-// maps (storm.ValuesOwner): Execute releases every input map into the
-// busdata pool below, so the runtime must not also recycle maps it pooled
-// on the wire-decode path — one map must not land in two pools.
-func (b *preProcessBolt) OwnsInputValues() {}
+// preProcessBolt adds speed, actual delay and heading (§3.1).
+type preProcessBolt struct {
+	enricher
+	pre *busdata.Preprocessor
+}
+
+func (b *preProcessBolt) Prepare(ctx storm.TaskContext) error {
+	b.pre = busdata.NewPreprocessor()
+	return b.enricher.Prepare(ctx)
+}
+
+func (b *preProcessBolt) Cleanup() error { return nil }
 
 func (b *preProcessBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	tr, err := tupleToTrace(t.Values)
@@ -315,12 +339,7 @@ func (b *preProcessBolt) Execute(t storm.Tuple, col storm.Collector) error {
 		return err
 	}
 	e := b.pre.Process(tr)
-	out := cloneValues(t.Values)
-	// The input payload was cloned: release it for spout reuse. PreProcess
-	// is the single consumer of the single-delivery BusReader edge, so it is
-	// the one component allowed to release (busdata/values.go). Replayed
-	// roots are safe — the acker caches its own copy of the payload.
-	busdata.PutValues(t.Values)
+	out := b.row(t)
 	out["speed"] = e.SpeedKmh
 	out["actualDelay"] = e.ActualDelay
 	out["heading"] = e.Heading
@@ -365,22 +384,28 @@ func cloneValues(v map[string]any) map[string]any {
 // per layer ("Each task of this bolt has an instance of the Region Quadtree
 // and queries it to find the areas that the new trace belongs", §4.3.2).
 type areaTrackerBolt struct {
+	enricher
 	tree *quadtree.Tree
+	// layerFields[i] is the field name of quadtree layer i, rendered once
+	// per task and grown when a deeper path shows up.
+	layerFields []string
 }
 
-func (b *areaTrackerBolt) Prepare(storm.TaskContext) error { return nil }
-func (b *areaTrackerBolt) Cleanup() error                  { return nil }
+func (b *areaTrackerBolt) Cleanup() error { return nil }
 
 func (b *areaTrackerBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	lat, _ := cep.Numeric(t.Values["lat"])
 	lon, _ := cep.Numeric(t.Values["lon"])
 	path := b.tree.Path(geo.Point{Lat: lat, Lon: lon})
-	out := cloneValues(t.Values)
+	out := b.row(t)
 	if len(path) > 0 {
+		for i := len(b.layerFields); i < len(path); i++ {
+			b.layerFields = append(b.layerFields, Rule{Kind: QuadtreeLayer, Layer: i}.LocationField())
+		}
 		areas := make([]string, len(path))
 		for i, n := range path {
 			areas[i] = string(n.ID)
-			out[fmt.Sprintf("layer%dArea", i)] = string(n.ID)
+			out[b.layerFields[i]] = string(n.ID)
 		}
 		out["leafArea"] = string(path[len(path)-1].ID)
 		out["areaPath"] = areas
@@ -393,15 +418,15 @@ func (b *areaTrackerBolt) Execute(t storm.Tuple, col storm.Collector) error {
 // last enrichment step, persists the record to the history file for the
 // batch layer.
 type busStopsTrackerBolt struct {
+	enricher
 	stops   *denclue.Result
 	manager *DynamicManager
 }
 
-func (b *busStopsTrackerBolt) Prepare(storm.TaskContext) error { return nil }
-func (b *busStopsTrackerBolt) Cleanup() error                  { return nil }
+func (b *busStopsTrackerBolt) Cleanup() error { return nil }
 
 func (b *busStopsTrackerBolt) Execute(t storm.Tuple, col storm.Collector) error {
-	out := cloneValues(t.Values)
+	out := b.row(t)
 	stopID, _ := out["busStop"].(string)
 	if b.stops != nil {
 		lat, _ := cep.Numeric(out["lat"])
@@ -581,17 +606,19 @@ func (b *esperBolt) forwardListener() cep.Listener {
 
 func (b *esperBolt) Cleanup() error { return nil }
 
+// OwnsInputValues implements storm.ValuesOwner: the engine keeps the row in
+// its windows, so the runtime must not recycle a wire-decoded input map.
+func (b *esperBolt) OwnsInputValues() {}
+
 func (b *esperBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	b.mu.Lock()
 	b.col = col
 	b.mu.Unlock()
 
-	fields := make(map[string]cep.Value, len(t.Values))
-	for k, v := range t.Values {
-		fields[k] = v
-	}
+	// The row goes to the engine as it is (cep.Value is any): the engine
+	// only reads it, as do the other engines the Splitter gave it to.
 	ts, _ := cep.Numeric(t.Values["ts"])
-	return b.engine.SendEventAt(BusStream, time.Unix(int64(ts), 0).UTC(), fields)
+	return b.engine.SendEventAt(BusStream, time.Unix(int64(ts), 0).UTC(), t.Values)
 }
 
 // EnsureEventsTable creates the detections table in db if missing. A nil db

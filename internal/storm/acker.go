@@ -425,8 +425,8 @@ func (a *xorAcker) newRootBlock(n uint64) uint64 {
 // initFail whether any initial delivery was dropped at routing. Updates
 // that raced ahead of registration have accumulated in a placeholder and
 // are merged. *vals is the emitter's payload snapshot, taken BEFORE the
-// first delivery shipped — topologies emit pooled maps the consumer may
-// mutate or release as soon as an envelope reaches its executor, so by the
+// first delivery shipped — the sole receiver of an exclusive edge may write
+// to the map as soon as an envelope reaches its executor, so by the
 // time register runs the live map must no longer be touched. The root
 // takes ownership of the snapshot's backing array and *vals receives the
 // root's recycled one in exchange, so the steady state flattens each
@@ -706,8 +706,9 @@ func (a *xorAcker) sweepShard(si int, now int64) {
 // redeliver replays one root tuple through the topology on the sweeper
 // goroutine, then releases the replay hold together with the fresh edges
 // it created (and the fail bit if routing dropped the replay). Each
-// replay delivers a fresh clone of the cached payload: the consumer may
-// release a pooled map, and a further replay must still see the original.
+// replay delivers a fresh map built from the cached payload: the consumer
+// may write to it in place, and a further replay must still see the
+// original.
 func (a *xorAcker) redeliver(p *xorRoot, hold uint64) {
 	col := &taskCollector{r: a.r, rc: p.rc, ts: p.ts, shuffle: a.shuffle, edges: newEdgeStream()}
 	rt := p.tuple

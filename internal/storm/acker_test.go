@@ -288,8 +288,9 @@ func TestAckerSlotKeyDensity(t *testing.T) {
 }
 
 // pooledSpout emits anchored tuples whose Values maps come from a shared
-// pool — the pattern (busdata.PutValues) where the consumer releases the
-// map as soon as it has executed the tuple.
+// pool which the consumer releases them into as soon as it has executed the
+// tuple — the harshest form of a consumer that writes to its input, which
+// is what every bolt on an exclusive edge may do (TaskContext.ExclusiveInput).
 type pooledSpout struct {
 	n, i int
 	pool *sync.Pool

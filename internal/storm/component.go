@@ -70,15 +70,19 @@ type Flusher interface {
 	FlushBatches()
 }
 
-// ValuesOwner marks a Bolt that takes ownership of its input tuples'
-// Values maps — typically releasing them into an application-level pool
-// after copying what it needs. On the distributed transport the runtime
-// pools decoded payload maps and normally recycles an input map itself
-// after Execute returns (unless the bolt re-emitted that exact map, in
-// which case ownership rides downstream with the envelope). A bolt that
-// retains or independently releases its input map must implement
-// ValuesOwner so the runtime leaves the map alone — otherwise two owners
-// would recycle the same map into different pools.
+// ValuesOwner marks a Bolt that retains its input tuples' Values maps past
+// Execute — a CEP engine keeping the row in its windows, say. On the
+// distributed transport the runtime draws decoded payload maps from a
+// freelist and recycles an input map itself once Execute returns, unless
+// the bolt re-emitted that exact map exactly once, in which case ownership
+// rides downstream with the envelope. A bolt that keeps a reference must
+// implement ValuesOwner so the runtime leaves its inputs alone.
+//
+// Retaining is one of two things a bolt may do with an input map beyond
+// reading it during Execute; the other is mutating it, which needs no
+// marker but is allowed only when TaskContext.ExclusiveInput is true.
+// Either way the emitter gave the map up when it emitted: it neither
+// writes to it afterwards nor emits it a second time.
 type ValuesOwner interface {
 	// OwnsInputValues is a marker; it is never called.
 	OwnsInputValues()
@@ -93,6 +97,16 @@ type TaskContext struct {
 	Executor  int // executor index within the component
 	Worker    int // worker process id
 	Node      int // cluster node id
+	// ExclusiveInput reports that every tuple delivered to this bolt is
+	// delivered to it alone: each stream it subscribes to has no other
+	// subscription, and its own grouping hands a tuple to one task
+	// (shuffle, fields, global). Computed from the topology at Build; only
+	// then may the bolt write to t.Values — and re-emit that same map —
+	// instead of cloning it. False under an all grouping (every task gets
+	// the map), under a direct grouping (the emitter picks the tasks and
+	// may pick several), whenever a second bolt reads the same stream, and
+	// for spouts.
+	ExclusiveInput bool
 }
 
 // Spout is an input source. Open is called once per task before the first

@@ -161,9 +161,9 @@ type taskState struct {
 	// spout doesn't implement it): the acker checks it once per
 	// resolved tuple, which is too hot for a repeated interface assertion.
 	ackSpout AckingSpout
-	// ownsVals caches the ValuesOwner assertion on bolt: such a bolt takes
-	// ownership of its input Values map (releasing it into its own pool),
-	// so the runtime must never recycle a decode-pooled map delivered to it.
+	// ownsVals caches the ValuesOwner assertion on bolt: such a bolt keeps
+	// its input Values maps past Execute, so the runtime must never recycle
+	// a decode-pooled map delivered to it.
 	ownsVals bool
 
 	executed  atomic.Uint64
@@ -220,6 +220,13 @@ type executor struct {
 	worker int // worker process the executor was placed on
 	tasks  []*taskState
 	in     chan *Batch
+
+	// inMu orders the closing of in against fence deliveries, the one kind
+	// of send that does not come from a counted producer (data batches stop
+	// before the last producer retires, so they need no lock). retired is
+	// set with the close.
+	inMu    sync.Mutex
+	retired bool
 }
 
 // deliver hands a batch to this executor's input queue, transferring
@@ -421,6 +428,8 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 						Executor:  e,
 						Worker:    worker,
 						Node:      node,
+
+						ExclusiveInput: spec.exclusiveInput,
 					},
 				}
 				nextTaskID++
@@ -656,7 +665,10 @@ func (r *Runtime) execDone(ex *executor) {
 		if target.producers.Add(-int32(n)) == 0 {
 			for _, tex := range target.execs {
 				if r.localExec(tex) {
+					tex.inMu.Lock()
+					tex.retired = true
 					close(tex.in)
+					tex.inMu.Unlock()
 				}
 			}
 		}
@@ -1215,8 +1227,8 @@ type taskCollector struct {
 	// emission in flight (spout collectors only): the emitter flattens the
 	// Values map into it before the first envelope ships, and register
 	// takes the array for the root, swapping a recycled one back in.
-	// Snapshotting after delivery would race a consumer releasing the
-	// pooled map.
+	// Snapshotting after delivery would race a consumer writing to the
+	// map.
 	rootVals []kvEntry
 	// shuffle overrides the task's round-robin counters; set only on the
 	// acker's replay collector, which runs on a different goroutine
@@ -1385,8 +1397,8 @@ func (c *taskCollector) emitAnchoredXOR(ak *xorAcker, msgID, stream string, dire
 	t := Tuple{Stream: stream, Values: values, Trace: c.outTrace(), ack: root}
 	// Snapshot the payload before any delivery ships: at batch size 1 (and
 	// whenever a buffer fills mid-loop) the envelope reaches its executor
-	// inside deliver, and the consumer may mutate or release a pooled
-	// Values map concurrently — the replay snapshot must be taken while
+	// inside deliver, and the consumer may write to the Values map
+	// concurrently — the replay snapshot must be taken while
 	// this goroutine still owns the map. register takes ownership of the
 	// snapshot and swaps a recycled backing array into rootVals for the
 	// next emission.

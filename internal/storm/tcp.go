@@ -846,7 +846,12 @@ func (t *tcpTransport) fenceLocal(component string, epoch uint64, done func()) {
 	t.r.fenceLocalExecs(component, done)
 }
 
-// fenceLocalExecs is the transport-independent half of a drain barrier.
+// fenceLocalExecs is the transport-independent half of a drain barrier. An
+// executor whose input already closed has executed everything it will ever
+// receive, so its fence counts as passed without being delivered. The send
+// holds inMu so that the close cannot slip in between the check and the
+// send; it cannot block the close for long, because an executor whose input
+// is open is still consuming it.
 func (r *Runtime) fenceLocalExecs(component string, done func()) {
 	rc := r.comps[component]
 	var locals []*executor
@@ -864,9 +869,16 @@ func (r *Runtime) fenceLocalExecs(component string, done func()) {
 	fw := &fenceWait{fn: done}
 	fw.n.Store(int32(len(locals)))
 	for _, ex := range locals {
+		ex.inMu.Lock()
+		if ex.retired {
+			ex.inMu.Unlock()
+			fw.arrive()
+			continue
+		}
 		fb := r.getBatch()
 		fb.fence = fw
 		ex.deliver(fb)
+		ex.inMu.Unlock()
 	}
 }
 

@@ -15,6 +15,9 @@ type componentSpec struct {
 	tasks     int
 	// groupings are this bolt's input subscriptions.
 	groupings []Grouping
+	// exclusiveInput is TaskContext.ExclusiveInput for this component's
+	// tasks, set by Build.
+	exclusiveInput bool
 }
 
 // Topology is a validated processing graph ready to run.
@@ -173,7 +176,29 @@ func (b *TopologyBuilder) Build() (*Topology, error) {
 	if err != nil {
 		return nil, err
 	}
+	markExclusiveInputs(b.specs)
 	return &Topology{Name: b.name, specs: b.specs, byID: b.byID, order: order}, nil
+}
+
+// markExclusiveInputs sets exclusiveInput on every bolt that is the sole
+// receiver of each tuple delivered to it (see TaskContext.ExclusiveInput).
+func markExclusiveInputs(specs []*componentSpec) {
+	type edge struct{ source, stream string }
+	subscriptions := make(map[edge]int)
+	for _, s := range specs {
+		for _, g := range s.groupings {
+			subscriptions[edge{g.Source, g.Stream}]++
+		}
+	}
+	for _, s := range specs {
+		s.exclusiveInput = !s.isSpout
+		for _, g := range s.groupings {
+			single := g.Type == ShuffleGrouping || g.Type == FieldsGrouping || g.Type == GlobalGrouping
+			if !single || subscriptions[edge{g.Source, g.Stream}] != 1 {
+				s.exclusiveInput = false
+			}
+		}
+	}
 }
 
 // topoOrder returns component ids in topological order (Kahn's algorithm);

@@ -333,8 +333,12 @@ type frameDecoder struct {
 }
 
 // getVals pops one payload map from the decoder's local stash, bulk
-// refilling it from the runtime freelist when empty.
-func (d *frameDecoder) getVals() map[string]any {
+// refilling it from the runtime freelist when empty. A map it has to
+// allocate is sized for the fields the frame announces (bounded, so a
+// hostile count cannot reserve memory the frame does not pay for): maps
+// that end up retained by their consumer never come back to the freelist,
+// and one sized allocation is cheaper than growing from a small one.
+func (d *frameDecoder) getVals(fields uint64) map[string]any {
 	n := len(d.vals)
 	if n == 0 {
 		if cap(d.vals) == 0 {
@@ -349,7 +353,7 @@ func (d *frameDecoder) getVals() map[string]any {
 	d.vals[n-1] = nil
 	d.vals = d.vals[:n-1]
 	if m == nil {
-		m = make(map[string]any, 8)
+		m = make(map[string]any, min(max(fields, 8), 64))
 	}
 	return m
 }
@@ -476,7 +480,7 @@ func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, epoch uint64, bt
 			return fail(errShortFrame)
 		}
 		if nvals > 0 {
-			env.tuple.Values = d.getVals()
+			env.tuple.Values = d.getVals(nvals)
 			env.pooled = true
 			for j := uint64(0); j < nvals; j++ {
 				var k string
