@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	_ "embed"
 	"errors"
 	"flag"
 	"fmt"
@@ -42,9 +41,6 @@ import (
 	"trafficcep/internal/storm"
 	"trafficcep/internal/telemetry"
 )
-
-//go:embed topology.xml
-var defaultTopologyXML []byte
 
 // options carries the parsed command line.
 type options struct {
@@ -84,7 +80,7 @@ func parseFlags(args []string) (options, error) {
 	var ackMode string
 	fs := flag.NewFlagSet("trafficd", flag.ContinueOnError)
 	fs.StringVar(&opt.tracesPath, "traces", "", "trace CSV (required; produce one with trafficgen)")
-	fs.StringVar(&opt.topoPath, "topology", "", "topology XML (defaults to the embedded Figure 8 topology)")
+	fs.StringVar(&opt.topoPath, "topology", "", "topology XML (defaults to the Figure 8 topology, internal/core/topology.xml)")
 	fs.IntVar(&opt.nodes, "nodes", 3, "simulated cluster nodes")
 	fs.IntVar(&opt.monitorSec, "monitor", 40, "monitor window in seconds (0 = only final totals)")
 	fs.Float64Var(&opt.sensitivity, "s", 1, "threshold sensitivity s (threshold = mean + s*stdv)")
@@ -175,7 +171,7 @@ func run(opt options) error {
 	}
 	fmt.Printf("loaded %d traces\n", len(traces))
 
-	xmlBytes := defaultTopologyXML
+	xmlBytes := core.TopologyXML
 	if topoPath != "" {
 		xmlBytes, err = os.ReadFile(topoPath)
 		if err != nil {
@@ -229,8 +225,9 @@ func run(opt options) error {
 	reg := storm.NewRegistry()
 	core.RegisterComponents(reg, deps)
 
-	// First parse to learn the Esper parallelism, then wire routing and
-	// engine setup before the final load (factories capture deps.Config).
+	// Parse to learn the Esper parallelism and the rules, wire routing and
+	// engine setup from them, then build (the component constructors read
+	// deps.Config at build time).
 	parsed, err := storm.ParseXML(xmlBytes)
 	if err != nil {
 		return err
@@ -242,16 +239,13 @@ func run(opt options) error {
 		}
 	}
 
+	defs, err := parsed.RuleDefs()
+	if err != nil {
+		return err
+	}
 	var rules []core.Rule
-	for i, xr := range parsed.Rules {
-		name := xr.Name
-		if name == "" {
-			name = fmt.Sprintf("rule-%d", i+1)
-		}
-		r, err := core.RuleFromDef(storm.RuleDef{
-			Name: name, Attribute: xr.Attribute, Location: xr.Location,
-			Window: xr.Window, Sensitivity: xr.Sensitivity,
-		})
+	for _, def := range defs {
+		r, err := core.RuleFromDef(def)
 		if err != nil {
 			return err
 		}
@@ -327,9 +321,7 @@ func run(opt options) error {
 		return installs, nil
 	}
 
-	// Load the topology with the routing and engine setup in place
-	// (component factories read deps.Config).
-	topo, _, err := storm.LoadXML(xmlBytes, reg)
+	topo, err := parsed.Build(reg)
 	if err != nil {
 		return err
 	}
@@ -377,51 +369,28 @@ func run(opt options) error {
 	if reb != nil {
 		if dmig != nil {
 			// Late-bind the distributed pieces that need the runtime:
-			// placement-derived engine-task ownership, the control client
-			// serving remote migration steps, and the cross-process fence
-			// that replaces the in-flight counter poll.
+			// placement-derived engine-task ownership and the control client
+			// serving remote migration steps.
 			dmig.Self = rt.WorkerID()
 			dmig.WorkerOf = core.EsperTaskWorkers(rt.Placements())
 			dmig.Client = rt
 			rt.OnControl(core.MigrationHandler(dmig.Local))
-			reb.SetDrainBarrier(func() error {
-				return rt.DrainComponent(core.CompEsper, 10*time.Second)
-			})
-			// Only the worker hosting the splitter cycles the rebalancer:
-			// it alone observes the feed's location rates. The others keep
-			// a symmetric rebalancer to serve routing reads and remote
-			// migration RPCs.
-			splitterLocal := false
-			for _, p := range rt.Placements() {
-				if p.Component == core.CompSplitter && p.Worker == rt.WorkerID() {
-					splitterLocal = true
-				}
-			}
-			if splitterLocal {
+		}
+		// Drain barrier for routing swaps: a fence behind every tuple the
+		// engines were sent under the old table, on this worker and its peers.
+		reb.SetDrainBarrier(func() error {
+			return rt.DrainComponent(core.CompEsper, 10*time.Second)
+		})
+		// Only the worker hosting the splitter cycles the rebalancer: it
+		// alone observes the feed's location rates. The others keep a
+		// symmetric rebalancer to serve routing reads and remote migration
+		// RPCs.
+		for _, p := range rt.Placements() {
+			if p.Component == core.CompSplitter && p.Worker == rt.WorkerID() {
 				reb.Start(opt.rebalanceInterval)
 				defer reb.Stop()
+				break
 			}
-		} else {
-			// Drain barrier for routing swaps: tuples the splitter emitted
-			// that the engines have not yet executed or dropped.
-			mon := rt.Monitor()
-			reb.SetInFlight(func() int {
-				var emitted, done uint64
-				for _, tot := range mon.TotalsByComponent() {
-					switch tot.Component {
-					case core.CompSplitter:
-						emitted = tot.Emitted
-					case core.CompEsper:
-						done = tot.Executed + tot.Dropped
-					}
-				}
-				if emitted > done {
-					return int(emitted - done)
-				}
-				return 0
-			})
-			reb.Start(opt.rebalanceInterval)
-			defer reb.Stop()
 		}
 	}
 	rt.Monitor().Subscribe(func(rep storm.Report) {
@@ -478,11 +447,10 @@ func run(opt options) error {
 	if reb != nil {
 		reb.Stop()
 		tot := reb.Totals()
-		fmt.Printf("rebalancing: cycles=%d swaps=%d moves=%d drained=%d\n",
-			tot.Cycles, tot.Swaps, tot.Moves, tot.Drained)
+		fmt.Printf("rebalancing: cycles=%d swaps=%d moves=%d\n", tot.Cycles, tot.Swaps, tot.Moves)
 		if rep := reb.LastReport(); rep.Swapped {
-			fmt.Printf("  last swap: %d moves, skew %.2f → %.2f, took %v (drained %d in-flight)\n",
-				len(rep.Moves), rep.SkewBefore, rep.SkewAfter, rep.Duration, rep.InFlightDrained)
+			fmt.Printf("  last swap: %d moves, skew %.2f → %.2f, took %v (%d releases deferred)\n",
+				len(rep.Moves), rep.SkewBefore, rep.SkewAfter, rep.Duration, rep.ReleasesDeferred)
 		}
 	}
 	if tel != nil {

@@ -173,50 +173,15 @@ func TestShippedTopologyDetectionsReproducible(t *testing.T) {
 			})
 		}
 	}
-	path := filepath.Join(t.TempDir(), "traces.csv")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := busdata.WriteCSV(f, traces); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	opt, err := parseFlags([]string{"-traces", path, "-monitor", "0", "-telemetry.off"})
+	opt, err := parseFlags([]string{"-traces", writeFeed(t, traces), "-monitor", "0", "-telemetry.off"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// run reports on stdout; point it at a file for the duration.
 	stored := func() (detections, engineTuples int) {
 		t.Helper()
-		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer out.Close()
-		saved := os.Stdout
-		os.Stdout = out
-		err = run(opt)
-		os.Stdout = saved
-		if err != nil {
-			t.Fatal(err)
-		}
-		text, err := os.ReadFile(out.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		field := func(re string) int {
-			m := regexp.MustCompile(re).FindSubmatch(text)
-			if m == nil {
-				t.Fatalf("no %q in trafficd output:\n%s", re, text)
-			}
-			n, _ := strconv.Atoi(string(m[1]))
-			return n
-		}
-		return field(`detected events stored: (\d+)`), field(`EsperBolt\s+executed=(\d+)`)
+		text := runOutput(t, opt)
+		return outputField(t, text, `detected events stored: (\d+)`), outputField(t, text, `EsperBolt\s+executed=(\d+)`)
 	}
 	first, tuples := stored()
 	second, _ := stored()
@@ -229,4 +194,108 @@ func TestShippedTopologyDetectionsReproducible(t *testing.T) {
 	if first != 0 {
 		t.Errorf("stored %d detections over a feed whose attributes are all 0 in per-vehicle order", first)
 	}
+}
+
+// TestShippedTopologyRebalances drives the shipped assembly with live
+// rebalancing on, over a feed whose hotspot moves between its halves: every
+// vehicle stands at its own stop; in the first half the vehicles the
+// start-up partition (equal whole-feed rates, so stops dealt round-robin in
+// name order) put on engines 0 and 1 report four times as often as the
+// rest, in the second half it is the other way round. The splitter must
+// feed the estimators and the engines must register for migration, or no
+// cycle can ever swap; and a swap must cost no tuple.
+func TestShippedTopologyRebalances(t *testing.T) {
+	const vehicles, ticksPerHalf = 16, 400
+	start := time.Date(2013, 1, 7, 10, 0, 0, 0, time.UTC)
+	var traces []busdata.Trace
+	for k := 0; k < 2*ticksPerHalf; k++ {
+		for v := 0; v < vehicles; v++ {
+			hot := (v%4 < 2) == (k < ticksPerHalf)
+			if !hot && k%4 != 0 {
+				continue
+			}
+			// Hot-first vehicles in the north, the others in the south.
+			pos := geo.Point{Lat: 53.30 + 0.005*float64(v/4), Lon: -6.35 + 0.02*float64(v)}
+			if v%4 < 2 {
+				pos.Lat += 0.08
+			}
+			traces = append(traces, busdata.Trace{
+				Timestamp: start.Add(time.Duration(k) * 20 * time.Second),
+				LineID:    fmt.Sprintf("L%02d", v), Pos: pos,
+				BusStop: fmt.Sprintf("S%02d", v), VehicleID: fmt.Sprintf("V%02d", v),
+			})
+		}
+	}
+	opt, err := parseFlags([]string{
+		"-traces", writeFeed(t, traces), "-monitor", "0", "-telemetry.off",
+		"-rebalance.interval", "5ms", "-rebalance.skew", "1.05",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := runOutput(t, opt)
+	if swaps := outputField(t, text, `rebalancing: cycles=\d+ swaps=(\d+)`); swaps < 1 {
+		t.Errorf("the hotspot moved and no cycle swapped the routing table:\n%s", text)
+	}
+	totals := regexp.MustCompile(`(?m)^\s+(\w+)\s+executed=.*$`).FindAllSubmatch(text, -1)
+	if len(totals) != 7 {
+		t.Fatalf("%d component totals lines, want 7:\n%s", len(totals), text)
+	}
+	clean := regexp.MustCompile(`errors=0\s+dropped=0\s`)
+	for _, m := range totals {
+		if !clean.Match(m[0]) {
+			t.Errorf("%s lost tuples across the swaps: %s", m[1], m[0])
+		}
+	}
+}
+
+// writeFeed writes traces to a CSV in the test's temp dir and returns its path.
+func writeFeed(t *testing.T, traces []busdata.Trace) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "traces.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := busdata.WriteCSV(f, traces); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// runOutput runs trafficd's run and returns what it printed: run reports on
+// stdout, so point that at a file for the duration.
+func runOutput(t *testing.T, opt options) []byte {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	saved := os.Stdout
+	os.Stdout = out
+	err = run(opt)
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
+}
+
+// outputField returns the number re captures in trafficd's output.
+func outputField(t *testing.T, text []byte, re string) int {
+	t.Helper()
+	m := regexp.MustCompile(re).FindSubmatch(text)
+	if m == nil {
+		t.Fatalf("no %q in trafficd output:\n%s", re, text)
+	}
+	n, _ := strconv.Atoi(string(m[1]))
+	return n
 }

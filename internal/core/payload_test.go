@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -25,8 +24,6 @@ import (
 // detects exactly what a clone-per-hop reference detects, and the hot path
 // allocates no map.
 
-const shippedTopology = "../../cmd/trafficd/topology.xml"
-
 // payloadRig is a small Figure-8 world over the shipped topology.xml: a
 // feed, a quadtree, three rules covering both location kinds and all three
 // enrichment stages, Algorithm-1 partitions over the XML's engines, and
@@ -43,10 +40,7 @@ type payloadRig struct {
 
 func newPayloadRig(t *testing.T, window int) *payloadRig {
 	t.Helper()
-	xml, err := os.ReadFile(shippedTopology)
-	if err != nil {
-		t.Fatal(err)
-	}
+	xml := TopologyXML
 	parsed, err := storm.ParseXML(xml)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +293,7 @@ func (r *payloadRig) reference(t *testing.T) map[string]int {
 	stops := &busStopsTrackerBolt{}
 	engines := make([]*esperBolt, r.engines)
 	for i := range engines {
-		engines[i] = &esperBolt{setup: r.engineSetup(store, nil)}
+		engines[i] = &esperBolt{setup: r.engineSetup(store, nil), engines: r.engines}
 		if err := engines[i].Prepare(storm.TaskContext{Component: CompEsper, TaskIndex: i, NumTasks: r.engines}); err != nil {
 			t.Fatal(err)
 		}

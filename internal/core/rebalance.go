@@ -61,27 +61,23 @@ type RebalanceReport struct {
 	SkewBefore, SkewAfter float64
 	// Duration is the wall-clock cost of the cycle, including migration.
 	Duration time.Duration
-	// InFlightDrained is how many routed tuples were still in flight at
-	// swap time and were waited out before releasing the source engines.
-	InFlightDrained int
 	// ReleasesDeferred counts source-release operations postponed to the
-	// next cycle because the in-flight drain was unavailable or timed out.
+	// next cycle because no drain barrier is installed or it failed.
 	ReleasesDeferred int
 }
 
 // RebalanceTotals aggregates rebalancing activity over the run.
 type RebalanceTotals struct {
-	Cycles  uint64 // skew checks performed
-	Swaps   uint64 // routing tables installed
-	Moves   uint64 // locations migrated
-	Drained uint64 // in-flight tuples waited out across all swaps
+	Cycles uint64 // skew checks performed
+	Swaps  uint64 // routing tables installed
+	Moves  uint64 // locations migrated
 }
 
 // EngineMigrator performs the engine-side half of a routing swap. The
 // Rebalancer guarantees make-before-break ordering: PrepareTarget for every
 // gaining engine completes before the table swap, and ReleaseSource for the
-// losing engines runs only after the swap (immediately once in-flight
-// tuples drain, otherwise deferred to a later cycle). Stale statements on a
+// losing engines runs only after the swap (immediately once the drain
+// barrier passes, otherwise deferred to a later cycle). Stale statements on a
 // source engine are harmless in the interim — no tuples for the moved
 // locations arrive there after the swap.
 type EngineMigrator interface {
@@ -119,22 +115,16 @@ type RebalancerConfig struct {
 	// Migrator moves rule state between engines; nil skips statement
 	// migration (routing-only rebalancing, e.g. experiments).
 	Migrator EngineMigrator
-	// InFlight, when set, reports how many routed tuples are currently
-	// between the Splitter and the engines; the Rebalancer polls it after
-	// a swap to drain before releasing source engines. Nil defers source
-	// releases to the next cycle instead.
-	InFlight func() int
-	// DrainBarrier, when set, replaces the InFlight poll with a positive
-	// drain barrier: it must return only once every tuple routed under the
-	// old table has been executed (storm.Runtime.DrainComponent provides
-	// this across worker processes). An error defers the source releases
-	// exactly like an InFlight timeout. The barrier proves execution, not
-	// acking: under an ack mode (tree or XOR) a replay of a pre-swap tuple
-	// re-routes through the *new* table, which is exactly the semantics the
-	// release needs — drained state never receives stale-table traffic.
+	// DrainBarrier, when set, is called after a swap and must return only
+	// once every tuple routed under the old table has been executed
+	// (storm.Runtime.DrainComponent provides this, in one process and across
+	// worker processes); the source engines are then released in the same
+	// cycle. Nil, or an error, defers the source releases to the next cycle
+	// instead. The barrier proves execution, not acking: under an ack mode a
+	// replay of a pre-swap tuple re-routes through the *new* table, which is
+	// exactly the semantics the release needs — drained state never receives
+	// stale-table traffic.
 	DrainBarrier func() error
-	// DrainTimeout bounds the post-swap drain wait. Defaults to 2s.
-	DrainTimeout time.Duration
 	// Telemetry, when set, receives core.rebalance.* metrics.
 	Telemetry *telemetry.Registry
 }
@@ -150,18 +140,16 @@ type releaseOp struct {
 // routing table when the per-engine load skews. Observe is safe to call
 // concurrently with table reads; rebalance cycles are serialized.
 type Rebalancer struct {
-	handle       *RoutingHandle
-	fields       []string
-	est          map[string]*RateEstimator
-	skew         float64
-	checkEvery   int
-	migrator     EngineMigrator
-	drainTimeout time.Duration
+	handle     *RoutingHandle
+	fields     []string
+	est        map[string]*RateEstimator
+	skew       float64
+	checkEvery int
+	migrator   EngineMigrator
 
 	obs atomic.Uint64 // observations since start, for CheckEvery
 
 	mu           sync.Mutex // serializes cycles, guards the fields below
-	inFlight     func() int
 	drainBarrier func() error
 	pending      []releaseOp
 	totals       RebalanceTotals
@@ -170,8 +158,8 @@ type Rebalancer struct {
 	tickStop chan struct{}
 	tickWG   sync.WaitGroup
 
-	mCycles, mSwaps, mMoves, mDrained *telemetry.Counter
-	mSkew, mDuration                  *telemetry.Gauge
+	mCycles, mSwaps, mMoves *telemetry.Counter
+	mSkew, mDuration        *telemetry.Gauge
 }
 
 // NewRebalancer builds a Rebalancer around an initial routing table. The
@@ -187,9 +175,6 @@ func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
 	if cfg.SkewThreshold <= 1 {
 		cfg.SkewThreshold = 2
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 2 * time.Second
-	}
 	rb := &Rebalancer{
 		handle:       NewRoutingHandle(cfg.Routing),
 		fields:       append([]string(nil), cfg.Routing.fields...),
@@ -197,8 +182,6 @@ func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
 		skew:         cfg.SkewThreshold,
 		checkEvery:   cfg.CheckEvery,
 		migrator:     cfg.Migrator,
-		drainTimeout: cfg.DrainTimeout,
-		inFlight:     cfg.InFlight,
 		drainBarrier: cfg.DrainBarrier,
 	}
 	for _, f := range rb.fields {
@@ -208,7 +191,6 @@ func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
 		rb.mCycles = reg.Counter("core.rebalance.cycles")
 		rb.mSwaps = reg.Counter("core.rebalance.swaps")
 		rb.mMoves = reg.Counter("core.rebalance.moves")
-		rb.mDrained = reg.Counter("core.rebalance.drained")
 		rb.mSkew = reg.Gauge("core.rebalance.skew")
 		rb.mDuration = reg.Gauge("core.rebalance.last_duration_ns")
 	}
@@ -221,19 +203,9 @@ func (rb *Rebalancer) Handle() *RoutingHandle { return rb.handle }
 // Table returns the currently installed routing table.
 func (rb *Rebalancer) Table() *RoutingTable { return rb.handle.Load() }
 
-// SetInFlight installs the in-flight probe after construction (the monitor
-// it reads from often only exists once the runtime is built). Call before
-// Start or the first rebalance.
-func (rb *Rebalancer) SetInFlight(f func() int) {
-	rb.mu.Lock()
-	rb.inFlight = f
-	rb.mu.Unlock()
-}
-
 // SetDrainBarrier installs the post-swap drain barrier after construction
-// (the runtime providing it only exists once the topology is built). It
-// takes precedence over the InFlight poll. Call before Start or the first
-// rebalance.
+// (the runtime providing it only exists once the topology is built). Call
+// before Start or the first rebalance.
 func (rb *Rebalancer) SetDrainBarrier(f func() error) {
 	rb.mu.Lock()
 	rb.drainBarrier = f
@@ -387,10 +359,7 @@ func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionR
 	rb.totals.Moves += uint64(len(moves))
 
 	if rb.migrator != nil {
-		drained, ok := rb.drainLocked()
-		rep.InFlightDrained = drained
-		rb.totals.Drained += uint64(drained)
-		if ok {
+		if rb.drainBarrier != nil && rb.drainBarrier() == nil {
 			// ReleaseSource failures leave stale (unreachable) statements
 			// behind; routing correctness is unaffected.
 			_ = rb.applyOps(rems, rb.migrator.ReleaseSource)
@@ -404,34 +373,6 @@ func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionR
 		}
 	}
 	return nil
-}
-
-// drainLocked waits for in-flight routed tuples to clear after a swap.
-// Returns the in-flight count observed at swap time and whether the drain
-// completed (false: no probe installed, or timeout — release is deferred).
-// A DrainBarrier, when installed, takes precedence over the InFlight poll:
-// it proves the drain positively (fence acknowledgements from every
-// executor, across worker processes) instead of inferring it from a
-// counter going idle.
-func (rb *Rebalancer) drainLocked() (int, bool) {
-	if rb.drainBarrier != nil {
-		return 0, rb.drainBarrier() == nil
-	}
-	if rb.inFlight == nil {
-		return 0, false
-	}
-	first := rb.inFlight()
-	if first < 0 {
-		first = 0
-	}
-	deadline := time.Now().Add(rb.drainTimeout)
-	for rb.inFlight() > 0 {
-		if time.Now().After(deadline) {
-			return first, false
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return first, true
 }
 
 // flushPendingLocked retries deferred source releases. Called with rb.mu
@@ -533,7 +474,6 @@ func (rb *Rebalancer) publishLocked(rep RebalanceReport) {
 	if rep.Swapped {
 		rb.mSwaps.Inc()
 		rb.mMoves.Add(uint64(len(rep.Moves)))
-		rb.mDrained.Add(uint64(rep.InFlightDrained))
 	}
 	rb.mSkew.Set(rep.SkewAfter)
 	rb.mDuration.Set(float64(rep.Duration.Nanoseconds()))

@@ -347,12 +347,35 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 // rule statements between engines. With a window-1 rule every tuple yields
 // exactly one detection, so both runs must produce the same multiset of
 // detections (ignoring which engine fired them) — nothing may be lost
-// across the swap.
+// across the swap. It holds through both entries to the one assembly: the
+// builder the suites and examples call, and the registry + shipped XML
+// document trafficd and bench/ load.
 func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
+	entries := []struct {
+		name  string
+		build func(cfg TrafficConfig) (*storm.Topology, error)
+	}{
+		{"BuildTrafficTopology", BuildTrafficTopology},
+		{"RegisterComponents+LoadXML", func(cfg TrafficConfig) (*storm.Topology, error) {
+			reg := storm.NewRegistry()
+			RegisterComponents(reg, &Deps{Config: cfg})
+			topo, _, err := storm.LoadXML(TopologyXML, reg)
+			return topo, err
+		}},
+	}
+	for _, entry := range entries {
+		t.Run(entry.name, func(t *testing.T) { testMigrationNoDetectionLoss(t, entry.build) })
+	}
+}
+
+func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*storm.Topology, error)) {
 	tree := buildTestTree(t)
 	traces := genTraces(t, 40, 10)
 	rule := Rule{Name: "leafDelay", Attribute: busdata.AttrDelay, Kind: QuadtreeLeaves, Window: 1, Sensitivity: 1}
-	const engines = 3
+	// The shipped document's EsperBolt tasks: the XML entry cannot run any
+	// other count (an engine task's Prepare names both numbers if it drifts).
+	const engines = 4
+	tasks := []int{0, 1, 2, 3}
 
 	leaves := tree.Leaves()
 	allLocs := make(map[string]bool, len(leaves))
@@ -390,7 +413,7 @@ func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 	// everything except the engine column.
 	run := func(t *testing.T, cfg TrafficConfig, db *sqlstore.DB) map[string]int {
 		t.Helper()
-		topo, err := BuildTrafficTopology(cfg)
+		topo, err := build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,7 +458,7 @@ func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	tableA := NewRoutingTable(RouteByLocation, engines)
-	if err := tableA.AddPartition("leafArea", partA, []int{0, 1, 2}); err != nil {
+	if err := tableA.AddPartition("leafArea", partA, tasks); err != nil {
 		t.Fatal(err)
 	}
 	static := run(t, TrafficConfig{
@@ -444,7 +467,7 @@ func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 	}, dbA)
 
 	// Run B: everything starts on engine 0; the rebalancer must notice the
-	// 3× skew mid-feed, migrate the rule statements, and swap routes.
+	// skew mid-feed, migrate the rule statements, and swap routes.
 	dbB, storeB := seedThresholds(t)
 	skewed := &Partition{
 		Engines:    make([][]RegionRate, engines),
@@ -457,7 +480,7 @@ func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 		skewed.ByLocation[r.Location] = 0
 	}
 	tableB := NewRoutingTable(RouteByLocation, engines)
-	if err := tableB.AddPartition("leafArea", skewed, []int{0, 1, 2}); err != nil {
+	if err := tableB.AddPartition("leafArea", skewed, tasks); err != nil {
 		t.Fatal(err)
 	}
 	reb, err := NewRebalancer(RebalancerConfig{
@@ -469,8 +492,9 @@ func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tel := telemetry.NewRegistry()
 	rebalanced := run(t, TrafficConfig{
-		Traces: traces, Tree: tree, Engines: engines, Rebalancer: reb, DB: dbB,
+		Traces: traces, Tree: tree, Engines: engines, Rebalancer: reb, DB: dbB, Telemetry: tel,
 		EngineSetup: setupFor(storeB, func(task int) map[string]bool {
 			if task == 0 {
 				return allLocs
@@ -482,6 +506,9 @@ func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 
 	if tot := reb.Totals(); tot.Swaps < 1 || tot.Moves == 0 {
 		t.Fatalf("rebalancer never swapped mid-feed: %+v", tot)
+	}
+	if _, ok := tel.Gather().Get("core.splitter.unrouted"); !ok {
+		t.Fatal("Telemetry is set but the Splitter registered no core.splitter.unrouted")
 	}
 	if len(static) == 0 {
 		t.Fatal("static run produced no detections")

@@ -17,9 +17,10 @@ import (
 	"trafficcep/internal/telemetry"
 )
 
-// This file implements the seven-component traffic-monitoring topology of
-// Figure 8: BusReader spout → PreProcess → AreaTracker → BusStopsTracker →
-// Splitter → EsperBolt(×N) → EventsStorer.
+// This file implements the seven components of the traffic-monitoring
+// topology of Figure 8: BusReader spout → PreProcess → AreaTracker →
+// BusStopsTracker → Splitter → EsperBolt(×N) → EventsStorer. topology.xml
+// wires them; RegisterComponents (xml.go) constructs them.
 //
 // One payload map per trace (DESIGN.md, "Payload ownership"): the spout
 // builds the row, sized for everything the pipeline will add; PreProcess,
@@ -155,7 +156,8 @@ func (rt *RoutingTable) EnginesFor(values map[string]any) []int {
 type TrafficConfig struct {
 	// Traces is the input feed, replayed at full speed (§5).
 	Traces []busdata.Trace
-	// SpoutTasks is the BusReader parallelism; defaults to 1. Tasks split
+	// SpoutTasks is the BusReader parallelism BuildTrafficTopology sets (an
+	// XML document states its own); defaults to 1. Tasks split
 	// the feed round-robin, so any value above 1 delivers one vehicle's
 	// traces to PreProcess out of order: its speed and actual-delay deltas,
 	// and every detection derived from them, stop being reproducible.
@@ -165,10 +167,11 @@ type TrafficConfig struct {
 	// Stops is the DENCLUE result for the BusStopsTracker; optional (the
 	// raw reported stop id is used when nil).
 	Stops *denclue.Result
-	// Engines is the EsperBolt parallelism (tasks == executors, one
-	// engine per task, §3.2).
+	// Engines is the EsperBolt parallelism BuildTrafficTopology sets (an XML
+	// document states its own); defaults to 1.
 	Engines int
-	// Routing drives the Splitter.
+	// Routing drives the Splitter; its Engines must equal the EsperBolt
+	// task count. BuildTrafficTopology defaults it to RouteAll.
 	Routing *RoutingTable
 	// Rebalancer, when set, takes over routing: the Splitter reads the
 	// rebalancer's swappable handle (seeded from its initial table) and
@@ -185,72 +188,44 @@ type TrafficConfig struct {
 	// BusStopsTracker and registers rule installations for refresh.
 	Manager *DynamicManager
 	// Telemetry, when set, backs every EsperBolt task's engine with the
-	// registry (per-engine event-latency histograms, engine sources) in
+	// registry (per-engine event-latency histograms, engine sources) and
+	// counts the Splitter's unroutable tuples (core.splitter.unrouted), in
 	// addition to the storm runtime's tuple tracing.
 	Telemetry *telemetry.Registry
-	// Nodes / WorkersPerNode configure the simulated cluster.
-	Nodes          int
-	WorkersPerNode int
 }
 
-// BuildTrafficTopology wires the Figure 8 components into a Storm topology.
+// BuildTrafficTopology builds the shipped Figure 8 document (TopologyXML)
+// through RegisterComponents, with the BusReader and EsperBolt parallelism
+// taken from cfg instead of the document.
 func BuildTrafficTopology(cfg TrafficConfig) (*storm.Topology, error) {
-	if cfg.Tree == nil {
-		return nil, fmt.Errorf("core: traffic topology requires a quadtree")
-	}
 	if cfg.Engines <= 0 {
 		cfg.Engines = 1
 	}
 	if cfg.SpoutTasks <= 0 {
 		cfg.SpoutTasks = 1
 	}
-	if cfg.Rebalancer != nil {
-		table := cfg.Rebalancer.Table()
-		if cfg.Routing != nil && cfg.Routing != table {
-			return nil, fmt.Errorf("core: both Routing and Rebalancer set with different tables")
-		}
-		if table.Engines != cfg.Engines {
-			return nil, fmt.Errorf("core: rebalancer table has %d engines, topology has %d", table.Engines, cfg.Engines)
-		}
-		cfg.Routing = table
-	}
-	if cfg.Routing == nil {
+	if cfg.Routing == nil && cfg.Rebalancer == nil {
 		cfg.Routing = NewRoutingTable(RouteAll, cfg.Engines)
 	}
-	if err := EnsureEventsTable(cfg.DB); err != nil {
+	xt, err := storm.ParseXML(TopologyXML)
+	if err != nil {
 		return nil, err
 	}
+	setParallelism(xt.Spouts, CompBusReader, cfg.SpoutTasks)
+	setParallelism(xt.Bolts, CompEsper, cfg.Engines)
+	reg := storm.NewRegistry()
+	RegisterComponents(reg, &Deps{Config: cfg})
+	return xt.Build(reg)
+}
 
-	b := storm.NewTopologyBuilder("traffic-monitoring")
-	b.SetSpout(CompBusReader, func() storm.Spout {
-		return &busReaderSpout{traces: cfg.Traces}
-	}, cfg.SpoutTasks, cfg.SpoutTasks)
-
-	b.SetBolt(CompPreProcess, func() storm.Bolt {
-		return &preProcessBolt{}
-	}, 1, 1).FieldsGrouping(CompBusReader, "vehicleId")
-
-	b.SetBolt(CompAreaTrack, func() storm.Bolt {
-		return &areaTrackerBolt{tree: cfg.Tree}
-	}, 2, 2).ShuffleGrouping(CompPreProcess)
-
-	b.SetBolt(CompBusStops, func() storm.Bolt {
-		return &busStopsTrackerBolt{stops: cfg.Stops, manager: cfg.Manager}
-	}, 2, 2).ShuffleGrouping(CompAreaTrack)
-
-	b.SetBolt(CompSplitter, func() storm.Bolt {
-		return &splitterBolt{routing: cfg.Routing, reb: cfg.Rebalancer, telemetry: cfg.Telemetry}
-	}, 1, 1).ShuffleGrouping(CompBusStops)
-
-	b.SetBolt(CompEsper, func() storm.Bolt {
-		return &esperBolt{setup: cfg.EngineSetup, manager: cfg.Manager, telemetry: cfg.Telemetry, reb: cfg.Rebalancer}
-	}, cfg.Engines, cfg.Engines).StreamGrouping(CompSplitter, "routed", storm.DirectGrouping)
-
-	b.SetBolt(CompStorer, func() storm.Bolt {
-		return &eventsStorerBolt{db: cfg.DB}
-	}, 1, 1).ShuffleGrouping(CompEsper)
-
-	return b.Build()
+// setParallelism gives component id of a parsed document n executors and n
+// tasks (one engine per task, §3.2).
+func setParallelism(comps []storm.XMLComponent, id string, n int) {
+	for i := range comps {
+		if comps[i].ID == id {
+			comps[i].Executors, comps[i].Tasks = n, n
+		}
+	}
 }
 
 // busReaderSpout replays a trace slice; task i of n emits traces i, i+n, …
@@ -540,6 +515,9 @@ type esperBolt struct {
 	manager   *DynamicManager
 	telemetry *telemetry.Registry
 	reb       *Rebalancer
+	// engines is the routing table's engine count: the task indexes the
+	// Splitter addresses.
+	engines int
 
 	engine *cep.Engine
 	ctx    storm.TaskContext
@@ -549,6 +527,9 @@ type esperBolt struct {
 }
 
 func (b *esperBolt) Prepare(ctx storm.TaskContext) error {
+	if ctx.NumTasks != b.engines {
+		return fmt.Errorf("core: %s runs %d tasks but the routing table addresses %d engines", CompEsper, ctx.NumTasks, b.engines)
+	}
 	b.ctx = ctx
 	var opts []cep.Option
 	if b.telemetry != nil {

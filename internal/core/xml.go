@@ -1,6 +1,7 @@
 package core
 
 import (
+	_ "embed"
 	"fmt"
 	"strconv"
 	"strings"
@@ -12,6 +13,13 @@ import (
 // framework complete an XML file that includes the description of the
 // submitted topology (e.g., spouts, bolts) along with the Esper rules they
 // want to apply to the incoming raw data."
+
+// TopologyXML is the Figure 8 topology as the paper's users would submit
+// it: the document trafficd runs by default and BuildTrafficTopology builds
+// from. Read-only.
+//
+//go:embed topology.xml
+var TopologyXML []byte
 
 // Deps carries the shared runtime objects the traffic components need; the
 // XML file contributes structure and parallelism, the application supplies
@@ -27,6 +35,8 @@ var ComponentTypes = []string{
 
 // RegisterComponents binds the Figure 8 component implementations into a
 // storm XML registry so topologies referencing them can be loaded from XML.
+// It is the only place the seven components are constructed. deps.Config is
+// read when a topology is built, not here, so it may be completed in between.
 func RegisterComponents(reg *storm.Registry, deps *Deps) {
 	cfg := &deps.Config
 	reg.RegisterSpout("busreader", func(map[string]string) (storm.SpoutFactory, error) {
@@ -47,14 +57,24 @@ func RegisterComponents(reg *storm.Registry, deps *Deps) {
 		}, nil
 	})
 	reg.RegisterBolt("splitter", func(map[string]string) (storm.BoltFactory, error) {
-		if cfg.Routing == nil {
-			return nil, fmt.Errorf("core: splitter requires a routing table")
+		table, err := cfg.routingTable()
+		if err != nil {
+			return nil, err
 		}
-		return func() storm.Bolt { return &splitterBolt{routing: cfg.Routing} }, nil
+		return func() storm.Bolt {
+			return &splitterBolt{routing: table, reb: cfg.Rebalancer, telemetry: cfg.Telemetry}
+		}, nil
 	})
 	reg.RegisterBolt("esper", func(map[string]string) (storm.BoltFactory, error) {
+		table, err := cfg.routingTable()
+		if err != nil {
+			return nil, err
+		}
 		return func() storm.Bolt {
-			return &esperBolt{setup: cfg.EngineSetup, manager: cfg.Manager, telemetry: cfg.Telemetry}
+			return &esperBolt{
+				setup: cfg.EngineSetup, manager: cfg.Manager, telemetry: cfg.Telemetry,
+				reb: cfg.Rebalancer, engines: table.Engines,
+			}
 		}, nil
 	})
 	reg.RegisterBolt("eventsstorer", func(map[string]string) (storm.BoltFactory, error) {
@@ -63,6 +83,22 @@ func RegisterComponents(reg *storm.Registry, deps *Deps) {
 		}
 		return func() storm.Bolt { return &eventsStorerBolt{db: cfg.DB} }, nil
 	})
+}
+
+// routingTable is the table the Splitter starts from and the engine tasks
+// are counted against: the rebalancer's when one is set, else Routing.
+func (cfg *TrafficConfig) routingTable() (*RoutingTable, error) {
+	if cfg.Rebalancer != nil {
+		table := cfg.Rebalancer.Table()
+		if cfg.Routing != nil && cfg.Routing != table {
+			return nil, fmt.Errorf("core: both Routing and Rebalancer set with different tables")
+		}
+		return table, nil
+	}
+	if cfg.Routing == nil {
+		return nil, fmt.Errorf("core: splitter and engines require a routing table")
+	}
+	return cfg.Routing, nil
 }
 
 // RuleFromDef converts an XML template-rule declaration into a core.Rule.

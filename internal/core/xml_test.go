@@ -116,4 +116,25 @@ func TestRegisterComponentsMissingDeps(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "routing") {
 		t.Fatalf("err = %v", err)
 	}
+
+	// A table for fewer engines than the document runs: the Splitter could
+	// never address the extra tasks, so they refuse to start.
+	deps.Config.Routing = NewRoutingTable(RouteAll, 2)
+	xml3 := `<topology name="t">
+	  <spout id="s" type="busreader"/>
+	  <bolt id="sp" type="splitter"><grouping source="s"/></bolt>
+	  <bolt id="e" type="esper" executors="3" tasks="3"><grouping type="direct" source="sp" stream="routed"/></bolt>
+	</topology>`
+	topo, _, err := storm.LoadXML([]byte(xml3), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := storm.New(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rt.Run()
+	if err == nil || !strings.Contains(err.Error(), "3 tasks") || !strings.Contains(err.Error(), "2 engines") {
+		t.Fatalf("err = %v, want the task count and the table's engine count", err)
+	}
 }

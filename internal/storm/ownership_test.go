@@ -93,7 +93,7 @@ func TestExclusiveInputReachesTaskContext(t *testing.T) {
 // are sole receivers; the engines are not (the Splitter direct-emits one
 // row to every engine responsible for it).
 func TestShippedTopologyExclusiveInputs(t *testing.T) {
-	data, err := os.ReadFile("../../cmd/trafficd/topology.xml")
+	data, err := os.ReadFile("../core/topology.xml")
 	if err != nil {
 		t.Fatal(err)
 	}

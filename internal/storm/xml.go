@@ -120,35 +120,51 @@ func LoadXML(data []byte, reg *Registry) (*Topology, []RuleDef, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	topo, err := xt.Build(reg)
+	if err != nil {
+		return nil, nil, err
+	}
+	rules, err := xt.RuleDefs()
+	if err != nil {
+		return nil, nil, err
+	}
+	return topo, rules, nil
+}
+
+// Build resolves the description's component types through the registry and
+// builds the topology. A caller that needs something from the description
+// first (the engine parallelism, the rules) parses once with ParseXML, and
+// may adjust executors and tasks on the parsed value before building.
+func (xt *XMLTopology) Build(reg *Registry) (*Topology, error) {
 	b := NewTopologyBuilder(xt.Name)
 	for _, s := range xt.Spouts {
 		ctor, ok := reg.spouts[s.Type]
 		if !ok {
-			return nil, nil, fmt.Errorf("storm: unknown spout type %q", s.Type)
+			return nil, fmt.Errorf("storm: unknown spout type %q", s.Type)
 		}
 		factory, err := ctor(paramsMap(s.Params))
 		if err != nil {
-			return nil, nil, fmt.Errorf("storm: constructing spout %q: %w", s.ID, err)
+			return nil, fmt.Errorf("storm: constructing spout %q: %w", s.ID, err)
 		}
 		b.SetSpout(s.ID, factory, s.Executors, s.Tasks)
 		if len(s.Groupings) > 0 {
-			return nil, nil, fmt.Errorf("storm: spout %q must not declare groupings", s.ID)
+			return nil, fmt.Errorf("storm: spout %q must not declare groupings", s.ID)
 		}
 	}
 	for _, bolt := range xt.Bolts {
 		ctor, ok := reg.bolts[bolt.Type]
 		if !ok {
-			return nil, nil, fmt.Errorf("storm: unknown bolt type %q", bolt.Type)
+			return nil, fmt.Errorf("storm: unknown bolt type %q", bolt.Type)
 		}
 		factory, err := ctor(paramsMap(bolt.Params))
 		if err != nil {
-			return nil, nil, fmt.Errorf("storm: constructing bolt %q: %w", bolt.ID, err)
+			return nil, fmt.Errorf("storm: constructing bolt %q: %w", bolt.ID, err)
 		}
 		d := b.SetBolt(bolt.ID, factory, bolt.Executors, bolt.Tasks)
 		for _, g := range bolt.Groupings {
 			typ, err := groupingTypeOf(g.Type)
 			if err != nil {
-				return nil, nil, fmt.Errorf("storm: bolt %q: %w", bolt.ID, err)
+				return nil, fmt.Errorf("storm: bolt %q: %w", bolt.ID, err)
 			}
 			var fields []string
 			if g.Fields != "" {
@@ -159,15 +175,17 @@ func LoadXML(data []byte, reg *Registry) (*Topology, []RuleDef, error) {
 			d.StreamGrouping(g.Source, g.Stream, typ, fields...)
 		}
 	}
-	topo, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
+	return b.Build()
+}
+
+// RuleDefs returns the description's rule declarations, unnamed ones named
+// by their position.
+func (xt *XMLTopology) RuleDefs() ([]RuleDef, error) {
 	var rules []RuleDef
 	for i, r := range xt.Rules {
 		epl := strings.TrimSpace(r.EPL)
 		if epl == "" && r.Attribute == "" {
-			return nil, nil, fmt.Errorf("storm: rule %d (%q) has neither EPL nor template attributes", i, r.Name)
+			return nil, fmt.Errorf("storm: rule %d (%q) has neither EPL nor template attributes", i, r.Name)
 		}
 		name := r.Name
 		if name == "" {
@@ -182,7 +200,7 @@ func LoadXML(data []byte, reg *Registry) (*Topology, []RuleDef, error) {
 			Sensitivity: r.Sensitivity,
 		})
 	}
-	return topo, rules, nil
+	return rules, nil
 }
 
 func paramsMap(ps []XMLParam) map[string]string {
