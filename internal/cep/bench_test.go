@@ -2,7 +2,12 @@ package cep
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
+	"time"
+
+	"trafficcep/internal/busdata"
+	"trafficcep/internal/geo"
 )
 
 // benchListing1 registers the Listing-1 rule (delay per leaf area, window
@@ -114,4 +119,113 @@ func BenchmarkAblationExprCompilation(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkListing1_FourRules prices what one EsperBolt engine does per
+// delivered trace: the four rules of the shipped topology.xml in one engine
+// — two on groupwin(stopId).length(10), two on leafArea (lengths 10 and
+// 100), four identical lastevent views — over 28-field rows shaped like the
+// pipeline's enriched payload. 4096 stops and 1024 leaf areas keep ~140k
+// events retained, so the event a length window evicts left the cache long
+// ago, as in a city-sized run; the windows are filled before the clock
+// starts. It drives the engine through AddStatement and SendEventAt only.
+func BenchmarkListing1_FourRules(b *testing.B) {
+	const (
+		stops  = 4096
+		leaves = 1024
+		hours  = 24
+	)
+	rules := []struct {
+		name, loc, attr string
+		window, locs    int
+	}{
+		{"leafDelay", "leafArea", "delay", 10, leaves},
+		{"leafSpeed", "leafArea", "speed", 100, leaves},
+		{"stopDelay", "stopId", "delay", 10, stops},
+		{"stopActual", "stopId", "actualDelay", 10, stops},
+	}
+	locName := func(field string, i int) string { return fmt.Sprintf("%s%04d", field[:4], i) }
+
+	eng := New()
+	for _, r := range rules {
+		thr := "thresholds_" + r.name
+		if _, err := eng.AddStatement(r.name, listing1EPL(r.loc, r.attr, r.window, thr)); err != nil {
+			b.Fatal(err)
+		}
+		for loc := 0; loc < r.locs; loc++ {
+			for h := 0; h < hours; h++ {
+				err := eng.SendEvent(thr, map[string]Value{
+					"location": locName(r.loc, loc), "hour": float64(h),
+					"day": "weekday", "value": 1e12,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+
+	// 2013-01-07 is a Monday: every row reads day "weekday".
+	base := time.Date(2013, 1, 7, 0, 0, 0, 0, time.UTC)
+	layers := make([]string, 11)
+	for i := range layers {
+		layers[i] = fmt.Sprintf("layer%dArea", i)
+	}
+	row := func(i int) (time.Time, map[string]Value) {
+		ts := base.Add(time.Duration(i%(hours*3600)) * time.Second)
+		tr := busdata.Trace{
+			Timestamp: ts, LineID: "L" + strconv.Itoa(i%67), Direction: i%2 == 0,
+			Pos:   geo.Point{Lat: 53.3 + float64(i%1000)*1e-4, Lon: -6.3 + float64(i%777)*1e-4},
+			Delay: float64(i % 300), Congestion: i%9 == 0,
+			BusStop: strconv.Itoa(i % stops), VehicleID: strconv.Itoa(i % 911),
+		}
+		m := tr.FillValues(busdata.GetValues())
+		m["speed"] = float64(i % 60)
+		m["actualDelay"] = float64(i%41) - 20
+		m["heading"] = float64(i % 360)
+		// Odd multipliers of a power-of-two count visit every location, in
+		// an order that does not follow allocation order.
+		leaf := locName("leafArea", (i*389)%leaves)
+		for _, f := range layers {
+			m[f] = leaf
+		}
+		m["leafArea"] = leaf
+		m["areaPath"] = layers
+		m["stopId"] = locName("stopId", (i*2731)%stops)
+		return ts, m
+	}
+	send := func(i int) {
+		ts, m := row(i)
+		if err := eng.SendEventAt("bus", ts, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Fill every window: the longest, length 100 over 1024 leaves, needs
+	// 102400 arrivals.
+	const warm = leaves*100 + stops
+	for i := 0; i < warm; i++ {
+		send(i)
+	}
+	// Rows are built outside the clock, a chunk at a time.
+	const chunk = 4096
+	tss := make([]time.Time, chunk)
+	rows := make([]map[string]Value, chunk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += chunk {
+		n := b.N - done
+		if n > chunk {
+			n = chunk
+		}
+		b.StopTimer()
+		for j := 0; j < n; j++ {
+			tss[j], rows[j] = row(warm + done + j)
+		}
+		b.StartTimer()
+		for j := 0; j < n; j++ {
+			if err := eng.SendEventAt("bus", tss[j], rows[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

@@ -46,12 +46,14 @@ type diffRig struct {
 }
 
 // forceRecompute takes a statement off the incremental path the way
-// production does: it breaks the plan, here before any event arrives, so
-// every evaluation recomputes the join from the windows. A statement the
-// planner found ineligible recomputes already.
+// production does: it breaks the plan — and, as process does after the
+// event that broke it, rebuilds the join indexes an armed trigger plan left
+// idle — so every evaluation recomputes the join from the windows. A
+// statement the planner found ineligible recomputes already.
 func forceRecompute(st *Statement) {
 	if st.inc != nil {
 		st.inc.disable()
+		st.rebuildIndexes()
 	}
 }
 

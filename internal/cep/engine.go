@@ -22,6 +22,14 @@ type Engine struct {
 	funcs    map[string]ScalarFunc
 	// schemas holds one slot table per stream any statement ever read from.
 	schemas map[string]*streamSchema
+	// views is the window registry: per (stream, view chain) key, the view a
+	// new FROM item may still join (see view). viewCount and viewSubs count
+	// the live views and the FROM items subscribed to them.
+	views               map[string]*view
+	viewCount, viewSubs int
+	// retired names the statements removed since the last Collect, whose
+	// published series that Collect zeroes.
+	retired map[string]bool
 
 	eventsIn uint64
 	procTime time.Duration
@@ -67,6 +75,8 @@ func New(opts ...Option) *Engine {
 		byStream: make(map[string][]*Statement),
 		funcs:    make(map[string]ScalarFunc),
 		schemas:  make(map[string]*streamSchema),
+		views:    make(map[string]*view),
+		retired:  make(map[string]bool),
 		name:     "cep",
 	}
 	for _, opt := range opts {
@@ -145,7 +155,8 @@ func (e *Engine) AddQuery(name string, q *epl.Query) (*Statement, error) {
 	return st, nil
 }
 
-// RemoveStatement deregisters a statement and drops its window state.
+// RemoveStatement deregisters a statement and releases its views; a view no
+// other statement reads goes with it.
 func (e *Engine) RemoveStatement(name string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -154,6 +165,8 @@ func (e *Engine) RemoveStatement(name string) bool {
 		return false
 	}
 	delete(e.stmts, name)
+	st.releaseViews()
+	e.retired[name] = true
 	for stream := range st.itemsByStream {
 		list := e.byStream[stream]
 		for i, s := range list {
@@ -275,8 +288,9 @@ func (e *Engine) Collect(reg *telemetry.Registry) {
 	if e.eventsIn > 0 {
 		reg.Gauge(prefix + "avg_latency_ns").Set(float64(e.procTime) / float64(e.eventsIn))
 	}
-	for name, st := range e.stmts {
-		m := st.metrics
+	reg.Gauge(prefix + "views").Set(float64(e.viewCount))
+	reg.Gauge(prefix + "view_subscriptions").Set(float64(e.viewSubs))
+	publish := func(name string, m StatementMetrics) {
 		sp := prefix + "stmt." + name + "."
 		reg.Counter(sp + "events_in").Store(m.EventsIn)
 		reg.Counter(sp + "evaluations").Store(m.Evaluations)
@@ -284,6 +298,15 @@ func (e *Engine) Collect(reg *telemetry.Registry) {
 		reg.Counter(sp + "errors").Store(m.Errors)
 		reg.Counter(sp + "incremental_evals").Store(m.IncrementalEvals)
 		reg.Counter(sp + "recompute_fallbacks").Store(m.RecomputeFallbacks)
+	}
+	// A removed statement's series read zero from here on, not its last
+	// counts; a statement re-added under the name publishes its own below.
+	for name := range e.retired {
+		publish(name, StatementMetrics{})
+		delete(e.retired, name)
+	}
+	for name, st := range e.stmts {
+		publish(name, st.metrics)
 	}
 }
 

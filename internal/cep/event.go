@@ -29,10 +29,10 @@ type Event struct {
 // grows, and only while a statement is being registered, so a slot index
 // baked into a compiled statement stays valid for the engine's lifetime. A
 // statement registered later may append slots; events bound before that
-// carry the shorter slice, but they sit only in the windows of statements
-// compiled against the shorter schema, so no index ever exceeds the slice
-// it meets (a violation would be an index-out-of-range panic, not a silent
-// wrong read).
+// carry the shorter slice, but they sit only in views whose subscribers were
+// all compiled against the shorter schema (a view takes no subscriber after
+// its first event), so no index ever exceeds the slice it meets (a violation
+// would be an index-out-of-range panic, not a silent wrong read).
 type streamSchema struct {
 	names []string
 	slot  map[string]int

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"trafficcep/internal/epl"
 )
@@ -22,7 +23,12 @@ import (
 //     accumulators (count, sum, sum of squares, value counts for min/max),
 //     and an evaluation is a hash probe per item plus O(1) arithmetic.
 //     This covers Listing 1 and the paper's threshold-rule family, making
-//     per-event cost independent of the window length l.
+//     per-event cost independent of the window length l. An item whose
+//     window is std:groupwin(k…).win:length(n) and whose join key is those
+//     k — Listing 1's bd2 — keeps its accumulators on the window's groups
+//     (groupAcc): the group the insert found serves the fold and the probe,
+//     and eviction subtracts from a value ring instead of reading the
+//     evicted event.
 //
 //   - delta joins with maintained groups (incDeltaPlan): otherwise, each
 //     window delta is joined only against the other windows (the event's
@@ -379,15 +385,12 @@ func newIncState(st *Statement, trig *incTriggerPlan, delta *incDeltaPlan) *incS
 // disable drops the maintained state; evaluate() then recomputes. A broken
 // trigger plan ran with join-index maintenance skipped (indexesIdle), so
 // the indexes the recompute path is about to probe must be rebuilt from the
-// windows' current contents first.
+// windows' contents first: process does, once every item took the event
+// that broke the plan.
 func (s *incState) disable() {
-	rebuild := s.trig != nil
 	s.broken = true
 	s.trig = nil
 	s.delta = nil
-	if rebuild {
-		s.st.rebuildIndexes()
-	}
 }
 
 // strategy names the armed plan, for tests and diagnostics.
@@ -423,6 +426,22 @@ func (s *incState) applyDelta(idx int, added, removed []*Event) error {
 		ip := s.trig.items[idx]
 		if ip == nil {
 			return nil // the trigger item's single event is read at emit
+		}
+		// s.ctx is shared with trigEvaluate: drop any aggregate bindings left
+		// from a prior evaluation so a (mis-typed) aggregate reference in a
+		// filter or aggregate argument errors exactly like the recompute path
+		// instead of silently reading stale slots.
+		s.ctx.aggs = nil
+		s.ctx.aggF, s.ctx.aggNull = nil, nil
+		if ip.gw != nil {
+			// The group's value ring retracts what the arriving event
+			// overwrites; the evicted event itself is not needed.
+			for _, ev := range added {
+				if err := s.trigFoldGroup(ip, ev); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 		for _, ev := range removed {
 			if err := s.trigApply(ip, ev, -1); err != nil {
@@ -466,7 +485,7 @@ func (s *incState) evaluate() ([]Output, error) {
 // fields. Aggregates combine per-item sums with multiplicities.
 type incTriggerPlan struct {
 	trigIdx int
-	trigWin *lastEventWin
+	trigWin *lastEventWin // set by attach, once the views are acquired
 	// pairChecks are pairs of trigger-event slots an equi class constrains
 	// to be equal among themselves (WHERE t.a = i.x AND t.b = i.x).
 	pairChecks [][2]int
@@ -490,6 +509,18 @@ type incItemState struct {
 	accs     map[string]*itemAcc
 	keyBuf   []byte
 	probed   *itemAcc // evaluation scratch: result of the latest probe
+
+	// A key-aligned item — its window is std:groupwin(k…).win:length(n) and
+	// keySlots are those same k, Listing 1's bd.loc = bd2.loc — keeps no
+	// accs of its own: a join key's events are exactly a group's, so its
+	// accumulator is groupAcc number sub of that group, in the window gw of
+	// the view. sameKey is true when the trigger item reads the same stream
+	// through the same slots, so that the group the arriving event was
+	// inserted into is the group the evaluation probes. Set by attach.
+	gw      *groupWin
+	view    *view
+	sub     int
+	sameKey bool
 }
 
 // itemAcc accumulates one join key's matching events within an item.
@@ -497,6 +528,25 @@ type itemAcc struct {
 	rows int
 	last *Event // most recently added match, the emit representative
 	aggs []aggAcc
+}
+
+// groupAcc is the itemAcc of a key-aligned item for one group, plus the
+// value ring that lets the group retract from its own memory: 1+k cells per
+// slot of the group's length window, k the item's anchored aggregates. Of
+// slot p's cells, the first marks whether the event in the slot passed the
+// item's maintenance filters (and so counts in rows); cell 1+j holds the
+// float folded in for aggregate j, its mark false — absent — when the
+// argument was nil. An arriving event overwrites slot p; what the slot held
+// is subtracted from the ring, and the evicted event, cold by then, is
+// never read.
+type groupAcc struct {
+	itemAcc
+	ring []ringCell
+}
+
+type ringCell struct {
+	f  float64
+	ok bool
 }
 
 func (ip *incItemState) eventKey(ev *Event) []byte {
@@ -544,7 +594,7 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 	// The trigger: a std:lastevent item whose fields reach every class.
 	trig := -1
 	for i, it := range st.items {
-		if _, ok := it.win.(*lastEventWin); !ok {
+		if v := it.spec.Views; len(v) != 1 || v[0].Namespace != "std" || v[0].Name != "lastevent" {
 			continue
 		}
 		covers := true
@@ -658,7 +708,6 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 
 	p := &incTriggerPlan{
 		trigIdx: trig,
-		trigWin: st.items[trig].win.(*lastEventWin),
 		aggs:    aggs,
 		items:   make([]*incItemState, len(st.items)),
 	}
@@ -703,32 +752,68 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 	return p
 }
 
-// trigApply folds one added/removed event into an item's accumulators.
+// attach binds the plan to the views its statement acquired: the trigger
+// item's window, and for every key-aligned item (see incItemState) an
+// accumulator slot in the groups of its window.
+func (p *incTriggerPlan) attach(st *Statement) {
+	p.trigWin = st.items[p.trigIdx].view.win.(*lastEventWin)
+	for i, ip := range p.items {
+		if ip == nil {
+			continue
+		}
+		v := st.items[i].view
+		gw, ok := v.win.(*groupWin)
+		if !ok || gw.length == 0 || !slices.Equal(gw.keys, ip.keySlots) {
+			continue
+		}
+		ip.gw, ip.view, ip.sub = gw, v, gw.subscribe()
+		ip.sameKey = st.items[i].schema == st.items[p.trigIdx].schema && slices.Equal(ip.srcSlots, ip.keySlots)
+	}
+}
+
+// trigPasses applies an item's maintenance filters to one of its events.
+func (s *incState) trigPasses(ip *incItemState, ev *Event) (bool, error) {
+	if len(ip.filtersC) == 0 {
+		return true, nil
+	}
+	s.row[ip.idx] = ev
+	pass, err := true, error(nil)
+	for _, f := range ip.filtersC {
+		if pass, err = f(s.ctx); err != nil || !pass {
+			pass = false
+			break
+		}
+	}
+	s.row[ip.idx] = nil
+	return pass, err
+}
+
+// trigArg evaluates the argument of an aggregate anchored at ip on one of
+// the item's events. present is false for a nil argument, which no
+// aggregate counts; a count(expr) argument need not be numeric and returns
+// no float.
+func (s *incState) trigArg(ip *incItemState, spec *aggSpec, ev *Event) (f float64, present bool, err error) {
+	s.row[ip.idx] = ev
+	v, err := spec.argC(s.ctx)
+	s.row[ip.idx] = nil
+	if err != nil || v == nil {
+		return 0, false, err
+	}
+	if spec.countOnly {
+		return 0, true, nil
+	}
+	f, ok := numeric(v)
+	if !ok {
+		return 0, false, fmt.Errorf("cep: aggregate %s over non-numeric value %v", spec.call.Func, v)
+	}
+	return f, true, nil
+}
+
+// trigApply folds one added/removed event into the accumulators of an item
+// that keeps them by join key (every item that is not key-aligned).
 func (s *incState) trigApply(ip *incItemState, ev *Event, sign int) error {
-	// s.ctx is shared with trigEvaluate: drop any aggregate bindings left
-	// from a prior evaluation so a (mis-typed) aggregate reference in a
-	// filter or aggregate argument errors exactly like the recompute path
-	// instead of silently reading stale slots.
-	s.ctx.aggs = nil
-	s.ctx.aggF, s.ctx.aggNull = nil, nil
-	if len(ip.filtersC) > 0 {
-		s.row[ip.idx] = ev
-		pass := true
-		for _, f := range ip.filtersC {
-			okf, err := f(s.ctx)
-			if err != nil {
-				s.row[ip.idx] = nil
-				return err
-			}
-			if !okf {
-				pass = false
-				break
-			}
-		}
-		s.row[ip.idx] = nil
-		if !pass {
-			return nil
-		}
+	if pass, err := s.trigPasses(ip, ev); err != nil || !pass {
+		return err
 	}
 	buf := ip.eventKey(ev)
 	acc, ok := ip.accs[string(buf)]
@@ -748,26 +833,17 @@ func (s *incState) trigApply(ip *incItemState, ev *Event, sign int) error {
 	}
 	for j, ai := range ip.aggIdx {
 		spec := s.trig.aggs[ai]
-		s.row[ip.idx] = ev
-		v, err := spec.argC(s.ctx)
-		s.row[ip.idx] = nil
+		f, present, err := s.trigArg(ip, spec, ev)
 		if err != nil {
 			return err
 		}
-		if v == nil {
-			continue
-		}
-		if spec.countOnly {
+		switch {
+		case !present:
+		case spec.countOnly:
 			acc.aggs[j].n += sign
-			continue
-		}
-		f, okn := numeric(v)
-		if !okn {
-			return fmt.Errorf("cep: aggregate %s over non-numeric value %v", spec.call.Func, v)
-		}
-		if sign > 0 {
+		case sign > 0:
 			acc.aggs[j].add(f, spec.track)
-		} else {
+		default:
 			acc.aggs[j].remove(f, spec.track)
 		}
 	}
@@ -775,6 +851,74 @@ func (s *incState) trigApply(ip *incItemState, ev *Event, sign int) error {
 		delete(ip.accs, string(buf))
 	}
 	return nil
+}
+
+// trigFoldGroup folds the event its window just took into a key-aligned
+// item's accumulator on the event's group: retract what the window slot held
+// from the value ring, then fold the arrival in and record it there.
+func (s *incState) trigFoldGroup(ip *incItemState, ev *Event) error {
+	g := ip.gw.cur
+	pos := g.win.(*lengthWin).pos
+	acc := &g.accs[ip.sub]
+	k := len(ip.aggIdx)
+	if acc.ring == nil {
+		acc.aggs = make([]aggAcc, k)
+		acc.ring = make([]ringCell, ip.gw.length*(1+k))
+	}
+	cells := acc.ring[pos*(1+k) : (pos+1)*(1+k)]
+	in, held := &cells[0].ok, cells[1:]
+	if *in {
+		*in = false
+		acc.rows--
+		for j, ai := range ip.aggIdx {
+			spec := s.trig.aggs[ai]
+			switch {
+			case !held[j].ok:
+			case spec.countOnly:
+				acc.aggs[j].n--
+			default:
+				acc.aggs[j].remove(held[j].f, spec.track)
+			}
+		}
+	}
+	if pass, err := s.trigPasses(ip, ev); err != nil || !pass {
+		return err
+	}
+	*in = true
+	acc.rows++
+	acc.last = ev
+	for j, ai := range ip.aggIdx {
+		spec := s.trig.aggs[ai]
+		f, present, err := s.trigArg(ip, spec, ev)
+		if err != nil {
+			return err
+		}
+		held[j] = ringCell{f, present}
+		switch {
+		case !present:
+		case spec.countOnly:
+			acc.aggs[j].n++
+		default:
+			acc.aggs[j].add(f, spec.track)
+		}
+	}
+	return nil
+}
+
+// trigProbe finds the accumulator of ip matching trigger event e, nil when
+// no event of the item does.
+func (ip *incItemState) trigProbe(e *Event) *itemAcc {
+	if ip.gw == nil {
+		return ip.accs[string(ip.probeKey(e))]
+	}
+	g := ip.gw.cur
+	if !ip.sameKey || ip.view.lastEv != e {
+		g = ip.gw.groups[string(ip.probeKey(e))]
+	}
+	if g == nil || g.accs[ip.sub].rows == 0 {
+		return nil
+	}
+	return &g.accs[ip.sub].itemAcc
 }
 
 // trigEvaluate emits the (single) group for the current trigger event:
@@ -812,8 +956,8 @@ func (s *incState) trigEvaluate() ([]Output, error) {
 		if ip == nil {
 			continue
 		}
-		acc, ok := ip.accs[string(ip.probeKey(e))]
-		if !ok {
+		acc := ip.trigProbe(e)
+		if acc == nil {
 			return nil, nil
 		}
 		ip.probed = acc
@@ -1098,7 +1242,7 @@ func (s *incState) deltaJoin(pin int, pinEv *Event, sign int) error {
 			st.keyBuf = buf
 			candidates = it.index[string(buf)]
 		} else {
-			candidates = it.win.contents()
+			candidates = it.view.win.contents()
 		}
 		for _, ev := range candidates {
 			row[level] = ev

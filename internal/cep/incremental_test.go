@@ -3,6 +3,7 @@ package cep
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -187,7 +188,11 @@ func TestIndexConjunctUnknownAliasRejected(t *testing.T) {
 // TestWindowDeltaContract checks every view type against the delta contract
 // incremental maintenance depends on: after insert(ev) returns (added,
 // removed), old contents − removed + added must equal the new contents as a
-// multiset, with no event both added and removed.
+// multiset, with no event both added and removed. The windows are reached
+// the way statements reach them — through an engine view two FROM items
+// subscribed to — so it also holds the once-per-turn insert: the second
+// subscriber's insert of the turn's event must hand back the first one's
+// delta and leave the window alone.
 func TestWindowDeltaContract(t *testing.T) {
 	specs := []string{
 		"std:lastevent()",
@@ -201,12 +206,28 @@ func TestWindowDeltaContract(t *testing.T) {
 	}
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {
-			w := buildFromSpec(t, spec)
+			q, err := epl.Parse("SELECT * FROM s." + spec + " AS e")
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := New()
+			first, err := eng.acquireView(&Statement{}, q.From[0], viewSchema, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := eng.acquireView(&Statement{}, q.From[0], viewSchema, true)
+			if err != nil || second != first {
+				t.Fatalf("a second statement's item did not join the unfed view (err %v)", err)
+			}
 			rng := rand.New(rand.NewSource(7))
 			replay := map[*Event]int{}
 			for i := 0; i < 200; i++ {
 				ev := mkEvent(i, map[string]Value{"k": float64(rng.Intn(4)), "v": float64(i)})
-				added, removed := w.insert(ev)
+				added, removed := first.insert(ev)
+				again, gone := second.insert(ev)
+				if !slices.Equal(added, again) || !slices.Equal(removed, gone) {
+					t.Fatalf("step %d: the turn's second insert returned another delta", i)
+				}
 				for _, r := range removed {
 					replay[r]--
 					if replay[r] == 0 {
@@ -217,7 +238,7 @@ func TestWindowDeltaContract(t *testing.T) {
 					replay[a]++
 				}
 				live := map[*Event]int{}
-				for _, e := range w.contents() {
+				for _, e := range first.win.contents() {
 					live[e]++
 				}
 				if len(live) != len(replay) {
@@ -228,6 +249,9 @@ func TestWindowDeltaContract(t *testing.T) {
 						t.Fatalf("step %d: event %v count %d vs replayed %d", i, e.Fields, n, replay[e])
 					}
 				}
+			}
+			if late, _ := eng.acquireView(&Statement{}, q.From[0], viewSchema, true); late == first {
+				t.Fatal("an item joined a view that has received events")
 			}
 		})
 	}

@@ -8,9 +8,9 @@ import (
 	"trafficcep/internal/epl"
 )
 
-// Statement is one standing query registered in an engine. It owns the
-// runtime window state of its FROM items, a compiled join plan, and the
-// listeners to notify on matches.
+// Statement is one standing query registered in an engine. It owns a
+// compiled join plan, its aggregate state and the listeners to notify on
+// matches; the windows of its FROM items are the engine's (see view).
 type Statement struct {
 	Name  string
 	Query *epl.Query
@@ -79,7 +79,9 @@ type StatementMetrics struct {
 // fromItemState is the runtime state of one FROM item.
 type fromItemState struct {
 	spec epl.FromItem
-	win  window
+	// view is the engine's window for the item's stream and view chain,
+	// possibly read by other statements too; set last in compile.
+	view *view
 	// schema is the slot table of the item's stream: every field of the
 	// item a statement touches is resolved through it at registration.
 	schema *streamSchema
@@ -108,12 +110,7 @@ func compile(name string, q *epl.Query, eng *Engine) (*Statement, error) {
 	}
 	aliasToIdx := make(map[string]int, len(q.From))
 	for i, f := range q.From {
-		sch := eng.schemaFor(f.Stream)
-		win, err := buildWindow(f.Views, sch)
-		if err != nil {
-			return nil, fmt.Errorf("cep: statement %q item %q: %w", name, f.Alias, err)
-		}
-		st.items = append(st.items, &fromItemState{spec: f, win: win, schema: sch})
+		st.items = append(st.items, &fromItemState{spec: f, schema: eng.schemaFor(f.Stream)})
 		st.itemsByStream[f.Stream] = append(st.itemsByStream[f.Stream], i)
 		st.aliasOrder = append(st.aliasOrder, f.Alias)
 		aliasToIdx[f.Alias] = i
@@ -181,7 +178,69 @@ func compile(name string, q *epl.Query, eng *Engine) (*Statement, error) {
 
 	st.inc = planIncremental(st, aliasToIdx)
 	st.comp = compileStatement(st)
+	if err := st.acquireViews(); err != nil {
+		return nil, err
+	}
 	return st, nil
+}
+
+// acquireViews resolves every FROM item to an engine view — the last step of
+// compile, so a statement that fails to compile leaves no view behind — and
+// hands the trigger plan the views it reads directly.
+func (st *Statement) acquireViews() error {
+	share := !st.exclusiveViews()
+	for _, it := range st.items {
+		v, err := st.engine.acquireView(st, it.spec, it.schema, share)
+		if err != nil {
+			st.releaseViews()
+			return fmt.Errorf("cep: statement %q item %q: %w", st.Name, it.spec.Alias, err)
+		}
+		it.view = v
+	}
+	if st.inc != nil && st.inc.trig != nil {
+		st.inc.trig.attach(st)
+	}
+	return nil
+}
+
+// releaseViews gives the statement's views back to the engine.
+func (st *Statement) releaseViews() {
+	for _, it := range st.items {
+		if it.view != nil {
+			st.engine.releaseView(it.view)
+			it.view = nil
+		}
+	}
+}
+
+// reads reports whether one of the statement's items already resolved to v.
+func (st *Statement) reads(v *view) bool {
+	for _, it := range st.items {
+		if it.view == v {
+			return true
+		}
+	}
+	return false
+}
+
+// exclusiveViews reports whether the statement must keep its views to
+// itself. A delta plan joins each item's delta against the *other* items'
+// current contents, one item at a time; when two of its items read one
+// stream, the later one's window has to still be as it was before the event
+// while the earlier one's delta is joined — which a view another statement
+// already inserted into this turn is not. Every other shape reads its
+// windows only after all of them took the event (a trigger plan's per-item
+// accumulators are independent of each other), so sharing cannot be seen.
+func (st *Statement) exclusiveViews() bool {
+	if st.inc == nil || st.inc.delta == nil {
+		return false
+	}
+	for _, idxs := range st.itemsByStream {
+		if len(idxs) > 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // splitConjuncts flattens a WHERE tree into AND-connected conjuncts.
@@ -259,7 +318,7 @@ func (st *Statement) Metrics() StatementMetrics { return st.metrics }
 func (st *Statement) WindowSizes() map[string]int {
 	out := make(map[string]int, len(st.items))
 	for _, it := range st.items {
-		out[it.spec.Alias] = it.win.size()
+		out[it.spec.Alias] = it.view.win.size()
 	}
 	return out
 }
@@ -277,13 +336,16 @@ func (st *Statement) process(ev *Event, derive func(*Event)) error {
 
 	triggered := false
 	var maintErr error
+	// An armed trigger plan leaves the join indexes idle. If it breaks on
+	// this event they stay idle until every item took the event, and are
+	// rebuilt from the windows then: a shared view may already hold the
+	// event when this statement reaches it, so only after the loop do the
+	// windows agree on what an index must contain.
+	idle := st.indexesIdle()
 	for _, idx := range st.itemsByStream[ev.Stream] {
 		it := st.items[idx]
-		added, removed := it.win.insert(ev)
-		// Checked per item, not hoisted: applyDelta below can break the
-		// incremental plan mid-loop, after which later items must resume
-		// maintenance (disable() rebuilt their indexes up to this point).
-		if it.index != nil && !st.indexesIdle() {
+		added, removed := it.view.insert(ev)
+		if it.index != nil && !idle {
 			for _, r := range removed {
 				it.indexRemove(r)
 			}
@@ -302,6 +364,9 @@ func (st *Statement) process(ev *Event, derive func(*Event)) error {
 		if !st.unidirectional || it.spec.Unidirectional {
 			triggered = true
 		}
+	}
+	if idle && st.inc.broken {
+		st.rebuildIndexes()
 	}
 
 	var err error
@@ -341,7 +406,7 @@ func (st *Statement) process(ev *Event, derive func(*Event)) error {
 // overhead — ~10% of the Listing-1 hot path, all in the O(bucket) remove
 // scan. Delta plans do probe the indexes (deltaJoin), and a broken plan
 // recomputes through them, so both keep maintenance on; when a trigger
-// plan breaks, disable() rebuilds the indexes from window contents.
+// plan breaks, process rebuilds the indexes from window contents.
 func (st *Statement) indexesIdle() bool {
 	return st.inc != nil && !st.inc.broken && st.inc.trig != nil
 }
@@ -355,7 +420,7 @@ func (st *Statement) rebuildIndexes() {
 			continue
 		}
 		it.index = make(map[string][]*Event, len(it.index))
-		for _, ev := range it.win.contents() {
+		for _, ev := range it.view.win.contents() {
 			it.indexAdd(ev)
 		}
 	}
@@ -462,7 +527,7 @@ func (st *Statement) joinRows() ([][]*Event, error) {
 			st.keyBuf = buf
 			candidates = it.index[string(buf)]
 		} else {
-			candidates = it.win.contents()
+			candidates = it.view.win.contents()
 		}
 		for _, ev := range candidates {
 			row[level] = ev

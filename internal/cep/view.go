@@ -7,8 +7,8 @@ import (
 	"trafficcep/internal/epl"
 )
 
-// window is the runtime state behind one FROM item: the set of events the
-// item's view chain currently retains. insert returns the events added to
+// window is the runtime state behind a view: the set of events a view
+// chain currently retains. insert returns the events added to
 // and removed from the retained set so that join indexes and incremental
 // aggregate state can be maintained from deltas alone.
 //
@@ -29,6 +29,88 @@ type window interface {
 	insert(ev *Event) (added, removed []*Event)
 	contents() []*Event
 	size() int
+}
+
+// view is an engine-owned window: the retained events of one (stream, view
+// chain), shared by every FROM item that resolved to it. A view is open to
+// new subscribers only until its first event: FROM items that subscribe
+// before it were all going to see the same arrivals from an empty window,
+// so one window serves them and each statement's outputs are what a window
+// of its own would have produced. A statement registered later — a rule
+// Refresh, a live migration — finds the view fed and gets a fresh one.
+//
+// The window is inserted into once per event turn, by the first subscriber
+// to reach it; the others receive the same delta.
+type view struct {
+	key  string
+	win  window
+	refs int
+
+	// lastEv is the event of the latest insert; added/removed its delta. A
+	// view that never received an event has lastEv nil.
+	lastEv         *Event
+	added, removed []*Event
+}
+
+func (v *view) insert(ev *Event) (added, removed []*Event) {
+	if v.lastEv != ev {
+		v.added, v.removed = v.win.insert(ev)
+		v.lastEv = ev
+	}
+	return v.added, v.removed
+}
+
+// viewKey renders the registry key of a FROM item's window: the stream and
+// its view chain in canonical form (no views is win:keepall).
+func viewKey(stream string, views []epl.ViewSpec) string {
+	if len(views) == 0 {
+		return stream + ".win:keepall()"
+	}
+	key := stream
+	for _, v := range views {
+		key += "." + v.String()
+	}
+	return key
+}
+
+// acquireView resolves a FROM item of st to a view: the registered one for
+// its key if that has not received an event and st does not read it already
+// (two items of one statement are updated one at a time and so never share),
+// otherwise a new one, which replaces it as the view later statements may
+// join. share false — a statement that must not see a window change ahead
+// of its own turn, see Statement.exclusiveViews — always builds a new view
+// and registers it for no one else. Called with the engine lock held.
+func (e *Engine) acquireView(st *Statement, f epl.FromItem, sch *streamSchema, share bool) (*view, error) {
+	key := viewKey(f.Stream, f.Views)
+	if v := e.views[key]; share && v != nil && v.lastEv == nil && !st.reads(v) {
+		v.refs++
+		e.viewSubs++
+		return v, nil
+	}
+	win, err := buildWindow(f.Views, sch)
+	if err != nil {
+		return nil, err
+	}
+	v := &view{key: key, win: win, refs: 1}
+	if share {
+		e.views[key] = v
+	}
+	e.viewCount++
+	e.viewSubs++
+	return v, nil
+}
+
+// releaseView drops one subscription; the last one drops the view.
+func (e *Engine) releaseView(v *view) {
+	v.refs--
+	e.viewSubs--
+	if v.refs > 0 {
+		return
+	}
+	e.viewCount--
+	if e.views[v.key] == v {
+		delete(e.views, v.key)
+	}
 }
 
 // buildWindow compiles a view chain into a window. Supported chains are the
@@ -55,10 +137,15 @@ func buildWindow(views []epl.ViewSpec, sch *streamSchema) (window, error) {
 		}
 		factory := func() (window, error) { return buildWindow(rest, sch) }
 		// Validate the sub-chain once, eagerly.
-		if _, err := factory(); err != nil {
+		probe, err := factory()
+		if err != nil {
 			return nil, err
 		}
-		return newGroupWin(sch.slotsOf(fields), factory), nil
+		gw := newGroupWin(sch.slotsOf(fields), factory)
+		if lw, ok := probe.(*lengthWin); ok {
+			gw.length = lw.n
+		}
+		return gw, nil
 	}
 	if len(views) > 1 {
 		return nil, fmt.Errorf("cep: unsupported view chain of %d views", len(views))
@@ -191,10 +278,13 @@ func (w *keepAllWin) size() int          { return len(w.evs) }
 
 // lengthWin is a sliding window over the last n events (win:length).
 type lengthWin struct {
-	n      int
-	buf    []*Event // ring buffer, capacity n
-	start  int
-	count  int
+	n     int
+	buf   []*Event // ring buffer, capacity n
+	start int
+	count int
+	// pos is the slot of buf the latest insert wrote: state kept parallel
+	// to the window (groupAcc's value ring) indexes by it.
+	pos    int
 	addBuf [1]*Event
 	rmBuf  [1]*Event
 }
@@ -205,14 +295,15 @@ func newLengthWin(n int) *lengthWin {
 
 func (w *lengthWin) insert(ev *Event) (added, removed []*Event) {
 	if w.count == w.n {
-		w.rmBuf[0] = w.buf[w.start]
+		w.pos = w.start
+		w.rmBuf[0] = w.buf[w.pos]
 		removed = w.rmBuf[:]
-		w.buf[w.start] = ev
 		w.start = (w.start + 1) % w.n
 	} else {
-		w.buf[(w.start+w.count)%w.n] = ev
+		w.pos = (w.start + w.count) % w.n
 		w.count++
 	}
+	w.buf[w.pos] = ev
 	w.addBuf[0] = ev
 	return w.addBuf[:], removed
 }
@@ -369,14 +460,39 @@ func (w *uniqueWin) size() int { return len(w.byKey) }
 type groupWin struct {
 	keys    []int // event slots forming the group key
 	factory func() (window, error)
-	groups  map[string]window
-	order   []string
-	total   int
-	keyBuf  []byte
+	// length is the sub-view's n when it is win:length, 0 otherwise.
+	length int
+	groups map[string]*group
+	order  []*group
+	total  int
+	keyBuf []byte
+
+	// cur is the group the latest insert went to. A trigger plan whose item
+	// is keyed by the group fields folds into, and probes, cur's
+	// accumulators: the key this insert rendered and the entry it found
+	// serve the window, the fold and the evaluation.
+	cur *group
+	// subs counts the accumulator slots handed out by subscribe.
+	subs int
+}
+
+// group is one partition of a groupWin: its sub-window plus, per subscribed
+// trigger-plan item, that item's accumulators over the sub-window's events.
+type group struct {
+	win  window
+	accs []groupAcc
 }
 
 func newGroupWin(keys []int, factory func() (window, error)) *groupWin {
-	return &groupWin{keys: keys, factory: factory, groups: make(map[string]window)}
+	return &groupWin{keys: keys, factory: factory, groups: make(map[string]*group)}
+}
+
+// subscribe reserves an accumulator slot in every group. Only a view that
+// has not received an event takes subscribers, so no group exists yet and
+// every group is created with all the slots.
+func (w *groupWin) subscribe() int {
+	w.subs++
+	return w.subs - 1
 }
 
 func (w *groupWin) insert(ev *Event) (added, removed []*Event) {
@@ -384,23 +500,24 @@ func (w *groupWin) insert(ev *Event) (added, removed []*Event) {
 	// only materialized when a new group is created — the lookup on a
 	// hit does not allocate.
 	w.keyBuf = appendSlotsKey(w.keyBuf[:0], ev, w.keys)
-	sub, ok := w.groups[string(w.keyBuf)]
+	g, ok := w.groups[string(w.keyBuf)]
 	if !ok {
 		// The factory was validated at build time; it cannot fail here.
-		sub, _ = w.factory()
-		key := string(w.keyBuf)
-		w.groups[key] = sub
-		w.order = append(w.order, key)
+		sub, _ := w.factory()
+		g = &group{win: sub, accs: make([]groupAcc, w.subs)}
+		w.groups[string(w.keyBuf)] = g
+		w.order = append(w.order, g)
 	}
-	added, removed = sub.insert(ev)
+	w.cur = g
+	added, removed = g.win.insert(ev)
 	w.total += len(added) - len(removed)
 	return added, removed
 }
 
 func (w *groupWin) contents() []*Event {
 	out := make([]*Event, 0, w.total)
-	for _, key := range w.order {
-		out = append(out, w.groups[key].contents()...)
+	for _, g := range w.order {
+		out = append(out, g.win.contents()...)
 	}
 	return out
 }

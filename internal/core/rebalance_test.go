@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -344,12 +345,19 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 // TestRebalanceMigrationNoDetectionLoss is the migration differential: the
 // same feed is run through (a) a balanced static routing and (b) a
 // deliberately skewed routing that the rebalancer fixes mid-feed, migrating
-// rule statements between engines. With a window-1 rule every tuple yields
-// exactly one detection, so both runs must produce the same multiset of
-// detections (ignoring which engine fired them) — nothing may be lost
-// across the swap. It holds through both entries to the one assembly: the
-// builder the suites and examples call, and the registry + shipped XML
-// document trafficd and bench/ load.
+// rule statements between engines. With window-1 rules every tuple yields
+// exactly one detection per rule, so both runs must produce the same
+// multiset of detections (ignoring which engine fired them) — nothing may
+// be lost across the swap. It holds through both entries to the one
+// assembly: the builder the suites and examples call, and the registry +
+// shipped XML document trafficd and bench/ load.
+//
+// Two rule sets: one rule with everything starting on engine 0, and the
+// shipped document's pair on one location field and window length
+// (stopDelay + stopActual), where engine 1 starts out serving two stops that
+// have thresholds for delay only. The migration then installs stopActual on
+// engine 1 beside the lastevent and groupwin(stopId) views stopDelay has
+// been filling there — the late joiner the engine must give fresh views.
 func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 	entries := []struct {
 		name  string
@@ -364,25 +372,58 @@ func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 		}},
 	}
 	for _, entry := range entries {
-		t.Run(entry.name, func(t *testing.T) { testMigrationNoDetectionLoss(t, entry.build) })
+		for _, pair := range []bool{false, true} {
+			name := entry.name + "/leafDelay"
+			if pair {
+				name = entry.name + "/stopDelay+stopActual"
+			}
+			t.Run(name, func(t *testing.T) { testMigrationNoDetectionLoss(t, entry.build, pair) })
+		}
 	}
 }
 
-func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*storm.Topology, error)) {
+func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*storm.Topology, error), pair bool) {
 	tree := buildTestTree(t)
 	traces := genTraces(t, 40, 10)
-	rule := Rule{Name: "leafDelay", Attribute: busdata.AttrDelay, Kind: QuadtreeLeaves, Window: 1, Sensitivity: 1}
 	// The shipped document's EsperBolt tasks: the XML entry cannot run any
 	// other count (an engine task's Prepare names both numbers if it drifts).
 	const engines = 4
 	tasks := []int{0, 1, 2, 3}
 
-	leaves := tree.Leaves()
-	allLocs := make(map[string]bool, len(leaves))
+	rules := []Rule{{Name: "leafDelay", Attribute: busdata.AttrDelay, Kind: QuadtreeLeaves, Window: 1, Sensitivity: 1}}
+	var locations []string
+	for _, leaf := range tree.Leaves() {
+		locations = append(locations, string(leaf.ID))
+	}
+	// resident are the locations engine 1 serves from the start of the
+	// skewed run; bare[attribute] the locations that have no thresholds.
+	resident := map[string]bool{}
+	bare := map[string]map[string]bool{}
+	if pair {
+		rules = []Rule{
+			{Name: "stopDelay", Attribute: busdata.AttrDelay, Kind: BusStops, Window: 1, Sensitivity: 1},
+			{Name: "stopActual", Attribute: busdata.AttrActualDelay, Kind: BusStops, Window: 1, Sensitivity: 1},
+		}
+		// Without a stops index the BusStopsTracker passes the reported
+		// stop through, so the feed's stops are the locations. The first
+		// two it visits are busy before the first rebalance check.
+		locations = nil
+		seen := map[string]bool{}
+		for _, tr := range traces {
+			if !seen[tr.BusStop] {
+				seen[tr.BusStop] = true
+				locations = append(locations, tr.BusStop)
+			}
+		}
+		resident[locations[0]], resident[locations[1]] = true, true
+		bare[busdata.AttrActualDelay] = resident
+	}
+	field := rules[0].LocationField()
+	allLocs := make(map[string]bool, len(locations))
 	var uniform []RegionRate
-	for _, leaf := range leaves {
-		allLocs[string(leaf.ID)] = true
-		uniform = append(uniform, RegionRate{Location: string(leaf.ID), Rate: 1})
+	for _, loc := range locations {
+		allLocs[loc] = true
+		uniform = append(uniform, RegionRate{Location: loc, Rate: 1})
 	}
 
 	seedThresholds := func(t *testing.T) (*sqlstore.DB, *sqlstore.ThresholdStore) {
@@ -393,13 +434,18 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*stor
 			t.Fatal(err)
 		}
 		var stats []sqlstore.StatRow
-		for loc := range allLocs {
-			for h := 0; h < 24; h++ {
-				for _, day := range []busdata.DayType{busdata.Weekday, busdata.Weekend} {
-					stats = append(stats, sqlstore.StatRow{
-						Attribute: busdata.AttrDelay, Location: loc,
-						Hour: h, Day: day, Mean: -1e6, Stdv: 0,
-					})
+		for _, r := range rules {
+			for loc := range allLocs {
+				if bare[r.Attribute][loc] {
+					continue
+				}
+				for h := 0; h < 24; h++ {
+					for _, day := range []busdata.DayType{busdata.Weekday, busdata.Weekend} {
+						stats = append(stats, sqlstore.StatRow{
+							Attribute: r.Attribute, Location: loc,
+							Hour: h, Day: day, Mean: -1e6, Stdv: 0,
+						})
+					}
 				}
 			}
 		}
@@ -435,19 +481,32 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*stor
 		return out
 	}
 
+	// An engine installs every rule that has thresholds for one of its
+	// locations.
 	setupFor := func(store *sqlstore.ThresholdStore, locsOf func(task int) map[string]bool) func(int, *cep.Engine) ([]*InstalledRule, error) {
 		return func(task int, eng *cep.Engine) ([]*InstalledRule, error) {
 			locs := locsOf(task)
 			if len(locs) == 0 {
 				return nil, nil
 			}
-			inst, err := InstallRule(eng, rule, InstallOptions{
-				Strategy: StrategyStream, Store: store, Locations: locs,
-			})
-			if err != nil {
-				return nil, err
+			var installs []*InstalledRule
+			for _, r := range rules {
+				served := false
+				for loc := range locs {
+					served = served || !bare[r.Attribute][loc]
+				}
+				if !served {
+					continue
+				}
+				inst, err := InstallRule(eng, r, InstallOptions{
+					Strategy: StrategyStream, Store: store, Locations: locs,
+				})
+				if err != nil {
+					return nil, err
+				}
+				installs = append(installs, inst)
 			}
-			return []*InstalledRule{inst}, nil
+			return installs, nil
 		}
 	}
 
@@ -458,7 +517,7 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*stor
 		t.Fatal(err)
 	}
 	tableA := NewRoutingTable(RouteByLocation, engines)
-	if err := tableA.AddPartition("leafArea", partA, tasks); err != nil {
+	if err := tableA.AddPartition(field, partA, tasks); err != nil {
 		t.Fatal(err)
 	}
 	static := run(t, TrafficConfig{
@@ -466,8 +525,9 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*stor
 		EngineSetup: setupFor(storeA, func(task int) map[string]bool { return locSet(partA, task) }),
 	}, dbA)
 
-	// Run B: everything starts on engine 0; the rebalancer must notice the
-	// skew mid-feed, migrate the rule statements, and swap routes.
+	// Run B: everything but the resident locations starts on engine 0; the
+	// rebalancer must notice the skew mid-feed, migrate the rule statements,
+	// and swap routes.
 	dbB, storeB := seedThresholds(t)
 	skewed := &Partition{
 		Engines:    make([][]RegionRate, engines),
@@ -475,19 +535,23 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*stor
 		ByLocation: make(map[string]int, len(uniform)),
 	}
 	for _, r := range uniform {
-		skewed.Engines[0] = append(skewed.Engines[0], r)
-		skewed.Rate[0] += r.Rate
-		skewed.ByLocation[r.Location] = 0
+		engine := 0
+		if resident[r.Location] {
+			engine = 1
+		}
+		skewed.Engines[engine] = append(skewed.Engines[engine], r)
+		skewed.Rate[engine] += r.Rate
+		skewed.ByLocation[r.Location] = engine
 	}
 	tableB := NewRoutingTable(RouteByLocation, engines)
-	if err := tableB.AddPartition("leafArea", skewed, tasks); err != nil {
+	if err := tableB.AddPartition(field, skewed, tasks); err != nil {
 		t.Fatal(err)
 	}
 	reb, err := NewRebalancer(RebalancerConfig{
 		Routing:       tableB,
 		SkewThreshold: 1.3,
 		CheckEvery:    len(traces) / 4,
-		Migrator:      &RuleMigrator{Rules: []Rule{rule}, Store: storeB},
+		Migrator:      &RuleMigrator{Rules: rules, Store: storeB},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -495,23 +559,41 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*stor
 	tel := telemetry.NewRegistry()
 	rebalanced := run(t, TrafficConfig{
 		Traces: traces, Tree: tree, Engines: engines, Rebalancer: reb, DB: dbB, Telemetry: tel,
-		EngineSetup: setupFor(storeB, func(task int) map[string]bool {
-			if task == 0 {
-				return allLocs
-			}
-			return nil
-		}),
+		EngineSetup: setupFor(storeB, func(task int) map[string]bool { return locSet(skewed, task) }),
 	}, dbB)
 	reb.Stop()
 
 	if tot := reb.Totals(); tot.Swaps < 1 || tot.Moves == 0 {
 		t.Fatalf("rebalancer never swapped mid-feed: %+v", tot)
 	}
-	if _, ok := tel.Gather().Get("core.splitter.unrouted"); !ok {
+	snap := tel.Gather()
+	if _, ok := snap.Get("core.splitter.unrouted"); !ok {
 		t.Fatal("Telemetry is set but the Splitter registered no core.splitter.unrouted")
+	}
+	if pair {
+		// Engine 0 installed both rules before any event: one lastevent and
+		// one groupwin view between them plus a thresholds view each. On
+		// engine 1 stopActual arrived by migration beside stopDelay's
+		// populated views and shares nothing.
+		for engine, want := range map[int]float64{0: 4, 1: 6} {
+			views, _ := snap.Get(fmt.Sprintf("cep.engine%d.views", engine))
+			subs, _ := snap.Get(fmt.Sprintf("cep.engine%d.view_subscriptions", engine))
+			if views.Value != want || subs.Value != 6 {
+				t.Fatalf("engine %d: %v views under %v subscriptions, want %v under 6", engine, views.Value, subs.Value, want)
+			}
+		}
 	}
 	if len(static) == 0 {
 		t.Fatal("static run produced no detections")
+	}
+	for _, r := range rules {
+		fired := false
+		for k := range static {
+			fired = fired || strings.HasPrefix(k, r.Name+"|")
+		}
+		if !fired {
+			t.Fatalf("rule %s never fired in the static run", r.Name)
+		}
 	}
 	for k, n := range static {
 		if rebalanced[k] != n {
