@@ -9,7 +9,7 @@
 // Usage:
 //
 //	trafficgen -out traces.csv -minutes 30 -buses 200 -lines 20
-//	trafficd -traces traces.csv -topology topology.xml -nodes 7
+//	trafficd -traces traces.csv -topology topology.xml
 //
 // Multi-worker mode splits the same topology across OS processes connected
 // over TCP: start one trafficd per worker with the same flags, trace file
@@ -46,7 +46,6 @@ import (
 type options struct {
 	tracesPath  string
 	topoPath    string
-	nodes       int
 	monitorSec  int
 	sensitivity float64
 
@@ -81,7 +80,6 @@ func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("trafficd", flag.ContinueOnError)
 	fs.StringVar(&opt.tracesPath, "traces", "", "trace CSV (required; produce one with trafficgen)")
 	fs.StringVar(&opt.topoPath, "topology", "", "topology XML (defaults to the Figure 8 topology, internal/core/topology.xml)")
-	fs.IntVar(&opt.nodes, "nodes", 3, "simulated cluster nodes")
 	fs.IntVar(&opt.monitorSec, "monitor", 40, "monitor window in seconds (0 = only final totals)")
 	fs.Float64Var(&opt.sensitivity, "s", 1, "threshold sensitivity s (threshold = mean + s*stdv)")
 	fs.StringVar(&opt.telemetryAddr, "telemetry.addr", "", "serve live telemetry snapshots + pprof on this address (e.g. :8077)")
@@ -153,7 +151,7 @@ func main() {
 
 func run(opt options) error {
 	tracesPath, topoPath := opt.tracesPath, opt.topoPath
-	nodes, monitorSec, s := opt.nodes, opt.monitorSec, opt.sensitivity
+	monitorSec, s := opt.monitorSec, opt.sensitivity
 	f, err := os.Open(tracesPath)
 	if err != nil {
 		return err
@@ -336,7 +334,6 @@ func run(opt options) error {
 		return fmt.Errorf("unknown -failure.policy %q (want failfast or degrade)", opt.failurePolicy)
 	}
 	stormOpts := []storm.Option{
-		storm.WithNodes(nodes),
 		storm.WithMonitorInterval(time.Duration(monitorSec) * time.Second),
 		storm.WithTelemetry(tel),
 		storm.WithFailurePolicy(policy),

@@ -137,7 +137,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rt, err := storm.New(topo, storm.WithNodes(2), storm.WithTelemetry(reg))
+	rt, err := storm.New(topo, storm.WithTelemetry(reg))
 	if err != nil {
 		return err
 	}

@@ -106,7 +106,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rt, err := storm.New(topo, storm.WithNodes(1))
+	rt, err := storm.New(topo)
 	if err != nil {
 		return err
 	}

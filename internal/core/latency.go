@@ -211,21 +211,23 @@ type CalibrationData struct {
 	Fn3Y []float64
 }
 
-// buildMeasurementEngine creates an engine with n template rules installed
-// under the stream-fed strategy, thresholds loaded, ready to measure.
-func buildMeasurementEngine(rules []Rule, thresholds, locations int) (*cep.Engine, error) {
+// buildMeasurementEngine creates an engine with the template rules
+// installed under the stream-fed strategy, thresholds[i] thresholds loaded
+// for rules[i], ready to measure.
+func buildMeasurementEngine(rules []Rule, thresholds []int, locations int) (*cep.Engine, error) {
 	eng := cep.New()
-	for _, r := range rules {
+	for i, r := range rules {
 		if _, err := eng.AddStatement(r.Name, r.StreamEPL()); err != nil {
 			return nil, err
 		}
 		// Spread t thresholds over the available locations and as many
 		// hours as needed. Thresholds are set high so the rule's firing
 		// path does not dominate the measurement.
-		hours := (thresholds + locations - 1) / locations
+		t := thresholds[i]
+		hours := (t + locations - 1) / locations
 		sent := 0
-		for h := 0; h < hours && sent < thresholds; h++ {
-			for loc := 0; loc < locations && sent < thresholds; loc++ {
+		for h := 0; h < hours && sent < t; h++ {
+			for loc := 0; loc < locations && sent < t; loc++ {
 				err := eng.SendEvent(r.ThresholdStream(), map[string]cep.Value{
 					"location": locName(loc),
 					"hour":     float64(h),
@@ -273,7 +275,7 @@ func feedMeasurementEvents(eng *cep.Engine, rules []Rule, locations, n int) (flo
 // Function 1.
 func MeasureRuleLatencyMs(window, thresholds, locations, events int) (float64, error) {
 	r := Rule{Name: "cal", Attribute: busdata.AttrDelay, Kind: BusStops, Window: window}
-	eng, err := buildMeasurementEngine([]Rule{r}, thresholds, locations)
+	eng, err := buildMeasurementEngine([]Rule{r}, []int{thresholds}, locations)
 	if err != nil {
 		return 0, err
 	}
@@ -283,33 +285,21 @@ func MeasureRuleLatencyMs(window, thresholds, locations, events int) (float64, e
 // MeasurePairLatencyMs measures an engine running two template rules — the
 // data-gathering step behind Function 2.
 func MeasurePairLatencyMs(l1, t1, l2, t2, locations, events int) (float64, error) {
-	r1 := Rule{Name: "calA", Attribute: busdata.AttrDelay, Kind: BusStops, Window: l1}
-	r2 := Rule{Name: "calB", Attribute: busdata.AttrSpeed, Kind: BusStops, Window: l2}
-	eng := cep.New()
-	for i, rt := range []struct {
-		r Rule
-		t int
-	}{{r1, t1}, {r2, t2}} {
-		if _, err := eng.AddStatement(fmt.Sprintf("cal%d", i), rt.r.StreamEPL()); err != nil {
-			return 0, err
-		}
-		hours := (rt.t + locations - 1) / locations
-		sent := 0
-		for h := 0; h < hours && sent < rt.t; h++ {
-			for loc := 0; loc < locations && sent < rt.t; loc++ {
-				err := eng.SendEvent(rt.r.ThresholdStream(), map[string]cep.Value{
-					"location": locName(loc), "hour": float64(h),
-					"day": busdata.Weekday.String(), "value": 1e12,
-				})
-				if err != nil {
-					return 0, err
-				}
-				sent++
-			}
-		}
+	rules := pairRules(l1, l2)
+	eng, err := buildMeasurementEngine(rules, []int{t1, t2}, locations)
+	if err != nil {
+		return 0, err
 	}
-	eng.ResetMetrics()
-	return feedMeasurementEvents(eng, []Rule{r1, r2}, locations, events)
+	return feedMeasurementEvents(eng, rules, locations, events)
+}
+
+// pairRules are the two template rules of a Function 2 sample, with window
+// lengths l1 and l2.
+func pairRules(l1, l2 int) []Rule {
+	return []Rule{
+		{Name: "calA", Attribute: busdata.AttrDelay, Kind: BusStops, Window: l1},
+		{Name: "calB", Attribute: busdata.AttrSpeed, Kind: BusStops, Window: l2},
+	}
 }
 
 // measureContention measures real single-core time-sharing: E workers spin

@@ -487,8 +487,7 @@ func (b *siblingBolt) Prepare(ctx storm.TaskContext) error {
 	}
 	return nil
 }
-func (b *siblingBolt) Cleanup() error   { return nil }
-func (b *siblingBolt) OwnsInputValues() {}
+func (b *siblingBolt) Cleanup() error { return nil }
 func (b *siblingBolt) Execute(t storm.Tuple, _ storm.Collector) error {
 	b.mu.Lock()
 	*b.kept = append(*b.kept, t.Values)

@@ -132,7 +132,7 @@ func TestFullPaperPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := storm.New(topo, storm.WithNodes(3))
+	rt, err := storm.New(topo)
 	if err != nil {
 		t.Fatal(err)
 	}

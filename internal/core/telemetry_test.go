@@ -77,7 +77,7 @@ func TestTrafficTopologyTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := storm.New(topo, storm.WithNodes(3), storm.WithTelemetry(reg))
+	rt, err := storm.New(topo, storm.WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

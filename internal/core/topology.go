@@ -587,17 +587,14 @@ func (b *esperBolt) forwardListener() cep.Listener {
 
 func (b *esperBolt) Cleanup() error { return nil }
 
-// OwnsInputValues implements storm.ValuesOwner: the engine keeps the row in
-// its windows, so the runtime must not recycle a wire-decoded input map.
-func (b *esperBolt) OwnsInputValues() {}
-
 func (b *esperBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	b.mu.Lock()
 	b.col = col
 	b.mu.Unlock()
 
 	// The row goes to the engine as it is (cep.Value is any): the engine
-	// only reads it, as do the other engines the Splitter gave it to.
+	// keeps it in its windows and only reads it, as do the other engines
+	// the Splitter gave it to.
 	ts, _ := cep.Numeric(t.Values["ts"])
 	return b.engine.SendEventAt(BusStream, time.Unix(int64(ts), 0).UTC(), t.Values)
 }

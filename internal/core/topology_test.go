@@ -171,7 +171,7 @@ func TestTrafficTopologyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime, err := storm.New(topo, storm.WithNodes(3))
+	runtime, err := storm.New(topo)
 	if err != nil {
 		t.Fatal(err)
 	}

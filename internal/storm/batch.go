@@ -70,8 +70,7 @@ type Batch struct {
 func (r *Runtime) getBatch() *Batch { return r.batchPool.Get().(*Batch) }
 
 // putBatch returns a batch to the pool. Envelopes are cleared first so the
-// pool does not pin tuple payload maps or trace contexts (and so stale
-// pooled flags never survive into a reused batch).
+// pool does not pin tuple payload maps or trace contexts.
 func (r *Runtime) putBatch(b *Batch) {
 	clear(b.envs)
 	b.envs = b.envs[:0]
@@ -79,109 +78,6 @@ func (r *Runtime) putBatch(b *Batch) {
 	b.epoch = 0
 	b.epochRetire = false
 	r.batchPool.Put(b)
-}
-
-// Decoded tuple payload maps are recycled through a mutex-guarded
-// freelist rather than a sync.Pool: the access pattern is bursty (a wire
-// decode takes a whole frame's worth at once, a recycle returns a whole
-// frame's worth), which defeats the pool's per-P private slot and pays
-// the lock-free dequeue on nearly every map. The freelist amortizes one
-// lock over a batch via takeVals/giveVals; beyond valsFreeCap the excess
-// is dropped to the GC so an imbalance cannot pin memory.
-const valsFreeCap = 2048
-
-// getVals returns one recycled (cleared) payload map, or a fresh one.
-func (r *Runtime) getVals() map[string]any {
-	r.valsMu.Lock()
-	if n := len(r.valsFree); n > 0 {
-		m := r.valsFree[n-1]
-		r.valsFree[n-1] = nil
-		r.valsFree = r.valsFree[:n-1]
-		r.valsMu.Unlock()
-		return m
-	}
-	r.valsMu.Unlock()
-	return make(map[string]any, 8)
-}
-
-// takeVals fills dst with recycled maps under one lock; entries it cannot
-// fill are set nil (callers allocate those lazily).
-func (r *Runtime) takeVals(dst []map[string]any) {
-	r.valsMu.Lock()
-	n := len(r.valsFree)
-	for i := range dst {
-		if n > 0 {
-			n--
-			dst[i] = r.valsFree[n]
-			r.valsFree[n] = nil
-		} else {
-			dst[i] = nil
-		}
-	}
-	r.valsFree = r.valsFree[:n]
-	r.valsMu.Unlock()
-}
-
-// putVals recycles one decoded payload map. Oversized maps are dropped
-// (their buckets would be pinned forever); the rest are cleared and
-// reused by the next wire decode.
-func (r *Runtime) putVals(m map[string]any) {
-	if m == nil || len(m) > 64 {
-		return
-	}
-	clear(m)
-	r.valsMu.Lock()
-	if len(r.valsFree) < valsFreeCap {
-		r.valsFree = append(r.valsFree, m)
-	}
-	r.valsMu.Unlock()
-}
-
-// giveVals recycles a burst of maps under one lock, clearing each first.
-// nil and oversized entries are skipped; ms is zeroed for reuse.
-func (r *Runtime) giveVals(ms []map[string]any) {
-	kept := ms[:0]
-	for i, m := range ms {
-		ms[i] = nil
-		if m == nil || len(m) > 64 {
-			continue
-		}
-		clear(m)
-		kept = append(kept, m)
-	}
-	if len(kept) == 0 {
-		return
-	}
-	r.valsMu.Lock()
-	if room := valsFreeCap - len(r.valsFree); room < len(kept) {
-		kept = kept[:room]
-	}
-	r.valsFree = append(r.valsFree, kept...)
-	r.valsMu.Unlock()
-	clear(ms[:len(kept)])
-}
-
-// recycleBatchVals releases every decode-pooled Values map still owned by
-// the batch — called by owners disposing of a batch wholesale (a forwarding
-// transport after encoding, dropBatch, a failed decode) where no executor
-// will settle the envelopes individually. One freelist lock per batch.
-func (r *Runtime) recycleBatchVals(b *Batch) {
-	var scratch [256]map[string]any
-	buf := scratch[:0]
-	for i := range b.envs {
-		if b.envs[i].pooled {
-			b.envs[i].pooled = false
-			if len(buf) == cap(buf) {
-				r.giveVals(buf)
-				buf = buf[:0]
-			}
-			buf = append(buf, b.envs[i].tuple.Values)
-			b.envs[i].tuple.Values = nil
-		}
-	}
-	if len(buf) > 0 {
-		r.giveVals(buf)
-	}
 }
 
 // outBatcher accumulates one sending executor's emissions per destination
@@ -218,11 +114,8 @@ func (r *Runtime) newOutBatcher() *outBatcher {
 // executor's call-start timestamp), so buffering costs no clock reads.
 // The tuple is copied exactly once — into the buffer slot — with edge
 // written onto that copy (t is shared across the emission's sends and must
-// not be mutated). It returns the buffered envelope's location — (nil, 0)
-// when the buffer shipped — so the caller can mark the envelope later (the
-// pooled-Values ownership transfer in runtime.go) while it is still
-// sender-owned.
-func (o *outBatcher) add(dest *executor, local int, t *Tuple, edge uint64, now time.Time) (*Batch, int) {
+// not be mutated).
+func (o *outBatcher) add(dest *executor, local int, t *Tuple, edge uint64, now time.Time) {
 	b := o.bufs[dest.eid]
 	if b == nil {
 		b = o.r.getBatch()
@@ -236,14 +129,11 @@ func (o *outBatcher) add(dest *executor, local int, t *Tuple, edge uint64, now t
 		}
 	}
 	b.envs = append(b.envs, envelope{local: local, tuple: *t})
-	idx := len(b.envs) - 1
-	b.envs[idx].tuple.edge = edge
+	b.envs[len(b.envs)-1].tuple.edge = edge
 	if len(b.envs) >= o.size && b != o.pinned {
 		o.bufs[dest.eid] = nil
 		o.r.deliverOrDrop(dest, b)
-		return nil, 0
 	}
-	return b, idx
 }
 
 // pin readies dest's buffer for an edge-chained envelope and pins it: the

@@ -70,24 +70,6 @@ type Flusher interface {
 	FlushBatches()
 }
 
-// ValuesOwner marks a Bolt that retains its input tuples' Values maps past
-// Execute — a CEP engine keeping the row in its windows, say. On the
-// distributed transport the runtime draws decoded payload maps from a
-// freelist and recycles an input map itself once Execute returns, unless
-// the bolt re-emitted that exact map exactly once, in which case ownership
-// rides downstream with the envelope. A bolt that keeps a reference must
-// implement ValuesOwner so the runtime leaves its inputs alone.
-//
-// Retaining is one of two things a bolt may do with an input map beyond
-// reading it during Execute; the other is mutating it, which needs no
-// marker but is allowed only when TaskContext.ExclusiveInput is true.
-// Either way the emitter gave the map up when it emitted: it neither
-// writes to it afterwards nor emits it a second time.
-type ValuesOwner interface {
-	// OwnsInputValues is a marker; it is never called.
-	OwnsInputValues()
-}
-
 // TaskContext describes the task an instance is running as.
 type TaskContext struct {
 	Component string
@@ -96,16 +78,21 @@ type TaskContext struct {
 	NumTasks  int
 	Executor  int // executor index within the component
 	Worker    int // worker process id
-	Node      int // cluster node id
 	// ExclusiveInput reports that every tuple delivered to this bolt is
 	// delivered to it alone: each stream it subscribes to has no other
 	// subscription, and its own grouping hands a tuple to one task
-	// (shuffle, fields, global). Computed from the topology at Build; only
-	// then may the bolt write to t.Values — and re-emit that same map —
-	// instead of cloning it. False under an all grouping (every task gets
-	// the map), under a direct grouping (the emitter picks the tasks and
-	// may pick several), whenever a second bolt reads the same stream, and
-	// for spouts.
+	// (shuffle, fields, global). Computed from the topology at Build. False
+	// under an all grouping (every task gets the map), under a direct
+	// grouping (the emitter picks the tasks and may pick several), whenever
+	// a second bolt reads the same stream, and for spouts.
+	//
+	// It decides the one rule on input maps, the same whether a map was
+	// built in this process or decoded off the wire: a bolt may read
+	// t.Values and retain it for as long as it likes (a CEP engine keeps
+	// the row in its windows), and may write to it — and re-emit that same
+	// map — only when its input is exclusive; otherwise it clones first.
+	// An emitter gives a map up when it emits it: it neither writes to it
+	// afterwards nor emits it a second time.
 	ExclusiveInput bool
 }
 

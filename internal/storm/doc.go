@@ -1,10 +1,10 @@
 // Package storm is a from-scratch distributed-stream-processing runtime
 // with Storm's programming model (§2.1.1 of the paper): topologies of
 // spouts and bolts, per-component tasks and executors, stream groupings
-// (shuffle, fields, all, global, direct), round-robin assignment of
-// executors to worker processes and of worker processes to nodes, and a
-// monitor that reports per-bolt throughput and latency every 40 seconds the
-// way the paper's enhanced Storm does (§5).
+// (shuffle, fields, all, global, direct), deterministic assignment of
+// executors to worker processes, and a monitor that reports per-bolt
+// throughput and latency every 40 seconds the way the paper's enhanced
+// Storm does (§5).
 //
 // # Execution models
 //
@@ -22,10 +22,11 @@
 // The inter-executor hop is abstracted behind the Transport interface. The
 // in-process chan transport is the zero-cost local fast path; tcpTransport
 // implements the same contract across processes with a length-prefixed wire
-// codec over pooled buffers. Third-party transports (gRPC, shared memory)
-// implement Transport and slot in via WithTransport without touching the
-// runtime; see the Transport and Peer godoc for the ownership and
-// flush-before-block contracts they must honor.
+// codec over pooled frame buffers; a decoded payload is an ordinary map the
+// receiving bolt owns like any other input. Third-party transports (gRPC,
+// shared memory) implement Transport and slot in via WithTransport without
+// touching the runtime; see the Transport and Peer godoc for the ownership
+// and flush-before-block contracts they must honor.
 //
 // # Reliability
 //

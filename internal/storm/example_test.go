@@ -31,8 +31,8 @@ func (b *sumBolt) Execute(t storm.Tuple, _ storm.Collector) error {
 	return nil
 }
 
-// Example wires a two-component topology, runs it to completion on a
-// simulated three-node cluster, and reads the monitor totals.
+// Example wires a two-component topology, runs it to completion in this
+// process, and reads the monitor totals.
 func Example() {
 	var total atomic.Int64
 	b := storm.NewTopologyBuilder("sum")
@@ -44,7 +44,7 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	rt, err := storm.New(topo, storm.WithNodes(3))
+	rt, err := storm.New(topo)
 	if err != nil {
 		fmt.Println(err)
 		return

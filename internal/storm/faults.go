@@ -7,7 +7,7 @@ package storm
 // for granted: supervised workers (a crashing bolt does not kill the
 // topology), the acker (every spout tuple is tracked through the tuple tree
 // and replayed on loss), and operator-visible failure accounting. This file
-// supplies all three for the simulated runtime:
+// supplies all three for this runtime:
 //
 //   - Every user callback (Open/NextTuple/Close, Prepare/Execute/Cleanup)
 //     runs behind a recover that converts a panic into a *PanicError

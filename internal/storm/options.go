@@ -12,13 +12,6 @@ import (
 // knobs never break existing callers.
 type Option func(*config)
 
-// WithNodes sets the number of simulated cluster nodes.
-func WithNodes(n int) Option { return func(c *config) { c.Nodes = n } }
-
-// WithWorkersPerNode sets the worker processes (slots) per node. The paper
-// follows T-Storm's one-worker-per-node finding (§2.2), so the default is 1.
-func WithWorkersPerNode(n int) Option { return func(c *config) { c.WorkersPerNode = n } }
-
 // WithChannelBuffer sets the per-executor input queue length; sends block
 // when full, providing backpressure.
 func WithChannelBuffer(n int) Option { return func(c *config) { c.ChannelBuffer = n } }

@@ -3,6 +3,7 @@ package storm
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,9 +11,9 @@ import (
 
 // Tests of what a bolt may do with its input Values map: the exclusivity
 // fact the builder computes (TaskContext.ExclusiveInput), and the two
-// runtime paths a bolt that writes to its input in place and re-emits it
-// relies on — the decode freelist's keptCount == 1 hand-over on the wire
-// path, and fresh maps on XOR replays.
+// runtime paths that let a bolt keep or rewrite its input — a decoded row
+// on the wire path is an ordinary map nobody else reuses, and an XOR
+// replay arrives as a fresh map.
 
 func nopBolt() Bolt { return &funcBolt{exec: func(Tuple, Collector) error { return nil }} }
 
@@ -129,12 +130,11 @@ func TestShippedTopologyExclusiveInputs(t *testing.T) {
 }
 
 // TestDistributedInPlaceReemitKeepsDecodedMap: on the wire path an input
-// map comes from the decode freelist and goes back to it after Execute
-// unless the bolt re-emitted that exact map once, in which case it belongs
-// to the downstream envelope (the keptCount == 1 rule). A bolt that writes
-// to its input in place and re-emits it depends on that rule: were the map
-// recycled under it, the retaining sink downstream would see rows cleared
-// and refilled by later frames.
+// map is decoded into a fresh map that belongs to the receiving bolt like
+// any other input. A bolt that writes to its decoded input in place and
+// re-emits it, and a sink that keeps every row without declaring anything,
+// must both see each row intact: were decoded maps reused, the sink would
+// see rows cleared and refilled by later frames.
 func TestDistributedInPlaceReemitKeepsDecodedMap(t *testing.T) {
 	const n = 500
 	var mu sync.Mutex
@@ -189,7 +189,6 @@ type keeperBolt struct {
 
 func (b *keeperBolt) Prepare(TaskContext) error { return nil }
 func (b *keeperBolt) Cleanup() error            { return nil }
-func (b *keeperBolt) OwnsInputValues()          {}
 func (b *keeperBolt) Execute(tp Tuple, _ Collector) error {
 	b.mu.Lock()
 	*b.kept = append(*b.kept, tp.Values)
@@ -217,7 +216,7 @@ func TestAckerReplayArrivesAsFreshMap(t *testing.T) {
 			}
 			tp.Values["written"] = true
 			if prev, replay := first[i]; replay {
-				if mapPtr(prev) == mapPtr(tp.Values) {
+				if reflect.ValueOf(prev).Pointer() == reflect.ValueOf(tp.Values).Pointer() {
 					problems = append(problems, fmt.Sprintf("tuple %d was replayed in the map of its first attempt", i))
 				}
 				return nil

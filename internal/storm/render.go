@@ -69,15 +69,12 @@ func (t *Topology) DOT() string {
 }
 
 // PlacementTable renders the runtime's task placement as aligned text rows
-// sorted by (node, worker, component, task) — the operator view of the
-// round-robin scheduler's decision.
+// sorted by (worker, component, task) — the operator view of the
+// scheduler's decision.
 func (r *Runtime) PlacementTable() string {
 	rows := r.Placements()
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
 		if a.Worker != b.Worker {
 			return a.Worker < b.Worker
 		}
@@ -87,9 +84,9 @@ func (r *Runtime) PlacementTable() string {
 		return a.TaskIndex < b.TaskIndex
 	})
 	var sb strings.Builder
-	sb.WriteString("node  worker  component           task  executor\n")
+	sb.WriteString("worker  component           task  executor\n")
 	for _, p := range rows {
-		fmt.Fprintf(&sb, "%-5d %-7d %-19s %-5d %d\n", p.Node, p.Worker, p.Component, p.TaskIndex, p.Executor)
+		fmt.Fprintf(&sb, "%-7d %-19s %-5d %d\n", p.Worker, p.Component, p.TaskIndex, p.Executor)
 	}
 	return sb.String()
 }

@@ -52,7 +52,7 @@ func TestTopologyDOT(t *testing.T) {
 }
 
 func TestPlacementTable(t *testing.T) {
-	rt, err := New(renderTopo(t), WithNodes(2))
+	rt, err := New(renderTopo(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPlacementTable(t *testing.T) {
 	if len(lines) != 6 {
 		t.Fatalf("rows = %d:\n%s", len(lines), table)
 	}
-	if !strings.Contains(lines[0], "node") || !strings.Contains(lines[0], "executor") {
+	if !strings.Contains(lines[0], "worker") || !strings.Contains(lines[0], "executor") {
 		t.Fatalf("bad header: %s", lines[0])
 	}
 	for _, comp := range []string{"src", "mid", "sink"} {

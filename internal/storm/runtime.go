@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,12 +16,6 @@ import (
 // from functional options (options.go); the former exported struct-literal
 // constructor is gone.
 type config struct {
-	// Nodes is the number of simulated cluster nodes. Defaults to 1.
-	Nodes int
-	// WorkersPerNode is the number of worker processes (slots) used per
-	// node. The paper follows T-Storm's finding that one worker per node
-	// minimizes intra-node communication (§2.2), so the default is 1.
-	WorkersPerNode int
 	// ChannelBuffer is the per-executor input queue length. Defaults to
 	// 1024. Sends block when full, providing backpressure.
 	ChannelBuffer int
@@ -90,12 +83,6 @@ type config struct {
 }
 
 func (c *config) fill() {
-	if c.Nodes <= 0 {
-		c.Nodes = 1
-	}
-	if c.WorkersPerNode <= 0 {
-		c.WorkersPerNode = 1
-	}
 	if c.ChannelBuffer <= 0 {
 		c.ChannelBuffer = 1024
 	}
@@ -140,7 +127,6 @@ type Placement struct {
 	TaskIndex int
 	Executor  int
 	Worker    int
-	Node      int
 }
 
 // TaskMetrics are the per-task counters sampled by the monitor.
@@ -161,10 +147,6 @@ type taskState struct {
 	// spout doesn't implement it): the acker checks it once per
 	// resolved tuple, which is too hot for a repeated interface assertion.
 	ackSpout AckingSpout
-	// ownsVals caches the ValuesOwner assertion on bolt: such a bolt keeps
-	// its input Values maps past Execute, so the runtime must never recycle
-	// a decode-pooled map delivered to it.
-	ownsVals bool
 
 	executed  atomic.Uint64
 	emitted   atomic.Uint64
@@ -203,14 +185,7 @@ func (ts *taskState) metrics() TaskMetrics {
 
 type envelope struct {
 	local int // task index within the receiving executor
-	// pooled marks a Values map owned by the runtime's decode pool (set by
-	// the wire decoder, or transferred when a bolt re-emits its pooled
-	// input map): the receiving executor recycles the map after Execute
-	// settles unless the bolt kept it — the receive-side half of the
-	// receiver-releases ownership contract. Always false on the in-process
-	// transport. putBatch's clear() resets it.
-	pooled bool
-	tuple  Tuple
+	tuple Tuple
 }
 
 type executor struct {
@@ -305,8 +280,12 @@ type Runtime struct {
 	trReady chan struct{}
 	// eofSeen dedupes remote executor-exit notifications per dense id
 	// (a lost peer's exits are synthesized and may race its real ones).
-	eofMu   sync.Mutex
-	eofSeen []bool
+	// remoteLeft counts the remote executors not yet seen exiting;
+	// remoteDone is closed when it reaches zero.
+	eofMu      sync.Mutex
+	eofSeen    []bool
+	remoteLeft int
+	remoteDone chan struct{}
 	// ctrl serves peer control frames (OnControl).
 	ctrl atomic.Pointer[func(method string, payload []byte) ([]byte, error)]
 
@@ -317,13 +296,6 @@ type Runtime struct {
 	batchTimeout time.Duration
 	batchPool    sync.Pool
 	execs        []*executor
-	// valsMu/valsFree recycle decoded tuple Values maps (wire.go's
-	// frameDecoder draws from the freelist; receiving executors release
-	// into it after Execute unless the bolt kept or re-emitted the map —
-	// see runBoltExecutor). A locked freelist with bulk take/give beats a
-	// sync.Pool here: see the comment above valsFreeCap in batch.go.
-	valsMu   sync.Mutex
-	valsFree []map[string]any
 
 	// Exactly one of acker/epochs is non-nil while a run with
 	// AckTimeout > 0 is active — epochs under AckEpoch, acker under
@@ -369,27 +341,22 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		chanCap = 1
 	}
 
-	totalWorkers := cfg.Nodes * cfg.WorkersPerNode
-	if cfg.peers != nil {
-		// Distributed mode: one worker per peer process, one node each.
-		totalWorkers = len(cfg.peers)
-	}
-	nextWorker := 0
+	// A single-process run places every executor on worker 0.
+	totalWorkers := max(len(cfg.peers), 1)
 	nextTaskID := 0
 	totalExecs := 0
 	for _, id := range topo.order {
 		totalExecs += topo.byID[id].executors
 	}
 
-	// Build components in topological order. In the simulated single-process
-	// modes executors are assigned round-robin, exactly like Storm's even
-	// scheduler. Distributed runs instead use locality-first placement:
-	// round-robin maximizes cross-worker edges, and inter-worker traffic is
-	// the dominant cost of distribution (the T-Storm observation the paper
-	// builds on, §2.2), so a single-executor component is co-located with
-	// its neighbors in topological order (a balanced block partition over
-	// executor slots) — a chain of singleton stages then crosses the wire
-	// only where a parallel stage forces it. A multi-executor component
+	// Build components in topological order. Placement is locality-first:
+	// Storm's even scheduler (round-robin over workers) maximizes
+	// cross-worker edges, and inter-worker traffic is the dominant cost of
+	// distribution (the T-Storm observation the paper builds on, §2.2), so
+	// a single-executor component is co-located with its neighbors in
+	// topological order (a balanced block partition over executor slots) —
+	// a chain of singleton stages then crosses the wire only where a
+	// parallel stage forces it. A multi-executor component
 	// still spreads round-robin across workers, starting from its block's
 	// worker: parallelism (and per-worker skew repair, rebalance migration)
 	// needs its tasks on distinct workers more than it needs locality.
@@ -401,19 +368,11 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		rc := &runningComponent{spec: spec, subs: make(map[string][]*subscription)}
 		rc.taskRoute = make([]struct{ exec, local int }, spec.tasks)
 
+		// Block sizes differ by at most one: executor slot i of E total maps
+		// to worker i*W/E.
+		base := compCursor * totalWorkers / totalExecs
 		for e := 0; e < spec.executors; e++ {
-			worker := nextWorker % totalWorkers
-			if cfg.peers != nil {
-				// Block sizes differ by at most one: executor slot i of E
-				// total maps to worker i*W/E.
-				base := compCursor * totalWorkers / totalExecs
-				worker = (base + e) % totalWorkers
-			}
-			nextWorker++
-			node := worker % cfg.Nodes
-			if cfg.peers != nil {
-				node = worker
-			}
+			worker := (base + e) % totalWorkers
 			ex := &executor{comp: rc, idx: e, eid: len(r.execs), worker: worker, in: make(chan *Batch, chanCap)}
 			r.execs = append(r.execs, ex)
 			// Tasks are distributed to executors round-robin; extra
@@ -427,7 +386,6 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 						NumTasks:  spec.tasks,
 						Executor:  e,
 						Worker:    worker,
-						Node:      node,
 
 						ExclusiveInput: spec.exclusiveInput,
 					},
@@ -444,14 +402,13 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 					if ts.bolt == nil {
 						return nil, fmt.Errorf("storm: bolt factory for %q returned nil", id)
 					}
-					_, ts.ownsVals = ts.bolt.(ValuesOwner)
 				}
 				rc.taskRoute[ti] = struct{ exec, local int }{e, len(ex.tasks)}
 				ex.tasks = append(ex.tasks, ts)
 				rc.tasks = append(rc.tasks, ts)
 				r.placements = append(r.placements, Placement{
 					Component: id, TaskID: ts.ctx.TaskID, TaskIndex: ti,
-					Executor: e, Worker: worker, Node: node,
+					Executor: e, Worker: worker,
 				})
 			}
 			rc.execs = append(rc.execs, ex)
@@ -530,6 +487,15 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 	}
 
 	r.eofSeen = make([]bool, len(r.execs))
+	r.remoteDone = make(chan struct{})
+	for _, ex := range r.execs {
+		if !r.localExec(ex) {
+			r.remoteLeft++
+		}
+	}
+	if r.remoteLeft == 0 {
+		close(r.remoteDone)
+	}
 	r.monitor = newMonitor(r, cfg.MonitorInterval)
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Register(r.monitor)
@@ -626,6 +592,13 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 		}
 	}
 	wg.Wait()
+	if _, ok := r.tr.(*tcpTransport); ok {
+		// Leave together: keep the transport up until every peer's
+		// executors have exited too (or the peer is declared lost), so a
+		// peer that finishes later never dials a closed listener or writes
+		// its final eofs into a closed socket.
+		<-r.remoteDone
+	}
 	r.stopAcking()
 
 	r.errMu.Lock()
@@ -689,6 +662,11 @@ func (r *Runtime) remoteExecDone(eid int) {
 	r.eofMu.Lock()
 	seen := r.eofSeen[eid]
 	r.eofSeen[eid] = true
+	if !seen {
+		if r.remoteLeft--; r.remoteLeft == 0 {
+			close(r.remoteDone)
+		}
+	}
 	r.eofMu.Unlock()
 	if !seen {
 		r.execDone(ex)
@@ -915,9 +893,6 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 		edge   uint64
 		inCall bool
 	}
-	// freed collects settled pooled input maps across one batch so they go
-	// back to the freelist in a single bulk give, not one lock per tuple.
-	freed := make([]map[string]any, 0, r.batchSize)
 	loop := func() (finished bool) {
 		defer func() {
 			p := recover()
@@ -956,9 +931,6 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 				col.chainBatch = nil
 				col.out.pinned = nil
 			}
-			// A poisoned call may have stashed its pooled input map anywhere;
-			// leak it to the GC rather than recycle a possibly-kept map.
-			col.inValsPtr = 0
 			next++ // resume with the envelope after the poisoned one
 		}()
 		for {
@@ -1008,20 +980,8 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 					if env.tuple.ack != 0 {
 						ab.push(env.tuple.ack, env.tuple.edge, true)
 					}
-					if env.pooled {
-						freed = append(freed, env.tuple.Values) // never executed: recycle now
-					}
 					next++
 					continue
-				}
-				if env.pooled && !ts.ownsVals {
-					// Arm pooled-Values settlement: after this Execute call the
-					// input map is recycled unless the bolt re-emitted it
-					// exactly once, in which case ownership transfers to the
-					// downstream envelope (see below).
-					col.inValsPtr = mapPtr(env.tuple.Values)
-					col.keptCount = 0
-					col.keptBatch = nil
 				}
 				var err error
 				if !r.tracing {
@@ -1108,26 +1068,6 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 						ab.push(env.tuple.ack, x, fail)
 					}
 				}
-				if col.inValsPtr != 0 {
-					// Settle the pooled input map now that the call is done.
-					// keptCount == 0: the bolt is finished with it — recycle.
-					// keptCount == 1 with the buffered envelope still in place
-					// (same batch in the same slot, map identity intact — the
-					// triple check guards against the batch having shipped and
-					// its pointer being pool-recycled): transfer the pooled
-					// flag downstream. Anything else (shipped already, emitted
-					// to 2+ destinations) escapes to the GC — correctness over
-					// reuse.
-					if col.keptCount == 0 {
-						freed = append(freed, env.tuple.Values)
-					} else if col.keptCount == 1 && col.keptBatch != nil &&
-						col.keptBatch == out.bufs[col.keptDest] &&
-						col.keptIdx < len(col.keptBatch.envs) &&
-						mapPtr(col.keptBatch.envs[col.keptIdx].tuple.Values) == col.inValsPtr {
-						col.keptBatch.envs[col.keptIdx].pooled = true
-					}
-					col.inValsPtr = 0
-				}
 				next++
 			}
 			// Settle the batch's processing time across the tasks that did
@@ -1150,10 +1090,6 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 			}
 			// Receiver releases: every envelope was processed, return the
 			// batch to the pool (the ownership contract of batch.go).
-			if len(freed) > 0 {
-				r.giveVals(freed)
-				freed = freed[:0]
-			}
 			r.putBatch(bt)
 			bt = nil
 		}
@@ -1234,19 +1170,6 @@ type taskCollector struct {
 	// acker's replay collector, which runs on a different goroutine
 	// than the task's own executor.
 	shuffle map[*subscription]*uint64
-	// Pooled-Values settlement (bolt executors only; see runBoltExecutor).
-	// inValsPtr identifies the current input tuple's decode-pooled map
-	// (zero when the input is not pooled or the bolt owns it); emitKept is
-	// set per emission when the bolt re-emitted that exact map; keptCount/
-	// keptBatch/keptDest/keptIdx track where the single re-emission was
-	// buffered so ownership can transfer to the downstream envelope after
-	// the call settles.
-	inValsPtr uintptr
-	emitKept  bool
-	keptCount int
-	keptBatch *Batch
-	keptDest  int
-	keptIdx   int
 
 	// out is the owning executor's batch buffer; emissions are buffered per
 	// destination executor and flushed per batch.go's triggers. Nil on the
@@ -1319,7 +1242,6 @@ func (c *taskCollector) Emit(values map[string]any) { c.EmitTo(DefaultStream, va
 // EmitTo implements Collector.
 func (c *taskCollector) EmitTo(stream string, values map[string]any) {
 	c.ts.emitted.Add(1)
-	c.emitKept = c.inValsPtr != 0 && mapPtr(values) == c.inValsPtr
 	t := Tuple{Stream: stream, Values: values, Trace: c.outTrace(), ack: c.inAck}
 	for _, sub := range c.rc.subs[stream] {
 		c.deliver(sub, &t, -1)
@@ -1329,22 +1251,12 @@ func (c *taskCollector) EmitTo(stream string, values map[string]any) {
 // EmitDirect implements Collector.
 func (c *taskCollector) EmitDirect(stream string, task int, values map[string]any) {
 	c.ts.emitted.Add(1)
-	c.emitKept = c.inValsPtr != 0 && mapPtr(values) == c.inValsPtr
 	t := Tuple{Stream: stream, Values: values, Trace: c.outTrace(), ack: c.inAck}
 	for _, sub := range c.rc.subs[stream] {
 		if sub.grouping.Type == DirectGrouping {
 			c.deliver(sub, &t, task)
 		}
 	}
-}
-
-// mapPtr returns the identity of a map's backing store, for comparing
-// whether two map values alias the same map without reading its contents.
-func mapPtr(m map[string]any) uintptr {
-	if m == nil {
-		return 0
-	}
-	return reflect.ValueOf(m).Pointer()
 }
 
 // EmitAnchored implements AnchorCollector: on a spout collector with the
@@ -1623,20 +1535,9 @@ func (c *taskCollector) send(target *runningComponent, taskIdx int, t *Tuple) {
 			i := len(b.envs) - 1
 			b.envs[i].tuple.edge = edge
 			c.chainBatch, c.chainIdx = b, i
-			if c.emitKept {
-				c.keptCount++
-				c.keptBatch, c.keptDest, c.keptIdx = b, dest.eid, i
-			}
 			return
 		}
-		b, idx := c.out.add(dest, route.local, t, edge, c.start)
-		if c.emitKept {
-			// The bolt re-emitted its pooled input map: remember where the
-			// envelope was buffered (nil when its batch already shipped) so
-			// the executor can transfer pool ownership after the call settles.
-			c.keptCount++
-			c.keptBatch, c.keptDest, c.keptIdx = b, dest.eid, idx
-		}
+		c.out.add(dest, route.local, t, edge, c.start)
 		return
 	}
 	b := c.r.getBatch()

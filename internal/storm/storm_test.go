@@ -283,7 +283,10 @@ func TestExecutorsCappedAtTasks(t *testing.T) {
 	}
 }
 
-func TestRoundRobinPlacementAcrossNodes(t *testing.T) {
+// TestRoundRobinPlacementAcrossWorkers: New computes the placement of a
+// three-worker run without dialing anyone, and a six-executor component
+// spreads round-robin over the workers.
+func TestRoundRobinPlacementAcrossWorkers(t *testing.T) {
 	b := NewTopologyBuilder("t")
 	b.SetSpout("src", func() Spout { return &seqSpout{n: 1, keys: 1} }, 1, 1)
 	b.SetBolt("esper", func() Bolt { return &passBolt{} }, 6, 6).ShuffleGrouping("src")
@@ -291,24 +294,24 @@ func TestRoundRobinPlacementAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(topo, WithNodes(3), WithWorkersPerNode(1))
+	rt, err := New(topo, WithWorker(0, []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	perNode := map[int]int{}
+	perWorker := map[int]int{}
 	for _, p := range rt.Placements() {
 		if p.Component == "esper" {
-			perNode[p.Node]++
+			perWorker[p.Worker]++
 		}
 	}
-	// 6 executors over 3 nodes round-robin → 2 each (the paper's equal
+	// 6 executors over 3 workers round-robin → 2 each (the paper's equal
 	// engines-per-node allocation, §3.2).
-	if len(perNode) != 3 {
-		t.Fatalf("nodes used = %d, want 3", len(perNode))
+	if len(perWorker) != 3 {
+		t.Fatalf("workers used = %d, want 3", len(perWorker))
 	}
-	for n, c := range perNode {
+	for w, c := range perWorker {
 		if c != 2 {
-			t.Fatalf("node %d has %d esper tasks, want 2", n, c)
+			t.Fatalf("worker %d has %d esper tasks, want 2", w, c)
 		}
 	}
 }
@@ -584,7 +587,7 @@ func TestTaskContextFields(t *testing.T) {
 			exec: func(Tuple, Collector) error { return nil },
 		}
 	}, 2, 2).ShuffleGrouping("src")
-	runSimple(t, b, WithNodes(2))
+	runSimple(t, b)
 	if len(ctxs) != 2 {
 		t.Fatalf("tasks prepared = %d", len(ctxs))
 	}

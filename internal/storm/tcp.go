@@ -482,9 +482,7 @@ func (t *tcpTransport) Deliver(eid int, b *Batch) error {
 		return err
 	}
 	// The frame owns copies of everything; release the pooled batch here,
-	// playing the receiving executor's role in the ownership contract —
-	// including recycling any decode-pooled Values maps that were forwarded.
-	t.r.recycleBatchVals(b)
+	// playing the receiving executor's role in the ownership contract.
 	t.r.putBatch(b)
 	return nil
 }

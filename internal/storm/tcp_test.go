@@ -286,6 +286,47 @@ func (s *gatedSpout) NextTuple(col Collector) (bool, error) {
 	}
 }
 
+// TestDistributedLateWorkerJoins: worker 0 only sends (its share is the
+// spout) and is done long before worker 1 starts. It must keep its
+// listener up until worker 1's executors have exited too, so the late
+// worker still dials in and drains the whole stream instead of failing on
+// a closed peer.
+func TestDistributedLateWorkerJoins(t *testing.T) {
+	const n = 200
+	var got atomic.Int64
+	build := func(int) *TopologyBuilder {
+		b := NewTopologyBuilder("t")
+		b.SetSpout("src", func() Spout { return &seqSpout{n: n, keys: 1} }, 1, 1)
+		b.SetBolt("sink", func() Bolt {
+			return &funcBolt{exec: func(Tuple, Collector) error { got.Add(1); return nil }}
+		}, 1, 1).ShuffleGrouping("src")
+		return b
+	}
+	rig := newDistRig(t, 2, build)
+	for _, p := range rig.rts[0].Placements() {
+		if want := map[string]int{"src": 0, "sink": 1}[p.Component]; p.Worker != want {
+			t.Fatalf("%s placed on worker %d, the test needs %d", p.Component, p.Worker, want)
+		}
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- rig.rts[0].Run() }()
+	time.Sleep(200 * time.Millisecond) // worker 0 has emitted everything by now
+	go func() { errs <- rig.rts[1].Run() }()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("distributed run did not drain")
+		}
+	}
+	if got.Load() != n {
+		t.Fatalf("sink executed %d tuples, want %d", got.Load(), n)
+	}
+}
+
 // TestDistributedControlAndDrain exercises the control plane between live
 // workers: a Control round-trip to a peer (and its error path), and a
 // DrainComponent barrier that must fence executors on both sides of the

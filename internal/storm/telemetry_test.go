@@ -202,8 +202,6 @@ func TestNewOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, err := New(topo,
-		WithNodes(3),
-		WithWorkersPerNode(1),
 		WithChannelBuffer(8),
 		WithMonitorInterval(0),
 		WithTelemetry(reg),
@@ -211,14 +209,8 @@ func TestNewOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perNode := map[int]int{}
-	for _, p := range rt.Placements() {
-		if p.Component == "esper" {
-			perNode[p.Node]++
-		}
-	}
-	if len(perNode) != 3 {
-		t.Fatalf("nodes used = %d, want 3 (WithNodes not applied)", len(perNode))
+	if rt.cfg.ChannelBuffer != 8 {
+		t.Fatalf("ChannelBuffer = %d, want 8 (WithChannelBuffer not applied)", rt.cfg.ChannelBuffer)
 	}
 	if !rt.tracing {
 		t.Fatal("WithTelemetry must enable tracing")

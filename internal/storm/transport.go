@@ -19,11 +19,11 @@ import "fmt"
 // ownership along — the receiving executor releases the batch to the pool
 // after processing it. A transport that serializes the batch onto a wire
 // must copy everything it needs during Deliver and then release the batch
-// via Runtime.ReleaseBatch before returning; the pooled memory (the batch
-// itself and any buffers the envelopes reference) may be reused the moment
-// Deliver returns. Symmetrically, a transport injecting received batches
-// must allocate their payloads from fresh or pool-owned memory and hand
-// them to DeliverLocal, never retaining a reference afterwards.
+// via Runtime.ReleaseBatch before returning; the batch may be reused the
+// moment Deliver returns. Symmetrically, a transport injecting received
+// batches must decode their payloads into freshly allocated memory and hand
+// them to DeliverLocal, never retaining a reference afterwards: the
+// receiving bolt may keep a decoded map as long as it likes.
 //
 // Blocking contract: Deliver may block for backpressure (a full executor
 // queue, a full per-peer outbound frame queue). The runtime guarantees the
@@ -130,6 +130,5 @@ func (r *Runtime) dropBatch(target *runningComponent, b *Batch, cause error) {
 	if r.policy != Degrade {
 		r.recordErr(fmt.Errorf("storm: dropping %d tuples for %s: %w", len(b.envs), target.spec.id, cause))
 	}
-	r.recycleBatchVals(b) // dropped envelopes' pooled payload maps go back too
 	r.putBatch(b)
 }

@@ -321,41 +321,10 @@ type frameDecoder struct {
 	tab     [internSlots]string
 	tabNext int
 
-	// vals is a goroutine-local stash of recycled payload maps, refilled
-	// in bulk from the runtime freelist (one lock per 64 maps instead of
-	// one pool operation per map).
-	vals []map[string]any
-
 	// releaseAnchors scratch: per-owning-worker ackUpdate slices plus the
 	// dirty-owner list, reused across batches (see tcp.go).
 	ackScratch [][]ackUpdate
 	ackDirty   []int
-}
-
-// getVals pops one payload map from the decoder's local stash, bulk
-// refilling it from the runtime freelist when empty. A map it has to
-// allocate is sized for the fields the frame announces (bounded, so a
-// hostile count cannot reserve memory the frame does not pay for): maps
-// that end up retained by their consumer never come back to the freelist,
-// and one sized allocation is cheaper than growing from a small one.
-func (d *frameDecoder) getVals(fields uint64) map[string]any {
-	n := len(d.vals)
-	if n == 0 {
-		if cap(d.vals) == 0 {
-			d.vals = make([]map[string]any, 64)
-		} else {
-			d.vals = d.vals[:cap(d.vals)]
-		}
-		d.r.takeVals(d.vals)
-		n = len(d.vals)
-	}
-	m := d.vals[n-1]
-	d.vals[n-1] = nil
-	d.vals = d.vals[:n-1]
-	if m == nil {
-		m = make(map[string]any, min(max(fields, 8), 64))
-	}
-	return m
 }
 
 // Intern-table bounds: strings longer than maxInternLen are assumed
@@ -398,19 +367,18 @@ func (d *frameDecoder) decodeStr(b []byte) (string, []byte, error) {
 // decodeBatchFrame decodes a batch frame payload (type byte already
 // consumed) into a pooled batch whose payloads share no memory with b.
 // This is the transport's Runtime-method entry point; it pays for a fresh
-// decoder (no interning, no pooled maps benefit from reuse context) and
-// exists for tests and one-shot callers — the hot path is the
-// frameDecoder method below.
+// decoder (an empty intern table) and exists for tests and one-shot
+// callers — the hot path is the frameDecoder method below.
 func (r *Runtime) decodeBatchFrame(b []byte) (int, uint64, *Batch, error) {
 	d := frameDecoder{r: r}
 	return d.decodeBatchFrame(b)
 }
 
-// decodeBatchFrame (frameDecoder) is the hot-path decode: envelope Values
-// maps come from the runtime's pool (marked env.pooled; the receiving
-// executor recycles them after Execute under the receiver-releases
-// contract — see runtime.go), and stream names and map keys go through the
-// intern table.
+// decodeBatchFrame (frameDecoder) is the hot-path decode: each envelope's
+// Values is a fresh map sized for the fields the frame announces (bounded,
+// so a hostile count cannot reserve memory the frame does not pay for) and
+// owned by whoever receives it, like any emitted map; stream names and map
+// keys go through the intern table.
 func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, epoch uint64, bt *Batch, err error) {
 	r := d.r
 	var v uint64
@@ -430,7 +398,6 @@ func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, epoch uint64, bt
 	}
 	bt = r.getBatch()
 	fail := func(e error) (int, uint64, *Batch, error) {
-		r.recycleBatchVals(bt) // pooled maps decoded so far go back to the pool
 		r.putBatch(bt)
 		return 0, 0, nil, e
 	}
@@ -480,8 +447,7 @@ func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, epoch uint64, bt
 			return fail(errShortFrame)
 		}
 		if nvals > 0 {
-			env.tuple.Values = d.getVals(nvals)
-			env.pooled = true
+			env.tuple.Values = make(map[string]any, min(max(nvals, 8), 64))
 			for j := uint64(0); j < nvals; j++ {
 				var k string
 				var val any

@@ -3,6 +3,7 @@ package storm
 import (
 	"encoding/binary"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -277,14 +278,66 @@ func FuzzWireFrame(f *testing.F) {
 	})
 }
 
+// TestWireDecodeAllocsPerEnvelope pins the decode's allocation floor: each
+// envelope costs exactly its Values map — 2 allocations for a map of up to
+// 8 keys — and nothing per key or stream name, which the decoder's intern
+// table serves from the previous frames. Values are small ints, bools and
+// nil, which box without allocating, so a per-key string allocation (the
+// intern table broken) would show as 6 more per envelope. Skipped under
+// -race, where sync.Pool drops batches at random.
+func TestWireDecodeAllocsPerEnvelope(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const envelopes = 64
+	rt := wireTestRuntime(t)
+	envs := make([]envelope, envelopes)
+	for i := range envs {
+		envs[i] = envelope{tuple: Tuple{Stream: "default", Values: map[string]any{
+			"vehicle": i % 16, "line": i % 4, "stop": i, "hour": 7,
+			"weekday": true, "congestion": i%2 == 0,
+		}}}
+	}
+	frame, err := appendBatchFrame(nil, 7, 1, envs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := &frameDecoder{r: rt}
+	got := testing.AllocsPerRun(100, func() {
+		_, _, bt, err := dec.decodeBatchFrame(frame[frameHeaderLen+1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.putBatch(bt)
+	})
+	if perEnv := got / envelopes; perEnv > 2 {
+		t.Fatalf("decode costs %.2f allocations per envelope (%.0f per frame), want 2: one map, no key strings", perEnv, got)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
 // BenchmarkWireBatchRoundTrip tracks the steady-state codec cost of one
 // batch-frame round trip at the transport's default batch size: encode 64
 // small envelopes into a frame, decode them back through a persistent
-// frameDecoder (the readLoop's configuration, so the intern table and the
-// Values-map stash amortize exactly as in production), then release the
-// decoded batch under the receiver-releases contract. allocs/op is the
-// regression signal: decode-side pooling should hold it near the floor of
-// one boxed value per decoded map entry.
+// frameDecoder (the readLoop's configuration, so the intern table
+// amortizes exactly as in production), then release the decoded batch
+// under the receiver-releases contract. allocs/op is the regression
+// signal: the floor is one Values map (2 allocations) per envelope, with
+// keys, stream names and small-int values costing nothing
+// (TestWireDecodeAllocsPerEnvelope enforces it).
 func BenchmarkWireBatchRoundTrip(b *testing.B) {
 	rt := wireTestRuntime(b)
 	envs := make([]envelope, 64)
@@ -308,7 +361,6 @@ func BenchmarkWireBatchRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt.recycleBatchVals(bt)
 		rt.putBatch(bt)
 	}
 }

@@ -9,8 +9,9 @@
 #                              cross-process tax (PR 8 target: ~2.2, down
 #                              from the 4.9 recorded at the seed)
 #   .distributed.wire          codec ns/op and allocs/op for one 64-envelope
-#                              batch round trip (pooled decode should hold
-#                              allocs/op at 0)
+#                              batch round trip (one Values map per decoded
+#                              envelope: 128 allocs/op, the floor
+#                              TestWireDecodeAllocsPerEnvelope enforces)
 #
 # Usage: scripts/bench_distributed.sh [benchtime]   (default 300000x)
 set -eu
