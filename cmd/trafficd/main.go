@@ -264,10 +264,10 @@ func run(opt options) error {
 	deps.Config.Routing = routing
 
 	// Live rebalancing (§4.2.1 dynamic loop): the splitter feeds observed
-	// locations into the rebalancer's rate estimators; every interval (or
-	// when max/mean per-engine rate crosses the skew trigger) Algorithm 1
-	// re-runs on the live snapshot, rules migrate make-before-break, and
-	// the routing table is swapped atomically.
+	// locations into the rebalancer's rate estimators; every interval, when
+	// max/mean per-engine rate crosses the skew trigger, Algorithm 1 re-runs
+	// on the live snapshot, rules migrate make-before-break, and the routing
+	// table is swapped atomically.
 	var peers []string
 	if opt.workerPeers != "" {
 		peers = strings.Split(opt.workerPeers, ",")
@@ -277,21 +277,11 @@ func run(opt options) error {
 	}
 
 	var reb *core.Rebalancer
-	var dmig *core.DistributedMigrator
 	if opt.rebalanceInterval > 0 {
-		local := &core.RuleMigrator{Rules: rules, Store: store, Manager: manager}
-		var mig core.EngineMigrator = local
-		if len(peers) > 1 {
-			// Engines are spread across workers: route each per-task
-			// migration step to the owning process over the control plane.
-			// Self/WorkerOf/Client are late-bound once the runtime exists.
-			dmig = &core.DistributedMigrator{Local: local}
-			mig = dmig
-		}
 		reb, err = core.NewRebalancer(core.RebalancerConfig{
 			Routing:       routing,
 			SkewThreshold: opt.rebalanceSkew,
-			Migrator:      mig,
+			Migrator:      &core.RuleMigrator{Rules: rules, Store: store, Manager: manager},
 			Telemetry:     tel,
 		})
 		if err != nil {
@@ -364,31 +354,8 @@ func run(opt options) error {
 		fmt.Printf("worker %d of %d, listening on %s\n", opt.workerID, len(peers), peers[opt.workerID])
 	}
 	if reb != nil {
-		if dmig != nil {
-			// Late-bind the distributed pieces that need the runtime:
-			// placement-derived engine-task ownership and the control client
-			// serving remote migration steps.
-			dmig.Self = rt.WorkerID()
-			dmig.WorkerOf = core.EsperTaskWorkers(rt.Placements())
-			dmig.Client = rt
-			rt.OnControl(core.MigrationHandler(dmig.Local))
-		}
-		// Drain barrier for routing swaps: a fence behind every tuple the
-		// engines were sent under the old table, on this worker and its peers.
-		reb.SetDrainBarrier(func() error {
-			return rt.DrainComponent(core.CompEsper, 10*time.Second)
-		})
-		// Only the worker hosting the splitter cycles the rebalancer: it
-		// alone observes the feed's location rates. The others keep a
-		// symmetric rebalancer to serve routing reads and remote migration
-		// RPCs.
-		for _, p := range rt.Placements() {
-			if p.Component == core.CompSplitter && p.Worker == rt.WorkerID() {
-				reb.Start(opt.rebalanceInterval)
-				defer reb.Stop()
-				break
-			}
-		}
+		reb.Bind(rt, opt.rebalanceInterval)
+		defer reb.Stop()
 	}
 	rt.Monitor().Subscribe(func(rep storm.Report) {
 		cs := rep.Components[core.CompEsper]
@@ -444,7 +411,7 @@ func run(opt options) error {
 	if reb != nil {
 		reb.Stop()
 		tot := reb.Totals()
-		fmt.Printf("rebalancing: cycles=%d swaps=%d moves=%d\n", tot.Cycles, tot.Swaps, tot.Moves)
+		fmt.Printf("rebalancing: cycles=%d swaps=%d moves=%d deferred=%d\n", tot.Cycles, tot.Swaps, tot.Moves, tot.Deferred)
 		if rep := reb.LastReport(); rep.Swapped {
 			fmt.Printf("  last swap: %d moves, skew %.2f → %.2f, took %v (%d releases deferred)\n",
 				len(rep.Moves), rep.SkewBefore, rep.SkewAfter, rep.Duration, rep.ReleasesDeferred)

@@ -1,103 +1,89 @@
 package core
 
-// Cross-process rule migration. In a multi-worker deployment every worker
-// constructs the same topology, rules and Rebalancer, but each esper task's
-// engine lives in exactly one worker process — so the migrator steps of a
-// routing swap (PrepareTarget before, ReleaseSource after) must execute on
-// the worker owning the task. DistributedMigrator routes each per-task
-// operation: to the local RuleMigrator when the task lives here, over the
-// runtime's control plane (storm.Runtime.Control) to the owning worker
-// otherwise. The receiving side serves those requests with the handler from
-// MigrationHandler, applying them to its own RuleMigrator.
+// Rule migration over the runtime's control plane, one path for 1…N
+// workers. Every worker constructs the same topology, rules and Rebalancer,
+// but each EsperBolt task's engine lives in exactly one worker process, so
+// the migration steps of a routing swap (PrepareTarget before,
+// ReleaseSource after) must execute on the worker owning the task. Bind
+// turns every step into a control request to that worker — rt.Control
+// serves this worker's own requests inline — and installs the handler that
+// applies the requests it receives to its own RuleMigrator.
 //
-// Only one worker runs rebalance cycles — the one hosting the Splitter task
-// that triggers them (CheckEvery fires on the Splitter's goroutine). The
-// others keep a symmetric Rebalancer for routing reads and engine
-// registration; its migrator is exercised via the control plane.
+// Only the worker hosting the Splitter runs rebalance cycles: it alone
+// observes the feed's location rates. The others keep a symmetric
+// Rebalancer for routing reads, engine registration and the migration
+// requests they serve.
 
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
-	"trafficcep/internal/cep"
 	"trafficcep/internal/storm"
 )
 
-// Control-plane methods served by MigrationHandler.
+// Control-plane methods of the migration requests Bind routes and serves.
 const (
 	MethodPrepareTarget = "core.migrate.prepare"
 	MethodReleaseSource = "core.migrate.release"
 )
 
-// ControlClient sends a control request to a worker process and returns its
-// response. *storm.Runtime implements it.
-type ControlClient interface {
-	Control(worker int, method string, payload []byte) ([]byte, error)
-}
-
-// migrationOp is the wire form of one per-task migrator call.
+// migrationOp is the wire form of one per-task migration step.
 type migrationOp struct {
 	Task      int      `json:"task"`
 	Field     string   `json:"field"`
 	Locations []string `json:"locations"`
 }
 
-// DistributedMigrator is an EngineMigrator that spans worker processes:
-// operations on tasks this worker owns go to Local, operations on remote
-// tasks become control RPCs to the owning worker. It also forwards engine
-// registration to Local, so it slots into RebalancerConfig.Migrator
-// wherever a RuleMigrator did.
-type DistributedMigrator struct {
-	// Local applies operations for tasks placed on this worker.
-	Local EngineMigrator
-	// Self is this process's worker id (storm.Runtime.WorkerID()).
-	Self int
-	// WorkerOf maps an engine task index to the worker owning it; build it
-	// with EsperTaskWorkers. Tasks missing from the map are treated as
-	// local.
-	WorkerOf map[int]int
-	// Client carries remote operations; typically the *storm.Runtime.
-	Client ControlClient
-}
-
-// RegisterEngine implements EngineRegistrar by forwarding to Local (tasks
-// only ever register in the process that runs them).
-func (d *DistributedMigrator) RegisterEngine(task int, eng *cep.Engine, installs []*InstalledRule, forward cep.Listener) {
-	if reg, ok := d.Local.(EngineRegistrar); ok {
-		reg.RegisterEngine(task, eng, installs, forward)
+// Bind attaches the rebalancer to the runtime that runs its topology, the
+// same way on one worker or on each of N: every migration step on an
+// engine task becomes a control request to the worker the task was placed
+// on; this worker's control handler (rt.OnControl, replacing any other)
+// serves those requests against the rebalancer's migrator; the post-swap
+// drain is rt.DrainComponent(CompEsper); and when interval > 0 and this
+// worker hosts the Splitter, a skew check (MaybeRebalance) runs every
+// interval until Stop. Call it once, before the runtime runs.
+func (rb *Rebalancer) Bind(rt *storm.Runtime, interval time.Duration) {
+	workerOf := make(map[int]int)
+	hostsSplitter := false
+	for _, p := range rt.Placements() {
+		switch p.Component {
+		case CompEsper:
+			workerOf[p.TaskIndex] = p.Worker
+		case CompSplitter:
+			hostsSplitter = hostsSplitter || p.Worker == rt.WorkerID()
+		}
+	}
+	rb.mu.Lock()
+	rb.rt, rb.workerOf = rt, workerOf
+	rb.mu.Unlock()
+	if rb.migrator != nil {
+		rt.OnControl(migrationHandler(rb.migrator))
+	}
+	if hostsSplitter && interval > 0 {
+		rb.start(interval)
 	}
 }
 
-// PrepareTarget implements EngineMigrator.
-func (d *DistributedMigrator) PrepareTarget(task int, field string, locations []string) error {
-	return d.route(MethodPrepareTarget, d.Local.PrepareTarget, task, field, locations)
+// migrate returns the migration step of method, run on the worker that
+// owns the engine task.
+func (rb *Rebalancer) migrate(method string) func(task int, field string, locations []string) error {
+	return func(task int, field string, locations []string) error {
+		payload, err := json.Marshal(migrationOp{Task: task, Field: field, Locations: locations})
+		if err != nil {
+			return err
+		}
+		worker := rb.workerOf[task]
+		if _, err := rb.rt.Control(worker, method, payload); err != nil {
+			return fmt.Errorf("core: %s for task %d on worker %d: %w", method, task, worker, err)
+		}
+		return nil
+	}
 }
 
-// ReleaseSource implements EngineMigrator.
-func (d *DistributedMigrator) ReleaseSource(task int, field string, locations []string) error {
-	return d.route(MethodReleaseSource, d.Local.ReleaseSource, task, field, locations)
-}
-
-func (d *DistributedMigrator) route(method string, local func(int, string, []string) error, task int, field string, locations []string) error {
-	worker, ok := d.WorkerOf[task]
-	if !ok || worker == d.Self {
-		return local(task, field, locations)
-	}
-	payload, err := json.Marshal(migrationOp{Task: task, Field: field, Locations: locations})
-	if err != nil {
-		return err
-	}
-	if _, err := d.Client.Control(worker, method, payload); err != nil {
-		return fmt.Errorf("core: %s for task %d on worker %d: %w", method, task, worker, err)
-	}
-	return nil
-}
-
-// MigrationHandler serves the control-plane half of DistributedMigrator:
-// install it with storm.Runtime.OnControl on every worker, passing that
-// worker's local migrator. Unknown methods return an error so the handler
-// can be wrapped or chained by the caller.
-func MigrationHandler(m EngineMigrator) func(method string, payload []byte) ([]byte, error) {
+// migrationHandler serves migration requests against this worker's
+// migrator. Unknown methods return an error.
+func migrationHandler(m *RuleMigrator) func(method string, payload []byte) ([]byte, error) {
 	return func(method string, payload []byte) ([]byte, error) {
 		var op migrationOp
 		if err := json.Unmarshal(payload, &op); err != nil {
@@ -111,17 +97,4 @@ func MigrationHandler(m EngineMigrator) func(method string, payload []byte) ([]b
 		}
 		return nil, fmt.Errorf("core: unknown control method %q", method)
 	}
-}
-
-// EsperTaskWorkers maps each esper-stage task index to the worker process
-// it was placed on, from the runtime's placements. Placement is
-// deterministic, so every worker computes the same map.
-func EsperTaskWorkers(placements []storm.Placement) map[int]int {
-	out := make(map[int]int)
-	for _, p := range placements {
-		if p.Component == CompEsper {
-			out[p.TaskIndex] = p.Worker
-		}
-	}
-	return out
 }

@@ -16,10 +16,11 @@ import (
 
 // TestDistributedRebalanceNoDetectionLoss is the cross-process migration
 // differential: the Figure-8 topology is split across two worker processes
-// over TCP, every location starts on one engine, and the rebalancer must
-// fix the skew mid-feed — preparing target engines on the other worker via
-// control RPCs, draining the in-flight wave with a fence barrier across
-// the wire, and releasing the remote source. With a window-1 rule every
+// over TCP, every location starts on one engine, and one skew check run
+// from the test goroutine must fix the skew mid-feed — preparing target
+// engines on the other worker via control RPCs, draining the in-flight wave
+// with a fence barrier across the wire, and releasing the remote source —
+// with the swap in before the Splitter's last tuple. With a window-1 rule every
 // tuple yields exactly one detection, so the distributed rebalanced run
 // must produce the identical detection multiset to a single-process
 // balanced run: a swap across the process boundary loses nothing.
@@ -116,8 +117,11 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 
 	// Distributed run: two symmetric workers, everything starting on
 	// engine task 0. Each worker owns its own DB, threshold store, rule
-	// migrator and rebalancer; cross-worker migration rides the control
-	// plane and the post-swap drain rides the fence barrier.
+	// migrator and rebalancer, bound to its runtime; cross-worker migration
+	// rides the control plane and the post-swap drain the fence barrier.
+	// The feed is held at the BusReader after its first quarter until the
+	// swap is in.
+	gate := &gatedReader{at: len(traces) / 4, held: make(chan struct{}), open: make(chan struct{})}
 	lns := make([]net.Listener, workers)
 	peers := make([]string, workers)
 	for i := range lns {
@@ -150,25 +154,23 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 	rts := make([]*storm.Runtime, workers)
 	rebs := make([]*Rebalancer, workers)
 	dbs := make([]*sqlstore.DB, workers)
+	splitterWorker := -1
 	var remoteRPCs atomic.Int64
 	for w := 0; w < workers; w++ {
 		db, store := seedThresholds(t)
 		dbs[w] = db
-		mig := &DistributedMigrator{
-			Local: &RuleMigrator{Rules: []Rule{rule}, Store: store},
-		}
 		reb, err := NewRebalancer(RebalancerConfig{
 			Routing:       skewed(),
 			SkewThreshold: 1.3,
-			CheckEvery:    len(traces) / 4,
-			Migrator:      mig,
+			Migrator:      &RuleMigrator{Rules: []Rule{rule}, Store: store},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rebs[w] = reb
-		topo, err := BuildTrafficTopology(TrafficConfig{
-			Traces: traces, Tree: tree, Engines: engines, Rebalancer: reb, DB: db,
+		reg := storm.NewRegistry()
+		RegisterComponents(reg, &Deps{Config: TrafficConfig{
+			Tree: tree, Rebalancer: reb, DB: db,
 			EngineSetup: func(task int, eng *cep.Engine) ([]*InstalledRule, error) {
 				if task != 0 {
 					return nil, nil
@@ -179,7 +181,16 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 				}
 				return []*InstalledRule{inst}, nil
 			},
+		}})
+		reg.RegisterSpout("busreader", func(map[string]string) (storm.SpoutFactory, error) {
+			return func() storm.Spout { return gate.reader(traces) }, nil
 		})
+		xt, err := storm.ParseXML(TopologyXML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setParallelism(xt.Bolts, CompEsper, engines)
+		topo, err := xt.Build(reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,20 +199,21 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 		rts[w] = rt
+		for _, p := range rt.Placements() {
+			if p.Component == CompSplitter {
+				splitterWorker = p.Worker
+			}
+		}
 
-		// Late-bind the distributed pieces that need the runtime:
-		// placement-derived task ownership, the control client, the
-		// migration handler, and the cross-process drain barrier.
-		mig.Self = rt.WorkerID()
-		mig.WorkerOf = EsperTaskWorkers(rt.Placements())
-		mig.Client = rt
-		handler := MigrationHandler(mig.Local)
+		reb.Bind(rt, 0)
+		// Bind serves migration requests with migrationHandler; wrap it to
+		// count the requests the other worker's cycles send here.
+		handler := migrationHandler(reb.migrator)
 		rt.OnControl(func(method string, payload []byte) ([]byte, error) {
-			remoteRPCs.Add(1)
+			if w != splitterWorker {
+				remoteRPCs.Add(1)
+			}
 			return handler(method, payload)
-		})
-		reb.SetDrainBarrier(func() error {
-			return rt.DrainComponent(CompEsper, 5*time.Second)
 		})
 	}
 
@@ -214,6 +226,24 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 			errs[w] = rts[w].Run()
 		}(w)
 	}
+	// Only the Splitter's worker observes the feed's rates, so only its
+	// rebalancer cycles. The BusReader's output batch may hold the last
+	// tuples before the gate while the gate is shut.
+	splitterExecuted := func() uint64 {
+		var n uint64
+		for _, rt := range rts {
+			n += componentTotal(rt, CompSplitter).Executed
+		}
+		return n
+	}
+	ready := func() bool {
+		registered := 0
+		for _, reb := range rebs {
+			registered += engineCount(reb.migrator)
+		}
+		return registered == engines && splitterExecuted() >= uint64(gate.at/2)
+	}
+	swapMidFeed(t, rebs[splitterWorker], gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces))
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -230,22 +260,20 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 		reb.Stop()
 	}
 
-	// The splitter lives on exactly one worker; its rebalancer must have
-	// swapped mid-feed with no deferred releases (the fence barrier
-	// replaces the in-flight poll, so releases happen in-cycle).
-	var swaps, moves uint64
-	var deferred int
+	// The splitter's rebalancer must have swapped mid-feed with no deferred
+	// releases: the drain, which flushes the Splitter itself, passed.
+	var tot RebalanceTotals
 	for _, reb := range rebs {
-		tot := reb.Totals()
-		swaps += tot.Swaps
-		moves += tot.Moves
-		deferred += reb.LastReport().ReleasesDeferred
+		r := reb.Totals()
+		tot.Swaps += r.Swaps
+		tot.Moves += r.Moves
+		tot.Deferred += r.Deferred
 	}
-	if swaps < 1 || moves == 0 {
-		t.Fatalf("no swap happened mid-feed: swaps=%d moves=%d", swaps, moves)
+	if tot.Swaps < 1 || tot.Moves == 0 {
+		t.Fatalf("no swap happened mid-feed: swaps=%d moves=%d", tot.Swaps, tot.Moves)
 	}
-	if deferred != 0 {
-		t.Fatalf("drain barrier failed: %d source releases deferred", deferred)
+	if tot.Deferred != 0 {
+		t.Fatalf("drain failed: %d source releases deferred", tot.Deferred)
 	}
 	// Engine tasks are spread across both workers, so fixing a skew where
 	// everything sits on one engine must touch the other process.
@@ -269,4 +297,28 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 			t.Fatalf("extra detection %q in distributed run: %d vs %d", k, n, static[k])
 		}
 	}
+}
+
+// gatedReader holds the feed: the BusReader spout it builds emits the
+// first `at` traces and then blocks until open is closed, closing held.
+type gatedReader struct {
+	at         int
+	held, open chan struct{}
+}
+
+func (g *gatedReader) reader(traces []busdata.Trace) storm.Spout {
+	return &gatedSpout{busReaderSpout: busReaderSpout{traces: traces}, gate: g}
+}
+
+type gatedSpout struct {
+	busReaderSpout
+	gate *gatedReader
+}
+
+func (s *gatedSpout) NextTuple(col storm.Collector) (bool, error) {
+	if s.idx == s.gate.at {
+		close(s.gate.held)
+		<-s.gate.open
+	}
+	return s.busReaderSpout.NextTuple(col)
 }

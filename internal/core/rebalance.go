@@ -10,16 +10,18 @@ import (
 
 	"trafficcep/internal/cep"
 	"trafficcep/internal/sqlstore"
+	"trafficcep/internal/storm"
 	"trafficcep/internal/telemetry"
 )
 
 // This file closes the dynamic loop of §4.2.1: the paper asks for input
 // rates to be "incrementally update[d] while the application runs", so the
 // Splitter feeds its observed locations into per-field RateEstimators and a
-// Rebalancer periodically (or on a skew trigger) re-runs Algorithm 1 from
-// the live snapshot, diffs the resulting routing table against the
-// installed one, migrates the affected rule statements, and swaps the table
-// atomically. Readers never block and never see a half-built table.
+// Rebalancer, on a wall-clock interval off the data path, re-runs Algorithm
+// 1 from the live snapshot when the skew trigger fires, diffs the resulting
+// routing table against the installed one, migrates the affected rule
+// statements, and swaps the table atomically. Readers never block and never
+// see a half-built table.
 
 // RoutingHandle is an atomically swappable reference to an immutable
 // RoutingTable. The Splitter loads it on every tuple; the Rebalancer swaps
@@ -62,38 +64,16 @@ type RebalanceReport struct {
 	// Duration is the wall-clock cost of the cycle, including migration.
 	Duration time.Duration
 	// ReleasesDeferred counts source-release operations postponed to the
-	// next cycle because no drain barrier is installed or it failed.
+	// next cycle because the drain failed.
 	ReleasesDeferred int
 }
 
 // RebalanceTotals aggregates rebalancing activity over the run.
 type RebalanceTotals struct {
-	Cycles uint64 // skew checks performed
-	Swaps  uint64 // routing tables installed
-	Moves  uint64 // locations migrated
-}
-
-// EngineMigrator performs the engine-side half of a routing swap. The
-// Rebalancer guarantees make-before-break ordering: PrepareTarget for every
-// gaining engine completes before the table swap, and ReleaseSource for the
-// losing engines runs only after the swap (immediately once the drain
-// barrier passes, otherwise deferred to a later cycle). Stale statements on a
-// source engine are harmless in the interim — no tuples for the moved
-// locations arrive there after the swap.
-type EngineMigrator interface {
-	// PrepareTarget makes task's engine ready to serve the listed
-	// locations of one location field (install statements, load
-	// thresholds). An error aborts the swap; the old table stays live.
-	PrepareTarget(task int, field string, locations []string) error
-	// ReleaseSource retires the listed locations from task's engine,
-	// removing statements that no longer serve any location.
-	ReleaseSource(task int, field string, locations []string) error
-}
-
-// EngineRegistrar is implemented by migrators that want the per-task engine
-// handles the topology creates at Prepare time.
-type EngineRegistrar interface {
-	RegisterEngine(task int, eng *cep.Engine, installs []*InstalledRule, forward cep.Listener)
+	Cycles   uint64 // skew checks performed
+	Swaps    uint64 // routing tables installed
+	Moves    uint64 // locations migrated
+	Deferred uint64 // source releases postponed by a failed drain
 }
 
 // RebalancerConfig configures NewRebalancer.
@@ -107,27 +87,17 @@ type RebalancerConfig struct {
 	// Alpha is the rate estimators' smoothing factor per estimation
 	// window, as in NewRateEstimator. 0 defaults to 0.5.
 	Alpha float64
-	// CheckEvery, when > 0, runs a skew check inline every CheckEvery
-	// observations (on the Splitter's goroutine), making rebalance points
-	// deterministic in the input feed. Each check closes one estimation
-	// window. Combine with Start for wall-clock checks instead.
-	CheckEvery int
-	// Migrator moves rule state between engines; nil skips statement
-	// migration (routing-only rebalancing, e.g. experiments).
-	Migrator EngineMigrator
-	// DrainBarrier, when set, is called after a swap and must return only
-	// once every tuple routed under the old table has been executed
-	// (storm.Runtime.DrainComponent provides this, in one process and across
-	// worker processes); the source engines are then released in the same
-	// cycle. Nil, or an error, defers the source releases to the next cycle
-	// instead. The barrier proves execution, not acking: under an ack mode a
-	// replay of a pre-swap tuple re-routes through the *new* table, which is
-	// exactly the semantics the release needs — drained state never receives
-	// stale-table traffic.
-	DrainBarrier func() error
+	// Migrator moves rule statements between engines once the rebalancer
+	// is bound to a runtime (Bind); nil skips statement migration
+	// (routing-only rebalancing, e.g. experiments).
+	Migrator *RuleMigrator
 	// Telemetry, when set, receives core.rebalance.* metrics.
 	Telemetry *telemetry.Registry
 }
+
+// drainTimeout bounds the post-swap drain of the engines; past it the
+// source releases wait for the next cycle.
+const drainTimeout = 10 * time.Second
 
 // releaseOp is one deferred ReleaseSource call.
 type releaseOp struct {
@@ -139,27 +109,36 @@ type releaseOp struct {
 // Rebalancer re-runs Algorithm 1 over live rate estimates and swaps the
 // routing table when the per-engine load skews. Observe is safe to call
 // concurrently with table reads; rebalance cycles are serialized.
+//
+// Rule migration is make-before-break: the gaining engines are prepared
+// (statements installed, thresholds loaded) before the table swap, and the
+// losing engines are released only after the swap and a drain of the
+// engines (storm.Runtime.DrainComponent) proved that every tuple routed
+// under the old table was executed; a failed drain defers the releases to
+// the next cycle. Stale statements on a source engine are harmless in the
+// interim — no tuples for the moved locations arrive there after the swap.
+// The drain proves execution, not acking: under an ack mode a replay of a
+// pre-swap tuple re-routes through the new table, which is exactly the
+// semantics the release needs.
 type Rebalancer struct {
-	handle     *RoutingHandle
-	fields     []string
-	est        map[string]*RateEstimator
-	skew       float64
-	checkEvery int
-	migrator   EngineMigrator
+	handle   *RoutingHandle
+	fields   []string
+	est      map[string]*RateEstimator
+	skew     float64
+	migrator *RuleMigrator
 
-	obs atomic.Uint64 // observations since start, for CheckEvery
-
-	mu           sync.Mutex // serializes cycles, guards the fields below
-	drainBarrier func() error
-	pending      []releaseOp
-	totals       RebalanceTotals
-	last         RebalanceReport
+	mu       sync.Mutex     // serializes cycles, guards the fields below
+	rt       *storm.Runtime // set by Bind
+	workerOf map[int]int    // engine task → worker it was placed on
+	pending  []releaseOp
+	totals   RebalanceTotals
+	last     RebalanceReport
 
 	tickStop chan struct{}
 	tickWG   sync.WaitGroup
 
-	mCycles, mSwaps, mMoves *telemetry.Counter
-	mSkew, mDuration        *telemetry.Gauge
+	mCycles, mSwaps, mMoves, mDeferred *telemetry.Counter
+	mSkew, mDuration                   *telemetry.Gauge
 }
 
 // NewRebalancer builds a Rebalancer around an initial routing table. The
@@ -176,13 +155,11 @@ func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
 		cfg.SkewThreshold = 2
 	}
 	rb := &Rebalancer{
-		handle:       NewRoutingHandle(cfg.Routing),
-		fields:       append([]string(nil), cfg.Routing.fields...),
-		est:          make(map[string]*RateEstimator, len(cfg.Routing.fields)),
-		skew:         cfg.SkewThreshold,
-		checkEvery:   cfg.CheckEvery,
-		migrator:     cfg.Migrator,
-		drainBarrier: cfg.DrainBarrier,
+		handle:   NewRoutingHandle(cfg.Routing),
+		fields:   append([]string(nil), cfg.Routing.fields...),
+		est:      make(map[string]*RateEstimator, len(cfg.Routing.fields)),
+		skew:     cfg.SkewThreshold,
+		migrator: cfg.Migrator,
 	}
 	for _, f := range rb.fields {
 		rb.est[f] = NewRateEstimator(nil, cfg.Alpha)
@@ -191,6 +168,7 @@ func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
 		rb.mCycles = reg.Counter("core.rebalance.cycles")
 		rb.mSwaps = reg.Counter("core.rebalance.swaps")
 		rb.mMoves = reg.Counter("core.rebalance.moves")
+		rb.mDeferred = reg.Counter("core.rebalance.deferred")
 		rb.mSkew = reg.Gauge("core.rebalance.skew")
 		rb.mDuration = reg.Gauge("core.rebalance.last_duration_ns")
 	}
@@ -203,57 +181,27 @@ func (rb *Rebalancer) Handle() *RoutingHandle { return rb.handle }
 // Table returns the currently installed routing table.
 func (rb *Rebalancer) Table() *RoutingTable { return rb.handle.Load() }
 
-// SetDrainBarrier installs the post-swap drain barrier after construction
-// (the runtime providing it only exists once the topology is built). Call
-// before Start or the first rebalance.
-func (rb *Rebalancer) SetDrainBarrier(f func() error) {
-	rb.mu.Lock()
-	rb.drainBarrier = f
-	rb.mu.Unlock()
-}
-
-// RegisterEngine forwards a task's engine handle to the migrator (when it
-// wants one). Called by the EsperBolt tasks during Prepare.
-func (rb *Rebalancer) RegisterEngine(task int, eng *cep.Engine, installs []*InstalledRule, forward cep.Listener) {
-	if reg, ok := rb.migrator.(EngineRegistrar); ok {
-		reg.RegisterEngine(task, eng, installs, forward)
-	}
-}
-
-// Observe records one tuple's location fields in the rate estimators and,
-// in CheckEvery mode, runs the periodic skew check inline.
+// Observe records one tuple's location fields in the rate estimators.
+// Called by the Splitter for every tuple; cycles never run on its
+// goroutine.
 func (rb *Rebalancer) Observe(values map[string]any) {
 	for _, f := range rb.fields {
 		if loc, _ := values[f].(string); loc != "" {
 			rb.est[f].Observe(loc)
 		}
 	}
-	if rb.checkEvery > 0 && rb.obs.Add(1)%uint64(rb.checkEvery) == 0 {
-		rb.MaybeRebalance()
-	}
-}
-
-// CheckImminent reports whether the next Observe call will run an inline
-// (CheckEvery-mode) skew check. The Splitter consults it to flush batched
-// emissions before a cycle whose drain phase would otherwise wait on tuples
-// still buffered in the Splitter's own executor.
-func (rb *Rebalancer) CheckImminent() bool {
-	return rb.checkEvery > 0 && (rb.obs.Load()+1)%uint64(rb.checkEvery) == 0
 }
 
 // MaybeRebalance closes the current estimation window and rebalances only
-// if the skew trigger fires.
+// if the skew trigger fires (what the interval Bind starts runs).
 func (rb *Rebalancer) MaybeRebalance() (RebalanceReport, error) { return rb.cycle(false) }
 
 // RebalanceOnce closes the current estimation window and rebalances
-// unconditionally (the periodic path and tests).
+// unconditionally.
 func (rb *Rebalancer) RebalanceOnce() (RebalanceReport, error) { return rb.cycle(true) }
 
-// Start launches a wall-clock skew check every interval; Stop ends it.
-func (rb *Rebalancer) Start(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
+// start launches a wall-clock skew check every interval; Stop ends it.
+func (rb *Rebalancer) start(interval time.Duration) {
 	rb.tickStop = make(chan struct{})
 	rb.tickWG.Add(1)
 	go func() {
@@ -344,10 +292,13 @@ func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionR
 	}
 	adds, rems := groupMoves(moves)
 	if rb.migrator != nil {
+		if rb.rt == nil {
+			return fmt.Errorf("core: rebalance aborted: the rebalancer migrates rules but is not bound to a runtime (Bind)")
+		}
 		// Make-before-break: targets must be able to serve their new
 		// locations before any tuple is routed to them. A failure here
 		// aborts the swap; extra prepared state on targets is harmless.
-		if err := rb.applyOps(adds, rb.migrator.PrepareTarget); err != nil {
+		if err := rb.applyOps(adds, rb.migrate(MethodPrepareTarget)); err != nil {
 			return fmt.Errorf("core: rebalance aborted preparing targets: %w", err)
 		}
 	}
@@ -359,10 +310,10 @@ func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionR
 	rb.totals.Moves += uint64(len(moves))
 
 	if rb.migrator != nil {
-		if rb.drainBarrier != nil && rb.drainBarrier() == nil {
+		if rb.rt.DrainComponent(CompEsper, drainTimeout) == nil {
 			// ReleaseSource failures leave stale (unreachable) statements
 			// behind; routing correctness is unaffected.
-			_ = rb.applyOps(rems, rb.migrator.ReleaseSource)
+			_ = rb.applyOps(rems, rb.migrate(MethodReleaseSource))
 		} else {
 			for task, byField := range rems {
 				for field, locs := range byField {
@@ -370,6 +321,7 @@ func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionR
 					rep.ReleasesDeferred++
 				}
 			}
+			rb.totals.Deferred += uint64(rep.ReleasesDeferred)
 		}
 	}
 	return nil
@@ -378,12 +330,9 @@ func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionR
 // flushPendingLocked retries deferred source releases. Called with rb.mu
 // held.
 func (rb *Rebalancer) flushPendingLocked() {
-	if rb.migrator == nil || len(rb.pending) == 0 {
-		rb.pending = nil
-		return
-	}
+	release := rb.migrate(MethodReleaseSource)
 	for _, op := range rb.pending {
-		_ = rb.migrator.ReleaseSource(op.task, op.field, op.locations)
+		_ = release(op.task, op.field, op.locations)
 	}
 	rb.pending = nil
 }
@@ -474,6 +423,7 @@ func (rb *Rebalancer) publishLocked(rep RebalanceReport) {
 	if rep.Swapped {
 		rb.mSwaps.Inc()
 		rb.mMoves.Add(uint64(len(rep.Moves)))
+		rb.mDeferred.Add(uint64(rep.ReleasesDeferred))
 	}
 	rb.mSkew.Set(rep.SkewAfter)
 	rb.mDuration.Set(float64(rep.Duration.Nanoseconds()))
@@ -577,16 +527,18 @@ func containsInt(s []int, v int) bool {
 	return false
 }
 
-// RuleMigrator is the EngineMigrator for the Figure 8 topology under the
-// paper's adopted threshold-stream strategy: moving a location to a target
-// engine means installing the affected rules there (if absent) and loading
-// the location's thresholds into the rules' threshold streams; releasing a
-// source shrinks its location set and removes statements that serve no
-// locations anymore.
+// RuleMigrator performs the engine-side half of a routing swap for the
+// Figure 8 topology under the paper's adopted threshold-stream strategy:
+// moving a location to a target engine means installing the affected rules
+// there (if absent) and loading the location's thresholds into the rules'
+// threshold streams; releasing a source shrinks its location set and
+// removes statements that serve no locations anymore. It acts on the
+// engines of its own worker; a bound Rebalancer reaches it on every worker
+// through the control plane (Bind).
 //
-// Engines self-register via the Rebalancer during EsperBolt.Prepare.
-// Migration mutates InstalledRule.Options.Locations, so a rebalance must
-// not run concurrently with DynamicManager batch refreshes of the same
+// Engines self-register during EsperBolt.Prepare. Migration mutates
+// InstalledRule.Options.Locations, so a rebalance must not run
+// concurrently with DynamicManager batch refreshes of the same
 // installations (trafficd serializes the two).
 type RuleMigrator struct {
 	// Rules is the full rule set; only rules whose LocationField matches
@@ -604,8 +556,9 @@ type RuleMigrator struct {
 	installs map[int]map[string]*InstalledRule // task → rule name → install
 }
 
-// RegisterEngine implements EngineRegistrar.
-func (m *RuleMigrator) RegisterEngine(task int, eng *cep.Engine, installs []*InstalledRule, forward cep.Listener) {
+// registerEngine records the engine, its initial installations and the
+// detection-forwarding listener of one EsperBolt task on this worker.
+func (m *RuleMigrator) registerEngine(task int, eng *cep.Engine, installs []*InstalledRule, forward cep.Listener) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.engines == nil {
@@ -622,9 +575,11 @@ func (m *RuleMigrator) RegisterEngine(task int, eng *cep.Engine, installs []*Ins
 	m.installs[task] = byName
 }
 
-// PrepareTarget implements EngineMigrator: install missing rules and load
-// thresholds for the gained locations. Locations with no stored thresholds
-// are tolerated (they cannot fire anyway).
+// PrepareTarget makes task's engine ready to serve the listed locations of
+// one location field: install missing rules and load thresholds for the
+// gained locations. Locations with no stored thresholds are tolerated
+// (they cannot fire anyway). An error aborts the swap; the old table stays
+// live.
 func (m *RuleMigrator) PrepareTarget(task int, field string, locations []string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -687,8 +642,9 @@ func (m *RuleMigrator) PrepareTarget(task int, field string, locations []string)
 	return nil
 }
 
-// ReleaseSource implements EngineMigrator: shrink the source install's
-// location set; when it empties, remove the statement entirely. Thresholds
+// ReleaseSource retires the listed locations from task's engine: shrink the
+// source install's location set; when it empties, remove the statement
+// entirely. Thresholds
 // for removed locations stay in the engine's keepall window until the next
 // batch Refresh — harmless, since no tuples for those locations arrive
 // after the swap.

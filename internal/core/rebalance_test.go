@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"trafficcep/internal/busdata"
 	"trafficcep/internal/cep"
@@ -350,7 +352,10 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 // multiset of detections (ignoring which engine fired them) — nothing may
 // be lost across the swap. It holds through both entries to the one
 // assembly: the builder the suites and examples call, and the registry +
-// shipped XML document trafficd and bench/ load.
+// shipped XML document trafficd and bench/ load. The rebalancer is bound to
+// the runtime as trafficd binds it; the test holds the feed in front of the
+// Splitter after its first batches and runs the skew check itself, and the
+// swap must land before the Splitter's last tuple.
 //
 // Two rule sets: one rule with everything starting on engine 0, and the
 // shipped document's pair on one location field and window length
@@ -456,18 +461,38 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*stor
 	}
 
 	// run executes the topology and returns the detection multiset keyed by
-	// everything except the engine column.
+	// everything except the engine column. With a rebalancer it binds it to
+	// the runtime and holds the feed in front of the Splitter after its
+	// first batches, so that one skew check from the test goroutine swaps
+	// the table with most of the feed still to come.
 	run := func(t *testing.T, cfg TrafficConfig, db *sqlstore.DB) map[string]int {
 		t.Helper()
 		topo, err := build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := storm.New(topo)
+		gate := &feedGate{after: max(1, len(traces)/128), held: make(chan struct{}), open: make(chan struct{})}
+		rt, err := storm.New(topo, storm.WithTransport(gate))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.Run(); err != nil {
+		gate.rt, gate.eid = rt, executorID(rt, CompSplitter)
+		if reb := cfg.Rebalancer; reb == nil {
+			close(gate.open)
+		} else {
+			reb.Bind(rt, 0)
+		}
+		ran := make(chan error, 1)
+		go func() { ran <- rt.Run() }()
+		if reb := cfg.Rebalancer; reb != nil {
+			splitterExecuted := func() uint64 { return componentTotal(rt, CompSplitter).Executed }
+			// Every batch that passed the gate holds at least one tuple.
+			ready := func() bool {
+				return engineCount(reb.migrator) == engines && splitterExecuted() >= uint64(gate.after)
+			}
+			swapMidFeed(t, reb, gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces))
+		}
+		if err := <-ran; err != nil {
 			t.Fatal(err)
 		}
 		rows, err := db.Query(`SELECT rule, location, observed, threshold FROM events`)
@@ -550,7 +575,6 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*stor
 	reb, err := NewRebalancer(RebalancerConfig{
 		Routing:       tableB,
 		SkewThreshold: 1.3,
-		CheckEvery:    len(traces) / 4,
 		Migrator:      &RuleMigrator{Rules: rules, Store: storeB},
 	})
 	if err != nil {
@@ -605,4 +629,124 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*stor
 			t.Fatalf("extra detection %q in rebalanced run: %d vs %d", k, n, static[k])
 		}
 	}
+}
+
+// swapMidFeed runs one skew check from the test goroutine once the feed is
+// held at a gate (held closed) and ready reports the run far enough along
+// (engines registered for migration, tuples observed), and requires the
+// cycle to swap the routing table while the Splitter still has tuples to
+// come: it reads the Splitter's executed count when the new table is in,
+// opens the gate and returns the cycle's report once its drain and
+// releases are done.
+func swapMidFeed(t *testing.T, reb *Rebalancer, held <-chan struct{}, open func(), ready func() bool, splitterExecuted func() uint64, total int) RebalanceReport {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	select {
+	case <-held:
+	case <-time.After(30 * time.Second):
+		open()
+		t.Fatal("the feed never reached the gate")
+	}
+	for !ready() {
+		if time.Now().After(deadline) {
+			open()
+			t.Fatalf("the run never got ready for the cycle (the Splitter executed %d tuples)", splitterExecuted())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	initial := reb.Table()
+	type result struct {
+		rep RebalanceReport
+		err error
+	}
+	cycled := make(chan result, 1)
+	go func() {
+		rep, err := reb.MaybeRebalance()
+		cycled <- result{rep, err}
+	}()
+	for reb.Table() == initial {
+		select {
+		case res := <-cycled:
+			open()
+			t.Fatalf("the cycle ended without a swap: %+v, %v", res.rep, res.err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			open()
+			t.Fatal("no swap within 30s of the gate")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	executed := splitterExecuted()
+	open()
+	if executed >= uint64(total) {
+		t.Errorf("the swap landed after the Splitter's last tuple: %d of %d executed", executed, total)
+	}
+	res := <-cycled
+	if res.err != nil {
+		t.Fatalf("rebalance cycle: %v", res.err)
+	}
+	return res.rep
+}
+
+// feedGate is an in-process storm.Transport that lets the first `after`
+// batches into executor eid through and holds every later one until open
+// is closed; held is closed when it first holds a batch. Pointed at the
+// Splitter it stops the feed in front of it, after at most after × batch
+// size tuples, while everything downstream keeps running.
+type feedGate struct {
+	rt         *storm.Runtime
+	eid, after int
+	passed     atomic.Int64
+	holding    sync.Once
+	held, open chan struct{}
+}
+
+func (g *feedGate) Deliver(eid int, b *storm.Batch) error {
+	if eid == g.eid && g.passed.Add(1) > int64(g.after) {
+		select {
+		case <-g.open:
+		default:
+			g.holding.Do(func() { close(g.held) })
+			<-g.open
+		}
+	}
+	return g.rt.DeliverLocal(eid, b)
+}
+
+func (g *feedGate) Close() error { return nil }
+
+// executorID returns the dense executor id (the one a storm.Transport is
+// handed) of component's first executor: the runtime numbers executors in
+// the order Placements lists them, each with its tasks consecutive.
+func executorID(rt *storm.Runtime, component string) int {
+	eid := -1
+	var prev storm.Placement
+	for i, p := range rt.Placements() {
+		if i == 0 || p.Component != prev.Component || p.Executor != prev.Executor {
+			eid++
+		}
+		if p.Component == component {
+			return eid
+		}
+		prev = p
+	}
+	return -1
+}
+
+// componentTotal is one component's counters on rt's worker.
+func componentTotal(rt *storm.Runtime, component string) storm.ComponentTotal {
+	for _, tot := range rt.Monitor().TotalsByComponent() {
+		if tot.Component == component {
+			return tot
+		}
+	}
+	return storm.ComponentTotal{}
+}
+
+// engineCount is how many engines of its worker have registered with m.
+func engineCount(m *RuleMigrator) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.engines)
 }

@@ -444,9 +444,8 @@ func historyFromValues(v map[string]any) HistoryRecord {
 // splitterBolt routes tuples to EsperBolt tasks per the routing table
 // (§4.3.2: "It is crucial to route each bus data tuple to the appropriate
 // Esper engine as each engine examines different spatial locations"). With
-// a Rebalancer it reads the live swappable table, feeds the rate
-// estimators, and may trigger an inline rebalance (CheckEvery mode), so a
-// routing swap lands at a deterministic point in the feed.
+// a Rebalancer it reads the live swappable table and feeds the rate
+// estimators; rebalance cycles never run on its goroutine.
 type splitterBolt struct {
 	routing   *RoutingTable
 	reb       *Rebalancer
@@ -467,14 +466,6 @@ func (b *splitterBolt) Cleanup() error { return nil }
 func (b *splitterBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	rt := b.routing
 	if b.reb != nil {
-		// An inline (CheckEvery) rebalance cycle drains in-flight tuples
-		// while blocking this Execute call; flush this executor's buffered
-		// emissions first so they cannot stall that drain.
-		if b.reb.CheckImminent() {
-			if fl, ok := col.(storm.Flusher); ok {
-				fl.FlushBatches()
-			}
-		}
 		b.reb.Observe(t.Values)
 		rt = b.reb.Table()
 	}
@@ -556,10 +547,10 @@ func (b *esperBolt) Prepare(ctx storm.TaskContext) error {
 			}
 		}
 	}
-	if b.reb != nil {
+	if b.reb != nil && b.reb.migrator != nil {
 		// Hand the engine to the migrator so live rebalancing can install
 		// and retire statements on this task.
-		b.reb.RegisterEngine(ctx.TaskIndex, b.engine, installs, forward)
+		b.reb.migrator.registerEngine(ctx.TaskIndex, b.engine, installs, forward)
 	}
 	return nil
 }

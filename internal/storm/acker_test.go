@@ -403,68 +403,6 @@ func TestAckerRegisterSnapshotsBeforeDelivery(t *testing.T) {
 	}
 }
 
-// TestAckerFlushMidExecuteSettlesChain is the regression for the pinned
-// edge-chained batch: a bolt that emits (chaining its input edge onto the
-// emission), then calls Flusher.FlushBatches mid-Execute, then fails, used
-// to leave chainBatch pointing into a batch already shipped to — and
-// possibly recycled by — the receiving executor; the error path then wrote
-// a fresh edge id into that batch, racing the receiver (caught by -race)
-// and corrupting the tree checksum. The flush must settle the chain first,
-// so the induced failures still carry a live edge, still replay, and every
-// tuple still acks.
-func TestAckerFlushMidExecuteSettlesChain(t *testing.T) {
-	const n = 40
-	spout := newAckSpout(n)
-	var mu sync.Mutex
-	attempts := map[any]int{}
-	mid := func() Bolt {
-		return &funcBolt{exec: func(tp Tuple, col Collector) error {
-			col.Emit(tp.Values)          // chained: the emission reuses the input edge
-			col.(Flusher).FlushBatches() // ships the pinned batch mid-call
-			mu.Lock()
-			attempts[tp.Values["i"]]++
-			first := attempts[tp.Values["i"]] == 1
-			mu.Unlock()
-			if first {
-				return fmt.Errorf("transient failure after flush")
-			}
-			return nil
-		}}
-	}
-	b := NewTopologyBuilder("midflush")
-	b.SetSpout("src", func() Spout { return spout }, 1, 1)
-	b.SetBolt("mid", mid, 1, 1).ShuffleGrouping("src")
-	b.SetBolt("sink", func() Bolt {
-		return &funcBolt{exec: func(Tuple, Collector) error { return nil }}
-	}, 1, 1).ShuffleGrouping("mid")
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(topo,
-		WithAckTimeout(100*time.Millisecond),
-		WithMaxRetries(5),
-		WithAckMode(AckXOR),
-		WithFailurePolicy(Degrade),
-		WithQuarantineAfter(1_000_000),
-		WithBatchSize(64), // large: only the explicit mid-call flush ships the pinned batch
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	spout.mu.Lock()
-	defer spout.mu.Unlock()
-	if len(spout.acked) != n || len(spout.failed) != 0 {
-		t.Errorf("acked %d ids, failed %v; want %d acked and none failed", len(spout.acked), spout.failed, n)
-	}
-	if ft := rt.FaultTotals(); ft.Replays != n || ft.Acked != n {
-		t.Errorf("fault totals %+v; want %d replays and %d acked", ft, n, n)
-	}
-}
-
 // TestAckerStopSkipsRemoteSends is the regression for the remote branch of
 // apply: unlike local updates (dropped under the shard lock's stopped
 // check), updates for roots owned by another worker used to be handed to

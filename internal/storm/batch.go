@@ -11,7 +11,8 @@ package storm
 //     as *Batch values — one channel operation moves up to BatchSize
 //     envelopes. Buffers flush when full, when a spout-side envelope has
 //     waited past BatchTimeout (checked between NextTuple calls), when a
-//     bolt's input queue goes idle, and always before an executor exits —
+//     bolt's input queue goes idle, at a drain fence (Runtime.
+//     DrainComponent), and always before an executor exits —
 //     so batching never strands a tuple and never deadlocks: an executor
 //     only sleeps on input with its output buffers empty. Under the XOR
 //     acker the same triggers also drain the executor's buffered ack
@@ -48,10 +49,10 @@ import (
 // processed.
 type Batch struct {
 	envs []envelope
-	// fence marks a drain sentinel instead of a payload batch: the
-	// receiving executor signals it and moves on (see Runtime.
-	// DrainComponent). FIFO transport order makes its arrival prove every
-	// earlier delivery to that executor was processed.
+	// fence marks a drain fence instead of a payload batch: the receiving
+	// executor flushes its output and signals it (see Runtime.fenceExecs).
+	// FIFO transport order makes its arrival prove every earlier delivery
+	// to that executor was processed, and what that produced is on the wire.
 	fence *fenceWait
 	// epoch, when non-zero, marks an aligned epoch barrier (AckEpoch, see
 	// epoch.go): no envelopes, just the epoch number. The receiving
@@ -171,12 +172,12 @@ func (o *outBatcher) newBuf(dest *executor, now time.Time) *Batch {
 	return b
 }
 
-// flushAll sends every pending buffer and resets the dirty set. Callers
-// that can run mid-Execute (Flusher.FlushBatches) must settle the edge
-// chain first (taskCollector.settleChain): shipping a still-pinned batch
-// hands it to the receiver while chainBatch points into it. The pin itself
-// is cleared here — after a full flush no buffer remains to be pinned, and
-// a stale pin must not alias a recycled batch on the next add.
+// flushAll sends every pending buffer and resets the dirty set. It runs
+// only between Execute calls — on an idle input queue, at a drain fence or
+// epoch barrier, at exit — where no edge chain is pinned: the executor
+// unpins when a call settles. The pin is cleared here all the same, since
+// after a full flush no buffer remains to be pinned, and a stale pin must
+// not alias a recycled batch on the next add.
 func (o *outBatcher) flushAll() {
 	for _, dest := range o.dests {
 		o.queued[dest.eid] = false

@@ -58,18 +58,6 @@ type DropReporter interface {
 	ReportDrop()
 }
 
-// Flusher is implemented by the runtime's collectors. Tuples a bolt emits
-// are buffered in per-destination batches and flushed on the triggers
-// documented in batch.go; a bolt that is about to wait on downstream
-// progress within a single Execute call (for example an inline rebalance
-// drain polling in-flight counts) calls FlushBatches first so its own
-// buffered emissions cannot stall that wait.
-type Flusher interface {
-	// FlushBatches puts every emission buffered by this collector's
-	// executor on the wire.
-	FlushBatches()
-}
-
 // TaskContext describes the task an instance is running as.
 type TaskContext struct {
 	Component string

@@ -722,6 +722,10 @@ func (r *Runtime) runEpochSpoutExecutor(rc *runningComponent, ex *executor) {
 
 	now := time.Now()
 	for !r.canceled() {
+		if ex.flushReq.Load() {
+			out.flushAll()
+			ex.flushed(false)
+		}
 		if nActive == 0 {
 			if nParked == 0 {
 				break // every task failed hard: nothing a rewind could reopen
@@ -780,5 +784,6 @@ func (r *Runtime) runEpochSpoutExecutor(rc *runningComponent, ex *executor) {
 		}
 	}
 	out.flushAll()
+	ex.flushed(true)
 	ec.retireExec(ex, injected)
 }

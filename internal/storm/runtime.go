@@ -202,6 +202,44 @@ type executor struct {
 	// set with the close.
 	inMu    sync.Mutex
 	retired bool
+
+	// Drain fences this executor owes an arrival once it has flushed (see
+	// Runtime.fenceExecs): a spout serves them at its next loop turn — its
+	// loop reads flushReq once per turn — and every executor serves them at
+	// its final flush, after which final is set and later fences pass at
+	// once.
+	flushMu    sync.Mutex
+	flushWaits []*fenceWait
+	flushReq   atomic.Bool
+	final      bool
+}
+
+// awaitFlush makes fw arrive once ex has put on the wire everything it
+// emitted before the call.
+func (ex *executor) awaitFlush(fw *fenceWait) {
+	ex.flushMu.Lock()
+	if ex.final {
+		ex.flushMu.Unlock()
+		fw.arrive()
+		return
+	}
+	ex.flushWaits = append(ex.flushWaits, fw)
+	ex.flushReq.Store(true)
+	ex.flushMu.Unlock()
+}
+
+// flushed runs on ex's own goroutine right after it flushed its output:
+// every fence registered so far arrives. final marks the last flush.
+func (ex *executor) flushed(final bool) {
+	ex.flushMu.Lock()
+	waits := ex.flushWaits
+	ex.flushWaits = nil
+	ex.flushReq.Store(false)
+	ex.final = ex.final || final
+	ex.flushMu.Unlock()
+	for _, fw := range waits {
+		fw.arrive()
+	}
 }
 
 // deliver hands a batch to this executor's input queue, transferring
@@ -757,6 +795,10 @@ func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) {
 			}
 		}()
 		for nActive > 0 && !r.canceled() {
+			if ex.flushReq.Load() {
+				out.flushAll()
+				ex.flushed(false)
+			}
 			for i, ts := range ex.tasks {
 				if !active[i] {
 					continue
@@ -809,6 +851,7 @@ func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) {
 	// zero, and waitTask below blocks on tuple trees whose deliveries could
 	// otherwise still sit in this executor's buffers.
 	out.flushAll()
+	ex.flushed(true)
 	if r.acker != nil {
 		for _, ts := range ex.tasks {
 			r.acker.waitTask(ts)
@@ -940,11 +983,17 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 					return true
 				}
 				if f := bt.fence; f != nil {
-					// Drain sentinel: per-sender FIFO means every delivery
-					// enqueued to this executor before the fence has been
-					// processed. Signal and move on.
+					// Drain fence (Runtime.fenceExecs), between two Execute
+					// calls, so no edge chain is pinned: per-sender FIFO
+					// means every delivery enqueued to this executor before
+					// the fence has been executed. Put what they produced on
+					// the wire, then arrive.
 					r.putBatch(bt)
 					bt = nil
+					out.flushAll()
+					if ab != nil {
+						ab.flush()
+					}
 					f.arrive()
 					continue
 				}
@@ -1102,6 +1151,7 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 	if ab != nil {
 		ab.flush()
 	}
+	ex.flushed(true)
 	if ec := r.epochs; ec != nil {
 		// Retire in-band behind the final flush: downstream alignment
 		// stops expecting this executor for epochs after its last pass.
@@ -1186,43 +1236,6 @@ type taskCollector struct {
 	// fields-grouped emission.
 	scratch []byte
 	fcache  map[*subscription]*fieldsCacheEntry
-}
-
-// FlushBatches implements Flusher: it puts every buffered emission of this
-// collector's executor on the wire. Bolts call it (via the Flusher
-// interface) before operations that wait on downstream progress — e.g. an
-// inline rebalance drain — which would otherwise stall on tuples still
-// sitting in this executor's buffers.
-func (c *taskCollector) FlushBatches() {
-	if c.out != nil {
-		c.settleChain()
-		c.out.flushAll()
-	}
-	if c.ab != nil {
-		c.ab.flush()
-	}
-}
-
-// settleChain retargets a pinned edge-chained envelope onto a fresh edge id
-// and unpins its batch, so a flush may ship it mid-Execute without leaving
-// chainBatch dangling into receiver-owned (and possibly recycled) memory.
-// The chained envelope currently carries the call's input edge; swapping in
-// a fresh id and folding in^e into pendXor means the call's eventual update
-// both consumes the input edge and introduces the new one — so the batch
-// ownership contract holds after the flush, and a late error or panic in
-// the same Execute call still pushes a fail update carrying a live edge
-// (the input edge stays outstanding until that update lands).
-func (c *taskCollector) settleChain() {
-	b := c.chainBatch
-	if b == nil {
-		return
-	}
-	in := b.envs[c.chainIdx].tuple.edge
-	e := c.edges.next()
-	b.envs[c.chainIdx].tuple.edge = e
-	c.pendXor ^= in ^ e
-	c.chainBatch = nil
-	c.out.pinned = nil
 }
 
 // outTrace stamps the trace context for one emission.

@@ -696,7 +696,7 @@ func (t *tcpTransport) dispatch(peer int, typ byte, body []byte, dec *frameDecod
 		if err != nil {
 			return err
 		}
-		t.fenceLocal(comp, epoch, func() {
+		t.r.fenceExecs(t.r.localExecs(t.r.comps[comp]), func() {
 			if p := t.peers[peer]; p != nil {
 				p.sendSmall(func(b []byte) []byte { return appendFenceFrame(b, frameFenceAck, epoch, comp) })
 			}
@@ -837,40 +837,44 @@ func fenceKey(component string, epoch uint64) string {
 	return fmt.Sprintf("%s/%d", component, epoch)
 }
 
-// fenceLocal injects a fence sentinel into every local executor of a
-// component and fires done once all of them passed it. With no local
-// executors the fence completes immediately.
-func (t *tcpTransport) fenceLocal(component string, epoch uint64, done func()) {
-	t.r.fenceLocalExecs(component, done)
-}
-
-// fenceLocalExecs is the transport-independent half of a drain barrier. An
-// executor whose input already closed has executed everything it will ever
-// receive, so its fence counts as passed without being delivered. The send
-// holds inMu so that the close cannot slip in between the check and the
-// send; it cannot block the close for long, because an executor whose input
-// is open is still consuming it.
-func (r *Runtime) fenceLocalExecs(component string, done func()) {
-	rc := r.comps[component]
-	var locals []*executor
-	if rc != nil {
+// localExecs lists the executors of comps placed on this worker (nil
+// entries, e.g. an unknown component named by a peer, have none).
+func (r *Runtime) localExecs(comps ...*runningComponent) []*executor {
+	var out []*executor
+	for _, rc := range comps {
+		if rc == nil {
+			continue
+		}
 		for _, ex := range rc.execs {
 			if r.localExec(ex) {
-				locals = append(locals, ex)
+				out = append(out, ex)
 			}
 		}
 	}
-	if len(locals) == 0 {
+	return out
+}
+
+// fenceExecs sends a drain fence to each of execs and calls done once all
+// of them arrived, each after putting on the wire everything it emitted
+// before the fence: a bolt executor takes the fence in its input queue,
+// behind every delivery already queued to it, and arrives after executing
+// those and flushing; a spout executor arrives at its next loop turn, after
+// flushing; an executor whose input has closed arrives at its final flush.
+// The queue send holds inMu so that the close cannot slip in between the
+// check and the send; it cannot block the close for long, because an
+// executor whose input is open is still consuming it.
+func (r *Runtime) fenceExecs(execs []*executor, done func()) {
+	if len(execs) == 0 {
 		done()
 		return
 	}
 	fw := &fenceWait{fn: done}
-	fw.n.Store(int32(len(locals)))
-	for _, ex := range locals {
+	fw.n.Store(int32(len(execs)))
+	for _, ex := range execs {
 		ex.inMu.Lock()
-		if ex.retired {
+		if ex.comp.spec.isSpout || ex.retired {
 			ex.inMu.Unlock()
-			fw.arrive()
+			ex.awaitFlush(fw)
 			continue
 		}
 		fb := r.getBatch()
@@ -880,22 +884,106 @@ func (r *Runtime) fenceLocalExecs(component string, done func()) {
 	}
 }
 
-// DrainComponent flushes a routing change through the data plane: it
-// bumps the routing epoch, sends a fence down every path into the
-// component — through the local executor queues and across every peer —
-// and blocks until all of them report the fence passed, proving every
-// envelope delivered to the component before the call has been executed.
-// The caller must have flushed its own output batches first
-// (Flusher.FlushBatches); the component must not be fed by other
-// still-emitting upstreams, or the fence can be overtaken by their
-// buffered tuples. Used by the rebalancer between a routing-table swap
-// and ReleaseSource, so in-flight tuples for the old table drain before
-// source engines shed state.
+// drainMethod is the storm-internal control method that runs one worker's
+// drain step for a peer's DrainComponent.
+const drainMethod = "storm.drain"
+
+// DrainComponent proves that a routing change has flushed through the data
+// plane: it returns once the component has executed every tuple emitted
+// towards it before the call, including tuples still buffered in its
+// producers' output batches. Every worker runs one drain step, this one
+// inline and each live peer over a storm-internal control method: the
+// worker's local producers of the component flush (see fenceExecs), and
+// only then does it send a fence down every path from that worker into the
+// component — its local executors, and one fence frame per peer — and wait
+// for all of them to pass. Per-sender FIFO puts each fence behind
+// everything those producers emitted before it, on every path, so the
+// result holds for any caller on any worker. The rebalancer calls it
+// between a routing-table swap and ReleaseSource, so tuples routed under
+// the old table are executed before the source engines shed state.
 func (r *Runtime) DrainComponent(component string, timeout time.Duration) error {
 	if r.comps[component] == nil {
 		return fmt.Errorf("storm: unknown component %q", component)
 	}
+	if timeout <= 0 {
+		timeout = 2 * time.Second
+	}
 	<-r.trReady // wait for RunContext to settle the transport
+	t, _ := r.tr.(*tcpTransport)
+	var remote chan error
+	steps := 0
+	if t != nil {
+		remote = make(chan error, len(t.peers))
+		payload := appendWireString(appendUvarint(nil, uint64(timeout)), component)
+		for w, p := range t.peers {
+			if p == nil || p.dead.Load() {
+				continue
+			}
+			steps++
+			go func() {
+				_, err := t.control(w, drainMethod, payload)
+				if err != nil && (p.dead.Load() || t.closed.Load()) {
+					err = nil // a lost link carries nothing in flight
+				}
+				remote <- err
+			}()
+		}
+	}
+	err := r.drainStep(component, timeout)
+	for ; steps > 0; steps-- {
+		if rerr := <-remote; err == nil {
+			err = rerr
+		}
+	}
+	return err
+}
+
+// serveDrain runs the drain step a peer's DrainComponent asked for.
+func (r *Runtime) serveDrain(payload []byte) error {
+	timeout, rest, err := decodeUvarint(payload)
+	if err != nil {
+		return err
+	}
+	component, _, err := decodeWireString(rest)
+	if err != nil {
+		return err
+	}
+	// Peers may call in before RunContext has published the transport.
+	<-r.trReady
+	return r.drainStep(component, time.Duration(timeout))
+}
+
+// drainStep is one worker's share of DrainComponent: flush this worker's
+// producers of the component, then fence every path from this worker into
+// it and wait for the fences to pass. The routing epoch stamped into batch
+// frames is bumped at each fence.
+func (r *Runtime) drainStep(component string, timeout time.Duration) error {
+	rc := r.comps[component]
+	if rc == nil {
+		return fmt.Errorf("storm: unknown component %q", component)
+	}
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	await := func(passed <-chan struct{}) error {
+		select {
+		case <-passed:
+			return nil
+		case <-deadline.C:
+			return fmt.Errorf("storm: drain of %q timed out after %v on worker %d", component, timeout, r.cfg.selfWorker)
+		}
+	}
+
+	// A producer subscribed to twice is fenced twice and arrives twice.
+	var producers []*runningComponent
+	for _, g := range rc.spec.groupings {
+		producers = append(producers, r.comps[g.Source])
+	}
+	flushed := make(chan struct{})
+	r.fenceExecs(r.localExecs(producers...), func() { close(flushed) })
+	if err := await(flushed); err != nil {
+		return err
+	}
+
 	t, _ := r.tr.(*tcpTransport)
 	var peers []*tcpPeer
 	if t != nil {
@@ -905,10 +993,9 @@ func (r *Runtime) DrainComponent(component string, timeout time.Duration) error 
 			}
 		}
 	}
-	done := make(chan struct{})
-	master := &fenceWait{fn: func() { close(done) }}
+	passed := make(chan struct{})
+	master := &fenceWait{fn: func() { close(passed) }}
 	master.n.Store(int32(1 + len(peers)))
-
 	var epoch uint64
 	if t != nil {
 		epoch = t.epoch.Add(1)
@@ -922,21 +1009,13 @@ func (r *Runtime) DrainComponent(component string, timeout time.Duration) error 
 			t.fenceMu.Unlock()
 		}()
 	}
-	r.fenceLocalExecs(component, master.arrive)
+	r.fenceExecs(r.localExecs(rc), master.arrive)
 	for _, p := range peers {
 		if err := p.sendSmall(func(b []byte) []byte { return appendFenceFrame(b, frameFence, epoch, component) }); err != nil {
 			master.arrive() // dead link: its tuples are lost, not in flight
 		}
 	}
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	select {
-	case <-done:
-		return nil
-	case <-time.After(timeout):
-		return fmt.Errorf("storm: drain of %q timed out after %v", component, timeout)
-	}
+	return await(passed)
 }
 
 // peerRetired reports whether every executor of a worker has been retired
@@ -977,11 +1056,14 @@ func (r *Runtime) Control(worker int, method string, payload []byte) ([]byte, er
 }
 
 // serveControl dispatches one control request on the serving worker:
-// runtime-internal methods (the epoch coordinator's protocol, see
-// epoch.go) are intercepted before the user's OnControl handler, so
-// topology code can install its own handler without forwarding — or even
-// knowing about — the internal namespace.
+// runtime-internal methods (the drain step, and the epoch coordinator's
+// protocol, see epoch.go) are intercepted before the user's OnControl
+// handler, so topology code can install its own handler without
+// forwarding — or even knowing about — the internal namespace.
 func (r *Runtime) serveControl(method string, payload []byte) ([]byte, error) {
+	if method == drainMethod {
+		return nil, r.serveDrain(payload)
+	}
 	if strings.HasPrefix(method, epochMethodPrefix) {
 		if ec := r.epochs; ec != nil {
 			return ec.serve(method, payload)

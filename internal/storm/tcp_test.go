@@ -394,6 +394,86 @@ func TestDistributedControlAndDrain(t *testing.T) {
 	rig.edgeReconciles(t, "src", "sink")
 }
 
+// TestDistributedDrainCoversProducerBuffers pins that DrainComponent needs
+// nothing from the component's producers: a producer bolt emits one tuple
+// to the target and then blocks inside Execute, so the tuple sits in its
+// unflushed output batch until the test releases it ~50 ms later. The
+// drain may not return before the target executed that tuple — a fence
+// sent straight to the target would overtake it. With two workers the
+// producer and the target run on different workers and the drain starts
+// on the target's, so the producer flushes through the remote drain step.
+func TestDistributedDrainCoversProducerBuffers(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			release := make(chan struct{})
+			emitted := make(chan struct{})
+			unblock := make(chan struct{})
+			var executed atomic.Int64
+			build := func(int) *TopologyBuilder {
+				b := NewTopologyBuilder("t")
+				b.SetSpout("src", func() Spout { return &gatedSpout{n: 1, release: release} }, 1, 1)
+				b.SetBolt("producer", func() Bolt {
+					return &funcBolt{exec: func(tp Tuple, col Collector) error {
+						col.Emit(tp.Values)
+						close(emitted)
+						<-unblock
+						return nil
+					}}
+				}, 1, 1).ShuffleGrouping("src")
+				b.SetBolt("target", func() Bolt {
+					return &funcBolt{exec: func(Tuple, Collector) error { executed.Add(1); return nil }}
+				}, 1, 1).ShuffleGrouping("producer")
+				return b
+			}
+			rig := &distRig{rts: make([]*Runtime, 1), errs: make([]error, 1)}
+			if workers == 1 {
+				topo, err := build(0).Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rig.rts[0], err = New(topo); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				rig = newDistRig(t, workers, build)
+			}
+			initiator := rig.rts[0]
+			for _, p := range initiator.Placements() {
+				if p.Component == "target" {
+					initiator = rig.rts[p.Worker]
+				}
+			}
+			var wg sync.WaitGroup
+			for i, rt := range rig.rts {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rig.errs[i] = rt.Run()
+				}()
+			}
+			select {
+			case <-emitted:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the producer never executed the spout's tuple")
+			}
+			time.AfterFunc(50*time.Millisecond, func() { close(unblock) })
+			if err := initiator.DrainComponent("target", 5*time.Second); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if got := executed.Load(); got != 1 {
+				t.Errorf("drain returned with the target at %d executed tuples, want 1: the fence overtook the producer's buffered tuple", got)
+			}
+			close(release)
+			wg.Wait()
+			for i, err := range rig.errs {
+				if err != nil {
+					t.Fatalf("worker %d: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
 // TestDistributedHeartbeatHeadroomUnderFullQueue pins the control-frame
 // headroom band of trySendSmall: a peer whose queue sits at the data
 // bound (data enqueues blocked on backpressure) must still accept

@@ -1,6 +1,7 @@
 package storm
 
 import (
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -171,6 +172,39 @@ func TestConstructorErrorsPropagate(t *testing.T) {
 type SyntaxishError struct{ msg string }
 
 func (e *SyntaxishError) Error() string { return e.msg }
+
+// FuzzParseXML feeds arbitrary documents through the loader's three steps
+// — ParseXML, RuleDefs, Build over a registry of stub constructors for
+// every component type the seeds name — which may reject a document but
+// must never panic. Seeds: the shipped Figure-8 document and this file's
+// test topology.
+func FuzzParseXML(f *testing.F) {
+	shipped, err := os.ReadFile("../core/topology.xml")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(shipped)
+	f.Add([]byte(topologyXML))
+	reg := NewRegistry()
+	for _, typ := range []string{"busreader", "numbers"} {
+		reg.RegisterSpout(typ, func(map[string]string) (SpoutFactory, error) {
+			return func() Spout { return &seqSpout{n: 1, keys: 1} }, nil
+		})
+	}
+	for _, typ := range []string{"preprocess", "areatracker", "busstops", "splitter", "esper", "eventsstorer", "pass", "count"} {
+		reg.RegisterBolt(typ, func(map[string]string) (BoltFactory, error) {
+			return func() Bolt { return &passBolt{} }, nil
+		})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		xt, err := ParseXML(data)
+		if err != nil {
+			return
+		}
+		_, _ = xt.RuleDefs()
+		_, _ = xt.Build(reg)
+	})
+}
 
 func TestParseXMLFieldsSplitting(t *testing.T) {
 	xml := `<topology name="t">
