@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -353,9 +352,9 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 // be lost across the swap. It holds through both entries to the one
 // assembly: the builder the suites and examples call, and the registry +
 // shipped XML document trafficd and bench/ load. The rebalancer is bound to
-// the runtime as trafficd binds it; the test holds the feed in front of the
-// Splitter after its first batches and runs the skew check itself, and the
-// swap must land before the Splitter's last tuple.
+// the runtime as trafficd binds it; the test holds the feed at the BusReader
+// after its first quarter and runs the skew check itself, and the swap must
+// land before the Splitter's last tuple.
 //
 // Two rule sets: one rule with everything starting on engine 0, and the
 // shipped document's pair on one location field and window length
@@ -366,12 +365,10 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 	entries := []struct {
 		name  string
-		build func(cfg TrafficConfig) (*storm.Topology, error)
+		build func(cfg *TrafficConfig, reg *storm.Registry) (*storm.Topology, error)
 	}{
-		{"BuildTrafficTopology", BuildTrafficTopology},
-		{"RegisterComponents+LoadXML", func(cfg TrafficConfig) (*storm.Topology, error) {
-			reg := storm.NewRegistry()
-			RegisterComponents(reg, &Deps{Config: cfg})
+		{"BuildTrafficTopology", buildTrafficTopology},
+		{"RegisterComponents+LoadXML", func(_ *TrafficConfig, reg *storm.Registry) (*storm.Topology, error) {
 			topo, _, err := storm.LoadXML(TopologyXML, reg)
 			return topo, err
 		}},
@@ -387,7 +384,7 @@ func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 	}
 }
 
-func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*storm.Topology, error), pair bool) {
+func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *storm.Registry) (*storm.Topology, error), pair bool) {
 	tree := buildTestTree(t)
 	traces := genTraces(t, 40, 10)
 	// The shipped document's EsperBolt tasks: the XML entry cannot run any
@@ -462,21 +459,25 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*stor
 
 	// run executes the topology and returns the detection multiset keyed by
 	// everything except the engine column. With a rebalancer it binds it to
-	// the runtime and holds the feed in front of the Splitter after its
-	// first batches, so that one skew check from the test goroutine swaps
-	// the table with most of the feed still to come.
+	// the runtime and holds the feed at the BusReader after its first
+	// quarter, so that one skew check from the test goroutine swaps the
+	// table with most of the feed still to come.
 	run := func(t *testing.T, cfg TrafficConfig, db *sqlstore.DB) map[string]int {
 		t.Helper()
-		topo, err := build(cfg)
+		gate := &gatedReader{at: len(traces) / 4, held: make(chan struct{}), open: make(chan struct{})}
+		reg, deps := storm.NewRegistry(), &Deps{Config: cfg}
+		RegisterComponents(reg, deps)
+		reg.RegisterSpout("busreader", func(map[string]string) (storm.SpoutFactory, error) {
+			return func() storm.Spout { return gate.reader(traces) }, nil
+		})
+		topo, err := build(&deps.Config, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gate := &feedGate{after: max(1, len(traces)/128), held: make(chan struct{}), open: make(chan struct{})}
-		rt, err := storm.New(topo, storm.WithTransport(gate))
+		rt, err := storm.New(topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gate.rt, gate.eid = rt, executorID(rt, CompSplitter)
 		if reb := cfg.Rebalancer; reb == nil {
 			close(gate.open)
 		} else {
@@ -486,9 +487,10 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(TrafficConfig) (*stor
 		go func() { ran <- rt.Run() }()
 		if reb := cfg.Rebalancer; reb != nil {
 			splitterExecuted := func() uint64 { return componentTotal(rt, CompSplitter).Executed }
-			// Every batch that passed the gate holds at least one tuple.
+			// The BusReader's output batch may hold the last tuples before
+			// the gate while the gate is shut.
 			ready := func() bool {
-				return engineCount(reb.migrator) == engines && splitterExecuted() >= uint64(gate.after)
+				return engineCount(reb.migrator) == engines && splitterExecuted() >= uint64(gate.at/2)
 			}
 			swapMidFeed(t, reb, gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces))
 		}
@@ -687,51 +689,6 @@ func swapMidFeed(t *testing.T, reb *Rebalancer, held <-chan struct{}, open func(
 		t.Fatalf("rebalance cycle: %v", res.err)
 	}
 	return res.rep
-}
-
-// feedGate is an in-process storm.Transport that lets the first `after`
-// batches into executor eid through and holds every later one until open
-// is closed; held is closed when it first holds a batch. Pointed at the
-// Splitter it stops the feed in front of it, after at most after × batch
-// size tuples, while everything downstream keeps running.
-type feedGate struct {
-	rt         *storm.Runtime
-	eid, after int
-	passed     atomic.Int64
-	holding    sync.Once
-	held, open chan struct{}
-}
-
-func (g *feedGate) Deliver(eid int, b *storm.Batch) error {
-	if eid == g.eid && g.passed.Add(1) > int64(g.after) {
-		select {
-		case <-g.open:
-		default:
-			g.holding.Do(func() { close(g.held) })
-			<-g.open
-		}
-	}
-	return g.rt.DeliverLocal(eid, b)
-}
-
-func (g *feedGate) Close() error { return nil }
-
-// executorID returns the dense executor id (the one a storm.Transport is
-// handed) of component's first executor: the runtime numbers executors in
-// the order Placements lists them, each with its tasks consecutive.
-func executorID(rt *storm.Runtime, component string) int {
-	eid := -1
-	var prev storm.Placement
-	for i, p := range rt.Placements() {
-		if i == 0 || p.Component != prev.Component || p.Executor != prev.Executor {
-			eid++
-		}
-		if p.Component == component {
-			return eid
-		}
-		prev = p
-	}
-	return -1
 }
 
 // componentTotal is one component's counters on rt's worker.

@@ -198,6 +198,16 @@ type TrafficConfig struct {
 // through RegisterComponents, with the BusReader and EsperBolt parallelism
 // taken from cfg instead of the document.
 func BuildTrafficTopology(cfg TrafficConfig) (*storm.Topology, error) {
+	reg := storm.NewRegistry()
+	deps := &Deps{Config: cfg}
+	RegisterComponents(reg, deps)
+	return buildTrafficTopology(&deps.Config, reg)
+}
+
+// buildTrafficTopology fills in cfg's defaults and builds the document over
+// reg, whose components RegisterComponents bound to cfg (they read it at
+// build time, after the defaults).
+func buildTrafficTopology(cfg *TrafficConfig, reg *storm.Registry) (*storm.Topology, error) {
 	if cfg.Engines <= 0 {
 		cfg.Engines = 1
 	}
@@ -213,8 +223,6 @@ func BuildTrafficTopology(cfg TrafficConfig) (*storm.Topology, error) {
 	}
 	setParallelism(xt.Spouts, CompBusReader, cfg.SpoutTasks)
 	setParallelism(xt.Bolts, CompEsper, cfg.Engines)
-	reg := storm.NewRegistry()
-	RegisterComponents(reg, &Deps{Config: cfg})
 	return xt.Build(reg)
 }
 

@@ -309,8 +309,8 @@ type xorAcker struct {
 	waiters   atomic.Int32
 
 	// sendRemote ships updates for roots owned by another worker (set by
-	// the TCP transport; nil in-process — then remote updates are dropped
-	// and the owner's roots replay or expire on timeout).
+	// the peer links; while nil, remote updates are dropped and the
+	// owner's roots replay or expire on timeout).
 	sendRemote func(worker int, ents []ackUpdate)
 
 	// Replay-collector shuffle counters; only the sweeper goroutine
@@ -900,8 +900,8 @@ func (ab *ackBatcher) flushPeer(w int) {
 	if sr := ab.ak.sendRemote; sr != nil {
 		sr(w, buf)
 	}
-	// With no remote path (custom transport), the updates are dropped and
-	// the owner's roots replay or expire on their own timeouts.
+	// With no remote path, the updates are dropped and the owner's roots
+	// replay or expire on their own timeouts.
 	ab.remote[w] = buf[:0]
 }
 

@@ -8,7 +8,7 @@ package storm
 // file amortizes and removes them:
 //
 //   - Emissions buffer per destination executor in an outBatcher and travel
-//     as *Batch values — one channel operation moves up to BatchSize
+//     as *batch values — one channel operation moves up to BatchSize
 //     envelopes. Buffers flush when full, when a spout-side envelope has
 //     waited past BatchTimeout (checked between NextTuple calls), when a
 //     bolt's input queue goes idle, at a drain fence (Runtime.
@@ -42,12 +42,12 @@ import (
 	"time"
 )
 
-// Batch is the unit of inter-executor transport: a pooled slice of
-// envelopes, opaque outside the package. Ownership passes to the receiving
-// executor (or the Transport, see transport.go) at send time; the receiver
-// releases it via Runtime.ReleaseBatch after the last envelope is
-// processed.
-type Batch struct {
+// batch is the unit of inter-executor transport: a pooled slice of
+// envelopes. Ownership passes at send time to the receiving executor, which
+// releases it via putBatch after the last envelope is processed, or to the
+// peer link, which releases it once the envelopes are encoded (see
+// deliverOrDrop).
+type batch struct {
 	envs []envelope
 	// fence marks a drain fence instead of a payload batch: the receiving
 	// executor flushes its output and signals it (see Runtime.fenceExecs).
@@ -68,11 +68,11 @@ type Batch struct {
 	epochRetire bool
 }
 
-func (r *Runtime) getBatch() *Batch { return r.batchPool.Get().(*Batch) }
+func (r *Runtime) getBatch() *batch { return r.batchPool.Get().(*batch) }
 
 // putBatch returns a batch to the pool. Envelopes are cleared first so the
 // pool does not pin tuple payload maps or trace contexts.
-func (r *Runtime) putBatch(b *Batch) {
+func (r *Runtime) putBatch(b *batch) {
 	clear(b.envs)
 	b.envs = b.envs[:0]
 	b.fence = nil
@@ -89,7 +89,7 @@ type outBatcher struct {
 	r       *Runtime
 	size    int
 	timeout time.Duration
-	bufs    []*Batch // pending buffer per destination executor id
+	bufs    []*batch // pending buffer per destination executor id
 	queued  []bool   // dests membership per destination executor id
 	dests   []*executor
 	first   time.Time // clock at the first buffered envelope since the last flush
@@ -97,7 +97,7 @@ type outBatcher struct {
 	// Execute call may still rewrite (XOR acker edge chaining): add grows
 	// the batch past the size cap instead of shipping it mid-call. The
 	// executor clears the pin when the call settles.
-	pinned *Batch
+	pinned *batch
 }
 
 func (r *Runtime) newOutBatcher() *outBatcher {
@@ -105,7 +105,7 @@ func (r *Runtime) newOutBatcher() *outBatcher {
 		r:       r,
 		size:    r.batchSize,
 		timeout: r.batchTimeout,
-		bufs:    make([]*Batch, len(r.execs)),
+		bufs:    make([]*batch, len(r.execs)),
 		queued:  make([]bool, len(r.execs)),
 	}
 }
@@ -144,7 +144,7 @@ func (o *outBatcher) add(dest *executor, local int, t *Tuple, edge uint64, now t
 // a fresh edge id before it ships. A full buffer ships before the pin (the
 // previous pin is gone by now — it cleared when that call settled), so
 // pinning never grows batches past the cap in the steady state.
-func (o *outBatcher) pin(dest *executor, now time.Time) *Batch {
+func (o *outBatcher) pin(dest *executor, now time.Time) *batch {
 	b := o.bufs[dest.eid]
 	if b != nil && len(b.envs) >= o.size {
 		o.bufs[dest.eid] = nil
@@ -159,7 +159,7 @@ func (o *outBatcher) pin(dest *executor, now time.Time) *Batch {
 }
 
 // newBuf starts a fresh buffer for dest and marks it dirty.
-func (o *outBatcher) newBuf(dest *executor, now time.Time) *Batch {
+func (o *outBatcher) newBuf(dest *executor, now time.Time) *batch {
 	b := o.r.getBatch()
 	o.bufs[dest.eid] = b
 	if !o.queued[dest.eid] {

@@ -13,20 +13,19 @@
 // WithWorker the same topology is split across worker processes: every
 // worker builds the identical topology (placement is deterministic), runs
 // only the executors placed on it, and ships envelope batches to the others
-// over the TCP peer transport (see transport.go and wire.go). Liveness
-// between workers is tracked with heartbeats; a lost peer fails its
-// in-flight anchored tuples and unblocks shutdown.
+// over TCP peer links (see tcp.go and wire.go). Liveness between workers is
+// tracked with heartbeats; a lost peer fails its in-flight anchored tuples
+// and unblocks shutdown.
 //
-// # Transports
+// # Data plane
 //
-// The inter-executor hop is abstracted behind the Transport interface. The
-// in-process chan transport is the zero-cost local fast path; tcpTransport
-// implements the same contract across processes with a length-prefixed wire
-// codec over pooled frame buffers; a decoded payload is an ordinary map the
-// receiving bolt owns like any other input. Third-party transports (gRPC,
-// shared memory) implement Transport and slot in via WithTransport without
-// touching the runtime; see the Transport and Peer godoc for the ownership
-// and flush-before-block contracts they must honor.
+// The runtime owns one data plane, with no plug-in point (see
+// transport.go). A hop to an executor in the same process is a channel
+// send of the pooled batch. A hop to another worker encodes the batch with a
+// length-prefixed wire codec into a pooled frame buffer, queued on the
+// runtime's link to that worker; a decoded payload is an ordinary map the
+// receiving bolt owns like any other input. Both hops keep per-sender FIFO
+// order, which producer-exit accounting, drains and epoch barriers rely on.
 //
 // # Reliability
 //

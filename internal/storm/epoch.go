@@ -512,7 +512,6 @@ func (ec *epochCoordinator) broadcast(method string, payload []byte) {
 // a barrier prove every earlier envelope is ahead of it.
 func (ec *epochCoordinator) forward(comp *runningComponent, val uint64, retire bool) {
 	r := ec.r
-	var t *tcpTransport
 	for _, dest := range ec.down[comp] {
 		if r.localExec(dest) {
 			b := r.getBatch()
@@ -521,14 +520,7 @@ func (ec *epochCoordinator) forward(comp *runningComponent, val uint64, retire b
 			dest.deliver(b)
 			continue
 		}
-		if t == nil {
-			tt, ok := r.tr.(*tcpTransport)
-			if !ok {
-				continue // non-TCP transport with remote placement: nothing to send
-			}
-			t = tt
-		}
-		if p := t.peers[dest.worker]; p != nil {
+		if p := r.links.peers[dest.worker]; p != nil {
 			eid := dest.eid
 			_ = p.sendSmall(func(b []byte) []byte {
 				return appendEpochBarrierFrame(b, eid, val, retire)

@@ -90,8 +90,9 @@ func WithBatchTimeout(d time.Duration) Option { return func(c *config) { c.Batch
 // this process. Every worker must build the identical topology with the
 // identical options — placement is deterministic, so each process derives
 // the same executor→worker map and runs only its share, shipping batches
-// to the others over the TCP peer transport. Single-element peers degrade
-// to an in-process run that still exercises the wire.
+// to the others over TCP peer links. With a single-element peers every
+// executor is local: the worker listens on its address, but nothing is
+// encoded or sent.
 func WithWorker(self int, peers []string) Option {
 	return func(c *config) {
 		c.selfWorker = self
@@ -105,16 +106,8 @@ func WithWorker(self int, peers []string) Option {
 // unblocking shutdown. Defaults to 1s.
 func WithHeartbeat(d time.Duration) Option { return func(c *config) { c.heartbeat = d } }
 
-// WithTransport overrides the inter-executor transport with a custom
-// implementation (see the Transport contract in transport.go). The runtime
-// routes every batch delivery — local or not — through t; membership, eof
-// accounting and rebalance fences remain the caller's responsibility, so
-// this is intended for in-process transports (instrumentation, shared
-// memory), not as a shortcut to a new distributed data plane.
-func WithTransport(t Transport) Option { return func(c *config) { c.transport = t } }
-
 // WithListener installs a pre-bound listener for this worker's peer
-// address instead of letting the transport listen itself. Useful when the
+// address instead of letting the runtime listen itself. Useful when the
 // socket is inherited (e.g. from a supervisor) or, in tests, bound on
 // 127.0.0.1:0 first so free ports are known before the peer list is
 // assembled. The runtime takes ownership and closes it on shutdown.

@@ -73,10 +73,9 @@ type config struct {
 	// for 4 intervals is declared lost.
 	heartbeat time.Duration
 	// dialTimeout bounds how long worker start-up waits for each peer to
-	// accept connections. Defaults to 10s.
+	// accept connections, and how long a Control call waits for its
+	// reply. Defaults to 10s.
 	dialTimeout time.Duration
-	// transport overrides the delivery path entirely (WithTransport).
-	transport Transport
 	// listener, when set, is the pre-bound listener for peers[selfWorker]
 	// (tests bind :0 first to learn free ports).
 	listener net.Listener
@@ -194,7 +193,7 @@ type executor struct {
 	eid    int // dense id across the whole topology, indexes outBatcher buffers
 	worker int // worker process the executor was placed on
 	tasks  []*taskState
-	in     chan *Batch
+	in     chan *batch
 
 	// inMu orders the closing of in against fence deliveries, the one kind
 	// of send that does not come from a counted producer (data batches stop
@@ -245,7 +244,7 @@ func (ex *executor) flushed(final bool) {
 // deliver hands a batch to this executor's input queue, transferring
 // ownership (the executor releases it to the pool once processed), and
 // counts the delivery so average batch fill is observable.
-func (ex *executor) deliver(b *Batch) {
+func (ex *executor) deliver(b *batch) {
 	ex.comp.batchesIn.Add(1)
 	ex.in <- b
 }
@@ -310,12 +309,12 @@ type Runtime struct {
 	quarK   int
 	comps   map[string]*runningComponent
 
-	// tr is the inter-executor transport: chanTransport in-process,
-	// tcpTransport under WithWorker, or a WithTransport override. trReady
-	// is closed by RunContext once tr reached its final value, so control-
-	// plane entry points arriving from outside the run can wait for it.
-	tr      Transport
-	trReady chan struct{}
+	// links are this worker's connections to its peers under WithWorker
+	// (nil in a single-process run). linksReady is closed by RunContext
+	// once links is set, so control-plane entry points arriving from
+	// outside the run can wait for it.
+	links      *peerLinks
+	linksReady chan struct{}
 	// eofSeen dedupes remote executor-exit notifications per dense id
 	// (a lost peer's exits are synthesized and may race its real ones).
 	// remoteLeft counts the remote executors not yet seen exiting;
@@ -368,9 +367,8 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		comps:     make(map[string]*runningComponent),
 		batchSize: cfg.BatchSize, batchTimeout: cfg.BatchTimeout,
 	}
-	r.tr = chanTransport{r}
-	r.trReady = make(chan struct{})
-	r.batchPool.New = func() any { return &Batch{envs: make([]envelope, 0, cfg.BatchSize)} }
+	r.linksReady = make(chan struct{})
+	r.batchPool.New = func() any { return &batch{envs: make([]envelope, 0, cfg.BatchSize)} }
 	// The input queue holds batches, so scale its length to keep the
 	// buffered-tuple capacity (and therefore the backpressure point) at
 	// roughly ChannelBuffer tuples regardless of batch size.
@@ -411,7 +409,7 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		base := compCursor * totalWorkers / totalExecs
 		for e := 0; e < spec.executors; e++ {
 			worker := (base + e) % totalWorkers
-			ex := &executor{comp: rc, idx: e, eid: len(r.execs), worker: worker, in: make(chan *Batch, chanCap)}
+			ex := &executor{comp: rc, idx: e, eid: len(r.execs), worker: worker, in: make(chan *batch, chanCap)}
 			r.execs = append(r.execs, ex)
 			// Tasks are distributed to executors round-robin; extra
 			// tasks share executors ("pseudo-parallel", §2.1.1).
@@ -572,27 +570,24 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 		if r.cfg.AckMode == AckEpoch {
 			// No per-tuple machinery at all: the acker stays nil, so
 			// EmitAnchored degrades to plain Emit and reliability rides
-			// the barrier protocol (started below, once the transport is
-			// settled — the coordinator speaks over the control plane).
+			// the barrier protocol (started below, once the peer links are
+			// up — the coordinator speaks over the control plane).
 			r.epochs = newEpochCoordinator(r)
 		} else {
 			r.acker = newXorAcker(r, r.cfg.AckTimeout, r.cfg.MaxRetries)
 			r.acker.start(r.done)
 		}
 	}
-	switch {
-	case r.cfg.transport != nil:
-		r.tr = r.cfg.transport
-	case r.cfg.peers != nil:
-		t, err := newTCPTransport(r)
+	if r.cfg.peers != nil {
+		l, err := newPeerLinks(r)
 		if err != nil {
 			r.stopAcking()
 			return err
 		}
-		r.tr = t
+		r.links = l
+		defer l.Close()
 	}
-	close(r.trReady)
-	defer r.tr.Close()
+	close(r.linksReady)
 	if r.epochs != nil {
 		r.epochs.start()
 	}
@@ -623,20 +618,18 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 				// flushed and, with ack tracking on, its anchored trees
 				// resolved): retire it everywhere.
 				r.execDone(ex)
-				if t, ok := r.tr.(*tcpTransport); ok {
-					t.broadcastEOF(ex.eid)
+				if r.links != nil {
+					r.links.broadcastEOF(ex.eid)
 				}
 			}(rc, ex)
 		}
 	}
 	wg.Wait()
-	if _, ok := r.tr.(*tcpTransport); ok {
-		// Leave together: keep the transport up until every peer's
-		// executors have exited too (or the peer is declared lost), so a
-		// peer that finishes later never dials a closed listener or writes
-		// its final eofs into a closed socket.
-		<-r.remoteDone
-	}
+	// Leave together: keep the peer links up until every peer's executors
+	// have exited too (or the peer is declared lost), so a peer that
+	// finishes later never dials a closed listener or writes its final eofs
+	// into a closed socket. Closed from the start when nothing is remote.
+	<-r.remoteDone
 	r.stopAcking()
 
 	r.errMu.Lock()
@@ -899,7 +892,7 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 	// keeps an acyclic topology deadlock-free under backpressure. Buffered
 	// ack updates flush on the same trigger: a spout's drain wait must not
 	// stall on checksum bits parked in an idle executor.
-	recv := func() (*Batch, bool) {
+	recv := func() (*batch, bool) {
 		select {
 		case b, ok := <-ex.in:
 			return b, ok
@@ -915,7 +908,7 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 	// bt/next are the batch being processed and the envelope to process
 	// next, hoisted out of loop() so the panic handler can resume after the
 	// poisoned envelope without dropping the rest of its batch.
-	var bt *Batch
+	var bt *batch
 	next := 0
 	// With tracing off, the clock is read once per batch, not per envelope:
 	// btStart stamps the batch's arrival and the elapsed time is attributed
@@ -1202,7 +1195,7 @@ type taskCollector struct {
 	// an error after the emission can retarget it onto a fresh edge id
 	// (restoring the invariant that a fail update carries a live edge).
 	chainEdge  uint64
-	chainBatch *Batch
+	chainBatch *batch
 	chainIdx   int
 	// rootNext/rootLeft are the collector's reserved window of root ids
 	// (spout collectors only): one shared-counter trip per rootBlock

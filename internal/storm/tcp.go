@@ -1,6 +1,6 @@
 package storm
 
-// TCP peer transport: worker membership over a static peer list, one
+// TCP peer links: worker membership over a static peer list, one
 // directed connection per ordered worker pair (each worker dials every
 // other and announces itself with a hello frame), heartbeat liveness, and
 // the distributed halves of producer accounting (eof frames), anchored-
@@ -68,8 +68,8 @@ type qFrame struct {
 type anchorRef struct{ ack, edge uint64 }
 
 // peerQueueBytes bounds each peer's outbound queue (frame payload bytes).
-// Enqueueing past it blocks — the same backpressure Deliver previously got
-// from a full kernel send buffer, now one queue earlier. A var so tests
+// Enqueueing past it blocks — the same backpressure a send would get from
+// a full kernel send buffer, one queue earlier. A var so tests
 // can shrink the bound to force the blocking path.
 var peerQueueBytes = 1 << 20
 
@@ -83,17 +83,17 @@ const peerCtrlHeadroom = 8 << 10
 // flush its queue (eofs, final acks) before the connection is torn down.
 const shutdownFlushTimeout = 2 * time.Second
 
-// tcpPeer is the outbound link to one worker. It implements Peer.
+// tcpPeer is the outbound link to one worker.
 //
 // Sends are pipelined: callers encode frames off-lock into pooled buffers
 // and append them to a bounded queue; a dedicated writer goroutine drains
 // the whole queue per wakeup into one writev (net.Buffers), so executors
-// never block on the kernel inside Deliver and small control frames stop
+// never block on the kernel inside a send and small control frames stop
 // costing a syscall each. FIFO across all frame types is preserved — the
 // queue is strictly ordered and there is exactly one writer.
 type tcpPeer struct {
 	id   int
-	t    *tcpTransport
+	l    *peerLinks
 	conn net.Conn
 	dead atomic.Bool
 
@@ -109,10 +109,10 @@ type tcpPeer struct {
 
 // newTCPPeer wraps an established outbound connection (hello already
 // written) and starts its writer goroutine.
-func newTCPPeer(t *tcpTransport, id int, conn net.Conn) *tcpPeer {
-	p := &tcpPeer{id: id, t: t, conn: conn, writerDone: make(chan struct{})}
+func newTCPPeer(l *peerLinks, id int, conn net.Conn) *tcpPeer {
+	p := &tcpPeer{id: id, l: l, conn: conn, writerDone: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
-	t.wg.Add(1)
+	l.wg.Add(1)
 	go p.writeLoop()
 	return p
 }
@@ -160,7 +160,7 @@ func (p *tcpPeer) enqueue(f *frameBuf, comp *runningComponent, envs []envelope) 
 // an enqueue that succeeded is guaranteed to be either written or failed —
 // never stranded.
 func (p *tcpPeer) writeLoop() {
-	defer p.t.wg.Done()
+	defer p.l.wg.Done()
 	defer close(p.writerDone)
 	var bufs net.Buffers
 	var spare []qFrame
@@ -182,7 +182,7 @@ func (p *tcpPeer) writeLoop() {
 		p.mu.Unlock()
 
 		if dead {
-			p.t.failFrames(frames, anchors, p.down())
+			p.l.failFrames(frames, anchors, p.down())
 		} else {
 			bufs = bufs[:0]
 			for i := range frames {
@@ -192,8 +192,8 @@ func (p *tcpPeer) writeLoop() {
 				// Fail the whole take: a writev error loses the tail and may
 				// duplicate an already-written prefix on replay — at-least-once,
 				// exactly like a partial conn.Write before.
-				p.t.peerLost(p.id, err)
-				p.t.failFrames(frames, anchors, err)
+				p.l.peerLost(p.id, err)
+				p.l.failFrames(frames, anchors, err)
 			}
 		}
 		for i := range frames {
@@ -202,22 +202,6 @@ func (p *tcpPeer) writeLoop() {
 		}
 		spare, spareAnchors = frames, anchors
 	}
-}
-
-// Send implements Peer: one full frame per call, FIFO with every other
-// Send to this peer. The frame is copied (the caller may reuse its buffer
-// the moment Send returns) and queued for the writer.
-func (p *tcpPeer) Send(frame []byte) error {
-	if p.dead.Load() {
-		return p.down()
-	}
-	f := getFrameBuf()
-	f.b = append(f.b[:0], frame...)
-	if err := p.enqueue(f, nil, nil); err != nil {
-		putFrameBuf(f)
-		return err
-	}
-	return nil
 }
 
 // sendSmall builds a frame into a pooled buffer off the peer lock and
@@ -286,18 +270,11 @@ func (p *tcpPeer) finishShutdown() {
 	}
 }
 
-func (p *tcpPeer) Close() error {
-	if p.conn != nil {
-		return p.conn.Close()
-	}
-	return nil
-}
-
 // failFrames accounts for queued frames a peer took to its grave, exactly
 // like dropBatch accounts a batch a send error already lost: per-envelope
 // dropped counts on the destination component, failed anchors so the
 // acker replays or expires the trees, and the run error under FailFast.
-func (t *tcpTransport) failFrames(frames []qFrame, anchors []anchorRef, cause error) {
+func (l *peerLinks) failFrames(frames []qFrame, anchors []anchorRef, cause error) {
 	for i := range frames {
 		f := &frames[i]
 		if f.comp == nil {
@@ -305,12 +282,12 @@ func (t *tcpTransport) failFrames(frames []qFrame, anchors []anchorRef, cause er
 		}
 		f.comp.dropped.Add(uint64(f.n))
 		for _, a := range anchors[f.aoff : f.aoff+int32(f.alen)] {
-			if t.r.acker != nil {
-				t.r.acker.apply(a.ack, a.edge, true)
+			if l.r.acker != nil {
+				l.r.acker.apply(a.ack, a.edge, true)
 			}
 		}
-		if t.r.policy != Degrade {
-			t.r.recordErr(fmt.Errorf("storm: dropping %d tuples for %s: %w", f.n, f.comp.spec.id, cause))
+		if l.r.policy != Degrade {
+			l.r.recordErr(fmt.Errorf("storm: dropping %d tuples for %s: %w", f.n, f.comp.spec.id, cause))
 		}
 	}
 }
@@ -319,6 +296,13 @@ func (t *tcpTransport) failFrames(frames []qFrame, anchors []anchorRef, cause er
 type rpcResult struct {
 	payload []byte
 	err     error
+}
+
+// rpcCall is one outstanding control request: the worker serving it, so
+// that losing the worker fails the call, and the caller's reply channel.
+type rpcCall struct {
+	worker int
+	reply  chan rpcResult
 }
 
 // fenceWait counts outstanding fence arrivals (local executors plus peer
@@ -334,10 +318,11 @@ func (f *fenceWait) arrive() {
 	}
 }
 
-// tcpTransport implements Transport across worker processes. Destinations
-// local to this worker take the exact chanTransport path; remote ones are
-// encoded with the wire codec and shipped to the owning peer.
-type tcpTransport struct {
+// peerLinks are one worker's connections to the other workers of a
+// distributed run: an outbound tcpPeer per peer, an inbound reader per
+// accepted connection, and the state of the drains and control requests
+// that ride them.
+type peerLinks struct {
 	r     *Runtime
 	self  int
 	hb    time.Duration
@@ -357,7 +342,7 @@ type tcpTransport struct {
 
 	rpcMu   sync.Mutex
 	rpcSeq  uint64
-	rpcWait map[uint64]chan rpcResult
+	rpcWait map[uint64]rpcCall
 
 	// ackWorkerMask extracts the owning worker from an XOR-acker root id
 	// (the same low-bit layout newXorAcker derives from the peer count),
@@ -374,68 +359,68 @@ type tcpTransport struct {
 	wg     sync.WaitGroup
 }
 
-// newTCPTransport brings up this worker's data plane: listen, dial every
+// newPeerLinks brings up this worker's data plane: listen, dial every
 // peer, exchange hellos, and start the heartbeat. It returns only once all
 // outbound links are up, so executors never observe a half-connected
 // membership.
-func newTCPTransport(r *Runtime) (*tcpTransport, error) {
-	t := &tcpTransport{
+func newPeerLinks(r *Runtime) (*peerLinks, error) {
+	l := &peerLinks{
 		r: r, self: r.cfg.selfWorker, hb: r.cfg.heartbeat,
 		peers:     make([]*tcpPeer, len(r.cfg.peers)),
 		recvEpoch: make([]atomic.Uint64, len(r.cfg.peers)),
 		fences:    make(map[string]*fenceWait),
-		rpcWait:   make(map[uint64]chan rpcResult),
+		rpcWait:   make(map[uint64]rpcCall),
 		ready:     make(chan struct{}),
 		stopCh:    make(chan struct{}),
 	}
 	if n := len(r.cfg.peers); n > 1 {
-		t.ackWorkerMask = 1<<uint(bits.Len(uint(n-1))) - 1
+		l.ackWorkerMask = 1<<uint(bits.Len(uint(n-1))) - 1
 	}
 	if r.acker != nil {
-		r.acker.sendRemote = t.sendAckBatch
+		r.acker.sendRemote = l.sendAckBatch
 	}
 	ln := r.cfg.listener
 	if ln == nil {
 		var err error
-		if ln, err = net.Listen("tcp", r.cfg.peers[t.self]); err != nil {
-			return nil, fmt.Errorf("storm: worker %d listen: %w", t.self, err)
+		if ln, err = net.Listen("tcp", r.cfg.peers[l.self]); err != nil {
+			return nil, fmt.Errorf("storm: worker %d listen: %w", l.self, err)
 		}
 	}
-	t.ln = ln
-	t.wg.Add(1)
-	go t.acceptLoop()
+	l.ln = ln
+	l.wg.Add(1)
+	go l.acceptLoop()
 
 	deadline := time.Now().Add(r.cfg.dialTimeout)
 	for w, addr := range r.cfg.peers {
-		if w == t.self {
+		if w == l.self {
 			continue
 		}
-		conn, err := t.dial(addr, deadline)
+		conn, err := l.dial(addr, deadline)
 		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("storm: worker %d dialing worker %d (%s): %w", t.self, w, addr, err)
+			l.Close()
+			return nil, fmt.Errorf("storm: worker %d dialing worker %d (%s): %w", l.self, w, addr, err)
 		}
 		// The socket keeps Go's defaults: TCP_NODELAY on (the per-peer writer
 		// already coalesces frames, so Nagle would only add latency) and
 		// OS-sized kernel buffers.
 		f := getFrameBuf()
-		f.b = appendHelloFrame(f.b[:0], t.self)
+		f.b = appendHelloFrame(f.b[:0], l.self)
 		_, err = conn.Write(f.b) // synchronous: the hello must precede every queued frame
 		putFrameBuf(f)
 		if err != nil {
 			conn.Close()
-			t.Close()
-			return nil, fmt.Errorf("storm: worker %d hello to worker %d: %w", t.self, w, err)
+			l.Close()
+			return nil, fmt.Errorf("storm: worker %d hello to worker %d: %w", l.self, w, err)
 		}
-		t.peers[w] = newTCPPeer(t, w, conn)
+		l.peers[w] = newTCPPeer(l, w, conn)
 	}
-	close(t.ready)
-	t.wg.Add(1)
-	go t.heartbeatLoop()
-	return t, nil
+	close(l.ready)
+	l.wg.Add(1)
+	go l.heartbeatLoop()
+	return l, nil
 }
 
-func (t *tcpTransport) dial(addr string, deadline time.Time) (net.Conn, error) {
+func (l *peerLinks) dial(addr string, deadline time.Time) (net.Conn, error) {
 	for {
 		conn, err := net.DialTimeout("tcp", addr, 250*time.Millisecond)
 		if err == nil {
@@ -445,82 +430,75 @@ func (t *tcpTransport) dial(addr string, deadline time.Time) (net.Conn, error) {
 			return nil, err
 		}
 		select {
-		case <-t.stopCh:
+		case <-l.stopCh:
 			return nil, err
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
 }
 
-// Deliver implements Transport.
-func (t *tcpTransport) Deliver(eid int, b *Batch) error {
-	if eid < 0 || eid >= len(t.r.execs) {
-		return fmt.Errorf("storm: deliver to unknown executor %d", eid)
-	}
-	ex := t.r.execs[eid]
-	if ex.worker == t.self {
-		ex.deliver(b)
-		return nil
-	}
-	p := t.peers[ex.worker]
+// send encodes b for dest, an executor placed on another worker, and
+// queues the frame on that worker's link. On error the batch is still the
+// caller's, so deliverOrDrop's dropBatch accounting stays correct; once
+// queued, peer loss fails the frame with the same accounting via
+// failFrames.
+func (l *peerLinks) send(dest *executor, b *batch) error {
+	p := l.peers[dest.worker]
 	if p == nil || p.dead.Load() {
-		return fmt.Errorf("storm: worker %d is down", ex.worker)
+		return fmt.Errorf("storm: worker %d is down", dest.worker)
 	}
 	// Encode off the peer lock into a pooled buffer, then queue the frame
-	// for the writer. Enqueueing succeeds or the batch is still ours — the
-	// caller's dropBatch accounting stays correct — and once queued, peer
-	// loss fails the frame with the same accounting via failFrames.
+	// for the writer.
 	f := getFrameBuf()
-	buf, err := appendBatchFrame(f.b[:0], eid, t.epoch.Load(), b.envs)
+	buf, err := appendBatchFrame(f.b[:0], dest.eid, l.epoch.Load(), b.envs)
 	if err != nil {
 		putFrameBuf(f)
 		return err
 	}
 	f.b = buf
-	if err := p.enqueue(f, ex.comp, b.envs); err != nil {
+	if err := p.enqueue(f, dest.comp, b.envs); err != nil {
 		putFrameBuf(f)
 		return err
 	}
 	// The frame owns copies of everything; release the pooled batch here,
 	// playing the receiving executor's role in the ownership contract.
-	t.r.putBatch(b)
+	l.r.putBatch(b)
 	return nil
 }
 
-// Close implements Transport; idempotent. Peer writers drain their queues
+// Close shuts the links down; idempotent. Peer writers drain their queues
 // first (bounded by shutdownFlushTimeout) so final eofs and acks reach the
 // wire, then the connections close.
-func (t *tcpTransport) Close() error {
-	if t.closed.Swap(true) {
-		return nil
+func (l *peerLinks) Close() {
+	if l.closed.Swap(true) {
+		return
 	}
-	close(t.stopCh)
-	if t.ln != nil {
-		t.ln.Close()
+	close(l.stopCh)
+	if l.ln != nil {
+		l.ln.Close()
 	}
-	for _, p := range t.peers {
+	for _, p := range l.peers {
 		if p != nil {
 			p.beginShutdown()
 		}
 	}
-	for _, p := range t.peers {
+	for _, p := range l.peers {
 		if p != nil {
 			p.finishShutdown()
 		}
 	}
-	t.wg.Wait()
-	return nil
+	l.wg.Wait()
 }
 
-func (t *tcpTransport) acceptLoop() {
-	defer t.wg.Done()
+func (l *peerLinks) acceptLoop() {
+	defer l.wg.Done()
 	for {
-		conn, err := t.ln.Accept()
+		conn, err := l.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		t.wg.Add(1)
-		go t.readLoop(conn)
+		l.wg.Add(1)
+		go l.readLoop(conn)
 	}
 }
 
@@ -529,16 +507,16 @@ func (t *tcpTransport) acceptLoop() {
 // writer goroutine (any write failure calls peerLost), so the heartbeat
 // only needs to queue frames — and skips peers whose queue is already
 // backed up with data frames, which prove liveness on their own.
-func (t *tcpTransport) heartbeatLoop() {
-	defer t.wg.Done()
-	tick := time.NewTicker(t.hb)
+func (l *peerLinks) heartbeatLoop() {
+	defer l.wg.Done()
+	tick := time.NewTicker(l.hb)
 	defer tick.Stop()
 	for {
 		select {
-		case <-t.stopCh:
+		case <-l.stopCh:
 			return
 		case <-tick.C:
-			for _, p := range t.peers {
+			for _, p := range l.peers {
 				if p == nil || p.dead.Load() {
 					continue
 				}
@@ -554,27 +532,27 @@ func (t *tcpTransport) heartbeatLoop() {
 // payload reads), so a genuinely silent peer is detected while a reader
 // merely blocked delivering into a full executor queue (backpressure) is
 // not — the deadline only covers the socket wait.
-func (t *tcpTransport) readLoop(conn net.Conn) {
-	defer t.wg.Done()
+func (l *peerLinks) readLoop(conn net.Conn) {
+	defer l.wg.Done()
 	defer conn.Close()
 	select {
-	case <-t.ready: // membership built; safe to dispatch
-	case <-t.stopCh:
+	case <-l.ready: // membership built; safe to dispatch
+	case <-l.stopCh:
 		return
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	dec := &frameDecoder{r: t.r}
+	dec := &frameDecoder{r: l.r}
 	var header [frameHeaderLen]byte
 	var payload []byte
 	peer := -1
 	fail := func(err error) {
-		if t.closed.Load() || peer < 0 {
+		if l.closed.Load() || peer < 0 {
 			return
 		}
-		if t.r.peerRetired(peer) {
+		if l.r.peerRetired(peer) {
 			return // clean exit: every executor of the peer already retired
 		}
-		t.peerLost(peer, err)
+		l.peerLost(peer, err)
 	}
 	// A delivery can race peerLost force-closing downstream channels; treat
 	// the resulting panic as a connection failure, not a process crash.
@@ -588,7 +566,7 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 		// already sitting in the buffered reader, skip the re-arm (a
 		// time.Now + poller update per frame on the hot path).
 		if br.Buffered() < frameHeaderLen {
-			conn.SetReadDeadline(time.Now().Add(4 * t.hb))
+			conn.SetReadDeadline(time.Now().Add(4 * l.hb))
 		}
 		if _, err := io.ReadFull(br, header[:]); err != nil {
 			fail(err)
@@ -604,7 +582,7 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 		}
 		payload = payload[:n]
 		if br.Buffered() < int(n) {
-			conn.SetReadDeadline(time.Now().Add(4 * t.hb))
+			conn.SetReadDeadline(time.Now().Add(4 * l.hb))
 		}
 		if _, err := io.ReadFull(br, payload); err != nil {
 			fail(err)
@@ -613,13 +591,13 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 		typ, body := payload[0], payload[1:]
 		if peer < 0 {
 			w, _, err := decodeUvarint(body)
-			if typ != frameHello || err != nil || int(w) >= len(t.peers) || int(w) == t.self {
+			if typ != frameHello || err != nil || int(w) >= len(l.peers) || int(w) == l.self {
 				return // not a peer of ours
 			}
 			peer = int(w)
 			continue
 		}
-		err := t.dispatch(peer, typ, body, dec)
+		err := l.dispatch(peer, typ, body, dec)
 		if cap(payload) > maxScratchBytes {
 			payload = nil // retention cap: a jumbo frame's buffer is not pinned
 		}
@@ -630,7 +608,7 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 	}
 }
 
-func (t *tcpTransport) dispatch(peer int, typ byte, body []byte, dec *frameDecoder) error {
+func (l *peerLinks) dispatch(peer int, typ byte, body []byte, dec *frameDecoder) error {
 	switch typ {
 	case frameHeartbeat:
 		return nil
@@ -639,32 +617,38 @@ func (t *tcpTransport) dispatch(peer int, typ byte, body []byte, dec *frameDecod
 		if err != nil {
 			return err
 		}
-		if p := t.peers[peer]; p != nil && p.dead.Load() {
+		ex, err := l.inboundBolt(destEID, b.envs)
+		if err != nil {
+			l.r.putBatch(b)
+			return err
+		}
+		if p := l.peers[peer]; p != nil && p.dead.Load() {
 			// The peer was declared lost and its executors force-retired, so
 			// downstream channels may already be closed: a straggler batch
 			// from its still-open inbound connection is dropped, not
 			// delivered.
-			t.r.dropBatch(t.r.execs[destEID].comp, b, fmt.Errorf("storm: batch from lost worker %d", peer))
+			l.r.dropBatch(ex.comp, b, fmt.Errorf("storm: batch from lost worker %d", peer))
 			return nil
 		}
-		for e := t.recvEpoch[peer].Load(); epoch > e; e = t.recvEpoch[peer].Load() {
-			if t.recvEpoch[peer].CompareAndSwap(e, epoch) {
+		for e := l.recvEpoch[peer].Load(); epoch > e; e = l.recvEpoch[peer].Load() {
+			if l.recvEpoch[peer].CompareAndSwap(e, epoch) {
 				break
 			}
 		}
 		// With the XOR acker running, root ids are global and every worker
 		// routes checksum updates to the owner directly, so anchored
 		// envelopes pass through untranslated.
-		if t.r.acker == nil {
-			t.releaseAnchors(b, dec)
+		if l.r.acker == nil {
+			l.releaseAnchors(b, dec)
 		}
-		return t.r.DeliverLocal(destEID, b)
+		ex.deliver(b)
+		return nil
 	case frameEOF:
 		eid, _, err := decodeUvarint(body)
 		if err != nil {
 			return err
 		}
-		t.r.remoteExecDone(int(eid))
+		l.r.remoteExecDone(int(eid))
 		return nil
 	case frameAckBatch:
 		count, b, err := decodeUvarint(body)
@@ -682,8 +666,8 @@ func (t *tcpTransport) dispatch(peer int, typ byte, body []byte, dec *frameDecod
 			xor := binary.BigEndian.Uint64(b)
 			failed := b[8] != 0
 			b = b[9:]
-			if t.r.acker != nil {
-				t.r.acker.apply(root, xor, failed)
+			if l.r.acker != nil {
+				l.r.acker.apply(root, xor, failed)
 			}
 		}
 		return nil
@@ -696,8 +680,8 @@ func (t *tcpTransport) dispatch(peer int, typ byte, body []byte, dec *frameDecod
 		if err != nil {
 			return err
 		}
-		t.r.fenceExecs(t.r.localExecs(t.r.comps[comp]), func() {
-			if p := t.peers[peer]; p != nil {
+		l.r.fenceExecs(l.r.localExecs(l.r.comps[comp]), func() {
+			if p := l.peers[peer]; p != nil {
 				p.sendSmall(func(b []byte) []byte { return appendFenceFrame(b, frameFenceAck, epoch, comp) })
 			}
 		})
@@ -711,9 +695,9 @@ func (t *tcpTransport) dispatch(peer int, typ byte, body []byte, dec *frameDecod
 		if err != nil {
 			return err
 		}
-		t.fenceMu.Lock()
-		fw := t.fences[fenceKey(comp, epoch)]
-		t.fenceMu.Unlock()
+		l.fenceMu.Lock()
+		fw := l.fences[fenceKey(comp, epoch)]
+		l.fenceMu.Unlock()
 		if fw != nil {
 			fw.arrive()
 		}
@@ -731,27 +715,50 @@ func (t *tcpTransport) dispatch(peer int, typ byte, body []byte, dec *frameDecod
 		if err != nil {
 			return err
 		}
-		if int(eid) >= len(t.r.execs) {
-			return fmt.Errorf("storm: epoch barrier for unknown executor %d", eid)
+		ex, err := l.inboundBolt(int(eid), nil)
+		if err != nil {
+			return err
 		}
 		// Deliver on the readLoop, like data frames: the barrier slots into
 		// the executor channel behind every earlier delivery from this
 		// connection, which is the FIFO property alignment relies on.
-		b := t.r.getBatch()
+		b := l.r.getBatch()
 		b.epoch = epoch
 		b.epochRetire = retire != 0
-		return t.r.DeliverLocal(int(eid), b)
+		ex.deliver(b)
+		return nil
 	case frameControl:
 		cf, err := decodeControlFrame(body)
 		if err != nil {
 			return err
 		}
-		t.handleControl(peer, cf)
+		l.handleControl(peer, cf)
 		return nil
 	case frameHello:
 		return nil // redundant hello: ignore
 	}
 	return fmt.Errorf("storm: unknown frame type %d", typ)
+}
+
+// inboundBolt checks the executor a peer's batch or barrier frame names,
+// and the tasks its envelopes name, against the placement. Only a bolt
+// executor placed on this worker may be addressed — a spout's input queue
+// has no reader, and another worker's executor does not run here — and only
+// tasks that executor has. Anything else is a malformed frame.
+func (l *peerLinks) inboundBolt(eid int, envs []envelope) (*executor, error) {
+	if eid < 0 || eid >= len(l.r.execs) {
+		return nil, fmt.Errorf("storm: frame for unknown executor %d", eid)
+	}
+	ex := l.r.execs[eid]
+	if ex.worker != l.self || ex.comp.spec.isSpout {
+		return nil, fmt.Errorf("storm: frame for executor %d, which is not a bolt executor of worker %d", eid, l.self)
+	}
+	for i := range envs {
+		if uint(envs[i].local) >= uint(len(ex.tasks)) {
+			return nil, fmt.Errorf("storm: frame for task %d of executor %d, which has %d", envs[i].local, eid, len(ex.tasks))
+		}
+	}
+	return ex, nil
 }
 
 // releaseAnchors handles anchored envelopes arriving at a worker that runs
@@ -764,15 +771,15 @@ func (t *tcpTransport) dispatch(peer int, typ byte, body []byte, dec *frameDecod
 // XOR updates coalesce per batch into the decoder's per-owner scratch
 // slices (one ackBatch frame per owning worker per inbound batch) instead
 // of allocating a one-element slice per envelope.
-func (t *tcpTransport) releaseAnchors(b *Batch, dec *frameDecoder) {
+func (l *peerLinks) releaseAnchors(b *batch, dec *frameDecoder) {
 	for i := range b.envs {
 		env := &b.envs[i]
 		if env.tuple.ack == 0 {
 			continue
 		}
-		if owner := int(env.tuple.ack & t.ackWorkerMask); owner != t.self {
+		if owner := int(env.tuple.ack & l.ackWorkerMask); owner != l.self {
 			if dec.ackScratch == nil {
-				dec.ackScratch = make([][]ackUpdate, len(t.peers))
+				dec.ackScratch = make([][]ackUpdate, len(l.peers))
 			}
 			if len(dec.ackScratch[owner]) == 0 {
 				dec.ackDirty = append(dec.ackDirty, owner)
@@ -784,7 +791,7 @@ func (t *tcpTransport) releaseAnchors(b *Batch, dec *frameDecoder) {
 	for _, w := range dec.ackDirty {
 		// appendAckBatchFrame copies the entries into the frame, so the
 		// scratch slice is immediately reusable.
-		t.sendAckBatch(w, dec.ackScratch[w])
+		l.sendAckBatch(w, dec.ackScratch[w])
 		dec.ackScratch[w] = dec.ackScratch[w][:0]
 	}
 	dec.ackDirty = dec.ackDirty[:0]
@@ -793,11 +800,11 @@ func (t *tcpTransport) releaseAnchors(b *Batch, dec *frameDecoder) {
 // sendAckBatch ships a coalesced batch of XOR checksum updates to the
 // worker owning their roots; best-effort (a dead peer's roots replay or
 // expire on their own timeouts).
-func (t *tcpTransport) sendAckBatch(worker int, ents []ackUpdate) {
-	if worker < 0 || worker >= len(t.peers) || len(ents) == 0 {
+func (l *peerLinks) sendAckBatch(worker int, ents []ackUpdate) {
+	if worker < 0 || worker >= len(l.peers) || len(ents) == 0 {
 		return
 	}
-	if p := t.peers[worker]; p != nil {
+	if p := l.peers[worker]; p != nil {
 		p.sendSmall(func(buf []byte) []byte { return appendAckBatchFrame(buf, ents) })
 	}
 }
@@ -805,8 +812,8 @@ func (t *tcpTransport) sendAckBatch(worker int, ents []ackUpdate) {
 // broadcastEOF tells every peer one of this worker's executors exited.
 // Sent on the same connections as the executor's batches, after its final
 // flush — FIFO ordering guarantees no batch arrives after its eof.
-func (t *tcpTransport) broadcastEOF(eid int) {
-	for _, p := range t.peers {
+func (l *peerLinks) broadcastEOF(eid int) {
+	for _, p := range l.peers {
 		if p == nil {
 			continue
 		}
@@ -816,19 +823,31 @@ func (t *tcpTransport) broadcastEOF(eid int) {
 
 // peerLost declares a worker dead: its in-flight batches are gone, so its
 // executors are retired (idempotently) to unblock producer accounting,
-// and the failure is surfaced as the run error under FailFast.
-func (t *tcpTransport) peerLost(worker int, cause error) {
-	p := t.peers[worker]
+// control requests awaiting its reply fail, and the failure is surfaced as
+// the run error under FailFast.
+func (l *peerLinks) peerLost(worker int, cause error) {
+	p := l.peers[worker]
 	if p == nil || p.dead.Swap(true) {
 		return
 	}
-	p.Close()
-	if t.r.policy != Degrade {
-		t.r.recordErr(fmt.Errorf("storm: worker %d: lost worker %d: %w", t.self, worker, cause))
+	p.conn.Close()
+	if l.r.policy != Degrade {
+		l.r.recordErr(fmt.Errorf("storm: worker %d: lost worker %d: %w", l.self, worker, cause))
 	}
-	for _, ex := range t.r.execs {
+	// A call registered after the sweep finds the peer dead when it sends.
+	l.rpcMu.Lock()
+	for _, c := range l.rpcWait {
+		if c.worker == worker {
+			select {
+			case c.reply <- rpcResult{err: fmt.Errorf("storm: lost worker %d awaiting its reply: %w", worker, cause)}:
+			default: // the reply already arrived
+			}
+		}
+	}
+	l.rpcMu.Unlock()
+	for _, ex := range l.r.execs {
 		if ex.worker == worker {
-			t.r.remoteExecDone(ex.eid)
+			l.r.remoteExecDone(ex.eid)
 		}
 	}
 }
@@ -908,21 +927,22 @@ func (r *Runtime) DrainComponent(component string, timeout time.Duration) error 
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	<-r.trReady // wait for RunContext to settle the transport
-	t, _ := r.tr.(*tcpTransport)
+	<-r.linksReady // wait for RunContext to bring the peer links up
 	var remote chan error
 	steps := 0
-	if t != nil {
-		remote = make(chan error, len(t.peers))
+	if l := r.links; l != nil {
+		remote = make(chan error, len(l.peers))
 		payload := appendWireString(appendUvarint(nil, uint64(timeout)), component)
-		for w, p := range t.peers {
+		for w, p := range l.peers {
 			if p == nil || p.dead.Load() {
 				continue
 			}
 			steps++
 			go func() {
-				_, err := t.control(w, drainMethod, payload)
-				if err != nil && (p.dead.Load() || t.closed.Load()) {
+				// The peer's step runs under the same timeout, so the reply
+				// gets the drain's budget, not the default control wait.
+				_, err := l.control(w, drainMethod, payload, timeout)
+				if err != nil && (p.dead.Load() || l.closed.Load()) {
 					err = nil // a lost link carries nothing in flight
 				}
 				remote <- err
@@ -948,8 +968,8 @@ func (r *Runtime) serveDrain(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	// Peers may call in before RunContext has published the transport.
-	<-r.trReady
+	// Peers may call in before RunContext has brought the links up.
+	<-r.linksReady
 	return r.drainStep(component, time.Duration(timeout))
 }
 
@@ -984,10 +1004,10 @@ func (r *Runtime) drainStep(component string, timeout time.Duration) error {
 		return err
 	}
 
-	t, _ := r.tr.(*tcpTransport)
+	l := r.links
 	var peers []*tcpPeer
-	if t != nil {
-		for _, p := range t.peers {
+	if l != nil {
+		for _, p := range l.peers {
 			if p != nil && !p.dead.Load() {
 				peers = append(peers, p)
 			}
@@ -997,16 +1017,16 @@ func (r *Runtime) drainStep(component string, timeout time.Duration) error {
 	master := &fenceWait{fn: func() { close(passed) }}
 	master.n.Store(int32(1 + len(peers)))
 	var epoch uint64
-	if t != nil {
-		epoch = t.epoch.Add(1)
+	if l != nil {
+		epoch = l.epoch.Add(1)
 		key := fenceKey(component, epoch)
-		t.fenceMu.Lock()
-		t.fences[key] = master
-		t.fenceMu.Unlock()
+		l.fenceMu.Lock()
+		l.fences[key] = master
+		l.fenceMu.Unlock()
 		defer func() {
-			t.fenceMu.Lock()
-			delete(t.fences, key)
-			t.fenceMu.Unlock()
+			l.fenceMu.Lock()
+			delete(l.fences, key)
+			l.fenceMu.Unlock()
 		}()
 	}
 	r.fenceExecs(r.localExecs(rc), master.arrive)
@@ -1047,12 +1067,8 @@ func (r *Runtime) Control(worker int, method string, payload []byte) ([]byte, er
 	if worker == r.cfg.selfWorker || r.cfg.peers == nil {
 		return r.serveControl(method, payload)
 	}
-	<-r.trReady // wait for RunContext to settle the transport
-	t, ok := r.tr.(*tcpTransport)
-	if !ok {
-		return nil, fmt.Errorf("storm: control requires the TCP transport")
-	}
-	return t.control(worker, method, payload)
+	<-r.linksReady // wait for RunContext to bring the peer links up
+	return r.links.control(worker, method, payload, r.cfg.dialTimeout)
 }
 
 // serveControl dispatches one control request on the serving worker:
@@ -1077,21 +1093,23 @@ func (r *Runtime) serveControl(method string, payload []byte) ([]byte, error) {
 	return (*h)(method, payload)
 }
 
-func (t *tcpTransport) control(worker int, method string, payload []byte) ([]byte, error) {
-	if worker < 0 || worker >= len(t.peers) || t.peers[worker] == nil {
+// control sends one request to a peer and waits for its reply, for at most
+// wait, until the links close, or until the peer is lost.
+func (l *peerLinks) control(worker int, method string, payload []byte, wait time.Duration) ([]byte, error) {
+	if worker < 0 || worker >= len(l.peers) || l.peers[worker] == nil {
 		return nil, fmt.Errorf("storm: no such worker %d", worker)
 	}
-	p := t.peers[worker]
+	p := l.peers[worker]
 	ch := make(chan rpcResult, 1)
-	t.rpcMu.Lock()
-	t.rpcSeq++
-	id := t.rpcSeq
-	t.rpcWait[id] = ch
-	t.rpcMu.Unlock()
+	l.rpcMu.Lock()
+	l.rpcSeq++
+	id := l.rpcSeq
+	l.rpcWait[id] = rpcCall{worker: worker, reply: ch}
+	l.rpcMu.Unlock()
 	defer func() {
-		t.rpcMu.Lock()
-		delete(t.rpcWait, id)
-		t.rpcMu.Unlock()
+		l.rpcMu.Lock()
+		delete(l.rpcWait, id)
+		l.rpcMu.Unlock()
 	}()
 	if err := p.sendSmall(func(b []byte) []byte {
 		return appendControlFrame(b, controlRequest, id, method, payload)
@@ -1101,37 +1119,37 @@ func (t *tcpTransport) control(worker int, method string, payload []byte) ([]byt
 	select {
 	case res := <-ch:
 		return res.payload, res.err
-	case <-t.stopCh:
-		return nil, fmt.Errorf("storm: transport closed awaiting %s from worker %d", method, worker)
-	case <-time.After(t.r.cfg.dialTimeout):
+	case <-l.stopCh:
+		return nil, fmt.Errorf("storm: links closed awaiting %s from worker %d", method, worker)
+	case <-time.After(wait):
 		return nil, fmt.Errorf("storm: control %s to worker %d timed out", method, worker)
 	}
 }
 
 // handleControl serves one inbound control frame. Requests run on their
 // own goroutine — a migration RPC must not stall the data-plane reader.
-func (t *tcpTransport) handleControl(peer int, cf controlFrame) {
+func (l *peerLinks) handleControl(peer int, cf controlFrame) {
 	switch cf.kind {
 	case controlRequest:
-		t.wg.Add(1)
+		l.wg.Add(1)
 		go func() {
-			defer t.wg.Done()
-			resp, err := t.r.serveControl(cf.method, cf.payload)
+			defer l.wg.Done()
+			resp, err := l.r.serveControl(cf.method, cf.payload)
 			kind, body := controlResponse, resp
 			if err != nil {
 				kind, body = controlError, []byte(err.Error())
 			}
-			if p := t.peers[peer]; p != nil {
+			if p := l.peers[peer]; p != nil {
 				p.sendSmall(func(b []byte) []byte {
 					return appendControlFrame(b, kind, cf.id, cf.method, body)
 				})
 			}
 		}()
 	case controlResponse, controlError:
-		t.rpcMu.Lock()
-		ch := t.rpcWait[cf.id]
-		t.rpcMu.Unlock()
-		if ch == nil {
+		l.rpcMu.Lock()
+		c, ok := l.rpcWait[cf.id]
+		l.rpcMu.Unlock()
+		if !ok {
 			return
 		}
 		res := rpcResult{payload: cf.payload}
@@ -1139,7 +1157,7 @@ func (t *tcpTransport) handleControl(peer int, cf controlFrame) {
 			res = rpcResult{err: fmt.Errorf("storm: control %s on worker %d: %s", cf.method, peer, cf.payload)}
 		}
 		select {
-		case ch <- res:
+		case c.reply <- res:
 		default:
 		}
 	}

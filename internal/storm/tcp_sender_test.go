@@ -11,10 +11,10 @@ import (
 )
 
 // senderRig wires a bare tcpPeer over a real loopback connection, without
-// a full transport: the tests below pin the peer's queue/writer contracts
+// a running worker: the tests below pin the peer's queue/writer contracts
 // (FIFO, backpressure, peer-loss accounting) in isolation.
 type senderRig struct {
-	tr     *tcpTransport
+	links  *peerLinks
 	peer   *tcpPeer
 	server net.Conn
 	ln     net.Listener
@@ -41,16 +41,16 @@ func newSenderRig(t *testing.T, r *Runtime, sockBuf int) *senderRig {
 		client.(*net.TCPConn).SetWriteBuffer(sockBuf)
 		server.(*net.TCPConn).SetReadBuffer(sockBuf)
 	}
-	tr := &tcpTransport{r: r, self: 0, peers: make([]*tcpPeer, 2)}
-	p := newTCPPeer(tr, 1, client)
-	tr.peers[1] = p
-	rig := &senderRig{tr: tr, peer: p, server: server, ln: ln}
+	links := &peerLinks{r: r, self: 0, peers: make([]*tcpPeer, 2)}
+	p := newTCPPeer(links, 1, client)
+	links.peers[1] = p
+	rig := &senderRig{links: links, peer: p, server: server, ln: ln}
 	t.Cleanup(func() {
 		p.dead.Store(true)
 		p.mu.Lock()
 		p.cond.Broadcast()
 		p.mu.Unlock()
-		p.Close()
+		client.Close()
 		<-p.writerDone
 		server.Close()
 		ln.Close()
@@ -67,12 +67,17 @@ func record(seq uint32, size int) []byte {
 	return b
 }
 
+// sendRecord queues rec on p through the control-frame path.
+func sendRecord(p *tcpPeer, rec []byte) error {
+	return p.sendSmall(func(b []byte) []byte { return append(b[:0], rec...) })
+}
+
 // TestDistributedSenderFIFOUnderCoalescing interleaves the three enqueue
 // entry points — batch frames (enqueue with a component), small control
-// frames (sendSmall, like eof/fence/ack frames), and pre-encoded frames
-// (Send) — and asserts the byte stream arrives in exact enqueue order:
-// the writer coalesces whole queue takes into one writev but must never
-// reorder across frame types.
+// frames (sendSmall, like eof/fence/ack frames), and heartbeats
+// (trySendSmall) — and asserts the byte stream arrives in exact enqueue
+// order: the writer coalesces whole queue takes into one writev but must
+// never reorder across frame types.
 func TestDistributedSenderFIFOUnderCoalescing(t *testing.T) {
 	rig := newSenderRig(t, &Runtime{}, 0)
 	const n = 300
@@ -92,9 +97,9 @@ func TestDistributedSenderFIFOUnderCoalescing(t *testing.T) {
 					putFrameBuf(f)
 				}
 			case 1: // control path used by eof/fence/ack frames
-				err = rig.peer.sendSmall(func(b []byte) []byte { return append(b[:0], rec...) })
-			default: // pre-encoded frame
-				err = rig.peer.Send(rec)
+				err = sendRecord(rig.peer, rec)
+			default: // heartbeat path, which never waits for queue space
+				rig.peer.trySendSmall(func(b []byte) []byte { return append(b[:0], rec...) })
 			}
 			if err != nil {
 				done <- err
@@ -136,7 +141,7 @@ func TestDistributedSenderBackpressureBlocksWithoutDrops(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
-			if err := rig.peer.Send(record(uint32(i), size)); err != nil {
+			if err := sendRecord(rig.peer, record(uint32(i), size)); err != nil {
 				done <- err
 				return
 			}
@@ -199,7 +204,7 @@ func TestDistributedSenderPeerLossFailsQueuedAnchors(t *testing.T) {
 	// still queued, and the wait below would never end.) Wait until the
 	// queue was swapped out (the writer owns the wedge frame) before
 	// queueing the real payload.
-	if err := rig.peer.Send(record(0, 192<<10)); err != nil {
+	if err := sendRecord(rig.peer, record(0, 192<<10)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -231,7 +236,7 @@ func TestDistributedSenderPeerLossFailsQueuedAnchors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rig.tr.peerLost(1, errors.New("injected"))
+	rig.links.peerLost(1, errors.New("injected"))
 	<-rig.peer.writerDone
 
 	if got := comp.dropped.Load(); got != 2 {
@@ -252,7 +257,7 @@ func TestDistributedSenderPeerLossFailsQueuedAnchors(t *testing.T) {
 				tc.root, failed, checksum, tc.edge)
 		}
 	}
-	if err := rig.peer.Send(record(0, 8)); err == nil {
+	if err := sendRecord(rig.peer, record(0, 8)); err == nil {
 		t.Fatal("dead peer accepted a send")
 	}
 }

@@ -1,9 +1,12 @@
 package storm
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,7 +14,7 @@ import (
 )
 
 // distRig is a multi-worker topology running in one test process: every
-// worker is a full Runtime with its own TCP transport, talking to the
+// worker is a full Runtime with its own TCP peer links, talking to the
 // others over 127.0.0.1.
 type distRig struct {
 	rts   []*Runtime
@@ -397,14 +400,27 @@ func TestDistributedControlAndDrain(t *testing.T) {
 // TestDistributedDrainCoversProducerBuffers pins that DrainComponent needs
 // nothing from the component's producers: a producer bolt emits one tuple
 // to the target and then blocks inside Execute, so the tuple sits in its
-// unflushed output batch until the test releases it ~50 ms later. The
+// unflushed output batch until the test releases it 50–60 ms later. The
 // drain may not return before the target executed that tuple — a fence
 // sent straight to the target would overtake it. With two workers the
 // producer and the target run on different workers and the drain starts
 // on the target's, so the producer flushes through the remote drain step.
+// In the last case that step outlasts the default control wait, which the
+// drain's own timeout must replace.
 func TestDistributedDrainCoversProducerBuffers(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		block   time.Duration // how long the producer blocks in Execute
+		// controlWait, when set, lowers the default control wait (the
+		// dial timeout) on every worker.
+		controlWait time.Duration
+	}{
+		{"workers=1", 1, 50 * time.Millisecond, 0},
+		{"workers=2", 2, 50 * time.Millisecond, 0},
+		{"workers=2,slowRemoteStep", 2, 60 * time.Millisecond, 20 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			release := make(chan struct{})
 			emitted := make(chan struct{})
 			unblock := make(chan struct{})
@@ -426,7 +442,7 @@ func TestDistributedDrainCoversProducerBuffers(t *testing.T) {
 				return b
 			}
 			rig := &distRig{rts: make([]*Runtime, 1), errs: make([]error, 1)}
-			if workers == 1 {
+			if tc.workers == 1 {
 				topo, err := build(0).Build()
 				if err != nil {
 					t.Fatal(err)
@@ -435,7 +451,12 @@ func TestDistributedDrainCoversProducerBuffers(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				rig = newDistRig(t, workers, build)
+				rig = newDistRig(t, tc.workers, build)
+			}
+			if tc.controlWait > 0 {
+				for _, rt := range rig.rts {
+					rt.cfg.dialTimeout = tc.controlWait // the listeners are bound: dialing is unaffected
+				}
 			}
 			initiator := rig.rts[0]
 			for _, p := range initiator.Placements() {
@@ -456,7 +477,7 @@ func TestDistributedDrainCoversProducerBuffers(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("the producer never executed the spout's tuple")
 			}
-			time.AfterFunc(50*time.Millisecond, func() { close(unblock) })
+			time.AfterFunc(tc.block, func() { close(unblock) })
 			if err := initiator.DrainComponent("target", 5*time.Second); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
@@ -600,4 +621,127 @@ func TestDistributedConcurrentDrains(t *testing.T) {
 	}
 	rig.edgeReconciles(t, "src", "mid")
 	rig.edgeReconciles(t, "mid", "sink")
+}
+
+// TestDistributedControlFailsOnPeerLoss: a control request fails as soon as
+// the worker serving it is lost, instead of waiting out the control
+// timeout. Worker 1's handler blocks, and worker 1 then tears its links
+// down mid-call by declaring worker 0 lost; worker 0's reader sees the
+// connection close and loses worker 1 in turn.
+func TestDistributedControlFailsOnPeerLoss(t *testing.T) {
+	release := make(chan struct{})
+	build := func(int) *TopologyBuilder {
+		b := NewTopologyBuilder("t")
+		b.SetSpout("src", func() Spout { return &gatedSpout{n: 10, release: release} }, 1, 1)
+		b.SetBolt("sink", func() Bolt { return &passBolt{} }, 2, 2).ShuffleGrouping("src")
+		return b
+	}
+	rig := newDistRig(t, 2, build, WithHeartbeat(20*time.Millisecond))
+	called, unblock := make(chan struct{}), make(chan struct{})
+	rig.rts[1].OnControl(func(string, []byte) ([]byte, error) {
+		close(called)
+		<-unblock
+		return nil, nil
+	})
+	var wg sync.WaitGroup
+	for i, rt := range rig.rts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rig.errs[i] = rt.Run()
+		}()
+	}
+	go func() {
+		<-called
+		<-rig.rts[1].linksReady
+		rig.rts[1].links.peerLost(0, errors.New("injected"))
+	}()
+	start := time.Now()
+	_, err := rig.rts[0].Control(1, "block", nil)
+	elapsed := time.Since(start)
+	close(unblock)
+	close(release)
+	wg.Wait()
+	if err == nil {
+		t.Fatal("control to a worker lost mid-call succeeded")
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("control failed only after %v (%v), want under 2s", elapsed, err)
+	}
+}
+
+// TestDistributedRejectsFramesOffPlacement: an inbound batch frame is
+// checked against the placement before delivery. A frame addressing a task
+// its executor does not have, or addressing a spout executor, fails the
+// link like any other malformed frame: the worker stays up, closes the
+// connection, and Run reports the lost link. The test plays worker 1 of a
+// two-worker run whose worker 0 it starts.
+func TestDistributedRejectsFramesOffPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		eid, local int
+	}{
+		{"taskOutOfRange", 1, 5}, // the sink executor on worker 0 has one task
+		{"spout", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			b := NewTopologyBuilder("t")
+			b.SetSpout("src", func() Spout { return &gatedSpout{release: release} }, 1, 1)
+			b.SetBolt("sink", func() Bolt { return &passBolt{} }, 2, 2).ShuffleGrouping("src")
+			topo, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var peers []string
+			var lns []net.Listener
+			for i := 0; i < 2; i++ {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ln.Close()
+				lns = append(lns, ln)
+				peers = append(peers, ln.Addr().String())
+			}
+			rt, err := New(topo, WithWorker(0, peers), WithListener(lns[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex := rt.execs[tc.eid]; ex.worker != 0 || len(ex.tasks) != 1 {
+				t.Fatalf("executor %d: worker %d with %d tasks, the test needs worker 0 with 1", tc.eid, ex.worker, len(ex.tasks))
+			}
+			ran := make(chan error, 1)
+			go func() { ran <- rt.Run() }()
+
+			conn, err := net.Dial("tcp", peers[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			frame, err := appendBatchFrame(nil, tc.eid, 0, []envelope{{local: tc.local, tuple: Tuple{Stream: DefaultStream}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(append(appendHelloFrame(nil, 1), frame...)); err != nil {
+				t.Fatal(err)
+			}
+			// Worker 0 writes nothing on this connection: a read ends when it
+			// closes the link, or at the deadline, well inside the 4 s a
+			// silent peer is given.
+			conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatal("worker 0 kept the link open after the frame")
+			}
+			close(release)
+			select {
+			case err := <-ran:
+				if err == nil || !strings.Contains(err.Error(), "lost worker 1") {
+					t.Fatalf("Run = %v, want the lost link to worker 1", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("worker 0 did not finish")
+			}
+		})
+	}
 }

@@ -1,6 +1,6 @@
 package storm
 
-// Length-prefixed wire codec for the peer transport.
+// Length-prefixed wire codec for the peer links.
 //
 // A frame is `uint32 big-endian payload length | payload`, and the payload
 // starts with a one-byte frame type. Batch frames carry the destination
@@ -366,10 +366,10 @@ func (d *frameDecoder) decodeStr(b []byte) (string, []byte, error) {
 
 // decodeBatchFrame decodes a batch frame payload (type byte already
 // consumed) into a pooled batch whose payloads share no memory with b.
-// This is the transport's Runtime-method entry point; it pays for a fresh
+// This is the Runtime-method entry point; it pays for a fresh
 // decoder (an empty intern table) and exists for tests and one-shot
 // callers — the hot path is the frameDecoder method below.
-func (r *Runtime) decodeBatchFrame(b []byte) (int, uint64, *Batch, error) {
+func (r *Runtime) decodeBatchFrame(b []byte) (int, uint64, *batch, error) {
 	d := frameDecoder{r: r}
 	return d.decodeBatchFrame(b)
 }
@@ -379,7 +379,7 @@ func (r *Runtime) decodeBatchFrame(b []byte) (int, uint64, *Batch, error) {
 // so a hostile count cannot reserve memory the frame does not pay for) and
 // owned by whoever receives it, like any emitted map; stream names and map
 // keys go through the intern table.
-func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, epoch uint64, bt *Batch, err error) {
+func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, epoch uint64, bt *batch, err error) {
 	r := d.r
 	var v uint64
 	if v, b, err = decodeUvarint(b); err != nil {
@@ -397,7 +397,7 @@ func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, epoch uint64, bt
 		return 0, 0, nil, errShortFrame
 	}
 	bt = r.getBatch()
-	fail := func(e error) (int, uint64, *Batch, error) {
+	fail := func(e error) (int, uint64, *batch, error) {
 		r.putBatch(bt)
 		return 0, 0, nil, e
 	}

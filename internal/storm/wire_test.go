@@ -239,7 +239,7 @@ func TestWireRejectsReservedFrameType(t *testing.T) {
 	}
 	const reserved = frameEOF + 1
 	body := append(appendUvarint(nil, 77), 1)
-	err := (&tcpTransport{}).dispatch(0, reserved, body, nil)
+	err := (&peerLinks{}).dispatch(0, reserved, body, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown frame type 4") {
 		t.Fatalf("dispatch(type %d) = %v, want unknown frame type error", reserved, err)
 	}

@@ -27,7 +27,9 @@ environment:
 A gain counts when the change wins at least nine tenths of the pairs (ties
 count for neither side) and the medians differ by more than the parent's
 own interquartile range; a metric must not be worse than the parent's
-median by more than its bound in BENCHMARK.json.
+median by more than its bound in BENCHMARK.json. When the parent's
+interquartile range is wider than that bound, the metric is unresolved
+unless every change run beats every parent run.
 EOF
 }
 
@@ -117,9 +119,11 @@ jq -rs --slurpfile bm BENCHMARK.json '
 		| ([range(0; $pv | length) | select(($cv[.] - $pv[.]) * $dir < 0)] | length) as $pw
 		| (($cv | quart(0.5)) - ($pv | quart(0.5))) as $delta
 		| (($pv | quart(0.75)) - ($pv | quart(0.25))) as $iqr
+		| ($m.bound * (($pv | quart(0.5)) | fabs)) as $allowed
+		| (($cv | map(. * $dir) | min) > ($pv | map(. * $dir) | max)) as $allbetter
 		| (if $cw * 10 >= ($pv | length) * 9 and ($delta * $dir) > $iqr then "gain"
-		   elif ($delta * $dir) < 0 and (($delta | fabs) > $m.bound * (($pv | quart(0.5)) | fabs)) then
-			(if $iqr > $m.bound * (($pv | quart(0.5)) | fabs) then "unresolved" else "REGRESSION" end)
+		   elif $iqr > $allowed and ($allbetter | not) then "unresolved"
+		   elif ($delta * $dir) < 0 and ($delta | fabs) > $allowed then "REGRESSION"
 		   else "no worse" end) as $verdict
 		| [$m.name + " (" + $m.unit + ", " + $m.better + ")", "parent",
 		   ($pv | quart(0.25) | r), ($pv | quart(0.5) | r), ($pv | quart(0.75) | r), $pw, "-"],
