@@ -1,7 +1,7 @@
 // Command trafficd runs the full traffic-management pipeline of the paper:
 // it loads an XML topology description plus rule declarations (§3.2), reads
-// a trace CSV (see cmd/trafficgen), bootstraps the dynamic thresholds with a
-// MapReduce batch run over the enriched history, partitions the rules'
+// a trace CSV (see cmd/trafficgen), bootstraps the dynamic thresholds from
+// per-key partials of the enriched history, partitions the rules'
 // locations over the configured Esper engines (Algorithm 1), and replays the
 // feed at full speed through the Storm-like runtime, reporting per-bolt
 // throughput and latency like the paper's monitor thread.
@@ -34,7 +34,6 @@ import (
 	"trafficcep/internal/busdata"
 	"trafficcep/internal/cep"
 	"trafficcep/internal/core"
-	"trafficcep/internal/dfs"
 	"trafficcep/internal/geo"
 	"trafficcep/internal/quadtree"
 	"trafficcep/internal/sqlstore"
@@ -186,7 +185,7 @@ func run(opt options) error {
 		tree.NodeCount(), tree.Depth(), len(tree.Leaves()))
 
 	// Telemetry: one registry shared by every layer — storm tuple tracing,
-	// per-engine CEP latency, sqlstore query latency, batch phase timings.
+	// per-engine CEP latency, sqlstore query latency, batch run timings.
 	var tel *telemetry.Registry
 	if !opt.noTelemetry {
 		tel = telemetry.NewRegistry()
@@ -198,15 +197,14 @@ func run(opt options) error {
 	if err != nil {
 		return err
 	}
-	fs := dfs.New(dfs.Options{})
-	manager := &core.DynamicManager{FS: fs, Store: store, Telemetry: tel}
+	manager := &core.DynamicManager{Store: store, Telemetry: tel}
 	if tel != nil {
 		db.SetTelemetry(tel)
 		tel.Register(manager)
 	}
 
 	// Bootstrap thresholds: enrich the feed once (outside the topology)
-	// into history, then run the statistics job.
+	// into history partials, then publish their statistics.
 	if err := bootstrapHistory(manager, tree, traces); err != nil {
 		return err
 	}

@@ -11,7 +11,8 @@
 //     bolts, tasks/executors, groupings, XML topologies, 40 s monitoring);
 //   - internal/epl + internal/cep — an Esper-like CEP engine with an EPL
 //     subset (views, windows, joins, aggregates, listeners);
-//   - internal/mapreduce + internal/dfs — a Hadoop/HDFS-like batch layer;
+//   - internal/mapreduce + internal/dfs — a Hadoop/HDFS-like batch layer,
+//     the reference the in-stream threshold statistics are checked against;
 //   - internal/sqlstore — the MySQL-like storage medium with a small SQL
 //     SELECT evaluator;
 //   - internal/quadtree, internal/denclue, internal/geo, internal/busdata —
@@ -20,7 +21,8 @@
 //     the latency estimation model (regression Functions 1–3), the rule
 //     partitioning (Algorithm 1) and rules allocation (Algorithm 2)
 //     components, the three threshold retrieval strategies, the dynamic
-//     thresholds batch loop, and the Figure 8 topology;
+//     thresholds loop over in-stream statistics partials, and the Figure 8
+//     topology;
 //   - internal/cluster + internal/experiments — the calibrated cluster
 //     model and the harness that regenerates every table and figure of the
 //     paper's evaluation.

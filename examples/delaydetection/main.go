@@ -4,11 +4,11 @@
 // not beneficial, as the behaviour of the traffic conditions typically
 // change during the course of the day."
 //
-// This example builds the full dynamic loop: enriched traces accumulate in
-// the distributed file system, the MapReduce batch layer recomputes
-// per-(area, hour, day-type) statistics, the thresholds land in the storage
-// medium, and the running rule adapts — an event that is abnormal at 3 am is
-// normal at 8:30 am rush hour.
+// This example builds the full dynamic loop: enriched traces fold into
+// per-(area, hour, day-type) partials, each batch run turns them into mean
+// and stdv statistics, the thresholds land in the storage medium, and the
+// running rule adapts — an event that is abnormal at 3 am is normal at
+// 8:30 am rush hour.
 //
 //	go run ./examples/delaydetection
 package main
@@ -21,7 +21,6 @@ import (
 	"trafficcep/internal/busdata"
 	"trafficcep/internal/cep"
 	"trafficcep/internal/core"
-	"trafficcep/internal/dfs"
 	"trafficcep/internal/sqlstore"
 )
 
@@ -32,13 +31,12 @@ func main() {
 }
 
 func run() error {
-	fs := dfs.New(dfs.Options{})
 	db := sqlstore.NewDB()
 	store, err := sqlstore.NewThresholdStore(db)
 	if err != nil {
 		return err
 	}
-	manager := &core.DynamicManager{FS: fs, Store: store}
+	manager := &core.DynamicManager{Store: store}
 
 	// A week of history for the city-centre area: rush hour (08:00)
 	// normally sees ~180 s delays, night (03:00) ~20 s.
@@ -65,7 +63,7 @@ func run() error {
 		}
 	}
 
-	// Batch layer: Hadoop-style statistics job + storage-medium upsert.
+	// Batch layer: statistics from the partials + storage-medium upsert.
 	n, err := manager.RunOnce()
 	if err != nil {
 		return err

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"trafficcep/internal/busdata"
 	"trafficcep/internal/dfs"
@@ -15,10 +19,10 @@ import (
 	"trafficcep/internal/telemetry"
 )
 
-// HistoryRecord is one pre-processed trace persisted to the distributed
-// file system for the batch layer (§3.2: "The pre-processed data before
-// being forwarded to the Esper engines, are stored to a distributed
-// filesystem").
+// HistoryRecord is one pre-processed trace kept for the batch layer (§3.2:
+// "The pre-processed data before being forwarded to the Esper engines, are
+// stored to a distributed filesystem"). DynamicManager folds it into
+// per-key partials; its CSV line form feeds the reference MapReduce job.
 type HistoryRecord struct {
 	Hour        int
 	Day         busdata.DayType
@@ -84,6 +88,42 @@ func ParseHistoryLine(line string) (HistoryRecord, error) {
 	}, nil
 }
 
+// values returns the record's value of every monitorable attribute, in
+// busdata.Attributes order.
+func (h HistoryRecord) values() [4]float64 {
+	cong := 0.0
+	if h.Congestion {
+		cong = 1
+	}
+	return [4]float64{h.Delay, h.ActualDelay, h.Speed, cong}
+}
+
+// moments is the mergeable partial of one attribute's values at one key:
+// Σv and Σv². statsReducer and DynamicManager both fold through add and
+// finish through meanStdv, so the same values in the same order give
+// bit-identical statistics on either path.
+type moments struct{ sum, sumSq float64 }
+
+func (m *moments) add(v float64) {
+	m.sum += v
+	m.sumSq += v * v
+}
+
+// meanStdv returns the mean and the sample standard deviation of the n
+// values folded into m (§4.1.3: "The reducers aggregate the parameters'
+// values for the different spatial locations and then compute the mean and
+// the standard deviation").
+func (m moments) meanStdv(n int) (mean, stdv float64) {
+	mean = m.sum / float64(n)
+	if n > 1 {
+		variance := (m.sumSq - float64(n)*mean*mean) / float64(n-1)
+		if variance > 0 {
+			stdv = math.Sqrt(variance)
+		}
+	}
+	return mean, stdv
+}
+
 const statsKeySep = "\x1f"
 
 // statsMapper emits (attribute, location, hour, day) → value for every
@@ -99,17 +139,9 @@ func statsMapper(_ int64, line string, emit func(k, v string)) error {
 		locations = append(locations, rec.StopID)
 	}
 	locations = append(locations, rec.Areas...)
-	values := map[string]float64{
-		busdata.AttrDelay:       rec.Delay,
-		busdata.AttrActualDelay: rec.ActualDelay,
-		busdata.AttrSpeed:       rec.Speed,
-		busdata.AttrCongestion:  0,
-	}
-	if rec.Congestion {
-		values[busdata.AttrCongestion] = 1
-	}
-	for _, attr := range busdata.Attributes {
-		v := strconv.FormatFloat(values[attr], 'g', -1, 64)
+	values := rec.values()
+	for i, attr := range busdata.Attributes {
+		v := strconv.FormatFloat(values[i], 'g', -1, 64)
 		for _, loc := range locations {
 			key := strings.Join([]string{attr, loc, strconv.Itoa(rec.Hour), rec.Day.String()}, statsKeySep)
 			emit(key, v)
@@ -118,33 +150,21 @@ func statsMapper(_ int64, line string, emit func(k, v string)) error {
 	return nil
 }
 
-// statsReducer computes mean and sample standard deviation per key
-// (§4.1.3: "The reducers aggregate the parameters' values for the different
-// spatial locations and then compute the mean and the standard deviation").
+// statsReducer computes mean and sample standard deviation per key.
 func statsReducer(key string, values []string, emit func(k, v string)) error {
-	var n int
-	var sum, sumSq float64
+	if len(values) == 0 {
+		return nil
+	}
+	var m moments
 	for _, s := range values {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return fmt.Errorf("core: bad stat value %q for key %q: %w", s, key, err)
 		}
-		n++
-		sum += v
-		sumSq += v * v
+		m.add(v)
 	}
-	if n == 0 {
-		return nil
-	}
-	mean := sum / float64(n)
-	stdv := 0.0
-	if n > 1 {
-		variance := (sumSq - float64(n)*mean*mean) / float64(n-1)
-		if variance > 0 {
-			stdv = math.Sqrt(variance)
-		}
-	}
-	emit(key, fmt.Sprintf("%g,%g,%d", mean, stdv, n))
+	mean, stdv := m.meanStdv(len(values))
+	emit(key, fmt.Sprintf("%g,%g,%d", mean, stdv, len(values)))
 	return nil
 }
 
@@ -159,7 +179,10 @@ type StatsJobConfig struct {
 }
 
 // RunStatsJob executes the Hadoop-style statistics job over historical data
-// and returns the per-(attribute, location, hour, day) statistics.
+// and returns the per-(attribute, location, hour, day) statistics. It is the
+// reference implementation DynamicManager's in-stream partials are checked
+// against: over the same records in the same order both give bit-identical
+// rows.
 func RunStatsJob(cfg StatsJobConfig) ([]sqlstore.StatRow, *mapreduce.Result, error) {
 	if cfg.OutputPath == "" {
 		cfg.OutputPath = "batch/stats"
@@ -226,23 +249,41 @@ func parseStatKV(kv mapreduce.KeyValue) (sqlstore.StatRow, error) {
 	}, nil
 }
 
-// DynamicManager wires the batch loop of §4.1.3 together: it runs the
-// statistics job over the accumulated history, upserts the results into the
-// storage medium, and refreshes every registered rule installation so the
-// running engines pick up the new thresholds in real time.
+// statKey is one (location, hour, day-type) a threshold is computed for.
+type statKey struct {
+	location string
+	hour     int
+	day      busdata.DayType
+}
+
+// statPartial is the mergeable partial of one statKey: the record count and
+// the moments of each attribute, in busdata.Attributes order.
+type statPartial struct {
+	n     int
+	attrs [4]moments
+}
+
+// DynamicManager wires the batch loop of §4.1.3 together: it folds every
+// history record into per-(location, hour, day-type) partials as the stream
+// delivers it, and on each RunOnce turns them into mean/stdv rows, upserts
+// those into the storage medium, and refreshes every registered rule
+// installation so the running engines pick up the new thresholds in real
+// time. RunStatsJob computes the same rows from history lines with
+// MapReduce and is the reference the partials are tested against.
 type DynamicManager struct {
-	FS            *dfs.FS
-	Store         *sqlstore.ThresholdStore
-	HistoryPrefix string // defaults to "history/"
-	NumReducers   int
-	// Telemetry, when non-nil, is forwarded to the statistics MapReduce
-	// jobs so batch phase timings land in the same registry as the
-	// streaming metrics.
+	// FS is no longer read: history is folded into in-memory partials
+	// instead of written to a file. The benchmark adapter still sets it, so
+	// it is deleted with ROADMAP item 1, which changes that adapter.
+	FS    *dfs.FS
+	Store *sqlstore.ThresholdStore
+	// Telemetry, when non-nil, receives the duration of each RunOnce as the
+	// core.batch.run_ns histogram.
 	Telemetry *telemetry.Registry
 
 	mu       sync.Mutex
 	installs []*InstalledRule
 	runs     int
+	partials map[statKey]*statPartial
 
 	historyRecs atomic.Uint64
 	statRows    atomic.Uint64
@@ -269,46 +310,83 @@ func (m *DynamicManager) Unregister(inst *InstalledRule) {
 	m.mu.Unlock()
 }
 
-// AppendHistory persists one record for the batch layer.
+// AppendHistory folds one record into the partials of every location it
+// covers: its bus stop, when it has one, and each quadtree area on its path
+// (the locations statsMapper emits for it). It always returns nil.
 func (m *DynamicManager) AppendHistory(rec HistoryRecord) error {
-	if err := m.FS.AppendLine(m.historyPath(), rec.MarshalLine()); err != nil {
-		return err
+	values := rec.values()
+	key := statKey{hour: rec.Hour, day: rec.Day}
+	m.mu.Lock()
+	if m.partials == nil {
+		m.partials = make(map[statKey]*statPartial)
 	}
+	if rec.StopID != "" {
+		key.location = rec.StopID
+		m.fold(key, values)
+	}
+	for _, area := range rec.Areas {
+		key.location = area
+		m.fold(key, values)
+	}
+	m.mu.Unlock()
 	m.historyRecs.Add(1)
 	return nil
 }
 
-func (m *DynamicManager) historyPath() string {
-	prefix := m.HistoryPrefix
-	if prefix == "" {
-		prefix = "history/"
+// fold adds one record's values to key's partial; m.mu is held.
+func (m *DynamicManager) fold(key statKey, values [4]float64) {
+	p := m.partials[key]
+	if p == nil {
+		p = new(statPartial)
+		m.partials[key] = p
 	}
-	return prefix + "traces"
+	p.n++
+	for i, v := range values {
+		p.attrs[i].add(v)
+	}
 }
 
-// RunOnce executes one batch cycle: statistics job → store upsert → rule
-// refresh. It returns the number of statistic rows produced.
-func (m *DynamicManager) RunOnce() (int, error) {
-	prefix := m.HistoryPrefix
-	if prefix == "" {
-		prefix = "history/"
+// statistics turns the partials into one row per (attribute, location,
+// hour, day-type), sorted in that order so a run is deterministic.
+func (m *DynamicManager) statistics() []sqlstore.StatRow {
+	m.mu.Lock()
+	rows := make([]sqlstore.StatRow, 0, len(m.partials)*len(busdata.Attributes))
+	for key, p := range m.partials {
+		for i, attr := range busdata.Attributes {
+			mean, stdv := p.attrs[i].meanStdv(p.n)
+			rows = append(rows, sqlstore.StatRow{
+				Attribute: attr, Location: key.location,
+				Hour: key.hour, Day: key.day, Mean: mean, Stdv: stdv,
+			})
+		}
 	}
-	inputs := m.FS.List(prefix)
-	if len(inputs) == 0 {
-		return 0, fmt.Errorf("core: no history under %q", prefix)
+	m.mu.Unlock()
+	slices.SortFunc(rows, compareStatRows)
+	return rows
+}
+
+// compareStatRows orders rows by (attribute, location, hour, day-type).
+func compareStatRows(a, b sqlstore.StatRow) int {
+	return cmp.Or(
+		strings.Compare(a.Attribute, b.Attribute),
+		strings.Compare(a.Location, b.Location),
+		cmp.Compare(a.Hour, b.Hour),
+		cmp.Compare(a.Day, b.Day),
+	)
+}
+
+// RunOnce executes one batch cycle: partials → statistic rows → store
+// upsert → rule refresh. It returns the number of statistic rows produced,
+// and an error when no history has been appended yet.
+func (m *DynamicManager) RunOnce() (int, error) {
+	start := time.Now()
+	rows := m.statistics()
+	if len(rows) == 0 {
+		return 0, errors.New("core: no history appended")
 	}
 	m.mu.Lock()
 	m.runs++
-	out := fmt.Sprintf("batch/stats-run%d", m.runs)
 	m.mu.Unlock()
-
-	rows, _, err := RunStatsJob(StatsJobConfig{
-		FS: m.FS, InputPaths: inputs, OutputPath: out, NumReducers: m.NumReducers,
-		Telemetry: m.Telemetry,
-	})
-	if err != nil {
-		return 0, err
-	}
 	m.statRows.Add(uint64(len(rows)))
 	if err := m.Store.Put(rows); err != nil {
 		return 0, err
@@ -320,6 +398,9 @@ func (m *DynamicManager) RunOnce() (int, error) {
 		if err := inst.Refresh(); err != nil {
 			return 0, fmt.Errorf("core: refreshing rule %q: %w", inst.Rule.Name, err)
 		}
+	}
+	if m.Telemetry != nil {
+		m.Telemetry.Histogram("core.batch.run_ns").ObserveDuration(time.Since(start))
 	}
 	return len(rows), nil
 }
@@ -333,7 +414,7 @@ func (m *DynamicManager) Runs() int {
 
 // Describe implements telemetry.Source.
 func (m *DynamicManager) Describe() string {
-	return "batch layer: dynamic-threshold manager (history → stats job → rule refresh)"
+	return "batch layer: dynamic-threshold manager (history partials → stats rows → rule refresh)"
 }
 
 // Collect implements telemetry.Source: it publishes the batch loop's

@@ -2,12 +2,17 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
+	"time"
 
 	"trafficcep/internal/busdata"
 	"trafficcep/internal/cep"
 	"trafficcep/internal/dfs"
+	"trafficcep/internal/geo"
+	"trafficcep/internal/quadtree"
 	"trafficcep/internal/sqlstore"
 )
 
@@ -130,13 +135,12 @@ func TestStatsJobSeparatesHourAndDay(t *testing.T) {
 }
 
 func TestDynamicManagerEndToEnd(t *testing.T) {
-	fs := dfs.New(dfs.Options{ChunkSize: 512})
 	db := sqlstore.NewDB()
 	store, err := sqlstore.NewThresholdStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &DynamicManager{FS: fs, Store: store}
+	m := &DynamicManager{Store: store}
 
 	// Write a history where area "A" sees delays around 100 at hour 8.
 	for i := 0; i < 20; i++ {
@@ -208,15 +212,142 @@ func TestDynamicManagerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDifferentialStreamedStatistics holds the manager's in-stream partials
+// to the MapReduce statistics job over the same history: a generated feed
+// enriched the way trafficd bootstraps it (Preprocessor, then the quadtree
+// path), windows at every hour of a weekday and a weekend day, run through
+// many map tasks in parallel. Both paths see each key's values in record
+// order and share one formula, so the rows must be equal exactly.
+func TestDifferentialStreamedStatistics(t *testing.T) {
+	cfg := busdata.DefaultConfig()
+	cfg.Buses, cfg.Lines = 36, 8
+	gen, err := busdata.NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Twelve reports per bus at every hour of a Friday and a Saturday. The
+	// generator is out of service from 03:00 to 06:00, so those hours take
+	// the reports of three hours later, relabelled.
+	var traces []busdata.Trace
+	for _, day := range []time.Time{
+		time.Date(2013, 1, 4, 0, 0, 0, 0, time.UTC),
+		time.Date(2013, 1, 5, 0, 0, 0, 0, time.UTC),
+	} {
+		for h := 0; h < 24; h++ {
+			for k := 0; k < 12; k++ {
+				ts := day.Add(time.Duration(h)*time.Hour + time.Duration(k)*cfg.ReportPeriod)
+				src := ts
+				if !gen.InService(src) {
+					src = src.Add(3 * time.Hour)
+				}
+				for _, tr := range gen.Tick(src) {
+					tr.Timestamp = ts
+					traces = append(traces, tr)
+				}
+			}
+		}
+	}
+	if len(traces) < 20000 {
+		t.Fatalf("feed has %d traces, want ≥ 20000", len(traces))
+	}
+	var seeds []geo.Point
+	for i := 0; i < len(traces); i += len(traces)/512 + 1 {
+		seeds = append(seeds, traces[i].Pos)
+	}
+	tree, err := quadtree.Build(geo.Dublin, seeds, quadtree.Options{MaxPoints: 8, MaxDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := &DynamicManager{}
+	fs := dfs.New(dfs.Options{ChunkSize: 64 * 1024})
+	pre := busdata.NewPreprocessor()
+	for _, tr := range traces {
+		e := pre.Process(tr)
+		path := tree.Path(tr.Pos)
+		areas := make([]string, len(path))
+		for i, n := range path {
+			areas[i] = string(n.ID)
+		}
+		rec := HistoryRecord{
+			Hour: tr.Hour(), Day: busdata.DayTypeOf(tr.Timestamp),
+			StopID: tr.BusStop, Areas: areas,
+			Delay: tr.Delay, ActualDelay: e.ActualDelay, Speed: e.SpeedKmh,
+			Congestion: tr.Congestion,
+		}
+		if err := m.AppendHistory(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.AppendLine("history/traces", rec.MarshalLine()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunks, err := fs.Chunks("history/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chunks) < 16 {
+		t.Fatalf("history has %d chunks, want ≥ 16 map tasks", len(chunks))
+	}
+
+	// The job runs GOMAXPROCS map tasks at once; four, so tasks finish out
+	// of order even on a small host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	want, res, err := RunStatsJob(StatsJobConfig{
+		FS: fs, InputPaths: []string{"history/traces"}, NumReducers: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.MapTasks != len(chunks) {
+		t.Fatalf("map tasks = %d, want %d", res.Counters.MapTasks, len(chunks))
+	}
+	type key struct {
+		attr, loc string
+		hour      int
+		day       busdata.DayType
+	}
+	oracle := make(map[key]sqlstore.StatRow, len(want))
+	for _, r := range want {
+		oracle[key{r.Attribute, r.Location, r.Hour, r.Day}] = r
+	}
+
+	got := m.statistics()
+	if len(got) != len(oracle) {
+		t.Fatalf("streamed %d rows, the job %d", len(got), len(oracle))
+	}
+	hours := map[int]bool{}
+	days := map[busdata.DayType]bool{}
+	for _, r := range got {
+		o, ok := oracle[key{r.Attribute, r.Location, r.Hour, r.Day}]
+		if !ok {
+			t.Fatalf("streamed row %+v has no job row", r)
+		}
+		if r.Mean != o.Mean || r.Stdv != o.Stdv {
+			t.Fatalf("streamed %+v, job %+v", r, o)
+		}
+		hours[r.Hour] = true
+		days[r.Day] = true
+	}
+	if len(hours) != 24 || len(days) != 2 {
+		t.Fatalf("rows cover %d hours and %d day types, want 24 and 2", len(hours), len(days))
+	}
+	if !slices.IsSortedFunc(got, compareStatRows) {
+		t.Fatal("streamed rows are not sorted by (attribute, location, hour, day)")
+	}
+}
+
 func TestDynamicManagerNoHistory(t *testing.T) {
-	fs := dfs.New(dfs.Options{})
 	db := sqlstore.NewDB()
 	store, err := sqlstore.NewThresholdStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &DynamicManager{FS: fs, Store: store}
+	m := &DynamicManager{Store: store}
 	if _, err := m.RunOnce(); err == nil {
 		t.Fatal("expected error with no history")
+	}
+	if m.Runs() != 0 {
+		t.Fatalf("runs = %d after a refused batch", m.Runs())
 	}
 }

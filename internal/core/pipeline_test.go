@@ -9,16 +9,15 @@ import (
 	"trafficcep/internal/busdata"
 	"trafficcep/internal/cep"
 	"trafficcep/internal/denclue"
-	"trafficcep/internal/dfs"
 	"trafficcep/internal/sqlstore"
 	"trafficcep/internal/storm"
 )
 
 // TestFullPaperPipeline wires every system of the paper together at once:
 // synthetic feed → quadtree + DENCLUE bus stops → Figure 8 topology with
-// partitioned rules on several engines → history to the DFS → a MapReduce
-// batch run that refreshes thresholds while the stream is still flowing →
-// detections in the storage medium.
+// partitioned rules on several engines → history folded into partials by
+// both BusStopsTracker tasks → a batch run that refreshes thresholds while
+// the stream is still flowing → detections in the storage medium.
 func TestFullPaperPipeline(t *testing.T) {
 	cfg := busdata.DefaultConfig()
 	cfg.Buses, cfg.Lines = 150, 15
@@ -42,13 +41,12 @@ func TestFullPaperPipeline(t *testing.T) {
 		t.Fatal("no DENCLUE stops")
 	}
 
-	fs := dfs.New(dfs.Options{ChunkSize: 32 * 1024})
 	db := sqlstore.NewDB()
 	store, err := sqlstore.NewThresholdStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manager := &DynamicManager{FS: fs, Store: store}
+	manager := &DynamicManager{Store: store}
 
 	// Bootstrap thresholds so rules can install: very permissive (fire on
 	// any positive delay) for leaves, and a speed rule on stops.
@@ -148,9 +146,18 @@ func TestFullPaperPipeline(t *testing.T) {
 	}()
 	var batchErr error
 	batchRows := 0
-	for i := 0; i < 200; i++ {
-		time.Sleep(5 * time.Millisecond)
-		if fs.Records("history/traces") > 500 {
+	// The batch runs once both BusStopsTracker tasks have appended and more
+	// than 500 records are in.
+	var appendedAtBatch uint64
+	appending := map[int]bool{}
+	for i := 0; i < 5000; i++ {
+		time.Sleep(200 * time.Microsecond)
+		for _, task := range rt.Monitor().SnapshotNow().Components[CompBusStops].Tasks {
+			if task.Executed > 0 {
+				appending[task.TaskID] = true
+			}
+		}
+		if appendedAtBatch = manager.historyRecs.Load(); appendedAtBatch > 500 && len(appending) == 2 {
 			batchRows, batchErr = manager.RunOnce()
 			break
 		}
@@ -169,7 +176,10 @@ func TestFullPaperPipeline(t *testing.T) {
 	if manager.Runs() != 1 {
 		t.Fatalf("batch runs = %d", manager.Runs())
 	}
-	if got := fs.Records("history/traces"); got != int64(len(traces)) {
+	if appendedAtBatch >= uint64(len(traces)) {
+		t.Fatalf("the batch ran after the last of %d history records was appended, not mid-stream", len(traces))
+	}
+	if got := manager.historyRecs.Load(); got != uint64(len(traces)) {
 		t.Fatalf("history records = %d, want %d", got, len(traces))
 	}
 	if db.Count(EventsTable) == 0 {

@@ -398,8 +398,8 @@ func (b *areaTrackerBolt) Execute(t storm.Tuple, col storm.Collector) error {
 }
 
 // busStopsTrackerBolt resolves the de-noised bus stop (§4.1.2) and, as the
-// last enrichment step, persists the record to the history file for the
-// batch layer.
+// last enrichment step, folds the record into the batch layer's history
+// partials.
 type busStopsTrackerBolt struct {
 	enricher
 	stops   *denclue.Result

@@ -7,7 +7,6 @@ import (
 
 	"trafficcep/internal/busdata"
 	"trafficcep/internal/cep"
-	"trafficcep/internal/dfs"
 	"trafficcep/internal/geo"
 	"trafficcep/internal/quadtree"
 	"trafficcep/internal/sqlstore"
@@ -254,13 +253,12 @@ func TestTrafficTopologyAllGroupingMultipliesLoad(t *testing.T) {
 func TestTrafficTopologyHistoryWritten(t *testing.T) {
 	tree := buildTestTree(t)
 	traces := genTraces(t, 10, 3)
-	fs := dfs.New(dfs.Options{ChunkSize: 4096})
 	db := sqlstore.NewDB()
 	store, err := sqlstore.NewThresholdStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &DynamicManager{FS: fs, Store: store}
+	m := &DynamicManager{Store: store}
 	topo, err := BuildTrafficTopology(TrafficConfig{
 		Traces: traces, Tree: tree, Engines: 1, Manager: m,
 	})
@@ -274,11 +272,11 @@ func TestTrafficTopologyHistoryWritten(t *testing.T) {
 	if err := runtime.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Records("history/traces") != int64(len(traces)) {
-		t.Fatalf("history records = %d, want %d", fs.Records("history/traces"), len(traces))
+	if got := m.historyRecs.Load(); got != uint64(len(traces)) {
+		t.Fatalf("history records = %d, want %d", got, len(traces))
 	}
 	// The batch layer can now compute statistics from what the topology
-	// wrote.
+	// appended.
 	if n, err := m.RunOnce(); err != nil || n == 0 {
 		t.Fatalf("batch over topology history: n=%d err=%v", n, err)
 	}

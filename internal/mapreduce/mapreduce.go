@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -112,9 +112,11 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Counters: Counters{MapTasks: len(tasks), ReduceTasks: cfg.NumReducers}}
 
-	// Map phase. Each task produces per-reducer partitions; results are
-	// merged under a mutex after each task completes.
-	partitions := make([][]KeyValue, cfg.NumReducers)
+	// Map phase. Each task produces per-reducer partitions into its own
+	// slot; the slots are merged in task order once every task is done, so a
+	// reducer sees a key's values in input order whatever order the tasks
+	// finished in.
+	perTask := make([][][]KeyValue, len(tasks))
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -122,10 +124,10 @@ func Run(cfg Config) (*Result, error) {
 	sem := make(chan struct{}, cfg.Parallelism)
 	mapStart := time.Now()
 	var wg sync.WaitGroup
-	for _, t := range tasks {
+	for i, t := range tasks {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(t mapTask) {
+		go func(i int, t mapTask) {
 			defer func() { <-sem; wg.Done() }()
 			local := make([][]KeyValue, cfg.NumReducers)
 			var records, outputs int64
@@ -144,14 +146,18 @@ func Run(cfg Config) (*Result, error) {
 			}
 			res.Counters.InputRecords += records
 			res.Counters.MapOutputs += outputs
-			for r := range local {
-				partitions[r] = append(partitions[r], local[r]...)
-			}
-		}(t)
+			perTask[i] = local
+		}(i, t)
 	}
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
+	}
+	partitions := make([][]KeyValue, cfg.NumReducers)
+	for _, local := range perTask {
+		for r := range local {
+			partitions[r] = append(partitions[r], local[r]...)
+		}
 	}
 	res.Counters.MapDuration = time.Since(mapStart)
 
@@ -244,7 +250,7 @@ func runMapTask(cfg Config, path string, chunkIdx int, emit func(k, v string), r
 
 // runReduceTask groups one partition by key (sorted) and runs the reducer.
 func runReduceTask(cfg Config, pairs []KeyValue) (groups int64, outs []KeyValue, err error) {
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
+	slices.SortStableFunc(pairs, func(a, b KeyValue) int { return strings.Compare(a.Key, b.Key) })
 	emit := func(k, v string) { outs = append(outs, KeyValue{Key: k, Value: v}) }
 	for i := 0; i < len(pairs); {
 		j := i

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"trafficcep/internal/dfs"
 )
@@ -313,6 +314,51 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("output %d differs: %v vs %v", i, a[i], b[i])
+		}
+	}
+
+	// A reducer that depends on value order sees every key's values in
+	// input order, even when the first map task finishes last.
+	want := map[string][]string{}
+	for i := 0; i < 60; i++ {
+		k := fmt.Sprintf("k%d", i%7)
+		_ = fs.AppendLine("in/ordered", fmt.Sprintf("%s %d", k, i))
+		want[k] = append(want[k], strconv.Itoa(i))
+	}
+	cfg := Config{
+		FS: fs, InputPaths: []string{"in/ordered"}, OutputPath: "out/ordered",
+		Mapper: func(_ int64, line string, emit func(k, v string)) error {
+			k, v, _ := strings.Cut(line, " ")
+			if v == "0" {
+				time.Sleep(5 * time.Millisecond)
+			}
+			emit(k, v)
+			return nil
+		},
+		Reducer: func(key string, values []string, emit func(k, v string)) error {
+			emit(key, strings.Join(values, ","))
+			return nil
+		},
+		NumReducers: 2,
+		Parallelism: 4,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.MapTasks < 4 {
+		t.Fatalf("map tasks = %d, want several chunks", res.Counters.MapTasks)
+	}
+	out, err := ReadOutput(fs, "out/ordered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(want) {
+		t.Fatalf("keys = %d, want %d", len(out), len(want))
+	}
+	for _, kv := range out {
+		if w := strings.Join(want[kv.Key], ","); kv.Value != w {
+			t.Fatalf("values of %s = %s, want input order %s", kv.Key, kv.Value, w)
 		}
 	}
 }
