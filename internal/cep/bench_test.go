@@ -124,12 +124,32 @@ func BenchmarkAblationExprCompilation(b *testing.B) {
 // BenchmarkListing1_FourRules prices what one EsperBolt engine does per
 // delivered trace: the four rules of the shipped topology.xml in one engine
 // — two on groupwin(stopId).length(10), two on leafArea (lengths 10 and
-// 100), four identical lastevent views — over 28-field rows shaped like the
-// pipeline's enriched payload. 4096 stops and 1024 leaf areas keep ~140k
-// events retained, so the event a length window evicts left the cache long
-// ago, as in a city-sized run; the windows are filled before the clock
-// starts. It drives the engine through AddStatement and SendEventAt only.
+// 100) — over 28-field rows shaped like the pipeline's enriched payload.
+// 4096 stops and 1024 leaf areas keep ~140k events retained, so the event a
+// length window evicts left the cache long ago, as in a city-sized run; the
+// windows are filled before the clock starts. Two shapes: "all", one engine
+// that owns every location and takes every row, and "owned", one of four
+// engines: it owns a quarter of the stops and a quarter of the leaves, each
+// rule installed on its share (as core.InstallRule installs it), and it is
+// sent only the rows whose stop or leaf it owns, as the Splitter sends them.
 func BenchmarkListing1_FourRules(b *testing.B) {
+	b.Run("all", func(b *testing.B) { benchFourRules(b, 1) })
+	b.Run("owned", func(b *testing.B) { benchFourRules(b, 4) })
+}
+
+// ownedAdder is the engine's owned-key API. The benchmark reaches it through
+// an interface so that scripts/bench_cep.sh can run this file against a
+// parent commit whose engine lacks it: there the owned shape installs its
+// rules unrestricted, with the same thresholds and the same rows.
+type ownedAdder interface {
+	Own(stream, field string, keys ...string) []string
+	AddOwnedStatement(name, src, stream, field string) (*Statement, error)
+}
+
+// benchFourRules runs the four-rules benchmark for one of share engines:
+// it owns stop i when i%share == 0 and leaf i when (i/share)%share == 0, so
+// that along the feed a row's stop and leaf are owned independently.
+func benchFourRules(b *testing.B, share int) {
 	const (
 		stops  = 4096
 		leaves = 1024
@@ -145,17 +165,38 @@ func BenchmarkListing1_FourRules(b *testing.B) {
 		{"stopActual", "stopId", "actualDelay", 10, stops},
 	}
 	locName := func(field string, i int) string { return fmt.Sprintf("%s%04d", field[:4], i) }
+	owns := func(field string, i int) bool {
+		if field == "stopId" {
+			return i%share == 0
+		}
+		return (i/share)%share == 0
+	}
 
 	eng := New()
+	own, _ := any(eng).(ownedAdder)
 	for _, r := range rules {
 		thr := "thresholds_" + r.name
-		if _, err := eng.AddStatement(r.name, listing1EPL(r.loc, r.attr, r.window, thr)); err != nil {
+		var keys []string
+		for loc := 0; loc < r.locs; loc++ {
+			if owns(r.loc, loc) {
+				keys = append(keys, locName(r.loc, loc))
+			}
+		}
+		src := listing1EPL(r.loc, r.attr, r.window, thr)
+		var err error
+		if share > 1 && own != nil {
+			own.Own("bus", r.loc, keys...)
+			_, err = own.AddOwnedStatement(r.name, src, "bus", r.loc)
+		} else {
+			_, err = eng.AddStatement(r.name, src)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
-		for loc := 0; loc < r.locs; loc++ {
+		for _, loc := range keys {
 			for h := 0; h < hours; h++ {
 				err := eng.SendEvent(thr, map[string]Value{
-					"location": locName(r.loc, loc), "hour": float64(h),
+					"location": loc, "hour": float64(h),
 					"day": "weekday", "value": 1e12,
 				})
 				if err != nil {
@@ -171,40 +212,45 @@ func BenchmarkListing1_FourRules(b *testing.B) {
 	for i := range layers {
 		layers[i] = fmt.Sprintf("layer%dArea", i)
 	}
-	row := func(i int) (time.Time, map[string]Value) {
-		ts := base.Add(time.Duration(i%(hours*3600)) * time.Second)
-		tr := busdata.Trace{
-			Timestamp: ts, LineID: "L" + strconv.Itoa(i%67), Direction: i%2 == 0,
-			Pos:   geo.Point{Lat: 53.3 + float64(i%1000)*1e-4, Lon: -6.3 + float64(i%777)*1e-4},
-			Delay: float64(i % 300), Congestion: i%9 == 0,
-			BusStop: strconv.Itoa(i % stops), VehicleID: strconv.Itoa(i % 911),
+	// next returns the next row of the feed this engine is sent.
+	i := 0
+	next := func() (time.Time, map[string]Value) {
+		for ; ; i++ {
+			// Odd multipliers of a power-of-two count visit every location,
+			// in an order that does not follow allocation order.
+			stop, leaf := (i*2731)%stops, (i*389)%leaves
+			if !owns("stopId", stop) && !owns("leafArea", leaf) {
+				continue
+			}
+			ts := base.Add(time.Duration(i%(hours*3600)) * time.Second)
+			tr := busdata.Trace{
+				Timestamp: ts, LineID: "L" + strconv.Itoa(i%67), Direction: i%2 == 0,
+				Pos:   geo.Point{Lat: 53.3 + float64(i%1000)*1e-4, Lon: -6.3 + float64(i%777)*1e-4},
+				Delay: float64(i % 300), Congestion: i%9 == 0,
+				BusStop: strconv.Itoa(i % stops), VehicleID: strconv.Itoa(i % 911),
+			}
+			m := tr.FillValues(busdata.GetValues())
+			m["speed"] = float64(i % 60)
+			m["actualDelay"] = float64(i%41) - 20
+			m["heading"] = float64(i % 360)
+			for _, f := range layers {
+				m[f] = locName("leafArea", leaf)
+			}
+			m["leafArea"] = locName("leafArea", leaf)
+			m["areaPath"] = layers
+			m["stopId"] = locName("stopId", stop)
+			i++
+			return ts, m
 		}
-		m := tr.FillValues(busdata.GetValues())
-		m["speed"] = float64(i % 60)
-		m["actualDelay"] = float64(i%41) - 20
-		m["heading"] = float64(i % 360)
-		// Odd multipliers of a power-of-two count visit every location, in
-		// an order that does not follow allocation order.
-		leaf := locName("leafArea", (i*389)%leaves)
-		for _, f := range layers {
-			m[f] = leaf
-		}
-		m["leafArea"] = leaf
-		m["areaPath"] = layers
-		m["stopId"] = locName("stopId", (i*2731)%stops)
-		return ts, m
 	}
-	send := func(i int) {
-		ts, m := row(i)
+	// Fill every window: the longest, length 100 over the engine's leaves,
+	// needs 100 arrivals at each, which the first 102400 rows of the feed
+	// bring.
+	for i < leaves*100+stops {
+		ts, m := next()
 		if err := eng.SendEventAt("bus", ts, m); err != nil {
 			b.Fatal(err)
 		}
-	}
-	// Fill every window: the longest, length 100 over 1024 leaves, needs
-	// 102400 arrivals.
-	const warm = leaves*100 + stops
-	for i := 0; i < warm; i++ {
-		send(i)
 	}
 	// Rows are built outside the clock, a chunk at a time.
 	const chunk = 4096
@@ -219,7 +265,7 @@ func BenchmarkListing1_FourRules(b *testing.B) {
 		}
 		b.StopTimer()
 		for j := 0; j < n; j++ {
-			tss[j], rows[j] = row(warm + done + j)
+			tss[j], rows[j] = next()
 		}
 		b.StartTimer()
 		for j := 0; j < n; j++ {

@@ -2,6 +2,7 @@ package cep
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -27,12 +28,17 @@ type Engine struct {
 	// the live views and the FROM items subscribed to them.
 	views               map[string]*view
 	viewCount, viewSubs int
+	// owned holds, per stream, the engine's owned-key sets, one per field
+	// (see Own).
+	owned map[string][]*ownedSet
 	// retired names the statements removed since the last Collect, whose
 	// published series that Collect zeroes.
 	retired map[string]bool
 
-	eventsIn uint64
-	procTime time.Duration
+	// eventsUnowned counts the (statement, event) turns skipped because the
+	// event's key is not one the statement's owned-key set holds.
+	eventsIn, eventsUnowned uint64
+	procTime                time.Duration
 
 	// disableIndexJoins turns off equi-join hash indexing for statements
 	// registered while it is set, so every join runs as the filtered nested
@@ -76,6 +82,7 @@ func New(opts ...Option) *Engine {
 		funcs:    make(map[string]ScalarFunc),
 		schemas:  make(map[string]*streamSchema),
 		views:    make(map[string]*view),
+		owned:    make(map[string][]*ownedSet),
 		retired:  make(map[string]bool),
 		name:     "cep",
 	}
@@ -137,14 +144,35 @@ func (e *Engine) AddStatement(name, src string) (*Statement, error) {
 	return e.AddQuery(name, q)
 }
 
+// AddOwnedStatement is AddStatement for a statement restricted to the keys
+// the engine owns on field of stream (see Own): an event of stream whose
+// field holds no owned key enters none of the statement's windows and
+// triggers no evaluation. Events of the statement's other streams are not
+// restricted.
+func (e *Engine) AddOwnedStatement(name, src, stream, field string) (*Statement, error) {
+	q, err := epl.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.register(name, q, e.ownedSet(stream, field))
+}
+
 // AddQuery registers an already-parsed query.
 func (e *Engine) AddQuery(name string, q *epl.Query) (*Statement, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.register(name, q, nil)
+}
+
+// register compiles q and registers it under name, restricted to owned when
+// that is not nil. Called with the engine lock held.
+func (e *Engine) register(name string, q *epl.Query, owned *ownedSet) (*Statement, error) {
 	if _, dup := e.stmts[name]; dup {
 		return nil, fmt.Errorf("cep: statement %q already exists", name)
 	}
-	st, err := compile(name, q, e)
+	st, err := compile(name, q, e, owned)
 	if err != nil {
 		return nil, err
 	}
@@ -153,6 +181,71 @@ func (e *Engine) AddQuery(name string, q *epl.Query) (*Statement, error) {
 		e.byStream[stream] = append(e.byStream[stream], st)
 	}
 	return st, nil
+}
+
+// ownedSet is the keys an engine owns on one field of one stream — in the
+// traffic topology, the locations Algorithm 1 gave the engine on one
+// location field. Statements registered with AddOwnedStatement read the
+// stream through it.
+type ownedSet struct {
+	stream, field string
+	// slot is the field's slot in the stream's schema.
+	slot int
+	keys map[string]bool
+	// in reports whether the event being delivered holds an owned key:
+	// sendEventAt sets it once per event, before any statement sees it.
+	in bool
+}
+
+// ownedSet returns the owned-key set for field of stream, creating it empty.
+// Called with the engine lock held.
+func (e *Engine) ownedSet(stream, field string) *ownedSet {
+	for _, o := range e.owned[stream] {
+		if o.field == field {
+			return o
+		}
+	}
+	o := &ownedSet{stream: stream, field: field, slot: e.schemaFor(stream).slotOf(field), keys: make(map[string]bool)}
+	e.owned[stream] = append(e.owned[stream], o)
+	return o
+}
+
+// Own adds keys to the engine's owned-key set for field of stream and
+// returns the ones it did not own yet. From the next event on, statements
+// restricted to that set (AddOwnedStatement) see the stream's events that
+// carry them.
+func (e *Engine) Own(stream, field string, keys ...string) []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	o := e.ownedSet(stream, field)
+	var added []string
+	for _, k := range keys {
+		if !o.keys[k] {
+			o.keys[k] = true
+			added = append(added, k)
+		}
+	}
+	return added
+}
+
+// Disown removes keys from the owned-key set for field of stream and returns
+// how many keys it still holds. What the restricted statements' windows hold
+// for a removed key stays there.
+func (e *Engine) Disown(stream, field string, keys ...string) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	o := e.ownedSet(stream, field)
+	for _, k := range keys {
+		delete(o.keys, k)
+	}
+	return len(o.keys)
+}
+
+// Owned returns a copy of the owned-key set for field of stream.
+func (e *Engine) Owned(stream, field string) map[string]bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return maps.Clone(e.ownedSet(stream, field).keys)
 }
 
 // RemoveStatement deregisters a statement and releases its views; a view no
@@ -223,7 +316,9 @@ const maxDerivedEvents = 10000
 
 // SendEventAt delivers an event with an explicit timestamp (event time).
 // All statements subscribed to the stream process the event serially, in
-// statement registration order; events produced by INSERT INTO statements
+// statement registration order, except those restricted to an owned-key set
+// that does not hold the event's key (AddOwnedStatement), which skip it;
+// events produced by INSERT INTO statements
 // are processed breadth-first afterwards, in the same serial turn. The
 // first evaluation error is returned, but every statement still sees the
 // event. fields is kept, not copied, for as long as a window holds the
@@ -245,7 +340,15 @@ func (e *Engine) sendEventAt(stream string, ts, start time.Time, fields map[stri
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
+		for _, o := range e.owned[cur.Stream] {
+			key, _ := cur.slots[o.slot].(string)
+			o.in = o.keys[key]
+		}
 		for _, st := range e.byStream[cur.Stream] {
+			if o := st.owned; o != nil && o.stream == cur.Stream && !o.in {
+				e.eventsUnowned++
+				continue
+			}
 			err := st.process(cur, func(d *Event) {
 				derived++
 				if derived <= maxDerivedEvents {
@@ -284,6 +387,7 @@ func (e *Engine) Collect(reg *telemetry.Registry) {
 	defer e.mu.Unlock()
 	prefix := e.name + "."
 	reg.Counter(prefix + "events_in").Store(e.eventsIn)
+	reg.Counter(prefix + "events_unowned").Store(e.eventsUnowned)
 	reg.Gauge(prefix + "proc_time_ns").Set(float64(e.procTime))
 	if e.eventsIn > 0 {
 		reg.Gauge(prefix + "avg_latency_ns").Set(float64(e.procTime) / float64(e.eventsIn))
@@ -326,6 +430,6 @@ func (e *Engine) AvgLatency() time.Duration {
 func (e *Engine) ResetMetrics() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.eventsIn = 0
+	e.eventsIn, e.eventsUnowned = 0, 0
 	e.procTime = 0
 }

@@ -26,13 +26,15 @@ type Event struct {
 }
 
 // streamSchema is an engine's field → slot table for one stream. It only
-// grows, and only while a statement is being registered, so a slot index
-// baked into a compiled statement stays valid for the engine's lifetime. A
-// statement registered later may append slots; events bound before that
-// carry the shorter slice, but they sit only in views whose subscribers were
-// all compiled against the shorter schema (a view takes no subscriber after
-// its first event), so no index ever exceeds the slice it meets (a violation
-// would be an index-out-of-range panic, not a silent wrong read).
+// grows, and only while a statement is being registered or an owned-key set
+// created, so a slot index baked into a compiled statement stays valid for
+// the engine's lifetime. A statement registered later may append slots;
+// events bound before that carry the shorter slice, but they sit only in
+// views whose subscribers were all compiled against the shorter schema (a
+// view takes no subscriber after its first event), and an owned-key set
+// reads its slot from the event being delivered alone, so no index ever
+// exceeds the slice it meets (a violation would be an index-out-of-range
+// panic, not a silent wrong read).
 type streamSchema struct {
 	names []string
 	slot  map[string]int

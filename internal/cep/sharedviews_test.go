@@ -16,12 +16,15 @@ import (
 // One feed drives both; every statement must emit the same output sequence
 // — fields and representative rows, batch by batch, in order — raise errors
 // on the same events and end on the same plan. No switch selects a path:
-// (b) is the engine as it is with one statement in it.
+// (b) is the engine as it is with one statement in it. Both engines own the
+// same keys, and statements restricted to them (AddOwnedStatement) may share
+// a view only with statements under the same restriction.
 
 // sharedStmt is one statement of a shared-view scenario; thr names the
-// threshold stream it joins, empty when it has none.
+// threshold stream it joins, empty when it has none, and owned the bus field
+// whose owned keys it is restricted to, empty when it is not.
 type sharedStmt struct {
-	name, src, thr string
+	name, src, thr, owned string
 }
 
 // sharedRig runs a set of statements in one engine and records, per
@@ -29,6 +32,15 @@ type sharedStmt struct {
 type sharedRig struct {
 	eng  *Engine
 	outs map[string][]string
+}
+
+// newSharedRig is an empty rig whose engine owns three of the feed's four
+// loc keys and one of its two loc2 keys.
+func newSharedRig() *sharedRig {
+	eng := New()
+	eng.Own("bus", "loc", "L0", "L2", "L3")
+	eng.Own("bus", "loc2", "L1")
+	return &sharedRig{eng: eng, outs: make(map[string][]string)}
 }
 
 func canonOutput(o Output) string {
@@ -47,7 +59,13 @@ func canonOutput(o Output) string {
 
 func (r *sharedRig) add(t *testing.T, s sharedStmt, thresholds []diffEvent) {
 	t.Helper()
-	st, err := r.eng.AddStatement(s.name, s.src)
+	var st *Statement
+	var err error
+	if s.owned == "" {
+		st, err = r.eng.AddStatement(s.name, s.src)
+	} else {
+		st, err = r.eng.AddOwnedStatement(s.name, s.src, "bus", s.owned)
+	}
 	if err != nil {
 		t.Fatalf("add %s: %v", s.name, err)
 	}
@@ -74,7 +92,8 @@ func (r *sharedRig) add(t *testing.T, s sharedStmt, thresholds []diffEvent) {
 // windows, a trigger rule keyed through an ungrouped window, one whose
 // grouped window reads another stream than its trigger, a two-field group,
 // and delta-plan and plan-less statements that read the shared windows —
-// two of them through two items on one stream.
+// two of them through two items on one stream. Each is restricted to the
+// owned loc keys, the owned loc2 keys or nothing, at random.
 func sharedStatements(rng *rand.Rand) []sharedStmt {
 	lengths := []int{1, 10, 100}
 	var out []sharedStmt
@@ -90,38 +109,41 @@ func sharedStatements(rng *rand.Rand) []sharedStmt {
 			     thr_%[4]s.win:keepall() AS th
 			WHERE bd.hour = th.hour AND bd.%[1]s = th.location AND bd.%[1]s = bd2.%[1]s
 			GROUP BY bd2.%[1]s
-			HAVING avg(bd2.%[2]s) > avg(th.value)`, loc, attr, lengths[rng.Intn(3)], nm), "thr_" + nm})
+			HAVING avg(bd2.%[2]s) > avg(th.value)`, loc, attr, lengths[rng.Intn(3)], nm), "thr_" + nm, ""})
 	}
 	out = append(out,
 		sharedStmt{name("minmax"), fmt.Sprintf(`SELECT bd2.loc AS loc, min(bd2.a) AS lo, max(bd2.a) AS hi, count(bd2.b) AS nb, count(*) AS n
 			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(%d) AS bd2
-			WHERE bd.loc = bd2.loc AND bd2.a >= 2 GROUP BY bd2.loc`, lengths[rng.Intn(3)]), ""},
+			WHERE bd.loc = bd2.loc AND bd2.a >= 2 GROUP BY bd2.loc`, lengths[rng.Intn(3)]), "", ""},
 		sharedStmt{name("flat"), fmt.Sprintf(`SELECT bd.loc AS loc, sum(w.a) AS s, count(*) AS n
 			FROM bus.std:lastevent() AS bd, bus.win:length(%d) AS w
-			WHERE bd.loc = w.loc GROUP BY bd.loc`, lengths[rng.Intn(2)]), ""},
+			WHERE bd.loc = w.loc GROUP BY bd.loc`, lengths[rng.Intn(2)]), "", ""},
 		sharedStmt{name("cross"), `SELECT bd.loc AS loc, avg(x.a) AS m, count(*) AS n
 			FROM bus.std:lastevent() AS bd, aux.std:groupwin(loc).win:length(10) AS x
-			WHERE bd.loc = x.loc GROUP BY bd.loc`, ""},
+			WHERE bd.loc = x.loc GROUP BY bd.loc`, "", ""},
 		sharedStmt{name("pair"), fmt.Sprintf(`SELECT g.loc AS loc, g.hour AS hour, sum(g.a) AS s
 			FROM bus.std:lastevent() AS bd, bus.std:groupwin(%s).win:length(10) AS g
 			WHERE bd.hour = g.hour AND bd.loc = g.loc GROUP BY g.loc, g.hour`,
-			[]string{"loc, hour", "hour, loc"}[rng.Intn(2)]), ""},
+			[]string{"loc, hour", "hour, loc"}[rng.Intn(2)]), "", ""},
 		sharedStmt{name("delta"), fmt.Sprintf(`SELECT w.loc AS loc, sum(w.a) AS s, count(*) AS n
-			FROM bus.std:groupwin(loc).win:length(%d) AS w GROUP BY w.loc`, lengths[rng.Intn(2)]), ""},
+			FROM bus.std:groupwin(loc).win:length(%d) AS w GROUP BY w.loc`, lengths[rng.Intn(2)]), "", ""},
 		sharedStmt{name("selfjoin"), `SELECT l.loc AS loc, count(*) AS n, sum(r.a) AS y
 			FROM bus.win:length(10) AS l, bus.std:groupwin(loc).win:length(10) AS r
-			WHERE l.loc = r.loc GROUP BY l.loc`, ""},
+			WHERE l.loc = r.loc GROUP BY l.loc`, "", ""},
 		// When c turns non-numeric the plan breaks at x, with y — which
 		// other statements may already have moved — still to come.
 		sharedStmt{name("three"), `SELECT bd.loc AS loc, avg(x.c) AS m, count(*) AS n
 			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(10) AS x, bus.win:length(10) AS y
-			WHERE bd.loc = x.loc AND bd.loc = y.loc GROUP BY bd.loc`, ""},
+			WHERE bd.loc = x.loc AND bd.loc = y.loc GROUP BY bd.loc`, "", ""},
 		// No equi conjunct, so no join index: the delta join of l's delta
 		// reads r's window itself, which must still be as it was.
 		sharedStmt{name("selfloop"), `SELECT count(*) AS n, sum(r.a) AS y
-			FROM bus.win:length(1) AS l, bus.win:length(10) AS r WHERE l.a > r.a`, ""},
-		sharedStmt{name("rows"), `SELECT w.loc AS loc, w.a AS a FROM bus.win:length(1) AS w`, ""},
+			FROM bus.win:length(1) AS l, bus.win:length(10) AS r WHERE l.a > r.a`, "", ""},
+		sharedStmt{name("rows"), `SELECT w.loc AS loc, w.a AS a FROM bus.win:length(1) AS w`, "", ""},
 	)
+	for i := range out {
+		out[i].owned = []string{"", "loc", "loc2"}[rng.Intn(3)]
+	}
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
@@ -163,6 +185,7 @@ func sharedFeed(rng *rand.Rand, stmts []sharedStmt, n int) (thresholds, feed []d
 
 func TestDifferentialSharedViews(t *testing.T) {
 	var fired, shared, broke int
+	var skipped uint64
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(700 + seed))
 		stmts := sharedStatements(rng)
@@ -171,11 +194,11 @@ func TestDifferentialSharedViews(t *testing.T) {
 		// InstalledRule.Refresh — beside views the others have populated.
 		refreshAt, refreshed := len(feed)/2, stmts[rng.Intn(len(stmts))]
 
-		together := &sharedRig{eng: New(), outs: make(map[string][]string)}
+		together := newSharedRig()
 		alone := make(map[string]*sharedRig, len(stmts))
 		for _, s := range stmts {
 			together.add(t, s, thresholds)
-			alone[s.name] = &sharedRig{eng: New(), outs: make(map[string][]string)}
+			alone[s.name] = newSharedRig()
 			alone[s.name].add(t, s, thresholds)
 		}
 		if together.eng.viewCount < together.eng.viewSubs {
@@ -225,9 +248,11 @@ func TestDifferentialSharedViews(t *testing.T) {
 			}
 			fired += len(together.outs[s.name])
 		}
+		skipped += together.eng.eventsUnowned
 	}
-	if fired == 0 || shared == 0 || broke == 0 {
-		t.Fatalf("the scenarios exercise too little: %d batches, %d engines with a shared view, %d broken plans", fired, shared, broke)
+	if fired == 0 || shared == 0 || broke == 0 || skipped == 0 {
+		t.Fatalf("the scenarios exercise too little: %d batches, %d engines with a shared view, %d broken plans, %d unowned turns",
+			fired, shared, broke, skipped)
 	}
 }
 

@@ -16,7 +16,10 @@ type Statement struct {
 	Query *epl.Query
 
 	engine *Engine
-	items  []*fromItemState
+	// owned, when set, restricts the statement to the events of its stream
+	// that hold an owned key (AddOwnedStatement).
+	owned *ownedSet
+	items []*fromItemState
 	// itemsByStream maps a stream name to the indexes of FROM items fed
 	// by it (one stream can back several items, as in Listing 1 where
 	// both bd and bd2 read from "bus").
@@ -97,8 +100,9 @@ type fromItemState struct {
 	keyBuf     []byte
 }
 
-// compile builds a Statement from a parsed query.
-func compile(name string, q *epl.Query, eng *Engine) (*Statement, error) {
+// compile builds a Statement from a parsed query, restricted to owned when
+// that is not nil.
+func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statement, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("cep: query has no FROM items")
 	}
@@ -106,6 +110,7 @@ func compile(name string, q *epl.Query, eng *Engine) (*Statement, error) {
 		Name:          name,
 		Query:         q,
 		engine:        eng,
+		owned:         owned,
 		itemsByStream: make(map[string][]int),
 	}
 	aliasToIdx := make(map[string]int, len(q.From))

@@ -32,7 +32,8 @@ type window interface {
 }
 
 // view is an engine-owned window: the retained events of one (stream, view
-// chain), shared by every FROM item that resolved to it. A view is open to
+// chain, owned-key restriction), shared by every FROM item that resolved to
+// it. A view is open to
 // new subscribers only until its first event: FROM items that subscribe
 // before it were all going to see the same arrivals from an empty window,
 // so one window serves them and each statement's outputs are what a window
@@ -60,15 +61,20 @@ func (v *view) insert(ev *Event) (added, removed []*Event) {
 	return v.added, v.removed
 }
 
-// viewKey renders the registry key of a FROM item's window: the stream and
-// its view chain in canonical form (no views is win:keepall).
-func viewKey(stream string, views []epl.ViewSpec) string {
-	if len(views) == 0 {
-		return stream + ".win:keepall()"
-	}
+// viewKey renders the registry key of a FROM item's window: the stream, its
+// view chain in canonical form (no views is win:keepall) and, when the
+// statement is restricted on that stream, the field of its owned-key set —
+// a view is shared only by subscribers that see the same arrivals.
+func viewKey(stream string, views []epl.ViewSpec, owned *ownedSet) string {
 	key := stream
+	if len(views) == 0 {
+		key += ".win:keepall()"
+	}
 	for _, v := range views {
 		key += "." + v.String()
+	}
+	if owned != nil && owned.stream == stream {
+		key += " owned(" + owned.field + ")"
 	}
 	return key
 }
@@ -81,7 +87,7 @@ func viewKey(stream string, views []epl.ViewSpec) string {
 // of its own turn, see Statement.exclusiveViews — always builds a new view
 // and registers it for no one else. Called with the engine lock held.
 func (e *Engine) acquireView(st *Statement, f epl.FromItem, sch *streamSchema, share bool) (*view, error) {
-	key := viewKey(f.Stream, f.Views)
+	key := viewKey(f.Stream, f.Views, st.owned)
 	if v := e.views[key]; share && v != nil && v.lastEv == nil && !st.reads(v) {
 		v.refs++
 		e.viewSubs++

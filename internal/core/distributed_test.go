@@ -227,8 +227,7 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 		}(w)
 	}
 	// Only the Splitter's worker observes the feed's rates, so only its
-	// rebalancer cycles. The BusReader's output batch may hold the last
-	// tuples before the gate while the gate is shut.
+	// rebalancer cycles.
 	splitterExecuted := func() uint64 {
 		var n uint64
 		for _, rt := range rts {
@@ -243,7 +242,7 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 		}
 		return registered == engines && splitterExecuted() >= uint64(gate.at/2)
 	}
-	swapMidFeed(t, rebs[splitterWorker], gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces))
+	swapMidFeed(t, rebs[splitterWorker], gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces), false)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -300,7 +299,10 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 }
 
 // gatedReader holds the feed: the BusReader spout it builds emits the
-// first `at` traces and then blocks until open is closed, closing held.
+// first `at` traces, closes held, and then emits nothing until open is
+// closed. A held call returns without a tuple rather than block, so the
+// spout's executor still flushes its output batch: every trace before the
+// gate reaches the Splitter.
 type gatedReader struct {
 	at         int
 	held, open chan struct{}
@@ -313,12 +315,20 @@ func (g *gatedReader) reader(traces []busdata.Trace) storm.Spout {
 type gatedSpout struct {
 	busReaderSpout
 	gate *gatedReader
+	shut bool
 }
 
 func (s *gatedSpout) NextTuple(col storm.Collector) (bool, error) {
 	if s.idx == s.gate.at {
-		close(s.gate.held)
-		<-s.gate.open
+		if !s.shut {
+			s.shut = true
+			close(s.gate.held)
+		}
+		select {
+		case <-s.gate.open:
+		case <-time.After(100 * time.Microsecond):
+			return true, nil
+		}
 	}
 	return s.busReaderSpout.NextTuple(col)
 }

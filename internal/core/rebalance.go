@@ -111,15 +111,16 @@ type releaseOp struct {
 // concurrently with table reads; rebalance cycles are serialized.
 //
 // Rule migration is make-before-break: the gaining engines are prepared
-// (statements installed, thresholds loaded) before the table swap, and the
-// losing engines are released only after the swap and a drain of the
-// engines (storm.Runtime.DrainComponent) proved that every tuple routed
-// under the old table was executed; a failed drain defers the releases to
-// the next cycle. Stale statements on a source engine are harmless in the
-// interim — no tuples for the moved locations arrive there after the swap.
-// The drain proves execution, not acking: under an ack mode a replay of a
-// pre-swap tuple re-routes through the new table, which is exactly the
-// semantics the release needs.
+// (locations owned, statements installed, thresholds loaded) before the
+// table swap, and the losing engines are released only after the swap and
+// a drain of the engines (storm.Runtime.DrainComponent) proved that every
+// tuple routed under the old table was executed; a failed drain defers the
+// releases to the next cycle. No tuple of a moved location misses its
+// engine, but from the prepare to the release both engines own it: a trace
+// routed to either of them for its other location field meanwhile is
+// evaluated there as well. The drain proves execution, not acking: under
+// an ack mode a replay of a pre-swap tuple re-routes through the new table,
+// which is exactly the semantics the release needs.
 type Rebalancer struct {
 	handle   *RoutingHandle
 	fields   []string
@@ -529,17 +530,19 @@ func containsInt(s []int, v int) bool {
 
 // RuleMigrator performs the engine-side half of a routing swap for the
 // Figure 8 topology under the paper's adopted threshold-stream strategy:
-// moving a location to a target engine means installing the affected rules
-// there (if absent) and loading the location's thresholds into the rules'
-// threshold streams; releasing a source shrinks its location set and
-// removes statements that serve no locations anymore. It acts on the
+// moving a location to a target engine means adding it to the engine's
+// owned-key set for its field, installing the affected rules there (if
+// absent) and loading the location's thresholds into the rules' threshold
+// streams; releasing a source takes the location out of the source's set
+// and removes the field's statements once the set is empty. It acts on the
 // engines of its own worker; a bound Rebalancer reaches it on every worker
 // through the control plane (Bind).
 //
-// Engines self-register during EsperBolt.Prepare. Migration mutates
-// InstalledRule.Options.Locations, so a rebalance must not run
-// concurrently with DynamicManager batch refreshes of the same
-// installations (trafficd serializes the two).
+// Engines self-register during EsperBolt.Prepare. A DynamicManager batch
+// refresh must not run during a cycle: it rebuilds the statements of the
+// same installations, and loads thresholds for what each engine owns when
+// it runs. trafficd never overlaps the two: its one batch run precedes the
+// topology.
 type RuleMigrator struct {
 	// Rules is the full rule set; only rules whose LocationField matches
 	// the migrated field are touched.
@@ -576,10 +579,11 @@ func (m *RuleMigrator) registerEngine(task int, eng *cep.Engine, installs []*Ins
 }
 
 // PrepareTarget makes task's engine ready to serve the listed locations of
-// one location field: install missing rules and load thresholds for the
-// gained locations. Locations with no stored thresholds are tolerated
-// (they cannot fire anyway). An error aborts the swap; the old table stays
-// live.
+// one location field: it adds them to the engine's owned-key set for the
+// field, installs the field's rules the engine lacks and loads the gained
+// locations' thresholds into the restricted ones it has. Rules whose
+// locations have no stored thresholds are skipped (they cannot fire
+// anyway). An error aborts the swap; the old table stays live.
 func (m *RuleMigrator) PrepareTarget(task int, field string, locations []string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -587,94 +591,61 @@ func (m *RuleMigrator) PrepareTarget(task int, field string, locations []string)
 	if eng == nil {
 		return fmt.Errorf("core: no engine registered for task %d", task)
 	}
+	gained := make(map[string]bool)
+	for _, l := range eng.Own(BusStream, field, locations...) {
+		gained[l] = true
+	}
 	for _, r := range m.Rules {
 		if r.LocationField() != field {
 			continue
 		}
 		inst := m.installs[task][r.Name]
-		if inst == nil {
-			locSet := make(map[string]bool, len(locations))
-			for _, l := range locations {
-				locSet[l] = true
+		var err error
+		switch {
+		case inst == nil:
+			inst, err = InstallRule(eng, r, InstallOptions{Strategy: StrategyStream, Store: m.Store, Locations: gained})
+			if err == nil {
+				if fwd := m.forward[task]; fwd != nil {
+					inst.AddListener(fwd)
+				}
+				m.installs[task][r.Name] = inst
+				if m.Manager != nil {
+					m.Manager.Register(inst)
+				}
 			}
-			fresh, err := InstallRule(eng, r, InstallOptions{
-				Strategy: StrategyStream, Store: m.Store, Locations: locSet,
-			})
-			if errors.Is(err, errNoThresholds) {
-				continue
-			}
-			if err != nil {
-				return fmt.Errorf("core: migrating rule %q to task %d: %w", r.Name, task, err)
-			}
-			if fwd := m.forward[task]; fwd != nil {
-				fresh.AddListener(fwd)
-			}
-			m.installs[task][r.Name] = fresh
-			if m.Manager != nil {
-				m.Manager.Register(fresh)
-			}
-			continue
+		case inst.restricted() && len(gained) > 0:
+			err = loadThresholdStream(eng, r, m.Store, gained)
 		}
-		if inst.Options.Locations == nil {
-			continue // unrestricted install already serves every location
+		if err != nil && !errors.Is(err, errNoThresholds) {
+			return fmt.Errorf("core: preparing rule %q on task %d: %w", r.Name, task, err)
 		}
-		added := make(map[string]bool)
-		for _, l := range locations {
-			if !inst.Options.Locations[l] {
-				added[l] = true
-			}
-		}
-		if len(added) == 0 {
-			continue
-		}
-		if err := loadThresholdStream(eng, r, m.Store, added); err != nil && !errors.Is(err, errNoThresholds) {
-			return fmt.Errorf("core: loading thresholds for rule %q on task %d: %w", r.Name, task, err)
-		}
-		grown := make(map[string]bool, len(inst.Options.Locations)+len(added))
-		for l := range inst.Options.Locations {
-			grown[l] = true
-		}
-		for l := range added {
-			grown[l] = true
-		}
-		inst.Options.Locations = grown
 	}
 	return nil
 }
 
-// ReleaseSource retires the listed locations from task's engine: shrink the
-// source install's location set; when it empties, remove the statement
-// entirely. Thresholds
-// for removed locations stay in the engine's keepall window until the next
-// batch Refresh — harmless, since no tuples for those locations arrive
-// after the swap.
+// ReleaseSource retires the listed locations from task's engine: they leave
+// its owned-key set for the field, so its rules stop windowing and
+// evaluating them, a trace the engine still receives for its other location
+// field included; once the engine owns no location of the field, the
+// field's restricted rules are removed. Their thresholds and window
+// contents for the released locations stay until a batch Refresh.
 func (m *RuleMigrator) ReleaseSource(task int, field string, locations []string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	eng := m.engines[task]
+	if eng == nil || eng.Disown(BusStream, field, locations...) > 0 {
+		return nil
+	}
 	for _, r := range m.Rules {
-		if r.LocationField() != field {
-			continue
-		}
 		inst := m.installs[task][r.Name]
-		if inst == nil || inst.Options.Locations == nil {
+		if r.LocationField() != field || inst == nil || !inst.restricted() {
 			continue
 		}
-		remaining := make(map[string]bool, len(inst.Options.Locations))
-		for l := range inst.Options.Locations {
-			remaining[l] = true
+		inst.Remove()
+		delete(m.installs[task], r.Name)
+		if m.Manager != nil {
+			m.Manager.Unregister(inst)
 		}
-		for _, l := range locations {
-			delete(remaining, l)
-		}
-		if len(remaining) == 0 {
-			inst.Remove()
-			delete(m.installs[task], r.Name)
-			if m.Manager != nil {
-				m.Manager.Unregister(inst)
-			}
-			continue
-		}
-		inst.Options.Locations = remaining
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -356,12 +358,20 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 // after its first quarter and runs the skew check itself, and the swap must
 // land before the Splitter's last tuple.
 //
-// Two rule sets: one rule with everything starting on engine 0, and the
+// Three rule sets: one rule with everything starting on engine 0; the
 // shipped document's pair on one location field and window length
 // (stopDelay + stopActual), where engine 1 starts out serving two stops that
-// have thresholds for delay only. The migration then installs stopActual on
-// engine 1 beside the lastevent and groupwin(stopId) views stopDelay has
-// been filling there — the late joiner the engine must give fresh views.
+// have thresholds for delay only — the migration then installs stopActual
+// on engine 1 beside the lastevent and groupwin(stopId) views stopDelay has
+// been filling there, the late joiner the engine must give fresh views; and
+// one rule on each field (stopDelay + leafDelay) with the skew on leaves
+// only. A trace then reaches the engine of its stop and the engine of its
+// leaf, so a released leaf still arrives at its old engine through the stop
+// field, and that engine must not fire on it. This set runs its cycle with
+// no tuple in flight and opens the feed only once the releases are done:
+// while a cycle runs, a trace delivered for one field to an engine that is
+// gaining or losing its location on the other field is evaluated there as
+// well (DESIGN.md §10), and that window is not what this set pins.
 func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 	entries := []struct {
 		name  string
@@ -374,17 +384,13 @@ func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 		}},
 	}
 	for _, entry := range entries {
-		for _, pair := range []bool{false, true} {
-			name := entry.name + "/leafDelay"
-			if pair {
-				name = entry.name + "/stopDelay+stopActual"
-			}
-			t.Run(name, func(t *testing.T) { testMigrationNoDetectionLoss(t, entry.build, pair) })
+		for _, set := range []string{"leafDelay", "stopDelay+stopActual", "stopDelay+leafDelay"} {
+			t.Run(entry.name+"/"+set, func(t *testing.T) { testMigrationNoDetectionLoss(t, entry.build, set) })
 		}
 	}
 }
 
-func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *storm.Registry) (*storm.Topology, error), pair bool) {
+func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *storm.Registry) (*storm.Topology, error), set string) {
 	tree := buildTestTree(t)
 	traces := genTraces(t, 40, 10)
 	// The shipped document's EsperBolt tasks: the XML entry cannot run any
@@ -392,40 +398,56 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 	const engines = 4
 	tasks := []int{0, 1, 2, 3}
 
-	rules := []Rule{{Name: "leafDelay", Attribute: busdata.AttrDelay, Kind: QuadtreeLeaves, Window: 1, Sensitivity: 1}}
-	var locations []string
+	leafDelay := Rule{Name: "leafDelay", Attribute: busdata.AttrDelay, Kind: QuadtreeLeaves, Window: 1, Sensitivity: 1}
+	stopDelay := Rule{Name: "stopDelay", Attribute: busdata.AttrDelay, Kind: BusStops, Window: 1, Sensitivity: 1}
+	stopActual := Rule{Name: "stopActual", Attribute: busdata.AttrActualDelay, Kind: BusStops, Window: 1, Sensitivity: 1}
+	// locations lists each field's locations. Without a stops index the
+	// BusStopsTracker passes the reported stop through, so the feed's stops,
+	// in the order it visits them, are the stop locations.
+	locations := map[string][]string{}
 	for _, leaf := range tree.Leaves() {
-		locations = append(locations, string(leaf.ID))
+		locations[leafDelay.LocationField()] = append(locations[leafDelay.LocationField()], string(leaf.ID))
 	}
-	// resident are the locations engine 1 serves from the start of the
-	// skewed run; bare[attribute] the locations that have no thresholds.
+	seen := map[string]bool{}
+	for _, tr := range traces {
+		if !seen[tr.BusStop] {
+			seen[tr.BusStop] = true
+			locations[stopDelay.LocationField()] = append(locations[stopDelay.LocationField()], tr.BusStop)
+		}
+	}
+	// skewed is the field whose locations the skewed run starts on engine
+	// 0, except resident, which engine 1 serves from the start; bare[attribute]
+	// the locations that have no thresholds; settle runs the cycle with no
+	// tuple in flight.
+	var rules []Rule
+	var skewed string
 	resident := map[string]bool{}
 	bare := map[string]map[string]bool{}
-	if pair {
-		rules = []Rule{
-			{Name: "stopDelay", Attribute: busdata.AttrDelay, Kind: BusStops, Window: 1, Sensitivity: 1},
-			{Name: "stopActual", Attribute: busdata.AttrActualDelay, Kind: BusStops, Window: 1, Sensitivity: 1},
-		}
-		// Without a stops index the BusStopsTracker passes the reported
-		// stop through, so the feed's stops are the locations. The first
-		// two it visits are busy before the first rebalance check.
-		locations = nil
-		seen := map[string]bool{}
-		for _, tr := range traces {
-			if !seen[tr.BusStop] {
-				seen[tr.BusStop] = true
-				locations = append(locations, tr.BusStop)
-			}
-		}
-		resident[locations[0]], resident[locations[1]] = true, true
+	settle := false
+	switch set {
+	case "leafDelay":
+		rules, skewed = []Rule{leafDelay}, leafDelay.LocationField()
+	case "stopDelay+stopActual":
+		rules, skewed = []Rule{stopDelay, stopActual}, stopDelay.LocationField()
+		// The first two stops the feed visits are busy before the first
+		// rebalance check.
+		stops := locations[skewed]
+		resident[stops[0]], resident[stops[1]] = true, true
 		bare[busdata.AttrActualDelay] = resident
+	case "stopDelay+leafDelay":
+		rules, skewed, settle = []Rule{stopDelay, leafDelay}, leafDelay.LocationField(), true
 	}
-	field := rules[0].LocationField()
-	allLocs := make(map[string]bool, len(locations))
-	var uniform []RegionRate
-	for _, loc := range locations {
-		allLocs[loc] = true
-		uniform = append(uniform, RegionRate{Location: loc, Rate: 1})
+	var fields []string
+	for _, r := range rules {
+		if f := r.LocationField(); !slices.Contains(fields, f) {
+			fields = append(fields, f)
+		}
+	}
+	uniform := map[string][]RegionRate{}
+	for _, f := range fields {
+		for _, loc := range locations[f] {
+			uniform[f] = append(uniform[f], RegionRate{Location: loc, Rate: 1})
+		}
 	}
 
 	seedThresholds := func(t *testing.T) (*sqlstore.DB, *sqlstore.ThresholdStore) {
@@ -437,7 +459,7 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 		}
 		var stats []sqlstore.StatRow
 		for _, r := range rules {
-			for loc := range allLocs {
+			for _, loc := range locations[r.LocationField()] {
 				if bare[r.Attribute][loc] {
 					continue
 				}
@@ -487,12 +509,19 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 		go func() { ran <- rt.Run() }()
 		if reb := cfg.Rebalancer; reb != nil {
 			splitterExecuted := func() uint64 { return componentTotal(rt, CompSplitter).Executed }
-			// The BusReader's output batch may hold the last tuples before
-			// the gate while the gate is shut.
 			ready := func() bool {
 				return engineCount(reb.migrator) == engines && splitterExecuted() >= uint64(gate.at/2)
 			}
-			swapMidFeed(t, reb, gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces))
+			if settle {
+				// Every trace before the gate has been routed and executed
+				// by its engines.
+				ready = func() bool {
+					split := componentTotal(rt, CompSplitter)
+					return engineCount(reb.migrator) == engines && split.Executed == uint64(gate.at) &&
+						componentTotal(rt, CompEsper).Executed == split.Emitted
+				}
+			}
+			swapMidFeed(t, reb, gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces), settle)
 		}
 		if err := <-ran; err != nil {
 			t.Fatal(err)
@@ -508,16 +537,13 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 		return out
 	}
 
-	// An engine installs every rule that has thresholds for one of its
-	// locations.
-	setupFor := func(store *sqlstore.ThresholdStore, locsOf func(task int) map[string]bool) func(int, *cep.Engine) ([]*InstalledRule, error) {
+	// An engine installs every rule that has thresholds for one of the
+	// locations it serves on the rule's field.
+	setupFor := func(store *sqlstore.ThresholdStore, parts map[string]*Partition) func(int, *cep.Engine) ([]*InstalledRule, error) {
 		return func(task int, eng *cep.Engine) ([]*InstalledRule, error) {
-			locs := locsOf(task)
-			if len(locs) == 0 {
-				return nil, nil
-			}
 			var installs []*InstalledRule
 			for _, r := range rules {
+				locs := locSet(parts[r.LocationField()], task)
 				served := false
 				for loc := range locs {
 					served = served || !bare[r.Attribute][loc]
@@ -536,46 +562,53 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 			return installs, nil
 		}
 	}
+	tableOf := func(parts map[string]*Partition) *RoutingTable {
+		table := NewRoutingTable(RouteByLocation, engines)
+		for _, f := range fields {
+			if err := table.AddPartition(f, parts[f], tasks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return table
+	}
 
 	// Run A: balanced static routing.
 	dbA, storeA := seedThresholds(t)
-	partA, err := PartitionRegions(uniform, engines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tableA := NewRoutingTable(RouteByLocation, engines)
-	if err := tableA.AddPartition(field, partA, tasks); err != nil {
-		t.Fatal(err)
+	partsA := map[string]*Partition{}
+	for _, f := range fields {
+		part, err := PartitionRegions(uniform[f], engines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partsA[f] = part
 	}
 	static := run(t, TrafficConfig{
-		Traces: traces, Tree: tree, Engines: engines, Routing: tableA, DB: dbA,
-		EngineSetup: setupFor(storeA, func(task int) map[string]bool { return locSet(partA, task) }),
+		Traces: traces, Tree: tree, Engines: engines, Routing: tableOf(partsA), DB: dbA,
+		EngineSetup: setupFor(storeA, partsA),
 	}, dbA)
 
-	// Run B: everything but the resident locations starts on engine 0; the
-	// rebalancer must notice the skew mid-feed, migrate the rule statements,
-	// and swap routes.
+	// Run B: every location of the skewed field but the resident ones starts
+	// on engine 0, the other field as in run A; the rebalancer must notice
+	// the skew mid-feed, migrate the rule statements, and swap routes.
 	dbB, storeB := seedThresholds(t)
-	skewed := &Partition{
+	skew := &Partition{
 		Engines:    make([][]RegionRate, engines),
 		Rate:       make([]float64, engines),
-		ByLocation: make(map[string]int, len(uniform)),
+		ByLocation: make(map[string]int, len(uniform[skewed])),
 	}
-	for _, r := range uniform {
+	for _, r := range uniform[skewed] {
 		engine := 0
 		if resident[r.Location] {
 			engine = 1
 		}
-		skewed.Engines[engine] = append(skewed.Engines[engine], r)
-		skewed.Rate[engine] += r.Rate
-		skewed.ByLocation[r.Location] = engine
+		skew.Engines[engine] = append(skew.Engines[engine], r)
+		skew.Rate[engine] += r.Rate
+		skew.ByLocation[r.Location] = engine
 	}
-	tableB := NewRoutingTable(RouteByLocation, engines)
-	if err := tableB.AddPartition(field, skewed, tasks); err != nil {
-		t.Fatal(err)
-	}
+	partsB := maps.Clone(partsA)
+	partsB[skewed] = skew
 	reb, err := NewRebalancer(RebalancerConfig{
-		Routing:       tableB,
+		Routing:       tableOf(partsB),
 		SkewThreshold: 1.3,
 		Migrator:      &RuleMigrator{Rules: rules, Store: storeB},
 	})
@@ -585,7 +618,7 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 	tel := telemetry.NewRegistry()
 	rebalanced := run(t, TrafficConfig{
 		Traces: traces, Tree: tree, Engines: engines, Rebalancer: reb, DB: dbB, Telemetry: tel,
-		EngineSetup: setupFor(storeB, func(task int) map[string]bool { return locSet(skewed, task) }),
+		EngineSetup: setupFor(storeB, partsB),
 	}, dbB)
 	reb.Stop()
 
@@ -596,7 +629,7 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 	if _, ok := snap.Get("core.splitter.unrouted"); !ok {
 		t.Fatal("Telemetry is set but the Splitter registered no core.splitter.unrouted")
 	}
-	if pair {
+	if set == "stopDelay+stopActual" {
 		// Engine 0 installed both rules before any event: one lastevent and
 		// one groupwin view between them plus a thresholds view each. On
 		// engine 1 stopActual arrived by migration beside stopDelay's
@@ -621,14 +654,14 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 			t.Fatalf("rule %s never fired in the static run", r.Name)
 		}
 	}
+	for k, n := range rebalanced {
+		if n > static[k] {
+			t.Fatalf("extra detection %q in rebalanced run: %d vs %d", k, n, static[k])
+		}
+	}
 	for k, n := range static {
 		if rebalanced[k] != n {
 			t.Fatalf("detection %q: static %d, rebalanced %d", k, n, rebalanced[k])
-		}
-	}
-	for k, n := range rebalanced {
-		if static[k] != n {
-			t.Fatalf("extra detection %q in rebalanced run: %d vs %d", k, n, static[k])
 		}
 	}
 }
@@ -638,9 +671,9 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 // (engines registered for migration, tuples observed), and requires the
 // cycle to swap the routing table while the Splitter still has tuples to
 // come: it reads the Splitter's executed count when the new table is in,
-// opens the gate and returns the cycle's report once its drain and
-// releases are done.
-func swapMidFeed(t *testing.T, reb *Rebalancer, held <-chan struct{}, open func(), ready func() bool, splitterExecuted func() uint64, total int) RebalanceReport {
+// opens the gate — once the cycle's drain and releases are done when settle
+// is set, else at once — and returns the cycle's report.
+func swapMidFeed(t *testing.T, reb *Rebalancer, held <-chan struct{}, open func(), ready func() bool, splitterExecuted func() uint64, total int, settle bool) RebalanceReport {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	select {
@@ -680,11 +713,16 @@ func swapMidFeed(t *testing.T, reb *Rebalancer, held <-chan struct{}, open func(
 		time.Sleep(100 * time.Microsecond)
 	}
 	executed := splitterExecuted()
-	open()
+	if !settle {
+		open()
+	}
 	if executed >= uint64(total) {
 		t.Errorf("the swap landed after the Splitter's last tuple: %d of %d executed", executed, total)
 	}
 	res := <-cycled
+	if settle {
+		open()
+	}
 	if res.err != nil {
 		t.Fatalf("rebalance cycle: %v", res.err)
 	}

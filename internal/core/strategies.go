@@ -61,6 +61,13 @@ type InstallOptions struct {
 	StaticThreshold float64
 	// Locations restricts the rule to a subset of locations (the
 	// engine's Algorithm 1 share); nil means all locations in the store.
+	// Under StrategyStream they join the engine's owned-key set for the
+	// rule's location field (cep.Engine.Own): the rule windows and
+	// evaluates only the bus events whose location the engine owns, and
+	// holds thresholds for all of them. Every restricted rule on one field
+	// of an engine serves that one set, which RuleMigrator grows and
+	// shrinks as locations move. Under StrategyManyRules they filter the
+	// thresholds.
 	Locations map[string]bool
 	// Listener receives the rule's firings.
 	Listener cep.Listener
@@ -90,7 +97,8 @@ func (inst *InstalledRule) AddListener(l cep.Listener) {
 }
 
 // InstallRule installs one template rule into an engine under the chosen
-// threshold retrieval strategy. It returns a handle for refreshes.
+// threshold retrieval strategy. It returns a handle for refreshes; an
+// install that fails leaves no statement behind.
 func InstallRule(eng *cep.Engine, r Rule, opts InstallOptions) (*InstalledRule, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -99,16 +107,29 @@ func InstallRule(eng *cep.Engine, r Rule, opts InstallOptions) (*InstalledRule, 
 		return nil, fmt.Errorf("core: strategy %v requires a threshold store", opts.Strategy)
 	}
 	inst := &InstalledRule{Rule: r, Options: opts, engine: eng}
+	if inst.restricted() {
+		locs := make([]string, 0, len(opts.Locations))
+		for l := range opts.Locations {
+			locs = append(locs, l)
+		}
+		eng.Own(BusStream, r.LocationField(), locs...)
+	}
 	if err := inst.install(); err != nil {
+		inst.Remove()
 		return nil, err
 	}
 	return inst, nil
 }
 
+// restricted reports whether the rule reads the bus stream through its
+// engine's owned-key set for the rule's location field.
+func (inst *InstalledRule) restricted() bool {
+	return inst.Options.Strategy == StrategyStream && inst.Options.Locations != nil
+}
+
 func (inst *InstalledRule) install() error {
 	eng, r, opts := inst.engine, inst.Rule, inst.Options
-	add := func(name, epl string) error {
-		st, err := eng.AddStatement(name, epl)
+	add := func(st *cep.Statement, err error) error {
 		if err != nil {
 			return err
 		}
@@ -118,17 +139,17 @@ func (inst *InstalledRule) install() error {
 		for _, l := range inst.listeners {
 			st.AddListener(l)
 		}
-		inst.Statements = append(inst.Statements, name)
+		inst.Statements = append(inst.Statements, st.Name)
 		return nil
 	}
 
 	switch opts.Strategy {
 	case StrategyStatic:
-		return add(r.Name, r.StaticEPL(opts.StaticThreshold))
+		return add(eng.AddStatement(r.Name, r.StaticEPL(opts.StaticThreshold)))
 
 	case StrategyJoinDB:
 		registerDBThreshold(eng, opts.Store)
-		return add(r.Name, r.JoinDBEPL())
+		return add(eng.AddStatement(r.Name, r.JoinDBEPL()))
 
 	case StrategyManyRules:
 		ths, err := opts.Store.Thresholds(r.Attribute, r.Sensitivity)
@@ -141,7 +162,7 @@ func (inst *InstalledRule) install() error {
 				continue
 			}
 			name := fmt.Sprintf("%s#%s#%d#%s", r.Name, th.Location, th.Hour, th.Day)
-			if err := add(name, r.PerLocationEPL(th.Location, th.Hour, th.Day, th.Value)); err != nil {
+			if err := add(eng.AddStatement(name, r.PerLocationEPL(th.Location, th.Hour, th.Day, th.Value))); err != nil {
 				return err
 			}
 			n++
@@ -152,10 +173,17 @@ func (inst *InstalledRule) install() error {
 		return nil
 
 	case StrategyStream:
-		if err := add(r.Name, r.StreamEPL()); err != nil {
+		if !inst.restricted() {
+			if err := add(eng.AddStatement(r.Name, r.StreamEPL())); err != nil {
+				return err
+			}
+			return loadThresholdStream(eng, r, opts.Store, nil)
+		}
+		field := r.LocationField()
+		if err := add(eng.AddOwnedStatement(r.Name, r.StreamEPL(), BusStream, field)); err != nil {
 			return err
 		}
-		return loadThresholdStream(eng, r, opts.Store, opts.Locations)
+		return loadThresholdStream(eng, r, opts.Store, eng.Owned(BusStream, field))
 	}
 	return fmt.Errorf("core: unknown strategy %v", opts.Strategy)
 }
@@ -223,7 +251,8 @@ func registerDBThreshold(eng *cep.Engine, store *sqlstore.ThresholdStore) {
 }
 
 // Refresh re-installs the rule with freshly retrieved thresholds — the
-// dynamic-rule update step after each batch-layer run. For StrategyStatic
+// dynamic-rule update step after each batch-layer run; a restricted rule
+// gets them for the locations its engine owns now. For StrategyStatic
 // and StrategyJoinDB nothing needs rebuilding (the former has no dynamic
 // thresholds; the latter reads the store on every tuple).
 func (inst *InstalledRule) Refresh() error {

@@ -16,10 +16,30 @@ import (
 // delivered to a bolt (spout emit → PreProcess → … → Splitter → EsperBolt →
 // EventsStorer) must leave exactly one hop-latency observation there, and
 // every tuple reaching the sink must leave one end-to-end observation. The
-// per-engine CEP sources must surface in the same registry walk.
+// per-engine CEP sources must surface in the same registry walk, with one
+// rule on each location field: a trace reaches the engine of its leaf and
+// the engine of its stop, and each engine's stmt.<rule>.events_in counts the
+// deliveries whose location on the rule's field it owns (plus the rule's
+// thresholds), <engine>.events_unowned the rest.
 func TestTrafficTopologyTelemetry(t *testing.T) {
 	tree := buildTestTree(t)
 	traces := genTraces(t, 40, 10)
+	rules := []Rule{
+		{Name: "leafDelay", Attribute: busdata.AttrDelay, Kind: QuadtreeLeaves, Window: 5, Sensitivity: 1},
+		{Name: "stopDelay", Attribute: busdata.AttrDelay, Kind: BusStops, Window: 5, Sensitivity: 1},
+	}
+	const engines = 3
+	regions := map[string][]RegionRate{}
+	for _, leaf := range tree.Leaves() {
+		regions["leafArea"] = append(regions["leafArea"], RegionRate{Location: string(leaf.ID), Rate: 1})
+	}
+	seen := map[string]bool{}
+	for _, tr := range traces {
+		if !seen[tr.BusStop] {
+			seen[tr.BusStop] = true
+			regions["stopId"] = append(regions["stopId"], RegionRate{Location: tr.BusStop, Rate: 1})
+		}
+	}
 
 	db := sqlstore.NewDB()
 	store, err := sqlstore.NewThresholdStore(db)
@@ -27,13 +47,15 @@ func TestTrafficTopologyTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats []sqlstore.StatRow
-	for _, leaf := range tree.Leaves() {
-		for h := 0; h < 24; h++ {
-			for _, day := range []busdata.DayType{busdata.Weekday, busdata.Weekend} {
-				stats = append(stats, sqlstore.StatRow{
-					Attribute: busdata.AttrDelay, Location: string(leaf.ID),
-					Hour: h, Day: day, Mean: -1e6, Stdv: 0,
-				})
+	for _, field := range []string{"leafArea", "stopId"} {
+		for _, r := range regions[field] {
+			for h := 0; h < 24; h++ {
+				for _, day := range []busdata.DayType{busdata.Weekday, busdata.Weekend} {
+					stats = append(stats, sqlstore.StatRow{
+						Attribute: busdata.AttrDelay, Location: r.Location,
+						Hour: h, Day: day, Mean: -1e6, Stdv: 0,
+					})
+				}
 			}
 		}
 	}
@@ -41,19 +63,17 @@ func TestTrafficTopologyTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rule := Rule{Name: "leafDelay", Attribute: busdata.AttrDelay, Kind: QuadtreeLeaves, Window: 5, Sensitivity: 1}
-	const engines = 3
-	var regions []RegionRate
-	for _, leaf := range tree.Leaves() {
-		regions = append(regions, RegionRate{Location: string(leaf.ID), Rate: 1})
-	}
-	part, err := PartitionRegions(regions, engines)
-	if err != nil {
-		t.Fatal(err)
-	}
 	routing := NewRoutingTable(RouteByLocation, engines)
-	if err := routing.AddPartition("leafArea", part, []int{0, 1, 2}); err != nil {
-		t.Fatal(err)
+	parts := map[string]*Partition{}
+	for _, field := range []string{"leafArea", "stopId"} {
+		part, err := PartitionRegions(regions[field], engines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[field] = part
+		if err := routing.AddPartition(field, part, []int{0, 1, 2}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	reg := telemetry.NewRegistry()
@@ -61,17 +81,17 @@ func TestTrafficTopologyTelemetry(t *testing.T) {
 		Traces: traces, Tree: tree, Engines: engines, Routing: routing, DB: db,
 		Telemetry: reg,
 		EngineSetup: func(taskIndex int, eng *cep.Engine) ([]*InstalledRule, error) {
-			locs := make(map[string]bool)
-			for _, r := range part.Engines[taskIndex] {
-				locs[r.Location] = true
+			var installs []*InstalledRule
+			for _, r := range rules {
+				inst, err := InstallRule(eng, r, InstallOptions{
+					Strategy: StrategyStream, Store: store, Locations: locSet(parts[r.LocationField()], taskIndex),
+				})
+				if err != nil {
+					return nil, err
+				}
+				installs = append(installs, inst)
 			}
-			inst, err := InstallRule(eng, rule, InstallOptions{
-				Strategy: StrategyStream, Store: store, Locations: locs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return []*InstalledRule{inst}, nil
+			return installs, nil
 		},
 	})
 	if err != nil {
@@ -129,5 +149,46 @@ func TestTrafficTopologyTelemetry(t *testing.T) {
 	}
 	if len(reg.Sources()) < engines+1 { // monitor + one source per engine
 		t.Fatalf("sources = %v, want monitor plus %d engines", reg.Sources(), engines)
+	}
+
+	// Replay the routing: per engine, the deliveries each rule takes and the
+	// statement turns it skips.
+	admitted := make([]map[string]uint64, engines)
+	unowned := make([]uint64, engines)
+	for e := range admitted {
+		admitted[e] = map[string]uint64{}
+	}
+	for _, tr := range traces {
+		values := map[string]any{"stopId": tr.BusStop}
+		if leaf := tree.Locate(tr.Pos); leaf != nil {
+			values["leafArea"] = string(leaf.ID)
+		}
+		for _, e := range routing.EnginesFor(values) {
+			for _, r := range rules {
+				if loc, _ := values[r.LocationField()].(string); parts[r.LocationField()].ByLocation[loc] == e && loc != "" {
+					admitted[e][r.Name]++
+				} else {
+					unowned[e]++
+				}
+			}
+		}
+	}
+	var skipped uint64
+	for e := 0; e < engines; e++ {
+		prefix := fmt.Sprintf("cep.engine%d.", e)
+		if m, _ := snap.Get(prefix + "events_unowned"); uint64(m.Value) != unowned[e] {
+			t.Fatalf("%sevents_unowned = %v, want %d", prefix, m.Value, unowned[e])
+		}
+		skipped += unowned[e]
+		for _, r := range rules {
+			thresholds := uint64(48 * len(parts[r.LocationField()].Engines[e]))
+			if m, _ := snap.Get(prefix + "stmt." + r.Name + ".events_in"); uint64(m.Value) != thresholds+admitted[e][r.Name] {
+				t.Fatalf("%sstmt.%s.events_in = %v, want %d thresholds + %d owned deliveries",
+					prefix, r.Name, m.Value, thresholds, admitted[e][r.Name])
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no delivery reached an engine that does not own its location on the other field")
 	}
 }
