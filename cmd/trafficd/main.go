@@ -264,8 +264,9 @@ func run(opt options) error {
 	// Live rebalancing (§4.2.1 dynamic loop): the splitter feeds observed
 	// locations into the rebalancer's rate estimators; every interval, when
 	// max/mean per-engine rate crosses the skew trigger, Algorithm 1 re-runs
-	// on the live snapshot, rules migrate make-before-break, and the routing
-	// table is swapped atomically.
+	// on the live snapshot, the gaining engines load the thresholds of their
+	// new locations, and the routing table is swapped atomically; the
+	// splitter then hands ownership over on its edges to the engines.
 	var peers []string
 	if opt.workerPeers != "" {
 		peers = strings.Split(opt.workerPeers, ",")
@@ -279,7 +280,6 @@ func run(opt options) error {
 		reb, err = core.NewRebalancer(core.RebalancerConfig{
 			Routing:       routing,
 			SkewThreshold: opt.rebalanceSkew,
-			Migrator:      &core.RuleMigrator{Rules: rules, Store: store, Manager: manager},
 			Telemetry:     tel,
 		})
 		if err != nil {
@@ -289,15 +289,14 @@ func run(opt options) error {
 		fmt.Printf("rebalancing: every %v, skew trigger %.2f\n", opt.rebalanceInterval, opt.rebalanceSkew)
 	}
 
+	// Every engine installs every rule, restricted to its share of the
+	// rule's locations, which may be none yet: a rebalance moves locations
+	// between engines without installing anything.
 	deps.Config.EngineSetup = func(task int, eng *cep.Engine) ([]*core.InstalledRule, error) {
 		var installs []*core.InstalledRule
 		for _, r := range rules {
-			locs := engineLocs[r.Name][task]
-			if len(locs) == 0 {
-				continue
-			}
 			inst, err := core.InstallRule(eng, r, core.InstallOptions{
-				Strategy: core.StrategyStream, Store: store, Locations: locs,
+				Strategy: core.StrategyStream, Store: store, Locations: engineLocs[r.Name][task],
 			})
 			if err != nil {
 				return nil, err
@@ -409,10 +408,10 @@ func run(opt options) error {
 	if reb != nil {
 		reb.Stop()
 		tot := reb.Totals()
-		fmt.Printf("rebalancing: cycles=%d swaps=%d moves=%d deferred=%d\n", tot.Cycles, tot.Swaps, tot.Moves, tot.Deferred)
+		fmt.Printf("rebalancing: cycles=%d swaps=%d moves=%d\n", tot.Cycles, tot.Swaps, tot.Moves)
 		if rep := reb.LastReport(); rep.Swapped {
-			fmt.Printf("  last swap: %d moves, skew %.2f → %.2f, took %v (%d releases deferred)\n",
-				len(rep.Moves), rep.SkewBefore, rep.SkewAfter, rep.Duration, rep.ReleasesDeferred)
+			fmt.Printf("  last swap: %d moves, skew %.2f → %.2f, took %v\n",
+				len(rep.Moves), rep.SkewBefore, rep.SkewAfter, rep.Duration)
 		}
 	}
 	if tel != nil {

@@ -203,7 +203,8 @@ func TestShippedTopologyDetectionsReproducible(t *testing.T) {
 // name order) put on engines 0 and 1 report four times as often as the
 // rest, in the second half it is the other way round. The splitter must
 // feed the estimators and the engines must register for migration, or no
-// cycle can ever swap; and a swap must cost no tuple.
+// cycle can ever swap; a swap must cost no tuple; and the summary line
+// reports cycles, swaps and moves, nothing else.
 func TestShippedTopologyRebalances(t *testing.T) {
 	const vehicles, ticksPerHalf = 16, 400
 	start := time.Date(2013, 1, 7, 10, 0, 0, 0, time.UTC)
@@ -234,7 +235,7 @@ func TestShippedTopologyRebalances(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := runOutput(t, opt)
-	if swaps := outputField(t, text, `rebalancing: cycles=\d+ swaps=(\d+)`); swaps < 1 {
+	if swaps := outputField(t, text, `(?m)^rebalancing: cycles=\d+ swaps=(\d+) moves=\d+$`); swaps < 1 {
 		t.Errorf("the hotspot moved and no cycle swapped the routing table:\n%s", text)
 	}
 	totals := regexp.MustCompile(`(?m)^\s+(\w+)\s+executed=.*$`).FindAllSubmatch(text, -1)

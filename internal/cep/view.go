@@ -38,7 +38,7 @@ type window interface {
 // before it were all going to see the same arrivals from an empty window,
 // so one window serves them and each statement's outputs are what a window
 // of its own would have produced. A statement registered later — a rule
-// Refresh, a live migration — finds the view fed and gets a fresh one.
+// Refresh — finds the view fed and gets a fresh one.
 //
 // The window is inserted into once per event turn, by the first subscriber
 // to reach it; the others receive the same delta.

@@ -1,17 +1,18 @@
 package core
 
-// Rule migration over the runtime's control plane, one path for 1…N
-// workers. Every worker constructs the same topology, rules and Rebalancer,
-// but each EsperBolt task's engine lives in exactly one worker process, so
-// the migration steps of a routing swap (PrepareTarget before,
-// ReleaseSource after) must execute on the worker owning the task. Bind
-// turns every step into a control request to that worker — rt.Control
-// serves this worker's own requests inline — and installs the handler that
-// applies the requests it receives to its own RuleMigrator.
+// Rebalancing over the runtime's control plane, one path for 1…N workers.
+// Every worker constructs the same topology, rules and Rebalancer, but each
+// EsperBolt task's engine lives in exactly one worker process, so preparing
+// a target engine must execute on the worker owning the task. Bind turns
+// every prepare into a control request to that worker — rt.Control serves
+// this worker's own requests inline — and installs the handler that serves
+// the requests it receives against its own engines. The rest of a cycle
+// needs no worker's help: the swap is local to the Splitter's worker, and
+// the ownership change rides the Splitter's edges.
 //
 // Only the worker hosting the Splitter runs rebalance cycles: it alone
 // observes the feed's location rates. The others keep a symmetric
-// Rebalancer for routing reads, engine registration and the migration
+// Rebalancer for routing reads, engine registration and the prepare
 // requests they serve.
 
 import (
@@ -22,27 +23,24 @@ import (
 	"trafficcep/internal/storm"
 )
 
-// Control-plane methods of the migration requests Bind routes and serves.
-const (
-	MethodPrepareTarget = "core.migrate.prepare"
-	MethodReleaseSource = "core.migrate.release"
-)
+// MethodPrepareTarget is the control-plane method of the prepare requests
+// Bind routes and serves.
+const MethodPrepareTarget = "core.migrate.prepare"
 
-// migrationOp is the wire form of one per-task migration step.
-type migrationOp struct {
-	Task      int      `json:"task"`
-	Field     string   `json:"field"`
-	Locations []string `json:"locations"`
+// prepareOp is the wire form of one prepare request: an engine task and
+// the locations it gains, by location field.
+type prepareOp struct {
+	Task   int                 `json:"task"`
+	Gained map[string][]string `json:"gained"`
 }
 
 // Bind attaches the rebalancer to the runtime that runs its topology, the
-// same way on one worker or on each of N: every migration step on an
-// engine task becomes a control request to the worker the task was placed
-// on; this worker's control handler (rt.OnControl, replacing any other)
-// serves those requests against the rebalancer's migrator; the post-swap
-// drain is rt.DrainComponent(CompEsper); and when interval > 0 and this
-// worker hosts the Splitter, a skew check (MaybeRebalance) runs every
-// interval until Stop. Call it once, before the runtime runs.
+// same way on one worker or on each of N: preparing an engine task becomes a
+// control request to the worker the task was placed on; this worker's
+// control handler (rt.OnControl, replacing any other) serves those requests
+// against its registered engines; and when interval > 0 and this worker
+// hosts the Splitter, a skew check (MaybeRebalance) runs every interval
+// until Stop. Call it once, before the runtime runs.
 func (rb *Rebalancer) Bind(rt *storm.Runtime, interval time.Duration) {
 	workerOf := make(map[int]int)
 	hostsSplitter := false
@@ -57,44 +55,35 @@ func (rb *Rebalancer) Bind(rt *storm.Runtime, interval time.Duration) {
 	rb.mu.Lock()
 	rb.rt, rb.workerOf = rt, workerOf
 	rb.mu.Unlock()
-	if rb.migrator != nil {
-		rt.OnControl(migrationHandler(rb.migrator))
-	}
+	rt.OnControl(rb.serveControl)
 	if hostsSplitter && interval > 0 {
 		rb.start(interval)
 	}
 }
 
-// migrate returns the migration step of method, run on the worker that
-// owns the engine task.
-func (rb *Rebalancer) migrate(method string) func(task int, field string, locations []string) error {
-	return func(task int, field string, locations []string) error {
-		payload, err := json.Marshal(migrationOp{Task: task, Field: field, Locations: locations})
-		if err != nil {
-			return err
-		}
-		worker := rb.workerOf[task]
-		if _, err := rb.rt.Control(worker, method, payload); err != nil {
-			return fmt.Errorf("core: %s for task %d on worker %d: %w", method, task, worker, err)
-		}
-		return nil
+// prepareRemote prepares one engine task for the locations it gains, on the
+// worker that owns the task: one control request per target.
+func (rb *Rebalancer) prepareRemote(task int, gained map[string][]string) error {
+	payload, err := json.Marshal(prepareOp{Task: task, Gained: gained})
+	if err != nil {
+		return err
 	}
+	worker := rb.workerOf[task]
+	if _, err := rb.rt.Control(worker, MethodPrepareTarget, payload); err != nil {
+		return fmt.Errorf("core: %s for task %d on worker %d: %w", MethodPrepareTarget, task, worker, err)
+	}
+	return nil
 }
 
-// migrationHandler serves migration requests against this worker's
-// migrator. Unknown methods return an error.
-func migrationHandler(m *RuleMigrator) func(method string, payload []byte) ([]byte, error) {
-	return func(method string, payload []byte) ([]byte, error) {
-		var op migrationOp
-		if err := json.Unmarshal(payload, &op); err != nil {
-			return nil, fmt.Errorf("core: bad %s payload: %w", method, err)
-		}
-		switch method {
-		case MethodPrepareTarget:
-			return nil, m.PrepareTarget(op.Task, op.Field, op.Locations)
-		case MethodReleaseSource:
-			return nil, m.ReleaseSource(op.Task, op.Field, op.Locations)
-		}
+// serveControl serves prepare requests against this worker's engines.
+// Other methods return an error.
+func (rb *Rebalancer) serveControl(method string, payload []byte) ([]byte, error) {
+	if method != MethodPrepareTarget {
 		return nil, fmt.Errorf("core: unknown control method %q", method)
 	}
+	var op prepareOp
+	if err := json.Unmarshal(payload, &op); err != nil {
+		return nil, fmt.Errorf("core: bad %s payload: %w", method, err)
+	}
+	return nil, rb.prepareTarget(op.Task, op.Gained)
 }

@@ -18,9 +18,9 @@ import (
 // differential: the Figure-8 topology is split across two worker processes
 // over TCP, every location starts on one engine, and one skew check run
 // from the test goroutine must fix the skew mid-feed — preparing target
-// engines on the other worker via control RPCs, draining the in-flight wave
-// with a fence barrier across the wire, and releasing the remote source —
-// with the swap in before the Splitter's last tuple. With a window-1 rule every
+// engines on the other worker via control RPCs, and handing ownership over
+// on the Splitter's edges, across the wire to the remote engines — with the
+// swap in before the Splitter's last tuple. With a window-1 rule every
 // tuple yields exactly one detection, so the distributed rebalanced run
 // must produce the identical detection multiset to a single-process
 // balanced run: a swap across the process boundary loses nothing.
@@ -116,11 +116,10 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 	}
 
 	// Distributed run: two symmetric workers, everything starting on
-	// engine task 0. Each worker owns its own DB, threshold store, rule
-	// migrator and rebalancer, bound to its runtime; cross-worker migration
-	// rides the control plane and the post-swap drain the fence barrier.
-	// The feed is held at the BusReader after its first quarter until the
-	// swap is in.
+	// engine task 0. Each worker owns its own DB, threshold store and
+	// rebalancer, bound to its runtime; prepare requests ride the control
+	// plane and ownership changes the data plane. The feed is held at the
+	// BusReader after its first quarter until the swap is in.
 	gate := &gatedReader{at: len(traces) / 4, held: make(chan struct{}), open: make(chan struct{})}
 	lns := make([]net.Listener, workers)
 	peers := make([]string, workers)
@@ -162,7 +161,6 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 		reb, err := NewRebalancer(RebalancerConfig{
 			Routing:       skewed(),
 			SkewThreshold: 1.3,
-			Migrator:      &RuleMigrator{Rules: []Rule{rule}, Store: store},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -172,10 +170,11 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 		RegisterComponents(reg, &Deps{Config: TrafficConfig{
 			Tree: tree, Rebalancer: reb, DB: db,
 			EngineSetup: func(task int, eng *cep.Engine) ([]*InstalledRule, error) {
-				if task != 0 {
-					return nil, nil
+				locs := map[string]bool{}
+				if task == 0 {
+					locs = allLocs
 				}
-				inst, err := InstallRule(eng, rule, InstallOptions{Strategy: StrategyStream, Store: store, Locations: allLocs})
+				inst, err := InstallRule(eng, rule, InstallOptions{Strategy: StrategyStream, Store: store, Locations: locs})
 				if err != nil {
 					return nil, err
 				}
@@ -206,14 +205,13 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 		}
 
 		reb.Bind(rt, 0)
-		// Bind serves migration requests with migrationHandler; wrap it to
-		// count the requests the other worker's cycles send here.
-		handler := migrationHandler(reb.migrator)
+		// Bind serves prepare requests with serveControl; wrap it to count
+		// the requests the other worker's cycles send here.
 		rt.OnControl(func(method string, payload []byte) ([]byte, error) {
 			if w != splitterWorker {
 				remoteRPCs.Add(1)
 			}
-			return handler(method, payload)
+			return reb.serveControl(method, payload)
 		})
 	}
 
@@ -238,11 +236,11 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 	ready := func() bool {
 		registered := 0
 		for _, reb := range rebs {
-			registered += engineCount(reb.migrator)
+			registered += reb.registered()
 		}
 		return registered == engines && splitterExecuted() >= uint64(gate.at/2)
 	}
-	swapMidFeed(t, rebs[splitterWorker], gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces), false)
+	swapMidFeed(t, rebs[splitterWorker], gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces))
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -259,20 +257,15 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 		reb.Stop()
 	}
 
-	// The splitter's rebalancer must have swapped mid-feed with no deferred
-	// releases: the drain, which flushes the Splitter itself, passed.
+	// The splitter's rebalancer must have swapped mid-feed.
 	var tot RebalanceTotals
 	for _, reb := range rebs {
 		r := reb.Totals()
 		tot.Swaps += r.Swaps
 		tot.Moves += r.Moves
-		tot.Deferred += r.Deferred
 	}
 	if tot.Swaps < 1 || tot.Moves == 0 {
 		t.Fatalf("no swap happened mid-feed: swaps=%d moves=%d", tot.Swaps, tot.Moves)
-	}
-	if tot.Deferred != 0 {
-		t.Fatalf("drain failed: %d source releases deferred", tot.Deferred)
 	}
 	// Engine tasks are spread across both workers, so fixing a skew where
 	// everything sits on one engine must touch the other process.

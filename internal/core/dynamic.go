@@ -296,20 +296,6 @@ func (m *DynamicManager) Register(inst *InstalledRule) {
 	m.mu.Unlock()
 }
 
-// Unregister removes a rule installation from the refresh set; used when a
-// live rebalance drains the last location off an engine and removes the
-// statement. Unknown installations are ignored.
-func (m *DynamicManager) Unregister(inst *InstalledRule) {
-	m.mu.Lock()
-	for i, have := range m.installs {
-		if have == inst {
-			m.installs = append(m.installs[:i], m.installs[i+1:]...)
-			break
-		}
-	}
-	m.mu.Unlock()
-}
-
 // AppendHistory folds one record into the partials of every location it
 // covers: its bus stop, when it has one, and each quadtree area on its path
 // (the locations statsMapper emits for it). It always returns nil.

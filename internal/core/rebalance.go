@@ -1,15 +1,13 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"trafficcep/internal/cep"
-	"trafficcep/internal/sqlstore"
 	"trafficcep/internal/storm"
 	"trafficcep/internal/telemetry"
 )
@@ -19,9 +17,20 @@ import (
 // Splitter feeds its observed locations into per-field RateEstimators and a
 // Rebalancer, on a wall-clock interval off the data path, re-runs Algorithm
 // 1 from the live snapshot when the skew trigger fires, diffs the resulting
-// routing table against the installed one, migrates the affected rule
-// statements, and swaps the table atomically. Readers never block and never
-// see a half-built table.
+// routing table against the installed one, prepares the engines that gain
+// locations, and swaps the table atomically. Readers never block and never
+// see a half-built table. The ownership change travels with the data: the
+// Splitter sends it to each affected engine ahead of the first tuple it
+// routes under the new table (splitterBolt.handOver).
+
+// Keys of an ownership tuple, the one kind of tuple on the Splitter's routed
+// edge that is not a trace: the location field, and the locations of it the
+// receiving engine gains and loses ([]string each).
+const (
+	ownField  = "own.field"
+	ownGained = "own.gained"
+	ownLost   = "own.lost"
+)
 
 // RoutingHandle is an atomically swappable reference to an immutable
 // RoutingTable. The Splitter loads it on every tuple; the Rebalancer swaps
@@ -61,19 +70,16 @@ type RebalanceReport struct {
 	// SkewBefore/SkewAfter are the max/mean per-engine input-rate ratios
 	// under the old and new tables, measured on the same rate snapshot.
 	SkewBefore, SkewAfter float64
-	// Duration is the wall-clock cost of the cycle, including migration.
+	// Duration is the wall-clock cost of the cycle, including the prepare
+	// requests.
 	Duration time.Duration
-	// ReleasesDeferred counts source-release operations postponed to the
-	// next cycle because the drain failed.
-	ReleasesDeferred int
 }
 
 // RebalanceTotals aggregates rebalancing activity over the run.
 type RebalanceTotals struct {
-	Cycles   uint64 // skew checks performed
-	Swaps    uint64 // routing tables installed
-	Moves    uint64 // locations migrated
-	Deferred uint64 // source releases postponed by a failed drain
+	Cycles uint64 // skew checks performed
+	Swaps  uint64 // routing tables installed
+	Moves  uint64 // locations migrated
 }
 
 // RebalancerConfig configures NewRebalancer.
@@ -87,59 +93,49 @@ type RebalancerConfig struct {
 	// Alpha is the rate estimators' smoothing factor per estimation
 	// window, as in NewRateEstimator. 0 defaults to 0.5.
 	Alpha float64
-	// Migrator moves rule statements between engines once the rebalancer
-	// is bound to a runtime (Bind); nil skips statement migration
-	// (routing-only rebalancing, e.g. experiments).
-	Migrator *RuleMigrator
 	// Telemetry, when set, receives core.rebalance.* metrics.
 	Telemetry *telemetry.Registry
-}
-
-// drainTimeout bounds the post-swap drain of the engines; past it the
-// source releases wait for the next cycle.
-const drainTimeout = 10 * time.Second
-
-// releaseOp is one deferred ReleaseSource call.
-type releaseOp struct {
-	task      int
-	field     string
-	locations []string
 }
 
 // Rebalancer re-runs Algorithm 1 over live rate estimates and swaps the
 // routing table when the per-engine load skews. Observe is safe to call
 // concurrently with table reads; rebalance cycles are serialized.
 //
-// Rule migration is make-before-break: the gaining engines are prepared
-// (locations owned, statements installed, thresholds loaded) before the
-// table swap, and the losing engines are released only after the swap and
-// a drain of the engines (storm.Runtime.DrainComponent) proved that every
-// tuple routed under the old table was executed; a failed drain defers the
-// releases to the next cycle. No tuple of a moved location misses its
-// engine, but from the prepare to the release both engines own it: a trace
-// routed to either of them for its other location field meanwhile is
-// evaluated there as well. The drain proves execution, not acking: under
-// an ack mode a replay of a pre-swap tuple re-routes through the new table,
-// which is exactly the semantics the release needs.
+// A cycle is prepare → swap. Every engine installs every rule at start,
+// restricted to the locations it owns, so a migration never compiles or
+// removes a statement: preparing a gaining engine only loads the gained
+// locations' thresholds into its rules (MethodPrepareTarget, on the worker
+// that runs the engine), which is harmless before the engine owns them —
+// an unowned row never enters a window. Then the table is swapped. The
+// Splitter, the one task that routes, notices the new table on its next
+// tuple and hands ownership over on the same edges the rows travel (see
+// splitterBolt.handOver), so per-edge FIFO makes the change exact: every
+// row routed under the old table is evaluated by the old owners, every row
+// routed under the new one by the new owners. Under an ack mode a replay
+// of a pre-swap tuple re-routes through the new table. Ownership and window
+// contents are not part of an epoch checkpoint.
 type Rebalancer struct {
-	handle   *RoutingHandle
-	fields   []string
-	est      map[string]*RateEstimator
-	skew     float64
-	migrator *RuleMigrator
+	handle *RoutingHandle
+	fields []string
+	est    map[string]*RateEstimator
+	skew   float64
 
 	mu       sync.Mutex     // serializes cycles, guards the fields below
 	rt       *storm.Runtime // set by Bind
 	workerOf map[int]int    // engine task → worker it was placed on
-	pending  []releaseOp
 	totals   RebalanceTotals
 	last     RebalanceReport
+
+	// engines are this worker's EsperBolt tasks, each with the rule
+	// installations its setup made; EsperBolt.Prepare registers them.
+	engMu   sync.Mutex
+	engines map[int][]*InstalledRule
 
 	tickStop chan struct{}
 	tickWG   sync.WaitGroup
 
-	mCycles, mSwaps, mMoves, mDeferred *telemetry.Counter
-	mSkew, mDuration                   *telemetry.Gauge
+	mCycles, mSwaps, mMoves *telemetry.Counter
+	mSkew, mDuration        *telemetry.Gauge
 }
 
 // NewRebalancer builds a Rebalancer around an initial routing table. The
@@ -156,11 +152,10 @@ func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
 		cfg.SkewThreshold = 2
 	}
 	rb := &Rebalancer{
-		handle:   NewRoutingHandle(cfg.Routing),
-		fields:   append([]string(nil), cfg.Routing.fields...),
-		est:      make(map[string]*RateEstimator, len(cfg.Routing.fields)),
-		skew:     cfg.SkewThreshold,
-		migrator: cfg.Migrator,
+		handle: NewRoutingHandle(cfg.Routing),
+		fields: append([]string(nil), cfg.Routing.fields...),
+		est:    make(map[string]*RateEstimator, len(cfg.Routing.fields)),
+		skew:   cfg.SkewThreshold,
 	}
 	for _, f := range rb.fields {
 		rb.est[f] = NewRateEstimator(nil, cfg.Alpha)
@@ -169,7 +164,6 @@ func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
 		rb.mCycles = reg.Counter("core.rebalance.cycles")
 		rb.mSwaps = reg.Counter("core.rebalance.swaps")
 		rb.mMoves = reg.Counter("core.rebalance.moves")
-		rb.mDeferred = reg.Counter("core.rebalance.deferred")
 		rb.mSkew = reg.Gauge("core.rebalance.skew")
 		rb.mDuration = reg.Gauge("core.rebalance.last_duration_ns")
 	}
@@ -220,17 +214,13 @@ func (rb *Rebalancer) start(interval time.Duration) {
 	}()
 }
 
-// Stop ends the periodic checker (if running) and flushes any deferred
-// source releases.
+// Stop ends the periodic checker, if running.
 func (rb *Rebalancer) Stop() {
 	if rb.tickStop != nil {
 		close(rb.tickStop)
 		rb.tickWG.Wait()
 		rb.tickStop = nil
 	}
-	rb.mu.Lock()
-	rb.flushPendingLocked()
-	rb.mu.Unlock()
 }
 
 // Totals returns aggregate rebalancing activity.
@@ -247,13 +237,12 @@ func (rb *Rebalancer) LastReport() RebalanceReport {
 	return rb.last
 }
 
-// cycle is one rebalance pass: flush deferred releases, snapshot rates,
-// check skew, and — when triggered or forced — rebuild, migrate and swap.
+// cycle is one rebalance pass: snapshot rates, check skew, and — when
+// triggered or forced — rebuild, prepare and swap.
 func (rb *Rebalancer) cycle(force bool) (RebalanceReport, error) {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
 	start := time.Now()
-	rb.flushPendingLocked()
 
 	table := rb.handle.Load()
 	rates := make(map[string][]RegionRate, len(rb.fields))
@@ -281,7 +270,7 @@ func (rb *Rebalancer) cycle(force bool) (RebalanceReport, error) {
 }
 
 // swapLocked rebuilds the table from rates and, if anything moved,
-// migrates and swaps. Called with rb.mu held.
+// prepares the gaining engines and swaps. Called with rb.mu held.
 func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionRate, rep *RebalanceReport) error {
 	fresh, err := rb.rebuild(table, rates)
 	if err != nil {
@@ -291,17 +280,18 @@ func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionR
 	if len(moves) == 0 {
 		return nil
 	}
-	adds, rems := groupMoves(moves)
-	if rb.migrator != nil {
-		if rb.rt == nil {
-			return fmt.Errorf("core: rebalance aborted: the rebalancer migrates rules but is not bound to a runtime (Bind)")
+	if rb.rt != nil {
+		// Targets hold the gained locations' thresholds before any row of
+		// them can reach them. A failure aborts the swap; thresholds loaded
+		// for locations an engine never comes to own are inert.
+		adds, _ := groupMoves(moves)
+		for task, gained := range adds {
+			if err := rb.prepareRemote(task, gained); err != nil {
+				return fmt.Errorf("core: rebalance aborted preparing targets: %w", err)
+			}
 		}
-		// Make-before-break: targets must be able to serve their new
-		// locations before any tuple is routed to them. A failure here
-		// aborts the swap; extra prepared state on targets is harmless.
-		if err := rb.applyOps(adds, rb.migrate(MethodPrepareTarget)); err != nil {
-			return fmt.Errorf("core: rebalance aborted preparing targets: %w", err)
-		}
+	} else if rb.registered() > 0 {
+		return fmt.Errorf("core: rebalance aborted: engines registered for migration but the rebalancer is not bound to a runtime (Bind)")
 	}
 	rb.handle.Swap(fresh)
 	rep.Swapped = true
@@ -309,57 +299,6 @@ func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionR
 	rep.SkewAfter = rb.skewOf(fresh, rates)
 	rb.totals.Swaps++
 	rb.totals.Moves += uint64(len(moves))
-
-	if rb.migrator != nil {
-		if rb.rt.DrainComponent(CompEsper, drainTimeout) == nil {
-			// ReleaseSource failures leave stale (unreachable) statements
-			// behind; routing correctness is unaffected.
-			_ = rb.applyOps(rems, rb.migrate(MethodReleaseSource))
-		} else {
-			for task, byField := range rems {
-				for field, locs := range byField {
-					rb.pending = append(rb.pending, releaseOp{task: task, field: field, locations: locs})
-					rep.ReleasesDeferred++
-				}
-			}
-			rb.totals.Deferred += uint64(rep.ReleasesDeferred)
-		}
-	}
-	return nil
-}
-
-// flushPendingLocked retries deferred source releases. Called with rb.mu
-// held.
-func (rb *Rebalancer) flushPendingLocked() {
-	release := rb.migrate(MethodReleaseSource)
-	for _, op := range rb.pending {
-		_ = release(op.task, op.field, op.locations)
-	}
-	rb.pending = nil
-}
-
-// applyOps runs a migrator hook for every (task, field) group in
-// deterministic order.
-func (rb *Rebalancer) applyOps(ops map[int]map[string][]string, fn func(task int, field string, locations []string) error) error {
-	tasks := make([]int, 0, len(ops))
-	for t := range ops {
-		tasks = append(tasks, t)
-	}
-	sort.Ints(tasks)
-	for _, t := range tasks {
-		fields := make([]string, 0, len(ops[t]))
-		for f := range ops[t] {
-			fields = append(fields, f)
-		}
-		sort.Strings(fields)
-		for _, f := range fields {
-			locs := append([]string(nil), ops[t][f]...)
-			sort.Strings(locs)
-			if err := fn(t, f, locs); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
@@ -424,7 +363,6 @@ func (rb *Rebalancer) publishLocked(rep RebalanceReport) {
 	if rep.Swapped {
 		rb.mSwaps.Inc()
 		rb.mMoves.Add(uint64(len(rep.Moves)))
-		rb.mDeferred.Add(uint64(rep.ReleasesDeferred))
 	}
 	rb.mSkew.Set(rep.SkewAfter)
 	rb.mDuration.Set(float64(rep.Duration.Nanoseconds()))
@@ -528,124 +466,63 @@ func containsInt(s []int, v int) bool {
 	return false
 }
 
-// RuleMigrator performs the engine-side half of a routing swap for the
-// Figure 8 topology under the paper's adopted threshold-stream strategy:
-// moving a location to a target engine means adding it to the engine's
-// owned-key set for its field, installing the affected rules there (if
-// absent) and loading the location's thresholds into the rules' threshold
-// streams; releasing a source takes the location out of the source's set
-// and removes the field's statements once the set is empty. It acts on the
-// engines of its own worker; a bound Rebalancer reaches it on every worker
-// through the control plane (Bind).
-//
-// Engines self-register during EsperBolt.Prepare. A DynamicManager batch
-// refresh must not run during a cycle: it rebuilds the statements of the
-// same installations, and loads thresholds for what each engine owns when
-// it runs. trafficd never overlaps the two: its one batch run precedes the
-// topology.
-type RuleMigrator struct {
-	// Rules is the full rule set; only rules whose LocationField matches
-	// the migrated field are touched.
-	Rules []Rule
-	// Store supplies thresholds for target installs.
-	Store *sqlstore.ThresholdStore
-	// Manager, when set, tracks installs created and removed by migration
-	// so batch refreshes stay accurate.
-	Manager *DynamicManager
-
-	mu       sync.Mutex
-	engines  map[int]*cep.Engine
-	forward  map[int]cep.Listener
-	installs map[int]map[string]*InstalledRule // task → rule name → install
+// register records one EsperBolt task of this worker with the rule
+// installations its setup made.
+func (rb *Rebalancer) register(task int, installs []*InstalledRule) {
+	rb.engMu.Lock()
+	defer rb.engMu.Unlock()
+	if rb.engines == nil {
+		rb.engines = make(map[int][]*InstalledRule)
+	}
+	rb.engines[task] = installs
 }
 
-// registerEngine records the engine, its initial installations and the
-// detection-forwarding listener of one EsperBolt task on this worker.
-func (m *RuleMigrator) registerEngine(task int, eng *cep.Engine, installs []*InstalledRule, forward cep.Listener) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.engines == nil {
-		m.engines = make(map[int]*cep.Engine)
-		m.forward = make(map[int]cep.Listener)
-		m.installs = make(map[int]map[string]*InstalledRule)
-	}
-	m.engines[task] = eng
-	m.forward[task] = forward
-	byName := make(map[string]*InstalledRule, len(installs))
-	for _, inst := range installs {
-		byName[inst.Rule.Name] = inst
-	}
-	m.installs[task] = byName
+// registered is how many engine tasks of this worker have registered.
+func (rb *Rebalancer) registered() int {
+	rb.engMu.Lock()
+	defer rb.engMu.Unlock()
+	return len(rb.engines)
 }
 
-// PrepareTarget makes task's engine ready to serve the listed locations of
-// one location field: it adds them to the engine's owned-key set for the
-// field, installs the field's rules the engine lacks and loads the gained
-// locations' thresholds into the restricted ones it has. Rules whose
-// locations have no stored thresholds are skipped (they cannot fire
-// anyway). An error aborts the swap; the old table stays live.
-func (m *RuleMigrator) PrepareTarget(task int, field string, locations []string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	eng := m.engines[task]
-	if eng == nil {
+// prepareTarget readies task's engine, which runs on this worker, to serve
+// the locations it gains, by location field: it loads their thresholds into
+// the engine's restricted rules on each field. The engine owns them only
+// once the Splitter's ownership tuple arrives. Every engine of the worker
+// must carry the same rules, since a migration installs none.
+func (rb *Rebalancer) prepareTarget(task int, gained map[string][]string) error {
+	rb.engMu.Lock()
+	defer rb.engMu.Unlock()
+	installs, ok := rb.engines[task]
+	if !ok {
 		return fmt.Errorf("core: no engine registered for task %d", task)
 	}
-	gained := make(map[string]bool)
-	for _, l := range eng.Own(BusStream, field, locations...) {
-		gained[l] = true
+	names := ruleNames(installs)
+	for other, have := range rb.engines {
+		if !slices.Equal(ruleNames(have), names) {
+			return fmt.Errorf("core: engine tasks %d and %d carry different rules (%v, %v): every engine installs every rule at start", task, other, names, ruleNames(have))
+		}
 	}
-	for _, r := range m.Rules {
-		if r.LocationField() != field {
-			continue
-		}
-		inst := m.installs[task][r.Name]
-		var err error
-		switch {
-		case inst == nil:
-			inst, err = InstallRule(eng, r, InstallOptions{Strategy: StrategyStream, Store: m.Store, Locations: gained})
-			if err == nil {
-				if fwd := m.forward[task]; fwd != nil {
-					inst.AddListener(fwd)
-				}
-				m.installs[task][r.Name] = inst
-				if m.Manager != nil {
-					m.Manager.Register(inst)
-				}
+	for _, inst := range installs {
+		locs := gained[inst.Rule.LocationField()]
+		if inst.restricted() && len(locs) > 0 {
+			set := make(map[string]bool, len(locs))
+			for _, l := range locs {
+				set[l] = true
 			}
-		case inst.restricted() && len(gained) > 0:
-			err = loadThresholdStream(eng, r, m.Store, gained)
-		}
-		if err != nil && !errors.Is(err, errNoThresholds) {
-			return fmt.Errorf("core: preparing rule %q on task %d: %w", r.Name, task, err)
+			if err := loadThresholdStream(inst.engine, inst.Rule, inst.Options.Store, set); err != nil {
+				return fmt.Errorf("core: preparing rule %q on task %d: %w", inst.Rule.Name, task, err)
+			}
 		}
 	}
 	return nil
 }
 
-// ReleaseSource retires the listed locations from task's engine: they leave
-// its owned-key set for the field, so its rules stop windowing and
-// evaluating them, a trace the engine still receives for its other location
-// field included; once the engine owns no location of the field, the
-// field's restricted rules are removed. Their thresholds and window
-// contents for the released locations stay until a batch Refresh.
-func (m *RuleMigrator) ReleaseSource(task int, field string, locations []string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	eng := m.engines[task]
-	if eng == nil || eng.Disown(BusStream, field, locations...) > 0 {
-		return nil
+// ruleNames lists the rules of installs, sorted.
+func ruleNames(installs []*InstalledRule) []string {
+	names := make([]string, len(installs))
+	for i, inst := range installs {
+		names[i] = inst.Rule.Name
 	}
-	for _, r := range m.Rules {
-		inst := m.installs[task][r.Name]
-		if r.LocationField() != field || inst == nil || !inst.restricted() {
-			continue
-		}
-		inst.Remove()
-		delete(m.installs[task], r.Name)
-		if m.Manager != nil {
-			m.Manager.Unregister(inst)
-		}
-	}
-	return nil
+	sort.Strings(names)
+	return names
 }

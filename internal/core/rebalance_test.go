@@ -345,10 +345,76 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 	}
 }
 
+// TestRebalancerPrepareNeedsSameRules: preparing a target loads the gained
+// locations' thresholds, inert until the engine owns them. A migration
+// installs no rule, so a prepare fails when this worker's engines carry
+// different rules, or when no engine registered the task; and a rebalancer
+// with registered engines refuses to swap until it is bound to a runtime.
+func TestRebalancerPrepareNeedsSameRules(t *testing.T) {
+	const field = "layer2Area"
+	reb, err := NewRebalancer(RebalancerConfig{Routing: tableFromRates(t, field, []RegionRate{
+		{Location: "areaA", Rate: 100}, {Location: "areaB", Rate: 1}, {Location: "areaC", Rate: 1}, {Location: "areaD", Rate: 1},
+	}, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := newStore(t)
+	var eng *cep.Engine // the last engine install built
+	install := func(rules ...Rule) []*InstalledRule {
+		t.Helper()
+		eng = cep.New()
+		var installs []*InstalledRule
+		for _, r := range rules {
+			inst, err := InstallRule(eng, r, InstallOptions{Strategy: StrategyStream, Store: store, Locations: map[string]bool{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			installs = append(installs, inst)
+		}
+		return installs
+	}
+	other := delayRule(1)
+	other.Name = "otherRule"
+	gained := map[string][]string{field: {"areaA"}}
+	reb.register(0, install(delayRule(1), other))
+	target := install(delayRule(1), other)
+	reb.register(1, target)
+	if err := reb.prepareTarget(1, gained); err != nil {
+		t.Fatalf("prepare with the same rules everywhere: %v", err)
+	}
+	fired := countFirings(target[0])
+	busEvent(t, eng, "areaA", 1e9)
+	if *fired != 0 {
+		t.Fatal("a prepared engine fired on a location it does not own yet")
+	}
+	eng.Own(BusStream, field, "areaA")
+	busEvent(t, eng, "areaA", 1e9)
+	if *fired == 0 {
+		t.Fatal("the prepared engine does not fire once it owns the location: its thresholds were not loaded")
+	}
+	if err := reb.prepareTarget(2, gained); err == nil || !strings.Contains(err.Error(), "no engine registered") {
+		t.Fatalf("prepare for an unregistered task: err = %v", err)
+	}
+	reb.register(0, install(delayRule(1)))
+	if err := reb.prepareTarget(1, gained); err == nil || !strings.Contains(err.Error(), "different rules") {
+		t.Fatalf("prepare with different rules: err = %v", err)
+	}
+
+	for _, loc := range []string{"areaA", "areaB", "areaC", "areaD"} {
+		reb.Observe(map[string]any{field: loc})
+	}
+	if _, err := reb.RebalanceOnce(); err == nil || !strings.Contains(err.Error(), "not bound") {
+		t.Fatalf("swap with registered engines and no Bind: err = %v", err)
+	}
+	if tot := reb.Totals(); tot.Swaps != 0 {
+		t.Fatalf("an unbound rebalancer with registered engines swapped: %+v", tot)
+	}
+}
+
 // TestRebalanceMigrationNoDetectionLoss is the migration differential: the
 // same feed is run through (a) a balanced static routing and (b) a
-// deliberately skewed routing that the rebalancer fixes mid-feed, migrating
-// rule statements between engines. With window-1 rules every tuple yields
+// deliberately skewed routing that the rebalancer fixes mid-feed, moving
+// locations between engines. With window-1 rules every tuple yields
 // exactly one detection per rule, so both runs must produce the same
 // multiset of detections (ignoring which engine fired them) — nothing may
 // be lost across the swap. It holds through both entries to the one
@@ -361,17 +427,15 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 // Three rule sets: one rule with everything starting on engine 0; the
 // shipped document's pair on one location field and window length
 // (stopDelay + stopActual), where engine 1 starts out serving two stops that
-// have thresholds for delay only — the migration then installs stopActual
-// on engine 1 beside the lastevent and groupwin(stopId) views stopDelay has
-// been filling there, the late joiner the engine must give fresh views; and
-// one rule on each field (stopDelay + leafDelay) with the skew on leaves
+// have thresholds for delay only — every engine still installs both rules
+// at start, so the two share their lastevent and groupwin(stopId) views on
+// every engine, and the migration only loads stopActual thresholds there;
+// and one rule on each field (stopDelay + leafDelay) with the skew on leaves
 // only. A trace then reaches the engine of its stop and the engine of its
-// leaf, so a released leaf still arrives at its old engine through the stop
-// field, and that engine must not fire on it. This set runs its cycle with
-// no tuple in flight and opens the feed only once the releases are done:
-// while a cycle runs, a trace delivered for one field to an engine that is
-// gaining or losing its location on the other field is evaluated there as
-// well (DESIGN.md §10), and that window is not what this set pins.
+// leaf, so a moved leaf still arrives at its old engine through the stop
+// field, and that engine must not fire on it from the first row routed
+// under the new table on: the ownership change rides the Splitter's edges,
+// so the cut is exact with the feed flowing through the cycle.
 func TestRebalanceMigrationNoDetectionLoss(t *testing.T) {
 	entries := []struct {
 		name  string
@@ -417,13 +481,11 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 	}
 	// skewed is the field whose locations the skewed run starts on engine
 	// 0, except resident, which engine 1 serves from the start; bare[attribute]
-	// the locations that have no thresholds; settle runs the cycle with no
-	// tuple in flight.
+	// the locations that have no thresholds.
 	var rules []Rule
 	var skewed string
 	resident := map[string]bool{}
 	bare := map[string]map[string]bool{}
-	settle := false
 	switch set {
 	case "leafDelay":
 		rules, skewed = []Rule{leafDelay}, leafDelay.LocationField()
@@ -435,7 +497,7 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 		resident[stops[0]], resident[stops[1]] = true, true
 		bare[busdata.AttrActualDelay] = resident
 	case "stopDelay+leafDelay":
-		rules, skewed, settle = []Rule{stopDelay, leafDelay}, leafDelay.LocationField(), true
+		rules, skewed = []Rule{stopDelay, leafDelay}, leafDelay.LocationField()
 	}
 	var fields []string
 	for _, r := range rules {
@@ -510,18 +572,9 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 		if reb := cfg.Rebalancer; reb != nil {
 			splitterExecuted := func() uint64 { return componentTotal(rt, CompSplitter).Executed }
 			ready := func() bool {
-				return engineCount(reb.migrator) == engines && splitterExecuted() >= uint64(gate.at/2)
+				return reb.registered() == engines && splitterExecuted() >= uint64(gate.at/2)
 			}
-			if settle {
-				// Every trace before the gate has been routed and executed
-				// by its engines.
-				ready = func() bool {
-					split := componentTotal(rt, CompSplitter)
-					return engineCount(reb.migrator) == engines && split.Executed == uint64(gate.at) &&
-						componentTotal(rt, CompEsper).Executed == split.Emitted
-				}
-			}
-			swapMidFeed(t, reb, gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces), settle)
+			swapMidFeed(t, reb, gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces))
 		}
 		if err := <-ran; err != nil {
 			t.Fatal(err)
@@ -537,22 +590,14 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 		return out
 	}
 
-	// An engine installs every rule that has thresholds for one of the
-	// locations it serves on the rule's field.
+	// Every engine installs every rule, restricted to the locations it
+	// serves on the rule's field.
 	setupFor := func(store *sqlstore.ThresholdStore, parts map[string]*Partition) func(int, *cep.Engine) ([]*InstalledRule, error) {
 		return func(task int, eng *cep.Engine) ([]*InstalledRule, error) {
 			var installs []*InstalledRule
 			for _, r := range rules {
-				locs := locSet(parts[r.LocationField()], task)
-				served := false
-				for loc := range locs {
-					served = served || !bare[r.Attribute][loc]
-				}
-				if !served {
-					continue
-				}
 				inst, err := InstallRule(eng, r, InstallOptions{
-					Strategy: StrategyStream, Store: store, Locations: locs,
+					Strategy: StrategyStream, Store: store, Locations: locSet(parts[r.LocationField()], task),
 				})
 				if err != nil {
 					return nil, err
@@ -589,7 +634,7 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 
 	// Run B: every location of the skewed field but the resident ones starts
 	// on engine 0, the other field as in run A; the rebalancer must notice
-	// the skew mid-feed, migrate the rule statements, and swap routes.
+	// the skew mid-feed, prepare the gaining engines, and swap routes.
 	dbB, storeB := seedThresholds(t)
 	skew := &Partition{
 		Engines:    make([][]RegionRate, engines),
@@ -610,7 +655,6 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 	reb, err := NewRebalancer(RebalancerConfig{
 		Routing:       tableOf(partsB),
 		SkewThreshold: 1.3,
-		Migrator:      &RuleMigrator{Rules: rules, Store: storeB},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -630,15 +674,14 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 		t.Fatal("Telemetry is set but the Splitter registered no core.splitter.unrouted")
 	}
 	if set == "stopDelay+stopActual" {
-		// Engine 0 installed both rules before any event: one lastevent and
-		// one groupwin view between them plus a thresholds view each. On
-		// engine 1 stopActual arrived by migration beside stopDelay's
-		// populated views and shares nothing.
-		for engine, want := range map[int]float64{0: 4, 1: 6} {
+		// Every engine installed both rules before any event, and a
+		// migration installs nothing: one lastevent and one groupwin view
+		// between them plus a thresholds view each, on every engine.
+		for engine := 0; engine < engines; engine++ {
 			views, _ := snap.Get(fmt.Sprintf("cep.engine%d.views", engine))
 			subs, _ := snap.Get(fmt.Sprintf("cep.engine%d.view_subscriptions", engine))
-			if views.Value != want || subs.Value != 6 {
-				t.Fatalf("engine %d: %v views under %v subscriptions, want %v under 6", engine, views.Value, subs.Value, want)
+			if views.Value != 4 || subs.Value != 6 {
+				t.Fatalf("engine %d: %v views under %v subscriptions, want 4 under 6", engine, views.Value, subs.Value)
 			}
 		}
 	}
@@ -671,9 +714,8 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 // (engines registered for migration, tuples observed), and requires the
 // cycle to swap the routing table while the Splitter still has tuples to
 // come: it reads the Splitter's executed count when the new table is in,
-// opens the gate — once the cycle's drain and releases are done when settle
-// is set, else at once — and returns the cycle's report.
-func swapMidFeed(t *testing.T, reb *Rebalancer, held <-chan struct{}, open func(), ready func() bool, splitterExecuted func() uint64, total int, settle bool) RebalanceReport {
+// opens the gate at once, and returns the cycle's report.
+func swapMidFeed(t *testing.T, reb *Rebalancer, held <-chan struct{}, open func(), ready func() bool, splitterExecuted func() uint64, total int) RebalanceReport {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	select {
@@ -713,16 +755,11 @@ func swapMidFeed(t *testing.T, reb *Rebalancer, held <-chan struct{}, open func(
 		time.Sleep(100 * time.Microsecond)
 	}
 	executed := splitterExecuted()
-	if !settle {
-		open()
-	}
+	open()
 	if executed >= uint64(total) {
 		t.Errorf("the swap landed after the Splitter's last tuple: %d of %d executed", executed, total)
 	}
 	res := <-cycled
-	if settle {
-		open()
-	}
 	if res.err != nil {
 		t.Fatalf("rebalance cycle: %v", res.err)
 	}
@@ -737,11 +774,4 @@ func componentTotal(rt *storm.Runtime, component string) storm.ComponentTotal {
 		}
 	}
 	return storm.ComponentTotal{}
-}
-
-// engineCount is how many engines of its worker have registered with m.
-func engineCount(m *RuleMigrator) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.engines)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -9,12 +8,6 @@ import (
 	"trafficcep/internal/cep"
 	"trafficcep/internal/sqlstore"
 )
-
-// errNoThresholds marks an installation (or threshold-stream load) that
-// matched no stored thresholds for its location set. The live migrator
-// treats it as benign — a location with no thresholds cannot fire — while
-// direct InstallRule callers still see it as a hard error.
-var errNoThresholds = errors.New("no thresholds matched")
 
 // ThresholdStrategy selects how a rule obtains its dynamic thresholds
 // (§4.3.1). The paper evaluates all four in Figure 10 and adopts
@@ -65,9 +58,9 @@ type InstallOptions struct {
 	// rule's location field (cep.Engine.Own): the rule windows and
 	// evaluates only the bus events whose location the engine owns, and
 	// holds thresholds for all of them. Every restricted rule on one field
-	// of an engine serves that one set, which RuleMigrator grows and
-	// shrinks as locations move. Under StrategyManyRules they filter the
-	// thresholds.
+	// of an engine serves that one set, which a rebalance grows and shrinks
+	// as locations move; it may start empty. Under StrategyManyRules they
+	// filter the thresholds.
 	Locations map[string]bool
 	// Listener receives the rule's firings.
 	Listener cep.Listener
@@ -152,11 +145,10 @@ func (inst *InstalledRule) install() error {
 		return add(eng.AddStatement(r.Name, r.JoinDBEPL()))
 
 	case StrategyManyRules:
-		ths, err := opts.Store.Thresholds(r.Attribute, r.Sensitivity)
+		ths, err := ruleThresholds(opts.Store, r)
 		if err != nil {
 			return err
 		}
-		n := 0
 		for _, th := range ths {
 			if opts.Locations != nil && !opts.Locations[th.Location] {
 				continue
@@ -165,10 +157,6 @@ func (inst *InstalledRule) install() error {
 			if err := add(eng.AddStatement(name, r.PerLocationEPL(th.Location, th.Hour, th.Day, th.Value))); err != nil {
 				return err
 			}
-			n++
-		}
-		if n == 0 {
-			return fmt.Errorf("core: rule %q: %w (many-rules strategy)", r.Name, errNoThresholds)
 		}
 		return nil
 
@@ -188,13 +176,24 @@ func (inst *InstalledRule) install() error {
 	return fmt.Errorf("core: unknown strategy %v", opts.Strategy)
 }
 
-// loadThresholdStream pushes the rule's thresholds into its Esper stream.
-func loadThresholdStream(eng *cep.Engine, r Rule, store *sqlstore.ThresholdStore, locations map[string]bool) error {
+// ruleThresholds returns the rule's stored thresholds, and an error when the
+// store holds none for its attribute. A location subset that matches none
+// of them is not an error: an engine may own no location of the rule yet.
+func ruleThresholds(store *sqlstore.ThresholdStore, r Rule) ([]sqlstore.Threshold, error) {
 	ths, err := store.Thresholds(r.Attribute, r.Sensitivity)
+	if err == nil && len(ths) == 0 {
+		err = fmt.Errorf("core: rule %q: the store holds no %s thresholds", r.Name, r.Attribute)
+	}
+	return ths, err
+}
+
+// loadThresholdStream pushes the rule's thresholds for locations (every one
+// when nil) into its Esper stream.
+func loadThresholdStream(eng *cep.Engine, r Rule, store *sqlstore.ThresholdStore, locations map[string]bool) error {
+	ths, err := ruleThresholds(store, r)
 	if err != nil {
 		return err
 	}
-	n := 0
 	for _, th := range ths {
 		if locations != nil && !locations[th.Location] {
 			continue
@@ -208,10 +207,6 @@ func loadThresholdStream(eng *cep.Engine, r Rule, store *sqlstore.ThresholdStore
 		if err != nil {
 			return err
 		}
-		n++
-	}
-	if n == 0 {
-		return fmt.Errorf("core: rule %q: %w (stream strategy)", r.Name, errNoThresholds)
 	}
 	return nil
 }

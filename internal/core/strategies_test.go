@@ -175,6 +175,43 @@ func TestLocationFilterRestrictsInstall(t *testing.T) {
 	}
 }
 
+// TestRestrictedInstallMatchingNoThreshold: a restricted install, or a
+// threshold load, whose locations match no stored threshold is not an
+// error — an engine may own no location of a rule yet — and loads nothing;
+// only a store holding no threshold for the rule's attribute fails them.
+func TestRestrictedInstallMatchingNoThreshold(t *testing.T) {
+	store := newStore(t)
+	for _, strategy := range []ThresholdStrategy{StrategyStream, StrategyManyRules} {
+		eng := cep.New()
+		inst, err := InstallRule(eng, delayRule(1), InstallOptions{Strategy: strategy, Store: store, Locations: map[string]bool{}})
+		if err != nil {
+			t.Fatalf("%v owning no location: %v", strategy, err)
+		}
+		if strategy == StrategyStream {
+			if err := loadThresholdStream(eng, delayRule(1), store, map[string]bool{"nowhere": true}); err != nil {
+				t.Fatalf("load for a location with no threshold: %v", err)
+			}
+		}
+		fired := countFirings(inst)
+		busEvent(t, eng, "areaA", 1e9)
+		if *fired != 0 {
+			t.Fatalf("%v owning no location fired", strategy)
+		}
+	}
+
+	speed := delayRule(1)
+	speed.Attribute = busdata.AttrSpeed
+	for _, strategy := range []ThresholdStrategy{StrategyStream, StrategyManyRules} {
+		_, err := InstallRule(cep.New(), speed, InstallOptions{Strategy: strategy, Store: store, Locations: map[string]bool{"areaA": true}})
+		if err == nil || !strings.Contains(err.Error(), "no speed thresholds") {
+			t.Fatalf("%v with no speed threshold stored: err = %v", strategy, err)
+		}
+	}
+	if err := loadThresholdStream(cep.New(), speed, store, nil); err == nil || !strings.Contains(err.Error(), "no speed thresholds") {
+		t.Fatalf("load with no speed threshold stored: err = %v", err)
+	}
+}
+
 func TestStrategyRequiresStore(t *testing.T) {
 	eng := cep.New()
 	for _, s := range []ThresholdStrategy{StrategyJoinDB, StrategyManyRules, StrategyStream} {

@@ -173,11 +173,14 @@ type TrafficConfig struct {
 	// Routing drives the Splitter; its Engines must equal the EsperBolt
 	// task count. BuildTrafficTopology defaults it to RouteAll.
 	Routing *RoutingTable
-	// Rebalancer, when set, takes over routing: the Splitter reads the
-	// rebalancer's swappable handle (seeded from its initial table) and
-	// feeds observed locations into its rate estimators, and every
-	// EsperBolt task registers its engine for live rule migration. Routing
-	// must then be nil or the rebalancer's own initial table.
+	// Rebalancer, when set, takes over routing: the Splitter, which must
+	// then run one task, reads the rebalancer's swappable handle (seeded
+	// from its initial table), feeds observed locations into its rate
+	// estimators and hands ownership over on a swap, and every EsperBolt
+	// task registers its engine for live migration, which installs no
+	// rule: EngineSetup must install every rule on every engine, restricted
+	// to the locations the initial table routes there. Routing must be nil
+	// or the rebalancer's own initial table.
 	Rebalancer *Rebalancer
 	// EngineSetup installs rules into task taskIndex's engine. The
 	// returned installations are refreshed by Manager (may be nil).
@@ -452,9 +455,12 @@ func historyFromValues(v map[string]any) HistoryRecord {
 // splitterBolt routes tuples to EsperBolt tasks per the routing table
 // (§4.3.2: "It is crucial to route each bus data tuple to the appropriate
 // Esper engine as each engine examines different spatial locations"). With
-// a Rebalancer it reads the live swappable table and feeds the rate
-// estimators; rebalance cycles never run on its goroutine.
+// a Rebalancer it reads the live swappable table, feeds the rate estimators
+// and hands ownership over when the table changes; rebalance cycles never
+// run on its goroutine.
 type splitterBolt struct {
+	// routing is the table the Splitter routes under: the static one, or the
+	// rebalancer's table as of the last tuple.
 	routing   *RoutingTable
 	reb       *Rebalancer
 	telemetry *telemetry.Registry
@@ -462,7 +468,10 @@ type splitterBolt struct {
 	unrouted *telemetry.Counter
 }
 
-func (b *splitterBolt) Prepare(storm.TaskContext) error {
+func (b *splitterBolt) Prepare(ctx storm.TaskContext) error {
+	if b.reb != nil && ctx.NumTasks != 1 {
+		return fmt.Errorf("core: %s runs %d tasks, but under a rebalancer it must run one: ownership changes travel on its edges and its rate estimates must see the whole feed", CompSplitter, ctx.NumTasks)
+	}
 	if b.telemetry != nil {
 		b.unrouted = b.telemetry.Counter("core.splitter.unrouted")
 	}
@@ -472,12 +481,14 @@ func (b *splitterBolt) Prepare(storm.TaskContext) error {
 func (b *splitterBolt) Cleanup() error { return nil }
 
 func (b *splitterBolt) Execute(t storm.Tuple, col storm.Collector) error {
-	rt := b.routing
 	if b.reb != nil {
 		b.reb.Observe(t.Values)
-		rt = b.reb.Table()
+		if rt := b.reb.Table(); rt != b.routing {
+			b.handOver(b.routing, rt, col)
+			b.routing = rt
+		}
 	}
-	tasks := rt.EnginesFor(t.Values)
+	tasks := b.routing.EnginesFor(t.Values)
 	if len(tasks) == 0 {
 		// Unroutable tuple (missing or unknown location fields): account
 		// for it instead of letting it vanish — count it and record a drop
@@ -490,18 +501,33 @@ func (b *splitterBolt) Execute(t storm.Tuple, col storm.Collector) error {
 		}
 		return nil
 	}
-	if dc, ok := col.(storm.DirectAnchorCollector); ok {
-		// Anchored direct emit keeps routed tuples in the ack tree, so a
-		// failed engine execute is replayed under at-least-once delivery.
-		for _, task := range tasks {
-			dc.EmitDirectAnchored("", "routed", task, t.Values)
-		}
-		return nil
-	}
+	// A bolt's direct emit rides its input's tuple tree, so under an ack
+	// mode a failed engine execute is replayed like any other.
 	for _, task := range tasks {
 		col.EmitDirect("routed", task, t.Values)
 	}
 	return nil
+}
+
+// handOver moves ownership in-band: ahead of the first tuple routed under
+// fresh, every engine task whose locations changed since old gets, on the
+// routed edge, one ownership tuple per changed field with the locations it
+// gains and loses. Per-edge FIFO makes that the exact cut: each engine
+// applies it after every row routed to it under old and before any row
+// routed under fresh.
+func (b *splitterBolt) handOver(old, fresh *RoutingTable, col storm.Collector) {
+	adds, rems := groupMoves(diffTables(old, fresh, b.reb.fields))
+	for task, byField := range adds {
+		for field, gained := range byField {
+			col.EmitDirect("routed", task, map[string]any{ownField: field, ownGained: gained, ownLost: rems[task][field]})
+			delete(rems[task], field)
+		}
+	}
+	for task, byField := range rems {
+		for field, lost := range byField {
+			col.EmitDirect("routed", task, map[string]any{ownField: field, ownLost: lost})
+		}
+	}
 }
 
 // esperBolt hosts one CEP engine per task. EngineSetup installs the task's
@@ -540,7 +566,6 @@ func (b *esperBolt) Prepare(ctx storm.TaskContext) error {
 	if b.telemetry != nil {
 		b.telemetry.Register(b.engine)
 	}
-	forward := b.forwardListener()
 	var installs []*InstalledRule
 	if b.setup != nil {
 		var err error
@@ -548,6 +573,7 @@ func (b *esperBolt) Prepare(ctx storm.TaskContext) error {
 		if err != nil {
 			return fmt.Errorf("core: engine %d setup: %w", ctx.TaskIndex, err)
 		}
+		forward := b.forwardListener()
 		for _, inst := range installs {
 			inst.AddListener(forward)
 			if b.manager != nil {
@@ -555,10 +581,9 @@ func (b *esperBolt) Prepare(ctx storm.TaskContext) error {
 			}
 		}
 	}
-	if b.reb != nil && b.reb.migrator != nil {
-		// Hand the engine to the migrator so live rebalancing can install
-		// and retire statements on this task.
-		b.reb.migrator.registerEngine(ctx.TaskIndex, b.engine, installs, forward)
+	if b.reb != nil {
+		// Register the engine so a rebalance can prepare it as a target.
+		b.reb.register(ctx.TaskIndex, installs)
 	}
 	return nil
 }
@@ -587,6 +612,15 @@ func (b *esperBolt) forwardListener() cep.Listener {
 func (b *esperBolt) Cleanup() error { return nil }
 
 func (b *esperBolt) Execute(t storm.Tuple, col storm.Collector) error {
+	if field, ok := t.Values[ownField].(string); ok {
+		// An ownership tuple (splitterBolt.handOver): from the next row on,
+		// the engine's rules on field window and evaluate what it owns now.
+		gained, _ := t.Values[ownGained].([]string)
+		lost, _ := t.Values[ownLost].([]string)
+		b.engine.Own(BusStream, field, gained...)
+		b.engine.Disown(BusStream, field, lost...)
+		return nil
+	}
 	b.mu.Lock()
 	b.col = col
 	b.mu.Unlock()

@@ -137,4 +137,28 @@ func TestRegisterComponentsMissingDeps(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "3 tasks") || !strings.Contains(err.Error(), "2 engines") {
 		t.Fatalf("err = %v, want the task count and the table's engine count", err)
 	}
+
+	// Under a rebalancer the Splitter runs one task: ownership changes
+	// travel on its edges, and its rate estimates must see the whole feed.
+	reb, err := NewRebalancer(RebalancerConfig{
+		Routing: tableFromRates(t, "leafArea", []RegionRate{{Location: "a", Rate: 1}, {Location: "b", Rate: 1}}, 2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps.Config.Routing, deps.Config.Rebalancer = nil, reb
+	xml4 := `<topology name="t">
+	  <spout id="s" type="busreader"/>
+	  <bolt id="sp" type="splitter" executors="2" tasks="2"><grouping source="s"/></bolt>
+	  <bolt id="e" type="esper" executors="2" tasks="2"><grouping type="direct" source="sp" stream="routed"/></bolt>
+	</topology>`
+	if topo, _, err = storm.LoadXML([]byte(xml4), reg); err != nil {
+		t.Fatal(err)
+	}
+	if rt, err = storm.New(topo); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Run(); err == nil || !strings.Contains(err.Error(), "Splitter runs 2 tasks") {
+		t.Fatalf("err = %v, want the Splitter's task count", err)
+	}
 }

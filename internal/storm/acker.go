@@ -832,7 +832,7 @@ const ackBatchCap = 256
 
 // ackBatcher buffers checksum updates per destination — one buffer per
 // local shard, one per remote worker — and flushes them on the executor's
-// existing triggers (before blocking on input, on exit, at a drain fence),
+// existing triggers (before blocking on input, on exit),
 // so the steady state pays one shard lock (or one wire frame) per flush
 // instead of per tuple.
 type ackBatcher struct {

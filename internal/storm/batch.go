@@ -11,8 +11,8 @@ package storm
 //     as *batch values — one channel operation moves up to BatchSize
 //     envelopes. Buffers flush when full, when a spout-side envelope has
 //     waited past BatchTimeout (checked between NextTuple calls), when a
-//     bolt's input queue goes idle, at a drain fence (Runtime.
-//     DrainComponent), and always before an executor exits —
+//     bolt's input queue goes idle, at an epoch barrier, and always before
+//     an executor exits —
 //     so batching never strands a tuple and never deadlocks: an executor
 //     only sleeps on input with its output buffers empty. Under the XOR
 //     acker the same triggers also drain the executor's buffered ack
@@ -49,11 +49,6 @@ import (
 // deliverOrDrop).
 type batch struct {
 	envs []envelope
-	// fence marks a drain fence instead of a payload batch: the receiving
-	// executor flushes its output and signals it (see Runtime.fenceExecs).
-	// FIFO transport order makes its arrival prove every earlier delivery
-	// to that executor was processed, and what that produced is on the wire.
-	fence *fenceWait
 	// epoch, when non-zero, marks an aligned epoch barrier (AckEpoch, see
 	// epoch.go): no envelopes, just the epoch number. The receiving
 	// executor counts it against its upstream-arrival expectation and
@@ -75,7 +70,6 @@ func (r *Runtime) getBatch() *batch { return r.batchPool.Get().(*batch) }
 func (r *Runtime) putBatch(b *batch) {
 	clear(b.envs)
 	b.envs = b.envs[:0]
-	b.fence = nil
 	b.epoch = 0
 	b.epochRetire = false
 	r.batchPool.Put(b)
@@ -173,8 +167,8 @@ func (o *outBatcher) newBuf(dest *executor, now time.Time) *batch {
 }
 
 // flushAll sends every pending buffer and resets the dirty set. It runs
-// only between Execute calls — on an idle input queue, at a drain fence or
-// epoch barrier, at exit — where no edge chain is pinned: the executor
+// only between Execute calls — on an idle input queue, at an epoch
+// barrier, at exit — where no edge chain is pinned: the executor
 // unpins when a call settles. The pin is cleared here all the same, since
 // after a full flush no buffer remains to be pinned, and a stale pin must
 // not alias a recycled batch on the next add.

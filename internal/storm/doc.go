@@ -25,7 +25,7 @@
 // length-prefixed wire codec into a pooled frame buffer, queued on the
 // runtime's link to that worker; a decoded payload is an ordinary map the
 // receiving bolt owns like any other input. Both hops keep per-sender FIFO
-// order, which producer-exit accounting, drains and epoch barriers rely on.
+// order, which producer-exit accounting and epoch barriers rely on.
 //
 // # Reliability
 //
@@ -47,15 +47,4 @@
 // executor and one transport delivery moves up to WithBatchSize envelopes,
 // with pooled batch memory and a zero-allocation fields-grouping hash; see
 // batch.go for the flush triggers and the ownership contract.
-//
-// # Drains
-//
-// Runtime.DrainComponent returns once a component has executed every tuple
-// emitted towards it before the call, which is what a routing change needs
-// before the old targets shed state. It is exact on its own, from any
-// worker: each worker first has its local producers of the component
-// flush — a fence in a bolt's input queue, handled between two Execute
-// calls; a flag a spout's loop reads once per turn — and only then sends
-// fences down every path into the component, so per-sender FIFO puts each
-// fence behind everything those producers emitted. See tcp.go.
 package storm

@@ -15,7 +15,7 @@ package storm
 //     downstream executor — local ones through the input channels, remote
 //     ones as frameEpochBarrier on the per-peer FIFO queue, both from the
 //     spout's own goroutine so the barrier trails every pre-barrier
-//     envelope (the same FIFO argument the drain fences rely on).
+//     envelope (the same FIFO argument producer-exit accounting relies on).
 //   - A bolt executor holds barrier N until it has arrived from every
 //     live upstream executor (counting alignment: envelopes from separate
 //     inputs merge into one FIFO channel, so by the time the last copy of
@@ -714,10 +714,6 @@ func (r *Runtime) runEpochSpoutExecutor(rc *runningComponent, ex *executor) {
 
 	now := time.Now()
 	for !r.canceled() {
-		if ex.flushReq.Load() {
-			out.flushAll()
-			ex.flushed(false)
-		}
 		if nActive == 0 {
 			if nParked == 0 {
 				break // every task failed hard: nothing a rewind could reopen
@@ -776,6 +772,5 @@ func (r *Runtime) runEpochSpoutExecutor(rc *runningComponent, ex *executor) {
 		}
 	}
 	out.flushAll()
-	ex.flushed(true)
 	ec.retireExec(ex, injected)
 }

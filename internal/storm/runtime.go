@@ -194,51 +194,6 @@ type executor struct {
 	worker int // worker process the executor was placed on
 	tasks  []*taskState
 	in     chan *batch
-
-	// inMu orders the closing of in against fence deliveries, the one kind
-	// of send that does not come from a counted producer (data batches stop
-	// before the last producer retires, so they need no lock). retired is
-	// set with the close.
-	inMu    sync.Mutex
-	retired bool
-
-	// Drain fences this executor owes an arrival once it has flushed (see
-	// Runtime.fenceExecs): a spout serves them at its next loop turn — its
-	// loop reads flushReq once per turn — and every executor serves them at
-	// its final flush, after which final is set and later fences pass at
-	// once.
-	flushMu    sync.Mutex
-	flushWaits []*fenceWait
-	flushReq   atomic.Bool
-	final      bool
-}
-
-// awaitFlush makes fw arrive once ex has put on the wire everything it
-// emitted before the call.
-func (ex *executor) awaitFlush(fw *fenceWait) {
-	ex.flushMu.Lock()
-	if ex.final {
-		ex.flushMu.Unlock()
-		fw.arrive()
-		return
-	}
-	ex.flushWaits = append(ex.flushWaits, fw)
-	ex.flushReq.Store(true)
-	ex.flushMu.Unlock()
-}
-
-// flushed runs on ex's own goroutine right after it flushed its output:
-// every fence registered so far arrives. final marks the last flush.
-func (ex *executor) flushed(final bool) {
-	ex.flushMu.Lock()
-	waits := ex.flushWaits
-	ex.flushWaits = nil
-	ex.flushReq.Store(false)
-	ex.final = ex.final || final
-	ex.flushMu.Unlock()
-	for _, fw := range waits {
-		fw.arrive()
-	}
 }
 
 // deliver hands a batch to this executor's input queue, transferring
@@ -669,10 +624,7 @@ func (r *Runtime) execDone(ex *executor) {
 		if target.producers.Add(-int32(n)) == 0 {
 			for _, tex := range target.execs {
 				if r.localExec(tex) {
-					tex.inMu.Lock()
-					tex.retired = true
 					close(tex.in)
-					tex.inMu.Unlock()
 				}
 			}
 		}
@@ -788,10 +740,6 @@ func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) {
 			}
 		}()
 		for nActive > 0 && !r.canceled() {
-			if ex.flushReq.Load() {
-				out.flushAll()
-				ex.flushed(false)
-			}
 			for i, ts := range ex.tasks {
 				if !active[i] {
 					continue
@@ -844,7 +792,6 @@ func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) {
 	// zero, and waitTask below blocks on tuple trees whose deliveries could
 	// otherwise still sit in this executor's buffers.
 	out.flushAll()
-	ex.flushed(true)
 	if r.acker != nil {
 		for _, ts := range ex.tasks {
 			r.acker.waitTask(ts)
@@ -974,21 +921,6 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 				var ok bool
 				if bt, ok = recv(); !ok {
 					return true
-				}
-				if f := bt.fence; f != nil {
-					// Drain fence (Runtime.fenceExecs), between two Execute
-					// calls, so no edge chain is pinned: per-sender FIFO
-					// means every delivery enqueued to this executor before
-					// the fence has been executed. Put what they produced on
-					// the wire, then arrive.
-					r.putBatch(bt)
-					bt = nil
-					out.flushAll()
-					if ab != nil {
-						ab.flush()
-					}
-					f.arrive()
-					continue
 				}
 				if r.epochs != nil && (bt.epoch != 0 || bt.epochRetire) {
 					// Epoch barrier (or an upstream executor's retirement):
@@ -1144,7 +1076,6 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 	if ab != nil {
 		ab.flush()
 	}
-	ex.flushed(true)
 	if ec := r.epochs; ec != nil {
 		// Retire in-band behind the final flush: downstream alignment
 		// stops expecting this executor for epochs after its last pass.

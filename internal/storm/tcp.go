@@ -5,14 +5,14 @@ package storm
 // other and announces itself with a hello frame), heartbeat liveness, and
 // the distributed halves of producer accounting (eof frames), anchored-
 // tuple tracking (ackBatch frames carrying checksum updates to each
-// root's owner), rebalance drains (fence/fenceAck), and the control plane
-// (request/response frames for e.g. remote rule migration).
+// root's owner), and the control plane (request/response frames for e.g.
+// a rebalance's remote prepares).
 //
 // Per-sender FIFO comes straight from TCP: everything a worker sends to a
-// given peer — batches, the eofs that retire the emitting executors, drain
-// fences — shares one connection and is processed in order by a single
-// reader goroutine. That ordering is what makes close-on-last-producer and
-// fence-based drains race-free without any cross-worker locking.
+// given peer — batches, the eofs that retire the emitting executors, epoch
+// barriers — shares one connection and is processed in order by a single
+// reader goroutine. That ordering is what makes close-on-last-producer
+// race-free without any cross-worker locking.
 
 import (
 	"bufio"
@@ -305,40 +305,15 @@ type rpcCall struct {
 	reply  chan rpcResult
 }
 
-// fenceWait counts outstanding fence arrivals (local executors plus peer
-// acks); the last arrival fires fn.
-type fenceWait struct {
-	n  atomic.Int32
-	fn func()
-}
-
-func (f *fenceWait) arrive() {
-	if f.n.Add(-1) == 0 && f.fn != nil {
-		f.fn()
-	}
-}
-
 // peerLinks are one worker's connections to the other workers of a
 // distributed run: an outbound tcpPeer per peer, an inbound reader per
-// accepted connection, and the state of the drains and control requests
-// that ride them.
+// accepted connection, and the control requests that ride them.
 type peerLinks struct {
 	r     *Runtime
 	self  int
 	hb    time.Duration
 	ln    net.Listener
 	peers []*tcpPeer // by worker id; nil at self
-
-	// epoch is the routing-table epoch stamped into outgoing batch
-	// frames; DrainComponent bumps it at each fence. recvEpoch tracks the
-	// highest epoch seen from each peer, for observability and tests.
-	epoch     atomic.Uint64
-	recvEpoch []atomic.Uint64
-
-	// fences are this worker's outstanding DrainComponent barriers, keyed
-	// by component/epoch.
-	fenceMu sync.Mutex
-	fences  map[string]*fenceWait
 
 	rpcMu   sync.Mutex
 	rpcSeq  uint64
@@ -366,12 +341,10 @@ type peerLinks struct {
 func newPeerLinks(r *Runtime) (*peerLinks, error) {
 	l := &peerLinks{
 		r: r, self: r.cfg.selfWorker, hb: r.cfg.heartbeat,
-		peers:     make([]*tcpPeer, len(r.cfg.peers)),
-		recvEpoch: make([]atomic.Uint64, len(r.cfg.peers)),
-		fences:    make(map[string]*fenceWait),
-		rpcWait:   make(map[uint64]rpcCall),
-		ready:     make(chan struct{}),
-		stopCh:    make(chan struct{}),
+		peers:   make([]*tcpPeer, len(r.cfg.peers)),
+		rpcWait: make(map[uint64]rpcCall),
+		ready:   make(chan struct{}),
+		stopCh:  make(chan struct{}),
 	}
 	if n := len(r.cfg.peers); n > 1 {
 		l.ackWorkerMask = 1<<uint(bits.Len(uint(n-1))) - 1
@@ -450,7 +423,7 @@ func (l *peerLinks) send(dest *executor, b *batch) error {
 	// Encode off the peer lock into a pooled buffer, then queue the frame
 	// for the writer.
 	f := getFrameBuf()
-	buf, err := appendBatchFrame(f.b[:0], dest.eid, l.epoch.Load(), b.envs)
+	buf, err := appendBatchFrame(f.b[:0], dest.eid, b.envs)
 	if err != nil {
 		putFrameBuf(f)
 		return err
@@ -613,7 +586,7 @@ func (l *peerLinks) dispatch(peer int, typ byte, body []byte, dec *frameDecoder)
 	case frameHeartbeat:
 		return nil
 	case frameBatch:
-		destEID, epoch, b, err := dec.decodeBatchFrame(body)
+		destEID, b, err := dec.decodeBatchFrame(body)
 		if err != nil {
 			return err
 		}
@@ -629,11 +602,6 @@ func (l *peerLinks) dispatch(peer int, typ byte, body []byte, dec *frameDecoder)
 			// delivered.
 			l.r.dropBatch(ex.comp, b, fmt.Errorf("storm: batch from lost worker %d", peer))
 			return nil
-		}
-		for e := l.recvEpoch[peer].Load(); epoch > e; e = l.recvEpoch[peer].Load() {
-			if l.recvEpoch[peer].CompareAndSwap(e, epoch) {
-				break
-			}
 		}
 		// With the XOR acker running, root ids are global and every worker
 		// routes checksum updates to the owner directly, so anchored
@@ -669,37 +637,6 @@ func (l *peerLinks) dispatch(peer int, typ byte, body []byte, dec *frameDecoder)
 			if l.r.acker != nil {
 				l.r.acker.apply(root, xor, failed)
 			}
-		}
-		return nil
-	case frameFence:
-		epoch, rest, err := decodeUvarint(body)
-		if err != nil {
-			return err
-		}
-		comp, _, err := decodeWireString(rest)
-		if err != nil {
-			return err
-		}
-		l.r.fenceExecs(l.r.localExecs(l.r.comps[comp]), func() {
-			if p := l.peers[peer]; p != nil {
-				p.sendSmall(func(b []byte) []byte { return appendFenceFrame(b, frameFenceAck, epoch, comp) })
-			}
-		})
-		return nil
-	case frameFenceAck:
-		epoch, rest, err := decodeUvarint(body)
-		if err != nil {
-			return err
-		}
-		comp, _, err := decodeWireString(rest)
-		if err != nil {
-			return err
-		}
-		l.fenceMu.Lock()
-		fw := l.fences[fenceKey(comp, epoch)]
-		l.fenceMu.Unlock()
-		if fw != nil {
-			fw.arrive()
 		}
 		return nil
 	case frameEpochBarrier:
@@ -852,192 +789,6 @@ func (l *peerLinks) peerLost(worker int, cause error) {
 	}
 }
 
-func fenceKey(component string, epoch uint64) string {
-	return fmt.Sprintf("%s/%d", component, epoch)
-}
-
-// localExecs lists the executors of comps placed on this worker (nil
-// entries, e.g. an unknown component named by a peer, have none).
-func (r *Runtime) localExecs(comps ...*runningComponent) []*executor {
-	var out []*executor
-	for _, rc := range comps {
-		if rc == nil {
-			continue
-		}
-		for _, ex := range rc.execs {
-			if r.localExec(ex) {
-				out = append(out, ex)
-			}
-		}
-	}
-	return out
-}
-
-// fenceExecs sends a drain fence to each of execs and calls done once all
-// of them arrived, each after putting on the wire everything it emitted
-// before the fence: a bolt executor takes the fence in its input queue,
-// behind every delivery already queued to it, and arrives after executing
-// those and flushing; a spout executor arrives at its next loop turn, after
-// flushing; an executor whose input has closed arrives at its final flush.
-// The queue send holds inMu so that the close cannot slip in between the
-// check and the send; it cannot block the close for long, because an
-// executor whose input is open is still consuming it.
-func (r *Runtime) fenceExecs(execs []*executor, done func()) {
-	if len(execs) == 0 {
-		done()
-		return
-	}
-	fw := &fenceWait{fn: done}
-	fw.n.Store(int32(len(execs)))
-	for _, ex := range execs {
-		ex.inMu.Lock()
-		if ex.comp.spec.isSpout || ex.retired {
-			ex.inMu.Unlock()
-			ex.awaitFlush(fw)
-			continue
-		}
-		fb := r.getBatch()
-		fb.fence = fw
-		ex.deliver(fb)
-		ex.inMu.Unlock()
-	}
-}
-
-// drainMethod is the storm-internal control method that runs one worker's
-// drain step for a peer's DrainComponent.
-const drainMethod = "storm.drain"
-
-// DrainComponent proves that a routing change has flushed through the data
-// plane: it returns once the component has executed every tuple emitted
-// towards it before the call, including tuples still buffered in its
-// producers' output batches. Every worker runs one drain step, this one
-// inline and each live peer over a storm-internal control method: the
-// worker's local producers of the component flush (see fenceExecs), and
-// only then does it send a fence down every path from that worker into the
-// component — its local executors, and one fence frame per peer — and wait
-// for all of them to pass. Per-sender FIFO puts each fence behind
-// everything those producers emitted before it, on every path, so the
-// result holds for any caller on any worker. The rebalancer calls it
-// between a routing-table swap and ReleaseSource, so tuples routed under
-// the old table are executed before the source engines shed state.
-func (r *Runtime) DrainComponent(component string, timeout time.Duration) error {
-	if r.comps[component] == nil {
-		return fmt.Errorf("storm: unknown component %q", component)
-	}
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	<-r.linksReady // wait for RunContext to bring the peer links up
-	var remote chan error
-	steps := 0
-	if l := r.links; l != nil {
-		remote = make(chan error, len(l.peers))
-		payload := appendWireString(appendUvarint(nil, uint64(timeout)), component)
-		for w, p := range l.peers {
-			if p == nil || p.dead.Load() {
-				continue
-			}
-			steps++
-			go func() {
-				// The peer's step runs under the same timeout, so the reply
-				// gets the drain's budget, not the default control wait.
-				_, err := l.control(w, drainMethod, payload, timeout)
-				if err != nil && (p.dead.Load() || l.closed.Load()) {
-					err = nil // a lost link carries nothing in flight
-				}
-				remote <- err
-			}()
-		}
-	}
-	err := r.drainStep(component, timeout)
-	for ; steps > 0; steps-- {
-		if rerr := <-remote; err == nil {
-			err = rerr
-		}
-	}
-	return err
-}
-
-// serveDrain runs the drain step a peer's DrainComponent asked for.
-func (r *Runtime) serveDrain(payload []byte) error {
-	timeout, rest, err := decodeUvarint(payload)
-	if err != nil {
-		return err
-	}
-	component, _, err := decodeWireString(rest)
-	if err != nil {
-		return err
-	}
-	// Peers may call in before RunContext has brought the links up.
-	<-r.linksReady
-	return r.drainStep(component, time.Duration(timeout))
-}
-
-// drainStep is one worker's share of DrainComponent: flush this worker's
-// producers of the component, then fence every path from this worker into
-// it and wait for the fences to pass. The routing epoch stamped into batch
-// frames is bumped at each fence.
-func (r *Runtime) drainStep(component string, timeout time.Duration) error {
-	rc := r.comps[component]
-	if rc == nil {
-		return fmt.Errorf("storm: unknown component %q", component)
-	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	await := func(passed <-chan struct{}) error {
-		select {
-		case <-passed:
-			return nil
-		case <-deadline.C:
-			return fmt.Errorf("storm: drain of %q timed out after %v on worker %d", component, timeout, r.cfg.selfWorker)
-		}
-	}
-
-	// A producer subscribed to twice is fenced twice and arrives twice.
-	var producers []*runningComponent
-	for _, g := range rc.spec.groupings {
-		producers = append(producers, r.comps[g.Source])
-	}
-	flushed := make(chan struct{})
-	r.fenceExecs(r.localExecs(producers...), func() { close(flushed) })
-	if err := await(flushed); err != nil {
-		return err
-	}
-
-	l := r.links
-	var peers []*tcpPeer
-	if l != nil {
-		for _, p := range l.peers {
-			if p != nil && !p.dead.Load() {
-				peers = append(peers, p)
-			}
-		}
-	}
-	passed := make(chan struct{})
-	master := &fenceWait{fn: func() { close(passed) }}
-	master.n.Store(int32(1 + len(peers)))
-	var epoch uint64
-	if l != nil {
-		epoch = l.epoch.Add(1)
-		key := fenceKey(component, epoch)
-		l.fenceMu.Lock()
-		l.fences[key] = master
-		l.fenceMu.Unlock()
-		defer func() {
-			l.fenceMu.Lock()
-			delete(l.fences, key)
-			l.fenceMu.Unlock()
-		}()
-	}
-	r.fenceExecs(r.localExecs(rc), master.arrive)
-	for _, p := range peers {
-		if err := p.sendSmall(func(b []byte) []byte { return appendFenceFrame(b, frameFence, epoch, component) }); err != nil {
-			master.arrive() // dead link: its tuples are lost, not in flight
-		}
-	}
-	return await(passed)
-}
-
 // peerRetired reports whether every executor of a worker has been retired
 // (its eof processed), i.e. a connection from it closing is a clean exit.
 func (r *Runtime) peerRetired(worker int) bool {
@@ -1053,8 +804,8 @@ func (r *Runtime) peerRetired(worker int) bool {
 
 // --- control plane ---
 
-// OnControl registers the handler serving peer control requests (remote
-// rule migration, operational RPCs). Must be set before Run; requests
+// OnControl registers the handler serving peer control requests (a
+// rebalance's remote prepares, operational RPCs). Must be set before Run; requests
 // arriving with no handler fail back to the caller.
 func (r *Runtime) OnControl(h func(method string, payload []byte) ([]byte, error)) {
 	r.ctrl.Store(&h)
@@ -1068,18 +819,15 @@ func (r *Runtime) Control(worker int, method string, payload []byte) ([]byte, er
 		return r.serveControl(method, payload)
 	}
 	<-r.linksReady // wait for RunContext to bring the peer links up
-	return r.links.control(worker, method, payload, r.cfg.dialTimeout)
+	return r.links.control(worker, method, payload)
 }
 
-// serveControl dispatches one control request on the serving worker:
-// runtime-internal methods (the drain step, and the epoch coordinator's
-// protocol, see epoch.go) are intercepted before the user's OnControl
-// handler, so topology code can install its own handler without
-// forwarding — or even knowing about — the internal namespace.
+// serveControl dispatches one control request on the serving worker: the
+// runtime-internal methods of the epoch coordinator's protocol (see
+// epoch.go) are intercepted before the user's OnControl handler, so
+// topology code can install its own handler without forwarding — or even
+// knowing about — the internal namespace.
 func (r *Runtime) serveControl(method string, payload []byte) ([]byte, error) {
-	if method == drainMethod {
-		return nil, r.serveDrain(payload)
-	}
 	if strings.HasPrefix(method, epochMethodPrefix) {
 		if ec := r.epochs; ec != nil {
 			return ec.serve(method, payload)
@@ -1094,8 +842,8 @@ func (r *Runtime) serveControl(method string, payload []byte) ([]byte, error) {
 }
 
 // control sends one request to a peer and waits for its reply, for at most
-// wait, until the links close, or until the peer is lost.
-func (l *peerLinks) control(worker int, method string, payload []byte, wait time.Duration) ([]byte, error) {
+// the dial timeout, until the links close, or until the peer is lost.
+func (l *peerLinks) control(worker int, method string, payload []byte) ([]byte, error) {
 	if worker < 0 || worker >= len(l.peers) || l.peers[worker] == nil {
 		return nil, fmt.Errorf("storm: no such worker %d", worker)
 	}
@@ -1121,7 +869,7 @@ func (l *peerLinks) control(worker int, method string, payload []byte, wait time
 		return res.payload, res.err
 	case <-l.stopCh:
 		return nil, fmt.Errorf("storm: links closed awaiting %s from worker %d", method, worker)
-	case <-time.After(wait):
+	case <-time.After(l.r.cfg.dialTimeout):
 		return nil, fmt.Errorf("storm: control %s to worker %d timed out", method, worker)
 	}
 }

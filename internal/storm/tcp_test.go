@@ -331,9 +331,8 @@ func TestDistributedLateWorkerJoins(t *testing.T) {
 }
 
 // TestDistributedControlAndDrain exercises the control plane between live
-// workers: a Control round-trip to a peer (and its error path), and a
-// DrainComponent barrier that must fence executors on both sides of the
-// wire before returning.
+// workers: a Control round-trip to a peer, the local short-circuit and the
+// error path, while the data plane carries the feed to its end.
 func TestDistributedControlAndDrain(t *testing.T) {
 	release := make(chan struct{})
 	build := func(int) *TopologyBuilder {
@@ -378,15 +377,6 @@ func TestDistributedControlAndDrain(t *testing.T) {
 		t.Fatal("unknown method: control succeeded")
 	}
 
-	// The sink has one executor on each worker: the drain barrier must
-	// fence both (the remote one via fence/fenceAck frames).
-	if err := rig.rts[0].DrainComponent("sink", 5*time.Second); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if err := rig.rts[0].DrainComponent("missing", time.Second); err == nil {
-		t.Fatal("drain of unknown component succeeded")
-	}
-
 	close(release)
 	wg.Wait()
 	for i, err := range rig.errs {
@@ -395,104 +385,6 @@ func TestDistributedControlAndDrain(t *testing.T) {
 		}
 	}
 	rig.edgeReconciles(t, "src", "sink")
-}
-
-// TestDistributedDrainCoversProducerBuffers pins that DrainComponent needs
-// nothing from the component's producers: a producer bolt emits one tuple
-// to the target and then blocks inside Execute, so the tuple sits in its
-// unflushed output batch until the test releases it 50–60 ms later. The
-// drain may not return before the target executed that tuple — a fence
-// sent straight to the target would overtake it. With two workers the
-// producer and the target run on different workers and the drain starts
-// on the target's, so the producer flushes through the remote drain step.
-// In the last case that step outlasts the default control wait, which the
-// drain's own timeout must replace.
-func TestDistributedDrainCoversProducerBuffers(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		workers int
-		block   time.Duration // how long the producer blocks in Execute
-		// controlWait, when set, lowers the default control wait (the
-		// dial timeout) on every worker.
-		controlWait time.Duration
-	}{
-		{"workers=1", 1, 50 * time.Millisecond, 0},
-		{"workers=2", 2, 50 * time.Millisecond, 0},
-		{"workers=2,slowRemoteStep", 2, 60 * time.Millisecond, 20 * time.Millisecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			release := make(chan struct{})
-			emitted := make(chan struct{})
-			unblock := make(chan struct{})
-			var executed atomic.Int64
-			build := func(int) *TopologyBuilder {
-				b := NewTopologyBuilder("t")
-				b.SetSpout("src", func() Spout { return &gatedSpout{n: 1, release: release} }, 1, 1)
-				b.SetBolt("producer", func() Bolt {
-					return &funcBolt{exec: func(tp Tuple, col Collector) error {
-						col.Emit(tp.Values)
-						close(emitted)
-						<-unblock
-						return nil
-					}}
-				}, 1, 1).ShuffleGrouping("src")
-				b.SetBolt("target", func() Bolt {
-					return &funcBolt{exec: func(Tuple, Collector) error { executed.Add(1); return nil }}
-				}, 1, 1).ShuffleGrouping("producer")
-				return b
-			}
-			rig := &distRig{rts: make([]*Runtime, 1), errs: make([]error, 1)}
-			if tc.workers == 1 {
-				topo, err := build(0).Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rig.rts[0], err = New(topo); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				rig = newDistRig(t, tc.workers, build)
-			}
-			if tc.controlWait > 0 {
-				for _, rt := range rig.rts {
-					rt.cfg.dialTimeout = tc.controlWait // the listeners are bound: dialing is unaffected
-				}
-			}
-			initiator := rig.rts[0]
-			for _, p := range initiator.Placements() {
-				if p.Component == "target" {
-					initiator = rig.rts[p.Worker]
-				}
-			}
-			var wg sync.WaitGroup
-			for i, rt := range rig.rts {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rig.errs[i] = rt.Run()
-				}()
-			}
-			select {
-			case <-emitted:
-			case <-time.After(10 * time.Second):
-				t.Fatal("the producer never executed the spout's tuple")
-			}
-			time.AfterFunc(tc.block, func() { close(unblock) })
-			if err := initiator.DrainComponent("target", 5*time.Second); err != nil {
-				t.Fatalf("drain: %v", err)
-			}
-			if got := executed.Load(); got != 1 {
-				t.Errorf("drain returned with the target at %d executed tuples, want 1: the fence overtook the producer's buffered tuple", got)
-			}
-			close(release)
-			wg.Wait()
-			for i, err := range rig.errs {
-				if err != nil {
-					t.Fatalf("worker %d: %v", i, err)
-				}
-			}
-		})
-	}
 }
 
 // TestDistributedHeartbeatHeadroomUnderFullQueue pins the control-frame
@@ -561,66 +453,6 @@ func TestDistributedHeartbeatSurvivesBackpressureSoak(t *testing.T) {
 		t.Fatalf("sink executed %d tuples, want %d", got, n)
 	}
 	rig.edgeReconciles(t, "src", "sink")
-}
-
-// TestDistributedConcurrentDrains fences overlapping components from both
-// workers at once: DrainComponent barriers for the same and for different
-// components must all complete without deadlock or fence-accounting
-// corruption while data keeps flowing (gated spout still emitting).
-func TestDistributedConcurrentDrains(t *testing.T) {
-	release := make(chan struct{})
-	build := func(int) *TopologyBuilder {
-		b := NewTopologyBuilder("t")
-		b.SetSpout("src", func() Spout { return &gatedSpout{n: 400, release: release} }, 1, 1)
-		b.SetBolt("mid", func() Bolt { return &passBolt{} }, 2, 2).ShuffleGrouping("src")
-		b.SetBolt("sink", func() Bolt { return &passBolt{} }, 2, 2).ShuffleGrouping("mid")
-		return b
-	}
-	rig := newDistRig(t, 2, build, WithHeartbeat(100*time.Millisecond))
-	var runWG sync.WaitGroup
-	for i, rt := range rig.rts {
-		runWG.Add(1)
-		go func(i int, rt *Runtime) {
-			defer runWG.Done()
-			rig.errs[i] = rt.Run()
-		}(i, rt)
-	}
-
-	// Both workers drain both components concurrently, repeatedly: same-
-	// component fences from two initiators overlap, as do fences of the
-	// upstream and downstream components of one edge.
-	var drainWG sync.WaitGroup
-	errCh := make(chan error, 2*2*4)
-	for _, rt := range rig.rts {
-		for _, comp := range []string{"mid", "sink"} {
-			rt, comp := rt, comp
-			drainWG.Add(1)
-			go func() {
-				defer drainWG.Done()
-				for i := 0; i < 4; i++ {
-					if err := rt.DrainComponent(comp, 10*time.Second); err != nil {
-						errCh <- fmt.Errorf("worker %d drain %s: %w", rt.WorkerID(), comp, err)
-						return
-					}
-				}
-			}()
-		}
-	}
-	drainWG.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-
-	close(release)
-	runWG.Wait()
-	for i, err := range rig.errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	rig.edgeReconciles(t, "src", "mid")
-	rig.edgeReconciles(t, "mid", "sink")
 }
 
 // TestDistributedControlFailsOnPeerLoss: a control request fails as soon as
@@ -719,7 +551,7 @@ func TestDistributedRejectsFramesOffPlacement(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			frame, err := appendBatchFrame(nil, tc.eid, 0, []envelope{{local: tc.local, tuple: Tuple{Stream: DefaultStream}}})
+			frame, err := appendBatchFrame(nil, tc.eid, []envelope{{local: tc.local, tuple: Tuple{Stream: DefaultStream}}})
 			if err != nil {
 				t.Fatal(err)
 			}

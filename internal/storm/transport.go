@@ -6,8 +6,8 @@ package storm
 // the wire codec (wire.go) and queued on the runtime's link to that worker
 // (peerLinks, tcp.go), which is nil in a single-process run. Both hops keep
 // per-sender FIFO order: two batches from one executor to one destination
-// arrive in send order, which producer-exit accounting, drain fences and
-// epoch barriers rely on.
+// arrive in send order, which producer-exit accounting, epoch barriers
+// and the in-band ownership changes of a rebalance rely on.
 
 import "fmt"
 

@@ -4,8 +4,7 @@ package storm
 //
 // A frame is `uint32 big-endian payload length | payload`, and the payload
 // starts with a one-byte frame type. Batch frames carry the destination
-// executor's dense id, the sender's routing-table epoch, and the envelopes
-// — local task index, anchored root id and edge id, stream, optional trace
+// executor's dense id and the envelopes — local task index, anchored root id and edge id, stream, optional trace
 // context, and the payload values under a typed tag-per-value codec that
 // round-trips every Go type the topologies emit. Unsupported payload types
 // fail encoding; the transport surfaces the failure as a counted drop
@@ -35,8 +34,8 @@ const (
 	frameBatch                        // envelope batch for one executor
 	frameEOF                          // a sender-side executor exited
 	_                                 // 4 is reserved (a retired ack frame); rejected as unknown
-	frameFence                        // drain barrier request for a component
-	frameFenceAck                     // drain barrier completion
+	_                                 // 5 and 6 are reserved (the retired drain frames,
+	_                                 // frameFence/frameFenceAck); rejected as unknown
 	frameHeartbeat                    // liveness keepalive
 	frameControl                      // control-plane request/response
 	frameAckBatch                     // coalesced XOR-acker checksum updates
@@ -271,10 +270,9 @@ func decodeValue(b []byte) (any, []byte, error) {
 // appendBatchFrame encodes a complete batch frame (header included) into
 // buf. The envelopes' ack ids are written as-is: XOR-acker root ids are
 // global (the owning worker is encoded in the low bits).
-func appendBatchFrame(buf []byte, destEID int, epoch uint64, envs []envelope) ([]byte, error) {
+func appendBatchFrame(buf []byte, destEID int, envs []envelope) ([]byte, error) {
 	buf = beginFrame(buf, frameBatch)
 	buf = appendUvarint(buf, uint64(destEID))
-	buf = appendUvarint(buf, epoch)
 	buf = appendUvarint(buf, uint64(len(envs)))
 	var err error
 	for i := range envs {
@@ -369,7 +367,7 @@ func (d *frameDecoder) decodeStr(b []byte) (string, []byte, error) {
 // This is the Runtime-method entry point; it pays for a fresh
 // decoder (an empty intern table) and exists for tests and one-shot
 // callers — the hot path is the frameDecoder method below.
-func (r *Runtime) decodeBatchFrame(b []byte) (int, uint64, *batch, error) {
+func (r *Runtime) decodeBatchFrame(b []byte) (int, *batch, error) {
 	d := frameDecoder{r: r}
 	return d.decodeBatchFrame(b)
 }
@@ -379,27 +377,24 @@ func (r *Runtime) decodeBatchFrame(b []byte) (int, uint64, *batch, error) {
 // so a hostile count cannot reserve memory the frame does not pay for) and
 // owned by whoever receives it, like any emitted map; stream names and map
 // keys go through the intern table.
-func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, epoch uint64, bt *batch, err error) {
+func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, bt *batch, err error) {
 	r := d.r
 	var v uint64
 	if v, b, err = decodeUvarint(b); err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	destEID = int(v)
-	if epoch, b, err = decodeUvarint(b); err != nil {
-		return 0, 0, nil, err
-	}
 	var count uint64
 	if count, b, err = decodeUvarint(b); err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	if count > uint64(len(b))+1 { // every envelope costs ≥1 byte on the wire
-		return 0, 0, nil, errShortFrame
+		return 0, nil, errShortFrame
 	}
 	bt = r.getBatch()
-	fail := func(e error) (int, uint64, *batch, error) {
+	fail := func(e error) (int, *batch, error) {
 		r.putBatch(bt)
-		return 0, 0, nil, e
+		return 0, nil, e
 	}
 	for i := uint64(0); i < count; i++ {
 		var env envelope
@@ -465,7 +460,7 @@ func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, epoch uint64, bt
 	if len(b) != 0 {
 		return fail(fmt.Errorf("storm: %d trailing bytes after batch frame", len(b)))
 	}
-	return destEID, epoch, bt, nil
+	return destEID, bt, nil
 }
 
 // --- small frames ---
@@ -494,11 +489,6 @@ func appendAckBatchFrame(buf []byte, ents []ackUpdate) []byte {
 		}
 	}
 	return endFrame(buf)
-}
-
-func appendFenceFrame(buf []byte, typ byte, epoch uint64, component string) []byte {
-	buf = appendUvarint(beginFrame(buf, typ), epoch)
-	return endFrame(appendWireString(buf, component))
 }
 
 func appendHeartbeatFrame(buf []byte) []byte {

@@ -2,6 +2,7 @@ package storm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"runtime/debug"
 	"strings"
@@ -60,7 +61,7 @@ func TestWireBatchRoundTrip(t *testing.T) {
 		}},
 		{local: 0, tuple: Tuple{Stream: "empty"}}, // nil Values
 	}
-	frame, err := appendBatchFrame(nil, 7, 3, envs)
+	frame, err := appendBatchFrame(nil, 7, envs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +71,12 @@ func TestWireBatchRoundTrip(t *testing.T) {
 	if frame[frameHeaderLen] != frameBatch {
 		t.Fatalf("frame type = %d, want %d", frame[frameHeaderLen], frameBatch)
 	}
-	destEID, epoch, bt, err := rt.decodeBatchFrame(frame[frameHeaderLen+1:])
+	destEID, bt, err := rt.decodeBatchFrame(frame[frameHeaderLen+1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if destEID != 7 || epoch != 3 {
-		t.Fatalf("destEID, epoch = %d, %d, want 7, 3", destEID, epoch)
+	if destEID != 7 {
+		t.Fatalf("destEID = %d, want 7", destEID)
 	}
 	if len(bt.envs) != len(envs) {
 		t.Fatalf("decoded %d envelopes, want %d", len(bt.envs), len(envs))
@@ -110,11 +111,11 @@ func TestWireDecodeCopiesOutOfBuffer(t *testing.T) {
 		"raw":   []byte("payload-bytes"),
 		"tags":  []string{"bus", "stop"},
 	}}}}
-	frame, err := appendBatchFrame(nil, 0, 0, envs)
+	frame, err := appendBatchFrame(nil, 0, envs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, bt, err := rt.decodeBatchFrame(frame[frameHeaderLen+1:])
+	_, bt, err := rt.decodeBatchFrame(frame[frameHeaderLen+1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,27 +144,27 @@ func TestWireDecodeCopiesOutOfBuffer(t *testing.T) {
 func TestWireDecodeRejectsMalformedFrames(t *testing.T) {
 	rt := wireTestRuntime(t)
 	envs := []envelope{{local: 1, tuple: Tuple{Stream: "default", Values: map[string]any{"i": 1, "key": "k"}}}}
-	frame, err := appendBatchFrame(nil, 3, 1, envs)
+	frame, err := appendBatchFrame(nil, 3, envs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := frame[frameHeaderLen+1:]
 
 	for cut := 0; cut < len(payload); cut++ {
-		if _, _, bt, err := rt.decodeBatchFrame(payload[:cut]); err == nil {
+		if _, bt, err := rt.decodeBatchFrame(payload[:cut]); err == nil {
 			// A truncation that still parses must at least not fabricate
 			// envelopes beyond the declared count.
 			rt.putBatch(bt)
 			t.Errorf("truncated at %d/%d bytes: decode succeeded", cut, len(payload))
 		}
 	}
-	if _, _, _, err := rt.decodeBatchFrame(append(append([]byte(nil), payload...), 0x00)); err == nil {
+	if _, _, err := rt.decodeBatchFrame(append(append([]byte(nil), payload...), 0x00)); err == nil {
 		t.Error("trailing byte: decode succeeded")
 	}
 	// Envelope count far beyond the remaining bytes must be rejected before
 	// any allocation sized from it.
-	lying := appendUvarint(appendUvarint(appendUvarint(nil, 3), 1), 1<<40)
-	if _, _, _, err := rt.decodeBatchFrame(lying); err == nil {
+	lying := appendUvarint(appendUvarint(nil, 3), 1<<40)
+	if _, _, err := rt.decodeBatchFrame(lying); err == nil {
 		t.Error("oversized envelope count: decode succeeded")
 	}
 	if _, _, err := decodeValue([]byte{0xFE}); err == nil {
@@ -198,8 +199,8 @@ func TestWireControlFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireSmallFrames pins the fixed frames' layout: hello, eof,
-// fence/fenceAck and heartbeat.
+// TestWireSmallFrames pins the fixed frames' layout: hello, eof and
+// heartbeat.
 func TestWireSmallFrames(t *testing.T) {
 	check := func(frame []byte, typ byte) []byte {
 		t.Helper()
@@ -219,57 +220,53 @@ func TestWireSmallFrames(t *testing.T) {
 	if eid, _, _ := decodeUvarint(b); eid != 11 {
 		t.Errorf("eof eid = %d", eid)
 	}
-	b = check(appendFenceFrame(nil, frameFence, 9, "esper"), frameFence)
-	epoch, rest, _ := decodeUvarint(b)
-	comp, _, _ := decodeWireString(rest)
-	if epoch != 9 || comp != "esper" {
-		t.Errorf("fence = %d %q", epoch, comp)
-	}
-	check(appendFenceFrame(nil, frameFenceAck, 9, "esper"), frameFenceAck)
 	check(appendHeartbeatFrame(nil), frameHeartbeat)
 }
 
-// TestWireRejectsReservedFrameType pins the frame numbering: type 4 stays
-// reserved between eof and fence, and a well-formed frame of that type (the
-// layout the retired ackResult frame had: uvarint id + fail byte) is
-// rejected like any unknown frame instead of being dispatched.
+// TestWireRejectsReservedFrameType pins the frame numbering: types 4–6 stay
+// reserved between eof and heartbeat, and a well-formed frame of each is
+// rejected like any unknown frame instead of being dispatched — type 4 in
+// the layout the retired ackResult frame had (uvarint id + fail byte), 5
+// and 6 in the layout of the retired drain fence and its ack (uvarint
+// epoch + component name).
 func TestWireRejectsReservedFrameType(t *testing.T) {
-	if frameEOF != 3 || frameFence != 5 {
-		t.Fatalf("frame numbers shifted: eof = %d, fence = %d; want 3 and 5", frameEOF, frameFence)
+	if frameEOF != 3 || frameHeartbeat != 7 {
+		t.Fatalf("frame numbers shifted: eof = %d, heartbeat = %d; want 3 and 7", frameEOF, frameHeartbeat)
 	}
-	const reserved = frameEOF + 1
-	body := append(appendUvarint(nil, 77), 1)
-	err := (&peerLinks{}).dispatch(0, reserved, body, nil)
-	if err == nil || !strings.Contains(err.Error(), "unknown frame type 4") {
-		t.Fatalf("dispatch(type %d) = %v, want unknown frame type error", reserved, err)
+	fence := appendWireString(appendUvarint(nil, 9), "EsperBolt")
+	for typ, body := range map[byte][]byte{4: append(appendUvarint(nil, 77), 1), 5: fence, 6: fence} {
+		err := (&peerLinks{}).dispatch(0, typ, body, nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown frame type %d", typ)) {
+			t.Fatalf("dispatch(type %d) = %v, want unknown frame type error", typ, err)
+		}
 	}
 }
 
 // FuzzWireFrame throws arbitrary payloads at the batch and control
 // decoders: they must never panic and every successfully decoded batch
 // must re-encode. Seeds cover a valid frame, a zero-envelope batch, a
-// truncated frame and an oversized length claim.
+// truncated frame, an oversized envelope count and a control frame.
 func FuzzWireFrame(f *testing.F) {
-	valid, err := appendBatchFrame(nil, 2, 1, []envelope{
+	valid, err := appendBatchFrame(nil, 2, []envelope{
 		{local: 0, tuple: Tuple{Stream: "default", Values: map[string]any{"i": 7, "key": "k3"}}},
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid[frameHeaderLen+1:])
-	empty, err := appendBatchFrame(nil, 0, 0, nil)
+	empty, err := appendBatchFrame(nil, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(empty[frameHeaderLen+1:])                                      // zero-envelope batch
-	f.Add(valid[frameHeaderLen+1 : len(valid)-3])                        // truncated frame
-	f.Add(appendUvarint(appendUvarint(appendUvarint(nil, 1), 1), 1<<40)) // oversized envelope count
+	f.Add(empty[frameHeaderLen+1:])                    // zero-envelope batch
+	f.Add(valid[frameHeaderLen+1 : len(valid)-3])      // truncated frame
+	f.Add(appendUvarint(appendUvarint(nil, 1), 1<<40)) // oversized envelope count
 	f.Add(appendControlFrame(nil, controlRequest, 1, "m", []byte("p"))[frameHeaderLen+1:])
 
 	rt := wireTestRuntime(f)
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if _, _, bt, err := rt.decodeBatchFrame(payload); err == nil {
-			if _, err := appendBatchFrame(nil, 0, 0, bt.envs); err != nil {
+		if _, bt, err := rt.decodeBatchFrame(payload); err == nil {
+			if _, err := appendBatchFrame(nil, 0, bt.envs); err != nil {
 				t.Fatalf("decoded batch does not re-encode: %v", err)
 			}
 			rt.putBatch(bt)
@@ -298,13 +295,13 @@ func TestWireDecodeAllocsPerEnvelope(t *testing.T) {
 			"weekday": true, "congestion": i%2 == 0,
 		}}}
 	}
-	frame, err := appendBatchFrame(nil, 7, 1, envs)
+	frame, err := appendBatchFrame(nil, 7, envs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dec := &frameDecoder{r: rt}
 	got := testing.AllocsPerRun(100, func() {
-		_, _, bt, err := dec.decodeBatchFrame(frame[frameHeaderLen+1:])
+		_, bt, err := dec.decodeBatchFrame(frame[frameHeaderLen+1:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,11 +350,11 @@ func BenchmarkWireBatchRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		frame, err = appendBatchFrame(frame[:0], 7, 1, envs)
+		frame, err = appendBatchFrame(frame[:0], 7, envs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, _, bt, err := dec.decodeBatchFrame(frame[frameHeaderLen+1:])
+		_, bt, err := dec.decodeBatchFrame(frame[frameHeaderLen+1:])
 		if err != nil {
 			b.Fatal(err)
 		}
