@@ -146,20 +146,25 @@ func TestDistributedInPlaceReemitKeepsDecodedMap(t *testing.T) {
 			return nil
 		}}
 	}
-	// Four single-executor components over two workers place as 0,0,1,1: the
-	// stamper's input crosses the wire, its output stays in-process.
+	// A fields-grouped two-executor hop emits on both workers, so the
+	// stamper keeps its block slot on worker 1 beside the keeper. The hop
+	// hands its input on as is, so every row the stamper gets is a map
+	// decoded off the wire — on hop → stamper from the worker-0 hop, on
+	// src → hop for the worker-1 one — and its output stays in-process.
 	build := func(int) *TopologyBuilder {
 		b := NewTopologyBuilder("t")
 		b.SetSpout("src", func() Spout { return &seqSpout{n: n, keys: 3} }, 1, 1)
-		b.SetBolt("hop", func() Bolt { return &passBolt{} }, 1, 1).ShuffleGrouping("src")
+		b.SetBolt("hop", func() Bolt {
+			return &funcBolt{exec: func(tp Tuple, col Collector) error { col.Emit(tp.Values); return nil }}
+		}, 2, 2).FieldsGrouping("src", "i")
 		b.SetBolt("stamper", stamper, 1, 1).ShuffleGrouping("hop")
 		b.SetBolt("keeper", func() Bolt { return &keeperBolt{mu: &mu, kept: &kept} }, 1, 1).ShuffleGrouping("stamper")
 		return b
 	}
 	rig := newDistRig(t, 2, build, WithBatchSize(8))
 	for _, p := range rig.rts[0].Placements() {
-		if want := map[string]int{"src": 0, "hop": 0, "stamper": 1, "keeper": 1}[p.Component]; p.Worker != want {
-			t.Fatalf("%s placed on worker %d, the test needs %d", p.Component, p.Worker, want)
+		if want := map[string]int{"src": 0, "hop": p.TaskIndex, "stamper": 1, "keeper": 1}[p.Component]; p.Worker != want {
+			t.Fatalf("%s task %d placed on worker %d, the test needs %d", p.Component, p.TaskIndex, p.Worker, want)
 		}
 	}
 	rig.run(t, 30*time.Second)

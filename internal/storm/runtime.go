@@ -243,6 +243,7 @@ type runningComponent struct {
 	quarantinedN atomic.Uint64 // tasks quarantined so far
 	missingField atomic.Uint64 // fields-grouping hashes over absent fields
 	batchesIn    atomic.Uint64 // transport batches delivered to this component's executors
+	wireIn       atomic.Uint64 // envelopes this worker wrote to peers for this component's executors
 	// anyQuarantined short-circuits the per-delivery quarantine scan; it is
 	// sticky so routing pays one atomic load until the first quarantine.
 	anyQuarantined atomic.Bool
@@ -340,20 +341,19 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		totalExecs += topo.byID[id].executors
 	}
 
-	// Build components in topological order. Placement is locality-first:
-	// Storm's even scheduler (round-robin over workers) maximizes
-	// cross-worker edges, and inter-worker traffic is the dominant cost of
-	// distribution (the T-Storm observation the paper builds on, §2.2), so
-	// a single-executor component is co-located with its neighbors in
-	// topological order (a balanced block partition over executor slots) —
-	// a chain of singleton stages then crosses the wire only where a
-	// parallel stage forces it. A multi-executor component
-	// still spreads round-robin across workers, starting from its block's
-	// worker: parallelism (and per-worker skew repair, rebalance migration)
-	// needs its tasks on distinct workers more than it needs locality.
-	// Placement stays a pure function of the topology and worker count, so
-	// every worker derives the same map.
+	// Build components in topological order. Placement is locality-first
+	// (the T-Storm observation the paper builds on, §2.2: inter-worker
+	// traffic is the dominant cost of distribution) and follows the data:
+	// every component starts from its slot in a balanced block partition over
+	// executor slots, and a stage that would otherwise sit where none of its
+	// input flows moves to the lowest-numbered worker that it does reach (see
+	// flowPlacement). A multi-executor component still spreads round-robin
+	// across workers: parallelism (and per-worker skew repair, rebalance
+	// migration) needs its tasks on distinct workers more than it needs
+	// locality. Placement stays a pure function of the topology and worker
+	// count, so every worker derives the same map.
 	compCursor := 0
+	leaves := make(map[string][]bool, len(topo.order))
 	for _, id := range topo.order {
 		spec := topo.byID[id]
 		rc := &runningComponent{spec: spec, subs: make(map[string][]*subscription)}
@@ -361,7 +361,8 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 
 		// Block sizes differ by at most one: executor slot i of E total maps
 		// to worker i*W/E.
-		base := compCursor * totalWorkers / totalExecs
+		base, out := flowPlacement(spec, compCursor*totalWorkers/totalExecs, totalWorkers, leaves)
+		leaves[id] = out
 		for e := 0; e < spec.executors; e++ {
 			worker := (base + e) % totalWorkers
 			ex := &executor{comp: rc, idx: e, eid: len(r.execs), worker: worker, in: make(chan *batch, chanCap)}
@@ -492,6 +493,75 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		cfg.Telemetry.Register(r.monitor)
 	}
 	return r, nil
+}
+
+// flowPlacement places one component given where its sources' output
+// leaves from (leaves, by source id, filled in topological order). It
+// returns the worker of the component's first executor — executor e sits on
+// (start+e) mod workers — and the workers this component's own output
+// leaves from:
+//   - a single-executor component's output leaves from its own worker;
+//   - a multi-executor component fed only by shuffle leaves from each
+//     worker its input reaches where it has an executor, because
+//     local-or-shuffle keeps the flow there, and from all of its workers
+//     when some input reaches a worker where it has none;
+//   - any other multi-executor component leaves from every worker it has
+//     an executor on.
+//
+// block is the component's worker under the block partition. It stands
+// unless none of the component's input reaches it: a single-executor bolt
+// then moves to the lowest-numbered worker its input reaches, and a
+// shuffle-fed multi-executor bolt none of whose executors would sit on such
+// a worker starts its round-robin there instead. The rest of the topology
+// keeps its block slots, so moving one stage never shifts another.
+func flowPlacement(spec *componentSpec, block, workers int, leaves map[string][]bool) (start int, out []bool) {
+	in := make([]bool, workers)
+	onlyShuffle := len(spec.groupings) > 0
+	for _, g := range spec.groupings {
+		for w, ok := range leaves[g.Source] {
+			in[w] = in[w] || ok
+		}
+		onlyShuffle = onlyShuffle && g.Type == ShuffleGrouping
+	}
+	on := func(start int) []bool {
+		has := make([]bool, workers)
+		for e := 0; e < spec.executors; e++ {
+			has[(start+e)%workers] = true
+		}
+		return has
+	}
+	reached := func(has []bool) bool {
+		for w := range has {
+			if has[w] && in[w] {
+				return true
+			}
+		}
+		return false
+	}
+	start = block
+	has := on(start)
+	if (spec.executors == 1 || onlyShuffle) && !reached(has) {
+		for w := range in {
+			if in[w] {
+				start, has = w, on(w)
+				break
+			}
+		}
+	}
+	if spec.executors == 1 || !onlyShuffle {
+		return start, has
+	}
+	out = make([]bool, workers)
+	for w := range in {
+		switch {
+		case !in[w]:
+		case has[w]:
+			out[w] = true
+		default:
+			return start, has
+		}
+	}
+	return start, out
 }
 
 // WorkerID returns this process's worker id (0 unless built with

@@ -433,6 +433,7 @@ func (l *peerLinks) send(dest *executor, b *batch) error {
 		putFrameBuf(f)
 		return err
 	}
+	dest.comp.wireIn.Add(uint64(len(b.envs)))
 	// The frame owns copies of everything; release the pooled batch here,
 	// playing the receiving executor's role in the ownership contract.
 	l.r.putBatch(b)

@@ -188,6 +188,103 @@ func TestDistributedFigure8CountEquivalence(t *testing.T) {
 	}
 }
 
+// shippedFigure8 is the Figure 8 topology in the shape core's topology.xml
+// declares it — single-executor PreProcess, Splitter and EventsStorer, two
+// AreaTracker and BusStopsTracker executors, four engines fed direct on the
+// Splitter's "routed" stream — with pass-through bolts. The Splitter routes
+// by key, as the routing table routes by location.
+func shippedFigure8(n int) *TopologyBuilder {
+	pass := func() Bolt { return &passBolt{} }
+	splitter := func() Bolt {
+		return &funcBolt{exec: func(tp Tuple, col Collector) error {
+			col.EmitDirect("routed", tp.Values["key"].(int)%4, tp.Values)
+			return nil
+		}}
+	}
+	b := NewTopologyBuilder("figure8")
+	b.SetSpout("BusReader", func() Spout { return &seqSpout{n: n, keys: 16} }, 1, 1)
+	b.SetBolt("PreProcess", pass, 1, 1).FieldsGrouping("BusReader", "key")
+	b.SetBolt("AreaTracker", pass, 2, 2).ShuffleGrouping("PreProcess")
+	b.SetBolt("BusStopsTracker", pass, 2, 2).ShuffleGrouping("AreaTracker")
+	b.SetBolt("Splitter", splitter, 1, 1).ShuffleGrouping("BusStopsTracker")
+	b.SetBolt("EsperBolt", pass, 4, 4).StreamGrouping("Splitter", "routed", DirectGrouping)
+	b.SetBolt("EventsStorer", nopBolt, 1, 1).ShuffleGrouping("EsperBolt")
+	return b
+}
+
+// TestDistributedPlacementFollowsFlow: on the shipped Figure 8 shape at
+// 2, 3 and 4 workers, placement puts the Splitter on PreProcess's worker,
+// where local-or-shuffle keeps the enriched rows, and every multi-executor
+// component still spreads its executors over distinct workers.
+func TestDistributedPlacementFollowsFlow(t *testing.T) {
+	topo, err := shippedFigure8(1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 4} {
+		peers := make([]string, workers)
+		for i := range peers {
+			peers[i] = fmt.Sprintf("127.0.0.1:%d", i+1)
+		}
+		rt, err := New(topo, WithWorker(0, peers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		on := map[string]map[int]bool{}
+		for _, p := range rt.Placements() {
+			if on[p.Component] == nil {
+				on[p.Component] = map[int]bool{}
+			}
+			on[p.Component][p.Worker] = true
+		}
+		pre, split := on["PreProcess"], on["Splitter"]
+		for w := range split {
+			if !pre[w] {
+				t.Errorf("%d workers: Splitter on worker %d, PreProcess on %v", workers, w, pre)
+			}
+		}
+		for comp, n := range map[string]int{"AreaTracker": 2, "BusStopsTracker": 2, "EsperBolt": 4} {
+			if got := len(on[comp]); got != min(n, workers) {
+				t.Errorf("%d workers: %s spans %d workers, want %d", workers, comp, got, min(n, workers))
+			}
+		}
+	}
+}
+
+// TestDistributedFigure8RowsCrossOnce runs the shipped Figure 8 shape over
+// two workers and counts the envelopes each worker writes to its peer per
+// destination component: nothing crosses into the Splitter or the
+// enrichment chain, rows cross only to the engines on the other worker —
+// at most once each — and the run is still split across both workers.
+func TestDistributedFigure8RowsCrossOnce(t *testing.T) {
+	const n = 2000
+	rig := newDistRig(t, 2, func(int) *TopologyBuilder { return shippedFigure8(n) })
+	rig.run(t, 30*time.Second)
+	for i, err := range rig.errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	crossed := map[string]uint64{}
+	for _, rt := range rig.rts {
+		for id, rc := range rt.comps {
+			crossed[id] += rc.wireIn.Load()
+		}
+	}
+	for _, comp := range []string{"PreProcess", "AreaTracker", "BusStopsTracker", "Splitter"} {
+		if crossed[comp] != 0 {
+			t.Errorf("%d envelopes crossed into %s, want 0", crossed[comp], comp)
+		}
+	}
+	// Keys spread evenly over the four engines, two on each worker.
+	if got := crossed["EsperBolt"]; got == 0 || got > n/2 {
+		t.Errorf("%d rows crossed to EsperBolt, want 1..%d", got, n/2)
+	}
+	if got := rig.metrics()["EventsStorer"][0].Executed; got != n {
+		t.Errorf("EventsStorer executed %d, want %d", got, n)
+	}
+}
+
 // TestDistributedAnchoredReplayOverTCP pins the cross-worker reliability
 // path: anchored roots live on worker 0, the failing bolt on worker 1, so
 // every attempt crosses the wire, every failure travels back as an
@@ -221,12 +318,15 @@ func TestDistributedAnchoredReplayOverTCP(t *testing.T) {
 			return nil
 		}}
 	}
-	// Two executors → round-robin placement puts src on worker 0 and flaky
-	// on worker 1.
+	// A fields-grouped two-executor fan in front of flaky emits on both
+	// workers, so flaky keeps its block slot on worker 1 while src stays on
+	// worker 0: a tuple fanned out on worker 0 crosses on fan → flaky, one
+	// fanned out on worker 1 crossed on src → fan.
 	build := func(int) *TopologyBuilder {
 		b := NewTopologyBuilder("t")
 		b.SetSpout("src", func() Spout { return spout }, 1, 1)
-		b.SetBolt("flaky", flaky, 1, 1).ShuffleGrouping("src")
+		b.SetBolt("fan", func() Bolt { return &passBolt{} }, 2, 2).FieldsGrouping("src", "i")
+		b.SetBolt("flaky", flaky, 1, 1).ShuffleGrouping("fan")
 		return b
 	}
 	rig := newDistRig(t, 2, build,
@@ -235,8 +335,10 @@ func TestDistributedAnchoredReplayOverTCP(t *testing.T) {
 		WithFailurePolicy(Degrade),
 		WithQuarantineAfter(1000),
 	)
-	if w := rig.rts[0].execs[1].worker; w != 1 {
-		t.Fatalf("flaky executor placed on worker %d, want 1", w)
+	for _, p := range rig.rts[0].Placements() {
+		if want := map[string]int{"src": 0, "fan": p.TaskIndex, "flaky": 1}[p.Component]; p.Worker != want {
+			t.Fatalf("%s task %d placed on worker %d, the test needs %d", p.Component, p.TaskIndex, p.Worker, want)
+		}
 	}
 	rig.run(t, 30*time.Second)
 	for i, err := range rig.errs {
@@ -289,17 +391,19 @@ func (s *gatedSpout) NextTuple(col Collector) (bool, error) {
 	}
 }
 
-// TestDistributedLateWorkerJoins: worker 0 only sends (its share is the
-// spout) and is done long before worker 1 starts. It must keep its
+// TestDistributedLateWorkerJoins: worker 0 only sends (its share is a
+// spout task) and is done long before worker 1 starts. It must keep its
 // listener up until worker 1's executors have exited too, so the late
 // worker still dials in and drains the whole stream instead of failing on
 // a closed peer.
 func TestDistributedLateWorkerJoins(t *testing.T) {
 	const n = 200
 	var got atomic.Int64
+	// Two spout executors emit on both workers, so the sink keeps its block
+	// slot on worker 1 and spout task 0's tuples all cross the wire.
 	build := func(int) *TopologyBuilder {
 		b := NewTopologyBuilder("t")
-		b.SetSpout("src", func() Spout { return &seqSpout{n: n, keys: 1} }, 1, 1)
+		b.SetSpout("src", func() Spout { return &seqSpout{n: n, keys: 1} }, 2, 2)
 		b.SetBolt("sink", func() Bolt {
 			return &funcBolt{exec: func(Tuple, Collector) error { got.Add(1); return nil }}
 		}, 1, 1).ShuffleGrouping("src")
@@ -307,8 +411,8 @@ func TestDistributedLateWorkerJoins(t *testing.T) {
 	}
 	rig := newDistRig(t, 2, build)
 	for _, p := range rig.rts[0].Placements() {
-		if want := map[string]int{"src": 0, "sink": 1}[p.Component]; p.Worker != want {
-			t.Fatalf("%s placed on worker %d, the test needs %d", p.Component, p.Worker, want)
+		if want := map[string]int{"src": p.TaskIndex, "sink": 1}[p.Component]; p.Worker != want {
+			t.Fatalf("%s task %d placed on worker %d, the test needs %d", p.Component, p.TaskIndex, p.Worker, want)
 		}
 	}
 	errs := make(chan error, 2)
@@ -325,8 +429,8 @@ func TestDistributedLateWorkerJoins(t *testing.T) {
 			t.Fatal("distributed run did not drain")
 		}
 	}
-	if got.Load() != n {
-		t.Fatalf("sink executed %d tuples, want %d", got.Load(), n)
+	if got.Load() != 2*n {
+		t.Fatalf("sink executed %d tuples, want %d", got.Load(), 2*n)
 	}
 }
 

@@ -174,7 +174,9 @@ func decodeWireString(b []byte) (string, []byte, error) {
 }
 
 // decodeValue decodes one tagged value, copying all memory out of b.
-func decodeValue(b []byte) (any, []byte, error) {
+// Strings — a string value, a []string's elements, a nested map's keys —
+// come from d's intern table.
+func (d *frameDecoder) decodeValue(b []byte) (any, []byte, error) {
 	if len(b) == 0 {
 		return nil, nil, errShortFrame
 	}
@@ -205,7 +207,11 @@ func decodeValue(b []byte) (any, []byte, error) {
 		}
 		return math.Float32frombits(binary.BigEndian.Uint32(b)), b[4:], nil
 	case wString:
-		return decodeWireString(b)
+		n, rest, err := decodeUvarint(b)
+		if err != nil || n > uint64(len(rest)) {
+			return nil, nil, errShortFrame
+		}
+		return d.boxed(rest[:n]), rest[n:], nil
 	case wBytes:
 		n, rest, err := decodeUvarint(b)
 		if err != nil || n > uint64(len(rest)) {
@@ -223,7 +229,7 @@ func decodeValue(b []byte) (any, []byte, error) {
 		out := make([]string, 0, n)
 		for i := uint64(0); i < n; i++ {
 			var s string
-			if s, rest, err = decodeWireString(rest); err != nil {
+			if s, rest, err = d.decodeStr(rest); err != nil {
 				return nil, nil, err
 			}
 			out = append(out, s)
@@ -237,7 +243,7 @@ func decodeValue(b []byte) (any, []byte, error) {
 		out := make([]any, 0, n)
 		for i := uint64(0); i < n; i++ {
 			var e any
-			if e, rest, err = decodeValue(rest); err != nil {
+			if e, rest, err = d.decodeValue(rest); err != nil {
 				return nil, nil, err
 			}
 			out = append(out, e)
@@ -252,10 +258,10 @@ func decodeValue(b []byte) (any, []byte, error) {
 		for i := uint64(0); i < n; i++ {
 			var k string
 			var e any
-			if k, rest, err = decodeWireString(rest); err != nil {
+			if k, rest, err = d.decodeStr(rest); err != nil {
 				return nil, nil, err
 			}
-			if e, rest, err = decodeValue(rest); err != nil {
+			if e, rest, err = d.decodeValue(rest); err != nil {
 				return nil, nil, err
 			}
 			out[k] = e
@@ -304,20 +310,21 @@ func appendBatchFrame(buf []byte, destEID int, envs []envelope) ([]byte, error) 
 }
 
 // frameDecoder is one reader goroutine's decode state: a bounded string
-// intern table (stream names and map keys repeat endlessly across frames,
-// so each distinct name is materialized once instead of once per
-// envelope) and the releaseAnchors per-owner ack scratch (tcp.go). One
+// intern table and the releaseAnchors per-owner ack scratch (tcp.go). One
 // decoder per connection, owned by its readLoop — never shared.
+//
+// Stream names, map keys and most string values repeat endlessly across
+// frames: a Figure 8 row carries 26 keys, and its string values — vehicle,
+// line, stop and area ids, the nine areaPath elements — come from sets of a
+// few thousand at most. The table maps a string's bytes to the string
+// already boxed in an interface, so a repeat costs one map probe (the
+// string(b) lookup key does not allocate) and neither a string nor its
+// box. Strings longer than maxInternLen are taken to be unique payload
+// data and skipped; the table is emptied when it reaches maxInterned
+// entries, so hostile churn can cost lookups but never unbounded memory.
 type frameDecoder struct {
-	r *Runtime
-
-	// Intern table: a tiny ring of recently seen strings, scanned linearly.
-	// The working set is a handful of stream names and tuple keys repeated
-	// across every envelope, so a scan of ≤ internSlots short strings beats
-	// a map probe (no hashing); churny or long strings just rotate through
-	// without displacing cost anywhere else.
-	tab     [internSlots]string
-	tabNext int
+	r   *Runtime
+	tab map[string]any
 
 	// releaseAnchors scratch: per-owning-worker ackUpdate slices plus the
 	// dirty-owner list, reused across batches (see tcp.go).
@@ -325,32 +332,40 @@ type frameDecoder struct {
 	ackDirty   []int
 }
 
-// Intern-table bounds: strings longer than maxInternLen are assumed
-// unique-ish payload data and skipped; the table holds internSlots entries
-// and evicts round-robin, so adversarial key churn cannot grow it.
+// Intern-table bounds: the longest string interned, and the most entries
+// the table holds before it starts over.
 const (
 	maxInternLen = 64
-	internSlots  = 8
+	maxInterned  = 1 << 14
 )
 
-// str materializes b as a string, returning the interned copy when one
-// exists. The s == string(b) comparisons compile to alloc-free probes.
-func (d *frameDecoder) str(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
+// boxed materializes b as a string in an interface, returning the interned
+// copy when one exists.
+func (d *frameDecoder) boxed(b []byte) any {
 	if len(b) > maxInternLen {
 		return string(b)
 	}
-	for _, s := range d.tab {
-		if s == string(b) {
-			return s
-		}
+	if v, ok := d.tab[string(b)]; ok {
+		return v
+	}
+	if len(d.tab) >= maxInterned {
+		clear(d.tab)
+	}
+	if d.tab == nil {
+		d.tab = make(map[string]any)
 	}
 	s := string(b)
-	d.tab[d.tabNext] = s
-	d.tabNext = (d.tabNext + 1) % internSlots
-	return s
+	v := any(s)
+	d.tab[s] = v
+	return v
+}
+
+// str is boxed for callers that want the string itself.
+func (d *frameDecoder) str(b []byte) string {
+	if len(b) > maxInternLen {
+		return string(b)
+	}
+	return d.boxed(b).(string)
 }
 
 // decodeStr is decodeWireString through the intern table.
@@ -375,8 +390,8 @@ func (r *Runtime) decodeBatchFrame(b []byte) (int, *batch, error) {
 // decodeBatchFrame (frameDecoder) is the hot-path decode: each envelope's
 // Values is a fresh map sized for the fields the frame announces (bounded,
 // so a hostile count cannot reserve memory the frame does not pay for) and
-// owned by whoever receives it, like any emitted map; stream names and map
-// keys go through the intern table.
+// owned by whoever receives it, like any emitted map; stream names, keys
+// and strings among the values come from the intern table.
 func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, bt *batch, err error) {
 	r := d.r
 	var v uint64
@@ -449,7 +464,7 @@ func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, bt *batch, err e
 				if k, b, err = d.decodeStr(b); err != nil {
 					return fail(err)
 				}
-				if val, b, err = decodeValue(b); err != nil {
+				if val, b, err = d.decodeValue(b); err != nil {
 					return fail(err)
 				}
 				env.tuple.Values[k] = val

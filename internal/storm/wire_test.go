@@ -167,10 +167,11 @@ func TestWireDecodeRejectsMalformedFrames(t *testing.T) {
 	if _, _, err := rt.decodeBatchFrame(lying); err == nil {
 		t.Error("oversized envelope count: decode succeeded")
 	}
-	if _, _, err := decodeValue([]byte{0xFE}); err == nil {
+	dec := &frameDecoder{r: rt}
+	if _, _, err := dec.decodeValue([]byte{0xFE}); err == nil {
 		t.Error("unknown value tag: decode succeeded")
 	}
-	if _, _, err := decodeValue(nil); err == nil {
+	if _, _, err := dec.decodeValue(nil); err == nil {
 		t.Error("empty value: decode succeeded")
 	}
 }
@@ -243,9 +244,11 @@ func TestWireRejectsReservedFrameType(t *testing.T) {
 }
 
 // FuzzWireFrame throws arbitrary payloads at the batch and control
-// decoders: they must never panic and every successfully decoded batch
-// must re-encode. Seeds cover a valid frame, a zero-envelope batch, a
-// truncated frame, an oversized envelope count and a control frame.
+// decoders: they must never panic, every successfully decoded batch must
+// re-encode, and a second decode of the same payload through the same
+// decoder — now served from its intern table — must give the same result.
+// Seeds cover a valid frame, a zero-envelope batch, a truncated frame, an
+// oversized envelope count, a control frame and a Figure 8 row.
 func FuzzWireFrame(f *testing.F) {
 	valid, err := appendBatchFrame(nil, 2, []envelope{
 		{local: 0, tuple: Tuple{Stream: "default", Values: map[string]any{"i": 7, "key": "k3"}}},
@@ -262,53 +265,183 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(valid[frameHeaderLen+1 : len(valid)-3])      // truncated frame
 	f.Add(appendUvarint(appendUvarint(nil, 1), 1<<40)) // oversized envelope count
 	f.Add(appendControlFrame(nil, controlRequest, 1, "m", []byte("p"))[frameHeaderLen+1:])
+	row, err := appendBatchFrame(nil, 1, []envelope{{tuple: Tuple{Stream: "default", Values: figure8Row(3)}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(row[frameHeaderLen+1:])
 
 	rt := wireTestRuntime(f)
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if _, bt, err := rt.decodeBatchFrame(payload); err == nil {
+		dec := &frameDecoder{r: rt}
+		dest, bt, err := dec.decodeBatchFrame(payload)
+		dest2, bt2, err2 := dec.decodeBatchFrame(payload)
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("first decode: %v, repeat decode: %v", err, err2)
+		}
+		if err == nil {
+			if dest != dest2 || len(bt.envs) != len(bt2.envs) {
+				t.Fatalf("repeat decode: dest %d with %d envelopes, first %d with %d", dest2, len(bt2.envs), dest, len(bt.envs))
+			}
+			for i := range bt.envs {
+				a, b := &bt.envs[i], &bt2.envs[i]
+				// %#v prints maps sorted and NaN as NaN, so it compares what
+				// reflect.DeepEqual would except that NaN equals itself.
+				if a.local != b.local || a.tuple.ack != b.tuple.ack || a.tuple.edge != b.tuple.edge ||
+					a.tuple.Stream != b.tuple.Stream || a.tuple.Trace != b.tuple.Trace ||
+					fmt.Sprintf("%#v", a.tuple.Values) != fmt.Sprintf("%#v", b.tuple.Values) {
+					t.Fatalf("envelope %d: repeat decode %+v, first %+v", i, b, a)
+				}
+			}
 			if _, err := appendBatchFrame(nil, 0, bt.envs); err != nil {
 				t.Fatalf("decoded batch does not re-encode: %v", err)
 			}
 			rt.putBatch(bt)
+			rt.putBatch(bt2)
 		}
 		decodeControlFrame(payload)
 	})
 }
 
-// TestWireDecodeAllocsPerEnvelope pins the decode's allocation floor: each
-// envelope costs exactly its Values map — 2 allocations for a map of up to
-// 8 keys — and nothing per key or stream name, which the decoder's intern
-// table serves from the previous frames. Values are small ints, bools and
-// nil, which box without allocating, so a per-key string allocation (the
-// intern table broken) would show as 6 more per envelope. Skipped under
-// -race, where sync.Pool drops batches at random.
+// figure8Row is the row the Figure 8 BusStopsTracker emits for trace i,
+// as the core bolts build it: the BusReader's 11 fields, PreProcess's three,
+// one layer<k>Area per quadtree layer of a depth-8 tree plus leafArea and
+// the 9-element areaPath, and stopId — 26 fields of strings, floats and a
+// bool.
+func figure8Row(i int) map[string]any {
+	path := make([]string, 9)
+	row := map[string]any{
+		"ts": float64(1700000000 + i), "hour": float64(7 + i%12), "day": "weekday",
+		"lineId": fmt.Sprintf("L%02d", i%67), "direction": i%2 == 0,
+		"lat": 53.3 + float64(i%100)/1000, "lon": -6.2 - float64(i%100)/1000,
+		"delay": float64(30 + i%300), "congestion": float64(i % 2),
+		"busStop": fmt.Sprintf("%d", 1000+i%400), "vehicleId": fmt.Sprintf("%d", 33000+i%911),
+		"speed": 18.5 + float64(i%40), "actualDelay": float64(i%60) - 20.5, "heading": float64(i % 360),
+		"stopId": fmt.Sprintf("stop%04d", i%400), "areaPath": path,
+	}
+	for k := range path {
+		path[k] = fmt.Sprintf("a%d.%d", k, (i>>uint(k))%4)
+		row[fmt.Sprintf("layer%dArea", k)] = path[k]
+	}
+	row["leafArea"] = path[len(path)-1]
+	return row
+}
+
+// TestWireDecodeAllocsPerEnvelope pins the decode's allocation floor: a
+// repeat decode through one frameDecoder allocates nothing for keys, stream
+// names, string values or []string elements, which its intern table serves
+// from the earlier frames.
+//   - Small ints, bools and nil box without allocating, so a row of them
+//     costs exactly its Values map: 2 allocations for up to 8 keys. A
+//     per-key string allocation would show as 6 more per envelope.
+//   - A Figure 8 row costs its map, one box per non-zero float and the
+//     areaPath slice, which is two allocations: its backing array and the
+//     slice header boxed in the interface. A per-string allocation would
+//     show as 24 more.
+//
+// Skipped under -race, where sync.Pool drops batches at random.
 func TestWireDecodeAllocsPerEnvelope(t *testing.T) {
 	if raceBuild() {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	const envelopes = 64
 	rt := wireTestRuntime(t)
-	envs := make([]envelope, envelopes)
-	for i := range envs {
-		envs[i] = envelope{tuple: Tuple{Stream: "default", Values: map[string]any{
-			"vehicle": i % 16, "line": i % 4, "stop": i, "hour": 7,
-			"weekday": true, "congestion": i%2 == 0,
-		}}}
+	perEnvelope := func(t *testing.T, row func(i int) map[string]any) float64 {
+		envs := make([]envelope, envelopes)
+		for i := range envs {
+			envs[i] = envelope{tuple: Tuple{Stream: "default", Values: row(i)}}
+		}
+		frame, err := appendBatchFrame(nil, 7, envs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := &frameDecoder{r: rt}
+		return testing.AllocsPerRun(100, func() {
+			_, bt, err := dec.decodeBatchFrame(frame[frameHeaderLen+1:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.putBatch(bt)
+		}) / envelopes
 	}
-	frame, err := appendBatchFrame(nil, 7, envs)
-	if err != nil {
-		t.Fatal(err)
-	}
+
+	t.Run("small", func(t *testing.T) {
+		got := perEnvelope(t, func(i int) map[string]any {
+			return map[string]any{
+				"vehicle": i % 16, "line": i % 4, "stop": i, "hour": 7,
+				"weekday": true, "congestion": i%2 == 0,
+			}
+		})
+		if got > 2 {
+			t.Fatalf("decode costs %.2f allocations per envelope, want 2: one map, no key strings", got)
+		}
+	})
+
+	t.Run("figure8", func(t *testing.T) {
+		row := figure8Row(0)
+		// The map the decoder makes for this many fields, filled.
+		var sink map[string]any
+		mapAllocs := testing.AllocsPerRun(100, func() {
+			sink = make(map[string]any, len(row))
+			for k := range row {
+				sink[k] = nil
+			}
+		})
+		// Every row has the same float fields; count the non-zero ones
+		// over all 64 rows, as each of those boxes on decode.
+		var floats float64
+		for i := 0; i < envelopes; i++ {
+			for _, v := range figure8Row(i) {
+				if f, ok := v.(float64); ok && f != 0 {
+					floats++
+				}
+			}
+		}
+		budget := mapAllocs + floats/envelopes + 2 // + the areaPath slice and its box
+		if got := perEnvelope(t, figure8Row); got > budget {
+			t.Fatalf("decode costs %.2f allocations per Figure 8 row, want ≤ %.2f: the map (%.0f), %.2f non-zero floats and the areaPath slice (2), no strings",
+				got, budget, mapAllocs, floats/envelopes)
+		}
+		_ = sink
+	})
+}
+
+// TestWireInternTableBounded decodes three times as many distinct strings
+// as the intern table holds — keys, string values and []string elements —
+// through one decoder: the table never exceeds its bound, and every value
+// still decodes to what was sent.
+func TestWireInternTableBounded(t *testing.T) {
+	rt := wireTestRuntime(t)
 	dec := &frameDecoder{r: rt}
-	got := testing.AllocsPerRun(100, func() {
+	const perFrame = 64
+	next := 0
+	for next < 3*maxInterned {
+		envs := make([]envelope, perFrame)
+		for i := range envs {
+			n := next
+			next += 3
+			envs[i] = envelope{tuple: Tuple{Stream: "default", Values: map[string]any{
+				fmt.Sprintf("k%d", n): fmt.Sprintf("v%d", n),
+				"tags":                []string{fmt.Sprintf("t%d", n)},
+			}}}
+		}
+		frame, err := appendBatchFrame(nil, 0, envs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		_, bt, err := dec.decodeBatchFrame(frame[frameHeaderLen+1:])
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(dec.tab) > maxInterned {
+			t.Fatalf("intern table holds %d entries after %d strings, bound %d", len(dec.tab), next, maxInterned)
+		}
+		for i := range envs {
+			if !reflect.DeepEqual(bt.envs[i].tuple.Values, envs[i].tuple.Values) {
+				t.Fatalf("decoded %v, sent %v", bt.envs[i].tuple.Values, envs[i].tuple.Values)
+			}
+		}
 		rt.putBatch(bt)
-	})
-	if perEnv := got / envelopes; perEnv > 2 {
-		t.Fatalf("decode costs %.2f allocations per envelope (%.0f per frame), want 2: one map, no key strings", perEnv, got)
 	}
 }
 
@@ -343,6 +476,33 @@ func BenchmarkWireBatchRoundTrip(b *testing.B) {
 			Stream: "default",
 			Values: map[string]any{"k": i % 8, "v": i},
 		}}
+	}
+	dec := &frameDecoder{r: rt}
+	var frame []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		frame, err = appendBatchFrame(frame[:0], 7, envs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, bt, err := dec.decodeBatchFrame(frame[frameHeaderLen+1:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt.putBatch(bt)
+	}
+}
+
+// BenchmarkWireFigure8Row is BenchmarkWireBatchRoundTrip over 64 real-shaped
+// rows: the 26 fields the Figure 8 BusStopsTracker emits (figure8Row), the
+// rows that cross between workers on the Splitter → EsperBolt edge.
+func BenchmarkWireFigure8Row(b *testing.B) {
+	rt := wireTestRuntime(b)
+	envs := make([]envelope, 64)
+	for i := range envs {
+		envs[i] = envelope{tuple: Tuple{Stream: "routed", Values: figure8Row(i)}}
 	}
 	dec := &frameDecoder{r: rt}
 	var frame []byte
