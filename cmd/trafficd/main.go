@@ -255,7 +255,7 @@ func run(opt options) error {
 	}
 	fmt.Printf("rules: %d template instances on %d engines\n", len(rules), engines)
 
-	routing, engineLocs, err := buildRouting(tree, traces, rules, engines)
+	routing, err := buildRouting(tree, traces, rules, engines)
 	if err != nil {
 		return err
 	}
@@ -264,9 +264,9 @@ func run(opt options) error {
 	// Live rebalancing (§4.2.1 dynamic loop): the splitter feeds observed
 	// locations into the rebalancer's rate estimators; every interval, when
 	// max/mean per-engine rate crosses the skew trigger, Algorithm 1 re-runs
-	// on the live snapshot, the gaining engines load the thresholds of their
-	// new locations, and the routing table is swapped atomically; the
-	// splitter then hands ownership over on its edges to the engines.
+	// on the live snapshot and the routing table is swapped atomically; the
+	// splitter then hands ownership over on its edges, and each engine loads
+	// the thresholds of the locations it gains as it takes them over.
 	var peers []string
 	if opt.workerPeers != "" {
 		peers = strings.Split(opt.workerPeers, ",")
@@ -296,7 +296,7 @@ func run(opt options) error {
 		var installs []*core.InstalledRule
 		for _, r := range rules {
 			inst, err := core.InstallRule(eng, r, core.InstallOptions{
-				Strategy: core.StrategyStream, Store: store, Locations: engineLocs[r.Name][task],
+				Strategy: core.StrategyStream, Store: store, Locations: routing.Locations(r.LocationField(), task),
 			})
 			if err != nil {
 				return nil, err
@@ -462,14 +462,12 @@ func bootstrapHistory(m *core.DynamicManager, tree *quadtree.Tree, traces []busd
 }
 
 // buildRouting partitions every rule's locations over the engines
-// (Algorithm 1, rates estimated from the feed itself) and produces the
-// splitter routing table plus per-engine location sets.
-func buildRouting(tree *quadtree.Tree, traces []busdata.Trace, rules []core.Rule, engines int) (*core.RoutingTable, map[string][]map[string]bool, error) {
+// (Algorithm 1, rates estimated from the feed itself) into the splitter
+// routing table, which also says what each engine starts out owning.
+func buildRouting(tree *quadtree.Tree, traces []busdata.Trace, rules []core.Rule, engines int) (*core.RoutingTable, error) {
 	// Estimate location rates per granularity from the feed.
 	est := map[string]*core.RateEstimator{}
-	fieldOf := map[string]string{}
 	for _, r := range rules {
-		fieldOf[r.Name] = r.LocationField()
 		if _, ok := est[r.LocationField()]; !ok {
 			est[r.LocationField()] = core.NewRateEstimator(nil, 1)
 		}
@@ -494,48 +492,30 @@ func buildRouting(tree *quadtree.Tree, traces []busdata.Trace, rules []core.Rule
 	}
 
 	routing := core.NewRoutingTable(core.RouteByLocation, engines)
-	engineLocs := make(map[string][]map[string]bool, len(rules))
 	allTasks := make([]int, engines)
 	for i := range allTasks {
 		allTasks[i] = i
 	}
-	partitions := map[string]*core.Partition{}
-	for _, r := range rules {
-		field := fieldOf[r.Name]
-		part, ok := partitions[field]
-		if !ok {
-			rates := est[field].Snapshot()
-			if len(rates) == 0 {
-				return nil, nil, fmt.Errorf("no observed locations for field %s", field)
-			}
-			var err error
-			part, err = core.PartitionRegions(rates, engines)
-			if err != nil {
-				return nil, nil, err
-			}
-			partitions[field] = part
-			if err := routing.AddPartition(field, part, allTasks); err != nil {
-				return nil, nil, err
-			}
-		}
-		perEngine := make([]map[string]bool, engines)
-		for e := 0; e < engines; e++ {
-			perEngine[e] = make(map[string]bool)
-			for _, reg := range part.Engines[e] {
-				perEngine[e][reg.Location] = true
-			}
-		}
-		engineLocs[r.Name] = perEngine
-	}
 	// Deterministic iteration for logs.
-	fields := make([]string, 0, len(partitions))
-	for f := range partitions {
+	fields := make([]string, 0, len(est))
+	for f := range est {
 		fields = append(fields, f)
 	}
 	sort.Strings(fields)
-	for _, f := range fields {
+	for _, field := range fields {
+		rates := est[field].Snapshot()
+		if len(rates) == 0 {
+			return nil, fmt.Errorf("no observed locations for field %s", field)
+		}
+		part, err := core.PartitionRegions(rates, engines)
+		if err != nil {
+			return nil, err
+		}
+		if err := routing.AddPartition(field, part, allTasks); err != nil {
+			return nil, err
+		}
 		fmt.Printf("partition %s: %d locations over %d engines (imbalance %.2f)\n",
-			f, len(partitions[f].ByLocation), engines, partitions[f].Imbalance())
+			field, len(part.ByLocation), engines, part.Imbalance())
 	}
-	return routing, engineLocs, nil
+	return routing, nil
 }

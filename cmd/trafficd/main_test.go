@@ -202,9 +202,9 @@ func TestShippedTopologyDetectionsReproducible(t *testing.T) {
 // start-up partition (equal whole-feed rates, so stops dealt round-robin in
 // name order) put on engines 0 and 1 report four times as often as the
 // rest, in the second half it is the other way round. The splitter must
-// feed the estimators and the engines must register for migration, or no
-// cycle can ever swap; a swap must cost no tuple; and the summary line
-// reports cycles, swaps and moves, nothing else.
+// feed the estimators, or no cycle can ever swap; a swap must cost no
+// tuple; and the summary line reports cycles, swaps and moves, nothing
+// else.
 func TestShippedTopologyRebalances(t *testing.T) {
 	const vehicles, ticksPerHalf = 16, 400
 	start := time.Date(2013, 1, 7, 10, 0, 0, 0, time.UTC)

@@ -77,6 +77,10 @@ func TestUnmarshalErrors(t *testing.T) {
 		{"1", "L", "1", "53.0", "west", "0", "0", "s", "v"},     // bad lon
 		{"1", "L", "1", "53.0", "-6.0", "slow", "0", "s", "v"},  // bad delay
 		{"1", "L", "1", "53.0", "-6.0", "0", "jam", "s", "v"},   // bad congestion
+		{"1", "L", "1", "NaN", "-6.0", "0", "0", "s", "v"},      // non-finite lat
+		{"1", "L", "1", "53.0", "-Inf", "0", "0", "s", "v"},     // non-finite lon
+		{"1", "L", "1", "53.0", "-6.0", "NaN", "0", "s", "v"},   // non-finite delay
+		{"1", "L", "1", "53.0", "-6.0", "+Inf", "0", "s", "v"},  // non-finite delay
 	}
 	for i, rec := range cases {
 		var tr Trace
@@ -114,36 +118,8 @@ func TestWriteReadCSV(t *testing.T) {
 	}
 }
 
-func TestStreamCSVStopsOnCallbackError(t *testing.T) {
-	var buf bytes.Buffer
-	tr := Trace{Timestamp: time.Unix(1, 0), LineID: "L", Pos: geo.DublinCenter, BusStop: "s", VehicleID: "v"}
-	if err := WriteCSV(&buf, []Trace{tr, tr, tr}); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	err := StreamCSV(&buf, func(Trace) error {
-		n++
-		if n == 2 {
-			return errStop
-		}
-		return nil
-	})
-	if err != errStop {
-		t.Fatalf("err = %v, want errStop", err)
-	}
-	if n != 2 {
-		t.Fatalf("callback ran %d times, want 2", n)
-	}
-}
-
-var errStop = &csvStopError{}
-
-type csvStopError struct{}
-
-func (*csvStopError) Error() string { return "stop" }
-
-func TestStreamCSVBadInput(t *testing.T) {
-	if err := StreamCSV(strings.NewReader("only,three,fields\n"), func(Trace) error { return nil }); err == nil {
+func TestReadCSVBadInput(t *testing.T) {
+	if _, err := ReadCSV(strings.NewReader("only,three,fields\n")); err == nil {
 		t.Fatal("expected error for malformed CSV")
 	}
 }

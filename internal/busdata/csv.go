@@ -39,27 +39,3 @@ func ReadCSV(r io.Reader) ([]Trace, error) {
 		out = append(out, tr)
 	}
 }
-
-// StreamCSV reads records one at a time and invokes f for each; it stops at
-// EOF or on the first error from the reader, the parser, or f.
-func StreamCSV(r io.Reader, f func(Trace) error) error {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 9
-	cr.ReuseRecord = true
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("busdata: reading CSV: %w", err)
-		}
-		var tr Trace
-		if err := tr.UnmarshalCSV(rec); err != nil {
-			return err
-		}
-		if err := f(tr); err != nil {
-			return err
-		}
-	}
-}

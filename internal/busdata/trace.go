@@ -6,7 +6,9 @@
 package busdata
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -125,15 +127,15 @@ func (tr *Trace) UnmarshalCSV(rec []string) error {
 	if err != nil {
 		return fmt.Errorf("busdata: bad timestamp %q: %w", rec[0], err)
 	}
-	lat, err := strconv.ParseFloat(rec[3], 64)
+	lat, err := parseFinite(rec[3])
 	if err != nil {
 		return fmt.Errorf("busdata: bad latitude %q: %w", rec[3], err)
 	}
-	lon, err := strconv.ParseFloat(rec[4], 64)
+	lon, err := parseFinite(rec[4])
 	if err != nil {
 		return fmt.Errorf("busdata: bad longitude %q: %w", rec[4], err)
 	}
-	delay, err := strconv.ParseFloat(rec[5], 64)
+	delay, err := parseFinite(rec[5])
 	if err != nil {
 		return fmt.Errorf("busdata: bad delay %q: %w", rec[5], err)
 	}
@@ -154,6 +156,17 @@ func (tr *Trace) UnmarshalCSV(rec []string) error {
 	tr.BusStop = rec[7]
 	tr.VehicleID = rec[8]
 	return nil
+}
+
+// parseFinite parses a float and rejects NaN and ±Inf, which
+// strconv.ParseFloat accepts: one NaN delay would make its location's
+// mean and deviation NaN, and its threshold never fire again.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = errors.New("not a finite number")
+	}
+	return v, err
 }
 
 func boolStr(b bool) string {

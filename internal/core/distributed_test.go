@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,12 +17,12 @@ import (
 // TestDistributedRebalanceNoDetectionLoss is the cross-process migration
 // differential: the Figure-8 topology is split across two worker processes
 // over TCP, every location starts on one engine, and one skew check run
-// from the test goroutine must fix the skew mid-feed — preparing target
-// engines on the other worker via control RPCs, and handing ownership over
-// on the Splitter's edges, across the wire to the remote engines — with the
-// swap in before the Splitter's last tuple. With a window-1 rule every
-// tuple yields exactly one detection, so the distributed rebalanced run
-// must produce the identical detection multiset to a single-process
+// from the test goroutine must fix the skew mid-feed — handing ownership
+// over on the Splitter's edges, across the wire to the remote engines,
+// which load the gained locations' thresholds as they take them over —
+// with the swap in before the Splitter's last tuple. With a window-1 rule
+// every tuple yields exactly one detection, so the distributed rebalanced
+// run must produce the identical detection multiset to a single-process
 // balanced run: a swap across the process boundary loses nothing.
 func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 	tree := buildTestTree(t)
@@ -89,7 +89,7 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 	topoA, err := BuildTrafficTopology(TrafficConfig{
 		Traces: traces, Tree: tree, Engines: engines, Routing: tableA, DB: dbA,
 		EngineSetup: func(task int, eng *cep.Engine) ([]*InstalledRule, error) {
-			locs := locSet(partA, task)
+			locs := tableA.Locations("leafArea", task)
 			if len(locs) == 0 {
 				return nil, nil
 			}
@@ -117,9 +117,9 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 
 	// Distributed run: two symmetric workers, everything starting on
 	// engine task 0. Each worker owns its own DB, threshold store and
-	// rebalancer, bound to its runtime; prepare requests ride the control
-	// plane and ownership changes the data plane. The feed is held at the
-	// BusReader after its first quarter until the swap is in.
+	// rebalancer; ownership changes ride the data plane and nothing else
+	// crosses between the workers. The feed is held at the BusReader after
+	// its first quarter until the swap is in.
 	gate := &gatedReader{at: len(traces) / 4, held: make(chan struct{}), open: make(chan struct{})}
 	lns := make([]net.Listener, workers)
 	peers := make([]string, workers)
@@ -154,7 +154,7 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 	rebs := make([]*Rebalancer, workers)
 	dbs := make([]*sqlstore.DB, workers)
 	splitterWorker := -1
-	var remoteRPCs atomic.Int64
+	workerOf := map[int]int{} // engine task → worker it was placed on
 	for w := 0; w < workers; w++ {
 		db, store := seedThresholds(t)
 		dbs[w] = db
@@ -199,20 +199,13 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 		}
 		rts[w] = rt
 		for _, p := range rt.Placements() {
-			if p.Component == CompSplitter {
+			switch p.Component {
+			case CompSplitter:
 				splitterWorker = p.Worker
+			case CompEsper:
+				workerOf[p.TaskIndex] = p.Worker
 			}
 		}
-
-		reb.Bind(rt, 0)
-		// Bind serves prepare requests with serveControl; wrap it to count
-		// the requests the other worker's cycles send here.
-		rt.OnControl(func(method string, payload []byte) ([]byte, error) {
-			if w != splitterWorker {
-				remoteRPCs.Add(1)
-			}
-			return reb.serveControl(method, payload)
-		})
 	}
 
 	var wg sync.WaitGroup
@@ -233,14 +226,8 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 		}
 		return n
 	}
-	ready := func() bool {
-		registered := 0
-		for _, reb := range rebs {
-			registered += reb.registered()
-		}
-		return registered == engines && splitterExecuted() >= uint64(gate.at/2)
-	}
-	swapMidFeed(t, rebs[splitterWorker], gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces))
+	ready := func() bool { return splitterExecuted() >= uint64(gate.at/2) }
+	rep := swapMidFeed(t, rebs[splitterWorker], gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces))
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -268,9 +255,34 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 		t.Fatalf("no swap happened mid-feed: swaps=%d moves=%d", tot.Swaps, tot.Moves)
 	}
 	// Engine tasks are spread across both workers, so fixing a skew where
-	// everything sits on one engine must touch the other process.
-	if remoteRPCs.Load() == 0 {
-		t.Fatal("no migration control RPCs crossed the process boundary")
+	// everything sits on one engine must hand locations to an engine in the
+	// other process, and that engine must detect on one of them: it loaded
+	// the thresholds itself.
+	gained := map[string]bool{} // "task|location" gained at the swap
+	for _, mv := range rep.Moves {
+		for _, task := range mv.To {
+			if !slices.Contains(mv.From, task) && workerOf[task] != splitterWorker {
+				gained[fmt.Sprintf("%d|%s", task, mv.Location)] = true
+			}
+		}
+	}
+	if len(gained) == 0 {
+		t.Fatalf("the swap moved no location to an engine off the Splitter's worker %d: %+v", splitterWorker, rep.Moves)
+	}
+	remote := 0
+	for _, db := range dbs {
+		rows, err := db.Query(`SELECT engine, location FROM events`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if gained[fmt.Sprintf("%v|%v", r["engine"], r["location"])] {
+				remote++
+			}
+		}
+	}
+	if remote == 0 {
+		t.Fatal("no detection by an engine off the Splitter's worker on a location it gained at the swap")
 	}
 
 	merged := map[string]int{}

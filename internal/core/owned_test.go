@@ -124,7 +124,7 @@ func testOwnedLocations(t *testing.T, rng *rand.Rand, rules []Rule) {
 	for e := 0; e < engines; e++ {
 		product[e], reference[e] = cep.New(), cep.New()
 		for _, r := range rules {
-			locs := locSet(parts[r.LocationField()], e)
+			locs := table.Locations(r.LocationField(), e)
 			inst, err := InstallRule(product[e], r, InstallOptions{
 				Strategy: StrategyStream, Store: store, Locations: locs, Listener: record(owned, e),
 			})

@@ -109,8 +109,8 @@ func TestFullPaperPipeline(t *testing.T) {
 		Manager: manager,
 		EngineSetup: func(task int, eng *cep.Engine) ([]*InstalledRule, error) {
 			var out []*InstalledRule
-			leafLocs := locSet(part, task)
-			stopLocs := locSet(stopPart, task)
+			leafLocs := routing.Locations("leafArea", task)
+			stopLocs := routing.Locations("stopId", task)
 			for _, r := range rules {
 				locs := leafLocs
 				if r.Kind == BusStops {
@@ -244,14 +244,6 @@ func stopRates(res *denclue.Result) []RegionRate {
 	out := make([]RegionRate, 0, res.StopCount())
 	for i, s := range res.Stops {
 		out = append(out, RegionRate{Location: stopName(i), Rate: float64(s.Count)})
-	}
-	return out
-}
-
-func locSet(p *Partition, engine int) map[string]bool {
-	out := make(map[string]bool)
-	for _, r := range p.Engines[engine] {
-		out[r.Location] = true
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,11 +16,12 @@ import (
 // Splitter feeds its observed locations into per-field RateEstimators and a
 // Rebalancer, on a wall-clock interval off the data path, re-runs Algorithm
 // 1 from the live snapshot when the skew trigger fires, diffs the resulting
-// routing table against the installed one, prepares the engines that gain
-// locations, and swaps the table atomically. Readers never block and never
-// see a half-built table. The ownership change travels with the data: the
-// Splitter sends it to each affected engine ahead of the first tuple it
-// routes under the new table (splitterBolt.handOver).
+// routing table against the installed one, and swaps the table atomically.
+// Readers never block and never see a half-built table. The ownership
+// change travels with the data: the Splitter sends it to each affected
+// engine ahead of the first tuple it routes under the new table
+// (splitterBolt.handOver), and the engine loads the thresholds of what it
+// gains as it applies it (esperBolt.own).
 
 // Keys of an ownership tuple, the one kind of tuple on the Splitter's routed
 // edge that is not a trace: the location field, and the locations of it the
@@ -70,8 +70,8 @@ type RebalanceReport struct {
 	// SkewBefore/SkewAfter are the max/mean per-engine input-rate ratios
 	// under the old and new tables, measured on the same rate snapshot.
 	SkewBefore, SkewAfter float64
-	// Duration is the wall-clock cost of the cycle, including the prepare
-	// requests.
+	// Duration is the wall-clock cost of the cycle: snapshot, rebuild, diff
+	// and swap. It touches no engine and no other worker.
 	Duration time.Duration
 }
 
@@ -101,35 +101,27 @@ type RebalancerConfig struct {
 // routing table when the per-engine load skews. Observe is safe to call
 // concurrently with table reads; rebalance cycles are serialized.
 //
-// A cycle is prepare → swap. Every engine installs every rule at start,
-// restricted to the locations it owns, so a migration never compiles or
-// removes a statement: preparing a gaining engine only loads the gained
-// locations' thresholds into its rules (MethodPrepareTarget, on the worker
-// that runs the engine), which is harmless before the engine owns them —
-// an unowned row never enters a window. Then the table is swapped. The
-// Splitter, the one task that routes, notices the new table on its next
+// A cycle is rebuild → diff → swap, and touches no engine and no other
+// worker. Every engine installs every rule at start, restricted to the
+// locations it owns, so a migration never compiles or removes a statement.
+// The Splitter, the one task that routes, notices the new table on its next
 // tuple and hands ownership over on the same edges the rows travel (see
-// splitterBolt.handOver), so per-edge FIFO makes the change exact: every
-// row routed under the old table is evaluated by the old owners, every row
-// routed under the new one by the new owners. Under an ack mode a replay
-// of a pre-swap tuple re-routes through the new table. Ownership and window
-// contents are not part of an epoch checkpoint.
+// splitterBolt.handOver); the gaining engine loads the gained locations'
+// thresholds while it applies the ownership tuple, before its next row. So
+// per-edge FIFO makes the change exact: every row routed under the old
+// table is evaluated by the old owners, every row routed under the new one
+// by the new owners, with their thresholds in place. Under an ack mode a
+// replay of a pre-swap tuple re-routes through the new table. Ownership and
+// window contents are not part of an epoch checkpoint.
 type Rebalancer struct {
 	handle *RoutingHandle
 	fields []string
 	est    map[string]*RateEstimator
 	skew   float64
 
-	mu       sync.Mutex     // serializes cycles, guards the fields below
-	rt       *storm.Runtime // set by Bind
-	workerOf map[int]int    // engine task → worker it was placed on
-	totals   RebalanceTotals
-	last     RebalanceReport
-
-	// engines are this worker's EsperBolt tasks, each with the rule
-	// installations its setup made; EsperBolt.Prepare registers them.
-	engMu   sync.Mutex
-	engines map[int][]*InstalledRule
+	mu     sync.Mutex // serializes cycles, guards the fields below
+	totals RebalanceTotals
+	last   RebalanceReport
 
 	tickStop chan struct{}
 	tickWG   sync.WaitGroup
@@ -195,6 +187,23 @@ func (rb *Rebalancer) MaybeRebalance() (RebalanceReport, error) { return rb.cycl
 // unconditionally.
 func (rb *Rebalancer) RebalanceOnce() (RebalanceReport, error) { return rb.cycle(true) }
 
+// Bind attaches the rebalancer to the runtime that runs its topology, the
+// same way on one worker or on each of N: when interval > 0 and this worker
+// hosts the Splitter — the one worker that observes the feed's location
+// rates — a skew check (MaybeRebalance) runs every interval until Stop.
+// Call it once, before the runtime runs.
+func (rb *Rebalancer) Bind(rt *storm.Runtime, interval time.Duration) {
+	if interval <= 0 {
+		return
+	}
+	for _, p := range rt.Placements() {
+		if p.Component == CompSplitter && p.Worker == rt.WorkerID() {
+			rb.start(interval)
+			return
+		}
+	}
+}
+
 // start launches a wall-clock skew check every interval; Stop ends it.
 func (rb *Rebalancer) start(interval time.Duration) {
 	rb.tickStop = make(chan struct{})
@@ -238,7 +247,7 @@ func (rb *Rebalancer) LastReport() RebalanceReport {
 }
 
 // cycle is one rebalance pass: snapshot rates, check skew, and — when
-// triggered or forced — rebuild, prepare and swap.
+// triggered or forced — rebuild, diff and swap.
 func (rb *Rebalancer) cycle(force bool) (RebalanceReport, error) {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
@@ -269,8 +278,8 @@ func (rb *Rebalancer) cycle(force bool) (RebalanceReport, error) {
 	return rep, err
 }
 
-// swapLocked rebuilds the table from rates and, if anything moved,
-// prepares the gaining engines and swaps. Called with rb.mu held.
+// swapLocked rebuilds the table from rates and, if anything moved, swaps.
+// Called with rb.mu held.
 func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionRate, rep *RebalanceReport) error {
 	fresh, err := rb.rebuild(table, rates)
 	if err != nil {
@@ -279,19 +288,6 @@ func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionR
 	moves := diffTables(table, fresh, rb.fields)
 	if len(moves) == 0 {
 		return nil
-	}
-	if rb.rt != nil {
-		// Targets hold the gained locations' thresholds before any row of
-		// them can reach them. A failure aborts the swap; thresholds loaded
-		// for locations an engine never comes to own are inert.
-		adds, _ := groupMoves(moves)
-		for task, gained := range adds {
-			if err := rb.prepareRemote(task, gained); err != nil {
-				return fmt.Errorf("core: rebalance aborted preparing targets: %w", err)
-			}
-		}
-	} else if rb.registered() > 0 {
-		return fmt.Errorf("core: rebalance aborted: engines registered for migration but the rebalancer is not bound to a runtime (Bind)")
 	}
 	rb.handle.Swap(fresh)
 	rep.Swapped = true
@@ -464,65 +460,4 @@ func containsInt(s []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// register records one EsperBolt task of this worker with the rule
-// installations its setup made.
-func (rb *Rebalancer) register(task int, installs []*InstalledRule) {
-	rb.engMu.Lock()
-	defer rb.engMu.Unlock()
-	if rb.engines == nil {
-		rb.engines = make(map[int][]*InstalledRule)
-	}
-	rb.engines[task] = installs
-}
-
-// registered is how many engine tasks of this worker have registered.
-func (rb *Rebalancer) registered() int {
-	rb.engMu.Lock()
-	defer rb.engMu.Unlock()
-	return len(rb.engines)
-}
-
-// prepareTarget readies task's engine, which runs on this worker, to serve
-// the locations it gains, by location field: it loads their thresholds into
-// the engine's restricted rules on each field. The engine owns them only
-// once the Splitter's ownership tuple arrives. Every engine of the worker
-// must carry the same rules, since a migration installs none.
-func (rb *Rebalancer) prepareTarget(task int, gained map[string][]string) error {
-	rb.engMu.Lock()
-	defer rb.engMu.Unlock()
-	installs, ok := rb.engines[task]
-	if !ok {
-		return fmt.Errorf("core: no engine registered for task %d", task)
-	}
-	names := ruleNames(installs)
-	for other, have := range rb.engines {
-		if !slices.Equal(ruleNames(have), names) {
-			return fmt.Errorf("core: engine tasks %d and %d carry different rules (%v, %v): every engine installs every rule at start", task, other, names, ruleNames(have))
-		}
-	}
-	for _, inst := range installs {
-		locs := gained[inst.Rule.LocationField()]
-		if inst.restricted() && len(locs) > 0 {
-			set := make(map[string]bool, len(locs))
-			for _, l := range locs {
-				set[l] = true
-			}
-			if err := loadThresholdStream(inst.engine, inst.Rule, inst.Options.Store, set); err != nil {
-				return fmt.Errorf("core: preparing rule %q on task %d: %w", inst.Rule.Name, task, err)
-			}
-		}
-	}
-	return nil
-}
-
-// ruleNames lists the rules of installs, sorted.
-func ruleNames(installs []*InstalledRule) []string {
-	names := make([]string, len(installs))
-	for i, inst := range installs {
-		names[i] = inst.Rule.Name
-	}
-	sort.Strings(names)
-	return names
 }

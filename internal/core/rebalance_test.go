@@ -345,71 +345,83 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 	}
 }
 
-// TestRebalancerPrepareNeedsSameRules: preparing a target loads the gained
-// locations' thresholds, inert until the engine owns them. A migration
-// installs no rule, so a prepare fails when this worker's engines carry
-// different rules, or when no engine registered the task; and a rebalancer
-// with registered engines refuses to swap until it is bound to a runtime.
-func TestRebalancerPrepareNeedsSameRules(t *testing.T) {
+// TestEsperBoltOwnershipLoadsThresholds drives one EsperBolt task the way
+// the Splitter does. The engine starts owning nothing, so a row does not
+// fire. The ownership tuple that gains the row's location loads that
+// location's thresholds as the task applies it, so the next row fires
+// against the stored threshold. A second tuple re-gaining the location,
+// which the engine already owns, loads nothing again.
+func TestEsperBoltOwnershipLoadsThresholds(t *testing.T) {
 	const field = "layer2Area"
-	reb, err := NewRebalancer(RebalancerConfig{Routing: tableFromRates(t, field, []RegionRate{
-		{Location: "areaA", Rate: 100}, {Location: "areaB", Rate: 1}, {Location: "areaC", Rate: 1}, {Location: "areaD", Rate: 1},
-	}, 2)})
-	if err != nil {
+	store := newStore(t)
+	rule := delayRule(1)
+	loaded := 0 // events into the rule's threshold stream
+	bolt := &esperBolt{engines: 1, setup: func(_ int, eng *cep.Engine) ([]*InstalledRule, error) {
+		inst, err := InstallRule(eng, rule, InstallOptions{Strategy: StrategyStream, Store: store, Locations: map[string]bool{}})
+		if err != nil {
+			return nil, err
+		}
+		st, err := eng.AddStatement("thresholdFeed", "SELECT location FROM "+rule.ThresholdStream())
+		if err != nil {
+			return nil, err
+		}
+		st.AddListener(func(_ *cep.Statement, outs []cep.Output) { loaded += len(outs) })
+		return []*InstalledRule{inst}, nil
+	}}
+	if err := bolt.Prepare(storm.TaskContext{Component: CompEsper, NumTasks: 1}); err != nil {
 		t.Fatal(err)
 	}
-	store := newStore(t)
-	var eng *cep.Engine // the last engine install built
-	install := func(rules ...Rule) []*InstalledRule {
+	col := &emitRecorder{}
+	execute := func(values map[string]any) {
 		t.Helper()
-		eng = cep.New()
-		var installs []*InstalledRule
-		for _, r := range rules {
-			inst, err := InstallRule(eng, r, InstallOptions{Strategy: StrategyStream, Store: store, Locations: map[string]bool{}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			installs = append(installs, inst)
+		if err := bolt.Execute(storm.Tuple{Values: values}, col); err != nil {
+			t.Fatal(err)
 		}
-		return installs
 	}
-	other := delayRule(1)
-	other.Name = "otherRule"
-	gained := map[string][]string{field: {"areaA"}}
-	reb.register(0, install(delayRule(1), other))
-	target := install(delayRule(1), other)
-	reb.register(1, target)
-	if err := reb.prepareTarget(1, gained); err != nil {
-		t.Fatalf("prepare with the same rules everywhere: %v", err)
+	row := func() {
+		execute(map[string]any{
+			"ts": float64(time.Date(2013, 1, 7, 8, 0, 0, 0, time.UTC).Unix()), field: "areaA",
+			"hour": 8.0, "day": busdata.Weekday.String(), "delay": 1e9,
+		})
 	}
-	fired := countFirings(target[0])
-	busEvent(t, eng, "areaA", 1e9)
-	if *fired != 0 {
-		t.Fatal("a prepared engine fired on a location it does not own yet")
-	}
-	eng.Own(BusStream, field, "areaA")
-	busEvent(t, eng, "areaA", 1e9)
-	if *fired == 0 {
-		t.Fatal("the prepared engine does not fire once it owns the location: its thresholds were not loaded")
-	}
-	if err := reb.prepareTarget(2, gained); err == nil || !strings.Contains(err.Error(), "no engine registered") {
-		t.Fatalf("prepare for an unregistered task: err = %v", err)
-	}
-	reb.register(0, install(delayRule(1)))
-	if err := reb.prepareTarget(1, gained); err == nil || !strings.Contains(err.Error(), "different rules") {
-		t.Fatalf("prepare with different rules: err = %v", err)
-	}
+	gain := func() { execute(map[string]any{ownField: field, ownGained: []string{"areaA"}}) }
 
-	for _, loc := range []string{"areaA", "areaB", "areaC", "areaD"} {
-		reb.Observe(map[string]any{field: loc})
+	row()
+	if len(col.emitted) != 0 {
+		t.Fatalf("an engine owning nothing fired: %v", col.emitted)
 	}
-	if _, err := reb.RebalanceOnce(); err == nil || !strings.Contains(err.Error(), "not bound") {
-		t.Fatalf("swap with registered engines and no Bind: err = %v", err)
+	gain()
+	row()
+	if len(col.emitted) != 1 {
+		t.Fatalf("%d detections after gaining areaA, want 1: its thresholds were not loaded", len(col.emitted))
 	}
-	if tot := reb.Totals(); tot.Swaps != 0 {
-		t.Fatalf("an unbound rebalancer with registered engines swapped: %+v", tot)
+	want, found, err := store.Lookup(busdata.AttrDelay, "areaA", 8, busdata.Weekday, rule.Sensitivity)
+	if err != nil || !found {
+		t.Fatalf("stored threshold: %v, found=%v", err, found)
+	}
+	if got := col.emitted[0]["threshold"]; got != want {
+		t.Fatalf("detection threshold = %v, want the stored %v", got, want)
+	}
+	after := loaded
+	if after == 0 {
+		t.Fatal("gaining areaA fed nothing into the threshold stream")
+	}
+	gain()
+	if loaded != after {
+		t.Fatalf("re-gaining an owned location fed %d more threshold events", loaded-after)
+	}
+	row()
+	if len(col.emitted) != 2 {
+		t.Fatalf("%d detections after re-gaining areaA, want 2", len(col.emitted))
 	}
 }
+
+// emitRecorder is a storm.Collector that keeps what a bolt emits.
+type emitRecorder struct{ emitted []map[string]any }
+
+func (c *emitRecorder) Emit(values map[string]any)                        { c.emitted = append(c.emitted, values) }
+func (c *emitRecorder) EmitTo(_ string, values map[string]any)            { c.Emit(values) }
+func (c *emitRecorder) EmitDirect(_ string, _ int, values map[string]any) { c.Emit(values) }
 
 // TestRebalanceMigrationNoDetectionLoss is the migration differential: the
 // same feed is run through (a) a balanced static routing and (b) a
@@ -542,10 +554,10 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 	}
 
 	// run executes the topology and returns the detection multiset keyed by
-	// everything except the engine column. With a rebalancer it binds it to
-	// the runtime and holds the feed at the BusReader after its first
-	// quarter, so that one skew check from the test goroutine swaps the
-	// table with most of the feed still to come.
+	// everything except the engine column. With a rebalancer it holds the
+	// feed at the BusReader after its first quarter, so that one skew check
+	// from the test goroutine swaps the table with most of the feed still to
+	// come.
 	run := func(t *testing.T, cfg TrafficConfig, db *sqlstore.DB) map[string]int {
 		t.Helper()
 		gate := &gatedReader{at: len(traces) / 4, held: make(chan struct{}), open: make(chan struct{})}
@@ -562,18 +574,14 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reb := cfg.Rebalancer; reb == nil {
+		if cfg.Rebalancer == nil {
 			close(gate.open)
-		} else {
-			reb.Bind(rt, 0)
 		}
 		ran := make(chan error, 1)
 		go func() { ran <- rt.Run() }()
 		if reb := cfg.Rebalancer; reb != nil {
 			splitterExecuted := func() uint64 { return componentTotal(rt, CompSplitter).Executed }
-			ready := func() bool {
-				return reb.registered() == engines && splitterExecuted() >= uint64(gate.at/2)
-			}
+			ready := func() bool { return splitterExecuted() >= uint64(gate.at/2) }
 			swapMidFeed(t, reb, gate.held, func() { close(gate.open) }, ready, splitterExecuted, len(traces))
 		}
 		if err := <-ran; err != nil {
@@ -592,12 +600,12 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 
 	// Every engine installs every rule, restricted to the locations it
 	// serves on the rule's field.
-	setupFor := func(store *sqlstore.ThresholdStore, parts map[string]*Partition) func(int, *cep.Engine) ([]*InstalledRule, error) {
+	setupFor := func(store *sqlstore.ThresholdStore, table *RoutingTable) func(int, *cep.Engine) ([]*InstalledRule, error) {
 		return func(task int, eng *cep.Engine) ([]*InstalledRule, error) {
 			var installs []*InstalledRule
 			for _, r := range rules {
 				inst, err := InstallRule(eng, r, InstallOptions{
-					Strategy: StrategyStream, Store: store, Locations: locSet(parts[r.LocationField()], task),
+					Strategy: StrategyStream, Store: store, Locations: table.Locations(r.LocationField(), task),
 				})
 				if err != nil {
 					return nil, err
@@ -627,14 +635,15 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 		}
 		partsA[f] = part
 	}
+	tableA := tableOf(partsA)
 	static := run(t, TrafficConfig{
-		Traces: traces, Tree: tree, Engines: engines, Routing: tableOf(partsA), DB: dbA,
-		EngineSetup: setupFor(storeA, partsA),
+		Traces: traces, Tree: tree, Engines: engines, Routing: tableA, DB: dbA,
+		EngineSetup: setupFor(storeA, tableA),
 	}, dbA)
 
 	// Run B: every location of the skewed field but the resident ones starts
 	// on engine 0, the other field as in run A; the rebalancer must notice
-	// the skew mid-feed, prepare the gaining engines, and swap routes.
+	// the skew mid-feed and swap routes.
 	dbB, storeB := seedThresholds(t)
 	skew := &Partition{
 		Engines:    make([][]RegionRate, engines),
@@ -652,8 +661,9 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 	}
 	partsB := maps.Clone(partsA)
 	partsB[skewed] = skew
+	tableB := tableOf(partsB)
 	reb, err := NewRebalancer(RebalancerConfig{
-		Routing:       tableOf(partsB),
+		Routing:       tableB,
 		SkewThreshold: 1.3,
 	})
 	if err != nil {
@@ -662,7 +672,7 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 	tel := telemetry.NewRegistry()
 	rebalanced := run(t, TrafficConfig{
 		Traces: traces, Tree: tree, Engines: engines, Rebalancer: reb, DB: dbB, Telemetry: tel,
-		EngineSetup: setupFor(storeB, partsB),
+		EngineSetup: setupFor(storeB, tableB),
 	}, dbB)
 	reb.Stop()
 
@@ -711,10 +721,10 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 
 // swapMidFeed runs one skew check from the test goroutine once the feed is
 // held at a gate (held closed) and ready reports the run far enough along
-// (engines registered for migration, tuples observed), and requires the
-// cycle to swap the routing table while the Splitter still has tuples to
-// come: it reads the Splitter's executed count when the new table is in,
-// opens the gate at once, and returns the cycle's report.
+// (tuples observed), and requires the cycle to swap the routing table while
+// the Splitter still has tuples to come: it reads the Splitter's executed
+// count when the new table is in, opens the gate at once, and returns the
+// cycle's report.
 func swapMidFeed(t *testing.T, reb *Rebalancer, held <-chan struct{}, open func(), ready func() bool, splitterExecuted func() uint64, total int) RebalanceReport {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)

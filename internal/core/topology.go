@@ -152,6 +152,19 @@ func (rt *RoutingTable) EnginesFor(values map[string]any) []int {
 	return out
 }
 
+// Locations returns the locations of field the table routes to engine task
+// task: a fresh, non-nil set, empty when the task serves none of them (an
+// InstallOptions.Locations restriction to nothing yet).
+func (rt *RoutingTable) Locations(field string, task int) map[string]bool {
+	out := make(map[string]bool)
+	for loc, tasks := range rt.routes[field] {
+		if containsInt(tasks, task) {
+			out[loc] = true
+		}
+	}
+	return out
+}
+
 // TrafficConfig assembles a runnable Figure 8 topology.
 type TrafficConfig struct {
 	// Traces is the input feed, replayed at full speed (§5).
@@ -176,11 +189,12 @@ type TrafficConfig struct {
 	// Rebalancer, when set, takes over routing: the Splitter, which must
 	// then run one task, reads the rebalancer's swappable handle (seeded
 	// from its initial table), feeds observed locations into its rate
-	// estimators and hands ownership over on a swap, and every EsperBolt
-	// task registers its engine for live migration, which installs no
-	// rule: EngineSetup must install every rule on every engine, restricted
-	// to the locations the initial table routes there. Routing must be nil
-	// or the rebalancer's own initial table.
+	// estimators and hands ownership over on a swap. A migration installs
+	// no rule: an engine that gains locations loads their thresholds into
+	// the rules it already has. So EngineSetup must install every rule on
+	// every engine, restricted to the locations the initial table routes
+	// there (RoutingTable.Locations; possibly none). Routing must be nil or
+	// the rebalancer's own initial table.
 	Rebalancer *Rebalancer
 	// EngineSetup installs rules into task taskIndex's engine. The
 	// returned installations are refreshed by Manager (may be nil).
@@ -539,13 +553,13 @@ type esperBolt struct {
 	setup     func(taskIndex int, eng *cep.Engine) ([]*InstalledRule, error)
 	manager   *DynamicManager
 	telemetry *telemetry.Registry
-	reb       *Rebalancer
 	// engines is the routing table's engine count: the task indexes the
 	// Splitter addresses.
 	engines int
 
-	engine *cep.Engine
-	ctx    storm.TaskContext
+	engine   *cep.Engine
+	installs []*InstalledRule // what setup installed into engine
+	ctx      storm.TaskContext
 
 	mu  sync.Mutex
 	col storm.Collector
@@ -566,24 +580,19 @@ func (b *esperBolt) Prepare(ctx storm.TaskContext) error {
 	if b.telemetry != nil {
 		b.telemetry.Register(b.engine)
 	}
-	var installs []*InstalledRule
 	if b.setup != nil {
 		var err error
-		installs, err = b.setup(ctx.TaskIndex, b.engine)
+		b.installs, err = b.setup(ctx.TaskIndex, b.engine)
 		if err != nil {
 			return fmt.Errorf("core: engine %d setup: %w", ctx.TaskIndex, err)
 		}
 		forward := b.forwardListener()
-		for _, inst := range installs {
+		for _, inst := range b.installs {
 			inst.AddListener(forward)
 			if b.manager != nil {
 				b.manager.Register(inst)
 			}
 		}
-	}
-	if b.reb != nil {
-		// Register the engine so a rebalance can prepare it as a target.
-		b.reb.register(ctx.TaskIndex, installs)
 	}
 	return nil
 }
@@ -613,13 +622,7 @@ func (b *esperBolt) Cleanup() error { return nil }
 
 func (b *esperBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	if field, ok := t.Values[ownField].(string); ok {
-		// An ownership tuple (splitterBolt.handOver): from the next row on,
-		// the engine's rules on field window and evaluate what it owns now.
-		gained, _ := t.Values[ownGained].([]string)
-		lost, _ := t.Values[ownLost].([]string)
-		b.engine.Own(BusStream, field, gained...)
-		b.engine.Disown(BusStream, field, lost...)
-		return nil
+		return b.own(field, t.Values)
 	}
 	b.mu.Lock()
 	b.col = col
@@ -630,6 +633,30 @@ func (b *esperBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	// the Splitter gave it to.
 	ts, _ := cep.Numeric(t.Values["ts"])
 	return b.engine.SendEventAt(BusStream, time.Unix(int64(ts), 0).UTC(), t.Values)
+}
+
+// own applies an ownership tuple (splitterBolt.handOver): from the next row
+// on, the engine's rules on field window and evaluate what it owns now. The
+// restricted rules on field load the thresholds of the locations the engine
+// newly gains first; a location it already owned has them.
+func (b *esperBolt) own(field string, values map[string]any) error {
+	gained, _ := values[ownGained].([]string)
+	lost, _ := values[ownLost].([]string)
+	if added := b.engine.Own(BusStream, field, gained...); len(added) > 0 {
+		set := make(map[string]bool, len(added))
+		for _, l := range added {
+			set[l] = true
+		}
+		for _, inst := range b.installs {
+			if inst.restricted() && inst.Rule.LocationField() == field {
+				if err := loadThresholdStream(inst.engine, inst.Rule, inst.Options.Store, set); err != nil {
+					return fmt.Errorf("core: engine %d loading thresholds of rule %q: %w", b.ctx.TaskIndex, inst.Rule.Name, err)
+				}
+			}
+		}
+	}
+	b.engine.Disown(BusStream, field, lost...)
+	return nil
 }
 
 // EnsureEventsTable creates the detections table in db if missing. A nil db

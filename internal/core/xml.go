@@ -73,7 +73,7 @@ func RegisterComponents(reg *storm.Registry, deps *Deps) {
 		return func() storm.Bolt {
 			return &esperBolt{
 				setup: cfg.EngineSetup, manager: cfg.Manager, telemetry: cfg.Telemetry,
-				reb: cfg.Rebalancer, engines: table.Engines,
+				engines: table.Engines,
 			}
 		}, nil
 	})

@@ -63,7 +63,7 @@ import (
 )
 
 // Control-plane methods of the epoch protocol; dispatched by serveControl
-// ahead of the user's OnControl handler.
+// ahead of the onControl handler.
 const epochMethodPrefix = "storm.epoch."
 
 const (
@@ -348,7 +348,7 @@ func (ec *epochCoordinator) evalLocked(e uint64) epochMsg {
 }
 
 // send queues one agent→coordinator RPC; the agent goroutine performs the
-// blocking Control call so executor goroutines never wait on the control
+// blocking control call so executor goroutines never wait on the control
 // plane.
 func (ec *epochCoordinator) send(m epochMsg) {
 	if m.method == "" {
@@ -389,7 +389,7 @@ func (ec *epochCoordinator) call(w int, method string, payload []byte) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = ec.r.Control(w, method, payload)
+		_, _ = ec.r.control(w, method, payload)
 	}()
 	select {
 	case <-done:

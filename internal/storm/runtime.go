@@ -73,7 +73,7 @@ type config struct {
 	// for 4 intervals is declared lost.
 	heartbeat time.Duration
 	// dialTimeout bounds how long worker start-up waits for each peer to
-	// accept connections, and how long a Control call waits for its
+	// accept connections, and how long a control call waits for its
 	// reply. Defaults to 10s.
 	dialTimeout time.Duration
 	// listener, when set, is the pre-bound listener for peers[selfWorker]
@@ -279,7 +279,7 @@ type Runtime struct {
 	eofSeen    []bool
 	remoteLeft int
 	remoteDone chan struct{}
-	// ctrl serves peer control frames (OnControl).
+	// ctrl serves peer control frames (onControl).
 	ctrl atomic.Pointer[func(method string, payload []byte) ([]byte, error)]
 
 	// Batched transport state (see batch.go): every executor gets a dense

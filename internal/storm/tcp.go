@@ -5,8 +5,8 @@ package storm
 // other and announces itself with a hello frame), heartbeat liveness, and
 // the distributed halves of producer accounting (eof frames), anchored-
 // tuple tracking (ackBatch frames carrying checksum updates to each
-// root's owner), and the control plane (request/response frames for e.g.
-// a rebalance's remote prepares).
+// root's owner), and the control plane (request/response frames; the
+// epoch coordinator's protocol is their one user).
 //
 // Per-sender FIFO comes straight from TCP: everything a worker sends to a
 // given peer — batches, the eofs that retire the emitting executors, epoch
@@ -805,17 +805,17 @@ func (r *Runtime) peerRetired(worker int) bool {
 
 // --- control plane ---
 
-// OnControl registers the handler serving peer control requests (a
-// rebalance's remote prepares, operational RPCs). Must be set before Run; requests
-// arriving with no handler fail back to the caller.
-func (r *Runtime) OnControl(h func(method string, payload []byte) ([]byte, error)) {
+// onControl registers the handler serving the control requests that are not
+// the epoch protocol's. Must be set before Run; requests arriving with no
+// handler fail back to the caller.
+func (r *Runtime) onControl(h func(method string, payload []byte) ([]byte, error)) {
 	r.ctrl.Store(&h)
 }
 
-// Control sends a control request to a worker and blocks for its reply.
-// Requests to this worker's own id are served inline by the registered
-// handler, so callers need not special-case locality.
-func (r *Runtime) Control(worker int, method string, payload []byte) ([]byte, error) {
+// control sends a control request to a worker and blocks for its reply.
+// Requests to this worker's own id are served inline, so callers need not
+// special-case locality.
+func (r *Runtime) control(worker int, method string, payload []byte) ([]byte, error) {
 	if worker == r.cfg.selfWorker || r.cfg.peers == nil {
 		return r.serveControl(method, payload)
 	}
@@ -824,10 +824,8 @@ func (r *Runtime) Control(worker int, method string, payload []byte) ([]byte, er
 }
 
 // serveControl dispatches one control request on the serving worker: the
-// runtime-internal methods of the epoch coordinator's protocol (see
-// epoch.go) are intercepted before the user's OnControl handler, so
-// topology code can install its own handler without forwarding — or even
-// knowing about — the internal namespace.
+// methods of the epoch coordinator's protocol (see epoch.go) go to the
+// coordinator, anything else to the onControl handler.
 func (r *Runtime) serveControl(method string, payload []byte) ([]byte, error) {
 	if strings.HasPrefix(method, epochMethodPrefix) {
 		if ec := r.epochs; ec != nil {
@@ -876,7 +874,7 @@ func (l *peerLinks) control(worker int, method string, payload []byte) ([]byte, 
 }
 
 // handleControl serves one inbound control frame. Requests run on their
-// own goroutine — a migration RPC must not stall the data-plane reader.
+// own goroutine — a control RPC must not stall the data-plane reader.
 func (l *peerLinks) handleControl(peer int, cf controlFrame) {
 	switch cf.kind {
 	case controlRequest:

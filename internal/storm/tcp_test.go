@@ -448,7 +448,7 @@ func TestDistributedControlAndDrain(t *testing.T) {
 	rig := newDistRig(t, 2, build, WithHeartbeat(100*time.Millisecond))
 	for w, rt := range rig.rts {
 		w := w
-		rt.OnControl(func(method string, payload []byte) ([]byte, error) {
+		rt.onControl(func(method string, payload []byte) ([]byte, error) {
 			if method != "echo" {
 				return nil, fmt.Errorf("unknown method %q", method)
 			}
@@ -466,18 +466,18 @@ func TestDistributedControlAndDrain(t *testing.T) {
 
 	// Remote round-trip (worker 0 → worker 1), local short-circuit, and the
 	// error path.
-	resp, err := rig.rts[0].Control(1, "echo", []byte("ping"))
+	resp, err := rig.rts[0].control(1, "echo", []byte("ping"))
 	if err != nil {
 		t.Fatalf("control: %v", err)
 	}
 	if string(resp) != "worker1:ping" {
 		t.Fatalf("control response = %q", resp)
 	}
-	resp, err = rig.rts[0].Control(0, "echo", []byte("self"))
+	resp, err = rig.rts[0].control(0, "echo", []byte("self"))
 	if err != nil || string(resp) != "worker0:self" {
 		t.Fatalf("local control = %q, %v", resp, err)
 	}
-	if _, err := rig.rts[0].Control(1, "nope", nil); err == nil {
+	if _, err := rig.rts[0].control(1, "nope", nil); err == nil {
 		t.Fatal("unknown method: control succeeded")
 	}
 
@@ -574,7 +574,7 @@ func TestDistributedControlFailsOnPeerLoss(t *testing.T) {
 	}
 	rig := newDistRig(t, 2, build, WithHeartbeat(20*time.Millisecond))
 	called, unblock := make(chan struct{}), make(chan struct{})
-	rig.rts[1].OnControl(func(string, []byte) ([]byte, error) {
+	rig.rts[1].onControl(func(string, []byte) ([]byte, error) {
 		close(called)
 		<-unblock
 		return nil, nil
@@ -593,7 +593,7 @@ func TestDistributedControlFailsOnPeerLoss(t *testing.T) {
 		rig.rts[1].links.peerLost(0, errors.New("injected"))
 	}()
 	start := time.Now()
-	_, err := rig.rts[0].Control(1, "block", nil)
+	_, err := rig.rts[0].control(1, "block", nil)
 	elapsed := time.Since(start)
 	close(unblock)
 	close(release)
