@@ -124,28 +124,20 @@ func compileStatement(st *Statement) *stmtCompiled {
 
 // compileIncremental attaches compiled forms to the armed incremental plan
 // and verifies the aggregate slot alignment the compiled references assume.
-func compileIncremental(inc *incState, c *exprCompiler, comp *stmtCompiled) {
-	var specs []*aggSpec
-	switch {
-	case inc.trig != nil:
-		p := inc.trig
-		p.emitFiltersC = c.booleans(p.emitFilters)
-		for _, ip := range p.items {
-			if ip != nil {
-				ip.filtersC = c.booleans(ip.filters)
-			}
+func compileIncremental(p *incPlan, c *exprCompiler, comp *stmtCompiled) {
+	p.emitFiltersC = c.booleans(p.emitFilters)
+	for _, ip := range p.items {
+		if ip != nil {
+			ip.filtersC = c.booleans(ip.filters)
 		}
-		specs = p.aggs
-	case inc.delta != nil:
-		specs = inc.delta.aggs
 	}
-	// The evaluators write slot i for spec i; compiled aggregate references
+	// The evaluator writes slot i for spec i; compiled aggregate references
 	// read slot aggOf[key]. Both orderings come from the same in-order
 	// dedup of st.aggCalls — but verify rather than assume: silently
 	// reading the wrong slot would be far worse than recomputing, which
 	// delivers aggregates through the keyed map.
-	aligned := len(specs) == len(comp.aggKeys)
-	for i, spec := range specs {
+	aligned := len(p.aggs) == len(comp.aggKeys)
+	for i, spec := range p.aggs {
 		if !spec.star && len(spec.call.Args) == 1 {
 			spec.argC = c.value(spec.call.Args[0])
 		}
@@ -154,7 +146,7 @@ func compileIncremental(inc *incState, c *exprCompiler, comp *stmtCompiled) {
 		}
 	}
 	if !aligned {
-		inc.disable()
+		p.disable()
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 // asserts the emitted outputs are identical batch by batch. Fields are
 // integer-valued so maintained sums cancel exactly under retraction and
 // the comparison can demand equality, not tolerance. Batches are compared
-// as sorted multisets: group emission order is documented to differ
-// between the paths once groups die and are re-created.
+// as sorted multisets.
 //
 // That the compiled expressions agree with eval is held per expression, by
 // FuzzCompiledExprEquivalence and TestCompiledMatchesEval over these same

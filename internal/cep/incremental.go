@@ -1,7 +1,6 @@
 package cep
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -14,66 +13,29 @@ import (
 // each arrival, the engine maintains running aggregate state from the
 // add/remove deltas every window reports on insert.
 //
-// Two strategies exist, tried in order at compile time:
+// There is one incremental plan, trigger factorization (incPlan): when one
+// FROM item is a std:lastevent() view whose fields reach — through the
+// equi-join equivalence classes of the WHERE clause — every joined field,
+// the join factorizes per item: each other item keeps per-join-key
+// accumulators (count, sum, sum of squares, value counts for min/max), and
+// an evaluation is a hash probe per item plus O(1) arithmetic. This covers
+// Listing 1 and the paper's threshold-rule family — every rendering of the
+// rule template — making per-event cost independent of the window length
+// l. An item whose window is std:groupwin(k…).win:length(n) and whose join
+// key is those k — Listing 1's bd2 — keeps its accumulators on the window's
+// groups (groupAcc): the group the insert found serves the fold and the
+// probe, and eviction subtracts from a value ring instead of reading the
+// evicted event.
 //
-//   - trigger factorization (incTriggerPlan): when one FROM item is a
-//     std:lastevent() view whose fields reach — through the equi-join
-//     equivalence classes of the WHERE clause — every joined field, the
-//     join factorizes per item: each other item keeps per-join-key
-//     accumulators (count, sum, sum of squares, value counts for min/max),
-//     and an evaluation is a hash probe per item plus O(1) arithmetic.
-//     This covers Listing 1 and the paper's threshold-rule family, making
-//     per-event cost independent of the window length l. An item whose
-//     window is std:groupwin(k…).win:length(n) and whose join key is those
-//     k — Listing 1's bd2 — keeps its accumulators on the window's groups
-//     (groupAcc): the group the insert found serves the fold and the probe,
-//     and eviction subtracts from a value ring instead of reading the
-//     evicted event.
+// Every other query — no such trigger item, or a feature the plan cannot
+// prove correct: DISTINCT over retractions, SELECT *, impure functions
+// inside maintained expressions, field references that do not resolve
+// through the trigger event — is evaluated by full recompute, counted in
+// the statement's RecomputeFallbacks metric.
 //
-//   - delta joins with maintained groups (incDeltaPlan): otherwise, each
-//     window delta is joined only against the other windows (the event's
-//     position is pinned), and the resulting signed rows update maintained
-//     per-group aggregate accumulators. Evaluation emits the live groups
-//     without touching the join.
-//
-// Queries using features the incremental path cannot prove correct —
-// DISTINCT over retractions, SELECT *, impure functions inside maintained
-// expressions, field references that do not resolve through the group key
-// or trigger event — transparently fall back to full recompute; the
-// fallback is counted in the statement's RecomputeFallbacks metric.
-//
-// Caveats (documented in DESIGN.md): aggregates over non-integer float
-// data may differ from a recompute in the last ulp, because sums are
-// maintained by subtraction on eviction instead of re-added in window
-// order; and when several groups fire in one evaluation, groups are
-// emitted in group-creation order, which can differ from the recompute's
-// first-row-appearance order once groups die and are re-created.
-
-// incState is a statement's incremental-evaluation runtime. Exactly one of
-// trig/delta is set. broken flips when maintenance fails; the statement
-// then falls back to recompute permanently.
-type incState struct {
-	st     *Statement
-	broken bool
-	trig   *incTriggerPlan
-	delta  *incDeltaPlan
-
-	// row/ctx are the emit and strategy-1 maintenance scratch; deltaCtx
-	// evaluates over the statement's join scratch during delta joins.
-	row        []*Event
-	ctx        *evalContext
-	deltaCtx   *evalContext
-	pinScratch [1]*Event
-	groupVals  []Value
-	keyBufA    []byte
-	keyBufB    []byte
-
-	// aggF/aggNull are the unboxed aggregate slots handed to compiled
-	// expressions via the eval context (slot i = plan spec i = compiled
-	// aggKeys i).
-	aggF    []float64
-	aggNull []bool
-}
+// Caveat (documented in DESIGN.md): aggregates over non-integer float data
+// may differ from a recompute in the last ulp, because sums are maintained
+// by subtraction on eviction instead of re-added in window order.
 
 // aggSpec is one distinct aggregate call (deduplicated by rendering).
 type aggSpec struct {
@@ -82,8 +44,8 @@ type aggSpec struct {
 	star      bool // count(*)
 	countOnly bool // count(expr): argument need not be numeric
 	track     bool // min/max: keep value counts for eviction rescans
-	anchor    int  // trigger strategy: item the argument reads; -1 = emit-time
-	slot      int  // trigger strategy: accumulator position within the anchor item
+	anchor    int  // item the argument reads; -1 = emit-time
+	slot      int  // accumulator position within the anchor item
 
 	// argC is the compiled argument extractor (nil for count(*)),
 	// attached by compileStatement after planning.
@@ -309,10 +271,10 @@ func singleItemConjunct(c epl.Expr, aliasToIdx map[string]int) (int, bool) {
 	return item, true
 }
 
-// planIncremental analyzes a compiled statement and arms an incremental
-// evaluation strategy when one is provably equivalent to recompute. It
-// never fails compilation: an ineligible query just returns nil.
-func planIncremental(st *Statement, aliasToIdx map[string]int) *incState {
+// planIncremental analyzes a compiled statement and arms the incremental
+// plan when it is provably equivalent to recompute. It never fails
+// compilation: an ineligible query just returns nil.
+func planIncremental(st *Statement, aliasToIdx map[string]int) *incPlan {
 	q := st.Query
 	if q.Distinct {
 		return nil // retractions would resurrect suppressed duplicates
@@ -329,13 +291,7 @@ func planIncremental(st *Statement, aliasToIdx map[string]int) *incState {
 	if !ok {
 		return nil
 	}
-	if p := planTrigger(st, aliasToIdx, aggs); p != nil {
-		return newIncState(st, p, nil)
-	}
-	if p := planDelta(st, aliasToIdx, aggs); p != nil {
-		return newIncState(st, nil, p)
-	}
-	return nil
+	return planTrigger(st, aliasToIdx, aggs)
 }
 
 // planAggSpecs deduplicates the statement's aggregate calls and verifies
@@ -371,119 +327,17 @@ func planAggSpecs(st *Statement) ([]*aggSpec, bool) {
 	return specs, true
 }
 
-func newIncState(st *Statement, trig *incTriggerPlan, delta *incDeltaPlan) *incState {
-	s := &incState{st: st, trig: trig, delta: delta}
-	s.row = make([]*Event, len(st.items))
-	s.ctx = &evalContext{row: s.row, funcs: st.engine.funcs}
-	s.deltaCtx = &evalContext{row: st.rowScratch, funcs: st.engine.funcs}
-	if n := len(st.Query.GroupBy); n > 0 {
-		s.groupVals = make([]Value, n)
-	}
-	return s
-}
+// incPlan is a statement's incremental-evaluation runtime. It factorizes
+// the join around one std:lastevent item T whose fields reach every
+// equi-join class: every join row contains exactly T's current event, so
+// each other item contributes an independent multiset of matches, found by
+// probing per-item accumulators keyed by the class fields. Aggregates
+// combine per-item sums with multiplicities. broken flips when maintenance
+// fails; the statement then falls back to recompute permanently.
+type incPlan struct {
+	st     *Statement
+	broken bool
 
-// disable drops the maintained state; evaluate() then recomputes. A broken
-// trigger plan ran with join-index maintenance skipped (indexesIdle), so
-// the indexes the recompute path is about to probe must be rebuilt from the
-// windows' contents first: process does, once every item took the event
-// that broke the plan.
-func (s *incState) disable() {
-	s.broken = true
-	s.trig = nil
-	s.delta = nil
-}
-
-// strategy names the armed plan, for tests and diagnostics.
-func (s *incState) strategy() string {
-	switch {
-	case s.broken:
-		return "broken"
-	case s.trig != nil:
-		return "trigger"
-	case s.delta != nil:
-		return "delta"
-	}
-	return ""
-}
-
-// IncrementalStrategy reports which incremental plan the statement runs:
-// "trigger" (factorized per-item accumulators around a lastevent item),
-// "delta" (delta joins into maintained groups), "broken" (maintenance
-// failed, recomputing), or "" (recompute: the query is ineligible).
-func (st *Statement) IncrementalStrategy() string {
-	if st.inc == nil {
-		return ""
-	}
-	return st.inc.strategy()
-}
-
-// applyDelta folds one FROM item's window delta into the maintained state.
-// Called while the arriving event is being inserted, before later items'
-// windows are touched — the ordering the sequential delta-join identity
-// requires.
-func (s *incState) applyDelta(idx int, added, removed []*Event) error {
-	if s.trig != nil {
-		ip := s.trig.items[idx]
-		if ip == nil {
-			return nil // the trigger item's single event is read at emit
-		}
-		// s.ctx is shared with trigEvaluate: drop any aggregate bindings left
-		// from a prior evaluation so a (mis-typed) aggregate reference in a
-		// filter or aggregate argument errors exactly like the recompute path
-		// instead of silently reading stale slots.
-		s.ctx.aggs = nil
-		s.ctx.aggF, s.ctx.aggNull = nil, nil
-		if ip.gw != nil {
-			// The group's value ring retracts what the arriving event
-			// overwrites; the evicted event itself is not needed.
-			for _, ev := range added {
-				if err := s.trigFoldGroup(ip, ev); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, ev := range removed {
-			if err := s.trigApply(ip, ev, -1); err != nil {
-				return err
-			}
-		}
-		for _, ev := range added {
-			if err := s.trigApply(ip, ev, +1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, ev := range removed {
-		if err := s.deltaJoin(idx, ev, -1); err != nil {
-			return err
-		}
-	}
-	for _, ev := range added {
-		if err := s.deltaJoin(idx, ev, +1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *incState) evaluate() ([]Output, error) {
-	if s.trig != nil {
-		return s.trigEvaluate()
-	}
-	return s.deltaEvaluate()
-}
-
-// ---------------------------------------------------------------------------
-// Strategy 1: trigger factorization.
-
-// incTriggerPlan factorizes the join around one std:lastevent item T whose
-// fields reach every equi-join class: every join row contains exactly T's
-// current event, so each other item contributes an independent multiset of
-// matches, found by probing per-item accumulators keyed by the class
-// fields. Aggregates combine per-item sums with multiplicities.
-type incTriggerPlan struct {
 	trigIdx int
 	trigWin *lastEventWin // set by attach, once the views are acquired
 	// pairChecks are pairs of trigger-event slots an equi class constrains
@@ -496,6 +350,73 @@ type incTriggerPlan struct {
 	emitFiltersC []compiledBool
 	items        []*incItemState // indexed by FROM position; nil at trigIdx
 	aggs         []*aggSpec
+
+	// row/ctx are the emit and maintenance scratch.
+	row []*Event
+	ctx *evalContext
+
+	// aggF/aggNull are the unboxed aggregate slots handed to compiled
+	// expressions via the eval context (slot i = plan spec i = compiled
+	// aggKeys i).
+	aggF    []float64
+	aggNull []bool
+}
+
+// disable stops maintenance for good; evaluate() then recomputes. A broken
+// plan ran with join-index maintenance skipped (indexesIdle), so the
+// indexes the recompute path is about to probe must be rebuilt from the
+// windows' contents first: process does, once every item took the event
+// that broke the plan.
+func (p *incPlan) disable() { p.broken = true }
+
+// IncrementalStrategy reports which incremental plan the statement runs:
+// "trigger" (factorized per-item accumulators around a lastevent item),
+// "broken" (maintenance failed, recomputing), or "" (recompute: the query
+// is ineligible).
+func (st *Statement) IncrementalStrategy() string {
+	switch {
+	case st.inc == nil:
+		return ""
+	case st.inc.broken:
+		return "broken"
+	}
+	return "trigger"
+}
+
+// applyDelta folds one FROM item's window delta into the item's
+// accumulators.
+func (p *incPlan) applyDelta(idx int, added, removed []*Event) error {
+	ip := p.items[idx]
+	if ip == nil {
+		return nil // the trigger item's single event is read at emit
+	}
+	// p.ctx is shared with evaluate: drop any aggregate bindings left from a
+	// prior evaluation so a (mis-typed) aggregate reference in a filter or
+	// aggregate argument errors exactly like the recompute path instead of
+	// silently reading stale slots.
+	p.ctx.aggs = nil
+	p.ctx.aggF, p.ctx.aggNull = nil, nil
+	if ip.gw != nil {
+		// The group's value ring retracts what the arriving event
+		// overwrites; the evicted event itself is not needed.
+		for _, ev := range added {
+			if err := p.foldGroup(ip, ev); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, ev := range removed {
+		if err := p.apply(ip, ev, -1); err != nil {
+			return err
+		}
+	}
+	for _, ev := range added {
+		if err := p.apply(ip, ev, +1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // incItemState is one non-trigger item's maintained accumulators.
@@ -559,8 +480,9 @@ func (ip *incItemState) probeKey(e *Event) []byte {
 	return ip.keyBuf
 }
 
-// planTrigger attempts strategy 1. See incTriggerPlan.
-func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *incTriggerPlan {
+// planTrigger builds the plan when the statement has a trigger item. See
+// incPlan.
+func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *incPlan {
 	q := st.Query
 	uf := newUnionFind()
 	singles := make([][]epl.Expr, len(st.items))
@@ -706,11 +628,14 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 		}
 	}
 
-	p := &incTriggerPlan{
+	p := &incPlan{
+		st:      st,
 		trigIdx: trig,
 		aggs:    aggs,
 		items:   make([]*incItemState, len(st.items)),
+		row:     make([]*Event, len(st.items)),
 	}
+	p.ctx = &evalContext{row: p.row, funcs: st.engine.funcs}
 	p.emitFilters = append(p.emitFilters, free...)
 	p.emitFilters = append(p.emitFilters, singles[trig]...)
 	for i := range st.items {
@@ -755,7 +680,7 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 // attach binds the plan to the views its statement acquired: the trigger
 // item's window, and for every key-aligned item (see incItemState) an
 // accumulator slot in the groups of its window.
-func (p *incTriggerPlan) attach(st *Statement) {
+func (p *incPlan) attach(st *Statement) {
 	p.trigWin = st.items[p.trigIdx].view.win.(*lastEventWin)
 	for i, ip := range p.items {
 		if ip == nil {
@@ -771,31 +696,31 @@ func (p *incTriggerPlan) attach(st *Statement) {
 	}
 }
 
-// trigPasses applies an item's maintenance filters to one of its events.
-func (s *incState) trigPasses(ip *incItemState, ev *Event) (bool, error) {
+// passes applies an item's maintenance filters to one of its events.
+func (p *incPlan) passes(ip *incItemState, ev *Event) (bool, error) {
 	if len(ip.filtersC) == 0 {
 		return true, nil
 	}
-	s.row[ip.idx] = ev
+	p.row[ip.idx] = ev
 	pass, err := true, error(nil)
 	for _, f := range ip.filtersC {
-		if pass, err = f(s.ctx); err != nil || !pass {
+		if pass, err = f(p.ctx); err != nil || !pass {
 			pass = false
 			break
 		}
 	}
-	s.row[ip.idx] = nil
+	p.row[ip.idx] = nil
 	return pass, err
 }
 
-// trigArg evaluates the argument of an aggregate anchored at ip on one of
+// arg evaluates the argument of an aggregate anchored at ip on one of
 // the item's events. present is false for a nil argument, which no
 // aggregate counts; a count(expr) argument need not be numeric and returns
 // no float.
-func (s *incState) trigArg(ip *incItemState, spec *aggSpec, ev *Event) (f float64, present bool, err error) {
-	s.row[ip.idx] = ev
-	v, err := spec.argC(s.ctx)
-	s.row[ip.idx] = nil
+func (p *incPlan) arg(ip *incItemState, spec *aggSpec, ev *Event) (f float64, present bool, err error) {
+	p.row[ip.idx] = ev
+	v, err := spec.argC(p.ctx)
+	p.row[ip.idx] = nil
 	if err != nil || v == nil {
 		return 0, false, err
 	}
@@ -809,10 +734,10 @@ func (s *incState) trigArg(ip *incItemState, spec *aggSpec, ev *Event) (f float6
 	return f, true, nil
 }
 
-// trigApply folds one added/removed event into the accumulators of an item
+// apply folds one added/removed event into the accumulators of an item
 // that keeps them by join key (every item that is not key-aligned).
-func (s *incState) trigApply(ip *incItemState, ev *Event, sign int) error {
-	if pass, err := s.trigPasses(ip, ev); err != nil || !pass {
+func (p *incPlan) apply(ip *incItemState, ev *Event, sign int) error {
+	if pass, err := p.passes(ip, ev); err != nil || !pass {
 		return err
 	}
 	buf := ip.eventKey(ev)
@@ -832,8 +757,8 @@ func (s *incState) trigApply(ip *incItemState, ev *Event, sign int) error {
 		acc.last = ev
 	}
 	for j, ai := range ip.aggIdx {
-		spec := s.trig.aggs[ai]
-		f, present, err := s.trigArg(ip, spec, ev)
+		spec := p.aggs[ai]
+		f, present, err := p.arg(ip, spec, ev)
 		if err != nil {
 			return err
 		}
@@ -853,10 +778,10 @@ func (s *incState) trigApply(ip *incItemState, ev *Event, sign int) error {
 	return nil
 }
 
-// trigFoldGroup folds the event its window just took into a key-aligned
+// foldGroup folds the event its window just took into a key-aligned
 // item's accumulator on the event's group: retract what the window slot held
 // from the value ring, then fold the arrival in and record it there.
-func (s *incState) trigFoldGroup(ip *incItemState, ev *Event) error {
+func (p *incPlan) foldGroup(ip *incItemState, ev *Event) error {
 	g := ip.gw.cur
 	pos := g.win.(*lengthWin).pos
 	acc := &g.accs[ip.sub]
@@ -871,7 +796,7 @@ func (s *incState) trigFoldGroup(ip *incItemState, ev *Event) error {
 		*in = false
 		acc.rows--
 		for j, ai := range ip.aggIdx {
-			spec := s.trig.aggs[ai]
+			spec := p.aggs[ai]
 			switch {
 			case !held[j].ok:
 			case spec.countOnly:
@@ -881,15 +806,15 @@ func (s *incState) trigFoldGroup(ip *incItemState, ev *Event) error {
 			}
 		}
 	}
-	if pass, err := s.trigPasses(ip, ev); err != nil || !pass {
+	if pass, err := p.passes(ip, ev); err != nil || !pass {
 		return err
 	}
 	*in = true
 	acc.rows++
 	acc.last = ev
 	for j, ai := range ip.aggIdx {
-		spec := s.trig.aggs[ai]
-		f, present, err := s.trigArg(ip, spec, ev)
+		spec := p.aggs[ai]
+		f, present, err := p.arg(ip, spec, ev)
 		if err != nil {
 			return err
 		}
@@ -905,9 +830,9 @@ func (s *incState) trigFoldGroup(ip *incItemState, ev *Event) error {
 	return nil
 }
 
-// trigProbe finds the accumulator of ip matching trigger event e, nil when
+// probe finds the accumulator of ip matching trigger event e, nil when
 // no event of the item does.
-func (ip *incItemState) trigProbe(e *Event) *itemAcc {
+func (ip *incItemState) probe(e *Event) *itemAcc {
 	if ip.gw == nil {
 		return ip.accs[string(ip.probeKey(e))]
 	}
@@ -921,20 +846,19 @@ func (ip *incItemState) trigProbe(e *Event) *itemAcc {
 	return &g.accs[ip.sub].itemAcc
 }
 
-// trigEvaluate emits the (single) group for the current trigger event:
+// evaluate emits the (single) group for the current trigger event:
 // probe each item's accumulators, combine, filter, project.
-func (s *incState) trigEvaluate() ([]Output, error) {
-	p := s.trig
+func (p *incPlan) evaluate() ([]Output, error) {
 	e := p.trigWin.ev
 	if e == nil {
 		return nil, nil
 	}
-	row := s.row
+	row := p.row
 	for i := range row {
 		row[i] = nil
 	}
 	row[p.trigIdx] = e
-	ctx := s.ctx
+	ctx := p.ctx
 	ctx.aggs = nil
 	ctx.aggF, ctx.aggNull = nil, nil
 	for _, f := range p.emitFiltersC {
@@ -956,7 +880,7 @@ func (s *incState) trigEvaluate() ([]Output, error) {
 		if ip == nil {
 			continue
 		}
-		acc := ip.trigProbe(e)
+		acc := ip.probe(e)
 		if acc == nil {
 			return nil, nil
 		}
@@ -967,20 +891,20 @@ func (s *incState) trigEvaluate() ([]Output, error) {
 
 	// Unboxed slot delivery: compiled aggregate references read ctx.aggF
 	// directly, no per-evaluation map or boxing.
-	if s.aggF == nil {
-		s.aggF = make([]float64, len(p.aggs))
-		s.aggNull = make([]bool, len(p.aggs))
+	if p.aggF == nil {
+		p.aggF = make([]float64, len(p.aggs))
+		p.aggNull = make([]bool, len(p.aggs))
 	}
 	for i, spec := range p.aggs {
-		f, null, err := s.trigAggFloat(spec, ctx, rowsTotal)
+		f, null, err := p.aggFloat(spec, ctx, rowsTotal)
 		if err != nil {
 			return nil, err
 		}
-		s.aggF[i], s.aggNull[i] = f, null
+		p.aggF[i], p.aggNull[i] = f, null
 	}
-	ctx.aggF, ctx.aggNull = s.aggF, s.aggNull
+	ctx.aggF, ctx.aggNull = p.aggF, p.aggNull
 
-	comp := s.st.comp
+	comp := p.st.comp
 	if comp.havingC != nil {
 		pass, err := comp.havingC(ctx)
 		if err != nil {
@@ -990,23 +914,22 @@ func (s *incState) trigEvaluate() ([]Output, error) {
 			return nil, nil
 		}
 	}
-	out, err := s.st.project(ctx, row)
+	out, err := p.st.project(ctx, row)
 	if err != nil {
 		return nil, err
 	}
 	outputs := []Output{out}
-	if len(s.st.Query.OrderBy) > 0 {
-		if err := s.st.orderOutputs(outputs); err != nil {
+	if len(p.st.Query.OrderBy) > 0 {
+		if err := p.st.orderOutputs(outputs); err != nil {
 			return nil, err
 		}
 	}
 	return outputs, nil
 }
 
-// trigAggFloat computes one aggregate for the trigger-factorized emit row as
+// aggFloat computes one aggregate for the trigger-factorized emit row as
 // an unboxed (value, isNull) pair. rowsTotal is the join-row count.
-func (s *incState) trigAggFloat(spec *aggSpec, ctx *evalContext, rowsTotal float64) (float64, bool, error) {
-	p := s.trig
+func (p *incPlan) aggFloat(spec *aggSpec, ctx *evalContext, rowsTotal float64) (float64, bool, error) {
 	switch {
 	case spec.star:
 		return rowsTotal, false, nil
@@ -1063,351 +986,4 @@ func constAggFloat(spec *aggSpec, av Value, rowsTotal float64) (float64, bool, e
 		return 0, false, nil
 	}
 	return 0, false, fmt.Errorf("cep: unknown aggregate %q", spec.call.Func)
-}
-
-// ---------------------------------------------------------------------------
-// Strategy 2: delta joins with maintained groups.
-
-// incDeltaPlan maintains per-group aggregate accumulators from signed delta
-// joins: each window add/remove is joined against the other windows with
-// the event's own position pinned, and every resulting row updates its
-// group's state. Evaluation walks the live groups.
-type incDeltaPlan struct {
-	aggs      []*aggSpec
-	groups    map[string]*groupState
-	order     []*groupState // creation order; dead entries are skipped
-	deadCount int
-}
-
-// groupState is one group's maintained aggregates.
-type groupState struct {
-	key     string
-	rows    int
-	lastRow []*Event // most recently added row: the emit representative
-	aggs    []aggAcc
-	dead    bool
-}
-
-// planDelta attempts strategy 2. The query must be fully maintainable:
-// pure WHERE and GROUP BY (they run at maintenance time) and every
-// non-aggregate output reference resolvable through the group key, so any
-// row of the group is a valid representative.
-func planDelta(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *incDeltaPlan {
-	q := st.Query
-	if q.InsertInto != "" && len(q.GroupBy) > 0 {
-		// Maintained groups emit in creation order, which can diverge from
-		// the recompute's window-contents order once a group empties and
-		// is re-created. For listeners that is presentation; through an
-		// INSERT INTO cascade it changes downstream window *state*, so
-		// grouped derived-stream statements stay on recompute.
-		return nil
-	}
-	for _, c := range st.conjuncts {
-		if !pureExpr(c) {
-			return nil
-		}
-	}
-	for _, g := range q.GroupBy {
-		if !pureExpr(g) {
-			return nil
-		}
-	}
-
-	uf := newUnionFind()
-	for _, c := range st.conjuncts {
-		if l, r, ok := equiConjunct(c, aliasToIdx); ok {
-			uf.union(l, r)
-		}
-	}
-	groupExact := make(map[string]bool, len(q.GroupBy))
-	var groupRoots []fieldNode
-	for _, g := range q.GroupBy {
-		groupExact[g.String()] = true
-		if r, ok := g.(*epl.FieldRef); ok && r.Alias != "" {
-			if idx, known := aliasToIdx[r.Alias]; known {
-				groupRoots = append(groupRoots, uf.find(fieldNode{idx, r.Field}))
-			}
-		}
-	}
-
-	var stable func(e epl.Expr) bool
-	stable = func(e epl.Expr) bool {
-		if e == nil {
-			return true
-		}
-		if groupExact[e.String()] {
-			return true
-		}
-		switch x := e.(type) {
-		case *epl.NumberLit, *epl.StringLit, *epl.BoolLit, *epl.DurationLit:
-			return true
-		case *epl.FieldRef:
-			if x.Alias == "" {
-				return false
-			}
-			idx, known := aliasToIdx[x.Alias]
-			if !known {
-				return false
-			}
-			root, present := uf.lookup(fieldNode{idx, x.Field})
-			if !present {
-				return false
-			}
-			for _, gr := range groupRoots {
-				if gr == root {
-					return true
-				}
-			}
-			return false
-		case *epl.UnaryExpr:
-			return stable(x.Expr)
-		case *epl.BinaryExpr:
-			return stable(x.Left) && stable(x.Right)
-		case *epl.CallExpr:
-			if epl.AggregateFuncs[x.Func] {
-				return true // pre-computed from maintained state
-			}
-			for _, a := range x.Args {
-				if !stable(a) {
-					return false
-				}
-			}
-			return true
-		}
-		return false
-	}
-	for _, sel := range q.Select {
-		if !stable(sel.Expr) {
-			return nil
-		}
-	}
-	if q.Having != nil && !stable(q.Having) {
-		return nil
-	}
-	for _, o := range q.OrderBy {
-		if !stable(o.Expr) {
-			return nil
-		}
-	}
-	return &incDeltaPlan{aggs: aggs, groups: make(map[string]*groupState)}
-}
-
-// deltaJoin enumerates the join rows containing ev at position pin —
-// reusing the statement's per-level filters and hash indexes — and applies
-// each with the given sign.
-func (s *incState) deltaJoin(pin int, pinEv *Event, sign int) error {
-	st := s.st
-	row := st.rowScratch
-	for i := range row {
-		row[i] = nil
-	}
-	ctx := s.deltaCtx
-	var rec func(level int) error
-	rec = func(level int) error {
-		if level == len(st.items) {
-			return s.deltaRow(row, sign)
-		}
-		it := st.items[level]
-		var candidates []*Event
-		if level == pin {
-			if it.index != nil {
-				// The pinned event stands in for an index probe: verify it
-				// matches what the probe would have looked up.
-				for k, pe := range it.probeC {
-					v, err := pe(ctx)
-					if err != nil {
-						return err
-					}
-					s.keyBufA = appendValueKey(s.keyBufA[:0], v)
-					s.keyBufB = appendValueKey(s.keyBufB[:0], pinEv.slots[it.indexSlots[k]])
-					if !bytes.Equal(s.keyBufA, s.keyBufB) {
-						return nil
-					}
-				}
-			}
-			s.pinScratch[0] = pinEv
-			candidates = s.pinScratch[:]
-		} else if it.index != nil {
-			buf := st.keyBuf[:0]
-			for i, pe := range it.probeC {
-				v, err := pe(ctx)
-				if err != nil {
-					return err
-				}
-				if i > 0 {
-					buf = append(buf, keySep)
-				}
-				buf = appendValueKey(buf, v)
-			}
-			st.keyBuf = buf
-			candidates = it.index[string(buf)]
-		} else {
-			candidates = it.view.win.contents()
-		}
-		for _, ev := range candidates {
-			row[level] = ev
-			pass := true
-			for _, f := range st.comp.filtersC[level] {
-				okf, err := f(ctx)
-				if err != nil {
-					row[level] = nil
-					return err
-				}
-				if !okf {
-					pass = false
-					break
-				}
-			}
-			if pass {
-				if err := rec(level + 1); err != nil {
-					row[level] = nil
-					return err
-				}
-			}
-		}
-		row[level] = nil
-		return nil
-	}
-	return rec(0)
-}
-
-// deltaRow folds one signed join row into its group's accumulators.
-func (s *incState) deltaRow(row []*Event, sign int) error {
-	p := s.delta
-	st := s.st
-	buf := s.keyBufA[:0]
-	if len(st.Query.GroupBy) > 0 {
-		for i, g := range st.comp.groupByC {
-			v, err := g(s.deltaCtx)
-			if err != nil {
-				return err
-			}
-			s.groupVals[i] = v
-		}
-		buf = appendCompositeKey(buf, s.groupVals)
-	}
-	s.keyBufA = buf
-	gs, ok := p.groups[string(buf)]
-	if !ok {
-		if sign < 0 {
-			return fmt.Errorf("cep: incremental state inconsistency: retraction for unknown group")
-		}
-		gs = &groupState{key: string(buf), aggs: make([]aggAcc, len(p.aggs)), lastRow: make([]*Event, len(row))}
-		p.groups[gs.key] = gs
-		p.order = append(p.order, gs)
-	}
-	gs.rows += sign
-	if gs.rows < 0 {
-		return fmt.Errorf("cep: incremental state inconsistency: negative group cardinality")
-	}
-	if sign > 0 {
-		copy(gs.lastRow, row)
-	}
-	for j, spec := range p.aggs {
-		if spec.star {
-			continue
-		}
-		v, err := spec.argC(s.deltaCtx)
-		if err != nil {
-			return err
-		}
-		if v == nil {
-			continue
-		}
-		if spec.countOnly {
-			gs.aggs[j].n += sign
-			continue
-		}
-		f, okn := numeric(v)
-		if !okn {
-			return fmt.Errorf("cep: aggregate %s over non-numeric value %v", spec.call.Func, v)
-		}
-		if sign > 0 {
-			gs.aggs[j].add(f, spec.track)
-		} else {
-			gs.aggs[j].remove(f, spec.track)
-		}
-	}
-	if gs.rows == 0 {
-		delete(p.groups, gs.key)
-		gs.dead = true
-		p.deadCount++
-	}
-	return nil
-}
-
-// deltaEvaluate emits every live group from its maintained state.
-func (s *incState) deltaEvaluate() ([]Output, error) {
-	p := s.delta
-	st := s.st
-	if p.deadCount > 32 && p.deadCount*2 > len(p.order) {
-		live := p.order[:0]
-		for _, gs := range p.order {
-			if !gs.dead {
-				live = append(live, gs)
-			}
-		}
-		for i := len(live); i < len(p.order); i++ {
-			p.order[i] = nil
-		}
-		p.order = live
-		p.deadCount = 0
-	}
-	if len(p.order) == p.deadCount {
-		return nil, nil
-	}
-	comp := st.comp
-	ctx := s.ctx
-	if s.aggF == nil {
-		s.aggF = make([]float64, len(p.aggs))
-		s.aggNull = make([]bool, len(p.aggs))
-	}
-	ctx.aggs = nil
-	ctx.aggF, ctx.aggNull = s.aggF, s.aggNull
-	var outputs []Output
-	for _, gs := range p.order {
-		if gs.dead {
-			continue
-		}
-		for j, spec := range p.aggs {
-			var f float64
-			var null bool
-			switch {
-			case spec.star:
-				f = float64(gs.rows)
-			case spec.countOnly:
-				f = float64(gs.aggs[j].n)
-			default:
-				f, null = anchoredAggFloat(spec, &gs.aggs[j], 1)
-			}
-			s.aggF[j], s.aggNull[j] = f, null
-		}
-		ctx.row = gs.lastRow
-		if comp.havingC != nil {
-			pass, err := comp.havingC(ctx)
-			if err != nil {
-				ctx.row = s.row
-				return nil, err
-			}
-			if !pass {
-				continue
-			}
-		}
-		out, err := st.project(ctx, gs.lastRow)
-		if err != nil {
-			ctx.row = s.row
-			return nil, err
-		}
-		outputs = append(outputs, out)
-	}
-	ctx.row = s.row
-	if len(outputs) == 0 {
-		return nil, nil
-	}
-	if len(st.Query.OrderBy) > 0 {
-		if err := st.orderOutputs(outputs); err != nil {
-			return nil, err
-		}
-	}
-	return outputs, nil
 }

@@ -24,14 +24,15 @@ func TestIncrementalStrategySelection(t *testing.T) {
 			"trigger",
 		},
 		{
+			// Single-window aggregates have no trigger item: recompute.
 			"single_window_delta",
 			`SELECT avg(w.x) AS a FROM s.win:length(5) AS w`,
-			"delta",
+			"",
 		},
 		{
 			"grouped_delta",
 			`SELECT w.loc AS l, sum(w.x) AS s FROM s.win:length(5) AS w GROUP BY w.loc`,
-			"delta",
+			"",
 		},
 		{
 			"distinct_ineligible",
@@ -70,9 +71,15 @@ func TestIncrementalStrategySelection(t *testing.T) {
 	}
 }
 
+// triggerAvg is a trigger-planned statement: the latest event's location
+// joined with a length window on the same stream.
+const triggerAvg = `SELECT bd.loc AS l, avg(w.x) AS a
+	FROM s.std:lastevent() AS bd, s.win:length(5) AS w
+	WHERE bd.loc = w.loc GROUP BY bd.loc`
+
 func TestIncrementalAndFallbackCounters(t *testing.T) {
 	eng := New()
-	fast, err := eng.AddStatement("fast", `SELECT avg(w.x) AS a FROM s.win:length(5) AS w`)
+	fast, err := eng.AddStatement("fast", triggerAvg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +100,25 @@ func TestIncrementalAndFallbackCounters(t *testing.T) {
 
 func TestIncrementalMinMaxEviction(t *testing.T) {
 	// min/max must follow evictions out of a sliding window: after the 9
-	// leaves a length-3 window, max falls back to the remaining values.
+	// leaves a group's length-3 window, max falls back to the remaining
+	// values. The window is key-aligned, so evictions retract through the
+	// group's value ring.
 	eng := New()
-	st, err := eng.AddStatement("r", `SELECT min(w.x) AS lo, max(w.x) AS hi FROM s.win:length(3) AS w`)
+	st, err := eng.AddStatement("r", `SELECT bd2.loc AS loc, min(bd2.x) AS lo, max(bd2.x) AS hi
+		FROM s.std:lastevent() AS bd, s.std:groupwin(loc).win:length(3) AS bd2
+		WHERE bd.loc = bd2.loc GROUP BY bd2.loc`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.IncrementalStrategy() != "delta" {
-		t.Fatalf("strategy = %q", st.IncrementalStrategy())
+	if st.IncrementalStrategy() != "trigger" || st.inc.items[1].gw == nil {
+		t.Fatalf("strategy = %q, want trigger with a key-aligned bd2", st.IncrementalStrategy())
 	}
 	var last Output
 	st.AddListener(func(_ *Statement, outs []Output) {
 		last = outs[len(outs)-1]
 	})
 	for _, x := range []float64{5, 9, 1, 2, 2} {
-		send(t, eng, "s", map[string]Value{"x": x})
+		send(t, eng, "s", map[string]Value{"x": x, "loc": "a"})
 	}
 	// Window now holds {1, 2, 2}.
 	if last.Fields["lo"] != 1.0 || last.Fields["hi"] != 2.0 {
@@ -118,19 +129,21 @@ func TestIncrementalMinMaxEviction(t *testing.T) {
 func TestIncrementalMaintenanceErrorFallsBack(t *testing.T) {
 	// A maintenance-time type error must not be double-counted, must
 	// permanently disable the incremental plan, and must leave the
-	// statement fully functional via recompute.
+	// statement fully functional via recompute — through the join index on
+	// w.loc, which the armed plan left idle and the break must rebuild.
 	eng := New()
-	st, err := eng.AddStatement("r",
-		`SELECT w.loc AS l, sum(w.x) AS s FROM s.win:length(3) AS w WHERE w.x > 0 GROUP BY w.loc`)
+	st, err := eng.AddStatement("r", `SELECT bd.loc AS l, sum(w.x) AS s
+		FROM s.std:lastevent() AS bd, s.win:length(3) AS w
+		WHERE bd.loc = w.loc AND w.x > 0 GROUP BY bd.loc`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.IncrementalStrategy() != "delta" {
-		t.Fatalf("strategy = %q", st.IncrementalStrategy())
+	if st.IncrementalStrategy() != "trigger" || st.items[1].index == nil {
+		t.Fatalf("strategy = %q, want trigger with w indexed", st.IncrementalStrategy())
 	}
 	send(t, eng, "s", map[string]Value{"x": 2.0, "loc": "a"})
-	// Non-numeric x: the pure WHERE filter fails during delta maintenance
-	// AND during the recompute that the same arrival triggers.
+	// Non-numeric x: w's filter fails during maintenance AND during the
+	// recompute that the same arrival triggers.
 	if err := eng.SendEvent("s", map[string]Value{"x": "bogus", "loc": "a"}); err == nil {
 		t.Fatal("expected a comparison error")
 	}
@@ -211,11 +224,11 @@ func TestWindowDeltaContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng := New()
-			first, err := eng.acquireView(&Statement{}, q.From[0], viewSchema, true)
+			first, err := eng.acquireView(&Statement{}, q.From[0], viewSchema)
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := eng.acquireView(&Statement{}, q.From[0], viewSchema, true)
+			second, err := eng.acquireView(&Statement{}, q.From[0], viewSchema)
 			if err != nil || second != first {
 				t.Fatalf("a second statement's item did not join the unfed view (err %v)", err)
 			}
@@ -250,7 +263,7 @@ func TestWindowDeltaContract(t *testing.T) {
 					}
 				}
 			}
-			if late, _ := eng.acquireView(&Statement{}, q.From[0], viewSchema, true); late == first {
+			if late, _ := eng.acquireView(&Statement{}, q.From[0], viewSchema); late == first {
 				t.Fatal("an item joined a view that has received events")
 			}
 		})
@@ -259,10 +272,10 @@ func TestWindowDeltaContract(t *testing.T) {
 
 func TestIncrementalCollectPublishesCounters(t *testing.T) {
 	eng := New()
-	if _, err := eng.AddStatement("r", `SELECT avg(w.x) AS a FROM s.win:length(5) AS w`); err != nil {
+	if _, err := eng.AddStatement("r", triggerAvg); err != nil {
 		t.Fatal(err)
 	}
-	send(t, eng, "s", map[string]Value{"x": 1.0})
+	send(t, eng, "s", map[string]Value{"x": 1.0, "loc": "a"})
 	reg := telemetry.NewRegistry()
 	eng.Collect(reg)
 	snap := reg.Gather()

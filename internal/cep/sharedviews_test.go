@@ -91,8 +91,8 @@ func (r *sharedRig) add(t *testing.T, s sharedStmt, thresholds []diffEvent) {
 // string (c, which breaks the plan), a filtered min/max rule on the same
 // windows, a trigger rule keyed through an ungrouped window, one whose
 // grouped window reads another stream than its trigger, a two-field group,
-// and delta-plan and plan-less statements that read the shared windows —
-// two of them through two items on one stream. Each is restricted to the
+// and recomputed statements that read the shared windows — two of them
+// through two items on one stream. Each is restricted to the
 // owned loc keys, the owned loc2 keys or nothing, at random.
 func sharedStatements(rng *rand.Rand) []sharedStmt {
 	lengths := []int{1, 10, 100}
@@ -125,7 +125,7 @@ func sharedStatements(rng *rand.Rand) []sharedStmt {
 			FROM bus.std:lastevent() AS bd, bus.std:groupwin(%s).win:length(10) AS g
 			WHERE bd.hour = g.hour AND bd.loc = g.loc GROUP BY g.loc, g.hour`,
 			[]string{"loc, hour", "hour, loc"}[rng.Intn(2)]), "", ""},
-		sharedStmt{name("delta"), fmt.Sprintf(`SELECT w.loc AS loc, sum(w.a) AS s, count(*) AS n
+		sharedStmt{name("grouped"), fmt.Sprintf(`SELECT w.loc AS loc, sum(w.a) AS s, count(*) AS n
 			FROM bus.std:groupwin(loc).win:length(%d) AS w GROUP BY w.loc`, lengths[rng.Intn(2)]), "", ""},
 		sharedStmt{name("selfjoin"), `SELECT l.loc AS loc, count(*) AS n, sum(r.a) AS y
 			FROM bus.win:length(10) AS l, bus.std:groupwin(loc).win:length(10) AS r
@@ -135,8 +135,8 @@ func sharedStatements(rng *rand.Rand) []sharedStmt {
 		sharedStmt{name("three"), `SELECT bd.loc AS loc, avg(x.c) AS m, count(*) AS n
 			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(10) AS x, bus.win:length(10) AS y
 			WHERE bd.loc = x.loc AND bd.loc = y.loc GROUP BY bd.loc`, "", ""},
-		// No equi conjunct, so no join index: the delta join of l's delta
-		// reads r's window itself, which must still be as it was.
+		// No equi conjunct, so no join index: recompute reads r's window
+		// itself.
 		sharedStmt{name("selfloop"), `SELECT count(*) AS n, sum(r.a) AS y
 			FROM bus.win:length(1) AS l, bus.win:length(10) AS r WHERE l.a > r.a`, "", ""},
 		sharedStmt{name("rows"), `SELECT w.loc AS loc, w.a AS a FROM bus.win:length(1) AS w`, "", ""},
@@ -266,8 +266,8 @@ func last(batches []string) string {
 // TestViewJoiningRule pins who shares a window: FROM items of different
 // statements with one stream and view chain, as long as the view has not
 // received an event; never two items of one statement; never a statement
-// registered beside a populated view; and not a delta plan that reads one
-// stream twice.
+// registered beside a populated view. A statement that reads one stream
+// through two items shares each of them like any other.
 func TestViewJoiningRule(t *testing.T) {
 	eng := New()
 	add := func(name, src string) *Statement {
@@ -297,13 +297,11 @@ func TestViewJoiningRule(t *testing.T) {
 	selfjoin := add("selfjoin", `SELECT l.loc AS loc, count(*) AS n
 		FROM bus.std:lastevent() AS l, bus.std:groupwin(loc).win:length(3) AS r
 		WHERE l.x > r.x GROUP BY l.loc`)
-	if selfjoin.IncrementalStrategy() != "delta" {
-		t.Fatalf("precondition: selfjoin plan = %q, want delta", selfjoin.IncrementalStrategy())
+	if selfjoin.IncrementalStrategy() != "" {
+		t.Fatalf("precondition: selfjoin plan = %q, want recompute", selfjoin.IncrementalStrategy())
 	}
-	for _, it := range selfjoin.items {
-		if it.view.refs != 1 || eng.views[it.view.key] == it.view {
-			t.Fatal("a delta plan reading one stream twice must keep its views to itself")
-		}
+	if selfjoin.items[0].view != twice.items[1].view || selfjoin.items[1].view != a.items[1].view {
+		t.Fatal("a statement reading one stream twice must share both views")
 	}
 
 	send(t, eng, "bus", map[string]Value{"loc": "L1", "x": 1.0, "y": 2.0})
@@ -319,8 +317,9 @@ func TestViewJoiningRule(t *testing.T) {
 	eng.Collect(reg)
 	snap := reg.Gather()
 	// a and b: 2 views between them; twice: one of those and 1 of its own;
-	// selfjoin: 2; late: 2 — 7 views under 10 FROM items.
-	for name, want := range map[string]float64{"cep.views": 7, "cep.view_subscriptions": 10} {
+	// selfjoin: twice's own and a's bd2; late: 2 — 5 views under 10 FROM
+	// items.
+	for name, want := range map[string]float64{"cep.views": 5, "cep.view_subscriptions": 10} {
 		if m, ok := snap.Get(name); !ok || m.Value != want {
 			t.Fatalf("%s = %+v (ok=%v), want %v", name, m, ok, want)
 		}
@@ -402,8 +401,8 @@ func TestRetractionDoesNotReadEvictedEvent(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		feed(i)
 	}
-	if st.IncrementalStrategy() != "trigger" || st.inc.trig.items[1].gw == nil {
-		t.Fatalf("precondition: plan %q, key-aligned %v", st.IncrementalStrategy(), st.inc.trig.items[1].gw != nil)
+	if st.IncrementalStrategy() != "trigger" || st.inc.items[1].gw == nil {
+		t.Fatalf("precondition: plan %q, key-aligned %v", st.IncrementalStrategy(), st.inc.items[1].gw != nil)
 	}
 	newest := st.items[0].view.win.(*lastEventWin).ev
 	slot := st.items[1].schema.slot["a"]

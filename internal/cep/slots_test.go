@@ -156,8 +156,8 @@ func TestDerivedEventsAreSlotBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := down.IncrementalStrategy(); s != "delta" {
-		t.Fatalf("strategy = %q, want the delta plan (index probes and pinned-event checks)", s)
+	if s := down.IncrementalStrategy(); s != "" {
+		t.Fatalf("strategy = %q, want recompute (index probes)", s)
 	}
 	got := collect(down)
 	send(t, e, "limits", map[string]Value{"k": "a", "v": 100.0})

@@ -47,10 +47,10 @@ type Statement struct {
 	// then only arrivals on such items trigger evaluation.
 	unidirectional bool
 
-	// inc holds the statement's incremental-evaluation state when the
-	// planner proved the query safe for delta-driven evaluation; nil when
-	// the query uses features the incremental path cannot prove correct.
-	inc *incState
+	// inc holds the statement's incremental plan when the planner proved
+	// the query safe for delta-driven evaluation; nil when the query has no
+	// trigger item or uses features the plan cannot prove correct.
+	inc *incPlan
 
 	// comp holds the compiled form of every expression the statement
 	// evaluates; always non-nil after compile().
@@ -193,17 +193,16 @@ func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statemen
 // compile, so a statement that fails to compile leaves no view behind — and
 // hands the trigger plan the views it reads directly.
 func (st *Statement) acquireViews() error {
-	share := !st.exclusiveViews()
 	for _, it := range st.items {
-		v, err := st.engine.acquireView(st, it.spec, it.schema, share)
+		v, err := st.engine.acquireView(st, it.spec, it.schema)
 		if err != nil {
 			st.releaseViews()
 			return fmt.Errorf("cep: statement %q item %q: %w", st.Name, it.spec.Alias, err)
 		}
 		it.view = v
 	}
-	if st.inc != nil && st.inc.trig != nil {
-		st.inc.trig.attach(st)
+	if st.inc != nil && !st.inc.broken {
+		st.inc.attach(st)
 	}
 	return nil
 }
@@ -222,26 +221,6 @@ func (st *Statement) releaseViews() {
 func (st *Statement) reads(v *view) bool {
 	for _, it := range st.items {
 		if it.view == v {
-			return true
-		}
-	}
-	return false
-}
-
-// exclusiveViews reports whether the statement must keep its views to
-// itself. A delta plan joins each item's delta against the *other* items'
-// current contents, one item at a time; when two of its items read one
-// stream, the later one's window has to still be as it was before the event
-// while the earlier one's delta is joined — which a view another statement
-// already inserted into this turn is not. Every other shape reads its
-// windows only after all of them took the event (a trigger plan's per-item
-// accumulators are independent of each other), so sharing cannot be seen.
-func (st *Statement) exclusiveViews() bool {
-	if st.inc == nil || st.inc.delta == nil {
-		return false
-	}
-	for _, idxs := range st.itemsByStream {
-		if len(idxs) > 1 {
 			return true
 		}
 	}
@@ -341,7 +320,7 @@ func (st *Statement) process(ev *Event, derive func(*Event)) error {
 
 	triggered := false
 	var maintErr error
-	// An armed trigger plan leaves the join indexes idle. If it breaks on
+	// An armed plan leaves the join indexes idle. If it breaks on
 	// this event they stay idle until every item took the event, and are
 	// rebuilt from the windows then: a shared view may already hold the
 	// event when this statement reaches it, so only after the loop do the
@@ -406,18 +385,17 @@ func (st *Statement) process(ev *Event, derive func(*Event)) error {
 }
 
 // indexesIdle reports whether join-index maintenance can be skipped: an
-// armed trigger plan never probes the hash indexes (it keeps its own
-// per-item accumulators), so maintaining them per insert would be pure
-// overhead — ~10% of the Listing-1 hot path, all in the O(bucket) remove
-// scan. Delta plans do probe the indexes (deltaJoin), and a broken plan
-// recomputes through them, so both keep maintenance on; when a trigger
-// plan breaks, process rebuilds the indexes from window contents.
+// armed plan never probes the hash indexes (it keeps its own per-item
+// accumulators), so maintaining them per insert would be pure overhead —
+// ~10% of the Listing-1 hot path, all in the O(bucket) remove scan. A
+// broken plan recomputes through them, so when the plan breaks, process
+// rebuilds the indexes from window contents.
 func (st *Statement) indexesIdle() bool {
-	return st.inc != nil && !st.inc.broken && st.inc.trig != nil
+	return st.inc != nil && !st.inc.broken
 }
 
 // rebuildIndexes repopulates every join index from its window's current
-// contents — the recovery path when a trigger plan breaks after running
+// contents — the recovery path when the plan breaks after running
 // with index maintenance skipped.
 func (st *Statement) rebuildIndexes() {
 	for _, it := range st.items {

@@ -23,7 +23,7 @@ import (
 // The returned slices are only valid until the next insert on the same
 // window: implementations reuse per-window scratch buffers to keep the
 // steady-state hot path allocation-free. Callers (statement.process and
-// the incremental delta appliers) consume the deltas before inserting
+// the incremental plan's applyDelta) consume the deltas before inserting
 // again; a caller that needs to retain them must copy.
 type window interface {
 	insert(ev *Event) (added, removed []*Event)
@@ -83,12 +83,13 @@ func viewKey(stream string, views []epl.ViewSpec, owned *ownedSet) string {
 // its key if that has not received an event and st does not read it already
 // (two items of one statement are updated one at a time and so never share),
 // otherwise a new one, which replaces it as the view later statements may
-// join. share false — a statement that must not see a window change ahead
-// of its own turn, see Statement.exclusiveViews — always builds a new view
-// and registers it for no one else. Called with the engine lock held.
-func (e *Engine) acquireView(st *Statement, f epl.FromItem, sch *streamSchema, share bool) (*view, error) {
+// join. Sharing is safe because every statement reads its windows only
+// after all of its items took the event: the plan's per-item accumulators
+// are independent of each other, and recompute joins the windows at
+// evaluation. Called with the engine lock held.
+func (e *Engine) acquireView(st *Statement, f epl.FromItem, sch *streamSchema) (*view, error) {
 	key := viewKey(f.Stream, f.Views, st.owned)
-	if v := e.views[key]; share && v != nil && v.lastEv == nil && !st.reads(v) {
+	if v := e.views[key]; v != nil && v.lastEv == nil && !st.reads(v) {
 		v.refs++
 		e.viewSubs++
 		return v, nil
@@ -98,9 +99,7 @@ func (e *Engine) acquireView(st *Statement, f epl.FromItem, sch *streamSchema, s
 		return nil, err
 	}
 	v := &view{key: key, win: win, refs: 1}
-	if share {
-		e.views[key] = v
-	}
+	e.views[key] = v
 	e.viewCount++
 	e.viewSubs++
 	return v, nil

@@ -32,26 +32,6 @@ const (
 	ownLost   = "own.lost"
 )
 
-// RoutingHandle is an atomically swappable reference to an immutable
-// RoutingTable. The Splitter loads it on every tuple; the Rebalancer swaps
-// in freshly built tables. Tables must not be mutated after installation.
-type RoutingHandle struct {
-	p atomic.Pointer[RoutingTable]
-}
-
-// NewRoutingHandle installs an initial table.
-func NewRoutingHandle(rt *RoutingTable) *RoutingHandle {
-	h := &RoutingHandle{}
-	h.p.Store(rt)
-	return h
-}
-
-// Load returns the current table.
-func (h *RoutingHandle) Load() *RoutingTable { return h.p.Load() }
-
-// Swap installs a new table and returns the previous one.
-func (h *RoutingHandle) Swap(rt *RoutingTable) *RoutingTable { return h.p.Swap(rt) }
-
 // Move records one location changing engines during a rebalance.
 type Move struct {
 	Field    string
@@ -114,7 +94,10 @@ type RebalancerConfig struct {
 // replay of a pre-swap tuple re-routes through the new table. Ownership and
 // window contents are not part of an epoch checkpoint.
 type Rebalancer struct {
-	handle *RoutingHandle
+	// table is the installed routing table. The Splitter loads it on every
+	// tuple; a cycle swaps in a freshly built one. An installed table is
+	// never mutated.
+	table  atomic.Pointer[RoutingTable]
 	fields []string
 	est    map[string]*RateEstimator
 	skew   float64
@@ -131,8 +114,7 @@ type Rebalancer struct {
 }
 
 // NewRebalancer builds a Rebalancer around an initial routing table. The
-// table becomes owned by the rebalancer's handle and must not be mutated
-// afterwards.
+// table becomes owned by the rebalancer and must not be mutated afterwards.
 func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
 	if cfg.Routing == nil {
 		return nil, fmt.Errorf("core: rebalancer requires an initial routing table")
@@ -144,11 +126,11 @@ func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
 		cfg.SkewThreshold = 2
 	}
 	rb := &Rebalancer{
-		handle: NewRoutingHandle(cfg.Routing),
 		fields: append([]string(nil), cfg.Routing.fields...),
 		est:    make(map[string]*RateEstimator, len(cfg.Routing.fields)),
 		skew:   cfg.SkewThreshold,
 	}
+	rb.table.Store(cfg.Routing)
 	for _, f := range rb.fields {
 		rb.est[f] = NewRateEstimator(nil, cfg.Alpha)
 	}
@@ -162,11 +144,8 @@ func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
 	return rb, nil
 }
 
-// Handle returns the swappable routing handle the Splitter reads.
-func (rb *Rebalancer) Handle() *RoutingHandle { return rb.handle }
-
 // Table returns the currently installed routing table.
-func (rb *Rebalancer) Table() *RoutingTable { return rb.handle.Load() }
+func (rb *Rebalancer) Table() *RoutingTable { return rb.table.Load() }
 
 // Observe records one tuple's location fields in the rate estimators.
 // Called by the Splitter for every tuple; cycles never run on its
@@ -253,7 +232,7 @@ func (rb *Rebalancer) cycle(force bool) (RebalanceReport, error) {
 	defer rb.mu.Unlock()
 	start := time.Now()
 
-	table := rb.handle.Load()
+	table := rb.table.Load()
 	rates := make(map[string][]RegionRate, len(rb.fields))
 	for _, f := range rb.fields {
 		rates[f] = withTableLocations(table, f, rb.est[f].Snapshot())
@@ -289,7 +268,7 @@ func (rb *Rebalancer) swapLocked(table *RoutingTable, rates map[string][]RegionR
 	if len(moves) == 0 {
 		return nil
 	}
-	rb.handle.Swap(fresh)
+	rb.table.Store(fresh)
 	rep.Swapped = true
 	rep.Moves = moves
 	rep.SkewAfter = rb.skewOf(fresh, rates)

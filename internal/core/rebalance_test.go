@@ -149,23 +149,20 @@ func TestRoutingSplitterUnroutedAccounting(t *testing.T) {
 	}
 }
 
-// TestRoutingHandleSwapRace hammers EnginesFor on the live handle while the
-// table is swapped concurrently; run under -race it proves readers never
-// see a half-built table (tier-1).
-func TestRoutingHandleSwapRace(t *testing.T) {
+// TestRoutingTableSwapRace hammers EnginesFor on the rebalancer's live
+// table while rebalance cycles swap it concurrently, the hotspot moving
+// every cycle; run under -race it proves readers never see a half-built
+// table (tier-1).
+func TestRoutingTableSwapRace(t *testing.T) {
 	locs := gridLocs(8)
-	build := func(hot int) *RoutingTable {
-		rates := make([]RegionRate, len(locs))
-		for i, l := range locs {
-			r := 1.0
-			if i == hot {
-				r = 50
-			}
-			rates[i] = RegionRate{Location: l, Rate: r}
-		}
-		return tableFromRates(t, "leafArea", rates, 3)
+	rates := make([]RegionRate, len(locs))
+	for i, l := range locs {
+		rates[i] = RegionRate{Location: l, Rate: 1}
 	}
-	h := NewRoutingHandle(build(0))
+	reb, err := NewRebalancer(RebalancerConfig{Routing: tableFromRates(t, "leafArea", rates, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -179,18 +176,28 @@ func TestRoutingHandleSwapRace(t *testing.T) {
 					return
 				default:
 				}
-				if got := h.Load().EnginesFor(vals); len(got) != 1 {
+				if got := reb.Table().EnginesFor(vals); len(got) != 1 {
 					t.Errorf("location %s routed to %v, want exactly one engine", locs[g], got)
 					return
 				}
 			}
 		}(g)
 	}
-	for i := 0; i < 2000; i++ {
-		h.Swap(build(i % len(locs)))
+	for i := 0; i < 500; i++ {
+		hot := map[string]any{"leafArea": locs[i%len(locs)]}
+		for k := 0; k < 50; k++ {
+			reb.Observe(hot)
+		}
+		if _, err := reb.RebalanceOnce(); err != nil {
+			t.Errorf("rebalance cycle: %v", err)
+			break
+		}
 	}
 	close(stop)
 	wg.Wait()
+	if tot := reb.Totals(); tot.Swaps < 100 {
+		t.Fatalf("swaps = %d, want ≥ 100: the readers raced too few swaps", tot.Swaps)
+	}
 }
 
 // TestRebalancerObserveSwapRace drives Observe and table reads concurrently

@@ -70,6 +70,45 @@ func TestRuleEPLAllVariantsParse(t *testing.T) {
 	}
 }
 
+// TestRuleRenderingsPlanTrigger pins the premise of the CEP engine's one
+// incremental plan: every rendering of the rule template — each threshold
+// strategy's EPL, on every location kind, registered plain or restricted to
+// owned locations — arms the trigger plan. A template edit that misses it
+// would recompute the join on every event.
+func TestRuleRenderingsPlanTrigger(t *testing.T) {
+	renderings := map[string]func(Rule) string{
+		"stream": Rule.StreamEPL,
+		"static": func(r Rule) string { return r.StaticEPL(42) },
+		"joindb": Rule.JoinDBEPL,
+		"perloc": func(r Rule) string { return r.PerLocationEPL("areaA", 8, busdata.Weekday, 50) },
+	}
+	store := newStore(t)
+	for _, kind := range []LocationKind{BusStops, QuadtreeLeaves, QuadtreeLayer} {
+		r := delayRule(10)
+		r.Kind = kind
+		for name, render := range renderings {
+			src := render(r)
+			for _, owned := range []bool{false, true} {
+				eng := cep.New()
+				registerDBThreshold(eng, store)
+				var st *cep.Statement
+				var err error
+				if owned {
+					st, err = eng.AddOwnedStatement(r.Name, src, BusStream, r.LocationField())
+				} else {
+					st, err = eng.AddStatement(r.Name, src)
+				}
+				if err != nil {
+					t.Fatalf("%v %s owned=%v: %v\n%s", kind, name, owned, err, src)
+				}
+				if got := st.IncrementalStrategy(); got != "trigger" {
+					t.Errorf("%v %s owned=%v: plan %q, want trigger\n%s", kind, name, owned, got, src)
+				}
+			}
+		}
+	}
+}
+
 func TestRuleValidate(t *testing.T) {
 	bad := []Rule{
 		{Name: "", Attribute: busdata.AttrDelay, Window: 1},

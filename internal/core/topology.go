@@ -67,8 +67,8 @@ const (
 // Algorithm 1 partitions. A table is built once (AddPartition) and then
 // installed; it is immutable afterwards, so it is safe for any number of
 // concurrent readers. Runtime routing changes never mutate an installed
-// table — the Rebalancer builds a fresh one and swaps it atomically through
-// a RoutingHandle (see rebalance.go).
+// table — the Rebalancer builds a fresh one and swaps it in atomically
+// (see rebalance.go).
 type RoutingTable struct {
 	Mode    RoutingMode
 	Engines int
@@ -187,8 +187,8 @@ type TrafficConfig struct {
 	// task count. BuildTrafficTopology defaults it to RouteAll.
 	Routing *RoutingTable
 	// Rebalancer, when set, takes over routing: the Splitter, which must
-	// then run one task, reads the rebalancer's swappable handle (seeded
-	// from its initial table), feeds observed locations into its rate
+	// then run one task, reads the rebalancer's current table (Table,
+	// seeded from its initial one), feeds observed locations into its rate
 	// estimators and hands ownership over on a swap. A migration installs
 	// no rule: an engine that gains locations loads their thresholds into
 	// the rules it already has. So EngineSetup must install every rule on

@@ -103,9 +103,6 @@ func (cfg *TrafficConfig) routingTable() (*RoutingTable, error) {
 
 // RuleFromDef converts an XML template-rule declaration into a core.Rule.
 func RuleFromDef(def storm.RuleDef) (Rule, error) {
-	if def.Attribute == "" {
-		return Rule{}, fmt.Errorf("core: rule %q is not a template rule (raw EPL rules are installed directly)", def.Name)
-	}
 	r := Rule{
 		Name:        def.Name,
 		Attribute:   def.Attribute,

@@ -1,6 +1,7 @@
 package epl
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -391,7 +392,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 		// Duration literal: "30 sec" (used in win:time views).
 		if p.atKeyword("SEC") || p.atKeyword("SECONDS") {
 			p.next()
-			return &DurationLit{Value: time.Duration(v * float64(time.Second))}, nil
+			ns := v * float64(time.Second)
+			if ns >= math.MaxInt64 {
+				return nil, errAt(t.Pos, "duration %s sec out of range", t.Text)
+			}
+			return &DurationLit{Value: time.Duration(ns)}, nil
 		}
 		return &NumberLit{Value: v}, nil
 	case TokString:

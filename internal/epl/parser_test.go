@@ -59,16 +59,19 @@ func TestParseListing1(t *testing.T) {
 	}
 }
 
+// roundTripQueries parse, and render to a string that parses to the same
+// rendering.
+var roundTripQueries = []string{
+	listing1,
+	`SELECT a.x AS foo, avg(b.y) FROM s.win:length(5) AS a, t.win:keepall() AS b WHERE a.k = b.k GROUP BY a.k HAVING avg(b.y) > 3 ORDER BY a.x DESC`,
+	`SELECT * FROM bus.win:time(30 sec) AS b`,
+	`SELECT count(*) FROM s.win:length_batch(100) AS w`,
+	`SELECT DISTINCT x FROM s.std:lastevent() AS e`,
+	`SELECT x + 2 * y - 1 FROM s.win:keepall() AS e WHERE NOT (x = 1 OR y != 2)`,
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	queries := []string{
-		listing1,
-		`SELECT a.x AS foo, avg(b.y) FROM s.win:length(5) AS a, t.win:keepall() AS b WHERE a.k = b.k GROUP BY a.k HAVING avg(b.y) > 3 ORDER BY a.x DESC`,
-		`SELECT * FROM bus.win:time(30 sec) AS b`,
-		`SELECT count(*) FROM s.win:length_batch(100) AS w`,
-		`SELECT DISTINCT x FROM s.std:lastevent() AS e`,
-		`SELECT x + 2 * y - 1 FROM s.win:keepall() AS e WHERE NOT (x = 1 OR y != 2)`,
-	}
-	for _, src := range queries {
+	for _, src := range roundTripQueries {
 		q1, err := Parse(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
@@ -161,31 +164,34 @@ func TestParseCaseInsensitiveKeywords(t *testing.T) {
 	}
 }
 
+// parseErrorCases are rejected queries and a fragment of each error.
+var parseErrorCases = []struct {
+	src  string
+	want string
+}{
+	{``, "expected SELECT"},
+	{`SELECT`, "unexpected"},
+	{`SELECT * FROM`, "expected identifier"},
+	{`SELECT * FROM s.std:lastevent() AS a, t.win:keepall() AS a`, "duplicate stream alias"},
+	{`SELECT * FROM s.std:nosuchview() AS a`, "unknown view"},
+	{`SELECT * FROM s.win:length() AS a`, "takes 1 argument"},
+	{`SELECT * FROM s.std:lastevent(1) AS a`, "takes 0 argument"},
+	{`SELECT * FROM s.std:groupwin() AS a`, "at least one argument"},
+	{`SELECT * FROM s.std:groupwin(1) AS a`, "must be field names"},
+	{`SELECT * FROM s.std:lastevent() AS a WHERE avg(a.x) > 1`, "not allowed in WHERE"},
+	{`SELECT * FROM s.std:lastevent() AS a GROUP BY avg(a.x)`, "not allowed in GROUP BY"},
+	{`SELECT * FROM s.std:lastevent() AS a WHERE b.x = 1`, "unknown stream alias"},
+	{`SELECT * FROM s.std:lastevent() AS a WHERE x = `, "unexpected"},
+	{`SELECT * FROM s.std:lastevent() AS a extra`, "after end of query"},
+	{`SELECT * FROM s.std:lastevent() AS a WHERE 'unterminated`, "unterminated string"},
+	{`SELECT * FROM s.std:lastevent() AS a WHERE x ! 1`, "unexpected '!'"},
+	{`SELECT * FROM s.std:lastevent() AS a WHERE x = #`, "unexpected character"},
+	{`SELECT * FROM s.std:lastevent() AS a WHERE (x = 1`, "expected )"},
+	{`SELECT * FROM s.win:time(1e30 sec) AS a`, "out of range"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{``, "expected SELECT"},
-		{`SELECT`, "unexpected"},
-		{`SELECT * FROM`, "expected identifier"},
-		{`SELECT * FROM s.std:lastevent() AS a, t.win:keepall() AS a`, "duplicate stream alias"},
-		{`SELECT * FROM s.std:nosuchview() AS a`, "unknown view"},
-		{`SELECT * FROM s.win:length() AS a`, "takes 1 argument"},
-		{`SELECT * FROM s.std:lastevent(1) AS a`, "takes 0 argument"},
-		{`SELECT * FROM s.std:groupwin() AS a`, "at least one argument"},
-		{`SELECT * FROM s.std:groupwin(1) AS a`, "must be field names"},
-		{`SELECT * FROM s.std:lastevent() AS a WHERE avg(a.x) > 1`, "not allowed in WHERE"},
-		{`SELECT * FROM s.std:lastevent() AS a GROUP BY avg(a.x)`, "not allowed in GROUP BY"},
-		{`SELECT * FROM s.std:lastevent() AS a WHERE b.x = 1`, "unknown stream alias"},
-		{`SELECT * FROM s.std:lastevent() AS a WHERE x = `, "unexpected"},
-		{`SELECT * FROM s.std:lastevent() AS a extra`, "after end of query"},
-		{`SELECT * FROM s.std:lastevent() AS a WHERE 'unterminated`, "unterminated string"},
-		{`SELECT * FROM s.std:lastevent() AS a WHERE x ! 1`, "unexpected '!'"},
-		{`SELECT * FROM s.std:lastevent() AS a WHERE x = #`, "unexpected character"},
-		{`SELECT * FROM s.std:lastevent() AS a WHERE (x = 1`, "expected )"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		_, err := Parse(c.src)
 		if err == nil {
 			t.Errorf("Parse(%q): expected error containing %q, got nil", c.src, c.want)

@@ -46,9 +46,10 @@ type XMLGrouping struct {
 	Fields string `xml:"fields,attr"` // comma-separated, for fields grouping
 }
 
-// XMLRule is one user-submitted rule: either a raw EPL statement in the
-// element body, or an instance of the application's generic rule template
-// (§3.3) given by the attribute/location/window attributes.
+// XMLRule is one user-submitted rule: an instance of the application's
+// generic rule template (§3.3) given by the attribute, location, window and
+// s attributes. EPL holds the element's body text, which only serves to
+// reject a rule that carries one.
 type XMLRule struct {
 	Name        string  `xml:"name,attr"`
 	Attribute   string  `xml:"attribute,attr"`
@@ -58,11 +59,10 @@ type XMLRule struct {
 	EPL         string  `xml:",chardata"`
 }
 
-// RuleDef is a parsed rule declaration from the XML file. Template rules
-// have Attribute set and EPL empty; raw rules the opposite.
+// RuleDef is a parsed rule declaration from the XML file: the parameters
+// of one rule template instance.
 type RuleDef struct {
 	Name        string
-	EPL         string
 	Attribute   string
 	Location    string
 	Window      int
@@ -179,13 +179,17 @@ func (xt *XMLTopology) Build(reg *Registry) (*Topology, error) {
 }
 
 // RuleDefs returns the description's rule declarations, unnamed ones named
-// by their position.
+// by their position. A rule with body text or without an attribute is an
+// error: every rule is a template instance.
 func (xt *XMLTopology) RuleDefs() ([]RuleDef, error) {
+	const template = "a rule is a template instance, given by the attribute, location, window and s attributes"
 	var rules []RuleDef
 	for i, r := range xt.Rules {
-		epl := strings.TrimSpace(r.EPL)
-		if epl == "" && r.Attribute == "" {
-			return nil, fmt.Errorf("storm: rule %d (%q) has neither EPL nor template attributes", i, r.Name)
+		if strings.TrimSpace(r.EPL) != "" {
+			return nil, fmt.Errorf("storm: rule %d (%q) has body text; %s", i, r.Name, template)
+		}
+		if r.Attribute == "" {
+			return nil, fmt.Errorf("storm: rule %d (%q) has no attribute; %s", i, r.Name, template)
 		}
 		name := r.Name
 		if name == "" {
@@ -193,7 +197,6 @@ func (xt *XMLTopology) RuleDefs() ([]RuleDef, error) {
 		}
 		rules = append(rules, RuleDef{
 			Name:        name,
-			EPL:         epl,
 			Attribute:   r.Attribute,
 			Location:    r.Location,
 			Window:      r.Window,

@@ -44,8 +44,8 @@ const topologyXML = `
     <grouping type="shuffle" source="mid"/>
   </bolt>
   <rules>
-    <rule name="raw">SELECT * FROM bus.std:lastevent() AS b</rule>
     <rule name="tmpl" attribute="delay" location="stops" window="10" s="2"/>
+    <rule attribute="speed"/>
   </rules>
 </topology>`
 
@@ -63,12 +63,12 @@ func TestLoadXMLRunsTopology(t *testing.T) {
 	if len(rules) != 2 {
 		t.Fatalf("rules = %d", len(rules))
 	}
-	if !strings.HasPrefix(rules[0].EPL, "SELECT") {
-		t.Fatalf("raw rule EPL = %q", rules[0].EPL)
+	if rules[0].Name != "tmpl" || rules[0].Attribute != "delay" || rules[0].Location != "stops" ||
+		rules[0].Window != 10 || rules[0].Sensitivity != 2 {
+		t.Fatalf("template rule = %+v", rules[0])
 	}
-	if rules[1].Attribute != "delay" || rules[1].Location != "stops" ||
-		rules[1].Window != 10 || rules[1].Sensitivity != 2 {
-		t.Fatalf("template rule = %+v", rules[1])
+	if rules[1].Name != "rule-2" {
+		t.Fatalf("unnamed rule named %q, want its position", rules[1].Name)
 	}
 	rt, err := New(topo)
 	if err != nil {
@@ -97,7 +97,8 @@ func TestLoadXMLErrors(t *testing.T) {
 		{"unknown bolt", `<topology name="t"><spout id="s" type="numbers"/><bolt id="b" type="ghost"><grouping source="s"/></bolt></topology>`, "unknown bolt type"},
 		{"spout grouping", `<topology name="t"><spout id="s" type="numbers"><grouping source="s"/></spout></topology>`, "must not declare groupings"},
 		{"bad grouping type", `<topology name="t"><spout id="s" type="numbers"/><bolt id="b" type="pass"><grouping type="psychic" source="s"/></bolt></topology>`, "unknown grouping type"},
-		{"empty rule", `<topology name="t"><spout id="s" type="numbers"/><bolt id="b" type="pass"><grouping source="s"/></bolt><rules><rule name="x"> </rule></rules></topology>`, "neither EPL nor template"},
+		{"empty rule", `<topology name="t"><spout id="s" type="numbers"/><bolt id="b" type="pass"><grouping source="s"/></bolt><rules><rule name="x"> </rule></rules></topology>`, "has no attribute; a rule is a template instance, given by the attribute"},
+		{"raw EPL rule", `<topology name="t"><spout id="s" type="numbers"/><bolt id="b" type="pass"><grouping source="s"/></bolt><rules><rule name="x" attribute="delay">SELECT * FROM bus.std:lastevent() AS b</rule></rules></topology>`, "has body text; a rule is a template instance, given by the attribute"},
 		{"unknown source", `<topology name="t"><spout id="s" type="numbers"/><bolt id="b" type="pass"><grouping source="ghost"/></bolt></topology>`, "unknown component"},
 	}
 	for _, c := range cases {
