@@ -124,6 +124,52 @@ func TestReadCSVBadInput(t *testing.T) {
 	}
 }
 
+// FuzzReadCSV: ReadCSV never panics, and whatever it accepts survives
+// WriteCSV → ReadCSV, with a second write byte-identical to the first
+// (the written form is canonical). Seeds: a generator row, NaN and ±Inf
+// fields, quoted commas and a record with the wrong field count.
+func FuzzReadCSV(f *testing.F) {
+	cfg := DefaultConfig()
+	cfg.Buses, cfg.Lines = 2, 1
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var gen bytes.Buffer
+	if err := WriteCSV(&gen, g.Generate(time.Minute)[:2]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gen.String())
+	f.Add("1,L,1,NaN,-6.0,0,0,s,v\n")
+	f.Add("1,L,1,53.0,+Inf,0,0,s,v\n")
+	f.Add("1,L,1,53.0,-6.0,-Inf,0,s,v\n")
+	f.Add("1357545000,\"L,46\",0,53.347210,-6.259001,12.5,1,\"stop,7\",V0001\n")
+	f.Add("1,L,1,53.0,-6.0,0,0,s\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		traces, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteCSV(&first, traces); err != nil {
+			t.Fatalf("accepted traces do not write: %v", err)
+		}
+		again, err := ReadCSV(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written traces do not read back: %v\n%q", err, first.String())
+		}
+		if len(again) != len(traces) {
+			t.Fatalf("%d traces read back as %d", len(traces), len(again))
+		}
+		if err := WriteCSV(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("second write differs:\n%q\n%q", first.String(), second.String())
+		}
+	})
+}
+
 func TestAttributeValue(t *testing.T) {
 	e := Enriched{
 		Trace:       Trace{Delay: 42, Congestion: true},

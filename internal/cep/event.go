@@ -74,7 +74,7 @@ func (s *streamSchema) bind(ev *Event) {
 }
 
 // appendSlotsKey appends the composite hash key of ev's values at slots —
-// compositeKey over those values — to buf.
+// appendCompositeKey over those values — to buf.
 func appendSlotsKey(buf []byte, ev *Event, slots []int) []byte {
 	for i, sl := range slots {
 		if i > 0 {

@@ -153,13 +153,16 @@ func TestValueKeyStringsVsNumbers(t *testing.T) {
 
 func TestCompositeKeySeparation(t *testing.T) {
 	// ("ab", "c") must differ from ("a", "bc").
-	a := compositeKey([]Value{"ab", "c"})
-	b := compositeKey([]Value{"a", "bc"})
-	if a == b {
+	a := appendCompositeKey(nil, []Value{"ab", "c"})
+	b := appendCompositeKey(nil, []Value{"a", "bc"})
+	if string(a) == string(b) {
 		t.Fatal("composite keys collide across boundaries")
 	}
-	if compositeKey(nil) != "" {
+	if len(appendCompositeKey(nil, nil)) != 0 {
 		t.Fatal("empty composite key")
+	}
+	if got, want := string(appendCompositeKey(nil, []Value{"x", 2.0})), valueKey("x")+string(keySep)+valueKey(2.0); got != want {
+		t.Fatalf("composite key %q, want the value keys joined: %q", got, want)
 	}
 }
 

@@ -121,21 +121,6 @@ func valueKey(v Value) string {
 // keySep separates the components of a composite hash key.
 const keySep = '\x1f'
 
-// compositeKey joins multiple value keys into a single hash key.
-func compositeKey(vals []Value) string {
-	switch len(vals) {
-	case 0:
-		return ""
-	case 1:
-		return valueKey(vals[0])
-	}
-	out := valueKey(vals[0])
-	for _, v := range vals[1:] {
-		out += string(keySep) + valueKey(v)
-	}
-	return out
-}
-
 // appendValueKey appends valueKey(v) to buf without intermediate string
 // allocations for the common numeric and string cases. The rendering must
 // stay byte-identical to valueKey: hot paths build keys with this function
@@ -160,8 +145,8 @@ func appendValueKey(buf []byte, v Value) []byte {
 	}
 }
 
-// appendCompositeKey appends compositeKey(vals) to buf; same contract as
-// appendValueKey.
+// appendCompositeKey appends the composite hash key of vals — their value
+// keys joined by keySep — to buf; same contract as appendValueKey.
 func appendCompositeKey(buf []byte, vals []Value) []byte {
 	for i, v := range vals {
 		if i > 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -297,6 +298,20 @@ func (s *busReaderSpout) Ack(string) {}
 // Fail implements storm.AckingSpout: expired tuples were already counted as
 // dropped by the runtime.
 func (s *busReaderSpout) Fail(string) {}
+
+// Checkpoint implements storm.ReplayableSpout: the replay position is the
+// index of the next trace to emit.
+func (s *busReaderSpout) Checkpoint() []byte {
+	return binary.AppendUvarint(nil, uint64(s.idx))
+}
+
+// Restore implements storm.ReplayableSpout: under storm.AckEpoch a rewind
+// re-emits every trace from the checkpointed index on.
+func (s *busReaderSpout) Restore(snap []byte) {
+	if idx, n := binary.Uvarint(snap); n > 0 {
+		s.idx = int(idx)
+	}
+}
 
 // enricher is the part the three enrichment bolts share: whether the row
 // may be written in place is a fact of the topology the task runs in,

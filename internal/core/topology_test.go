@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -285,5 +288,78 @@ func TestTrafficTopologyHistoryWritten(t *testing.T) {
 func TestTrafficTopologyRequiresTree(t *testing.T) {
 	if _, err := BuildTrafficTopology(TrafficConfig{}); err == nil {
 		t.Fatal("missing tree must fail")
+	}
+}
+
+// traceSink counts the traces it receives by vehicle and timestamp: an
+// idempotent sink, for which a replayed trace is the same trace.
+type traceSink struct {
+	mu   *sync.Mutex
+	seen map[string]int
+}
+
+func traceKey(v map[string]any) string { return fmt.Sprint(v["vehicleId"], "@", v["ts"]) }
+
+func (s traceSink) Prepare(storm.TaskContext) error { return nil }
+func (s traceSink) Cleanup() error                  { return nil }
+func (s traceSink) Execute(t storm.Tuple, _ storm.Collector) error {
+	s.mu.Lock()
+	s.seen[traceKey(t.Values)]++
+	s.mu.Unlock()
+	return nil
+}
+
+// TestBusReaderRecoversLostTrace: the sink fails one trace once, and must
+// still end up with every trace of the feed under both reliability modes —
+// xor by replaying the trace's tuple tree, epoch by rewinding the BusReader
+// to its last committed checkpoint, which it can only do as a
+// storm.ReplayableSpout.
+func TestBusReaderRecoversLostTrace(t *testing.T) {
+	traces := genTraces(t, 30, 5)
+	want := map[string]bool{}
+	for i := range traces {
+		want[traceKey(traces[i].FillValues(map[string]any{}))] = true
+	}
+	if len(want) != len(traces) {
+		t.Fatalf("%d traces share %d keys; the sink needs them distinct", len(traces), len(want))
+	}
+	victim := traces[len(traces)/2].VehicleID
+	for _, mode := range []storm.AckMode{storm.AckXOR, storm.AckEpoch} {
+		t.Run(fmt.Sprint(mode), func(t *testing.T) {
+			sink := traceSink{mu: &sync.Mutex{}, seen: map[string]int{}}
+			var tripped atomic.Bool
+			b := storm.NewTopologyBuilder("busreader-replay")
+			b.SetSpout(CompBusReader, func() storm.Spout { return &busReaderSpout{traces: traces} }, 2, 2)
+			b.SetBolt("sink", func() storm.Bolt {
+				return &failOnceBolt{Bolt: sink, vehicle: victim, tripped: &tripped}
+			}, 2, 2).ShuffleGrouping(CompBusReader)
+			topo, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []storm.Option{storm.WithAckMode(mode), storm.WithAckTimeout(500 * time.Millisecond),
+				storm.WithFailurePolicy(storm.Degrade), storm.WithBatchSize(8)}
+			if mode == storm.AckEpoch {
+				opts = append(opts, storm.WithEpochInterval(5*time.Millisecond))
+			}
+			rt, err := storm.New(topo, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !tripped.Load() {
+				t.Fatal("the forced failure never fired")
+			}
+			for k := range want {
+				if sink.seen[k] == 0 {
+					t.Errorf("trace %s never reached the sink", k)
+				}
+			}
+			if len(sink.seen) != len(want) {
+				t.Fatalf("sink saw %d distinct traces, want %d", len(sink.seen), len(want))
+			}
+		})
 	}
 }

@@ -395,22 +395,14 @@ func (a *xorAcker) slotKey(root uint64) uint64 {
 	return (seq>>(shardBlockBits+a.shardBits))<<shardBlockBits | seq&(1<<shardBlockBits-1)
 }
 
-// newRoot allocates the next root id for this worker. Returns 0 when the
-// acker is stopped (the emission then proceeds unanchored).
-func (a *xorAcker) newRoot() uint64 {
-	if a.stopped.Load() {
-		return 0
-	}
-	return a.seq.Add(1)<<a.workerBits | a.self
-}
-
 // rootBlock is how many sequential root ids a spout collector reserves
 // per trip to the shared counter; sequential ids still rotate across
 // shards and stay dense within each shard's slot ring.
 const rootBlock = 64
 
-// newRootBlock reserves n sequential ids and returns the first, or 0 when
-// stopped. Ids handed out from a cached block after a stop register as
+// newRootBlock reserves n sequential root ids for this worker and returns
+// the first, or 0 when the acker is stopped (the emission then proceeds
+// unanchored). Ids handed out from a cached block after a stop register as
 // no-ops (register checks stopped), so a stale block is harmless.
 func (a *xorAcker) newRootBlock(n uint64) uint64 {
 	if a.stopped.Load() {
@@ -420,7 +412,7 @@ func (a *xorAcker) newRootBlock(n uint64) uint64 {
 	return (hi-n+1)<<a.workerBits | a.self
 }
 
-// register completes a root allocated by newRoot, after its initial
+// register completes a root allocated by newRootBlock, after its initial
 // deliveries were issued: initXor is the XOR of the delivered edge ids,
 // initFail whether any initial delivery was dropped at routing. Updates
 // that raced ahead of registration have accumulated in a placeholder and
@@ -726,7 +718,7 @@ func (a *xorAcker) redeliver(p *xorRoot, hold uint64) {
 }
 
 // cancelAll expires every pending root (run cancellation): drain waiters
-// wake, Fail callbacks fire, and later newRoot calls emit unanchored.
+// wake, Fail callbacks fire, and later newRootBlock calls emit unanchored.
 func (a *xorAcker) cancelAll() {
 	a.stopped.Store(true)
 	var cbs []ackCallback

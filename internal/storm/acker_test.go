@@ -274,7 +274,7 @@ func TestAckerSlotKeyDensity(t *testing.T) {
 				seen[i] = make(map[uint64]uint64, initShardSlots)
 			}
 			for i := 0; i < shards*initShardSlots; i++ {
-				root := a.newRoot()
+				root := a.newRootBlock(1)
 				si := a.shardOf(root)
 				slot := a.slotKey(root) & uint64(initShardSlots-1)
 				if prev, dup := seen[si][slot]; dup {
@@ -442,7 +442,7 @@ func TestAckerDuplicateFailKeepsBackoffDeadline(t *testing.T) {
 	spout := newAckSpout(0)
 	rc := &runningComponent{spec: &componentSpec{id: "src"}}
 	ts := &taskState{ackSpout: spout}
-	root := a.newRoot()
+	root := a.newRootBlock(1)
 	const edge = uint64(0xabcdef)
 	var vals []kvEntry
 	a.register(root, rc, ts, "m", Tuple{}, -1, &vals, edge, false, time.Now())
@@ -493,7 +493,7 @@ func TestAckerZeroChecksumRegisterSingleAck(t *testing.T) {
 	spout := newAckSpout(0)
 	rc := &runningComponent{spec: &componentSpec{id: "src"}}
 	ts := &taskState{ackSpout: spout}
-	root := a.newRoot()
+	root := a.newRootBlock(1)
 	const edge = uint64(0x1234)
 
 	// The consumer's update arrives first (parks a placeholder), then the

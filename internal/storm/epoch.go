@@ -7,8 +7,10 @@ package storm
 // The protocol, end to end:
 //
 //   - The coordinator (a goroutine on worker 0) opens epoch N every
-//     EpochInterval by broadcasting begin(N) on the control plane. One
-//     epoch is in flight at a time.
+//     EpochInterval by broadcasting begin(N). One epoch is in flight at a
+//     time. Every protocol message is one-way: applied inline on its own
+//     worker, and sent as an epoch frame on the per-peer FIFO queue to any
+//     other, so one sender's messages are applied in send order.
 //   - Every spout executor, between NextTuple calls, notices the new
 //     epoch, snapshots each ReplayableSpout task's Checkpoint(), flushes
 //     its output buffers and emits a barrier batch for N to every
@@ -51,27 +53,23 @@ package storm
 // the coordinator for a prompt epoch, keeps injecting barriers, and only
 // exits once an epoch injected after its final tuple commits (a rewind
 // instead reopens it). That way end-of-stream output is covered by the
-// recovery guarantee, and the run's tail latency is a couple of control
-// round-trips rather than a full interval.
+// recovery guarantee, and the run's tail latency is a couple of message
+// hops rather than a full interval.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Control-plane methods of the epoch protocol; dispatched by serveControl
-// ahead of the onControl handler.
-const epochMethodPrefix = "storm.epoch."
-
+// Epoch message kinds, with the words each carries.
 const (
-	epochMethodBegin  = epochMethodPrefix + "begin"  // coordinator → all: open epoch N
-	epochMethodPass   = epochMethodPrefix + "pass"   // worker → coordinator: all locals passed N
-	epochMethodKick   = epochMethodPrefix + "kick"   // worker → coordinator: open an epoch now
-	epochMethodCommit = epochMethodPrefix + "commit" // coordinator → all: N committed
-	epochMethodRewind = epochMethodPrefix + "rewind" // coordinator → all: restore epoch T
+	epochBegin  byte = iota + 1 // coordinator → all: open epoch w[0]
+	epochPass                   // worker → coordinator: worker w[0] passed epoch w[1], counting w[2] losses
+	epochKick                   // worker → coordinator: open an epoch now
+	epochCommit                 // coordinator → all: epoch w[0] committed
+	epochRewind                 // coordinator → all: rewind generation w[0], restore epoch w[1]
 )
 
 // epochAlign is one bolt executor's barrier-alignment state, touched only
@@ -95,9 +93,11 @@ func (al *epochAlign) exempt(e uint64) int {
 	return n
 }
 
+// epochMsg is one message of the epoch protocol: a kind and up to three
+// words. No message has a reply.
 type epochMsg struct {
-	method  string
-	payload []byte
+	kind byte
+	w    [3]uint64
 }
 
 // epochCoordinator carries the per-worker agent state on every worker and
@@ -133,7 +133,7 @@ type epochCoordinator struct {
 	maxReported uint64
 	lossBase    uint64
 
-	outbox   chan epochMsg // agent → coordinator RPCs, off the data path
+	outbox   chan epochMsg // agent → coordinator messages, off the data path
 	leaderCh chan epochMsg // inbound pass/kick on worker 0
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
@@ -207,68 +207,54 @@ func (ec *epochCoordinator) stop() {
 	ec.wg.Wait()
 }
 
-// --- wire helpers: payloads are fixed 8-byte big-endian words ---
-
-func epochPayload(vals ...uint64) []byte {
-	b := make([]byte, 0, 8*len(vals))
-	for _, v := range vals {
-		b = binary.BigEndian.AppendUint64(b, v)
-	}
-	return b
-}
-
-func epochParse(b []byte, n int) ([]uint64, error) {
-	if len(b) != 8*n {
-		return nil, fmt.Errorf("storm: epoch payload is %d bytes, want %d", len(b), 8*n)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint64(b[8*i:])
-	}
-	return out, nil
-}
-
-// serve handles one epoch-protocol control request on the serving worker.
-// It runs on control-handler goroutines (or the caller inline for
-// worker-local requests) and never blocks on the data plane.
-func (ec *epochCoordinator) serve(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case epochMethodBegin:
-		v, err := epochParse(payload, 1)
-		if err != nil {
-			return nil, err
-		}
-		storeMax(&ec.pending, v[0])
+// apply handles one epoch message on this worker: inline on the sender's
+// goroutine when it was sent here, on the peer reader when it came over
+// the wire. It never waits on the coordinator or on a send — it stores
+// atomics or hands off to a buffered channel — so a reader applying it
+// keeps draining its connection. A message only the coordinator may
+// receive fails on any other worker.
+func (ec *epochCoordinator) apply(m epochMsg) error {
+	switch m.kind {
+	case epochBegin:
+		storeMax(&ec.pending, m.w[0])
 		// A worker with no live local executors left (or none placed here
 		// at all) passes every epoch trivially; everyone else reports as
 		// its last local executor passes.
 		ec.mu.Lock()
-		rep := ec.evalLocked(v[0])
+		rep := ec.evalLocked(m.w[0])
 		ec.mu.Unlock()
 		ec.send(rep)
-		return nil, nil
-	case epochMethodCommit:
-		v, err := epochParse(payload, 1)
-		if err != nil {
-			return nil, err
+	case epochCommit:
+		storeMax(&ec.committed, m.w[0])
+	case epochRewind:
+		ec.rewindWord.Store(m.w[0]<<32 | m.w[1]&0xffffffff)
+	case epochPass, epochKick:
+		if ec.r.cfg.selfWorker != ec.leader {
+			return fmt.Errorf("storm: epoch message %d for the coordinator at worker %d", m.kind, ec.r.cfg.selfWorker)
 		}
-		storeMax(&ec.committed, v[0])
-		return nil, nil
-	case epochMethodRewind:
-		v, err := epochParse(payload, 2) // generation, target
-		if err != nil {
-			return nil, err
-		}
-		ec.rewindWord.Store(v[0]<<32 | v[1]&0xffffffff)
-		return nil, nil
-	case epochMethodPass, epochMethodKick:
 		select {
-		case ec.leaderCh <- epochMsg{method: method, payload: payload}:
+		case ec.leaderCh <- m:
 		case <-ec.stopCh:
 		}
-		return nil, nil
+	default:
+		return fmt.Errorf("storm: unknown epoch message kind %d", m.kind)
 	}
-	return nil, fmt.Errorf("storm: unknown epoch method %q", method)
+	return nil
+}
+
+// deliver sends m to worker w: applied inline when w is this worker,
+// queued as an epoch frame on w's FIFO peer queue otherwise. A send to a
+// lost peer fails at once and the message is dropped: the epoch it belongs
+// to stalls, and the commit timeout turns that into a rewind.
+func (ec *epochCoordinator) deliver(w int, m epochMsg) {
+	r := ec.r
+	if r.links == nil || w == r.cfg.selfWorker {
+		_ = ec.apply(m) // cannot fail: the kinds are ours, and only the coordinator's worker is sent pass and kick
+		return
+	}
+	if p := r.links.peers[w]; p != nil {
+		_ = p.sendSmall(func(b []byte) []byte { return appendEpochFrame(b, m) })
+	}
 }
 
 func storeMax(a *atomic.Uint64, v uint64) {
@@ -299,11 +285,11 @@ func (ec *epochCoordinator) retireLocal(lastPassed uint64) {
 	ec.mu.Lock()
 	ec.retired = append(ec.retired, lastPassed)
 	for e := range ec.passCount {
-		if rep := ec.evalLocked(e); rep.method != "" {
+		if rep := ec.evalLocked(e); rep.kind != 0 {
 			reps = append(reps, rep)
 		}
 	}
-	if rep := ec.evalLocked(ec.pending.Load()); rep.method != "" {
+	if rep := ec.evalLocked(ec.pending.Load()); rep.kind != 0 {
 		reps = append(reps, rep)
 	}
 	ec.mu.Unlock()
@@ -341,17 +327,13 @@ func (ec *epochCoordinator) evalLocked(e uint64) epochMsg {
 	loss := ec.r.epochLossSum()
 	delta := loss - ec.lossBase
 	ec.lossBase = loss
-	return epochMsg{
-		method:  epochMethodPass,
-		payload: epochPayload(uint64(ec.r.cfg.selfWorker), e, delta),
-	}
+	return epochMsg{kind: epochPass, w: [3]uint64{uint64(ec.r.cfg.selfWorker), e, delta}}
 }
 
-// send queues one agent→coordinator RPC; the agent goroutine performs the
-// blocking control call so executor goroutines never wait on the control
-// plane.
+// send queues one agent→coordinator message; the agent goroutine delivers
+// it, so neither executors nor peer readers wait on a peer queue.
 func (ec *epochCoordinator) send(m epochMsg) {
-	if m.method == "" {
+	if m.kind == 0 {
 		return
 	}
 	select {
@@ -364,7 +346,7 @@ func (ec *epochCoordinator) send(m epochMsg) {
 // exhausted spout wants its final barrier committed without waiting out
 // the interval).
 func (ec *epochCoordinator) requestKick() {
-	ec.send(epochMsg{method: epochMethodKick, payload: epochPayload()})
+	ec.send(epochMsg{kind: epochKick})
 }
 
 func (ec *epochCoordinator) agentLoop() {
@@ -372,28 +354,10 @@ func (ec *epochCoordinator) agentLoop() {
 	for {
 		select {
 		case m := <-ec.outbox:
-			ec.call(ec.leader, m.method, m.payload)
+			ec.deliver(ec.leader, m)
 		case <-ec.stopCh:
 			return
 		}
-	}
-}
-
-// call performs one control RPC, abandoning the wait when the coordinator
-// shuts down: at run teardown a peer's transport may already be closed,
-// and parking stop() behind the full RPC timeout would stall every
-// shutdown. The detached sender finishes (or errors) on its own; errors
-// are not actionable either way — a dead coordinator stalls the epoch and
-// the commit timeout turns that into a rewind.
-func (ec *epochCoordinator) call(w int, method string, payload []byte) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = ec.r.control(w, method, payload)
-	}()
-	select {
-	case <-done:
-	case <-ec.stopCh:
 	}
 }
 
@@ -434,17 +398,17 @@ func (ec *epochCoordinator) coordinatorLoop() {
 		got = make(map[uint64]bool)
 		loss = 0
 		kicked = false
-		ec.broadcast(epochMethodBegin, epochPayload(inflight))
+		ec.broadcast(epochMsg{kind: epochBegin, w: [3]uint64{inflight}})
 	}
 	resolve := func(commit bool) {
 		if commit {
 			lastCommitted = inflight
 			consecAborts = 0
-			ec.broadcast(epochMethodCommit, epochPayload(lastCommitted))
+			ec.broadcast(epochMsg{kind: epochCommit, w: [3]uint64{lastCommitted}})
 		} else {
 			consecAborts++
 			rewindGen++
-			ec.broadcast(epochMethodRewind, epochPayload(rewindGen, lastCommitted))
+			ec.broadcast(epochMsg{kind: epochRewind, w: [3]uint64{rewindGen, lastCommitted}})
 		}
 		inflight = 0
 		if kicked {
@@ -469,20 +433,20 @@ func (ec *epochCoordinator) coordinatorLoop() {
 				resolve(consecAborts >= ec.r.cfg.MaxRetries)
 			}
 		case m := <-ec.leaderCh:
-			switch m.method {
-			case epochMethodKick:
+			switch m.kind {
+			case epochKick:
 				if inflight == 0 {
 					begin()
 				} else {
 					kicked = true
 				}
-			case epochMethodPass:
-				v, err := epochParse(m.payload, 3) // worker, epoch, loss
-				if err != nil || v[1] != inflight || got[v[0]] {
+			case epochPass:
+				worker, epoch, lost := m.w[0], m.w[1], m.w[2]
+				if epoch != inflight || got[worker] {
 					continue
 				}
-				got[v[0]] = true
-				loss += v[2]
+				got[worker] = true
+				loss += lost
 				if len(got) == ec.workers {
 					// Zero loss commits. Past MaxRetries consecutive
 					// aborts the epoch commits anyway: replay cannot fix
@@ -496,11 +460,10 @@ func (ec *epochCoordinator) coordinatorLoop() {
 	}
 }
 
-// broadcast sends one coordinator decision to every worker, self included
-// (worker-local requests dispatch inline through serveControl).
-func (ec *epochCoordinator) broadcast(method string, payload []byte) {
+// broadcast sends one coordinator decision to every worker, self included.
+func (ec *epochCoordinator) broadcast(m epochMsg) {
 	for w := 0; w < ec.workers; w++ {
-		ec.call(w, method, payload)
+		ec.deliver(w, m)
 	}
 }
 
@@ -583,194 +546,111 @@ func (ec *epochCoordinator) retireExec(ex *executor, lastPassed uint64) {
 	ec.retireLocal(lastPassed)
 }
 
-// --- the epoch-mode spout executor ---
+// --- the spout executor's epoch hooks (runSpoutExecutor) ---
 
-// runEpochSpoutExecutor is runSpoutExecutor's epoch-mode counterpart: the
-// same round-robin NextTuple drive and panic isolation, plus barrier
-// injection between calls, checkpoint/restore bookkeeping, and the
-// exhaustion protocol (park instead of close, exit on the commit of a
-// post-final-tuple epoch). The per-tuple overhead over the plain loop is
-// two atomic loads.
-func (r *Runtime) runEpochSpoutExecutor(rc *runningComponent, ex *executor) {
-	ec := r.epochs
-	out := r.newOutBatcher()
-	col := &taskCollector{r: r, rc: rc, out: out, root: r.tracing}
-
-	n := len(ex.tasks)
-	active := make([]bool, n)
-	parked := make([]bool, n) // exhausted but reopenable by a rewind
-	closed := make([]bool, n) // failed for real: never restored
-	replayable := make([]ReplayableSpout, n)
-	snaps := make([]map[uint64][]byte, n)
-	nActive, nParked := 0, 0
-
-	for i, ts := range ex.tasks {
-		if err := r.spoutOpen(rc, ts); err != nil {
-			r.taskFailed(rc, ts, fmt.Errorf("storm: spout %s task %d open: %w", rc.spec.id, ts.ctx.TaskID, err))
-			closed[i] = true
-			continue
-		}
-		active[i] = true
-		nActive++
-		if rp, ok := ts.spout.(ReplayableSpout); ok {
-			replayable[i] = rp
-			// Epoch 0 is the initial state: a rewind before the first
-			// commit replays the whole stream.
-			snaps[i] = map[uint64][]byte{0: rp.Checkpoint()}
+// epochOpen records epoch 0, the initial state, for every open
+// ReplayableSpout task: a rewind before the first commit replays the whole
+// stream.
+func (s *spoutExec) epochOpen() {
+	s.replayable = make([]ReplayableSpout, len(s.ex.tasks))
+	s.snaps = make([]map[uint64][]byte, len(s.ex.tasks))
+	for i, ts := range s.ex.tasks {
+		if rp, ok := ts.spout.(ReplayableSpout); ok && s.state[i] == spoutActive {
+			s.replayable[i] = rp
+			s.snaps[i] = map[uint64][]byte{0: rp.Checkpoint()}
 		}
 	}
+}
 
-	closeHard := func(i int, ts *taskState) {
-		active[i] = false
-		closed[i] = true
-		nActive--
-		if err := r.spoutClose(rc, ts); err != nil {
-			r.taskFailed(rc, ts, fmt.Errorf("storm: spout %s task %d close: %w", rc.spec.id, ts.ctx.TaskID, err))
-		}
+// park sets an exhausted task aside instead of closing it: a rewind may
+// reopen it.
+func (s *spoutExec) park(i int) {
+	s.state[i] = spoutParked
+	s.nActive--
+	s.nParked++
+	if s.nActive == 0 {
+		// Source drained: ask for a prompt epoch so the tail commits in a
+		// couple of message hops instead of waiting out the interval.
+		s.r.epochs.requestKick()
 	}
-	park := func(i int) {
-		active[i] = false
-		parked[i] = true
-		nActive--
-		nParked++
-		if nActive == 0 && nParked > 0 {
-			// Source drained: ask for a prompt epoch so the tail commits
-			// in control-RTT time instead of waiting out the interval.
-			ec.requestKick()
-		}
-	}
+}
 
-	var (
-		injected  uint64 // last epoch this executor injected
-		exitEpoch uint64 // first epoch injected with every task parked
-		lastGen   uint64 // rewind generation already applied
-	)
-	inject := func(e uint64) {
-		out.flushAll()
-		c := ec.committed.Load()
-		for i := range ex.tasks {
-			if replayable[i] == nil || closed[i] {
+// epochSync applies coordinator state between NextTuple calls: rewinds
+// first (a restore must precede the next barrier's checkpoint), then
+// barrier injection, then the exit check — true once every task is parked
+// and an epoch injected after the final tuple committed.
+func (s *spoutExec) epochSync() (exit bool) {
+	ec := s.r.epochs
+	if w := ec.rewindWord.Load(); w>>32 != s.lastGen {
+		s.lastGen = w >> 32
+		target := w & 0xffffffff
+		for i, rp := range s.replayable {
+			if rp == nil || s.state[i] == spoutClosed {
 				continue
 			}
-			snaps[i][e] = replayable[i].Checkpoint()
-			for k := range snaps[i] {
-				if k < c && k < e {
-					delete(snaps[i], k)
+			if snap, ok := s.snaps[i][target]; ok {
+				rp.Restore(snap)
+			}
+			for k := range s.snaps[i] {
+				if k > target {
+					delete(s.snaps[i], k) // aborted-epoch positions: stale after the rewind
 				}
 			}
-		}
-		ec.forward(rc, e, false)
-		ec.localPass(e)
-		injected = e
-		if nActive == 0 && exitEpoch == 0 {
-			exitEpoch = e
-		}
-	}
-	// sync applies coordinator state between NextTuple calls: rewinds
-	// first (a restore must precede the next barrier's checkpoint), then
-	// barrier injection, then the exhausted-executor exit check.
-	sync := func() (exit bool) {
-		if w := ec.rewindWord.Load(); w>>32 != lastGen {
-			lastGen = w >> 32
-			target := w & 0xffffffff
-			for i := range ex.tasks {
-				if replayable[i] == nil || closed[i] {
-					continue
-				}
-				if snap, ok := snaps[i][target]; ok {
-					replayable[i].Restore(snap)
-				}
-				for k := range snaps[i] {
-					if k > target {
-						delete(snaps[i], k) // aborted-epoch positions: stale after the rewind
-					}
-				}
-				if parked[i] {
-					parked[i] = false
-					nParked--
-					active[i] = true
-					nActive++
-				}
+			if s.state[i] == spoutParked {
+				s.state[i] = spoutActive
+				s.nParked--
+				s.nActive++
 			}
-			exitEpoch = 0
 		}
-		if p := ec.pending.Load(); p > injected {
-			inject(p)
-		}
-		return nActive == 0 && exitEpoch != 0 && ec.committed.Load() >= exitEpoch
+		s.exitEpoch = 0
 	}
-	// callNext isolates one NextTuple call; the open-coded defer costs
-	// ~1ns against a per-tuple budget of hundreds.
-	callNext := func(ts *taskState) (more bool, err error, panicked bool) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = r.panicErr(rc, ts, "NextTuple", p)
-				panicked = true
-			}
-		}()
-		more, err = ts.spout.NextTuple(col)
-		return
+	if e := ec.pending.Load(); e > s.injected {
+		s.inject(e)
 	}
+	return s.nActive == 0 && s.exitEpoch != 0 && ec.committed.Load() >= s.exitEpoch
+}
 
-	now := time.Now()
-	for !r.canceled() {
-		if nActive == 0 {
-			if nParked == 0 {
-				break // every task failed hard: nothing a rewind could reopen
-			}
-			if sync() {
-				break // a post-final-tuple epoch committed: done for good
-			}
-			select {
-			case <-r.done:
-			case <-time.After(time.Millisecond):
-			}
+// inject checkpoints every live ReplayableSpout task at epoch e, prunes
+// positions older than the last commit, and sends barrier e downstream
+// behind this executor's flushed output.
+func (s *spoutExec) inject(e uint64) {
+	ec := s.r.epochs
+	s.out.flushAll()
+	c := ec.committed.Load()
+	for i, rp := range s.replayable {
+		if rp == nil || s.state[i] == spoutClosed {
 			continue
 		}
-		for i, ts := range ex.tasks {
-			if !active[i] {
-				continue
+		s.snaps[i][e] = rp.Checkpoint()
+		for k := range s.snaps[i] {
+			if k < c && k < e {
+				delete(s.snaps[i], k)
 			}
-			start := now
-			col.ts = ts
-			col.start = start
-			if r.tracing {
-				col.nowNanos = start.UnixNano()
-			}
-			more, err, panicked := callNext(ts)
-			now = time.Now()
-			ts.procNanos.Add(uint64(now.Sub(start)))
-			out.maybeFlush(now)
-			switch {
-			case err != nil:
-				wrapped := fmt.Errorf("storm: spout %s task %d: %w", rc.spec.id, ts.ctx.TaskID, err)
-				if quarantined := r.taskFailed(rc, ts, wrapped); quarantined || r.policy != Degrade {
-					closeHard(i, ts)
-				} else if panicked {
-					// Degrade keeps polling a panicking source until
-					// quarantine, mirroring runSpoutExecutor.
-				}
-			case !more:
-				ts.executed.Add(1)
-				ts.consecErr = 0
-				park(i)
-			default:
-				ts.executed.Add(1)
-				ts.consecErr = 0
-			}
-			sync()
 		}
 	}
+	ec.forward(s.rc, e, false)
+	ec.localPass(e)
+	s.injected = e
+	if s.nActive == 0 && s.exitEpoch == 0 {
+		s.exitEpoch = e
+	}
+}
 
-	// Cancelled, committed out, or failed out: close surviving tasks and
-	// retire in-band behind the final flush.
-	for i, ts := range ex.tasks {
-		if active[i] || parked[i] {
-			if err := r.spoutClose(rc, ts); err != nil {
-				r.taskFailed(rc, ts, fmt.Errorf("storm: spout %s task %d close: %w", rc.spec.id, ts.ctx.TaskID, err))
-			}
+// epochIdle waits while every task is parked: it returns true when a
+// rewind reopened a task, false to exit (an epoch injected after the final
+// tuple committed, no task left to reopen, or the run was cancelled).
+func (s *spoutExec) epochIdle() bool {
+	for s.nParked > 0 && !s.r.canceled() {
+		if s.epochSync() {
+			return false
+		}
+		if s.nActive > 0 {
+			return true
+		}
+		select {
+		case <-s.r.done:
+		case <-time.After(time.Millisecond):
 		}
 	}
-	out.flushAll()
-	ec.retireExec(ex, injected)
+	return false
 }

@@ -73,8 +73,7 @@ type config struct {
 	// for 4 intervals is declared lost.
 	heartbeat time.Duration
 	// dialTimeout bounds how long worker start-up waits for each peer to
-	// accept connections, and how long a control call waits for its
-	// reply. Defaults to 10s.
+	// accept connections. Defaults to 10s.
 	dialTimeout time.Duration
 	// listener, when set, is the pre-bound listener for peers[selfWorker]
 	// (tests bind :0 first to learn free ports).
@@ -266,11 +265,8 @@ type Runtime struct {
 	comps   map[string]*runningComponent
 
 	// links are this worker's connections to its peers under WithWorker
-	// (nil in a single-process run). linksReady is closed by RunContext
-	// once links is set, so control-plane entry points arriving from
-	// outside the run can wait for it.
-	links      *peerLinks
-	linksReady chan struct{}
+	// (nil in a single-process run).
+	links *peerLinks
 	// eofSeen dedupes remote executor-exit notifications per dense id
 	// (a lost peer's exits are synthesized and may race its real ones).
 	// remoteLeft counts the remote executors not yet seen exiting;
@@ -279,8 +275,6 @@ type Runtime struct {
 	eofSeen    []bool
 	remoteLeft int
 	remoteDone chan struct{}
-	// ctrl serves peer control frames (onControl).
-	ctrl atomic.Pointer[func(method string, payload []byte) ([]byte, error)]
 
 	// Batched transport state (see batch.go): every executor gets a dense
 	// id into r.execs so outBatchers index their per-destination buffers
@@ -323,7 +317,6 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		comps:     make(map[string]*runningComponent),
 		batchSize: cfg.BatchSize, batchTimeout: cfg.BatchTimeout,
 	}
-	r.linksReady = make(chan struct{})
 	r.batchPool.New = func() any { return &batch{envs: make([]envelope, 0, cfg.BatchSize)} }
 	// The input queue holds batches, so scale its length to keep the
 	// buffered-tuple capacity (and therefore the backpressure point) at
@@ -596,7 +589,7 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 			// No per-tuple machinery at all: the acker stays nil, so
 			// EmitAnchored degrades to plain Emit and reliability rides
 			// the barrier protocol (started below, once the peer links are
-			// up — the coordinator speaks over the control plane).
+			// up — its messages ride them).
 			r.epochs = newEpochCoordinator(r)
 		} else {
 			r.acker = newXorAcker(r, r.cfg.AckTimeout, r.cfg.MaxRetries)
@@ -612,7 +605,6 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 		r.links = l
 		defer l.Close()
 	}
-	close(r.linksReady)
 	if r.epochs != nil {
 		r.epochs.start()
 	}
@@ -631,11 +623,7 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 			go func(rc *runningComponent, ex *executor) {
 				defer wg.Done()
 				if rc.spec.isSpout {
-					if r.epochs != nil {
-						r.runEpochSpoutExecutor(rc, ex)
-					} else {
-						r.runSpoutExecutor(rc, ex)
-					}
+					r.runSpoutExecutor(rc, ex)
 				} else {
 					r.runBoltExecutor(rc, ex)
 				}
@@ -747,38 +735,76 @@ func (r *Runtime) canceled() bool {
 	}
 }
 
+// Spout task states within one executor.
+const (
+	spoutClosed uint8 = iota // never opened, failed, or closed
+	spoutActive              // polled by the round-robin loop
+	spoutParked              // AckEpoch: exhausted, until a rewind reopens it or the executor exits
+)
+
+// spoutExec is one spout executor's run state: the lifecycle of its tasks
+// and, under AckEpoch, their checkpoints (the epoch hooks in epoch.go).
+type spoutExec struct {
+	r                *Runtime
+	rc               *runningComponent
+	ex               *executor
+	out              *outBatcher
+	state            []uint8
+	nActive, nParked int
+
+	// AckEpoch only: each ReplayableSpout task's checkpoints by epoch, the
+	// last epoch injected, the first epoch injected with every task parked,
+	// and the rewind generation already applied.
+	replayable                   []ReplayableSpout
+	snaps                        []map[uint64][]byte
+	injected, exitEpoch, lastGen uint64
+}
+
+func (s *spoutExec) closeTask(i int) {
+	if s.state[i] == spoutActive {
+		s.nActive--
+	} else {
+		s.nParked--
+	}
+	s.state[i] = spoutClosed
+	ts := s.ex.tasks[i]
+	if err := s.r.spoutClose(s.rc, ts); err != nil {
+		s.r.taskFailed(s.rc, ts, fmt.Errorf("storm: spout %s task %d close: %w", s.rc.spec.id, ts.ctx.TaskID, err))
+	}
+}
+
 // runSpoutExecutor drives the executor's spout tasks round-robin until all
 // report exhaustion (or the run is cancelled), then — when ack tracking is
 // on — stays alive until every anchored tuple its tasks emitted resolved,
 // so replays still have open downstream channels.
+//
+// Under AckEpoch the same loop also injects barriers and applies rewinds
+// between calls, and an exhausted task parks instead of closing: the
+// executor exits only once an epoch injected after its final tuple
+// commits, and a rewind reopens its parked tasks.
 //
 // Panic isolation is hoisted out of the per-tuple path: one recover guards
 // each entry into the round-robin loop (paid only when a NextTuple actually
 // panics), and the loop is re-entered afterwards, so the per-call cost is
 // three scalar writes instead of a defer per tuple.
 func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) {
-	out := r.newOutBatcher()
-	active := make([]bool, len(ex.tasks))
-	nActive := 0
-	closeTask := func(i int, ts *taskState) {
-		active[i] = false
-		nActive--
-		if err := r.spoutClose(rc, ts); err != nil {
-			r.taskFailed(rc, ts, fmt.Errorf("storm: spout %s task %d close: %w", rc.spec.id, ts.ctx.TaskID, err))
-		}
-	}
+	ec := r.epochs
+	s := &spoutExec{r: r, rc: rc, ex: ex, out: r.newOutBatcher(), state: make([]uint8, len(ex.tasks))}
 	for i, ts := range ex.tasks {
 		if err := r.spoutOpen(rc, ts); err != nil {
 			r.taskFailed(rc, ts, fmt.Errorf("storm: spout %s task %d open: %w", rc.spec.id, ts.ctx.TaskID, err))
 			continue
 		}
-		active[i] = true
-		nActive++
+		s.state[i] = spoutActive
+		s.nActive++
+	}
+	if ec != nil {
+		s.epochOpen()
 	}
 	// One collector serves every NextTuple call of this executor: per-call
 	// fields (task, clock) are reset below, so the steady state allocates
 	// nothing per tuple.
-	col := &taskCollector{r: r, rc: rc, out: out, root: r.tracing}
+	col := &taskCollector{r: r, rc: rc, out: s.out, root: r.tracing}
 	if r.acker != nil {
 		col.edges = newEdgeStream()
 	}
@@ -806,12 +832,12 @@ func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) {
 			// Degrade keep polling it until quarantine, under FailFast stop
 			// the task like any fatal spout error.
 			if quarantined := r.taskFailed(rc, cur.ts, wrapped); quarantined || r.policy != Degrade {
-				closeTask(cur.i, cur.ts)
+				s.closeTask(cur.i)
 			}
 		}()
-		for nActive > 0 && !r.canceled() {
+		for s.nActive > 0 && !r.canceled() {
 			for i, ts := range ex.tasks {
-				if !active[i] {
+				if s.state[i] != spoutActive {
 					continue
 				}
 				// now chains between iterations: the clock reading taken after
@@ -832,40 +858,56 @@ func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) {
 				ts.procNanos.Add(uint64(now.Sub(start)))
 				// Between calls, flush batches whose oldest envelope waited
 				// past the batch timeout.
-				out.maybeFlush(now)
+				s.out.maybeFlush(now)
+				fatal := false
 				if err != nil {
 					wrapped := fmt.Errorf("storm: spout %s task %d: %w", rc.spec.id, ts.ctx.TaskID, err)
-					if quarantined := r.taskFailed(rc, ts, wrapped); quarantined || r.policy != Degrade {
-						more = false
-					}
+					quarantined := r.taskFailed(rc, ts, wrapped)
+					fatal = quarantined || r.policy != Degrade
 				} else {
 					ts.executed.Add(1)
 					ts.consecErr = 0
 				}
-				if !more {
-					closeTask(i, ts)
+				switch {
+				case fatal || !more && ec == nil:
+					s.closeTask(i)
+				case !more:
+					s.park(i)
+				}
+				if ec != nil {
+					s.epochSync()
 				}
 			}
 		}
 		return true
 	}
-	for !loop() {
+	for {
+		for !loop() {
+		}
+		if ec == nil || !s.epochIdle() {
+			break
+		}
 	}
-	// Cancelled with tasks still active: close them without further emits.
-	for i, ts := range ex.tasks {
-		if active[i] {
-			closeTask(i, ts)
+	// Cancelled, exhausted, committed out or failed out: close the tasks
+	// still open without further emits.
+	for i := range ex.tasks {
+		if s.state[i] != spoutClosed {
+			s.closeTask(i)
 		}
 	}
 	// Everything buffered must be on the wire before this executor reports
 	// itself done: downstream channels close when producer counts reach
 	// zero, and waitTask below blocks on tuple trees whose deliveries could
 	// otherwise still sit in this executor's buffers.
-	out.flushAll()
+	s.out.flushAll()
 	if r.acker != nil {
 		for _, ts := range ex.tasks {
 			r.acker.waitTask(ts)
 		}
+	}
+	if ec != nil {
+		// Retire in-band behind the final flush.
+		ec.retireExec(ex, s.injected)
 	}
 }
 

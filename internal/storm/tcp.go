@@ -5,14 +5,15 @@ package storm
 // other and announces itself with a hello frame), heartbeat liveness, and
 // the distributed halves of producer accounting (eof frames), anchored-
 // tuple tracking (ackBatch frames carrying checksum updates to each
-// root's owner), and the control plane (request/response frames; the
-// epoch coordinator's protocol is their one user).
+// root's owner), and the epoch protocol (barrier frames between executors,
+// one-way epoch frames between the coordinator and the workers).
 //
 // Per-sender FIFO comes straight from TCP: everything a worker sends to a
 // given peer — batches, the eofs that retire the emitting executors, epoch
-// barriers — shares one connection and is processed in order by a single
-// reader goroutine. That ordering is what makes close-on-last-producer
-// race-free without any cross-worker locking.
+// barriers and messages — shares one connection and is processed in order
+// by a single reader goroutine. That ordering is what makes
+// close-on-last-producer race-free without any cross-worker locking, and
+// what applies one sender's epoch messages in send order.
 
 import (
 	"bufio"
@@ -21,7 +22,6 @@ import (
 	"io"
 	"math/bits"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +53,7 @@ func putFrameBuf(f *frameBuf) {
 // qFrame is one queued outbound frame. Batch frames carry their accounting
 // context — destination component, envelope count and a window into the
 // peer's anchors queue — so peer loss can fail queued-but-unsent frames
-// exactly like a failed write (transport.go's dropBatch contract). Control
+// exactly like a failed write (transport.go's dropBatch contract). Small
 // frames (comp nil) carry none.
 type qFrame struct {
 	buf        *frameBuf
@@ -73,10 +73,10 @@ type anchorRef struct{ ack, edge uint64 }
 // can shrink the bound to force the blocking path.
 var peerQueueBytes = 1 << 20
 
-// peerCtrlHeadroom is the control-frame band reserved above peerQueueBytes
-// for trySendSmall: data enqueues block at the bound, so heartbeats (and
-// other fixed-size control frames) always find room even when the peer is
-// saturated with data — see trySendSmall.
+// peerCtrlHeadroom is the band reserved above peerQueueBytes for
+// trySendSmall: every other enqueue (data, eof, ack and epoch frames)
+// blocks at the bound, so heartbeats always find room even when the peer
+// is saturated with data — see trySendSmall.
 const peerCtrlHeadroom = 8 << 10
 
 // shutdownFlushTimeout bounds how long Close waits for a peer's writer to
@@ -88,8 +88,8 @@ const shutdownFlushTimeout = 2 * time.Second
 // Sends are pipelined: callers encode frames off-lock into pooled buffers
 // and append them to a bounded queue; a dedicated writer goroutine drains
 // the whole queue per wakeup into one writev (net.Buffers), so executors
-// never block on the kernel inside a send and small control frames stop
-// costing a syscall each. FIFO across all frame types is preserved — the
+// never block on the kernel inside a send and small frames stop costing a
+// syscall each. FIFO across all frame types is preserved — the
 // queue is strictly ordered and there is exactly one writer.
 type tcpPeer struct {
 	id   int
@@ -205,8 +205,9 @@ func (p *tcpPeer) writeLoop() {
 }
 
 // sendSmall builds a frame into a pooled buffer off the peer lock and
-// queues it, for the fixed-size control traffic. The frame coalesces into
-// the writer's next writev instead of costing its own syscall.
+// queues it, for the fixed-size frames (eofs, acks, epoch barriers and
+// messages). The frame coalesces into the writer's next writev instead of
+// costing its own syscall.
 func (p *tcpPeer) sendSmall(build func([]byte) []byte) error {
 	if p.dead.Load() {
 		return p.down()
@@ -221,13 +222,13 @@ func (p *tcpPeer) sendSmall(build func([]byte) []byte) error {
 }
 
 // trySendSmall is sendSmall minus the backpressure wait, for heartbeats.
-// Control frames get a reserved headroom band above the data bound: data
-// enqueues block at peerQueueBytes, so the band is always available, and a
-// peer saturated with data for 4+ heartbeat intervals keeps proving its
-// liveness instead of silently skipping every beat until the remote's read
-// deadline declares it dead. Only a queue overfull into the band itself
-// (control-frame pile-up behind a stuck writer — the peer really is gone)
-// drops the frame.
+// Heartbeats get a reserved headroom band above the data bound: every
+// other enqueue blocks at peerQueueBytes, so the band is always available,
+// and a peer saturated with data for 4+ heartbeat intervals keeps proving
+// its liveness instead of silently skipping every beat until the remote's
+// read deadline declares it dead. Only a queue overfull into the band
+// itself (heartbeats piled up behind a stuck writer — the peer really is
+// gone) drops the frame.
 func (p *tcpPeer) trySendSmall(build func([]byte) []byte) {
 	if p.dead.Load() {
 		return
@@ -278,7 +279,7 @@ func (l *peerLinks) failFrames(frames []qFrame, anchors []anchorRef, cause error
 	for i := range frames {
 		f := &frames[i]
 		if f.comp == nil {
-			continue // control frame: nothing to account
+			continue // small frame: nothing to account
 		}
 		f.comp.dropped.Add(uint64(f.n))
 		for _, a := range anchors[f.aoff : f.aoff+int32(f.alen)] {
@@ -292,32 +293,15 @@ func (l *peerLinks) failFrames(frames []qFrame, anchors []anchorRef, cause error
 	}
 }
 
-// rpcResult carries one control response back to its waiting caller.
-type rpcResult struct {
-	payload []byte
-	err     error
-}
-
-// rpcCall is one outstanding control request: the worker serving it, so
-// that losing the worker fails the call, and the caller's reply channel.
-type rpcCall struct {
-	worker int
-	reply  chan rpcResult
-}
-
 // peerLinks are one worker's connections to the other workers of a
-// distributed run: an outbound tcpPeer per peer, an inbound reader per
-// accepted connection, and the control requests that ride them.
+// distributed run: an outbound tcpPeer per peer and an inbound reader per
+// accepted connection.
 type peerLinks struct {
 	r     *Runtime
 	self  int
 	hb    time.Duration
 	ln    net.Listener
 	peers []*tcpPeer // by worker id; nil at self
-
-	rpcMu   sync.Mutex
-	rpcSeq  uint64
-	rpcWait map[uint64]rpcCall
 
 	// ackWorkerMask extracts the owning worker from an XOR-acker root id
 	// (the same low-bit layout newXorAcker derives from the peer count),
@@ -341,10 +325,9 @@ type peerLinks struct {
 func newPeerLinks(r *Runtime) (*peerLinks, error) {
 	l := &peerLinks{
 		r: r, self: r.cfg.selfWorker, hb: r.cfg.heartbeat,
-		peers:   make([]*tcpPeer, len(r.cfg.peers)),
-		rpcWait: make(map[uint64]rpcCall),
-		ready:   make(chan struct{}),
-		stopCh:  make(chan struct{}),
+		peers:  make([]*tcpPeer, len(r.cfg.peers)),
+		ready:  make(chan struct{}),
+		stopCh: make(chan struct{}),
 	}
 	if n := len(r.cfg.peers); n > 1 {
 		l.ackWorkerMask = 1<<uint(bits.Len(uint(n-1))) - 1
@@ -665,13 +648,15 @@ func (l *peerLinks) dispatch(peer int, typ byte, body []byte, dec *frameDecoder)
 		b.epochRetire = retire != 0
 		ex.deliver(b)
 		return nil
-	case frameControl:
-		cf, err := decodeControlFrame(body)
+	case frameEpoch:
+		m, err := decodeEpochFrame(body)
 		if err != nil {
 			return err
 		}
-		l.handleControl(peer, cf)
-		return nil
+		if l.r.epochs == nil {
+			return fmt.Errorf("storm: epoch frame at worker %d, which runs without epoch mode", l.self)
+		}
+		return l.r.epochs.apply(m)
 	case frameHello:
 		return nil // redundant hello: ignore
 	}
@@ -760,9 +745,8 @@ func (l *peerLinks) broadcastEOF(eid int) {
 }
 
 // peerLost declares a worker dead: its in-flight batches are gone, so its
-// executors are retired (idempotently) to unblock producer accounting,
-// control requests awaiting its reply fail, and the failure is surfaced as
-// the run error under FailFast.
+// executors are retired (idempotently) to unblock producer accounting, and
+// the failure is surfaced as the run error under FailFast.
 func (l *peerLinks) peerLost(worker int, cause error) {
 	p := l.peers[worker]
 	if p == nil || p.dead.Swap(true) {
@@ -772,17 +756,6 @@ func (l *peerLinks) peerLost(worker int, cause error) {
 	if l.r.policy != Degrade {
 		l.r.recordErr(fmt.Errorf("storm: worker %d: lost worker %d: %w", l.self, worker, cause))
 	}
-	// A call registered after the sweep finds the peer dead when it sends.
-	l.rpcMu.Lock()
-	for _, c := range l.rpcWait {
-		if c.worker == worker {
-			select {
-			case c.reply <- rpcResult{err: fmt.Errorf("storm: lost worker %d awaiting its reply: %w", worker, cause)}:
-			default: // the reply already arrived
-			}
-		}
-	}
-	l.rpcMu.Unlock()
 	for _, ex := range l.r.execs {
 		if ex.worker == worker {
 			l.r.remoteExecDone(ex.eid)
@@ -801,111 +774,4 @@ func (r *Runtime) peerRetired(worker int) bool {
 		}
 	}
 	return true
-}
-
-// --- control plane ---
-
-// onControl registers the handler serving the control requests that are not
-// the epoch protocol's. Must be set before Run; requests arriving with no
-// handler fail back to the caller.
-func (r *Runtime) onControl(h func(method string, payload []byte) ([]byte, error)) {
-	r.ctrl.Store(&h)
-}
-
-// control sends a control request to a worker and blocks for its reply.
-// Requests to this worker's own id are served inline, so callers need not
-// special-case locality.
-func (r *Runtime) control(worker int, method string, payload []byte) ([]byte, error) {
-	if worker == r.cfg.selfWorker || r.cfg.peers == nil {
-		return r.serveControl(method, payload)
-	}
-	<-r.linksReady // wait for RunContext to bring the peer links up
-	return r.links.control(worker, method, payload)
-}
-
-// serveControl dispatches one control request on the serving worker: the
-// methods of the epoch coordinator's protocol (see epoch.go) go to the
-// coordinator, anything else to the onControl handler.
-func (r *Runtime) serveControl(method string, payload []byte) ([]byte, error) {
-	if strings.HasPrefix(method, epochMethodPrefix) {
-		if ec := r.epochs; ec != nil {
-			return ec.serve(method, payload)
-		}
-		return nil, fmt.Errorf("storm: %s without epoch mode on worker %d", method, r.cfg.selfWorker)
-	}
-	h := r.ctrl.Load()
-	if h == nil {
-		return nil, fmt.Errorf("storm: no control handler registered on worker %d", r.cfg.selfWorker)
-	}
-	return (*h)(method, payload)
-}
-
-// control sends one request to a peer and waits for its reply, for at most
-// the dial timeout, until the links close, or until the peer is lost.
-func (l *peerLinks) control(worker int, method string, payload []byte) ([]byte, error) {
-	if worker < 0 || worker >= len(l.peers) || l.peers[worker] == nil {
-		return nil, fmt.Errorf("storm: no such worker %d", worker)
-	}
-	p := l.peers[worker]
-	ch := make(chan rpcResult, 1)
-	l.rpcMu.Lock()
-	l.rpcSeq++
-	id := l.rpcSeq
-	l.rpcWait[id] = rpcCall{worker: worker, reply: ch}
-	l.rpcMu.Unlock()
-	defer func() {
-		l.rpcMu.Lock()
-		delete(l.rpcWait, id)
-		l.rpcMu.Unlock()
-	}()
-	if err := p.sendSmall(func(b []byte) []byte {
-		return appendControlFrame(b, controlRequest, id, method, payload)
-	}); err != nil {
-		return nil, err
-	}
-	select {
-	case res := <-ch:
-		return res.payload, res.err
-	case <-l.stopCh:
-		return nil, fmt.Errorf("storm: links closed awaiting %s from worker %d", method, worker)
-	case <-time.After(l.r.cfg.dialTimeout):
-		return nil, fmt.Errorf("storm: control %s to worker %d timed out", method, worker)
-	}
-}
-
-// handleControl serves one inbound control frame. Requests run on their
-// own goroutine — a control RPC must not stall the data-plane reader.
-func (l *peerLinks) handleControl(peer int, cf controlFrame) {
-	switch cf.kind {
-	case controlRequest:
-		l.wg.Add(1)
-		go func() {
-			defer l.wg.Done()
-			resp, err := l.r.serveControl(cf.method, cf.payload)
-			kind, body := controlResponse, resp
-			if err != nil {
-				kind, body = controlError, []byte(err.Error())
-			}
-			if p := l.peers[peer]; p != nil {
-				p.sendSmall(func(b []byte) []byte {
-					return appendControlFrame(b, kind, cf.id, cf.method, body)
-				})
-			}
-		}()
-	case controlResponse, controlError:
-		l.rpcMu.Lock()
-		c, ok := l.rpcWait[cf.id]
-		l.rpcMu.Unlock()
-		if !ok {
-			return
-		}
-		res := rpcResult{payload: cf.payload}
-		if cf.kind == controlError {
-			res = rpcResult{err: fmt.Errorf("storm: control %s on worker %d: %s", cf.method, peer, cf.payload)}
-		}
-		select {
-		case c.reply <- res:
-		default:
-		}
-	}
 }

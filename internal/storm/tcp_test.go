@@ -369,7 +369,7 @@ func TestDistributedAnchoredReplayOverTCP(t *testing.T) {
 }
 
 // gatedSpout emits n tuples then idles until released, keeping the run —
-// and its transport — alive for control-plane tests.
+// and its transport — alive while a test acts on it.
 type gatedSpout struct {
 	n, i    int
 	release chan struct{}
@@ -434,64 +434,7 @@ func TestDistributedLateWorkerJoins(t *testing.T) {
 	}
 }
 
-// TestDistributedControlAndDrain exercises the control plane between live
-// workers: a Control round-trip to a peer, the local short-circuit and the
-// error path, while the data plane carries the feed to its end.
-func TestDistributedControlAndDrain(t *testing.T) {
-	release := make(chan struct{})
-	build := func(int) *TopologyBuilder {
-		b := NewTopologyBuilder("t")
-		b.SetSpout("src", func() Spout { return &gatedSpout{n: 100, release: release} }, 1, 1)
-		b.SetBolt("sink", func() Bolt { return &passBolt{} }, 2, 2).ShuffleGrouping("src")
-		return b
-	}
-	rig := newDistRig(t, 2, build, WithHeartbeat(100*time.Millisecond))
-	for w, rt := range rig.rts {
-		w := w
-		rt.onControl(func(method string, payload []byte) ([]byte, error) {
-			if method != "echo" {
-				return nil, fmt.Errorf("unknown method %q", method)
-			}
-			return []byte(fmt.Sprintf("worker%d:%s", w, payload)), nil
-		})
-	}
-	var wg sync.WaitGroup
-	for i, rt := range rig.rts {
-		wg.Add(1)
-		go func(i int, rt *Runtime) {
-			defer wg.Done()
-			rig.errs[i] = rt.Run()
-		}(i, rt)
-	}
-
-	// Remote round-trip (worker 0 → worker 1), local short-circuit, and the
-	// error path.
-	resp, err := rig.rts[0].control(1, "echo", []byte("ping"))
-	if err != nil {
-		t.Fatalf("control: %v", err)
-	}
-	if string(resp) != "worker1:ping" {
-		t.Fatalf("control response = %q", resp)
-	}
-	resp, err = rig.rts[0].control(0, "echo", []byte("self"))
-	if err != nil || string(resp) != "worker0:self" {
-		t.Fatalf("local control = %q, %v", resp, err)
-	}
-	if _, err := rig.rts[0].control(1, "nope", nil); err == nil {
-		t.Fatal("unknown method: control succeeded")
-	}
-
-	close(release)
-	wg.Wait()
-	for i, err := range rig.errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	rig.edgeReconciles(t, "src", "sink")
-}
-
-// TestDistributedHeartbeatHeadroomUnderFullQueue pins the control-frame
+// TestDistributedHeartbeatHeadroomUnderFullQueue pins the heartbeat
 // headroom band of trySendSmall: a peer whose queue sits at the data
 // bound (data enqueues blocked on backpressure) must still accept
 // heartbeats — skipping them for 4+ intervals makes the remote's read
@@ -559,125 +502,171 @@ func TestDistributedHeartbeatSurvivesBackpressureSoak(t *testing.T) {
 	rig.edgeReconciles(t, "src", "sink")
 }
 
-// TestDistributedControlFailsOnPeerLoss: a control request fails as soon as
-// the worker serving it is lost, instead of waiting out the control
-// timeout. Worker 1's handler blocks, and worker 1 then tears its links
-// down mid-call by declaring worker 0 lost; worker 0's reader sees the
-// connection close and loses worker 1 in turn.
-func TestDistributedControlFailsOnPeerLoss(t *testing.T) {
-	release := make(chan struct{})
-	build := func(int) *TopologyBuilder {
-		b := NewTopologyBuilder("t")
-		b.SetSpout("src", func() Spout { return &gatedSpout{n: 10, release: release} }, 1, 1)
-		b.SetBolt("sink", func() Bolt { return &passBolt{} }, 2, 2).ShuffleGrouping("src")
-		return b
-	}
-	rig := newDistRig(t, 2, build, WithHeartbeat(20*time.Millisecond))
-	called, unblock := make(chan struct{}), make(chan struct{})
-	rig.rts[1].onControl(func(string, []byte) ([]byte, error) {
-		close(called)
-		<-unblock
-		return nil, nil
-	})
-	var wg sync.WaitGroup
-	for i, rt := range rig.rts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rig.errs[i] = rt.Run()
-		}()
-	}
-	go func() {
-		<-called
-		<-rig.rts[1].linksReady
-		rig.rts[1].links.peerLost(0, errors.New("injected"))
-	}()
-	start := time.Now()
-	_, err := rig.rts[0].control(1, "block", nil)
-	elapsed := time.Since(start)
-	close(unblock)
-	close(release)
-	wg.Wait()
-	if err == nil {
-		t.Fatal("control to a worker lost mid-call succeeded")
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("control failed only after %v (%v), want under 2s", elapsed, err)
-	}
-}
-
 // TestDistributedRejectsFramesOffPlacement: an inbound batch frame is
 // checked against the placement before delivery. A frame addressing a task
 // its executor does not have, or addressing a spout executor, fails the
-// link like any other malformed frame: the worker stays up, closes the
-// connection, and Run reports the lost link. The test plays worker 1 of a
-// two-worker run whose worker 0 it starts.
+// link like any other malformed frame.
 func TestDistributedRejectsFramesOffPlacement(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
+		name, why  string
 		eid, local int
 	}{
-		{"taskOutOfRange", 1, 5}, // the sink executor on worker 0 has one task
-		{"spout", 0, 0},
+		{"taskOutOfRange", "frame for task 5 of executor 1", 1, 5}, // the sink executor on worker 0 has one task
+		{"spout", "not a bolt executor", 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			release := make(chan struct{})
-			b := NewTopologyBuilder("t")
-			b.SetSpout("src", func() Spout { return &gatedSpout{release: release} }, 1, 1)
-			b.SetBolt("sink", func() Bolt { return &passBolt{} }, 2, 2).ShuffleGrouping("src")
-			topo, err := b.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var peers []string
-			var lns []net.Listener
-			for i := 0; i < 2; i++ {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ln.Close()
-				lns = append(lns, ln)
-				peers = append(peers, ln.Addr().String())
-			}
-			rt, err := New(topo, WithWorker(0, peers), WithListener(lns[0]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ex := rt.execs[tc.eid]; ex.worker != 0 || len(ex.tasks) != 1 {
-				t.Fatalf("executor %d: worker %d with %d tasks, the test needs worker 0 with 1", tc.eid, ex.worker, len(ex.tasks))
-			}
-			ran := make(chan error, 1)
-			go func() { ran <- rt.Run() }()
-
-			conn, err := net.Dial("tcp", peers[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
 			frame, err := appendBatchFrame(nil, tc.eid, []envelope{{local: tc.local, tuple: Tuple{Stream: DefaultStream}}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := conn.Write(append(appendHelloFrame(nil, 1), frame...)); err != nil {
-				t.Fatal(err)
-			}
-			// Worker 0 writes nothing on this connection: a read ends when it
-			// closes the link, or at the deadline, well inside the 4 s a
-			// silent peer is given.
-			conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-			if _, err := conn.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
-				t.Fatal("worker 0 kept the link open after the frame")
-			}
-			close(release)
-			select {
-			case err := <-ran:
-				if err == nil || !strings.Contains(err.Error(), "lost worker 1") {
-					t.Fatalf("Run = %v, want the lost link to worker 1", err)
+			rejectsFrame(t, frame, tc.why, func(rt *Runtime) {
+				if ex := rt.execs[tc.eid]; ex.worker != 0 || len(ex.tasks) != 1 {
+					t.Fatalf("executor %d: worker %d with %d tasks, the test needs worker 0 with 1", tc.eid, ex.worker, len(ex.tasks))
 				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("worker 0 did not finish")
-			}
+			})
 		})
+	}
+}
+
+// TestDistributedRejectsStrayEpochFrames: an epoch frame at a worker
+// running without epoch mode, an epoch message of unknown kind, and a frame
+// of the reserved type 8 (the retired control request, in its old layout)
+// each fail the link.
+func TestDistributedRejectsStrayEpochFrames(t *testing.T) {
+	// Worker 1 never reports, so each epoch stalls until its commit timeout;
+	// the one-abort cap keeps the rest of the run short.
+	epoch := []Option{WithAckTimeout(50 * time.Millisecond), WithMaxRetries(1), WithAckMode(AckEpoch), WithEpochInterval(5 * time.Millisecond)}
+	for _, tc := range []struct {
+		name, why string
+		frame     []byte
+		opts      []Option
+	}{
+		{"withoutEpochMode", "without epoch mode", appendEpochFrame(nil, epochMsg{kind: epochCommit, w: [3]uint64{1}}), nil},
+		{"unknownKind", "unknown epoch message kind 99", appendEpochFrame(nil, epochMsg{kind: 99}), epoch},
+		{"reservedType8", "unknown frame type 8", endFrame(appendWireString(append(beginFrame(nil, 8), 0, 1), "storm.epoch.begin")), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rejectsFrame(t, tc.frame, tc.why, nil, tc.opts...)
+		})
+	}
+}
+
+// rejectsFrame plays worker 1 of a two-worker run whose worker 0 it starts
+// (a spout task and one sink task; check inspects the runtime first when
+// non-nil): it connects, says hello and sends frame, which must fail the
+// link — worker 0 stays up, closes the connection, and Run reports the
+// lost link, with why in the cause.
+func rejectsFrame(t *testing.T, frame []byte, why string, check func(*Runtime), opts ...Option) {
+	t.Helper()
+	release := make(chan struct{})
+	b := NewTopologyBuilder("t")
+	b.SetSpout("src", func() Spout { return &gatedSpout{release: release} }, 1, 1)
+	b.SetBolt("sink", func() Bolt { return &passBolt{} }, 2, 2).ShuffleGrouping("src")
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peers []string
+	var lns []net.Listener
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		lns = append(lns, ln)
+		peers = append(peers, ln.Addr().String())
+	}
+	rt, err := New(topo, append([]Option{WithWorker(0, peers), WithListener(lns[0])}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if check != nil {
+		check(rt)
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- rt.Run() }()
+
+	conn, err := net.Dial("tcp", peers[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(append(appendHelloFrame(nil, 1), frame...)); err != nil {
+		t.Fatal(err)
+	}
+	// Worker 0 writes nothing on this connection: a read ends when it
+	// closes the link, or at the deadline, well inside the 4 s a silent
+	// peer is given.
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("worker 0 kept the link open after the frame")
+	}
+	close(release)
+	select {
+	case err := <-ran:
+		if err == nil || !strings.Contains(err.Error(), "lost worker 1") || !strings.Contains(err.Error(), why) {
+			t.Fatalf("Run = %v, want the lost link to worker 1 for %q", err, why)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker 0 did not finish")
+	}
+}
+
+// TestDistributedEpochSurvivesPeerLoss: worker 1 of a two-worker epoch run
+// declares worker 0 — the coordinator's worker — lost in mid-run, once
+// commits are crossing the wire. Neither worker may wait out the lost
+// peer: worker 1's messages to the coordinator fail at once, worker 0's
+// coordinator sees its epochs stall and rewinds until the abort cap
+// commits, and both Run calls return within 5 s.
+func TestDistributedEpochSurvivesPeerLoss(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	reached := make(chan struct{}) // a tuple reached worker 1's sink
+	build := func(w int) *TopologyBuilder {
+		b := NewTopologyBuilder("t")
+		b.SetSpout("src", func() Spout { return &gatedSpout{n: 100, release: release} }, 1, 1)
+		b.SetBolt("sink", func() Bolt {
+			return &funcBolt{exec: func(Tuple, Collector) error {
+				if w == 1 {
+					once.Do(func() { close(reached) })
+				}
+				return nil
+			}}
+		}, 2, 2).FieldsGrouping("src", "i") // a shuffle would keep every tuple on worker 0
+		return b
+	}
+	rig := newDistRig(t, 2, build, WithHeartbeat(20*time.Millisecond), WithAckTimeout(100*time.Millisecond),
+		WithMaxRetries(1), WithAckMode(AckEpoch), WithEpochInterval(5*time.Millisecond))
+	for _, p := range rig.rts[0].Placements() {
+		if want := map[string]int{"src": 0, "sink": p.TaskIndex}[p.Component]; p.Worker != want {
+			t.Fatalf("%s task %d placed on worker %d, the test needs %d", p.Component, p.TaskIndex, p.Worker, want)
+		}
+	}
+	errs := make(chan error, 2)
+	for _, rt := range rig.rts {
+		go func() { errs <- rt.Run() }()
+	}
+	select {
+	case <-reached:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no tuple reached worker 1")
+	}
+	// The sink ran, so worker 1's links and coordinator state are set up.
+	w1 := rig.rts[1]
+	for deadline := time.Now().Add(5 * time.Second); w1.epochs.committed.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no commit reached worker 1")
+		}
+	}
+	w1.links.peerLost(0, errors.New("injected"))
+	close(release)
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-errs:
+		case <-timeout:
+			t.Fatalf("%d of 2 workers returned within 5s of the loss", i)
+		}
 	}
 }

@@ -37,9 +37,10 @@ const (
 	_                                 // 5 and 6 are reserved (the retired drain frames,
 	_                                 // frameFence/frameFenceAck); rejected as unknown
 	frameHeartbeat                    // liveness keepalive
-	frameControl                      // control-plane request/response
+	_                                 // 8 is reserved (the retired control request/response frame); rejected as unknown
 	frameAckBatch                     // coalesced XOR-acker checksum updates
 	frameEpochBarrier                 // aligned epoch barrier for one executor
+	frameEpoch                        // one-way epoch-protocol message (epoch.go)
 )
 
 const (
@@ -526,43 +527,32 @@ func appendEpochBarrierFrame(buf []byte, eid int, epoch uint64, retire bool) []b
 	return endFrame(appendUvarint(buf, fl))
 }
 
-// Control frame kinds.
-const (
-	controlRequest  byte = 0
-	controlResponse byte = 1
-	controlError    byte = 2
-)
-
-func appendControlFrame(buf []byte, kind byte, id uint64, method string, payload []byte) []byte {
-	buf = append(beginFrame(buf, frameControl), kind)
-	buf = appendUvarint(buf, id)
-	buf = appendWireString(buf, method)
-	return endFrame(append(buf, payload...))
+// appendEpochFrame encodes one epoch-protocol message: its kind byte and
+// its three words as uvarints.
+func appendEpochFrame(buf []byte, m epochMsg) []byte {
+	buf = append(beginFrame(buf, frameEpoch), m.kind)
+	for _, v := range m.w {
+		buf = appendUvarint(buf, v)
+	}
+	return endFrame(buf)
 }
 
-type controlFrame struct {
-	kind    byte
-	id      uint64
-	method  string
-	payload []byte
-}
-
-// decodeControlFrame decodes a control payload (type byte consumed). The
-// returned payload is copied out of b.
-func decodeControlFrame(b []byte) (controlFrame, error) {
-	var cf controlFrame
+// decodeEpochFrame decodes an epoch frame payload (type byte consumed).
+// The kind is checked where the message is applied.
+func decodeEpochFrame(b []byte) (epochMsg, error) {
+	var m epochMsg
 	if len(b) == 0 {
-		return cf, errShortFrame
+		return m, errShortFrame
 	}
-	cf.kind = b[0]
-	b = b[1:]
+	m.kind, b = b[0], b[1:]
 	var err error
-	if cf.id, b, err = decodeUvarint(b); err != nil {
-		return cf, err
+	for i := range m.w {
+		if m.w[i], b, err = decodeUvarint(b); err != nil {
+			return m, err
+		}
 	}
-	if cf.method, b, err = decodeWireString(b); err != nil {
-		return cf, err
+	if len(b) != 0 {
+		return m, fmt.Errorf("storm: %d trailing bytes after epoch frame", len(b))
 	}
-	cf.payload = append([]byte(nil), b...)
-	return cf, nil
+	return m, nil
 }

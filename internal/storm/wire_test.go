@@ -3,6 +3,7 @@ package storm
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime/debug"
 	"strings"
@@ -176,27 +177,34 @@ func TestWireDecodeRejectsMalformedFrames(t *testing.T) {
 	}
 }
 
-// TestWireControlFrameRoundTrip pins the control-plane codec, including the
-// payload copy-out (responses outlive the read buffer: a waiting Control
-// caller consumes them on another goroutine).
-func TestWireControlFrameRoundTrip(t *testing.T) {
-	payload := []byte(`{"moves":[{"field":"key"}]}`)
-	frame := appendControlFrame(nil, controlRequest, 42, "core.prepare", payload)
-	cf, err := decodeControlFrame(frame[frameHeaderLen+1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cf.kind != controlRequest || cf.id != 42 || cf.method != "core.prepare" || string(cf.payload) != string(payload) {
-		t.Fatalf("decoded %+v", cf)
-	}
-	for i := range frame {
-		frame[i] = 0
-	}
-	if string(cf.payload) != `{"moves":[{"field":"key"}]}` {
-		t.Fatal("control payload aliases the read buffer")
-	}
-	if _, err := decodeControlFrame(nil); err == nil {
-		t.Error("empty control frame: decode succeeded")
+// TestWireEpochFrameRoundTrip pins the epoch-message codec: every kind
+// with full-width words round-trips, and truncated or overlong payloads are
+// rejected.
+func TestWireEpochFrameRoundTrip(t *testing.T) {
+	for _, m := range []epochMsg{
+		{kind: epochBegin, w: [3]uint64{7}},
+		{kind: epochPass, w: [3]uint64{3, 1 << 40, 12}},
+		{kind: epochKick},
+		{kind: epochCommit, w: [3]uint64{math.MaxUint64}},
+		{kind: epochRewind, w: [3]uint64{2, 5}},
+	} {
+		frame := appendEpochFrame(nil, m)
+		if got := binary.BigEndian.Uint32(frame); int(got) != len(frame)-frameHeaderLen || frame[frameHeaderLen] != frameEpoch {
+			t.Fatalf("%+v: header = %d/%d", m, got, frame[frameHeaderLen])
+		}
+		body := frame[frameHeaderLen+1:]
+		got, err := decodeEpochFrame(body)
+		if err != nil || got != m {
+			t.Fatalf("decoded %+v, %v; want %+v", got, err, m)
+		}
+		for cut := 0; cut < len(body); cut++ {
+			if _, err := decodeEpochFrame(body[:cut]); err == nil {
+				t.Errorf("%+v truncated at %d/%d bytes: decode succeeded", m, cut, len(body))
+			}
+		}
+		if _, err := decodeEpochFrame(append(append([]byte(nil), body...), 0)); err == nil {
+			t.Errorf("%+v with a trailing byte: decode succeeded", m)
+		}
 	}
 }
 
@@ -225,17 +233,20 @@ func TestWireSmallFrames(t *testing.T) {
 }
 
 // TestWireRejectsReservedFrameType pins the frame numbering: types 4–6 stay
-// reserved between eof and heartbeat, and a well-formed frame of each is
-// rejected like any unknown frame instead of being dispatched — type 4 in
-// the layout the retired ackResult frame had (uvarint id + fail byte), 5
-// and 6 in the layout of the retired drain fence and its ack (uvarint
-// epoch + component name).
+// reserved between eof and heartbeat, and 8 between heartbeat and ackBatch,
+// and a well-formed frame of each is rejected like any unknown frame
+// instead of being dispatched — type 4 in the layout the retired ackResult
+// frame had (uvarint id + fail byte), 5 and 6 in the layout of the retired
+// drain fence and its ack (uvarint epoch + component name), 8 in the layout
+// of the retired control request (kind, uvarint id, method, payload).
 func TestWireRejectsReservedFrameType(t *testing.T) {
-	if frameEOF != 3 || frameHeartbeat != 7 {
-		t.Fatalf("frame numbers shifted: eof = %d, heartbeat = %d; want 3 and 7", frameEOF, frameHeartbeat)
+	if frameEOF != 3 || frameHeartbeat != 7 || frameAckBatch != 9 || frameEpochBarrier != 10 || frameEpoch != 11 {
+		t.Fatalf("frame numbers shifted: eof = %d, heartbeat = %d, ackBatch = %d, epochBarrier = %d, epoch = %d; want 3, 7, 9, 10 and 11",
+			frameEOF, frameHeartbeat, frameAckBatch, frameEpochBarrier, frameEpoch)
 	}
 	fence := appendWireString(appendUvarint(nil, 9), "EsperBolt")
-	for typ, body := range map[byte][]byte{4: append(appendUvarint(nil, 77), 1), 5: fence, 6: fence} {
+	control := append(appendWireString([]byte{0, 1}, "storm.epoch.begin"), 0, 0, 0, 0, 0, 0, 0, 1)
+	for typ, body := range map[byte][]byte{4: append(appendUvarint(nil, 77), 1), 5: fence, 6: fence, 8: control} {
 		err := (&peerLinks{}).dispatch(0, typ, body, nil)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown frame type %d", typ)) {
 			t.Fatalf("dispatch(type %d) = %v, want unknown frame type error", typ, err)
@@ -243,12 +254,13 @@ func TestWireRejectsReservedFrameType(t *testing.T) {
 	}
 }
 
-// FuzzWireFrame throws arbitrary payloads at the batch and control
+// FuzzWireFrame throws arbitrary payloads at the batch and epoch
 // decoders: they must never panic, every successfully decoded batch must
-// re-encode, and a second decode of the same payload through the same
-// decoder — now served from its intern table — must give the same result.
+// re-encode, a second decode of the same payload through the same decoder
+// — now served from its intern table — must give the same result, and a
+// decoded epoch message must re-encode to the canonical form of its words.
 // Seeds cover a valid frame, a zero-envelope batch, a truncated frame, an
-// oversized envelope count, a control frame and a Figure 8 row.
+// oversized envelope count, an epoch frame and a Figure 8 row.
 func FuzzWireFrame(f *testing.F) {
 	valid, err := appendBatchFrame(nil, 2, []envelope{
 		{local: 0, tuple: Tuple{Stream: "default", Values: map[string]any{"i": 7, "key": "k3"}}},
@@ -264,7 +276,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(empty[frameHeaderLen+1:])                    // zero-envelope batch
 	f.Add(valid[frameHeaderLen+1 : len(valid)-3])      // truncated frame
 	f.Add(appendUvarint(appendUvarint(nil, 1), 1<<40)) // oversized envelope count
-	f.Add(appendControlFrame(nil, controlRequest, 1, "m", []byte("p"))[frameHeaderLen+1:])
+	f.Add(appendEpochFrame(nil, epochMsg{kind: epochPass, w: [3]uint64{1, 2, 3}})[frameHeaderLen+1:])
 	row, err := appendBatchFrame(nil, 1, []envelope{{tuple: Tuple{Stream: "default", Values: figure8Row(3)}}})
 	if err != nil {
 		f.Fatal(err)
@@ -299,7 +311,12 @@ func FuzzWireFrame(f *testing.F) {
 			rt.putBatch(bt)
 			rt.putBatch(bt2)
 		}
-		decodeControlFrame(payload)
+		if m, err := decodeEpochFrame(payload); err == nil {
+			again, err := decodeEpochFrame(appendEpochFrame(nil, m)[frameHeaderLen+1:])
+			if err != nil || again != m {
+				t.Fatalf("epoch message %+v re-decodes as %+v, %v", m, again, err)
+			}
+		}
 	})
 }
 
