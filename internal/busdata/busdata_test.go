@@ -395,6 +395,39 @@ func TestPreprocessorImplausibleSpeed(t *testing.T) {
 	}
 }
 
+// TestPreprocessorOutOfOrderTrace: a trace whose timestamp is not after its
+// vehicle's previous one gets no enrichment and is not kept as the previous
+// trace, so the next trace is derived against the last in-order one.
+func TestPreprocessorOutOfOrderTrace(t *testing.T) {
+	t0 := time.Date(2013, 1, 7, 8, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		name string
+		at   time.Duration // of the bad trace, relative to the first
+	}{
+		{"duplicate timestamp", 0},
+		{"backwards", -30 * time.Second},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewPreprocessor()
+			a := Trace{Timestamp: t0, VehicleID: "v1", Pos: geo.Point{Lat: 53.35, Lon: -6.26}, Delay: 10}
+			p.Process(a)
+			bad := Trace{Timestamp: t0.Add(c.at), VehicleID: "v1", Pos: geo.Point{Lat: 53.36, Lon: -6.26}, Delay: 500}
+			if e := p.Process(bad); e.SpeedKmh != 0 || e.ActualDelay != 0 {
+				t.Fatalf("bad trace enriched: speed %v, actual delay %v", e.SpeedKmh, e.ActualDelay)
+			}
+			// 20 s after a, ~111 m north of it: derived against a, not bad.
+			next := Trace{Timestamp: t0.Add(20 * time.Second), VehicleID: "v1", Pos: geo.Point{Lat: 53.351, Lon: -6.26}, Delay: 25}
+			e := p.Process(next)
+			if e.SpeedKmh < 18 || e.SpeedKmh > 22 {
+				t.Fatalf("speed = %v, want ~20 (against the last in-order trace)", e.SpeedKmh)
+			}
+			if e.ActualDelay != 15 {
+				t.Fatalf("actual delay = %v, want 15 (against the last in-order trace)", e.ActualDelay)
+			}
+		})
+	}
+}
+
 func TestPreprocessorPerVehicleState(t *testing.T) {
 	p := NewPreprocessor()
 	t0 := time.Date(2013, 1, 7, 8, 0, 0, 0, time.UTC)

@@ -32,11 +32,16 @@ func NewPreprocessor() *Preprocessor {
 }
 
 // Process enriches one trace. The first trace of a vehicle (or the first
-// after a long gap) gets speed 0 and actual delay 0.
+// after a long gap) gets speed 0 and actual delay 0, and so does a trace
+// whose timestamp is not after the vehicle's previous one: that trace does
+// not replace the previous one, so the next in-order trace is still
+// derived against the last in-order trace.
 func (p *Preprocessor) Process(tr Trace) Enriched {
 	p.mu.Lock()
 	prev, seen := p.prev[tr.VehicleID]
-	p.prev[tr.VehicleID] = tr
+	if !seen || tr.Timestamp.After(prev.Timestamp) {
+		p.prev[tr.VehicleID] = tr
+	}
 	p.mu.Unlock()
 
 	e := Enriched{Trace: tr}

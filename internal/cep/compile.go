@@ -68,7 +68,6 @@ type stmtCompiled struct {
 	selectC  []compiledExpr // parallel to Query.Select; nil for SELECT *
 	groupByC []compiledExpr
 	havingC  compiledBool
-	orderC   []compiledExpr
 	filtersC [][]compiledBool // parallel to Statement.filters
 }
 
@@ -105,10 +104,6 @@ func compileStatement(st *Statement) *stmtCompiled {
 		comp.groupByC[i] = c.value(g)
 	}
 	comp.havingC = c.boolean(q.Having)
-	comp.orderC = make([]compiledExpr, len(q.OrderBy))
-	for i, o := range q.OrderBy {
-		comp.orderC[i] = c.value(o.Expr)
-	}
 	comp.filtersC = make([][]compiledBool, len(st.filters))
 	for i, fs := range st.filters {
 		comp.filtersC[i] = c.booleans(fs)
@@ -221,7 +216,7 @@ func (c *exprCompiler) booleans(es []epl.Expr) []compiledBool {
 // it can be folded at compile time.
 func constExpr(e epl.Expr) bool {
 	switch x := e.(type) {
-	case *epl.NumberLit, *epl.StringLit, *epl.BoolLit, *epl.DurationLit:
+	case *epl.NumberLit, *epl.StringLit, *epl.BoolLit:
 		return true
 	case *epl.UnaryExpr:
 		return constExpr(x.Expr)
@@ -363,7 +358,7 @@ func (c *exprCompiler) fieldNum(x *epl.FieldRef) compiledNum {
 // registered later under the same name shadows them and may return anything.
 func (c *exprCompiler) staticNum(e epl.Expr) bool {
 	switch x := e.(type) {
-	case *epl.NumberLit, *epl.DurationLit:
+	case *epl.NumberLit:
 		return true
 	case *epl.UnaryExpr:
 		return x.Op == "-"
@@ -700,15 +695,15 @@ func (c *exprCompiler) compileCompare(x *epl.BinaryExpr) compiledBool {
 }
 
 // errAggNotCollected is the error of an aggregate call outside the places
-// a statement collects aggregates from (SELECT, HAVING, ORDER BY) — inside
+// a statement collects aggregates from (SELECT, HAVING) — inside
 // GROUP BY, say: no evaluator ever computes it.
 func errAggNotCollected(key string) error {
 	return fmt.Errorf("cep: aggregate %s was not pre-computed", key)
 }
 
 // compileAgg lowers an aggregate reference: a slot read when the evaluator
-// filled the unboxed slots, a keyed-map lookup otherwise (recompute path,
-// ORDER BY over projected outputs) — with the key rendered once, here.
+// filled the unboxed slots, a keyed-map lookup otherwise (the recompute
+// path) — with the key rendered once, here.
 func (c *exprCompiler) compileAgg(x *epl.CallExpr) compiledExpr {
 	key := x.String()
 	slot, ok := c.aggOf[key]

@@ -184,8 +184,8 @@ func listing1Scenarios() []diffScenario {
 }
 
 // statementExprs lists every expression st evaluates — HAVING (nil when
-// absent), WHERE conjuncts, SELECT items, GROUP BY keys, ORDER BY keys,
-// aggregate arguments — and each one compiled against the statement's own
+// absent), WHERE conjuncts, SELECT items, GROUP BY keys, aggregate
+// arguments — and each one compiled against the statement's own
 // bind table and aggregate slots.
 func statementExprs(st *Statement) ([]epl.Expr, []compiledExpr) {
 	q := st.Query
@@ -196,9 +196,6 @@ func statementExprs(st *Statement) ([]epl.Expr, []compiledExpr) {
 		}
 	}
 	exprs = append(exprs, q.GroupBy...)
-	for _, o := range q.OrderBy {
-		exprs = append(exprs, o.Expr)
-	}
 	for _, call := range st.comp.aggCalls {
 		exprs = append(exprs, call.Args...)
 	}
@@ -208,7 +205,7 @@ func statementExprs(st *Statement) ([]epl.Expr, []compiledExpr) {
 // TestCompiledMatchesEval holds the compiler to eval on real statements:
 // every expression of the four shipped Listing-1 rules and of every
 // differential scenario — SELECT items, WHERE conjuncts, GROUP BY keys,
-// HAVING, ORDER BY keys, aggregate arguments — is compiled against the
+// HAVING, aggregate arguments — is compiled against the
 // statement's own bind table and aggregate slots, then evaluated by both
 // over rows assembled from the scenario's feed. Same value, and an error
 // from one exactly when from the other.

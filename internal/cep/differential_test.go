@@ -132,7 +132,7 @@ func runDifferential(t *testing.T, sc diffScenario) {
 	}
 }
 
-// randViews generates a window view chain that reports insert deltas.
+// randView generates a window view chain of the rule template.
 func randView(rng *rand.Rand) string {
 	k := 1 + rng.Intn(4)
 	switch rng.Intn(6) {
@@ -143,11 +143,11 @@ func randView(rng *rand.Rand) string {
 	case 2:
 		return "win:keepall()"
 	case 3:
-		return "std:unique(loc)"
+		return "std:groupwin(loc).std:lastevent()"
 	case 4:
 		return fmt.Sprintf("std:groupwin(loc).win:length(%d)", k)
 	default:
-		return fmt.Sprintf("win:length_batch(%d)", k)
+		return "std:groupwin(loc).win:keepall()"
 	}
 }
 
@@ -175,8 +175,8 @@ func randBusEvent(rng *rand.Rand, stream string) diffEvent {
 }
 
 // diffScenarios builds the randomized scenarios, the same ones on every
-// call: grouped and ungrouped single windows, two-window joins, the
-// Listing-1 shape, an INSERT INTO cascade, and ORDER BY.
+// call: grouped and ungrouped single windows, two-window joins and the
+// Listing-1 shape.
 func diffScenarios() []diffScenario {
 	var out []diffScenario
 	busFeed := func(rng *rand.Rand, n int, streams ...string) []diffEvent {
@@ -244,24 +244,6 @@ func diffScenarios() []diffScenario {
 		feed = append(feed, busFeed(rng, 300, "bus")...)
 		out = append(out, diffScenario{fmt.Sprintf("Listing1Shape/seed=%d", seed),
 			map[string]string{"r": src}, feed})
-	}
-	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(500 + seed))
-		stmts := map[string]string{
-			"upstream": fmt.Sprintf(`INSERT INTO derived SELECT w.loc AS loc, sum(w.a) AS a
-				FROM s0.%s AS w GROUP BY w.loc`, randView(rng)),
-			"downstream": fmt.Sprintf(`SELECT g.loc AS loc, avg(g.a) AS m, max(g.a) AS hi
-				FROM derived.%s AS g GROUP BY g.loc`, randView(rng)),
-		}
-		out = append(out, diffScenario{fmt.Sprintf("InsertIntoCascade/seed=%d", seed),
-			stmts, busFeed(rng, 250, "s0")})
-	}
-	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(600 + seed))
-		src := fmt.Sprintf(`SELECT w.loc AS loc, sum(w.a) AS s FROM s0.%s AS w
-			GROUP BY w.loc ORDER BY w.loc`, randView(rng))
-		out = append(out, diffScenario{fmt.Sprintf("OrderBy/seed=%d", seed),
-			map[string]string{"r": src}, busFeed(rng, 250, "s0")})
 	}
 	return out
 }

@@ -310,18 +310,12 @@ func (e *Engine) SendEvent(stream string, fields map[string]Value) error {
 	return e.sendEventAt(stream, now, now, fields)
 }
 
-// maxDerivedEvents bounds the INSERT INTO cascade one external event may
-// trigger, so a self-feeding statement cycle cannot loop forever.
-const maxDerivedEvents = 10000
-
 // SendEventAt delivers an event with an explicit timestamp (event time).
 // All statements subscribed to the stream process the event serially, in
 // statement registration order, except those restricted to an owned-key set
-// that does not hold the event's key (AddOwnedStatement), which skip it;
-// events produced by INSERT INTO statements
-// are processed breadth-first afterwards, in the same serial turn. The
-// first evaluation error is returned, but every statement still sees the
-// event. fields is kept, not copied, for as long as a window holds the
+// that does not hold the event's key (AddOwnedStatement), which skip it.
+// The first evaluation error is returned, but every statement still sees
+// the event. fields is kept, not copied, for as long as a window holds the
 // event — the caller must not write to it after the call — and the fields
 // statements reference are bound to slots here, once (see Event).
 func (e *Engine) SendEventAt(stream string, ts time.Time, fields map[string]Value) error {
@@ -335,33 +329,18 @@ func (e *Engine) sendEventAt(stream string, ts, start time.Time, fields map[stri
 	defer e.mu.Unlock()
 	e.eventsIn++
 	var firstErr error
-	queue := []*Event{e.bind(NewEvent(stream, ts, fields))}
-	derived := 0
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, o := range e.owned[cur.Stream] {
-			key, _ := cur.slots[o.slot].(string)
-			o.in = o.keys[key]
+	ev := e.bind(NewEvent(stream, ts, fields))
+	for _, o := range e.owned[stream] {
+		key, _ := ev.slots[o.slot].(string)
+		o.in = o.keys[key]
+	}
+	for _, st := range e.byStream[stream] {
+		if o := st.owned; o != nil && o.stream == stream && !o.in {
+			e.eventsUnowned++
+			continue
 		}
-		for _, st := range e.byStream[cur.Stream] {
-			if o := st.owned; o != nil && o.stream == cur.Stream && !o.in {
-				e.eventsUnowned++
-				continue
-			}
-			err := st.process(cur, func(d *Event) {
-				derived++
-				if derived <= maxDerivedEvents {
-					queue = append(queue, e.bind(d))
-				}
-			})
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("cep: statement %q: %w", st.Name, err)
-			}
-		}
-		if derived > maxDerivedEvents && firstErr == nil {
-			firstErr = fmt.Errorf("cep: INSERT INTO cascade exceeded %d derived events (cycle?)", maxDerivedEvents)
-			break
+		if err := st.process(ev); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("cep: statement %q: %w", st.Name, err)
 		}
 	}
 	elapsed := time.Since(start)

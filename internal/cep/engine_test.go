@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
+	"trafficcep/internal/epl"
 	"trafficcep/internal/telemetry"
 )
 
@@ -251,52 +251,6 @@ func TestListing1EndToEnd(t *testing.T) {
 	}
 }
 
-func TestLengthBatchTumbles(t *testing.T) {
-	e := New()
-	st, err := e.AddStatement("r", `SELECT count(*) AS n FROM s.win:length_batch(3) AS w`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collect(st)
-	for i := 0; i < 4; i++ {
-		send(t, e, "s", map[string]Value{"x": float64(i)})
-	}
-	// Counts: 1,2,3 then batch resets → 1.
-	want := []float64{1, 2, 3, 1}
-	if len(*got) != 4 {
-		t.Fatalf("outputs = %d, want 4", len(*got))
-	}
-	for i, w := range want {
-		if n := (*got)[i].Fields["n"]; n != w {
-			t.Fatalf("firing %d: n = %v, want %v", i, n, w)
-		}
-	}
-}
-
-func TestTimeWindowEviction(t *testing.T) {
-	e := New()
-	st, err := e.AddStatement("r", `SELECT count(*) AS n FROM s.win:time(30 sec) AS w`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collect(st)
-	t0 := time.Date(2013, 1, 7, 8, 0, 0, 0, time.UTC)
-	for i, dt := range []time.Duration{0, 10 * time.Second, 45 * time.Second} {
-		if err := e.SendEventAt("s", t0.Add(dt), map[string]Value{"x": float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// At t=45s the first two events (t=0, t=10) are older than 30s → only
-	// the event at t=10 is... cutoff is 15s, so t=0 evicted, t=10 evicted,
-	// leaving 1 event.
-	want := []float64{1, 2, 1}
-	for i, w := range want {
-		if n := (*got)[i].Fields["n"]; n != w {
-			t.Fatalf("firing %d: n = %v, want %v", i, n, w)
-		}
-	}
-}
-
 func TestAggregatesAll(t *testing.T) {
 	e := New()
 	st, err := e.AddStatement("r", `
@@ -334,26 +288,22 @@ func TestCountStarVsCountField(t *testing.T) {
 	}
 }
 
-func TestOrderByAndDistinct(t *testing.T) {
+// TestDistinctRejected: DISTINCT parses, for sqlstore's threshold query,
+// but no rule uses it, so every way into the engine refuses it rather than
+// ignore it, and leaves nothing registered.
+func TestDistinctRejected(t *testing.T) {
+	const src = `SELECT DISTINCT w.x AS x FROM s.win:keepall() AS w`
 	e := New()
-	st, err := e.AddStatement("r", `
-		SELECT DISTINCT w.x AS x FROM s.win:keepall() AS w ORDER BY w.x DESC`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last []Output
-	st.AddListener(func(_ *Statement, outs []Output) { last = outs })
-	for _, x := range []float64{3, 1, 3, 2} {
-		send(t, e, "s", map[string]Value{"x": x})
-	}
-	if len(last) != 3 {
-		t.Fatalf("distinct outputs = %d, want 3", len(last))
-	}
-	wantOrder := []float64{3, 2, 1}
-	for i, w := range wantOrder {
-		if last[i].Fields["x"] != w {
-			t.Fatalf("order[%d] = %v, want %v", i, last[i].Fields["x"], w)
+	_, errStmt := e.AddStatement("r", src)
+	_, errQuery := e.AddQuery("q", epl.MustParse(src))
+	_, errOwned := e.AddOwnedStatement("o", src, "s", "k")
+	for _, err := range []error{errStmt, errQuery, errOwned} {
+		if err == nil || !strings.Contains(err.Error(), "DISTINCT") {
+			t.Errorf("err = %v, want an error naming DISTINCT", err)
 		}
+	}
+	if n := e.StatementCount(); n != 0 {
+		t.Fatalf("%d statements registered after rejections", n)
 	}
 }
 

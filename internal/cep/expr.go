@@ -98,8 +98,6 @@ func eval(e epl.Expr, ctx *evalContext) (Value, error) {
 		return x.Value, nil
 	case *epl.BoolLit:
 		return x.Value, nil
-	case *epl.DurationLit:
-		return x.Value.Seconds(), nil
 	case *epl.FieldRef:
 		return evalField(x, ctx)
 	case *epl.UnaryExpr:

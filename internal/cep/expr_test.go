@@ -1,7 +1,6 @@
 package cep
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -256,16 +255,6 @@ func TestNumericExported(t *testing.T) {
 	}
 	if _, ok := Numeric("x"); ok {
 		t.Fatal("string is not numeric")
-	}
-}
-
-func TestDurationLitEvaluatesToSeconds(t *testing.T) {
-	v, err := evalStr(t, "90 sec / 2", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := numeric(v); math.Abs(n-45) > 1e-9 {
-		t.Fatalf("90 sec / 2 = %v", v)
 	}
 }
 

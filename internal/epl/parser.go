@@ -1,10 +1,8 @@
 package epl
 
 import (
-	"math"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Parse parses an EPL query.
@@ -72,16 +70,6 @@ func (p *parser) expectKeyword(kw string) error {
 
 func (p *parser) parseQuery() (*Query, error) {
 	q := &Query{}
-	if p.acceptKeyword("INSERT") {
-		if err := p.expectKeyword("INTO"); err != nil {
-			return nil, err
-		}
-		t, err := p.expect(TokIdent)
-		if err != nil {
-			return nil, err
-		}
-		q.InsertInto = t.Text
-	}
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
@@ -141,29 +129,6 @@ func (p *parser) parseQuery() (*Query, error) {
 			return nil, err
 		}
 		q.Having = e
-	}
-	if p.atKeyword("ORDER") {
-		p.next()
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Expr: e}
-			if p.acceptKeyword("DESC") {
-				item.Desc = true
-			} else {
-				p.acceptKeyword("ASC")
-			}
-			q.OrderBy = append(q.OrderBy, item)
-			if !p.at(TokComma) {
-				break
-			}
-			p.next()
-		}
 	}
 	if err := validate(q); err != nil {
 		return nil, err
@@ -234,6 +199,9 @@ func (p *parser) parseViewSpec() (ViewSpec, error) {
 		Namespace: strings.ToLower(ns.Text),
 		Name:      strings.ToLower(name.Text),
 	}
+	if _, ok := knownViews[spec.Namespace+":"+spec.Name]; !ok {
+		return ViewSpec{}, errAt(ns.Pos, "unknown view %s:%s", spec.Namespace, spec.Name)
+	}
 	if _, err := p.expect(TokLParen); err != nil {
 		return ViewSpec{}, err
 	}
@@ -253,7 +221,7 @@ func (p *parser) parseViewSpec() (ViewSpec, error) {
 	if _, err := p.expect(TokRParen); err != nil {
 		return ViewSpec{}, err
 	}
-	return spec, nil
+	return spec, checkViewArgs(spec, ns.Pos)
 }
 
 // Expression precedence climbing.
@@ -389,15 +357,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, errAt(t.Pos, "bad number %q", t.Text)
 		}
-		// Duration literal: "30 sec" (used in win:time views).
-		if p.atKeyword("SEC") || p.atKeyword("SECONDS") {
-			p.next()
-			ns := v * float64(time.Second)
-			if ns >= math.MaxInt64 {
-				return nil, errAt(t.Pos, "duration %s sec out of range", t.Text)
-			}
-			return &DurationLit{Value: time.Duration(ns)}, nil
-		}
 		return &NumberLit{Value: v}, nil
 	case TokString:
 		p.next()
@@ -464,8 +423,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 }
 
 // validate performs the semantic checks that do not require a schema:
-// unique aliases, known view names with correct arity, aggregates only in
-// SELECT/HAVING/ORDER BY, and alias references resolving to FROM items.
+// unique aliases, aggregates only in SELECT/HAVING, and alias references
+// resolving to FROM items.
 func validate(q *Query) error {
 	aliases := make(map[string]bool, len(q.From))
 	for _, f := range q.From {
@@ -473,11 +432,6 @@ func validate(q *Query) error {
 			return errAt(1, "duplicate stream alias %q", f.Alias)
 		}
 		aliases[f.Alias] = true
-		for _, v := range f.Views {
-			if err := validateView(v); err != nil {
-				return err
-			}
-		}
 	}
 
 	checkRefs := func(e Expr) error {
@@ -513,46 +467,34 @@ func validate(q *Query) error {
 			return err
 		}
 	}
-	for _, o := range q.OrderBy {
-		if err := checkRefs(o.Expr); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // knownViews maps namespace:name to the argument count it requires
-// (-1 means one-or-more).
+// (-1 means one-or-more): the views of the paper's rule template.
 var knownViews = map[string]int{
-	"std:lastevent":    0,
-	"std:groupwin":     -1,
-	"std:unique":       -1,
-	"win:length":       1,
-	"win:length_batch": 1,
-	"win:time":         1,
-	"win:time_batch":   1,
-	"win:keepall":      0,
+	"std:lastevent": 0,
+	"std:groupwin":  -1,
+	"win:length":    1,
+	"win:keepall":   0,
 }
 
-func validateView(v ViewSpec) error {
+// checkViewArgs checks a known view's argument count, and that groupwin's
+// arguments are field names.
+func checkViewArgs(v ViewSpec, pos int) error {
 	key := v.Namespace + ":" + v.Name
-	want, ok := knownViews[key]
-	if !ok {
-		return errAt(1, "unknown view %s", key)
-	}
-	switch {
+	switch want := knownViews[key]; {
 	case want == -1:
 		if len(v.Args) == 0 {
-			return errAt(1, "view %s requires at least one argument", key)
+			return errAt(pos, "view %s requires at least one argument", key)
 		}
 	case len(v.Args) != want:
-		return errAt(1, "view %s takes %d argument(s), got %d", key, want, len(v.Args))
+		return errAt(pos, "view %s takes %d argument(s), got %d", key, want, len(v.Args))
 	}
-	// groupwin/unique arguments must be field references.
-	if v.Name == "groupwin" || v.Name == "unique" {
+	if v.Name == "groupwin" {
 		for _, a := range v.Args {
 			if _, ok := a.(*FieldRef); !ok {
-				return errAt(1, "std:%s arguments must be field names, got %s", v.Name, a)
+				return errAt(pos, "std:groupwin arguments must be field names, got %s", a)
 			}
 		}
 	}

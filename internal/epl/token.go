@@ -1,9 +1,10 @@
 // Package epl implements the subset of Esper's Event Processing Language
 // that the paper's traffic-management rules use (Listing 1 and §2.1.2):
-// SELECT / FROM with chained stream views / WHERE / GROUP BY / HAVING /
-// ORDER BY, an SQL-like expression language with aggregates, and the view
-// specifications std:lastevent(), std:groupwin(...), win:length(n),
-// win:length_batch(n), win:time(d) and win:keepall().
+// SELECT / FROM with chained stream views / WHERE / GROUP BY / HAVING, an
+// SQL-like expression language with aggregates, and the view
+// specifications std:lastevent(), std:groupwin(...), win:length(n) and
+// win:keepall(). SELECT DISTINCT parses for sqlstore's threshold query
+// (Listing 2); the CEP engine rejects it.
 //
 // The package contains only the language front-end (lexer, AST, parser);
 // execution lives in internal/cep.
@@ -94,11 +95,8 @@ type Token struct {
 // Keywords recognized by the parser. EPL keywords are case-insensitive.
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"INSERT": true, "INTO": true,
-	"HAVING": true, "ORDER": true, "AS": true, "AND": true, "OR": true,
-	"NOT": true, "ASC": true, "DESC": true, "TRUE": true, "FALSE": true,
-	"DISTINCT": true, "UNIDIRECTIONAL": true, "SEC": true, "SECONDS": true,
-	"MIN": false, // MIN/MAX are functions, not keywords
+	"HAVING": true, "AS": true, "AND": true, "OR": true, "NOT": true,
+	"TRUE": true, "FALSE": true, "DISTINCT": true, "UNIDIRECTIONAL": true,
 }
 
 // SyntaxError is returned for any lexical or grammatical problem, carrying

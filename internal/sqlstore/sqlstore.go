@@ -220,8 +220,9 @@ func (db *DB) QueriesServed() uint64 {
 
 // Query parses and evaluates a SELECT statement. The supported dialect is
 // the Listing 2 class: projections with arithmetic and AS aliases, DISTINCT,
-// a single FROM table, WHERE, and ORDER BY. Aggregates and joins are not
-// supported (statistics aggregation happens in the batch layer).
+// a single FROM table and WHERE. Rows come back in insertion order.
+// Aggregates, joins and ORDER BY are not supported (statistics aggregation
+// happens in the batch layer).
 func (db *DB) Query(sql string) ([]Row, error) {
 	q, err := epl.Parse(sql)
 	if err != nil {
@@ -308,12 +309,6 @@ func (db *DB) QueryParsed(q *epl.Query) ([]Row, error) {
 		}
 		out = append(out, proj)
 	}
-
-	if len(q.OrderBy) > 0 {
-		if err := orderRows(out, q, alias); err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
 }
 
@@ -328,39 +323,4 @@ func rowSignature(r Row) string {
 		sig += k + "=" + cep.ValueKey(r[k]) + ";"
 	}
 	return sig
-}
-
-func orderRows(rows []Row, q *epl.Query, alias string) error {
-	var evalErr error
-	key := func(r Row, e epl.Expr) any {
-		v, err := cep.EvalScalar(e, alias, r, nil)
-		if err != nil && evalErr == nil {
-			evalErr = err
-		}
-		return v
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, o := range q.OrderBy {
-			a := key(rows[i], o.Expr)
-			b := key(rows[j], o.Expr)
-			ka, kb := cep.ValueKey(a), cep.ValueKey(b)
-			an, aok := cep.Numeric(a)
-			bn, bok := cep.Numeric(b)
-			var less, eq bool
-			if aok && bok {
-				less, eq = an < bn, an == bn
-			} else {
-				less, eq = ka < kb, ka == kb
-			}
-			if eq {
-				continue
-			}
-			if o.Desc {
-				return !less
-			}
-			return less
-		}
-		return false
-	})
-	return evalErr
 }

@@ -110,6 +110,8 @@ func TestQueryDistinct(t *testing.T) {
 	}
 }
 
+// TestQueryOrderBy checks the row order contract: ORDER BY is not part of
+// the dialect and is rejected, and rows come back in insertion order.
 func TestQueryOrderBy(t *testing.T) {
 	db := newTestDB(t)
 	for _, m := range []float64{3, 1, 2} {
@@ -117,13 +119,16 @@ func TestQueryOrderBy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, err := db.Query(`SELECT mean FROM stats ORDER BY mean DESC`)
+	if _, err := db.Query(`SELECT mean FROM stats ORDER BY mean DESC`); err == nil || !strings.Contains(err.Error(), "ORDER") {
+		t.Fatalf("ORDER BY query error = %v, want one naming ORDER", err)
+	}
+	rows, err := db.Query(`SELECT mean FROM stats`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := []float64{rows[0]["mean"].(float64), rows[1]["mean"].(float64), rows[2]["mean"].(float64)}
-	if got[0] != 3 || got[1] != 2 || got[2] != 1 {
-		t.Fatalf("order = %v", got)
+	if got[0] != 3 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("order = %v, want insertion order [3 1 2]", got)
 	}
 }
 
