@@ -353,31 +353,6 @@ func BenchmarkQuadtreeLocate(b *testing.B) {
 	}
 }
 
-func BenchmarkMapReduceStatsJob(b *testing.B) {
-	fs := dfs.New(dfs.Options{ChunkSize: 8 * 1024})
-	for i := 0; i < 2000; i++ {
-		rec := core.HistoryRecord{
-			Hour: i % 24, Day: busdata.Weekday,
-			StopID: fmt.Sprintf("s%02d", i%20),
-			Areas:  []string{"0", fmt.Sprintf("0.%d", i%4)},
-			Delay:  float64(i % 300), Speed: float64(i % 50),
-		}
-		if err := fs.AppendLine("history/bench", rec.MarshalLine()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, err := core.RunStatsJob(core.StatsJobConfig{
-			FS: fs, InputPaths: []string{"history/bench"},
-			OutputPath: fmt.Sprintf("out/bench%d", i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkStormPipelineThroughput(b *testing.B) {
 	// A 4-stage pipeline shuffling b.N tuples end to end.
 	rt, err := benchPipeline(b.N)

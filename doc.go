@@ -12,7 +12,8 @@
 //   - internal/epl + internal/cep — an Esper-like CEP engine with an EPL
 //     subset (views, windows, joins, aggregates, listeners);
 //   - internal/mapreduce + internal/dfs — a Hadoop/HDFS-like batch layer,
-//     the reference the in-stream threshold statistics are checked against;
+//     the reference core's tests check the in-stream threshold statistics
+//     against;
 //   - internal/sqlstore — the MySQL-like storage medium with a small SQL
 //     SELECT evaluator;
 //   - internal/quadtree, internal/denclue, internal/geo, internal/busdata —

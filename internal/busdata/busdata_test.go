@@ -397,7 +397,8 @@ func TestPreprocessorImplausibleSpeed(t *testing.T) {
 
 // TestPreprocessorOutOfOrderTrace: a trace whose timestamp is not after its
 // vehicle's previous one gets no enrichment and is not kept as the previous
-// trace, so the next trace is derived against the last in-order one.
+// trace, so the next trace is derived against the last in-order one; the
+// preprocessor counts every such trace.
 func TestPreprocessorOutOfOrderTrace(t *testing.T) {
 	t0 := time.Date(2013, 1, 7, 8, 0, 0, 0, time.UTC)
 	for _, c := range []struct {
@@ -423,6 +424,11 @@ func TestPreprocessorOutOfOrderTrace(t *testing.T) {
 			}
 			if e.ActualDelay != 15 {
 				t.Fatalf("actual delay = %v, want 15 (against the last in-order trace)", e.ActualDelay)
+			}
+			// The bad trace again, now behind next too: two out of order.
+			p.Process(bad)
+			if n := p.OutOfOrder(); n != 2 {
+				t.Fatalf("out-of-order count = %d, want 2", n)
 			}
 		})
 	}

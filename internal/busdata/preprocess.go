@@ -2,6 +2,7 @@ package busdata
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,6 +20,8 @@ type Preprocessor struct {
 	// MaxSpeedKmh caps reported speed; GPS jumps beyond this are treated
 	// as noise and produce speed 0 (the feed is "very noisy", §3.3).
 	MaxSpeedKmh float64
+
+	outOfOrder atomic.Uint64
 }
 
 // NewPreprocessor returns a preprocessor with the defaults used by the
@@ -35,12 +38,14 @@ func NewPreprocessor() *Preprocessor {
 // after a long gap) gets speed 0 and actual delay 0, and so does a trace
 // whose timestamp is not after the vehicle's previous one: that trace does
 // not replace the previous one, so the next in-order trace is still
-// derived against the last in-order trace.
+// derived against the last in-order trace. OutOfOrder counts those.
 func (p *Preprocessor) Process(tr Trace) Enriched {
 	p.mu.Lock()
 	prev, seen := p.prev[tr.VehicleID]
 	if !seen || tr.Timestamp.After(prev.Timestamp) {
 		p.prev[tr.VehicleID] = tr
+	} else {
+		p.outOfOrder.Add(1)
 	}
 	p.mu.Unlock()
 
@@ -61,6 +66,10 @@ func (p *Preprocessor) Process(tr Trace) Enriched {
 	e.ActualDelay = tr.Delay - prev.Delay
 	return e
 }
+
+// OutOfOrder returns how many traces had a timestamp not after their
+// vehicle's previous one.
+func (p *Preprocessor) OutOfOrder() uint64 { return p.outOfOrder.Load() }
 
 // Reset clears all per-vehicle state.
 func (p *Preprocessor) Reset() {

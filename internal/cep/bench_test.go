@@ -79,8 +79,8 @@ var benchSink Value
 // expression: every expression of the Listing 1 rule — SELECT items, WHERE
 // conjuncts, GROUP BY key, HAVING, aggregate arguments — evaluated over
 // one bound join row, once through the closures a statement runs and once
-// through eval, the tree-walking one-shot evaluator. One op is one pass
-// over all of them.
+// through eval, the tree-walking reference in oracle_test.go. One op is one
+// pass over all of them.
 func BenchmarkAblationExprCompilation(b *testing.B) {
 	st, _ := benchListing1(b, New())
 	exprs, compiled := statementExprs(st)
@@ -91,11 +91,13 @@ func BenchmarkAblationExprCompilation(b *testing.B) {
 	thr := st.engine.bind(&Event{Stream: "thresholds_abl", Fields: map[string]Value{
 		"location": "a07", "hour": 7.0, "day": "weekday", "value": 1e12,
 	}})
-	aggs := make(map[string]Value, len(st.comp.aggKeys))
-	for i, key := range st.comp.aggKeys {
-		aggs[key] = float64(40 + i)
+	row := []*Event{bus, bus, thr}
+	ctx := &evalContext{row: row, aggF: make([]float64, len(st.aggCalls)), aggNull: make([]bool, len(st.aggCalls))}
+	oracle := &oracleContext{row: row, aliasOrder: st.aliasOrder, aggs: make(map[string]Value, len(st.aggCalls))}
+	for i, call := range st.aggCalls {
+		ctx.aggF[i] = float64(40 + i)
+		oracle.aggs[call.String()] = ctx.aggF[i]
 	}
-	ctx := &evalContext{row: []*Event{bus, bus, thr}, aliasOrder: st.aliasOrder, aggs: aggs}
 
 	b.Run("compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -111,7 +113,7 @@ func BenchmarkAblationExprCompilation(b *testing.B) {
 	b.Run("eval", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, e := range exprs {
-				v, err := eval(e, ctx)
+				v, err := eval(e, oracle)
 				if err != nil {
 					b.Fatal(err)
 				}

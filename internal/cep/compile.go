@@ -18,12 +18,13 @@ import (
 //     Unqualified references stay by-name lookups in Fields: which bound
 //     event supplies the field is decided per evaluation by which one HAS
 //     it, and a slot cannot tell an absent field from a NULL one;
-//   - aggregate references become slot reads (see evalContext.aggF), with a
-//     pre-rendered key for the keyed map the recompute path fills;
+//   - aggregate references become slot reads (see evalContext.aggF): the
+//     trigger plan and the recompute path fill the same slots;
 //   - numeric comparison/arithmetic chains run unboxed through compiledNum
 //     when the type analysis (staticNum) can rule out the string arms;
 //   - AND/OR short-circuit through compiledBool without boxing booleans;
-//   - literal-only subtrees fold to constants.
+//   - literal-only subtrees fold to constants: the subtree's compiled form,
+//     built with folding off, runs once at registration.
 //
 // The compiler is total over epl.Expr: a node that can never evaluate (a
 // qualified reference whose alias is not a FROM item, an aggregate the
@@ -32,10 +33,11 @@ import (
 // surfaces at that node's place in the evaluation order — a short-circuit
 // that skips the node skips the error.
 //
-// Equivalence contract with eval (expr.go), the one-shot tree-walking
-// evaluator: a compiled expression returns the same value and errs exactly
-// when eval errs, but error messages may differ and a type error may
-// surface before sibling operands are evaluated (eval evaluates both
+// The closures are the engine's only expression evaluator. Their reference
+// is a tree-walking interpreter, eval, which lives in the tests
+// (oracle_test.go): a compiled expression returns the same value and errs
+// exactly when eval errs, but error messages may differ and a type error
+// may surface before sibling operands are evaluated (eval evaluates both
 // operands first; compiled numeric forms fail fast).
 // FuzzCompiledExprEquivalence and TestCompiledMatchesEval compare value and
 // error presence, not text.
@@ -44,8 +46,8 @@ import (
 type compiledExpr func(ctx *evalContext) (Value, error)
 
 // compiledNum evaluates a numeric subtree unboxed. It fails exactly where
-// eval's enclosing numeric operation would: non-numeric operand
-// (including NULL), unbound alias, failed sub-expression.
+// the enclosing numeric operation would: non-numeric operand (including
+// NULL), unbound alias, failed sub-expression.
 type compiledNum func(ctx *evalContext) (float64, error)
 
 // compiledBool evaluates a predicate unboxed, with AND/OR short-circuit.
@@ -54,16 +56,11 @@ type compiledBool func(ctx *evalContext) (bool, error)
 // stmtCompiled holds the compiled form of every expression a statement
 // evaluates at runtime.
 type stmtCompiled struct {
-	// aggKeys/aggCalls are the statement's distinct aggregate calls in
-	// first-appearance order, deduplicated by rendering — the same dedup
-	// planAggSpecs performs, so slot i here is spec i there (verified at
-	// registration, see compileIncremental). aggArgC[i] extracts the
-	// argument (nil for count(*) and arity errors); aggOf maps rendering
-	// to slot.
-	aggKeys  []string
-	aggCalls []*epl.CallExpr
-	aggArgC  []compiledExpr
-	aggOf    map[string]int
+	// aggArgC[i] extracts the argument of aggregate slot i, Statement.
+	// aggCalls[i] (nil for count(*) and arity errors); aggOf maps an
+	// aggregate's rendering to its slot.
+	aggArgC []compiledExpr
+	aggOf   map[string]int
 
 	selectC  []compiledExpr // parallel to Query.Select; nil for SELECT *
 	groupByC []compiledExpr
@@ -74,20 +71,14 @@ type stmtCompiled struct {
 // compileStatement lowers every expression of a fully-planned statement.
 // Called at the end of compile(), after the incremental planner ran.
 func compileStatement(st *Statement) *stmtCompiled {
-	comp := &stmtCompiled{aggOf: make(map[string]int)}
-	for _, call := range st.aggCalls {
-		key := call.String()
-		if _, dup := comp.aggOf[key]; dup {
-			continue
-		}
-		comp.aggOf[key] = len(comp.aggKeys)
-		comp.aggKeys = append(comp.aggKeys, key)
-		comp.aggCalls = append(comp.aggCalls, call)
+	comp := &stmtCompiled{aggOf: make(map[string]int, len(st.aggCalls))}
+	for i, call := range st.aggCalls {
+		comp.aggOf[call.String()] = i
 	}
 	c := st.exprCompiler(comp.aggOf)
 
-	comp.aggArgC = make([]compiledExpr, len(comp.aggCalls))
-	for i, call := range comp.aggCalls {
+	comp.aggArgC = make([]compiledExpr, len(st.aggCalls))
+	for i, call := range st.aggCalls {
 		if !call.Star && len(call.Args) == 1 {
 			comp.aggArgC[i] = c.value(call.Args[0])
 		}
@@ -117,8 +108,8 @@ func compileStatement(st *Statement) *stmtCompiled {
 	return comp
 }
 
-// compileIncremental attaches compiled forms to the armed incremental plan
-// and verifies the aggregate slot alignment the compiled references assume.
+// compileIncremental attaches compiled forms to the armed incremental plan.
+// Its spec i is aggregate slot i, so it shares the argument extractors.
 func compileIncremental(p *incPlan, c *exprCompiler, comp *stmtCompiled) {
 	p.emitFiltersC = c.booleans(p.emitFilters)
 	for _, ip := range p.items {
@@ -126,22 +117,8 @@ func compileIncremental(p *incPlan, c *exprCompiler, comp *stmtCompiled) {
 			ip.filtersC = c.booleans(ip.filters)
 		}
 	}
-	// The evaluator writes slot i for spec i; compiled aggregate references
-	// read slot aggOf[key]. Both orderings come from the same in-order
-	// dedup of st.aggCalls — but verify rather than assume: silently
-	// reading the wrong slot would be far worse than recomputing, which
-	// delivers aggregates through the keyed map.
-	aligned := len(p.aggs) == len(comp.aggKeys)
 	for i, spec := range p.aggs {
-		if !spec.star && len(spec.call.Args) == 1 {
-			spec.argC = c.value(spec.call.Args[0])
-		}
-		if aligned && comp.aggKeys[i] != spec.key {
-			aligned = false
-		}
-	}
-	if !aligned {
-		p.disable()
+		spec.argC = comp.aggArgC[i]
 	}
 }
 
@@ -152,6 +129,19 @@ type exprCompiler struct {
 	bind    map[*epl.FieldRef]int
 	schemas []*streamSchema
 	aggOf   map[string]int
+	// noFold compiles literal-only subtrees node by node: the form folding
+	// runs once (literalCompiler).
+	noFold bool
+}
+
+// literalCompiler compiles the literal-only subtrees constant folding runs:
+// they reference no field or aggregate, so it needs no tables.
+var literalCompiler = &exprCompiler{noFold: true}
+
+// folds reports whether e is folded to a constant: it is built from
+// literals and operators only.
+func (c *exprCompiler) folds(e epl.Expr) bool {
+	return !c.noFold && constExpr(e)
 }
 
 // exprCompiler returns a compiler over the statement's bind table and the
@@ -226,20 +216,24 @@ func constExpr(e epl.Expr) bool {
 	return false
 }
 
-// foldConst evaluates a literal-only subtree once. Deterministic errors
-// (1/0) are folded too: the closure re-reports, on every evaluation, the
-// error eval raised.
-func foldConst(e epl.Expr) compiledExpr {
-	v, err := eval(e, &evalContext{})
-	return func(*evalContext) (Value, error) { return v, err }
-}
-
-// compileValue lowers e to a boxed-result closure.
+// compileValue lowers e to a boxed-result closure. A literal-only subtree
+// runs once, here; deterministic errors (1/0) are folded too, so the
+// closure re-reports the same error on every evaluation.
 func (c *exprCompiler) compileValue(e epl.Expr) compiledExpr {
-	if constExpr(e) {
-		return foldConst(e)
+	if c.folds(e) {
+		v, err := literalCompiler.compileValue(e)(&evalContext{})
+		return func(*evalContext) (Value, error) { return v, err }
 	}
 	switch x := e.(type) {
+	case *epl.NumberLit:
+		v := Value(x.Value)
+		return func(*evalContext) (Value, error) { return v, nil }
+	case *epl.StringLit:
+		v := Value(x.Value)
+		return func(*evalContext) (Value, error) { return v, nil }
+	case *epl.BoolLit:
+		v := Value(x.Value)
+		return func(*evalContext) (Value, error) { return v, nil }
 	case *epl.FieldRef:
 		return c.compileField(x)
 	case *epl.UnaryExpr:
@@ -378,15 +372,9 @@ func (c *exprCompiler) staticNum(e epl.Expr) bool {
 
 // compileNum lowers e to an unboxed float64 closure.
 func (c *exprCompiler) compileNum(e epl.Expr) compiledNum {
-	if constExpr(e) {
-		v, err := eval(e, &evalContext{})
-		if err == nil {
-			if f, ok := numeric(v); ok {
-				return func(*evalContext) (float64, error) { return f, nil }
-			}
-		}
-		// Non-numeric or erroring constant: the generic wrap below
-		// re-surfaces the same failure per evaluation.
+	if c.folds(e) {
+		f, err := literalCompiler.compileNum(e)(&evalContext{})
+		return func(*evalContext) (float64, error) { return f, err }
 	}
 	switch x := e.(type) {
 	case *epl.FieldRef:
@@ -436,7 +424,7 @@ func numWrap(g compiledExpr) compiledNum {
 
 // compileArith lowers +,-,*,/ to a boxed-result closure. The numeric arms
 // run unboxed; only `+` over two dynamically-typed sides keeps the boxed
-// numeric-else-concat dispatch of eval.
+// numeric-else-concat dispatch.
 func (c *exprCompiler) compileArith(x *epl.BinaryExpr) compiledExpr {
 	if x.Op == "+" && !c.staticNum(x.Left) && !c.staticNum(x.Right) {
 		l, r := c.compileValue(x.Left), c.compileValue(x.Right)
@@ -535,12 +523,8 @@ func (c *exprCompiler) compileArithNum(x *epl.BinaryExpr) compiledNum {
 
 // compileBool lowers a predicate to an unboxed bool closure.
 func (c *exprCompiler) compileBool(e epl.Expr) compiledBool {
-	if constExpr(e) {
-		v, err := eval(e, &evalContext{})
-		b := false
-		if err == nil {
-			b, err = truthy(v)
-		}
+	if c.folds(e) {
+		b, err := literalCompiler.compileBool(e)(&evalContext{})
 		return func(*evalContext) (bool, error) { return b, err }
 	}
 	switch x := e.(type) {
@@ -610,8 +594,9 @@ func (c *exprCompiler) compileBool(e epl.Expr) compiledBool {
 //
 // NaN caution (found by FuzzCompiledExprEquivalence): valueCompare is a
 // three-way compare that answers 0 when neither a<b nor a>b holds, so a
-// NaN operand makes `<=` and `>=` TRUE through eval. The unboxed forms
-// below use !(a>b) / !(a<b) — not IEEE a<=b — to reproduce that exactly.
+// NaN operand makes `<=` and `>=` TRUE through the boxed form. The unboxed
+// forms below use !(a>b) / !(a<b) — not IEEE a<=b — to reproduce that
+// exactly.
 func (c *exprCompiler) compileCompare(x *epl.BinaryExpr) compiledBool {
 	op := x.Op
 	if c.staticNum(x.Left) || c.staticNum(x.Right) {
@@ -701,31 +686,22 @@ func errAggNotCollected(key string) error {
 	return fmt.Errorf("cep: aggregate %s was not pre-computed", key)
 }
 
-// compileAgg lowers an aggregate reference: a slot read when the evaluator
-// filled the unboxed slots, a keyed-map lookup otherwise (the recompute
-// path) — with the key rendered once, here.
+// compileAgg lowers an aggregate reference to a read of its slot.
 func (c *exprCompiler) compileAgg(x *epl.CallExpr) compiledExpr {
 	key := x.String()
 	slot, ok := c.aggOf[key]
 	if !ok {
 		return errValue(errAggNotCollected(key))
 	}
-	fn := x.Func
+	errOutside := fmt.Errorf("cep: aggregate %s used outside aggregation context", x.Func)
 	return func(ctx *evalContext) (Value, error) {
-		if ctx.aggF != nil {
-			if ctx.aggNull[slot] {
-				return nil, nil
-			}
-			return ctx.aggF[slot], nil
+		switch {
+		case ctx.aggF == nil:
+			return nil, errOutside
+		case ctx.aggNull[slot]:
+			return nil, nil
 		}
-		if ctx.aggs == nil {
-			return nil, fmt.Errorf("cep: aggregate %s used outside aggregation context", fn)
-		}
-		v, ok := ctx.aggs[key]
-		if !ok {
-			return nil, fmt.Errorf("cep: aggregate %s was not pre-computed", key)
-		}
-		return v, nil
+		return ctx.aggF[slot], nil
 	}
 }
 
@@ -737,33 +713,23 @@ func (c *exprCompiler) compileAggNum(x *epl.CallExpr) compiledNum {
 	if !ok {
 		return errNum(errAggNotCollected(key))
 	}
-	fn := x.Func
+	errOutside := fmt.Errorf("cep: aggregate %s used outside aggregation context", x.Func)
+	errNull := fmt.Errorf("cep: aggregate %s is NULL in a numeric context", key)
 	return func(ctx *evalContext) (float64, error) {
-		if ctx.aggF != nil {
-			if ctx.aggNull[slot] {
-				return 0, fmt.Errorf("cep: aggregate %s is NULL in a numeric context", key)
-			}
-			return ctx.aggF[slot], nil
+		switch {
+		case ctx.aggF == nil:
+			return 0, errOutside
+		case ctx.aggNull[slot]:
+			return 0, errNull
 		}
-		if ctx.aggs == nil {
-			return 0, fmt.Errorf("cep: aggregate %s used outside aggregation context", fn)
-		}
-		v, ok := ctx.aggs[key]
-		if !ok {
-			return 0, fmt.Errorf("cep: aggregate %s was not pre-computed", key)
-		}
-		n, okn := numeric(v)
-		if !okn {
-			return 0, fmt.Errorf("cep: value %v (%T) is not numeric", v, v)
-		}
-		return n, nil
+		return ctx.aggF[slot], nil
 	}
 }
 
-// compileScalarCall resolves the function at evaluation time (matching
-// eval: RegisterFunction after statement creation takes effect, and
-// user registrations shadow built-ins) but pre-compiles the arguments into
-// a per-call-site scratch buffer.
+// compileScalarCall resolves the function at evaluation time
+// (RegisterFunction after statement creation takes effect, and user
+// registrations shadow built-ins) but pre-compiles the arguments into a
+// per-call-site scratch buffer.
 func (c *exprCompiler) compileScalarCall(x *epl.CallExpr) compiledExpr {
 	name := x.Func
 	args := c.values(x.Args)

@@ -196,7 +196,7 @@ func statementExprs(st *Statement) ([]epl.Expr, []compiledExpr) {
 		}
 	}
 	exprs = append(exprs, q.GroupBy...)
-	for _, call := range st.comp.aggCalls {
+	for _, call := range st.aggCalls {
 		exprs = append(exprs, call.Args...)
 	}
 	return exprs, st.exprCompiler(st.comp.aggOf).values(exprs)
@@ -222,23 +222,26 @@ func TestCompiledMatchesEval(t *testing.T) {
 				exprs, compiled := statementExprs(st)
 
 				row := make([]*Event, len(st.items))
-				aggs := make(map[string]Value, len(st.comp.aggKeys))
+				n := len(st.aggCalls)
+				ctx := &evalContext{row: row, aggF: make([]float64, n), aggNull: make([]bool, n)}
+				oracle := &oracleContext{row: row, aliasOrder: st.aliasOrder, aggs: make(map[string]Value, n)}
 				for i, ev := range sc.feed {
 					for _, idx := range st.itemsByStream[ev.stream] {
 						row[idx] = st.engine.bind(&Event{Stream: ev.stream, Fields: ev.fields})
 					}
-					for k, key := range st.comp.aggKeys {
-						aggs[key] = float64((i*7+k*3)%11) - 3
-						if (i+k)%13 == 0 {
-							aggs[key] = nil
+					for k, call := range st.aggCalls {
+						ctx.aggF[k] = float64((i*7+k*3)%11) - 3
+						ctx.aggNull[k] = (i+k)%13 == 0
+						oracle.aggs[call.String()] = ctx.aggF[k]
+						if ctx.aggNull[k] {
+							oracle.aggs[call.String()] = nil
 						}
 					}
-					ctx := &evalContext{row: row, aliasOrder: st.aliasOrder, aggs: aggs}
 					for j, e := range exprs {
 						if e == nil {
 							continue
 						}
-						want, errWant := eval(e, ctx)
+						want, errWant := eval(e, oracle)
 						got, errGot := compiled[j](ctx)
 						if (errWant == nil) != (errGot == nil) {
 							t.Fatalf("%s: %v at event %d: eval err=%v, compiled err=%v", name, e, i, errWant, errGot)

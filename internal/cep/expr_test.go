@@ -8,14 +8,24 @@ import (
 	"trafficcep/internal/epl"
 )
 
-// evalStr parses and evaluates a standalone expression against a row.
+// evalStr parses a standalone expression and evaluates it against a row
+// of a table aliased r, through a row query.
 func evalStr(t *testing.T, src string, row map[string]Value) (Value, error) {
+	t.Helper()
+	q := CompileRowQuery("r", nil, []epl.Expr{mustParseExpr(t, src)})
+	if _, err := q.Match(row); err != nil {
+		t.Fatalf("%q: a row query without WHERE failed its match: %v", src, err)
+	}
+	return q.Value(0)
+}
+
+func mustParseExpr(t *testing.T, src string) epl.Expr {
 	t.Helper()
 	e, err := parseExprString(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	return EvalScalar(e, "r", row, nil)
+	return e
 }
 
 // parseExprString wraps the expression into a query to reuse the parser.
@@ -231,20 +241,23 @@ func TestAggregateOverNonNumericErrors(t *testing.T) {
 	}
 }
 
-func TestEvalScalarBool(t *testing.T) {
-	e, err := parseExprString("a > 1")
-	if err != nil {
-		t.Fatal(err)
+// TestRowQueryWhere: a row query's WHERE passes a row on true, rejects it
+// on false or NULL, and fails on a non-boolean; one query serves rows in
+// turn.
+func TestRowQueryWhere(t *testing.T) {
+	q := CompileRowQuery("r", mustParseExpr(t, "a > 1"), nil)
+	for _, c := range []struct {
+		a    Value
+		want bool
+	}{{2.0, true}, {0.0, false}, {3, true}} {
+		if ok, err := q.Match(map[string]Value{"a": c.a}); err != nil || ok != c.want {
+			t.Fatalf("a = %v: got %v, %v, want %v", c.a, ok, err, c.want)
+		}
 	}
-	ok, err := EvalScalarBool(e, "r", map[string]Value{"a": 2.0}, nil)
-	if err != nil || !ok {
-		t.Fatalf("got %v, %v", ok, err)
+	if ok, err := CompileRowQuery("r", mustParseExpr(t, "r.gone"), nil).Match(map[string]Value{"a": 2.0}); err != nil || ok {
+		t.Fatalf("a NULL WHERE: got %v, %v, want a rejected row", ok, err)
 	}
-	e2, err := parseExprString("a + 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EvalScalarBool(e2, "r", map[string]Value{"a": 2.0}, nil); err == nil {
+	if _, err := CompileRowQuery("r", mustParseExpr(t, "a + 1"), nil).Match(map[string]Value{"a": 2.0}); err == nil {
 		t.Fatal("non-boolean must error")
 	}
 }
@@ -358,33 +371,62 @@ func TestScalarCoercionEdges(t *testing.T) {
 	}
 }
 
-// TestEvalScalarParity verifies EvalScalar and EvalScalarBool agree with
-// each other (bool = truthy(scalar)) across value- and error-producing
-// expressions.
-func TestEvalScalarParity(t *testing.T) {
-	row := map[string]Value{"a": 2.0, "s": "x", "f": true}
+// TestRowQueryMatchesEval holds a row query to the reference evaluator
+// over rows that have, lack or hold NULL in the fields it reads, through
+// qualified, unqualified and unbound references: every expression, as a
+// SELECT expression and as a WHERE, gives the value eval gives (WHERE: its
+// truthiness), and an error exactly when eval errs. One compiled query
+// serves the rows in turn, as it serves a table scan.
+func TestRowQueryMatchesEval(t *testing.T) {
+	rows := []map[string]Value{
+		{"a": 2.0, "s": "x", "f": true},
+		{"a": 0, "s": "y", "f": false},
+		{"a": nil, "s": nil, "f": nil},
+		{},
+		{"a": int64(-3), "f": true},
+	}
+	// A reference through an alias that names no table; the parser
+	// rejects one, so it is built by hand.
+	unbound := &epl.FieldRef{Alias: "zz", Field: "a"}
+	exprs := []epl.Expr{unbound, &epl.BinaryExpr{Op: "OR", Left: &epl.BoolLit{Value: true}, Right: unbound}}
 	for _, src := range []string{
-		"a > 1", "a < 1", "f", "NOT f", "a = 2 AND s = 'x'",
-		"a + 1", "s", "r.gone", "s < 1", "a / 0",
+		"a", "r.a", "r.gone", "gone",
+		"a > 1", "r.a < 1", "f", "r.f", "NOT f", "NOT r.f",
+		"a = 2 AND s = 'x'", "r.s = 'y' OR r.f", "f AND a > 1",
+		"a + 1", "r.a * 2 + 1", "s + 'z'", "-a", "-r.s",
+		"s < 1", "a / 0", "r.a / r.a", "abs(r.a)", "avg(a)",
+		"r.gone = 1", "r.gone > 1", "1 + 2 > 2", "NOT 3",
 	} {
-		e, err := parseExprString(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, verr := EvalScalar(e, "r", row, nil)
-		b, berr := EvalScalarBool(e, "r", row, nil)
-		if verr != nil {
-			if berr == nil {
-				t.Fatalf("%q: scalar errored (%v) but bool did not", src, verr)
+		exprs = append(exprs, mustParseExpr(t, src))
+	}
+	for _, e := range exprs {
+		src := e.String()
+		sel := CompileRowQuery("r", nil, []epl.Expr{e})
+		where := CompileRowQuery("r", e, nil)
+		for _, row := range rows {
+			want, errWant := eval(e, &oracleContext{row: []*Event{{Stream: "s", Fields: row}}, aliasOrder: []string{"r"}})
+			if _, err := sel.Match(row); err != nil {
+				t.Fatalf("%q over %v: match without WHERE: %v", src, row, err)
 			}
-			continue
-		}
-		tb, terr := truthy(v)
-		if (terr == nil) != (berr == nil) {
-			t.Fatalf("%q: truthy err %v vs bool err %v", src, terr, berr)
-		}
-		if terr == nil && tb != b {
-			t.Fatalf("%q: truthy(%v) = %v but EvalScalarBool = %v", src, v, tb, b)
+			got, errGot := sel.Value(0)
+			if (errWant == nil) != (errGot == nil) {
+				t.Fatalf("%q over %v: eval err=%v, row query err=%v", src, row, errWant, errGot)
+			}
+			if errWant == nil && valueKey(want) != valueKey(got) {
+				t.Fatalf("%q over %v: eval %#v, row query %#v", src, row, want, got)
+			}
+
+			wantPass, errWant := false, errWant
+			if errWant == nil {
+				wantPass, errWant = truthy(want)
+			}
+			pass, errGot := where.Match(row)
+			if (errWant == nil) != (errGot == nil) {
+				t.Fatalf("WHERE %q over %v: eval err=%v, row query err=%v", src, row, errWant, errGot)
+			}
+			if errWant == nil && pass != wantPass {
+				t.Fatalf("WHERE %q over %v: eval passes %v, row query %v", src, row, wantPass, pass)
+			}
 		}
 	}
 }

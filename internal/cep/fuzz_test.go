@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzCompiledExprEquivalence drives randomly shaped expression trees
-// through both evaluators — eval, the tree-walking one-shot evaluator, and
-// the closure compiler — against randomly typed rows, and asserts the
+// through the closure compiler and through eval, the tree-walking reference
+// (oracle_test.go), against randomly typed rows, and asserts the
 // equivalence contract the compiler documents: identical values (under the
 // engine's valueKey rendering, which owns cross-type numeric equality) and
 // identical error presence. Error TEXT may differ, and the compiled form
@@ -16,7 +16,9 @@ import (
 // the contract, so only presence is compared. The compiler is total, so
 // the trees include the nodes that can only fail — references through an
 // alias that names no FROM item, aggregates the statement did not collect
-// — which must fail in both exactly when evaluation reaches them.
+// — which must fail in both exactly when evaluation reaches them. Literal-
+// only subtrees are compared too: the compiler folds them by running their
+// compiled form once, so a fold is held to eval like any other node.
 //
 // The input bytes are an instruction stream: each byte picks the next
 // node kind or leaf value, so the fuzzer mutates tree shapes and row
@@ -141,6 +143,10 @@ func FuzzCompiledExprEquivalence(f *testing.F) {
 	f.Add([]byte{7, 7, 7, 7, 0, 3, 1})                                        // r.f1 with every field absent: NULL
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 1, 1, 0, 3, 192, 0, 0, 1})           // r.f9 = 1: a field no row has
 	f.Add([]byte{0, 5, 0, 5, 7, 0, 5, 1, 0, 0, 3, 2, 4, 2})                   // r.f2 + f2, f2 absent: NULL vs not found
+	f.Add([]byte{7, 7, 7, 7, 1, 0, 3, 5, 0, 0, 3})                            // 1 / 0: a folded error
+	f.Add([]byte{7, 7, 7, 7, 1, 4, 1, 0})                                     // -'a': a folded type error
+	f.Add([]byte{7, 7, 7, 7, 1, 3, 0, 6})                                     // NOT 3: a folded truthiness error
+	f.Add([]byte{7, 7, 7, 7, 2, 2, 1, 0, 3, 5, 0, 0, 3, 7, 2, 0})             // (1 / 0) OR true: the error folds through OR
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 
@@ -156,7 +162,7 @@ func FuzzCompiledExprEquivalence(f *testing.F) {
 
 		// The collected aggregates' values, decoded last so the bytes that
 		// shape the tree mean what they always did: eval reads them from the
-		// keyed map, the compiled form from the unboxed slots.
+		// keyed map, the compiled form from the slots.
 		aggOf := make(map[string]int, len(fuzzCollected))
 		aggs := make(map[string]Value, len(fuzzCollected))
 		aggF := make([]float64, len(fuzzCollected))
@@ -186,8 +192,8 @@ func FuzzCompiledExprEquivalence(f *testing.F) {
 		compiled := (&exprCompiler{bind: bind, schemas: []*streamSchema{schema}, aggOf: aggOf}).value(expr)
 		schema.bind(ev)
 
-		row, aliases := []*Event{ev}, []string{"r"}
-		vi, erri := eval(expr, &evalContext{row: row, aliasOrder: aliases, aggs: aggs})
+		row := []*Event{ev}
+		vi, erri := eval(expr, &oracleContext{row: row, aliasOrder: []string{"r"}, aggs: aggs})
 		vc, errc := compiled(&evalContext{row: row, aggF: aggF, aggNull: aggNull})
 
 		if (erri == nil) != (errc == nil) {

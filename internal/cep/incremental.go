@@ -37,10 +37,9 @@ import (
 // may differ from a recompute in the last ulp, because sums are maintained
 // by subtraction on eviction instead of re-added in window order.
 
-// aggSpec is one distinct aggregate call (deduplicated by rendering).
+// aggSpec is one aggregate slot's maintenance: spec i is Statement.aggCalls[i].
 type aggSpec struct {
 	call      *epl.CallExpr
-	key       string
 	star      bool // count(*)
 	countOnly bool // count(expr): argument need not be numeric
 	track     bool // min/max: keep value counts for eviction rescans
@@ -48,7 +47,7 @@ type aggSpec struct {
 	slot      int  // accumulator position within the anchor item
 
 	// argC is the compiled argument extractor (nil for count(*)),
-	// attached by compileStatement after planning.
+	// attached by compileIncremental after planning.
 	argC compiledExpr
 }
 
@@ -114,8 +113,8 @@ func (a *aggAcc) remove(f float64, track bool) {
 
 // anchoredAggFloat derives sum/avg/min/max/stddev from an accumulator whose
 // rows each appear m times in the join (m multiplies counts and sums; it
-// cancels out of avg/min/max). The unboxed (value, isNull) form feeds both
-// the compiled aggregate slots and, boxed by the caller, the keyed map.
+// cancels out of avg/min/max). The (value, isNull) pair fills an aggregate
+// slot.
 func anchoredAggFloat(spec *aggSpec, a *aggAcc, m float64) (float64, bool) {
 	if a.n == 0 {
 		return 0, true
@@ -291,18 +290,12 @@ func planIncremental(st *Statement, aliasToIdx map[string]int) *incPlan {
 	return planTrigger(st, aliasToIdx, aggs)
 }
 
-// planAggSpecs deduplicates the statement's aggregate calls and verifies
-// each can be maintained: known shape, pure argument.
+// planAggSpecs makes one spec per aggregate slot and verifies each can be
+// maintained: known shape, pure argument.
 func planAggSpecs(st *Statement) ([]*aggSpec, bool) {
 	var specs []*aggSpec
-	seen := make(map[string]bool)
 	for _, call := range st.aggCalls {
-		key := call.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		s := &aggSpec{call: call, key: key, anchor: -1}
+		s := &aggSpec{call: call, anchor: -1}
 		if call.Star {
 			if call.Func != "count" {
 				return nil, false
@@ -352,9 +345,8 @@ type incPlan struct {
 	row []*Event
 	ctx *evalContext
 
-	// aggF/aggNull are the unboxed aggregate slots handed to compiled
-	// expressions via the eval context (slot i = plan spec i = compiled
-	// aggKeys i).
+	// aggF/aggNull are the aggregate slots handed to compiled expressions
+	// via the eval context (slot i = plan spec i).
 	aggF    []float64
 	aggNull []bool
 }
@@ -391,7 +383,6 @@ func (p *incPlan) applyDelta(idx int, ev, evicted *Event) error {
 	// prior evaluation so a (mis-typed) aggregate reference in a filter or
 	// aggregate argument errors exactly like the recompute path instead of
 	// silently reading stale slots.
-	p.ctx.aggs = nil
 	p.ctx.aggF, p.ctx.aggNull = nil, nil
 	if ip.gw != nil {
 		// The group's value ring retracts what the arriving event
@@ -843,7 +834,6 @@ func (p *incPlan) evaluate() ([]Output, error) {
 	}
 	row[p.trigIdx] = e
 	ctx := p.ctx
-	ctx.aggs = nil
 	ctx.aggF, ctx.aggNull = nil, nil
 	for _, f := range p.emitFiltersC {
 		pass, err := f(ctx)
@@ -873,8 +863,7 @@ func (p *incPlan) evaluate() ([]Output, error) {
 		row[ip.idx] = acc.last
 	}
 
-	// Unboxed slot delivery: compiled aggregate references read ctx.aggF
-	// directly, no per-evaluation map or boxing.
+	// Slot delivery: compiled aggregate references read ctx.aggF directly.
 	if p.aggF == nil {
 		p.aggF = make([]float64, len(p.aggs))
 		p.aggNull = make([]bool, len(p.aggs))

@@ -38,6 +38,8 @@ type Statement struct {
 	// bound (and not already consumed as join-index probes).
 	filters [][]epl.Expr
 
+	// aggCalls are the distinct aggregate calls of SELECT and HAVING, in
+	// first-appearance order: call i is aggregate slot i (evalContext.aggF).
 	aggCalls  []*epl.CallExpr
 	hasAgg    bool
 	listeners []Listener
@@ -169,13 +171,14 @@ func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statemen
 		}
 	}
 
-	// Collect aggregate calls from SELECT and HAVING.
+	// Collect aggregate calls from SELECT and HAVING, once per rendering.
+	seen := make(map[string]bool)
 	for _, s := range q.Select {
 		if !s.Star {
-			collectAggregates(s.Expr, &st.aggCalls)
+			collectAggregates(s.Expr, seen, &st.aggCalls)
 		}
 	}
-	collectAggregates(q.Having, &st.aggCalls)
+	collectAggregates(q.Having, seen, &st.aggCalls)
 	st.hasAgg = len(st.aggCalls) > 0
 
 	st.inc = planIncremental(st, aliasToIdx)
@@ -440,12 +443,10 @@ func (st *Statement) evaluate() ([]Output, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	base := &evalContext{funcs: st.engine.funcs}
-
 	if st.hasAgg || len(st.Query.GroupBy) > 0 {
-		return st.evaluateGrouped(rows, base)
+		return st.evaluateGrouped(rows)
 	}
-	return st.evaluateRows(rows, base)
+	return st.evaluateRows(rows)
 }
 
 // joinRows enumerates the join of all FROM items' windows, applying filters
@@ -516,8 +517,9 @@ func (st *Statement) joinRows() ([][]*Event, error) {
 	return rows, nil
 }
 
-// evaluateGrouped handles queries with GROUP BY and/or aggregates.
-func (st *Statement) evaluateGrouped(rows [][]*Event, base *evalContext) ([]Output, error) {
+// evaluateGrouped handles queries with GROUP BY and/or aggregates. Each
+// group's aggregates fill the same slots the trigger plan fills.
+func (st *Statement) evaluateGrouped(rows [][]*Event) ([]Output, error) {
 	type group struct {
 		rows [][]*Event
 	}
@@ -552,15 +554,19 @@ func (st *Statement) evaluateGrouped(rows [][]*Event, base *evalContext) ([]Outp
 	}
 
 	var outputs []Output
+	ctx := &evalContext{
+		funcs:   st.engine.funcs,
+		aggF:    make([]float64, len(st.aggCalls)),
+		aggNull: make([]bool, len(st.aggCalls)),
+	}
 	for _, grp := range order {
-		aggs, err := computeAggregates(st.comp, grp.rows, base)
-		if err != nil {
+		if err := st.computeAggregates(grp.rows, ctx); err != nil {
 			return nil, err
 		}
 		// The representative row for non-aggregated expressions is the
 		// most recent row of the group.
 		repr := grp.rows[len(grp.rows)-1]
-		ctx := &evalContext{row: repr, aggs: aggs, funcs: st.engine.funcs}
+		ctx.row = repr
 		if st.comp.havingC != nil {
 			pass, err := st.comp.havingC(ctx)
 			if err != nil {
@@ -580,12 +586,11 @@ func (st *Statement) evaluateGrouped(rows [][]*Event, base *evalContext) ([]Outp
 }
 
 // evaluateRows handles aggregate-free queries: one output per join row.
-func (st *Statement) evaluateRows(rows [][]*Event, base *evalContext) ([]Output, error) {
+func (st *Statement) evaluateRows(rows [][]*Event) ([]Output, error) {
 	var outputs []Output
 	ctx := &evalContext{funcs: st.engine.funcs}
 	for _, row := range rows {
 		ctx.row = row
-		ctx.aggs = nil
 		if st.comp.havingC != nil {
 			pass, err := st.comp.havingC(ctx)
 			if err != nil {

@@ -18,10 +18,10 @@ type Value = any
 
 // numeric converts v to a float64 if possible. Booleans are deliberately
 // not numeric: `true = 1`, `b < 2` and `sum(flag)` are type errors, exactly
-// like strings in arithmetic. (They coerced to 0/1 before PR 10, which let
-// the boxed interpreter and any specialized evaluator silently disagree;
-// TestBoolIsNotNumeric pins the rejection.) Boolean equality still works
-// through valueEq's default case, and truthy() is unchanged.
+// like strings in arithmetic, so an unboxed compiled form cannot disagree
+// with a boxed one over them (TestBoolIsNotNumeric pins the rejection).
+// Boolean equality still works through valueEq's default case, and truthy()
+// is unchanged.
 func numeric(v Value) (float64, bool) {
 	switch x := v.(type) {
 	case float64:

@@ -357,7 +357,8 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 // fire. The ownership tuple that gains the row's location loads that
 // location's thresholds as the task applies it, so the next row fires
 // against the stored threshold. A second tuple re-gaining the location,
-// which the engine already owns, loads nothing again.
+// which the engine already owns, loads nothing again; nor does regaining it
+// after losing it, since the rule's statements were fed it already.
 func TestEsperBoltOwnershipLoadsThresholds(t *testing.T) {
 	const field = "layer2Area"
 	store := newStore(t)
@@ -420,6 +421,22 @@ func TestEsperBoltOwnershipLoadsThresholds(t *testing.T) {
 	row()
 	if len(col.emitted) != 2 {
 		t.Fatalf("%d detections after re-gaining areaA, want 2", len(col.emitted))
+	}
+
+	// Lose areaA, then gain it back: the statements that were fed its
+	// thresholds still hold them in their keep-all window.
+	execute(map[string]any{ownField: field, ownLost: []string{"areaA"}})
+	row()
+	if len(col.emitted) != 2 {
+		t.Fatalf("%d detections after losing areaA, want still 2", len(col.emitted))
+	}
+	gain()
+	if loaded != after {
+		t.Fatalf("regaining a lost location fed %d more threshold events", loaded-after)
+	}
+	row()
+	if len(col.emitted) != 3 {
+		t.Fatalf("%d detections after regaining areaA, want 3", len(col.emitted))
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"trafficcep/internal/busdata"
 	"trafficcep/internal/cep"
@@ -76,6 +77,14 @@ type InstalledRule struct {
 	// listeners are re-attached to the fresh statements on every
 	// Refresh (unlike Options.Listener, which install wires itself).
 	listeners []cep.Listener
+
+	// loaded holds the locations whose thresholds a restricted rule's
+	// current statements were fed: their win:keepall() never evicts, so a
+	// location lost and regained must not be loaded twice. install resets
+	// it with the statements; mu guards it, since an ownership tuple and a
+	// batch-layer Refresh may load at once.
+	mu     sync.Mutex
+	loaded map[string]bool
 }
 
 // AddListener attaches a listener to every current statement of the rule
@@ -168,10 +177,13 @@ func (inst *InstalledRule) install() error {
 			return loadThresholdStream(eng, r, opts.Store, nil)
 		}
 		field := r.LocationField()
+		inst.mu.Lock()
+		inst.loaded = nil
+		inst.mu.Unlock()
 		if err := add(eng.AddOwnedStatement(r.Name, r.StreamEPL(), BusStream, field)); err != nil {
 			return err
 		}
-		return loadThresholdStream(eng, r, opts.Store, eng.Owned(BusStream, field))
+		return inst.loadThresholds(eng.Owned(BusStream, field))
 	}
 	return fmt.Errorf("core: unknown strategy %v", opts.Strategy)
 }
@@ -207,6 +219,29 @@ func loadThresholdStream(eng *cep.Engine, r Rule, store *sqlstore.ThresholdStore
 		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// loadThresholds feeds a restricted rule's statements the thresholds of the
+// locations in set they were not fed yet.
+func (inst *InstalledRule) loadThresholds(set map[string]bool) error {
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	fresh := make(map[string]bool, len(set))
+	for l := range set {
+		if !inst.loaded[l] {
+			fresh[l] = true
+		}
+	}
+	if err := loadThresholdStream(inst.engine, inst.Rule, inst.Options.Store, fresh); err != nil {
+		return err
+	}
+	if inst.loaded == nil {
+		inst.loaded = make(map[string]bool, len(fresh))
+	}
+	for l := range fresh {
+		inst.loaded[l] = true
 	}
 	return nil
 }

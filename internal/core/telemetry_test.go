@@ -192,3 +192,63 @@ func TestTrafficTopologyTelemetry(t *testing.T) {
 		t.Fatal("no delivery reached an engine that does not own its location on the other field")
 	}
 }
+
+// TestPreProcessCountsOutOfOrder: with telemetry on, every PreProcess task
+// is a source of core.preprocess.out_of_order, the sum over the tasks of
+// the traces whose timestamp is not after their vehicle's previous one.
+// Repeated collections, also while the tasks run, add only what is new.
+func TestPreProcessCountsOutOfOrder(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	tasks := []*preProcessBolt{{telemetry: reg}, {telemetry: reg}}
+	col := &emitRecorder{}
+	for _, b := range tasks {
+		if err := b.Prepare(storm.TaskContext{Component: CompPreProcess, NumTasks: len(tasks)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send := func(b *preProcessBolt, vehicle string, ts float64) {
+		t.Helper()
+		if err := b.Execute(storm.Tuple{Values: map[string]any{"ts": ts, "vehicleId": vehicle}}, col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counted := func() float64 {
+		t.Helper()
+		m, ok := reg.Gather().Get("core.preprocess.out_of_order")
+		if !ok {
+			t.Fatal("core.preprocess.out_of_order is not published")
+		}
+		return m.Value
+	}
+
+	// A collector runs beside the tasks, as the telemetry exporter does.
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Gather()
+			}
+		}
+	}()
+	send(tasks[0], "v1", 100)
+	send(tasks[0], "v1", 100) // duplicate timestamp
+	send(tasks[0], "v1", 160)
+	send(tasks[1], "v2", 100)
+	send(tasks[1], "v2", 40) // backwards
+	close(stop)
+	<-done
+	if got := counted(); got != 2 {
+		t.Fatalf("out of order = %v, want 2", got)
+	}
+	if got := counted(); got != 2 {
+		t.Fatalf("out of order after a second collection = %v, want still 2", got)
+	}
+	send(tasks[1], "v2", 90) // still behind v2's 100
+	if got := counted(); got != 3 {
+		t.Fatalf("out of order = %v, want 3", got)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"trafficcep/internal/busdata"
@@ -339,11 +340,32 @@ func (e *enricher) row(t storm.Tuple) map[string]any {
 type preProcessBolt struct {
 	enricher
 	pre *busdata.Preprocessor
+	// telemetry, when set, collects the task as a source of
+	// core.preprocess.out_of_order; published is the part of its
+	// preprocessor's count already added there.
+	telemetry *telemetry.Registry
+	published atomic.Uint64
 }
 
 func (b *preProcessBolt) Prepare(ctx storm.TaskContext) error {
 	b.pre = busdata.NewPreprocessor()
+	if b.telemetry != nil {
+		b.telemetry.Register(b)
+	}
 	return b.enricher.Prepare(ctx)
+}
+
+// Describe implements telemetry.Source.
+func (b *preProcessBolt) Describe() string {
+	return "PreProcess task: traces not after their vehicle's previous one"
+}
+
+// Collect implements telemetry.Source: it adds the traces the task found out
+// of order since the last collection to core.preprocess.out_of_order, the
+// sum over every PreProcess task.
+func (b *preProcessBolt) Collect(reg *telemetry.Registry) {
+	n := b.pre.OutOfOrder()
+	reg.Counter("core.preprocess.out_of_order").Add(n - b.published.Swap(n))
 }
 
 func (b *preProcessBolt) Cleanup() error { return nil }
@@ -653,7 +675,8 @@ func (b *esperBolt) Execute(t storm.Tuple, col storm.Collector) error {
 // own applies an ownership tuple (splitterBolt.handOver): from the next row
 // on, the engine's rules on field window and evaluate what it owns now. The
 // restricted rules on field load the thresholds of the locations the engine
-// newly gains first; a location it already owned has them.
+// newly gains first; a location it already owned has them, and so does one
+// it owned before under the same statements.
 func (b *esperBolt) own(field string, values map[string]any) error {
 	gained, _ := values[ownGained].([]string)
 	lost, _ := values[ownLost].([]string)
@@ -664,7 +687,7 @@ func (b *esperBolt) own(field string, values map[string]any) error {
 		}
 		for _, inst := range b.installs {
 			if inst.restricted() && inst.Rule.LocationField() == field {
-				if err := loadThresholdStream(inst.engine, inst.Rule, inst.Options.Store, set); err != nil {
+				if err := inst.loadThresholds(set); err != nil {
 					return fmt.Errorf("core: engine %d loading thresholds of rule %q: %w", b.ctx.TaskIndex, inst.Rule.Name, err)
 				}
 			}

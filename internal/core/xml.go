@@ -43,7 +43,7 @@ func RegisterComponents(reg *storm.Registry, deps *Deps) {
 		return func() storm.Spout { return &busReaderSpout{traces: cfg.Traces} }, nil
 	})
 	reg.RegisterBolt("preprocess", func(map[string]string) (storm.BoltFactory, error) {
-		return func() storm.Bolt { return &preProcessBolt{} }, nil
+		return func() storm.Bolt { return &preProcessBolt{telemetry: cfg.Telemetry} }, nil
 	})
 	reg.RegisterBolt("areatracker", func(map[string]string) (storm.BoltFactory, error) {
 		if cfg.Tree == nil {

@@ -7,6 +7,7 @@ package sqlstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -167,11 +168,11 @@ func sameCols(a, b []string) bool {
 
 // keyOf renders the index key of a row over the table's index columns.
 func (t *Table) keyOf(row Row) string {
-	key := ""
-	for _, k := range t.indexCols {
-		key += cep.ValueKey(row[k]) + "\x1f"
+	vals := make([]any, len(t.indexCols))
+	for i, k := range t.indexCols {
+		vals[i] = row[k]
 	}
-	return key
+	return string(cep.AppendKey(nil, vals...))
 }
 
 // rebuildIndex re-keys every row on the new key columns. Called with the
@@ -231,9 +232,27 @@ func (db *DB) Query(sql string) ([]Row, error) {
 	return db.QueryParsed(q)
 }
 
-// QueryParsed evaluates an already-parsed SELECT. Callers issuing the same
-// query per tuple should parse once and reuse the AST.
+// QueryParsed evaluates an already-parsed SELECT: it validates and
+// compiles the query, then scans the table through it. ThresholdStore,
+// whose queries run per tuple, compiles each once and reuses it instead.
 func (db *DB) QueryParsed(q *epl.Query) ([]Row, error) {
+	cq, err := compileQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	return db.run(cq)
+}
+
+// compiledQuery is a validated SELECT compiled for row-by-row evaluation.
+// Like its cep.RowQuery it is not safe for concurrent use: whoever shares
+// one serialises its scans through mu.
+type compiledQuery struct {
+	mu   sync.Mutex
+	q    *epl.Query
+	rows *cep.RowQuery // expression i is the i-th non-star SELECT item
+}
+
+func compileQuery(q *epl.Query) (*compiledQuery, error) {
 	if len(q.From) != 1 {
 		return nil, fmt.Errorf("sqlstore: exactly one FROM table required, got %d", len(q.From))
 	}
@@ -243,14 +262,22 @@ func (db *DB) QueryParsed(q *epl.Query) ([]Row, error) {
 	if len(q.GroupBy) > 0 || q.Having != nil {
 		return nil, fmt.Errorf("sqlstore: GROUP BY/HAVING are not supported")
 	}
+	var exprs []epl.Expr
 	for _, s := range q.Select {
-		if !s.Star && epl.HasAggregate(s.Expr) {
+		if s.Star {
+			continue
+		}
+		if epl.HasAggregate(s.Expr) {
 			return nil, fmt.Errorf("sqlstore: aggregates are not supported")
 		}
+		exprs = append(exprs, s.Expr)
 	}
-	tableName := q.From[0].Stream
-	alias := q.From[0].Alias
+	return &compiledQuery{q: q, rows: cep.CompileRowQuery(q.From[0].Alias, q.Where, exprs)}, nil
+}
 
+// run scans the query's table through its compiled form.
+func (db *DB) run(cq *compiledQuery) ([]Row, error) {
+	q := cq.q
 	db.mu.Lock()
 	db.queries++
 	hist, cnt := db.queryHist, db.queryCnt
@@ -265,24 +292,30 @@ func (db *DB) QueryParsed(q *epl.Query) ([]Row, error) {
 
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[tableName]
+	t, ok := db.tables[q.From[0].Stream]
 	if !ok {
-		return nil, fmt.Errorf("sqlstore: no table %q", tableName)
+		return nil, fmt.Errorf("sqlstore: no table %q", q.From[0].Stream)
 	}
 
-	var out []Row
-	seen := make(map[string]bool)
+	// DISTINCT keys a row by its values in the order of the output columns,
+	// which every projected row holds: taken once, from the first.
+	var (
+		cols []string
+		vals []any
+		key  []byte
+		seen map[string]bool
+		out  []Row
+	)
 	for _, row := range t.rows {
-		if q.Where != nil {
-			pass, err := cep.EvalScalarBool(q.Where, alias, row, nil)
-			if err != nil {
-				return nil, err
-			}
-			if !pass {
-				continue
-			}
+		pass, err := cq.rows.Match(row)
+		if err != nil {
+			return nil, err
+		}
+		if !pass {
+			continue
 		}
 		proj := make(Row)
+		i := 0
 		for _, s := range q.Select {
 			if s.Star {
 				for _, c := range t.Columns {
@@ -290,10 +323,11 @@ func (db *DB) QueryParsed(q *epl.Query) ([]Row, error) {
 				}
 				continue
 			}
-			v, err := cep.EvalScalar(s.Expr, alias, row, nil)
+			v, err := cq.rows.Value(i)
 			if err != nil {
 				return nil, err
 			}
+			i++
 			name := s.Alias
 			if name == "" {
 				name = s.Expr.String()
@@ -301,26 +335,25 @@ func (db *DB) QueryParsed(q *epl.Query) ([]Row, error) {
 			proj[name] = v
 		}
 		if q.Distinct {
-			sig := rowSignature(proj)
-			if seen[sig] {
+			if cols == nil {
+				cols = make([]string, 0, len(proj))
+				for c := range proj {
+					cols = append(cols, c)
+				}
+				slices.Sort(cols)
+				vals = make([]any, len(cols))
+				seen = make(map[string]bool)
+			}
+			for j, c := range cols {
+				vals[j] = proj[c]
+			}
+			key = cep.AppendKey(key[:0], vals...)
+			if seen[string(key)] {
 				continue
 			}
-			seen[sig] = true
+			seen[string(key)] = true
 		}
 		out = append(out, proj)
 	}
 	return out, nil
-}
-
-func rowSignature(r Row) string {
-	keys := make([]string, 0, len(r))
-	for k := range r {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	sig := ""
-	for _, k := range keys {
-		sig += k + "=" + cep.ValueKey(r[k]) + ";"
-	}
-	return sig
 }

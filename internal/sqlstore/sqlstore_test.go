@@ -2,6 +2,8 @@ package sqlstore
 
 import (
 	"fmt"
+	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -105,8 +107,40 @@ func TestQueryDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("distinct rows = %d, want 2", len(rows))
+	if want := []Row{{"mean": 0.0}, {"mean": 1.0}}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("distinct rows = %v, want %v", rows, want)
+	}
+
+	// Over several columns, with a star among them: a row is dropped when
+	// an earlier one has equal values in every output column, numerically
+	// equal values of different Go types included; the first stays, in
+	// insertion order.
+	db = newTestDB(t)
+	for i, r := range []Row{
+		{"mean": 0.0, "area": "a"},
+		{"mean": 1.0, "area": "a"},
+		{"mean": 0, "area": "a"},
+		{"mean": 1.0, "area": "b"},
+		{"mean": 0.0, "area": "b", "hour": 3.0},
+		{"mean": int64(1), "area": "b"},
+	} {
+		r["stdv"] = float64(i % 2)
+		if err := db.Insert("stats", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err = db.Query(`SELECT DISTINCT area, *, mean * 2 AS twice FROM stats`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Row{
+		{"area": "a", "mean": 0.0, "stdv": 0.0, "hour": nil, "twice": 0.0},
+		{"area": "a", "mean": 1.0, "stdv": 1.0, "hour": nil, "twice": 2.0},
+		{"area": "b", "mean": 1.0, "stdv": 1.0, "hour": nil, "twice": 2.0},
+		{"area": "b", "mean": 0.0, "stdv": 0.0, "hour": 3.0, "twice": 0.0},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("distinct rows =\n%v\nwant\n%v", rows, want)
 	}
 }
 
@@ -342,6 +376,10 @@ func TestThresholdStorePutRefreshes(t *testing.T) {
 	}
 }
 
+// TestThresholdStoreConcurrentLookups runs Lookup and Thresholds from
+// several goroutines on one store, as every engine installed over it does:
+// the compiled queries it caches are shared, so their scans must not
+// interleave (run under -race).
 func TestThresholdStoreConcurrentLookups(t *testing.T) {
 	db := NewDB()
 	ts, err := NewThresholdStore(db)
@@ -359,14 +397,31 @@ func TestThresholdStoreConcurrentLookups(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, 4)
+	errs := make(chan error, 8)
 	for g := 0; g < 4; g++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				loc := fmt.Sprintf("a%d", i%20)
-				if _, _, err := ts.Lookup(busdata.AttrDelay, loc, i%24, busdata.Weekday, 1); err != nil {
+				v, ok, err := ts.Lookup(busdata.AttrDelay, loc, i%20, busdata.Weekday, 1)
+				if err == nil && (!ok || v != float64(i%20)+1) {
+					err = fmt.Errorf("lookup %s = %v, %v; want %v", loc, v, ok, float64(i%20)+1)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				ths, err := ts.Thresholds(busdata.AttrDelay, 1)
+				if err == nil && len(ths) != 20 {
+					err = fmt.Errorf("%d thresholds, want 20", len(ths))
+				}
+				if err != nil {
 					errs <- err
 					return
 				}
@@ -377,6 +432,42 @@ func TestThresholdStoreConcurrentLookups(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestThresholdStoreLookupAllocations: a repeated Lookup runs the query it
+// compiled on first use, and a row it scans allocates nothing, so the
+// allocations of a Lookup do not grow with the table. Skipped under -race,
+// where sync.Pool (behind fmt) drops items at random.
+func TestThresholdStoreLookupAllocations(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	allocs := func(locations int) float64 {
+		ts, err := NewThresholdStore(NewDB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []StatRow
+		for loc := 0; loc < locations; loc++ {
+			for h := 0; h < 24; h++ {
+				rows = append(rows, StatRow{
+					Attribute: busdata.AttrDelay, Location: fmt.Sprintf("a%02d", loc),
+					Hour: h, Day: busdata.Weekday, Mean: float64(h), Stdv: 1,
+				})
+			}
+		}
+		if err := ts.Put(rows); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, ok, err := ts.Lookup(busdata.AttrDelay, "a00", 8, busdata.Weekday, 2); err != nil || !ok {
+				t.Fatal(ok, err)
+			}
+		})
+	}
+	if small, large := allocs(1), allocs(40); large != small {
+		t.Fatalf("Lookup allocates %v times over 24 rows but %v over 960", small, large)
 	}
 }
 
@@ -460,4 +551,18 @@ func TestUpsertManyRowsFast(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("20k upserts took %v", elapsed)
 	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

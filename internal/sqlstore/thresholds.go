@@ -41,17 +41,18 @@ var statColumns = []string{"attr_mean", "attr_stdv", "currentHour", "dateType", 
 // StatRows, the online layer reads Thresholds via the Listing 2 query.
 type ThresholdStore struct {
 	db *DB
-	// parsed query cache per (attribute, s) — the stream-fed strategy
-	// issues one query per refresh, but the join-with-DB strategy issues
-	// one per tuple and must not re-parse every time.
+	// compiled query cache per SQL text — the stream-fed strategy issues
+	// one query per refresh, but the join-with-DB strategy issues one per
+	// tuple and must not re-parse or re-compile every time. Every engine
+	// installed over the store shares it.
 	mu         sync.Mutex
-	queryCache map[string]*epl.Query
+	queryCache map[string]*compiledQuery
 }
 
 // NewThresholdStore creates the statistics tables for every monitorable
 // attribute (Table 6) in db.
 func NewThresholdStore(db *DB) (*ThresholdStore, error) {
-	ts := &ThresholdStore{db: db, queryCache: make(map[string]*epl.Query)}
+	ts := &ThresholdStore{db: db, queryCache: make(map[string]*compiledQuery)}
 	for _, attr := range busdata.Attributes {
 		if err := db.CreateTable(statTable(attr), statColumns); err != nil {
 			return nil, err
@@ -90,11 +91,7 @@ func listing2SQL(attribute string, s float64) string {
 // Thresholds runs the Listing 2 query and returns every threshold for the
 // attribute, with value = mean + s·stdv.
 func (ts *ThresholdStore) Thresholds(attribute string, s float64) ([]Threshold, error) {
-	q, err := ts.parsed(attribute, s)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := ts.db.QueryParsed(q)
+	rows, err := ts.query(listing2SQL(attribute, s))
 	if err != nil {
 		return nil, err
 	}
@@ -115,11 +112,7 @@ func (ts *ThresholdStore) Thresholds(attribute string, s float64) ([]Threshold, 
 func (ts *ThresholdStore) Lookup(attribute, location string, hour int, day busdata.DayType, s float64) (float64, bool, error) {
 	sql := listing2SQL(attribute, s) +
 		fmt.Sprintf(` WHERE areaId1 = '%s' AND currentHour = %d AND dateType = '%s'`, location, hour, day)
-	q, err := ts.cached(sql)
-	if err != nil {
-		return 0, false, err
-	}
-	rows, err := ts.db.QueryParsed(q)
+	rows, err := ts.query(sql)
 	if err != nil {
 		return 0, false, err
 	}
@@ -133,23 +126,35 @@ func (ts *ThresholdStore) Lookup(attribute, location string, hour int, day busda
 	return v, true, nil
 }
 
-func (ts *ThresholdStore) parsed(attribute string, s float64) (*epl.Query, error) {
-	return ts.cached(listing2SQL(attribute, s))
+// query runs sql through its cached compiled form; safe for concurrent use.
+func (ts *ThresholdStore) query(sql string) ([]Row, error) {
+	cq, err := ts.cached(sql)
+	if err != nil {
+		return nil, err
+	}
+	cq.mu.Lock()
+	defer cq.mu.Unlock()
+	return ts.db.run(cq)
 }
 
-// cached parses sql once and memoizes the AST; safe for concurrent use.
-func (ts *ThresholdStore) cached(sql string) (*epl.Query, error) {
+// cached parses and compiles sql once and memoizes it; safe for concurrent
+// use.
+func (ts *ThresholdStore) cached(sql string) (*compiledQuery, error) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if q, ok := ts.queryCache[sql]; ok {
-		return q, nil
+	if cq, ok := ts.queryCache[sql]; ok {
+		return cq, nil
 	}
 	q, err := epl.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	ts.queryCache[sql] = q
-	return q, nil
+	cq, err := compileQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	ts.queryCache[sql] = cq
+	return cq, nil
 }
 
 func rowToThreshold(r Row) (Threshold, error) {
