@@ -18,8 +18,8 @@ import (
 //     Unqualified references stay by-name lookups in Fields: which bound
 //     event supplies the field is decided per evaluation by which one HAS
 //     it, and a slot cannot tell an absent field from a NULL one;
-//   - aggregate references become slot reads (see evalContext.aggF): the
-//     trigger plan and the recompute path fill the same slots;
+//   - aggregate references become slot reads (see evalContext.aggF), which
+//     the trigger plan fills at emit;
 //   - numeric comparison/arithmetic chains run unboxed through compiledNum
 //     when the type analysis (staticNum) can rule out the string arms;
 //   - AND/OR short-circuit through compiledBool without boxing booleans;
@@ -53,73 +53,46 @@ type compiledNum func(ctx *evalContext) (float64, error)
 // compiledBool evaluates a predicate unboxed, with AND/OR short-circuit.
 type compiledBool func(ctx *evalContext) (bool, error)
 
-// stmtCompiled holds the compiled form of every expression a statement
-// evaluates at runtime.
+// stmtCompiled holds the compiled form of the expressions a statement
+// evaluates at emit; the trigger plan holds its filters' and aggregate
+// arguments' own.
 type stmtCompiled struct {
-	// aggArgC[i] extracts the argument of aggregate slot i, Statement.
-	// aggCalls[i] (nil for count(*) and arity errors); aggOf maps an
-	// aggregate's rendering to its slot.
-	aggArgC []compiledExpr
-	aggOf   map[string]int
+	// aggOf maps an aggregate's rendering to its slot, Statement.aggCalls[i]
+	// being slot i.
+	aggOf map[string]int
 
-	selectC  []compiledExpr // parallel to Query.Select; nil for SELECT *
-	groupByC []compiledExpr
-	havingC  compiledBool
-	filtersC [][]compiledBool // parallel to Statement.filters
+	selectC []compiledExpr // parallel to Query.Select
+	havingC compiledBool
 }
 
-// compileStatement lowers every expression of a fully-planned statement.
-// Called at the end of compile(), after the incremental planner ran.
+// compileStatement lowers every expression of a planned statement. Called
+// at the end of compile(), after the planner ran.
 func compileStatement(st *Statement) *stmtCompiled {
 	comp := &stmtCompiled{aggOf: make(map[string]int, len(st.aggCalls))}
 	for i, call := range st.aggCalls {
 		comp.aggOf[call.String()] = i
 	}
 	c := st.exprCompiler(comp.aggOf)
-
-	comp.aggArgC = make([]compiledExpr, len(st.aggCalls))
-	for i, call := range st.aggCalls {
-		if !call.Star && len(call.Args) == 1 {
-			comp.aggArgC[i] = c.value(call.Args[0])
-		}
-	}
 	q := st.Query
 	comp.selectC = make([]compiledExpr, len(q.Select))
 	for i, s := range q.Select {
-		if !s.Star {
-			comp.selectC[i] = c.value(s.Expr)
-		}
-	}
-	comp.groupByC = make([]compiledExpr, len(q.GroupBy))
-	for i, g := range q.GroupBy {
-		comp.groupByC[i] = c.value(g)
+		comp.selectC[i] = c.value(s.Expr)
 	}
 	comp.havingC = c.boolean(q.Having)
-	comp.filtersC = make([][]compiledBool, len(st.filters))
-	for i, fs := range st.filters {
-		comp.filtersC[i] = c.booleans(fs)
-	}
-	for _, it := range st.items {
-		it.probeC = c.values(it.probeExprs)
-	}
-	if st.inc != nil {
-		compileIncremental(st.inc, c, comp)
-	}
-	return comp
-}
 
-// compileIncremental attaches compiled forms to the armed incremental plan.
-// Its spec i is aggregate slot i, so it shares the argument extractors.
-func compileIncremental(p *incPlan, c *exprCompiler, comp *stmtCompiled) {
+	p := st.inc
 	p.emitFiltersC = c.booleans(p.emitFilters)
 	for _, ip := range p.items {
 		if ip != nil {
 			ip.filtersC = c.booleans(ip.filters)
 		}
 	}
-	for i, spec := range p.aggs {
-		spec.argC = comp.aggArgC[i]
+	for _, spec := range p.aggs {
+		if !spec.star {
+			spec.argC = c.value(spec.call.Args[0])
+		}
 	}
+	return comp
 }
 
 // exprCompiler compiles one statement's expressions against its bind table,

@@ -3,8 +3,6 @@ package cep
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"trafficcep/internal/epl"
@@ -16,7 +14,7 @@ import (
 // a builtin — affects already-compiled statements, exactly like eval.
 func TestCompiledScalarFunctionShadowing(t *testing.T) {
 	eng := New()
-	st, err := eng.AddStatement("r", `SELECT abs(w.x) AS a FROM s.std:lastevent() AS w`)
+	st, err := eng.AddStatement("r", `SELECT abs(w.x) AS a, count(*) AS n FROM s.std:lastevent() AS w`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,104 +31,49 @@ func TestCompiledScalarFunctionShadowing(t *testing.T) {
 	}
 }
 
-// TestTriggerPlanBreakRebuildsIndexes is the regression test for the
-// index-maintenance skip: an armed trigger plan never probes the join hash
-// indexes, so process() stops maintaining them — but when the plan breaks
-// mid-stream, the recompute path it falls back to probes those very
-// indexes. disable() must rebuild them from window contents or every
-// subsequent join silently comes up empty.
-func TestTriggerPlanBreakRebuildsIndexes(t *testing.T) {
+// TestUnfoldableArgumentHeldAgainstItsKey: an event whose aggregate
+// argument cannot be folded — a string where avg needs a number — stays
+// counted against its join key until its window drops it. Evaluations of
+// that key fail meanwhile, those of another key do not, and once the event
+// has left, the key's aggregates are exact again. The engine matches the
+// oracle event by event, and both match the sequence recompute produced
+// when it was the engine's fallback.
+func TestUnfoldableArgumentHeldAgainstItsKey(t *testing.T) {
 	src := `SELECT bd2.loc AS loc, avg(bd2.a) AS cur, count(*) AS c
 		FROM bus.std:lastevent() AS bd UNIDIRECTIONAL,
 		     bus.std:groupwin(loc).win:length(4) AS bd2,
 		     thr.win:keepall() AS th
 		WHERE bd.loc = th.location AND bd.loc = bd2.loc
 		GROUP BY bd2.loc`
-
-	canon := func(outs []Output) []string {
-		batch := make([]string, len(outs))
-		for i, o := range outs {
-			batch[i] = canonFields(o.Fields)
-		}
-		sort.Strings(batch)
-		return batch
-	}
-
-	run := func(recompute bool) (st *Statement, feedFn func(stream string, f map[string]Value) error, batches *[][]string) {
-		eng := New()
-		st, err := eng.AddStatement("r", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if recompute {
-			forceRecompute(st)
-		}
-		var collected [][]string
-		batches = &collected
-		st.AddListener(func(_ *Statement, outs []Output) {
-			collected = append(collected, canon(outs))
-		})
-		return st, func(stream string, f map[string]Value) error { return eng.SendEvent(stream, f) }, batches
-	}
-
-	stInc, sendInc, incBatches := run(false)
-	stRec, sendRec, recBatches := run(true)
-
-	if got := stInc.IncrementalStrategy(); got != "trigger" {
-		t.Fatalf("precondition: strategy = %q, want trigger (the scenario exercises nothing otherwise)", got)
-	}
-	if got := stRec.IncrementalStrategy(); got != "broken" {
-		t.Fatalf("reference rig must recompute, strategy = %q", got)
-	}
-
+	const errOops = `cep: statement "r": cep: aggregate avg over non-numeric value oops`
 	feed := []struct {
 		stream string
 		fields map[string]Value
+		err    string
+		out    string
 	}{
-		{"thr", map[string]Value{"location": "L1", "value": 2.0}},
-		{"thr", map[string]Value{"location": "L2", "value": 5.0}},
-		{"bus", map[string]Value{"loc": "L1", "a": 3.0}},
-		{"bus", map[string]Value{"loc": "L1", "a": 4.0}},
-		{"bus", map[string]Value{"loc": "L2", "a": 6.0}},
-		// Poison: non-numeric aggregate input breaks trigger maintenance.
-		// win:length(4) evicts it after a few more events, so recompute
-		// recovers; until then both rigs error identically.
-		{"bus", map[string]Value{"loc": "L1", "a": "oops"}},
-		{"bus", map[string]Value{"loc": "L1", "a": 5.0}},
-		{"bus", map[string]Value{"loc": "L1", "a": 6.0}},
-		{"bus", map[string]Value{"loc": "L1", "a": 7.0}},
-		// Poison evicted: joins must flow again — through rebuilt indexes.
-		{"bus", map[string]Value{"loc": "L1", "a": 8.0}},
-		{"bus", map[string]Value{"loc": "L2", "a": 9.0}},
+		{"thr", map[string]Value{"location": "L1", "value": 2.0}, "", ""},
+		{"thr", map[string]Value{"location": "L2", "value": 5.0}, "", ""},
+		{"bus", map[string]Value{"loc": "L1", "a": 3.0}, "", "c=n1;cur=n3;loc=sL1"},
+		{"bus", map[string]Value{"loc": "L1", "a": 4.0}, "", "c=n2;cur=f3.5;loc=sL1"},
+		{"bus", map[string]Value{"loc": "L2", "a": 6.0}, "", "c=n1;cur=n6;loc=sL2"},
+		// win:length(4) keeps the string for four arrivals at L1.
+		{"bus", map[string]Value{"loc": "L1", "a": "oops"}, errOops, ""},
+		{"bus", map[string]Value{"loc": "L1", "a": 5.0}, errOops, ""},
+		{"bus", map[string]Value{"loc": "L1", "a": 6.0}, errOops, ""},
+		{"bus", map[string]Value{"loc": "L1", "a": 7.0}, errOops, ""},
+		{"bus", map[string]Value{"loc": "L1", "a": 8.0}, "", "c=n4;cur=f6.5;loc=sL1"},
+		{"bus", map[string]Value{"loc": "L2", "a": 9.0}, "", "c=n2;cur=f7.5;loc=sL2"},
 	}
+	rig := newOracleRig()
+	rig.add(t, "r", src)
 	for i, ev := range feed {
-		errInc := sendInc(ev.stream, ev.fields)
-		errRec := sendRec(ev.stream, ev.fields)
-		if (errInc == nil) != (errRec == nil) {
-			t.Fatalf("event %d: error mismatch: inc=%v rec=%v", i, errInc, errRec)
+		err := rig.send(t, i, ev.stream, ev.fields)
+		if got := fmt.Sprint(err); (err != nil || ev.err != "") && got != ev.err {
+			t.Fatalf("event %d: err = %v, want %s", i, err, ev.err)
 		}
-		if errInc != nil && !strings.Contains(errInc.Error(), "non-numeric") {
-			t.Fatalf("event %d: unexpected error %v", i, errInc)
-		}
-	}
-	if got := stInc.IncrementalStrategy(); got != "broken" {
-		t.Fatalf("poison should have broken the plan, strategy = %q", got)
-	}
-	if len(*incBatches) != len(*recBatches) {
-		t.Fatalf("batch counts diverged: inc=%d rec=%d", len(*incBatches), len(*recBatches))
-	}
-	if len(*incBatches) == 0 {
-		t.Fatal("scenario produced no outputs")
-	}
-	for bi := range *incBatches {
-		a, b := (*incBatches)[bi], (*recBatches)[bi]
-		if len(a) != len(b) {
-			t.Fatalf("batch %d: %d vs %d outputs\n inc: %v\n rec: %v", bi, len(a), len(b), a, b)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("batch %d output %d:\n inc: %s\n rec: %s", bi, j, a[j], b[j])
-			}
+		if got := rig.batch["r"]; got != ev.out {
+			t.Fatalf("event %d: emitted %q, want %q", i, got, ev.out)
 		}
 	}
 }
@@ -178,7 +121,7 @@ func listing1Scenarios() []diffScenario {
 				r.loc: loc, "hour": rng.Intn(2), "day": "weekday", r.attr: float64(rng.Intn(9)) - 2,
 			}})
 		}
-		out = append(out, diffScenario{"Listing1/" + r.name, map[string]string{r.name: src}, feed})
+		out = append(out, diffScenario{"Listing1/" + r.name, map[string]string{r.name: src}, feed, false})
 	}
 	return out
 }

@@ -2,19 +2,21 @@ package cep
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// Differential harness: every scenario drives the same random event feed
-// through two engines — one evaluating incrementally where the planner
-// arms a plan, one recomputing every statement from its windows — and
-// asserts the emitted outputs are identical batch by batch. Fields are
-// integer-valued so maintained sums cancel exactly under retraction and
-// the comparison can demand equality, not tolerance. Batches are compared
-// as sorted multisets.
+// Differential harness: every scenario drives one random event feed
+// through an engine and through the join oracle (oracle_test.go), which
+// recomputes each statement from window contents of its own, and asserts
+// that every event makes each statement emit the same outputs, or return an
+// error, in both. Fields are integer-valued or hostile (non-numeric, NULL,
+// absent, NaN, ±Inf), so maintained sums cancel exactly under retraction
+// and the comparison can demand equality, not tolerance. Outputs are
+// compared as sorted multisets.
 //
 // That the compiled expressions agree with eval is held per expression, by
 // FuzzCompiledExprEquivalence and TestCompiledMatchesEval over these same
@@ -38,50 +40,14 @@ func canonFields(f map[string]Value) string {
 	return sb.String()
 }
 
-// diffRig is one engine plus its collected output batches.
-type diffRig struct {
-	eng     *Engine
-	batches [][]string
-}
-
-// forceRecompute takes a statement off the incremental path the way
-// production does: it breaks the plan — and, as process does after the
-// event that broke it, rebuilds the join indexes an armed trigger plan left
-// idle — so every evaluation recomputes the join from the windows. A
-// statement the planner found ineligible recomputes already.
-func forceRecompute(st *Statement) {
-	if st.inc != nil {
-		st.inc.disable()
-		st.rebuildIndexes()
+// canonBatch renders one evaluation's outputs as a sorted multiset.
+func canonBatch(outs []map[string]Value) string {
+	batch := make([]string, len(outs))
+	for i, o := range outs {
+		batch[i] = canonFields(o)
 	}
-}
-
-func newDiffRig(t *testing.T, stmts map[string]string, recompute bool) *diffRig {
-	t.Helper()
-	rig := &diffRig{eng: New()}
-	names := make([]string, 0, len(stmts))
-	for name := range stmts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st, err := rig.eng.AddStatement(name, stmts[name])
-		if err != nil {
-			t.Fatalf("add %s: %v", name, err)
-		}
-		if recompute {
-			forceRecompute(st)
-		}
-		st.AddListener(func(_ *Statement, outs []Output) {
-			batch := make([]string, len(outs))
-			for i, o := range outs {
-				batch[i] = canonFields(o.Fields)
-			}
-			sort.Strings(batch)
-			rig.batches = append(rig.batches, batch)
-		})
-	}
-	return rig
+	sort.Strings(batch)
+	return strings.Join(batch, " | ")
 }
 
 type diffEvent struct {
@@ -89,46 +55,103 @@ type diffEvent struct {
 	fields map[string]Value
 }
 
-// diffScenario is one set of statements and the feed that drives them.
+// diffScenario is one set of statements and the feed that drives them;
+// a hostile feed must make them fail as well as fire.
 type diffScenario struct {
-	label string
-	stmts map[string]string
-	feed  []diffEvent
+	label   string
+	stmts   map[string]string
+	feed    []diffEvent
+	hostile bool
+}
+
+// oracleRig is an engine, the oracle over its statements and, per
+// statement, the batch its listener received on the current event.
+type oracleRig struct {
+	eng   *Engine
+	ref   *oracle
+	batch map[string]string
+}
+
+func newOracleRig() *oracleRig {
+	eng := New()
+	return &oracleRig{eng: eng, ref: newOracle(eng), batch: map[string]string{}}
+}
+
+// add registers a statement with the engine and the oracle.
+func (r *oracleRig) add(t testing.TB, name, src string) *Statement {
+	t.Helper()
+	st, err := r.eng.AddStatement(name, src)
+	if err != nil {
+		t.Fatalf("add %s: %v", name, err)
+	}
+	r.watch(st)
+	return st
+}
+
+// watch starts comparing a registered statement with the oracle.
+func (r *oracleRig) watch(st *Statement) {
+	r.ref.add(st)
+	st.AddListener(func(st *Statement, outs []Output) {
+		fields := make([]map[string]Value, len(outs))
+		for i, o := range outs {
+			fields[i] = o.Fields
+		}
+		r.batch[st.Name] = canonBatch(fields)
+	})
+}
+
+// send delivers one event to both and fails unless every statement emitted
+// the same outputs, and returned an error exactly when the oracle's did. It
+// returns the engine's error.
+func (r *oracleRig) send(t testing.TB, i int, stream string, fields map[string]Value) error {
+	t.Helper()
+	before := make(map[string]uint64, len(r.ref.stmts))
+	for _, os := range r.ref.stmts {
+		before[os.st.Name] = os.st.metrics.Errors
+	}
+	clear(r.batch)
+	err := r.eng.SendEvent(stream, fields)
+	outs, errs := r.ref.send(stream, fields)
+	if (err == nil) != (len(errs) == 0) {
+		t.Fatalf("event %d (%s %v): engine error %v, oracle errors %v", i, stream, fields, err, errs)
+	}
+	for _, os := range r.ref.stmts {
+		name := os.st.Name
+		failed := os.st.metrics.Errors > before[name]
+		if failed != (errs[name] != nil) {
+			t.Fatalf("event %d (%s %v): %s failed=%v, oracle error %v\n%s", i, stream, fields, name, failed, errs[name], os.st.Query)
+		}
+		if want := canonBatch(outs[name]); r.batch[name] != want {
+			t.Fatalf("event %d (%s %v): %s emitted\n %q\noracle:\n %q\n%s", i, stream, fields, name, r.batch[name], want, os.st.Query)
+		}
+	}
+	return err
 }
 
 func runDifferential(t *testing.T, sc diffScenario) {
 	t.Helper()
-	inc, rec := newDiffRig(t, sc.stmts, false), newDiffRig(t, sc.stmts, true)
+	rig := newOracleRig()
+	names := make([]string, 0, len(sc.stmts))
+	for name := range sc.stmts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		rig.add(t, name, sc.stmts[name])
+	}
+	fired, failed := 0, 0
 	for i, ev := range sc.feed {
-		errInc := inc.eng.SendEvent(ev.stream, ev.fields)
-		errRec := rec.eng.SendEvent(ev.stream, ev.fields)
-		if (errInc == nil) != (errRec == nil) {
-			t.Fatalf("event %d error mismatch: incremental=%v recompute=%v\n%v", i, errInc, errRec, sc.stmts)
+		if rig.send(t, i, ev.stream, ev.fields) != nil {
+			failed++
 		}
-		if len(inc.batches) != len(rec.batches) {
-			t.Fatalf("event %d: incremental emitted %d batches, recompute %d\n%v",
-				i, len(inc.batches), len(rec.batches), sc.stmts)
-		}
-		for bi := len(inc.batches) - 1; bi >= 0; bi-- {
-			a, b := inc.batches[bi], rec.batches[bi]
-			if len(a) != len(b) {
-				t.Fatalf("event %d batch %d: %d vs %d outputs\n incremental: %v\n recompute: %v\n%v",
-					i, bi, len(a), len(b), a, b, sc.stmts)
-			}
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("event %d batch %d output %d:\n incremental: %s\n recompute: %s\n%v",
-						i, bi, j, a[j], b[j], sc.stmts)
-				}
+		for _, b := range rig.batch {
+			if b != "" {
+				fired++
 			}
 		}
 	}
-	total := 0
-	for _, b := range inc.batches {
-		total += len(b)
-	}
-	if total == 0 {
-		t.Fatalf("scenario produced no outputs; it exercises nothing\n%v", sc.stmts)
+	if fired == 0 || (sc.hostile && failed == 0) {
+		t.Fatalf("scenario fired %d times and failed %d times; it exercises too little\n%v", fired, failed, sc.stmts)
 	}
 }
 
@@ -154,14 +177,28 @@ func randView(rng *rand.Rand) string {
 func randAggList(rng *rand.Rand) string {
 	pool := []string{
 		"avg(w.a) AS f0", "sum(w.a) AS f1", "count(*) AS f2", "count(w.b) AS f3",
-		"min(w.a) AS f4", "max(w.a) AS f5", "stddev(w.a) AS f6",
+		"min(w.a) AS f4", "max(w.a) AS f5", "stddev(w.a) AS f6", "max(w.b) AS f7",
 	}
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	n := 1 + rng.Intn(len(pool)-1)
 	return strings.Join(pool[:n], ", ")
 }
 
-func randBusEvent(rng *rand.Rand, stream string) diffEvent {
+// hostileValues are what a hostile feed mixes into a and b, besides
+// leaving them out: no sum, avg, min, max or stddev can fold one, and an
+// ordered comparison fails on the non-numeric ones.
+var hostileValues = []Value{"x", nil, math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// setHostile makes field k of f a hostile value, or absent.
+func setHostile(rng *rand.Rand, f map[string]Value, k string) {
+	if i := rng.Intn(len(hostileValues) + 1); i < len(hostileValues) {
+		f[k] = hostileValues[i]
+	} else {
+		delete(f, k)
+	}
+}
+
+func randBusEvent(rng *rand.Rand, stream string, hostile bool) diffEvent {
 	f := map[string]Value{
 		"loc":  fmt.Sprintf("L%d", rng.Intn(3)),
 		"hour": float64(rng.Intn(3)),
@@ -171,79 +208,109 @@ func randBusEvent(rng *rand.Rand, stream string) diffEvent {
 	if rng.Intn(10) < 7 {
 		f["b"] = float64(rng.Intn(5))
 	}
+	if hostile {
+		for _, k := range []string{"a", "b"} {
+			if rng.Intn(8) == 0 {
+				setHostile(rng, f, k)
+			}
+		}
+	}
 	return diffEvent{stream: stream, fields: f}
 }
 
 // diffScenarios builds the randomized scenarios, the same ones on every
-// call: grouped and ungrouped single windows, two-window joins and the
-// Listing-1 shape.
+// call: a trigger over grouped and ungrouped single windows, over two-window
+// joins, and the Listing-1 shape, each over an integer feed and over a
+// hostile one whose statements carry a filter that can fail.
 func diffScenarios() []diffScenario {
 	var out []diffScenario
-	busFeed := func(rng *rand.Rand, n int, streams ...string) []diffEvent {
+	busFeed := func(rng *rand.Rand, n int, hostile bool, streams ...string) []diffEvent {
 		feed := make([]diffEvent, n)
 		for i := range feed {
-			stream := streams[0]
-			if len(streams) > 1 {
-				stream = streams[rng.Intn(len(streams))]
-			}
-			feed[i] = randBusEvent(rng, stream)
+			feed[i] = randBusEvent(rng, streams[rng.Intn(len(streams))], hostile)
 		}
 		return feed
 	}
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		where := ""
+	uni := func(rng *rand.Rand) string {
 		if rng.Intn(2) == 0 {
-			where = "WHERE w.a >= 2"
+			return "UNIDIRECTIONAL"
 		}
-		having := ""
-		if rng.Intn(2) == 0 {
-			having = fmt.Sprintf("HAVING sum(w.a) > %d", rng.Intn(8))
-		}
-		src := fmt.Sprintf("SELECT w.loc AS loc, %s FROM s0.%s AS w %s GROUP BY w.loc %s",
-			randAggList(rng), randView(rng), where, having)
-		out = append(out, diffScenario{fmt.Sprintf("GroupedSingleWindow/seed=%d", seed),
-			map[string]string{"r": src}, busFeed(rng, 300, "s0")})
+		return ""
 	}
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(200 + seed))
-		src := fmt.Sprintf("SELECT %s FROM s0.%s AS w", randAggList(rng), randView(rng))
-		out = append(out, diffScenario{fmt.Sprintf("UngroupedSingleWindow/seed=%d", seed),
-			map[string]string{"r": src}, busFeed(rng, 300, "s0")})
-	}
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(300 + seed))
-		src := fmt.Sprintf(`SELECT l.loc AS loc, avg(r.a) AS x, count(*) AS c, sum(l.a) AS y
-			FROM s0.%s AS l, s1.%s AS r WHERE l.loc = r.loc GROUP BY l.loc`,
-			randView(rng), randView(rng))
-		out = append(out, diffScenario{fmt.Sprintf("TwoWindowJoin/seed=%d", seed),
-			map[string]string{"r": src}, busFeed(rng, 300, "s0", "s1")})
-	}
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(400 + seed))
-		uni := ""
-		if rng.Intn(2) == 0 {
-			uni = "UNIDIRECTIONAL"
-		}
-		src := fmt.Sprintf(`SELECT bd2.loc AS loc, avg(bd2.a) AS cur, avg(th.value) AS thr
-			FROM bus.std:lastevent() AS bd %s,
-			     bus.std:groupwin(loc).win:length(%d) AS bd2,
-			     thr.win:keepall() AS th
-			WHERE bd.hour = th.hour AND bd.day = th.day AND bd.loc = th.location AND bd.loc = bd2.loc
-			GROUP BY bd2.loc
-			HAVING avg(bd2.a) > avg(th.value)`, uni, 1+rng.Intn(5))
-		var feed []diffEvent
-		for loc := 0; loc < 3; loc++ {
-			for h := 0; h < 3; h++ {
-				feed = append(feed, diffEvent{stream: "thr", fields: map[string]Value{
-					"location": fmt.Sprintf("L%d", loc), "hour": float64(h),
-					"day": "wd", "value": float64(rng.Intn(5)),
-				}})
+	kinds := []struct {
+		name  string
+		build func(rng *rand.Rand, hostile bool) (string, []diffEvent)
+	}{
+		{"GroupedSingleWindow", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
+			where := "WHERE t.loc = w.loc"
+			if hostile || rng.Intn(2) == 0 {
+				where += " AND w.a >= 2"
 			}
+			having := ""
+			if rng.Intn(2) == 0 {
+				having = fmt.Sprintf("HAVING sum(w.a) > %d", rng.Intn(8))
+			}
+			return fmt.Sprintf("SELECT w.loc AS loc, %s FROM s0.std:lastevent() AS t, s0.%s AS w %s GROUP BY w.loc %s",
+				randAggList(rng), randView(rng), where, having), busFeed(rng, 300, hostile, "s0")
+		}},
+		{"UngroupedSingleWindow", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
+			where := ""
+			if hostile {
+				where = "WHERE w.a < 7"
+			}
+			return fmt.Sprintf("SELECT %s FROM s0.std:lastevent() AS t, s0.%s AS w %s", randAggList(rng), randView(rng), where),
+				busFeed(rng, 300, hostile, "s0")
+		}},
+		{"TwoWindowJoin", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
+			where := "t.loc = l.loc AND l.loc = r.loc"
+			if hostile {
+				where += " AND r.a < 7"
+			}
+			return fmt.Sprintf(`SELECT l.loc AS loc, avg(r.a) AS x, count(*) AS c, sum(l.a) AS y
+				FROM s0.std:lastevent() AS t %s, s0.%s AS l, s1.%s AS r WHERE %s GROUP BY l.loc`,
+				uni(rng), randView(rng), randView(rng), where), busFeed(rng, 300, hostile, "s0", "s1")
+		}},
+		{"Listing1Shape", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
+			where := "bd.hour = th.hour AND bd.day = th.day AND bd.loc = th.location AND bd.loc = bd2.loc"
+			if hostile {
+				where += " AND bd2.a < 7"
+			}
+			src := fmt.Sprintf(`SELECT bd2.loc AS loc, avg(bd2.a) AS cur, avg(th.value) AS thr
+				FROM bus.std:lastevent() AS bd %s,
+				     bus.std:groupwin(loc).win:length(%d) AS bd2,
+				     thr.win:keepall() AS th
+				WHERE %s
+				GROUP BY bd2.loc
+				HAVING avg(bd2.a) > avg(th.value)`, uni(rng), 1+rng.Intn(5), where)
+			var feed []diffEvent
+			for loc := 0; loc < 3; loc++ {
+				for h := 0; h < 3; h++ {
+					f := map[string]Value{
+						"location": fmt.Sprintf("L%d", loc), "hour": float64(h),
+						"day": "wd", "value": float64(rng.Intn(5)),
+					}
+					if hostile && rng.Intn(9) == 0 {
+						setHostile(rng, f, "value")
+					}
+					feed = append(feed, diffEvent{stream: "thr", fields: f})
+				}
+			}
+			return src, append(feed, busFeed(rng, 300, hostile, "bus")...)
+		}},
+	}
+	for k, kind := range kinds {
+		for seed := int64(0); seed < 4; seed++ {
+			rng := rand.New(rand.NewSource(int64(100*(k+1)) + seed))
+			src, feed := kind.build(rng, false)
+			out = append(out, diffScenario{fmt.Sprintf("%s/seed=%d", kind.name, seed),
+				map[string]string{"r": src}, feed, false})
 		}
-		feed = append(feed, busFeed(rng, 300, "bus")...)
-		out = append(out, diffScenario{fmt.Sprintf("Listing1Shape/seed=%d", seed),
-			map[string]string{"r": src}, feed})
+		for seed := int64(0); seed < 4; seed++ {
+			rng := rand.New(rand.NewSource(int64(100*(k+1)) + 50 + seed))
+			src, feed := kind.build(rng, true)
+			out = append(out, diffScenario{fmt.Sprintf("Hostile/%s/seed=%d", kind.name, seed),
+				map[string]string{"r": src}, feed, true})
+		}
 	}
 	return out
 }

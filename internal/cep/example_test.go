@@ -7,12 +7,13 @@ import (
 )
 
 // ExampleEngine shows the basic Esper-style workflow: register a standing
-// statement, attach a listener, stream events.
+// statement, attach a listener, stream events. Every arrival on cars is the
+// latest event c, which triggers an evaluation over the window w.
 func ExampleEngine() {
 	engine := cep.New()
 	stmt, err := engine.AddStatement("speeding",
 		`SELECT avg(w.speed) AS avgSpeed
-		 FROM cars.win:length(3) AS w
+		 FROM cars.std:lastevent() AS c, cars.win:length(3) AS w
 		 HAVING avg(w.speed) > 100`)
 	if err != nil {
 		fmt.Println("add:", err)
@@ -38,7 +39,7 @@ func ExampleEngine() {
 func ExampleEngine_join() {
 	engine := cep.New()
 	stmt, _ := engine.AddStatement("enrich", `
-		SELECT o.item AS item, p.price AS price
+		SELECT o.item AS item, max(p.price) AS price
 		FROM orders.std:lastevent() AS o UNIDIRECTIONAL,
 		     prices.win:keepall() AS p
 		WHERE o.item = p.item`)

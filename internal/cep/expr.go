@@ -68,111 +68,13 @@ type evalContext struct {
 	row   []*Event
 	funcs map[string]ScalarFunc
 
-	// aggF/aggNull are the aggregate slots, filled by whichever path
-	// evaluates the statement: slot i holds the value of its i-th distinct
+	// aggF/aggNull are the aggregate slots, filled by the trigger plan at
+	// emit: slot i holds the value of its i-th distinct
 	// aggregate (Statement.aggCalls), aggNull[i] marking SQL NULL. They are
 	// nil outside an aggregation context — in WHERE, GROUP BY, an aggregate
 	// argument — where an aggregate reference fails.
 	aggF    []float64
 	aggNull []bool
-}
-
-// computeAggregates folds every aggregate of the statement over one group
-// of join rows into ctx's slots — the recompute path's delivery.
-func (st *Statement) computeAggregates(rows [][]*Event, ctx *evalContext) error {
-	argCtx := &evalContext{funcs: ctx.funcs}
-	for i, call := range st.aggCalls {
-		v, err := computeAggregate(call, st.comp.aggArgC[i], rows, argCtx)
-		if err != nil {
-			return err
-		}
-		ctx.aggNull[i] = v == nil
-		ctx.aggF[i], _ = v.(float64)
-	}
-	return nil
-}
-
-// computeAggregate folds one aggregate over a group of rows; a nil result is
-// SQL NULL. arg is the compiled argument extractor, evaluated in ctx; it is
-// nil exactly when the call is count(*) or has the wrong arity.
-func computeAggregate(call *epl.CallExpr, arg compiledExpr, rows [][]*Event, ctx *evalContext) (Value, error) {
-	if call.Func == "count" && call.Star {
-		return float64(len(rows)), nil
-	}
-	if arg == nil {
-		return nil, fmt.Errorf("cep: aggregate %s takes 1 argument", call.Func)
-	}
-	var (
-		n          int
-		sum, sumSq float64
-		min, max   float64
-	)
-	for _, row := range rows {
-		ctx.row = row
-		v, err := arg(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			continue // SQL semantics: NULLs are ignored by aggregates
-		}
-		if call.Func == "count" {
-			n++
-			continue
-		}
-		f, ok := numeric(v)
-		if !ok {
-			return nil, fmt.Errorf("cep: aggregate %s over non-numeric value %v", call.Func, v)
-		}
-		if n == 0 {
-			min, max = f, f
-		} else {
-			if f < min {
-				min = f
-			}
-			if f > max {
-				max = f
-			}
-		}
-		n++
-		sum += f
-		sumSq += f * f
-	}
-	switch call.Func {
-	case "count":
-		return float64(n), nil
-	case "sum":
-		if n == 0 {
-			return nil, nil
-		}
-		return sum, nil
-	case "avg":
-		if n == 0 {
-			return nil, nil
-		}
-		return sum / float64(n), nil
-	case "min":
-		if n == 0 {
-			return nil, nil
-		}
-		return min, nil
-	case "max":
-		if n == 0 {
-			return nil, nil
-		}
-		return max, nil
-	case "stddev":
-		if n < 2 {
-			return nil, nil
-		}
-		mean := sum / float64(n)
-		variance := (sumSq - float64(n)*mean*mean) / float64(n-1)
-		if variance < 0 {
-			variance = 0
-		}
-		return math.Sqrt(variance), nil
-	}
-	return nil, fmt.Errorf("cep: unknown aggregate %q", call.Func)
 }
 
 // collectAggregates appends the aggregate calls in an expression tree whose

@@ -192,7 +192,7 @@ func TestValueCompare(t *testing.T) {
 
 func TestAggregateNullHandling(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT avg(w.x) AS m, sum(w.x) AS s, min(w.x) AS lo FROM s.win:keepall() AS w`)
+	st, err := e.AddStatement("r", `SELECT avg(w.x) AS m, sum(w.x) AS s, min(w.x) AS lo FROM s.std:lastevent() AS e, s.win:keepall() AS w`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestAggregateNullHandling(t *testing.T) {
 
 func TestStddevRequiresTwoValues(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT stddev(w.x) AS sd FROM s.win:keepall() AS w`)
+	st, err := e.AddStatement("r", `SELECT stddev(w.x) AS sd FROM s.std:lastevent() AS e, s.win:keepall() AS w`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestStddevRequiresTwoValues(t *testing.T) {
 
 func TestAggregateOverNonNumericErrors(t *testing.T) {
 	e := New()
-	if _, err := e.AddStatement("r", `SELECT avg(w.x) AS m FROM s.win:keepall() AS w`); err != nil {
+	if _, err := e.AddStatement("r", `SELECT avg(w.x) AS m FROM s.std:lastevent() AS e, s.win:keepall() AS w`); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SendEvent("s", map[string]Value{"x": "oops"}); err == nil ||
@@ -311,7 +311,7 @@ func TestBoolIsNotNumeric(t *testing.T) {
 	}
 	// Aggregating booleans errors (engine-level, non-numeric input).
 	e := New()
-	if _, err := e.AddStatement("r", `SELECT sum(w.f) AS s FROM s.win:keepall() AS w`); err != nil {
+	if _, err := e.AddStatement("r", `SELECT sum(w.f) AS s FROM s.std:lastevent() AS e, s.win:keepall() AS w`); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SendEvent("s", map[string]Value{"f": true}); err == nil ||

@@ -1,6 +1,7 @@
 package cep
 
 import (
+	"math"
 	"testing"
 
 	"trafficcep/internal/epl"
@@ -203,6 +204,84 @@ func FuzzCompiledExprEquivalence(f *testing.F) {
 		if erri == nil && valueKey(vi) != valueKey(vc) {
 			t.Fatalf("value diverged for %v over %v, aggregates %v:\n eval: %#v\n compiled: %#v",
 				expr, fields, aggs, vi, vc)
+		}
+	})
+}
+
+// fuzzPlanStatements are rule-template statements the trigger-plan fuzzer
+// runs side by side: Listing 1 with UNIDIRECTIONAL on and off, item filters
+// or none, key-aligned and keyed items, a window on another stream than its
+// trigger, an argument and a filter on the trigger itself, and an equi
+// class that holds two trigger fields.
+var fuzzPlanStatements = map[string]string{
+	"listing1": `SELECT bd2.loc AS loc, avg(bd2.a) AS cur, avg(th.v) AS thr, count(*) AS n
+		FROM bus.std:lastevent() AS bd UNIDIRECTIONAL, bus.std:groupwin(loc).win:length(3) AS bd2, thr.win:keepall() AS th
+		WHERE bd.hour = th.hour AND bd.loc = th.loc AND bd.loc = bd2.loc
+		GROUP BY bd2.loc HAVING avg(bd2.a) > avg(th.v)`,
+	"filtered": `SELECT bd2.loc AS loc, sum(bd2.a) AS s, max(th.v) AS hi, count(bd2.b) AS nb
+		FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(2) AS bd2, thr.win:length(4) AS th
+		WHERE bd.loc = bd2.loc AND bd.loc = th.loc AND bd2.b < 2 AND th.v >= 0
+		GROUP BY bd2.loc`,
+	"keyed": `SELECT bd.loc AS loc, sum(w.a) AS s, min(w.a) AS lo, max(w.b) AS hi, stddev(w.a) AS sd, count(w.b) AS nb
+		FROM bus.std:lastevent() AS bd, bus.win:length(4) AS w
+		WHERE bd.loc = w.loc AND w.a > 0 GROUP BY bd.loc`,
+	"cross": `SELECT bd.loc AS loc, avg(x.a) AS m, count(*) AS n
+		FROM bus.std:lastevent() AS bd UNIDIRECTIONAL, aux.std:groupwin(loc).win:length(2) AS x
+		WHERE bd.loc = x.loc GROUP BY bd.loc`,
+	"trigger": `SELECT t.loc AS loc, sum(t.a) AS s, avg(w.b) AS m, count(w.a) AS n
+		FROM aux.std:lastevent() AS t, bus.std:groupwin(hour).win:length(3) AS w
+		WHERE t.loc = w.loc AND t.b != 1 GROUP BY t.loc`,
+	"pair": `SELECT t.a AS a, count(*) AS n, sum(y.b) AS s
+		FROM bus.std:lastevent() AS t UNIDIRECTIONAL, thr.win:length(3) AS z, aux.win:length(3) AS y
+		WHERE t.a = y.a AND t.b = y.a AND t.loc = z.loc AND z.v < 2`,
+}
+
+// fuzzFeedValue decodes one field value of the plan fuzzer's feed: a small
+// integer, usually, else "x", NULL, NaN or ±Inf; the bool is false for
+// "field absent".
+func fuzzFeedValue(r *fuzzReader) (Value, bool) {
+	switch b := r.byte(); b % 12 {
+	case 8:
+		return "x", true
+	case 9:
+		return nil, b&16 == 0
+	case 10:
+		return math.NaN(), true
+	case 11:
+		return math.Inf(1 - 2*int(b&16>>4)), true
+	default:
+		return float64(b%4) - 1, true
+	}
+}
+
+// FuzzTriggerPlanMatchesOracle decodes bytes into a feed over three streams
+// and holds the engine to the join oracle on it: every event must make
+// every statement of fuzzPlanStatements emit what the oracle's recompute
+// emits, and fail exactly when it fails.
+func FuzzTriggerPlanMatchesOracle(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 0, 1, 1, 2, 3, 0})
+	f.Add([]byte{2, 1, 2, 3, 1, 1, 0, 1, 2, 1, 1, 1, 0, 1, 2, 10, 1, 0, 0, 1, 2, 3, 1, 0})
+	f.Add([]byte{1, 0, 0, 8, 0, 0, 0, 0, 0, 1, 1, 0, 0, 9, 25, 11, 27, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte("hostile feed: NaN \x0a and \x0b infinities, x \x08 and NULL \x09"))
+	f.Add([]byte{0, 2, 2, 10, 10, 2, 1, 2, 2, 10, 10, 2, 0, 2, 2, 10, 10, 2, 2, 2, 2, 3, 1, 1})
+	// A filter failure on z, the item before the pair's class in FROM
+	// order, then a trigger whose a and b differ: pair must fail on z.
+	f.Add([]byte{2, 1, 1, 1, 1, 8, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &fuzzReader{data: data}
+		rig := newOracleRig()
+		for _, name := range []string{"cross", "filtered", "keyed", "listing1", "pair", "trigger"} {
+			rig.add(t, name, fuzzPlanStatements[name])
+		}
+		for i := 0; r.pos < len(r.data) && i < 200; i++ {
+			stream := [3]string{"bus", "aux", "thr"}[r.byte()%3]
+			fields := map[string]Value{}
+			for _, k := range [5]string{"loc", "hour", "a", "b", "v"} {
+				if v, ok := fuzzFeedValue(r); ok {
+					fields[k] = v
+				}
+			}
+			rig.send(t, i, stream, fields)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package cep
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -8,30 +9,36 @@ import (
 	"trafficcep/internal/epl"
 )
 
-// This file implements incremental statement evaluation: instead of
-// re-enumerating the full window join and recomputing every aggregate on
-// each arrival, the engine maintains running aggregate state from each
-// window's delta: the arriving event, and the one it evicted, if any.
+// This file implements the engine's one evaluator, the trigger plan
+// (incPlan): instead of enumerating the join of the windows on each
+// arrival, a statement keeps running aggregate state that it maintains from
+// each window's delta — the arriving event, and the one it evicted, if any.
 //
-// There is one incremental plan, trigger factorization (incPlan): when one
-// FROM item is a std:lastevent() view whose fields reach — through the
-// equi-join equivalence classes of the WHERE clause — every joined field,
-// the join factorizes per item: each other item keeps per-join-key
+// One FROM item is a std:lastevent() view whose fields reach — through the
+// equi-join equivalence classes of the WHERE clause — every joined field.
+// The join then factorizes per item: each other item keeps per-join-key
 // accumulators (count, sum, sum of squares, value counts for min/max), and
-// an evaluation is a hash probe per item plus O(1) arithmetic. This covers
-// Listing 1 and the paper's threshold-rule family — every rendering of the
-// rule template — making per-event cost independent of the window length
-// l. An item whose window is std:groupwin(k…).win:length(n) and whose join
-// key is those k — Listing 1's bd2 — keeps its accumulators on the window's
-// groups (groupAcc): the group the insert found serves the fold and the
-// probe, and eviction subtracts from a value ring instead of reading the
-// evicted event.
+// an evaluation is a hash probe per item plus O(1) arithmetic. Every
+// rendering of the paper's rule template (Listing 1, §4.3.1) has this
+// shape, and per-event cost is independent of the window length l. An item
+// whose window is std:groupwin(k…).win:length(n) and whose join key is
+// those k — Listing 1's bd2 — keeps its accumulators on the window's groups
+// (groupAcc): the group the insert found serves the fold and the probe, and
+// eviction subtracts from a value ring instead of reading the evicted event.
 //
-// Every other query — no such trigger item, or a feature the plan cannot
-// prove correct: SELECT *, impure functions inside maintained expressions,
-// field references that do not resolve through the trigger event — is
-// evaluated by full recompute, counted in the statement's
-// RecomputeFallbacks metric.
+// A query without that shape is refused at registration, with the reason
+// (planIncremental): it is aggregate-free, uses SELECT *, has no trigger
+// item, runs an impure function where state is maintained, reads a field
+// the trigger cannot resolve, or calls an aggregate with the wrong arity.
+//
+// An event the plan cannot fold — its item filter errs, or an aggregate
+// argument errs, is not numeric or is not finite — stays counted against
+// its join key until its window drops it. An evaluation follows the
+// recompute it replaces (the test-only oracle in oracle_test.go): emit
+// filters first; then the other items in FROM order, where a key holding a
+// filter failure returns that error and a key with no passing event ends
+// the evaluation without output; then, with every item matched, an
+// argument failure returns its error.
 //
 // Caveat (documented in DESIGN.md): aggregates over non-integer float data
 // may differ from a recompute in the last ulp, because sums are maintained
@@ -47,7 +54,7 @@ type aggSpec struct {
 	slot      int  // accumulator position within the anchor item
 
 	// argC is the compiled argument extractor (nil for count(*)),
-	// attached by compileIncremental after planning.
+	// attached by compileStatement after planning.
 	argC compiledExpr
 }
 
@@ -108,6 +115,20 @@ func (a *aggAcc) remove(f float64, track bool) {
 				}
 			}
 		}
+	}
+}
+
+// fold adds (sign +1) or retracts (sign -1) one held argument value: a
+// NULL argument counts in no aggregate, and count(expr) only counts.
+func (a *aggAcc) fold(spec *aggSpec, c ringCell, sign int) {
+	switch {
+	case !c.ok:
+	case spec.countOnly:
+		a.n += sign
+	case sign > 0:
+		a.add(c.f, spec.track)
+	default:
+		a.remove(c.f, spec.track)
 	}
 }
 
@@ -249,90 +270,82 @@ func equiConjunct(c epl.Expr, aliasToIdx map[string]int) (fieldNode, fieldNode, 
 	return fieldNode{li, lr.Field}, fieldNode{ri, rr.Field}, true
 }
 
-// singleItemConjunct reports the one item a conjunct's references cover
-// (-1 when it has no field references at all).
-func singleItemConjunct(c epl.Expr, aliasToIdx map[string]int) (int, bool) {
+// singleItemConjunct reports the one item a non-equi conjunct's references
+// cover (-1 when it has no field references at all), and refuses one that
+// spans items or reads an unqualified field.
+func singleItemConjunct(c epl.Expr, aliasToIdx map[string]int) (int, error) {
 	item := -1
 	for _, r := range epl.FieldRefs(c) {
 		if r.Alias == "" {
-			return 0, false
+			return 0, errUnresolvable(r)
 		}
-		idx, known := aliasToIdx[r.Alias]
-		if !known {
-			return 0, false
-		}
-		if item == -1 {
+		if idx := aliasToIdx[r.Alias]; item == -1 {
 			item = idx
 		} else if item != idx {
-			return 0, false
+			return 0, fmt.Errorf("WHERE conjunct %s spans items without being an equi-join", c)
 		}
 	}
-	return item, true
+	return item, nil
 }
 
-// planIncremental analyzes a compiled statement and arms the incremental
-// plan when it is provably equivalent to recompute. It never fails
-// compilation: an ineligible query just returns nil.
-func planIncremental(st *Statement, aliasToIdx map[string]int) *incPlan {
+func errUnresolvable(r *epl.FieldRef) error {
+	return fmt.Errorf("field %s is not resolvable through the trigger", r)
+}
+
+// planIncremental builds the statement's trigger plan, or returns the
+// reason the statement has none: registration refuses it.
+func planIncremental(st *Statement, aliasToIdx map[string]int) (*incPlan, error) {
 	q := st.Query
-	if !st.hasAgg && len(q.GroupBy) == 0 {
-		return nil // per-row output queries gain nothing from group state
+	if len(st.aggCalls) == 0 && len(q.GroupBy) == 0 {
+		return nil, errors.New("the query is aggregate-free (no aggregate, no GROUP BY)")
 	}
 	for _, s := range q.Select {
 		if s.Star {
-			return nil
+			return nil, errors.New("SELECT * is not supported")
 		}
 	}
-	aggs, ok := planAggSpecs(st)
-	if !ok {
-		return nil
+	aggs, err := planAggSpecs(st)
+	if err != nil {
+		return nil, err
 	}
 	return planTrigger(st, aliasToIdx, aggs)
 }
 
 // planAggSpecs makes one spec per aggregate slot and verifies each can be
 // maintained: known shape, pure argument.
-func planAggSpecs(st *Statement) ([]*aggSpec, bool) {
+func planAggSpecs(st *Statement) ([]*aggSpec, error) {
 	var specs []*aggSpec
 	for _, call := range st.aggCalls {
 		s := &aggSpec{call: call, anchor: -1}
-		if call.Star {
-			if call.Func != "count" {
-				return nil, false
-			}
+		switch {
+		case call.Star && call.Func != "count":
+			return nil, fmt.Errorf("%s: only count takes *", call)
+		case call.Star:
 			s.star = true
-			specs = append(specs, s)
-			continue
+		case len(call.Args) != 1:
+			return nil, fmt.Errorf("aggregate %s takes 1 argument", call)
+		case !pureExpr(call.Args[0]):
+			return nil, fmt.Errorf("aggregate argument %s is impure", call.Args[0])
+		default:
+			s.countOnly = call.Func == "count"
+			s.track = call.Func == "min" || call.Func == "max"
 		}
-		if len(call.Args) != 1 {
-			return nil, false // recompute surfaces the arity error
-		}
-		if !pureExpr(call.Args[0]) {
-			return nil, false
-		}
-		s.countOnly = call.Func == "count"
-		s.track = call.Func == "min" || call.Func == "max"
 		specs = append(specs, s)
 	}
-	return specs, true
+	return specs, nil
 }
 
-// incPlan is a statement's incremental-evaluation runtime. It factorizes
-// the join around one std:lastevent item T whose fields reach every
-// equi-join class: every join row contains exactly T's current event, so
-// each other item contributes an independent multiset of matches, found by
-// probing per-item accumulators keyed by the class fields. Aggregates
-// combine per-item sums with multiplicities. broken flips when maintenance
-// fails; the statement then falls back to recompute permanently.
+// incPlan is a statement's trigger plan. It factorizes the join around
+// one std:lastevent item T whose fields reach every equi-join class: every
+// join row contains exactly T's current event, so each other item
+// contributes an independent multiset of matches, found by probing per-item
+// accumulators keyed by the class fields. Aggregates combine per-item sums
+// with multiplicities.
 type incPlan struct {
-	st     *Statement
-	broken bool
+	st *Statement
 
 	trigIdx int
 	trigWin *lastEventWin // set by attach, once the views are acquired
-	// pairChecks are pairs of trigger-event slots an equi class constrains
-	// to be equal among themselves (WHERE t.a = i.x AND t.b = i.x).
-	pairChecks [][2]int
 	// emitFilters are conjuncts over the trigger item only (or with no
 	// field references); they are checked once per evaluation.
 	// emitFiltersC is the compiled form.
@@ -351,48 +364,22 @@ type incPlan struct {
 	aggNull []bool
 }
 
-// disable stops maintenance for good; evaluate() then recomputes. A broken
-// plan ran with join-index maintenance skipped (indexesIdle), so the
-// indexes the recompute path is about to probe must be rebuilt from the
-// windows' contents first: process does, once every item took the event
-// that broke the plan.
-func (p *incPlan) disable() { p.broken = true }
-
-// IncrementalStrategy reports which incremental plan the statement runs:
-// "trigger" (factorized per-item accumulators around a lastevent item),
-// "broken" (maintenance failed, recomputing), or "" (recompute: the query
-// is ineligible).
-func (st *Statement) IncrementalStrategy() string {
-	switch {
-	case st.inc == nil:
-		return ""
-	case st.inc.broken:
-		return "broken"
-	}
-	return "trigger"
-}
-
 // applyDelta folds one FROM item's window delta — ev arrived, evicted (nil
-// when none) left — into the item's accumulators.
+// when none) left — into the item's accumulators. It returns ev's failure
+// to fold, if any; retracting an event that failed is silent, because it
+// failed on arrival.
 func (p *incPlan) applyDelta(idx int, ev, evicted *Event) error {
 	ip := p.items[idx]
 	if ip == nil {
 		return nil // the trigger item's single event is read at emit
 	}
-	// p.ctx is shared with evaluate: drop any aggregate bindings left from a
-	// prior evaluation so a (mis-typed) aggregate reference in a filter or
-	// aggregate argument errors exactly like the recompute path instead of
-	// silently reading stale slots.
-	p.ctx.aggF, p.ctx.aggNull = nil, nil
 	if ip.gw != nil {
 		// The group's value ring retracts what the arriving event
 		// overwrites; the evicted event itself is not needed.
 		return p.foldGroup(ip, ev)
 	}
 	if evicted != nil {
-		if err := p.apply(ip, evicted, -1); err != nil {
-			return err
-		}
+		p.apply(ip, evicted, -1)
 	}
 	return p.apply(ip, ev, +1)
 }
@@ -404,10 +391,15 @@ type incItemState struct {
 	filtersC []compiledBool // compiled form of filters
 	keySlots []int          // this item's event slots forming the accumulator key
 	srcSlots []int          // trigger-event slots probing each key slot
-	aggIdx   []int          // positions in plan.aggs anchored at this item
-	accs     map[string]*itemAcc
-	keyBuf   []byte
-	probed   *itemAcc // evaluation scratch: result of the latest probe
+	// pairChecks are pairs of trigger-event slots an equi class constrains
+	// to be equal among themselves (WHERE t.a = i.x AND t.b = i.x), checked
+	// before the class's first item in FROM order is probed.
+	pairChecks [][2]int
+	aggIdx     []int // positions in plan.aggs anchored at this item
+	accs       map[string]*itemAcc
+	keyBuf     []byte
+	cells      []ringCell // fold scratch of a keyed item, one per aggIdx
+	probed     *itemAcc   // evaluation scratch: result of the latest probe
 
 	// A key-aligned item — its window is std:groupwin(k…).win:length(n) and
 	// keySlots are those same k, Listing 1's bd.loc = bd2.loc — keeps no
@@ -422,31 +414,45 @@ type incItemState struct {
 	sameKey bool
 }
 
-// itemAcc accumulates one join key's matching events within an item.
+// itemAcc accumulates one join key's events within an item. rows counts
+// the events that passed the item's filters; filterBad the events whose
+// filter failed, and argBad the passing events an aggregate argument failed
+// on, err holding the latest of their errors. Neither kind is in aggs.
 type itemAcc struct {
-	rows int
-	last *Event // most recently added match, the emit representative
-	aggs []aggAcc
+	rows              int
+	filterBad, argBad int
+	last              *Event // most recently added passing event, the emit representative
+	aggs              []aggAcc
+	err               error
 }
 
 // groupAcc is the itemAcc of a key-aligned item for one group, plus the
 // value ring that lets the group retract from its own memory: 1+k cells per
 // slot of the group's length window, k the item's anchored aggregates. Of
-// slot p's cells, the first marks whether the event in the slot passed the
-// item's maintenance filters (and so counts in rows); cell 1+j holds the
-// float folded in for aggregate j, its mark false — absent — when the
-// argument was nil. An arriving event overwrites slot p; what the slot held
-// is subtracted from the ring, and the evicted event, cold by then, is
-// never read.
+// slot p's cells, the first holds the slot's state; cell 1+j holds the
+// float folded in for aggregate j, its mark false when the argument was
+// NULL. An arriving event overwrites slot p; what the slot held is
+// subtracted, and the evicted event, cold by then, is never read.
 type groupAcc struct {
 	itemAcc
 	ring []ringCell
 }
 
 type ringCell struct {
-	f  float64
-	ok bool
+	f     float64
+	ok    bool
+	state slotState // a slot's first cell only
 }
+
+// slotState is what a key-aligned item's window slot holds, as folded.
+type slotState uint8
+
+const (
+	slotEmpty     slotState = iota // nothing, or an event the filters rejected
+	slotFolded                     // an event folded into the accumulators
+	slotFilterBad                  // an event whose item filter failed
+	slotArgBad                     // a passing event an aggregate argument failed on
+)
 
 func (ip *incItemState) eventKey(ev *Event) []byte {
 	ip.keyBuf = appendSlotsKey(ip.keyBuf[:0], ev, ip.keySlots)
@@ -458,9 +464,9 @@ func (ip *incItemState) probeKey(e *Event) []byte {
 	return ip.keyBuf
 }
 
-// planTrigger builds the plan when the statement has a trigger item. See
-// incPlan.
-func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *incPlan {
+// planTrigger builds the plan around the statement's trigger item, or
+// returns why it cannot. See incPlan.
+func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) (*incPlan, error) {
 	q := st.Query
 	uf := newUnionFind()
 	singles := make([][]epl.Expr, len(st.items))
@@ -470,9 +476,9 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 			uf.union(l, r)
 			continue
 		}
-		item, ok := singleItemConjunct(c, aliasToIdx)
-		if !ok {
-			return nil
+		item, err := singleItemConjunct(c, aliasToIdx)
+		if err != nil {
+			return nil, err
 		}
 		if item < 0 {
 			free = append(free, c)
@@ -517,17 +523,14 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 		}
 	}
 	if trig < 0 {
-		return nil
+		return nil, errors.New("no std:lastevent() item reaches every equi-join class")
 	}
 
 	// Every non-aggregate field reference must resolve through the
 	// trigger event, directly or via its equi class.
 	resolvable := func(r *epl.FieldRef) bool {
-		if r.Alias == "" {
-			return false
-		}
 		idx, known := aliasToIdx[r.Alias]
-		if !known {
+		if r.Alias == "" || !known {
 			return false
 		}
 		if idx == trig {
@@ -544,10 +547,10 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 		}
 		return false
 	}
-	ok := true
+	var bad *epl.FieldRef
 	check := func(r *epl.FieldRef) {
-		if !resolvable(r) {
-			ok = false
+		if bad == nil && !resolvable(r) {
+			bad = r
 		}
 	}
 	for _, sel := range q.Select {
@@ -555,35 +558,27 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 	}
 	for _, g := range q.GroupBy {
 		if !pureExpr(g) {
-			return nil
+			return nil, fmt.Errorf("GROUP BY key %s is impure", g)
 		}
 		walkNonAgg(g, check)
 	}
 	walkNonAgg(q.Having, check)
-	if !ok {
-		return nil
+	if bad != nil {
+		return nil, errUnresolvable(bad)
 	}
 
 	// Anchor every aggregate argument on a single item.
 	for _, spec := range aggs {
-		spec.anchor = -1
 		if spec.star {
 			continue
 		}
 		anchor := -1
 		for _, r := range epl.FieldRefs(spec.call.Args[0]) {
-			if r.Alias == "" {
-				return nil
-			}
 			idx, known := aliasToIdx[r.Alias]
-			if !known {
-				return nil
+			if r.Alias == "" || !known || (anchor != -1 && anchor != idx) {
+				return nil, fmt.Errorf("aggregate argument %s does not read one FROM item through qualified fields", spec.call.Args[0])
 			}
-			if anchor == -1 {
-				anchor = idx
-			} else if anchor != idx {
-				return nil
-			}
+			anchor = idx
 		}
 		if anchor == trig {
 			anchor = -1
@@ -598,7 +593,7 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 		}
 		for _, f := range fs {
 			if !pureExpr(f) {
-				return nil
+				return nil, fmt.Errorf("item filter %s is impure", f)
 			}
 		}
 	}
@@ -622,17 +617,19 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 	trigSchema := st.items[trig].schema
 	for _, root := range classOrder {
 		members := classes[root]
-		trigSlot := -1
+		trigSlot, first := -1, len(st.items)
+		var pairs [][2]int
 		for _, m := range members {
-			if m.item != trig {
-				continue
-			}
-			if trigSlot < 0 {
+			switch {
+			case m.item != trig:
+				first = min(first, m.item)
+			case trigSlot < 0:
 				trigSlot = trigSchema.slotOf(m.field)
-			} else {
-				p.pairChecks = append(p.pairChecks, [2]int{trigSlot, trigSchema.slotOf(m.field)})
+			default:
+				pairs = append(pairs, [2]int{trigSlot, trigSchema.slotOf(m.field)})
 			}
 		}
+		p.items[first].pairChecks = append(p.items[first].pairChecks, pairs...)
 		for _, m := range members {
 			if m.item == trig {
 				continue
@@ -649,7 +646,12 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) *inc
 			ip.aggIdx = append(ip.aggIdx, ai)
 		}
 	}
-	return p
+	for _, ip := range p.items {
+		if ip != nil {
+			ip.cells = make([]ringCell, len(ip.aggIdx))
+		}
+	}
+	return p, nil
 }
 
 // attach binds the plan to the views its statement acquired: the trigger
@@ -690,8 +692,8 @@ func (p *incPlan) passes(ip *incItemState, ev *Event) (bool, error) {
 
 // arg evaluates the argument of an aggregate anchored at ip on one of
 // the item's events. present is false for a nil argument, which no
-// aggregate counts; a count(expr) argument need not be numeric and returns
-// no float.
+// aggregate counts; a count(expr) argument need not be numeric or finite
+// and returns no float.
 func (p *incPlan) arg(ip *incItemState, spec *aggSpec, ev *Event) (f float64, present bool, err error) {
 	p.row[ip.idx] = ev
 	v, err := spec.argC(p.ctx)
@@ -702,60 +704,98 @@ func (p *incPlan) arg(ip *incItemState, spec *aggSpec, ev *Event) (f float64, pr
 	if spec.countOnly {
 		return 0, true, nil
 	}
-	f, ok := numeric(v)
-	if !ok {
-		return 0, false, fmt.Errorf("cep: aggregate %s over non-numeric value %v", spec.call.Func, v)
-	}
-	return f, true, nil
+	f, err = argFloat(spec, v)
+	return f, err == nil, err
 }
 
-// apply folds one arriving or evicted event into the accumulators of an item
-// that keeps them by join key (every item that is not key-aligned).
-func (p *incPlan) apply(ip *incItemState, ev *Event, sign int) error {
-	if pass, err := p.passes(ip, ev); err != nil || !pass {
-		return err
-	}
-	buf := ip.eventKey(ev)
-	acc, ok := ip.accs[string(buf)]
+// argFloat converts a non-NULL argument of a sum, avg, min, max or stddev:
+// a non-numeric or non-finite value cannot be folded. (A NaN or an infinity
+// folded into a running sum could never be subtracted out again.)
+func argFloat(spec *aggSpec, v Value) (float64, error) {
+	f, ok := numeric(v)
 	if !ok {
-		if sign < 0 {
-			return fmt.Errorf("cep: incremental state inconsistency: retraction for unknown join key")
-		}
-		acc = &itemAcc{aggs: make([]aggAcc, len(ip.aggIdx))}
-		ip.accs[string(buf)] = acc
+		return 0, fmt.Errorf("cep: aggregate %s over non-numeric value %v", spec.call.Func, v)
 	}
-	acc.rows += sign
-	if acc.rows < 0 {
-		return fmt.Errorf("cep: incremental state inconsistency: negative join-key cardinality")
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("cep: aggregate %s over non-finite value %v", spec.call.Func, v)
 	}
-	if sign > 0 {
-		acc.last = ev
-	}
+	return f, nil
+}
+
+// fold evaluates ip's aggregate arguments on ev into cells and folds them
+// into acc with sign. An arrival folds in one pass and, when an argument
+// fails, undoes what it folded; a retraction evaluates every argument
+// before it subtracts one, since subtracting a value its arrival never
+// folded cannot be undone. Either way a failure leaves acc as it was and is
+// returned: the event is unfoldable.
+func (p *incPlan) fold(ip *incItemState, acc *itemAcc, cells []ringCell, ev *Event, sign int) error {
 	for j, ai := range ip.aggIdx {
 		spec := p.aggs[ai]
 		f, present, err := p.arg(ip, spec, ev)
 		if err != nil {
+			for i := 0; i < j && sign > 0; i++ {
+				acc.aggs[i].fold(p.aggs[ip.aggIdx[i]], cells[i], -1)
+			}
 			return err
 		}
-		switch {
-		case !present:
-		case spec.countOnly:
-			acc.aggs[j].n += sign
-		case sign > 0:
-			acc.aggs[j].add(f, spec.track)
-		default:
-			acc.aggs[j].remove(f, spec.track)
+		cells[j] = ringCell{f: f, ok: present}
+		if sign > 0 {
+			acc.aggs[j].fold(spec, cells[j], +1)
 		}
 	}
-	if acc.rows == 0 {
-		delete(ip.accs, string(buf))
+	if sign < 0 {
+		for j, ai := range ip.aggIdx {
+			acc.aggs[j].fold(p.aggs[ai], cells[j], -1)
+		}
 	}
 	return nil
 }
 
-// foldGroup folds the event its window just took into a key-aligned
-// item's accumulator on the event's group: retract what the window slot held
-// from the value ring, then fold the arrival in and record it there.
+// apply adds (sign +1) or retracts (sign -1) one event in the accumulators
+// of an item that keeps them by join key (every item that is not
+// key-aligned). It returns an added event's failure to fold; a retraction
+// re-evaluates the event, fails where its arrival failed and undoes the
+// same count, silently.
+func (p *incPlan) apply(ip *incItemState, ev *Event, sign int) error {
+	pass, err := p.passes(ip, ev)
+	if err == nil && !pass {
+		return nil
+	}
+	buf := ip.eventKey(ev)
+	acc := ip.accs[string(buf)]
+	if acc == nil {
+		if sign < 0 {
+			// Only a function registered over a built-in after the
+			// statement can make a retraction miss what its arrival added.
+			return nil
+		}
+		acc = &itemAcc{aggs: make([]aggAcc, len(ip.aggIdx))}
+		ip.accs[string(buf)] = acc
+	}
+	if err != nil {
+		acc.filterBad += sign
+	} else {
+		acc.rows += sign
+		if sign > 0 {
+			acc.last = ev
+		}
+		if err = p.fold(ip, acc, ip.cells, ev, sign); err != nil {
+			acc.argBad += sign
+		}
+	}
+	if acc.rows == 0 && acc.filterBad == 0 {
+		delete(ip.accs, string(buf))
+	}
+	if sign < 0 || err == nil {
+		return nil
+	}
+	acc.err = err
+	return err
+}
+
+// foldGroup folds the event its window just took into a key-aligned item's
+// accumulator on the event's group: retract what the window slot held, then
+// add the arrival and record it in the slot.
 func (p *incPlan) foldGroup(ip *incItemState, ev *Event) error {
 	g := ip.gw.cur
 	pos := g.win.(*lengthWin).pos
@@ -766,47 +806,42 @@ func (p *incPlan) foldGroup(ip *incItemState, ev *Event) error {
 		acc.ring = make([]ringCell, ip.gw.length*(1+k))
 	}
 	cells := acc.ring[pos*(1+k) : (pos+1)*(1+k)]
-	in, held := &cells[0].ok, cells[1:]
-	if *in {
-		*in = false
+	state, held := &cells[0].state, cells[1:]
+	switch *state {
+	case slotFolded:
 		acc.rows--
 		for j, ai := range ip.aggIdx {
-			spec := p.aggs[ai]
-			switch {
-			case !held[j].ok:
-			case spec.countOnly:
-				acc.aggs[j].n--
-			default:
-				acc.aggs[j].remove(held[j].f, spec.track)
-			}
+			acc.aggs[j].fold(p.aggs[ai], held[j], -1)
 		}
+	case slotArgBad:
+		acc.rows--
+		acc.argBad--
+	case slotFilterBad:
+		acc.filterBad--
 	}
-	if pass, err := p.passes(ip, ev); err != nil || !pass {
+	*state = slotEmpty
+	pass, err := p.passes(ip, ev)
+	if err != nil {
+		*state, acc.err = slotFilterBad, err
+		acc.filterBad++
 		return err
 	}
-	*in = true
+	if !pass {
+		return nil
+	}
 	acc.rows++
 	acc.last = ev
-	for j, ai := range ip.aggIdx {
-		spec := p.aggs[ai]
-		f, present, err := p.arg(ip, spec, ev)
-		if err != nil {
-			return err
-		}
-		held[j] = ringCell{f, present}
-		switch {
-		case !present:
-		case spec.countOnly:
-			acc.aggs[j].n++
-		default:
-			acc.aggs[j].add(f, spec.track)
-		}
+	if err := p.fold(ip, &acc.itemAcc, held, ev, +1); err != nil {
+		*state, acc.err = slotArgBad, err
+		acc.argBad++
+		return err
 	}
+	*state = slotFolded
 	return nil
 }
 
 // probe finds the accumulator of ip matching trigger event e, nil when
-// no event of the item does.
+// no event of the item has e's key.
 func (ip *incItemState) probe(e *Event) *itemAcc {
 	if ip.gw == nil {
 		return ip.accs[string(ip.probeKey(e))]
@@ -815,14 +850,15 @@ func (ip *incItemState) probe(e *Event) *itemAcc {
 	if !ip.sameKey || ip.view.lastEv != e {
 		g = ip.gw.groups[string(ip.probeKey(e))]
 	}
-	if g == nil || g.accs[ip.sub].rows == 0 {
+	if g == nil {
 		return nil
 	}
 	return &g.accs[ip.sub].itemAcc
 }
 
-// evaluate emits the (single) group for the current trigger event:
-// probe each item's accumulators, combine, filter, project.
+// evaluate emits the (single) group for the current trigger event: check
+// the emit filters, probe each item's accumulators in FROM order, combine,
+// filter, project.
 func (p *incPlan) evaluate() ([]Output, error) {
 	e := p.trigWin.ev
 	if e == nil {
@@ -844,23 +880,34 @@ func (p *incPlan) evaluate() ([]Output, error) {
 			return nil, nil
 		}
 	}
-	for _, pc := range p.pairChecks {
-		if !valueEq(e.slots[pc[0]], e.slots[pc[1]]) {
-			return nil, nil
-		}
-	}
 	rowsTotal := 1.0
+	var argErr error
 	for _, ip := range p.items {
 		if ip == nil {
 			continue
 		}
+		for _, pc := range ip.pairChecks {
+			if !keyEq(e.slots[pc[0]], e.slots[pc[1]]) {
+				return nil, nil
+			}
+		}
 		acc := ip.probe(e)
-		if acc == nil {
+		switch {
+		case acc == nil:
 			return nil, nil
+		case acc.filterBad > 0:
+			return nil, acc.err
+		case acc.rows == 0:
+			return nil, nil
+		case acc.argBad > 0 && argErr == nil:
+			argErr = acc.err
 		}
 		ip.probed = acc
 		rowsTotal *= float64(acc.rows)
 		row[ip.idx] = acc.last
+	}
+	if argErr != nil {
+		return nil, argErr
 	}
 
 	// Slot delivery: compiled aggregate references read ctx.aggF directly.
@@ -892,6 +939,12 @@ func (p *incPlan) evaluate() ([]Output, error) {
 		return nil, err
 	}
 	return []Output{out}, nil
+}
+
+// keyEq is equality as join keys see it (appendValueKey): valueEq, except
+// that NaN matches NaN.
+func keyEq(a, b Value) bool {
+	return valueEq(a, b) || valueKey(a) == valueKey(b)
 }
 
 // aggFloat computes one aggregate for the trigger-factorized emit row as
@@ -937,9 +990,9 @@ func constAggFloat(spec *aggSpec, av Value, rowsTotal float64) (float64, bool, e
 	if spec.countOnly {
 		return rowsTotal, false, nil
 	}
-	f, ok := numeric(av)
-	if !ok {
-		return 0, false, fmt.Errorf("cep: aggregate %s over non-numeric value %v", spec.call.Func, av)
+	f, err := argFloat(spec, av)
+	if err != nil {
+		return 0, false, err
 	}
 	switch spec.call.Func {
 	case "sum":

@@ -40,7 +40,7 @@ func TestOwnedStatements(t *testing.T) {
 	}
 	a, b := add("a", rule("x"), "loc"), add("b", rule("y"), "loc")
 	free, other := add("free", rule("x"), ""), add("other", rule("x"), "zone")
-	add("aux", `SELECT count(*) AS n FROM aux.win:length(5) AS w`, "loc")
+	add("aux", `SELECT count(*) AS n FROM aux.std:lastevent() AS a, aux.win:length(5) AS w`, "loc")
 	if a.items[0].view != b.items[0].view || a.items[1].view != b.items[1].view {
 		t.Fatal("two statements restricted to one owned-key set must share their views")
 	}

@@ -2,6 +2,7 @@ package cep
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -10,15 +11,17 @@ import (
 	"trafficcep/internal/telemetry"
 )
 
-// Shared-view oracle: the same statements are run (a) together in one
+// Shared-view differential: the same statements are run (a) together in one
 // engine, where FROM items that coincide resolve to one engine-owned view,
 // and (b) each alone in an engine of its own, where nothing can be shared.
 // One feed drives both; every statement must emit the same output sequence
-// — fields and representative rows, batch by batch, in order — raise errors
-// on the same events and end on the same plan. No switch selects a path:
-// (b) is the engine as it is with one statement in it. Both engines own the
-// same keys, and statements restricted to them (AddOwnedStatement) may share
-// a view only with statements under the same restriction.
+// — fields and representative rows, batch by batch, in order — and raise
+// errors on the same events. No switch selects a path: (b) is the engine as
+// it is with one statement in it. Both engines own the same keys, and
+// statements restricted to them (AddOwnedStatement) may share a view only
+// with statements under the same restriction. The join oracle recomputes
+// every statement of (a) beside it, and each event must make each statement
+// emit what the oracle emits, and fail when the oracle fails.
 
 // sharedStmt is one statement of a shared-view scenario; thr names the
 // threshold stream it joins, empty when it has none, and owned the bus field
@@ -28,10 +31,12 @@ type sharedStmt struct {
 }
 
 // sharedRig runs a set of statements in one engine and records, per
-// statement, every batch it emitted.
+// statement, every batch it emitted; with check set, the oracle follows
+// the engine's every statement and event.
 type sharedRig struct {
-	eng  *Engine
-	outs map[string][]string
+	eng   *Engine
+	outs  map[string][]string
+	check *oracleRig
 }
 
 // newSharedRig is an empty rig whose engine owns three of the feed's four
@@ -69,6 +74,9 @@ func (r *sharedRig) add(t *testing.T, s sharedStmt, thresholds []diffEvent) {
 	if err != nil {
 		t.Fatalf("add %s: %v", s.name, err)
 	}
+	if r.check != nil {
+		r.check.watch(st)
+	}
 	st.AddListener(func(st *Statement, outs []Output) {
 		batch := make([]string, len(outs))
 		for i, o := range outs {
@@ -76,24 +84,41 @@ func (r *sharedRig) add(t *testing.T, s sharedStmt, thresholds []diffEvent) {
 		}
 		r.outs[st.Name] = append(r.outs[st.Name], strings.Join(batch, " | "))
 	})
-	for _, ev := range thresholds {
+	for i, ev := range thresholds {
 		if ev.stream == s.thr {
-			if err := r.eng.SendEvent(ev.stream, ev.fields); err != nil {
+			if err := r.send(t, i, ev.stream, ev.fields); err != nil {
 				t.Fatalf("thresholds of %s: %v", s.name, err)
 			}
 		}
 	}
 }
 
+// send delivers the i-th event of a feed, through the oracle check if set.
+func (r *sharedRig) send(t *testing.T, i int, stream string, fields map[string]Value) error {
+	if r.check != nil {
+		return r.check.send(t, i, stream, fields)
+	}
+	return r.eng.SendEvent(stream, fields)
+}
+
+// remove deregisters a statement, from the oracle check too.
+func (r *sharedRig) remove(name string) bool {
+	if r.check != nil {
+		r.check.ref.remove(name)
+	}
+	return r.eng.RemoveStatement(name)
+}
+
 // sharedStatements draws a statement set whose view specs overlap and
 // differ: Listing-1 rules over three window lengths and two location
 // fields, aggregating an attribute that is sometimes nil (b) or sometimes a
-// string (c, which breaks the plan), a filtered min/max rule on the same
-// windows, a trigger rule keyed through an ungrouped window, one whose
-// grouped window reads another stream than its trigger, a two-field group,
-// and recomputed statements that read the shared windows — two of them
-// through two items on one stream. Each is restricted to the
-// owned loc keys, the owned loc2 keys or nothing, at random.
+// string or a NaN (c, which no aggregate can fold), a filtered min/max rule
+// on the same windows, trigger rules keyed through an ungrouped window,
+// through a window grouped on another field and through no join at all, one
+// whose grouped window reads another stream than its trigger, a two-field
+// group, and rules that read the shared windows through two items on one
+// stream. Each is restricted to the owned loc keys, the owned loc2 keys or
+// nothing, at random.
 func sharedStatements(rng *rand.Rand) []sharedStmt {
 	lengths := []int{1, 10, 100}
 	var out []sharedStmt
@@ -125,21 +150,23 @@ func sharedStatements(rng *rand.Rand) []sharedStmt {
 			FROM bus.std:lastevent() AS bd, bus.std:groupwin(%s).win:length(10) AS g
 			WHERE bd.hour = g.hour AND bd.loc = g.loc GROUP BY g.loc, g.hour`,
 			[]string{"loc, hour", "hour, loc"}[rng.Intn(2)]), "", ""},
-		sharedStmt{name("grouped"), fmt.Sprintf(`SELECT w.loc AS loc, sum(w.a) AS s, count(*) AS n
-			FROM bus.std:groupwin(loc).win:length(%d) AS w GROUP BY w.loc`, lengths[rng.Intn(2)]), "", ""},
+		// Keyed by hour over a window grouped by loc: not key-aligned, so
+		// an eviction retracts the evicted event itself.
+		sharedStmt{name("grouped"), fmt.Sprintf(`SELECT bd.hour AS hour, sum(w.a) AS s, count(*) AS n
+			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(%d) AS w
+			WHERE bd.hour = w.hour GROUP BY bd.hour`, lengths[rng.Intn(2)]), "", ""},
 		sharedStmt{name("selfjoin"), `SELECT l.loc AS loc, count(*) AS n, sum(r.a) AS y
-			FROM bus.win:length(10) AS l, bus.std:groupwin(loc).win:length(10) AS r
-			WHERE l.loc = r.loc GROUP BY l.loc`, "", ""},
-		// When c turns non-numeric the plan breaks at x, with y — which
-		// other statements may already have moved — still to come.
+			FROM bus.std:lastevent() AS t, bus.win:length(10) AS l, bus.std:groupwin(loc).win:length(10) AS r
+			WHERE t.loc = l.loc AND l.loc = r.loc GROUP BY l.loc`, "", ""},
+		// When c cannot be folded x fails, with y — which other statements
+		// may already have moved — still to come.
 		sharedStmt{name("three"), `SELECT bd.loc AS loc, avg(x.c) AS m, count(*) AS n
 			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(10) AS x, bus.win:length(10) AS y
 			WHERE bd.loc = x.loc AND bd.loc = y.loc GROUP BY bd.loc`, "", ""},
-		// No equi conjunct, so no join index: recompute reads r's window
-		// itself.
-		sharedStmt{name("selfloop"), `SELECT count(*) AS n, sum(r.a) AS y
-			FROM bus.win:length(1) AS l, bus.win:length(10) AS r WHERE l.a > r.a`, "", ""},
-		sharedStmt{name("rows"), `SELECT w.loc AS loc, w.a AS a FROM bus.win:length(1) AS w`, "", ""},
+		// No equi conjunct: r keeps one accumulator for all its events.
+		sharedStmt{name("unkeyed"), `SELECT count(*) AS n, sum(r.a) AS y
+			FROM bus.std:lastevent() AS l, bus.win:length(10) AS r WHERE r.a > 3`, "", ""},
+		sharedStmt{name("rows"), `SELECT w.loc AS loc, w.a AS a, count(*) AS n FROM bus.std:lastevent() AS w`, "", ""},
 	)
 	for i := range out {
 		out[i].owned = []string{"", "loc", "loc2"}[rng.Intn(3)]
@@ -169,10 +196,10 @@ func sharedFeed(rng *rand.Rand, stmts []sharedStmt, n int) (thresholds, feed []d
 		if rng.Intn(10) < 7 {
 			f["b"] = float64(rng.Intn(5))
 		}
-		// A non-numeric aggregate argument, late enough that the plans it
-		// breaks have state to lose.
+		// An aggregate argument that cannot be folded, late enough that
+		// the keys it fails have state.
 		if i > n/3 && rng.Intn(60) == 0 {
-			f["c"] = "oops"
+			f["c"] = []Value{"oops", math.NaN()}[rng.Intn(2)]
 		}
 		stream := "bus"
 		if rng.Intn(5) == 0 {
@@ -184,7 +211,7 @@ func sharedFeed(rng *rand.Rand, stmts []sharedStmt, n int) (thresholds, feed []d
 }
 
 func TestDifferentialSharedViews(t *testing.T) {
-	var fired, shared, broke int
+	var fired, shared, failed int
 	var skipped uint64
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(700 + seed))
@@ -195,6 +222,7 @@ func TestDifferentialSharedViews(t *testing.T) {
 		refreshAt, refreshed := len(feed)/2, stmts[rng.Intn(len(stmts))]
 
 		together := newSharedRig()
+		together.check = &oracleRig{eng: together.eng, ref: newOracle(together.eng), batch: map[string]string{}}
 		alone := make(map[string]*sharedRig, len(stmts))
 		for _, s := range stmts {
 			together.add(t, s, thresholds)
@@ -207,13 +235,13 @@ func TestDifferentialSharedViews(t *testing.T) {
 		for i, ev := range feed {
 			if i == refreshAt {
 				for _, rig := range []*sharedRig{together, alone[refreshed.name]} {
-					if !rig.eng.RemoveStatement(refreshed.name) {
+					if !rig.remove(refreshed.name) {
 						t.Fatalf("seed %d: remove %s", seed, refreshed.name)
 					}
 					rig.add(t, refreshed, thresholds)
 				}
 			}
-			errTogether := together.eng.SendEvent(ev.stream, ev.fields)
+			errTogether := together.send(t, i, ev.stream, ev.fields)
 			var errAlone error
 			for _, s := range stmts {
 				if err := alone[s.name].eng.SendEvent(ev.stream, ev.fields); err != nil && errAlone == nil {
@@ -234,25 +262,22 @@ func TestDifferentialSharedViews(t *testing.T) {
 		for _, s := range stmts {
 			a, _ := together.eng.Statement(s.name)
 			b, _ := alone[s.name].eng.Statement(s.name)
-			if a.IncrementalStrategy() != b.IncrementalStrategy() {
-				t.Fatalf("seed %d: %s plan %q together, %q alone", seed, s.name, a.IncrementalStrategy(), b.IncrementalStrategy())
-			}
 			if a.Metrics().Errors != b.Metrics().Errors {
 				t.Fatalf("seed %d: %s errors %d together, %d alone", seed, s.name, a.Metrics().Errors, b.Metrics().Errors)
 			}
 			if fmt.Sprint(a.WindowSizes()) != fmt.Sprint(b.WindowSizes()) {
 				t.Fatalf("seed %d: %s windows %v together, %v alone", seed, s.name, a.WindowSizes(), b.WindowSizes())
 			}
-			if a.IncrementalStrategy() == "broken" {
-				broke++
+			if a.Metrics().Errors > 0 {
+				failed++
 			}
 			fired += len(together.outs[s.name])
 		}
 		skipped += together.eng.eventsUnowned
 	}
-	if fired == 0 || shared == 0 || broke == 0 || skipped == 0 {
-		t.Fatalf("the scenarios exercise too little: %d batches, %d engines with a shared view, %d broken plans, %d unowned turns",
-			fired, shared, broke, skipped)
+	if fired == 0 || shared == 0 || failed == 0 || skipped == 0 {
+		t.Fatalf("the scenarios exercise too little: %d batches, %d engines with a shared view, %d statements that failed, %d unowned turns",
+			fired, shared, failed, skipped)
 	}
 }
 
@@ -296,10 +321,7 @@ func TestViewJoiningRule(t *testing.T) {
 	}
 	selfjoin := add("selfjoin", `SELECT l.loc AS loc, count(*) AS n
 		FROM bus.std:lastevent() AS l, bus.std:groupwin(loc).win:length(3) AS r
-		WHERE l.x > r.x GROUP BY l.loc`)
-	if selfjoin.IncrementalStrategy() != "" {
-		t.Fatalf("precondition: selfjoin plan = %q, want recompute", selfjoin.IncrementalStrategy())
-	}
+		WHERE l.loc = r.loc GROUP BY l.loc`)
 	if selfjoin.items[0].view != twice.items[1].view || selfjoin.items[1].view != a.items[1].view {
 		t.Fatal("a statement reading one stream twice must share both views")
 	}
@@ -337,7 +359,7 @@ func TestViewJoiningRule(t *testing.T) {
 // statement must not stay at their last counts.
 func TestRemovedStatementSeriesAreZeroed(t *testing.T) {
 	eng := New()
-	src := `SELECT avg(w.x) AS a FROM s.win:length(5) AS w`
+	src := `SELECT avg(w.x) AS a FROM s.std:lastevent() AS t, s.win:length(5) AS w`
 	if _, err := eng.AddStatement("r", src); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +371,7 @@ func TestRemovedStatementSeriesAreZeroed(t *testing.T) {
 	}
 	eng.RemoveStatement("r")
 	eng.Collect(reg)
-	for _, series := range []string{"events_in", "evaluations", "incremental_evals"} {
+	for _, series := range []string{"events_in", "evaluations", "firings"} {
 		if m, _ := reg.Gather().Get("cep.stmt.r." + series); m.Value != 0 {
 			t.Fatalf("%s of a removed statement = %v, want 0", series, m.Value)
 		}
@@ -372,7 +394,8 @@ func TestRemovedStatementSeriesAreZeroed(t *testing.T) {
 // retracts from the value ring its group keeps, not from the event its
 // window evicts. Every retained event but the newest has its aggregate
 // argument overwritten with a string; were eviction to evaluate the
-// argument on the evicted event, the plan would break on "non-numeric".
+// argument on the evicted event, the evaluations would fail on
+// "non-numeric".
 func TestRetractionDoesNotReadEvictedEvent(t *testing.T) {
 	src := `SELECT bd2.loc AS loc, avg(bd2.a) AS cur, count(*) AS n
 		FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(3) AS bd2
@@ -401,12 +424,12 @@ func TestRetractionDoesNotReadEvictedEvent(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		feed(i)
 	}
-	if st.IncrementalStrategy() != "trigger" || st.inc.items[1].gw == nil {
-		t.Fatalf("precondition: plan %q, key-aligned %v", st.IncrementalStrategy(), st.inc.items[1].gw != nil)
+	if st.inc.items[1].gw == nil {
+		t.Fatal("precondition: bd2 is not key-aligned")
 	}
 	newest := st.items[0].view.win.(*lastEventWin).ev
 	slot := st.items[1].schema.slot["a"]
-	retained := st.items[1].view.win.contents()
+	retained := contents(st.items[1].view.win)
 	if len(retained) != 6 {
 		t.Fatalf("retained %d events, want 6", len(retained))
 	}
@@ -417,9 +440,6 @@ func TestRetractionDoesNotReadEvictedEvent(t *testing.T) {
 	}
 	for i := 6; i < 20; i++ {
 		feed(i)
-	}
-	if got := st.IncrementalStrategy(); got != "trigger" {
-		t.Fatalf("plan = %q after evicting poisoned events, want trigger", got)
 	}
 	if len(*got) != 20 || fmt.Sprint(*got) != fmt.Sprint(*want) {
 		t.Fatalf("outputs diverged from the unpoisoned twin:\n got  %v\n want %v", *got, *want)

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"trafficcep/internal/epl"
 )
 
 // listing1Shape is the shape of the shipped rules: a lastevent trigger, a
@@ -36,7 +38,7 @@ func TestSchemaGrowsWithLaterStatement(t *testing.T) {
 		t.Fatalf("schema before = %v, want loc and delay", e.schemas["bus"].names)
 	}
 
-	second, err := e.AddStatement("second", `SELECT avg(b.speed) AS v FROM bus.win:length(2) AS b`)
+	second, err := e.AddStatement("second", `SELECT avg(b.speed) AS v FROM bus.std:lastevent() AS e, bus.win:length(2) AS b`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +69,11 @@ func TestSchemaGrowsWithLaterStatement(t *testing.T) {
 
 // TestMissingFieldBindsNil: a field the event lacks reads NULL through a
 // qualified reference — in a projection, an aggregate argument (ignored, as
-// SQL does) and a group key.
+// SQL does), a group key and a join key.
 func TestMissingFieldBindsNil(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT x.k AS k, x.v AS v, count(x.v) AS n, count(*) AS rows
-		FROM s.std:groupwin(k).win:keepall() AS x GROUP BY x.k`)
+	st, err := e.AddStatement("r", `SELECT e.k AS k, e.v AS v, count(x.v) AS n, count(*) AS rows
+		FROM s.std:lastevent() AS e, s.std:groupwin(k).win:keepall() AS x WHERE e.k = x.k GROUP BY e.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,31 +88,30 @@ func TestMissingFieldBindsNil(t *testing.T) {
 }
 
 // TestUnqualifiedRefStillTellsAbsentFromNull: an unqualified reference
-// resolves to the first bound event that HAS the field, and reports the
-// same "not found" error as before when none has.
+// resolves to the first bound event that HAS the field, and reports "not
+// found" when none has. A statement cannot carry one — no unqualified field
+// resolves through a trigger — so the compiled reference is held to it over
+// a two-item row directly.
 func TestUnqualifiedRefStillTellsAbsentFromNull(t *testing.T) {
-	e := New()
-	st, err := e.AddStatement("r", `SELECT v AS v FROM a.std:lastevent() AS x, b.std:lastevent() AS y`)
-	if err != nil {
-		t.Fatal(err)
+	const src = `SELECT v AS v, count(*) AS n FROM a.std:lastevent() AS x, b.std:lastevent() AS y`
+	if _, err := New().AddStatement("r", src); err == nil || !strings.HasSuffix(err.Error(), "field v is not resolvable through the trigger") {
+		t.Fatalf("err = %v, want the unqualified field refused", err)
 	}
-	got := collect(st)
-	send(t, e, "a", map[string]Value{"id": 1.0})
-	err = e.SendEvent("b", map[string]Value{"id": 2.0})
-	const wantErr = `cep: statement "r": cep: field "v" not found in any bound stream`
-	if err == nil || err.Error() != wantErr {
+	v := (&exprCompiler{}).value(&epl.FieldRef{Field: "v"})
+	at := func(x, y map[string]Value) (Value, error) {
+		return v(&evalContext{row: []*Event{{Fields: x}, {Fields: y}}})
+	}
+	const wantErr = `cep: field "v" not found in any bound stream`
+	if _, err := at(map[string]Value{"id": 1.0}, map[string]Value{"id": 2.0}); err == nil || err.Error() != wantErr {
 		t.Fatalf("err = %v, want %s", err, wantErr)
 	}
 	// Present but NULL on the first item wins over a value on the second.
-	send(t, e, "a", map[string]Value{"v": nil})
-	send(t, e, "b", map[string]Value{"v": 7.0})
-	if o := (*got)[len(*got)-1]; o.Fields["v"] != nil {
-		t.Fatalf("v = %v, want NULL from the first item", o.Fields["v"])
+	if got, err := at(map[string]Value{"v": nil}, map[string]Value{"v": 7.0}); err != nil || got != nil {
+		t.Fatalf("v = %v, %v, want NULL from the first item", got, err)
 	}
 	// Absent on the first item falls through to the second.
-	send(t, e, "a", map[string]Value{"id": 3.0})
-	if o := (*got)[len(*got)-1]; o.Fields["v"] != 7.0 {
-		t.Fatalf("v = %v, want 7 from the second item", o.Fields["v"])
+	if got, err := at(map[string]Value{"id": 3.0}, map[string]Value{"v": 7.0}); err != nil || got != 7.0 {
+		t.Fatalf("v = %v, %v, want 7 from the second item", got, err)
 	}
 }
 

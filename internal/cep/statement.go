@@ -7,8 +7,8 @@ import (
 	"trafficcep/internal/epl"
 )
 
-// Statement is one standing query registered in an engine. It owns a
-// compiled join plan, its aggregate state and the listeners to notify on
+// Statement is one standing query registered in an engine. It owns its
+// trigger plan, the plan's aggregate state and the listeners to notify on
 // matches; the windows of its FROM items are the engine's (see view).
 type Statement struct {
 	Name  string
@@ -30,36 +30,27 @@ type Statement struct {
 	// hashing an alias per field access.
 	bind map[*epl.FieldRef]int
 
-	// conjuncts is the full WHERE decomposition, before any conjunct is
-	// consumed as an index probe; the incremental planner analyzes it.
+	// conjuncts is the WHERE clause split at its ANDs; the planner sorts
+	// them into equi-join classes, item filters and emit filters.
 	conjuncts []epl.Expr
-
-	// filters[i] holds the WHERE conjuncts evaluable once items 0..i are
-	// bound (and not already consumed as join-index probes).
-	filters [][]epl.Expr
 
 	// aggCalls are the distinct aggregate calls of SELECT and HAVING, in
 	// first-appearance order: call i is aggregate slot i (evalContext.aggF).
 	aggCalls  []*epl.CallExpr
-	hasAgg    bool
 	listeners []Listener
 
 	// unidirectional is true when any FROM item carries UNIDIRECTIONAL;
 	// then only arrivals on such items trigger evaluation.
 	unidirectional bool
 
-	// inc holds the statement's incremental plan when the planner proved
-	// the query safe for delta-driven evaluation; nil when the query has no
-	// trigger item or uses features the plan cannot prove correct.
+	// inc is the statement's trigger plan, its only evaluator
+	// (incremental.go); a query the planner finds no plan for is refused at
+	// registration.
 	inc *incPlan
 
 	// comp holds the compiled form of every expression the statement
 	// evaluates; always non-nil after compile().
 	comp *stmtCompiled
-
-	// rowScratch and keyBuf are reusable buffers for the join hot path.
-	rowScratch []*Event
-	keyBuf     []byte
 
 	metrics StatementMetrics
 }
@@ -72,12 +63,7 @@ type StatementMetrics struct {
 	Evaluations uint64
 	Firings     uint64
 	Errors      uint64
-	// IncrementalEvals counts evaluations served by the incremental path;
-	// RecomputeFallbacks counts evaluations served by a full join recompute
-	// (the query is ineligible, or its incremental plan broke).
-	IncrementalEvals   uint64
-	RecomputeFallbacks uint64
-	ProcTime           time.Duration
+	ProcTime    time.Duration
 }
 
 // fromItemState is the runtime state of one FROM item.
@@ -89,20 +75,11 @@ type fromItemState struct {
 	// schema is the slot table of the item's stream: every field of the
 	// item a statement touches is resolved through it at registration.
 	schema *streamSchema
-
-	// Join indexing: when probeExprs is non-empty, the item's window is
-	// additionally indexed on the fields at indexSlots; candidates are
-	// found by evaluating probeExprs (compiled form: probeC) against the
-	// already-bound row.
-	indexSlots []int
-	probeExprs []epl.Expr
-	probeC     []compiledExpr
-	index      map[string][]*Event
-	keyBuf     []byte
 }
 
 // compile builds a Statement from a parsed query, restricted to owned when
-// that is not nil.
+// that is not nil. A query the trigger plan cannot run is an error that
+// names the reason (planIncremental).
 func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statement, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("cep: query has no FROM items")
@@ -128,7 +105,6 @@ func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statemen
 			st.unidirectional = true
 		}
 	}
-	st.rowScratch = make([]*Event, len(st.items))
 
 	// Resolve alias-qualified field references to item positions once.
 	st.bind = make(map[*epl.FieldRef]int)
@@ -142,46 +118,32 @@ func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statemen
 		})
 	}
 	for _, s := range q.Select {
-		if !s.Star {
-			bindRefs(s.Expr)
-		}
+		bindRefs(s.Expr)
 	}
 	bindRefs(q.Where)
 	for _, g := range q.GroupBy {
 		bindRefs(g)
 	}
 	bindRefs(q.Having)
-
-	// Decompose WHERE into conjuncts and plan the join.
+	for _, r := range epl.FieldRefs(q.Where) {
+		if _, known := aliasToIdx[r.Alias]; r.Alias != "" && !known {
+			return nil, fmt.Errorf("cep: statement %q: unknown alias %q in WHERE", name, r.Alias)
+		}
+	}
 	st.conjuncts = splitConjuncts(q.Where)
-	st.filters = make([][]epl.Expr, len(q.From))
-	for _, c := range st.conjuncts {
-		if !eng.disableIndexJoins && st.tryIndexConjunct(c, aliasToIdx) {
-			continue
-		}
-		pos, err := bindingPosition(c, aliasToIdx, len(q.From))
-		if err != nil {
-			return nil, fmt.Errorf("cep: statement %q: %w", name, err)
-		}
-		st.filters[pos] = append(st.filters[pos], c)
-	}
-	for _, it := range st.items {
-		if len(it.indexSlots) > 0 {
-			it.index = make(map[string][]*Event)
-		}
-	}
 
 	// Collect aggregate calls from SELECT and HAVING, once per rendering.
 	seen := make(map[string]bool)
 	for _, s := range q.Select {
-		if !s.Star {
-			collectAggregates(s.Expr, seen, &st.aggCalls)
-		}
+		collectAggregates(s.Expr, seen, &st.aggCalls)
 	}
 	collectAggregates(q.Having, seen, &st.aggCalls)
-	st.hasAgg = len(st.aggCalls) > 0
 
-	st.inc = planIncremental(st, aliasToIdx)
+	inc, err := planIncremental(st, aliasToIdx)
+	if err != nil {
+		return nil, fmt.Errorf("cep: statement %q: %w", name, err)
+	}
+	st.inc = inc
 	st.comp = compileStatement(st)
 	if err := st.acquireViews(); err != nil {
 		return nil, err
@@ -201,9 +163,7 @@ func (st *Statement) acquireViews() error {
 		}
 		it.view = v
 	}
-	if st.inc != nil && !st.inc.broken {
-		st.inc.attach(st)
-	}
+	st.inc.attach(st)
 	return nil
 }
 
@@ -238,58 +198,6 @@ func splitConjuncts(e epl.Expr) []epl.Expr {
 	return []epl.Expr{e}
 }
 
-// tryIndexConjunct turns "a.x = b.y" conjuncts into join-index probes when
-// one side belongs to a later FROM item than the other. Returns true when
-// the conjunct was consumed. Conjuncts naming an unknown alias are left
-// alone so bindingPosition can surface the error.
-func (st *Statement) tryIndexConjunct(c epl.Expr, aliasToIdx map[string]int) bool {
-	b, ok := c.(*epl.BinaryExpr)
-	if !ok || b.Op != "=" {
-		return false
-	}
-	lr, lok := b.Left.(*epl.FieldRef)
-	rr, rok := b.Right.(*epl.FieldRef)
-	if !lok || !rok || lr.Alias == "" || rr.Alias == "" || lr.Alias == rr.Alias {
-		return false
-	}
-	li, lok := aliasToIdx[lr.Alias]
-	ri, rok := aliasToIdx[rr.Alias]
-	if !lok || !rok {
-		return false
-	}
-	// Index the later item on its own field; probe with the earlier side.
-	inner, outer := lr, rr
-	innerIdx := li
-	if ri > li {
-		inner, outer = rr, lr
-		innerIdx = ri
-	}
-	it := st.items[innerIdx]
-	it.indexSlots = append(it.indexSlots, it.schema.slotOf(inner.Field))
-	it.probeExprs = append(it.probeExprs, outer)
-	return true
-}
-
-// bindingPosition returns the earliest join level at which every alias the
-// conjunct references is bound. Conjuncts with unqualified field references
-// bind at the last level.
-func bindingPosition(c epl.Expr, aliasToIdx map[string]int, nItems int) (int, error) {
-	pos := 0
-	for _, r := range epl.FieldRefs(c) {
-		if r.Alias == "" {
-			return nItems - 1, nil
-		}
-		idx, ok := aliasToIdx[r.Alias]
-		if !ok {
-			return 0, fmt.Errorf("unknown alias %q in WHERE", r.Alias)
-		}
-		if idx > pos {
-			pos = idx
-		}
-	}
-	return pos, nil
-}
-
 // AddListener registers a callback for this statement's firings.
 // Not safe to call concurrently with event delivery.
 func (st *Statement) AddListener(l Listener) { st.listeners = append(st.listeners, l) }
@@ -307,8 +215,10 @@ func (st *Statement) WindowSizes() map[string]int {
 	return out
 }
 
-// process delivers one event to the statement: window updates, optional
-// evaluation, listener dispatch. Called with the engine lock held.
+// process delivers one event to the statement: window updates, the trigger
+// plan's folds, optional evaluation, listener dispatch. Called with the
+// engine lock held. An arrival that triggers no evaluation returns its own
+// failure to fold, if any; an evaluation returns its own outcome.
 func (st *Statement) process(ev *Event) error {
 	sample := st.engine.reg != nil
 	var start time.Time
@@ -318,295 +228,34 @@ func (st *Statement) process(ev *Event) error {
 	st.metrics.EventsIn++
 
 	triggered := false
-	var maintErr error
-	// An armed plan leaves the join indexes idle. If it breaks on
-	// this event they stay idle until every item took the event, and are
-	// rebuilt from the windows then: a shared view may already hold the
-	// event when this statement reaches it, so only after the loop do the
-	// windows agree on what an index must contain.
-	idle := st.indexesIdle()
+	var err error
 	for _, idx := range st.itemsByStream[ev.Stream] {
 		it := st.items[idx]
-		evicted := it.view.insert(ev)
-		if it.index != nil && !idle {
-			if evicted != nil {
-				it.indexRemove(evicted)
-			}
-			it.indexAdd(ev)
-		}
-		if st.inc != nil && !st.inc.broken {
-			if err := st.inc.applyDelta(idx, ev, evicted); err != nil {
-				// Incremental state can no longer be trusted; fall back to
-				// full recompute permanently for this statement.
-				st.inc.disable()
-				maintErr = err
-			}
+		if ferr := st.inc.applyDelta(idx, ev, it.view.insert(ev)); ferr != nil && err == nil {
+			err = ferr
 		}
 		if !st.unidirectional || it.spec.Unidirectional {
 			triggered = true
 		}
 	}
-	if idle && st.inc.broken {
-		st.rebuildIndexes()
-	}
-
-	var err error
 	if triggered {
 		st.metrics.Evaluations++
 		var outputs []Output
-		outputs, err = st.evaluate()
-		if err != nil {
-			st.metrics.Errors++
-		} else if len(outputs) > 0 {
+		outputs, err = st.inc.evaluate()
+		if err == nil && len(outputs) > 0 {
 			st.metrics.Firings += uint64(len(outputs))
 			for _, l := range st.listeners {
 				l(st, outputs)
 			}
 		}
-	} else if maintErr != nil {
-		// No evaluation follows to reproduce the failure, so surface the
-		// maintenance error itself.
+	}
+	if err != nil {
 		st.metrics.Errors++
-		err = maintErr
 	}
 	if sample {
 		st.metrics.ProcTime += time.Since(start)
 	}
 	return err
-}
-
-// indexesIdle reports whether join-index maintenance can be skipped: an
-// armed plan never probes the hash indexes (it keeps its own per-item
-// accumulators), so maintaining them per insert would be pure overhead —
-// ~10% of the Listing-1 hot path, all in the O(bucket) remove scan. A
-// broken plan recomputes through them, so when the plan breaks, process
-// rebuilds the indexes from window contents.
-func (st *Statement) indexesIdle() bool {
-	return st.inc != nil && !st.inc.broken
-}
-
-// rebuildIndexes repopulates every join index from its window's current
-// contents — the recovery path when the plan breaks after running
-// with index maintenance skipped.
-func (st *Statement) rebuildIndexes() {
-	for _, it := range st.items {
-		if it.index == nil {
-			continue
-		}
-		it.index = make(map[string][]*Event, len(it.index))
-		for _, ev := range it.view.win.contents() {
-			it.indexAdd(ev)
-		}
-	}
-}
-
-func (it *fromItemState) indexKey(ev *Event) []byte {
-	it.keyBuf = appendSlotsKey(it.keyBuf[:0], ev, it.indexSlots)
-	return it.keyBuf
-}
-
-func (it *fromItemState) indexAdd(ev *Event) {
-	k := string(it.indexKey(ev))
-	it.index[k] = append(it.index[k], ev)
-}
-
-func (it *fromItemState) indexRemove(ev *Event) {
-	k := it.indexKey(ev)
-	bucket := it.index[string(k)]
-	for i, e := range bucket {
-		if e == ev {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(it.index, string(k))
-	} else {
-		it.index[string(k)] = bucket
-	}
-}
-
-// evaluate produces the statement's outputs: through the incremental path
-// when the planner armed one, otherwise by recomputing the join over the
-// current window contents.
-func (st *Statement) evaluate() ([]Output, error) {
-	if st.inc != nil && !st.inc.broken {
-		st.metrics.IncrementalEvals++
-		return st.inc.evaluate()
-	}
-	st.metrics.RecomputeFallbacks++
-	rows, err := st.joinRows()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	if st.hasAgg || len(st.Query.GroupBy) > 0 {
-		return st.evaluateGrouped(rows)
-	}
-	return st.evaluateRows(rows)
-}
-
-// joinRows enumerates the join of all FROM items' windows, applying filters
-// as early as their aliases allow and using hash indexes for equi-joins.
-// Rows are position-indexed by FROM item.
-func (st *Statement) joinRows() ([][]*Event, error) {
-	var rows [][]*Event
-	row := st.rowScratch
-	for i := range row {
-		row[i] = nil
-	}
-	probeCtx := &evalContext{row: row, funcs: st.engine.funcs}
-
-	var rec func(level int) error
-	rec = func(level int) error {
-		if level == len(st.items) {
-			cp := make([]*Event, len(row))
-			copy(cp, row)
-			rows = append(rows, cp)
-			return nil
-		}
-		it := st.items[level]
-		var candidates []*Event
-		if it.index != nil {
-			buf := st.keyBuf[:0]
-			for i, pe := range it.probeC {
-				v, err := pe(probeCtx)
-				if err != nil {
-					return err
-				}
-				if i > 0 {
-					buf = append(buf, keySep)
-				}
-				buf = appendValueKey(buf, v)
-			}
-			st.keyBuf = buf
-			candidates = it.index[string(buf)]
-		} else {
-			candidates = it.view.win.contents()
-		}
-		for _, ev := range candidates {
-			row[level] = ev
-			ok := true
-			for _, f := range st.comp.filtersC[level] {
-				pass, err := f(probeCtx)
-				if err != nil {
-					row[level] = nil
-					return err
-				}
-				if !pass {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if err := rec(level + 1); err != nil {
-					row[level] = nil
-					return err
-				}
-			}
-		}
-		row[level] = nil
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// evaluateGrouped handles queries with GROUP BY and/or aggregates. Each
-// group's aggregates fill the same slots the trigger plan fills.
-func (st *Statement) evaluateGrouped(rows [][]*Event) ([]Output, error) {
-	type group struct {
-		rows [][]*Event
-	}
-	groups := make(map[string]*group)
-	var order []*group
-	keyCtx := &evalContext{funcs: st.engine.funcs}
-	var vals []Value
-	if n := len(st.Query.GroupBy); n > 0 {
-		vals = make([]Value, n)
-	}
-	for _, row := range rows {
-		buf := st.keyBuf[:0]
-		if len(st.Query.GroupBy) > 0 {
-			keyCtx.row = row
-			for i, g := range st.comp.groupByC {
-				v, err := g(keyCtx)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
-			}
-			buf = appendCompositeKey(buf, vals)
-		}
-		st.keyBuf = buf
-		grp, ok := groups[string(buf)]
-		if !ok {
-			grp = &group{}
-			groups[string(buf)] = grp
-			order = append(order, grp)
-		}
-		grp.rows = append(grp.rows, row)
-	}
-
-	var outputs []Output
-	ctx := &evalContext{
-		funcs:   st.engine.funcs,
-		aggF:    make([]float64, len(st.aggCalls)),
-		aggNull: make([]bool, len(st.aggCalls)),
-	}
-	for _, grp := range order {
-		if err := st.computeAggregates(grp.rows, ctx); err != nil {
-			return nil, err
-		}
-		// The representative row for non-aggregated expressions is the
-		// most recent row of the group.
-		repr := grp.rows[len(grp.rows)-1]
-		ctx.row = repr
-		if st.comp.havingC != nil {
-			pass, err := st.comp.havingC(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if !pass {
-				continue
-			}
-		}
-		out, err := st.project(ctx, repr)
-		if err != nil {
-			return nil, err
-		}
-		outputs = append(outputs, out)
-	}
-	return outputs, nil
-}
-
-// evaluateRows handles aggregate-free queries: one output per join row.
-func (st *Statement) evaluateRows(rows [][]*Event) ([]Output, error) {
-	var outputs []Output
-	ctx := &evalContext{funcs: st.engine.funcs}
-	for _, row := range rows {
-		ctx.row = row
-		if st.comp.havingC != nil {
-			pass, err := st.comp.havingC(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if !pass {
-				continue
-			}
-		}
-		out, err := st.project(ctx, row)
-		if err != nil {
-			return nil, err
-		}
-		outputs = append(outputs, out)
-	}
-	return outputs, nil
 }
 
 // rowMap exposes a position-indexed row as the alias→event map carried on
@@ -623,12 +272,8 @@ func (st *Statement) rowMap(row []*Event) map[string]*Event {
 
 // project builds one output from the SELECT clause.
 func (st *Statement) project(ctx *evalContext, row []*Event) (Output, error) {
-	fields := make(map[string]Value)
+	fields := make(map[string]Value, len(st.Query.Select))
 	for i, s := range st.Query.Select {
-		if s.Star {
-			st.projectStar(fields, row)
-			continue
-		}
 		v, err := st.comp.selectC[i](ctx)
 		if err != nil {
 			return Output{}, err
@@ -640,27 +285,4 @@ func (st *Statement) project(ctx *evalContext, row []*Event) (Output, error) {
 		fields[name] = v
 	}
 	return Output{Fields: fields, Row: st.rowMap(row)}, nil
-}
-
-// projectStar copies event fields into the output. With a single FROM item
-// the fields appear unqualified; with a join they are prefixed alias.field
-// to avoid collisions.
-func (st *Statement) projectStar(into map[string]Value, row []*Event) {
-	if len(st.items) == 1 {
-		if ev := row[0]; ev != nil {
-			for k, v := range ev.Fields {
-				into[k] = v
-			}
-		}
-		return
-	}
-	for i, it := range st.items {
-		ev := row[i]
-		if ev == nil {
-			continue
-		}
-		for k, v := range ev.Fields {
-			into[it.spec.Alias+"."+k] = v
-		}
-	}
 }

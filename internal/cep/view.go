@@ -9,14 +9,14 @@ import (
 // window is the runtime state behind a view: the set of events a view
 // chain currently retains. Every window of the rule template takes the
 // arriving event and evicts at most one: insert returns that evicted event,
-// or nil, so that join indexes and incremental aggregate state can be
-// maintained from the delta alone. After insert, the new contents are the
-// old contents minus evicted plus ev (TestWindowDeltaContract holds every
-// window to it); an evicted event that was never inserted would silently
-// corrupt the running sums incremental evaluation retracts it from.
+// or nil, so that the trigger plan's aggregate state can be maintained from
+// the delta alone. After insert, the retained events are the old ones minus
+// evicted plus ev (TestWindowDeltaContract holds every window to it); an
+// evicted event that was never inserted would silently corrupt the running
+// sums the plan retracts it from. The engine never enumerates a window;
+// the test-only oracle does.
 type window interface {
 	insert(ev *Event) (evicted *Event)
-	contents() []*Event
 	size() int
 }
 
@@ -74,8 +74,7 @@ func viewKey(stream string, views []epl.ViewSpec, owned *ownedSet) string {
 // otherwise a new one, which replaces it as the view later statements may
 // join. Sharing is safe because every statement reads its windows only
 // after all of its items took the event: the plan's per-item accumulators
-// are independent of each other, and recompute joins the windows at
-// evaluation. Called with the engine lock held.
+// are independent of each other. Called with the engine lock held.
 func (e *Engine) acquireView(st *Statement, f epl.FromItem, sch *streamSchema) (*view, error) {
 	key := viewKey(f.Stream, f.Views, st.owned)
 	if v := e.views[key]; v != nil && v.lastEv == nil && !st.reads(v) {
@@ -186,13 +185,6 @@ func (w *lastEventWin) insert(ev *Event) (evicted *Event) {
 	return evicted
 }
 
-func (w *lastEventWin) contents() []*Event {
-	if w.ev == nil {
-		return nil
-	}
-	return []*Event{w.ev}
-}
-
 func (w *lastEventWin) size() int {
 	if w.ev == nil {
 		return 0
@@ -208,8 +200,7 @@ func (w *keepAllWin) insert(ev *Event) (evicted *Event) {
 	return nil
 }
 
-func (w *keepAllWin) contents() []*Event { return w.evs }
-func (w *keepAllWin) size() int          { return len(w.evs) }
+func (w *keepAllWin) size() int { return len(w.evs) }
 
 // lengthWin is a sliding window over the last n events (win:length).
 type lengthWin struct {
@@ -239,26 +230,16 @@ func (w *lengthWin) insert(ev *Event) (evicted *Event) {
 	return evicted
 }
 
-func (w *lengthWin) contents() []*Event {
-	out := make([]*Event, 0, w.count)
-	for i := 0; i < w.count; i++ {
-		out = append(out, w.buf[(w.start+i)%w.n])
-	}
-	return out
-}
-
 func (w *lengthWin) size() int { return w.count }
 
 // groupWin partitions events by the values of its key fields and delegates
-// to a per-group sub-window (std:groupwin(...).<view>). Group iteration
-// order is group creation order, keeping evaluation deterministic.
+// to a per-group sub-window (std:groupwin(...).<view>).
 type groupWin struct {
 	keys    []int // event slots forming the group key
 	factory func() (window, error)
 	// length is the sub-view's n when it is win:length, 0 otherwise.
 	length int
 	groups map[string]*group
-	order  []*group
 	total  int
 	keyBuf []byte
 
@@ -301,21 +282,12 @@ func (w *groupWin) insert(ev *Event) (evicted *Event) {
 		sub, _ := w.factory()
 		g = &group{win: sub, accs: make([]groupAcc, w.subs)}
 		w.groups[string(w.keyBuf)] = g
-		w.order = append(w.order, g)
 	}
 	w.cur = g
 	if evicted = g.win.insert(ev); evicted == nil {
 		w.total++
 	}
 	return evicted
-}
-
-func (w *groupWin) contents() []*Event {
-	out := make([]*Event, 0, w.total)
-	for _, g := range w.order {
-		out = append(out, g.win.contents()...)
-	}
-	return out
 }
 
 func (w *groupWin) size() int { return w.total }

@@ -55,7 +55,7 @@ func buildFromSpec(t *testing.T, spec string) window {
 
 func TestLastEventWindow(t *testing.T) {
 	w := buildFromSpec(t, "std:lastevent()")
-	if w.size() != 0 || len(w.contents()) != 0 {
+	if w.size() != 0 || len(contents(w)) != 0 {
 		t.Fatal("empty window must be empty")
 	}
 	a := mkEvent(1, map[string]Value{"id": 1})
@@ -66,8 +66,8 @@ func TestLastEventWindow(t *testing.T) {
 	if evicted := w.insert(b); evicted != a {
 		t.Fatalf("second insert must evict the first")
 	}
-	if !eqInts(ids(w.contents()), []int{2}) {
-		t.Fatalf("contents = %v", ids(w.contents()))
+	if !eqInts(ids(contents(w)), []int{2}) {
+		t.Fatalf("contents = %v", ids(contents(w)))
 	}
 }
 
@@ -79,8 +79,8 @@ func TestLengthWindowRing(t *testing.T) {
 			evicted = append(evicted, ids([]*Event{ev})...)
 		}
 	}
-	if !eqInts(ids(w.contents()), []int{5, 6, 7}) {
-		t.Fatalf("contents = %v", ids(w.contents()))
+	if !eqInts(ids(contents(w)), []int{5, 6, 7}) {
+		t.Fatalf("contents = %v", ids(contents(w)))
 	}
 	if !eqInts(evicted, []int{1, 2, 3, 4}) {
 		t.Fatalf("evicted = %v", evicted)
@@ -111,9 +111,9 @@ func TestGroupWinSubWindows(t *testing.T) {
 		}
 		w.insert(mkEvent(i, map[string]Value{"id": i, "k": k}))
 	}
-	// Group a holds {3,5}, group b {4,6}; iteration is group creation order.
-	if !eqInts(ids(w.contents()), []int{3, 5, 4, 6}) {
-		t.Fatalf("contents = %v", ids(w.contents()))
+	// Group a holds {3,5}, group b {4,6}; contents lists groups in key order.
+	if !eqInts(ids(contents(w)), []int{3, 5, 4, 6}) {
+		t.Fatalf("contents = %v", ids(contents(w)))
 	}
 	if w.size() != 4 {
 		t.Fatalf("size = %d", w.size())
@@ -167,44 +167,6 @@ func TestBuildWindowErrors(t *testing.T) {
 	for i, views := range bad {
 		if _, err := buildWindow(views, viewSchema); err == nil {
 			t.Errorf("case %d: expected error for %v", i, views)
-		}
-	}
-}
-
-func TestIndexJoinsDisabledSameResults(t *testing.T) {
-	run := func(disable bool) []Output {
-		e := New()
-		e.disableIndexJoins = disable
-		st, err := e.AddStatement("r",
-			`SELECT a.v AS av, b.v AS bv FROM s.std:lastevent() AS a, t.win:keepall() AS b WHERE a.k = b.k`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Output
-		st.AddListener(func(_ *Statement, outs []Output) { got = append(got, outs...) })
-		for i := 0; i < 20; i++ {
-			if err := e.SendEvent("t", map[string]Value{"k": float64(i % 4), "v": float64(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.SendEvent("s", map[string]Value{"k": 2.0, "v": 99.0}); err != nil {
-			t.Fatal(err)
-		}
-		var hits []Output
-		for _, o := range got {
-			if o.Fields["av"] == 99.0 {
-				hits = append(hits, o)
-			}
-		}
-		return hits
-	}
-	indexed, looped := run(false), run(true)
-	if len(indexed) == 0 || len(indexed) != len(looped) {
-		t.Fatalf("indexed %d rows vs nested-loop %d rows", len(indexed), len(looped))
-	}
-	for i := range indexed {
-		if indexed[i].Fields["bv"] != looped[i].Fields["bv"] {
-			t.Fatalf("row %d differs", i)
 		}
 	}
 }

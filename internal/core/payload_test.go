@@ -346,10 +346,11 @@ func diffMultisets(t *testing.T, want, got map[string]int) {
 
 // rowAudit fingerprints every event an engine holds when it first sees it
 // and again on every later look: a difference means somebody wrote to a row
-// after it was shared.
+// after it was shared. ring holds the rows of the last auditWindow arrivals.
 type rowAudit struct {
 	first map[*cep.Event]string
 	diffs []string
+	ring  []*cep.Event
 }
 
 func fingerprint(fields map[string]cep.Value) string {
@@ -374,6 +375,18 @@ func (a *rowAudit) look(ev *cep.Event) {
 	}
 }
 
+// arrive looks at an arriving row and again at the rows of the previous
+// auditWindow-1 arrivals, the oldest of which it then forgets.
+func (a *rowAudit) arrive(ev *cep.Event) {
+	a.ring = append(a.ring, ev)
+	if len(a.ring) > auditWindow {
+		a.ring = a.ring[1:]
+	}
+	for _, held := range a.ring {
+		a.look(held)
+	}
+}
+
 // recheck looks at every event ever seen once more.
 func (a *rowAudit) recheck() []string {
 	for ev := range a.first {
@@ -382,9 +395,9 @@ func (a *rowAudit) recheck() []string {
 	return a.diffs
 }
 
-// auditWindow is how many events the audit statement keeps: each event is
-// looked at when it arrives, on each of the next auditWindow-1 arrivals —
-// the last of which is the one that evicts it — and at shutdown.
+// auditWindow is how many arrivals the audit keeps a row for: each row is
+// looked at when it arrives, on each of the next auditWindow-1 arrivals,
+// and at shutdown.
 const auditWindow = 12
 
 // TestPayloadNotWrittenAfterFanOut runs the shipped topology — four engines,
@@ -397,13 +410,13 @@ func TestPayloadNotWrittenAfterFanOut(t *testing.T) {
 	run := &pipelineRun{extra: func(task int, eng *cep.Engine) error {
 		audits[task] = &rowAudit{first: map[*cep.Event]string{}}
 		st, err := eng.AddStatement("audit", fmt.Sprintf(
-			`SELECT b.ts AS ts FROM %s.win:length(%d) AS b`, BusStream, auditWindow))
+			`SELECT b.ts AS ts, count(*) AS n FROM %s.std:lastevent() AS b GROUP BY b.ts`, BusStream))
 		if err != nil {
 			return err
 		}
 		st.AddListener(func(_ *cep.Statement, outs []cep.Output) {
 			for _, o := range outs {
-				audits[task].look(o.Row["b"])
+				audits[task].arrive(o.Row["b"])
 			}
 		})
 		return nil
@@ -689,7 +702,7 @@ func TestHotPathAllocatesNoMap(t *testing.T) {
 	esper := &esperBolt{}
 	price("EsperBolt", esper, 2)
 	var got *cep.Event
-	st, err := esper.engine.AddStatement("last", `SELECT b.ts AS ts FROM `+BusStream+`.std:lastevent() AS b`)
+	st, err := esper.engine.AddStatement("last", `SELECT b.ts AS ts, count(*) AS n FROM `+BusStream+`.std:lastevent() AS b GROUP BY b.ts`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -369,7 +369,8 @@ func TestEsperBoltOwnershipLoadsThresholds(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := eng.AddStatement("thresholdFeed", "SELECT location FROM "+rule.ThresholdStream())
+		st, err := eng.AddStatement("thresholdFeed", "SELECT t.location AS location, count(*) AS n FROM "+
+			rule.ThresholdStream()+".std:lastevent() AS t GROUP BY t.location")
 		if err != nil {
 			return nil, err
 		}

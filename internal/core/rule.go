@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"trafficcep/internal/busdata"
@@ -75,6 +76,9 @@ func (r Rule) Validate() error {
 	}
 	if r.Kind == QuadtreeLayer && r.Layer < 0 {
 		return fmt.Errorf("core: rule %q has negative layer", r.Name)
+	}
+	if math.IsNaN(r.Sensitivity) || math.IsInf(r.Sensitivity, 0) {
+		return fmt.Errorf("core: rule %q has non-finite sensitivity %v", r.Name, r.Sensitivity)
 	}
 	return nil
 }

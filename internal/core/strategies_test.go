@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -71,10 +72,10 @@ func TestRuleEPLAllVariantsParse(t *testing.T) {
 }
 
 // TestRuleRenderingsPlanTrigger pins the premise of the CEP engine's one
-// incremental plan: every rendering of the rule template — each threshold
+// evaluator: every rendering of the rule template — each threshold
 // strategy's EPL, on every location kind, registered plain or restricted to
-// owned locations — arms the trigger plan. A template edit that misses it
-// would recompute the join on every event.
+// owned locations — registers, so the trigger plan runs it. A template edit
+// that misses the plan's shape would be refused at registration.
 func TestRuleRenderingsPlanTrigger(t *testing.T) {
 	renderings := map[string]func(Rule) string{
 		"stream": Rule.StreamEPL,
@@ -91,18 +92,14 @@ func TestRuleRenderingsPlanTrigger(t *testing.T) {
 			for _, owned := range []bool{false, true} {
 				eng := cep.New()
 				registerDBThreshold(eng, store)
-				var st *cep.Statement
 				var err error
 				if owned {
-					st, err = eng.AddOwnedStatement(r.Name, src, BusStream, r.LocationField())
+					_, err = eng.AddOwnedStatement(r.Name, src, BusStream, r.LocationField())
 				} else {
-					st, err = eng.AddStatement(r.Name, src)
+					_, err = eng.AddStatement(r.Name, src)
 				}
 				if err != nil {
-					t.Fatalf("%v %s owned=%v: %v\n%s", kind, name, owned, err, src)
-				}
-				if got := st.IncrementalStrategy(); got != "trigger" {
-					t.Errorf("%v %s owned=%v: plan %q, want trigger\n%s", kind, name, owned, got, src)
+					t.Errorf("%v %s owned=%v: %v\n%s", kind, name, owned, err, src)
 				}
 			}
 		}
@@ -115,6 +112,9 @@ func TestRuleValidate(t *testing.T) {
 		{Name: "x", Attribute: "nope", Window: 1},
 		{Name: "x", Attribute: busdata.AttrDelay, Window: 0},
 		{Name: "x", Attribute: busdata.AttrDelay, Window: 1, Kind: QuadtreeLayer, Layer: -1},
+		{Name: "x", Attribute: busdata.AttrDelay, Window: 1, Sensitivity: math.NaN()},
+		{Name: "x", Attribute: busdata.AttrDelay, Window: 1, Sensitivity: math.Inf(1)},
+		{Name: "x", Attribute: busdata.AttrDelay, Window: 1, Sensitivity: math.Inf(-1)},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {

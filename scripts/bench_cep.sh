@@ -2,12 +2,10 @@
 # Runs the CEP hot-path benchmarks and records ns/op per series into
 # BENCH_cep.json at the repo root. Non-blocking: meant for tracking the
 # Listing-1 evaluation cost across window lengths
-# (BenchmarkListing1_RuleEvaluation), what one engine pays per delivered
+# (BenchmarkListing1_RuleEvaluation) and what one engine pays per delivered
 # trace for the four shipped rules over a city-sized working set
-# (BenchmarkListing1_FourRules in internal/cep) and what each evaluation
-# path of a standing statement costs (BenchmarkAblationJoinStrategy there:
-# incremental, recompute with indexed joins, recompute with nested loops)
-# over time, not as a pass/fail gate.
+# (BenchmarkListing1_FourRules in internal/cep) over time, not as a
+# pass/fail gate.
 #
 # With BENCH_PARENT=<commit> the same benchmarks are also run on that
 # commit's files (a `git archive` snapshot in a temporary directory, with
@@ -51,7 +49,7 @@ record() {
 # bench <dir> <raw>: the tracked benchmarks of the tree in <dir>.
 bench() {
 	(cd "$1" && go test -run '^$' \
-		-bench 'BenchmarkListing1_RuleEvaluation|BenchmarkListing1_FourRules|BenchmarkAblationJoinStrategy' \
+		-bench 'BenchmarkListing1_RuleEvaluation|BenchmarkListing1_FourRules' \
 		-benchtime "$benchtime" -count "$count" . ./internal/cep) | tee "$2"
 }
 
