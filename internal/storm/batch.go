@@ -14,7 +14,9 @@ package storm
 //     bolt's input queue goes idle, at an epoch barrier, and always before
 //     an executor exits —
 //     so batching never strands a tuple and never deadlocks: an executor
-//     only sleeps on input with its output buffers empty. Under the XOR
+//     only sleeps on input with its output buffers empty. Markers — epoch
+//     barriers and the end of an executor's stream — ride the same queues
+//     as flagged batches with no envelopes. Under the XOR
 //     acker the same triggers also drain the executor's buffered ack
 //     updates (acker.go's ackBatcher), so checksum progress is never
 //     stranded behind an idle bolt either.
@@ -56,11 +58,12 @@ type batch struct {
 	// data, so a barrier's arrival proves every pre-barrier delivery from
 	// that input is ahead of it.
 	epoch uint64
-	// epochRetire repurposes the barrier batch as an in-band retirement
-	// notice: epoch carries the sender's last passed epoch (possibly 0)
-	// and the receiver exempts that upstream from the alignment
-	// expectation of every later epoch.
-	epochRetire bool
+	// end marks the sender's end of stream, its last batch on this edge:
+	// a bolt executor returns once every upstream executor's end arrived.
+	// Under AckEpoch epoch carries the last epoch the sender passed
+	// (possibly 0), and the receiver exempts it from the alignment of
+	// every later epoch.
+	end bool
 }
 
 func (r *Runtime) getBatch() *batch { return r.batchPool.Get().(*batch) }
@@ -71,7 +74,7 @@ func (r *Runtime) putBatch(b *batch) {
 	clear(b.envs)
 	b.envs = b.envs[:0]
 	b.epoch = 0
-	b.epochRetire = false
+	b.end = false
 	r.batchPool.Put(b)
 }
 

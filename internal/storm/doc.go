@@ -14,8 +14,8 @@
 // worker builds the identical topology (placement is deterministic), runs
 // only the executors placed on it, and ships envelope batches to the others
 // over TCP peer links (see tcp.go and wire.go). Liveness between workers is
-// tracked with heartbeats; a lost peer fails its in-flight anchored tuples
-// and unblocks shutdown.
+// tracked with heartbeats; a lost peer fails its in-flight anchored tuples,
+// and the reader that delivered its frames ends its streams behind them.
 //
 // # Data plane
 //
@@ -25,7 +25,9 @@
 // length-prefixed wire codec into a pooled frame buffer, queued on the
 // runtime's link to that worker; a decoded payload is an ordinary map the
 // receiving bolt owns like any other input. Both hops keep per-sender FIFO
-// order, which producer-exit accounting and epoch barriers rely on.
+// order, which end-of-stream markers and epoch barriers rely on: an exiting
+// executor ends each of its edges with one marker behind its final flush,
+// and a bolt executor returns once every upstream executor's end arrived.
 //
 // # Reliability
 //

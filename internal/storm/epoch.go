@@ -15,17 +15,17 @@ package storm
 //     epoch, snapshots each ReplayableSpout task's Checkpoint(), flushes
 //     its output buffers and emits a barrier batch for N to every
 //     downstream executor — local ones through the input channels, remote
-//     ones as frameEpochBarrier on the per-peer FIFO queue, both from the
+//     ones as marker frames on the per-peer FIFO queue, both from the
 //     spout's own goroutine so the barrier trails every pre-barrier
-//     envelope (the same FIFO argument producer-exit accounting relies on).
+//     envelope (the same FIFO argument an end of stream relies on).
 //   - A bolt executor holds barrier N until it has arrived from every
 //     live upstream executor (counting alignment: envelopes from separate
 //     inputs merge into one FIFO channel, so by the time the last copy of
 //     the barrier is dequeued, every earlier delivery on every input has
 //     been processed), then flushes its own output and forwards the
-//     barrier downstream. An exiting executor sends an in-band retirement
-//     notice carrying the last epoch it passed, exempting itself from the
-//     alignment expectation of every later epoch.
+//     barrier downstream. An exiting executor's end-of-stream marker
+//     carries the last epoch it passed, exempting it from the alignment
+//     expectation of every later epoch.
 //   - Each worker reports pass(N, lossDelta) to the coordinator once all
 //     its local executors passed N; the delta is the growth of its fault
 //     counters (drops, errors, panics) since its previous report, and any
@@ -75,9 +75,8 @@ const (
 // epochAlign is one bolt executor's barrier-alignment state, touched only
 // on that executor's goroutine (barriers arrive as input batches).
 type epochAlign struct {
-	expect  int            // distinct upstream executors at start
 	got     map[uint64]int // barrier arrivals per pending epoch
-	retired []uint64       // lastPassed of upstream executors that exited
+	retired []uint64       // lastPassed of upstream executors that ended
 	passed  uint64         // highest epoch this executor aligned + forwarded
 }
 
@@ -117,12 +116,7 @@ type epochCoordinator struct {
 	committed  atomic.Uint64
 	rewindWord atomic.Uint64
 
-	// Static topology routing, identical on every worker: downstream
-	// executors per component (targets deduped across streams) and the
-	// matching distinct-upstream-executor expectation.
-	down   map[*runningComponent][]*executor
-	expect map[*runningComponent]int
-	align  []*epochAlign // per eid; nil for spouts and remote executors
+	align []*epochAlign // per eid; nil for spouts and remote executors
 
 	// Per-worker agent bookkeeping: which local executors passed which
 	// epoch, and the retirement exemptions.
@@ -150,32 +144,11 @@ func newEpochCoordinator(r *Runtime) *epochCoordinator {
 		timeout:  r.cfg.AckTimeout,
 		workers:  workers,
 		leader:   0,
-		down:     make(map[*runningComponent][]*executor),
-		expect:   make(map[*runningComponent]int),
 
 		passCount: make(map[uint64]int),
 		outbox:    make(chan epochMsg, 256),
 		leaderCh:  make(chan epochMsg, 256),
 		stopCh:    make(chan struct{}),
-	}
-	for _, id := range r.topo.order {
-		rc := r.comps[id]
-		seen := make(map[*runningComponent]bool)
-		for _, subs := range rc.subs {
-			for _, s := range subs {
-				if !seen[s.target] {
-					seen[s.target] = true
-					ec.down[rc] = append(ec.down[rc], s.target.execs...)
-				}
-			}
-		}
-		srcSeen := make(map[string]bool)
-		for _, g := range rc.spec.groupings {
-			if !srcSeen[g.Source] {
-				srcSeen[g.Source] = true
-				ec.expect[rc] += len(r.comps[g.Source].execs)
-			}
-		}
 	}
 	ec.align = make([]*epochAlign, len(r.execs))
 	for _, ex := range r.execs {
@@ -184,10 +157,7 @@ func newEpochCoordinator(r *Runtime) *epochCoordinator {
 		}
 		ec.nLocal++
 		if !ex.comp.spec.isSpout {
-			ec.align[ex.eid] = &epochAlign{
-				expect: ec.expect[ex.comp],
-				got:    make(map[uint64]int),
-			}
+			ec.align[ex.eid] = &epochAlign{got: make(map[uint64]int)}
 		}
 	}
 	return ec
@@ -277,9 +247,9 @@ func (ec *epochCoordinator) localPass(e uint64) {
 	ec.send(rep)
 }
 
-// retireLocal removes an exiting local executor from the worker's pass
+// retireLocal removes an exited local executor from the worker's pass
 // expectation (it passed every epoch up to lastPassed and will pass none
-// after).
+// after). Runs on the executor's goroutine after its end of stream.
 func (ec *epochCoordinator) retireLocal(lastPassed uint64) {
 	var reps []epochMsg
 	ec.mu.Lock()
@@ -469,38 +439,14 @@ func (ec *epochCoordinator) broadcast(m epochMsg) {
 
 // --- barrier flow ---
 
-// forward emits one barrier (or retirement notice) from comp to every
-// downstream executor. MUST run on the emitting executor's goroutine with
-// its output buffers flushed: per-channel and per-peer FIFO is what makes
-// a barrier prove every earlier envelope is ahead of it.
-func (ec *epochCoordinator) forward(comp *runningComponent, val uint64, retire bool) {
-	r := ec.r
-	for _, dest := range ec.down[comp] {
-		if r.localExec(dest) {
-			b := r.getBatch()
-			b.epoch = val
-			b.epochRetire = retire
-			dest.deliver(b)
-			continue
-		}
-		if p := r.links.peers[dest.worker]; p != nil {
-			eid := dest.eid
-			_ = p.sendSmall(func(b []byte) []byte {
-				return appendEpochBarrierFrame(b, eid, val, retire)
-			})
-		}
-	}
-}
-
-// onBarrier handles one barrier/retire batch dequeued by a bolt executor:
-// count it, and pass every epoch whose alignment just completed (flush
-// own output first, forward the barrier, report the local pass).
-func (ec *epochCoordinator) onBarrier(ex *executor, out *outBatcher, val uint64, retire bool) {
+// onBarrier handles one marker dequeued by a bolt executor — a barrier, or
+// with end set an upstream executor's end of stream carrying its last
+// passed epoch: count it, and pass every epoch whose alignment just
+// completed (flush own output first, forward the barrier, report the local
+// pass).
+func (ec *epochCoordinator) onBarrier(ex *executor, out *outBatcher, val uint64, end bool) {
 	al := ec.align[ex.eid]
-	if al == nil {
-		return
-	}
-	if retire {
+	if end {
 		al.retired = append(al.retired, val)
 	} else {
 		if val <= al.passed {
@@ -519,7 +465,7 @@ func (ec *epochCoordinator) onBarrier(ex *executor, out *outBatcher, val uint64,
 				delete(al.got, e)
 				continue
 			}
-			if n+al.exempt(e) >= al.expect && (best == 0 || e < best) {
+			if n+al.exempt(e) >= ex.comp.upstream && (best == 0 || e < best) {
 				best = e
 			}
 		}
@@ -533,17 +479,9 @@ func (ec *epochCoordinator) onBarrier(ex *executor, out *outBatcher, val uint64,
 			}
 		}
 		out.flushAll()
-		ec.forward(ex.comp, best, false)
+		ec.r.forward(ex.comp, best, false)
 		ec.localPass(best)
 	}
-}
-
-// retireExec sends an executor's in-band retirement downstream and drops
-// it from the worker's pass expectation. Runs on the executor's goroutine
-// after its final flush, before its EOF broadcast.
-func (ec *epochCoordinator) retireExec(ex *executor, lastPassed uint64) {
-	ec.forward(ex.comp, lastPassed, true)
-	ec.retireLocal(lastPassed)
 }
 
 // --- the spout executor's epoch hooks (runSpoutExecutor) ---
@@ -628,7 +566,7 @@ func (s *spoutExec) inject(e uint64) {
 			}
 		}
 	}
-	ec.forward(s.rc, e, false)
+	s.r.forward(s.rc, e, false)
 	ec.localPass(e)
 	s.injected = e
 	if s.nActive == 0 && s.exitEpoch == 0 {

@@ -87,7 +87,9 @@ func (u *uniqueSink) counts() (distinct, total, maxDup int) {
 
 // epochCleanScenario runs a clean (no induced failures) three-stage
 // pipeline under one (mode, batch, workers) configuration and returns the
-// sink's id census plus summed fault totals.
+// sink's id census plus summed fault totals. Every edge reconciles, so no
+// end of stream arrived early or went missing, and at batch size 1 in one
+// process mid counts exactly one batch per tuple: markers are not batches.
 func epochCleanScenario(t *testing.T, mode AckMode, batch, workers int) (*uniqueSink, FaultTotals) {
 	t.Helper()
 	const n = 400
@@ -122,6 +124,11 @@ func epochCleanScenario(t *testing.T, mode AckMode, batch, workers int) (*unique
 			t.Fatalf("mode=%v batch=%d: %v", mode, batch, err)
 		}
 		ft = rt.FaultTotals()
+		edgeReconciles(t, rt, "src", "mid")
+		edgeReconciles(t, rt, "mid", "sink")
+		if got := rt.comps["mid"].batchesIn.Load(); batch == 1 && got != n {
+			t.Errorf("mode=%v: mid received %d batches, want %d", mode, got, n)
+		}
 	} else {
 		rig := newDistRig(t, workers, build, opts...)
 		rig.run(t, 30*time.Second)
@@ -137,6 +144,8 @@ func epochCleanScenario(t *testing.T, mode AckMode, batch, workers int) (*unique
 			ft.Dropped += w.Dropped
 			ft.Panics += w.Panics
 		}
+		rig.edgeReconciles(t, "src", "mid")
+		rig.edgeReconciles(t, "mid", "sink")
 	}
 	return sink, ft
 }
@@ -184,8 +193,9 @@ func TestAckerEpochDifferentialCountEquivalence(t *testing.T) {
 // hard-errors the first execution of tuple `victim`, which epoch mode
 // counts as loss — the in-flight epoch aborts, every ReplayableSpout
 // rewinds to the last committed checkpoint, and the suffix replays. The
-// idempotent sink must end with every id present (the victim included)
-// and the spout must have been restored at least once.
+// idempotent sink must end with every id present (the victim included),
+// the spout must have been restored at least once, and every edge
+// reconciles.
 func epochKillScenario(t *testing.T, workers int) {
 	t.Helper()
 	const (
@@ -232,6 +242,8 @@ func epochKillScenario(t *testing.T, workers int) {
 		if err := rt.Run(); err != nil {
 			t.Fatal(err)
 		}
+		edgeReconciles(t, rt, "src", "flaky")
+		edgeReconciles(t, rt, "flaky", "sink")
 	} else {
 		rig := newDistRig(t, workers, build, opts...)
 		rig.run(t, 30*time.Second)
@@ -240,6 +252,8 @@ func epochKillScenario(t *testing.T, workers int) {
 				t.Fatalf("worker %d: %v", i, err)
 			}
 		}
+		rig.edgeReconciles(t, "src", "flaky")
+		rig.edgeReconciles(t, "flaky", "sink")
 	}
 	if !failed.Load() {
 		t.Fatal("induced failure never fired")

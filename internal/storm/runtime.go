@@ -228,9 +228,12 @@ type runningComponent struct {
 	// still receive fields/all/global/direct traffic, and shuffle falls
 	// back to the full ring when every local task is quarantined.
 	localTasks []int
-	// producers counts upstream executors still running; when it reaches
-	// zero the component's input channels are closed.
-	producers atomic.Int32
+	// down lists the executors this component's output reaches, each once
+	// however many streams lead there, and upstream counts the executors
+	// feeding it. An exiting executor ends each of its down edges with one
+	// marker, and a bolt executor returns once upstream ends arrived.
+	down     []*executor
+	upstream int
 
 	// Fault accounting, published by the monitor as
 	// storm.<comp>.{panics,replays,acked,dropped,quarantined,missing_field}.
@@ -267,14 +270,6 @@ type Runtime struct {
 	// links are this worker's connections to its peers under WithWorker
 	// (nil in a single-process run).
 	links *peerLinks
-	// eofSeen dedupes remote executor-exit notifications per dense id
-	// (a lost peer's exits are synthesized and may race its real ones).
-	// remoteLeft counts the remote executors not yet seen exiting;
-	// remoteDone is closed when it reaches zero.
-	eofMu      sync.Mutex
-	eofSeen    []bool
-	remoteLeft int
-	remoteDone chan struct{}
 
 	// Batched transport state (see batch.go): every executor gets a dense
 	// id into r.execs so outBatchers index their per-destination buffers
@@ -409,15 +404,19 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		compCursor += spec.executors
 	}
 
-	// Wire subscriptions and producer counts.
+	// Wire subscriptions and the edge table.
 	for _, id := range topo.order {
 		spec := topo.byID[id]
 		rc := r.comps[id]
+		fed := make(map[*runningComponent]bool)
 		for _, g := range spec.groupings {
 			src := r.comps[g.Source]
-			sub := &subscription{grouping: g, target: rc}
-			src.subs[g.Stream] = append(src.subs[g.Stream], sub)
-			rc.producers.Add(int32(len(src.execs)))
+			src.subs[g.Stream] = append(src.subs[g.Stream], &subscription{grouping: g, target: rc})
+			if !fed[src] {
+				fed[src] = true
+				src.down = append(src.down, rc.execs...)
+				rc.upstream += len(src.execs)
+			}
 		}
 	}
 	// Dense per-task shuffle counters, sized to the component's wired
@@ -471,16 +470,6 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		}
 	}
 
-	r.eofSeen = make([]bool, len(r.execs))
-	r.remoteDone = make(chan struct{})
-	for _, ex := range r.execs {
-		if !r.localExec(ex) {
-			r.remoteLeft++
-		}
-	}
-	if r.remoteLeft == 0 {
-		close(r.remoteDone)
-	}
 	r.monitor = newMonitor(r, cfg.MonitorInterval)
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Register(r.monitor)
@@ -622,27 +611,28 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 			wg.Add(1)
 			go func(rc *runningComponent, ex *executor) {
 				defer wg.Done()
+				var last uint64
 				if rc.spec.isSpout {
-					r.runSpoutExecutor(rc, ex)
+					last = r.runSpoutExecutor(rc, ex)
 				} else {
-					r.runBoltExecutor(rc, ex)
+					last = r.runBoltExecutor(rc, ex)
 				}
 				// This executor will emit no more tuples (its buffers are
-				// flushed and, with ack tracking on, its anchored trees
-				// resolved): retire it everywhere.
-				r.execDone(ex)
-				if r.links != nil {
-					r.links.broadcastEOF(ex.eid)
+				// flushed and, with the XOR acker on, its anchored trees
+				// resolved): end each of its edges behind its final flush.
+				// Under AckEpoch the end carries the last epoch it passed,
+				// and the worker stops expecting its passes.
+				r.forward(rc, last, true)
+				if r.epochs != nil {
+					r.epochs.retireLocal(last)
 				}
 			}(rc, ex)
 		}
 	}
 	wg.Wait()
-	// Leave together: keep the peer links up until every peer's executors
-	// have exited too (or the peer is declared lost), so a peer that
-	// finishes later never dials a closed listener or writes its final eofs
-	// into a closed socket. Closed from the start when nothing is remote.
-	<-r.remoteDone
+	if r.links != nil {
+		r.links.leave()
+	}
 	r.stopAcking()
 
 	r.errMu.Lock()
@@ -661,56 +651,6 @@ func (r *Runtime) stopAcking() {
 	}
 	if r.epochs != nil {
 		r.epochs.stop()
-	}
-}
-
-// execDone retires one executor: every downstream component's producer
-// count drops once per subscription edge, and a component with no live
-// producers left has its local input channels closed. It runs exactly once
-// per executor in the topology — on the executor's own goroutine locally,
-// or on receipt of a peer's exit notification (remoteExecDone) for
-// executors placed on other workers — so every worker observes every
-// executor exit exactly once and the counts settle identically everywhere.
-func (r *Runtime) execDone(ex *executor) {
-	seen := map[*runningComponent]int{}
-	for _, subs := range ex.comp.subs {
-		for _, s := range subs {
-			seen[s.target]++
-		}
-	}
-	for target, n := range seen {
-		if target.producers.Add(-int32(n)) == 0 {
-			for _, tex := range target.execs {
-				if r.localExec(tex) {
-					close(tex.in)
-				}
-			}
-		}
-	}
-}
-
-// remoteExecDone processes a peer's notification that one of its executors
-// exited. Idempotent: a lost peer's exits are synthesized for shutdown and
-// may duplicate notifications that already arrived.
-func (r *Runtime) remoteExecDone(eid int) {
-	if eid < 0 || eid >= len(r.execs) {
-		return
-	}
-	ex := r.execs[eid]
-	if r.localExec(ex) {
-		return // peers cannot retire this worker's executors
-	}
-	r.eofMu.Lock()
-	seen := r.eofSeen[eid]
-	r.eofSeen[eid] = true
-	if !seen {
-		if r.remoteLeft--; r.remoteLeft == 0 {
-			close(r.remoteDone)
-		}
-	}
-	r.eofMu.Unlock()
-	if !seen {
-		r.execDone(ex)
 	}
 }
 
@@ -776,7 +716,8 @@ func (s *spoutExec) closeTask(i int) {
 // runSpoutExecutor drives the executor's spout tasks round-robin until all
 // report exhaustion (or the run is cancelled), then — when ack tracking is
 // on — stays alive until every anchored tuple its tasks emitted resolved,
-// so replays still have open downstream channels.
+// so no replay can follow its end of stream. It returns the last epoch it
+// injected (0 outside AckEpoch).
 //
 // Under AckEpoch the same loop also injects barriers and applies rewinds
 // between calls, and an exhausted task parks instead of closing: the
@@ -787,7 +728,7 @@ func (s *spoutExec) closeTask(i int) {
 // each entry into the round-robin loop (paid only when a NextTuple actually
 // panics), and the loop is re-entered afterwards, so the per-call cost is
 // three scalar writes instead of a defer per tuple.
-func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) {
+func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) uint64 {
 	ec := r.epochs
 	s := &spoutExec{r: r, rc: rc, ex: ex, out: r.newOutBatcher(), state: make([]uint8, len(ex.tasks))}
 	for i, ts := range ex.tasks {
@@ -895,28 +836,25 @@ func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) {
 			s.closeTask(i)
 		}
 	}
-	// Everything buffered must be on the wire before this executor reports
-	// itself done: downstream channels close when producer counts reach
-	// zero, and waitTask below blocks on tuple trees whose deliveries could
-	// otherwise still sit in this executor's buffers.
+	// Everything buffered must be on the wire before this executor ends its
+	// stream, and waitTask below blocks on tuple trees whose deliveries
+	// could otherwise still sit in this executor's buffers.
 	s.out.flushAll()
 	if r.acker != nil {
 		for _, ts := range ex.tasks {
 			r.acker.waitTask(ts)
 		}
 	}
-	if ec != nil {
-		// Retire in-band behind the final flush.
-		ec.retireExec(ex, s.injected)
-	}
+	return s.injected
 }
 
 // runBoltExecutor prepares the executor's bolt tasks, processes its input
-// queue until closed, then cleans up. Envelopes routed to a task whose
+// queue until every upstream executor's end of stream arrived, then cleans
+// up and returns the last epoch it passed (0 outside AckEpoch). Envelopes routed to a task whose
 // Prepare failed — or that was quarantined — are counted as dropped rather
 // than silently discarded, and the first such drop records an error under
 // FailFast so the run cannot report success with vanished data.
-func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
+func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) uint64 {
 	prepared := make([]bool, len(ex.tasks))
 	dropLogged := make([]bool, len(ex.tasks))
 	for i, ts := range ex.tasks {
@@ -951,24 +889,24 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 	// keeps an acyclic topology deadlock-free under backpressure. Buffered
 	// ack updates flush on the same trigger: a spout's drain wait must not
 	// stall on checksum bits parked in an idle executor.
-	recv := func() (*batch, bool) {
+	recv := func() *batch {
 		select {
-		case b, ok := <-ex.in:
-			return b, ok
+		case b := <-ex.in:
+			return b
 		default:
 		}
 		out.flushAll()
 		if ab != nil {
 			ab.flush()
 		}
-		b, ok := <-ex.in
-		return b, ok
+		return <-ex.in
 	}
 	// bt/next are the batch being processed and the envelope to process
-	// next, hoisted out of loop() so the panic handler can resume after the
-	// poisoned envelope without dropping the rest of its batch.
+	// next, and ends the end markers received so far, hoisted out of loop()
+	// so the panic handler can resume after the poisoned envelope without
+	// dropping the rest of its batch.
 	var bt *batch
-	next := 0
+	next, ends := 0, 0
 	// With tracing off, the clock is read once per batch, not per envelope:
 	// btStart stamps the batch's arrival and the elapsed time is attributed
 	// to tasks proportionally to done[local], the per-task executed count of
@@ -1030,19 +968,23 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 		}()
 		for {
 			if bt == nil {
-				var ok bool
-				if bt, ok = recv(); !ok {
-					return true
-				}
-				if r.epochs != nil && (bt.epoch != 0 || bt.epochRetire) {
-					// Epoch barrier (or an upstream executor's retirement):
-					// count it toward alignment; once every live upstream's
-					// barrier arrived, onBarrier flushes this executor's
-					// output and forwards the barrier downstream.
-					e, retire := bt.epoch, bt.epochRetire
+				bt = recv()
+				if bt.end || bt.epoch != 0 {
+					// A marker: an epoch barrier or an upstream executor's
+					// end of stream. Alignment counts both; once every live
+					// upstream's barrier arrived, onBarrier flushes this
+					// executor's output and forwards the barrier downstream.
+					e, end := bt.epoch, bt.end
 					r.putBatch(bt)
 					bt = nil
-					r.epochs.onBarrier(ex, out, e, retire)
+					if r.epochs != nil {
+						r.epochs.onBarrier(ex, out, e, end)
+					}
+					if end {
+						if ends++; ends == rc.upstream {
+							return true
+						}
+					}
 					continue
 				}
 				next = 0
@@ -1182,16 +1124,11 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 	}
 	for !loop() {
 	}
-	// Input closed: put the remainder of the pipeline on the wire before
-	// this executor reports itself done and downstream channels can close.
+	// Input ended: put the remainder of the pipeline on the wire before
+	// this executor ends its own stream.
 	out.flushAll()
 	if ab != nil {
 		ab.flush()
-	}
-	if ec := r.epochs; ec != nil {
-		// Retire in-band behind the final flush: downstream alignment
-		// stops expecting this executor for epochs after its last pass.
-		ec.retireExec(ex, ec.align[ex.eid].passed)
 	}
 	for i, ts := range ex.tasks {
 		if !prepared[i] {
@@ -1201,6 +1138,10 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 			r.taskFailed(rc, ts, fmt.Errorf("storm: bolt %s task %d cleanup: %w", rc.spec.id, ts.ctx.TaskID, err))
 		}
 	}
+	if r.epochs != nil {
+		return r.epochs.align[ex.eid].passed
+	}
+	return 0
 }
 
 // taskCollector routes a task's emissions to downstream subscriptions.

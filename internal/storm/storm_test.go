@@ -527,8 +527,8 @@ func TestMonitorReportsWindows(t *testing.T) {
 }
 
 func TestDiamondTopologyNoDoubleClose(t *testing.T) {
-	// src → (a, b) → sink: sink has two producers; its channel must close
-	// exactly once after both finish.
+	// src → (a, b) → sink: sink has four upstream executors and returns
+	// once all four ended their streams, after both branches delivered.
 	var mu sync.Mutex
 	count := 0
 	b := NewTopologyBuilder("t")

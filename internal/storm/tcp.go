@@ -3,24 +3,27 @@ package storm
 // TCP peer links: worker membership over a static peer list, one
 // directed connection per ordered worker pair (each worker dials every
 // other and announces itself with a hello frame), heartbeat liveness, and
-// the distributed halves of producer accounting (eof frames), anchored-
-// tuple tracking (ackBatch frames carrying checksum updates to each
-// root's owner), and the epoch protocol (barrier frames between executors,
+// the distributed halves of the end of stream (marker frames ending each
+// edge, one done frame per worker as it leaves), anchored-tuple tracking
+// (ackBatch frames carrying checksum updates to each root's owner), and
+// the epoch protocol (marker frames carrying barriers between executors,
 // one-way epoch frames between the coordinator and the workers).
 //
 // Per-sender FIFO comes straight from TCP: everything a worker sends to a
-// given peer — batches, the eofs that retire the emitting executors, epoch
-// barriers and messages — shares one connection and is processed in order
-// by a single reader goroutine. That ordering is what makes
-// close-on-last-producer race-free without any cross-worker locking, and
-// what applies one sender's epoch messages in send order.
+// given peer — batches, markers, epoch messages, done — shares one
+// connection and is delivered in order by a single reader goroutine, the
+// only one that delivers that peer's frames. That ordering is what makes
+// an end marker prove its sender's batches are ahead of it without any
+// cross-worker locking, and what applies one sender's epoch messages in
+// send order. When the reader stops, it delivers the ends the peer still
+// owes behind the last frame it delivered, so nothing from a lost peer
+// arrives after its ends.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -74,13 +77,13 @@ type anchorRef struct{ ack, edge uint64 }
 var peerQueueBytes = 1 << 20
 
 // peerCtrlHeadroom is the band reserved above peerQueueBytes for
-// trySendSmall: every other enqueue (data, eof, ack and epoch frames)
+// trySendSmall: every other enqueue (data, marker, done, ack and epoch frames)
 // blocks at the bound, so heartbeats always find room even when the peer
 // is saturated with data — see trySendSmall.
 const peerCtrlHeadroom = 8 << 10
 
 // shutdownFlushTimeout bounds how long Close waits for a peer's writer to
-// flush its queue (eofs, final acks) before the connection is torn down.
+// flush its queue (done frames, final acks) before the connection is torn down.
 const shutdownFlushTimeout = 2 * time.Second
 
 // tcpPeer is the outbound link to one worker.
@@ -103,6 +106,11 @@ type tcpPeer struct {
 	anchors []anchorRef
 	qBytes  int
 	closing bool
+	// in is the peer's inbound connection once a reader serves it (from its
+	// hello on; guarded by mu). left is set once the peer sent done or was
+	// declared lost.
+	in   net.Conn
+	left atomic.Bool
 
 	writerDone chan struct{}
 }
@@ -205,7 +213,7 @@ func (p *tcpPeer) writeLoop() {
 }
 
 // sendSmall builds a frame into a pooled buffer off the peer lock and
-// queues it, for the fixed-size frames (eofs, acks, epoch barriers and
+// queues it, for the fixed-size frames (markers, done, acks and epoch
 // messages). The frame coalesces into the writer's next writev instead of
 // costing its own syscall.
 func (p *tcpPeer) sendSmall(build func([]byte) []byte) error {
@@ -302,12 +310,9 @@ type peerLinks struct {
 	hb    time.Duration
 	ln    net.Listener
 	peers []*tcpPeer // by worker id; nil at self
-
-	// ackWorkerMask extracts the owning worker from an XOR-acker root id
-	// (the same low-bit layout newXorAcker derives from the peer count),
-	// precomputed so the per-envelope no-acking degrade path
-	// (releaseAnchors) does no bit-width arithmetic.
-	ackWorkerMask uint64
+	// left counts the peers that have neither sent done nor been declared
+	// lost; leave waits for it.
+	left sync.WaitGroup
 
 	// ready is closed once the peers slice is fully built; inbound readers
 	// park on it before dispatching their first frame, so early-connecting
@@ -329,9 +334,7 @@ func newPeerLinks(r *Runtime) (*peerLinks, error) {
 		ready:  make(chan struct{}),
 		stopCh: make(chan struct{}),
 	}
-	if n := len(r.cfg.peers); n > 1 {
-		l.ackWorkerMask = 1<<uint(bits.Len(uint(n-1))) - 1
-	}
+	l.left.Add(len(r.cfg.peers) - 1)
 	if r.acker != nil {
 		r.acker.sendRemote = l.sendAckBatch
 	}
@@ -424,8 +427,8 @@ func (l *peerLinks) send(dest *executor, b *batch) error {
 }
 
 // Close shuts the links down; idempotent. Peer writers drain their queues
-// first (bounded by shutdownFlushTimeout) so final eofs and acks reach the
-// wire, then the connections close.
+// first (bounded by shutdownFlushTimeout) so done frames and final acks
+// reach the wire, then the connections close.
 func (l *peerLinks) Close() {
 	if l.closed.Swap(true) {
 		return
@@ -484,11 +487,15 @@ func (l *peerLinks) heartbeatLoop() {
 }
 
 // readLoop serves one inbound connection. The first frame must be the
-// peer's hello; every later frame is dispatched in order. Liveness: one
-// 4-heartbeat deadline is armed per frame (covering both the header and
-// payload reads), so a genuinely silent peer is detected while a reader
-// merely blocked delivering into a full executor queue (backpressure) is
-// not — the deadline only covers the socket wait.
+// hello of a peer no reader served before and not declared lost; every
+// later frame is dispatched in order, and this reader is the only goroutine
+// that delivers the peer's frames. When it stops, it declares the peer lost
+// unless the peer sent done first, then delivers the ends the peer still
+// owes, behind the last frame it delivered. Liveness: one 4-heartbeat
+// deadline is armed per frame (covering both the header and payload reads),
+// so a genuinely silent peer is detected while a reader merely blocked
+// delivering into a full executor queue (backpressure) is not — the
+// deadline only covers the socket wait.
 func (l *peerLinks) readLoop(conn net.Conn) {
 	defer l.wg.Done()
 	defer conn.Close()
@@ -498,26 +505,10 @@ func (l *peerLinks) readLoop(conn net.Conn) {
 		return
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	dec := &frameDecoder{r: l.r}
 	var header [frameHeaderLen]byte
 	var payload []byte
-	peer := -1
-	fail := func(err error) {
-		if l.closed.Load() || peer < 0 {
-			return
-		}
-		if l.r.peerRetired(peer) {
-			return // clean exit: every executor of the peer already retired
-		}
-		l.peerLost(peer, err)
-	}
-	// A delivery can race peerLost force-closing downstream channels; treat
-	// the resulting panic as a connection failure, not a process crash.
-	defer func() {
-		if p := recover(); p != nil {
-			fail(fmt.Errorf("storm: inbound dispatch: %v", p))
-		}
-	}()
+	var in *inbound
+	var err error
 	for {
 		// The deadline guards the socket wait only: when the next frame is
 		// already sitting in the buffered reader, skip the re-arm (a
@@ -525,14 +516,13 @@ func (l *peerLinks) readLoop(conn net.Conn) {
 		if br.Buffered() < frameHeaderLen {
 			conn.SetReadDeadline(time.Now().Add(4 * l.hb))
 		}
-		if _, err := io.ReadFull(br, header[:]); err != nil {
-			fail(err)
-			return
+		if _, err = io.ReadFull(br, header[:]); err != nil {
+			break
 		}
 		n := binary.BigEndian.Uint32(header[:])
 		if n == 0 || n > maxFramePayload {
-			fail(fmt.Errorf("storm: bad frame length %d", n))
-			return
+			err = fmt.Errorf("storm: bad frame length %d", n)
+			break
 		}
 		if cap(payload) < int(n) {
 			payload = make([]byte, n)
@@ -541,36 +531,73 @@ func (l *peerLinks) readLoop(conn net.Conn) {
 		if br.Buffered() < int(n) {
 			conn.SetReadDeadline(time.Now().Add(4 * l.hb))
 		}
-		if _, err := io.ReadFull(br, payload); err != nil {
-			fail(err)
-			return
+		if _, err = io.ReadFull(br, payload); err != nil {
+			break
 		}
 		typ, body := payload[0], payload[1:]
-		if peer < 0 {
-			w, _, err := decodeUvarint(body)
-			if typ != frameHello || err != nil || int(w) >= len(l.peers) || int(w) == l.self {
-				return // not a peer of ours
+		if in == nil {
+			if in = l.serve(typ, body, conn); in == nil {
+				return // not a peer of ours, or one already served or lost
 			}
-			peer = int(w)
 			continue
 		}
-		err := l.dispatch(peer, typ, body, dec)
+		err = in.dispatch(typ, body)
 		if cap(payload) > maxScratchBytes {
 			payload = nil // retention cap: a jumbo frame's buffer is not pinned
 		}
 		if err != nil {
-			fail(err)
-			return
+			break
 		}
 	}
+	if in == nil || l.closed.Load() {
+		return
+	}
+	if !l.peers[in.peer].left.Load() {
+		l.peerLost(in.peer, err)
+	}
+	l.endStreams(in.owed, in.epoch)
 }
 
-func (l *peerLinks) dispatch(peer int, typ byte, body []byte, dec *frameDecoder) error {
+// serve takes the first frame of an inbound connection, which must be a
+// peer's hello, and registers conn as that peer's inbound connection. It
+// returns nil for anything else, for a peer a reader already served, and
+// for one declared lost.
+func (l *peerLinks) serve(typ byte, body []byte, conn net.Conn) *inbound {
+	w, _, err := decodeUvarint(body)
+	if typ != frameHello || err != nil || w >= uint64(len(l.peers)) || int(w) == l.self {
+		return nil
+	}
+	p := l.peers[w]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.in != nil || p.dead.Load() {
+		return nil
+	}
+	p.in = conn
+	return &inbound{l: l, peer: int(w), dec: frameDecoder{r: l.r}, owed: l.owedEnds(int(w))}
+}
+
+// inbound is the state of one served connection's reader.
+type inbound struct {
+	l    *peerLinks
+	peer int
+	dec  frameDecoder
+	// owed counts, per executor of this worker, the ends the peer's
+	// executors have yet to deliver to it. epoch is the highest epoch a
+	// marker from the peer carried: the ends the reader delivers for a
+	// lost peer carry it, so alignment exempts the peer's executors only
+	// from epochs none of them reached.
+	owed  []int
+	epoch uint64
+}
+
+func (in *inbound) dispatch(typ byte, body []byte) error {
+	l := in.l
 	switch typ {
-	case frameHeartbeat:
+	case frameHeartbeat, frameHello: // a redundant hello is ignored
 		return nil
 	case frameBatch:
-		destEID, b, err := dec.decodeBatchFrame(body)
+		destEID, b, err := in.dec.decodeBatchFrame(body)
 		if err != nil {
 			return err
 		}
@@ -579,30 +606,20 @@ func (l *peerLinks) dispatch(peer int, typ byte, body []byte, dec *frameDecoder)
 			l.r.putBatch(b)
 			return err
 		}
-		if p := l.peers[peer]; p != nil && p.dead.Load() {
-			// The peer was declared lost and its executors force-retired, so
-			// downstream channels may already be closed: a straggler batch
-			// from its still-open inbound connection is dropped, not
-			// delivered.
-			l.r.dropBatch(ex.comp, b, fmt.Errorf("storm: batch from lost worker %d", peer))
-			return nil
-		}
-		// With the XOR acker running, root ids are global and every worker
-		// routes checksum updates to the owner directly, so anchored
-		// envelopes pass through untranslated.
-		if l.r.acker == nil {
-			l.releaseAnchors(b, dec)
-		}
 		ex.deliver(b)
 		return nil
-	case frameEOF:
-		eid, _, err := decodeUvarint(body)
-		if err != nil {
-			return err
+	case frameMarker:
+		return in.marker(body)
+	case frameDone:
+		if len(body) != 0 {
+			return fmt.Errorf("storm: done frame with a %d-byte body", len(body))
 		}
-		l.r.remoteExecDone(int(eid))
+		l.peerLeft(l.peers[in.peer]) // its connection closing is now a clean exit
 		return nil
 	case frameAckBatch:
+		if l.r.acker == nil {
+			return fmt.Errorf("storm: ackBatch frame at worker %d, which runs without the XOR acker", l.self)
+		}
 		count, b, err := decodeUvarint(body)
 		if err != nil {
 			return err
@@ -615,38 +632,9 @@ func (l *peerLinks) dispatch(peer int, typ byte, body []byte, dec *frameDecoder)
 			if len(b) < 9 {
 				return errShortFrame
 			}
-			xor := binary.BigEndian.Uint64(b)
-			failed := b[8] != 0
+			l.r.acker.apply(root, binary.BigEndian.Uint64(b), b[8] != 0)
 			b = b[9:]
-			if l.r.acker != nil {
-				l.r.acker.apply(root, xor, failed)
-			}
 		}
-		return nil
-	case frameEpochBarrier:
-		eid, rest, err := decodeUvarint(body)
-		if err != nil {
-			return err
-		}
-		epoch, rest, err := decodeUvarint(rest)
-		if err != nil {
-			return err
-		}
-		retire, _, err := decodeUvarint(rest)
-		if err != nil {
-			return err
-		}
-		ex, err := l.inboundBolt(int(eid), nil)
-		if err != nil {
-			return err
-		}
-		// Deliver on the readLoop, like data frames: the barrier slots into
-		// the executor channel behind every earlier delivery from this
-		// connection, which is the FIFO property alignment relies on.
-		b := l.r.getBatch()
-		b.epoch = epoch
-		b.epochRetire = retire != 0
-		ex.deliver(b)
 		return nil
 	case frameEpoch:
 		m, err := decodeEpochFrame(body)
@@ -657,17 +645,55 @@ func (l *peerLinks) dispatch(peer int, typ byte, body []byte, dec *frameDecoder)
 			return fmt.Errorf("storm: epoch frame at worker %d, which runs without epoch mode", l.self)
 		}
 		return l.r.epochs.apply(m)
-	case frameHello:
-		return nil // redundant hello: ignore
 	}
 	return fmt.Errorf("storm: unknown frame type %d", typ)
 }
 
-// inboundBolt checks the executor a peer's batch or barrier frame names,
-// and the tasks its envelopes name, against the placement. Only a bolt
-// executor placed on this worker may be addressed — a spout's input queue
-// has no reader, and another worker's executor does not run here — and only
-// tasks that executor has. Anything else is a malformed frame.
+// marker delivers one marker frame: an epoch barrier, or an end of stream
+// the peer still owed the executor it names.
+func (in *inbound) marker(body []byte) error {
+	l := in.l
+	eid, rest, err := decodeUvarint(body)
+	if err != nil {
+		return err
+	}
+	epoch, rest, err := decodeUvarint(rest)
+	if err != nil {
+		return err
+	}
+	end, _, err := decodeUvarint(rest)
+	if err != nil {
+		return err
+	}
+	ex, err := l.inboundBolt(int(eid), nil)
+	if err != nil {
+		return err
+	}
+	if epoch != 0 && l.r.epochs == nil {
+		return fmt.Errorf("storm: marker for epoch %d at worker %d, which runs without epoch mode", epoch, l.self)
+	}
+	if end != 0 {
+		if in.owed[ex.eid] == 0 {
+			return fmt.Errorf("storm: end of stream for executor %d beyond the executors of worker %d that feed it", ex.eid, in.peer)
+		}
+		in.owed[ex.eid]--
+	}
+	in.epoch = max(in.epoch, epoch)
+	// Deliver on the reader, like data frames: the marker slots into the
+	// executor's queue behind every earlier delivery from this connection,
+	// the FIFO property alignment and the end of stream rely on.
+	ex.in <- l.r.marker(epoch, end != 0)
+	return nil
+}
+
+// inboundBolt checks the executor a peer's batch or marker frame names,
+// and the envelopes of a batch, against the placement and the options.
+// Only a bolt executor placed on this worker may be addressed — a spout's
+// input queue has no reader, and another worker's executor does not run
+// here — and only tasks that executor has. An anchored envelope needs the
+// XOR acker here: root ids are global, so with it running every worker
+// routes checksum updates to the owner directly and anchored envelopes pass
+// through untranslated. Anything else is a malformed frame.
 func (l *peerLinks) inboundBolt(eid int, envs []envelope) (*executor, error) {
 	if eid < 0 || eid >= len(l.r.execs) {
 		return nil, fmt.Errorf("storm: frame for unknown executor %d", eid)
@@ -680,44 +706,11 @@ func (l *peerLinks) inboundBolt(eid int, envs []envelope) (*executor, error) {
 		if uint(envs[i].local) >= uint(len(ex.tasks)) {
 			return nil, fmt.Errorf("storm: frame for task %d of executor %d, which has %d", envs[i].local, eid, len(ex.tasks))
 		}
+		if envs[i].tuple.ack != 0 && l.r.acker == nil {
+			return nil, fmt.Errorf("storm: anchored envelope for executor %d at worker %d, which runs without the XOR acker", eid, l.self)
+		}
 	}
 	return ex, nil
-}
-
-// releaseAnchors handles anchored envelopes arriving at a worker that runs
-// no acking at all (configuration mismatch): tracking degrades to
-// at-most-once. Each envelope's edge is consumed (without the fail bit) by
-// forwarding one checksum update to the root's owner, so the sender's tree
-// can still resolve, and the anchor fields are zeroed so local executors
-// never touch an acker that does not exist here.
-//
-// XOR updates coalesce per batch into the decoder's per-owner scratch
-// slices (one ackBatch frame per owning worker per inbound batch) instead
-// of allocating a one-element slice per envelope.
-func (l *peerLinks) releaseAnchors(b *batch, dec *frameDecoder) {
-	for i := range b.envs {
-		env := &b.envs[i]
-		if env.tuple.ack == 0 {
-			continue
-		}
-		if owner := int(env.tuple.ack & l.ackWorkerMask); owner != l.self {
-			if dec.ackScratch == nil {
-				dec.ackScratch = make([][]ackUpdate, len(l.peers))
-			}
-			if len(dec.ackScratch[owner]) == 0 {
-				dec.ackDirty = append(dec.ackDirty, owner)
-			}
-			dec.ackScratch[owner] = append(dec.ackScratch[owner], ackUpdate{root: env.tuple.ack, xor: env.tuple.edge})
-		}
-		env.tuple.ack, env.tuple.edge = 0, 0
-	}
-	for _, w := range dec.ackDirty {
-		// appendAckBatchFrame copies the entries into the frame, so the
-		// scratch slice is immediately reusable.
-		l.sendAckBatch(w, dec.ackScratch[w])
-		dec.ackScratch[w] = dec.ackScratch[w][:0]
-	}
-	dec.ackDirty = dec.ackDirty[:0]
 }
 
 // sendAckBatch ships a coalesced batch of XOR checksum updates to the
@@ -732,21 +725,33 @@ func (l *peerLinks) sendAckBatch(worker int, ents []ackUpdate) {
 	}
 }
 
-// broadcastEOF tells every peer one of this worker's executors exited.
-// Sent on the same connections as the executor's batches, after its final
-// flush — FIFO ordering guarantees no batch arrives after its eof.
-func (l *peerLinks) broadcastEOF(eid int) {
+// leave runs once the last local executor exited: it sends done to every
+// peer, behind the executors' final markers, and waits until every peer
+// sent done or was declared lost. Workers leave together, so a peer that
+// finishes later never dials a closed listener or writes its final markers
+// into a closed socket.
+func (l *peerLinks) leave() {
 	for _, p := range l.peers {
-		if p == nil {
-			continue
+		if p != nil {
+			p.sendSmall(appendDoneFrame)
 		}
-		p.sendSmall(func(b []byte) []byte { return appendEOFFrame(b, eid) })
+	}
+	l.left.Wait()
+}
+
+// peerLeft marks a worker gone from the run: it sent done or was declared
+// lost.
+func (l *peerLinks) peerLeft(p *tcpPeer) {
+	if !p.left.Swap(true) {
+		l.left.Done()
 	}
 }
 
-// peerLost declares a worker dead: its in-flight batches are gone, so its
-// executors are retired (idempotently) to unblock producer accounting, and
-// the failure is surfaced as the run error under FailFast.
+// peerLost declares a worker dead: frames queued for it fail, the loss is
+// the run error under FailFast, and its streams end. When a reader served
+// the worker, closing its inbound connection stops that reader, which ends
+// the streams behind the last frame it delivered; only when none ever did
+// does peerLost end them itself.
 func (l *peerLinks) peerLost(worker int, cause error) {
 	p := l.peers[worker]
 	if p == nil || p.dead.Swap(true) {
@@ -756,22 +761,46 @@ func (l *peerLinks) peerLost(worker int, cause error) {
 	if l.r.policy != Degrade {
 		l.r.recordErr(fmt.Errorf("storm: worker %d: lost worker %d: %w", l.self, worker, cause))
 	}
-	for _, ex := range l.r.execs {
-		if ex.worker == worker {
-			l.r.remoteExecDone(ex.eid)
-		}
+	p.mu.Lock()
+	in := p.in
+	p.cond.Broadcast() // an enqueue waiting for queue space fails now
+	p.mu.Unlock()
+	if in != nil {
+		in.Close()
+	} else {
+		l.endStreams(l.owedEnds(worker), 0)
 	}
+	l.peerLeft(p)
 }
 
-// peerRetired reports whether every executor of a worker has been retired
-// (its eof processed), i.e. a connection from it closing is a clean exit.
-func (r *Runtime) peerRetired(worker int) bool {
-	r.eofMu.Lock()
-	defer r.eofMu.Unlock()
-	for _, ex := range r.execs {
-		if ex.worker == worker && !r.eofSeen[ex.eid] {
-			return false
+// owedEnds counts, per executor of this worker, the ends worker w owes it:
+// one per executor of w that feeds it.
+func (l *peerLinks) owedEnds(w int) []int {
+	owed := make([]int, len(l.r.execs))
+	for _, src := range l.r.execs {
+		if src.worker != w {
+			continue
+		}
+		for _, dest := range src.comp.down {
+			if dest.worker == l.self {
+				owed[dest.eid]++
+			}
 		}
 	}
-	return true
+	return owed
+}
+
+// endStreams delivers the ends a peer still owes, each carrying epoch,
+// until the links close: every local executor has exited then, or never
+// started.
+func (l *peerLinks) endStreams(owed []int, epoch uint64) {
+	for eid, n := range owed {
+		for ; n > 0; n-- {
+			select {
+			case l.r.execs[eid].in <- l.r.marker(epoch, true):
+			case <-l.stopCh:
+				return
+			}
+		}
+	}
 }

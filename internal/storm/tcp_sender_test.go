@@ -42,6 +42,7 @@ func newSenderRig(t *testing.T, r *Runtime, sockBuf int) *senderRig {
 		server.(*net.TCPConn).SetReadBuffer(sockBuf)
 	}
 	links := &peerLinks{r: r, self: 0, peers: make([]*tcpPeer, 2)}
+	links.left.Add(1) // worker 1 has not left
 	p := newTCPPeer(links, 1, client)
 	links.peers[1] = p
 	rig := &senderRig{links: links, peer: p, server: server, ln: ln}
@@ -74,7 +75,7 @@ func sendRecord(p *tcpPeer, rec []byte) error {
 
 // TestDistributedSenderFIFOUnderCoalescing interleaves the three enqueue
 // entry points — batch frames (enqueue with a component), small control
-// frames (sendSmall, like eof/fence/ack frames), and heartbeats
+// frames (sendSmall, like marker/done/ack frames), and heartbeats
 // (trySendSmall) — and asserts the byte stream arrives in exact enqueue
 // order: the writer coalesces whole queue takes into one writev but must
 // never reorder across frame types.
@@ -96,7 +97,7 @@ func TestDistributedSenderFIFOUnderCoalescing(t *testing.T) {
 				if err = rig.peer.enqueue(f, comp, []envelope{{tuple: Tuple{}}}); err != nil {
 					putFrameBuf(f)
 				}
-			case 1: // control path used by eof/fence/ack frames
+			case 1: // control path used by marker/done/ack frames
 				err = sendRecord(rig.peer, rec)
 			default: // heartbeat path, which never waits for queue space
 				rig.peer.trySendSmall(func(b []byte) []byte { return append(b[:0], rec...) })

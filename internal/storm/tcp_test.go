@@ -3,6 +3,7 @@ package storm
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strconv"
@@ -551,6 +552,53 @@ func TestDistributedRejectsStrayEpochFrames(t *testing.T) {
 	}
 }
 
+// TestDistributedRejectsFramesTheOptionsCannotProduce: frames only a
+// worker run with other options sends — an anchored envelope or an ackBatch
+// frame at a worker without the XOR acker, a marker carrying an epoch at a
+// worker without epoch mode — each fail the link instead of degrading or
+// being delivered.
+func TestDistributedRejectsFramesTheOptionsCannotProduce(t *testing.T) {
+	anchored, err := appendBatchFrame(nil, 1, []envelope{{tuple: Tuple{Stream: DefaultStream, ack: 2, edge: 7}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, why string
+		frame     []byte
+	}{
+		{"anchoredWithoutAcker", "anchored envelope for executor 1 at worker 0, which runs without the XOR acker", anchored},
+		{"ackBatchWithoutAcker", "ackBatch frame at worker 0, which runs without the XOR acker", appendAckBatchFrame(nil, []ackUpdate{{root: 2, xor: 7}})},
+		{"epochMarkerWithoutEpochMode", "marker for epoch 5 at worker 0, which runs without epoch mode", appendMarkerFrame(nil, 1, 5, false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rejectsFrame(t, tc.frame, tc.why, nil)
+		})
+	}
+}
+
+// TestDistributedRejectsBadEndOfStream: an end marker beyond the number of
+// the sender's executors that feed the destination — a duplicate end would
+// finish the executor early — and a done frame with a body each fail the
+// link.
+func TestDistributedRejectsBadEndOfStream(t *testing.T) {
+	for _, tc := range []struct {
+		name, why string
+		frame     []byte
+	}{
+		// Worker 1's only executor, the second sink executor, feeds nothing.
+		{"endBeyondFeeders", "end of stream for executor 1 beyond the executors of worker 1 that feed it", appendMarkerFrame(nil, 1, 0, true)},
+		{"doneWithBody", "done frame with a 1-byte body", endFrame(append(beginFrame(nil, frameDone), 0))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rejectsFrame(t, tc.frame, tc.why, func(rt *Runtime) {
+				if ex := rt.execs[1]; ex.worker != 0 || ex.comp.spec.id != "sink" || rt.execs[2].worker != 1 {
+					t.Fatal("the test needs executor 1 to be the sink's on worker 0, and the other sink executor alone on worker 1")
+				}
+			})
+		})
+	}
+}
+
 // rejectsFrame plays worker 1 of a two-worker run whose worker 0 it starts
 // (a spout task and one sink task; check inspects the runtime first when
 // non-nil): it connects, says hello and sends frame, which must fail the
@@ -668,5 +716,131 @@ func TestDistributedEpochSurvivesPeerLoss(t *testing.T) {
 		case <-timeout:
 			t.Fatalf("%d of 2 workers returned within 5s of the loss", i)
 		}
+	}
+}
+
+// streamSpout emits until released.
+type streamSpout struct {
+	i       int
+	release chan struct{}
+}
+
+func (s *streamSpout) Open(TaskContext) error { return nil }
+func (s *streamSpout) Close() error           { return nil }
+func (s *streamSpout) NextTuple(col Collector) (bool, error) {
+	select {
+	case <-s.release:
+		return false, nil
+	default:
+	}
+	col.Emit(map[string]any{"i": s.i})
+	s.i++
+	return true, nil
+}
+
+// TestDistributedPeerLossEndsStreams: worker 1 declares worker 0 lost while
+// worker 0 streams into worker 1's sink. The reader that served worker 0
+// ends the stream worker 0 still owes that sink, behind the last batch it
+// delivered, so both Run calls return within 5 s, and worker 1's error
+// names the lost worker.
+func TestDistributedPeerLossEndsStreams(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	reached := make(chan struct{}) // a tuple reached worker 1's sink
+	build := func(w int) *TopologyBuilder {
+		b := NewTopologyBuilder("t")
+		b.SetSpout("src", func() Spout { return &streamSpout{release: release} }, 1, 1)
+		b.SetBolt("sink", func() Bolt {
+			return &funcBolt{exec: func(Tuple, Collector) error {
+				if w == 1 {
+					once.Do(func() { close(reached) })
+				}
+				return nil
+			}}
+		}, 2, 2).FieldsGrouping("src", "i")
+		return b
+	}
+	rig := newDistRig(t, 2, build, WithHeartbeat(20*time.Millisecond))
+	for _, p := range rig.rts[0].Placements() {
+		if want := map[string]int{"src": 0, "sink": p.TaskIndex}[p.Component]; p.Worker != want {
+			t.Fatalf("%s task %d placed on worker %d, the test needs %d", p.Component, p.TaskIndex, p.Worker, want)
+		}
+	}
+	errs := make([]chan error, 2)
+	for i, rt := range rig.rts {
+		errs[i] = make(chan error, 1)
+		go func() { errs[i] <- rt.Run() }()
+	}
+	select {
+	case <-reached:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no tuple reached worker 1")
+	}
+	rig.rts[1].links.peerLost(0, errors.New("injected"))
+	close(release)
+	timeout := time.After(5 * time.Second)
+	for i := range errs {
+		select {
+		case err := <-errs[i]:
+			if i == 1 && (err == nil || !strings.Contains(err.Error(), "lost worker 0")) {
+				t.Errorf("worker 1: Run = %v, want the lost worker 0", err)
+			}
+		case <-timeout:
+			t.Fatalf("worker %d did not return within 5s of the loss", i)
+		}
+	}
+}
+
+// TestDistributedPeerLossWithoutReader: worker 1 accepts worker 0's dial,
+// never dials back, and goes away, while worker 0's sink executor is fed by
+// worker 1's spout executor. No reader ever served worker 1, so declaring
+// it lost ends that stream: worker 0's Run returns within 5 s and names the
+// lost worker.
+func TestDistributedPeerLossWithoutReader(t *testing.T) {
+	b := NewTopologyBuilder("t")
+	b.SetSpout("src", func() Spout { return &seqSpout{n: 100, keys: 4} }, 2, 2)
+	b.SetBolt("sink", func() Bolt { return &passBolt{} }, 2, 2).FieldsGrouping("src", "key")
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peers []string
+	var lns []net.Listener
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		lns = append(lns, ln)
+		peers = append(peers, ln.Addr().String())
+	}
+	rt, err := New(topo, WithWorker(0, peers), WithListener(lns[0]), WithHeartbeat(20*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rt.Placements() {
+		if want := map[string]int{"src": p.TaskIndex, "sink": 1 - p.TaskIndex}[p.Component]; p.Worker != want {
+			t.Fatalf("%s task %d placed on worker %d, the test needs %d", p.Component, p.TaskIndex, p.Worker, want)
+		}
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- rt.Run() }()
+	conn, err := lns[1].Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, make([]byte, len(appendHelloFrame(nil, 0)))); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	lns[1].Close()
+	select {
+	case err := <-ran:
+		if err == nil || !strings.Contains(err.Error(), "lost worker 1") {
+			t.Fatalf("Run = %v, want the lost worker 1", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker 0 did not return within 5s of the loss")
 	}
 }

@@ -6,8 +6,8 @@ package storm
 // the wire codec (wire.go) and queued on the runtime's link to that worker
 // (peerLinks, tcp.go), which is nil in a single-process run. Both hops keep
 // per-sender FIFO order: two batches from one executor to one destination
-// arrive in send order, which producer-exit accounting, epoch barriers
-// and the in-band ownership changes of a rebalance rely on.
+// arrive in send order, which end-of-stream markers, epoch barriers and the
+// in-band ownership changes of a rebalance rely on.
 
 import "fmt"
 
@@ -50,4 +50,30 @@ func (r *Runtime) dropBatch(target *runningComponent, b *batch, cause error) {
 		r.recordErr(fmt.Errorf("storm: dropping %d tuples for %s: %w", len(b.envs), target.spec.id, cause))
 	}
 	r.putBatch(b)
+}
+
+// forward sends one marker from comp to every downstream executor: an
+// epoch barrier, or with end set the end of the sender's stream, carrying
+// under AckEpoch the last epoch the sender passed. It MUST run on the
+// sending executor's goroutine with its output buffers flushed: per-channel
+// and per-peer FIFO is what makes a marker prove every earlier envelope
+// from its sender is ahead of it. A marker bypasses executor.deliver, so
+// storm.<comp>.batches counts data batches only.
+func (r *Runtime) forward(comp *runningComponent, epoch uint64, end bool) {
+	for _, dest := range comp.down {
+		if r.localExec(dest) {
+			dest.in <- r.marker(epoch, end)
+			continue
+		}
+		if p := r.links.peers[dest.worker]; p != nil {
+			eid := dest.eid
+			_ = p.sendSmall(func(b []byte) []byte { return appendMarkerFrame(b, eid, epoch, end) })
+		}
+	}
+}
+
+func (r *Runtime) marker(epoch uint64, end bool) *batch {
+	b := r.getBatch()
+	b.epoch, b.end = epoch, end
+	return b
 }

@@ -30,17 +30,17 @@ import (
 
 // Frame types.
 const (
-	frameHello        byte = iota + 1 // worker id handshake, dialer → acceptor
-	frameBatch                        // envelope batch for one executor
-	frameEOF                          // a sender-side executor exited
-	_                                 // 4 is reserved (a retired ack frame); rejected as unknown
-	_                                 // 5 and 6 are reserved (the retired drain frames,
-	_                                 // frameFence/frameFenceAck); rejected as unknown
-	frameHeartbeat                    // liveness keepalive
-	_                                 // 8 is reserved (the retired control request/response frame); rejected as unknown
-	frameAckBatch                     // coalesced XOR-acker checksum updates
-	frameEpochBarrier                 // aligned epoch barrier for one executor
-	frameEpoch                        // one-way epoch-protocol message (epoch.go)
+	frameHello     byte = iota + 1 // worker id handshake, dialer → acceptor
+	frameBatch                     // envelope batch for one executor
+	frameDone                      // every executor of the sender exited; empty body
+	_                              // 4 is reserved (a retired ack frame); rejected as unknown
+	_                              // 5 and 6 are reserved (the retired drain frames,
+	_                              // frameFence/frameFenceAck); rejected as unknown
+	frameHeartbeat                 // liveness keepalive
+	_                              // 8 is reserved (the retired control request/response frame); rejected as unknown
+	frameAckBatch                  // coalesced XOR-acker checksum updates
+	frameMarker                    // epoch barrier or end of stream for one executor
+	frameEpoch                     // one-way epoch-protocol message (epoch.go)
 )
 
 const (
@@ -311,8 +311,8 @@ func appendBatchFrame(buf []byte, destEID int, envs []envelope) ([]byte, error) 
 }
 
 // frameDecoder is one reader goroutine's decode state: a bounded string
-// intern table and the releaseAnchors per-owner ack scratch (tcp.go). One
-// decoder per connection, owned by its readLoop — never shared.
+// intern table. One decoder per connection, owned by its readLoop — never
+// shared.
 //
 // Stream names, map keys and most string values repeat endlessly across
 // frames: a Figure 8 row carries 26 keys, and its string values — vehicle,
@@ -326,11 +326,6 @@ func appendBatchFrame(buf []byte, destEID int, envs []envelope) ([]byte, error) 
 type frameDecoder struct {
 	r   *Runtime
 	tab map[string]any
-
-	// releaseAnchors scratch: per-owning-worker ackUpdate slices plus the
-	// dirty-owner list, reused across batches (see tcp.go).
-	ackScratch [][]ackUpdate
-	ackDirty   []int
 }
 
 // Intern-table bounds: the longest string interned, and the most entries
@@ -485,8 +480,8 @@ func appendHelloFrame(buf []byte, worker int) []byte {
 	return endFrame(appendUvarint(beginFrame(buf, frameHello), uint64(worker)))
 }
 
-func appendEOFFrame(buf []byte, eid int) []byte {
-	return endFrame(appendUvarint(beginFrame(buf, frameEOF), uint64(eid)))
+func appendDoneFrame(buf []byte) []byte {
+	return endFrame(beginFrame(buf, frameDone))
 }
 
 // appendAckBatchFrame encodes a coalesced batch of XOR-acker checksum
@@ -511,17 +506,18 @@ func appendHeartbeatFrame(buf []byte) []byte {
 	return endFrame(beginFrame(buf, frameHeartbeat))
 }
 
-// appendEpochBarrierFrame encodes an epoch barrier for one remote
-// executor: its dense id, the epoch number, and a retire flag (a retiring
-// sender ships its last passed epoch instead of a new barrier). Barriers
-// ride the same per-peer FIFO queue as data frames, enqueued from the
-// passing executor's own goroutine after its flush, so a barrier on the
-// wire proves every earlier envelope from that executor is ahead of it.
-func appendEpochBarrierFrame(buf []byte, eid int, epoch uint64, retire bool) []byte {
-	buf = appendUvarint(beginFrame(buf, frameEpochBarrier), uint64(eid))
+// appendMarkerFrame encodes a marker for one remote executor: its dense id,
+// an epoch, and the end flag — unset for an epoch barrier, set for the
+// sender's end of stream, whose epoch is the last one it passed (0 outside
+// AckEpoch). Markers ride the same per-peer FIFO queue as data frames,
+// enqueued from the sending executor's own goroutine after its flush, so a
+// marker on the wire proves every earlier envelope from that executor is
+// ahead of it.
+func appendMarkerFrame(buf []byte, eid int, epoch uint64, end bool) []byte {
+	buf = appendUvarint(beginFrame(buf, frameMarker), uint64(eid))
 	buf = appendUvarint(buf, epoch)
 	var fl uint64
-	if retire {
+	if end {
 		fl = 1
 	}
 	return endFrame(appendUvarint(buf, fl))

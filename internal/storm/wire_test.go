@@ -208,8 +208,9 @@ func TestWireEpochFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireSmallFrames pins the fixed frames' layout: hello, eof and
-// heartbeat.
+// TestWireSmallFrames pins the fixed frames' layout: hello, done (an empty
+// body), heartbeat, and the marker (executor id, epoch, end flag) as a
+// barrier and as an end of stream.
 func TestWireSmallFrames(t *testing.T) {
 	check := func(frame []byte, typ byte) []byte {
 		t.Helper()
@@ -225,29 +226,43 @@ func TestWireSmallFrames(t *testing.T) {
 	if w, _, _ := decodeUvarint(b); w != 3 {
 		t.Errorf("hello worker = %d", w)
 	}
-	b = check(appendEOFFrame(nil, 11), frameEOF)
-	if eid, _, _ := decodeUvarint(b); eid != 11 {
-		t.Errorf("eof eid = %d", eid)
+	if b = check(appendDoneFrame(nil), frameDone); len(b) != 0 {
+		t.Errorf("done body = %x, want empty", b)
 	}
 	check(appendHeartbeatFrame(nil), frameHeartbeat)
+	for _, want := range []struct {
+		eid, epoch, end uint64
+	}{{11, 7, 0}, {12, 0, 1}, {13, 9, 1}} {
+		b = check(appendMarkerFrame(nil, int(want.eid), want.epoch, want.end == 1), frameMarker)
+		var got [3]uint64
+		var err error
+		for i := range got {
+			if got[i], b, err = decodeUvarint(b); err != nil {
+				t.Fatalf("marker %+v: %v", want, err)
+			}
+		}
+		if got != [3]uint64{want.eid, want.epoch, want.end} || len(b) != 0 {
+			t.Errorf("marker %+v decodes as %v with %d trailing bytes", want, got, len(b))
+		}
+	}
 }
 
 // TestWireRejectsReservedFrameType pins the frame numbering: types 4–6 stay
-// reserved between eof and heartbeat, and 8 between heartbeat and ackBatch,
+// reserved between done and heartbeat, and 8 between heartbeat and ackBatch,
 // and a well-formed frame of each is rejected like any unknown frame
 // instead of being dispatched — type 4 in the layout the retired ackResult
 // frame had (uvarint id + fail byte), 5 and 6 in the layout of the retired
 // drain fence and its ack (uvarint epoch + component name), 8 in the layout
 // of the retired control request (kind, uvarint id, method, payload).
 func TestWireRejectsReservedFrameType(t *testing.T) {
-	if frameEOF != 3 || frameHeartbeat != 7 || frameAckBatch != 9 || frameEpochBarrier != 10 || frameEpoch != 11 {
-		t.Fatalf("frame numbers shifted: eof = %d, heartbeat = %d, ackBatch = %d, epochBarrier = %d, epoch = %d; want 3, 7, 9, 10 and 11",
-			frameEOF, frameHeartbeat, frameAckBatch, frameEpochBarrier, frameEpoch)
+	if frameDone != 3 || frameHeartbeat != 7 || frameAckBatch != 9 || frameMarker != 10 || frameEpoch != 11 {
+		t.Fatalf("frame numbers shifted: done = %d, heartbeat = %d, ackBatch = %d, marker = %d, epoch = %d; want 3, 7, 9, 10 and 11",
+			frameDone, frameHeartbeat, frameAckBatch, frameMarker, frameEpoch)
 	}
 	fence := appendWireString(appendUvarint(nil, 9), "EsperBolt")
 	control := append(appendWireString([]byte{0, 1}, "storm.epoch.begin"), 0, 0, 0, 0, 0, 0, 0, 1)
 	for typ, body := range map[byte][]byte{4: append(appendUvarint(nil, 77), 1), 5: fence, 6: fence, 8: control} {
-		err := (&peerLinks{}).dispatch(0, typ, body, nil)
+		err := (&inbound{l: &peerLinks{}}).dispatch(typ, body)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown frame type %d", typ)) {
 			t.Fatalf("dispatch(type %d) = %v, want unknown frame type error", typ, err)
 		}
