@@ -9,8 +9,9 @@ package busdata
 const rowFields = 11 + 3 + 11 + 2 + 1
 
 // GetValues returns an empty payload map with room for the fully enriched
-// row. The map belongs to whoever it is handed to next: see DESIGN.md,
-// "Payload ownership".
+// row. The map belongs to whoever it is handed to next; the values in it
+// are immutable and may be shared with other rows: see DESIGN.md, "Payload
+// ownership".
 func GetValues() map[string]any {
 	return make(map[string]any, rowFields)
 }
@@ -23,23 +24,37 @@ func PutValues(map[string]any) {}
 
 // FillValues writes the trace's tuple payload — the exact 11-field schema
 // the BusReader spout emits — into m and returns it. Callers pass a
-// GetValues map on the hot path; any map works.
+// GetValues map on the hot path; any map works. hour, day and congestion
+// come from bounded domains and are written as shared boxes, so a payload
+// costs the boxes of ts, lat, lon, delay, lineId, busStop and vehicleId.
 func (tr *Trace) FillValues(m map[string]any) map[string]any {
 	m["ts"] = float64(tr.Timestamp.Unix())
-	m["hour"] = float64(tr.Hour())
-	m["day"] = DayTypeOf(tr.Timestamp).String()
+	m["hour"] = hourBoxes[tr.Hour()]
+	m["day"] = dayBoxes[DayTypeOf(tr.Timestamp)]
 	m["lineId"] = tr.LineID
 	m["direction"] = tr.Direction
 	m["lat"] = tr.Pos.Lat
 	m["lon"] = tr.Pos.Lon
 	m["delay"] = tr.Delay
-	m["congestion"] = boolToFloat(tr.Congestion)
+	m["congestion"] = congestionBoxes[boolIndex(tr.Congestion)]
 	m["busStop"] = tr.BusStop
 	m["vehicleId"] = tr.VehicleID
 	return m
 }
 
-func boolToFloat(b bool) float64 {
+// The boxed values of FillValues' bounded fields, shared by every payload.
+var (
+	hourBoxes = func() (b [24]any) {
+		for h := range b {
+			b[h] = float64(h)
+		}
+		return
+	}()
+	dayBoxes        = [2]any{Weekday: Weekday.String(), Weekend: Weekend.String()}
+	congestionBoxes = [2]any{0.0, 1.0}
+)
+
+func boolIndex(b bool) int {
 	if b {
 		return 1
 	}

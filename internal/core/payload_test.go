@@ -38,7 +38,7 @@ type payloadRig struct {
 	stats   []sqlstore.StatRow
 }
 
-func newPayloadRig(t *testing.T, window int) *payloadRig {
+func newPayloadRig(t testing.TB, window int) *payloadRig {
 	t.Helper()
 	xml := TopologyXML
 	parsed, err := storm.ParseXML(xml)
@@ -289,7 +289,7 @@ func (r *payloadRig) reference(t *testing.T) map[string]int {
 	t.Helper()
 	_, store := r.world(t)
 	pre := &preProcessBolt{pre: busdata.NewPreprocessor()}
-	area := &areaTrackerBolt{tree: r.cfg.Tree}
+	area := &areaTrackerBolt{areas: newAreaTable(r.cfg.Tree)}
 	stops := &busStopsTrackerBolt{}
 	engines := make([]*esperBolt, r.engines)
 	for i := range engines {
@@ -459,7 +459,7 @@ func TestPayloadNotWrittenAfterFanOut(t *testing.T) {
 func TestPayloadAuditCatchesWriteToSharedRow(t *testing.T) {
 	r := newPayloadRig(t, 1)
 	col := &captureCollector{}
-	area := &areaTrackerBolt{tree: r.cfg.Tree}
+	area := &areaTrackerBolt{areas: newAreaTable(r.cfg.Tree)}
 	if err := area.Execute(storm.Tuple{Values: r.traces[0].FillValues(busdata.GetValues())}, col); err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +539,8 @@ func TestPayloadSharedInputFallsBackToCloning(t *testing.T) {
 			return func() storm.Bolt { b := &preProcessBolt{}; track(CompPreProcess, &b.enricher); return b }, nil
 		})
 		reg.RegisterBolt("areatracker", func(map[string]string) (storm.BoltFactory, error) {
-			return func() storm.Bolt { b := &areaTrackerBolt{tree: cfg.Tree}; track(CompAreaTrack, &b.enricher); return b }, nil
+			areas := newAreaTable(cfg.Tree)
+			return func() storm.Bolt { b := &areaTrackerBolt{areas: areas}; track(CompAreaTrack, &b.enricher); return b }, nil
 		})
 		reg.RegisterBolt("busstops", func(map[string]string) (storm.BoltFactory, error) {
 			return func() storm.Bolt { b := &busStopsTrackerBolt{}; track(CompBusStops, &b.enricher); return b }, nil
@@ -623,10 +624,10 @@ func TestPayloadMatchesClonePerHopReference(t *testing.T) {
 						run.opts = append(run.opts, storm.WithAckTimeout(1500*time.Millisecond),
 							storm.WithFailurePolicy(storm.Degrade))
 						run.mutate = func(reg *storm.Registry, deps *Deps) {
-							tree := deps.Config.Tree
+							areas := newAreaTable(deps.Config.Tree)
 							reg.RegisterBolt("areatracker", func(map[string]string) (storm.BoltFactory, error) {
 								return func() storm.Bolt {
-									return &failOnceBolt{Bolt: &areaTrackerBolt{tree: tree}, vehicle: lone.VehicleID, tripped: &tripped}
+									return &failOnceBolt{Bolt: &areaTrackerBolt{areas: areas}, vehicle: lone.VehicleID, tripped: &tripped}
 								}, nil
 							})
 						}
@@ -653,17 +654,21 @@ func TestPayloadMatchesClonePerHopReference(t *testing.T) {
 
 // TestHotPathAllocatesNoMap prices one tuple through each enricher, on an
 // exclusive edge, and through the EsperBolt up to the engine: what they
-// allocate is the boxed values they write, never a map — a sized payload
+// allocate is the boxed values they compute, never a map — a sized payload
 // map alone is several allocations — and the map that comes out is the map
-// that went in.
+// that went in. A value from a bounded domain the topology knows (an area,
+// a stop name, an hour) is boxed once and costs a trace nothing.
 func TestHotPathAllocatesNoMap(t *testing.T) {
 	r := newPayloadRig(t, 1)
 	exclusive := storm.TaskContext{ExclusiveInput: true}
 	col := &captureCollector{}
-	row := r.traces[len(r.traces)/2].FillValues(busdata.GetValues())
-	pos := r.traces[len(r.traces)/2].Pos
-	layers := len(r.cfg.Tree.Path(pos))
-	pathAllocs := int(testing.AllocsPerRun(100, func() { r.cfg.Tree.Path(pos) }))
+	tr := &r.traces[len(r.traces)/2]
+	row := busdata.GetValues()
+	// The boxes of ts, lat, lon, delay, lineId, busStop and vehicleId.
+	if allocs := testing.AllocsPerRun(100, func() { clear(row); tr.FillValues(row) }); allocs > 7 {
+		t.Errorf("FillValues allocates %.0f objects per trace, budget 7", allocs)
+	}
+	layers := len(r.cfg.Tree.Path(tr.Pos))
 
 	price := func(name string, b storm.Bolt, budget int) {
 		t.Helper()
@@ -688,11 +693,16 @@ func TestHotPathAllocatesNoMap(t *testing.T) {
 	}
 	// speed, actualDelay, heading.
 	price("PreProcess", &preProcessBolt{}, 3)
-	// The quadtree walk, the areaPath slice, its box, and a boxed string per
-	// layer and for leafArea.
-	price("AreaTracker", &areaTrackerBolt{tree: r.cfg.Tree}, pathAllocs+layers+3)
-	// stopId.
-	price("BusStopsTracker", &busStopsTrackerBolt{}, 1)
+	price("AreaTracker", &areaTrackerBolt{areas: newAreaTable(r.cfg.Tree)}, 0)
+	price("BusStopsTracker", &busStopsTrackerBolt{}, 0)
+	if row["stopId"] != row["busStop"] {
+		t.Fatalf("stopId = %v, want the row's busStop %v", row["stopId"], row["busStop"])
+	}
+	stops := testStops(t)
+	price("BusStopsTracker with DENCLUE stops", &busStopsTrackerBolt{stops: newBusStops(stops)}, 0)
+	if id, _ := row["stopId"].(string); !strings.HasPrefix(id, "stop") {
+		t.Fatalf("stopId = %v, want a DENCLUE stop", row["stopId"])
+	}
 	if len(row) > 11+3+layers+3 {
 		t.Fatalf("the enriched row has %d fields: %v", len(row), row)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -32,7 +33,9 @@ import (
 // enricher). From BusStopsTracker's emit on the row is read-only for
 // everyone: the Splitter hands the one map to every engine responsible for
 // it, the Rebalancer and the routing table read it, and the engines keep it
-// in their windows un-copied.
+// in their windows un-copied. The values in a row are never written, so a
+// value may be shared by many rows: the enrichers write boxes built with
+// the topology wherever the domain is bounded (areaTable, busStops).
 
 // Component ids of the Figure 8 topology.
 const (
@@ -420,12 +423,11 @@ func cloneValues(v map[string]any) map[string]any {
 // areaTrackerBolt attaches the quadtree path: the leaf area plus one field
 // per layer ("Each task of this bolt has an instance of the Region Quadtree
 // and queries it to find the areas that the new trace belongs", §4.3.2).
+// Its values come from the topology's areaTable, so a trace costs one
+// Locate and one lookup and allocates nothing.
 type areaTrackerBolt struct {
 	enricher
-	tree *quadtree.Tree
-	// layerFields[i] is the field name of quadtree layer i, rendered once
-	// per task and grown when a deeper path shows up.
-	layerFields []string
+	areas *areaTable
 }
 
 func (b *areaTrackerBolt) Cleanup() error { return nil }
@@ -433,45 +435,103 @@ func (b *areaTrackerBolt) Cleanup() error { return nil }
 func (b *areaTrackerBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	lat, _ := cep.Numeric(t.Values["lat"])
 	lon, _ := cep.Numeric(t.Values["lon"])
-	path := b.tree.Path(geo.Point{Lat: lat, Lon: lon})
 	out := b.row(t)
-	if len(path) > 0 {
-		for i := len(b.layerFields); i < len(path); i++ {
-			b.layerFields = append(b.layerFields, Rule{Kind: QuadtreeLayer, Layer: i}.LocationField())
+	if leaf, ok := b.areas.leaves[b.areas.tree.Locate(geo.Point{Lat: lat, Lon: lon})]; ok {
+		for i, id := range leaf.ids {
+			out[b.areas.layerFields[i]] = id
 		}
-		areas := make([]string, len(path))
-		for i, n := range path {
-			areas[i] = string(n.ID)
-			out[b.layerFields[i]] = string(n.ID)
-		}
-		out["leafArea"] = string(path[len(path)-1].ID)
-		out["areaPath"] = areas
+		out["leafArea"] = leaf.ids[len(leaf.ids)-1]
+		out["areaPath"] = leaf.path
 	}
 	col.Emit(out)
 	return nil
 }
 
+// areaTable holds what the AreaTracker writes for a trace in each leaf of
+// a quadtree, boxed once when the topology is built and shared by every
+// task and every row: rows only read their values (DESIGN.md, "Payload
+// ownership"). The tree must not change afterwards; quadtree.Build
+// returns it complete.
+type areaTable struct {
+	tree *quadtree.Tree
+	// layerFields[i] is the field name of quadtree layer i, for every
+	// layer of the tree.
+	layerFields []string
+	leaves      map[*quadtree.Node]leafAreas
+}
+
+// leafAreas are one leaf's values: ids[i] is the boxed id of the layer-i
+// area of its path (one box per area, shared with every leaf below it),
+// and path is the boxed areaPath, the same ids as one []string.
+type leafAreas struct {
+	ids  []any
+	path any
+}
+
+func newAreaTable(tree *quadtree.Tree) *areaTable {
+	t := &areaTable{tree: tree, leaves: make(map[*quadtree.Node]leafAreas)}
+	for i := 0; i <= tree.Depth(); i++ {
+		t.layerFields = append(t.layerFields, Rule{Kind: QuadtreeLayer, Layer: i}.LocationField())
+	}
+	// Walk visits a node after its ancestors, so ids and names hold the
+	// node's path once they are cut to its depth.
+	var ids []any
+	var names []string
+	tree.Walk(func(n *quadtree.Node) {
+		ids = append(ids[:n.Depth], string(n.ID))
+		names = append(names[:n.Depth], string(n.ID))
+		if n.IsLeaf() {
+			t.leaves[n] = leafAreas{ids: slices.Clone(ids), path: slices.Clone(names)}
+		}
+	})
+	return t
+}
+
 // busStopsTrackerBolt resolves the de-noised bus stop (§4.1.2) and, as the
 // last enrichment step, folds the record into the batch layer's history
-// partials.
+// partials. stopId is a box it already has: without DENCLUE stops the
+// row's own busStop value, else the stop's boxed name from busStops.
 type busStopsTrackerBolt struct {
 	enricher
-	stops   *denclue.Result
+	stops   *busStops
 	manager *DynamicManager
+}
+
+// busStops is a DENCLUE result with the boxed "stop%04d" name of each of
+// its stops, rendered once when the topology is built and shared by every
+// task and every row.
+type busStops struct {
+	*denclue.Result
+	names map[int]any
+}
+
+// newBusStops names the stops of res; nil for no result.
+func newBusStops(res *denclue.Result) *busStops {
+	if res == nil {
+		return nil
+	}
+	names := make(map[int]any, len(res.Stops))
+	for _, s := range res.Stops {
+		names[s.ID] = fmt.Sprintf("stop%04d", s.ID)
+	}
+	return &busStops{Result: res, names: names}
 }
 
 func (b *busStopsTrackerBolt) Cleanup() error { return nil }
 
 func (b *busStopsTrackerBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	out := b.row(t)
-	stopID, _ := out["busStop"].(string)
+	stopID := out["busStop"]
+	if _, ok := stopID.(string); !ok {
+		stopID = ""
+	}
 	if b.stops != nil {
 		lat, _ := cep.Numeric(out["lat"])
 		lon, _ := cep.Numeric(out["lon"])
 		line, _ := out["lineId"].(string)
 		dir, _ := out["direction"].(bool)
 		if s, ok := b.stops.NearestStop(line, dir, geo.Point{Lat: lat, Lon: lon}); ok {
-			stopID = fmt.Sprintf("stop%04d", s.ID)
+			stopID = b.stops.names[s.ID]
 		}
 	}
 	out["stopId"] = stopID

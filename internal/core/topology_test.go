@@ -17,7 +17,7 @@ import (
 )
 
 // buildTestTree returns a small quadtree over Dublin.
-func buildTestTree(t *testing.T) *quadtree.Tree {
+func buildTestTree(t testing.TB) *quadtree.Tree {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	var seeds []geo.Point
@@ -34,7 +34,7 @@ func buildTestTree(t *testing.T) *quadtree.Tree {
 	return tree
 }
 
-func genTraces(t *testing.T, buses, minutes int) []busdata.Trace {
+func genTraces(t testing.TB, buses, minutes int) []busdata.Trace {
 	t.Helper()
 	cfg := busdata.DefaultConfig()
 	cfg.Buses = buses

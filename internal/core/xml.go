@@ -49,11 +49,13 @@ func RegisterComponents(reg *storm.Registry, deps *Deps) {
 		if cfg.Tree == nil {
 			return nil, fmt.Errorf("core: areatracker requires a quadtree")
 		}
-		return func() storm.Bolt { return &areaTrackerBolt{tree: cfg.Tree} }, nil
+		areas := newAreaTable(cfg.Tree)
+		return func() storm.Bolt { return &areaTrackerBolt{areas: areas} }, nil
 	})
 	reg.RegisterBolt("busstops", func(map[string]string) (storm.BoltFactory, error) {
+		stops := newBusStops(cfg.Stops)
 		return func() storm.Bolt {
-			return &busStopsTrackerBolt{stops: cfg.Stops, manager: cfg.Manager}
+			return &busStopsTrackerBolt{stops: stops, manager: cfg.Manager}
 		}, nil
 	})
 	reg.RegisterBolt("splitter", func(map[string]string) (storm.BoltFactory, error) {
