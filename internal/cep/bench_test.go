@@ -67,9 +67,9 @@ func BenchmarkAblationExprCompilation(b *testing.B) {
 // delivered trace: the four rules of the shipped topology.xml in one engine
 // — two on groupwin(stopId).length(10), two on leafArea (lengths 10 and
 // 100) — over 28-field rows shaped like the pipeline's enriched payload.
-// 4096 stops and 1024 leaf areas keep ~140k events retained, so the event a
-// length window evicts left the cache long ago, as in a city-sized run; the
-// windows are filled before the clock starts. Two shapes: "all", one engine
+// 4096 stops and 1024 leaf areas keep ~140k window positions filled, so the
+// value ring position a length window retracts left the cache long ago, as
+// in a city-sized run; the windows are filled before the clock starts. Two shapes: "all", one engine
 // that owns every location and takes every row, and "owned", one of four
 // engines: it owns a quarter of the stops and a quarter of the leaves, each
 // rule installed on its share (as core.InstallRule installs it), and it is

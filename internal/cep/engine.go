@@ -308,8 +308,9 @@ func (e *Engine) SendEvent(stream string, fields map[string]Value) error {
 // statement registration order, except those restricted to an owned-key set
 // that does not hold the event's key (AddOwnedStatement), which skip it.
 // The first evaluation error is returned, but every statement still sees
-// the event. fields is kept, not copied, for as long as a window holds the
-// event — the caller must not write to it after the call — and the fields
+// the event. fields is kept, not copied, for as long as the engine reads the
+// event — as a view's latest event, or the emit representative of its join
+// key — so the caller must not write to it after the call; the fields
 // statements reference are bound to slots here, once (see Event).
 func (e *Engine) SendEventAt(stream string, ts time.Time, fields map[string]Value) error {
 	// An explicit (possibly historical) event time must not pollute the

@@ -211,8 +211,10 @@ func FuzzCompiledExprEquivalence(f *testing.F) {
 // fuzzPlanStatements are rule-template statements the trigger-plan fuzzer
 // runs side by side: Listing 1 with UNIDIRECTIONAL on and off, item filters
 // or none, key-aligned and keyed items, a window on another stream than its
-// trigger, an argument and a filter on the trigger itself, and an equi
-// class that holds two trigger fields.
+// trigger, an argument and a filter on the trigger itself, an equi class
+// that holds two trigger fields, and every window whose value ring has one
+// position: a non-trigger std:lastevent item, std:groupwin over
+// std:lastevent keyed by the join and by another field, and win:length(1).
 var fuzzPlanStatements = map[string]string{
 	"listing1": `SELECT bd2.loc AS loc, avg(bd2.a) AS cur, avg(th.v) AS thr, count(*) AS n
 		FROM bus.std:lastevent() AS bd UNIDIRECTIONAL, bus.std:groupwin(loc).win:length(3) AS bd2, thr.win:keepall() AS th
@@ -234,6 +236,15 @@ var fuzzPlanStatements = map[string]string{
 	"pair": `SELECT t.a AS a, count(*) AS n, sum(y.b) AS s
 		FROM bus.std:lastevent() AS t UNIDIRECTIONAL, thr.win:length(3) AS z, aux.win:length(3) AS y
 		WHERE t.a = y.a AND t.b = y.a AND t.loc = z.loc AND z.v < 2`,
+	"latest": `SELECT t.loc AS loc, sum(l.a) AS s, min(h.a) AS lo, count(*) AS n
+		FROM bus.std:lastevent() AS t UNIDIRECTIONAL, aux.std:lastevent() AS l, aux.std:groupwin(hour).std:lastevent() AS h
+		WHERE t.loc = l.loc AND t.loc = h.loc AND l.b >= 0 GROUP BY t.loc`,
+	"grouplast": `SELECT bd.loc AS loc, avg(g.a) AS m, count(g.b) AS nb
+		FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).std:lastevent() AS g
+		WHERE bd.loc = g.loc AND g.b != 0 GROUP BY bd.loc`,
+	"single": `SELECT t.hour AS h, sum(w.a) AS s, stddev(w.v) AS sd, count(*) AS n
+		FROM thr.std:lastevent() AS t, bus.win:length(1) AS w
+		WHERE t.hour = w.hour AND w.a < 2 GROUP BY t.hour`,
 }
 
 // fuzzFeedValue decodes one field value of the plan fuzzer's feed: a small
@@ -267,10 +278,18 @@ func FuzzTriggerPlanMatchesOracle(f *testing.F) {
 	// A filter failure on z, the item before the pair's class in FROM
 	// order, then a trigger whose a and b differ: pair must fail on z.
 	f.Add([]byte{2, 1, 1, 1, 1, 8, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 2, 1})
+	// Events are six bytes: stream, loc, hour, a, b, v. latest: aux rows
+	// replace each other under the bus trigger, one with a filter failure.
+	f.Add([]byte{1, 1, 2, 3, 1, 1, 0, 1, 2, 1, 1, 1, 1, 1, 2, 0, 8, 1, 0, 1, 2, 1, 1, 1, 1, 1, 2, 2, 1, 1, 0, 1, 2, 1, 1, 1})
+	// grouplast: one location's rows replace each other, a NaN and an
+	// infinity among them.
+	f.Add([]byte{0, 1, 1, 2, 2, 1, 0, 1, 1, 3, 1, 1, 0, 2, 1, 10, 2, 1, 0, 1, 1, 1, 3, 1, 0, 1, 1, 11, 2, 1, 0, 1, 1, 2, 2, 1})
+	// single: thr triggers read the one bus row of their hour.
+	f.Add([]byte{0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 0, 1, 1, 2, 1, 3, 2, 1, 1, 1, 1, 1, 0, 2, 1, 0, 1, 10, 2, 1, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		rig := newOracleRig()
-		for _, name := range []string{"cross", "filtered", "keyed", "listing1", "pair", "trigger"} {
+		for _, name := range []string{"cross", "filtered", "grouplast", "keyed", "latest", "listing1", "pair", "single", "trigger"} {
 			rig.add(t, name, fuzzPlanStatements[name])
 		}
 		for i := 0; r.pos < len(r.data) && i < 200; i++ {

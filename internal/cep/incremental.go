@@ -12,7 +12,7 @@ import (
 // This file implements the engine's one evaluator, the trigger plan
 // (incPlan): instead of enumerating the join of the windows on each
 // arrival, a statement keeps running aggregate state that it maintains from
-// each window's delta — the arriving event, and the one it evicted, if any.
+// each window's delta — the arriving event, and the position it took.
 //
 // One FROM item is a std:lastevent() view whose fields reach — through the
 // equi-join equivalence classes of the WHERE clause — every joined field.
@@ -20,11 +20,13 @@ import (
 // accumulators (count, sum, sum of squares, value counts for min/max), and
 // an evaluation is a hash probe per item plus O(1) arithmetic. Every
 // rendering of the paper's rule template (Listing 1, §4.3.1) has this
-// shape, and per-event cost is independent of the window length l. An item
-// whose window is std:groupwin(k…).win:length(n) and whose join key is
-// those k — Listing 1's bd2 — keeps its accumulators on the window's groups
-// (groupAcc): the group the insert found serves the fold and the probe, and
-// eviction subtracts from a value ring instead of reading the evicted event.
+// shape, and per-event cost is independent of the window length l. No
+// window holds the events it counts: an item records, per position of a
+// window that evicts, what the arrival there folded, with the functions
+// registered then (its value ring), and the eviction subtracts that. An
+// item whose window is std:groupwin(k…) over a bounded view and whose join
+// key is those k — Listing 1's bd2 — keeps its accumulators on the window's
+// groups (groupAcc): the group the insert found serves the fold and probe.
 //
 // A query without that shape is refused at registration, with the reason
 // (planIncremental): it is aggregate-free, uses SELECT *, has no trigger
@@ -344,8 +346,8 @@ func planAggSpecs(st *Statement) ([]*aggSpec, error) {
 type incPlan struct {
 	st *Statement
 
-	trigIdx int
-	trigWin *lastEventWin // set by attach, once the views are acquired
+	trigIdx  int
+	trigView *view // the trigger item's, set by attach once the views are acquired
 	// emitFilters are conjuncts over the trigger item only (or with no
 	// field references); they are checked once per evaluation.
 	// emitFiltersC is the compiled form.
@@ -364,26 +366,6 @@ type incPlan struct {
 	aggNull []bool
 }
 
-// applyDelta folds one FROM item's window delta — ev arrived, evicted (nil
-// when none) left — into the item's accumulators. It returns ev's failure
-// to fold, if any; retracting an event that failed is silent, because it
-// failed on arrival.
-func (p *incPlan) applyDelta(idx int, ev, evicted *Event) error {
-	ip := p.items[idx]
-	if ip == nil {
-		return nil // the trigger item's single event is read at emit
-	}
-	if ip.gw != nil {
-		// The group's value ring retracts what the arriving event
-		// overwrites; the evicted event itself is not needed.
-		return p.foldGroup(ip, ev)
-	}
-	if evicted != nil {
-		p.apply(ip, evicted, -1)
-	}
-	return p.apply(ip, ev, +1)
-}
-
 // incItemState is one non-trigger item's maintained accumulators.
 type incItemState struct {
 	idx      int
@@ -398,44 +380,59 @@ type incItemState struct {
 	aggIdx     []int // positions in plan.aggs anchored at this item
 	accs       map[string]*itemAcc
 	keyBuf     []byte
-	cells      []ringCell // fold scratch of a keyed item, one per aggIdx
+	cells      []ringCell // 1+len(aggIdx): the fold scratch of an item over a window that never evicts
 	probed     *itemAcc   // evaluation scratch: result of the latest probe
 
-	// A key-aligned item — its window is std:groupwin(k…).win:length(n) and
-	// keySlots are those same k, Listing 1's bd.loc = bd2.loc — keeps no
-	// accs of its own: a join key's events are exactly a group's, so its
-	// accumulator is groupAcc number sub of that group, in the window gw of
-	// the view. sameKey is true when the trigger item reads the same stream
-	// through the same slots, so that the group the arriving event was
-	// inserted into is the group the evaluation probes. Set by attach.
-	gw      *groupWin
+	// The value ring of an item over a window that evicts, set by attach:
+	// ring over an ungrouped one (win:length, std:lastevent); over
+	// std:groupwin(…) of a bounded view, one per group, in groupAcc number
+	// sub of the groups of gw.
+	ring ring
+	gw   *groupWin
+	sub  int
+	// A key-aligned item — its window is grouped and keySlots are its group
+	// keys, Listing 1's bd.loc = bd2.loc — keeps no accs of its own: a join
+	// key's events are exactly a group's, so its accumulator is the
+	// groupAcc's. sameKey is true when the trigger item reads the same
+	// stream through the same slots, so that the group the arriving event
+	// was inserted into is the group the evaluation probes.
+	aligned bool
 	view    *view
-	sub     int
 	sameKey bool
 }
 
 // itemAcc accumulates one join key's events within an item. rows counts
 // the events that passed the item's filters; filterBad the events whose
 // filter failed, and argBad the passing events an aggregate argument failed
-// on, err holding the latest of their errors. Neither kind is in aggs.
+// on, err holding the latest of their errors. Neither kind is in aggs. key
+// is the accumulator's entry in its item's accs; a key-aligned item's has
+// none.
 type itemAcc struct {
 	rows              int
 	filterBad, argBad int
 	last              *Event // most recently added passing event, the emit representative
 	aggs              []aggAcc
 	err               error
+	key               string
 }
 
-// groupAcc is the itemAcc of a key-aligned item for one group, plus the
-// value ring that lets the group retract from its own memory: 1+k cells per
-// slot of the group's length window, k the item's anchored aggregates. Of
-// slot p's cells, the first holds the slot's state; cell 1+j holds the
-// float folded in for aggregate j, its mark false when the argument was
-// NULL. An arriving event overwrites slot p; what the slot held is
-// subtracted, and the evicted event, cold by then, is never read.
+// groupAcc is an item's state in one group of its window: the group's value
+// ring and, for a key-aligned item, its accumulator.
 type groupAcc struct {
 	itemAcc
-	ring []ringCell
+	ring
+}
+
+// ring is an item's value ring: its memory of what each position of its
+// window folded, so that an eviction subtracts that and never reads the
+// event. It holds 1+k cells per position, k the item's anchored
+// aggregates. Of position p's cells, the first holds the slot's state;
+// cell 1+j holds the float folded in for aggregate j, its mark false when
+// the argument was NULL. For an item that keeps accs by join key, to[p] is
+// the accumulator the arrival at p went into, nil when it went into none.
+type ring struct {
+	cells []ringCell
+	to    []*itemAcc
 }
 
 type ringCell struct {
@@ -444,7 +441,7 @@ type ringCell struct {
 	state slotState // a slot's first cell only
 }
 
-// slotState is what a key-aligned item's window slot holds, as folded.
+// slotState is what an item's window position holds, as folded.
 type slotState uint8
 
 const (
@@ -648,29 +645,46 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) (*in
 	}
 	for _, ip := range p.items {
 		if ip != nil {
-			ip.cells = make([]ringCell, len(ip.aggIdx))
+			ip.cells = make([]ringCell, 1+len(ip.aggIdx))
 		}
 	}
 	return p, nil
 }
 
 // attach binds the plan to the views its statement acquired: the trigger
-// item's window, and for every key-aligned item (see incItemState) an
-// accumulator slot in the groups of its window.
+// item's window, and for every item over a window that evicts its value
+// ring — over a group window, a slot in the window's groups.
 func (p *incPlan) attach(st *Statement) {
-	p.trigWin = st.items[p.trigIdx].view.win.(*lastEventWin)
+	p.trigView = st.items[p.trigIdx].view
 	for i, ip := range p.items {
 		if ip == nil {
 			continue
 		}
 		v := st.items[i].view
-		gw, ok := v.win.(*groupWin)
-		if !ok || gw.length == 0 || !slices.Equal(gw.keys, ip.keySlots) {
+		n := bound(v.win)
+		if n == 0 {
 			continue
 		}
-		ip.gw, ip.view, ip.sub = gw, v, gw.subscribe()
-		ip.sameKey = st.items[i].schema == st.items[p.trigIdx].schema && slices.Equal(ip.srcSlots, ip.keySlots)
+		gw, ok := v.win.(*groupWin)
+		if !ok {
+			ip.ring = newRing(n, len(ip.cells), true)
+			continue
+		}
+		ip.gw, ip.sub = gw, gw.subscribe()
+		ip.aligned = slices.Equal(gw.keys, ip.keySlots)
+		ip.view = v
+		ip.sameKey = ip.aligned && st.items[i].schema == st.items[p.trigIdx].schema && slices.Equal(ip.srcSlots, ip.keySlots)
 	}
+}
+
+// newRing makes a value ring of n positions of k cells; keyed is true for
+// an item that keeps accs by join key.
+func newRing(n, k int, keyed bool) ring {
+	r := ring{cells: make([]ringCell, n*k)}
+	if keyed {
+		r.to = make([]*itemAcc, n)
+	}
+	return r
 }
 
 // passes applies an item's maintenance filters to one of its events.
@@ -723,95 +737,96 @@ func argFloat(spec *aggSpec, v Value) (float64, error) {
 }
 
 // fold evaluates ip's aggregate arguments on ev into cells and folds them
-// into acc with sign. An arrival folds in one pass and, when an argument
-// fails, undoes what it folded; a retraction evaluates every argument
-// before it subtracts one, since subtracting a value its arrival never
-// folded cannot be undone. Either way a failure leaves acc as it was and is
-// returned: the event is unfoldable.
-func (p *incPlan) fold(ip *incItemState, acc *itemAcc, cells []ringCell, ev *Event, sign int) error {
+// into acc. When an argument fails, fold undoes what it folded and returns
+// the failure: the event is unfoldable.
+func (p *incPlan) fold(ip *incItemState, acc *itemAcc, cells []ringCell, ev *Event) error {
 	for j, ai := range ip.aggIdx {
 		spec := p.aggs[ai]
 		f, present, err := p.arg(ip, spec, ev)
 		if err != nil {
-			for i := 0; i < j && sign > 0; i++ {
+			for i := 0; i < j; i++ {
 				acc.aggs[i].fold(p.aggs[ip.aggIdx[i]], cells[i], -1)
 			}
 			return err
 		}
 		cells[j] = ringCell{f: f, ok: present}
-		if sign > 0 {
-			acc.aggs[j].fold(spec, cells[j], +1)
-		}
-	}
-	if sign < 0 {
-		for j, ai := range ip.aggIdx {
-			acc.aggs[j].fold(p.aggs[ai], cells[j], -1)
-		}
+		acc.aggs[j].fold(spec, cells[j], +1)
 	}
 	return nil
 }
 
-// apply adds (sign +1) or retracts (sign -1) one event in the accumulators
-// of an item that keeps them by join key (every item that is not
-// key-aligned). It returns an added event's failure to fold; a retraction
-// re-evaluates the event, fails where its arrival failed and undoes the
-// same count, silently.
-func (p *incPlan) apply(ip *incItemState, ev *Event, sign int) error {
+// applyDelta folds the event item idx's window just took at position pos
+// into the item's accumulators: retract what the item's value ring holds
+// for pos, then add the arrival and record it there. It returns ev's
+// failure to fold, if any.
+func (p *incPlan) applyDelta(idx int, ev *Event, pos int) error {
+	ip := p.items[idx]
+	if ip == nil {
+		return nil // the trigger item's single event is read at emit
+	}
+	k := len(ip.cells)
+	r, acc := &ip.ring, (*itemAcc)(nil)
+	if ip.gw != nil {
+		ga := &ip.gw.cur.accs[ip.sub]
+		if ga.cells == nil {
+			ga.ring = newRing(ip.gw.length, k, !ip.aligned)
+		}
+		if r = &ga.ring; ip.aligned {
+			if acc = &ga.itemAcc; acc.aggs == nil {
+				acc.aggs = make([]aggAcc, k-1)
+			}
+		}
+	}
+	cells := ip.cells
+	if r.cells != nil {
+		cells = r.cells[pos*k : (pos+1)*k]
+		held := acc
+		if r.to != nil {
+			held, r.to[pos] = r.to[pos], nil
+		}
+		p.retract(ip, held, cells)
+	}
 	pass, err := p.passes(ip, ev)
 	if err == nil && !pass {
 		return nil
 	}
-	buf := ip.eventKey(ev)
-	acc := ip.accs[string(buf)]
 	if acc == nil {
-		if sign < 0 {
-			// Only a function registered over a built-in after the
-			// statement can make a retraction miss what its arrival added.
-			return nil
+		buf := ip.eventKey(ev)
+		if acc = ip.accs[string(buf)]; acc == nil {
+			acc = &itemAcc{aggs: make([]aggAcc, k-1), key: string(buf)}
+			ip.accs[acc.key] = acc
 		}
-		acc = &itemAcc{aggs: make([]aggAcc, len(ip.aggIdx))}
-		ip.accs[string(buf)] = acc
+		if r.to != nil {
+			r.to[pos] = acc
+		}
 	}
 	if err != nil {
-		acc.filterBad += sign
-	} else {
-		acc.rows += sign
-		if sign > 0 {
-			acc.last = ev
-		}
-		if err = p.fold(ip, acc, ip.cells, ev, sign); err != nil {
-			acc.argBad += sign
-		}
+		cells[0].state, acc.err = slotFilterBad, err
+		acc.filterBad++
+		return err
 	}
-	if acc.rows == 0 && acc.filterBad == 0 {
-		delete(ip.accs, string(buf))
+	acc.rows++
+	acc.last = ev
+	if err := p.fold(ip, acc, cells[1:], ev); err != nil {
+		cells[0].state, acc.err = slotArgBad, err
+		acc.argBad++
+		return err
 	}
-	if sign < 0 || err == nil {
-		return nil
-	}
-	acc.err = err
-	return err
+	cells[0].state = slotFolded
+	return nil
 }
 
-// foldGroup folds the event its window just took into a key-aligned item's
-// accumulator on the event's group: retract what the window slot held, then
-// add the arrival and record it in the slot.
-func (p *incPlan) foldGroup(ip *incItemState, ev *Event) error {
-	g := ip.gw.cur
-	pos := g.win.(*lengthWin).pos
-	acc := &g.accs[ip.sub]
-	k := len(ip.aggIdx)
-	if acc.ring == nil {
-		acc.aggs = make([]aggAcc, k)
-		acc.ring = make([]ringCell, ip.gw.length*(1+k))
-	}
-	cells := acc.ring[pos*(1+k) : (pos+1)*(1+k)]
-	state, held := &cells[0].state, cells[1:]
-	switch *state {
+// retract subtracts what a value ring position recorded from acc, the
+// accumulator its arrival went into, and empties the position. A keyed
+// accumulator left holding nothing leaves its item's accs.
+func (p *incPlan) retract(ip *incItemState, acc *itemAcc, cells []ringCell) {
+	switch cells[0].state {
+	case slotEmpty:
+		return
 	case slotFolded:
 		acc.rows--
 		for j, ai := range ip.aggIdx {
-			acc.aggs[j].fold(p.aggs[ai], held[j], -1)
+			acc.aggs[j].fold(p.aggs[ai], cells[1+j], -1)
 		}
 	case slotArgBad:
 		acc.rows--
@@ -819,31 +834,16 @@ func (p *incPlan) foldGroup(ip *incItemState, ev *Event) error {
 	case slotFilterBad:
 		acc.filterBad--
 	}
-	*state = slotEmpty
-	pass, err := p.passes(ip, ev)
-	if err != nil {
-		*state, acc.err = slotFilterBad, err
-		acc.filterBad++
-		return err
+	cells[0].state = slotEmpty
+	if !ip.aligned && acc.rows == 0 && acc.filterBad == 0 {
+		delete(ip.accs, acc.key)
 	}
-	if !pass {
-		return nil
-	}
-	acc.rows++
-	acc.last = ev
-	if err := p.fold(ip, &acc.itemAcc, held, ev, +1); err != nil {
-		*state, acc.err = slotArgBad, err
-		acc.argBad++
-		return err
-	}
-	*state = slotFolded
-	return nil
 }
 
 // probe finds the accumulator of ip matching trigger event e, nil when
 // no event of the item has e's key.
 func (ip *incItemState) probe(e *Event) *itemAcc {
-	if ip.gw == nil {
+	if !ip.aligned {
 		return ip.accs[string(ip.probeKey(e))]
 	}
 	g := ip.gw.cur
@@ -860,7 +860,7 @@ func (ip *incItemState) probe(e *Event) *itemAcc {
 // the emit filters, probe each item's accumulators in FROM order, combine,
 // filter, project.
 func (p *incPlan) evaluate() ([]Output, error) {
-	e := p.trigWin.ev
+	e := p.trigView.lastEv
 	if e == nil {
 		return nil, nil
 	}

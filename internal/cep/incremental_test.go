@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestIncrementalMinMaxEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.inc.items[1].gw == nil {
+	if !st.inc.items[1].aligned {
 		t.Fatal("bd2 is not key-aligned")
 	}
 	var last Output
@@ -252,19 +253,22 @@ func TestIndexConjunctUnknownAliasRejected(t *testing.T) {
 }
 
 // TestWindowDeltaContract checks every view type against the delta contract
-// incremental maintenance depends on: after insert(ev) returns evicted, old
-// contents − evicted + ev must equal the new contents as a multiset, so an
-// evicted event is one the window held. The windows are reached the way
-// statements reach them — through an engine view two FROM items subscribed
-// to — so it also holds the once-per-turn insert: the second subscriber's
-// insert of the turn's event must hand back the first one's eviction and
-// leave the window alone.
+// incremental maintenance depends on: insert(ev) returns the position ev
+// took in its group; the window grows exactly when that position held no
+// event, and otherwise the event it held is the one the window evicts. A ring replayed
+// from the returned positions must hold exactly the events the oracle's
+// window of the same chain retains, and size() must count them. The
+// windows are reached the way statements reach them — through an engine
+// view two FROM items subscribed to — so it also holds the once-per-turn
+// insert: the second subscriber's insert of the turn's event must hand back
+// the first one's position and leave the window alone.
 func TestWindowDeltaContract(t *testing.T) {
 	specs := []string{
 		"std:lastevent()",
 		"win:keepall()",
 		"win:length(3)",
 		"std:groupwin(k).win:length(2)",
+		"std:groupwin(k).std:lastevent()",
 	}
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {
@@ -281,36 +285,88 @@ func TestWindowDeltaContract(t *testing.T) {
 			if err != nil || second != first {
 				t.Fatalf("a second statement's item did not join the unfed view (err %v)", err)
 			}
+			ref := newOracleWin(q.From[0].Views, viewSchema)
+			replay := map[string]map[int]*Event{} // group → position → event
 			rng := rand.New(rand.NewSource(7))
-			replay := map[*Event]int{}
 			for i := 0; i < 200; i++ {
 				ev := mkEvent(i, map[string]Value{"k": float64(rng.Intn(4)), "v": float64(i)})
-				evicted := first.insert(ev)
-				if again := second.insert(ev); again != evicted {
-					t.Fatalf("step %d: the turn's second insert returned another eviction", i)
+				size := first.win.size()
+				pos := first.insert(ev)
+				grew := first.win.size() - size
+				if p2 := second.insert(ev); p2 != pos || first.win.size() != size+grew {
+					t.Fatalf("step %d: the turn's second insert returned position %d after %d, size %d after %d",
+						i, p2, pos, first.win.size(), size+grew)
 				}
-				if evicted != nil {
-					replay[evicted]--
-					if replay[evicted] == 0 {
-						delete(replay, evicted)
+				g := string(appendSlotsKey(nil, ev, ref.keys))
+				if replay[g] == nil {
+					replay[g] = map[int]*Event{}
+				}
+				old, held := replay[g][pos]
+				if held != (grew == 0) || grew > 1 {
+					t.Fatalf("step %d: position %d grew the window by %d, the replay holds it: %v", i, pos, grew, held)
+				}
+				before := slices.Clone(ref.groups[g])
+				ref.insert(ev)
+				if held && (len(before) == 0 || old != before[0] || slices.Contains(ref.groups[g], old)) {
+					t.Fatalf("step %d: position %d held an event the window did not evict", i, pos)
+				}
+				replay[g][pos] = ev
+				live := ref.contents()
+				if size+grew != len(live) {
+					t.Fatalf("step %d: size %d, the window retains %d", i, size+grew, len(live))
+				}
+				n := 0
+				for _, ring := range replay {
+					for _, e := range ring {
+						if !slices.Contains(live, e) {
+							t.Fatalf("step %d: the replay holds %v, which the window dropped", i, e.Fields)
+						}
+						n++
 					}
 				}
-				replay[ev]++
-				live := map[*Event]int{}
-				for _, e := range contents(first.win) {
-					live[e]++
-				}
-				if len(live) != len(replay) {
-					t.Fatalf("step %d: replay has %d events, contents %d", i, len(replay), len(live))
-				}
-				for e, n := range live {
-					if replay[e] != n {
-						t.Fatalf("step %d: event %v count %d vs replayed %d", i, e.Fields, n, replay[e])
-					}
+				if n != len(live) {
+					t.Fatalf("step %d: the replay holds %d events, the window %d", i, n, len(live))
 				}
 			}
 			if late, _ := eng.acquireView(&Statement{}, q.From[0], viewSchema); late == first {
 				t.Fatal("an item joined a view that has received events")
+			}
+		})
+	}
+}
+
+// TestFunctionRegisteredOverBuiltinMidStream: a function registered over a
+// built-in while a window holds events leaves those events folded as they
+// arrived — through the item filter, or into an aggregate argument — and
+// each leaves the accumulators with its window position. Once the window
+// has turned over, the statement matches the oracle, which evaluates every
+// retained event with the functions registered now.
+func TestFunctionRegisteredOverBuiltinMidStream(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"filter", `SELECT count(*) AS n, sum(w.x) AS s
+			FROM s.std:lastevent() AS t, s.win:length(2) AS w WHERE abs(w.x) > 1`, ""},
+		{"argument", `SELECT count(*) AS n, sum(abs(w.x)) AS s
+			FROM s.std:lastevent() AS t, s.win:length(2) AS w`, "n=n2;s=n0"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rig := newOracleRig()
+			rig.add(t, "r", c.src)
+			five := map[string]Value{"x": 5.0}
+			for i := 0; i < 3; i++ {
+				rig.send(t, i, "s", five)
+			}
+			rig.eng.RegisterFunction("abs", func([]Value) (Value, error) { return 0.0, nil })
+			// The window still holds two events abs was a built-in for.
+			for i := 3; i < 5; i++ {
+				send(t, rig.eng, "s", five)
+				rig.ref.send("s", five)
+			}
+			for i := 5; i < 9; i++ {
+				rig.send(t, i, "s", five)
+			}
+			if got := rig.batch["r"]; got != c.want {
+				t.Fatalf("after the window turned over: emitted %q, want %q", got, c.want)
 			}
 		})
 	}

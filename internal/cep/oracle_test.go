@@ -214,36 +214,59 @@ func evalBool(e epl.Expr, ctx *oracleContext) (bool, error) {
 	return truthy(v)
 }
 
-// contents lists the events w retains: oldest first, and a group window's
-// groups in key order.
-func contents(w window) []*Event {
-	switch w := w.(type) {
-	case *lastEventWin:
-		if w.ev == nil {
-			return nil
+// oracleWin is an event window of the oracle's own: the events a view
+// chain retains, which the engine's windows only count. Events are kept per
+// group — one group when the chain has no std:groupwin — oldest first, n
+// at most (std:lastevent keeps 1, win:length its n, win:keepall any).
+type oracleWin struct {
+	keys   []int // the std:groupwin key slots, nil when ungrouped
+	n      int   // 0 when the window never evicts
+	groups map[string][]*Event
+}
+
+// newOracleWin builds the window of a view chain buildWindow accepts.
+func newOracleWin(views []epl.ViewSpec, sch *streamSchema) *oracleWin {
+	w := &oracleWin{groups: map[string][]*Event{}}
+	if len(views) > 0 && views[0].Name == "groupwin" {
+		var fields []string
+		for _, a := range views[0].Args {
+			fields = append(fields, a.(*epl.FieldRef).Field)
 		}
-		return []*Event{w.ev}
-	case *keepAllWin:
-		return w.evs
-	case *lengthWin:
-		out := make([]*Event, 0, w.count)
-		for i := 0; i < w.count; i++ {
-			out = append(out, w.buf[(w.start+i)%w.n])
-		}
-		return out
-	case *groupWin:
-		keys := make([]string, 0, len(w.groups))
-		for k := range w.groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var out []*Event
-		for _, k := range keys {
-			out = append(out, contents(w.groups[k].win)...)
-		}
-		return out
+		w.keys, views = sch.slotsOf(fields), views[1:]
 	}
-	panic(fmt.Sprintf("contents: unknown window %T", w))
+	if len(views) == 1 {
+		switch views[0].Name {
+		case "lastevent":
+			w.n = 1
+		case "length":
+			w.n = int(views[0].Args[0].(*epl.NumberLit).Value)
+		}
+	}
+	return w
+}
+
+func (w *oracleWin) insert(ev *Event) {
+	key := string(appendSlotsKey(nil, ev, w.keys))
+	g := append(w.groups[key], ev)
+	if w.n > 0 && len(g) > w.n {
+		g = g[1:]
+	}
+	w.groups[key] = g
+}
+
+// contents lists the events w retains: oldest first, and groups in key
+// order.
+func (w *oracleWin) contents() []*Event {
+	keys := make([]string, 0, len(w.groups))
+	for k := range w.groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var out []*Event
+	for _, k := range keys {
+		out = append(out, w.groups[k]...)
+	}
+	return out
 }
 
 // oracle recomputes the statements of an engine: it takes every event the
@@ -259,7 +282,7 @@ type oracle struct {
 // engine's Statement, and nothing of its plan.
 type oracleStmt struct {
 	st   *Statement
-	wins []window
+	wins []*oracleWin
 	// order is the nested loop's: the trigger item, then the other items
 	// in FROM order.
 	order []int
@@ -279,16 +302,12 @@ func newOracle(eng *Engine) *oracle { return &oracle{eng: eng} }
 // add starts recomputing st, with empty windows.
 func (o *oracle) add(st *Statement) {
 	n := len(st.items)
-	os := &oracleStmt{st: st, wins: make([]window, n), keys: make([][][2]string, n),
+	os := &oracleStmt{st: st, wins: make([]*oracleWin, n), keys: make([][][2]string, n),
 		conds: make([][]epl.Expr, n), anchored: make([][]*epl.CallExpr, n)}
 	trig := st.inc.trigIdx
 	os.order = append(os.order, trig)
 	for i, it := range st.items {
-		w, err := buildWindow(it.spec.Views, it.schema)
-		if err != nil {
-			panic(err)
-		}
-		os.wins[i] = w
+		os.wins[i] = newOracleWin(it.spec.Views, it.schema)
 		if i != trig {
 			os.order = append(os.order, i)
 		}
@@ -447,7 +466,7 @@ func (os *oracleStmt) evaluate() ([]map[string]Value, error) {
 		}
 		i := os.order[l]
 	next:
-		for _, ev := range contents(os.wins[i]) {
+		for _, ev := range os.wins[i].contents() {
 			for _, k := range os.keys[i] {
 				if valueKey(ev.Get(k[0])) != valueKey(row[trig].Get(k[1])) {
 					continue next

@@ -16,9 +16,10 @@ WHERE bd.loc = bd2.loc GROUP BY bd2.loc HAVING avg(bd2.delay) > 1`
 
 // TestSchemaGrowsWithLaterStatement registers a second statement, over a
 // field the first never mentions, after events were already bound under the
-// shorter schema. The first statement's windows hold those short events and
-// evict them later — through its own, still valid slot indexes — while the
-// second statement only ever meets events bound after its registration.
+// shorter schema. The first statement's windows count those short events and
+// evict them later, and its trigger reads them through its own, still valid
+// slot indexes, while the second statement only ever meets events bound
+// after its registration.
 func TestSchemaGrowsWithLaterStatement(t *testing.T) {
 	e := New()
 	first, err := e.AddStatement("first", listing1Shape)

@@ -6,48 +6,48 @@ import (
 	"trafficcep/internal/epl"
 )
 
-// window is the runtime state behind a view: the set of events a view
-// chain currently retains. Every window of the rule template takes the
-// arriving event and evicts at most one: insert returns that evicted event,
-// or nil, so that the trigger plan's aggregate state can be maintained from
-// the delta alone. After insert, the retained events are the old ones minus
-// evicted plus ev (TestWindowDeltaContract holds every window to it); an
-// evicted event that was never inserted would silently corrupt the running
-// sums the plan retracts it from. The engine never enumerates a window;
-// the test-only oracle does.
+// window is the runtime state behind a view: how many events a view chain
+// retains and where the latest one went, never the events themselves. Every
+// window of the rule template takes the arriving event into one position
+// and evicts at most the event that position held: insert returns the
+// position and whether it was occupied. State kept parallel to a window —
+// an item's value ring — indexes by the position and retracts what it
+// recorded there (TestWindowDeltaContract holds every window to it). A group
+// window's position is one of the group the event went to (groupWin.cur).
 type window interface {
-	insert(ev *Event) (evicted *Event)
+	insert(ev *Event) (pos int, occupied bool)
 	size() int
 }
 
-// view is an engine-owned window: the retained events of one (stream, view
-// chain, owned-key restriction), shared by every FROM item that resolved to
-// it. A view is open to
-// new subscribers only until its first event: FROM items that subscribe
-// before it were all going to see the same arrivals from an empty window,
-// so one window serves them and each statement's outputs are what a window
-// of its own would have produced. A statement registered later — a rule
-// Refresh — finds the view fed and gets a fresh one.
+// view is an engine-owned window: the count and position of one (stream,
+// view chain, owned-key restriction), shared by every FROM item that
+// resolved to it. A view is open to new subscribers only until its first
+// event: FROM items that subscribe before it were all going to see the same
+// arrivals from an empty window, so one window serves them and each
+// statement's outputs are what a window of its own would have produced. A
+// statement registered later — a rule Refresh — finds the view fed and gets
+// a fresh one.
 //
 // The window is inserted into once per event turn, by the first subscriber
-// to reach it; the others receive the same eviction.
+// to reach it; the others receive the same position.
 type view struct {
 	key  string
 	win  window
 	refs int
 
-	// lastEv is the event of the latest insert; evicted what it evicted. A
-	// view that never received an event has lastEv nil.
-	lastEv  *Event
-	evicted *Event
+	// lastEv is the event of the latest insert, pos the position it took: a
+	// trigger evaluates on its std:lastevent view's lastEv. A view that never
+	// received an event has lastEv nil.
+	lastEv *Event
+	pos    int
 }
 
-func (v *view) insert(ev *Event) (evicted *Event) {
+func (v *view) insert(ev *Event) int {
 	if v.lastEv != ev {
-		v.evicted = v.win.insert(ev)
+		v.pos, _ = v.win.insert(ev)
 		v.lastEv = ev
 	}
-	return v.evicted
+	return v.pos
 }
 
 // viewKey renders the registry key of a FROM item's window: the stream, its
@@ -128,17 +128,11 @@ func buildWindow(views []epl.ViewSpec, sch *streamSchema) (window, error) {
 		if len(rest) > 1 {
 			return nil, fmt.Errorf("cep: unsupported view chain of %d views after groupwin", len(rest))
 		}
-		factory := func() (window, error) { return buildWindow(rest, sch) }
-		// Validate the sub-chain once, eagerly.
-		probe, err := factory()
+		sub, err := buildWindow(rest, sch)
 		if err != nil {
 			return nil, err
 		}
-		gw := newGroupWin(sch.slotsOf(fields), factory)
-		if lw, ok := probe.(*lengthWin); ok {
-			gw.length = lw.n
-		}
-		return gw, nil
+		return &groupWin{keys: sch.slotsOf(fields), length: bound(sub), groups: make(map[string]*group)}, nil
 	}
 	if len(views) > 1 {
 		return nil, fmt.Errorf("cep: unsupported view chain of %d views", len(views))
@@ -150,7 +144,7 @@ func buildSimpleWindow(v epl.ViewSpec) (window, error) {
 	key := v.Namespace + ":" + v.Name
 	switch key {
 	case "std:lastevent":
-		return &lastEventWin{}, nil
+		return &lengthWin{n: 1}, nil
 	case "win:keepall":
 		return &keepAllWin{}, nil
 	case "win:length":
@@ -158,7 +152,7 @@ func buildSimpleWindow(v epl.ViewSpec) (window, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newLengthWin(n), nil
+		return &lengthWin{n: n}, nil
 	}
 	return nil, fmt.Errorf("cep: unknown view %s", key)
 }
@@ -177,90 +171,74 @@ func intArg(v epl.ViewSpec, i int) (int, error) {
 	return n, nil
 }
 
-// lastEventWin retains only the most recent event (std:lastevent).
-type lastEventWin struct{ ev *Event }
-
-func (w *lastEventWin) insert(ev *Event) (evicted *Event) {
-	evicted, w.ev = w.ev, ev
-	return evicted
-}
-
-func (w *lastEventWin) size() int {
-	if w.ev == nil {
-		return 0
+// bound is the number of positions w has, per group for a group window: 0
+// when it never evicts.
+func bound(w window) int {
+	switch w := w.(type) {
+	case *lengthWin:
+		return w.n
+	case *groupWin:
+		return w.length
 	}
-	return 1
+	return 0
 }
 
-// keepAllWin retains every event (win:keepall).
-type keepAllWin struct{ evs []*Event }
+// keepAllWin counts the events it retains: every one (win:keepall).
+type keepAllWin struct{ n int }
 
-func (w *keepAllWin) insert(ev *Event) (evicted *Event) {
-	w.evs = append(w.evs, ev)
-	return nil
+func (w *keepAllWin) insert(*Event) (pos int, occupied bool) {
+	w.n++
+	return w.n - 1, false
 }
 
-func (w *keepAllWin) size() int { return len(w.evs) }
+func (w *keepAllWin) size() int { return w.n }
 
-// lengthWin is a sliding window over the last n events (win:length).
+// lengthWin is a sliding window over the last n events (win:length, and
+// std:lastevent with n 1): its positions 0..n-1 are written in turn, and
+// once all n are, each insert evicts the oldest.
 type lengthWin struct {
-	n     int
-	buf   []*Event // ring buffer, capacity n
-	start int
-	count int
-	// pos is the slot of buf the latest insert wrote: state kept parallel
-	// to the window (groupAcc's value ring) indexes by it.
-	pos int
+	n, count int
+	next     int // the position the next insert writes
 }
 
-func newLengthWin(n int) *lengthWin {
-	return &lengthWin{n: n, buf: make([]*Event, n)}
-}
-
-func (w *lengthWin) insert(ev *Event) (evicted *Event) {
-	if w.count == w.n {
-		w.pos = w.start
-		evicted = w.buf[w.pos]
-		w.start = (w.start + 1) % w.n
-	} else {
-		w.pos = (w.start + w.count) % w.n
+func (w *lengthWin) insert(*Event) (pos int, occupied bool) {
+	pos, occupied = w.next, w.count == w.n
+	w.next = (w.next + 1) % w.n
+	if !occupied {
 		w.count++
 	}
-	w.buf[w.pos] = ev
-	return evicted
+	return pos, occupied
 }
 
 func (w *lengthWin) size() int { return w.count }
 
 // groupWin partitions events by the values of its key fields and delegates
-// to a per-group sub-window (std:groupwin(...).<view>).
+// to a per-group sub-window (std:groupwin(...).<view>): a length window of
+// the sub-view's bound or, for an unbounded sub-view, a count.
 type groupWin struct {
-	keys    []int // event slots forming the group key
-	factory func() (window, error)
-	// length is the sub-view's n when it is win:length, 0 otherwise.
+	keys []int // event slots forming the group key
+	// length is the sub-view's bound, 0 when it never evicts.
 	length int
 	groups map[string]*group
 	total  int
 	keyBuf []byte
 
-	// cur is the group the latest insert went to. A trigger plan whose item
-	// is keyed by the group fields folds into, and probes, cur's
-	// accumulators: the key this insert rendered and the entry it found
-	// serve the window, the fold and the evaluation.
+	// cur is the group the latest insert went to, and the group its
+	// position is in. A trigger plan item over the window folds into cur's
+	// value rings; a key-aligned one also probes cur's accumulators: the
+	// key this insert rendered and the entry it found serve the window,
+	// the fold and the evaluation.
 	cur *group
 	// subs counts the accumulator slots handed out by subscribe.
 	subs int
 }
 
 // group is one partition of a groupWin: its sub-window plus, per subscribed
-// trigger-plan item, that item's accumulators over the sub-window's events.
+// trigger-plan item, that item's value ring (and, for a key-aligned item,
+// its accumulators) over the sub-window's positions.
 type group struct {
 	win  window
 	accs []groupAcc
-}
-
-func newGroupWin(keys []int, factory func() (window, error)) *groupWin {
-	return &groupWin{keys: keys, factory: factory, groups: make(map[string]*group)}
 }
 
 // subscribe reserves an accumulator slot in every group. Only a view that
@@ -271,23 +249,24 @@ func (w *groupWin) subscribe() int {
 	return w.subs - 1
 }
 
-func (w *groupWin) insert(ev *Event) (evicted *Event) {
+func (w *groupWin) insert(ev *Event) (pos int, occupied bool) {
 	// Render the group key into the reusable buffer; the key string is
 	// only materialized when a new group is created — the lookup on a
 	// hit does not allocate.
 	w.keyBuf = appendSlotsKey(w.keyBuf[:0], ev, w.keys)
 	g, ok := w.groups[string(w.keyBuf)]
 	if !ok {
-		// The factory was validated at build time; it cannot fail here.
-		sub, _ := w.factory()
-		g = &group{win: sub, accs: make([]groupAcc, w.subs)}
+		g = &group{win: &keepAllWin{}, accs: make([]groupAcc, w.subs)}
+		if w.length > 0 {
+			g.win = &lengthWin{n: w.length}
+		}
 		w.groups[string(w.keyBuf)] = g
 	}
 	w.cur = g
-	if evicted = g.win.insert(ev); evicted == nil {
+	if pos, occupied = g.win.insert(ev); !occupied {
 		w.total++
 	}
-	return evicted
+	return pos, occupied
 }
 
 func (w *groupWin) size() int { return w.total }

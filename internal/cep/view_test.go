@@ -1,6 +1,7 @@
 package cep
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -19,13 +20,9 @@ func mkEvent(ts int, fields map[string]Value) *Event {
 	return ev
 }
 
-func ids(evs []*Event) []int {
-	out := make([]int, len(evs))
-	for i, e := range evs {
-		n, _ := numeric(e.Get("id"))
-		out[i] = int(n)
-	}
-	return out
+func id(e *Event) int {
+	n, _ := numeric(e.Get("id"))
+	return int(n)
 }
 
 func eqInts(a, b []int) bool {
@@ -38,6 +35,44 @@ func eqInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// ringReplay writes each event a window took into the position insert
+// returned, the way the trigger plan's value rings do, and logs the ids
+// it overwrote.
+type ringReplay struct {
+	slots   map[int]int // position → id of the event written there last
+	evicted []int
+}
+
+func (r *ringReplay) take(t *testing.T, w window, ev *Event) {
+	t.Helper()
+	pos, occupied := w.insert(ev)
+	old, held := r.slots[pos]
+	if occupied != held {
+		t.Fatalf("insert of %d: position %d occupied=%v, replay holds it: %v", id(ev), pos, occupied, held)
+	}
+	if held {
+		r.evicted = append(r.evicted, old)
+	}
+	if r.slots == nil {
+		r.slots = map[int]int{}
+	}
+	r.slots[pos] = id(ev)
+}
+
+// held lists the ids the replayed ring holds, in position order.
+func (r *ringReplay) held() []int {
+	pos := make([]int, 0, len(r.slots))
+	for p := range r.slots {
+		pos = append(pos, p)
+	}
+	sort.Ints(pos)
+	out := make([]int, len(pos))
+	for i, p := range pos {
+		out[i] = r.slots[p]
+	}
+	return out
 }
 
 func buildFromSpec(t *testing.T, spec string) window {
@@ -55,35 +90,29 @@ func buildFromSpec(t *testing.T, spec string) window {
 
 func TestLastEventWindow(t *testing.T) {
 	w := buildFromSpec(t, "std:lastevent()")
-	if w.size() != 0 || len(contents(w)) != 0 {
+	if w.size() != 0 {
 		t.Fatal("empty window must be empty")
 	}
-	a := mkEvent(1, map[string]Value{"id": 1})
-	if evicted := w.insert(a); evicted != nil {
-		t.Fatalf("first insert evicted %v", evicted.Fields)
-	}
-	b := mkEvent(2, map[string]Value{"id": 2})
-	if evicted := w.insert(b); evicted != a {
-		t.Fatalf("second insert must evict the first")
-	}
-	if !eqInts(ids(contents(w)), []int{2}) {
-		t.Fatalf("contents = %v", ids(contents(w)))
+	var r ringReplay
+	r.take(t, w, mkEvent(1, map[string]Value{"id": 1}))
+	r.take(t, w, mkEvent(2, map[string]Value{"id": 2}))
+	if !eqInts(r.held(), []int{2}) || !eqInts(r.evicted, []int{1}) || w.size() != 1 {
+		t.Fatalf("held %v, evicted %v, size %d", r.held(), r.evicted, w.size())
 	}
 }
 
 func TestLengthWindowRing(t *testing.T) {
 	w := buildFromSpec(t, "win:length(3)")
-	var evicted []int
+	var r ringReplay
 	for i := 1; i <= 7; i++ {
-		if ev := w.insert(mkEvent(i, map[string]Value{"id": i})); ev != nil {
-			evicted = append(evicted, ids([]*Event{ev})...)
-		}
+		r.take(t, w, mkEvent(i, map[string]Value{"id": i}))
 	}
-	if !eqInts(ids(contents(w)), []int{5, 6, 7}) {
-		t.Fatalf("contents = %v", ids(contents(w)))
+	// Positions are written in turn: 7 went to 0, over 4, over 1.
+	if !eqInts(r.held(), []int{7, 5, 6}) {
+		t.Fatalf("held = %v", r.held())
 	}
-	if !eqInts(evicted, []int{1, 2, 3, 4}) {
-		t.Fatalf("evicted = %v", evicted)
+	if !eqInts(r.evicted, []int{1, 2, 3, 4}) {
+		t.Fatalf("evicted = %v", r.evicted)
 	}
 	if w.size() != 3 {
 		t.Fatalf("size = %d", w.size())
@@ -93,8 +122,8 @@ func TestLengthWindowRing(t *testing.T) {
 func TestKeepAllWindowGrows(t *testing.T) {
 	w := buildFromSpec(t, "win:keepall()")
 	for i := 1; i <= 100; i++ {
-		if w.insert(mkEvent(i, map[string]Value{"id": i})) != nil {
-			t.Fatal("keepall must never evict")
+		if pos, occupied := w.insert(mkEvent(i, map[string]Value{"id": i})); occupied || pos != i-1 {
+			t.Fatalf("insert %d took position %d (occupied %v); keepall must never evict", i, pos, occupied)
 		}
 	}
 	if w.size() != 100 {
@@ -104,16 +133,18 @@ func TestKeepAllWindowGrows(t *testing.T) {
 
 func TestGroupWinSubWindows(t *testing.T) {
 	w := buildFromSpec(t, "std:groupwin(k).win:length(2)")
+	// A group window's positions are those of the group the event went to.
+	replays := map[string]*ringReplay{"a": {}, "b": {}}
 	for i := 1; i <= 6; i++ {
 		k := "a"
 		if i%2 == 0 {
 			k = "b"
 		}
-		w.insert(mkEvent(i, map[string]Value{"id": i, "k": k}))
+		replays[k].take(t, w, mkEvent(i, map[string]Value{"id": i, "k": k}))
 	}
-	// Group a holds {3,5}, group b {4,6}; contents lists groups in key order.
-	if !eqInts(ids(contents(w)), []int{3, 5, 4, 6}) {
-		t.Fatalf("contents = %v", ids(contents(w)))
+	// Group a holds {5,3}, group b {6,4}, by position.
+	if a, b := replays["a"].held(), replays["b"].held(); !eqInts(a, []int{5, 3}) || !eqInts(b, []int{6, 4}) {
+		t.Fatalf("held = %v, %v", a, b)
 	}
 	if w.size() != 4 {
 		t.Fatalf("size = %d", w.size())
