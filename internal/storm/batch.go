@@ -1,11 +1,9 @@
 package storm
 
 // Batched inter-executor transport and the zero-allocation routing path.
-//
-// The original data plane paid one channel send/receive, one collector
-// allocation and one heap-allocated FNV hasher per tuple per hop; at the
-// rates the paper targets (§5) those fixed costs dominate the pipeline. This
-// file amortizes and removes them:
+// At the rates the paper targets (§5) a channel operation, a collector
+// allocation or a hasher allocation per tuple per hop would dominate the
+// pipeline, so:
 //
 //   - Emissions buffer per destination executor in an outBatcher and travel
 //     as *batch values — one channel operation moves up to BatchSize
@@ -27,11 +25,9 @@ package storm
 //     roots are copied out of transport-owned memory by the acker (see
 //     acker.go), so pool reuse cannot corrupt them.
 //   - Fields-grouping keys are rendered into a reused scratch buffer and
-//     hashed with an inlined FNV-1a instead of fnv.New32a() + fmt.Fprintf
-//     per tuple, and each subscription memoizes its last key → task index so
-//     runs of tuples sharing a key (per-vehicle bursts) skip the hash
-//     entirely. Routing is byte-for-byte identical to the old path; the
-//     regression test in batch_test.go pins the equivalence.
+//     hashed with an inlined FNV-1a, routing byte-for-byte as fnv.New32a()
+//     over fmt.Fprintf("%v\x1f", v) would; the regression test in
+//     batch_test.go pins the equivalence.
 //
 // WithBatchSize(1) restores per-tuple transport (every envelope ships in its
 // own pooled single-entry batch) for ablation; all accounting — ack trees,
@@ -258,12 +254,4 @@ func appendFieldsKey(dst []byte, fields []string, values map[string]any, missing
 		dst = append(dst, 0x1f)
 	}
 	return dst
-}
-
-// fieldsCacheEntry memoizes one subscription's last grouping key and the
-// task index it hashed to (before quarantine probing, which is applied per
-// delivery), so consecutive tuples sharing a key resolve without hashing.
-type fieldsCacheEntry struct {
-	key []byte
-	idx int
 }

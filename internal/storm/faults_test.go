@@ -57,11 +57,13 @@ func figure8(n int, esper BoltFactory, sink BoltFactory) *TopologyBuilder {
 }
 
 // edgeReconciles asserts the delivery accounting between two adjacent
-// components: every tuple the upstream emitted is either executed by the
-// downstream or counted as dropped (at a task or at routing).
+// components: every tuple the upstream emitted or the acker replayed from
+// it is either executed by the downstream or counted as dropped (at a task
+// or at routing).
 func edgeReconciles(t *testing.T, rt *Runtime, up, down string) {
 	t.Helper()
-	var emitted, executed, dropped uint64
+	emitted := rt.comps[up].replays.Load()
+	var executed, dropped uint64
 	for _, ts := range rt.comps[up].tasks {
 		emitted += ts.emitted.Load()
 	}
@@ -394,6 +396,86 @@ func TestAckExpiryDropsAfterMaxRetries(t *testing.T) {
 	}
 	if ft.Dropped == 0 {
 		t.Fatal("expired tuple must be counted as dropped")
+	}
+}
+
+// TestAckFailAfterEmitReplays: a call that emits and then fails — by an
+// error or by a panic — must still fail its tree, whose chained emission
+// the failure retargets onto a fresh edge. Every i%5==0 tuple fails its
+// first attempt and replays once; tuple 7 fails every attempt and expires
+// after MaxRetries replays. Odd tuples emit twice, so a failure also
+// settles fresh edges beside the chained one. mid is slower than sink, so
+// at batch 1 the next call ships a failed call's chained envelope while
+// the fail update still waits in mid's ack buffer: unless the failure
+// retargeted it, the sink's update would drain the tree before the fail
+// bit lands, and the tree would ack.
+func TestAckFailAfterEmitReplays(t *testing.T) {
+	const n, retries = 20, 2
+	fails := map[string]func(Tuple) error{
+		"error": func(Tuple) error { return fmt.Errorf("failed after emitting") },
+		"panic": func(tp Tuple) error { panic(fmt.Sprintf("poisoned after emitting %v", tp.Values["i"])) },
+	}
+	for _, tc := range []struct {
+		fail  string
+		batch int
+	}{{"error", 1}, {"error", 64}, {"panic", 1}, {"panic", 64}} {
+		t.Run(fmt.Sprintf("%s/batch=%d", tc.fail, tc.batch), func(t *testing.T) {
+			spout := newAckSpout(n)
+			var mu sync.Mutex
+			attempts := map[int]int{}
+			mid := func() Bolt {
+				return &funcBolt{exec: func(tp Tuple, col Collector) error {
+					time.Sleep(2 * time.Millisecond)
+					i := tp.Values["i"].(int)
+					mu.Lock()
+					attempts[i]++
+					first := attempts[i] == 1
+					mu.Unlock()
+					for c := 0; c < 1+i%2; c++ {
+						col.Emit(map[string]any{"i": i, "copy": c})
+					}
+					if i == 7 || i%5 == 0 && first {
+						return fails[tc.fail](tp)
+					}
+					return nil
+				}}
+			}
+			b := NewTopologyBuilder("t")
+			b.SetSpout("src", func() Spout { return spout }, 1, 1)
+			b.SetBolt("mid", mid, 2, 2).FieldsGrouping("src", "key")
+			b.SetBolt("sink", func() Bolt {
+				return &funcBolt{exec: func(Tuple, Collector) error { return nil }}
+			}, 1, 1).ShuffleGrouping("mid")
+			topo, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := New(topo,
+				WithAckTimeout(150*time.Millisecond),
+				WithMaxRetries(retries),
+				WithFailurePolicy(Degrade),
+				WithQuarantineAfter(1_000_000),
+				WithBatchSize(tc.batch),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			spout.mu.Lock()
+			if len(spout.acked) != n-1 || spout.failed["7"] != 1 || len(spout.failed) != 1 {
+				t.Errorf("acked %d ids, failed %v; want %d acked and only id 7 failed", len(spout.acked), spout.failed, n-1)
+			}
+			spout.mu.Unlock()
+			ft := rt.FaultTotals()
+			if ft.Replays != 4+retries || ft.Acked != n-1 || ft.Dropped != 1 {
+				t.Errorf("replays = %d acked = %d dropped = %d, want %d, %d and 1 (4 transients, the poison's %d retries)",
+					ft.Replays, ft.Acked, ft.Dropped, 4+retries, n-1, retries)
+			}
+			edgeReconciles(t, rt, "src", "mid")
+			edgeReconciles(t, rt, "mid", "sink")
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package storm
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -13,8 +12,7 @@ import (
 )
 
 // config collects a topology run's knobs. It is built exclusively by New
-// from functional options (options.go); the former exported struct-literal
-// constructor is gone.
+// from functional options (options.go).
 type config struct {
 	// ChannelBuffer is the per-executor input queue length. Defaults to
 	// 1024. Sends block when full, providing backpressure.
@@ -871,17 +869,13 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) uint64 {
 		prepared[i] = true
 	}
 	out := r.newOutBatcher()
-	// ab buffers XOR-acker checksum updates under the same flush triggers
-	// as the tuple batches (nil unless the XOR acker is on).
-	var ab *ackBatcher
-	if r.acker != nil {
-		ab = r.acker.newBatcher()
-	}
 	// One collector serves every Execute call of this executor; per-tuple
 	// fields are reset per envelope, so the steady state allocates nothing.
-	col := &taskCollector{r: r, rc: rc, out: out, ab: ab}
+	// Its ab buffers XOR-acker checksum updates under the same flush
+	// triggers as the tuple batches (nil unless the XOR acker is on).
+	col := &taskCollector{r: r, rc: rc, out: out}
 	if r.acker != nil {
-		col.edges = newEdgeStream()
+		col.ab, col.edges = r.acker.newBatcher(), newEdgeStream()
 	}
 	// recv returns the next input batch, flushing buffered output first
 	// whenever the input queue is empty: the executor never sleeps on input
@@ -896,8 +890,8 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) uint64 {
 		default:
 		}
 		out.flushAll()
-		if ab != nil {
-			ab.flush()
+		if col.ab != nil {
+			col.ab.flush()
 		}
 		return <-ex.in
 	}
@@ -907,63 +901,37 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) uint64 {
 	// dropping the rest of its batch.
 	var bt *batch
 	next, ends := 0, 0
-	// With tracing off, the clock is read once per batch, not per envelope:
-	// btStart stamps the batch's arrival and the elapsed time is attributed
-	// to tasks proportionally to done[local], the per-task executed count of
-	// the current batch. At batch size 1 this degenerates to exactly the old
-	// two reads per tuple, so the ablation baseline is undisturbed. Tracing
-	// keeps per-envelope clocks: hop/e2e histograms need real per-tuple
-	// timestamps.
+	// The clock is read twice per batch: btStart stamps the batch's arrival
+	// and the elapsed time is attributed to tasks proportionally to
+	// done[local], the per-task executed count of the current batch. A
+	// traced envelope after the first adds one reading at its start for the
+	// hop histogram and its emissions' stamps, and a sink one more per
+	// traced envelope for the end-to-end histogram.
 	var btStart time.Time
-	done := make([]uint32, len(ex.tasks))
-	// cur is the Execute call in flight, for the panic handler. Recovery is
-	// hoisted to the loop level — one defer per loop entry rather than per
-	// tuple — so the isolation costs three scalar writes on the hot path and
-	// a loop re-entry only when a bolt actually panics.
-	var cur struct {
-		ts     *taskState
-		ack    uint64
-		edge   uint64
-		inCall bool
-	}
+	done, total := make([]uint32, len(ex.tasks)), uint32(0)
+	// inCall marks an Execute call in flight (col.ts is its task), for the
+	// panic handler. Recovery is hoisted to the loop level — one defer per
+	// loop entry rather than per tuple — so the isolation costs two scalar
+	// writes on the hot path and a loop re-entry only when a bolt panics.
+	inCall := false
 	loop := func() (finished bool) {
 		defer func() {
 			p := recover()
-			if p == nil || !cur.inCall {
+			if p == nil || !inCall {
 				if p != nil {
 					panic(p) // not ours: let it crash
 				}
 				return
 			}
-			cur.inCall = false
-			err := r.panicErr(rc, cur.ts, "Execute", p)
+			inCall = false
+			ts := col.ts
+			err := r.panicErr(rc, ts, "Execute", p)
 			// The tuple was attempted: count it executed so per-edge
 			// accounting (emitted upstream == executed + dropped) still
 			// reconciles, and fail its anchor so the acker replays it.
-			cur.ts.executed.Add(1)
-			r.taskFailed(rc, cur.ts, fmt.Errorf("storm: bolt %s task %d: %w", rc.spec.id, cur.ts.ctx.TaskID, err))
-			if cur.ack != 0 {
-				// Consume the delivery edge plus whatever the poisoned
-				// call emitted before dying, failing the tree. If the
-				// call chained its input edge onto an emission, retarget
-				// that envelope onto a fresh edge first so the fail
-				// update still carries a live edge (same invariant as
-				// the error path).
-				x := col.pendXor
-				if col.chainEdge != 0 {
-					x ^= col.chainEdge
-					col.chainEdge = 0
-				} else if col.chainBatch != nil {
-					e := col.edges.next()
-					col.chainBatch.envs[col.chainIdx].tuple.edge = e
-					x ^= cur.edge ^ e
-				}
-				ab.push(cur.ack, x, true)
-			}
-			if col.chainBatch != nil {
-				col.chainBatch = nil
-				col.out.pinned = nil
-			}
+			ts.executed.Add(1)
+			r.taskFailed(rc, ts, fmt.Errorf("storm: bolt %s task %d: %w", rc.spec.id, ts.ctx.TaskID, err))
+			col.settle(true)
 			next++ // resume with the envelope after the poisoned one
 		}()
 		for {
@@ -988,15 +956,15 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) uint64 {
 					continue
 				}
 				next = 0
-				if !r.tracing {
-					btStart = time.Now()
-				}
+				btStart = time.Now()
+				col.start = btStart
 			}
 			for next < len(bt.envs) {
 				// Pointer, not copy: the envelope is ~100 bytes and only
 				// read here (the batch slot is never mutated mid-call).
 				env := &bt.envs[next]
 				ts := ex.tasks[env.local]
+				col.begin(ts, &env.tuple)
 				if !prepared[env.local] || ts.quarantined.Load() {
 					ts.dropped.Add(1)
 					if !dropLogged[env.local] {
@@ -1005,116 +973,55 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) uint64 {
 							r.recordErr(fmt.Errorf("storm: bolt %s task %d: dropping tuples routed to a failed task", rc.spec.id, ts.ctx.TaskID))
 						}
 					}
-					if env.tuple.ack != 0 {
-						ab.push(env.tuple.ack, env.tuple.edge, true)
-					}
+					col.settle(true)
 					next++
 					continue
 				}
-				var err error
-				if !r.tracing {
-					// Zero-clock hot path: the batch's arrival stamp serves as
-					// the emission reference and processing time is settled per
-					// batch below.
-					col.ts = ts
-					col.inAck = env.tuple.ack
-					col.start = btStart
-					col.pendXor, col.pendFail = 0, false
-					if ab != nil {
-						col.chainEdge, col.chainBatch = env.tuple.edge, nil
+				trace := env.tuple.Trace
+				var at time.Time
+				if trace.Active() {
+					// The batch's arrival stamp is its first envelope's start.
+					at = btStart
+					if next > 0 {
+						at = time.Now()
 					}
-					cur.ts, cur.ack, cur.edge, cur.inCall = ts, env.tuple.ack, env.tuple.edge, true
-					err = ts.bolt.Execute(env.tuple, col)
-					cur.inCall = false
-					ts.executed.Add(1)
-					done[env.local]++
-				} else {
-					start := time.Now()
-					col.ts = ts
-					col.inAck = env.tuple.ack
-					col.start = start
-					traced := env.tuple.Trace.Active()
-					if traced {
-						// One UnixNano conversion per tuple stamps the hop observation
-						// and every downstream emission; no extra clock reads.
-						col.in = env.tuple.Trace
-						col.nowNanos = start.UnixNano()
-						if rc.hopHist != nil {
-							rc.hopHist.Observe(col.nowNanos - env.tuple.Trace.EmitNanos)
-						}
-					} else {
-						col.in = telemetry.TupleTrace{}
-						col.nowNanos = 0
+					col.nowNanos = at.UnixNano()
+					if rc.hopHist != nil {
+						rc.hopHist.Observe(col.nowNanos - trace.EmitNanos)
 					}
-					col.pendXor, col.pendFail = 0, false
-					if ab != nil {
-						col.chainEdge, col.chainBatch = env.tuple.edge, nil
-					}
-					cur.ts, cur.ack, cur.edge, cur.inCall = ts, env.tuple.ack, env.tuple.edge, true
-					err = ts.bolt.Execute(env.tuple, col)
-					cur.inCall = false
-					elapsed := time.Since(start)
-					ts.procNanos.Add(uint64(elapsed))
-					ts.executed.Add(1)
-					if traced && rc.e2eHist != nil {
-						rc.e2eHist.Observe(col.nowNanos + int64(elapsed) - env.tuple.Trace.StartNanos)
-					}
+				}
+				inCall = true
+				err := ts.bolt.Execute(env.tuple, col)
+				inCall = false
+				ts.executed.Add(1)
+				done[env.local]++
+				total++
+				if trace.Active() && rc.e2eHist != nil {
+					rc.e2eHist.Observe(col.nowNanos + int64(time.Since(at)) - trace.StartNanos)
 				}
 				if err != nil {
 					r.taskFailed(rc, ts, fmt.Errorf("storm: bolt %s task %d: %w", rc.spec.id, ts.ctx.TaskID, err))
 				} else {
 					ts.consecErr = 0
 				}
-				if env.tuple.ack != 0 {
-					// Settle the hop's ack update. The consumed input
-					// edge either cancels against a chained emission
-					// (out-edge = in-edge; the downstream hop consumes
-					// it instead) or is XORed in explicitly; fresh edges
-					// from further emissions ride along. A clean chained
-					// pass-through nets to zero and pushes nothing.
-					x := col.pendXor
-					fail := err != nil || col.pendFail
-					if col.chainEdge != 0 {
-						x ^= col.chainEdge
-						col.chainEdge = 0
-					} else if col.chainBatch != nil {
-						if fail {
-							// Errored after chaining: retarget the still
-							// pinned envelope onto a fresh edge so this
-							// fail update carries a live edge — it both
-							// consumes the input edge and introduces the
-							// new one, so the tree cannot zero out
-							// before the fail bit lands.
-							e := col.edges.next()
-							col.chainBatch.envs[col.chainIdx].tuple.edge = e
-							x ^= env.tuple.edge ^ e
-						}
-						col.chainBatch = nil
-						col.out.pinned = nil
-					}
-					if x != 0 || fail {
-						ab.push(env.tuple.ack, x, fail)
-					}
-				}
+				col.settle(err != nil)
 				next++
 			}
 			// Settle the batch's processing time across the tasks that did
 			// the work (a panicking envelope is counted executed but not in
 			// done, leaving its share unattributed — rare and harmless).
-			if !r.tracing {
-				var total uint32
-				for _, c := range done {
-					total += c
-				}
-				if total > 0 {
-					elapsed := uint64(time.Since(btStart))
-					for local, c := range done {
-						if c > 0 {
-							ex.tasks[local].procNanos.Add(elapsed * uint64(c) / uint64(total))
-							done[local] = 0
-						}
+			if total > 0 {
+				elapsed := uint64(time.Since(btStart))
+				for local, c := range done {
+					switch {
+					case c == total: // one task did it all: no division
+						ex.tasks[local].procNanos.Add(elapsed)
+					case c > 0:
+						ex.tasks[local].procNanos.Add(elapsed * uint64(c) / uint64(total))
 					}
+					done[local] = 0
 				}
+				total = 0
 			}
 			// Receiver releases: every envelope was processed, return the
 			// batch to the pool (the ownership contract of batch.go).
@@ -1127,8 +1034,8 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) uint64 {
 	// Input ended: put the remainder of the pipeline on the wire before
 	// this executor ends its own stream.
 	out.flushAll()
-	if ab != nil {
-		ab.flush()
+	if col.ab != nil {
+		col.ab.flush()
 	}
 	for i, ts := range ex.tasks {
 		if !prepared[i] {
@@ -1150,13 +1057,13 @@ type taskCollector struct {
 	rc *runningComponent
 	ts *taskState
 	// root marks a tracing spout collector: every emission starts a fresh
-	// trace. in is the traced input tuple's context on bolt collectors;
-	// emissions derive from it. nowNanos is the executor's clock reading at
-	// the start of the current NextTuple/Execute call — emissions are
+	// trace. in is the input tuple's trace context on bolt collectors;
+	// emissions derive from it when it is active. nowNanos is the
+	// executor's clock reading at the start of the current traced
+	// NextTuple/Execute call (read only when it is traced) — emissions are
 	// stamped with it instead of reading the clock again, so a hop's
 	// latency spans emitter execute-start to receiver execute-start (queue
-	// wait + transport + emitter processing). All three zero → no tracing
-	// work at all.
+	// wait + transport + emitter processing).
 	root     bool
 	in       telemetry.TupleTrace
 	nowNanos int64
@@ -1176,8 +1083,8 @@ type taskCollector struct {
 	// makes a clean pass-through hop contribute no ack update at all — the
 	// input edge cancels algebraically. chainBatch/chainIdx locate the
 	// chained envelope inside the out batcher while it is pinned there, so
-	// an error after the emission can retarget it onto a fresh edge id
-	// (restoring the invariant that a fail update carries a live edge).
+	// a failure after the emission can retarget it onto a fresh edge id
+	// (see settle).
 	chainEdge  uint64
 	chainBatch *batch
 	chainIdx   int
@@ -1204,15 +1111,11 @@ type taskCollector struct {
 	// single-envelope batches (replays are rare and latency-sensitive).
 	out *outBatcher
 	// start is the executor's clock reading at the start of the current
-	// NextTuple/Execute call, reused as the batch-age reference so
+	// NextTuple call or input batch, reused as the batch-age reference so
 	// buffering costs no clock reads.
 	start time.Time
-	// scratch is the reused fields-grouping key buffer; fcache memoizes,
-	// per subscription, the last key's hashed task index (pre-quarantine
-	// probing) so key runs skip the hash. Both stay nil until the first
-	// fields-grouped emission.
+	// scratch is the reused fields-grouping key buffer.
 	scratch []byte
-	fcache  map[*subscription]*fieldsCacheEntry
 }
 
 // outTrace stamps the trace context for one emission.
@@ -1224,6 +1127,54 @@ func (c *taskCollector) outTrace() telemetry.TupleTrace {
 		return c.in.Next(c.nowNanos)
 	}
 	return telemetry.TupleTrace{}
+}
+
+// begin readies a bolt collector for one Execute call of t on task ts:
+// emissions derive t's trace and anchor, and the call's XOR-acker state
+// starts empty with t's delivery edge offered for chaining.
+func (c *taskCollector) begin(ts *taskState, t *Tuple) {
+	c.ts, c.in, c.inAck = ts, t.Trace, t.ack
+	c.pendXor, c.pendFail = 0, false
+	c.chainEdge, c.chainBatch = t.edge, nil
+}
+
+// settle closes the current call's hop of its input's tree, if the input
+// is anchored. It stays small enough to inline, so an unanchored envelope
+// pays one comparison.
+func (c *taskCollector) settle(fail bool) {
+	if c.inAck != 0 {
+		c.settleAnchored(fail)
+	}
+}
+
+// settleAnchored pushes an anchored call's XOR-acker update. The consumed
+// input edge either cancels against a chained emission (out-edge =
+// in-edge; the downstream hop consumes it instead) or is XORed in
+// explicitly; fresh edges from further emissions ride along. A clean
+// chained pass-through nets to zero and pushes nothing. A failed call
+// (an error, a panic, or an envelope dropped at a dead task) first
+// retargets a chained envelope onto a fresh edge, so the fail update
+// both consumes the input edge and introduces the new one: the tree
+// cannot zero out before the fail bit lands.
+func (c *taskCollector) settleAnchored(fail bool) {
+	x := c.pendXor
+	fail = fail || c.pendFail
+	if c.chainEdge != 0 {
+		x ^= c.chainEdge
+		c.chainEdge = 0
+	} else if c.chainBatch != nil {
+		if fail {
+			chained := &c.chainBatch.envs[c.chainIdx].tuple
+			e := c.edges.next()
+			x ^= chained.edge ^ e
+			chained.edge = e
+		}
+		c.chainBatch = nil
+		c.out.pinned = nil
+	}
+	if x != 0 || fail {
+		c.ab.push(c.inAck, x, fail)
+	}
 }
 
 // Emit implements Collector.
@@ -1386,32 +1337,13 @@ func (c *taskCollector) deliver(sub *subscription, t *Tuple, directTask int) {
 	case FieldsGrouping:
 		// An absent field renders as the literal <nil>, so every tuple
 		// missing the same fields funnels to one task. The counter makes
-		// that visible; the routing stays deterministic and byte-identical
-		// to the former fnv.New32a + fmt.Fprintf path (see batch.go).
+		// that visible; the routing stays deterministic (see batch.go).
 		missing := false
 		c.scratch = appendFieldsKey(c.scratch[:0], sub.grouping.Fields, t.Values, &missing)
 		if missing {
 			c.rc.missingField.Add(1)
 		}
-		var idx int
-		if e := c.fcache[sub]; e != nil && bytes.Equal(e.key, c.scratch) {
-			idx = e.idx
-		} else {
-			idx = int(fnv1a(c.scratch) % uint32(n))
-			// Memoize only on executor-owned collectors (the replay
-			// collector is short-lived; caching there would just allocate).
-			if c.out != nil {
-				if e != nil {
-					e.key = append(e.key[:0], c.scratch...)
-					e.idx = idx
-				} else {
-					if c.fcache == nil {
-						c.fcache = make(map[*subscription]*fieldsCacheEntry)
-					}
-					c.fcache[sub] = &fieldsCacheEntry{key: append([]byte(nil), c.scratch...), idx: idx}
-				}
-			}
-		}
+		idx := int(fnv1a(c.scratch) % uint32(n))
 		if quar {
 			for tries := 0; tries < n && target.tasks[idx].quarantined.Load(); tries++ {
 				idx = (idx + 1) % n

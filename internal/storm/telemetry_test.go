@@ -1,6 +1,7 @@
 package storm
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,63 +10,89 @@ import (
 	"trafficcep/internal/telemetry"
 )
 
-// TestTracingRecordsHopAndEndToEnd runs a linear pipeline with telemetry and
-// checks that every delivered tuple left a hop-latency observation at every
-// bolt and an end-to-end observation at the sink, and that the trace context
-// actually rode the tuples.
+// TestTracingRecordsHopAndEndToEnd runs a linear pipeline with telemetry,
+// per-tuple and batched, with one erroring and one panicking envelope at
+// mid under Degrade. Every executed envelope — failed ones included —
+// leaves exactly one hop-latency observation at its bolt, only the sink
+// records end-to-end latency, and the trace context rides the tuples.
 func TestTracingRecordsHopAndEndToEnd(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	mu, got, _, sink := newSink()
-	b := NewTopologyBuilder("t")
-	b.SetSpout("src", func() Spout { return &seqSpout{n: 100, keys: 5} }, 1, 1)
-	b.SetBolt("mid", func() Bolt { return &passBolt{} }, 2, 2).ShuffleGrouping("src")
-	b.SetBolt("sink", sink, 1, 1).ShuffleGrouping("mid")
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(topo, WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
+	const n = 100
+	for _, batch := range []int{1, 64} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			mu, got, _, sink := newSink()
+			b := NewTopologyBuilder("t")
+			b.SetSpout("src", func() Spout { return &seqSpout{n: n, keys: 5} }, 1, 1)
+			b.SetBolt("mid", func() Bolt {
+				return &funcBolt{exec: func(tp Tuple, col Collector) error {
+					switch tp.Values["i"] {
+					case 3:
+						return fmt.Errorf("mid failed")
+					case 4:
+						panic("mid panicked")
+					}
+					col.Emit(tp.Values)
+					return nil
+				}}
+			}, 2, 2).ShuffleGrouping("src")
+			b.SetBolt("sink", sink, 1, 1).ShuffleGrouping("mid")
+			topo, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := New(topo, WithTelemetry(reg), WithBatchSize(batch), WithFailurePolicy(Degrade))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
 
-	if n := reg.Histogram("storm.mid.hop_latency_ns").Count(); n != 100 {
-		t.Fatalf("mid hop observations = %d, want 100", n)
-	}
-	if n := reg.Histogram("storm.sink.hop_latency_ns").Count(); n != 100 {
-		t.Fatalf("sink hop observations = %d, want 100", n)
-	}
-	if n := reg.Histogram("storm.sink.e2e_latency_ns").Count(); n != 100 {
-		t.Fatalf("sink end-to-end observations = %d, want 100", n)
-	}
-	// mid has subscribers, so it must not record end-to-end latency.
-	snap := reg.Snapshot()
-	if _, ok := snap.Get("storm.mid.e2e_latency_ns"); ok {
-		t.Fatal("non-sink component must not have an e2e histogram")
-	}
+			for comp, want := range map[string]uint64{"mid": n, "sink": n - 2} {
+				var executed uint64
+				for _, ts := range rt.comps[comp].tasks {
+					executed += ts.executed.Load()
+				}
+				if executed != want {
+					t.Fatalf("%s executed = %d, want %d", comp, executed, want)
+				}
+				if h := reg.Histogram("storm." + comp + ".hop_latency_ns").Count(); h != executed {
+					t.Fatalf("%s hop observations = %d, want one per executed envelope (%d)", comp, h, executed)
+				}
+			}
+			if h := reg.Histogram("storm.sink.e2e_latency_ns").Count(); h != n-2 {
+				t.Fatalf("sink end-to-end observations = %d, want %d", h, n-2)
+			}
+			if ft := rt.FaultTotals(); ft.Panics != 1 {
+				t.Fatalf("panics = %d, want 1", ft.Panics)
+			}
+			// mid has subscribers, so it must not record end-to-end latency.
+			snap := reg.Snapshot()
+			if _, ok := snap.Get("storm.mid.e2e_latency_ns"); ok {
+				t.Fatal("non-sink component must not have an e2e histogram")
+			}
 
-	mu.Lock()
-	defer mu.Unlock()
-	for _, tp := range *got {
-		if !tp.Trace.Active() {
-			t.Fatal("sink tuple without an active trace")
-		}
-		if tp.Trace.Hops != 1 {
-			t.Fatalf("hops = %d, want 1 (spout emit + mid re-emit)", tp.Trace.Hops)
-		}
-		if tp.Trace.EmitNanos < tp.Trace.StartNanos {
-			t.Fatalf("emit %d before start %d", tp.Trace.EmitNanos, tp.Trace.StartNanos)
-		}
-	}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, tp := range *got {
+				if !tp.Trace.Active() {
+					t.Fatal("sink tuple without an active trace")
+				}
+				if tp.Trace.Hops != 1 {
+					t.Fatalf("hops = %d, want 1 (spout emit + mid re-emit)", tp.Trace.Hops)
+				}
+				if tp.Trace.EmitNanos < tp.Trace.StartNanos {
+					t.Fatalf("emit %d before start %d", tp.Trace.EmitNanos, tp.Trace.StartNanos)
+				}
+			}
 
-	// One registry walk surfaces the monitor's counters too.
-	gathered := rt.Monitor()
-	gathered.Collect(reg)
-	if m, ok := reg.Snapshot().Get("storm.sink.executed"); !ok || m.Value != 100 {
-		t.Fatalf("storm.sink.executed = %+v, %v", m, ok)
+			// One registry walk surfaces the monitor's counters too.
+			gathered := rt.Monitor()
+			gathered.Collect(reg)
+			if m, ok := reg.Snapshot().Get("storm.sink.executed"); !ok || m.Value != n-2 {
+				t.Fatalf("storm.sink.executed = %+v, %v", m, ok)
+			}
+		})
 	}
 }
 
