@@ -14,7 +14,8 @@ package storm
 //     so batching never strands a tuple and never deadlocks: an executor
 //     only sleeps on input with its output buffers empty. Markers — epoch
 //     barriers and the end of an executor's stream — ride the same queues
-//     as flagged batches with no envelopes. Under the XOR
+//     as batches with no envelopes that name their sender and carry its
+//     mark. Under the XOR
 //     acker the same triggers also drain the executor's buffered ack
 //     updates (acker.go's ackBatcher), so checksum progress is never
 //     stranded behind an idle bolt either.
@@ -47,20 +48,18 @@ import (
 // deliverOrDrop).
 type batch struct {
 	envs []envelope
-	// epoch, when non-zero, marks an aligned epoch barrier (AckEpoch, see
-	// epoch.go): no envelopes, just the epoch number. The receiving
-	// executor counts it against its upstream-arrival expectation and
-	// forwards the barrier once aligned. Rides the same FIFO channels as
-	// data, so a barrier's arrival proves every pre-barrier delivery from
-	// that input is ahead of it.
-	epoch uint64
-	// end marks the sender's end of stream, its last batch on this edge:
-	// a bolt executor returns once every upstream executor's end arrived.
-	// Under AckEpoch epoch carries the last epoch the sender passed
-	// (possibly 0), and the receiver exempts it from the alignment of
-	// every later epoch.
-	end bool
+	// mark, when non-zero, makes the batch a marker with no envelopes: the
+	// executor src has passed epoch mark on this edge (an epoch barrier,
+	// AckEpoch only, see epoch.go), or with markEnd it ended its stream.
+	// Markers ride the same FIFO queues as data, so a marker's arrival
+	// proves every earlier delivery from src is ahead of it.
+	mark uint64
+	src  int
 }
+
+// markEnd is the mark of an ended edge: past every epoch, so an ended
+// input never holds back the lowest mark over an executor's inputs.
+const markEnd = ^uint64(0)
 
 func (r *Runtime) getBatch() *batch { return r.batchPool.Get().(*batch) }
 
@@ -69,8 +68,7 @@ func (r *Runtime) getBatch() *batch { return r.batchPool.Get().(*batch) }
 func (r *Runtime) putBatch(b *batch) {
 	clear(b.envs)
 	b.envs = b.envs[:0]
-	b.epoch = 0
-	b.end = false
+	b.mark = 0
 	r.batchPool.Put(b)
 }
 
@@ -85,7 +83,10 @@ type outBatcher struct {
 	bufs    []*batch // pending buffer per destination executor id
 	queued  []bool   // dests membership per destination executor id
 	dests   []*executor
-	first   time.Time // clock at the first buffered envelope since the last flush
+	// first is the start of the spout NextTuple call that buffered into
+	// an empty batcher, stamped by the spout executor; bolts flush on an
+	// idle input queue and never read it.
+	first time.Time
 	// pinned, when non-nil, holds an envelope whose edge id the in-flight
 	// Execute call may still rewrite (XOR acker edge chaining): add grows
 	// the batch past the size cap instead of shipping it mid-call. The
@@ -104,23 +105,13 @@ func (r *Runtime) newOutBatcher() *outBatcher {
 }
 
 // add buffers one envelope for dest, sending the buffer as soon as it holds
-// size envelopes. now is the caller's already-sampled clock reading (the
-// executor's call-start timestamp), so buffering costs no clock reads.
-// The tuple is copied exactly once — into the buffer slot — with edge
-// written onto that copy (t is shared across the emission's sends and must
-// not be mutated).
-func (o *outBatcher) add(dest *executor, local int, t *Tuple, edge uint64, now time.Time) {
+// size envelopes. The tuple is copied exactly once — into the buffer slot —
+// with edge written onto that copy (t is shared across the emission's sends
+// and must not be mutated).
+func (o *outBatcher) add(dest *executor, local int, t *Tuple, edge uint64) {
 	b := o.bufs[dest.eid]
 	if b == nil {
-		b = o.r.getBatch()
-		o.bufs[dest.eid] = b
-		if !o.queued[dest.eid] {
-			o.queued[dest.eid] = true
-			if len(o.dests) == 0 {
-				o.first = now
-			}
-			o.dests = append(o.dests, dest)
-		}
+		b = o.newBuf(dest)
 	}
 	b.envs = append(b.envs, envelope{local: local, tuple: *t})
 	b.envs[len(b.envs)-1].tuple.edge = edge
@@ -137,7 +128,7 @@ func (o *outBatcher) add(dest *executor, local int, t *Tuple, edge uint64, now t
 // a fresh edge id before it ships. A full buffer ships before the pin (the
 // previous pin is gone by now — it cleared when that call settled), so
 // pinning never grows batches past the cap in the steady state.
-func (o *outBatcher) pin(dest *executor, now time.Time) *batch {
+func (o *outBatcher) pin(dest *executor) *batch {
 	b := o.bufs[dest.eid]
 	if b != nil && len(b.envs) >= o.size {
 		o.bufs[dest.eid] = nil
@@ -145,21 +136,18 @@ func (o *outBatcher) pin(dest *executor, now time.Time) *batch {
 		b = nil
 	}
 	if b == nil {
-		b = o.newBuf(dest, now)
+		b = o.newBuf(dest)
 	}
 	o.pinned = b
 	return b
 }
 
 // newBuf starts a fresh buffer for dest and marks it dirty.
-func (o *outBatcher) newBuf(dest *executor, now time.Time) *batch {
+func (o *outBatcher) newBuf(dest *executor) *batch {
 	b := o.r.getBatch()
 	o.bufs[dest.eid] = b
 	if !o.queued[dest.eid] {
 		o.queued[dest.eid] = true
-		if len(o.dests) == 0 {
-			o.first = now
-		}
 		o.dests = append(o.dests, dest)
 	}
 	return b
@@ -185,9 +173,10 @@ func (o *outBatcher) flushAll() {
 	o.pinned = nil
 }
 
-// maybeFlush flushes when the oldest buffered envelope has waited at least
-// the batch timeout. Spout executors call it between NextTuple invocations
-// with the clock reading they already sampled for latency accounting.
+// maybeFlush flushes when the NextTuple call that first buffered since the
+// last flush started at least the batch timeout ago. Spout executors call
+// it between NextTuple invocations with the clock reading they already
+// sampled for latency accounting.
 func (o *outBatcher) maybeFlush(now time.Time) {
 	if len(o.dests) > 0 && now.Sub(o.first) >= o.timeout {
 		o.flushAll()

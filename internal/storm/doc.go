@@ -15,7 +15,8 @@
 // only the executors placed on it, and ships envelope batches to the others
 // over TCP peer links (see tcp.go and wire.go). Liveness between workers is
 // tracked with heartbeats; a lost peer fails its in-flight anchored tuples,
-// and the reader that delivered its frames ends its streams behind them.
+// and the reader that delivered its frames ends the peer's edges still open
+// behind them.
 //
 // # Data plane
 //
@@ -25,9 +26,11 @@
 // length-prefixed wire codec into a pooled frame buffer, queued on the
 // runtime's link to that worker; a decoded payload is an ordinary map the
 // receiving bolt owns like any other input. Both hops keep per-sender FIFO
-// order, which end-of-stream markers and epoch barriers rely on: an exiting
-// executor ends each of its edges with one marker behind its final flush,
-// and a bolt executor returns once every upstream executor's end arrived.
+// order, which markers rely on. A marker names its sender and carries its
+// mark on that edge: an epoch barrier, or markEnd (+∞) at the end of its
+// stream, sent on each edge behind the sender's final flush. A bolt
+// executor keeps one mark per input edge: the lowest is the epoch every
+// input has passed, and markEnd once every input ended, when it returns.
 //
 // # Reliability
 //

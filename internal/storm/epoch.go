@@ -13,21 +13,27 @@ package storm
 //     other, so one sender's messages are applied in send order.
 //   - Every spout executor, between NextTuple calls, notices the new
 //     epoch, snapshots each ReplayableSpout task's Checkpoint(), flushes
-//     its output buffers and emits a barrier batch for N to every
+//     its output buffers and sends a marker with mark N to every
 //     downstream executor — local ones through the input channels, remote
 //     ones as marker frames on the per-peer FIFO queue, both from the
 //     spout's own goroutine so the barrier trails every pre-barrier
 //     envelope (the same FIFO argument an end of stream relies on).
-//   - A bolt executor holds barrier N until it has arrived from every
-//     live upstream executor (counting alignment: envelopes from separate
-//     inputs merge into one FIFO channel, so by the time the last copy of
-//     the barrier is dequeued, every earlier delivery on every input has
-//     been processed), then flushes its own output and forwards the
-//     barrier downstream. An exiting executor's end-of-stream marker
-//     carries the last epoch it passed, exempting it from the alignment
-//     expectation of every later epoch.
-//   - Each worker reports pass(N, lossDelta) to the coordinator once all
-//     its local executors passed N; the delta is the growth of its fault
+//   - A bolt executor keeps one mark per input edge, the highest its
+//     sender sent, and the lowest of them is the epoch every input has
+//     passed (alignment by the minimum: envelopes from separate inputs
+//     merge into one FIFO channel, so once every input's mark reached N,
+//     every earlier delivery on every input has been processed). When the
+//     lowest mark rises past the last epoch it passed, the executor
+//     flushes its own output and forwards that epoch downstream. An
+//     ended edge's mark is markEnd, past every epoch, so it never holds
+//     back the others. An input that skipped an aborted epoch is already
+//     past it, so the minimum still passes that epoch once the other
+//     inputs reach it; the coordinator ignores a pass for an epoch not in
+//     flight.
+//   - Each worker applies the same rule to its local executors: the
+//     lowest epoch they all passed (an exited executor counts as markEnd),
+//     capped at the epoch begun, is reported as pass(N, lossDelta) to the
+//     coordinator whenever it rises. The delta is the growth of its fault
 //     counters (drops, errors, panics) since its previous report, and any
 //     loss of a pre-N tuple is counted on some worker strictly before
 //     that worker's report (the losing executor processes its input
@@ -58,6 +64,7 @@ package storm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,26 +78,6 @@ const (
 	epochCommit                 // coordinator → all: epoch w[0] committed
 	epochRewind                 // coordinator → all: rewind generation w[0], restore epoch w[1]
 )
-
-// epochAlign is one bolt executor's barrier-alignment state, touched only
-// on that executor's goroutine (barriers arrive as input batches).
-type epochAlign struct {
-	got     map[uint64]int // barrier arrivals per pending epoch
-	retired []uint64       // lastPassed of upstream executors that ended
-	passed  uint64         // highest epoch this executor aligned + forwarded
-}
-
-// exempt counts upstream executors that exited before passing epoch e and
-// therefore will never send its barrier.
-func (al *epochAlign) exempt(e uint64) int {
-	n := 0
-	for _, last := range al.retired {
-		if last < e {
-			n++
-		}
-	}
-	return n
-}
 
 // epochMsg is one message of the epoch protocol: a kind and up to three
 // words. No message has a reply.
@@ -116,16 +103,13 @@ type epochCoordinator struct {
 	committed  atomic.Uint64
 	rewindWord atomic.Uint64
 
-	align []*epochAlign // per eid; nil for spouts and remote executors
-
-	// Per-worker agent bookkeeping: which local executors passed which
-	// epoch, and the retirement exemptions.
-	mu          sync.Mutex
-	nLocal      int
-	passCount   map[uint64]int
-	retired     []uint64
-	maxReported uint64
-	lossBase    uint64
+	// Per-worker agent bookkeeping: passed is, per eid, the highest epoch
+	// each local executor passed, markEnd once it exited and for every
+	// executor placed elsewhere; reported is the last epoch reported.
+	mu       sync.Mutex
+	passed   []uint64
+	reported uint64
+	lossBase uint64
 
 	outbox   chan epochMsg // agent → coordinator messages, off the data path
 	leaderCh chan epochMsg // inbound pass/kick on worker 0
@@ -145,19 +129,14 @@ func newEpochCoordinator(r *Runtime) *epochCoordinator {
 		workers:  workers,
 		leader:   0,
 
-		passCount: make(map[uint64]int),
-		outbox:    make(chan epochMsg, 256),
-		leaderCh:  make(chan epochMsg, 256),
-		stopCh:    make(chan struct{}),
+		passed:   make([]uint64, len(r.execs)),
+		outbox:   make(chan epochMsg, 256),
+		leaderCh: make(chan epochMsg, 256),
+		stopCh:   make(chan struct{}),
 	}
-	ec.align = make([]*epochAlign, len(r.execs))
 	for _, ex := range r.execs {
 		if !r.localExec(ex) {
-			continue
-		}
-		ec.nLocal++
-		if !ex.comp.spec.isSpout {
-			ec.align[ex.eid] = &epochAlign{got: make(map[uint64]int)}
+			ec.passed[ex.eid] = markEnd
 		}
 	}
 	return ec
@@ -188,10 +167,10 @@ func (ec *epochCoordinator) apply(m epochMsg) error {
 	case epochBegin:
 		storeMax(&ec.pending, m.w[0])
 		// A worker with no live local executors left (or none placed here
-		// at all) passes every epoch trivially; everyone else reports as
-		// its last local executor passes.
+		// at all) passes every begun epoch; everyone else reports as its
+		// last local executor passes.
 		ec.mu.Lock()
-		rep := ec.evalLocked(m.w[0])
+		rep := ec.reportLocked()
 		ec.mu.Unlock()
 		ec.send(rep)
 	case epochCommit:
@@ -237,67 +216,33 @@ func storeMax(a *atomic.Uint64, v uint64) {
 
 // --- per-worker agent ---
 
-// localPass records that one local executor passed epoch e; when the last
-// live local executor passes, the worker reports to the coordinator.
-func (ec *epochCoordinator) localPass(e uint64) {
+// pass records that the local executor eid passed epoch mark (markEnd:
+// it exited), and reports to the coordinator if that completed an epoch.
+func (ec *epochCoordinator) pass(eid int, mark uint64) {
 	ec.mu.Lock()
-	ec.passCount[e]++
-	rep := ec.evalLocked(e)
+	ec.passed[eid] = max(ec.passed[eid], mark)
+	rep := ec.reportLocked()
 	ec.mu.Unlock()
 	ec.send(rep)
 }
 
-// retireLocal removes an exited local executor from the worker's pass
-// expectation (it passed every epoch up to lastPassed and will pass none
-// after). Runs on the executor's goroutine after its end of stream.
-func (ec *epochCoordinator) retireLocal(lastPassed uint64) {
-	var reps []epochMsg
-	ec.mu.Lock()
-	ec.retired = append(ec.retired, lastPassed)
-	for e := range ec.passCount {
-		if rep := ec.evalLocked(e); rep.kind != 0 {
-			reps = append(reps, rep)
-		}
-	}
-	if rep := ec.evalLocked(ec.pending.Load()); rep.kind != 0 {
-		reps = append(reps, rep)
-	}
-	ec.mu.Unlock()
-	for _, rep := range reps {
-		ec.send(rep)
-	}
-}
-
-// evalLocked decides whether epoch e is fully passed on this worker and,
-// if so, builds the pass report (sent by the caller after unlocking). The
-// loss delta is the growth of this worker's fault counters since its
-// previous report: every way a pre-barrier tuple can vanish (routing
-// drop, task error, panic, quarantine skip) increments a counter on the
-// losing worker before that worker's last executor passes the barrier
-// behind the tuple.
-func (ec *epochCoordinator) evalLocked(e uint64) epochMsg {
-	if e == 0 || e <= ec.maxReported {
+// reportLocked builds the pass report (sent by the caller after unlocking)
+// when the lowest epoch every local executor passed, capped at the epoch
+// begun, rose past the last report. The loss delta is the growth of this
+// worker's fault counters since its previous report: every way a
+// pre-barrier tuple can vanish (routing drop, task error, panic,
+// quarantine skip) increments a counter on the losing worker before that
+// worker's last executor passes the barrier behind the tuple.
+func (ec *epochCoordinator) reportLocked() epochMsg {
+	low := min(slices.Min(ec.passed), ec.pending.Load())
+	if low <= ec.reported {
 		return epochMsg{}
 	}
-	exempt := 0
-	for _, last := range ec.retired {
-		if last < e {
-			exempt++
-		}
-	}
-	if ec.passCount[e]+exempt < ec.nLocal {
-		return epochMsg{}
-	}
-	for k := range ec.passCount {
-		if k <= e {
-			delete(ec.passCount, k)
-		}
-	}
-	ec.maxReported = e
+	ec.reported = low
 	loss := ec.r.epochLossSum()
 	delta := loss - ec.lossBase
 	ec.lossBase = loss
-	return epochMsg{kind: epochPass, w: [3]uint64{uint64(ec.r.cfg.selfWorker), e, delta}}
+	return epochMsg{kind: epochPass, w: [3]uint64{uint64(ec.r.cfg.selfWorker), low, delta}}
 }
 
 // send queues one agent→coordinator message; the agent goroutine delivers
@@ -437,53 +382,6 @@ func (ec *epochCoordinator) broadcast(m epochMsg) {
 	}
 }
 
-// --- barrier flow ---
-
-// onBarrier handles one marker dequeued by a bolt executor — a barrier, or
-// with end set an upstream executor's end of stream carrying its last
-// passed epoch: count it, and pass every epoch whose alignment just
-// completed (flush own output first, forward the barrier, report the local
-// pass).
-func (ec *epochCoordinator) onBarrier(ex *executor, out *outBatcher, val uint64, end bool) {
-	al := ec.align[ex.eid]
-	if end {
-		al.retired = append(al.retired, val)
-	} else {
-		if val <= al.passed {
-			return // stale duplicate of an already-passed epoch
-		}
-		al.got[val]++
-	}
-	for {
-		// Pass completable epochs in ascending order. Completion can skip
-		// an epoch only when that epoch was aborted before some upstream
-		// injected it — a complete epoch implies every live upstream
-		// passed it, so none of them can still owe an earlier barrier.
-		best := uint64(0)
-		for e, n := range al.got {
-			if e <= al.passed {
-				delete(al.got, e)
-				continue
-			}
-			if n+al.exempt(e) >= ex.comp.upstream && (best == 0 || e < best) {
-				best = e
-			}
-		}
-		if best == 0 {
-			return
-		}
-		al.passed = best
-		for e := range al.got {
-			if e <= best {
-				delete(al.got, e)
-			}
-		}
-		out.flushAll()
-		ec.r.forward(ex.comp, best, false)
-		ec.localPass(best)
-	}
-}
-
 // --- the spout executor's epoch hooks (runSpoutExecutor) ---
 
 // epochOpen records epoch 0, the initial state, for every open
@@ -566,8 +464,8 @@ func (s *spoutExec) inject(e uint64) {
 			}
 		}
 	}
-	s.r.forward(s.rc, e, false)
-	ec.localPass(e)
+	s.r.forward(s.ex, e)
+	ec.pass(s.ex.eid, e)
 	s.injected = e
 	if s.nActive == 0 && s.exitEpoch == 0 {
 		s.exitEpoch = e

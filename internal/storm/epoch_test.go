@@ -311,3 +311,101 @@ func TestAckModeEpochOptionValidation(t *testing.T) {
 		t.Fatalf("epoch mode with explicit interval: %v", err)
 	}
 }
+
+// TestEpochLowestMarkDecides drives one bolt executor's input queue by hand:
+// two spout executors feed mid, which feeds sink. The lowest mark over
+// mid's two input edges is the epoch it forwards, an ended input never
+// holds back the other, and once both inputs ended mid returns without
+// forwarding. A worker whose executors have all exited then reports the
+// epoch begun.
+func TestEpochLowestMarkDecides(t *testing.T) {
+	b := NewTopologyBuilder("marks")
+	b.SetSpout("src", func() Spout { return &seqSpout{} }, 2, 2)
+	b.SetBolt("mid", func() Bolt { return &passBolt{} }, 1, 1).ShuffleGrouping("src")
+	b.SetBolt("sink", func() Bolt { return &passBolt{} }, 1, 1).ShuffleGrouping("mid")
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(topo, WithAckTimeout(time.Second), WithAckMode(AckEpoch), WithBatchSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.epochs = newEpochCoordinator(rt) // the agent and coordinator loops stay off: reports wait in the outbox
+	src, mid, sink := rt.comps["src"].execs, rt.comps["mid"].execs[0], rt.comps["sink"].execs[0]
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		rt.runBoltExecutor(mid.comp, mid)
+	}()
+
+	send := func(from *executor, mark uint64) { mid.in <- rt.marker(from.eid, mark) }
+	next := func() *batch {
+		t.Helper()
+		select {
+		case b := <-sink.in:
+			return b
+		case <-time.After(5 * time.Second):
+			t.Fatal("mid sent nothing to the sink")
+			return nil
+		}
+	}
+	// forwards sends mid a data tuple and checks that mid forwarded epoch
+	// want ahead of it (0: nothing): mid handles its input in order, so the
+	// tuple's emission follows whatever the markers before it forwarded.
+	forwards := func(want uint64) {
+		t.Helper()
+		probe := rt.getBatch()
+		probe.envs = append(probe.envs, envelope{tuple: Tuple{Stream: DefaultStream, Values: map[string]any{}}})
+		mid.in <- probe
+		if want != 0 {
+			if got := next(); got.mark != want || got.src != mid.eid {
+				t.Fatalf("mid sent mark %d from executor %d, want epoch %d from executor %d", got.mark, got.src, want, mid.eid)
+			}
+		}
+		if got := next(); got.mark != 0 || len(got.envs) != 1 {
+			t.Fatalf("mid sent mark %d with %d envelopes ahead of the probe, want epoch %d", got.mark, len(got.envs), want)
+		}
+	}
+
+	send(src[0], 1)
+	forwards(0)
+	send(src[1], 1)
+	forwards(1)
+	send(src[0], 3)
+	send(src[1], 2)
+	forwards(2)
+	send(src[1], 3)
+	forwards(3)
+	send(src[0], markEnd)
+	send(src[1], 4)
+	forwards(4)
+	send(src[1], markEnd)
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("mid did not return once both inputs ended")
+	}
+	select {
+	case got := <-sink.in:
+		t.Fatalf("mid sent mark %d with %d envelopes after both inputs ended", got.mark, len(got.envs))
+	default:
+	}
+
+	ec := rt.epochs
+	for _, ex := range rt.execs {
+		ec.pass(ex.eid, markEnd)
+	}
+	if len(ec.outbox) != 0 {
+		t.Fatalf("%d reports before any epoch began, want none", len(ec.outbox))
+	}
+	if err := ec.apply(epochMsg{kind: epochBegin, w: [3]uint64{7}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ec.outbox) != 1 {
+		t.Fatalf("%d reports after epoch 7 began, want 1", len(ec.outbox))
+	}
+	if m := <-ec.outbox; m.kind != epochPass || m.w != [3]uint64{0, 7, 0} {
+		t.Fatalf("report %+v, want worker 0 passing epoch 7 with no loss", m)
+	}
+}

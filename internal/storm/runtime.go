@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,11 +228,9 @@ type runningComponent struct {
 	// back to the full ring when every local task is quarantined.
 	localTasks []int
 	// down lists the executors this component's output reaches, each once
-	// however many streams lead there, and upstream counts the executors
-	// feeding it. An exiting executor ends each of its down edges with one
-	// marker, and a bolt executor returns once upstream ends arrived.
-	down     []*executor
-	upstream int
+	// however many streams lead there: an executor's markers go to each of
+	// them (see forward).
+	down []*executor
 
 	// Fault accounting, published by the monitor as
 	// storm.<comp>.{panics,replays,acked,dropped,quarantined,missing_field}.
@@ -413,7 +412,6 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 			if !fed[src] {
 				fed[src] = true
 				src.down = append(src.down, rc.execs...)
-				rc.upstream += len(src.execs)
 			}
 		}
 	}
@@ -609,20 +607,18 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 			wg.Add(1)
 			go func(rc *runningComponent, ex *executor) {
 				defer wg.Done()
-				var last uint64
 				if rc.spec.isSpout {
-					last = r.runSpoutExecutor(rc, ex)
+					r.runSpoutExecutor(rc, ex)
 				} else {
-					last = r.runBoltExecutor(rc, ex)
+					r.runBoltExecutor(rc, ex)
 				}
 				// This executor will emit no more tuples (its buffers are
 				// flushed and, with the XOR acker on, its anchored trees
 				// resolved): end each of its edges behind its final flush.
-				// Under AckEpoch the end carries the last epoch it passed,
-				// and the worker stops expecting its passes.
-				r.forward(rc, last, true)
+				// Under AckEpoch it has passed every epoch on its worker too.
+				r.forward(ex, markEnd)
 				if r.epochs != nil {
-					r.epochs.retireLocal(last)
+					r.epochs.pass(ex.eid, markEnd)
 				}
 			}(rc, ex)
 		}
@@ -714,8 +710,7 @@ func (s *spoutExec) closeTask(i int) {
 // runSpoutExecutor drives the executor's spout tasks round-robin until all
 // report exhaustion (or the run is cancelled), then — when ack tracking is
 // on — stays alive until every anchored tuple its tasks emitted resolved,
-// so no replay can follow its end of stream. It returns the last epoch it
-// injected (0 outside AckEpoch).
+// so no replay can follow its end of stream.
 //
 // Under AckEpoch the same loop also injects barriers and applies rewinds
 // between calls, and an exhausted task parks instead of closing: the
@@ -726,7 +721,7 @@ func (s *spoutExec) closeTask(i int) {
 // each entry into the round-robin loop (paid only when a NextTuple actually
 // panics), and the loop is re-entered afterwards, so the per-call cost is
 // three scalar writes instead of a defer per tuple.
-func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) uint64 {
+func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) {
 	ec := r.epochs
 	s := &spoutExec{r: r, rc: rc, ex: ex, out: r.newOutBatcher(), state: make([]uint8, len(ex.tasks))}
 	for i, ts := range ex.tasks {
@@ -783,6 +778,11 @@ func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) uint64 {
 				// the previous NextTuple doubles as this call's start, one read
 				// per call instead of two.
 				start := now
+				if len(s.out.dests) == 0 {
+					// A call that buffers into an empty batcher starts the
+					// batch timeout, even if it panics.
+					s.out.first = start
+				}
 				col.ts = ts
 				col.start = start
 				if r.tracing {
@@ -843,16 +843,15 @@ func (r *Runtime) runSpoutExecutor(rc *runningComponent, ex *executor) uint64 {
 			r.acker.waitTask(ts)
 		}
 	}
-	return s.injected
 }
 
 // runBoltExecutor prepares the executor's bolt tasks, processes its input
-// queue until every upstream executor's end of stream arrived, then cleans
-// up and returns the last epoch it passed (0 outside AckEpoch). Envelopes routed to a task whose
-// Prepare failed — or that was quarantined — are counted as dropped rather
-// than silently discarded, and the first such drop records an error under
-// FailFast so the run cannot report success with vanished data.
-func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) uint64 {
+// queue until every input edge ended, then cleans up. Envelopes routed to a
+// task whose Prepare failed — or that was quarantined — are counted as
+// dropped rather than silently discarded, and the first such drop records
+// an error under FailFast so the run cannot report success with vanished
+// data.
+func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 	prepared := make([]bool, len(ex.tasks))
 	dropLogged := make([]bool, len(ex.tasks))
 	for i, ts := range ex.tasks {
@@ -896,11 +895,12 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) uint64 {
 		return <-ex.in
 	}
 	// bt/next are the batch being processed and the envelope to process
-	// next, and ends the end markers received so far, hoisted out of loop()
-	// so the panic handler can resume after the poisoned envelope without
-	// dropping the rest of its batch.
+	// next, hoisted out of loop() so the panic handler can resume after the
+	// poisoned envelope without dropping the rest of its batch. marks holds
+	// one mark per input edge and passed the highest epoch forwarded.
 	var bt *batch
-	next, ends := 0, 0
+	next := 0
+	marks, passed := r.inputMarks(ex), uint64(0)
 	// The clock is read twice per batch: btStart stamps the batch's arrival
 	// and the elapsed time is attributed to tasks proportionally to
 	// done[local], the per-task executed count of the current batch. A
@@ -937,27 +937,27 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) uint64 {
 		for {
 			if bt == nil {
 				bt = recv()
-				if bt.end || bt.epoch != 0 {
-					// A marker: an epoch barrier or an upstream executor's
-					// end of stream. Alignment counts both; once every live
-					// upstream's barrier arrived, onBarrier flushes this
-					// executor's output and forwards the barrier downstream.
-					e, end := bt.epoch, bt.end
+				if bt.mark != 0 {
+					// A marker raises its edge's mark. Once every input
+					// ended the executor is done; once every input passed a
+					// new epoch, its output goes out ahead of the barrier.
+					marks[bt.src] = max(marks[bt.src], bt.mark)
 					r.putBatch(bt)
 					bt = nil
-					if r.epochs != nil {
-						r.epochs.onBarrier(ex, out, e, end)
+					low := slices.Min(marks)
+					if low == markEnd {
+						return true
 					}
-					if end {
-						if ends++; ends == rc.upstream {
-							return true
-						}
+					if low > passed {
+						passed = low
+						out.flushAll()
+						r.forward(ex, low)
+						r.epochs.pass(ex.eid, low)
 					}
 					continue
 				}
 				next = 0
 				btStart = time.Now()
-				col.start = btStart
 			}
 			for next < len(bt.envs) {
 				// Pointer, not copy: the envelope is ~100 bytes and only
@@ -1045,10 +1045,6 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) uint64 {
 			r.taskFailed(rc, ts, fmt.Errorf("storm: bolt %s task %d cleanup: %w", rc.spec.id, ts.ctx.TaskID, err))
 		}
 	}
-	if r.epochs != nil {
-		return r.epochs.align[ex.eid].passed
-	}
-	return 0
 }
 
 // taskCollector routes a task's emissions to downstream subscriptions.
@@ -1110,9 +1106,9 @@ type taskCollector struct {
 	// acker's replay collector, whose emissions ship immediately in
 	// single-envelope batches (replays are rare and latency-sensitive).
 	out *outBatcher
-	// start is the executor's clock reading at the start of the current
-	// NextTuple call or input batch, reused as the batch-age reference so
-	// buffering costs no clock reads.
+	// start is the spout executor's clock reading at the start of the
+	// current NextTuple call: the XOR acker's register deadline counts
+	// from it.
 	start time.Time
 	// scratch is the reused fields-grouping key buffer.
 	scratch []byte
@@ -1452,14 +1448,14 @@ func (c *taskCollector) send(target *runningComponent, taskIdx int, t *Tuple) {
 	dest := target.execs[route.exec]
 	if c.out != nil {
 		if chained {
-			b := c.out.pin(dest, c.start)
+			b := c.out.pin(dest)
 			b.envs = append(b.envs, envelope{local: route.local, tuple: *t})
 			i := len(b.envs) - 1
 			b.envs[i].tuple.edge = edge
 			c.chainBatch, c.chainIdx = b, i
 			return
 		}
-		c.out.add(dest, route.local, t, edge, c.start)
+		c.out.add(dest, route.local, t, edge)
 		return
 	}
 	b := c.r.getBatch()

@@ -3,11 +3,12 @@ package storm
 // TCP peer links: worker membership over a static peer list, one
 // directed connection per ordered worker pair (each worker dials every
 // other and announces itself with a hello frame), heartbeat liveness, and
-// the distributed halves of the end of stream (marker frames ending each
-// edge, one done frame per worker as it leaves), anchored-tuple tracking
-// (ackBatch frames carrying checksum updates to each root's owner), and
-// the epoch protocol (marker frames carrying barriers between executors,
-// one-way epoch frames between the coordinator and the workers).
+// the distributed halves of the end of stream (a marker frame with mark
+// markEnd ending each edge, one done frame per worker as it leaves),
+// anchored-tuple tracking (ackBatch frames carrying checksum updates to
+// each root's owner), and the epoch protocol (marker frames carrying
+// barriers between executors, one-way epoch frames between the coordinator
+// and the workers).
 //
 // Per-sender FIFO comes straight from TCP: everything a worker sends to a
 // given peer — batches, markers, epoch messages, done — shares one
@@ -15,9 +16,10 @@ package storm
 // only one that delivers that peer's frames. That ordering is what makes
 // an end marker prove its sender's batches are ahead of it without any
 // cross-worker locking, and what applies one sender's epoch messages in
-// send order. When the reader stops, it delivers the ends the peer still
-// owes behind the last frame it delivered, so nothing from a lost peer
-// arrives after its ends.
+// send order. A reader holds the edges from its peer's executors to this
+// worker's that have not ended, rejects a marker on any other, and when it
+// stops ends the ones still open behind the last frame it delivered, so
+// nothing from a lost peer arrives after its ends.
 
 import (
 	"bufio"
@@ -490,8 +492,8 @@ func (l *peerLinks) heartbeatLoop() {
 // hello of a peer no reader served before and not declared lost; every
 // later frame is dispatched in order, and this reader is the only goroutine
 // that delivers the peer's frames. When it stops, it declares the peer lost
-// unless the peer sent done first, then delivers the ends the peer still
-// owes, behind the last frame it delivered. Liveness: one 4-heartbeat
+// unless the peer sent done first, then ends the peer's edges still open,
+// behind the last frame it delivered. Liveness: one 4-heartbeat
 // deadline is armed per frame (covering both the header and payload reads),
 // so a genuinely silent peer is detected while a reader merely blocked
 // delivering into a full executor queue (backpressure) is not — the
@@ -555,7 +557,7 @@ func (l *peerLinks) readLoop(conn net.Conn) {
 	if !l.peers[in.peer].left.Load() {
 		l.peerLost(in.peer, err)
 	}
-	l.endStreams(in.owed, in.epoch)
+	l.endStreams(in.open)
 }
 
 // serve takes the first frame of an inbound connection, which must be a
@@ -574,7 +576,7 @@ func (l *peerLinks) serve(typ byte, body []byte, conn net.Conn) *inbound {
 		return nil
 	}
 	p.in = conn
-	return &inbound{l: l, peer: int(w), dec: frameDecoder{r: l.r}, owed: l.owedEnds(int(w))}
+	return &inbound{l: l, peer: int(w), dec: frameDecoder{r: l.r}, open: l.openEdges(int(w))}
 }
 
 // inbound is the state of one served connection's reader.
@@ -582,14 +584,13 @@ type inbound struct {
 	l    *peerLinks
 	peer int
 	dec  frameDecoder
-	// owed counts, per executor of this worker, the ends the peer's
-	// executors have yet to deliver to it. epoch is the highest epoch a
-	// marker from the peer carried: the ends the reader delivers for a
-	// lost peer carry it, so alignment exempts the peer's executors only
-	// from epochs none of them reached.
-	owed  []int
-	epoch uint64
+	// open holds the edges from the peer's executors to this worker's that
+	// have not ended.
+	open map[edge]bool
 }
+
+// edge is one executor's output to one executor it feeds, by dense ids.
+type edge struct{ src, dest int }
 
 func (in *inbound) dispatch(typ byte, body []byte) error {
 	l := in.l
@@ -635,6 +636,9 @@ func (in *inbound) dispatch(typ byte, body []byte) error {
 			l.r.acker.apply(root, binary.BigEndian.Uint64(b), b[8] != 0)
 			b = b[9:]
 		}
+		if len(b) != 0 {
+			return fmt.Errorf("storm: %d trailing bytes after ackBatch frame", len(b))
+		}
 		return nil
 	case frameEpoch:
 		m, err := decodeEpochFrame(body)
@@ -649,40 +653,33 @@ func (in *inbound) dispatch(typ byte, body []byte) error {
 	return fmt.Errorf("storm: unknown frame type %d", typ)
 }
 
-// marker delivers one marker frame: an epoch barrier, or an end of stream
-// the peer still owed the executor it names.
+// marker delivers one marker frame: the mark of one of the peer's
+// executors on an open edge to an executor of this worker. A marker ending
+// the edge closes it.
 func (in *inbound) marker(body []byte) error {
 	l := in.l
-	eid, rest, err := decodeUvarint(body)
+	dest, src, mark, err := decodeMarkerFrame(body)
 	if err != nil {
 		return err
 	}
-	epoch, rest, err := decodeUvarint(rest)
+	ex, err := l.inboundBolt(dest, nil)
 	if err != nil {
 		return err
 	}
-	end, _, err := decodeUvarint(rest)
-	if err != nil {
-		return err
+	if mark != markEnd && l.r.epochs == nil {
+		return fmt.Errorf("storm: marker for epoch %d at worker %d, which runs without epoch mode", mark, l.self)
 	}
-	ex, err := l.inboundBolt(int(eid), nil)
-	if err != nil {
-		return err
+	e := edge{src, dest}
+	if !in.open[e] {
+		return fmt.Errorf("storm: marker from executor %d to executor %d, which is not an open edge from worker %d", src, dest, in.peer)
 	}
-	if epoch != 0 && l.r.epochs == nil {
-		return fmt.Errorf("storm: marker for epoch %d at worker %d, which runs without epoch mode", epoch, l.self)
+	if mark == markEnd {
+		delete(in.open, e)
 	}
-	if end != 0 {
-		if in.owed[ex.eid] == 0 {
-			return fmt.Errorf("storm: end of stream for executor %d beyond the executors of worker %d that feed it", ex.eid, in.peer)
-		}
-		in.owed[ex.eid]--
-	}
-	in.epoch = max(in.epoch, epoch)
 	// Deliver on the reader, like data frames: the marker slots into the
 	// executor's queue behind every earlier delivery from this connection,
 	// the FIFO property alignment and the end of stream rely on.
-	ex.in <- l.r.marker(epoch, end != 0)
+	ex.in <- l.r.marker(src, mark)
 	return nil
 }
 
@@ -768,39 +765,35 @@ func (l *peerLinks) peerLost(worker int, cause error) {
 	if in != nil {
 		in.Close()
 	} else {
-		l.endStreams(l.owedEnds(worker), 0)
+		l.endStreams(l.openEdges(worker))
 	}
 	l.peerLeft(p)
 }
 
-// owedEnds counts, per executor of this worker, the ends worker w owes it:
-// one per executor of w that feeds it.
-func (l *peerLinks) owedEnds(w int) []int {
-	owed := make([]int, len(l.r.execs))
+// openEdges lists the edges from worker w's executors to this worker's.
+func (l *peerLinks) openEdges(w int) map[edge]bool {
+	open := make(map[edge]bool)
 	for _, src := range l.r.execs {
 		if src.worker != w {
 			continue
 		}
 		for _, dest := range src.comp.down {
 			if dest.worker == l.self {
-				owed[dest.eid]++
+				open[edge{src.eid, dest.eid}] = true
 			}
 		}
 	}
-	return owed
+	return open
 }
 
-// endStreams delivers the ends a peer still owes, each carrying epoch,
-// until the links close: every local executor has exited then, or never
-// started.
-func (l *peerLinks) endStreams(owed []int, epoch uint64) {
-	for eid, n := range owed {
-		for ; n > 0; n-- {
-			select {
-			case l.r.execs[eid].in <- l.r.marker(epoch, true):
-			case <-l.stopCh:
-				return
-			}
+// endStreams ends each of a peer's open edges until the links close: every
+// local executor has exited then, or never started.
+func (l *peerLinks) endStreams(open map[edge]bool) {
+	for e := range open {
+		select {
+		case l.r.execs[e.dest].in <- l.r.marker(e.src, markEnd):
+		case <-l.stopCh:
+			return
 		}
 	}
 }

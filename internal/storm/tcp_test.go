@@ -568,7 +568,7 @@ func TestDistributedRejectsFramesTheOptionsCannotProduce(t *testing.T) {
 	}{
 		{"anchoredWithoutAcker", "anchored envelope for executor 1 at worker 0, which runs without the XOR acker", anchored},
 		{"ackBatchWithoutAcker", "ackBatch frame at worker 0, which runs without the XOR acker", appendAckBatchFrame(nil, []ackUpdate{{root: 2, xor: 7}})},
-		{"epochMarkerWithoutEpochMode", "marker for epoch 5 at worker 0, which runs without epoch mode", appendMarkerFrame(nil, 1, 5, false)},
+		{"epochMarkerWithoutEpochMode", "marker for epoch 5 at worker 0, which runs without epoch mode", appendMarkerFrame(nil, 1, 2, 5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rejectsFrame(t, tc.frame, tc.why, nil)
@@ -576,25 +576,30 @@ func TestDistributedRejectsFramesTheOptionsCannotProduce(t *testing.T) {
 	}
 }
 
-// TestDistributedRejectsBadEndOfStream: an end marker beyond the number of
-// the sender's executors that feed the destination — a duplicate end would
-// finish the executor early — and a done frame with a body each fail the
-// link.
+// TestDistributedRejectsBadEndOfStream: an end marker on an edge that is
+// not open from the sender — a duplicate end would finish the executor
+// early — a marker with trailing bytes or with no mark, an ackBatch frame
+// with trailing bytes, and a done frame with a body each fail the link.
 func TestDistributedRejectsBadEndOfStream(t *testing.T) {
+	trailing := func(frame []byte) []byte { return endFrame(append(frame, 0)) }
 	for _, tc := range []struct {
 		name, why string
 		frame     []byte
+		opts      []Option
 	}{
 		// Worker 1's only executor, the second sink executor, feeds nothing.
-		{"endBeyondFeeders", "end of stream for executor 1 beyond the executors of worker 1 that feed it", appendMarkerFrame(nil, 1, 0, true)},
-		{"doneWithBody", "done frame with a 1-byte body", endFrame(append(beginFrame(nil, frameDone), 0))},
+		{"endBeyondFeeders", "marker from executor 2 to executor 1, which is not an open edge from worker 1", appendMarkerFrame(nil, 1, 2, markEnd), nil},
+		{"markerTrailingBytes", "1 trailing bytes after marker frame", trailing(appendMarkerFrame(nil, 1, 2, markEnd)), nil},
+		{"markerWithoutMark", "marker frame with mark 0", appendMarkerFrame(nil, 1, 2, 0), nil},
+		{"ackBatchTrailingBytes", "1 trailing bytes after ackBatch frame", trailing(appendAckBatchFrame(nil, []ackUpdate{{root: 2, xor: 7}})), []Option{WithAckTimeout(time.Second)}},
+		{"doneWithBody", "done frame with a 1-byte body", endFrame(append(beginFrame(nil, frameDone), 0)), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rejectsFrame(t, tc.frame, tc.why, func(rt *Runtime) {
 				if ex := rt.execs[1]; ex.worker != 0 || ex.comp.spec.id != "sink" || rt.execs[2].worker != 1 {
 					t.Fatal("the test needs executor 1 to be the sink's on worker 0, and the other sink executor alone on worker 1")
 				}
-			})
+			}, tc.opts...)
 		})
 	}
 }

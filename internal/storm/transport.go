@@ -6,10 +6,16 @@ package storm
 // the wire codec (wire.go) and queued on the runtime's link to that worker
 // (peerLinks, tcp.go), which is nil in a single-process run. Both hops keep
 // per-sender FIFO order: two batches from one executor to one destination
-// arrive in send order, which end-of-stream markers, epoch barriers and the
-// in-band ownership changes of a rebalance rely on.
+// arrive in send order, which markers and the in-band ownership changes of
+// a rebalance rely on. A marker names its sender and carries a mark, an
+// epoch barrier or markEnd for the end of its stream; a bolt executor keeps
+// one mark per input edge, and the lowest decides alignment and its own end
+// (see forward and inputMarks).
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // localExec reports whether ex runs in this worker process.
 func (r *Runtime) localExec(ex *executor) bool {
@@ -52,28 +58,40 @@ func (r *Runtime) dropBatch(target *runningComponent, b *batch, cause error) {
 	r.putBatch(b)
 }
 
-// forward sends one marker from comp to every downstream executor: an
-// epoch barrier, or with end set the end of the sender's stream, carrying
-// under AckEpoch the last epoch the sender passed. It MUST run on the
-// sending executor's goroutine with its output buffers flushed: per-channel
-// and per-peer FIFO is what makes a marker prove every earlier envelope
-// from its sender is ahead of it. A marker bypasses executor.deliver, so
-// storm.<comp>.batches counts data batches only.
-func (r *Runtime) forward(comp *runningComponent, epoch uint64, end bool) {
-	for _, dest := range comp.down {
+// forward sends mark from ex to every downstream executor: an epoch
+// barrier, or markEnd at the end of ex's stream. It MUST run on ex's
+// goroutine with its output buffers flushed: per-channel and per-peer FIFO
+// is what makes a marker prove every earlier envelope from its sender is
+// ahead of it. A marker bypasses executor.deliver, so storm.<comp>.batches
+// counts data batches only.
+func (r *Runtime) forward(ex *executor, mark uint64) {
+	for _, dest := range ex.comp.down {
 		if r.localExec(dest) {
-			dest.in <- r.marker(epoch, end)
+			dest.in <- r.marker(ex.eid, mark)
 			continue
 		}
 		if p := r.links.peers[dest.worker]; p != nil {
-			eid := dest.eid
-			_ = p.sendSmall(func(b []byte) []byte { return appendMarkerFrame(b, eid, epoch, end) })
+			_ = p.sendSmall(func(b []byte) []byte { return appendMarkerFrame(b, dest.eid, ex.eid, mark) })
 		}
 	}
 }
 
-func (r *Runtime) marker(epoch uint64, end bool) *batch {
+func (r *Runtime) marker(src int, mark uint64) *batch {
 	b := r.getBatch()
-	b.epoch, b.end = epoch, end
+	b.src, b.mark = src, mark
 	return b
+}
+
+// inputMarks starts a bolt executor's mark per input edge, indexed by the
+// sender's eid: 0 on each executor feeding dest, markEnd on every other.
+// The lowest mark is then the epoch every input has passed, and markEnd
+// once every input ended.
+func (r *Runtime) inputMarks(dest *executor) []uint64 {
+	marks := make([]uint64, len(r.execs))
+	for i, src := range r.execs {
+		if !slices.Contains(src.comp.down, dest) {
+			marks[i] = markEnd
+		}
+	}
+	return marks
 }

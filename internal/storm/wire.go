@@ -39,7 +39,7 @@ const (
 	frameHeartbeat                 // liveness keepalive
 	_                              // 8 is reserved (the retired control request/response frame); rejected as unknown
 	frameAckBatch                  // coalesced XOR-acker checksum updates
-	frameMarker                    // epoch barrier or end of stream for one executor
+	frameMarker                    // one executor's mark on an edge: epoch barrier or end of stream
 	frameEpoch                     // one-way epoch-protocol message (epoch.go)
 )
 
@@ -506,21 +506,40 @@ func appendHeartbeatFrame(buf []byte) []byte {
 	return endFrame(beginFrame(buf, frameHeartbeat))
 }
 
-// appendMarkerFrame encodes a marker for one remote executor: its dense id,
-// an epoch, and the end flag — unset for an epoch barrier, set for the
-// sender's end of stream, whose epoch is the last one it passed (0 outside
-// AckEpoch). Markers ride the same per-peer FIFO queue as data frames,
-// enqueued from the sending executor's own goroutine after its flush, so a
-// marker on the wire proves every earlier envelope from that executor is
-// ahead of it.
-func appendMarkerFrame(buf []byte, eid int, epoch uint64, end bool) []byte {
-	buf = appendUvarint(beginFrame(buf, frameMarker), uint64(eid))
-	buf = appendUvarint(buf, epoch)
-	var fl uint64
-	if end {
-		fl = 1
+// appendMarkerFrame encodes a marker for one remote executor: the dense
+// ids of the destination and of the sending executor, and the sender's
+// mark on that edge — an epoch barrier, or markEnd for its end of stream.
+// Markers ride the same per-peer FIFO queue as data frames, enqueued from
+// the sending executor's own goroutine after its flush, so a marker on the
+// wire proves every earlier envelope from that executor is ahead of it.
+func appendMarkerFrame(buf []byte, dest, src int, mark uint64) []byte {
+	buf = appendUvarint(beginFrame(buf, frameMarker), uint64(dest))
+	buf = appendUvarint(buf, uint64(src))
+	return endFrame(appendUvarint(buf, mark))
+}
+
+// decodeMarkerFrame decodes a marker frame payload (type byte consumed).
+// Every word must be minimally encoded and nothing may follow the mark, so
+// a decoded marker re-encodes byte for byte; a zero mark marks nothing.
+func decodeMarkerFrame(b []byte) (dest, src int, mark uint64, err error) {
+	var w [3]uint64
+	for i := range w {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return 0, 0, 0, errShortFrame
+		}
+		if n > 1 && b[n-1] == 0 {
+			return 0, 0, 0, fmt.Errorf("storm: overlong varint in marker frame")
+		}
+		w[i], b = v, b[n:]
 	}
-	return endFrame(appendUvarint(buf, fl))
+	if len(b) != 0 {
+		return 0, 0, 0, fmt.Errorf("storm: %d trailing bytes after marker frame", len(b))
+	}
+	if w[2] == 0 {
+		return 0, 0, 0, fmt.Errorf("storm: marker frame with mark 0")
+	}
+	return int(w[0]), int(w[1]), w[2], nil
 }
 
 // appendEpochFrame encodes one epoch-protocol message: its kind byte and

@@ -1,6 +1,7 @@
 package storm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -209,8 +210,8 @@ func TestWireEpochFrameRoundTrip(t *testing.T) {
 }
 
 // TestWireSmallFrames pins the fixed frames' layout: hello, done (an empty
-// body), heartbeat, and the marker (executor id, epoch, end flag) as a
-// barrier and as an end of stream.
+// body), heartbeat, and the marker (destination and sender executor ids,
+// mark) as a barrier and as an end of stream.
 func TestWireSmallFrames(t *testing.T) {
 	check := func(frame []byte, typ byte) []byte {
 		t.Helper()
@@ -230,10 +231,8 @@ func TestWireSmallFrames(t *testing.T) {
 		t.Errorf("done body = %x, want empty", b)
 	}
 	check(appendHeartbeatFrame(nil), frameHeartbeat)
-	for _, want := range []struct {
-		eid, epoch, end uint64
-	}{{11, 7, 0}, {12, 0, 1}, {13, 9, 1}} {
-		b = check(appendMarkerFrame(nil, int(want.eid), want.epoch, want.end == 1), frameMarker)
+	for _, want := range [][3]uint64{{11, 3, 7}, {12, 4, markEnd}} {
+		b = check(appendMarkerFrame(nil, int(want[0]), int(want[1]), want[2]), frameMarker)
 		var got [3]uint64
 		var err error
 		for i := range got {
@@ -241,7 +240,7 @@ func TestWireSmallFrames(t *testing.T) {
 				t.Fatalf("marker %+v: %v", want, err)
 			}
 		}
-		if got != [3]uint64{want.eid, want.epoch, want.end} || len(b) != 0 {
+		if got != want || len(b) != 0 {
 			t.Errorf("marker %+v decodes as %v with %d trailing bytes", want, got, len(b))
 		}
 	}
@@ -269,13 +268,14 @@ func TestWireRejectsReservedFrameType(t *testing.T) {
 	}
 }
 
-// FuzzWireFrame throws arbitrary payloads at the batch and epoch
+// FuzzWireFrame throws arbitrary payloads at the batch, epoch and marker
 // decoders: they must never panic, every successfully decoded batch must
 // re-encode, a second decode of the same payload through the same decoder
-// — now served from its intern table — must give the same result, and a
-// decoded epoch message must re-encode to the canonical form of its words.
-// Seeds cover a valid frame, a zero-envelope batch, a truncated frame, an
-// oversized envelope count, an epoch frame and a Figure 8 row.
+// — now served from its intern table — must give the same result, a
+// decoded epoch message must re-encode to the canonical form of its words,
+// and a decoded marker must re-encode byte for byte. Seeds cover a valid
+// frame, a zero-envelope batch, a truncated frame, an oversized envelope
+// count, an epoch frame, a marker frame and a Figure 8 row.
 func FuzzWireFrame(f *testing.F) {
 	valid, err := appendBatchFrame(nil, 2, []envelope{
 		{local: 0, tuple: Tuple{Stream: "default", Values: map[string]any{"i": 7, "key": "k3"}}},
@@ -292,6 +292,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(valid[frameHeaderLen+1 : len(valid)-3])      // truncated frame
 	f.Add(appendUvarint(appendUvarint(nil, 1), 1<<40)) // oversized envelope count
 	f.Add(appendEpochFrame(nil, epochMsg{kind: epochPass, w: [3]uint64{1, 2, 3}})[frameHeaderLen+1:])
+	f.Add(appendMarkerFrame(nil, 4, 1, markEnd)[frameHeaderLen+1:])
 	row, err := appendBatchFrame(nil, 1, []envelope{{tuple: Tuple{Stream: "default", Values: figure8Row(3)}}})
 	if err != nil {
 		f.Fatal(err)
@@ -330,6 +331,11 @@ func FuzzWireFrame(f *testing.F) {
 			again, err := decodeEpochFrame(appendEpochFrame(nil, m)[frameHeaderLen+1:])
 			if err != nil || again != m {
 				t.Fatalf("epoch message %+v re-decodes as %+v, %v", m, again, err)
+			}
+		}
+		if dest, src, mark, err := decodeMarkerFrame(payload); err == nil {
+			if again := appendMarkerFrame(nil, dest, src, mark)[frameHeaderLen+1:]; !bytes.Equal(again, payload) {
+				t.Fatalf("marker %x decodes as (%d, %d, %d), which re-encodes as %x", payload, dest, src, mark, again)
 			}
 		}
 	})
