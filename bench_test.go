@@ -430,12 +430,14 @@ func BenchmarkStormPipelineFaults(b *testing.B) {
 // batched data plane on a Figure-8-shaped topology (spout → fields → two
 // shuffle stages → splitter → direct-grouped engines → sink), across batch
 // sizes 1 and 64, with telemetry tracing on and off, and across the acking
-// modes: off (no reliability), xor (the sharded checksum acker, the default
+// modes: off (no reliability), xor (the checksum acker, the default
 // when acking is enabled) and epoch (barrier checkpointing — no per-tuple
 // tracking, so the hot path should be near the ack=off baseline). batch=1
 // is per-tuple transport; the acceptance bars are ≥ 2× tuples/s at batch=64
 // with telemetry and acking off, ack=xor within 1.5× of ack=off there, and
-// ack=epoch within 1.15×.
+// ack=epoch within 1.15×. The ack=xor bar is not met: the plain acker
+// pushes one update per hop, and on these no-op bolts that is most of the
+// work (~4× ack=off; ROADMAP item 1(f)).
 func BenchmarkStormThroughput(b *testing.B) {
 	onoff := func(v bool) string {
 		if v {

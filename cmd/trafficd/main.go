@@ -72,7 +72,8 @@ type options struct {
 
 // parseFlags parses the command line into options, validating flag
 // combinations that would otherwise be silent no-ops (the reliability
-// knobs all depend on -ack.timeout actually enabling acking).
+// knobs all depend on -ack.timeout actually enabling acking, the skew
+// trigger on -rebalance.interval, the worker knobs on a peer list).
 func parseFlags(args []string) (options, error) {
 	var opt options
 	var ackMode string
@@ -113,16 +114,26 @@ func parseFlags(args []string) (options, error) {
 	// The reliability knobs do nothing unless -ack.timeout enables acking:
 	// setting one without it used to be accepted silently, hiding typos and
 	// configurations that never took effect.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if opt.ackTimeout <= 0 {
-		var orphan string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "ack.retries", "ack.mode", "epoch.interval":
-				orphan = f.Name
+		for _, name := range []string{"ack.retries", "ack.mode", "epoch.interval"} {
+			if set[name] {
+				return opt, fmt.Errorf("-%s has no effect without -ack.timeout > 0 (acking is off)", name)
 			}
-		})
-		if orphan != "" {
-			return opt, fmt.Errorf("-%s has no effect without -ack.timeout > 0 (acking is off)", orphan)
+		}
+	}
+	if set["rebalance.skew"] && opt.rebalanceInterval <= 0 {
+		return opt, fmt.Errorf("-rebalance.skew has no effect without -rebalance.interval > 0 (rebalancing is off)")
+	}
+	if opt.rebalanceSkew <= 1 {
+		return opt, fmt.Errorf("-rebalance.skew must be > 1, got %v (max/mean per-engine rate is never below 1)", opt.rebalanceSkew)
+	}
+	if len(strings.Split(opt.workerPeers, ",")) < 2 {
+		for _, name := range []string{"worker.id", "worker.heartbeat"} {
+			if set[name] {
+				return opt, fmt.Errorf("-%s has no effect without a -worker.peers list of two or more (single-process mode)", name)
+			}
 		}
 	}
 	if opt.ackTimeout > 0 && opt.ackTimeout < time.Millisecond {

@@ -16,7 +16,9 @@ import (
 )
 
 // TestParseFlagsAckValidation pins the flag-combination checks: reliability
-// knobs without -ack.timeout used to parse fine and silently do nothing.
+// knobs without -ack.timeout, a skew trigger without -rebalance.interval or
+// at most 1, and worker knobs without a peer list of two or more used to
+// parse fine and silently do nothing.
 func TestParseFlagsAckValidation(t *testing.T) {
 	base := []string{"-traces", "t.csv"}
 	cases := []struct {
@@ -113,6 +115,49 @@ func TestParseFlagsAckValidation(t *testing.T) {
 			name:    "negative epoch interval",
 			args:    []string{"-ack.timeout", "1s", "-ack.mode", "epoch", "-epoch.interval", "-5ms"},
 			wantErr: "-epoch.interval must be >= 0",
+		},
+		{
+			name: "rebalancing with skew",
+			args: []string{"-rebalance.interval", "5ms", "-rebalance.skew", "1.05"},
+			check: func(t *testing.T, opt options) {
+				if opt.rebalanceInterval != 5*time.Millisecond || opt.rebalanceSkew != 1.05 {
+					t.Errorf("parsed rebalance options = %+v", opt)
+				}
+			},
+		},
+		{
+			name:    "skew without interval",
+			args:    []string{"-rebalance.skew", "1.5"},
+			wantErr: "-rebalance.skew has no effect without -rebalance.interval > 0",
+		},
+		{
+			name:    "skew of 1",
+			args:    []string{"-rebalance.interval", "50ms", "-rebalance.skew", "1"},
+			wantErr: "-rebalance.skew must be > 1",
+		},
+		{
+			name:    "skew below 1",
+			args:    []string{"-rebalance.interval", "50ms", "-rebalance.skew", "0.5"},
+			wantErr: "-rebalance.skew must be > 1",
+		},
+		{
+			name: "worker knobs with two peers",
+			args: []string{"-worker.peers", "127.0.0.1:7101,127.0.0.1:7102", "-worker.id", "1", "-worker.heartbeat", "50ms"},
+			check: func(t *testing.T, opt options) {
+				if opt.workerID != 1 || opt.workerHeartbeat != 50*time.Millisecond {
+					t.Errorf("parsed worker options = %+v", opt)
+				}
+			},
+		},
+		{
+			name:    "worker id without peers",
+			args:    []string{"-worker.id", "0"},
+			wantErr: "-worker.id has no effect without a -worker.peers list of two or more",
+		},
+		{
+			name:    "worker heartbeat with one peer",
+			args:    []string{"-worker.peers", "127.0.0.1:7101", "-worker.heartbeat", "50ms"},
+			wantErr: "-worker.heartbeat has no effect without a -worker.peers list of two or more",
 		},
 		{
 			name:    "missing traces",

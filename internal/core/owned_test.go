@@ -126,11 +126,12 @@ func testOwnedLocations(t *testing.T, rng *rand.Rand, rules []Rule) {
 		for _, r := range rules {
 			locs := table.Locations(r.LocationField(), e)
 			inst, err := InstallRule(product[e], r, InstallOptions{
-				Strategy: StrategyStream, Store: store, Locations: locs, Listener: record(owned, e),
+				Strategy: StrategyStream, Store: store, Locations: locs,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			inst.AddListener(record(owned, e))
 			if len(inst.Statements) != 1 {
 				t.Fatalf("rule %s installed as %v", r.Name, inst.Statements)
 			}

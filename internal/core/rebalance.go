@@ -70,9 +70,6 @@ type RebalancerConfig struct {
 	// SkewThreshold triggers a rebalance when the max/mean per-engine
 	// input-rate ratio meets or exceeds it. Defaults to 2.
 	SkewThreshold float64
-	// Alpha is the rate estimators' smoothing factor per estimation
-	// window, as in NewRateEstimator. 0 defaults to 0.5.
-	Alpha float64
 	// Telemetry, when set, receives core.rebalance.* metrics.
 	Telemetry *telemetry.Registry
 }
@@ -113,6 +110,10 @@ type Rebalancer struct {
 	mSkew, mDuration        *telemetry.Gauge
 }
 
+// rebalanceAlpha is the rate estimators' smoothing factor per estimation
+// window, as in NewRateEstimator.
+const rebalanceAlpha = 0.5
+
 // NewRebalancer builds a Rebalancer around an initial routing table. The
 // table becomes owned by the rebalancer and must not be mutated afterwards.
 func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
@@ -132,7 +133,7 @@ func NewRebalancer(cfg RebalancerConfig) (*Rebalancer, error) {
 	}
 	rb.table.Store(cfg.Routing)
 	for _, f := range rb.fields {
-		rb.est[f] = NewRateEstimator(nil, cfg.Alpha)
+		rb.est[f] = NewRateEstimator(nil, rebalanceAlpha)
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		rb.mCycles = reg.Counter("core.rebalance.cycles")

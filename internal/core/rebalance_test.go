@@ -297,7 +297,6 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 	reb, err := NewRebalancer(RebalancerConfig{
 		Routing:       table,
 		SkewThreshold: threshold,
-		Alpha:         0.5,
 		Telemetry:     telemetry.NewRegistry(),
 	})
 	if err != nil {

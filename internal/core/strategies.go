@@ -63,8 +63,6 @@ type InstallOptions struct {
 	// as locations move; it may start empty. Under StrategyManyRules they
 	// filter the thresholds.
 	Locations map[string]bool
-	// Listener receives the rule's firings.
-	Listener cep.Listener
 }
 
 // InstalledRule tracks what InstallRule created in an engine so it can be
@@ -75,7 +73,7 @@ type InstalledRule struct {
 	Statements []string
 	engine     *cep.Engine
 	// listeners are re-attached to the fresh statements on every
-	// Refresh (unlike Options.Listener, which install wires itself).
+	// Refresh.
 	listeners []cep.Listener
 
 	// loaded holds the locations whose thresholds a restricted rule's
@@ -134,9 +132,6 @@ func (inst *InstalledRule) install() error {
 	add := func(st *cep.Statement, err error) error {
 		if err != nil {
 			return err
-		}
-		if opts.Listener != nil {
-			st.AddListener(opts.Listener)
 		}
 		for _, l := range inst.listeners {
 			st.AddListener(l)

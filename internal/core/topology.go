@@ -174,12 +174,6 @@ func (rt *RoutingTable) Locations(field string, task int) map[string]bool {
 type TrafficConfig struct {
 	// Traces is the input feed, replayed at full speed (§5).
 	Traces []busdata.Trace
-	// SpoutTasks is the BusReader parallelism BuildTrafficTopology sets (an
-	// XML document states its own); defaults to 1. Tasks split
-	// the feed round-robin, so any value above 1 delivers one vehicle's
-	// traces to PreProcess out of order: its speed and actual-delay deltas,
-	// and every detection derived from them, stop being reproducible.
-	SpoutTasks int
 	// Tree is the Region Quadtree for the AreaTracker.
 	Tree *quadtree.Tree
 	// Stops is the DENCLUE result for the BusStopsTracker; optional (the
@@ -217,8 +211,8 @@ type TrafficConfig struct {
 }
 
 // BuildTrafficTopology builds the shipped Figure 8 document (TopologyXML)
-// through RegisterComponents, with the BusReader and EsperBolt parallelism
-// taken from cfg instead of the document.
+// through RegisterComponents, with the EsperBolt parallelism taken from cfg
+// instead of the document.
 func BuildTrafficTopology(cfg TrafficConfig) (*storm.Topology, error) {
 	reg := storm.NewRegistry()
 	deps := &Deps{Config: cfg}
@@ -233,9 +227,6 @@ func buildTrafficTopology(cfg *TrafficConfig, reg *storm.Registry) (*storm.Topol
 	if cfg.Engines <= 0 {
 		cfg.Engines = 1
 	}
-	if cfg.SpoutTasks <= 0 {
-		cfg.SpoutTasks = 1
-	}
 	if cfg.Routing == nil && cfg.Rebalancer == nil {
 		cfg.Routing = NewRoutingTable(RouteAll, cfg.Engines)
 	}
@@ -243,7 +234,6 @@ func buildTrafficTopology(cfg *TrafficConfig, reg *storm.Registry) (*storm.Topol
 	if err != nil {
 		return nil, err
 	}
-	setParallelism(xt.Spouts, CompBusReader, cfg.SpoutTasks)
 	setParallelism(xt.Bolts, CompEsper, cfg.Engines)
 	return xt.Build(reg)
 }

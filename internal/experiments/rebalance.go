@@ -122,7 +122,6 @@ func SkewShift(cfg SkewShiftConfig) (SkewShiftResult, error) {
 	reb, err := core.NewRebalancer(core.RebalancerConfig{
 		Routing:       rebTable,
 		SkewThreshold: cfg.Threshold,
-		Alpha:         0.5,
 	})
 	if err != nil {
 		return SkewShiftResult{}, err

@@ -1,6 +1,6 @@
 package storm
 
-// The sharded XOR acker: Storm's classic acker algorithm, the per-tuple
+// The XOR acker: Storm's classic acker algorithm, the per-tuple
 // at-least-once reliability implementation (WithAckMode(AckEpoch) selects
 // barrier checkpointing instead, see epoch.go). It keeps O(1) state per
 // *root*, not per edge of the tuple tree:
@@ -17,19 +17,16 @@ package storm
 //     zero requires a random 64-bit collision (probability 2^-64 per
 //     update, Storm's own bound).
 //
-// State is sharded: root ids embed the owning worker in their low bits
-// (any worker computes the owner with a mask — no per-hop sub-anchors or
-// id translation) and the sequence bits above select one of ackShards
-// shards, each an independently locked power-of-two slot table. Sequential
-// roots land on rotating shards, so concurrent spout registration and bolt
-// completion traffic spreads over several locks instead of serializing on
-// one.
+// The state is one table under one mutex: a map from root id to its entry.
+// Root ids embed the owning worker in their low bits, so any worker
+// computes the owner with a mask — no per-hop sub-anchors or id
+// translation — and the bits above count the owner's anchored emissions.
 //
 // Updates are batched: each bolt executor accumulates ackUpdate entries
-// per shard (local roots) and per worker (remote roots) in an ackBatcher
-// and flushes on the same triggers as its tuple batches — before blocking
-// on input and on executor exit — so the common case pays one shard lock
-// per flush, not per tuple, and cross-worker ack traffic ships as one
+// for local roots and per worker for remote roots in an ackBatcher and
+// flushes on the same triggers as its tuple batches — before blocking on
+// input and on executor exit — so the common case takes the table lock
+// once per flush, not per tuple, and cross-worker ack traffic ships as one
 // coalesced frameAckBatch per flush.
 //
 // Failure semantics: a failed Execute, a routing drop or an undeliverable
@@ -54,9 +51,9 @@ import (
 type AckMode int
 
 const (
-	// AckXOR (the default) tracks anchored tuple trees with the sharded
-	// XOR-checksum acker: O(1) state per root, no global mutex, batched
-	// updates riding the transport's flush triggers.
+	// AckXOR (the default) tracks anchored tuple trees with the XOR-checksum
+	// acker: O(1) state per root, batched updates riding the transport's
+	// flush triggers.
 	AckXOR AckMode = iota
 	// AckEpoch replaces per-tuple tracking entirely with aligned epoch
 	// barriers and per-epoch spout replay (see epoch.go): zero per-tuple
@@ -100,8 +97,7 @@ type ackUpdate struct {
 // race ahead of it), the entry is an unregistered placeholder that only
 // accumulates checksum bits.
 type xorRoot struct {
-	id  uint64
-	key uint64 // slot key: id with worker and shard bits stripped
+	id uint64
 
 	rc         *runningComponent // spout component (nil on placeholders)
 	ts         *taskState        // spout task (nil on placeholders)
@@ -118,25 +114,6 @@ type xorRoot struct {
 	deadline   int64 // unix nanos
 }
 
-// ackerShard is one independently locked slice of the root table. Slot
-// keys are dense sequential integers per shard (the acker's sequence
-// counter with the shard bits stripped), so the table is a power-of-two
-// ring indexed by key&mask — a lookup is one load and one compare. The
-// ring grows while the in-flight window outruns it; past maxShardSlots
-// the excess spills into a map.
-type ackerShard struct {
-	mu       sync.Mutex
-	slots    []*xorRoot
-	overflow map[uint64]*xorRoot
-	live     int
-
-	// freeRoots recycles resolved roots (with their payload-snapshot
-	// backing arrays): per-root allocation and the payload clone are the
-	// dominant acking costs at high rates, and a resolved root releases at
-	// a point (under the shard lock) where no reference can have escaped.
-	freeRoots []*xorRoot
-}
-
 // kvEntry is one payload field in a root's flat snapshot. Snapshotting
 // into a slice instead of cloning the map keeps the register hot path off
 // map hashing; replays — the rare path — rebuild the map.
@@ -145,119 +122,10 @@ type kvEntry struct {
 	v any
 }
 
-const (
-	// ackShards is the number of lock-striped shards (a power of two: the
-	// shard index is a mask over the root sequence).
-	ackShards      = 8
-	initShardSlots = 1024
-	maxShardSlots  = 1 << 20
-	maxShardFree   = 4096
-)
+// maxFreeRoots bounds the free list of recycled roots.
+const maxFreeRoots = 4096
 
-func (s *ackerShard) get(key uint64) *xorRoot {
-	if p := s.slots[key&uint64(len(s.slots)-1)]; p != nil && p.key == key {
-		return p
-	}
-	if s.overflow != nil {
-		return s.overflow[key]
-	}
-	return nil
-}
-
-func (s *ackerShard) insert(p *xorRoot) {
-	for {
-		i := p.key & uint64(len(s.slots)-1)
-		if s.slots[i] == nil {
-			s.slots[i] = p
-			s.live++
-			return
-		}
-		if len(s.slots) >= maxShardSlots {
-			if s.overflow == nil {
-				s.overflow = make(map[uint64]*xorRoot)
-			}
-			s.overflow[p.key] = p
-			s.live++
-			return
-		}
-		s.grow()
-	}
-}
-
-func (s *ackerShard) grow() {
-	old := s.slots
-	s.slots = make([]*xorRoot, 2*len(old))
-	mask := uint64(len(s.slots) - 1)
-	for _, p := range old {
-		if p == nil {
-			continue
-		}
-		if i := p.key & mask; s.slots[i] == nil {
-			s.slots[i] = p
-		} else {
-			if s.overflow == nil {
-				s.overflow = make(map[uint64]*xorRoot)
-			}
-			s.overflow[p.key] = p
-		}
-	}
-}
-
-func (s *ackerShard) remove(p *xorRoot) {
-	if i := p.key & uint64(len(s.slots)-1); s.slots[i] == p {
-		s.slots[i] = nil
-	} else if s.overflow != nil {
-		delete(s.overflow, p.key)
-	}
-	s.live--
-}
-
-// removeRootLocked drops a registered root, decrements its spout task's
-// pending count, and wakes drain waiters when the task hits zero with a
-// waiter parked. Callers hold s.mu; drainMu nests inside shard locks and
-// is only touched on the zero crossing, so the hot path never sees it.
-func (a *xorAcker) removeRootLocked(s *ackerShard, p *xorRoot) {
-	s.remove(p)
-	if p.ts != nil && p.ts.ackPending.Add(-1) == 0 && a.waiters.Load() > 0 {
-		a.drainMu.Lock()
-		a.drainCond.Broadcast()
-		a.drainMu.Unlock()
-	}
-}
-
-// takeRoot allocates (or recycles) a zeroed root for id/key. Callers hold
-// s.mu.
-func (s *ackerShard) takeRoot(id, key uint64) *xorRoot {
-	if n := len(s.freeRoots); n > 0 {
-		p := s.freeRoots[n-1]
-		s.freeRoots = s.freeRoots[:n-1]
-		p.id, p.key = id, key
-		return p
-	}
-	return &xorRoot{id: id, key: key}
-}
-
-// recycleLocked returns a removed root to the shard free list, keeping
-// its payload-snapshot backing array. Callers hold s.mu and must have
-// copied out any fields they still need (e.g. into an ackCallback): the
-// struct is reused by the next register on this shard.
-func (s *ackerShard) recycleLocked(p *xorRoot) {
-	clear(p.vals) // drop payload references for the collector
-	p.vals = p.vals[:0]
-	// Only the fields later code branches on are reset; msgID, tuple,
-	// directTask and deadline are overwritten before anyone reads them
-	// (register, or takeRoot's placeholder path). rc/ts must be nil so a
-	// reuse as placeholder doesn't credit a stale task's pending count.
-	p.rc, p.ts = nil, nil
-	p.checksum = 0
-	p.failed, p.registered, p.backoff = false, false, false
-	p.retries = 0
-	if len(s.freeRoots) < maxShardFree {
-		s.freeRoots = append(s.freeRoots, p)
-	}
-}
-
-// ackCallback is a spout Ack/Fail notification collected under a shard
+// ackCallback is a spout Ack/Fail notification collected under the table
 // lock and fired outside it.
 type ackCallback struct {
 	spout AckingSpout
@@ -273,31 +141,30 @@ func (cb ackCallback) fire() {
 	}
 }
 
-// xorAcker tracks anchored roots by XOR checksum across sharded tables.
+// xorAcker tracks anchored roots by XOR checksum in one locked table.
 type xorAcker struct {
 	r          *Runtime
 	timeout    time.Duration
 	maxRetries int
 
-	// Root-id layout, low to high: workerBits of owning worker (0 bits in
-	// single-process runs), then the sequence counter. The shard index is
-	// taken blockwise from the sequence — bits [shardBlockBits,
-	// shardBlockBits+shardBits) — so 2^shardBlockBits consecutive roots
-	// land on one shard. A spout's emission window then keeps a single
-	// shard's lock and slot ring hot in cache instead of cycling every
-	// shard per tuple, while update batches for it coalesce into dense
-	// per-shard runs; shards still rotate every block, spreading load.
-	// The slot key keeps the full sequence (unique across shards), since
-	// blockmates share low sequence bits.
+	// A root id is seq<<workerBits | owning worker (0 worker bits in
+	// single-process runs).
 	self       uint64
 	workerMask uint64
 	workerBits uint
-	shardMask  uint64
-	shardBits  uint // log2(len(shards)): stripped from slot keys
 
 	seq     atomic.Uint64
 	stopped atomic.Bool
-	shards  []*ackerShard
+
+	// mu guards roots — the registered roots and the placeholders of
+	// updates that arrived before their register — and free, resolved
+	// roots kept for reuse with their payload-snapshot arrays: per-root
+	// allocation and the payload copy are the dominant acking costs at
+	// high rates, and a resolved root is released under the lock, where no
+	// reference to it can have escaped.
+	mu    sync.Mutex
+	roots map[uint64]*xorRoot
+	free  []*xorRoot
 
 	// Drain-waiter parking: waitTask blocks here until its task's
 	// ackPending counter (on taskState) returns to zero. A single cond for
@@ -331,16 +198,11 @@ func newXorAcker(r *Runtime, timeout time.Duration, maxRetries int) *xorAcker {
 		self:       uint64(r.cfg.selfWorker),
 		workerMask: 1<<workerBits - 1,
 		workerBits: workerBits,
-		shardMask:  ackShards - 1,
-		shardBits:  uint(bits.Len(ackShards - 1)),
-		shards:     make([]*ackerShard, ackShards),
+		roots:      make(map[uint64]*xorRoot),
 		shuffle:    make(map[*subscription]*uint64),
 		stopCh:     make(chan struct{}),
 	}
 	a.drainCond = sync.NewCond(&a.drainMu)
-	for i := range a.shards {
-		a.shards[i] = &ackerShard{slots: make([]*xorRoot, initShardSlots)}
-	}
 	return a
 }
 
@@ -373,46 +235,52 @@ func (a *xorAcker) loop(done <-chan struct{}) {
 
 func (a *xorAcker) owner(root uint64) int { return int(root & a.workerMask) }
 
-// shardBlockBits sizes the run of consecutive roots assigned to one shard
-// (see the root-id layout comment on xorAcker).
-const shardBlockBits = 8
-
-func (a *xorAcker) shardOf(root uint64) int {
-	return int((root >> (a.workerBits + shardBlockBits)) & a.shardMask)
-}
-
-// slotKey compresses a root id into its shard's dense slot key. Within one
-// shard every root agrees on the worker bits and the shard-selector bits
-// [shardBlockBits, shardBlockBits+shardBits) of the sequence, so both carry
-// no information and are stripped: key = block<<shardBlockBits | offset,
-// where offset is the sequence below the selector and block the sequence
-// above it. Consecutive roots of a shard's block then occupy consecutive
-// ring slots, keeping the power-of-two ring dense — leaving the selector
-// bits in (they are fixed per shard) would make only 1/len(shards) of the
-// ring slots addressable.
-func (a *xorAcker) slotKey(root uint64) uint64 {
-	seq := root >> a.workerBits
-	return (seq>>(shardBlockBits+a.shardBits))<<shardBlockBits | seq&(1<<shardBlockBits-1)
-}
-
-// rootBlock is how many sequential root ids a spout collector reserves
-// per trip to the shared counter; sequential ids still rotate across
-// shards and stay dense within each shard's slot ring.
-const rootBlock = 64
-
-// newRootBlock reserves n sequential root ids for this worker and returns
-// the first, or 0 when the acker is stopped (the emission then proceeds
-// unanchored). Ids handed out from a cached block after a stop register as
-// no-ops (register checks stopped), so a stale block is harmless.
-func (a *xorAcker) newRootBlock(n uint64) uint64 {
+// newRoot returns a fresh root id owned by this worker, or 0 when the
+// acker is stopped (the emission then proceeds unanchored).
+func (a *xorAcker) newRoot() uint64 {
 	if a.stopped.Load() {
 		return 0
 	}
-	hi := a.seq.Add(n)
-	return (hi-n+1)<<a.workerBits | a.self
+	return a.seq.Add(1)<<a.workerBits | a.self
 }
 
-// register completes a root allocated by newRootBlock, after its initial
+// takeLocked enters a zeroed root for id into the table, recycling a
+// resolved one when the free list has any. Callers hold a.mu.
+func (a *xorAcker) takeLocked(id uint64) *xorRoot {
+	var p *xorRoot
+	if n := len(a.free); n > 0 {
+		p = a.free[n-1]
+		a.free = a.free[:n-1]
+		p.id = id
+	} else {
+		p = &xorRoot{id: id}
+	}
+	a.roots[id] = p
+	return p
+}
+
+// releaseLocked removes a root from the table and returns it to the free
+// list, keeping its payload-snapshot backing array. Callers hold a.mu and
+// must have copied out any fields they still need (e.g. into an
+// ackCallback): the struct is reused by the next takeLocked.
+func (a *xorAcker) releaseLocked(p *xorRoot) {
+	delete(a.roots, p.id)
+	clear(p.vals) // drop payload references for the collector
+	p.vals = p.vals[:0]
+	// Only the fields later code branches on are reset; msgID, tuple,
+	// directTask and deadline are overwritten before anyone reads them
+	// (register, or the placeholder path of apply). rc/ts must be nil so
+	// a reuse as placeholder doesn't credit a stale task's pending count.
+	p.rc, p.ts = nil, nil
+	p.checksum = 0
+	p.failed, p.registered, p.backoff = false, false, false
+	p.retries = 0
+	if len(a.free) < maxFreeRoots {
+		a.free = append(a.free, p)
+	}
+}
+
+// register completes a root allocated by newRoot, after its initial
 // deliveries were issued: initXor is the XOR of the delivered edge ids,
 // initFail whether any initial delivery was dropped at routing. Updates
 // that raced ahead of registration have accumulated in a placeholder and
@@ -424,17 +292,14 @@ func (a *xorAcker) newRootBlock(n uint64) uint64 {
 // root's recycled one in exchange, so the steady state flattens each
 // payload exactly once and copies nothing.
 func (a *xorAcker) register(root uint64, rc *runningComponent, ts *taskState, msgID string, t Tuple, directTask int, vals *[]kvEntry, initXor uint64, initFail bool, start time.Time) {
-	s := a.shards[a.shardOf(root)]
-	key := a.slotKey(root)
-	s.mu.Lock()
+	a.mu.Lock()
 	if a.stopped.Load() {
-		s.mu.Unlock()
+		a.mu.Unlock()
 		return
 	}
-	p := s.get(key)
+	p := a.roots[root]
 	if p == nil {
-		p = s.takeRoot(root, key)
-		s.insert(p)
+		p = a.takeLocked(root)
 	}
 	p.rc, p.ts, p.msgID = rc, ts, msgID
 	p.tuple = t
@@ -448,24 +313,23 @@ func (a *xorAcker) register(root uint64, rc *runningComponent, ts *taskState, ms
 	ts.ackPending.Add(1)
 	if p.checksum == 0 {
 		// Rare: a zero-subscriber emission, or the whole tree's updates
-		// beat the register to this shard.
+		// beat the register to the table.
 		var rb resolveBatch
-		a.resolveLocked(s, p, time.Now().UnixNano(), &rb)
-		s.mu.Unlock()
+		a.resolveLocked(p, time.Now().UnixNano(), &rb)
+		a.mu.Unlock()
 		a.finishResolves(&rb)
 		return
 	}
-	s.mu.Unlock()
+	a.mu.Unlock()
 }
 
-// apply routes one checksum update: to the owning shard for local roots,
-// to the owning worker for remote ones. Used on the cold paths (replay
-// completion, drops, wire-received updates); the hot path batches through
-// an ackBatcher instead.
+// apply routes one checksum update: into the table for local roots, to
+// the owning worker for remote ones. Used on the cold paths (replay
+// completion, drops); the hot path batches through an ackBatcher instead.
 func (a *xorAcker) apply(root, xor uint64, fail bool) {
 	if a.stopped.Load() {
-		// Local updates are already dropped inside applyShard, but the
-		// remote branch below has no shard lock: without this gate a late
+		// Local updates are already dropped inside applyLocal, but the
+		// remote branch below takes no lock: without this gate a late
 		// drop/replay completion would hand frames to a transport that may
 		// be mid-teardown.
 		return
@@ -478,48 +342,45 @@ func (a *xorAcker) apply(root, xor uint64, fail bool) {
 	}
 	u := [1]ackUpdate{{root: root, xor: xor, fail: fail}}
 	var rb resolveBatch
-	a.applyShard(a.shardOf(root), u[:], &rb)
+	a.applyLocal(u[:], &rb)
 }
 
-// applyShard folds a batch of updates for one shard under a single lock
-// acquisition and one clock read; roots whose checksum returns to zero
-// resolve (ack, expire, or arm the replay backoff). Spout callbacks fire
-// outside the lock.
-func (a *xorAcker) applyShard(si int, ents []ackUpdate, rb *resolveBatch) {
-	s := a.shards[si]
+// applyLocal folds a batch of updates for roots this worker owns under a
+// single lock acquisition and one clock read; roots whose checksum returns
+// to zero resolve (ack, expire, or arm the replay backoff). Spout
+// callbacks fire outside the lock.
+func (a *xorAcker) applyLocal(ents []ackUpdate, rb *resolveBatch) {
 	now := time.Now().UnixNano()
-	s.mu.Lock()
+	a.mu.Lock()
 	if a.stopped.Load() {
-		s.mu.Unlock()
+		a.mu.Unlock()
 		return
 	}
 	for i := range ents {
 		u := &ents[i]
-		key := a.slotKey(u.root)
-		p := s.get(key)
+		p := a.roots[u.root]
 		if p == nil {
-			// The update beat the spout's register to the shard (the bolt
+			// The update beat the spout's register to the table (the bolt
 			// consumed a delivery before the emitting goroutine got here):
 			// park a placeholder accumulating the checksum until register
 			// merges it. The deadline is a GC horizon for registers that
 			// never arrive (acker stopped on the emitting path).
-			p = s.takeRoot(u.root, key)
+			p = a.takeLocked(u.root)
 			p.deadline = a.placeholderDeadline(now)
-			s.insert(p)
 		}
 		p.checksum ^= u.xor
 		p.failed = p.failed || u.fail
 		if p.registered && p.checksum == 0 {
-			a.resolveLocked(s, p, now, rb)
+			a.resolveLocked(p, now, rb)
 		}
 	}
-	s.mu.Unlock()
+	a.mu.Unlock()
 	a.finishResolves(rb)
 }
 
 // resolveBatch collects the side effects of the resolutions in one
-// applyShard (or register) call: spout callbacks fire after the shard lock
-// drops, and the acked/expired/pending counters — shared cache lines
+// applyLocal, register or sweep call: spout callbacks fire after the table
+// lock drops, and the acked/expired/pending counters — shared cache lines
 // hammered from every bolt executor — take one atomic add per batch and
 // component instead of one per root.
 type resolveBatch struct {
@@ -531,21 +392,10 @@ type resolveBatch struct {
 	resolved       int64
 }
 
-// noteLocked records one resolved root's counter deltas, flushing when the
-// owning component changes (rare: batches are dominated by one spout).
-func (a *xorAcker) noteLocked(rb *resolveBatch, p *xorRoot, expired bool) {
-	if p.rc != rb.rc || p.ts != rb.ts {
-		a.flushStats(rb)
-		rb.rc, rb.ts = p.rc, p.ts
-	}
-	if expired {
-		rb.expired++
-	} else {
-		rb.acked++
-	}
-	rb.resolved++
-}
-
+// flushStats publishes a batch's counter deltas for its current component
+// and wakes drain waiters when the task's pending count reaches zero with
+// a waiter parked. drainMu nests inside the table lock and is only touched
+// on the zero crossing, so the hot path never sees it.
 func (a *xorAcker) flushStats(rb *resolveBatch) {
 	if rb.rc == nil {
 		return
@@ -566,7 +416,7 @@ func (a *xorAcker) flushStats(rb *resolveBatch) {
 	rb.rc, rb.ts, rb.acked, rb.expired, rb.resolved = nil, nil, 0, 0, 0
 }
 
-// finishResolves settles a batch's deferred effects after the shard lock
+// finishResolves settles a batch's deferred effects after the table lock
 // is released: counter flush, then spout callbacks. The callback buffer is
 // cleared but keeps its capacity — ackBatchers pass a long-lived
 // resolveBatch, so the steady state allocates nothing.
@@ -579,41 +429,45 @@ func (a *xorAcker) finishResolves(rb *resolveBatch) {
 	rb.cbs = rb.cbs[:0]
 }
 
+// finishLocked removes a registered root for good — acked, or expired as
+// dropped — recording its counter deltas and spout callback in rb. The
+// deltas flush when the owning component changes (rare: batches are
+// dominated by one spout). Callers hold a.mu.
+func (a *xorAcker) finishLocked(p *xorRoot, expired bool, rb *resolveBatch) {
+	if p.rc != rb.rc || p.ts != rb.ts {
+		a.flushStats(rb)
+		rb.rc, rb.ts = p.rc, p.ts
+	}
+	if expired {
+		rb.expired++
+	} else {
+		rb.acked++
+	}
+	rb.resolved++
+	if sp := p.ts.ackSpout; sp != nil {
+		rb.cbs = append(rb.cbs, ackCallback{spout: sp, msgID: p.msgID, fail: expired})
+	}
+	a.releaseLocked(p)
+}
+
 // resolveLocked settles a drained tree (registered, checksum zero): a
 // clean tree acks the spout, a failed tree past maxRetries expires as
 // dropped, and a failed tree with retries left waits out its backoff for
-// the sweeper to replay. Callers hold s.mu and finish the batch after
+// the sweeper to replay. Callers hold a.mu and finish the batch after
 // releasing it.
-func (a *xorAcker) resolveLocked(s *ackerShard, p *xorRoot, now int64, rb *resolveBatch) {
+func (a *xorAcker) resolveLocked(p *xorRoot, now int64, rb *resolveBatch) {
 	switch {
 	case !p.failed:
-		s.remove(p)
-		a.noteLocked(rb, p, false)
-		if sp := p.ts.ackSpout; sp != nil {
-			if rb.cbs == nil {
-				rb.cbs = make([]ackCallback, 0, 16)
-			}
-			rb.cbs = append(rb.cbs, ackCallback{spout: sp, msgID: p.msgID})
-		}
-		s.recycleLocked(p)
+		a.finishLocked(p, false, rb)
 	case p.retries >= a.maxRetries:
-		s.remove(p)
-		a.noteLocked(rb, p, true)
-		if sp := p.ts.ackSpout; sp != nil {
-			if rb.cbs == nil {
-				rb.cbs = make([]ackCallback, 0, 16)
-			}
-			rb.cbs = append(rb.cbs, ackCallback{spout: sp, msgID: p.msgID, fail: true})
-		}
-		s.recycleLocked(p)
+		a.finishLocked(p, true, rb)
 	default:
 		// A failed tree parks here until the sweeper replays it. The tree
 		// is already drained, but duplicate zero-net updates can still
-		// re-enter (any {xor:0, fail:true} passes the batcher's push guard,
-		// and a multi-drop tree pushes one fail update per dropped hop):
-		// arming the deadline again on each re-entry would keep shoving the
-		// replay into the future, so only the transition INTO backoff sets
-		// it.
+		// re-enter (a multi-drop tree pushes one fail update per dropped
+		// hop): arming the deadline again on each re-entry would keep
+		// shoving the replay into the future, so only the transition INTO
+		// backoff sets it.
 		if !p.backoff {
 			p.backoff = true
 			p.deadline = satAddNanos(now, int64(backoffFor(a.timeout, p.retries)))
@@ -628,68 +482,45 @@ func (a *xorAcker) placeholderDeadline(now int64) int64 {
 	return satAddNanos(now, int64(backoffFor(a.timeout, 2))+int64(time.Second))
 }
 
-// sweep scans every shard for due roots: registered trees past their
+// sweep scans the table for due roots: registered trees past their
 // deadline are replayed (or expired past maxRetries), orphaned
 // placeholders are discarded.
 func (a *xorAcker) sweep() {
 	now := time.Now().UnixNano()
-	for si := range a.shards {
-		a.sweepShard(si, now)
-	}
-}
-
-func (a *xorAcker) sweepShard(si int, now int64) {
-	s := a.shards[si]
 	var replays []*xorRoot
 	var holds []uint64
-	var cbs []ackCallback
-	s.mu.Lock()
+	var rb resolveBatch
+	a.mu.Lock()
 	if a.stopped.Load() {
-		s.mu.Unlock()
+		a.mu.Unlock()
 		return
 	}
-	scan := func(p *xorRoot) {
-		if p == nil || now < p.deadline {
-			return
+	for _, p := range a.roots {
+		switch {
+		case now < p.deadline:
+		case !p.registered:
+			a.releaseLocked(p) // orphaned placeholder: its register never came
+		case p.retries >= a.maxRetries:
+			a.finishLocked(p, true, &rb)
+		default:
+			p.retries++
+			p.failed = false
+			p.backoff = false
+			// The replay hold: a fresh random edge XORed in before
+			// redelivery and released together with the redelivered edges,
+			// so the tree cannot drain to zero while the replay is still
+			// being issued.
+			es := newEdgeStream()
+			hold := es.next()
+			p.checksum ^= hold
+			p.deadline = satAddNanos(now, int64(backoffFor(a.timeout, p.retries)))
+			p.rc.replays.Add(1)
+			replays = append(replays, p)
+			holds = append(holds, hold)
 		}
-		if !p.registered {
-			s.remove(p) // orphaned placeholder: its register never came
-			s.recycleLocked(p)
-			return
-		}
-		if p.retries >= a.maxRetries {
-			a.removeRootLocked(s, p)
-			p.rc.expired.Add(1)
-			if sp := p.ts.ackSpout; sp != nil {
-				cbs = append(cbs, ackCallback{spout: sp, msgID: p.msgID, fail: true})
-			}
-			s.recycleLocked(p)
-			return
-		}
-		p.retries++
-		p.failed = false
-		p.backoff = false
-		// The replay hold: a fresh random edge XORed in before redelivery
-		// and released together with the redelivered edges, so the tree
-		// cannot drain to zero while the replay is still being issued.
-		es := newEdgeStream()
-		hold := es.next()
-		p.checksum ^= hold
-		p.deadline = satAddNanos(now, int64(backoffFor(a.timeout, p.retries)))
-		p.rc.replays.Add(1)
-		replays = append(replays, p)
-		holds = append(holds, hold)
 	}
-	for _, p := range s.slots {
-		scan(p)
-	}
-	for _, p := range s.overflow {
-		scan(p)
-	}
-	s.mu.Unlock()
-	for _, cb := range cbs {
-		cb.fire()
-	}
+	a.mu.Unlock()
+	a.finishResolves(&rb)
 	for i, p := range replays {
 		a.redeliver(p, holds[i])
 	}
@@ -718,33 +549,23 @@ func (a *xorAcker) redeliver(p *xorRoot, hold uint64) {
 }
 
 // cancelAll expires every pending root (run cancellation): drain waiters
-// wake, Fail callbacks fire, and later newRootBlock calls emit unanchored.
+// wake, Fail callbacks fire, and later newRoot calls emit unanchored.
 func (a *xorAcker) cancelAll() {
 	a.stopped.Store(true)
 	var cbs []ackCallback
-	for _, s := range a.shards {
-		s.mu.Lock()
-		collect := func(p *xorRoot) {
-			if p == nil || !p.registered {
-				return
-			}
-			p.rc.expired.Add(1)
-			p.ts.ackPending.Add(-1)
-			if sp := p.ts.ackSpout; sp != nil {
-				cbs = append(cbs, ackCallback{spout: sp, msgID: p.msgID, fail: true})
-			}
+	a.mu.Lock()
+	for _, p := range a.roots {
+		if !p.registered {
+			continue
 		}
-		for _, p := range s.slots {
-			collect(p)
+		p.rc.expired.Add(1)
+		p.ts.ackPending.Add(-1)
+		if sp := p.ts.ackSpout; sp != nil {
+			cbs = append(cbs, ackCallback{spout: sp, msgID: p.msgID, fail: true})
 		}
-		for _, p := range s.overflow {
-			collect(p)
-		}
-		s.slots = make([]*xorRoot, initShardSlots)
-		s.overflow = nil
-		s.live = 0
-		s.mu.Unlock()
 	}
+	clear(a.roots)
+	a.mu.Unlock()
 	a.drainMu.Lock()
 	a.drainCond.Broadcast()
 	a.drainMu.Unlock()
@@ -766,16 +587,12 @@ func (a *xorAcker) waitTask(ts *taskState) {
 	a.drainMu.Unlock()
 }
 
-// pendingRoots counts live table entries across all shards, for the
-// monitor's storm.acker.pending gauge.
+// pendingRoots counts the table's entries, for the monitor's
+// storm.acker.pending gauge.
 func (a *xorAcker) pendingRoots() int {
-	n := 0
-	for _, s := range a.shards {
-		s.mu.Lock()
-		n += s.live
-		s.mu.Unlock()
-	}
-	return n
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.roots)
 }
 
 // --- edge-id generation ---
@@ -822,40 +639,29 @@ func satAddNanos(now, d int64) int64 {
 // an inline flush.
 const ackBatchCap = 256
 
-// ackBatcher buffers checksum updates per destination — one buffer per
-// local shard, one per remote worker — and flushes them on the executor's
-// existing triggers (before blocking on input, on exit),
-// so the steady state pays one shard lock (or one wire frame) per flush
-// instead of per tuple.
+// ackBatcher buffers checksum updates per destination — one buffer for
+// this worker's roots, one per remote worker — and flushes them on the
+// executor's existing triggers (before blocking on input, on exit), so the
+// steady state pays one table lock (or one wire frame) per flush instead
+// of per tuple.
 type ackBatcher struct {
-	ak          *xorAcker
-	single      bool // single-worker run: every root is local, skip owner routing
-	local       [][]ackUpdate
-	remote      [][]ackUpdate
-	dirtyShards []int
-	dirtyPeers  []int
-	// rb is the batcher's reusable resolution scratch: applyShard appends
+	ak         *xorAcker
+	local      []ackUpdate
+	remote     [][]ackUpdate
+	dirtyPeers []int
+	// rb is the batcher's reusable resolution scratch: applyLocal appends
 	// spout callbacks into it and finishResolves drains it, keeping the
 	// buffer's capacity across flushes. Owned by the executor goroutine.
 	rb resolveBatch
 }
 
 func (a *xorAcker) newBatcher() *ackBatcher {
-	nw := len(a.r.cfg.peers)
-	if nw == 0 {
-		nw = 1
-	}
-	return &ackBatcher{
-		ak:     a,
-		single: a.workerMask == 0,
-		local:  make([][]ackUpdate, len(a.shards)),
-		remote: make([][]ackUpdate, nw),
-	}
+	return &ackBatcher{ak: a, remote: make([][]ackUpdate, max(len(a.r.cfg.peers), 1))}
 }
 
 func (ab *ackBatcher) push(root, xor uint64, fail bool) {
 	a := ab.ak
-	if w := a.owner(root); !ab.single && w != int(a.self) {
+	if w := a.owner(root); w != int(a.self) {
 		buf := ab.remote[w]
 		if len(buf) == 0 {
 			ab.dirtyPeers = append(ab.dirtyPeers, w)
@@ -866,21 +672,16 @@ func (ab *ackBatcher) push(root, xor uint64, fail bool) {
 		}
 		return
 	}
-	si := a.shardOf(root)
-	buf := ab.local[si]
-	if len(buf) == 0 {
-		ab.dirtyShards = append(ab.dirtyShards, si)
-	}
-	ab.local[si] = append(buf, ackUpdate{root: root, xor: xor, fail: fail})
-	if len(ab.local[si]) >= ackBatchCap {
-		ab.flushShard(si)
+	ab.local = append(ab.local, ackUpdate{root: root, xor: xor, fail: fail})
+	if len(ab.local) >= ackBatchCap {
+		ab.flushLocal()
 	}
 }
 
-func (ab *ackBatcher) flushShard(si int) {
-	if buf := ab.local[si]; len(buf) > 0 {
-		ab.ak.applyShard(si, buf, &ab.rb)
-		ab.local[si] = buf[:0]
+func (ab *ackBatcher) flushLocal() {
+	if len(ab.local) > 0 {
+		ab.ak.applyLocal(ab.local, &ab.rb)
+		ab.local = ab.local[:0]
 	}
 }
 
@@ -897,14 +698,11 @@ func (ab *ackBatcher) flushPeer(w int) {
 	ab.remote[w] = buf[:0]
 }
 
-// flush applies every buffered update. A destination may appear twice in
-// a dirty list after a capacity-triggered inline flush re-armed it; the
-// per-destination flushes are idempotent on empty buffers.
+// flush applies every buffered update. A peer may appear twice in the
+// dirty list after a capacity-triggered inline flush re-armed it; the
+// per-peer flushes are idempotent on empty buffers.
 func (ab *ackBatcher) flush() {
-	for _, si := range ab.dirtyShards {
-		ab.flushShard(si)
-	}
-	ab.dirtyShards = ab.dirtyShards[:0]
+	ab.flushLocal()
 	for _, w := range ab.dirtyPeers {
 		ab.flushPeer(w)
 	}

@@ -252,41 +252,6 @@ func TestAckerDifferentialCountEquivalence(t *testing.T) {
 	}
 }
 
-// TestAckerSlotKeyDensity pins the dense-ring property of the shard slot
-// key: the shard-selector bits of the sequence are fixed within a shard, so
-// leaving them in the key would make only 1/len(shards) of the ring slots
-// addressable (the table would grow ~shards× oversized and spill to the
-// overflow map early). Sequential roots must therefore map to distinct ring
-// slots until a shard's live population actually reaches the ring size.
-func TestAckerSlotKeyDensity(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  config
-	}{
-		{name: "single-worker", cfg: config{}},
-		{name: "two-workers", cfg: config{selfWorker: 1, peers: []string{"a", "b"}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const shards = ackShards
-			a := newXorAcker(&Runtime{cfg: tc.cfg}, time.Second, 3)
-			seen := make([]map[uint64]uint64, shards) // shard → ring slot → root
-			for i := range seen {
-				seen[i] = make(map[uint64]uint64, initShardSlots)
-			}
-			for i := 0; i < shards*initShardSlots; i++ {
-				root := a.newRootBlock(1)
-				si := a.shardOf(root)
-				slot := a.slotKey(root) & uint64(initShardSlots-1)
-				if prev, dup := seen[si][slot]; dup {
-					t.Fatalf("roots %#x and %#x collide on shard %d ring slot %d before the ring is full (%d/%d live)",
-						prev, root, si, slot, len(seen[si]), initShardSlots)
-				}
-				seen[si][slot] = root
-			}
-		})
-	}
-}
-
 // pooledSpout emits anchored tuples whose Values maps come from a shared
 // pool which the consumer releases them into as soon as it has executed the
 // tuple — the harshest form of a consumer that writes to its input, which
@@ -404,7 +369,7 @@ func TestAckerRegisterSnapshotsBeforeDelivery(t *testing.T) {
 }
 
 // TestAckerStopSkipsRemoteSends is the regression for the remote branch of
-// apply: unlike local updates (dropped under the shard lock's stopped
+// apply: unlike local updates (dropped under the table lock's stopped
 // check), updates for roots owned by another worker used to be handed to
 // sendRemote even after the acker stopped, pushing frames into a transport
 // that may be mid-teardown. A late drop or replay completion arriving
@@ -432,9 +397,8 @@ func TestAckerStopSkipsRemoteSends(t *testing.T) {
 }
 
 // TestAckerDuplicateFailKeepsBackoffDeadline pins the backoff transition
-// of a failed tree: duplicate zero-net fail updates (any {xor: 0, fail}
-// passes the batcher's push guard, and a multi-drop tree pushes one fail
-// per dropped hop) re-enter resolveLocked while the root is parked
+// of a failed tree: duplicate zero-net fail updates (a multi-drop tree
+// pushes one fail per dropped hop) re-enter resolveLocked while the root is parked
 // awaiting replay. Each re-entry used to re-arm the deadline, shoving the
 // replay arbitrarily far into the future under a steady duplicate trickle.
 func TestAckerDuplicateFailKeepsBackoffDeadline(t *testing.T) {
@@ -442,20 +406,14 @@ func TestAckerDuplicateFailKeepsBackoffDeadline(t *testing.T) {
 	spout := newAckSpout(0)
 	rc := &runningComponent{spec: &componentSpec{id: "src"}}
 	ts := &taskState{ackSpout: spout}
-	root := a.newRootBlock(1)
+	root := a.newRoot()
 	const edge = uint64(0xabcdef)
 	var vals []kvEntry
 	a.register(root, rc, ts, "m", Tuple{}, -1, &vals, edge, false, time.Now())
 
 	readRoot := func() (deadline int64, backoff, live bool) {
-		s := a.shards[a.shardOf(root)]
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		p := s.get(a.slotKey(root))
-		if p == nil {
-			return 0, false, false
-		}
-		return p.deadline, p.backoff, true
+		p, live := a.lookup(root)
+		return p.deadline, p.backoff, live
 	}
 
 	// Drain the tree with a fail bit: the root parks in backoff.
@@ -485,7 +443,7 @@ func TestAckerDuplicateFailKeepsBackoffDeadline(t *testing.T) {
 
 // TestAckerZeroChecksumRegisterSingleAck pins the checksum==0-at-register
 // fast path against duplicate spout callbacks: when the whole tree's
-// updates beat the register to the shard, register resolves inline — and
+// updates beat the register to the table, register resolves inline — and
 // any update straggling in afterwards must land in a fresh placeholder
 // (the root id is gone), never re-fire Ack for the same message id.
 func TestAckerZeroChecksumRegisterSingleAck(t *testing.T) {
@@ -493,7 +451,7 @@ func TestAckerZeroChecksumRegisterSingleAck(t *testing.T) {
 	spout := newAckSpout(0)
 	rc := &runningComponent{spec: &componentSpec{id: "src"}}
 	ts := &taskState{ackSpout: spout}
-	root := a.newRootBlock(1)
+	root := a.newRoot()
 	const edge = uint64(0x1234)
 
 	// The consumer's update arrives first (parks a placeholder), then the
@@ -521,4 +479,15 @@ func TestAckerZeroChecksumRegisterSingleAck(t *testing.T) {
 	if spout.acked["m"] != 1 || len(spout.failed) != 0 {
 		t.Fatalf("stragglers duplicated callbacks: acked=%v failed=%v", spout.acked, spout.failed)
 	}
+}
+
+// lookup copies root's table entry under the acker lock.
+func (a *xorAcker) lookup(root uint64) (xorRoot, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	p := a.roots[root]
+	if p == nil {
+		return xorRoot{}, false
+	}
+	return *p, true
 }

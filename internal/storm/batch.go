@@ -87,11 +87,6 @@ type outBatcher struct {
 	// an empty batcher, stamped by the spout executor; bolts flush on an
 	// idle input queue and never read it.
 	first time.Time
-	// pinned, when non-nil, holds an envelope whose edge id the in-flight
-	// Execute call may still rewrite (XOR acker edge chaining): add grows
-	// the batch past the size cap instead of shipping it mid-call. The
-	// executor clears the pin when the call settles.
-	pinned *batch
 }
 
 func (r *Runtime) newOutBatcher() *outBatcher {
@@ -115,31 +110,10 @@ func (o *outBatcher) add(dest *executor, local int, t *Tuple, edge uint64) {
 	}
 	b.envs = append(b.envs, envelope{local: local, tuple: *t})
 	b.envs[len(b.envs)-1].tuple.edge = edge
-	if len(b.envs) >= o.size && b != o.pinned {
+	if len(b.envs) >= o.size {
 		o.bufs[dest.eid] = nil
 		o.r.deliverOrDrop(dest, b)
 	}
-}
-
-// pin readies dest's buffer for an edge-chained envelope and pins it: the
-// caller appends the envelope itself (keeping the copy inline at the call
-// site) and the batch stays unshipped until the executor unpins it after
-// the Execute call settles, so a late error can retarget the envelope onto
-// a fresh edge id before it ships. A full buffer ships before the pin (the
-// previous pin is gone by now — it cleared when that call settled), so
-// pinning never grows batches past the cap in the steady state.
-func (o *outBatcher) pin(dest *executor) *batch {
-	b := o.bufs[dest.eid]
-	if b != nil && len(b.envs) >= o.size {
-		o.bufs[dest.eid] = nil
-		o.r.deliverOrDrop(dest, b)
-		b = nil
-	}
-	if b == nil {
-		b = o.newBuf(dest)
-	}
-	o.pinned = b
-	return b
 }
 
 // newBuf starts a fresh buffer for dest and marks it dirty.
@@ -153,12 +127,7 @@ func (o *outBatcher) newBuf(dest *executor) *batch {
 	return b
 }
 
-// flushAll sends every pending buffer and resets the dirty set. It runs
-// only between Execute calls — on an idle input queue, at an epoch
-// barrier, at exit — where no edge chain is pinned: the executor
-// unpins when a call settles. The pin is cleared here all the same, since
-// after a full flush no buffer remains to be pinned, and a stale pin must
-// not alias a recycled batch on the next add.
+// flushAll sends every pending buffer and resets the dirty set.
 func (o *outBatcher) flushAll() {
 	for _, dest := range o.dests {
 		o.queued[dest.eid] = false
@@ -170,7 +139,6 @@ func (o *outBatcher) flushAll() {
 		o.r.deliverOrDrop(dest, b)
 	}
 	o.dests = o.dests[:0]
-	o.pinned = nil
 }
 
 // maybeFlush flushes when the NextTuple call that first buffered since the

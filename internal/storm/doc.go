@@ -40,9 +40,10 @@
 // checksum per tuple tree — every delivery's edge id is XORed in when the
 // edge is created and again when it is consumed — and replays the root on
 // failure or timeout with bounded retries, mirroring Storm's reliability
-// API. Root ids name their owning worker, so across workers an anchored
-// envelope travels untranslated and each worker ships its checksum updates
-// straight to the owner; see acker.go. WithAckMode(AckEpoch) replaces
+// API. Its state is one table under one lock, batched updates applied a
+// flush at a time. Root ids name their owning worker, so across workers an
+// anchored envelope travels untranslated and each worker ships its
+// checksum updates straight to the owner; see acker.go. WithAckMode(AckEpoch) replaces
 // per-tuple tracking with aligned barrier checkpoints and spout rewind —
 // effectively-once for idempotent sinks; see epoch.go. Component invocations are panic-isolated, and the FailFast/Degrade
 // failure policies (WithFailurePolicy) choose between surfacing the first

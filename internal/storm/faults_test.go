@@ -400,15 +400,13 @@ func TestAckExpiryDropsAfterMaxRetries(t *testing.T) {
 }
 
 // TestAckFailAfterEmitReplays: a call that emits and then fails — by an
-// error or by a panic — must still fail its tree, whose chained emission
-// the failure retargets onto a fresh edge. Every i%5==0 tuple fails its
-// first attempt and replays once; tuple 7 fails every attempt and expires
-// after MaxRetries replays. Odd tuples emit twice, so a failure also
-// settles fresh edges beside the chained one. mid is slower than sink, so
-// at batch 1 the next call ships a failed call's chained envelope while
-// the fail update still waits in mid's ack buffer: unless the failure
-// retargeted it, the sink's update would drain the tree before the fail
-// bit lands, and the tree would ack.
+// error or by a panic — must still fail its tree. Every i%5==0 tuple fails
+// its first attempt and replays once; tuple 7 fails every attempt and
+// expires after MaxRetries replays. Odd tuples emit twice. mid is slower
+// than sink, so at batch 1 the next call ships a failed call's emissions
+// while the fail update still waits in mid's ack buffer: the sink's
+// updates must not drain the tree before the fail bit lands, which holds
+// because the fail update also consumes mid's input edge.
 func TestAckFailAfterEmitReplays(t *testing.T) {
 	const n, retries = 20, 2
 	fails := map[string]func(Tuple) error{

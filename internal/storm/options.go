@@ -54,8 +54,8 @@ func WithMaxRetries(n int) Option { return func(c *config) { c.MaxRetries = n } 
 
 // WithAckMode selects the ack-tracking engine used when WithAckTimeout is
 // set. AckXOR (the default) tracks each anchored tree as a single rotating
-// XOR checksum sharded across lock-striped tables — O(1) state per root,
-// updates batched onto the existing transport: per-tuple at-least-once for
+// XOR checksum in one locked table — O(1) state per root, updates
+// batched onto the existing transport: per-tuple at-least-once for
 // any spout. AckEpoch drops per-tuple tracking entirely: aligned epoch
 // barriers flow through the topology and the runtime rewinds
 // ReplayableSpouts to the last committed epoch on loss — effectively-once

@@ -45,7 +45,7 @@ type config struct {
 	// expires as dropped and the spout's Fail callback fires. Defaults to 3.
 	MaxRetries int
 	// AckMode selects the reliability implementation behind AckTimeout:
-	// AckXOR (default) is the sharded XOR-checksum acker (see acker.go),
+	// AckXOR (default) is the XOR-checksum acker (see acker.go),
 	// AckEpoch barrier checkpointing (see epoch.go).
 	AckMode AckMode
 	// EpochInterval is the epoch coordinator's barrier injection period
@@ -1063,8 +1063,10 @@ type taskCollector struct {
 	root     bool
 	in       telemetry.TupleTrace
 	nowNanos int64
-	// inAck anchors a bolt's emissions to the input tuple's tracked tree.
-	inAck uint64
+	// inAck anchors a bolt's emissions to the input tuple's tracked tree,
+	// and inEdge is the input's delivery edge, which settle consumes.
+	inAck  uint64
+	inEdge uint64
 	// XOR-acker state (acker.go): edges is this collector's private
 	// edge-id stream; pendXor accumulates the edge ids created by the
 	// current NextTuple/Execute call and pendFail whether any of them was
@@ -1074,21 +1076,6 @@ type taskCollector struct {
 	pendXor  uint64
 	pendFail bool
 	ab       *ackBatcher
-	// Edge chaining: chainEdge offers the current Execute call's input edge
-	// for reuse by its first anchored emission (out-edge = in-edge), which
-	// makes a clean pass-through hop contribute no ack update at all — the
-	// input edge cancels algebraically. chainBatch/chainIdx locate the
-	// chained envelope inside the out batcher while it is pinned there, so
-	// a failure after the emission can retarget it onto a fresh edge id
-	// (see settle).
-	chainEdge  uint64
-	chainBatch *batch
-	chainIdx   int
-	// rootNext/rootLeft are the collector's reserved window of root ids
-	// (spout collectors only): one shared-counter trip per rootBlock
-	// emissions instead of per tuple.
-	rootNext uint64
-	rootLeft int
 	// rootVals is the reused pre-delivery payload snapshot of the root
 	// emission in flight (spout collectors only): the emitter flattens the
 	// Values map into it before the first envelope ships, and register
@@ -1127,49 +1114,22 @@ func (c *taskCollector) outTrace() telemetry.TupleTrace {
 
 // begin readies a bolt collector for one Execute call of t on task ts:
 // emissions derive t's trace and anchor, and the call's XOR-acker state
-// starts empty with t's delivery edge offered for chaining.
+// starts empty.
 func (c *taskCollector) begin(ts *taskState, t *Tuple) {
-	c.ts, c.in, c.inAck = ts, t.Trace, t.ack
+	c.ts, c.in, c.inAck, c.inEdge = ts, t.Trace, t.ack, t.edge
 	c.pendXor, c.pendFail = 0, false
-	c.chainEdge, c.chainBatch = t.edge, nil
 }
 
 // settle closes the current call's hop of its input's tree, if the input
-// is anchored. It stays small enough to inline, so an unanchored envelope
-// pays one comparison.
+// is anchored: one update consumes the input edge and introduces the
+// edges of the call's emissions. A failed call (an error, a panic, or an
+// envelope dropped at a dead task) sets the fail bit on that same update,
+// which carries the input edge, so the tree cannot zero out before the
+// fail bit lands. It stays small enough to inline, so an unanchored
+// envelope pays one comparison.
 func (c *taskCollector) settle(fail bool) {
 	if c.inAck != 0 {
-		c.settleAnchored(fail)
-	}
-}
-
-// settleAnchored pushes an anchored call's XOR-acker update. The consumed
-// input edge either cancels against a chained emission (out-edge =
-// in-edge; the downstream hop consumes it instead) or is XORed in
-// explicitly; fresh edges from further emissions ride along. A clean
-// chained pass-through nets to zero and pushes nothing. A failed call
-// (an error, a panic, or an envelope dropped at a dead task) first
-// retargets a chained envelope onto a fresh edge, so the fail update
-// both consumes the input edge and introduces the new one: the tree
-// cannot zero out before the fail bit lands.
-func (c *taskCollector) settleAnchored(fail bool) {
-	x := c.pendXor
-	fail = fail || c.pendFail
-	if c.chainEdge != 0 {
-		x ^= c.chainEdge
-		c.chainEdge = 0
-	} else if c.chainBatch != nil {
-		if fail {
-			chained := &c.chainBatch.envs[c.chainIdx].tuple
-			e := c.edges.next()
-			x ^= chained.edge ^ e
-			chained.edge = e
-		}
-		c.chainBatch = nil
-		c.out.pinned = nil
-	}
-	if x != 0 || fail {
-		c.ab.push(c.inAck, x, fail)
+		c.ab.push(c.inAck, c.pendXor^c.inEdge, fail || c.pendFail)
 	}
 }
 
@@ -1211,29 +1171,10 @@ func (c *taskCollector) EmitAnchored(msgID string, values map[string]any) {
 // (directTask -1) and EmitDirectAnchored: allocate the root id, deliver —
 // accumulating the created edge ids in pendXor — then register the root
 // with the accumulated initial checksum. Registration comes last so the
-// hot path takes the shard lock exactly once per root; updates racing
-// ahead of it merge via the shard's placeholder entries.
-// nextRoot hands out root ids from the collector's reserved block,
-// refilling from the acker's shared counter every rootBlock emissions.
-// A stop is observed at the next refill at the latest; ids registered
-// after a stop are discarded by register, so the stale window only delays
-// the unanchored-emission fallback by a few tuples.
-func (c *taskCollector) nextRoot(ak *xorAcker) uint64 {
-	if c.rootLeft == 0 {
-		base := ak.newRootBlock(rootBlock)
-		if base == 0 {
-			return 0
-		}
-		c.rootNext, c.rootLeft = base, rootBlock
-	}
-	r := c.rootNext
-	c.rootNext += 1 << ak.workerBits
-	c.rootLeft--
-	return r
-}
-
+// hot path takes the table lock exactly once per root; updates racing
+// ahead of it merge via placeholder entries.
 func (c *taskCollector) emitAnchoredXOR(ak *xorAcker, msgID, stream string, directTask int, values map[string]any) {
-	root := c.nextRoot(ak)
+	root := ak.newRoot()
 	if root == 0 { // acker stopped (cancellation): emit unanchored
 		if directTask >= 0 {
 			c.EmitDirect(stream, directTask, values)
@@ -1423,38 +1364,17 @@ func (c *taskCollector) dropRouted(target *runningComponent, t *Tuple) {
 func (c *taskCollector) send(target *runningComponent, taskIdx int, t *Tuple) {
 	// t is shared across every send of one emission (AllGrouping fans it
 	// out N times; emitAnchoredXOR reads it again after delivery), so the
-	// per-send edge id is computed into a local and written onto the
-	// buffered envelope — never onto *t.
-	edge := t.edge
-	chained := false
+	// per-send edge id is written onto the buffered envelope — never onto
+	// *t. Each anchored send owns a fresh edge id, accumulated for the
+	// emitter's side of the double-XOR.
+	var edge uint64
 	if t.ack != 0 {
-		if c.chainEdge != 0 && c.out != nil {
-			// First anchored emission of this Execute call: reuse the
-			// input edge instead of minting one. The hop then needs no
-			// ack update unless it emits again, errors, or drops.
-			edge = c.chainEdge
-			c.chainEdge = 0
-			chained = true
-		} else {
-			// Tag the delivery with a fresh edge id (each send owns its
-			// own edge) and accumulate it for the emitter's side of the
-			// double-XOR.
-			e := c.edges.next()
-			edge = e
-			c.pendXor ^= e
-		}
+		edge = c.edges.next()
+		c.pendXor ^= edge
 	}
 	route := target.taskRoute[taskIdx]
 	dest := target.execs[route.exec]
 	if c.out != nil {
-		if chained {
-			b := c.out.pin(dest)
-			b.envs = append(b.envs, envelope{local: route.local, tuple: *t})
-			i := len(b.envs) - 1
-			b.envs[i].tuple.edge = edge
-			c.chainBatch, c.chainIdx = b, i
-			return
-		}
 		c.out.add(dest, route.local, t, edge)
 		return
 	}

@@ -587,6 +587,10 @@ type inbound struct {
 	// open holds the edges from the peer's executors to this worker's that
 	// have not ended.
 	open map[edge]bool
+	// acks and rb are ackBatch's reused decode buffer and resolution
+	// scratch.
+	acks []ackUpdate
+	rb   resolveBatch
 }
 
 // edge is one executor's output to one executor it feeds, by dense ids.
@@ -621,25 +625,7 @@ func (in *inbound) dispatch(typ byte, body []byte) error {
 		if l.r.acker == nil {
 			return fmt.Errorf("storm: ackBatch frame at worker %d, which runs without the XOR acker", l.self)
 		}
-		count, b, err := decodeUvarint(body)
-		if err != nil {
-			return err
-		}
-		for i := uint64(0); i < count; i++ {
-			var root uint64
-			if root, b, err = decodeUvarint(b); err != nil {
-				return err
-			}
-			if len(b) < 9 {
-				return errShortFrame
-			}
-			l.r.acker.apply(root, binary.BigEndian.Uint64(b), b[8] != 0)
-			b = b[9:]
-		}
-		if len(b) != 0 {
-			return fmt.Errorf("storm: %d trailing bytes after ackBatch frame", len(b))
-		}
-		return nil
+		return in.ackBatch(body)
 	case frameEpoch:
 		m, err := decodeEpochFrame(body)
 		if err != nil {
@@ -651,6 +637,40 @@ func (in *inbound) dispatch(typ byte, body []byte) error {
 		return l.r.epochs.apply(m)
 	}
 	return fmt.Errorf("storm: unknown frame type %d", typ)
+}
+
+// ackBatch applies one ackBatch frame. The whole frame is decoded and
+// checked before any update lands, so a malformed frame fails the link
+// with none of its updates applied. A sender's ackBatcher ships a root's
+// updates only to the root's owner, so a root this worker does not own
+// makes the frame malformed too.
+func (in *inbound) ackBatch(body []byte) error {
+	l := in.l
+	count, b, err := decodeUvarint(body)
+	if err != nil {
+		return err
+	}
+	ents := in.acks[:0]
+	for i := uint64(0); i < count; i++ {
+		var root uint64
+		if root, b, err = decodeUvarint(b); err != nil {
+			return err
+		}
+		if len(b) < 9 {
+			return errShortFrame
+		}
+		if w := l.r.acker.owner(root); w != l.self {
+			return fmt.Errorf("storm: ackBatch frame at worker %d for root %d, which worker %d owns", l.self, root, w)
+		}
+		ents = append(ents, ackUpdate{root: root, xor: binary.BigEndian.Uint64(b), fail: b[8] != 0})
+		b = b[9:]
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("storm: %d trailing bytes after ackBatch frame", len(b))
+	}
+	in.acks = ents
+	l.r.acker.applyLocal(ents, &in.rb)
+	return nil
 }
 
 // marker delivers one marker frame: the mark of one of the peer's

@@ -244,15 +244,11 @@ func TestDistributedSenderPeerLossFailsQueuedAnchors(t *testing.T) {
 		t.Fatalf("component dropped %d envelopes, want 2", got)
 	}
 	for _, tc := range []struct{ root, edge uint64 }{{rootA, edgeA}, {rootB, edgeB}} {
-		s := r.acker.shards[r.acker.shardOf(tc.root)]
-		s.mu.Lock()
-		p := s.get(r.acker.slotKey(tc.root))
-		if p == nil {
-			s.mu.Unlock()
+		p, ok := r.acker.lookup(tc.root)
+		if !ok {
 			t.Fatalf("root %d: no acker entry — failed-anchor update never applied", tc.root)
 		}
 		failed, checksum := p.failed, p.checksum
-		s.mu.Unlock()
 		if !failed || checksum != tc.edge {
 			t.Fatalf("root %d: failed=%v checksum=%d, want failed=true checksum=%d (the queued edge)",
 				tc.root, failed, checksum, tc.edge)

@@ -524,7 +524,7 @@ func TestDistributedRejectsFramesOffPlacement(t *testing.T) {
 				if ex := rt.execs[tc.eid]; ex.worker != 0 || len(ex.tasks) != 1 {
 					t.Fatalf("executor %d: worker %d with %d tasks, the test needs worker 0 with 1", tc.eid, ex.worker, len(ex.tasks))
 				}
-			})
+			}, nil)
 		})
 	}
 }
@@ -547,7 +547,7 @@ func TestDistributedRejectsStrayEpochFrames(t *testing.T) {
 		{"reservedType8", "unknown frame type 8", endFrame(appendWireString(append(beginFrame(nil, 8), 0, 1), "storm.epoch.begin")), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rejectsFrame(t, tc.frame, tc.why, nil, tc.opts...)
+			rejectsFrame(t, tc.frame, tc.why, nil, nil, tc.opts...)
 		})
 	}
 }
@@ -571,7 +571,7 @@ func TestDistributedRejectsFramesTheOptionsCannotProduce(t *testing.T) {
 		{"epochMarkerWithoutEpochMode", "marker for epoch 5 at worker 0, which runs without epoch mode", appendMarkerFrame(nil, 1, 2, 5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rejectsFrame(t, tc.frame, tc.why, nil)
+			rejectsFrame(t, tc.frame, tc.why, nil, nil)
 		})
 	}
 }
@@ -579,27 +579,40 @@ func TestDistributedRejectsFramesTheOptionsCannotProduce(t *testing.T) {
 // TestDistributedRejectsBadEndOfStream: an end marker on an edge that is
 // not open from the sender — a duplicate end would finish the executor
 // early — a marker with trailing bytes or with no mark, an ackBatch frame
-// with trailing bytes, and a done frame with a body each fail the link.
+// with trailing bytes or for a root another worker owns, and a done frame
+// with a body each fail the link. A rejected ackBatch frame applies none
+// of its updates: worker 0's acker holds no entry for its root.
 func TestDistributedRejectsBadEndOfStream(t *testing.T) {
 	trailing := func(frame []byte) []byte { return endFrame(append(frame, 0)) }
+	acked := []Option{WithAckTimeout(time.Second)}
 	for _, tc := range []struct {
 		name, why string
 		frame     []byte
 		opts      []Option
+		root      uint64 // the ackBatch frame's root, 0 for other frames
 	}{
 		// Worker 1's only executor, the second sink executor, feeds nothing.
-		{"endBeyondFeeders", "marker from executor 2 to executor 1, which is not an open edge from worker 1", appendMarkerFrame(nil, 1, 2, markEnd), nil},
-		{"markerTrailingBytes", "1 trailing bytes after marker frame", trailing(appendMarkerFrame(nil, 1, 2, markEnd)), nil},
-		{"markerWithoutMark", "marker frame with mark 0", appendMarkerFrame(nil, 1, 2, 0), nil},
-		{"ackBatchTrailingBytes", "1 trailing bytes after ackBatch frame", trailing(appendAckBatchFrame(nil, []ackUpdate{{root: 2, xor: 7}})), []Option{WithAckTimeout(time.Second)}},
-		{"doneWithBody", "done frame with a 1-byte body", endFrame(append(beginFrame(nil, frameDone), 0)), nil},
+		{"endBeyondFeeders", "marker from executor 2 to executor 1, which is not an open edge from worker 1", appendMarkerFrame(nil, 1, 2, markEnd), nil, 0},
+		{"markerTrailingBytes", "1 trailing bytes after marker frame", trailing(appendMarkerFrame(nil, 1, 2, markEnd)), nil, 0},
+		{"markerWithoutMark", "marker frame with mark 0", appendMarkerFrame(nil, 1, 2, 0), nil, 0},
+		{"ackBatchTrailingBytes", "1 trailing bytes after ackBatch frame", trailing(appendAckBatchFrame(nil, []ackUpdate{{root: 2, xor: 7}})), acked, 2},
+		{"ackBatchForeignRoot", "ackBatch frame at worker 0 for root 3, which worker 1 owns", appendAckBatchFrame(nil, []ackUpdate{{root: 3, xor: 7}}), acked, 3},
+		{"doneWithBody", "done frame with a 1-byte body", endFrame(append(beginFrame(nil, frameDone), 0)), nil, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var unapplied func(*Runtime)
+			if tc.root != 0 {
+				unapplied = func(rt *Runtime) {
+					if _, ok := rt.acker.lookup(tc.root); ok {
+						t.Errorf("worker 0's acker holds an entry for root %d from the rejected frame", tc.root)
+					}
+				}
+			}
 			rejectsFrame(t, tc.frame, tc.why, func(rt *Runtime) {
 				if ex := rt.execs[1]; ex.worker != 0 || ex.comp.spec.id != "sink" || rt.execs[2].worker != 1 {
 					t.Fatal("the test needs executor 1 to be the sink's on worker 0, and the other sink executor alone on worker 1")
 				}
-			}, tc.opts...)
+			}, unapplied, tc.opts...)
 		})
 	}
 }
@@ -608,8 +621,9 @@ func TestDistributedRejectsBadEndOfStream(t *testing.T) {
 // (a spout task and one sink task; check inspects the runtime first when
 // non-nil): it connects, says hello and sends frame, which must fail the
 // link — worker 0 stays up, closes the connection, and Run reports the
-// lost link, with why in the cause.
-func rejectsFrame(t *testing.T, frame []byte, why string, check func(*Runtime), opts ...Option) {
+// lost link, with why in the cause. after, when non-nil, inspects the
+// runtime once the link failed, while the run is still up.
+func rejectsFrame(t *testing.T, frame []byte, why string, check, after func(*Runtime), opts ...Option) {
 	t.Helper()
 	release := make(chan struct{})
 	b := NewTopologyBuilder("t")
@@ -654,6 +668,9 @@ func rejectsFrame(t *testing.T, frame []byte, why string, check func(*Runtime), 
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatal("worker 0 kept the link open after the frame")
+	}
+	if after != nil {
+		after(rt)
 	}
 	close(release)
 	select {

@@ -4,9 +4,11 @@
 # the batched data plane (batch size x telemetry x acking) over time, not
 # as a pass/fail gate. The sweep is batch {1,64} x telemetry {off,on} x
 # ack {off,xor,epoch}: batch=1 is one channel send per tuple; xor is the
-# sharded checksum acker, which targets <= 1.5x ack=off at
-# batch=64/telemetry=off, and epoch the barrier-checkpointing mode, which
-# carries no per-tuple state and targets <= 1.15x ack=off there.
+# checksum acker (one locked root table), which targets <= 1.5x ack=off at
+# batch=64/telemetry=off but reads ~4x there (one update per hop is most
+# of the work of these no-op bolts), and epoch the barrier-checkpointing
+# mode, which carries no per-tuple state and targets <= 1.15x ack=off
+# there.
 # The measured ratios are recorded under "ack_xor_over_off_batch64" and
 # "ack_epoch_over_off_batch64" so the targets stay machine-checkable.
 #
