@@ -69,7 +69,12 @@ func BenchmarkAblationExprCompilation(b *testing.B) {
 // 100) — over 28-field rows shaped like the pipeline's enriched payload.
 // 4096 stops and 1024 leaf areas keep ~140k window positions filled, so the
 // value ring position a length window retracts left the cache long ago, as
-// in a city-sized run; the windows are filled before the clock starts. Two shapes: "all", one engine
+// in a city-sized run; the windows are filled before the clock starts.
+// Each rule joins 24 hours of thresholds per location, registered as a
+// table (registerThresholds). The hour changes every 3600 rows; a stop is
+// revisited every 4096, so a stop rule's probe nearly always meets a new
+// hour and folds the table rows of it, while a leaf, revisited every 1024,
+// mostly meets the hour its entry holds. Two shapes: "all", one engine
 // that owns every location and takes every row, and "owned", one of four
 // engines: it owns a quarter of the stops and a quarter of the leaves, each
 // rule installed on its share (as core.InstallRule installs it), and it is
@@ -87,6 +92,14 @@ type ownedAdder interface {
 	Own(stream, field string, keys ...string) []string
 	AddOwnedStatement(name, src, stream, field string) (*Statement, error)
 }
+
+// registerThresholds, when set, registers rows as the table name with the
+// columns location, hour, day and value, keyed by the first three, as
+// core.InstallRule registers a rule's thresholds. bench_table_test.go sets
+// it; scripts/bench_cep.sh lays this file alone over a parent commit, whose
+// engine may have no tables, and there the rows are sent as a keep-all
+// stream instead.
+var registerThresholds func(eng *Engine, name string, rows []map[string]Value) error
 
 // benchFourRules runs the four-rules benchmark for one of share engines:
 // it owns stop i when i%share == 0 and leaf i when (i/share)%share == 0, so
@@ -124,6 +137,24 @@ func benchFourRules(b *testing.B, share int) {
 				keys = append(keys, locName(r.loc, loc))
 			}
 		}
+		// As a table, the thresholds hold every location, as
+		// core.InstallRule's do; as a stream, the engine's.
+		var rows []map[string]Value
+		for loc := 0; loc < r.locs; loc++ {
+			if registerThresholds != nil || owns(r.loc, loc) {
+				for h := 0; h < hours; h++ {
+					rows = append(rows, map[string]Value{
+						"location": locName(r.loc, loc), "hour": float64(h),
+						"day": "weekday", "value": 1e12,
+					})
+				}
+			}
+		}
+		if registerThresholds != nil {
+			if err := registerThresholds(eng, thr, rows); err != nil {
+				b.Fatal(err)
+			}
+		}
 		src := listing1EPL(r.loc, r.attr, r.window, thr)
 		var err error
 		if share > 1 && own != nil {
@@ -135,15 +166,12 @@ func benchFourRules(b *testing.B, share int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, loc := range keys {
-			for h := 0; h < hours; h++ {
-				err := eng.SendEvent(thr, map[string]Value{
-					"location": loc, "hour": float64(h),
-					"day": "weekday", "value": 1e12,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+		for _, row := range rows {
+			if registerThresholds != nil {
+				break
+			}
+			if err := eng.SendEvent(thr, row); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

@@ -113,15 +113,15 @@ func listing1Scenarios() []diffScenario {
 		for i := 0; i < 200; i++ {
 			loc := fmt.Sprintf("L%d", rng.Intn(3))
 			if i%10 == 0 {
-				feed = append(feed, diffEvent{thr, map[string]Value{
+				feed = append(feed, diffEvent{stream: thr, fields: map[string]Value{
 					"location": loc, "hour": rng.Intn(2), "day": "weekday", "value": float64(rng.Intn(5)),
 				}})
 			}
-			feed = append(feed, diffEvent{"bus", map[string]Value{
+			feed = append(feed, diffEvent{stream: "bus", fields: map[string]Value{
 				r.loc: loc, "hour": rng.Intn(2), "day": "weekday", r.attr: float64(rng.Intn(9)) - 2,
 			}})
 		}
-		out = append(out, diffScenario{"Listing1/" + r.name, map[string]string{r.name: src}, feed, false})
+		out = append(out, diffScenario{"Listing1/" + r.name, map[string]string{r.name: src}, feed, false, nil})
 	}
 	return out
 }

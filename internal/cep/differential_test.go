@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Differential harness: every scenario drives one random event feed
@@ -50,18 +51,22 @@ func canonBatch(outs []map[string]Value) string {
 	return strings.Join(batch, " | ")
 }
 
+// diffEvent is one event of a feed; a zero ts sends it at the wall clock.
 type diffEvent struct {
 	stream string
 	fields map[string]Value
+	ts     time.Time
 }
 
 // diffScenario is one set of statements and the feed that drives them;
-// a hostile feed must make them fail as well as fire.
+// a hostile feed must make them fail as well as fire. table, when set, is
+// registered as the table "tab" before the statements.
 type diffScenario struct {
 	label   string
 	stmts   map[string]string
 	feed    []diffEvent
 	hostile bool
+	table   *Table
 }
 
 // oracleRig is an engine, the oracle over its statements and, per
@@ -105,12 +110,18 @@ func (r *oracleRig) watch(st *Statement) {
 // returns the engine's error.
 func (r *oracleRig) send(t testing.TB, i int, stream string, fields map[string]Value) error {
 	t.Helper()
+	return r.sendAt(t, i, time.Now(), stream, fields)
+}
+
+// sendAt is send with an explicit event time.
+func (r *oracleRig) sendAt(t testing.TB, i int, ts time.Time, stream string, fields map[string]Value) error {
+	t.Helper()
 	before := make(map[string]uint64, len(r.ref.stmts))
 	for _, os := range r.ref.stmts {
 		before[os.st.Name] = os.st.metrics.Errors
 	}
 	clear(r.batch)
-	err := r.eng.SendEvent(stream, fields)
+	err := r.eng.SendEventAt(stream, ts, fields)
 	outs, errs := r.ref.send(stream, fields)
 	if (err == nil) != (len(errs) == 0) {
 		t.Fatalf("event %d (%s %v): engine error %v, oracle errors %v", i, stream, fields, err, errs)
@@ -131,6 +142,11 @@ func (r *oracleRig) send(t testing.TB, i int, stream string, fields map[string]V
 func runDifferential(t *testing.T, sc diffScenario) {
 	t.Helper()
 	rig := newOracleRig()
+	if sc.table != nil {
+		if err := rig.eng.RegisterTable("tab", sc.table); err != nil {
+			t.Fatal(err)
+		}
+	}
 	names := make([]string, 0, len(sc.stmts))
 	for name := range sc.stmts {
 		names = append(names, name)
@@ -141,7 +157,11 @@ func runDifferential(t *testing.T, sc diffScenario) {
 	}
 	fired, failed := 0, 0
 	for i, ev := range sc.feed {
-		if rig.send(t, i, ev.stream, ev.fields) != nil {
+		ts := ev.ts
+		if ts.IsZero() {
+			ts = time.Now()
+		}
+		if rig.sendAt(t, i, ts, ev.stream, ev.fields) != nil {
 			failed++
 		}
 		for _, b := range rig.batch {
@@ -297,19 +317,57 @@ func diffScenarios() []diffScenario {
 			}
 			return src, append(feed, busFeed(rng, 300, hostile, "bus")...)
 		}},
+		// A group window whose key is a string on most events and a
+		// number, NaN, NULL or absent on the others: the key-index entries
+		// and the rendered-key map serve one view. The trigger reads the
+		// window's stream, or another one.
+		{"MixedGroupKeys", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
+			trig := []string{"s0", "s1"}[rng.Intn(2)]
+			where := "t.loc = w.loc"
+			if hostile {
+				where += " AND w.a < 7"
+			}
+			feed := busFeed(rng, 300, hostile, "s0", "s1")
+			for _, ev := range feed {
+				if rng.Intn(3) == 0 {
+					ev.fields["loc"] = []Value{1.0, 1, math.NaN(), nil, "x"}[rng.Intn(5)]
+				}
+			}
+			return fmt.Sprintf(`SELECT t.loc AS loc, %s FROM %s.std:lastevent() AS t %s, s0.std:groupwin(loc).%s AS w WHERE %s GROUP BY t.loc`,
+				randAggList(rng), trig, uni(rng), []string{"win:length(3)", "std:lastevent()", "win:keepall()"}[rng.Intn(3)], where), feed
+		}},
+		// Listing 1 over a registered table: see tableScenario.
+		{"TableItem", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
+			return tableStatement(rng, hostile), tableFeed(rng, 300, hostile)
+		}},
+		// Runs of one event sent two or three times, at one event time.
+		{"DuplicateTimestamps", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
+			var feed []diffEvent
+			base := time.Date(2013, 1, 7, 0, 0, 0, 0, time.UTC)
+			for _, ev := range tableFeed(rng, 120, hostile) {
+				ev.ts = base.Add(time.Duration(len(feed)/4) * time.Second)
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					feed = append(feed, ev)
+				}
+			}
+			return tableStatement(rng, hostile), feed
+		}},
 	}
 	for k, kind := range kinds {
-		for seed := int64(0); seed < 4; seed++ {
-			rng := rand.New(rand.NewSource(int64(100*(k+1)) + seed))
-			src, feed := kind.build(rng, false)
-			out = append(out, diffScenario{fmt.Sprintf("%s/seed=%d", kind.name, seed),
-				map[string]string{"r": src}, feed, false})
-		}
-		for seed := int64(0); seed < 4; seed++ {
-			rng := rand.New(rand.NewSource(int64(100*(k+1)) + 50 + seed))
-			src, feed := kind.build(rng, true)
-			out = append(out, diffScenario{fmt.Sprintf("Hostile/%s/seed=%d", kind.name, seed),
-				map[string]string{"r": src}, feed, true})
+		for _, hostile := range []bool{false, true} {
+			for seed := int64(0); seed < 4; seed++ {
+				label, off := fmt.Sprintf("%s/seed=%d", kind.name, seed), int64(0)
+				if hostile {
+					label, off = "Hostile/"+label, 50
+				}
+				rng := rand.New(rand.NewSource(int64(100*(k+1)) + off + seed))
+				var table *Table
+				if strings.HasPrefix(kind.name, "Table") || kind.name == "DuplicateTimestamps" {
+					table = randTable(rng, hostile)
+				}
+				src, feed := kind.build(rng, hostile)
+				out = append(out, diffScenario{label, map[string]string{"r": src}, feed, hostile, table})
+			}
 		}
 	}
 	return out

@@ -2,7 +2,7 @@ package cep
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -17,20 +17,19 @@ import (
 // engines run concurrently inside different EsperBolt tasks; each engine
 // serializes its own event stream with a mutex.
 type Engine struct {
-	mu       sync.Mutex
-	stmts    map[string]*Statement
-	byStream map[string][]*Statement
-	funcs    map[string]ScalarFunc
-	// schemas holds one slot table per stream any statement ever read from.
+	mu    sync.Mutex
+	stmts map[string]*Statement
+	funcs map[string]ScalarFunc
+	// schemas holds one slot table per stream any statement ever read
+	// from; a stream's schema also lists the statements reading it now.
 	schemas map[string]*streamSchema
 	// views is the window registry: per (stream, view chain) key, the view a
 	// new FROM item may still join (see view). viewCount and viewSubs count
 	// the live views and the FROM items subscribed to them.
 	views               map[string]*view
 	viewCount, viewSubs int
-	// owned holds, per stream, the engine's owned-key sets, one per field
-	// (see Own).
-	owned map[string][]*ownedSet
+	// tables holds the registered table names (RegisterTable).
+	tables map[string]*tableRef
 	// retired names the statements removed since the last Collect, whose
 	// published series that Collect zeroes.
 	retired map[string]bool
@@ -70,14 +69,13 @@ func WithName(name string) Option {
 // New creates an engine configured by options.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		stmts:    make(map[string]*Statement),
-		byStream: make(map[string][]*Statement),
-		funcs:    make(map[string]ScalarFunc),
-		schemas:  make(map[string]*streamSchema),
-		views:    make(map[string]*view),
-		owned:    make(map[string][]*ownedSet),
-		retired:  make(map[string]bool),
-		name:     "cep",
+		stmts:   make(map[string]*Statement),
+		funcs:   make(map[string]ScalarFunc),
+		schemas: make(map[string]*streamSchema),
+		views:   make(map[string]*view),
+		tables:  make(map[string]*tableRef),
+		retired: make(map[string]bool),
+		name:    "cep",
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -161,7 +159,7 @@ func (e *Engine) AddQuery(name string, q *epl.Query) (*Statement, error) {
 
 // register compiles q and registers it under name, restricted to owned when
 // that is not nil. Called with the engine lock held.
-func (e *Engine) register(name string, q *epl.Query, owned *ownedSet) (*Statement, error) {
+func (e *Engine) register(name string, q *epl.Query, owned *keyIndex) (*Statement, error) {
 	if _, dup := e.stmts[name]; dup {
 		return nil, fmt.Errorf("cep: statement %q already exists", name)
 	}
@@ -170,37 +168,26 @@ func (e *Engine) register(name string, q *epl.Query, owned *ownedSet) (*Statemen
 		return nil, err
 	}
 	e.stmts[name] = st
-	for stream := range st.itemsByStream {
-		e.byStream[stream] = append(e.byStream[stream], st)
+	for stream, items := range st.itemsByStream {
+		sch := e.schemas[stream]
+		sch.readers = append(sch.readers, reader{st, items})
 	}
 	return st, nil
 }
 
-// ownedSet is the keys an engine owns on one field of one stream — in the
-// traffic topology, the locations Algorithm 1 gave the engine on one
-// location field. Statements registered with AddOwnedStatement read the
-// stream through it.
-type ownedSet struct {
-	stream, field string
-	// slot is the field's slot in the stream's schema.
-	slot int
-	keys map[string]bool
-	// in reports whether the event being delivered holds an owned key:
-	// sendEventAt sets it once per event, before any statement sees it.
-	in bool
-}
-
-// ownedSet returns the owned-key set for field of stream, creating it empty.
-// Called with the engine lock held.
-func (e *Engine) ownedSet(stream, field string) *ownedSet {
-	for _, o := range e.owned[stream] {
-		if o.field == field {
-			return o
-		}
+// ownedSet returns the owned-key set for field of stream — in the traffic
+// topology, the locations Algorithm 1 gave the engine on one location
+// field — creating it empty. It is the field's key index, whose entries
+// carry the owned bits; statements registered with AddOwnedStatement read
+// the stream through it. Called with the engine lock held.
+func (e *Engine) ownedSet(stream, field string) *keyIndex {
+	sch := e.schemaFor(stream)
+	ki := sch.keyIndexOf(field)
+	if !slices.Contains(sch.owned, ki) {
+		ki.stream = stream
+		sch.owned = append(sch.owned, ki)
 	}
-	o := &ownedSet{stream: stream, field: field, slot: e.schemaFor(stream).slotOf(field), keys: make(map[string]bool)}
-	e.owned[stream] = append(e.owned[stream], o)
-	return o
+	return ki
 }
 
 // Own adds keys to the engine's owned-key set for field of stream and
@@ -213,8 +200,9 @@ func (e *Engine) Own(stream, field string, keys ...string) []string {
 	o := e.ownedSet(stream, field)
 	var added []string
 	for _, k := range keys {
-		if !o.keys[k] {
-			o.keys[k] = true
+		if en := o.entry(k); !en.owned {
+			en.owned = true
+			o.owns++
 			added = append(added, k)
 		}
 	}
@@ -229,16 +217,25 @@ func (e *Engine) Disown(stream, field string, keys ...string) int {
 	defer e.mu.Unlock()
 	o := e.ownedSet(stream, field)
 	for _, k := range keys {
-		delete(o.keys, k)
+		if en := o.entries[k]; en != nil && en.owned {
+			en.owned = false
+			o.owns--
+		}
 	}
-	return len(o.keys)
+	return o.owns
 }
 
 // Owned returns a copy of the owned-key set for field of stream.
 func (e *Engine) Owned(stream, field string) map[string]bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return maps.Clone(e.ownedSet(stream, field).keys)
+	out := make(map[string]bool)
+	for k, en := range e.ownedSet(stream, field).entries {
+		if en.owned {
+			out[k] = true
+		}
+	}
+	return out
 }
 
 // RemoveStatement deregisters a statement and releases its views; a view no
@@ -252,18 +249,11 @@ func (e *Engine) RemoveStatement(name string) bool {
 	}
 	delete(e.stmts, name)
 	st.releaseViews()
+	st.inc.detach()
 	e.retired[name] = true
 	for stream := range st.itemsByStream {
-		list := e.byStream[stream]
-		for i, s := range list {
-			if s == st {
-				e.byStream[stream] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-		if len(e.byStream[stream]) == 0 {
-			delete(e.byStream, stream)
-		}
+		sch := e.schemas[stream]
+		sch.readers = slices.DeleteFunc(sch.readers, func(r reader) bool { return r.st == st })
 	}
 	return true
 }
@@ -323,18 +313,23 @@ func (e *Engine) sendEventAt(stream string, ts, start time.Time, fields map[stri
 	defer e.mu.Unlock()
 	e.eventsIn++
 	var firstErr error
-	ev := e.bind(NewEvent(stream, ts, fields))
-	for _, o := range e.owned[stream] {
-		key, _ := ev.slots[o.slot].(string)
-		o.in = o.keys[key]
-	}
-	for _, st := range e.byStream[stream] {
-		if o := st.owned; o != nil && o.stream == stream && !o.in {
-			e.eventsUnowned++
-			continue
+	// A stream without a schema has no statement reading it.
+	if sch := e.schemas[stream]; sch != nil {
+		ev := NewEvent(stream, ts, fields)
+		sch.bind(ev)
+		for _, o := range sch.owned {
+			en := ev.ents[o.pos]
+			o.in = en != nil && en.owned
 		}
-		if err := st.process(ev); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cep: statement %q: %w", st.Name, err)
+		for _, r := range sch.readers {
+			st := r.st
+			if o := st.owned; o != nil && o.stream == stream && !o.in {
+				e.eventsUnowned++
+				continue
+			}
+			if err := st.process(ev, r.items); err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("cep: statement %q: %w", st.Name, err)
+			}
 		}
 	}
 	elapsed := time.Since(start)

@@ -2,6 +2,7 @@ package cep
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -23,6 +24,13 @@ type Event struct {
 	// arrived costs one cache miss instead of a cold map probe. A field the
 	// event lacks binds nil, which is what a missing field reads as.
 	slots []Value
+	// ents holds, per key index of the stream's schema, the entry of the
+	// event's string value in that field, nil for any other value: the one
+	// lookup through which the engine reaches the location's owned bit,
+	// groups and table rows (see keyIndex). entBuf backs it for up to two
+	// indexed fields.
+	ents   []*entry
+	entBuf [2]*entry
 }
 
 // streamSchema is an engine's field → slot table for one stream. It only
@@ -38,6 +46,19 @@ type Event struct {
 type streamSchema struct {
 	names []string
 	slot  map[string]int
+	// keyed are the stream's key indexes, in creation order: an index's
+	// position is where bind puts its entry in Event.ents. owned are the
+	// ones that are owned-key sets (Engine.Own), checked on every event.
+	keyed, owned []*keyIndex
+	// readers are the engine's statements reading the stream, in
+	// registration order, each with its FROM items over the stream.
+	readers []reader
+}
+
+// reader is a statement reading a stream through items.
+type reader struct {
+	st    *Statement
+	items []int
 }
 
 func newStreamSchema() *streamSchema {
@@ -64,13 +85,180 @@ func (s *streamSchema) slotsOf(fields []string) []int {
 	return out
 }
 
-// bind fills ev.slots from ev.Fields: one map lookup per referenced field,
-// on the map the caller has just built.
+// bind fills ev.slots from ev.Fields — one map lookup per referenced field,
+// on the map the caller has just built — and ev.ents, one lookup per key
+// index the event holds a string for.
 func (s *streamSchema) bind(ev *Event) {
 	ev.slots = make([]Value, len(s.names))
 	for i, name := range s.names {
 		ev.slots[i] = ev.Fields[name]
 	}
+	if len(s.keyed) == 0 {
+		return
+	}
+	ev.ents = ev.entBuf[:0]
+	for _, ki := range s.keyed {
+		var en *entry
+		if k, ok := ev.slots[ki.slot].(string); ok {
+			en = ki.entry(k)
+		}
+		ev.ents = append(ev.ents, en)
+	}
+}
+
+// keyIndexOf returns field's key index, creating it if the field has none.
+// Like a slot, an index is created only while a statement is registered or
+// an owned-key set made, and an event bound before it is never read through
+// it (see streamSchema).
+func (s *streamSchema) keyIndexOf(field string) *keyIndex {
+	for _, ki := range s.keyed {
+		if ki.field == field {
+			return ki
+		}
+	}
+	ki := &keyIndex{field: field, slot: s.slotOf(field), pos: len(s.keyed), entries: make(map[string]*entry)}
+	s.keyed = append(s.keyed, ki)
+	return ki
+}
+
+// keyIndex is the per-location state of one field of one stream: one entry
+// per string value the field carried — in the traffic topology, per
+// location — found once per event by bind. A field gets an index when it is
+// an owned-key set's (Own, AddOwnedStatement), the single key of a
+// std:groupwin, or the trigger field joined to a table's first key column;
+// the owned test, the group window's insert and its key-aligned probe, and
+// the table probe then read the event's entry instead of hashing the value
+// again each. A value that is not a string has no entry: those paths keep
+// their rendered-key maps for it.
+type keyIndex struct {
+	field   string
+	slot    int // the field's slot in the stream's schema
+	pos     int // the index's position in Event.ents
+	entries map[string]*entry
+
+	// As an owned-key set: stream names the set's stream, owns counts
+	// the entries owned, and in reports whether the event being delivered
+	// holds an owned key — sendEventAt sets it once per event, before any
+	// statement sees it.
+	stream string
+	owns   int
+	in     bool
+
+	// wins are the group windows keyed on the field and tabs the table
+	// items joined through it, by number; a released number is free (nil,
+	// or false). An entry's groups and tabs are indexed alike.
+	wins []*groupWin
+	tabs []bool
+}
+
+// entry is one value's state under a key index. It holds the groups of up
+// to three windows and the state of up to two table items itself, so that
+// an insert or a probe finds them in the entry bind just read.
+type entry struct {
+	owned    bool
+	groups   []*group
+	tabs     []tableProbe
+	groupBuf [3]*group
+	tabBuf   [2]tableProbe
+}
+
+// tableProbe is an entry's state for one table item: the block of the
+// entry's value in table version ver (found false when it has no row
+// there), and the accumulator of the rows the probe key q matched in it,
+// valid while ok. A location is probed with one hour and day for an hour on
+// end, so a probe is mostly a comparison of q; an item whose probe key has
+// more than len(q) values is folded on every probe.
+type tableProbe struct {
+	ver       *Table
+	blk       span
+	found, ok bool
+	q         [2]keyVal
+	acc       itemAcc
+	aggBuf    [1]aggAcc
+}
+
+// entry returns k's entry, creating it.
+func (ki *keyIndex) entry(k string) *entry {
+	en := ki.entries[k]
+	if en == nil {
+		en = &entry{}
+		ki.entries[k] = en
+	}
+	return en
+}
+
+// addWin numbers a group window keyed on the index's field.
+func (ki *keyIndex) addWin(w *groupWin) int {
+	n := slices.Index(ki.wins, nil)
+	if n < 0 {
+		n = len(ki.wins)
+		ki.wins = append(ki.wins, nil)
+	}
+	ki.wins[n] = w
+	return n
+}
+
+// releaseWin frees window n's number and drops its groups from every entry,
+// so that a window given the number later starts empty.
+func (ki *keyIndex) releaseWin(n int) {
+	ki.wins[n] = nil
+	for _, en := range ki.entries {
+		if n < len(en.groups) {
+			en.groups[n] = nil
+		}
+	}
+}
+
+// addTab numbers a table item joined through the index's field.
+func (ki *keyIndex) addTab() int {
+	n := slices.Index(ki.tabs, false)
+	if n < 0 {
+		n = len(ki.tabs)
+		ki.tabs = append(ki.tabs, false)
+	}
+	ki.tabs[n] = true
+	return n
+}
+
+// releaseTab frees table item n's number and its state in every entry.
+func (ki *keyIndex) releaseTab(n int) {
+	ki.tabs[n] = false
+	for _, en := range ki.entries {
+		if n < len(en.tabs) {
+			en.tabs[n] = tableProbe{}
+		}
+	}
+}
+
+// group returns the entry's group of window n, nil when it has none.
+func (en *entry) group(n int) *group {
+	if en == nil || n >= len(en.groups) {
+		return nil
+	}
+	return en.groups[n]
+}
+
+func (en *entry) setGroup(n int, g *group) {
+	switch {
+	case n < len(en.groups):
+	case n < len(en.groupBuf):
+		en.groups = en.groupBuf[:n+1]
+	default:
+		en.groups = append(en.groups, make([]*group, n+1-len(en.groups))...)
+	}
+	en.groups[n] = g
+}
+
+// tab returns the entry's state for table item n.
+func (en *entry) tab(n int) *tableProbe {
+	switch {
+	case n < len(en.tabs):
+	case n < len(en.tabBuf):
+		en.tabs = en.tabBuf[:n+1]
+	default:
+		en.tabs = append(en.tabs, make([]tableProbe, n+1-len(en.tabs))...)
+	}
+	return &en.tabs[n]
 }
 
 // appendSlotsKey appends the composite hash key of ev's values at slots —

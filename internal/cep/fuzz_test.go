@@ -3,6 +3,7 @@ package cep
 import (
 	"math"
 	"testing"
+	"time"
 
 	"trafficcep/internal/epl"
 )
@@ -239,6 +240,12 @@ var fuzzPlanStatements = map[string]string{
 	"latest": `SELECT t.loc AS loc, sum(l.a) AS s, min(h.a) AS lo, count(*) AS n
 		FROM bus.std:lastevent() AS t UNIDIRECTIONAL, aux.std:lastevent() AS l, aux.std:groupwin(hour).std:lastevent() AS h
 		WHERE t.loc = l.loc AND t.loc = h.loc AND l.b >= 0 GROUP BY t.loc`,
+	// table: Listing 1 over the table "tab" of the feed's thr rows, keyed
+	// by (loc, hour, a), with a filter on the table item.
+	"table": `SELECT bd2.loc AS loc, avg(bd2.a) AS cur, avg(tb.v) AS thr, count(*) AS n, min(tb.b) AS lo
+		FROM bus.std:lastevent() AS bd UNIDIRECTIONAL, bus.std:groupwin(loc).win:length(3) AS bd2, tab AS tb
+		WHERE bd.loc = tb.loc AND bd.hour = tb.hour AND bd.a = tb.a AND bd.loc = bd2.loc AND tb.b < 3
+		GROUP BY bd2.loc`,
 	"grouplast": `SELECT bd.loc AS loc, avg(g.a) AS m, count(g.b) AS nb
 		FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).std:lastevent() AS g
 		WHERE bd.loc = g.loc AND g.b != 0 GROUP BY bd.loc`,
@@ -268,7 +275,10 @@ func fuzzFeedValue(r *fuzzReader) (Value, bool) {
 // FuzzTriggerPlanMatchesOracle decodes bytes into a feed over three streams
 // and holds the engine to the join oracle on it: every event must make
 // every statement of fuzzPlanStatements emit what the oracle's recompute
-// emits, and fail exactly when it fails.
+// emits, and fail exactly when it fails. The feed's thr rows are also
+// registered, before any event, as the table "tab", which the oracle reads
+// as a keep-all window holding them; every two consecutive events share an
+// event time.
 func FuzzTriggerPlanMatchesOracle(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 0, 1, 1, 2, 3, 0})
 	f.Add([]byte{2, 1, 2, 3, 1, 1, 0, 1, 2, 1, 1, 1, 0, 1, 2, 10, 1, 0, 0, 1, 2, 3, 1, 0})
@@ -286,12 +296,21 @@ func FuzzTriggerPlanMatchesOracle(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 1, 0, 1, 1, 3, 1, 1, 0, 2, 1, 10, 2, 1, 0, 1, 1, 1, 3, 1, 0, 1, 1, 11, 2, 1, 0, 1, 1, 2, 2, 1})
 	// single: thr triggers read the one bus row of their hour.
 	f.Add([]byte{0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 0, 1, 1, 2, 1, 3, 2, 1, 1, 1, 1, 1, 0, 2, 1, 0, 1, 10, 2, 1, 1, 1, 1, 1})
+	// table: thr rows keyed by NaN, ±Inf, "x", NULL and absent values, and
+	// the bus triggers that match them; the last thr row fails the filter.
+	f.Add([]byte{2, 8, 2, 1, 1, 3, 2, 10, 11, 1, 2, 2, 2, 25, 9, 10, 1, 1, 2, 8, 2, 1, 8, 2,
+		0, 8, 2, 1, 1, 1, 0, 10, 11, 1, 1, 1, 0, 25, 9, 10, 1, 1, 0, 8, 27, 1, 1, 1, 0, 10, 11, 1, 2, 1})
+	// Group keys: the string "x" among numbers, NaN, NULL and absent
+	// values, on bus and aux.
+	f.Add([]byte{0, 8, 1, 2, 1, 1, 0, 2, 1, 3, 1, 1, 0, 8, 1, 1, 2, 1, 0, 10, 1, 2, 1, 1, 0, 9, 1, 1, 1, 1,
+		0, 8, 1, 3, 1, 1, 0, 25, 1, 2, 1, 1, 0, 8, 1, 2, 2, 1, 1, 8, 1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 0, 2, 1, 2, 1, 1})
+	// Duplicates: the same thr row twice, then the same bus row three
+	// times, pairs of them at one event time.
+	f.Add([]byte{2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 0, 1, 1, 2, 1, 1, 0, 1, 1, 2, 1, 1, 0, 1, 1, 2, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
-		rig := newOracleRig()
-		for _, name := range []string{"cross", "filtered", "grouplast", "keyed", "latest", "listing1", "pair", "single", "trigger"} {
-			rig.add(t, name, fuzzPlanStatements[name])
-		}
+		var feed []diffEvent
+		var rows []map[string]Value
 		for i := 0; r.pos < len(r.data) && i < 200; i++ {
 			stream := [3]string{"bus", "aux", "thr"}[r.byte()%3]
 			fields := map[string]Value{}
@@ -300,7 +319,24 @@ func FuzzTriggerPlanMatchesOracle(f *testing.F) {
 					fields[k] = v
 				}
 			}
-			rig.send(t, i, stream, fields)
+			feed = append(feed, diffEvent{stream: stream, fields: fields, ts: time.Unix(int64(i/2), 0)})
+			if stream == "thr" {
+				rows = append(rows, fields)
+			}
+		}
+		rig := newOracleRig()
+		table, err := NewTable([]string{"loc", "hour", "a", "b", "v"}, 3, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rig.eng.RegisterTable("tab", table); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"cross", "filtered", "grouplast", "keyed", "latest", "listing1", "pair", "single", "table", "trigger"} {
+			rig.add(t, name, fuzzPlanStatements[name])
+		}
+		for i, ev := range feed {
+			rig.sendAt(t, i, ev.ts, ev.stream, ev.fields)
 		}
 	})
 }

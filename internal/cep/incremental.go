@@ -27,6 +27,8 @@ import (
 // item whose window is std:groupwin(k…) over a bounded view and whose join
 // key is those k — Listing 1's bd2 — keeps its accumulators on the window's
 // groups (groupAcc): the group the insert found serves the fold and probe.
+// An item over a registered table (tableItem) keeps no state at all: its
+// probe folds the table rows of the trigger's key, which are few.
 //
 // A query without that shape is refused at registration, with the reason
 // (planIncremental): it is aggregate-free, uses SELECT *, has no trigger
@@ -399,6 +401,37 @@ type incItemState struct {
 	aligned bool
 	view    *view
 	sameKey bool
+
+	// tab is set for an item over a registered table.
+	tab *tableItem
+}
+
+// tableItem is the probe of an item over a registered table, whose key
+// columns are all equi-joined through the trigger: the trigger's value of
+// the first key column — its location — finds the location's block, once
+// per table version through the location's key-index entry, and the values
+// of the others — hour, day — the run of the block's rows they key. Those
+// rows pass through the item's filters and fold into an accumulator, as a
+// keep-all window's arrivals of them would have; the entry keeps it for
+// the next probe with the same key (tableProbe).
+type tableItem struct {
+	ref *tableRef
+	// src are the trigger slots joined to the key columns, in key order;
+	// extra the (column, trigger slot) pairs of joined columns that are
+	// not keys, checked row by row.
+	src   []int
+	extra [][2]int
+	// loc is the key index of the trigger field joined to the first key
+	// column, and num the item's number in it (set by attach).
+	loc *keyIndex
+	num int
+	// q is the probe key: the trigger's values of src[1:], then of the
+	// extra columns. acc and keyBuf serve a probe the entry cannot keep:
+	// a trigger whose location is not a string, which has no entry, or a
+	// key longer than tableProbe.q.
+	q      []keyVal
+	keyBuf []byte
+	acc    itemAcc
 }
 
 // itemAcc accumulates one join key's events within an item. rows counts
@@ -417,10 +450,21 @@ type itemAcc struct {
 }
 
 // groupAcc is an item's state in one group of its window: the group's value
-// ring and, for a key-aligned item, its accumulator.
+// ring and, for a key-aligned item, its accumulator, whose first aggregate
+// lives here too.
 type groupAcc struct {
 	itemAcc
 	ring
+	aggBuf [1]aggAcc
+}
+
+// aggsIn returns k accumulators, buf's when it has room for them: state
+// reached through one object costs one cache miss, not two.
+func aggsIn(buf []aggAcc, k int) []aggAcc {
+	if k <= len(buf) {
+		return buf[:k:k]
+	}
+	return make([]aggAcc, k)
 }
 
 // ring is an item's value ring: its memory of what each position of its
@@ -648,16 +692,54 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) (*in
 			ip.cells = make([]ringCell, 1+len(ip.aggIdx))
 		}
 	}
+	for i, it := range st.items {
+		if it.table != nil {
+			if err := p.items[i].bindTable(it.table, trigSchema); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return p, nil
+}
+
+// bindTable makes ip, an item over table ref, probe it: every key column
+// must be equi-joined through the trigger, whose schema is trig.
+func (ip *incItemState) bindTable(ref *tableRef, trig *streamSchema) error {
+	t := &tableItem{ref: ref, src: make([]int, ref.nkeys)}
+	for k := range t.src {
+		t.src[k] = -1
+	}
+	for j, col := range ip.keySlots {
+		if col < ref.nkeys {
+			t.src[col] = ip.srcSlots[j]
+		} else {
+			t.extra = append(t.extra, [2]int{col, ip.srcSlots[j]})
+		}
+	}
+	for k, sl := range t.src {
+		if sl < 0 {
+			return fmt.Errorf("key column %q of table %q is not equi-joined through the trigger", ref.schema.names[k], ref.name)
+		}
+	}
+	t.loc = trig.keyIndexOf(trig.names[t.src[0]])
+	t.q = make([]keyVal, ref.nkeys-1+len(t.extra))
+	t.acc.aggs = make([]aggAcc, len(ip.aggIdx))
+	ip.tab = t
+	return nil
 }
 
 // attach binds the plan to the views its statement acquired: the trigger
 // item's window, and for every item over a window that evicts its value
-// ring — over a group window, a slot in the window's groups.
+// ring — over a group window, a slot in the window's groups. A table item
+// takes its number in its key index.
 func (p *incPlan) attach(st *Statement) {
 	p.trigView = st.items[p.trigIdx].view
 	for i, ip := range p.items {
-		if ip == nil {
+		switch {
+		case ip == nil:
+			continue
+		case ip.tab != nil:
+			ip.tab.num = ip.tab.loc.addTab()
 			continue
 		}
 		v := st.items[i].view
@@ -674,6 +756,15 @@ func (p *incPlan) attach(st *Statement) {
 		ip.aligned = slices.Equal(gw.keys, ip.keySlots)
 		ip.view = v
 		ip.sameKey = ip.aligned && st.items[i].schema == st.items[p.trigIdx].schema && slices.Equal(ip.srcSlots, ip.keySlots)
+	}
+}
+
+// detach releases what attach numbered in the engine's key indexes.
+func (p *incPlan) detach() {
+	for _, ip := range p.items {
+		if ip != nil && ip.tab != nil {
+			ip.tab.loc.releaseTab(ip.tab.num)
+		}
 	}
 }
 
@@ -773,7 +864,7 @@ func (p *incPlan) applyDelta(idx int, ev *Event, pos int) error {
 		}
 		if r = &ga.ring; ip.aligned {
 			if acc = &ga.itemAcc; acc.aggs == nil {
-				acc.aggs = make([]aggAcc, k-1)
+				acc.aggs = aggsIn(ga.aggBuf[:], k-1)
 			}
 		}
 	}
@@ -842,18 +933,100 @@ func (p *incPlan) retract(ip *incItemState, acc *itemAcc, cells []ringCell) {
 
 // probe finds the accumulator of ip matching trigger event e, nil when
 // no event of the item has e's key.
-func (ip *incItemState) probe(e *Event) *itemAcc {
-	if !ip.aligned {
+func (p *incPlan) probe(ip *incItemState, e *Event) *itemAcc {
+	switch {
+	case ip.tab != nil:
+		return p.probeTable(ip, e)
+	case !ip.aligned:
 		return ip.accs[string(ip.probeKey(e))]
 	}
 	g := ip.gw.cur
 	if !ip.sameKey || ip.view.lastEv != e {
-		g = ip.gw.groups[string(ip.probeKey(e))]
+		g = ip.gw.find(e, ip.srcSlots, ip.sameKey)
 	}
 	if g == nil {
 		return nil
 	}
 	return &g.accs[ip.sub].itemAcc
+}
+
+// probeTable returns the accumulator of the rows of ip's table that trigger
+// event e keys, nil when the table holds no row of e's location.
+func (p *incPlan) probeTable(ip *incItemState, e *Event) *itemAcc {
+	t := ip.tab
+	cur := t.ref.cur
+	loc := e.slots[t.src[0]]
+	for k, sl := range t.src[1:] {
+		t.q[k] = keyValOf(e.slots[sl])
+	}
+	for k, x := range t.extra {
+		t.q[len(t.src)-1+k] = keyValOf(e.slots[x[1]])
+	}
+	keys := t.q[:len(t.src)-1]
+	en := e.ents[t.loc.pos]
+	if en == nil || len(t.q) > len(tableProbe{}.q) {
+		t.keyBuf = appendValueKey(t.keyBuf[:0], loc)
+		blk, found := cur.blocks[string(t.keyBuf)]
+		if !found {
+			return nil
+		}
+		return p.foldRun(ip, cur, cur.run(blk, keys), &t.acc)
+	}
+	tp := en.tab(t.num)
+	if tp.ver != cur {
+		tp.blk, tp.found = cur.blocks[valueKey(loc)]
+		tp.ver, tp.ok = cur, false
+	}
+	if !tp.found {
+		return nil
+	}
+	if q := tp.q[:len(t.q)]; !tp.ok || !slices.EqualFunc(q, t.q, keyVal.equal) {
+		if tp.acc.aggs == nil {
+			tp.acc.aggs = aggsIn(tp.aggBuf[:], len(ip.aggIdx))
+		}
+		p.foldRun(ip, cur, cur.run(tp.blk, keys), &tp.acc)
+		copy(q, t.q)
+		tp.ok = true
+	}
+	return &tp.acc
+}
+
+// foldRun folds into acc, emptied first, the rows of run that match the
+// probe key's extra columns.
+func (p *incPlan) foldRun(ip *incItemState, tab *Table, run span, acc *itemAcc) *itemAcc {
+	t := ip.tab
+	acc.rows, acc.filterBad, acc.argBad, acc.last, acc.err = 0, 0, 0, nil, nil
+	for j := range acc.aggs {
+		a := &acc.aggs[j]
+		a.n, a.sum, a.sumSq = 0, 0, 0
+		clear(a.vals)
+	}
+	w := len(t.src) - 1
+rows:
+	for r := run.lo; r < run.hi; r++ {
+		row := &tab.rows[r]
+		for k, x := range t.extra {
+			if !keyValOf(row.slots[x[0]]).equal(t.q[w+k]) {
+				continue rows
+			}
+		}
+		pass, err := p.passes(ip, row)
+		switch {
+		case err != nil:
+			acc.filterBad++
+			acc.err = err
+			continue
+		case !pass:
+			continue
+		}
+		acc.rows++
+		acc.last = row
+		if err := p.fold(ip, acc, ip.cells[1:], row); err != nil {
+			acc.argBad++
+			acc.err = err
+		}
+	}
+	return acc
 }
 
 // evaluate emits the (single) group for the current trigger event: check
@@ -891,7 +1064,7 @@ func (p *incPlan) evaluate() ([]Output, error) {
 				return nil, nil
 			}
 		}
-		acc := ip.probe(e)
+		acc := p.probe(ip, e)
 		switch {
 		case acc == nil:
 			return nil, nil

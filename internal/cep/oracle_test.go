@@ -278,8 +278,8 @@ type oracle struct {
 }
 
 // oracleStmt is one statement as the oracle runs it. It reads the
-// statement's query, FROM aliases, owned-key set and trigger item off the
-// engine's Statement, and nothing of its plan.
+// statement's query, FROM aliases, owned-key set, trigger item and table
+// items off the engine's Statement, and nothing of its plan.
 type oracleStmt struct {
 	st   *Statement
 	wins []*oracleWin
@@ -380,7 +380,7 @@ func (o *oracle) send(stream string, fields map[string]Value) (map[string][]map[
 	for _, os := range o.stmts {
 		st := os.st
 		if w := st.owned; w != nil && w.stream == stream {
-			if key, _ := fields[w.field].(string); !w.keys[key] {
+			if key, ok := fields[w.field].(string); !ok || w.entries[key] == nil || !w.entries[key].owned {
 				continue
 			}
 		}
@@ -465,8 +465,18 @@ func (os *oracleStmt) evaluate() ([]map[string]Value, error) {
 			return nil
 		}
 		i := os.order[l]
+		contents := os.wins[i].contents()
+		if t := os.st.items[i].table; t != nil {
+			// A table item's window is its table's current rows: a
+			// keep-all window fed them, but in block order. Only the
+			// rows of one key match, and those keep table order.
+			contents = contents[:0]
+			for r := range t.cur.rows {
+				contents = append(contents, &t.cur.rows[r])
+			}
+		}
 	next:
-		for _, ev := range os.wins[i].contents() {
+		for _, ev := range contents {
 			for _, k := range os.keys[i] {
 				if valueKey(ev.Get(k[0])) != valueKey(row[trig].Get(k[1])) {
 					continue next

@@ -184,7 +184,7 @@ func sharedFeed(rng *rand.Rand, stmts []sharedStmt, n int) (thresholds, feed []d
 		}
 		for loc := 0; loc < 4; loc++ {
 			for h := 0; h < 2; h++ {
-				thresholds = append(thresholds, diffEvent{s.thr, map[string]Value{
+				thresholds = append(thresholds, diffEvent{stream: s.thr, fields: map[string]Value{
 					"location": fmt.Sprintf("L%d", loc), "hour": float64(h), "value": float64(rng.Intn(5)),
 				}})
 			}
@@ -207,7 +207,7 @@ func sharedFeed(rng *rand.Rand, stmts []sharedStmt, n int) (thresholds, feed []d
 		if rng.Intn(5) == 0 {
 			stream = "aux"
 		}
-		feed = append(feed, diffEvent{stream, f})
+		feed = append(feed, diffEvent{stream: stream, fields: f})
 	}
 	return thresholds, feed
 }

@@ -17,11 +17,11 @@ type Statement struct {
 	engine *Engine
 	// owned, when set, restricts the statement to the events of its stream
 	// that hold an owned key (AddOwnedStatement).
-	owned *ownedSet
+	owned *keyIndex
 	items []*fromItemState
 	// itemsByStream maps a stream name to the indexes of FROM items fed
 	// by it (one stream can back several items, as in Listing 1 where
-	// both bd and bd2 read from "bus").
+	// both bd and bd2 read from "bus"); a table item is fed by none.
 	itemsByStream map[string][]int
 	aliasOrder    []string
 
@@ -70,17 +70,20 @@ type StatementMetrics struct {
 type fromItemState struct {
 	spec epl.FromItem
 	// view is the engine's window for the item's stream and view chain,
-	// possibly read by other statements too; set last in compile.
-	view *view
-	// schema is the slot table of the item's stream: every field of the
-	// item a statement touches is resolved through it at registration.
+	// possibly read by other statements too; set last in compile. A table
+	// item has table instead, and no view.
+	view  *view
+	table *tableRef
+	// schema is the slot table of the item's stream, or its table's
+	// columns: every field of the item a statement touches is resolved
+	// through it at registration.
 	schema *streamSchema
 }
 
 // compile builds a Statement from a parsed query, restricted to owned when
 // that is not nil. A query the trigger plan cannot run is an error that
 // names the reason (planIncremental).
-func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statement, error) {
+func compile(name string, q *epl.Query, eng *Engine, owned *keyIndex) (*Statement, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("cep: query has no FROM items")
 	}
@@ -97,8 +100,17 @@ func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statemen
 	}
 	aliasToIdx := make(map[string]int, len(q.From))
 	for i, f := range q.From {
-		st.items = append(st.items, &fromItemState{spec: f, schema: eng.schemaFor(f.Stream)})
-		st.itemsByStream[f.Stream] = append(st.itemsByStream[f.Stream], i)
+		it := &fromItemState{spec: f}
+		if ref := eng.tables[f.Stream]; ref != nil {
+			if len(f.Views) > 1 || len(f.Views) == 1 && f.Views[0].String() != "win:keepall()" {
+				return nil, fmt.Errorf("cep: statement %q: table %q is read through views; a table item takes none, or win:keepall()", name, f.Stream)
+			}
+			it.table, it.schema = ref, ref.schema
+		} else {
+			it.schema = eng.schemaFor(f.Stream)
+			st.itemsByStream[f.Stream] = append(st.itemsByStream[f.Stream], i)
+		}
+		st.items = append(st.items, it)
 		st.aliasOrder = append(st.aliasOrder, f.Alias)
 		aliasToIdx[f.Alias] = i
 		if f.Unidirectional {
@@ -130,6 +142,14 @@ func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statemen
 			return nil, fmt.Errorf("cep: statement %q: unknown alias %q in WHERE", name, r.Alias)
 		}
 	}
+	// A table's rows hold its columns only.
+	for r, idx := range st.bind {
+		if t := st.items[idx].table; t != nil {
+			if _, ok := t.schema.slot[r.Field]; !ok {
+				return nil, fmt.Errorf("cep: statement %q: table %q has no column %q", name, t.name, r.Field)
+			}
+		}
+	}
 	st.conjuncts = splitConjuncts(q.Where)
 
 	// Collect aggregate calls from SELECT and HAVING, once per rendering.
@@ -156,6 +176,9 @@ func compile(name string, q *epl.Query, eng *Engine, owned *ownedSet) (*Statemen
 // hands the trigger plan the views it reads directly.
 func (st *Statement) acquireViews() error {
 	for _, it := range st.items {
+		if it.table != nil {
+			continue
+		}
 		v, err := st.engine.acquireView(st, it.spec, it.schema)
 		if err != nil {
 			st.releaseViews()
@@ -206,20 +229,26 @@ func (st *Statement) AddListener(l Listener) { st.listeners = append(st.listener
 func (st *Statement) Metrics() StatementMetrics { return st.metrics }
 
 // WindowSizes reports the current size of each FROM item's window, keyed by
-// alias (used by tests and the latency-model calibration).
+// alias (used by tests and the latency-model calibration); a table item's
+// is its table's row count.
 func (st *Statement) WindowSizes() map[string]int {
 	out := make(map[string]int, len(st.items))
 	for _, it := range st.items {
-		out[it.spec.Alias] = it.view.win.size()
+		if it.table != nil {
+			out[it.spec.Alias] = it.table.cur.Len()
+		} else {
+			out[it.spec.Alias] = it.view.win.size()
+		}
 	}
 	return out
 }
 
-// process delivers one event to the statement: window updates, the trigger
-// plan's folds, optional evaluation, listener dispatch. Called with the
-// engine lock held. An arrival that triggers no evaluation returns its own
-// failure to fold, if any; an evaluation returns its own outcome.
-func (st *Statement) process(ev *Event) error {
+// process delivers one event to the statement through items, its FROM
+// items over the event's stream: window updates, the trigger plan's folds,
+// optional evaluation, listener dispatch. Called with the engine lock held.
+// An arrival that triggers no evaluation returns its own failure to fold,
+// if any; an evaluation returns its own outcome.
+func (st *Statement) process(ev *Event, items []int) error {
 	sample := st.engine.reg != nil
 	var start time.Time
 	if sample {
@@ -229,7 +258,7 @@ func (st *Statement) process(ev *Event) error {
 
 	triggered := false
 	var err error
-	for _, idx := range st.itemsByStream[ev.Stream] {
+	for _, idx := range items {
 		it := st.items[idx]
 		if ferr := st.inc.applyDelta(idx, ev, it.view.insert(ev)); ferr != nil && err == nil {
 			err = ferr

@@ -54,7 +54,7 @@ func (v *view) insert(ev *Event) int {
 // view chain in canonical form (no views is win:keepall) and, when the
 // statement is restricted on that stream, the field of its owned-key set —
 // a view is shared only by subscribers that see the same arrivals.
-func viewKey(stream string, views []epl.ViewSpec, owned *ownedSet) string {
+func viewKey(stream string, views []epl.ViewSpec, owned *keyIndex) string {
 	key := stream
 	if len(views) == 0 {
 		key += ".win:keepall()"
@@ -104,13 +104,17 @@ func (e *Engine) releaseView(v *view) {
 	if e.views[v.key] == v {
 		delete(e.views, v.key)
 	}
+	if gw, ok := v.win.(*groupWin); ok && gw.ki != nil {
+		gw.ki.releaseWin(gw.num)
+	}
 }
 
 // buildWindow compiles a view chain into a window. Supported chains are the
 // ones the paper's rules use: nothing (defaults to win:keepall), a single
 // view, or std:groupwin(fields...) followed by at most one window view. Key
 // fields of groupwin are resolved to slots of sch, the schema of the stream
-// the window reads.
+// the window reads; a single key field's groups live in the entries of its
+// key index.
 func buildWindow(views []epl.ViewSpec, sch *streamSchema) (window, error) {
 	if len(views) == 0 {
 		return &keepAllWin{}, nil
@@ -132,7 +136,12 @@ func buildWindow(views []epl.ViewSpec, sch *streamSchema) (window, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &groupWin{keys: sch.slotsOf(fields), length: bound(sub), groups: make(map[string]*group)}, nil
+		w := &groupWin{keys: sch.slotsOf(fields), length: bound(sub), groups: make(map[string]*group)}
+		if len(fields) == 1 {
+			w.ki = sch.keyIndexOf(fields[0])
+			w.num = w.ki.addWin(w)
+		}
+		return w, nil
 	}
 	if len(views) > 1 {
 		return nil, fmt.Errorf("cep: unsupported view chain of %d views", len(views))
@@ -219,6 +228,12 @@ type groupWin struct {
 	keys []int // event slots forming the group key
 	// length is the sub-view's bound, 0 when it never evicts.
 	length int
+	// ki is the key index of a single key field, nil for a composite key,
+	// and num the window's number in it: a string key's group is its
+	// entry's groups[num]. groups holds every other key's group, by its
+	// rendered key.
+	ki     *keyIndex
+	num    int
 	groups map[string]*group
 	total  int
 	keyBuf []byte
@@ -233,12 +248,16 @@ type groupWin struct {
 	subs int
 }
 
-// group is one partition of a groupWin: its sub-window plus, per subscribed
-// trigger-plan item, that item's value ring (and, for a key-aligned item,
-// its accumulators) over the sub-window's positions.
+// group is one partition of a groupWin: its sub-window — a length window
+// of the groupWin's length, or a count when that is 0 — plus, per
+// subscribed trigger-plan item, that item's value ring (and, for a
+// key-aligned item, its accumulators) over the sub-window's positions. The
+// accumulators of up to two items live in the group itself: an arrival
+// reaches its window, fold and probe through one object.
 type group struct {
-	win  window
-	accs []groupAcc
+	win    lengthWin
+	accs   []groupAcc
+	accBuf [2]groupAcc
 }
 
 // subscribe reserves an accumulator slot in every group. Only a view that
@@ -249,24 +268,64 @@ func (w *groupWin) subscribe() int {
 	return w.subs - 1
 }
 
+func (w *groupWin) newGroup() *group {
+	g := &group{win: lengthWin{n: w.length}}
+	if w.subs <= len(g.accBuf) {
+		g.accs = g.accBuf[:w.subs:w.subs]
+	} else {
+		g.accs = make([]groupAcc, w.subs)
+	}
+	return g
+}
+
 func (w *groupWin) insert(ev *Event) (pos int, occupied bool) {
-	// Render the group key into the reusable buffer; the key string is
-	// only materialized when a new group is created — the lookup on a
-	// hit does not allocate.
-	w.keyBuf = appendSlotsKey(w.keyBuf[:0], ev, w.keys)
-	g, ok := w.groups[string(w.keyBuf)]
-	if !ok {
-		g = &group{win: &keepAllWin{}, accs: make([]groupAcc, w.subs)}
-		if w.length > 0 {
-			g.win = &lengthWin{n: w.length}
+	var en *entry
+	if w.ki != nil {
+		en = ev.ents[w.ki.pos]
+	}
+	var g *group
+	if en != nil {
+		if g = en.group(w.num); g == nil {
+			g = w.newGroup()
+			en.setGroup(w.num, g)
 		}
-		w.groups[string(w.keyBuf)] = g
+	} else {
+		// Render the group key into the reusable buffer; the key string
+		// is only materialized when a new group is created — the lookup
+		// on a hit does not allocate.
+		w.keyBuf = appendSlotsKey(w.keyBuf[:0], ev, w.keys)
+		if g = w.groups[string(w.keyBuf)]; g == nil {
+			g = w.newGroup()
+			w.groups[string(w.keyBuf)] = g
+		}
 	}
 	w.cur = g
-	if pos, occupied = g.win.insert(ev); !occupied {
+	if w.length == 0 {
+		pos, occupied = g.win.count, false
+		g.win.count++
+	} else {
+		pos, occupied = g.win.insert(ev)
+	}
+	if !occupied {
 		w.total++
 	}
 	return pos, occupied
 }
 
 func (w *groupWin) size() int { return w.total }
+
+// find returns the group that the values of trigger event e at slots key,
+// nil when there is none. own is true when e is an event of the window's
+// stream and slots the window's key, so that e carries its entry.
+func (w *groupWin) find(e *Event, slots []int, own bool) *group {
+	if w.ki != nil {
+		if k, ok := e.slots[slots[0]].(string); ok {
+			if own {
+				return e.ents[w.ki.pos].group(w.num)
+			}
+			return w.ki.entries[k].group(w.num)
+		}
+	}
+	w.keyBuf = appendSlotsKey(w.keyBuf[:0], e, slots)
+	return w.groups[string(w.keyBuf)]
+}

@@ -140,7 +140,7 @@ func testOwnedLocations(t *testing.T, rng *rand.Rand, rules []Rule) {
 				t.Fatal(err)
 			}
 			st.AddListener(record(unrestricted, e))
-			if err := loadThresholdStream(reference[e], r, store, locs); err != nil {
+			if err := feedThresholdStream(reference[e], r, store, locs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -202,4 +202,26 @@ func testOwnedLocations(t *testing.T, rng *rand.Rand, rules []Rule) {
 			t.Fatalf("detection %q: %d on the unrestricted engines, %d on the owning ones", k, n, owned[k])
 		}
 	}
+}
+
+// feedThresholdStream sends the rule's stored thresholds for locations into
+// its thresholds stream, in the store's order: what an engine with no
+// thresholds table registered joins as a win:keepall() stream.
+func feedThresholdStream(eng *cep.Engine, r Rule, store *sqlstore.ThresholdStore, locations map[string]bool) error {
+	ths, err := ruleThresholds(store, r)
+	if err != nil {
+		return err
+	}
+	for _, th := range ths {
+		if !locations[th.Location] {
+			continue
+		}
+		err := eng.SendEvent(r.ThresholdStream(), map[string]cep.Value{
+			"location": th.Location, "hour": float64(th.Hour), "day": th.Day.String(), "value": th.Value,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

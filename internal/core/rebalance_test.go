@@ -353,27 +353,19 @@ func TestRebalancerRestoresBalanceAfterHotspotShift(t *testing.T) {
 
 // TestEsperBoltOwnershipLoadsThresholds drives one EsperBolt task the way
 // the Splitter does. The engine starts owning nothing, so a row does not
-// fire. The ownership tuple that gains the row's location loads that
-// location's thresholds as the task applies it, so the next row fires
-// against the stored threshold. A second tuple re-gaining the location,
-// which the engine already owns, loads nothing again; nor does regaining it
-// after losing it, since the rule's statements were fed it already.
+// fire. Once the ownership tuple that gains the row's location is applied,
+// the next row fires against the stored threshold: the rule's thresholds
+// table holds every location, so the gain loads nothing. Re-gaining the
+// location, and regaining it after losing it, keep it firing.
 func TestEsperBoltOwnershipLoadsThresholds(t *testing.T) {
 	const field = "layer2Area"
 	store := newStore(t)
 	rule := delayRule(1)
-	loaded := 0 // events into the rule's threshold stream
 	bolt := &esperBolt{engines: 1, setup: func(_ int, eng *cep.Engine) ([]*InstalledRule, error) {
 		inst, err := InstallRule(eng, rule, InstallOptions{Strategy: StrategyStream, Store: store, Locations: map[string]bool{}})
 		if err != nil {
 			return nil, err
 		}
-		st, err := eng.AddStatement("thresholdFeed", "SELECT t.location AS location, count(*) AS n FROM "+
-			rule.ThresholdStream()+".std:lastevent() AS t GROUP BY t.location")
-		if err != nil {
-			return nil, err
-		}
-		st.AddListener(func(_ *cep.Statement, outs []cep.Output) { loaded += len(outs) })
 		return []*InstalledRule{inst}, nil
 	}}
 	if err := bolt.Prepare(storm.TaskContext{Component: CompEsper, NumTasks: 1}); err != nil {
@@ -410,30 +402,19 @@ func TestEsperBoltOwnershipLoadsThresholds(t *testing.T) {
 	if got := col.emitted[0]["threshold"]; got != want {
 		t.Fatalf("detection threshold = %v, want the stored %v", got, want)
 	}
-	after := loaded
-	if after == 0 {
-		t.Fatal("gaining areaA fed nothing into the threshold stream")
-	}
 	gain()
-	if loaded != after {
-		t.Fatalf("re-gaining an owned location fed %d more threshold events", loaded-after)
-	}
 	row()
 	if len(col.emitted) != 2 {
 		t.Fatalf("%d detections after re-gaining areaA, want 2", len(col.emitted))
 	}
 
-	// Lose areaA, then gain it back: the statements that were fed its
-	// thresholds still hold them in their keep-all window.
+	// Lose areaA, then gain it back.
 	execute(map[string]any{ownField: field, ownLost: []string{"areaA"}})
 	row()
 	if len(col.emitted) != 2 {
 		t.Fatalf("%d detections after losing areaA, want still 2", len(col.emitted))
 	}
 	gain()
-	if loaded != after {
-		t.Fatalf("regaining a lost location fed %d more threshold events", loaded-after)
-	}
 	row()
 	if len(col.emitted) != 3 {
 		t.Fatalf("%d detections after regaining areaA, want 3", len(col.emitted))
@@ -710,12 +691,12 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 	if set == "stopDelay+stopActual" {
 		// Every engine installed both rules before any event, and a
 		// migration installs nothing: one lastevent and one groupwin view
-		// between them plus a thresholds view each, on every engine.
+		// between them, on every engine; their thresholds are tables.
 		for engine := 0; engine < engines; engine++ {
 			views, _ := snap.Get(fmt.Sprintf("cep.engine%d.views", engine))
 			subs, _ := snap.Get(fmt.Sprintf("cep.engine%d.view_subscriptions", engine))
-			if views.Value != 4 || subs.Value != 6 {
-				t.Fatalf("engine %d: %v views under %v subscriptions, want 4 under 6", engine, views.Value, subs.Value)
+			if views.Value != 2 || subs.Value != 4 {
+				t.Fatalf("engine %d: %v views under %v subscriptions, want 2 under 4", engine, views.Value, subs.Value)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"trafficcep/internal/busdata"
 	"trafficcep/internal/cep"
@@ -26,8 +25,11 @@ const (
 	// StrategyManyRules pre-creates one statement per threshold
 	// combination ("Create Multiple Rules").
 	StrategyManyRules
-	// StrategyStream loads the thresholds into a dedicated Esper stream
-	// that the rule joins with ("Add the Thresholds in an Esper stream").
+	// StrategyStream joins the rule with its thresholds as with a
+	// dedicated Esper stream ("Add the Thresholds in an Esper stream"):
+	// the rows such a stream's win:keepall() would hold, registered in the
+	// engine as one table (cep.Engine.RegisterTable) under the rule's
+	// ThresholdStream name.
 	StrategyStream
 )
 
@@ -58,10 +60,11 @@ type InstallOptions struct {
 	// Under StrategyStream they join the engine's owned-key set for the
 	// rule's location field (cep.Engine.Own): the rule windows and
 	// evaluates only the bus events whose location the engine owns, and
-	// holds thresholds for all of them. Every restricted rule on one field
-	// of an engine serves that one set, which a rebalance grows and shrinks
-	// as locations move; it may start empty. Under StrategyManyRules they
-	// filter the thresholds.
+	// its thresholds table holds every location in the store, so that a
+	// location the engine gains has its thresholds already. Every
+	// restricted rule on one field of an engine serves that one set, which
+	// a rebalance grows and shrinks as locations move; it may start empty.
+	// Under StrategyManyRules they filter the thresholds.
 	Locations map[string]bool
 }
 
@@ -73,16 +76,8 @@ type InstalledRule struct {
 	Statements []string
 	engine     *cep.Engine
 	// listeners are re-attached to the fresh statements on every
-	// Refresh.
+	// Refresh that rebuilds them.
 	listeners []cep.Listener
-
-	// loaded holds the locations whose thresholds a restricted rule's
-	// current statements were fed: their win:keepall() never evicts, so a
-	// location lost and regained must not be loaded twice. install resets
-	// it with the statements; mu guards it, since an ownership tuple and a
-	// batch-layer Refresh may load at once.
-	mu     sync.Mutex
-	loaded map[string]bool
 }
 
 // AddListener attaches a listener to every current statement of the rule
@@ -165,20 +160,13 @@ func (inst *InstalledRule) install() error {
 		return nil
 
 	case StrategyStream:
-		if !inst.restricted() {
-			if err := add(eng.AddStatement(r.Name, r.StreamEPL())); err != nil {
-				return err
-			}
-			return loadThresholdStream(eng, r, opts.Store, nil)
-		}
-		field := r.LocationField()
-		inst.mu.Lock()
-		inst.loaded = nil
-		inst.mu.Unlock()
-		if err := add(eng.AddOwnedStatement(r.Name, r.StreamEPL(), BusStream, field)); err != nil {
+		if err := inst.publishThresholds(); err != nil {
 			return err
 		}
-		return inst.loadThresholds(eng.Owned(BusStream, field))
+		if !inst.restricted() {
+			return add(eng.AddStatement(r.Name, r.StreamEPL()))
+		}
+		return add(eng.AddOwnedStatement(r.Name, r.StreamEPL(), BusStream, r.LocationField()))
 	}
 	return fmt.Errorf("core: unknown strategy %v", opts.Strategy)
 }
@@ -194,51 +182,38 @@ func ruleThresholds(store *sqlstore.ThresholdStore, r Rule) ([]sqlstore.Threshol
 	return ths, err
 }
 
-// loadThresholdStream pushes the rule's thresholds for locations (every one
-// when nil) into its Esper stream.
-func loadThresholdStream(eng *cep.Engine, r Rule, store *sqlstore.ThresholdStore, locations map[string]bool) error {
+// thresholdColumns are the columns of a rule's thresholds table, the first
+// three its key: the fields Listing 1 reads of its thresholds stream.
+var thresholdColumns = []string{"location", "hour", "day", "value"}
+
+// thresholdTable builds the rule's thresholds table from the store's
+// current thresholds: one row per stored (location, hour, day type), in the
+// store's order.
+func thresholdTable(store *sqlstore.ThresholdStore, r Rule) (*cep.Table, error) {
 	ths, err := ruleThresholds(store, r)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, th := range ths {
-		if locations != nil && !locations[th.Location] {
-			continue
-		}
-		err := eng.SendEvent(r.ThresholdStream(), map[string]cep.Value{
+	rows := make([]map[string]cep.Value, len(ths))
+	for i, th := range ths {
+		rows[i] = map[string]cep.Value{
 			"location": th.Location,
 			"hour":     float64(th.Hour),
 			"day":      th.Day.String(),
 			"value":    th.Value,
-		})
-		if err != nil {
-			return err
 		}
 	}
-	return nil
+	return cep.NewTable(thresholdColumns, 3, rows)
 }
 
-// loadThresholds feeds a restricted rule's statements the thresholds of the
-// locations in set they were not fed yet.
-func (inst *InstalledRule) loadThresholds(set map[string]bool) error {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	fresh := make(map[string]bool, len(set))
-	for l := range set {
-		if !inst.loaded[l] {
-			fresh[l] = true
-		}
-	}
-	if err := loadThresholdStream(inst.engine, inst.Rule, inst.Options.Store, fresh); err != nil {
+// publishThresholds registers the rule's current thresholds table in its
+// engine, in place of the version its statement read so far.
+func (inst *InstalledRule) publishThresholds() error {
+	t, err := thresholdTable(inst.Options.Store, inst.Rule)
+	if err != nil {
 		return err
 	}
-	if inst.loaded == nil {
-		inst.loaded = make(map[string]bool, len(fresh))
-	}
-	for l := range fresh {
-		inst.loaded[l] = true
-	}
-	return nil
+	return inst.engine.RegisterTable(inst.Rule.ThresholdStream(), t)
 }
 
 // registerDBThreshold installs the db_threshold scalar function backed by
@@ -275,15 +250,19 @@ func registerDBThreshold(eng *cep.Engine, store *sqlstore.ThresholdStore) {
 	})
 }
 
-// Refresh re-installs the rule with freshly retrieved thresholds — the
-// dynamic-rule update step after each batch-layer run; a restricted rule
-// gets them for the locations its engine owns now. For StrategyStatic
-// and StrategyJoinDB nothing needs rebuilding (the former has no dynamic
-// thresholds; the latter reads the store on every tuple).
+// Refresh hands the rule freshly retrieved thresholds — the dynamic-rule
+// update step after each batch-layer run. Under StrategyStream it
+// publishes a new version of the thresholds table and keeps the statement,
+// with its windows and listeners; StrategyManyRules re-installs its
+// per-threshold statements. For StrategyStatic and StrategyJoinDB nothing
+// needs rebuilding (the former has no dynamic thresholds; the latter reads
+// the store on every tuple).
 func (inst *InstalledRule) Refresh() error {
 	switch inst.Options.Strategy {
 	case StrategyStatic, StrategyJoinDB:
 		return nil
+	case StrategyStream:
+		return inst.publishThresholds()
 	}
 	for _, name := range inst.Statements {
 		inst.engine.RemoveStatement(name)

@@ -214,10 +214,10 @@ func TestLocationFilterRestrictsInstall(t *testing.T) {
 	}
 }
 
-// TestRestrictedInstallMatchingNoThreshold: a restricted install, or a
-// threshold load, whose locations match no stored threshold is not an
-// error — an engine may own no location of a rule yet — and loads nothing;
-// only a store holding no threshold for the rule's attribute fails them.
+// TestRestrictedInstallMatchingNoThreshold: a restricted install whose
+// locations match no stored threshold is not an error — an engine may own
+// no location of a rule yet; only a store holding no threshold for the
+// rule's attribute fails it, or the thresholds table.
 func TestRestrictedInstallMatchingNoThreshold(t *testing.T) {
 	store := newStore(t)
 	for _, strategy := range []ThresholdStrategy{StrategyStream, StrategyManyRules} {
@@ -225,11 +225,6 @@ func TestRestrictedInstallMatchingNoThreshold(t *testing.T) {
 		inst, err := InstallRule(eng, delayRule(1), InstallOptions{Strategy: strategy, Store: store, Locations: map[string]bool{}})
 		if err != nil {
 			t.Fatalf("%v owning no location: %v", strategy, err)
-		}
-		if strategy == StrategyStream {
-			if err := loadThresholdStream(eng, delayRule(1), store, map[string]bool{"nowhere": true}); err != nil {
-				t.Fatalf("load for a location with no threshold: %v", err)
-			}
 		}
 		fired := countFirings(inst)
 		busEvent(t, eng, "areaA", 1e9)
@@ -246,8 +241,8 @@ func TestRestrictedInstallMatchingNoThreshold(t *testing.T) {
 			t.Fatalf("%v with no speed threshold stored: err = %v", strategy, err)
 		}
 	}
-	if err := loadThresholdStream(cep.New(), speed, store, nil); err == nil || !strings.Contains(err.Error(), "no speed thresholds") {
-		t.Fatalf("load with no speed threshold stored: err = %v", err)
+	if _, err := thresholdTable(store, speed); err == nil || !strings.Contains(err.Error(), "no speed thresholds") {
+		t.Fatalf("table with no speed threshold stored: err = %v", err)
 	}
 }
 

@@ -708,8 +708,14 @@ func (b *esperBolt) forwardListener() cep.Listener {
 func (b *esperBolt) Cleanup() error { return nil }
 
 func (b *esperBolt) Execute(t storm.Tuple, col storm.Collector) error {
-	if field, ok := t.Values[ownField].(string); ok {
-		return b.own(field, t.Values)
+	// A row carries its time; an ownership tuple does not, so a row costs
+	// one probe of its map here.
+	tv, isRow := t.Values["ts"]
+	if !isRow {
+		if field, ok := t.Values[ownField].(string); ok {
+			b.own(field, t.Values)
+			return nil
+		}
 	}
 	b.mu.Lock()
 	b.col = col
@@ -718,33 +724,19 @@ func (b *esperBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	// The row goes to the engine as it is (cep.Value is any): the engine
 	// keeps it in its windows and only reads it, as do the other engines
 	// the Splitter gave it to.
-	ts, _ := cep.Numeric(t.Values["ts"])
+	ts, _ := cep.Numeric(tv)
 	return b.engine.SendEventAt(BusStream, time.Unix(int64(ts), 0).UTC(), t.Values)
 }
 
 // own applies an ownership tuple (splitterBolt.handOver): from the next row
-// on, the engine's rules on field window and evaluate what it owns now. The
-// restricted rules on field load the thresholds of the locations the engine
-// newly gains first; a location it already owned has them, and so does one
-// it owned before under the same statements.
-func (b *esperBolt) own(field string, values map[string]any) error {
+// on, the engine's rules on field window and evaluate what it owns now. A
+// gained location needs nothing loaded: the rules' thresholds tables hold
+// every location.
+func (b *esperBolt) own(field string, values map[string]any) {
 	gained, _ := values[ownGained].([]string)
 	lost, _ := values[ownLost].([]string)
-	if added := b.engine.Own(BusStream, field, gained...); len(added) > 0 {
-		set := make(map[string]bool, len(added))
-		for _, l := range added {
-			set[l] = true
-		}
-		for _, inst := range b.installs {
-			if inst.restricted() && inst.Rule.LocationField() == field {
-				if err := inst.loadThresholds(set); err != nil {
-					return fmt.Errorf("core: engine %d loading thresholds of rule %q: %w", b.ctx.TaskIndex, inst.Rule.Name, err)
-				}
-			}
-		}
-	}
+	b.engine.Own(BusStream, field, gained...)
 	b.engine.Disown(BusStream, field, lost...)
-	return nil
 }
 
 // EnsureEventsTable creates the detections table in db if missing. A nil db

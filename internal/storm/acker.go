@@ -218,6 +218,7 @@ func (a *xorAcker) stop() {
 
 func (a *xorAcker) loop(done <-chan struct{}) {
 	defer a.wg.Done()
+	labelGoroutine("acker", a.r.cfg.selfWorker)
 	t := time.NewTicker(sweepTick(a.timeout))
 	defer t.Stop()
 	for {

@@ -266,6 +266,7 @@ func (ec *epochCoordinator) requestKick() {
 
 func (ec *epochCoordinator) agentLoop() {
 	defer ec.wg.Done()
+	labelGoroutine("epoch", ec.r.cfg.selfWorker)
 	for {
 		select {
 		case m := <-ec.outbox:
@@ -295,6 +296,7 @@ func (r *Runtime) epochLossSum() uint64 {
 
 func (ec *epochCoordinator) coordinatorLoop() {
 	defer ec.wg.Done()
+	labelGoroutine("epoch", ec.r.cfg.selfWorker)
 	var (
 		next          = uint64(1)
 		inflight      uint64 // 0 = none

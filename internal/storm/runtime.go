@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime/pprof"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -300,8 +302,9 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		return nil, fmt.Errorf("storm: WithEpochInterval requires WithAckMode(AckEpoch), have %v", cfg.AckMode)
 	}
 	cfg.fill()
-	if cfg.peers != nil && (cfg.selfWorker < 0 || cfg.selfWorker >= len(cfg.peers)) {
-		return nil, fmt.Errorf("storm: worker id %d out of range for %d peers", cfg.selfWorker, len(cfg.peers))
+	// A run without peers is one worker, worker 0.
+	if n := max(len(cfg.peers), 1); cfg.selfWorker < 0 || cfg.selfWorker >= n {
+		return nil, fmt.Errorf("storm: worker id %d out of range for %d workers", cfg.selfWorker, n)
 	}
 	r := &Runtime{
 		topo: topo, cfg: cfg, tracing: cfg.Telemetry != nil,
@@ -607,6 +610,7 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 			wg.Add(1)
 			go func(rc *runningComponent, ex *executor) {
 				defer wg.Done()
+				labelGoroutine(rc.spec.id, r.cfg.selfWorker)
 				if rc.spec.isSpout {
 					r.runSpoutExecutor(rc, ex)
 				} else {
@@ -1399,4 +1403,14 @@ func (r *Runtime) taskMetricsSnapshot() map[string][]TaskMetrics {
 		out[id] = ms
 	}
 	return out
+}
+
+// labelGoroutine tags the calling goroutine for CPU and goroutine profiles
+// with the component it works for — an executor's component id, or wire,
+// acker or epoch for the runtime's own goroutines — and its worker, so
+// that `go tool pprof -tags` splits a profile by component. The labels are
+// set once per goroutine and cost nothing per tuple.
+func labelGoroutine(component string, worker int) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("component", component, "worker", strconv.Itoa(worker))))
 }

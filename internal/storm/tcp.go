@@ -171,6 +171,7 @@ func (p *tcpPeer) enqueue(f *frameBuf, comp *runningComponent, envs []envelope) 
 // never stranded.
 func (p *tcpPeer) writeLoop() {
 	defer p.l.wg.Done()
+	labelGoroutine("wire", p.l.self)
 	defer close(p.writerDone)
 	var bufs net.Buffers
 	var spare []qFrame
@@ -454,6 +455,7 @@ func (l *peerLinks) Close() {
 
 func (l *peerLinks) acceptLoop() {
 	defer l.wg.Done()
+	labelGoroutine("wire", l.self)
 	for {
 		conn, err := l.ln.Accept()
 		if err != nil {
@@ -471,6 +473,7 @@ func (l *peerLinks) acceptLoop() {
 // backed up with data frames, which prove liveness on their own.
 func (l *peerLinks) heartbeatLoop() {
 	defer l.wg.Done()
+	labelGoroutine("wire", l.self)
 	tick := time.NewTicker(l.hb)
 	defer tick.Stop()
 	for {
@@ -500,6 +503,7 @@ func (l *peerLinks) heartbeatLoop() {
 // deadline only covers the socket wait.
 func (l *peerLinks) readLoop(conn net.Conn) {
 	defer l.wg.Done()
+	labelGoroutine("wire", l.self)
 	defer conn.Close()
 	select {
 	case <-l.ready: // membership built; safe to dispatch

@@ -10,9 +10,12 @@
 # With BENCH_PARENT=<commit> the same benchmarks are also run on that
 # commit's files (a `git archive` snapshot in a temporary directory, with
 # this tree's internal/cep/bench_test.go laid over it — it drives the engine
-# through AddStatement and SendEventAt only) and recorded beside this
-# tree's numbers as the "parent" section, so a CEP change shows its
-# before/after from one day on one box.
+# through AddStatement and SendEventAt, and reaches newer engine APIs only
+# where it finds them) and recorded beside this tree's numbers as the
+# "parent" section, so a CEP change shows its before/after from one day on
+# one box. The two sides' test binaries are built first and then run in
+# alternating order, one round per count — parent first on odd rounds,
+# this tree first on even ones — so that drift of the host lands on both.
 #
 # Usage: [BENCH_PARENT=<commit>] scripts/bench_cep.sh [benchtime] [count]   (default 1s 3)
 set -eu
@@ -46,25 +49,53 @@ record() {
 	' "$1" > "$2"
 }
 
-# bench <dir> <raw>: the tracked benchmarks of the tree in <dir>.
-bench() {
-	(cd "$1" && go test -run '^$' \
-		-bench 'BenchmarkListing1_RuleEvaluation|BenchmarkListing1_FourRules' \
-		-benchtime "$benchtime" -count "$count" . ./internal/cep) | tee "$2"
+# build <dir> <side>: test binaries of the benchmarked packages of the tree
+# in <dir>.
+build() {
+	(cd "$1" && go test -c -o "$tmp/$2.root.test" . && go test -c -o "$tmp/$2.cep.test" ./internal/cep)
 }
 
-echo '{}' > "$tmp/parent.json"
+# bench <dir> <side>: one round of the tracked benchmarks of the tree in
+# <dir>, appended to $tmp/<side>.raw. Each binary runs in its package's
+# directory, as go test runs it.
+bench() {
+	for pkg in root cep; do
+		dir="$1"
+		[ "$pkg" = cep ] && dir="$1/internal/cep"
+		(cd "$dir" && "$tmp/$2.$pkg.test" -test.run '^$' \
+			-test.bench 'BenchmarkListing1_RuleEvaluation|BenchmarkListing1_FourRules' \
+			-test.benchtime "$benchtime") | tee -a "$tmp/$2.raw"
+	done
+}
+
+build . change
 if [ -n "${BENCH_PARENT:-}" ]; then
 	mkdir "$tmp/parent"
 	git archive "$BENCH_PARENT" | tar -x -C "$tmp/parent"
 	cp internal/cep/bench_test.go "$tmp/parent/internal/cep/bench_test.go"
-	bench "$tmp/parent" "$tmp/parent.raw"
+	build "$tmp/parent" parent
+fi
+round=1
+while [ "$round" -le "$count" ]; do
+	if [ -z "${BENCH_PARENT:-}" ]; then
+		bench . change
+	elif [ $((round % 2)) -eq 1 ]; then
+		bench "$tmp/parent" parent
+		bench . change
+	else
+		bench . change
+		bench "$tmp/parent" parent
+	fi
+	round=$((round + 1))
+done
+
+echo '{}' > "$tmp/parent.json"
+if [ -n "${BENCH_PARENT:-}" ]; then
 	record "$tmp/parent.raw" "$tmp/parent.ns"
 	jq -n --arg commit "$(git rev-parse --short "$BENCH_PARENT")" --slurpfile ns "$tmp/parent.ns" \
 		'{parent: {commit: $commit, ns_per_op: $ns[0]}}' > "$tmp/parent.json"
 fi
-bench . "$tmp/raw"
-record "$tmp/raw" "$tmp/ns"
+record "$tmp/change.raw" "$tmp/ns"
 jq -n --arg benchtime "$benchtime" --slurpfile ns "$tmp/ns" --slurpfile parent "$tmp/parent.json" \
 	'{benchtime: $benchtime, ns_per_op: $ns[0]} + $parent[0]' > "$out.tmp"
 
