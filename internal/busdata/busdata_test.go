@@ -2,6 +2,7 @@ package busdata
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -286,6 +287,52 @@ func TestGeneratorDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("trace %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestGenerateJoinsTicks: Generate over a span that leaves and re-enters
+// the service window yields exactly the Ticks of a second generator on the
+// same seed, joined in order, and each trace's BusStop is its line's id and
+// its stop's two-digit index.
+func TestGenerateJoinsTicks(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Buses, cfg.Lines, cfg.Seed = 7, 3, 42
+	cfg.ReportPeriod = 5 * time.Minute
+	const span = 26 * time.Hour
+	a, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := a.Generate(span)
+	start := time.Date(cfg.StartDay.Year(), cfg.StartDay.Month(), cfg.StartDay.Day(), cfg.ServiceStart, 0, 0, 0, time.UTC)
+	var want []Trace
+	out := 0
+	for ts := start; ts.Before(start.Add(span)); ts = ts.Add(cfg.ReportPeriod) {
+		tick := b.Tick(ts)
+		if len(tick) == 0 {
+			out++
+		}
+		want = append(want, tick...)
+	}
+	if out == 0 || len(want) == 0 {
+		t.Fatalf("the span has %d ticks out of service and %d traces; want some of both", out, len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Generate made %d traces, the ticks %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("trace %d: Generate %+v, Tick %+v", i, got[i], want[i])
+		}
+		var stop int
+		if n, err := fmt.Sscanf(got[i].BusStop, got[i].LineID+"-S%02d", &stop); n != 1 || err != nil ||
+			got[i].BusStop != fmt.Sprintf("%s-S%02d", got[i].LineID, stop) || stop >= cfg.StopsPerLine {
+			t.Fatalf("trace %d: bus stop %q of line %s", i, got[i].BusStop, got[i].LineID)
 		}
 	}
 }

@@ -53,7 +53,10 @@ type Line struct {
 type Generator struct {
 	cfg   GeneratorConfig
 	lines []Line
-	rng   *rand.Rand
+	// stopIDs[l][i] is the id of stop i of line l, the BusStop of a trace
+	// reported nearest to it.
+	stopIDs [][]string
+	rng     *rand.Rand
 
 	// per-vehicle state
 	vehicles []vehicleState
@@ -117,6 +120,11 @@ func (g *Generator) buildLines() {
 			line.Stops = append(line.Stops, clampToRect(geo.Point{Lat: lat, Lon: lon}, b))
 		}
 		g.lines = append(g.lines, line)
+		ids := make([]string, n)
+		for s := range ids {
+			ids[s] = fmt.Sprintf("%s-S%02d", line.ID, s)
+		}
+		g.stopIDs = append(g.stopIDs, ids)
 	}
 }
 
@@ -247,13 +255,18 @@ func (g *Generator) Tick(t time.Time) []Trace {
 	if !g.InService(t) {
 		return nil
 	}
+	return g.tick(t, make([]Trace, 0, len(g.vehicles)))
+}
+
+// tick appends the reports of every vehicle at in-service time t to traces
+// and advances the simulation, as Tick does.
+func (g *Generator) tick(t time.Time, traces []Trace) []Trace {
 	dt := g.cfg.ReportPeriod.Seconds()
-	traces := make([]Trace, 0, len(g.vehicles))
+	rush := rushHourFactor(t)
 	for i := range g.vehicles {
 		v := &g.vehicles[i]
 		ln := g.lines[v.line]
 		pos := positionAt(ln, v.progress)
-		rush := rushHourFactor(t)
 		central := centreDistanceFactor(pos)
 		congestionLevel := rush * central
 
@@ -293,7 +306,7 @@ func (g *Generator) Tick(t time.Time) []Trace {
 			Pos:        reportPos,
 			Delay:      v.delay,
 			Congestion: congested,
-			BusStop:    fmt.Sprintf("%s-S%02d", ln.ID, stopIdx),
+			BusStop:    g.stopIDs[v.line][stopIdx],
 			VehicleID:  v.id,
 		})
 		v.lastPos = pos
@@ -334,9 +347,21 @@ func (g *Generator) Generate(duration time.Duration) []Trace {
 	start := time.Date(
 		g.cfg.StartDay.Year(), g.cfg.StartDay.Month(), g.cfg.StartDay.Day(),
 		g.cfg.ServiceStart, 0, 0, 0, time.UTC)
-	var out []Trace
-	for ts := start; ts.Before(start.Add(duration)); ts = ts.Add(g.cfg.ReportPeriod) {
-		out = append(out, g.Tick(ts)...)
+	end := start.Add(duration)
+	ticks := 0
+	for ts := start; ts.Before(end); ts = ts.Add(g.cfg.ReportPeriod) {
+		if g.InService(ts) {
+			ticks++
+		}
+	}
+	if ticks == 0 {
+		return nil
+	}
+	out := make([]Trace, 0, ticks*len(g.vehicles))
+	for ts := start; ts.Before(end); ts = ts.Add(g.cfg.ReportPeriod) {
+		if g.InService(ts) {
+			out = g.tick(ts, out)
+		}
 	}
 	return out
 }

@@ -37,7 +37,9 @@ type Engine struct {
 	// eventsUnowned counts the (statement, event) turns skipped because the
 	// event's key is not one the statement's owned-key set holds.
 	eventsIn, eventsUnowned uint64
-	procTime                time.Duration
+	// procTime sums the per-event processing latency, timed only when a
+	// registry is attached.
+	procTime time.Duration
 
 	// name prefixes this engine's metric names in the telemetry registry;
 	// latHist records per-event processing latency when a registry is
@@ -51,10 +53,11 @@ type Engine struct {
 // mutated after New returns, so option state needs no locking.
 type Option func(*Engine)
 
-// WithRegistry attaches a telemetry registry: the engine records a
-// per-event processing-latency histogram on the hot path and can be
-// registered as a telemetry.Source publishing engine and statement
-// counters.
+// WithRegistry attaches a telemetry registry: the engine times every event
+// into a per-event processing-latency histogram, and can be registered as a
+// telemetry.Source publishing engine and statement counters, the summed
+// processing time among them. An engine without one reads no clock to
+// process an event.
 func WithRegistry(reg *telemetry.Registry) Option {
 	return func(e *Engine) { e.reg = reg }
 }
@@ -286,8 +289,8 @@ func (e *Engine) StatementCount() int {
 }
 
 // SendEvent delivers an event with the current wall-clock timestamp. The
-// same clock read serves as the event timestamp and the latency-sample
-// start, saving a clock read per event on the hot path.
+// same clock read serves as the event timestamp and, with a registry
+// attached, the latency-sample start.
 func (e *Engine) SendEvent(stream string, fields map[string]Value) error {
 	now := time.Now()
 	return e.sendEventAt(stream, now, now, fields)
@@ -304,10 +307,17 @@ func (e *Engine) SendEvent(stream string, fields map[string]Value) error {
 // statements reference are bound to slots here, once (see Event).
 func (e *Engine) SendEventAt(stream string, ts time.Time, fields map[string]Value) error {
 	// An explicit (possibly historical) event time must not pollute the
-	// latency measurement, so processing start is read separately here.
-	return e.sendEventAt(stream, ts, time.Now(), fields)
+	// latency measurement, so processing start is read separately here, and
+	// only when something records it.
+	var start time.Time
+	if e.latHist != nil {
+		start = time.Now()
+	}
+	return e.sendEventAt(stream, ts, start, fields)
 }
 
+// sendEventAt delivers the event; start is when processing began, read only
+// with a registry attached (latHist).
 func (e *Engine) sendEventAt(stream string, ts, start time.Time, fields map[string]Value) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -332,9 +342,9 @@ func (e *Engine) sendEventAt(stream string, ts, start time.Time, fields map[stri
 			}
 		}
 	}
-	elapsed := time.Since(start)
-	e.procTime += elapsed
 	if e.latHist != nil {
+		elapsed := time.Since(start)
+		e.procTime += elapsed
 		e.latHist.ObserveDuration(elapsed)
 	}
 	return firstErr
@@ -356,9 +366,11 @@ func (e *Engine) Collect(reg *telemetry.Registry) {
 	prefix := e.name + "."
 	reg.Counter(prefix + "events_in").Store(e.eventsIn)
 	reg.Counter(prefix + "events_unowned").Store(e.eventsUnowned)
-	reg.Gauge(prefix + "proc_time_ns").Set(float64(e.procTime))
-	if e.eventsIn > 0 {
-		reg.Gauge(prefix + "avg_latency_ns").Set(float64(e.procTime) / float64(e.eventsIn))
+	if e.latHist != nil {
+		reg.Gauge(prefix + "proc_time_ns").Set(float64(e.procTime))
+		if e.eventsIn > 0 {
+			reg.Gauge(prefix + "avg_latency_ns").Set(float64(e.procTime) / float64(e.eventsIn))
+		}
 	}
 	reg.Gauge(prefix + "views").Set(float64(e.viewCount))
 	reg.Gauge(prefix + "view_subscriptions").Set(float64(e.viewSubs))
@@ -378,24 +390,4 @@ func (e *Engine) Collect(reg *telemetry.Registry) {
 	for name, st := range e.stmts {
 		publish(name, st.metrics)
 	}
-}
-
-// AvgLatency returns the mean per-event processing latency observed so far,
-// or 0 if no events have been processed. This is the quantity the paper's
-// regression model (Functions 1-3) estimates.
-func (e *Engine) AvgLatency() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.eventsIn == 0 {
-		return 0
-	}
-	return e.procTime / time.Duration(e.eventsIn)
-}
-
-// ResetMetrics zeroes the engine counters (statement counters are kept).
-func (e *Engine) ResetMetrics() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.eventsIn, e.eventsUnowned = 0, 0
-	e.procTime = 0
 }

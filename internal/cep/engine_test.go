@@ -427,23 +427,39 @@ func TestStatementNamesSorted(t *testing.T) {
 	}
 }
 
+// TestEngineCountersViaRegistry: an engine counts its events, and times them
+// — the latency histogram, proc_time_ns and avg_latency_ns — only with a
+// registry attached.
 func TestEngineCountersViaRegistry(t *testing.T) {
-	e := New()
-	if _, err := e.AddStatement("r", lastX); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		send(t, e, "s", map[string]Value{"x": float64(i)})
-	}
-	if got := engineEventsIn(e); got != 5 {
-		t.Fatalf("events = %d, want 5", got)
-	}
-	if e.AvgLatency() <= 0 {
-		t.Fatal("avg latency should be positive")
-	}
-	e.ResetMetrics()
-	if engineEventsIn(e) != 0 || e.AvgLatency() != 0 {
-		t.Fatal("reset did not clear metrics")
+	for _, timed := range []bool{false, true} {
+		var e *Engine
+		if timed {
+			e = New(WithRegistry(telemetry.NewRegistry()))
+		} else {
+			e = New()
+		}
+		if _, err := e.AddStatement("r", lastX); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			send(t, e, "s", map[string]Value{"x": float64(i)})
+		}
+		reg := telemetry.NewRegistry()
+		e.Collect(reg)
+		if got := reg.Counter("cep.events_in").Load(); got != 5 {
+			t.Fatalf("timed %v: events = %d, want 5", timed, got)
+		}
+		var hasProc, hasAvg bool
+		for _, m := range reg.Snapshot().Metrics {
+			hasProc = hasProc || m.Name == "cep.proc_time_ns"
+			hasAvg = hasAvg || m.Name == "cep.avg_latency_ns"
+		}
+		if hasProc != timed || hasAvg != timed {
+			t.Fatalf("timed %v: proc_time_ns published %v, avg_latency_ns %v", timed, hasProc, hasAvg)
+		}
+		if timed && (reg.Gauge("cep.proc_time_ns").Load() <= 0 || reg.Gauge("cep.avg_latency_ns").Load() <= 0) {
+			t.Fatal("processing time should be positive")
+		}
 	}
 }
 

@@ -204,3 +204,14 @@ func (e *Engine) RegisterTable(name string, t *Table) error {
 	ref.cur = t
 	return nil
 }
+
+// Table returns the version of the table registered under name, or nil if
+// none is.
+func (e *Engine) Table(name string) *Table {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ref := e.tables[name]; ref != nil {
+		return ref.cur
+	}
+	return nil
+}

@@ -354,41 +354,54 @@ func TestDynamicManagerNoHistory(t *testing.T) {
 
 // TestDynamicRefreshKeepsWindows: a batch-layer Refresh of a stream-fed
 // rule publishes new thresholds under the running statement, whose windows
-// stay. Nine rows fill a window-10 rule below its threshold, a Refresh
-// lowers the threshold, and the tenth row must be evaluated over the full
-// window (n = 10) against the new threshold — restricted to owned
-// locations or not.
+// stay. Two engines over one store run the rule. Nine rows fill each
+// engine's window-10 rule below its threshold, a Refresh of both lowers the
+// threshold, and the tenth row must be evaluated over the full window
+// (n = 10) against the new threshold — restricted to owned locations or not
+// — in both engines, which hold the one table the store built.
 func TestDynamicRefreshKeepsWindows(t *testing.T) {
 	for _, locs := range []map[string]bool{nil, {"areaA": true}} {
 		store := newStore(t) // areaA at hour 8 on weekdays: threshold 40 + 1·10
-		eng := cep.New()
-		inst, err := InstallRule(eng, delayRule(10), InstallOptions{Strategy: StrategyStream, Store: store, Locations: locs})
-		if err != nil {
-			t.Fatal(err)
+		engs := []*cep.Engine{cep.New(), cep.New()}
+		insts := make([]*InstalledRule, len(engs))
+		outs := make([][]cep.Output, len(engs))
+		for e, eng := range engs {
+			inst, err := InstallRule(eng, delayRule(10), InstallOptions{Strategy: StrategyStream, Store: store, Locations: locs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst.AddListener(func(_ *cep.Statement, o []cep.Output) { outs[e] = append(outs[e], o...) })
+			insts[e] = inst
+			for i := 0; i < 9; i++ {
+				busEvent(t, eng, "areaA", 40)
+			}
+			if len(outs[e]) != 0 {
+				t.Fatalf("locations %v, engine %d: fired below the threshold: %v", locs, e, outs[e][0].Fields)
+			}
 		}
-		var outs []cep.Output
-		inst.AddListener(func(_ *cep.Statement, o []cep.Output) { outs = append(outs, o...) })
-		for i := 0; i < 9; i++ {
-			busEvent(t, eng, "areaA", 40)
-		}
-		if len(outs) != 0 {
-			t.Fatalf("locations %v: fired below the threshold: %v", locs, outs[0].Fields)
-		}
-		err = store.Put([]sqlstore.StatRow{
+		err := store.Put([]sqlstore.StatRow{
 			{Attribute: busdata.AttrDelay, Location: "areaA", Hour: 8, Day: busdata.Weekday, Mean: 20, Stdv: 5},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := inst.Refresh(); err != nil {
-			t.Fatal(err)
+		for _, inst := range insts {
+			if err := inst.Refresh(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		busEvent(t, eng, "areaA", 0)
-		if len(outs) != 1 {
-			t.Fatalf("locations %v: %d detections after the refresh, want 1 over the full window", locs, len(outs))
+		stream := delayRule(10).ThresholdStream()
+		if engs[0].Table(stream) != engs[1].Table(stream) {
+			t.Fatalf("locations %v: the engines hold different tables after the refresh", locs)
 		}
-		if got := outs[0].Fields; got["observed"] != 36.0 || got["threshold"] != 25.0 {
-			t.Fatalf("locations %v: detection %v, want observed 36 (9·40 + 0 over 10 rows) against threshold 25", locs, got)
+		for e, eng := range engs {
+			busEvent(t, eng, "areaA", 0)
+			if len(outs[e]) != 1 {
+				t.Fatalf("locations %v, engine %d: %d detections after the refresh, want 1 over the full window", locs, e, len(outs[e]))
+			}
+			if got := outs[e][0].Fields; got["observed"] != 36.0 || got["threshold"] != 25.0 {
+				t.Fatalf("locations %v, engine %d: detection %v, want observed 36 (9·40 + 0 over 10 rows) against threshold 25", locs, e, got)
+			}
 		}
 	}
 }

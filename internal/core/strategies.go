@@ -29,7 +29,9 @@ const (
 	// dedicated Esper stream ("Add the Thresholds in an Esper stream"):
 	// the rows such a stream's win:keepall() would hold, registered in the
 	// engine as one table (cep.Engine.RegisterTable) under the rule's
-	// ThresholdStream name.
+	// ThresholdStream name. The store builds that table once per (attribute,
+	// s) and statistics version, for every engine
+	// (sqlstore.ThresholdStore.ThresholdTable).
 	StrategyStream
 )
 
@@ -182,32 +184,22 @@ func ruleThresholds(store *sqlstore.ThresholdStore, r Rule) ([]sqlstore.Threshol
 	return ths, err
 }
 
-// thresholdColumns are the columns of a rule's thresholds table, the first
-// three its key: the fields Listing 1 reads of its thresholds stream.
-var thresholdColumns = []string{"location", "hour", "day", "value"}
-
-// thresholdTable builds the rule's thresholds table from the store's
-// current thresholds: one row per stored (location, hour, day type), in the
-// store's order.
+// thresholdTable returns the rule's current thresholds table: the one the
+// store built for the rule's attribute and sensitivity from the current
+// version of its statistics, which every engine installing a rule on the
+// same (attribute, s) shares. A store that holds no thresholds for the
+// attribute is an error, as in ruleThresholds.
 func thresholdTable(store *sqlstore.ThresholdStore, r Rule) (*cep.Table, error) {
-	ths, err := ruleThresholds(store, r)
-	if err != nil {
-		return nil, err
+	t, err := store.ThresholdTable(r.Attribute, r.Sensitivity)
+	if err == nil && t.Len() == 0 {
+		err = fmt.Errorf("core: rule %q: the store holds no %s thresholds", r.Name, r.Attribute)
 	}
-	rows := make([]map[string]cep.Value, len(ths))
-	for i, th := range ths {
-		rows[i] = map[string]cep.Value{
-			"location": th.Location,
-			"hour":     float64(th.Hour),
-			"day":      th.Day.String(),
-			"value":    th.Value,
-		}
-	}
-	return cep.NewTable(thresholdColumns, 3, rows)
+	return t, err
 }
 
 // publishThresholds registers the rule's current thresholds table in its
-// engine, in place of the version its statement read so far.
+// engine, in place of the version its statement read so far; a table the
+// engine already holds is kept as it is.
 func (inst *InstalledRule) publishThresholds() error {
 	t, err := thresholdTable(inst.Options.Store, inst.Rule)
 	if err != nil {
@@ -252,8 +244,10 @@ func registerDBThreshold(eng *cep.Engine, store *sqlstore.ThresholdStore) {
 
 // Refresh hands the rule freshly retrieved thresholds — the dynamic-rule
 // update step after each batch-layer run. Under StrategyStream it
-// publishes a new version of the thresholds table and keeps the statement,
-// with its windows and listeners; StrategyManyRules re-installs its
+// registers the store's current thresholds table for the rule's (attribute,
+// s) and keeps the statement, with its windows and listeners: after a
+// statistics write the first engine to refresh builds the new version and
+// the others register that one. StrategyManyRules re-installs its
 // per-threshold statements. For StrategyStatic and StrategyJoinDB nothing
 // needs rebuilding (the former has no dynamic thresholds; the latter reads
 // the store on every tuple).

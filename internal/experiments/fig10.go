@@ -8,18 +8,7 @@ import (
 	"trafficcep/internal/cep"
 	"trafficcep/internal/core"
 	"trafficcep/internal/sqlstore"
-	"trafficcep/internal/telemetry"
 )
-
-// engineCounters reads the engine's cumulative event count and processing
-// time through a registry walk (the Collect path that replaced the old
-// snapshot method).
-func engineCounters(eng *cep.Engine) (uint64, time.Duration) {
-	reg := telemetry.NewRegistry()
-	eng.Collect(reg)
-	return reg.Counter("cep.events_in").Load(),
-		time.Duration(reg.Gauge("cep.proc_time_ns").Load())
-}
 
 // measureStrategy runs one rule under a threshold-retrieval strategy on the
 // live CEP engine and reports the mean per-tuple latency per reporting
@@ -66,37 +55,36 @@ func measureStrategy(strat core.ThresholdStrategy, locations, events, windows in
 	}); err != nil {
 		return nil, 0, err
 	}
-	eng.ResetMetrics()
 
+	// Each window's events are built before its send loop is timed.
 	perWindow := make([]float64, windows)
 	perWindowEvents := events / windows
 	if perWindowEvents == 0 {
 		perWindowEvents = 1
 	}
-	var prevTime time.Duration
-	var prevEvents uint64
+	batch := make([]map[string]cep.Value, perWindowEvents)
+	var total time.Duration
 	sent := 0
 	for w := 0; w < windows; w++ {
-		for i := 0; i < perWindowEvents; i++ {
-			loc := fmt.Sprintf("area%03d", sent%locations)
-			err := eng.SendEvent(core.BusStream, map[string]cep.Value{
-				rule.LocationField(): loc,
+		for i := range batch {
+			batch[i] = map[string]cep.Value{
+				rule.LocationField(): fmt.Sprintf("area%03d", sent%locations),
 				"hour":               float64(sent % 24),
 				"day":                busdata.Weekday.String(),
 				busdata.AttrDelay:    float64(sent % 300),
-			})
-			if err != nil {
-				return nil, 0, err
 			}
 			sent++
 		}
-		eventsIn, procTime := engineCounters(eng)
-		dEvents := eventsIn - prevEvents
-		if dEvents > 0 {
-			perWindow[w] = float64(procTime-prevTime) / float64(dEvents) / float64(time.Millisecond)
+		start := time.Now()
+		for _, fields := range batch {
+			if err := eng.SendEvent(core.BusStream, fields); err != nil {
+				return nil, 0, err
+			}
 		}
-		prevTime, prevEvents = procTime, eventsIn
+		took := time.Since(start)
+		total += took
+		perWindow[w] = float64(took) / float64(perWindowEvents) / float64(time.Millisecond)
 	}
-	mean := float64(eng.AvgLatency()) / float64(time.Millisecond)
+	mean := float64(total) / float64(sent) / float64(time.Millisecond)
 	return perWindow, mean, nil
 }

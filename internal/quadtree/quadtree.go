@@ -42,6 +42,7 @@ type Tree struct {
 	root      *Node
 	maxPoints int
 	maxDepth  int
+	depth     int // deepest node's depth: a Path holds at most depth+1 nodes
 	size      int // number of seed points inserted
 	nodes     int // total node count
 }
@@ -122,6 +123,7 @@ func (t *Tree) split(n *Node) {
 	n.Points = nil
 	n.Children = children
 	t.nodes += 4
+	t.depth = max(t.depth, n.Depth+1)
 	for _, p := range pts {
 		child := children[quadrantOf(n.Bounds, p)]
 		child.Points = append(child.Points, p)
@@ -156,15 +158,7 @@ func (t *Tree) Size() int { return t.size }
 func (t *Tree) NodeCount() int { return t.nodes }
 
 // Depth returns the maximum depth of any node in the tree.
-func (t *Tree) Depth() int {
-	max := 0
-	t.walk(t.root, func(n *Node) {
-		if n.Depth > max {
-			max = n.Depth
-		}
-	})
-	return max
-}
+func (t *Tree) Depth() int { return t.depth }
 
 // Bounds returns the tree's bounding box.
 func (t *Tree) Bounds() geo.Rect { return t.root.Bounds }
@@ -245,7 +239,7 @@ func (t *Tree) Path(p geo.Point) []*Node {
 	if !t.root.Bounds.Contains(p) {
 		return nil
 	}
-	var path []*Node
+	path := make([]*Node, 0, t.depth+1)
 	n := t.root
 	for {
 		path = append(path, n)

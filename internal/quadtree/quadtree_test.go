@@ -216,6 +216,24 @@ func TestPathIsNested(t *testing.T) {
 	}
 }
 
+// TestPathAllocatesOnce: a Path is one allocation, sized by the tree's
+// depth, which Depth reports as the deepest node's.
+func TestPathAllocatesOnce(t *testing.T) {
+	tr := buildRandomTree(t, 300, 31)
+	deepest := 0
+	tr.Walk(func(n *Node) { deepest = max(deepest, n.Depth) })
+	if tr.Depth() != deepest || deepest < 4 {
+		t.Fatalf("Depth() = %d, deepest node %d; want them equal and at least 4", tr.Depth(), deepest)
+	}
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 20; i++ {
+		p := geo.Point{Lat: rng.Float64(), Lon: rng.Float64()}
+		if allocs := testing.AllocsPerRun(20, func() { _ = tr.Path(p) }); allocs != 1 {
+			t.Fatalf("Path(%v) made %v allocations, want 1", p, allocs)
+		}
+	}
+}
+
 func TestLeavesPartitionSeeds(t *testing.T) {
 	tr := buildRandomTree(t, 200, 31)
 	total := 0

@@ -32,6 +32,10 @@ type Table struct {
 	// batch refreshes from the batch layer stay O(1) per row.
 	indexCols []string
 	index     map[string]int
+
+	// version is the DB's write sequence number at the table's creation or
+	// last write (DB.version).
+	version uint64
 }
 
 // DB is an embedded multi-table store. All methods are safe for concurrent
@@ -41,6 +45,7 @@ type DB struct {
 	tables map[string]*Table
 
 	queries uint64 // SELECTs served, for the retrieval-strategy experiments
+	writes  uint64 // table creations and row writes so far, stamping versions
 
 	// Telemetry (optional): SELECT latency histogram + served counter.
 	queryHist *telemetry.Histogram
@@ -80,7 +85,27 @@ func (db *DB) CreateTable(name string, columns []string) error {
 		t.colSet[c] = true
 	}
 	db.tables[name] = t
+	db.wrote(t)
 	return nil
+}
+
+// wrote stamps t with the next write sequence number, its version. Called
+// with the DB lock held.
+func (db *DB) wrote(t *Table) {
+	db.writes++
+	t.version = db.writes
+}
+
+// version returns the table's version: a number that changes with every
+// row the table is written, and that no other table, nor a table dropped
+// and created again under the name, ever had. A missing table reads 0.
+func (db *DB) version(table string) uint64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if t, ok := db.tables[table]; ok {
+		return t.version
+	}
+	return 0
 }
 
 // DropTable removes a table; dropping a missing table is a no-op returning
@@ -121,6 +146,7 @@ func (db *DB) Insert(table string, row Row) error {
 		t.index[t.keyOf(row)] = len(t.rows)
 	}
 	t.rows = append(t.rows, cloneRow(row))
+	db.wrote(t)
 	return nil
 }
 
@@ -144,6 +170,7 @@ func (db *DB) Upsert(table string, keyCols []string, row Row) error {
 	if !sameCols(t.indexCols, keyCols) {
 		t.rebuildIndex(keyCols)
 	}
+	db.wrote(t)
 	key := t.keyOf(row)
 	if i, ok := t.index[key]; ok {
 		t.rows[i] = cloneRow(row)
@@ -240,7 +267,8 @@ func (db *DB) QueryParsed(q *epl.Query) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.run(cq)
+	rows, _, err := db.run(cq)
+	return rows, err
 }
 
 // compiledQuery is a validated SELECT compiled for row-by-row evaluation.
@@ -275,8 +303,9 @@ func compileQuery(q *epl.Query) (*compiledQuery, error) {
 	return &compiledQuery{q: q, rows: cep.CompileRowQuery(q.From[0].Alias, q.Where, exprs)}, nil
 }
 
-// run scans the query's table through its compiled form.
-func (db *DB) run(cq *compiledQuery) ([]Row, error) {
+// run scans the query's table through its compiled form, and returns the
+// version of the table it scanned.
+func (db *DB) run(cq *compiledQuery) ([]Row, uint64, error) {
 	q := cq.q
 	db.mu.Lock()
 	db.queries++
@@ -294,7 +323,7 @@ func (db *DB) run(cq *compiledQuery) ([]Row, error) {
 	defer db.mu.RUnlock()
 	t, ok := db.tables[q.From[0].Stream]
 	if !ok {
-		return nil, fmt.Errorf("sqlstore: no table %q", q.From[0].Stream)
+		return nil, 0, fmt.Errorf("sqlstore: no table %q", q.From[0].Stream)
 	}
 
 	// DISTINCT keys a row by its values in the order of the output columns,
@@ -309,7 +338,7 @@ func (db *DB) run(cq *compiledQuery) ([]Row, error) {
 	for _, row := range t.rows {
 		pass, err := cq.rows.Match(row)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if !pass {
 			continue
@@ -325,7 +354,7 @@ func (db *DB) run(cq *compiledQuery) ([]Row, error) {
 			}
 			v, err := cq.rows.Value(i)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			i++
 			name := s.Alias
@@ -355,5 +384,5 @@ func (db *DB) run(cq *compiledQuery) ([]Row, error) {
 		}
 		out = append(out, proj)
 	}
-	return out, nil
+	return out, t.version, nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"trafficcep/internal/busdata"
+	"trafficcep/internal/cep"
 )
 
 func newTestDB(t *testing.T) *DB {
@@ -565,4 +566,153 @@ func raceBuild() bool {
 		}
 	}
 	return false
+}
+
+// TestTableVersion: every write to a table gives it a version it never had,
+// a write to another table leaves it, and a table dropped and created again
+// under its name starts at a version no earlier table had.
+func TestTableVersion(t *testing.T) {
+	db := newTestDB(t)
+	if err := db.CreateTable("other", []string{"x"}); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{0: true}
+	next := func(what string) {
+		t.Helper()
+		v := db.version("stats")
+		if seen[v] {
+			t.Fatalf("after %s: version %d read before", what, v)
+		}
+		seen[v] = true
+	}
+	next("create")
+	row := Row{"mean": 1.0, "stdv": 0.0, "hour": 8.0, "area": "a"}
+	if err := db.Insert("stats", row); err != nil {
+		t.Fatal(err)
+	}
+	next("insert")
+	if err := db.Upsert("stats", []string{"area"}, row); err != nil {
+		t.Fatal(err)
+	}
+	next("upsert of an equal row")
+	v := db.version("stats")
+	if err := db.Insert("other", Row{"x": 1.0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(`SELECT * FROM stats`); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.version("stats"); got != v {
+		t.Fatalf("a write to another table and a query moved the version %d → %d", v, got)
+	}
+	if err := db.Insert("stats", Row{"bogus": 1.0}); err == nil || db.version("stats") != v {
+		t.Fatalf("a refused insert moved the version (err %v)", err)
+	}
+	db.DropTable("stats")
+	if got := db.version("stats"); got != 0 {
+		t.Fatalf("a dropped table reads version %d, want 0", got)
+	}
+	if err := db.CreateTable("stats", []string{"mean"}); err != nil {
+		t.Fatal(err)
+	}
+	next("drop and create")
+}
+
+// TestThresholdTableOncePerVersion: ThresholdTable builds an (attribute, s)'s
+// table with one query and hands the same table out until that attribute's
+// statistics table is written, through Put or through DB.
+func TestThresholdTableOncePerVersion(t *testing.T) {
+	db := NewDB()
+	ts, err := NewThresholdStore(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(attr, loc string, mean float64) {
+		t.Helper()
+		if err := ts.Put([]StatRow{{Attribute: attr, Location: loc, Hour: 8, Day: busdata.Weekday, Mean: mean, Stdv: 2}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(busdata.AttrDelay, "a", 10)
+	put(busdata.AttrSpeed, "a", 30)
+	get := func(attr string, s float64, queries uint64) *cep.Table {
+		t.Helper()
+		before := db.QueriesServed()
+		tab, err := ts.ThresholdTable(attr, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.QueriesServed() - before; got != queries {
+			t.Fatalf("ThresholdTable(%s, %v) ran %d queries, want %d", attr, s, got, queries)
+		}
+		return tab
+	}
+	d1 := get(busdata.AttrDelay, 1, 1)
+	if d1.Len() != 1 || get(busdata.AttrDelay, 1, 0) != d1 {
+		t.Fatal("a second call with no write did not return the first table")
+	}
+	d2 := get(busdata.AttrDelay, 2, 1)
+	if d2 == d1 {
+		t.Fatal("two sensitivities share a table")
+	}
+	put(busdata.AttrSpeed, "b", 31)
+	if get(busdata.AttrDelay, 1, 0) != d1 {
+		t.Fatal("a speed write replaced the delay table")
+	}
+	put(busdata.AttrDelay, "b", 20)
+	d1b := get(busdata.AttrDelay, 1, 1)
+	if d1b == d1 || d1b.Len() != 2 || get(busdata.AttrDelay, 2, 1).Len() != 2 {
+		t.Fatal("a delay write did not make a new delay table of two rows")
+	}
+	if get(busdata.AttrDelay, 1, 0) != d1b {
+		t.Fatal("the new table was not kept")
+	}
+	err = db.Insert(statTable(busdata.AttrDelay), Row{
+		"attr_mean": 5.0, "attr_stdv": 1.0, "currentHour": 9.0, "dateType": busdata.Weekday.String(), "areaId1": "c",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1c := get(busdata.AttrDelay, 1, 1); d1c == d1b || d1c.Len() != 3 {
+		t.Fatal("a direct write did not make a new delay table of three rows")
+	}
+}
+
+// TestThresholdTableConcurrentCallers: callers asking for one table at once
+// get the same table, built with one query (run under -race).
+func TestThresholdTableConcurrentCallers(t *testing.T) {
+	db := NewDB()
+	ts, err := NewThresholdStore(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []StatRow
+	for i := 0; i < 50; i++ {
+		rows = append(rows, StatRow{Attribute: busdata.AttrDelay, Location: fmt.Sprintf("a%d", i), Hour: 8, Day: busdata.Weekday, Mean: 1, Stdv: 1})
+	}
+	if err := ts.Put(rows); err != nil {
+		t.Fatal(err)
+	}
+	tabs := make([]*cep.Table, 8)
+	errs := make([]error, len(tabs))
+	var wg sync.WaitGroup
+	for g := range tabs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			tabs[g], errs[g] = ts.ThresholdTable(busdata.AttrDelay, 1)
+		}(g)
+	}
+	wg.Wait()
+	for g := range tabs {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if tabs[g] != tabs[0] {
+			t.Fatalf("caller %d got a table of its own", g)
+		}
+	}
+	if got := db.QueriesServed(); got != 1 {
+		t.Fatalf("%d callers at once ran %d queries, want 1", len(tabs), got)
+	}
 }

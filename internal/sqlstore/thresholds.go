@@ -38,7 +38,8 @@ func statTable(attribute string) string { return "statistics_" + attribute }
 var statColumns = []string{"attr_mean", "attr_stdv", "currentHour", "dateType", "areaId1"}
 
 // ThresholdStore is the thresholds DAO over a DB: the batch layer writes
-// StatRows, the online layer reads Thresholds via the Listing 2 query.
+// StatRows, the online layer reads Thresholds via the Listing 2 query, or
+// their ThresholdTable.
 type ThresholdStore struct {
 	db *DB
 	// compiled query cache per SQL text — the stream-fed strategy issues
@@ -47,12 +48,25 @@ type ThresholdStore struct {
 	// installed over the store shares it.
 	mu         sync.Mutex
 	queryCache map[string]*compiledQuery
+	// tables holds the last thresholds table built per Listing 2 query
+	// text, that is per (attribute, s); every engine registers that one.
+	tables map[string]*thresholdTable
+}
+
+// thresholdTable is the thresholds table of one (attribute, s), built from
+// the given version of the attribute's statistics table. mu is held while
+// it is built, so that callers asking at once build it once.
+type thresholdTable struct {
+	mu      sync.Mutex
+	version uint64
+	table   *cep.Table
 }
 
 // NewThresholdStore creates the statistics tables for every monitorable
 // attribute (Table 6) in db.
 func NewThresholdStore(db *DB) (*ThresholdStore, error) {
-	ts := &ThresholdStore{db: db, queryCache: make(map[string]*compiledQuery)}
+	ts := &ThresholdStore{db: db, queryCache: make(map[string]*compiledQuery),
+		tables: make(map[string]*thresholdTable)}
 	for _, attr := range busdata.Attributes {
 		if err := db.CreateTable(statTable(attr), statColumns); err != nil {
 			return nil, err
@@ -91,19 +105,72 @@ func listing2SQL(attribute string, s float64) string {
 // Thresholds runs the Listing 2 query and returns every threshold for the
 // attribute, with value = mean + s·stdv.
 func (ts *ThresholdStore) Thresholds(attribute string, s float64) ([]Threshold, error) {
-	rows, err := ts.query(listing2SQL(attribute, s))
+	ths, _, err := ts.thresholds(listing2SQL(attribute, s))
+	return ths, err
+}
+
+// thresholds runs a Listing 2 query and returns its thresholds and the
+// version of the statistics table they were read from.
+func (ts *ThresholdStore) thresholds(sql string) ([]Threshold, uint64, error) {
+	rows, version, err := ts.query(sql)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	out := make([]Threshold, 0, len(rows))
 	for _, r := range rows {
 		th, err := rowToThreshold(r)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		out = append(out, th)
 	}
-	return out, nil
+	return out, version, nil
+}
+
+// thresholdColumns are the columns of a thresholds table, the first three
+// its key: the fields Listing 1 reads of its thresholds stream.
+var thresholdColumns = []string{"location", "hour", "day", "value"}
+
+// ThresholdTable returns the attribute's thresholds at sensitivity s as a
+// table over the columns location, hour, day (its key) and value: one row
+// per threshold, in the order Thresholds returns them. The table is built once per version of the
+// attribute's statistics table — a Put, or any write through DB, makes the
+// next call build a new one — and every caller until then gets the same
+// immutable *cep.Table, which any number of engines may register.
+func (ts *ThresholdStore) ThresholdTable(attribute string, s float64) (*cep.Table, error) {
+	sql := listing2SQL(attribute, s)
+	ts.mu.Lock()
+	tt := ts.tables[sql]
+	if tt == nil {
+		tt = &thresholdTable{}
+		ts.tables[sql] = tt
+	}
+	ts.mu.Unlock()
+
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	if tt.table != nil && tt.version == ts.db.version(statTable(attribute)) {
+		return tt.table, nil
+	}
+	ths, version, err := ts.thresholds(sql)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]map[string]cep.Value, len(ths))
+	for i, th := range ths {
+		rows[i] = map[string]cep.Value{
+			"location": th.Location,
+			"hour":     float64(th.Hour),
+			"day":      th.Day.String(),
+			"value":    th.Value,
+		}
+	}
+	t, err := cep.NewTable(thresholdColumns, 3, rows)
+	if err != nil {
+		return nil, err
+	}
+	tt.version, tt.table = version, t
+	return t, nil
 }
 
 // Lookup resolves the threshold for one (location, hour, day), issuing a
@@ -112,7 +179,7 @@ func (ts *ThresholdStore) Thresholds(attribute string, s float64) ([]Threshold, 
 func (ts *ThresholdStore) Lookup(attribute, location string, hour int, day busdata.DayType, s float64) (float64, bool, error) {
 	sql := listing2SQL(attribute, s) +
 		fmt.Sprintf(` WHERE areaId1 = '%s' AND currentHour = %d AND dateType = '%s'`, location, hour, day)
-	rows, err := ts.query(sql)
+	rows, _, err := ts.query(sql)
 	if err != nil {
 		return 0, false, err
 	}
@@ -126,11 +193,12 @@ func (ts *ThresholdStore) Lookup(attribute, location string, hour int, day busda
 	return v, true, nil
 }
 
-// query runs sql through its cached compiled form; safe for concurrent use.
-func (ts *ThresholdStore) query(sql string) ([]Row, error) {
+// query runs sql through its cached compiled form, and returns the version
+// of the table it read; safe for concurrent use.
+func (ts *ThresholdStore) query(sql string) ([]Row, uint64, error) {
 	cq, err := ts.cached(sql)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
