@@ -162,48 +162,19 @@ func BenchmarkFigure9_RegressionModel(b *testing.B) {
 // --- Figure 10: threshold retrieval strategies ---
 
 // BenchmarkFigure10_ThresholdRetrieval measures per-tuple latency of each
-// strategy on the live engine; ns/op is the figure's y-axis.
+// strategy on the live engine, set up as Figure 10 is; ns/op is the
+// figure's y-axis.
 func BenchmarkFigure10_ThresholdRetrieval(b *testing.B) {
+	const locations = 32
 	for _, strat := range experiments.Strategies {
 		b.Run(strat.String(), func(b *testing.B) {
-			db := sqlstore.NewDB()
-			store, err := sqlstore.NewThresholdStore(db)
+			eng, err := experiments.NewFigure10Engine(strat, locations)
 			if err != nil {
-				b.Fatal(err)
-			}
-			var stats []sqlstore.StatRow
-			for loc := 0; loc < 32; loc++ {
-				for h := 0; h < 24; h++ {
-					for _, day := range []busdata.DayType{busdata.Weekday, busdata.Weekend} {
-						stats = append(stats, sqlstore.StatRow{
-							Attribute: busdata.AttrDelay, Location: fmt.Sprintf("area%03d", loc),
-							Hour: h, Day: day, Mean: 1e12, Stdv: 0,
-						})
-					}
-				}
-			}
-			if err := store.Put(stats); err != nil {
-				b.Fatal(err)
-			}
-			eng := cep.New()
-			rule := core.Rule{
-				Name: "fig10", Attribute: busdata.AttrDelay,
-				Kind: core.QuadtreeLayer, Layer: 2, Window: 10, Sensitivity: 1,
-			}
-			if _, err := core.InstallRule(eng, rule, core.InstallOptions{
-				Strategy: strat, Store: store, StaticThreshold: 1e12,
-			}); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				err := eng.SendEvent(core.BusStream, map[string]cep.Value{
-					rule.LocationField(): fmt.Sprintf("area%03d", i%32),
-					"hour":               float64(i % 24),
-					"day":                busdata.Weekday.String(),
-					busdata.AttrDelay:    float64(i % 300),
-				})
-				if err != nil {
+				if err := eng.SendEvent(core.BusStream, experiments.Figure10Event(i, locations)); err != nil {
 					b.Fatal(err)
 				}
 			}

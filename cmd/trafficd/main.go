@@ -276,8 +276,9 @@ func run(opt options) error {
 	// locations into the rebalancer's rate estimators; every interval, when
 	// max/mean per-engine rate crosses the skew trigger, Algorithm 1 re-runs
 	// on the live snapshot and the routing table is swapped atomically; the
-	// splitter then hands ownership over on its edges, and each engine loads
-	// the thresholds of the locations it gains as it takes them over.
+	// splitter then hands ownership over on its edges. Each engine takes the
+	// locations it gains over with nothing to load: every rule's thresholds
+	// table holds every location.
 	var peers []string
 	if opt.workerPeers != "" {
 		peers = strings.Split(opt.workerPeers, ",")
@@ -307,7 +308,7 @@ func run(opt options) error {
 		var installs []*core.InstalledRule
 		for _, r := range rules {
 			inst, err := core.InstallRule(eng, r, core.InstallOptions{
-				Strategy: core.StrategyStream, Store: store, Locations: routing.Locations(r.LocationField(), task),
+				Store: store, Locations: routing.Locations(r.LocationField(), task),
 			})
 			if err != nil {
 				return nil, err

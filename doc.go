@@ -21,12 +21,13 @@
 //   - internal/core — the paper's contributions: the generic rule template,
 //     the latency estimation model (regression Functions 1–3), the rule
 //     partitioning (Algorithm 1) and rules allocation (Algorithm 2)
-//     components, the three threshold retrieval strategies, the dynamic
-//     thresholds loop over in-stream statistics partials, and the Figure 8
-//     topology;
+//     components, rule installation over a shared thresholds table, the
+//     dynamic thresholds loop over in-stream statistics partials, and the
+//     Figure 8 topology;
 //   - internal/cluster + internal/experiments — the calibrated cluster
 //     model and the harness that regenerates every table and figure of the
-//     paper's evaluation.
+//     paper's evaluation, Figure 10's baseline threshold strategies among
+//     them.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the paper-vs-measured comparison. The benchmarks in

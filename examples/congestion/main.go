@@ -124,7 +124,7 @@ func run() error {
 			var out []*core.InstalledRule
 			for _, rule := range rules {
 				inst, err := core.InstallRule(eng, rule, core.InstallOptions{
-					Strategy: core.StrategyStream, Store: store, Locations: locs,
+					Store: store, Locations: locs,
 				})
 				if err != nil {
 					return nil, err

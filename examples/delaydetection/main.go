@@ -84,7 +84,7 @@ func run() error {
 		Kind: core.QuadtreeLayer, Layer: 0, Window: 3, Sensitivity: 1,
 	}
 	inst, err := core.InstallRule(eng, rule, core.InstallOptions{
-		Strategy: core.StrategyStream, Store: store,
+		Store: store,
 	})
 	if err != nil {
 		return err

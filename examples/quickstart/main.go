@@ -95,7 +95,7 @@ func run() error {
 		DB:      db,
 		EngineSetup: func(_ int, eng *cep.Engine) ([]*core.InstalledRule, error) {
 			inst, err := core.InstallRule(eng, rule, core.InstallOptions{
-				Strategy: core.StrategyStream, Store: store,
+				Store: store,
 			})
 			if err != nil {
 				return nil, err

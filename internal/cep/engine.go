@@ -213,19 +213,62 @@ func (e *Engine) Own(stream, field string, keys ...string) []string {
 }
 
 // Disown removes keys from the owned-key set for field of stream and returns
-// how many keys it still holds. What the restricted statements' windows hold
-// for a removed key stays there.
+// how many keys it still holds. The statements restricted to the set forget
+// what they windowed for a removed key in their group windows keyed on
+// field, so that a key gained again starts empty there, as a first gain
+// does (see dropGroups). Their other windows, and every unrestricted
+// statement's, keep their contents.
 func (e *Engine) Disown(stream, field string, keys ...string) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	o := e.ownedSet(stream, field)
+	var released []*entry
 	for _, k := range keys {
 		if en := o.entries[k]; en != nil && en.owned {
 			en.owned = false
 			o.owns--
+			released = append(released, en)
 		}
 	}
+	e.dropGroups(o, released)
 	return o.owns
+}
+
+// dropGroups removes the groups of released entries of owned-key set o from
+// every evicting group window keyed on o's field of a view restricted to o,
+// and shrinks the window by what they held. Each statement reading such a
+// window first retracts what the groups' value rings recorded from the
+// accumulators they went into, where those are kept by join key outside
+// the group (a key-aligned item's accumulator goes with its group). Called
+// with the engine lock held.
+func (e *Engine) dropGroups(o *keyIndex, released []*entry) {
+	var wins []*groupWin
+	for _, st := range e.stmts {
+		for _, ip := range st.inc.items {
+			if st.owned != o || ip == nil || ip.gw == nil || ip.gw.ki != o {
+				continue
+			}
+			for _, en := range released {
+				if g := en.group(ip.gw.num); g != nil {
+					ga, k := &g.accs[ip.sub], len(ip.cells)
+					for pos, acc := range ga.to {
+						st.inc.retract(ip, acc, ga.cells[pos*k:(pos+1)*k])
+					}
+				}
+			}
+			if !slices.Contains(wins, ip.gw) {
+				wins = append(wins, ip.gw)
+			}
+		}
+	}
+	for _, gw := range wins {
+		for _, en := range released {
+			if g := en.group(gw.num); g != nil {
+				gw.total -= g.win.count
+				en.groups[gw.num] = nil
+			}
+		}
+	}
 }
 
 // Owned returns a copy of the owned-key set for field of stream.

@@ -19,7 +19,7 @@ import (
 // over TCP, every location starts on one engine, and one skew check run
 // from the test goroutine must fix the skew mid-feed — handing ownership
 // over on the Splitter's edges, across the wire to the remote engines,
-// which load the gained locations' thresholds as they take them over —
+// which read the gained locations' thresholds from their rules' tables —
 // with the swap in before the Splitter's last tuple. With a window-1 rule
 // every tuple yields exactly one detection, so the distributed rebalanced
 // run must produce the identical detection multiset to a single-process
@@ -93,7 +93,7 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 			if len(locs) == 0 {
 				return nil, nil
 			}
-			inst, err := InstallRule(eng, rule, InstallOptions{Strategy: StrategyStream, Store: storeA, Locations: locs})
+			inst, err := InstallRule(eng, rule, InstallOptions{Store: storeA, Locations: locs})
 			if err != nil {
 				return nil, err
 			}
@@ -174,7 +174,7 @@ func TestDistributedRebalanceNoDetectionLoss(t *testing.T) {
 				if task == 0 {
 					locs = allLocs
 				}
-				inst, err := InstallRule(eng, rule, InstallOptions{Strategy: StrategyStream, Store: store, Locations: locs})
+				inst, err := InstallRule(eng, rule, InstallOptions{Store: store, Locations: locs})
 				if err != nil {
 					return nil, err
 				}

@@ -160,7 +160,7 @@ func TestDynamicManagerEndToEnd(t *testing.T) {
 	}
 	eng := cep.New()
 	rule := Rule{Name: "dyn", Attribute: busdata.AttrDelay, Kind: QuadtreeLayer, Layer: 0, Window: 1, Sensitivity: 1}
-	inst, err := InstallRule(eng, rule, InstallOptions{Strategy: StrategyStream, Store: store})
+	inst, err := InstallRule(eng, rule, InstallOptions{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestDynamicRefreshKeepsWindows(t *testing.T) {
 		insts := make([]*InstalledRule, len(engs))
 		outs := make([][]cep.Output, len(engs))
 		for e, eng := range engs {
-			inst, err := InstallRule(eng, delayRule(10), InstallOptions{Strategy: StrategyStream, Store: store, Locations: locs})
+			inst, err := InstallRule(eng, delayRule(10), InstallOptions{Store: store, Locations: locs})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -126,14 +126,14 @@ func testOwnedLocations(t *testing.T, rng *rand.Rand, rules []Rule) {
 		for _, r := range rules {
 			locs := table.Locations(r.LocationField(), e)
 			inst, err := InstallRule(product[e], r, InstallOptions{
-				Strategy: StrategyStream, Store: store, Locations: locs,
+				Store: store, Locations: locs,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			inst.AddListener(record(owned, e))
-			if len(inst.Statements) != 1 {
-				t.Fatalf("rule %s installed as %v", r.Name, inst.Statements)
+			if inst.Statement.Name != r.Name {
+				t.Fatalf("rule %s installed as %s", r.Name, inst.Statement.Name)
 			}
 			st, err := reference[e].AddStatement(r.Name, r.StreamEPL())
 			if err != nil {
@@ -208,7 +208,7 @@ func testOwnedLocations(t *testing.T, rng *rand.Rand, rules []Rule) {
 // its thresholds stream, in the store's order: what an engine with no
 // thresholds table registered joins as a win:keepall() stream.
 func feedThresholdStream(eng *cep.Engine, r Rule, store *sqlstore.ThresholdStore, locations map[string]bool) error {
-	ths, err := ruleThresholds(store, r)
+	ths, err := store.Thresholds(r.Attribute, r.Sensitivity)
 	if err != nil {
 		return err
 	}

@@ -145,7 +145,7 @@ func (r *payloadRig) engineSetup(store *sqlstore.ThresholdStore, extra func(task
 			if len(locs) == 0 {
 				continue
 			}
-			inst, err := InstallRule(eng, rule, InstallOptions{Strategy: StrategyStream, Store: store, Locations: locs})
+			inst, err := InstallRule(eng, rule, InstallOptions{Store: store, Locations: locs})
 			if err != nil {
 				return nil, err
 			}

@@ -117,7 +117,7 @@ func TestFullPaperPipeline(t *testing.T) {
 					locs = stopLocs
 				}
 				inst, err := InstallRule(eng, r, InstallOptions{
-					Strategy: StrategyStream, Store: store, Locations: locs,
+					Store: store, Locations: locs,
 				})
 				if err != nil {
 					return nil, err

@@ -20,8 +20,9 @@ import (
 // Readers never block and never see a half-built table. The ownership
 // change travels with the data: the Splitter sends it to each affected
 // engine ahead of the first tuple it routes under the new table
-// (splitterBolt.handOver), and the engine loads the thresholds of what it
-// gains as it applies it (esperBolt.own).
+// (splitterBolt.handOver), and the engine applies it to its owned-key sets
+// (esperBolt.own). Nothing is loaded: every rule's thresholds table holds
+// every location.
 
 // Keys of an ownership tuple, the one kind of tuple on the Splitter's routed
 // edge that is not a trace: the location field, and the locations of it the
@@ -83,13 +84,15 @@ type RebalancerConfig struct {
 // locations it owns, so a migration never compiles or removes a statement.
 // The Splitter, the one task that routes, notices the new table on its next
 // tuple and hands ownership over on the same edges the rows travel (see
-// splitterBolt.handOver); the gaining engine loads the gained locations'
-// thresholds while it applies the ownership tuple, before its next row. So
-// per-edge FIFO makes the change exact: every row routed under the old
-// table is evaluated by the old owners, every row routed under the new one
-// by the new owners, with their thresholds in place. Under an ack mode a
-// replay of a pre-swap tuple re-routes through the new table. Ownership and
-// window contents are not part of an epoch checkpoint.
+// splitterBolt.handOver); every rule's thresholds table holds every
+// location, so a gaining engine has the gained locations' thresholds
+// already. So per-edge FIFO makes the change exact: every row routed under
+// the old table is evaluated by the old owners, every row routed under the
+// new one by the new owners, with their thresholds in place. A losing
+// engine's rules forget what they windowed of a lost location
+// (cep.Engine.Disown), so a location that comes back starts empty. Under an
+// ack mode a replay of a pre-swap tuple re-routes through the new table.
+// Ownership and window contents are not part of an epoch checkpoint.
 type Rebalancer struct {
 	// table is the installed routing table. The Splitter loads it on every
 	// tuple; a cycle swaps in a freshly built one. An installed table is

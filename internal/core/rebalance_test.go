@@ -362,7 +362,7 @@ func TestEsperBoltOwnershipLoadsThresholds(t *testing.T) {
 	store := newStore(t)
 	rule := delayRule(1)
 	bolt := &esperBolt{engines: 1, setup: func(_ int, eng *cep.Engine) ([]*InstalledRule, error) {
-		inst, err := InstallRule(eng, rule, InstallOptions{Strategy: StrategyStream, Store: store, Locations: map[string]bool{}})
+		inst, err := InstallRule(eng, rule, InstallOptions{Store: store, Locations: map[string]bool{}})
 		if err != nil {
 			return nil, err
 		}
@@ -446,7 +446,8 @@ func (c *emitRecorder) EmitDirect(_ string, _ int, values map[string]any) { c.Em
 // (stopDelay + stopActual), where engine 1 starts out serving two stops that
 // have thresholds for delay only — every engine still installs both rules
 // at start, so the two share their lastevent and groupwin(stopId) views on
-// every engine, and the migration only loads stopActual thresholds there;
+// every engine, and the stopActual thresholds of the stops engine 1 gains
+// are in its table from the start;
 // and one rule on each field (stopDelay + leafDelay) with the skew on leaves
 // only. A trace then reaches the engine of its stop and the engine of its
 // leaf, so a moved leaf still arrives at its old engine through the stop
@@ -610,7 +611,7 @@ func testMigrationNoDetectionLoss(t *testing.T, build func(*TrafficConfig, *stor
 			var installs []*InstalledRule
 			for _, r := range rules {
 				inst, err := InstallRule(eng, r, InstallOptions{
-					Strategy: StrategyStream, Store: store, Locations: table.Locations(r.LocationField(), task),
+					Store: store, Locations: table.Locations(r.LocationField(), task),
 				})
 				if err != nil {
 					return nil, err

@@ -2,9 +2,10 @@
 // substrates: the generic rule template of §3.3 compiled to EPL, the latency
 // estimation model of §4.1.4 (regression Functions 1–3), the rule
 // partitioning algorithm of §4.2.1 (Algorithm 1), the rules allocation
-// algorithm of §4.2.2 (Algorithm 2), the three threshold retrieval
-// strategies of §4.3.1, the dynamic-thresholds batch loop of §4.1.3, and the
-// Figure 8 traffic-monitoring topology.
+// algorithm of §4.2.2 (Algorithm 2), the threshold retrieval the paper
+// adopts in §4.3.1 (Listing 1 over a shared thresholds table; Figure 10's
+// three baselines are internal/experiments'), the dynamic-thresholds batch
+// loop of §4.1.3, and the Figure 8 traffic-monitoring topology.
 package core
 
 import (
@@ -106,7 +107,7 @@ func (r Rule) LocationField() string {
 }
 
 // ThresholdStream is the per-rule Esper stream name carrying this rule's
-// thresholds under the stream-fed retrieval strategy.
+// thresholds: the name its thresholds table is registered under.
 func (r Rule) ThresholdStream() string {
 	return "thresholds_" + sanitize(r.Name)
 }
@@ -139,47 +140,4 @@ WHERE bd.hour = thresholds.hour AND bd.day = thresholds.day
 GROUP BY bd2.%[1]s
 HAVING avg(bd2.%[2]s) > avg(thresholds.value)`,
 		loc, r.Attribute, BusStream, r.Window, r.ThresholdStream())
-}
-
-// StaticEPL renders the rule with a fixed literal threshold — the paper's
-// "Optimal" baseline where no threshold retrieval happens at all. As in
-// Listing 1, the last-event item restricts evaluation to the arriving
-// tuple's location group.
-func (r Rule) StaticEPL(threshold float64) string {
-	loc := r.LocationField()
-	return fmt.Sprintf(`SELECT bd2.%[1]s AS location, avg(bd2.%[2]s) AS observed
-FROM %[3]s.std:lastevent() AS bd,
-     %[3]s.std:groupwin(%[1]s).win:length(%[4]d) AS bd2
-WHERE bd.%[1]s = bd2.%[1]s
-GROUP BY bd2.%[1]s
-HAVING avg(bd2.%[2]s) > %[5]g`,
-		loc, r.Attribute, BusStream, r.Window, threshold)
-}
-
-// JoinDBEPL renders the rule with a per-tuple database lookup — the
-// "Join with Database" strategy of §4.3.1. The db_threshold scalar function
-// must be registered on the engine (InstallRule does this).
-func (r Rule) JoinDBEPL() string {
-	loc := r.LocationField()
-	return fmt.Sprintf(`SELECT bd2.%[1]s AS location, avg(bd2.%[2]s) AS observed
-FROM %[3]s.std:lastevent() AS bd,
-     %[3]s.std:groupwin(%[1]s).win:length(%[4]d) AS bd2
-WHERE bd.%[1]s = bd2.%[1]s
-GROUP BY bd2.%[1]s
-HAVING avg(bd2.%[2]s) > db_threshold('%[2]s', bd.%[1]s, bd.hour, bd.day, %[5]g)`,
-		loc, r.Attribute, BusStream, r.Window, r.Sensitivity)
-}
-
-// PerLocationEPL renders one statement of the "Create Multiple Rules"
-// strategy (§4.3.1): the threshold for one concrete (location, hour, day)
-// combination is inlined as a literal.
-func (r Rule) PerLocationEPL(location string, hour int, day busdata.DayType, threshold float64) string {
-	loc := r.LocationField()
-	return fmt.Sprintf(`SELECT bd2.%[1]s AS location, avg(bd2.%[2]s) AS observed
-FROM %[3]s.std:lastevent() AS bd,
-     %[3]s.std:groupwin(%[1]s).win:length(%[4]d) AS bd2
-WHERE bd.%[1]s = '%[5]s' AND bd.hour = %[6]d AND bd.day = '%[7]s' AND bd.%[1]s = bd2.%[1]s
-GROUP BY bd2.%[1]s
-HAVING avg(bd2.%[2]s) > %[8]g`,
-		loc, r.Attribute, BusStream, r.Window, location, hour, day, threshold)
 }

@@ -73,7 +73,7 @@ func installShared(store *sqlstore.ThresholdStore, eng *cep.Engine, e int, rules
 		for i := e; i < 8; i += sharedEngines {
 			locs[fmt.Sprintf("%s%d", prefix, i)] = true
 		}
-		inst, err := InstallRule(eng, r, InstallOptions{Strategy: StrategyStream, Store: store, Locations: locs})
+		inst, err := InstallRule(eng, r, InstallOptions{Store: store, Locations: locs})
 		if err != nil {
 			return nil, err
 		}

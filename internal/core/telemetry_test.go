@@ -84,7 +84,7 @@ func TestTrafficTopologyTelemetry(t *testing.T) {
 			var installs []*InstalledRule
 			for _, r := range rules {
 				inst, err := InstallRule(eng, r, InstallOptions{
-					Strategy: StrategyStream, Store: store, Locations: routing.Locations(r.LocationField(), taskIndex),
+					Store: store, Locations: routing.Locations(r.LocationField(), taskIndex),
 				})
 				if err != nil {
 					return nil, err

@@ -189,7 +189,8 @@ type TrafficConfig struct {
 	// then run one task, reads the rebalancer's current table (Table,
 	// seeded from its initial one), feeds observed locations into its rate
 	// estimators and hands ownership over on a swap. A migration installs
-	// no rule: an engine that gains locations loads their thresholds into
+	// no rule and loads nothing: every rule's thresholds table holds every
+	// location, so an engine that gains locations has their thresholds in
 	// the rules it already has. So EngineSetup must install every rule on
 	// every engine, restricted to the locations the initial table routes
 	// there (RoutingTable.Locations; possibly none). Routing must be nil or
@@ -731,7 +732,7 @@ func (b *esperBolt) Execute(t storm.Tuple, col storm.Collector) error {
 // own applies an ownership tuple (splitterBolt.handOver): from the next row
 // on, the engine's rules on field window and evaluate what it owns now. A
 // gained location needs nothing loaded: the rules' thresholds tables hold
-// every location.
+// every location. A lost one's window contents are dropped.
 func (b *esperBolt) own(field string, values map[string]any) {
 	gained, _ := values[ownGained].([]string)
 	lost, _ := values[ownLost].([]string)

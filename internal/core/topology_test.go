@@ -162,7 +162,7 @@ func TestTrafficTopologyEndToEnd(t *testing.T) {
 				locs[r.Location] = true
 			}
 			inst, err := InstallRule(eng, rule, InstallOptions{
-				Strategy: StrategyStream, Store: store, Locations: locs,
+				Store: store, Locations: locs,
 			})
 			if err != nil {
 				return nil, err

@@ -143,58 +143,6 @@ func Figure9(pairSamples, eventsPerSample int) (Fig9Result, error) {
 // fig9Repeats is how many sweeps Figure9 keeps the fastest of.
 const fig9Repeats = 9
 
-// Fig10Row is one time-window sample of Figure 10: per-strategy mean
-// latency in milliseconds.
-type Fig10Row struct {
-	Window    int
-	LatencyMs map[core.ThresholdStrategy]float64
-}
-
-// Fig10Result holds the threshold-retrieval comparison of Figure 10.
-type Fig10Result struct {
-	Rows []Fig10Row
-	// Mean per-tuple latency over the whole run per strategy.
-	Mean map[core.ThresholdStrategy]float64
-}
-
-// Strategies lists the Figure 10 strategies in plot order.
-var Strategies = []core.ThresholdStrategy{
-	core.StrategyJoinDB, core.StrategyManyRules, core.StrategyStream, core.StrategyStatic,
-}
-
-// Figure10 measures the three threshold-retrieval strategies plus the
-// static-threshold optimum on the live engine: one rule over `locations`
-// areas, thresholds for every (hour, day type), `events` tuples split into
-// `windows` reporting windows (the paper samples every 40 s).
-func Figure10(locations, events, windows int) (Fig10Result, error) {
-	if locations <= 0 {
-		locations = 32
-	}
-	if events <= 0 {
-		events = 4000
-	}
-	if windows <= 0 {
-		windows = 8
-	}
-	res := Fig10Result{Mean: make(map[core.ThresholdStrategy]float64)}
-	res.Rows = make([]Fig10Row, windows)
-	for i := range res.Rows {
-		res.Rows[i] = Fig10Row{Window: i, LatencyMs: make(map[core.ThresholdStrategy]float64)}
-	}
-
-	for _, strat := range Strategies {
-		rows, mean, err := measureStrategy(strat, locations, events, windows)
-		if err != nil {
-			return Fig10Result{}, err
-		}
-		for i, ms := range rows {
-			res.Rows[i].LatencyMs[strat] = ms
-		}
-		res.Mean[strat] = mean
-	}
-	return res, nil
-}
-
 // Fig11Result holds the allocation comparison (Figure 11).
 type Fig11Result struct {
 	ProposedW1, ProposedW2     Series

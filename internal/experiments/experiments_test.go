@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"trafficcep/internal/core"
 )
 
 func TestDataset(t *testing.T) {
@@ -55,10 +53,10 @@ func TestFigure10StrategyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinDB := res.Mean[core.StrategyJoinDB]
-	many := res.Mean[core.StrategyManyRules]
-	stream := res.Mean[core.StrategyStream]
-	static := res.Mean[core.StrategyStatic]
+	joinDB := res.Mean[StrategyJoinDB]
+	many := res.Mean[StrategyManyRules]
+	stream := res.Mean[StrategyStream]
+	static := res.Mean[StrategyStatic]
 	// Figure 10's ordering: join-with-SQL far above the rest; many-rules
 	// above the stream approach; stream close to the no-retrieval optimum.
 	if joinDB < 2*stream {

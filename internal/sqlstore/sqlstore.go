@@ -32,6 +32,9 @@ type Table struct {
 	// batch refreshes from the batch layer stay O(1) per row.
 	indexCols []string
 	index     map[string]int
+	// keyBuf and keyVals are the scratch of appendKey.
+	keyBuf  []byte
+	keyVals []any
 
 	// version is the DB's write sequence number at the table's creation or
 	// last write (DB.version).
@@ -150,17 +153,23 @@ func (db *DB) Insert(table string, row Row) error {
 	return nil
 }
 
-// Upsert replaces the row whose key columns match, or inserts a new row.
-// Used by the batch layer to refresh statistics without unbounded growth.
-func (db *DB) Upsert(table string, keyCols []string, row Row) error {
+// Upsert writes rows, each replacing the row whose key columns match or
+// inserted as a new one, under one lock and one version stamp: the batch
+// layer refreshes a statistics table in one call without unbounded growth.
+// A row with an unknown column fails the call before anything is written.
+// The table keeps the row maps, so the caller must not write to them after
+// the call.
+func (db *DB) Upsert(table string, keyCols []string, rows ...Row) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	t, ok := db.tables[table]
 	if !ok {
 		return fmt.Errorf("sqlstore: no table %q", table)
 	}
-	if err := t.checkColumns(row); err != nil {
-		return err
+	for _, row := range rows {
+		if err := t.checkColumns(row); err != nil {
+			return err
+		}
 	}
 	for _, k := range keyCols {
 		if !t.colSet[k] {
@@ -171,13 +180,15 @@ func (db *DB) Upsert(table string, keyCols []string, row Row) error {
 		t.rebuildIndex(keyCols)
 	}
 	db.wrote(t)
-	key := t.keyOf(row)
-	if i, ok := t.index[key]; ok {
-		t.rows[i] = cloneRow(row)
-		return nil
+	for _, row := range rows {
+		t.keyBuf = t.appendKey(t.keyBuf[:0], row)
+		if i, ok := t.index[string(t.keyBuf)]; ok {
+			t.rows[i] = row
+			continue
+		}
+		t.index[string(t.keyBuf)] = len(t.rows)
+		t.rows = append(t.rows, row)
 	}
-	t.index[key] = len(t.rows)
-	t.rows = append(t.rows, cloneRow(row))
 	return nil
 }
 
@@ -194,12 +205,16 @@ func sameCols(a, b []string) bool {
 }
 
 // keyOf renders the index key of a row over the table's index columns.
-func (t *Table) keyOf(row Row) string {
-	vals := make([]any, len(t.indexCols))
-	for i, k := range t.indexCols {
-		vals[i] = row[k]
+func (t *Table) keyOf(row Row) string { return string(t.appendKey(nil, row)) }
+
+// appendKey appends the index key of a row to buf. Called with the DB lock
+// held: the key's values go through the table's scratch slice.
+func (t *Table) appendKey(buf []byte, row Row) []byte {
+	t.keyVals = t.keyVals[:0]
+	for _, k := range t.indexCols {
+		t.keyVals = append(t.keyVals, row[k])
 	}
-	return string(cep.AppendKey(nil, vals...))
+	return cep.AppendKey(buf, t.keyVals...)
 }
 
 // rebuildIndex re-keys every row on the new key columns. Called with the

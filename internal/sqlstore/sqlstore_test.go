@@ -716,3 +716,65 @@ func TestThresholdTableConcurrentCallers(t *testing.T) {
 		t.Fatalf("%d callers at once ran %d queries, want 1", len(tabs), got)
 	}
 }
+
+// TestPutOneVersionPerAttribute: a Put of every attribute's rows writes each
+// statistics table once — one new version each, four writes in all,
+// however many rows — and ThresholdTable still builds once per version.
+func TestPutOneVersionPerAttribute(t *testing.T) {
+	db := NewDB()
+	ts, err := NewThresholdStore(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(mean float64) {
+		t.Helper()
+		var rows []StatRow
+		for _, attr := range busdata.Attributes {
+			for i := 0; i < 5; i++ {
+				rows = append(rows, StatRow{Attribute: attr, Location: fmt.Sprintf("a%d", i), Hour: 8, Day: busdata.Weekday, Mean: mean, Stdv: 1})
+			}
+		}
+		before := make(map[string]uint64)
+		for _, attr := range busdata.Attributes {
+			before[attr] = db.version(statTable(attr))
+		}
+		writes := db.writes
+		if err := ts.Put(rows); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.writes - writes; got != uint64(len(busdata.Attributes)) {
+			t.Fatalf("a Put of %d rows over %d attributes made %d writes", len(rows), len(busdata.Attributes), got)
+		}
+		for _, attr := range busdata.Attributes {
+			if db.version(statTable(attr)) == before[attr] {
+				t.Fatalf("a Put left the %s version at %d", attr, before[attr])
+			}
+		}
+	}
+	tables := func(queries uint64) *cep.Table {
+		t.Helper()
+		before := db.QueriesServed()
+		var first *cep.Table
+		for i := 0; i < 3; i++ {
+			tab, err := ts.ThresholdTable(busdata.AttrDelay, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = tab
+			} else if tab != first {
+				t.Fatal("a second call with no write built another table")
+			}
+		}
+		if got := db.QueriesServed() - before; got != queries {
+			t.Fatalf("three calls ran %d queries, want %d", got, queries)
+		}
+		return first
+	}
+	put(10)
+	d1 := tables(1)
+	put(20) // every row replaced, none added
+	if d2 := tables(1); d2 == d1 || d2.Len() != 5 {
+		t.Fatalf("the second Put did not make one new table of 5 rows")
+	}
+}

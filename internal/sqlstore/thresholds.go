@@ -75,24 +75,34 @@ func NewThresholdStore(db *DB) (*ThresholdStore, error) {
 	return ts, nil
 }
 
-// Put upserts statistics rows keyed by (location, hour, day).
+// Put upserts statistics rows keyed by (location, hour, day), one DB write
+// per attribute: each statistics table gets one new version however many
+// of its rows the call writes.
 func (ts *ThresholdStore) Put(rows []StatRow) error {
+	var attrs []string // in order of first appearance
+	byAttr := make(map[string][]Row)
 	for _, r := range rows {
-		err := ts.db.Upsert(statTable(r.Attribute),
-			[]string{"areaId1", "currentHour", "dateType"},
-			Row{
-				"attr_mean":   r.Mean,
-				"attr_stdv":   r.Stdv,
-				"currentHour": float64(r.Hour),
-				"dateType":    r.Day.String(),
-				"areaId1":     r.Location,
-			})
-		if err != nil {
+		if _, seen := byAttr[r.Attribute]; !seen {
+			attrs = append(attrs, r.Attribute)
+		}
+		byAttr[r.Attribute] = append(byAttr[r.Attribute], Row{
+			"attr_mean":   r.Mean,
+			"attr_stdv":   r.Stdv,
+			"currentHour": float64(r.Hour),
+			"dateType":    r.Day.String(),
+			"areaId1":     r.Location,
+		})
+	}
+	for _, attr := range attrs {
+		if err := ts.db.Upsert(statTable(attr), statKey, byAttr[attr]...); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// statKey are the key columns of every statistics table.
+var statKey = []string{"areaId1", "currentHour", "dateType"}
 
 // listing2SQL renders the paper's Listing 2 threshold query for an attribute
 // with the sensitivity parameter s inlined.

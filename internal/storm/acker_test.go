@@ -172,7 +172,7 @@ func diffScenario(t *testing.T, batch, workers int) diffCounts {
 		WithAckTimeout(150 * time.Millisecond),
 		WithMaxRetries(1),
 		WithFailurePolicy(Degrade),
-		WithQuarantineAfter(1_000_000),
+		withQuarantineAfter(1_000_000),
 		WithBatchSize(batch),
 	}
 	res := diffCounts{Replays: 0}
@@ -340,7 +340,7 @@ func TestAckerRegisterSnapshotsBeforeDelivery(t *testing.T) {
 		WithMaxRetries(5),
 		WithAckMode(AckXOR),
 		WithFailurePolicy(Degrade),
-		WithQuarantineAfter(1_000_000),
+		withQuarantineAfter(1_000_000),
 		WithBatchSize(1),
 	)
 	if err != nil {

@@ -216,7 +216,7 @@ func TestBackpressureBlocksWithoutDrops(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := New(topo, WithChannelBuffer(1), WithBatchSize(batchSize))
+			rt, err := New(topo, withChannelBuffer(1), WithBatchSize(batchSize))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -91,7 +91,7 @@ func TestAckDirectAnchoredSpoutReplay(t *testing.T) {
 		WithAckTimeout(20*time.Millisecond),
 		WithMaxRetries(5),
 		WithFailurePolicy(Degrade),
-		WithQuarantineAfter(1000),
+		withQuarantineAfter(1000),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestAckDirectAnchoredRouterReplay(t *testing.T) {
 		WithAckTimeout(20*time.Millisecond),
 		WithMaxRetries(5),
 		WithFailurePolicy(Degrade),
-		WithQuarantineAfter(1000),
+		withQuarantineAfter(1000),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -227,7 +227,7 @@ func epochKillScenario(t *testing.T, workers int) {
 		WithEpochInterval(5 * time.Millisecond),
 		WithMaxRetries(10),
 		WithFailurePolicy(Degrade),
-		WithQuarantineAfter(1_000_000),
+		withQuarantineAfter(1_000_000),
 		WithBatchSize(8),
 	}
 	if workers <= 1 {

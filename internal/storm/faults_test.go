@@ -198,7 +198,7 @@ func TestQuarantineDegradeRoutesAround(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(topo, WithFailurePolicy(Degrade), WithQuarantineAfter(3))
+	rt, err := New(topo, WithFailurePolicy(Degrade), withQuarantineAfter(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFaultSpoutPanicQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(topo, WithFailurePolicy(Degrade), WithQuarantineAfter(3))
+	rt, err := New(topo, WithFailurePolicy(Degrade), withQuarantineAfter(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestAckReplayDeliversAfterFailure(t *testing.T) {
 		WithAckTimeout(20*time.Millisecond),
 		WithMaxRetries(5),
 		WithFailurePolicy(Degrade),
-		WithQuarantineAfter(1000), // transient failures must not quarantine
+		withQuarantineAfter(1000), // transient failures must not quarantine
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestAckExpiryDropsAfterMaxRetries(t *testing.T) {
 		WithAckTimeout(10*time.Millisecond),
 		WithMaxRetries(2),
 		WithFailurePolicy(Degrade),
-		WithQuarantineAfter(1000),
+		withQuarantineAfter(1000),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +452,7 @@ func TestAckFailAfterEmitReplays(t *testing.T) {
 				WithAckTimeout(150*time.Millisecond),
 				WithMaxRetries(retries),
 				WithFailurePolicy(Degrade),
-				WithQuarantineAfter(1_000_000),
+				withQuarantineAfter(1_000_000),
 				WithBatchSize(tc.batch),
 			)
 			if err != nil {

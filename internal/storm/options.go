@@ -12,9 +12,9 @@ import (
 // knobs never break existing callers.
 type Option func(*config)
 
-// WithChannelBuffer sets the per-executor input queue length; sends block
+// withChannelBuffer sets the per-executor input queue length; sends block
 // when full, providing backpressure.
-func WithChannelBuffer(n int) Option { return func(c *config) { c.ChannelBuffer = n } }
+func withChannelBuffer(n int) Option { return func(c *config) { c.ChannelBuffer = n } }
 
 // WithMonitorInterval enables the per-worker monitor thread reporting bolt
 // metrics every interval (the paper uses 40 s). Zero disables periodic
@@ -32,9 +32,9 @@ func WithTelemetry(reg *telemetry.Registry) Option { return func(c *config) { c.
 // repeatedly.
 func WithFailurePolicy(p FailurePolicy) Option { return func(c *config) { c.FailurePolicy = p } }
 
-// WithQuarantineAfter sets how many consecutive errors quarantine a task
+// withQuarantineAfter sets how many consecutive errors quarantine a task
 // under the Degrade policy. Defaults to 5.
-func WithQuarantineAfter(k int) Option { return func(c *config) { c.QuarantineAfter = k } }
+func withQuarantineAfter(k int) Option { return func(c *config) { c.QuarantineAfter = k } }
 
 // WithAckTimeout enables ack tracking for anchored spout emissions: a tuple
 // tree not fully processed within d — or failed at any hop — is replayed

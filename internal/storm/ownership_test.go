@@ -241,7 +241,7 @@ func TestAckerReplayArrivesAsFreshMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, err := New(topo, WithAckTimeout(50*time.Millisecond), WithMaxRetries(5),
-		WithFailurePolicy(Degrade), WithQuarantineAfter(1_000_000))
+		WithFailurePolicy(Degrade), withQuarantineAfter(1_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}

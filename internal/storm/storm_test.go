@@ -444,7 +444,7 @@ func TestAccountingReconcilesUnderInjectedErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := New(topo, WithFailurePolicy(c.policy), WithQuarantineAfter(1000))
+			rt, err := New(topo, WithFailurePolicy(c.policy), withQuarantineAfter(1000))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -565,7 +565,7 @@ func TestBackpressureSmallBuffers(t *testing.T) {
 			return nil
 		}}
 	}, 1, 1).ShuffleGrouping("m2")
-	runSimple(t, b, WithChannelBuffer(1))
+	runSimple(t, b, withChannelBuffer(1))
 	if count != 2000 {
 		t.Fatalf("count = %d, want 2000", count)
 	}

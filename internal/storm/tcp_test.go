@@ -334,7 +334,7 @@ func TestDistributedAnchoredReplayOverTCP(t *testing.T) {
 		WithAckTimeout(50*time.Millisecond),
 		WithMaxRetries(5),
 		WithFailurePolicy(Degrade),
-		WithQuarantineAfter(1000),
+		withQuarantineAfter(1000),
 	)
 	for _, p := range rig.rts[0].Placements() {
 		if want := map[string]int{"src": 0, "fan": p.TaskIndex, "flaky": 1}[p.Component]; p.Worker != want {

@@ -229,7 +229,7 @@ func TestNewOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, err := New(topo,
-		WithChannelBuffer(8),
+		withChannelBuffer(8),
 		WithMonitorInterval(0),
 		WithTelemetry(reg),
 	)
@@ -237,7 +237,7 @@ func TestNewOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rt.cfg.ChannelBuffer != 8 {
-		t.Fatalf("ChannelBuffer = %d, want 8 (WithChannelBuffer not applied)", rt.cfg.ChannelBuffer)
+		t.Fatalf("ChannelBuffer = %d, want 8 (withChannelBuffer not applied)", rt.cfg.ChannelBuffer)
 	}
 	if !rt.tracing {
 		t.Fatal("WithTelemetry must enable tracing")

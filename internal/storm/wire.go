@@ -166,14 +166,6 @@ func decodeVarint(b []byte) (int64, []byte, error) {
 	return v, b[n:], nil
 }
 
-func decodeWireString(b []byte) (string, []byte, error) {
-	n, b, err := decodeUvarint(b)
-	if err != nil || n > uint64(len(b)) {
-		return "", nil, errShortFrame
-	}
-	return string(b[:n]), b[n:], nil
-}
-
 // decodeValue decodes one tagged value, copying all memory out of b.
 // Strings — a string value, a []string's elements, a nested map's keys —
 // come from d's intern table.
@@ -364,7 +356,7 @@ func (d *frameDecoder) str(b []byte) string {
 	return d.boxed(b).(string)
 }
 
-// decodeStr is decodeWireString through the intern table.
+// decodeStr decodes a length-prefixed string through the intern table.
 func (d *frameDecoder) decodeStr(b []byte) (string, []byte, error) {
 	n, b, err := decodeUvarint(b)
 	if err != nil || n > uint64(len(b)) {
