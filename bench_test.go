@@ -64,20 +64,26 @@ func BenchmarkListing1_RuleEvaluation(b *testing.B) {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
 			eng := cep.New()
 			r := core.Rule{Name: "bench", Attribute: busdata.AttrDelay, Kind: core.QuadtreeLeaves, Window: window}
-			if _, err := eng.AddStatement("bench", r.StreamEPL()); err != nil {
-				b.Fatal(err)
-			}
-			// 24 locations × 24 hours of thresholds.
+			// A table of 24 locations × 24 hours of thresholds, registered as
+			// core.InstallRule registers a rule's.
+			var rows []map[string]cep.Value
 			for loc := 0; loc < 24; loc++ {
 				for h := 0; h < 24; h++ {
-					err := eng.SendEvent(r.ThresholdStream(), map[string]cep.Value{
+					rows = append(rows, map[string]cep.Value{
 						"location": fmt.Sprintf("a%02d", loc), "hour": float64(h),
 						"day": "weekday", "value": 1e12,
 					})
-					if err != nil {
-						b.Fatal(err)
-					}
 				}
+			}
+			tab, err := cep.NewTable([]string{"location", "hour", "day", "value"}, 3, rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.RegisterTable(r.ThresholdStream(), tab); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.AddStatement("bench", r.StreamEPL()); err != nil {
+				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

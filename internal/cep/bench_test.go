@@ -19,7 +19,17 @@ var benchSink Value
 // through eval, the tree-walking reference in oracle_test.go. One op is one
 // pass over all of them.
 func BenchmarkAblationExprCompilation(b *testing.B) {
-	st, err := New().AddStatement("abl", listing1EPL("leafArea", "delay", 10, "thresholds_abl"))
+	eng := New()
+	tab, err := NewTable([]string{"location", "hour", "day", "value"}, 3, []map[string]Value{
+		{"location": "a07", "hour": 7.0, "day": "weekday", "value": 1e12},
+	})
+	if err == nil {
+		err = eng.RegisterTable("thresholds_abl", tab)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := eng.AddStatement("abl", listing1EPL("leafArea", "delay", 10, "thresholds_abl"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,10 +38,7 @@ func BenchmarkAblationExprCompilation(b *testing.B) {
 	bus := st.engine.bind(&Event{Stream: "bus", Fields: map[string]Value{
 		"leafArea": "a07", "hour": 7.0, "day": "weekday", "delay": 42.0,
 	}})
-	thr := st.engine.bind(&Event{Stream: "thresholds_abl", Fields: map[string]Value{
-		"location": "a07", "hour": 7.0, "day": "weekday", "value": 1e12,
-	}})
-	row := []*Event{bus, bus, thr}
+	row := []*Event{bus, bus, &tab.rows[0]}
 	ctx := &evalContext{row: row, aggF: make([]float64, len(st.aggCalls)), aggNull: make([]bool, len(st.aggCalls))}
 	oracle := &oracleContext{row: row, aliasOrder: st.aliasOrder, aggs: make(map[string]Value, len(st.aggCalls))}
 	for i, call := range st.aggCalls {
@@ -71,7 +78,7 @@ func BenchmarkAblationExprCompilation(b *testing.B) {
 // value ring position a length window retracts left the cache long ago, as
 // in a city-sized run; the windows are filled before the clock starts.
 // Each rule joins 24 hours of thresholds per location, registered as a
-// table (registerThresholds). The hour changes every 3600 rows; a stop is
+// table, as core.InstallRule registers a rule's. The hour changes every 3600 rows; a stop is
 // revisited every 4096, so a stop rule's probe nearly always meets a new
 // hour and folds the table rows of it, while a leaf, revisited every 1024,
 // mostly meets the hour its entry holds. Two shapes: "all", one engine
@@ -83,23 +90,6 @@ func BenchmarkListing1_FourRules(b *testing.B) {
 	b.Run("all", func(b *testing.B) { benchFourRules(b, 1) })
 	b.Run("owned", func(b *testing.B) { benchFourRules(b, 4) })
 }
-
-// ownedAdder is the engine's owned-key API. The benchmark reaches it through
-// an interface so that scripts/bench_cep.sh can run this file against a
-// parent commit whose engine lacks it: there the owned shape installs its
-// rules unrestricted, with the same thresholds and the same rows.
-type ownedAdder interface {
-	Own(stream, field string, keys ...string) []string
-	AddOwnedStatement(name, src, stream, field string) (*Statement, error)
-}
-
-// registerThresholds, when set, registers rows as the table name with the
-// columns location, hour, day and value, keyed by the first three, as
-// core.InstallRule registers a rule's thresholds. bench_table_test.go sets
-// it; scripts/bench_cep.sh lays this file alone over a parent commit, whose
-// engine may have no tables, and there the rows are sent as a keep-all
-// stream instead.
-var registerThresholds func(eng *Engine, name string, rows []map[string]Value) error
 
 // benchFourRules runs the four-rules benchmark for one of share engines:
 // it owns stop i when i%share == 0 and leaf i when (i/share)%share == 0, so
@@ -128,51 +118,38 @@ func benchFourRules(b *testing.B, share int) {
 	}
 
 	eng := New()
-	own, _ := any(eng).(ownedAdder)
 	for _, r := range rules {
 		thr := "thresholds_" + r.name
+		// The table holds every location, as core.InstallRule's does.
 		var keys []string
+		var rows []map[string]Value
 		for loc := 0; loc < r.locs; loc++ {
 			if owns(r.loc, loc) {
 				keys = append(keys, locName(r.loc, loc))
 			}
-		}
-		// As a table, the thresholds hold every location, as
-		// core.InstallRule's do; as a stream, the engine's.
-		var rows []map[string]Value
-		for loc := 0; loc < r.locs; loc++ {
-			if registerThresholds != nil || owns(r.loc, loc) {
-				for h := 0; h < hours; h++ {
-					rows = append(rows, map[string]Value{
-						"location": locName(r.loc, loc), "hour": float64(h),
-						"day": "weekday", "value": 1e12,
-					})
-				}
+			for h := 0; h < hours; h++ {
+				rows = append(rows, map[string]Value{
+					"location": locName(r.loc, loc), "hour": float64(h),
+					"day": "weekday", "value": 1e12,
+				})
 			}
 		}
-		if registerThresholds != nil {
-			if err := registerThresholds(eng, thr, rows); err != nil {
-				b.Fatal(err)
-			}
+		tab, err := NewTable([]string{"location", "hour", "day", "value"}, 3, rows)
+		if err == nil {
+			err = eng.RegisterTable(thr, tab)
+		}
+		if err != nil {
+			b.Fatal(err)
 		}
 		src := listing1EPL(r.loc, r.attr, r.window, thr)
-		var err error
-		if share > 1 && own != nil {
-			own.Own("bus", r.loc, keys...)
-			_, err = own.AddOwnedStatement(r.name, src, "bus", r.loc)
+		if share > 1 {
+			eng.Own("bus", r.loc, keys...)
+			_, err = eng.AddOwnedStatement(r.name, src, "bus", r.loc)
 		} else {
 			_, err = eng.AddStatement(r.name, src)
 		}
 		if err != nil {
 			b.Fatal(err)
-		}
-		for _, row := range rows {
-			if registerThresholds != nil {
-				break
-			}
-			if err := eng.SendEvent(thr, row); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 

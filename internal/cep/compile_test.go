@@ -46,14 +46,19 @@ func TestUnfoldableArgumentHeldAgainstItsKey(t *testing.T) {
 		WHERE bd.loc = th.location AND bd.loc = bd2.loc
 		GROUP BY bd2.loc`
 	const errOops = `cep: statement "r": cep: aggregate avg over non-numeric value oops`
+	thr, err := NewTable([]string{"location", "value"}, 1, []map[string]Value{
+		{"location": "L1", "value": 2.0},
+		{"location": "L2", "value": 5.0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	feed := []struct {
 		stream string
 		fields map[string]Value
 		err    string
 		out    string
 	}{
-		{"thr", map[string]Value{"location": "L1", "value": 2.0}, "", ""},
-		{"thr", map[string]Value{"location": "L2", "value": 5.0}, "", ""},
 		{"bus", map[string]Value{"loc": "L1", "a": 3.0}, "", "c=n1;cur=n3;loc=sL1"},
 		{"bus", map[string]Value{"loc": "L1", "a": 4.0}, "", "c=n2;cur=f3.5;loc=sL1"},
 		{"bus", map[string]Value{"loc": "L2", "a": 6.0}, "", "c=n1;cur=n6;loc=sL2"},
@@ -66,6 +71,9 @@ func TestUnfoldableArgumentHeldAgainstItsKey(t *testing.T) {
 		{"bus", map[string]Value{"loc": "L2", "a": 9.0}, "", "c=n2;cur=f7.5;loc=sL2"},
 	}
 	rig := newOracleRig()
+	if err := rig.eng.RegisterTable("thr", thr); err != nil {
+		t.Fatal(err)
+	}
 	rig.add(t, "r", src)
 	for i, ev := range feed {
 		err := rig.send(t, i, ev.stream, ev.fields)
@@ -80,8 +88,8 @@ func TestUnfoldableArgumentHeldAgainstItsKey(t *testing.T) {
 
 // listing1EPL is the Listing-1 template rule in the text
 // core.Rule.StreamEPL renders (this package cannot import core): the
-// windowed average of attr per location loc against the thresholds fed on
-// stream thr.
+// windowed average of attr per location loc against the thresholds of the
+// table registered as thr.
 func listing1EPL(loc, attr string, window int, thr string) string {
 	return fmt.Sprintf(`SELECT bd2.%[1]s AS location, avg(bd2.%[2]s) AS observed, avg(thresholds.value) AS threshold
 FROM bus.std:lastevent() AS bd UNIDIRECTIONAL,
@@ -94,7 +102,8 @@ HAVING avg(bd2.%[2]s) > avg(thresholds.value)`, loc, attr, window, thr)
 }
 
 // listing1Scenarios are the four template rules of the shipped topology,
-// each over a feed of thresholds and enriched bus events.
+// each over a thresholds table, registered as "tab", and a feed of enriched
+// bus events.
 func listing1Scenarios() []diffScenario {
 	var out []diffScenario
 	for _, r := range []struct {
@@ -106,22 +115,26 @@ func listing1Scenarios() []diffScenario {
 		{"stopDelay", "stopId", "delay", 10},
 		{"stopActual", "stopId", "actualDelay", 10},
 	} {
-		thr := "thresholds_" + r.name
-		src := listing1EPL(r.loc, r.attr, r.window, thr)
+		src := listing1EPL(r.loc, r.attr, r.window, "tab")
 		rng := rand.New(rand.NewSource(int64(r.window) + int64(len(r.name))))
 		var feed []diffEvent
+		var rows []map[string]Value
 		for i := 0; i < 200; i++ {
 			loc := fmt.Sprintf("L%d", rng.Intn(3))
 			if i%10 == 0 {
-				feed = append(feed, diffEvent{stream: thr, fields: map[string]Value{
+				rows = append(rows, map[string]Value{
 					"location": loc, "hour": rng.Intn(2), "day": "weekday", "value": float64(rng.Intn(5)),
-				}})
+				})
 			}
 			feed = append(feed, diffEvent{stream: "bus", fields: map[string]Value{
 				r.loc: loc, "hour": rng.Intn(2), "day": "weekday", r.attr: float64(rng.Intn(9)) - 2,
 			}})
 		}
-		out = append(out, diffScenario{"Listing1/" + r.name, map[string]string{r.name: src}, feed, false, nil})
+		table, err := NewTable([]string{"location", "hour", "day", "value"}, 3, rows)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, diffScenario{"Listing1/" + r.name, map[string]string{r.name: src}, feed, false, table})
 	}
 	return out
 }
@@ -150,15 +163,21 @@ func statementExprs(st *Statement) ([]epl.Expr, []compiledExpr) {
 // differential scenario — SELECT items, WHERE conjuncts, GROUP BY keys,
 // HAVING, aggregate arguments — is compiled against the
 // statement's own bind table and aggregate slots, then evaluated by both
-// over rows assembled from the scenario's feed. Same value, and an error
-// from one exactly when from the other.
+// over rows assembled from the scenario's feed and table. Same value, and an
+// error from one exactly when from the other.
 func TestCompiledMatchesEval(t *testing.T) {
 	for _, sc := range append(listing1Scenarios(), diffScenarios()...) {
 		sc := sc
 		t.Run(sc.label, func(t *testing.T) {
 			agreed := 0
 			for name, src := range sc.stmts {
-				st, err := New().AddStatement(name, src)
+				eng := New()
+				if sc.table != nil {
+					if err := eng.RegisterTable("tab", sc.table); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st, err := eng.AddStatement(name, src)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -169,8 +188,13 @@ func TestCompiledMatchesEval(t *testing.T) {
 				ctx := &evalContext{row: row, aggF: make([]float64, n), aggNull: make([]bool, n)}
 				oracle := &oracleContext{row: row, aliasOrder: st.aliasOrder, aggs: make(map[string]Value, n)}
 				for i, ev := range sc.feed {
-					for _, idx := range st.itemsByStream[ev.stream] {
-						row[idx] = st.engine.bind(&Event{Stream: ev.stream, Fields: ev.fields})
+					for idx, it := range st.items {
+						switch {
+						case it.table != nil && it.table.cur.Len() > 0:
+							row[idx] = &it.table.cur.rows[i%it.table.cur.Len()]
+						case it.table == nil && ev.stream == st.stream:
+							row[idx] = st.engine.bind(&Event{Stream: ev.stream, Fields: ev.fields})
+						}
 					}
 					for k, call := range st.aggCalls {
 						ctx.aggF[k] = float64((i*7+k*3)%11) - 3

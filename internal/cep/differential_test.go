@@ -175,23 +175,15 @@ func runDifferential(t *testing.T, sc diffScenario) {
 	}
 }
 
-// randView generates a window view chain of the rule template.
-func randView(rng *rand.Rand) string {
-	k := 1 + rng.Intn(4)
-	switch rng.Intn(6) {
-	case 0:
-		return "std:lastevent()"
-	case 1:
-		return fmt.Sprintf("win:length(%d)", k)
-	case 2:
-		return "win:keepall()"
-	case 3:
-		return "std:groupwin(loc).std:lastevent()"
-	case 4:
-		return fmt.Sprintf("std:groupwin(loc).win:length(%d)", k)
-	default:
-		return "std:groupwin(loc).win:keepall()"
+// randView generates a window view chain of the rule template grouped on
+// field: a length of 1 to 4, or one above every feed's length, which keeps
+// every event of a group as win:keepall() would.
+func randView(rng *rand.Rand, field string) string {
+	n := 1 + rng.Intn(4)
+	if rng.Intn(3) == 0 {
+		n = 1000
 	}
+	return fmt.Sprintf("std:groupwin(%s).win:length(%d)", field, n)
 }
 
 func randAggList(rng *rand.Rand) string {
@@ -239,15 +231,17 @@ func randBusEvent(rng *rand.Rand, stream string, hostile bool) diffEvent {
 }
 
 // diffScenarios builds the randomized scenarios, the same ones on every
-// call: a trigger over grouped and ungrouped single windows, over two-window
-// joins, and the Listing-1 shape, each over an integer feed and over a
-// hostile one whose statements carry a filter that can fail.
+// call: a trigger over a window grouped by location and over one grouped by
+// a field every event shares (an ungrouped window), over two windows, the
+// Listing-1 shape over a thresholds table, a group key of many types, and
+// tables, each over an integer feed and over a hostile one whose statements
+// carry a filter that can fail.
 func diffScenarios() []diffScenario {
 	var out []diffScenario
-	busFeed := func(rng *rand.Rand, n int, hostile bool, streams ...string) []diffEvent {
+	busFeed := func(rng *rand.Rand, n int, hostile bool, stream string) []diffEvent {
 		feed := make([]diffEvent, n)
 		for i := range feed {
-			feed[i] = randBusEvent(rng, streams[rng.Intn(len(streams))], hostile)
+			feed[i] = randBusEvent(rng, stream, hostile)
 		}
 		return feed
 	}
@@ -259,9 +253,9 @@ func diffScenarios() []diffScenario {
 	}
 	kinds := []struct {
 		name  string
-		build func(rng *rand.Rand, hostile bool) (string, []diffEvent)
+		build func(rng *rand.Rand, hostile bool) (string, []diffEvent, *Table)
 	}{
-		{"GroupedSingleWindow", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
+		{"GroupedSingleWindow", func(rng *rand.Rand, hostile bool) (string, []diffEvent, *Table) {
 			where := "WHERE t.loc = w.loc"
 			if hostile || rng.Intn(2) == 0 {
 				where += " AND w.a >= 2"
@@ -271,26 +265,27 @@ func diffScenarios() []diffScenario {
 				having = fmt.Sprintf("HAVING sum(w.a) > %d", rng.Intn(8))
 			}
 			return fmt.Sprintf("SELECT w.loc AS loc, %s FROM s0.std:lastevent() AS t, s0.%s AS w %s GROUP BY w.loc %s",
-				randAggList(rng), randView(rng), where, having), busFeed(rng, 300, hostile, "s0")
+				randAggList(rng), randView(rng, "loc"), where, having), busFeed(rng, 300, hostile, "s0"), nil
 		}},
-		{"UngroupedSingleWindow", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
-			where := ""
+		// Every event's day is "wd": one group holds the whole window.
+		{"UngroupedSingleWindow", func(rng *rand.Rand, hostile bool) (string, []diffEvent, *Table) {
+			where := "WHERE t.day = w.day"
 			if hostile {
-				where = "WHERE w.a < 7"
+				where += " AND w.a < 7"
 			}
-			return fmt.Sprintf("SELECT %s FROM s0.std:lastevent() AS t, s0.%s AS w %s", randAggList(rng), randView(rng), where),
-				busFeed(rng, 300, hostile, "s0")
+			return fmt.Sprintf("SELECT %s FROM s0.std:lastevent() AS t, s0.%s AS w %s", randAggList(rng), randView(rng, "day"), where),
+				busFeed(rng, 300, hostile, "s0"), nil
 		}},
-		{"TwoWindowJoin", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
-			where := "t.loc = l.loc AND l.loc = r.loc"
+		{"TwoWindowJoin", func(rng *rand.Rand, hostile bool) (string, []diffEvent, *Table) {
+			where := "t.loc = l.loc AND t.hour = r.hour"
 			if hostile {
 				where += " AND r.a < 7"
 			}
 			return fmt.Sprintf(`SELECT l.loc AS loc, avg(r.a) AS x, count(*) AS c, sum(l.a) AS y
-				FROM s0.std:lastevent() AS t %s, s0.%s AS l, s1.%s AS r WHERE %s GROUP BY l.loc`,
-				uni(rng), randView(rng), randView(rng), where), busFeed(rng, 300, hostile, "s0", "s1")
+				FROM s0.std:lastevent() AS t %s, s0.%s AS l, s0.%s AS r WHERE %s GROUP BY l.loc`,
+				uni(rng), randView(rng, "loc"), randView(rng, "hour"), where), busFeed(rng, 300, hostile, "s0"), nil
 		}},
-		{"Listing1Shape", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
+		{"Listing1Shape", func(rng *rand.Rand, hostile bool) (string, []diffEvent, *Table) {
 			where := "bd.hour = th.hour AND bd.day = th.day AND bd.loc = th.location AND bd.loc = bd2.loc"
 			if hostile {
 				where += " AND bd2.a < 7"
@@ -298,11 +293,11 @@ func diffScenarios() []diffScenario {
 			src := fmt.Sprintf(`SELECT bd2.loc AS loc, avg(bd2.a) AS cur, avg(th.value) AS thr
 				FROM bus.std:lastevent() AS bd %s,
 				     bus.std:groupwin(loc).win:length(%d) AS bd2,
-				     thr.win:keepall() AS th
+				     tab.win:keepall() AS th
 				WHERE %s
 				GROUP BY bd2.loc
 				HAVING avg(bd2.a) > avg(th.value)`, uni(rng), 1+rng.Intn(5), where)
-			var feed []diffEvent
+			var rows []map[string]Value
 			for loc := 0; loc < 3; loc++ {
 				for h := 0; h < 3; h++ {
 					f := map[string]Value{
@@ -312,45 +307,42 @@ func diffScenarios() []diffScenario {
 					if hostile && rng.Intn(9) == 0 {
 						setHostile(rng, f, "value")
 					}
-					feed = append(feed, diffEvent{stream: "thr", fields: f})
+					rows = append(rows, f)
 				}
 			}
-			return src, append(feed, busFeed(rng, 300, hostile, "bus")...)
+			table, err := NewTable([]string{"location", "hour", "day", "value"}, 3, rows)
+			if err != nil {
+				panic(err)
+			}
+			return src, busFeed(rng, 300, hostile, "bus"), table
 		}},
 		// A group window whose key is a string on most events and a
-		// number, NaN, NULL or absent on the others: the key-index entries
-		// and the rendered-key map serve one view. The trigger reads the
-		// window's stream, or another one.
-		{"MixedGroupKeys", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
-			trig := []string{"s0", "s1"}[rng.Intn(2)]
+		// number, NaN, NULL or absent on the others: a key-index entry
+		// serves every value.
+		{"MixedGroupKeys", func(rng *rand.Rand, hostile bool) (string, []diffEvent, *Table) {
 			where := "t.loc = w.loc"
 			if hostile {
 				where += " AND w.a < 7"
 			}
-			feed := busFeed(rng, 300, hostile, "s0", "s1")
+			feed := busFeed(rng, 300, hostile, "s0")
 			for _, ev := range feed {
 				if rng.Intn(3) == 0 {
 					ev.fields["loc"] = []Value{1.0, 1, math.NaN(), nil, "x"}[rng.Intn(5)]
 				}
 			}
-			return fmt.Sprintf(`SELECT t.loc AS loc, %s FROM %s.std:lastevent() AS t %s, s0.std:groupwin(loc).%s AS w WHERE %s GROUP BY t.loc`,
-				randAggList(rng), trig, uni(rng), []string{"win:length(3)", "std:lastevent()", "win:keepall()"}[rng.Intn(3)], where), feed
+			return fmt.Sprintf(`SELECT t.loc AS loc, %s FROM s0.std:lastevent() AS t %s, s0.std:groupwin(loc).%s AS w WHERE %s GROUP BY t.loc`,
+				randAggList(rng), uni(rng), []string{"win:length(3)", "win:length(1)", "win:length(1000)"}[rng.Intn(3)], where), feed, nil
 		}},
 		// Listing 1 over a registered table: see tableScenario.
-		{"TableItem", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
-			return tableStatement(rng, hostile), tableFeed(rng, 300, hostile)
+		{"TableItem", func(rng *rand.Rand, hostile bool) (string, []diffEvent, *Table) {
+			table := randTable(rng, hostile)
+			return tableStatement(rng, hostile), tableFeed(rng, 300, hostile), table
 		}},
 		// Runs of one event sent two or three times, at one event time.
-		{"DuplicateTimestamps", func(rng *rand.Rand, hostile bool) (string, []diffEvent) {
-			var feed []diffEvent
-			base := time.Date(2013, 1, 7, 0, 0, 0, 0, time.UTC)
-			for _, ev := range tableFeed(rng, 120, hostile) {
-				ev.ts = base.Add(time.Duration(len(feed)/4) * time.Second)
-				for n := 1 + rng.Intn(3); n > 0; n-- {
-					feed = append(feed, ev)
-				}
-			}
-			return tableStatement(rng, hostile), feed
+		{"DuplicateTimestamps", func(rng *rand.Rand, hostile bool) (string, []diffEvent, *Table) {
+			table := randTable(rng, hostile)
+			feed := duplicateTimestamps(rng, tableFeed(rng, 120, hostile))
+			return tableStatement(rng, hostile), feed, table
 		}},
 	}
 	for k, kind := range kinds {
@@ -361,13 +353,23 @@ func diffScenarios() []diffScenario {
 					label, off = "Hostile/"+label, 50
 				}
 				rng := rand.New(rand.NewSource(int64(100*(k+1)) + off + seed))
-				var table *Table
-				if strings.HasPrefix(kind.name, "Table") || kind.name == "DuplicateTimestamps" {
-					table = randTable(rng, hostile)
-				}
-				src, feed := kind.build(rng, hostile)
+				src, feed, table := kind.build(rng, hostile)
 				out = append(out, diffScenario{label, map[string]string{"r": src}, feed, hostile, table})
 			}
+		}
+	}
+	return out
+}
+
+// duplicateTimestamps sends each event of feed two or three times in a
+// row, and every four sends at one event time.
+func duplicateTimestamps(rng *rand.Rand, feed []diffEvent) []diffEvent {
+	var out []diffEvent
+	base := time.Date(2013, 1, 7, 0, 0, 0, 0, time.UTC)
+	for _, ev := range feed {
+		ev.ts = base.Add(time.Duration(len(out)/4) * time.Second)
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			out = append(out, ev)
 		}
 	}
 	return out

@@ -141,8 +141,9 @@ func (e *Engine) AddStatement(name, src string) (*Statement, error) {
 // AddOwnedStatement is AddStatement for a statement restricted to the keys
 // the engine owns on field of stream (see Own): an event of stream whose
 // field holds no owned key enters none of the statement's windows and
-// triggers no evaluation. Events of the statement's other streams are not
-// restricted.
+// triggers no evaluation. Each window item of the statement must be grouped
+// on field, so that a disowned key leaves with its groups (Disown). A
+// statement reading another stream is not restricted.
 func (e *Engine) AddOwnedStatement(name, src, stream, field string) (*Statement, error) {
 	q, err := epl.Parse(src)
 	if err != nil {
@@ -171,10 +172,8 @@ func (e *Engine) register(name string, q *epl.Query, owned *keyIndex) (*Statemen
 		return nil, err
 	}
 	e.stmts[name] = st
-	for stream, items := range st.itemsByStream {
-		sch := e.schemas[stream]
-		sch.readers = append(sch.readers, reader{st, items})
-	}
+	sch := e.schemas[st.stream]
+	sch.readers = append(sch.readers, st)
 	return st, nil
 }
 
@@ -214,10 +213,10 @@ func (e *Engine) Own(stream, field string, keys ...string) []string {
 
 // Disown removes keys from the owned-key set for field of stream and returns
 // how many keys it still holds. The statements restricted to the set forget
-// what they windowed for a removed key in their group windows keyed on
-// field, so that a key gained again starts empty there, as a first gain
-// does (see dropGroups). Their other windows, and every unrestricted
-// statement's, keep their contents.
+// what they windowed for a removed key — each of their windows is grouped
+// on field — so that a key gained again starts empty, as a first gain does
+// (see dropGroups). Every unrestricted statement's windows keep their
+// contents.
 func (e *Engine) Disown(stream, field string, keys ...string) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -235,37 +234,23 @@ func (e *Engine) Disown(stream, field string, keys ...string) int {
 }
 
 // dropGroups removes the groups of released entries of owned-key set o from
-// every evicting group window keyed on o's field of a view restricted to o,
-// and shrinks the window by what they held. Each statement reading such a
-// window first retracts what the groups' value rings recorded from the
-// accumulators they went into, where those are kept by join key outside
-// the group (a key-aligned item's accumulator goes with its group). Called
-// with the engine lock held.
+// every group window keyed on o's field of a statement restricted to o, and
+// shrinks the window by what they held; an item's accumulator and value
+// ring leave with their group. Called with the engine lock held.
 func (e *Engine) dropGroups(o *keyIndex, released []*entry) {
-	var wins []*groupWin
 	for _, st := range e.stmts {
+		if st.owned != o {
+			continue
+		}
 		for _, ip := range st.inc.items {
-			if st.owned != o || ip == nil || ip.gw == nil || ip.gw.ki != o {
+			if ip == nil || ip.gw == nil || ip.gw.ki != o {
 				continue
 			}
 			for _, en := range released {
 				if g := en.group(ip.gw.num); g != nil {
-					ga, k := &g.accs[ip.sub], len(ip.cells)
-					for pos, acc := range ga.to {
-						st.inc.retract(ip, acc, ga.cells[pos*k:(pos+1)*k])
-					}
+					ip.gw.total -= g.win.count
+					en.groups[ip.gw.num] = nil
 				}
-			}
-			if !slices.Contains(wins, ip.gw) {
-				wins = append(wins, ip.gw)
-			}
-		}
-	}
-	for _, gw := range wins {
-		for _, en := range released {
-			if g := en.group(gw.num); g != nil {
-				gw.total -= g.win.count
-				en.groups[gw.num] = nil
 			}
 		}
 	}
@@ -297,10 +282,8 @@ func (e *Engine) RemoveStatement(name string) bool {
 	st.releaseViews()
 	st.inc.detach()
 	e.retired[name] = true
-	for stream := range st.itemsByStream {
-		sch := e.schemas[stream]
-		sch.readers = slices.DeleteFunc(sch.readers, func(r reader) bool { return r.st == st })
-	}
+	sch := e.schemas[st.stream]
+	sch.readers = slices.DeleteFunc(sch.readers, func(r *Statement) bool { return r == st })
 	return true
 }
 
@@ -371,16 +354,14 @@ func (e *Engine) sendEventAt(stream string, ts, start time.Time, fields map[stri
 		ev := NewEvent(stream, ts, fields)
 		sch.bind(ev)
 		for _, o := range sch.owned {
-			en := ev.ents[o.pos]
-			o.in = en != nil && en.owned
+			o.in = ev.ents[o.pos].owned
 		}
-		for _, r := range sch.readers {
-			st := r.st
+		for _, st := range sch.readers {
 			if o := st.owned; o != nil && o.stream == stream && !o.in {
 				e.eventsUnowned++
 				continue
 			}
-			if err := st.process(ev, r.items); err != nil && firstErr == nil {
+			if err := st.process(ev); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("cep: statement %q: %w", st.Name, err)
 			}
 		}

@@ -29,6 +29,19 @@ func collect(st *Statement) *[]Output {
 // of s alone.
 const lastX = `SELECT w.x AS x, count(*) AS n FROM s.std:lastevent() AS w`
 
+// register registers a table of rows over cols, the first keys of them
+// its key columns, as name.
+func register(t *testing.T, e *Engine, name string, cols []string, keys int, rows ...map[string]Value) {
+	t.Helper()
+	tab, err := NewTable(cols, keys, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterTable(name, tab); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func send(t *testing.T, e *Engine, stream string, fields map[string]Value) {
 	t.Helper()
 	if err := e.SendEvent(stream, fields); err != nil {
@@ -75,13 +88,13 @@ func TestLastEventOnlyLatest(t *testing.T) {
 
 func TestLengthWindowAvg(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT avg(w.x) AS m FROM s.std:lastevent() AS e, s.win:length(3) AS w`)
+	st, err := e.AddStatement("r", `SELECT avg(w.x) AS m FROM s.std:lastevent() AS e, s.std:groupwin(k).win:length(3) AS w WHERE e.k = w.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := collect(st)
 	for _, x := range []float64{1, 2, 3, 10} {
-		send(t, e, "s", map[string]Value{"x": x})
+		send(t, e, "s", map[string]Value{"k": "a", "x": x})
 	}
 	want := []float64{1, 1.5, 2, 5} // window slides: {1},{1,2},{1,2,3},{2,3,10}
 	if len(*got) != len(want) {
@@ -122,14 +135,14 @@ func TestGroupWinIsolatesGroups(t *testing.T) {
 func TestHavingThreshold(t *testing.T) {
 	e := New()
 	st, err := e.AddStatement("r",
-		`SELECT avg(w.x) AS m FROM s.std:lastevent() AS e, s.win:length(2) AS w HAVING avg(w.x) > 10`)
+		`SELECT avg(w.x) AS m FROM s.std:lastevent() AS e, s.std:groupwin(k).win:length(2) AS w WHERE e.k = w.k HAVING avg(w.x) > 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := collect(st)
-	send(t, e, "s", map[string]Value{"x": 5.0})
-	send(t, e, "s", map[string]Value{"x": 9.0})  // avg 7, no fire
-	send(t, e, "s", map[string]Value{"x": 20.0}) // avg 14.5, fire
+	send(t, e, "s", map[string]Value{"k": "a", "x": 5.0})
+	send(t, e, "s", map[string]Value{"k": "a", "x": 9.0})  // avg 7, no fire
+	send(t, e, "s", map[string]Value{"k": "a", "x": 20.0}) // avg 14.5, fire
 	if len(*got) != 1 {
 		t.Fatalf("outputs = %d, want 1", len(*got))
 	}
@@ -138,8 +151,12 @@ func TestHavingThreshold(t *testing.T) {
 	}
 }
 
+// TestJoinTwoStreams joins a stream with its reference data, a registered
+// table of prices.
 func TestJoinTwoStreams(t *testing.T) {
 	e := New()
+	register(t, e, "prices", []string{"sym", "price"}, 1,
+		map[string]Value{"sym": "A", "price": 10.0}, map[string]Value{"sym": "B", "price": 20.0})
 	st, err := e.AddStatement("r", `
 		SELECT o.id AS id, max(p.price) AS price
 		FROM orders.std:lastevent() AS o, prices.win:keepall() AS p
@@ -148,10 +165,7 @@ func TestJoinTwoStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := collect(st)
-	send(t, e, "prices", map[string]Value{"sym": "A", "price": 10.0})
-	send(t, e, "prices", map[string]Value{"sym": "B", "price": 20.0})
 	send(t, e, "orders", map[string]Value{"id": "o1", "sym": "B"})
-	// The price arrivals also trigger, but with no matching order yet.
 	var fired []Output
 	for _, o := range *got {
 		if o.Fields["id"] == "o1" {
@@ -166,8 +180,12 @@ func TestJoinTwoStreams(t *testing.T) {
 	}
 }
 
+// TestUnidirectionalSuppressesOtherTriggers: only the trigger's stream
+// triggers; a new version of the table it joins does not.
 func TestUnidirectionalSuppressesOtherTriggers(t *testing.T) {
 	e := New()
+	cols := []string{"sym", "price"}
+	register(t, e, "prices", cols, 1)
 	st, err := e.AddStatement("r", `
 		SELECT o.id AS id, max(p.price) AS price
 		FROM orders.std:lastevent() AS o UNIDIRECTIONAL, prices.win:keepall() AS p
@@ -177,7 +195,7 @@ func TestUnidirectionalSuppressesOtherTriggers(t *testing.T) {
 	}
 	got := collect(st)
 	send(t, e, "orders", map[string]Value{"id": "o1", "sym": "A"})
-	send(t, e, "prices", map[string]Value{"sym": "A", "price": 10.0}) // must NOT trigger
+	register(t, e, "prices", cols, 1, map[string]Value{"sym": "A", "price": 10.0}) // must NOT trigger
 	if len(*got) != 0 {
 		t.Fatalf("outputs = %d, want 0 (price arrivals must not trigger)", len(*got))
 	}
@@ -188,9 +206,13 @@ func TestUnidirectionalSuppressesOtherTriggers(t *testing.T) {
 }
 
 func TestListing1EndToEnd(t *testing.T) {
-	// The paper's generic rule template, with thresholds fed as a stream
+	// The paper's generic rule template, with its thresholds in a table
 	// (the "Add the Thresholds in an Esper stream" strategy of §4.3.1).
+	// Area X fires above 50 at hour 8 weekdays; area Y above 100.
 	e := New()
+	register(t, e, "thresholdLocation", []string{"location", "hour", "day", "attribute"}, 3,
+		map[string]Value{"location": "X", "hour": 8.0, "day": "weekday", "attribute": 50.0},
+		map[string]Value{"location": "Y", "hour": 8.0, "day": "weekday", "attribute": 100.0})
 	st, err := e.AddStatement("listing1", `
 		SELECT bd2.location AS location, avg(bd2.attribute) AS observed, avg(thresholds.attribute) AS threshold
 		FROM bus.std:lastevent() AS bd UNIDIRECTIONAL,
@@ -204,10 +226,6 @@ func TestListing1EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := collect(st)
-
-	// Load thresholds: area X fires above 50 at hour 8 weekdays; area Y above 100.
-	send(t, e, "thresholdLocation", map[string]Value{"location": "X", "hour": 8.0, "day": "weekday", "attribute": 50.0})
-	send(t, e, "thresholdLocation", map[string]Value{"location": "Y", "hour": 8.0, "day": "weekday", "attribute": 100.0})
 
 	bus := func(loc string, attr float64) {
 		send(t, e, "bus", map[string]Value{"location": loc, "hour": 8.0, "day": "weekday", "attribute": attr})
@@ -250,13 +268,13 @@ func TestAggregatesAll(t *testing.T) {
 	e := New()
 	st, err := e.AddStatement("r", `
 		SELECT sum(w.x) AS s, min(w.x) AS lo, max(w.x) AS hi, count(w.x) AS n, stddev(w.x) AS sd
-		FROM s.std:lastevent() AS e, s.win:keepall() AS w`)
+		FROM s.std:lastevent() AS e, s.std:groupwin(k).win:length(1000) AS w WHERE e.k = w.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := collect(st)
 	for _, x := range []float64{2, 4, 6} {
-		send(t, e, "s", map[string]Value{"x": x})
+		send(t, e, "s", map[string]Value{"k": "a", "x": x})
 	}
 	f := (*got)[len(*got)-1].Fields
 	if f["s"] != 12.0 || f["lo"] != 2.0 || f["hi"] != 6.0 || f["n"] != 3.0 {
@@ -270,13 +288,14 @@ func TestAggregatesAll(t *testing.T) {
 
 func TestCountStarVsCountField(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT count(*) AS all_rows, count(w.x) AS non_null FROM s.std:lastevent() AS e, s.win:keepall() AS w`)
+	st, err := e.AddStatement("r", `SELECT count(*) AS all_rows, count(w.x) AS non_null
+		FROM s.std:lastevent() AS e, s.std:groupwin(k).win:length(1000) AS w WHERE e.k = w.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := collect(st)
-	send(t, e, "s", map[string]Value{"x": 1.0})
-	send(t, e, "s", map[string]Value{"y": 2.0}) // x missing → nil
+	send(t, e, "s", map[string]Value{"k": "a", "x": 1.0})
+	send(t, e, "s", map[string]Value{"k": "a", "y": 2.0}) // x missing → nil
 	f := (*got)[len(*got)-1].Fields
 	if f["all_rows"] != 2.0 || f["non_null"] != 1.0 {
 		t.Fatalf("counts = %v", f)
@@ -479,15 +498,16 @@ func TestStatementMetrics(t *testing.T) {
 
 func TestWindowSizes(t *testing.T) {
 	e := New()
+	register(t, e, "t", []string{"k"}, 1, map[string]Value{"k": 0.0}, map[string]Value{"k": 1.0},
+		map[string]Value{"k": 2.0}, map[string]Value{"k": 3.0}, map[string]Value{"k": 4.0})
 	st, err := e.AddStatement("r", `
-		SELECT count(*) AS n FROM s.std:lastevent() AS e, s.win:length(2) AS a, t.win:keepall() AS b
-		WHERE e.k = a.k AND e.k = b.k`)
+		SELECT count(*) AS n FROM s.std:lastevent() AS e, s.std:groupwin(g).win:length(2) AS a, t.win:keepall() AS b
+		WHERE e.g = a.g AND e.k = b.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		send(t, e, "s", map[string]Value{"k": float64(i)})
-		send(t, e, "t", map[string]Value{"k": float64(i)})
+		send(t, e, "s", map[string]Value{"g": "x", "k": float64(i)})
 	}
 	sizes := st.WindowSizes()
 	if sizes["a"] != 2 || sizes["b"] != 5 {
@@ -496,15 +516,17 @@ func TestWindowSizes(t *testing.T) {
 }
 
 // TestThreeWayJoinChain: a three-way join registers when every equi-join
-// class reaches the trigger — a.k = b.k AND a.j = c.j — and fires on the
-// rows all three windows match; the chain a.k = b.k AND b.j = c.j, whose
-// second class the trigger does not reach, is refused.
+// reads the trigger — a.k = b.k AND a.j = c.j — and fires on the rows all
+// three items match; the chain a.k = b.k AND b.j = c.j, whose second join
+// the trigger does not take part in, is refused.
 func TestThreeWayJoinChain(t *testing.T) {
 	e := New()
+	register(t, e, "s2", []string{"k", "j"}, 1, map[string]Value{"k": 1.0, "j": "x"})
+	register(t, e, "s3", []string{"j", "val"}, 1, map[string]Value{"j": "x", "val": 7.0}, map[string]Value{"j": "y", "val": 8.0})
 	if _, err := e.AddStatement("chain", `
 		SELECT a.id AS id, max(c.val) AS val
 		FROM s1.std:lastevent() AS a, s2.win:keepall() AS b, s3.win:keepall() AS c
-		WHERE a.k = b.k AND b.j = c.j`); err == nil || !strings.Contains(err.Error(), "no std:lastevent() item reaches every equi-join class") {
+		WHERE a.k = b.k AND b.j = c.j`); err == nil || !strings.Contains(err.Error(), "equi-join (b.j = c.j) does not read the trigger") {
 		t.Fatalf("chain registered: err = %v", err)
 	}
 	st, err := e.AddStatement("r", `
@@ -515,9 +537,6 @@ func TestThreeWayJoinChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := collect(st)
-	send(t, e, "s2", map[string]Value{"k": 1.0})
-	send(t, e, "s3", map[string]Value{"j": "x", "val": 7.0})
-	send(t, e, "s3", map[string]Value{"j": "y", "val": 8.0})
 	send(t, e, "s1", map[string]Value{"id": "a1", "k": 1.0, "j": "x"})
 	var hits []Output
 	for _, o := range *got {
@@ -532,6 +551,7 @@ func TestThreeWayJoinChain(t *testing.T) {
 
 func TestEmptyWindowJoinNoOutput(t *testing.T) {
 	e := New()
+	register(t, e, "t", []string{"k"}, 1)
 	st, err := e.AddStatement("r", `SELECT a.k AS k, count(*) AS n FROM s.std:lastevent() AS a, t.win:keepall() AS b WHERE a.k = b.k`)
 	if err != nil {
 		t.Fatal(err)
@@ -545,7 +565,7 @@ func TestEmptyWindowJoinNoOutput(t *testing.T) {
 
 func TestConcurrentSendSafety(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT count(*) AS n FROM s.std:lastevent() AS e, s.win:keepall() AS w`)
+	st, err := e.AddStatement("r", `SELECT count(*) AS n FROM s.std:lastevent() AS e, s.std:groupwin(k).win:length(1000) AS w WHERE e.k = w.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +582,7 @@ func TestConcurrentSendSafety(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 100; i++ {
-				_ = e.SendEvent("s", map[string]Value{"x": float64(i)})
+				_ = e.SendEvent("s", map[string]Value{"k": "a", "x": float64(i)})
 			}
 		}()
 	}

@@ -25,10 +25,9 @@ type Event struct {
 	// event lacks binds nil, which is what a missing field reads as.
 	slots []Value
 	// ents holds, per key index of the stream's schema, the entry of the
-	// event's string value in that field, nil for any other value: the one
-	// lookup through which the engine reaches the location's owned bit,
-	// groups and table rows (see keyIndex). entBuf backs it for up to two
-	// indexed fields.
+	// event's value in that field: the one lookup through which the engine
+	// reaches the location's owned bit, groups and table rows (see
+	// keyIndex). entBuf backs it for up to two indexed fields.
 	ents   []*entry
 	entBuf [2]*entry
 }
@@ -51,14 +50,8 @@ type streamSchema struct {
 	// ones that are owned-key sets (Engine.Own), checked on every event.
 	keyed, owned []*keyIndex
 	// readers are the engine's statements reading the stream, in
-	// registration order, each with its FROM items over the stream.
-	readers []reader
-}
-
-// reader is a statement reading a stream through items.
-type reader struct {
-	st    *Statement
-	items []int
+	// registration order.
+	readers []*Statement
 }
 
 func newStreamSchema() *streamSchema {
@@ -87,7 +80,7 @@ func (s *streamSchema) slotsOf(fields []string) []int {
 
 // bind fills ev.slots from ev.Fields — one map lookup per referenced field,
 // on the map the caller has just built — and ev.ents, one lookup per key
-// index the event holds a string for.
+// index.
 func (s *streamSchema) bind(ev *Event) {
 	ev.slots = make([]Value, len(s.names))
 	for i, name := range s.names {
@@ -98,11 +91,7 @@ func (s *streamSchema) bind(ev *Event) {
 	}
 	ev.ents = ev.entBuf[:0]
 	for _, ki := range s.keyed {
-		var en *entry
-		if k, ok := ev.slots[ki.slot].(string); ok {
-			en = ki.entry(k)
-		}
-		ev.ents = append(ev.ents, en)
+		ev.ents = append(ev.ents, ki.entryOf(ev.slots[ki.slot]))
 	}
 }
 
@@ -116,25 +105,27 @@ func (s *streamSchema) keyIndexOf(field string) *keyIndex {
 			return ki
 		}
 	}
-	ki := &keyIndex{field: field, slot: s.slotOf(field), pos: len(s.keyed), entries: make(map[string]*entry)}
+	ki := &keyIndex{field: field, slot: s.slotOf(field), pos: len(s.keyed),
+		entries: make(map[string]*entry), others: make(map[string]*entry)}
 	s.keyed = append(s.keyed, ki)
 	return ki
 }
 
 // keyIndex is the per-location state of one field of one stream: one entry
-// per string value the field carried — in the traffic topology, per
-// location — found once per event by bind. A field gets an index when it is
-// an owned-key set's (Own, AddOwnedStatement), the single key of a
-// std:groupwin, or the trigger field joined to a table's first key column;
-// the owned test, the group window's insert and its key-aligned probe, and
-// the table probe then read the event's entry instead of hashing the value
-// again each. A value that is not a string has no entry: those paths keep
-// their rendered-key maps for it.
+// per value the field carried — in the traffic topology, per location —
+// found once per event by bind. A field gets an index when it is an
+// owned-key set's (Own, AddOwnedStatement), the key of a std:groupwin, or
+// the trigger field joined to a table's first key column; the owned test,
+// the group window's insert and the table probe then read the event's entry
+// instead of hashing the value again each. A string's entry is in entries,
+// by the string; any other value's in others, by valueKey, so that values
+// that join alike share one.
 type keyIndex struct {
 	field   string
 	slot    int // the field's slot in the stream's schema
 	pos     int // the index's position in Event.ents
 	entries map[string]*entry
+	others  map[string]*entry
 
 	// As an owned-key set: stream names the set's stream, owns counts
 	// the entries owned, and in reports whether the event being delivered
@@ -166,18 +157,17 @@ type entry struct {
 // entry's value in table version ver (found false when it has no row
 // there), and the accumulator of the rows the probe key q matched in it,
 // valid while ok. A location is probed with one hour and day for an hour on
-// end, so a probe is mostly a comparison of q; an item whose probe key has
-// more than len(q) values is folded on every probe.
+// end, so a probe is mostly a comparison of q.
 type tableProbe struct {
 	ver       *Table
 	blk       span
 	found, ok bool
-	q         [2]keyVal
+	q         []keyVal
 	acc       itemAcc
 	aggBuf    [1]aggAcc
 }
 
-// entry returns k's entry, creating it.
+// entry returns string k's entry, creating it.
 func (ki *keyIndex) entry(k string) *entry {
 	en := ki.entries[k]
 	if en == nil {
@@ -185,6 +175,30 @@ func (ki *keyIndex) entry(k string) *entry {
 		ki.entries[k] = en
 	}
 	return en
+}
+
+// entryOf returns v's entry, creating it.
+func (ki *keyIndex) entryOf(v Value) *entry {
+	if k, ok := v.(string); ok {
+		return ki.entry(k)
+	}
+	k := valueKey(v)
+	en := ki.others[k]
+	if en == nil {
+		en = &entry{}
+		ki.others[k] = en
+	}
+	return en
+}
+
+// each calls f on every entry.
+func (ki *keyIndex) each(f func(*entry)) {
+	for _, en := range ki.entries {
+		f(en)
+	}
+	for _, en := range ki.others {
+		f(en)
+	}
 }
 
 // addWin numbers a group window keyed on the index's field.
@@ -202,11 +216,11 @@ func (ki *keyIndex) addWin(w *groupWin) int {
 // so that a window given the number later starts empty.
 func (ki *keyIndex) releaseWin(n int) {
 	ki.wins[n] = nil
-	for _, en := range ki.entries {
+	ki.each(func(en *entry) {
 		if n < len(en.groups) {
 			en.groups[n] = nil
 		}
-	}
+	})
 }
 
 // addTab numbers a table item joined through the index's field.
@@ -223,16 +237,16 @@ func (ki *keyIndex) addTab() int {
 // releaseTab frees table item n's number and its state in every entry.
 func (ki *keyIndex) releaseTab(n int) {
 	ki.tabs[n] = false
-	for _, en := range ki.entries {
+	ki.each(func(en *entry) {
 		if n < len(en.tabs) {
 			en.tabs[n] = tableProbe{}
 		}
-	}
+	})
 }
 
 // group returns the entry's group of window n, nil when it has none.
 func (en *entry) group(n int) *group {
-	if en == nil || n >= len(en.groups) {
+	if n >= len(en.groups) {
 		return nil
 	}
 	return en.groups[n]
@@ -259,18 +273,6 @@ func (en *entry) tab(n int) *tableProbe {
 		en.tabs = append(en.tabs, make([]tableProbe, n+1-len(en.tabs))...)
 	}
 	return &en.tabs[n]
-}
-
-// appendSlotsKey appends the composite hash key of ev's values at slots —
-// appendCompositeKey over those values — to buf.
-func appendSlotsKey(buf []byte, ev *Event, slots []int) []byte {
-	for i, sl := range slots {
-		if i > 0 {
-			buf = append(buf, keySep)
-		}
-		buf = appendValueKey(buf, ev.slots[sl])
-	}
-	return buf
 }
 
 // NewEvent builds an event. The fields map is used as-is; callers must not

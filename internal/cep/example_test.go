@@ -8,12 +8,14 @@ import (
 
 // ExampleEngine shows the basic Esper-style workflow: register a standing
 // statement, attach a listener, stream events. Every arrival on cars is the
-// latest event c, which triggers an evaluation over the window w.
+// latest event c, which triggers an evaluation over the window w of its
+// road's last three cars.
 func ExampleEngine() {
 	engine := cep.New()
 	stmt, err := engine.AddStatement("speeding",
 		`SELECT avg(w.speed) AS avgSpeed
-		 FROM cars.std:lastevent() AS c, cars.win:length(3) AS w
+		 FROM cars.std:lastevent() AS c, cars.std:groupwin(road).win:length(3) AS w
+		 WHERE c.road = w.road
 		 HAVING avg(w.speed) > 100`)
 	if err != nil {
 		fmt.Println("add:", err)
@@ -25,7 +27,7 @@ func ExampleEngine() {
 		}
 	})
 	for _, speed := range []float64{90, 110, 140} {
-		if err := engine.SendEvent("cars", map[string]cep.Value{"speed": speed}); err != nil {
+		if err := engine.SendEvent("cars", map[string]cep.Value{"road": "M50", "speed": speed}); err != nil {
 			fmt.Println("send:", err)
 			return
 		}
@@ -34,10 +36,12 @@ func ExampleEngine() {
 	// alert: avg speed 113.3
 }
 
-// ExampleEngine_join demonstrates a two-stream equi-join with a keep-all
-// reference stream — the pattern behind the paper's threshold stream.
+// ExampleEngine_join demonstrates an equi-join of a stream with a table of
+// reference data — the pattern behind the paper's threshold stream.
 func ExampleEngine_join() {
 	engine := cep.New()
+	prices, _ := cep.NewTable([]string{"item", "price"}, 1, []map[string]cep.Value{{"item": "tea", "price": 2.5}})
+	_ = engine.RegisterTable("prices", prices)
 	stmt, _ := engine.AddStatement("enrich", `
 		SELECT o.item AS item, max(p.price) AS price
 		FROM orders.std:lastevent() AS o UNIDIRECTIONAL,
@@ -48,7 +52,6 @@ func ExampleEngine_join() {
 			fmt.Printf("%v costs %v\n", o.Fields["item"], o.Fields["price"])
 		}
 	})
-	_ = engine.SendEvent("prices", map[string]cep.Value{"item": "tea", "price": 2.5})
 	_ = engine.SendEvent("orders", map[string]cep.Value{"item": "tea"})
 	// Output:
 	// tea costs 2.5

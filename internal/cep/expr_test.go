@@ -192,7 +192,7 @@ func TestValueCompare(t *testing.T) {
 
 func TestAggregateNullHandling(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT avg(w.x) AS m, sum(w.x) AS s, min(w.x) AS lo FROM s.std:lastevent() AS e, s.win:keepall() AS w`)
+	st, err := e.AddStatement("r", `SELECT avg(w.x) AS m, sum(w.x) AS s, min(w.x) AS lo FROM s.std:lastevent() AS e, s.std:groupwin(k).win:length(1000) AS w WHERE e.k = w.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +200,13 @@ func TestAggregateNullHandling(t *testing.T) {
 	st.AddListener(func(_ *Statement, outs []Output) { last = outs })
 	// First event has no x at all: aggregates over zero non-null values
 	// are nil (SQL semantics).
-	if err := e.SendEvent("s", map[string]Value{"y": 1.0}); err != nil {
+	if err := e.SendEvent("s", map[string]Value{"k": "a", "y": 1.0}); err != nil {
 		t.Fatal(err)
 	}
 	if last[0].Fields["m"] != nil || last[0].Fields["s"] != nil || last[0].Fields["lo"] != nil {
 		t.Fatalf("aggregates over empty set should be nil: %v", last[0].Fields)
 	}
-	if err := e.SendEvent("s", map[string]Value{"x": 4.0}); err != nil {
+	if err := e.SendEvent("s", map[string]Value{"k": "a", "x": 4.0}); err != nil {
 		t.Fatal(err)
 	}
 	if last[0].Fields["m"] != 4.0 {
@@ -216,13 +216,13 @@ func TestAggregateNullHandling(t *testing.T) {
 
 func TestStddevRequiresTwoValues(t *testing.T) {
 	e := New()
-	st, err := e.AddStatement("r", `SELECT stddev(w.x) AS sd FROM s.std:lastevent() AS e, s.win:keepall() AS w`)
+	st, err := e.AddStatement("r", `SELECT stddev(w.x) AS sd FROM s.std:lastevent() AS e, s.std:groupwin(k).win:length(1000) AS w WHERE e.k = w.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last []Output
 	st.AddListener(func(_ *Statement, outs []Output) { last = outs })
-	if err := e.SendEvent("s", map[string]Value{"x": 1.0}); err != nil {
+	if err := e.SendEvent("s", map[string]Value{"k": "a", "x": 1.0}); err != nil {
 		t.Fatal(err)
 	}
 	if last[0].Fields["sd"] != nil {
@@ -232,10 +232,10 @@ func TestStddevRequiresTwoValues(t *testing.T) {
 
 func TestAggregateOverNonNumericErrors(t *testing.T) {
 	e := New()
-	if _, err := e.AddStatement("r", `SELECT avg(w.x) AS m FROM s.std:lastevent() AS e, s.win:keepall() AS w`); err != nil {
+	if _, err := e.AddStatement("r", `SELECT avg(w.x) AS m FROM s.std:lastevent() AS e, s.std:groupwin(k).win:length(1000) AS w WHERE e.k = w.k`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SendEvent("s", map[string]Value{"x": "oops"}); err == nil ||
+	if err := e.SendEvent("s", map[string]Value{"k": "a", "x": "oops"}); err == nil ||
 		!strings.Contains(err.Error(), "non-numeric") {
 		t.Fatalf("err = %v", err)
 	}
@@ -311,10 +311,10 @@ func TestBoolIsNotNumeric(t *testing.T) {
 	}
 	// Aggregating booleans errors (engine-level, non-numeric input).
 	e := New()
-	if _, err := e.AddStatement("r", `SELECT sum(w.f) AS s FROM s.std:lastevent() AS e, s.win:keepall() AS w`); err != nil {
+	if _, err := e.AddStatement("r", `SELECT sum(w.f) AS s FROM s.std:lastevent() AS e, s.std:groupwin(k).win:length(1000) AS w WHERE e.k = w.k`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SendEvent("s", map[string]Value{"f": true}); err == nil ||
+	if err := e.SendEvent("s", map[string]Value{"k": "a", "f": true}); err == nil ||
 		!strings.Contains(err.Error(), "non-numeric") {
 		t.Fatalf("sum(bool) err = %v", err)
 	}

@@ -211,35 +211,35 @@ func FuzzCompiledExprEquivalence(f *testing.F) {
 
 // fuzzPlanStatements are rule-template statements the trigger-plan fuzzer
 // runs side by side: Listing 1 with UNIDIRECTIONAL on and off, item filters
-// or none, key-aligned and keyed items, a window on another stream than its
-// trigger, an argument and a filter on the trigger itself, an equi class
-// that holds two trigger fields, and every window whose value ring has one
-// position: a non-trigger std:lastevent item, std:groupwin over
-// std:lastevent keyed by the join and by another field, and win:length(1).
+// or none, a trigger on each of two streams, an argument and a filter on the
+// trigger itself, a table column joined to two trigger fields, two windows
+// grouped on different fields, tables keyed by one and by three columns,
+// and windows whose value ring has one position and more positions than
+// the feed has events.
 var fuzzPlanStatements = map[string]string{
 	"listing1": `SELECT bd2.loc AS loc, avg(bd2.a) AS cur, avg(th.v) AS thr, count(*) AS n
-		FROM bus.std:lastevent() AS bd UNIDIRECTIONAL, bus.std:groupwin(loc).win:length(3) AS bd2, thr.win:keepall() AS th
+		FROM bus.std:lastevent() AS bd UNIDIRECTIONAL, bus.std:groupwin(loc).win:length(3) AS bd2, thk.win:keepall() AS th
 		WHERE bd.hour = th.hour AND bd.loc = th.loc AND bd.loc = bd2.loc
 		GROUP BY bd2.loc HAVING avg(bd2.a) > avg(th.v)`,
 	"filtered": `SELECT bd2.loc AS loc, sum(bd2.a) AS s, max(th.v) AS hi, count(bd2.b) AS nb
-		FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(2) AS bd2, thr.win:length(4) AS th
+		FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(2) AS bd2, thk AS th
 		WHERE bd.loc = bd2.loc AND bd.loc = th.loc AND bd2.b < 2 AND th.v >= 0
 		GROUP BY bd2.loc`,
 	"keyed": `SELECT bd.loc AS loc, sum(w.a) AS s, min(w.a) AS lo, max(w.b) AS hi, stddev(w.a) AS sd, count(w.b) AS nb
-		FROM bus.std:lastevent() AS bd, bus.win:length(4) AS w
+		FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(4) AS w
 		WHERE bd.loc = w.loc AND w.a > 0 GROUP BY bd.loc`,
 	"cross": `SELECT bd.loc AS loc, avg(x.a) AS m, count(*) AS n
-		FROM bus.std:lastevent() AS bd UNIDIRECTIONAL, aux.std:groupwin(loc).win:length(2) AS x
+		FROM aux.std:lastevent() AS bd UNIDIRECTIONAL, aux.std:groupwin(loc).win:length(2) AS x
 		WHERE bd.loc = x.loc GROUP BY bd.loc`,
 	"trigger": `SELECT t.loc AS loc, sum(t.a) AS s, avg(w.b) AS m, count(w.a) AS n
-		FROM aux.std:lastevent() AS t, bus.std:groupwin(hour).win:length(3) AS w
+		FROM aux.std:lastevent() AS t, aux.std:groupwin(loc).win:length(3) AS w
 		WHERE t.loc = w.loc AND t.b != 1 GROUP BY t.loc`,
 	"pair": `SELECT t.a AS a, count(*) AS n, sum(y.b) AS s
-		FROM bus.std:lastevent() AS t UNIDIRECTIONAL, thr.win:length(3) AS z, aux.win:length(3) AS y
-		WHERE t.a = y.a AND t.b = y.a AND t.loc = z.loc AND z.v < 2`,
+		FROM bus.std:lastevent() AS t UNIDIRECTIONAL, thk AS y
+		WHERE t.loc = y.loc AND t.a = y.a AND t.b = y.a AND y.v < 2`,
 	"latest": `SELECT t.loc AS loc, sum(l.a) AS s, min(h.a) AS lo, count(*) AS n
-		FROM bus.std:lastevent() AS t UNIDIRECTIONAL, aux.std:lastevent() AS l, aux.std:groupwin(hour).std:lastevent() AS h
-		WHERE t.loc = l.loc AND t.loc = h.loc AND l.b >= 0 GROUP BY t.loc`,
+		FROM bus.std:lastevent() AS t UNIDIRECTIONAL, bus.std:groupwin(loc).win:length(1) AS l, bus.std:groupwin(hour).win:length(1) AS h
+		WHERE t.loc = l.loc AND t.hour = h.hour AND l.b >= 0 GROUP BY t.loc`,
 	// table: Listing 1 over the table "tab" of the feed's thr rows, keyed
 	// by (loc, hour, a), with a filter on the table item.
 	"table": `SELECT bd2.loc AS loc, avg(bd2.a) AS cur, avg(tb.v) AS thr, count(*) AS n, min(tb.b) AS lo
@@ -247,10 +247,10 @@ var fuzzPlanStatements = map[string]string{
 		WHERE bd.loc = tb.loc AND bd.hour = tb.hour AND bd.a = tb.a AND bd.loc = bd2.loc AND tb.b < 3
 		GROUP BY bd2.loc`,
 	"grouplast": `SELECT bd.loc AS loc, avg(g.a) AS m, count(g.b) AS nb
-		FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).std:lastevent() AS g
+		FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(1) AS g
 		WHERE bd.loc = g.loc AND g.b != 0 GROUP BY bd.loc`,
 	"single": `SELECT t.hour AS h, sum(w.a) AS s, stddev(w.v) AS sd, count(*) AS n
-		FROM thr.std:lastevent() AS t, bus.win:length(1) AS w
+		FROM thr.std:lastevent() AS t, thr.std:groupwin(hour).win:length(1000) AS w
 		WHERE t.hour = w.hour AND w.a < 2 GROUP BY t.hour`,
 }
 
@@ -276,25 +276,25 @@ func fuzzFeedValue(r *fuzzReader) (Value, bool) {
 // and holds the engine to the join oracle on it: every event must make
 // every statement of fuzzPlanStatements emit what the oracle's recompute
 // emits, and fail exactly when it fails. The feed's thr rows are also
-// registered, before any event, as the table "tab", which the oracle reads
-// as a keep-all window holding them; every two consecutive events share an
-// event time.
+// registered, before any event, as the tables "tab", keyed by (loc, hour,
+// a), and "thk", keyed by loc, which the oracle reads as keep-all windows
+// holding them; every two consecutive events share an event time.
 func FuzzTriggerPlanMatchesOracle(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 0, 1, 1, 2, 3, 0})
 	f.Add([]byte{2, 1, 2, 3, 1, 1, 0, 1, 2, 1, 1, 1, 0, 1, 2, 10, 1, 0, 0, 1, 2, 3, 1, 0})
 	f.Add([]byte{1, 0, 0, 8, 0, 0, 0, 0, 0, 1, 1, 0, 0, 9, 25, 11, 27, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte("hostile feed: NaN \x0a and \x0b infinities, x \x08 and NULL \x09"))
 	f.Add([]byte{0, 2, 2, 10, 10, 2, 1, 2, 2, 10, 10, 2, 0, 2, 2, 10, 10, 2, 2, 2, 2, 3, 1, 1})
-	// A filter failure on z, the item before the pair's class in FROM
-	// order, then a trigger whose a and b differ: pair must fail on z.
+	// A filter failure on a thk row, then a trigger whose a and b differ:
+	// pair must fail on the row only when both match it.
 	f.Add([]byte{2, 1, 1, 1, 1, 8, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 2, 1})
-	// Events are six bytes: stream, loc, hour, a, b, v. latest: aux rows
-	// replace each other under the bus trigger, one with a filter failure.
+	// Events are six bytes: stream, loc, hour, a, b, v. latest: rows of a
+	// location and of an hour replace each other, one with a filter failure.
 	f.Add([]byte{1, 1, 2, 3, 1, 1, 0, 1, 2, 1, 1, 1, 1, 1, 2, 0, 8, 1, 0, 1, 2, 1, 1, 1, 1, 1, 2, 2, 1, 1, 0, 1, 2, 1, 1, 1})
 	// grouplast: one location's rows replace each other, a NaN and an
 	// infinity among them.
 	f.Add([]byte{0, 1, 1, 2, 2, 1, 0, 1, 1, 3, 1, 1, 0, 2, 1, 10, 2, 1, 0, 1, 1, 1, 3, 1, 0, 1, 1, 11, 2, 1, 0, 1, 1, 2, 2, 1})
-	// single: thr triggers read the one bus row of their hour.
+	// single: thr triggers read the thr rows of their hour.
 	f.Add([]byte{0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 0, 1, 1, 2, 1, 3, 2, 1, 1, 1, 1, 1, 0, 2, 1, 0, 1, 10, 2, 1, 1, 1, 1, 1})
 	// table: thr rows keyed by NaN, ±Inf, "x", NULL and absent values, and
 	// the bus triggers that match them; the last thr row fails the filter.
@@ -325,12 +325,14 @@ func FuzzTriggerPlanMatchesOracle(f *testing.F) {
 			}
 		}
 		rig := newOracleRig()
-		table, err := NewTable([]string{"loc", "hour", "a", "b", "v"}, 3, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rig.eng.RegisterTable("tab", table); err != nil {
-			t.Fatal(err)
+		for name, keys := range map[string]int{"tab": 3, "thk": 1} {
+			table, err := NewTable([]string{"loc", "hour", "a", "b", "v"}, keys, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rig.eng.RegisterTable(name, table); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, name := range []string{"cross", "filtered", "grouplast", "keyed", "latest", "listing1", "pair", "single", "table", "trigger"} {
 			rig.add(t, name, fuzzPlanStatements[name])

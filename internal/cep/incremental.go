@@ -14,30 +14,32 @@ import (
 // arrival, a statement keeps running aggregate state that it maintains from
 // each window's delta — the arriving event, and the position it took.
 //
-// One FROM item is a std:lastevent() view whose fields reach — through the
-// equi-join equivalence classes of the WHERE clause — every joined field.
-// The join then factorizes per item: each other item keeps per-join-key
-// accumulators (count, sum, sum of squares, value counts for min/max), and
-// an evaluation is a hash probe per item plus O(1) arithmetic. Every
-// rendering of the paper's rule template (Listing 1, §4.3.1) has this
-// shape, and per-event cost is independent of the window length l. No
-// window holds the events it counts: an item records, per position of a
-// window that evicts, what the arrival there folded, with the functions
-// registered then (its value ring), and the eviction subtracts that. An
-// item whose window is std:groupwin(k…) over a bounded view and whose join
-// key is those k — Listing 1's bd2 — keeps its accumulators on the window's
-// groups (groupAcc): the group the insert found serves the fold and probe.
-// An item over a registered table (tableItem) keeps no state at all: its
-// probe folds the table rows of the trigger's key, which are few.
+// The engine runs one statement shape, the paper's rule template (Listing
+// 1, §3.3): one std:lastevent() item on a stream S, the trigger; window
+// items S.std:groupwin(f).win:length(n), each joined to the trigger by
+// exactly t.f = w.f; and items over registered tables, every key column
+// equi-joined to a trigger field. Every join row holds the trigger's event,
+// so the join factorizes per item: a window item's matches are the group
+// the trigger event itself went to, whose accumulators (count, sum, sum of
+// squares, value counts for min/max) live in the group (groupAcc), and a
+// table item's are the rows of the trigger's key, folded on a probe that
+// the trigger's key-index entry keeps (tableProbe). An evaluation is O(1)
+// arithmetic per item, independent of the window length l. No window holds
+// the events it counts: an item records, per position of a group, what the
+// arrival there folded, with the functions registered then (its value
+// ring), and the eviction subtracts that.
 //
-// A query without that shape is refused at registration, with the reason
-// (planIncremental): it is aggregate-free, uses SELECT *, has no trigger
-// item, runs an impure function where state is maintained, reads a field
+// A query of another shape is refused at registration, with the reason
+// (planIncremental): it is aggregate-free, uses SELECT *, has no trigger or
+// two, reads a second stream, has a window item that is not grouped on one
+// field and bounded, or not joined on its group field, an equi-join that
+// does not read the trigger, a restricted window grouped off the owned
+// field, runs an impure function where state is maintained, reads a field
 // the trigger cannot resolve, or calls an aggregate with the wrong arity.
 //
 // An event the plan cannot fold — its item filter errs, or an aggregate
 // argument errs, is not numeric or is not finite — stays counted against
-// its join key until its window drops it. An evaluation follows the
+// its group until its window drops it. An evaluation follows the
 // recompute it replaces (the test-only oracle in oracle_test.go): emit
 // filters first; then the other items in FROM order, where a key holding a
 // filter failure returns that error and a key with no passing event ends
@@ -174,46 +176,6 @@ type fieldNode struct {
 	field string
 }
 
-// unionFind tracks equivalence classes of join fields in insertion order.
-type unionFind struct {
-	parent map[fieldNode]fieldNode
-	nodes  []fieldNode
-}
-
-func newUnionFind() *unionFind {
-	return &unionFind{parent: make(map[fieldNode]fieldNode)}
-}
-
-func (u *unionFind) find(n fieldNode) fieldNode {
-	p, ok := u.parent[n]
-	if !ok {
-		u.parent[n] = n
-		u.nodes = append(u.nodes, n)
-		return n
-	}
-	if p == n {
-		return n
-	}
-	root := u.find(p)
-	u.parent[n] = root
-	return root
-}
-
-// lookup resolves a node's class without registering new nodes.
-func (u *unionFind) lookup(n fieldNode) (fieldNode, bool) {
-	if _, ok := u.parent[n]; !ok {
-		return fieldNode{}, false
-	}
-	return u.find(n), true
-}
-
-func (u *unionFind) union(a, b fieldNode) {
-	ra, rb := u.find(a), u.find(b)
-	if ra != rb {
-		u.parent[ra] = rb
-	}
-}
-
 // pureExpr reports whether an expression can be evaluated at window-
 // maintenance time: no aggregates and no engine-registered (potentially
 // impure or later-registered) functions — built-ins only.
@@ -339,17 +301,15 @@ func planAggSpecs(st *Statement) ([]*aggSpec, error) {
 	return specs, nil
 }
 
-// incPlan is a statement's trigger plan. It factorizes the join around
-// one std:lastevent item T whose fields reach every equi-join class: every
-// join row contains exactly T's current event, so each other item
-// contributes an independent multiset of matches, found by probing per-item
-// accumulators keyed by the class fields. Aggregates combine per-item sums
-// with multiplicities.
+// incPlan is a statement's trigger plan. It factorizes the join around the
+// std:lastevent item T: every join row contains exactly T's current event,
+// so each other item contributes an independent multiset of matches — the
+// group of T's key in a window item, the rows of T's key in a table item.
+// Aggregates combine per-item sums with multiplicities.
 type incPlan struct {
 	st *Statement
 
-	trigIdx  int
-	trigView *view // the trigger item's, set by attach once the views are acquired
+	trigIdx int
 	// emitFilters are conjuncts over the trigger item only (or with no
 	// field references); they are checked once per evaluation.
 	// emitFiltersC is the compiled form.
@@ -368,57 +328,36 @@ type incPlan struct {
 	aggNull []bool
 }
 
-// incItemState is one non-trigger item's maintained accumulators.
+// incItemState is one non-trigger item's part of the plan: a window item
+// keeps its state in its window's groups (groupAcc number sub of the groups
+// of gw, set by attach), a table item (tab) in the trigger's key-index
+// entries.
 type incItemState struct {
 	idx      int
 	filters  []epl.Expr     // pure, item-local conjuncts applied on maintenance
 	filtersC []compiledBool // compiled form of filters
-	keySlots []int          // this item's event slots forming the accumulator key
-	srcSlots []int          // trigger-event slots probing each key slot
-	// pairChecks are pairs of trigger-event slots an equi class constrains
-	// to be equal among themselves (WHERE t.a = i.x AND t.b = i.x), checked
-	// before the class's first item in FROM order is probed.
-	pairChecks [][2]int
-	aggIdx     []int // positions in plan.aggs anchored at this item
-	accs       map[string]*itemAcc
-	keyBuf     []byte
-	cells      []ringCell // 1+len(aggIdx): the fold scratch of an item over a window that never evicts
-	probed     *itemAcc   // evaluation scratch: result of the latest probe
+	aggIdx   []int          // positions in plan.aggs anchored at this item
+	cells    []ringCell     // 1+len(aggIdx): the fold scratch of a table row
+	probed   *itemAcc       // evaluation scratch: result of the latest probe
 
-	// The value ring of an item over a window that evicts, set by attach:
-	// ring over an ungrouped one (win:length, std:lastevent); over
-	// std:groupwin(…) of a bounded view, one per group, in groupAcc number
-	// sub of the groups of gw.
-	ring ring
-	gw   *groupWin
-	sub  int
-	// A key-aligned item — its window is grouped and keySlots are its group
-	// keys, Listing 1's bd.loc = bd2.loc — keeps no accs of its own: a join
-	// key's events are exactly a group's, so its accumulator is the
-	// groupAcc's. sameKey is true when the trigger item reads the same
-	// stream through the same slots, so that the group the arriving event
-	// was inserted into is the group the evaluation probes.
-	aligned bool
-	view    *view
-	sameKey bool
-
-	// tab is set for an item over a registered table.
+	gw  *groupWin
+	sub int
 	tab *tableItem
 }
 
 // tableItem is the probe of an item over a registered table, whose key
-// columns are all equi-joined through the trigger: the trigger's value of
-// the first key column — its location — finds the location's block, once
-// per table version through the location's key-index entry, and the values
-// of the others — hour, day — the run of the block's rows they key. Those
-// rows pass through the item's filters and fold into an accumulator, as a
-// keep-all window's arrivals of them would have; the entry keeps it for
-// the next probe with the same key (tableProbe).
+// columns are all equi-joined to the trigger: the trigger's value of the
+// first key column — its location — finds the location's block, once per
+// table version through the location's key-index entry, and the values of
+// the others — hour, day — the run of the block's rows they key. Those rows
+// pass through the item's filters and fold into an accumulator, as a
+// keep-all window's arrivals of them would have; the entry keeps it for the
+// next probe with the same key (tableProbe).
 type tableItem struct {
 	ref *tableRef
 	// src are the trigger slots joined to the key columns, in key order;
-	// extra the (column, trigger slot) pairs of joined columns that are
-	// not keys, checked row by row.
+	// extra the (column, trigger slot) pairs of the other joins, checked
+	// row by row.
 	src   []int
 	extra [][2]int
 	// loc is the key index of the trigger field joined to the first key
@@ -426,35 +365,33 @@ type tableItem struct {
 	loc *keyIndex
 	num int
 	// q is the probe key: the trigger's values of src[1:], then of the
-	// extra columns. acc and keyBuf serve a probe the entry cannot keep:
-	// a trigger whose location is not a string, which has no entry, or a
-	// key longer than tableProbe.q.
-	q      []keyVal
-	keyBuf []byte
-	acc    itemAcc
+	// extra columns.
+	q []keyVal
 }
 
 // itemAcc accumulates one join key's events within an item. rows counts
 // the events that passed the item's filters; filterBad the events whose
 // filter failed, and argBad the passing events an aggregate argument failed
-// on, err holding the latest of their errors. Neither kind is in aggs. key
-// is the accumulator's entry in its item's accs; a key-aligned item's has
-// none.
+// on, err holding the latest of their errors. Neither kind is in aggs.
 type itemAcc struct {
 	rows              int
 	filterBad, argBad int
 	last              *Event // most recently added passing event, the emit representative
 	aggs              []aggAcc
 	err               error
-	key               string
 }
 
-// groupAcc is an item's state in one group of its window: the group's value
-// ring and, for a key-aligned item, its accumulator, whose first aggregate
-// lives here too.
+// groupAcc is a window item's state in one group of its window: the
+// accumulator of the group's events, whose first aggregate lives here too,
+// and its value ring — its memory of what each position of the group folded,
+// so that an eviction subtracts that and never reads the event. The ring
+// holds 1+k cells per position, k the item's anchored aggregates. Of
+// position p's cells, the first holds the position's state; cell 1+j holds
+// the float folded in for aggregate j, its mark false when the argument was
+// NULL.
 type groupAcc struct {
 	itemAcc
-	ring
+	cells  []ringCell
 	aggBuf [1]aggAcc
 }
 
@@ -467,22 +404,10 @@ func aggsIn(buf []aggAcc, k int) []aggAcc {
 	return make([]aggAcc, k)
 }
 
-// ring is an item's value ring: its memory of what each position of its
-// window folded, so that an eviction subtracts that and never reads the
-// event. It holds 1+k cells per position, k the item's anchored
-// aggregates. Of position p's cells, the first holds the slot's state;
-// cell 1+j holds the float folded in for aggregate j, its mark false when
-// the argument was NULL. For an item that keeps accs by join key, to[p] is
-// the accumulator the arrival at p went into, nil when it went into none.
-type ring struct {
-	cells []ringCell
-	to    []*itemAcc
-}
-
 type ringCell struct {
 	f     float64
 	ok    bool
-	state slotState // a slot's first cell only
+	state slotState // a position's first cell only
 }
 
 // slotState is what an item's window position holds, as folded.
@@ -495,26 +420,90 @@ const (
 	slotArgBad                     // a passing event an aggregate argument failed on
 )
 
-func (ip *incItemState) eventKey(ev *Event) []byte {
-	ip.keyBuf = appendSlotsKey(ip.keyBuf[:0], ev, ip.keySlots)
-	return ip.keyBuf
+// groupField returns the key field of a window item's view chain, which
+// must be std:groupwin(f).win:length(n), or the reason it is not.
+func groupField(views []epl.ViewSpec) (string, error) {
+	chain := "no view"
+	if len(views) > 0 {
+		chain = viewChain(views)
+	}
+	switch {
+	case len(views) == 0 || len(views) == 1 && views[0].Namespace == "win" && views[0].Name == "keepall":
+		return "", fmt.Errorf("%s keeps every event; a window item is std:groupwin(f).win:length(n)", chain)
+	case views[0].Namespace != "std" || views[0].Name != "groupwin":
+		return "", fmt.Errorf("%s is not grouped; a window item is std:groupwin(f).win:length(n)", chain)
+	case len(views[0].Args) != 1:
+		return "", fmt.Errorf("%s has a composite group key; a window item is grouped on one field", chain)
+	case len(views) != 2 || views[1].Namespace != "win" || views[1].Name != "length":
+		return "", fmt.Errorf("%s does not bound its groups with win:length(n)", chain)
+	}
+	ref, ok := views[0].Args[0].(*epl.FieldRef)
+	if !ok {
+		return "", fmt.Errorf("std:groupwin argument %v is not a field", views[0].Args[0])
+	}
+	return ref.Field, nil
 }
 
-func (ip *incItemState) probeKey(e *Event) []byte {
-	ip.keyBuf = appendSlotsKey(ip.keyBuf[:0], e, ip.srcSlots)
-	return ip.keyBuf
-}
-
-// planTrigger builds the plan around the statement's trigger item, or
-// returns why it cannot. See incPlan.
+// planTrigger builds the plan of a statement of the rule template, or
+// returns why the statement is not one: exactly one std:lastevent() item,
+// the trigger, on a stream S; window items std:groupwin(f).win:length(n) on
+// S, each joined to the trigger by exactly t.f = w.f; table items whose key
+// columns are all equi-joined to trigger fields; every equi-join reading the
+// trigger; and, in a statement restricted to an owned-key set on S, every
+// window grouped on the set's field. See incPlan.
 func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) (*incPlan, error) {
 	q := st.Query
-	uf := newUnionFind()
+	trig := -1
+	for i, it := range st.items {
+		if v := it.spec.Views; it.table != nil || len(v) != 1 || v[0].Namespace != "std" || v[0].Name != "lastevent" {
+			continue
+		}
+		if trig >= 0 {
+			return nil, fmt.Errorf("items %s and %s are both std:lastevent(); a statement has one trigger", st.aliasOrder[trig], it.spec.Alias)
+		}
+		trig = i
+	}
+	if trig < 0 {
+		return nil, errors.New("no std:lastevent() item triggers the statement")
+	}
+	trigSpec, trigSchema := st.items[trig].spec, st.items[trig].schema
+	group := make([]string, len(st.items)) // a window item's group field
+	for i, it := range st.items {
+		if i == trig || it.table != nil {
+			continue
+		}
+		if it.spec.Stream != trigSpec.Stream {
+			return nil, fmt.Errorf("item %s reads stream %s, not the trigger's stream %s", it.spec.Alias, it.spec.Stream, trigSpec.Stream)
+		}
+		f, err := groupField(it.spec.Views)
+		if err != nil {
+			return nil, fmt.Errorf("item %s: %w", it.spec.Alias, err)
+		}
+		if o := st.owned; o != nil && o.stream == trigSpec.Stream && f != o.field {
+			return nil, fmt.Errorf("item %s is grouped on %s, not on the owned field %s", it.spec.Alias, f, o.field)
+		}
+		group[i] = f
+	}
+
+	// Sort the WHERE conjuncts: an equi-join of the trigger with another
+	// item, a filter over one item, or a free filter.
 	singles := make([][]epl.Expr, len(st.items))
+	joins := make([][][2]int, len(st.items)) // per item: (item slot, trigger slot)
+	resolved := make(map[fieldNode]bool)     // (item, field) equal to a trigger field
 	var free []epl.Expr
 	for _, c := range st.conjuncts {
 		if l, r, ok := equiConjunct(c, aliasToIdx); ok && l.item != r.item {
-			uf.union(l, r)
+			if r.item == trig {
+				l, r = r, l
+			}
+			if l.item != trig {
+				return nil, fmt.Errorf("equi-join %s does not read the trigger", c)
+			}
+			if f := group[r.item]; f != "" && (l.field != f || r.field != f || len(joins[r.item]) > 0) {
+				return nil, errGroupJoin(st, trig, r.item, f)
+			}
+			joins[r.item] = append(joins[r.item], [2]int{st.items[r.item].schema.slotOf(r.field), trigSchema.slotOf(l.field)})
+			resolved[fieldNode{r.item, r.field}] = true
 			continue
 		}
 		item, err := singleItemConjunct(c, aliasToIdx)
@@ -527,70 +516,18 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) (*in
 			singles[item] = append(singles[item], c)
 		}
 	}
-
-	classes := make(map[fieldNode][]fieldNode)
-	var classOrder []fieldNode
-	for _, n := range uf.nodes {
-		root := uf.find(n)
-		if _, ok := classes[root]; !ok {
-			classOrder = append(classOrder, root)
+	for i, f := range group {
+		if f != "" && len(joins[i]) == 0 {
+			return nil, errGroupJoin(st, trig, i, f)
 		}
-		classes[root] = append(classes[root], n)
-	}
-
-	// The trigger: a std:lastevent item whose fields reach every class.
-	trig := -1
-	for i, it := range st.items {
-		if v := it.spec.Views; len(v) != 1 || v[0].Namespace != "std" || v[0].Name != "lastevent" {
-			continue
-		}
-		covers := true
-		for _, root := range classOrder {
-			has := false
-			for _, m := range classes[root] {
-				if m.item == i {
-					has = true
-					break
-				}
-			}
-			if !has {
-				covers = false
-				break
-			}
-		}
-		if covers {
-			trig = i
-			break
-		}
-	}
-	if trig < 0 {
-		return nil, errors.New("no std:lastevent() item reaches every equi-join class")
 	}
 
 	// Every non-aggregate field reference must resolve through the
-	// trigger event, directly or via its equi class.
-	resolvable := func(r *epl.FieldRef) bool {
-		idx, known := aliasToIdx[r.Alias]
-		if r.Alias == "" || !known {
-			return false
-		}
-		if idx == trig {
-			return true
-		}
-		root, present := uf.lookup(fieldNode{idx, r.Field})
-		if !present {
-			return false
-		}
-		for _, m := range classes[root] {
-			if m.item == trig {
-				return true
-			}
-		}
-		return false
-	}
+	// trigger event, directly or through an equi-join.
 	var bad *epl.FieldRef
 	check := func(r *epl.FieldRef) {
-		if bad == nil && !resolvable(r) {
+		idx, known := aliasToIdx[r.Alias]
+		if bad == nil && (r.Alias == "" || !known || idx != trig && !resolved[fieldNode{idx, r.Field}]) {
 			bad = r
 		}
 	}
@@ -640,44 +577,17 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) (*in
 	}
 
 	p := &incPlan{
-		st:      st,
-		trigIdx: trig,
-		aggs:    aggs,
-		items:   make([]*incItemState, len(st.items)),
-		row:     make([]*Event, len(st.items)),
+		st:          st,
+		trigIdx:     trig,
+		aggs:        aggs,
+		items:       make([]*incItemState, len(st.items)),
+		row:         make([]*Event, len(st.items)),
+		emitFilters: append(free, singles[trig]...),
 	}
 	p.ctx = &evalContext{row: p.row, funcs: st.engine.funcs}
-	p.emitFilters = append(p.emitFilters, free...)
-	p.emitFilters = append(p.emitFilters, singles[trig]...)
 	for i := range st.items {
-		if i == trig {
-			continue
-		}
-		p.items[i] = &incItemState{idx: i, filters: singles[i], accs: make(map[string]*itemAcc)}
-	}
-	trigSchema := st.items[trig].schema
-	for _, root := range classOrder {
-		members := classes[root]
-		trigSlot, first := -1, len(st.items)
-		var pairs [][2]int
-		for _, m := range members {
-			switch {
-			case m.item != trig:
-				first = min(first, m.item)
-			case trigSlot < 0:
-				trigSlot = trigSchema.slotOf(m.field)
-			default:
-				pairs = append(pairs, [2]int{trigSlot, trigSchema.slotOf(m.field)})
-			}
-		}
-		p.items[first].pairChecks = append(p.items[first].pairChecks, pairs...)
-		for _, m := range members {
-			if m.item == trig {
-				continue
-			}
-			ip := p.items[m.item]
-			ip.keySlots = append(ip.keySlots, st.items[m.item].schema.slotOf(m.field))
-			ip.srcSlots = append(ip.srcSlots, trigSlot)
+		if i != trig {
+			p.items[i] = &incItemState{idx: i, filters: singles[i]}
 		}
 	}
 	for ai, spec := range aggs {
@@ -687,75 +597,65 @@ func planTrigger(st *Statement, aliasToIdx map[string]int, aggs []*aggSpec) (*in
 			ip.aggIdx = append(ip.aggIdx, ai)
 		}
 	}
-	for _, ip := range p.items {
-		if ip != nil {
-			ip.cells = make([]ringCell, 1+len(ip.aggIdx))
-		}
-	}
 	for i, it := range st.items {
-		if it.table != nil {
-			if err := p.items[i].bindTable(it.table, trigSchema); err != nil {
-				return nil, err
+		if ip := p.items[i]; ip != nil {
+			ip.cells = make([]ringCell, 1+len(ip.aggIdx))
+			if it.table != nil {
+				if err := ip.bindTable(it.table, joins[i], trigSchema); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
 	return p, nil
 }
 
-// bindTable makes ip, an item over table ref, probe it: every key column
-// must be equi-joined through the trigger, whose schema is trig.
-func (ip *incItemState) bindTable(ref *tableRef, trig *streamSchema) error {
+// errGroupJoin is the refusal of window item i, grouped on f, that is not
+// joined to the trigger by exactly t.f = w.f.
+func errGroupJoin(st *Statement, trig, i int, f string) error {
+	return fmt.Errorf("item %[1]s is grouped on %[3]s: it joins the trigger by exactly %[2]s.%[3]s = %[1]s.%[3]s", st.aliasOrder[i], st.aliasOrder[trig], f)
+}
+
+// bindTable makes ip, an item over table ref, probe it through joins, its
+// (column, trigger slot) equi-joins: every key column must be joined to a
+// trigger field, whose schema is trig. A column joined twice is checked row
+// by row the second time.
+func (ip *incItemState) bindTable(ref *tableRef, joins [][2]int, trig *streamSchema) error {
 	t := &tableItem{ref: ref, src: make([]int, ref.nkeys)}
 	for k := range t.src {
 		t.src[k] = -1
 	}
-	for j, col := range ip.keySlots {
-		if col < ref.nkeys {
-			t.src[col] = ip.srcSlots[j]
+	for _, j := range joins {
+		if col := j[0]; col < ref.nkeys && t.src[col] < 0 {
+			t.src[col] = j[1]
 		} else {
-			t.extra = append(t.extra, [2]int{col, ip.srcSlots[j]})
+			t.extra = append(t.extra, j)
 		}
 	}
 	for k, sl := range t.src {
 		if sl < 0 {
-			return fmt.Errorf("key column %q of table %q is not equi-joined through the trigger", ref.schema.names[k], ref.name)
+			return fmt.Errorf("key column %q of table %q is not equi-joined to the trigger", ref.schema.names[k], ref.name)
 		}
 	}
 	t.loc = trig.keyIndexOf(trig.names[t.src[0]])
 	t.q = make([]keyVal, ref.nkeys-1+len(t.extra))
-	t.acc.aggs = make([]aggAcc, len(ip.aggIdx))
 	ip.tab = t
 	return nil
 }
 
-// attach binds the plan to the views its statement acquired: the trigger
-// item's window, and for every item over a window that evicts its value
-// ring — over a group window, a slot in the window's groups. A table item
-// takes its number in its key index.
+// attach binds the plan to the views its statement acquired: a slot in the
+// groups of every window item's. A table item takes its number in its key
+// index.
 func (p *incPlan) attach(st *Statement) {
-	p.trigView = st.items[p.trigIdx].view
 	for i, ip := range p.items {
 		switch {
 		case ip == nil:
-			continue
 		case ip.tab != nil:
 			ip.tab.num = ip.tab.loc.addTab()
-			continue
+		default:
+			ip.gw = st.items[i].view.win.(*groupWin)
+			ip.sub = ip.gw.subscribe()
 		}
-		v := st.items[i].view
-		n := bound(v.win)
-		if n == 0 {
-			continue
-		}
-		gw, ok := v.win.(*groupWin)
-		if !ok {
-			ip.ring = newRing(n, len(ip.cells), true)
-			continue
-		}
-		ip.gw, ip.sub = gw, gw.subscribe()
-		ip.aligned = slices.Equal(gw.keys, ip.keySlots)
-		ip.view = v
-		ip.sameKey = ip.aligned && st.items[i].schema == st.items[p.trigIdx].schema && slices.Equal(ip.srcSlots, ip.keySlots)
 	}
 }
 
@@ -766,16 +666,6 @@ func (p *incPlan) detach() {
 			ip.tab.loc.releaseTab(ip.tab.num)
 		}
 	}
-}
-
-// newRing makes a value ring of n positions of k cells; keyed is true for
-// an item that keeps accs by join key.
-func newRing(n, k int, keyed bool) ring {
-	r := ring{cells: make([]ringCell, n*k)}
-	if keyed {
-		r.to = make([]*itemAcc, n)
-	}
-	return r
 }
 
 // passes applies an item's maintenance filters to one of its events.
@@ -847,69 +737,44 @@ func (p *incPlan) fold(ip *incItemState, acc *itemAcc, cells []ringCell, ev *Eve
 }
 
 // applyDelta folds the event item idx's window just took at position pos
-// into the item's accumulators: retract what the item's value ring holds
-// for pos, then add the arrival and record it there. It returns ev's
-// failure to fold, if any.
-func (p *incPlan) applyDelta(idx int, ev *Event, pos int) error {
+// of the group the event went to into the group's accumulator: retract what
+// the group's value ring holds for pos, then add the arrival and record it
+// there. A failure to fold stays in the accumulator, where the evaluation
+// the arrival triggers finds it.
+func (p *incPlan) applyDelta(idx int, ev *Event, pos int) {
 	ip := p.items[idx]
 	if ip == nil {
-		return nil // the trigger item's single event is read at emit
+		return // the trigger item's single event is read at emit
 	}
 	k := len(ip.cells)
-	r, acc := &ip.ring, (*itemAcc)(nil)
-	if ip.gw != nil {
-		ga := &ip.gw.cur.accs[ip.sub]
-		if ga.cells == nil {
-			ga.ring = newRing(ip.gw.length, k, !ip.aligned)
-		}
-		if r = &ga.ring; ip.aligned {
-			if acc = &ga.itemAcc; acc.aggs == nil {
-				acc.aggs = aggsIn(ga.aggBuf[:], k-1)
-			}
-		}
+	ga := &ip.gw.cur.accs[ip.sub]
+	if ga.cells == nil {
+		ga.cells = make([]ringCell, ip.gw.length*k)
+		ga.aggs = aggsIn(ga.aggBuf[:], k-1)
 	}
-	cells := ip.cells
-	if r.cells != nil {
-		cells = r.cells[pos*k : (pos+1)*k]
-		held := acc
-		if r.to != nil {
-			held, r.to[pos] = r.to[pos], nil
-		}
-		p.retract(ip, held, cells)
-	}
+	acc, cells := &ga.itemAcc, ga.cells[pos*k:(pos+1)*k]
+	p.retract(ip, acc, cells)
 	pass, err := p.passes(ip, ev)
-	if err == nil && !pass {
-		return nil
-	}
-	if acc == nil {
-		buf := ip.eventKey(ev)
-		if acc = ip.accs[string(buf)]; acc == nil {
-			acc = &itemAcc{aggs: make([]aggAcc, k-1), key: string(buf)}
-			ip.accs[acc.key] = acc
-		}
-		if r.to != nil {
-			r.to[pos] = acc
-		}
-	}
-	if err != nil {
+	switch {
+	case err != nil:
 		cells[0].state, acc.err = slotFilterBad, err
 		acc.filterBad++
-		return err
+		return
+	case !pass:
+		return
 	}
 	acc.rows++
 	acc.last = ev
 	if err := p.fold(ip, acc, cells[1:], ev); err != nil {
 		cells[0].state, acc.err = slotArgBad, err
 		acc.argBad++
-		return err
+		return
 	}
 	cells[0].state = slotFolded
-	return nil
 }
 
-// retract subtracts what a value ring position recorded from acc, the
-// accumulator its arrival went into, and empties the position. A keyed
-// accumulator left holding nothing leaves its item's accs.
+// retract subtracts what a value ring position recorded from acc and
+// empties the position.
 func (p *incPlan) retract(ip *incItemState, acc *itemAcc, cells []ringCell) {
 	switch cells[0].state {
 	case slotEmpty:
@@ -926,28 +791,17 @@ func (p *incPlan) retract(ip *incItemState, acc *itemAcc, cells []ringCell) {
 		acc.filterBad--
 	}
 	cells[0].state = slotEmpty
-	if !ip.aligned && acc.rows == 0 && acc.filterBad == 0 {
-		delete(ip.accs, acc.key)
-	}
 }
 
-// probe finds the accumulator of ip matching trigger event e, nil when
-// no event of the item has e's key.
+// probe finds the accumulator of ip matching trigger event e, nil when no
+// row of a table item has e's key. A window item's is that of the group the
+// trigger event itself went to: the item reads the trigger's stream, grouped
+// on the field it joins.
 func (p *incPlan) probe(ip *incItemState, e *Event) *itemAcc {
-	switch {
-	case ip.tab != nil:
+	if ip.tab != nil {
 		return p.probeTable(ip, e)
-	case !ip.aligned:
-		return ip.accs[string(ip.probeKey(e))]
 	}
-	g := ip.gw.cur
-	if !ip.sameKey || ip.view.lastEv != e {
-		g = ip.gw.find(e, ip.srcSlots, ip.sameKey)
-	}
-	if g == nil {
-		return nil
-	}
-	return &g.accs[ip.sub].itemAcc
+	return &ip.gw.cur.accs[ip.sub].itemAcc
 }
 
 // probeTable returns the accumulator of the rows of ip's table that trigger
@@ -955,37 +809,26 @@ func (p *incPlan) probe(ip *incItemState, e *Event) *itemAcc {
 func (p *incPlan) probeTable(ip *incItemState, e *Event) *itemAcc {
 	t := ip.tab
 	cur := t.ref.cur
-	loc := e.slots[t.src[0]]
 	for k, sl := range t.src[1:] {
 		t.q[k] = keyValOf(e.slots[sl])
 	}
 	for k, x := range t.extra {
 		t.q[len(t.src)-1+k] = keyValOf(e.slots[x[1]])
 	}
-	keys := t.q[:len(t.src)-1]
-	en := e.ents[t.loc.pos]
-	if en == nil || len(t.q) > len(tableProbe{}.q) {
-		t.keyBuf = appendValueKey(t.keyBuf[:0], loc)
-		blk, found := cur.blocks[string(t.keyBuf)]
-		if !found {
-			return nil
-		}
-		return p.foldRun(ip, cur, cur.run(blk, keys), &t.acc)
-	}
-	tp := en.tab(t.num)
+	tp := e.ents[t.loc.pos].tab(t.num)
 	if tp.ver != cur {
-		tp.blk, tp.found = cur.blocks[valueKey(loc)]
+		tp.blk, tp.found = cur.blocks[valueKey(e.slots[t.src[0]])]
 		tp.ver, tp.ok = cur, false
 	}
 	if !tp.found {
 		return nil
 	}
-	if q := tp.q[:len(t.q)]; !tp.ok || !slices.EqualFunc(q, t.q, keyVal.equal) {
+	if !tp.ok || !slices.EqualFunc(tp.q, t.q, keyVal.equal) {
 		if tp.acc.aggs == nil {
 			tp.acc.aggs = aggsIn(tp.aggBuf[:], len(ip.aggIdx))
 		}
-		p.foldRun(ip, cur, cur.run(tp.blk, keys), &tp.acc)
-		copy(q, t.q)
+		p.foldRun(ip, cur, cur.run(tp.blk, t.q[:len(t.src)-1]), &tp.acc)
+		tp.q = append(tp.q[:0], t.q...)
 		tp.ok = true
 	}
 	return &tp.acc
@@ -993,7 +836,7 @@ func (p *incPlan) probeTable(ip *incItemState, e *Event) *itemAcc {
 
 // foldRun folds into acc, emptied first, the rows of run that match the
 // probe key's extra columns.
-func (p *incPlan) foldRun(ip *incItemState, tab *Table, run span, acc *itemAcc) *itemAcc {
+func (p *incPlan) foldRun(ip *incItemState, tab *Table, run span, acc *itemAcc) {
 	t := ip.tab
 	acc.rows, acc.filterBad, acc.argBad, acc.last, acc.err = 0, 0, 0, nil, nil
 	for j := range acc.aggs {
@@ -1026,17 +869,12 @@ rows:
 			acc.err = err
 		}
 	}
-	return acc
 }
 
-// evaluate emits the (single) group for the current trigger event: check
-// the emit filters, probe each item's accumulators in FROM order, combine,
-// filter, project.
-func (p *incPlan) evaluate() ([]Output, error) {
-	e := p.trigView.lastEv
-	if e == nil {
-		return nil, nil
-	}
+// evaluate emits the (single) group for trigger event e, which every item
+// over its stream has just taken: check the emit filters, probe each item's
+// accumulators in FROM order, combine, filter, project.
+func (p *incPlan) evaluate(e *Event) ([]Output, error) {
 	row := p.row
 	for i := range row {
 		row[i] = nil
@@ -1058,11 +896,6 @@ func (p *incPlan) evaluate() ([]Output, error) {
 	for _, ip := range p.items {
 		if ip == nil {
 			continue
-		}
-		for _, pc := range ip.pairChecks {
-			if !keyEq(e.slots[pc[0]], e.slots[pc[1]]) {
-				return nil, nil
-			}
 		}
 		acc := p.probe(ip, e)
 		switch {
@@ -1112,12 +945,6 @@ func (p *incPlan) evaluate() ([]Output, error) {
 		return nil, err
 	}
 	return []Output{out}, nil
-}
-
-// keyEq is equality as join keys see it (appendValueKey): valueEq, except
-// that NaN matches NaN.
-func keyEq(a, b Value) bool {
-	return valueEq(a, b) || valueKey(a) == valueKey(b)
 }
 
 // aggFloat computes one aggregate for the trigger-factorized emit row as

@@ -13,11 +13,14 @@ import (
 )
 
 // TestIncrementalStrategySelection pins the registration rule: a statement
-// registers only when the trigger plan can run it, and every way into the
-// engine refuses one it cannot with the reason, leaving nothing registered.
+// registers only when it is an instance of the rule template the trigger
+// plan runs, and every way into the engine refuses one that is not with the
+// reason, leaving nothing registered. A case marked owned is refused only
+// when restricted to the owned keys of s.loc.
 func TestIncrementalStrategySelection(t *testing.T) {
 	cases := []struct {
 		name, src, want string // want "" registers
+		owned           bool
 	}{
 		{
 			"listing1_trigger",
@@ -25,133 +28,211 @@ func TestIncrementalStrategySelection(t *testing.T) {
 			 bus.std:groupwin(loc).win:length(10) AS bd2, th.win:keepall() AS th
 			 WHERE bd.hour = th.hour AND bd.loc = th.location AND bd.loc = bd2.loc
 			 GROUP BY bd2.loc HAVING avg(bd2.attr) > avg(th.value)`,
-			"",
+			"", false,
 		},
 		{
 			// Single-window aggregates have no trigger item.
 			"single_window_delta",
 			`SELECT avg(w.x) AS a FROM s.win:length(5) AS w`,
-			"no std:lastevent() item reaches every equi-join class",
+			"no std:lastevent() item triggers the statement", false,
 		},
 		{
 			"grouped_delta",
 			`SELECT w.loc AS l, sum(w.x) AS s FROM s.win:length(5) AS w GROUP BY w.loc`,
-			"no std:lastevent() item reaches every equi-join class",
+			"no std:lastevent() item triggers the statement", false,
 		},
 		{
 			"join_without_trigger_ineligible",
-			`SELECT a.loc AS l, sum(b.x) AS s FROM s.win:length(5) AS a, t.win:keepall() AS b
-			 WHERE a.loc = b.loc GROUP BY a.loc`,
-			"no std:lastevent() item reaches every equi-join class",
+			`SELECT a.loc AS l, sum(a.x) AS s FROM s.win:length(5) AS a, th AS b
+			 WHERE a.loc = b.location GROUP BY a.loc`,
+			"no std:lastevent() item triggers the statement", false,
 		},
 		{
-			// The trigger reaches a.k's class but not b.j = c.j.
+			// b.hour = c.hour joins two items that are not the trigger.
 			"chain_without_trigger_ineligible",
-			`SELECT count(*) AS n FROM s1.std:lastevent() AS a, s2.win:keepall() AS b, s3.win:keepall() AS c
-			 WHERE a.k = b.k AND b.j = c.j`,
-			"no std:lastevent() item reaches every equi-join class",
+			`SELECT count(*) AS n FROM s.std:lastevent() AS a, s.std:groupwin(loc).win:length(5) AS b, th AS c
+			 WHERE a.loc = b.loc AND a.loc = c.location AND b.hour = c.hour`,
+			"equi-join (b.hour = c.hour) does not read the trigger", false,
+		},
+		{
+			"two_triggers_refused",
+			`SELECT count(*) AS n FROM s.std:lastevent() AS a, s.std:lastevent() AS b WHERE a.loc = b.loc`,
+			"items a and b are both std:lastevent(); a statement has one trigger", false,
+		},
+		{
+			"second_stream_refused",
+			`SELECT avg(x.a) AS m FROM s.std:lastevent() AS t, aux.std:groupwin(loc).win:length(5) AS x
+			 WHERE t.loc = x.loc`,
+			"item x reads stream aux, not the trigger's stream s", false,
+		},
+		{
+			"ungrouped_window_refused",
+			`SELECT sum(w.x) AS s FROM s.std:lastevent() AS t, s.win:length(5) AS w WHERE t.loc = w.loc`,
+			"item w: win:length(5) is not grouped; a window item is std:groupwin(f).win:length(n)", false,
+		},
+		{
+			"keepall_window_refused",
+			`SELECT sum(w.x) AS s FROM s.std:lastevent() AS t, s.win:keepall() AS w WHERE t.loc = w.loc`,
+			"item w: win:keepall() keeps every event; a window item is std:groupwin(f).win:length(n)", false,
+		},
+		{
+			// A stream item with no view would keep every event.
+			"no_view_refused",
+			`SELECT sum(w.x) AS s FROM s.std:lastevent() AS t, s AS w WHERE t.loc = w.loc`,
+			"item w: no view keeps every event; a window item is std:groupwin(f).win:length(n)", false,
+		},
+		{
+			"composite_group_key_refused",
+			`SELECT sum(w.x) AS s FROM s.std:lastevent() AS t, s.std:groupwin(loc,hour).win:length(5) AS w
+			 WHERE t.loc = w.loc AND t.hour = w.hour`,
+			"item w: std:groupwin(loc,hour).win:length(5) has a composite group key; a window item is grouped on one field", false,
+		},
+		{
+			"unbounded_group_refused",
+			`SELECT sum(w.x) AS s FROM s.std:lastevent() AS t, s.std:groupwin(loc) AS w WHERE t.loc = w.loc`,
+			"item w: std:groupwin(loc) does not bound its groups with win:length(n)", false,
+		},
+		{
+			"group_keepall_refused",
+			`SELECT sum(w.x) AS s FROM s.std:lastevent() AS t, s.std:groupwin(loc).win:keepall() AS w WHERE t.loc = w.loc`,
+			"item w: std:groupwin(loc).win:keepall() does not bound its groups with win:length(n)", false,
+		},
+		{
+			// Joined on hour, grouped on loc: the trigger's group is not the
+			// join key's.
+			"group_joined_off_key_refused",
+			`SELECT sum(w.x) AS s FROM s.std:lastevent() AS t, s.std:groupwin(loc).win:length(5) AS w WHERE t.hour = w.hour`,
+			"item w is grouped on loc: it joins the trigger by exactly t.loc = w.loc", false,
+		},
+		{
+			"group_joined_twice_refused",
+			`SELECT sum(w.x) AS s FROM s.std:lastevent() AS t, s.std:groupwin(loc).win:length(5) AS w
+			 WHERE t.loc = w.loc AND t.hour = w.hour`,
+			"item w is grouped on loc: it joins the trigger by exactly t.loc = w.loc", false,
+		},
+		{
+			"group_not_joined_refused",
+			`SELECT sum(w.x) AS s FROM s.std:lastevent() AS t, s.std:groupwin(loc).win:length(5) AS w`,
+			"item w is grouped on loc: it joins the trigger by exactly t.loc = w.loc", false,
+		},
+		{
+			// Unrestricted, a window grouped on hour is the template; restricted
+			// to owned locations, a disowned location would leave its rows in
+			// the hour groups.
+			"owned_off_field_refused",
+			`SELECT sum(w.x) AS s FROM s.std:lastevent() AS t, s.std:groupwin(hour).win:length(5) AS w WHERE t.hour = w.hour`,
+			"item w is grouped on hour, not on the owned field loc", true,
 		},
 		{
 			"per_row_ineligible",
 			`SELECT w.x AS x FROM s.win:length(5) AS w`,
-			"the query is aggregate-free (no aggregate, no GROUP BY)",
+			"the query is aggregate-free (no aggregate, no GROUP BY)", false,
 		},
 		{
 			"select_star_ineligible",
 			`SELECT * FROM s.win:length(5) AS w GROUP BY w.loc`,
-			"SELECT * is not supported",
+			"SELECT * is not supported", false,
 		},
 		{
-			// A field outside the trigger's equi classes differs across the
+			// A field outside the trigger's equi-joins differs across the
 			// join rows: maintained state cannot answer it.
 			"unstable_ref_ineligible",
-			`SELECT w.other AS o, sum(w.x) AS s FROM s.std:lastevent() AS t, s.win:length(5) AS w
+			`SELECT w.other AS o, sum(w.x) AS s FROM s.std:lastevent() AS t, s.std:groupwin(loc).win:length(5) AS w
 			 WHERE t.loc = w.loc GROUP BY t.loc`,
-			"field w.other is not resolvable through the trigger",
+			"field w.other is not resolvable through the trigger", false,
 		},
 		{
 			"unqualified_ref_ineligible",
 			`SELECT x AS x, count(*) AS n FROM s.std:lastevent() AS t`,
-			"field x is not resolvable through the trigger",
+			"field x is not resolvable through the trigger", false,
 		},
 		{
 			"non_equi_join_ineligible",
-			`SELECT count(*) AS n FROM s.std:lastevent() AS t, s.win:length(5) AS w WHERE t.x > w.x`,
-			"WHERE conjunct (t.x > w.x) spans items without being an equi-join",
+			`SELECT count(*) AS n FROM s.std:lastevent() AS t, s.std:groupwin(loc).win:length(5) AS w
+			 WHERE t.loc = w.loc AND t.x > w.x`,
+			"WHERE conjunct (t.x > w.x) spans items without being an equi-join", false,
 		},
 		{
 			"two_item_argument_ineligible",
-			`SELECT sum(t.x + w.x) AS n FROM s.std:lastevent() AS t, s.win:length(5) AS w`,
-			"aggregate argument (t.x + w.x) does not read one FROM item through qualified fields",
+			`SELECT sum(t.x + w.x) AS n FROM s.std:lastevent() AS t, s.std:groupwin(loc).win:length(5) AS w WHERE t.loc = w.loc`,
+			"aggregate argument (t.x + w.x) does not read one FROM item through qualified fields", false,
 		},
 		{
 			"impure_filter_ineligible",
-			`SELECT count(*) AS n FROM s.std:lastevent() AS t, s.win:length(5) AS w WHERE lookup(w.x) > 0`,
-			"item filter (lookup(w.x) > 0) is impure",
+			`SELECT count(*) AS n FROM s.std:lastevent() AS t, s.std:groupwin(loc).win:length(5) AS w
+			 WHERE t.loc = w.loc AND lookup(w.x) > 0`,
+			"item filter (lookup(w.x) > 0) is impure", false,
 		},
 		{
 			"impure_argument_ineligible",
-			`SELECT avg(lookup(w.x)) AS m FROM s.std:lastevent() AS t, s.win:length(5) AS w`,
-			"aggregate argument lookup(w.x) is impure",
+			`SELECT avg(lookup(w.x)) AS m FROM s.std:lastevent() AS t, s.std:groupwin(loc).win:length(5) AS w WHERE t.loc = w.loc`,
+			"aggregate argument lookup(w.x) is impure", false,
 		},
 		{
 			"impure_group_key_ineligible",
 			`SELECT count(*) AS n FROM s.std:lastevent() AS t GROUP BY lookup(t.x)`,
-			"GROUP BY key lookup(t.x) is impure",
+			"GROUP BY key lookup(t.x) is impure", false,
 		},
 		{
 			"arity_ineligible",
-			`SELECT sum(w.x, w.y) AS n FROM s.std:lastevent() AS t, s.win:length(5) AS w`,
-			"aggregate sum(w.x,w.y) takes 1 argument",
+			`SELECT sum(w.x, w.y) AS n FROM s.std:lastevent() AS t, s.std:groupwin(loc).win:length(5) AS w WHERE t.loc = w.loc`,
+			"aggregate sum(w.x,w.y) takes 1 argument", false,
 		},
 		{
 			"star_aggregate_ineligible",
 			`SELECT sum(*) AS n FROM s.std:lastevent() AS t`,
-			"sum(*): only count takes *",
+			"sum(*): only count takes *", false,
 		},
+	}
+	th, err := NewTable([]string{"location", "hour", "value"}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			eng := New()
 			eng.RegisterFunction("lookup", func(args []Value) (Value, error) { return args[0], nil })
+			if err := eng.RegisterTable("th", th); err != nil {
+				t.Fatal(err)
+			}
 			_, errStmt := eng.AddStatement("r", c.src)
 			_, errQuery := eng.AddQuery("q", epl.MustParse(c.src))
 			_, errOwned := eng.AddOwnedStatement("o", c.src, "s", "loc")
-			for _, err := range []error{errStmt, errQuery, errOwned} {
+			for i, err := range []error{errStmt, errQuery, errOwned} {
+				want := c.want
+				if c.owned && i < 2 {
+					want = ""
+				}
 				switch {
-				case c.want == "" && err != nil:
+				case want == "" && err != nil:
 					t.Fatalf("registration refused: %v", err)
-				case c.want != "" && (err == nil || !strings.HasSuffix(err.Error(), ": "+c.want)):
-					t.Fatalf("err = %v, want the reason %q", err, c.want)
+				case want != "" && (err == nil || !strings.HasSuffix(err.Error(), ": "+want)):
+					t.Fatalf("err = %v, want the reason %q", err, want)
 				}
 			}
-			if n := eng.StatementCount(); c.want != "" && n != 0 {
-				t.Fatalf("%d statements registered after refusals", n)
+			if n, want := eng.StatementCount(), map[bool]int{true: 2, false: 0}[c.owned]; c.want != "" && n != want {
+				t.Fatalf("%d statements registered after refusals, want %d", n, want)
 			}
 		})
 	}
 }
 
 // triggerAvg is a trigger-planned statement: the latest event's location
-// joined with a length window on the same stream.
+// joined with its group of a length window on the same stream.
 const triggerAvg = `SELECT bd.loc AS l, avg(w.x) AS a
-	FROM s.std:lastevent() AS bd, s.win:length(5) AS w
+	FROM s.std:lastevent() AS bd, s.std:groupwin(loc).win:length(5) AS w
 	WHERE bd.loc = w.loc GROUP BY bd.loc`
 
 func TestIncrementalMinMaxEviction(t *testing.T) {
 	// min/max must follow evictions out of a sliding window: after the 9
 	// leaves a group's length-3 window, max falls back to the remaining
-	// values. The window is key-aligned, so evictions retract through the
-	// group's value ring.
+	// values. Evictions retract through the group's value ring.
 	eng := New()
 	st, err := eng.AddStatement("r", `SELECT bd2.loc AS loc, min(bd2.x) AS lo, max(bd2.x) AS hi
 		FROM s.std:lastevent() AS bd, s.std:groupwin(loc).win:length(3) AS bd2
 		WHERE bd.loc = bd2.loc GROUP BY bd2.loc`)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !st.inc.items[1].aligned {
-		t.Fatal("bd2 is not key-aligned")
 	}
 	var last Output
 	st.AddListener(func(_ *Statement, outs []Output) {
@@ -176,7 +257,7 @@ func TestUnfoldableFilterHeldAgainstItsKey(t *testing.T) {
 	const errBogus = `cep: statement "r": cep: value bogus (string) is not numeric`
 	rig := newOracleRig()
 	st := rig.add(t, "r", `SELECT bd.loc AS l, sum(w.x) AS s
-		FROM s.std:lastevent() AS bd, s.win:length(3) AS w
+		FROM s.std:lastevent() AS bd, s.std:groupwin(loc).win:length(3) AS w
 		WHERE bd.loc = w.loc AND w.x > 0 GROUP BY bd.loc`)
 	for i, ev := range []struct {
 		x        Value
@@ -265,7 +346,6 @@ func TestIndexConjunctUnknownAliasRejected(t *testing.T) {
 func TestWindowDeltaContract(t *testing.T) {
 	specs := []string{
 		"std:lastevent()",
-		"win:keepall()",
 		"win:length(3)",
 		"std:groupwin(k).win:length(2)",
 		"std:groupwin(k).std:lastevent()",
@@ -344,15 +424,15 @@ func TestWindowDeltaContract(t *testing.T) {
 func TestFunctionRegisteredOverBuiltinMidStream(t *testing.T) {
 	cases := []struct{ name, src, want string }{
 		{"filter", `SELECT count(*) AS n, sum(w.x) AS s
-			FROM s.std:lastevent() AS t, s.win:length(2) AS w WHERE abs(w.x) > 1`, ""},
+			FROM s.std:lastevent() AS t, s.std:groupwin(k).win:length(2) AS w WHERE t.k = w.k AND abs(w.x) > 1`, ""},
 		{"argument", `SELECT count(*) AS n, sum(abs(w.x)) AS s
-			FROM s.std:lastevent() AS t, s.win:length(2) AS w`, "n=n2;s=n0"},
+			FROM s.std:lastevent() AS t, s.std:groupwin(k).win:length(2) AS w WHERE t.k = w.k`, "n=n2;s=n0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			rig := newOracleRig()
 			rig.add(t, "r", c.src)
-			five := map[string]Value{"x": 5.0}
+			five := map[string]Value{"k": "a", "x": 5.0}
 			for i := 0; i < 3; i++ {
 				rig.send(t, i, "s", five)
 			}
@@ -399,7 +479,24 @@ func TestIncrementalCollectPublishesCounters(t *testing.T) {
 // shape with a low threshold (so HAVING fires) through the engine and the
 // oracle's recompute and compares every emitted batch.
 func TestListing1IncrementalMatchesRecompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var rows []map[string]Value
+	for loc := 0; loc < 3; loc++ {
+		for h := 0; h < 3; h++ {
+			rows = append(rows, map[string]Value{
+				"location": fmt.Sprintf("L%d", loc), "hour": float64(h),
+				"day": "wd", "value": float64(rng.Intn(6)),
+			})
+		}
+	}
+	thr, err := NewTable([]string{"location", "hour", "day", "value"}, 3, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rig := newOracleRig()
+	if err := rig.eng.RegisterTable("thr", thr); err != nil {
+		t.Fatal(err)
+	}
 	rig.add(t, "r", `SELECT bd2.loc AS loc, avg(bd2.attr) AS cur, avg(th.value) AS thr
 		FROM bus.std:lastevent() AS bd UNIDIRECTIONAL,
 		     bus.std:groupwin(loc).win:length(4) AS bd2,
@@ -407,30 +504,17 @@ func TestListing1IncrementalMatchesRecompute(t *testing.T) {
 		WHERE bd.hour = th.hour AND bd.day = th.day AND bd.loc = th.location AND bd.loc = bd2.loc
 		GROUP BY bd2.loc
 		HAVING avg(bd2.attr) > avg(th.value)`)
-	rng := rand.New(rand.NewSource(11))
-	i := 0
-	feed := func(stream string, f map[string]Value) {
-		if err := rig.send(t, i, stream, f); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	}
-	for loc := 0; loc < 3; loc++ {
-		for h := 0; h < 3; h++ {
-			feed("thr", map[string]Value{
-				"location": fmt.Sprintf("L%d", loc), "hour": float64(h),
-				"day": "wd", "value": float64(rng.Intn(6)),
-			})
-		}
-	}
 	fired := 0
 	for j := 0; j < 400; j++ {
-		feed("bus", map[string]Value{
+		err := rig.send(t, j, "bus", map[string]Value{
 			"loc":  fmt.Sprintf("L%d", rng.Intn(3)),
 			"hour": float64(rng.Intn(3)),
 			"day":  "wd",
 			"attr": float64(rng.Intn(10)),
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if rig.batch["r"] != "" {
 			fired++
 		}
@@ -440,31 +524,21 @@ func TestListing1IncrementalMatchesRecompute(t *testing.T) {
 	}
 }
 
+// TestProcTimeSampledOnlyWithRegistry: a statement reads no clock, with a
+// telemetry registry or without one, and counts the same work either way:
+// every event in, one evaluation per event, and here a firing per event.
 func TestProcTimeSampledOnlyWithRegistry(t *testing.T) {
-	// Statement wall-clock sampling costs two time.Now calls per event;
-	// it must be off unless a telemetry registry consumes it.
-	const src = `SELECT avg(w.x) AS a FROM s.std:lastevent() AS t, s.win:length(5) AS w`
-	plain := New()
-	st, err := plain.AddStatement("r", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		send(t, plain, "s", map[string]Value{"x": float64(i)})
-	}
-	if pt := st.Metrics().ProcTime; pt != 0 {
-		t.Fatalf("ProcTime sampled without a registry: %v", pt)
-	}
-
-	wired := New(WithRegistry(telemetry.NewRegistry()))
-	st2, err := wired.AddStatement("r", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		send(t, wired, "s", map[string]Value{"x": float64(i)})
-	}
-	if pt := st2.Metrics().ProcTime; pt <= 0 {
-		t.Fatalf("ProcTime not sampled with a registry: %v", pt)
+	const src = `SELECT avg(w.x) AS a FROM s.std:lastevent() AS t, s.std:groupwin(k).win:length(5) AS w WHERE t.k = w.k`
+	for _, eng := range []*Engine{New(), New(WithRegistry(telemetry.NewRegistry()))} {
+		st, err := eng.AddStatement("r", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			send(t, eng, "s", map[string]Value{"k": "a", "x": float64(i)})
+		}
+		if m, want := st.Metrics(), (StatementMetrics{EventsIn: 50, Evaluations: 50, Firings: 50}); m != want {
+			t.Fatalf("registry %v: metrics %+v, want %+v", eng.reg != nil, m, want)
+		}
 	}
 }

@@ -269,6 +269,18 @@ func (w *oracleWin) contents() []*Event {
 	return out
 }
 
+// appendSlotsKey appends the composite hash key of ev's values at slots —
+// appendCompositeKey over those values — to buf.
+func appendSlotsKey(buf []byte, ev *Event, slots []int) []byte {
+	for i, sl := range slots {
+		if i > 0 {
+			buf = append(buf, keySep)
+		}
+		buf = appendValueKey(buf, ev.slots[sl])
+	}
+	return buf
+}
+
 // oracle recomputes the statements of an engine: it takes every event the
 // engine takes, into windows of its own, and answers for each statement
 // what that event makes it emit, or the error it makes it return.
@@ -384,11 +396,15 @@ func (o *oracle) send(stream string, fields map[string]Value) (map[string][]map[
 				continue
 			}
 		}
+		unidirectional := slices.ContainsFunc(st.Query.From, func(f epl.FromItem) bool { return f.Unidirectional })
 		triggered := false
 		var arrival error
-		for _, i := range st.itemsByStream[stream] {
+		for i, it := range st.items {
+			if it.table != nil || it.spec.Stream != stream {
+				continue
+			}
 			os.wins[i].insert(ev)
-			if !st.unidirectional || st.items[i].spec.Unidirectional {
+			if !unidirectional || it.spec.Unidirectional {
 				triggered = true
 			}
 			if err := os.unfoldable(i, ev); err != nil && arrival == nil {

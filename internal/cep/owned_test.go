@@ -23,11 +23,12 @@ func TestOwnedStatements(t *testing.T) {
 	if got := eng.Own("bus", "loc", "L2", "L3"); fmt.Sprint(got) != "[L3]" {
 		t.Fatalf("Own added %v, want [L3]", got)
 	}
-	rule := func(attr string) string {
-		return fmt.Sprintf(`SELECT bd2.loc AS loc, avg(bd2.%s) AS m
-			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(3) AS bd2
-			WHERE bd.loc = bd2.loc GROUP BY bd2.loc`, attr)
+	ruleOn := func(field, attr string) string {
+		return fmt.Sprintf(`SELECT bd2.%[1]s AS loc, avg(bd2.%[2]s) AS m
+			FROM bus.std:lastevent() AS bd, bus.std:groupwin(%[1]s).win:length(3) AS bd2
+			WHERE bd.%[1]s = bd2.%[1]s GROUP BY bd2.%[1]s`, field, attr)
 	}
+	rule := func(attr string) string { return ruleOn("loc", attr) }
 	add := func(name, src, field string) *Statement {
 		t.Helper()
 		add := eng.AddStatement
@@ -41,8 +42,8 @@ func TestOwnedStatements(t *testing.T) {
 		return st
 	}
 	a, b := add("a", rule("x"), "loc"), add("b", rule("y"), "loc")
-	free, other := add("free", rule("x"), ""), add("other", rule("x"), "zone")
-	add("aux", `SELECT count(*) AS n FROM aux.std:lastevent() AS a, aux.win:length(5) AS w`, "loc")
+	free, other := add("free", rule("x"), ""), add("other", ruleOn("zone", "x"), "zone")
+	add("aux", `SELECT count(*) AS n FROM aux.std:lastevent() AS a, aux.std:groupwin(loc).win:length(5) AS w WHERE a.loc = w.loc`, "loc")
 	if a.items[0].view != b.items[0].view || a.items[1].view != b.items[1].view {
 		t.Fatal("two statements restricted to one owned-key set must share their views")
 	}
@@ -90,14 +91,17 @@ func TestOwnedStatements(t *testing.T) {
 // TestDifferentialOwnedRegain: a key an engine disowns and gains again
 // starts empty, as a first gain does. An engine owns some of the feed's loc
 // keys, disowns them all mid-feed (in two calls) and regains them later;
-// from the regain on, each statement restricted to them — Listing-1 rules
-// over window 10, a filtered min/max, and a rule keyed by hour over a window
-// grouped by loc, whose accumulators outlive any one group — must emit what
-// the same statement emits in a fresh engine owning those keys and fed only
-// the events after the regain, batch by batch, and end with the same window
+// from the regain on, each statement restricted to them — every restricted
+// shape the engine runs: Listing-1 rules over window 10 and a thresholds
+// table, a filtered min/max over one window, a rule over two windows of one
+// location, a rule over a table alone and one over the trigger alone —
+// must emit what the same
+// statement emits in a fresh engine owning those keys and fed only the
+// events after the regain, batch by batch, and end with the same window
 // sizes and error count. Unrestricted copies of the statements beside them
 // keep their windows: they must emit what they emit in an engine with no
-// owned keys fed the whole feed.
+// owned keys fed the whole feed. The feed sends runs of one event at one
+// event time.
 func TestDifferentialOwnedRegain(t *testing.T) {
 	var fired int
 	for seed := int64(0); seed < 6; seed++ {
@@ -118,11 +122,15 @@ func TestDifferentialOwnedRegain(t *testing.T) {
 			sharedStmt{"minmax", `SELECT bd2.loc AS loc, min(bd2.a) AS lo, max(bd2.a) AS hi, count(bd2.b) AS nb, count(*) AS n
 				FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(10) AS bd2
 				WHERE bd.loc = bd2.loc AND bd2.a >= 2 GROUP BY bd2.loc`, "", "loc"},
-			sharedStmt{"grouped", `SELECT bd.hour AS hour, sum(w.c) AS s, count(*) AS n
-				FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(10) AS w
-				WHERE bd.hour = w.hour GROUP BY bd.hour`, "", "loc"},
+			sharedStmt{"two", `SELECT bd.loc AS loc, sum(x.c) AS s, count(*) AS n, max(y.a) AS hi
+				FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(10) AS x, bus.std:groupwin(loc).win:length(3) AS y
+				WHERE bd.loc = x.loc AND bd.loc = y.loc GROUP BY bd.loc`, "", "loc"},
+			sharedStmt{"table", `SELECT bd.loc AS loc, avg(th.value) AS v, count(*) AS n
+				FROM bus.std:lastevent() AS bd, thr_rule0 AS th
+				WHERE bd.hour = th.hour AND bd.loc = th.location AND bd.a > 4 GROUP BY bd.loc`, "thr_rule0", "loc"},
+			sharedStmt{"rows", `SELECT bd.loc AS loc, bd.a AS a, count(*) AS n FROM bus.std:lastevent() AS bd`, "", "loc"},
 		)
-		thresholds, feed := sharedFeed(rng, stmts, 600)
+		tables, feed := sharedFeed(rng, stmts, 600)
 		var keys []string
 		for _, k := range rng.Perm(4)[:1+rng.Intn(4)] {
 			keys = append(keys, fmt.Sprintf("L%d", k))
@@ -130,21 +138,16 @@ func TestDifferentialOwnedRegain(t *testing.T) {
 		disownAt := len(feed)/4 + rng.Intn(len(feed)/4)
 		regainAt := disownAt + 1 + rng.Intn(len(feed)/4)
 
-		// A rig's statements all read its thresholds streams, fed once
-		// they are registered.
 		rig := func(owned []string, restricted, free bool) *sharedRig {
 			r := &sharedRig{eng: New(), outs: make(map[string][]string)}
 			r.eng.Own("bus", "loc", owned...)
 			for _, s := range stmts {
 				if restricted {
-					r.add(t, s, nil)
+					r.add(t, s, tables)
 				}
 				if free {
-					r.add(t, sharedStmt{"free_" + s.name, s.src, s.thr, ""}, nil)
+					r.add(t, sharedStmt{"free_" + s.name, s.src, s.thr, ""}, tables)
 				}
-			}
-			for _, ev := range thresholds {
-				send(t, r.eng, ev.stream, ev.fields)
 			}
 			return r
 		}
@@ -168,10 +171,10 @@ func TestDifferentialOwnedRegain(t *testing.T) {
 					errsAt[s.name] = st.Metrics().Errors
 				}
 			}
-			product.eng.SendEvent(ev.stream, ev.fields)
-			unowned.eng.SendEvent(ev.stream, ev.fields)
+			product.send(t, i, ev)
+			unowned.send(t, i, ev)
 			if fresh != nil {
-				fresh.eng.SendEvent(ev.stream, ev.fields)
+				fresh.send(t, i, ev)
 			}
 			for _, s := range stmts {
 				free := "free_" + s.name

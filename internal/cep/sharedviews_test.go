@@ -25,7 +25,7 @@ import (
 // emit what the oracle emits, and fail when the oracle fails.
 
 // sharedStmt is one statement of a shared-view scenario; thr names the
-// threshold stream it joins, empty when it has none, and owned the bus field
+// thresholds table it joins, empty when it has none, and owned the bus field
 // whose owned keys it is restricted to, empty when it is not.
 type sharedStmt struct {
 	name, src, thr, owned string
@@ -63,8 +63,14 @@ func canonOutput(o Output) string {
 	return sb.String()
 }
 
-func (r *sharedRig) add(t *testing.T, s sharedStmt, thresholds []diffEvent) {
+// add registers a statement, and first the thresholds table it joins.
+func (r *sharedRig) add(t *testing.T, s sharedStmt, tables map[string]*Table) {
 	t.Helper()
+	if s.thr != "" {
+		if err := r.eng.RegisterTable(s.thr, tables[s.thr]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var st *Statement
 	var err error
 	if s.owned == "" {
@@ -85,21 +91,15 @@ func (r *sharedRig) add(t *testing.T, s sharedStmt, thresholds []diffEvent) {
 		}
 		r.outs[st.Name] = append(r.outs[st.Name], strings.Join(batch, " | "))
 	})
-	for i, ev := range thresholds {
-		if ev.stream == s.thr {
-			if err := r.send(t, i, ev.stream, ev.fields); err != nil {
-				t.Fatalf("thresholds of %s: %v", s.name, err)
-			}
-		}
-	}
 }
 
-// send delivers the i-th event of a feed, through the oracle check if set.
-func (r *sharedRig) send(t *testing.T, i int, stream string, fields map[string]Value) error {
+// send delivers the i-th event of a feed at its event time, through the
+// oracle check if set.
+func (r *sharedRig) send(t *testing.T, i int, ev diffEvent) error {
 	if r.check != nil {
-		return r.check.send(t, i, stream, fields)
+		return r.check.sendAt(t, i, ev.ts, ev.stream, ev.fields)
 	}
-	return r.eng.SendEvent(stream, fields)
+	return r.eng.SendEventAt(ev.stream, ev.ts, ev.fields)
 }
 
 // remove deregisters a statement, from the oracle check too.
@@ -114,17 +114,28 @@ func (r *sharedRig) remove(name string) bool {
 // differ: Listing-1 rules over three window lengths and two location
 // fields, aggregating an attribute that is sometimes nil (b) or sometimes a
 // string or a NaN (c, which no aggregate can fold), a filtered min/max rule
-// on the same windows, trigger rules keyed through an ungrouped window,
-// through a window grouped on another field and through no join at all, one
-// whose grouped window reads another stream than its trigger, a two-field
-// group, and rules that read the shared windows through two items on one
-// stream. Each is restricted to the owned loc keys, the owned loc2 keys or
-// nothing, at random.
+// on the same windows, a rule over two windows of one location, one over
+// windows of two location fields, one over a window grouped by hour, a rule
+// on another stream, and one over the trigger alone. Each is restricted at
+// random to the owned loc keys, the owned loc2 keys or nothing — a rule
+// with windows only to the keys of the field they are grouped on.
 func sharedStatements(rng *rand.Rand) []sharedStmt {
 	lengths := []int{1, 10, 100}
 	var out []sharedStmt
 	n := 0
 	name := func(kind string) string { n++; return fmt.Sprintf("%s%d", kind, n) }
+	// owned restricts a statement whose windows are all grouped on field,
+	// or that has none (field "*"), at random.
+	owned := func(field string) string {
+		choice := []string{"", field}
+		if field == "*" {
+			choice = []string{"", "loc", "loc2"}
+		}
+		if field == "" {
+			return ""
+		}
+		return choice[rng.Intn(len(choice))]
+	}
 	for i, k := 0, 3+rng.Intn(3); i < k; i++ {
 		nm := name("rule")
 		loc := []string{"loc", "loc", "loc2"}[rng.Intn(3)]
@@ -135,61 +146,56 @@ func sharedStatements(rng *rand.Rand) []sharedStmt {
 			     thr_%[4]s.win:keepall() AS th
 			WHERE bd.hour = th.hour AND bd.%[1]s = th.location AND bd.%[1]s = bd2.%[1]s
 			GROUP BY bd2.%[1]s
-			HAVING avg(bd2.%[2]s) > avg(th.value)`, loc, attr, lengths[rng.Intn(3)], nm), "thr_" + nm, ""})
+			HAVING avg(bd2.%[2]s) > avg(th.value)`, loc, attr, lengths[rng.Intn(3)], nm), "thr_" + nm, owned(loc)})
 	}
 	out = append(out,
 		sharedStmt{name("minmax"), fmt.Sprintf(`SELECT bd2.loc AS loc, min(bd2.a) AS lo, max(bd2.a) AS hi, count(bd2.b) AS nb, count(*) AS n
 			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(%d) AS bd2
-			WHERE bd.loc = bd2.loc AND bd2.a >= 2 GROUP BY bd2.loc`, lengths[rng.Intn(3)]), "", ""},
-		sharedStmt{name("flat"), fmt.Sprintf(`SELECT bd.loc AS loc, sum(w.a) AS s, count(*) AS n
-			FROM bus.std:lastevent() AS bd, bus.win:length(%d) AS w
-			WHERE bd.loc = w.loc GROUP BY bd.loc`, lengths[rng.Intn(2)]), "", ""},
-		sharedStmt{name("cross"), `SELECT bd.loc AS loc, avg(x.a) AS m, count(*) AS n
-			FROM bus.std:lastevent() AS bd, aux.std:groupwin(loc).win:length(10) AS x
-			WHERE bd.loc = x.loc GROUP BY bd.loc`, "", ""},
-		sharedStmt{name("pair"), fmt.Sprintf(`SELECT g.loc AS loc, g.hour AS hour, sum(g.a) AS s
-			FROM bus.std:lastevent() AS bd, bus.std:groupwin(%s).win:length(10) AS g
-			WHERE bd.hour = g.hour AND bd.loc = g.loc GROUP BY g.loc, g.hour`,
-			[]string{"loc, hour", "hour, loc"}[rng.Intn(2)]), "", ""},
-		// Keyed by hour over a window grouped by loc: not key-aligned, so
-		// an eviction retracts from the item's ring in the loc group, from
-		// the hour accumulator the position recorded.
-		sharedStmt{name("grouped"), fmt.Sprintf(`SELECT bd.hour AS hour, sum(w.a) AS s, count(*) AS n
-			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(%d) AS w
-			WHERE bd.hour = w.hour GROUP BY bd.hour`, lengths[rng.Intn(2)]), "", ""},
-		sharedStmt{name("selfjoin"), `SELECT l.loc AS loc, count(*) AS n, sum(r.a) AS y
-			FROM bus.std:lastevent() AS t, bus.win:length(10) AS l, bus.std:groupwin(loc).win:length(10) AS r
-			WHERE t.loc = l.loc AND l.loc = r.loc GROUP BY l.loc`, "", ""},
+			WHERE bd.loc = bd2.loc AND bd2.a >= 2 GROUP BY bd2.loc`, lengths[rng.Intn(3)]), "", owned("loc")},
 		// When c cannot be folded x fails, with y — which other statements
 		// may already have moved — still to come.
-		sharedStmt{name("three"), `SELECT bd.loc AS loc, avg(x.c) AS m, count(*) AS n
-			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(10) AS x, bus.win:length(10) AS y
-			WHERE bd.loc = x.loc AND bd.loc = y.loc GROUP BY bd.loc`, "", ""},
-		// No equi conjunct: r keeps one accumulator for all its events.
-		sharedStmt{name("unkeyed"), `SELECT count(*) AS n, sum(r.a) AS y
-			FROM bus.std:lastevent() AS l, bus.win:length(10) AS r WHERE r.a > 3`, "", ""},
-		sharedStmt{name("rows"), `SELECT w.loc AS loc, w.a AS a, count(*) AS n FROM bus.std:lastevent() AS w`, "", ""},
+		sharedStmt{name("two"), fmt.Sprintf(`SELECT bd.loc AS loc, avg(x.c) AS m, sum(y.a) AS s, count(*) AS n
+			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(10) AS x, bus.std:groupwin(loc).win:length(%d) AS y
+			WHERE bd.loc = x.loc AND bd.loc = y.loc AND y.a > 3 GROUP BY bd.loc`, lengths[rng.Intn(3)]), "", owned("loc")},
+		sharedStmt{name("fields"), `SELECT bd.loc AS loc, count(*) AS n, sum(y.a) AS s
+			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(10) AS x, bus.std:groupwin(loc2).win:length(10) AS y
+			WHERE bd.loc = x.loc AND bd.loc2 = y.loc2 GROUP BY bd.loc`, "", ""},
+		sharedStmt{name("hourly"), fmt.Sprintf(`SELECT bd.hour AS hour, sum(w.a) AS s, count(*) AS n
+			FROM bus.std:lastevent() AS bd, bus.std:groupwin(hour).win:length(%d) AS w
+			WHERE bd.hour = w.hour GROUP BY bd.hour`, lengths[rng.Intn(2)]), "", ""},
+		// On aux, which a restriction to bus keys leaves alone.
+		sharedStmt{name("aux"), `SELECT t.loc AS loc, avg(x.a) AS m, count(*) AS n
+			FROM aux.std:lastevent() AS t, aux.std:groupwin(loc).win:length(10) AS x
+			WHERE t.loc = x.loc GROUP BY t.loc`, "", owned("*")},
+		sharedStmt{name("rows"), `SELECT w.loc AS loc, w.a AS a, count(*) AS n FROM bus.std:lastevent() AS w`, "", owned("*")},
 	)
-	for i := range out {
-		out[i].owned = []string{"", "loc", "loc2"}[rng.Intn(3)]
-	}
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
 
-func sharedFeed(rng *rand.Rand, stmts []sharedStmt, n int) (thresholds, feed []diffEvent) {
+// sharedFeed draws the thresholds table of every statement that joins one,
+// and n events, each sent one to three times at one event time.
+func sharedFeed(rng *rand.Rand, stmts []sharedStmt, n int) (map[string]*Table, []diffEvent) {
+	tables := make(map[string]*Table)
 	for _, s := range stmts {
 		if s.thr == "" {
 			continue
 		}
+		var rows []map[string]Value
 		for loc := 0; loc < 4; loc++ {
 			for h := 0; h < 2; h++ {
-				thresholds = append(thresholds, diffEvent{stream: s.thr, fields: map[string]Value{
+				rows = append(rows, map[string]Value{
 					"location": fmt.Sprintf("L%d", loc), "hour": float64(h), "value": float64(rng.Intn(5)),
-				}})
+				})
 			}
 		}
+		t, err := NewTable([]string{"location", "hour", "value"}, 2, rows)
+		if err != nil {
+			panic(err)
+		}
+		tables[s.thr] = t
 	}
+	var feed []diffEvent
 	for i := 0; i < n; i++ {
 		f := map[string]Value{
 			"loc": fmt.Sprintf("L%d", rng.Intn(4)), "loc2": fmt.Sprintf("L%d", rng.Intn(2)),
@@ -209,7 +215,7 @@ func sharedFeed(rng *rand.Rand, stmts []sharedStmt, n int) (thresholds, feed []d
 		}
 		feed = append(feed, diffEvent{stream: stream, fields: f})
 	}
-	return thresholds, feed
+	return tables, duplicateTimestamps(rng, feed)
 }
 
 func TestDifferentialSharedViews(t *testing.T) {
@@ -218,7 +224,7 @@ func TestDifferentialSharedViews(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(700 + seed))
 		stmts := sharedStatements(rng)
-		thresholds, feed := sharedFeed(rng, stmts, 600)
+		tables, feed := sharedFeed(rng, stmts, 600)
 		// Mid-feed one statement is removed and added again — the shape of
 		// InstalledRule.Refresh — beside views the others have populated.
 		refreshAt, refreshed := len(feed)/2, stmts[rng.Intn(len(stmts))]
@@ -227,9 +233,9 @@ func TestDifferentialSharedViews(t *testing.T) {
 		together.check = &oracleRig{eng: together.eng, ref: newOracle(together.eng), batch: map[string]string{}}
 		alone := make(map[string]*sharedRig, len(stmts))
 		for _, s := range stmts {
-			together.add(t, s, thresholds)
+			together.add(t, s, tables)
 			alone[s.name] = newSharedRig()
-			alone[s.name].add(t, s, thresholds)
+			alone[s.name].add(t, s, tables)
 		}
 		if together.eng.viewCount < together.eng.viewSubs {
 			shared++
@@ -240,13 +246,13 @@ func TestDifferentialSharedViews(t *testing.T) {
 					if !rig.remove(refreshed.name) {
 						t.Fatalf("seed %d: remove %s", seed, refreshed.name)
 					}
-					rig.add(t, refreshed, thresholds)
+					rig.add(t, refreshed, tables)
 				}
 			}
-			errTogether := together.send(t, i, ev.stream, ev.fields)
+			errTogether := together.send(t, i, ev)
 			var errAlone error
 			for _, s := range stmts {
-				if err := alone[s.name].eng.SendEvent(ev.stream, ev.fields); err != nil && errAlone == nil {
+				if err := alone[s.name].send(t, i, ev); err != nil && errAlone == nil {
 					errAlone = err
 				}
 			}
@@ -317,15 +323,17 @@ func TestViewJoiningRule(t *testing.T) {
 	if a.items[0].view == a.items[1].view {
 		t.Fatal("different view chains resolved to one view")
 	}
-	twice := add("twice", `SELECT count(*) AS n FROM bus.std:lastevent() AS p, bus.std:lastevent() AS q`)
-	if twice.items[0].view == twice.items[1].view {
+	twice := add("twice", `SELECT count(*) AS n FROM bus.std:lastevent() AS p,
+		bus.std:groupwin(loc).win:length(3) AS q, bus.std:groupwin(loc).win:length(3) AS r
+		WHERE p.loc = q.loc AND p.loc = r.loc`)
+	if twice.items[1].view == twice.items[2].view {
 		t.Fatal("two items of one statement share a view")
 	}
 	selfjoin := add("selfjoin", `SELECT l.loc AS loc, count(*) AS n
 		FROM bus.std:lastevent() AS l, bus.std:groupwin(loc).win:length(3) AS r
 		WHERE l.loc = r.loc GROUP BY l.loc`)
-	if selfjoin.items[0].view != twice.items[1].view || selfjoin.items[1].view != a.items[1].view {
-		t.Fatal("a statement reading one stream twice must share both views")
+	if selfjoin.items[0].view != a.items[0].view || selfjoin.items[1].view != twice.items[2].view {
+		t.Fatal("a statement must share each of its views")
 	}
 
 	send(t, eng, "bus", map[string]Value{"loc": "L1", "x": 1.0, "y": 2.0})
@@ -340,10 +348,10 @@ func TestViewJoiningRule(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	eng.Collect(reg)
 	snap := reg.Gather()
-	// a and b: 2 views between them; twice: one of those and 1 of its own;
-	// selfjoin: twice's own and a's bd2; late: 2 — 5 views under 10 FROM
+	// a and b: 2 views between them; twice: both of those and 1 of its own;
+	// selfjoin: a's bd and twice's own; late: 2 — 5 views under 11 FROM
 	// items.
-	for name, want := range map[string]float64{"cep.views": 5, "cep.view_subscriptions": 10} {
+	for name, want := range map[string]float64{"cep.views": 5, "cep.view_subscriptions": 11} {
 		if m, ok := snap.Get(name); !ok || m.Value != want {
 			t.Fatalf("%s = %+v (ok=%v), want %v", name, m, ok, want)
 		}
@@ -361,11 +369,11 @@ func TestViewJoiningRule(t *testing.T) {
 // statement must not stay at their last counts.
 func TestRemovedStatementSeriesAreZeroed(t *testing.T) {
 	eng := New()
-	src := `SELECT avg(w.x) AS a FROM s.std:lastevent() AS t, s.win:length(5) AS w`
+	src := `SELECT avg(w.x) AS a FROM s.std:lastevent() AS t, s.std:groupwin(k).win:length(5) AS w WHERE t.k = w.k`
 	if _, err := eng.AddStatement("r", src); err != nil {
 		t.Fatal(err)
 	}
-	send(t, eng, "s", map[string]Value{"x": 1.0})
+	send(t, eng, "s", map[string]Value{"k": "a", "x": 1.0})
 	reg := telemetry.NewRegistry()
 	eng.Collect(reg)
 	if m, _ := reg.Gather().Get("cep.stmt.r.events_in"); m.Value != 1 {
@@ -384,8 +392,8 @@ func TestRemovedStatementSeriesAreZeroed(t *testing.T) {
 	if _, err := eng.AddStatement("r", src); err != nil {
 		t.Fatal(err)
 	}
-	send(t, eng, "s", map[string]Value{"x": 1.0})
-	send(t, eng, "s", map[string]Value{"x": 2.0})
+	send(t, eng, "s", map[string]Value{"k": "a", "x": 1.0})
+	send(t, eng, "s", map[string]Value{"k": "a", "x": 2.0})
 	eng.Collect(reg)
 	if m, _ := reg.Gather().Get("cep.stmt.r.events_in"); m.Value != 2 {
 		t.Fatalf("events_in after re-add = %v, want 2", m.Value)
@@ -429,22 +437,30 @@ func collected(freed <-chan struct{}) bool {
 // an accumulator's emit representative — so once a second event at the
 // same location replaced the first there, the first row is garbage,
 // although every length-10 window of the rule counts it for nine more
-// events: key-aligned, keyed by the join and grouped by another field.
+// events: grouped by the location, grouped by another field (the hour),
+// and beside a table keyed by the trigger's hour.
 func TestRowReleasedWhenWindowMovesOn(t *testing.T) {
 	rules := map[string]string{
 		"aligned": `SELECT bd.loc AS loc, avg(bd2.a) AS m, count(*) AS n
 			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(10) AS bd2
 			WHERE bd.loc = bd2.loc GROUP BY bd.loc`,
-		"keyed": `SELECT bd.loc AS loc, avg(w.a) AS m, count(*) AS n
-			FROM bus.std:lastevent() AS bd, bus.win:length(10) AS w
-			WHERE bd.loc = w.loc GROUP BY bd.loc`,
-		"grouped": `SELECT bd.loc AS loc, avg(w.a) AS m, count(*) AS n
+		"keyed": `SELECT bd.loc AS loc, avg(w.a) AS m, max(th.v) AS v, count(*) AS n
+			FROM bus.std:lastevent() AS bd, bus.std:groupwin(loc).win:length(10) AS w, thr AS th
+			WHERE bd.loc = w.loc AND bd.hour = th.hour GROUP BY bd.loc`,
+		"grouped": `SELECT bd.hour AS hour, avg(w.a) AS m, count(*) AS n
 			FROM bus.std:lastevent() AS bd, bus.std:groupwin(hour).win:length(10) AS w
-			WHERE bd.loc = w.loc GROUP BY bd.loc`,
+			WHERE bd.hour = w.hour GROUP BY bd.hour`,
+	}
+	thr, err := NewTable([]string{"hour", "v"}, 1, []map[string]Value{{"hour": 7.0, "v": 1.0}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for name, src := range rules {
 		t.Run(name, func(t *testing.T) {
 			eng := New()
+			if err := eng.RegisterTable("thr", thr); err != nil {
+				t.Fatal(err)
+			}
 			st, err := eng.AddStatement("r", src)
 			if err != nil {
 				t.Fatal(err)

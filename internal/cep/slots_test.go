@@ -39,7 +39,7 @@ func TestSchemaGrowsWithLaterStatement(t *testing.T) {
 		t.Fatalf("schema before = %v, want loc and delay", e.schemas["bus"].names)
 	}
 
-	second, err := e.AddStatement("second", `SELECT avg(b.speed) AS v FROM bus.std:lastevent() AS e, bus.win:length(2) AS b`)
+	second, err := e.AddStatement("second", `SELECT avg(b.speed) AS v FROM bus.std:lastevent() AS e, bus.std:groupwin(loc).win:length(2) AS b WHERE e.loc = b.loc`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSchemaGrowsWithLaterStatement(t *testing.T) {
 func TestMissingFieldBindsNil(t *testing.T) {
 	e := New()
 	st, err := e.AddStatement("r", `SELECT e.k AS k, e.v AS v, count(x.v) AS n, count(*) AS rows
-		FROM s.std:lastevent() AS e, s.std:groupwin(k).win:keepall() AS x WHERE e.k = x.k GROUP BY e.k`)
+		FROM s.std:lastevent() AS e, s.std:groupwin(k).win:length(1000) AS x WHERE e.k = x.k GROUP BY e.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMissingFieldBindsNil(t *testing.T) {
 // resolves through a trigger — so the compiled reference is held to it over
 // a two-item row directly.
 func TestUnqualifiedRefStillTellsAbsentFromNull(t *testing.T) {
-	const src = `SELECT v AS v, count(*) AS n FROM a.std:lastevent() AS x, b.std:lastevent() AS y`
+	const src = `SELECT v AS v, count(*) AS n FROM a.std:lastevent() AS x`
 	if _, err := New().AddStatement("r", src); err == nil || !strings.HasSuffix(err.Error(), "field v is not resolvable through the trigger") {
 		t.Fatalf("err = %v, want the unqualified field refused", err)
 	}

@@ -2,7 +2,6 @@ package cep
 
 import (
 	"fmt"
-	"time"
 
 	"trafficcep/internal/epl"
 )
@@ -19,11 +18,12 @@ type Statement struct {
 	// that hold an owned key (AddOwnedStatement).
 	owned *keyIndex
 	items []*fromItemState
-	// itemsByStream maps a stream name to the indexes of FROM items fed
-	// by it (one stream can back several items, as in Listing 1 where
-	// both bd and bd2 read from "bus"); a table item is fed by none.
-	itemsByStream map[string][]int
-	aliasOrder    []string
+	// stream is the stream the statement reads, and fed the indexes of its
+	// FROM items over it: the trigger and the window items (both bd and bd2
+	// in Listing 1); a table item is fed by none.
+	stream     string
+	fed        []int
+	aliasOrder []string
 
 	// bind resolves alias-qualified field references to their FROM-item
 	// position at compile time, so evaluation indexes a slice instead of
@@ -31,17 +31,13 @@ type Statement struct {
 	bind map[*epl.FieldRef]int
 
 	// conjuncts is the WHERE clause split at its ANDs; the planner sorts
-	// them into equi-join classes, item filters and emit filters.
+	// them into equi-joins with the trigger, item filters and emit filters.
 	conjuncts []epl.Expr
 
 	// aggCalls are the distinct aggregate calls of SELECT and HAVING, in
 	// first-appearance order: call i is aggregate slot i (evalContext.aggF).
 	aggCalls  []*epl.CallExpr
 	listeners []Listener
-
-	// unidirectional is true when any FROM item carries UNIDIRECTIONAL;
-	// then only arrivals on such items trigger evaluation.
-	unidirectional bool
 
 	// inc is the statement's trigger plan, its only evaluator
 	// (incremental.go); a query the planner finds no plan for is refused at
@@ -55,15 +51,12 @@ type Statement struct {
 	metrics StatementMetrics
 }
 
-// StatementMetrics counts a statement's work. ProcTime accumulates wall
-// time spent inside process(), sampled only when the engine has a telemetry
-// registry attached (clock reads are skipped otherwise).
+// StatementMetrics counts a statement's work.
 type StatementMetrics struct {
 	EventsIn    uint64
 	Evaluations uint64
 	Firings     uint64
 	Errors      uint64
-	ProcTime    time.Duration
 }
 
 // fromItemState is the runtime state of one FROM item.
@@ -91,13 +84,7 @@ func compile(name string, q *epl.Query, eng *Engine, owned *keyIndex) (*Statemen
 		// The parser keeps DISTINCT for sqlstore; no rule uses it.
 		return nil, fmt.Errorf("cep: statement %q: DISTINCT is not supported", name)
 	}
-	st := &Statement{
-		Name:          name,
-		Query:         q,
-		engine:        eng,
-		owned:         owned,
-		itemsByStream: make(map[string][]int),
-	}
+	st := &Statement{Name: name, Query: q, engine: eng, owned: owned}
 	aliasToIdx := make(map[string]int, len(q.From))
 	for i, f := range q.From {
 		it := &fromItemState{spec: f}
@@ -108,14 +95,11 @@ func compile(name string, q *epl.Query, eng *Engine, owned *keyIndex) (*Statemen
 			it.table, it.schema = ref, ref.schema
 		} else {
 			it.schema = eng.schemaFor(f.Stream)
-			st.itemsByStream[f.Stream] = append(st.itemsByStream[f.Stream], i)
+			st.fed = append(st.fed, i)
 		}
 		st.items = append(st.items, it)
 		st.aliasOrder = append(st.aliasOrder, f.Alias)
 		aliasToIdx[f.Alias] = i
-		if f.Unidirectional {
-			st.unidirectional = true
-		}
 	}
 
 	// Resolve alias-qualified field references to item positions once.
@@ -164,6 +148,7 @@ func compile(name string, q *epl.Query, eng *Engine, owned *keyIndex) (*Statemen
 		return nil, fmt.Errorf("cep: statement %q: %w", name, err)
 	}
 	st.inc = inc
+	st.stream = q.From[inc.trigIdx].Stream
 	st.comp = compileStatement(st)
 	if err := st.acquireViews(); err != nil {
 		return nil, err
@@ -243,48 +228,29 @@ func (st *Statement) WindowSizes() map[string]int {
 	return out
 }
 
-// process delivers one event to the statement through items, its FROM
-// items over the event's stream: window updates, the trigger plan's folds,
-// optional evaluation, listener dispatch. Called with the engine lock held.
-// An arrival that triggers no evaluation returns its own failure to fold,
-// if any; an evaluation returns its own outcome.
-func (st *Statement) process(ev *Event, items []int) error {
-	sample := st.engine.reg != nil
-	var start time.Time
-	if sample {
-		start = time.Now()
-	}
+// process delivers one event of the statement's stream: window updates,
+// the trigger plan's folds, the evaluation, listener dispatch. Called with
+// the engine lock held. Every event of the stream reaches the trigger item,
+// so every one triggers an evaluation, whose outcome is the event's
+// (UNIDIRECTIONAL changes nothing).
+func (st *Statement) process(ev *Event) error {
 	st.metrics.EventsIn++
-
-	triggered := false
-	var err error
-	for _, idx := range items {
-		it := st.items[idx]
-		if ferr := st.inc.applyDelta(idx, ev, it.view.insert(ev)); ferr != nil && err == nil {
-			err = ferr
-		}
-		if !st.unidirectional || it.spec.Unidirectional {
-			triggered = true
-		}
+	for _, idx := range st.fed {
+		st.inc.applyDelta(idx, ev, st.items[idx].view.insert(ev))
 	}
-	if triggered {
-		st.metrics.Evaluations++
-		var outputs []Output
-		outputs, err = st.inc.evaluate()
-		if err == nil && len(outputs) > 0 {
-			st.metrics.Firings += uint64(len(outputs))
-			for _, l := range st.listeners {
-				l(st, outputs)
-			}
-		}
-	}
+	st.metrics.Evaluations++
+	outputs, err := st.inc.evaluate(ev)
 	if err != nil {
 		st.metrics.Errors++
+		return err
 	}
-	if sample {
-		st.metrics.ProcTime += time.Since(start)
+	if len(outputs) > 0 {
+		st.metrics.Firings += uint64(len(outputs))
+		for _, l := range st.listeners {
+			l(st, outputs)
+		}
 	}
-	return err
+	return nil
 }
 
 // rowMap exposes a position-indexed row as the alias→event map carried on

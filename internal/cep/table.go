@@ -7,12 +7,12 @@ import (
 	"strings"
 )
 
-// Table is an immutable keyed table: the rows a win:keepall() stream would
-// hold, indexed for the join the rule template makes with them (Listing 1's
-// thresholds). An engine reads it under a name (Engine.RegisterTable); a
-// FROM item over that name with no view, or win:keepall(), that equi-joins
-// every key column through the trigger reads the table instead of a stream,
-// and sees exactly what a keep-all window fed the rows in order would hold.
+// Table is an immutable keyed table of reference rows, indexed for the join
+// the rule template makes with them (Listing 1's thresholds). An engine
+// reads it under a name (Engine.RegisterTable); a FROM item over that name,
+// with no view or win:keepall(), that equi-joins every key column to the
+// trigger reads the table, and joins every row as a keep-all window holding
+// the rows in order would.
 //
 // Rows are laid out in blocks, one per value of the first key column — the
 // location — each sorted by the remaining key columns, so that a probe finds

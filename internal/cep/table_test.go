@@ -93,13 +93,12 @@ func tableFeed(rng *rand.Rand, n int, hostile bool) []diffEvent {
 }
 
 // TestDifferentialTableItem holds a statement over a registered table to
-// the same statement over a keep-all stream fed the table's rows first, and
-// to the oracle, which reads the table's rows as a keep-all window. Every
-// bus event must make both engines emit the same outputs — fields and
-// representative rows — and fail together, over integer and hostile feeds,
-// unrestricted and restricted to owned locations whose set changes mid
-// feed. A new table version is then swapped in under the statement, whose
-// windows stay, and the oracle follows it.
+// the oracle, which reads the table's rows as a keep-all window: every bus
+// event must make the statement emit what the oracle emits, and fail when it
+// fails, over integer and hostile feeds, unrestricted and restricted to
+// owned locations whose set changes mid feed. A new table version is then
+// swapped in under the statement, whose windows stay, and the oracle
+// follows it.
 func TestDifferentialTableItem(t *testing.T) {
 	for _, hostile := range []bool{false, true} {
 		for _, owned := range []bool{false, true} {
@@ -122,43 +121,20 @@ func runTableDifferential(t *testing.T, rng *rand.Rand, hostile, owned bool) {
 	src := tableStatement(rng, hostile)
 
 	rig := newOracleRig()
-	keep := New()
 	if err := rig.eng.RegisterTable("tab", table); err != nil {
 		t.Fatal(err)
 	}
-	add := func(eng *Engine) *Statement {
-		var st *Statement
-		var err error
-		if owned {
-			eng.Own("bus", "loc", "L0", "L2")
-			st, err = eng.AddOwnedStatement("r", src, "bus", "loc")
-		} else {
-			st, err = eng.AddStatement("r", src)
-		}
-		if err != nil {
-			t.Fatalf("%v\n%s", err, src)
-		}
-		return st
+	var st *Statement
+	if owned {
+		rig.eng.Own("bus", "loc", "L0", "L2")
+		st, err = rig.eng.AddOwnedStatement("r", src, "bus", "loc")
+	} else {
+		st, err = rig.eng.AddStatement("r", src)
 	}
-	var got, want string
-	record := func(into *string) Listener {
-		return func(_ *Statement, outs []Output) {
-			batch := make([]string, len(outs))
-			for i, o := range outs {
-				batch[i] = canonOutput(o)
-			}
-			*into = strings.Join(batch, " | ")
-		}
+	if err != nil {
+		t.Fatalf("%v\n%s", err, src)
 	}
-	st := add(rig.eng)
 	rig.watch(st)
-	st.AddListener(record(&got))
-	add(keep).AddListener(record(&want))
-	for _, r := range rows {
-		if err := keep.SendEvent("tab", r); err != nil && !hostile {
-			t.Fatal(err)
-		}
-	}
 	if n := st.WindowSizes()["th"]; n != len(rows) {
 		t.Fatalf("table item size %d, want its %d rows", n, len(rows))
 	}
@@ -166,22 +142,14 @@ func runTableDifferential(t *testing.T, rng *rand.Rand, hostile, owned bool) {
 	fired, failed := 0, 0
 	for i, ev := range tableFeed(rng, 400, hostile) {
 		if owned && i == 200 {
-			for _, eng := range []*Engine{rig.eng, keep} {
-				eng.Own("bus", "loc", "L1")
-				eng.Disown("bus", "loc", "L0")
-			}
+			rig.eng.Own("bus", "loc", "L1")
+			rig.eng.Disown("bus", "loc", "L0")
 		}
-		got, want = "", ""
-		err := rig.send(t, i, ev.stream, ev.fields)
-		kerr := keep.SendEvent(ev.stream, ev.fields)
-		if (err == nil) != (kerr == nil) || got != want {
-			t.Fatalf("event %d %v: table emitted %q (err %v), keep-all %q (err %v)\n%s", i, ev.fields, got, err, want, kerr, src)
-		}
-		if got != "" {
-			fired++
-		}
-		if err != nil {
+		if rig.send(t, i, ev.stream, ev.fields) != nil {
 			failed++
+		}
+		if rig.batch["r"] != "" {
+			fired++
 		}
 	}
 	if fired == 0 || hostile && failed == 0 {
@@ -215,7 +183,7 @@ func TestTableRegistration(t *testing.T) {
 	}
 
 	eng := New()
-	if _, err := eng.AddStatement("stream", "SELECT count(*) AS n FROM bus.std:lastevent() AS t, thr AS th WHERE t.loc = th.location"); err != nil {
+	if _, err := eng.AddStatement("stream", "SELECT count(*) AS n FROM thr.std:lastevent() AS t"); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RegisterTable("thr", table); err == nil || !strings.Contains(err.Error(), "read as a stream") {

@@ -2,6 +2,7 @@ package cep
 
 import (
 	"fmt"
+	"strings"
 
 	"trafficcep/internal/epl"
 )
@@ -35,9 +36,9 @@ type view struct {
 	win  window
 	refs int
 
-	// lastEv is the event of the latest insert, pos the position it took: a
-	// trigger evaluates on its std:lastevent view's lastEv. A view that never
-	// received an event has lastEv nil.
+	// lastEv is the event of the latest insert, pos the position it took;
+	// it is what a std:lastevent view holds. A view that never received an
+	// event has lastEv nil.
 	lastEv *Event
 	pos    int
 }
@@ -51,21 +52,24 @@ func (v *view) insert(ev *Event) int {
 }
 
 // viewKey renders the registry key of a FROM item's window: the stream, its
-// view chain in canonical form (no views is win:keepall) and, when the
-// statement is restricted on that stream, the field of its owned-key set —
-// a view is shared only by subscribers that see the same arrivals.
+// view chain in canonical form and, when the statement is restricted on
+// that stream, the field of its owned-key set — a view is shared only by
+// subscribers that see the same arrivals.
 func viewKey(stream string, views []epl.ViewSpec, owned *keyIndex) string {
-	key := stream
-	if len(views) == 0 {
-		key += ".win:keepall()"
-	}
-	for _, v := range views {
-		key += "." + v.String()
-	}
+	key := stream + "." + viewChain(views)
 	if owned != nil && owned.stream == stream {
 		key += " owned(" + owned.field + ")"
 	}
 	return key
+}
+
+// viewChain renders a view chain in canonical form.
+func viewChain(views []epl.ViewSpec) string {
+	s := make([]string, len(views))
+	for i, v := range views {
+		s[i] = v.String()
+	}
+	return strings.Join(s, ".")
 }
 
 // acquireView resolves a FROM item of st to a view: the registered one for
@@ -104,66 +108,51 @@ func (e *Engine) releaseView(v *view) {
 	if e.views[v.key] == v {
 		delete(e.views, v.key)
 	}
-	if gw, ok := v.win.(*groupWin); ok && gw.ki != nil {
+	if gw, ok := v.win.(*groupWin); ok {
 		gw.ki.releaseWin(gw.num)
 	}
 }
 
-// buildWindow compiles a view chain into a window. Supported chains are the
-// ones the paper's rules use: nothing (defaults to win:keepall), a single
-// view, or std:groupwin(fields...) followed by at most one window view. Key
-// fields of groupwin are resolved to slots of sch, the schema of the stream
-// the window reads; a single key field's groups live in the entries of its
-// key index.
+// buildWindow compiles a view chain into a window: a length window
+// (win:length, or std:lastevent of length 1), or std:groupwin(f) over one,
+// whose groups live in the entries of the key index of f in sch, the schema
+// of the stream the window reads.
 func buildWindow(views []epl.ViewSpec, sch *streamSchema) (window, error) {
-	if len(views) == 0 {
-		return &keepAllWin{}, nil
-	}
-	if views[0].Namespace == "std" && views[0].Name == "groupwin" {
-		fields := make([]string, len(views[0].Args))
-		for i, a := range views[0].Args {
-			ref, ok := a.(*epl.FieldRef)
-			if !ok {
-				return nil, fmt.Errorf("cep: std:groupwin argument %v is not a field", a)
-			}
-			fields[i] = ref.Field
+	if len(views) == 2 && views[0].Namespace == "std" && views[0].Name == "groupwin" {
+		if len(views[0].Args) != 1 {
+			return nil, fmt.Errorf("cep: std:groupwin takes one key field, got %d", len(views[0].Args))
 		}
-		rest := views[1:]
-		if len(rest) > 1 {
-			return nil, fmt.Errorf("cep: unsupported view chain of %d views after groupwin", len(rest))
+		ref, ok := views[0].Args[0].(*epl.FieldRef)
+		if !ok {
+			return nil, fmt.Errorf("cep: std:groupwin argument %v is not a field", views[0].Args[0])
 		}
-		sub, err := buildWindow(rest, sch)
+		n, err := lengthOf(views[1])
 		if err != nil {
 			return nil, err
 		}
-		w := &groupWin{keys: sch.slotsOf(fields), length: bound(sub), groups: make(map[string]*group)}
-		if len(fields) == 1 {
-			w.ki = sch.keyIndexOf(fields[0])
-			w.num = w.ki.addWin(w)
-		}
+		w := &groupWin{length: n, ki: sch.keyIndexOf(ref.Field)}
+		w.num = w.ki.addWin(w)
 		return w, nil
 	}
-	if len(views) > 1 {
-		return nil, fmt.Errorf("cep: unsupported view chain of %d views", len(views))
+	if len(views) != 1 {
+		return nil, fmt.Errorf("cep: unsupported view chain %s", viewChain(views))
 	}
-	return buildSimpleWindow(views[0])
+	n, err := lengthOf(views[0])
+	if err != nil {
+		return nil, err
+	}
+	return &lengthWin{n: n}, nil
 }
 
-func buildSimpleWindow(v epl.ViewSpec) (window, error) {
-	key := v.Namespace + ":" + v.Name
-	switch key {
+// lengthOf returns the length of a std:lastevent or win:length view.
+func lengthOf(v epl.ViewSpec) (int, error) {
+	switch v.Namespace + ":" + v.Name {
 	case "std:lastevent":
-		return &lengthWin{n: 1}, nil
-	case "win:keepall":
-		return &keepAllWin{}, nil
+		return 1, nil
 	case "win:length":
-		n, err := intArg(v, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &lengthWin{n: n}, nil
+		return intArg(v, 0)
 	}
-	return nil, fmt.Errorf("cep: unknown view %s", key)
+	return 0, fmt.Errorf("cep: unsupported view %s:%s", v.Namespace, v.Name)
 }
 
 func intArg(v epl.ViewSpec, i int) (int, error) {
@@ -179,28 +168,6 @@ func intArg(v epl.ViewSpec, i int) (int, error) {
 	}
 	return n, nil
 }
-
-// bound is the number of positions w has, per group for a group window: 0
-// when it never evicts.
-func bound(w window) int {
-	switch w := w.(type) {
-	case *lengthWin:
-		return w.n
-	case *groupWin:
-		return w.length
-	}
-	return 0
-}
-
-// keepAllWin counts the events it retains: every one (win:keepall).
-type keepAllWin struct{ n int }
-
-func (w *keepAllWin) insert(*Event) (pos int, occupied bool) {
-	w.n++
-	return w.n - 1, false
-}
-
-func (w *keepAllWin) size() int { return w.n }
 
 // lengthWin is a sliding window over the last n events (win:length, and
 // std:lastevent with n 1): its positions 0..n-1 are written in turn, and
@@ -221,39 +188,28 @@ func (w *lengthWin) insert(*Event) (pos int, occupied bool) {
 
 func (w *lengthWin) size() int { return w.count }
 
-// groupWin partitions events by the values of its key fields and delegates
-// to a per-group sub-window (std:groupwin(...).<view>): a length window of
-// the sub-view's bound or, for an unbounded sub-view, a count.
+// groupWin partitions events by the value of its key field and delegates
+// to a per-group length window (std:groupwin(f).win:length(n)). A group
+// lives in the entry of its key in the field's key index: groups[num] of
+// the entry bind found for the event.
 type groupWin struct {
-	keys []int // event slots forming the group key
-	// length is the sub-view's bound, 0 when it never evicts.
 	length int
-	// ki is the key index of a single key field, nil for a composite key,
-	// and num the window's number in it: a string key's group is its
-	// entry's groups[num]. groups holds every other key's group, by its
-	// rendered key.
 	ki     *keyIndex
 	num    int
-	groups map[string]*group
 	total  int
-	keyBuf []byte
 
 	// cur is the group the latest insert went to, and the group its
-	// position is in. A trigger plan item over the window folds into cur's
-	// value rings; a key-aligned one also probes cur's accumulators: the
-	// key this insert rendered and the entry it found serve the window,
-	// the fold and the evaluation.
+	// position is in. A trigger plan item over the window folds into cur,
+	// and probes it: the group of the trigger's event.
 	cur *group
 	// subs counts the accumulator slots handed out by subscribe.
 	subs int
 }
 
-// group is one partition of a groupWin: its sub-window — a length window
-// of the groupWin's length, or a count when that is 0 — plus, per
-// subscribed trigger-plan item, that item's value ring (and, for a
-// key-aligned item, its accumulators) over the sub-window's positions. The
-// accumulators of up to two items live in the group itself: an arrival
-// reaches its window, fold and probe through one object.
+// group is one partition of a groupWin: its length window plus, per
+// subscribed trigger-plan item, that item's accumulator and value ring over
+// the window's positions. The state of up to two items lives in the group
+// itself: an arrival reaches its window, fold and probe through one object.
 type group struct {
 	win    lengthWin
 	accs   []groupAcc
@@ -279,33 +235,14 @@ func (w *groupWin) newGroup() *group {
 }
 
 func (w *groupWin) insert(ev *Event) (pos int, occupied bool) {
-	var en *entry
-	if w.ki != nil {
-		en = ev.ents[w.ki.pos]
-	}
-	var g *group
-	if en != nil {
-		if g = en.group(w.num); g == nil {
-			g = w.newGroup()
-			en.setGroup(w.num, g)
-		}
-	} else {
-		// Render the group key into the reusable buffer; the key string
-		// is only materialized when a new group is created — the lookup
-		// on a hit does not allocate.
-		w.keyBuf = appendSlotsKey(w.keyBuf[:0], ev, w.keys)
-		if g = w.groups[string(w.keyBuf)]; g == nil {
-			g = w.newGroup()
-			w.groups[string(w.keyBuf)] = g
-		}
+	en := ev.ents[w.ki.pos]
+	g := en.group(w.num)
+	if g == nil {
+		g = w.newGroup()
+		en.setGroup(w.num, g)
 	}
 	w.cur = g
-	if w.length == 0 {
-		pos, occupied = g.win.count, false
-		g.win.count++
-	} else {
-		pos, occupied = g.win.insert(ev)
-	}
+	pos, occupied = g.win.insert(ev)
 	if !occupied {
 		w.total++
 	}
@@ -313,19 +250,3 @@ func (w *groupWin) insert(ev *Event) (pos int, occupied bool) {
 }
 
 func (w *groupWin) size() int { return w.total }
-
-// find returns the group that the values of trigger event e at slots key,
-// nil when there is none. own is true when e is an event of the window's
-// stream and slots the window's key, so that e carries its entry.
-func (w *groupWin) find(e *Event, slots []int, own bool) *group {
-	if w.ki != nil {
-		if k, ok := e.slots[slots[0]].(string); ok {
-			if own {
-				return e.ents[w.ki.pos].group(w.num)
-			}
-			return w.ki.entries[k].group(w.num)
-		}
-	}
-	w.keyBuf = appendSlotsKey(w.keyBuf[:0], e, slots)
-	return w.groups[string(w.keyBuf)]
-}

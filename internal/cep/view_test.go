@@ -119,15 +119,27 @@ func TestLengthWindowRing(t *testing.T) {
 	}
 }
 
-func TestKeepAllWindowGrows(t *testing.T) {
-	w := buildFromSpec(t, "win:keepall()")
-	for i := 1; i <= 100; i++ {
-		if pos, occupied := w.insert(mkEvent(i, map[string]Value{"id": i})); occupied || pos != i-1 {
-			t.Fatalf("insert %d took position %d (occupied %v); keepall must never evict", i, pos, occupied)
-		}
+// refused reports whether buildWindow refuses a view chain.
+func refused(t *testing.T, spec string) bool {
+	t.Helper()
+	src := "SELECT * FROM s AS e"
+	if spec != "" {
+		src = "SELECT * FROM s." + spec + " AS e"
 	}
-	if w.size() != 100 {
-		t.Fatalf("size = %d", w.size())
+	q, err := epl.Parse(src)
+	if err != nil {
+		t.Fatalf("parse %s: %v", spec, err)
+	}
+	_, err = buildWindow(q.From[0].Views, viewSchema)
+	return err != nil
+}
+
+// TestKeepAllWindowGrows: win:keepall() grows with every event, so no window
+// is one: buildWindow refuses it, and a statement reading one is refused at
+// registration (TestIncrementalStrategySelection/keepall_window_refused).
+func TestKeepAllWindowGrows(t *testing.T) {
+	if !refused(t, "win:keepall()") {
+		t.Fatal("a keep-all window was built")
 	}
 }
 
@@ -151,30 +163,23 @@ func TestGroupWinSubWindows(t *testing.T) {
 	}
 }
 
+// TestGroupWinWithoutSubViewKeepsAll: std:groupwin(k) with no length view
+// would keep every event of each group: buildWindow refuses it
+// (TestIncrementalStrategySelection/unbounded_group_refused).
 func TestGroupWinWithoutSubViewKeepsAll(t *testing.T) {
-	w := buildFromSpec(t, "std:groupwin(k)")
-	for i := 1; i <= 10; i++ {
-		w.insert(mkEvent(i, map[string]Value{"id": i, "k": i % 2}))
-	}
-	if w.size() != 10 {
-		t.Fatalf("size = %d, want 10 (keepall per group)", w.size())
+	for _, spec := range []string{"std:groupwin(k)", "std:groupwin(k).win:keepall()"} {
+		if !refused(t, spec) {
+			t.Fatalf("%s was built", spec)
+		}
 	}
 }
 
+// TestNoViewDefaultsToKeepAll: a stream read through no view would keep
+// every event: buildWindow refuses the empty chain
+// (TestIncrementalStrategySelection/no_view_refused).
 func TestNoViewDefaultsToKeepAll(t *testing.T) {
-	q, err := epl.Parse("SELECT * FROM s AS e")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := buildWindow(q.From[0].Views, viewSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		w.insert(mkEvent(i, map[string]Value{"id": i}))
-	}
-	if w.size() != 5 {
-		t.Fatalf("size = %d", w.size())
+	if !refused(t, "") {
+		t.Fatal("a window was built for no view")
 	}
 }
 

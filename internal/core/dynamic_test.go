@@ -352,7 +352,7 @@ func TestDynamicManagerNoHistory(t *testing.T) {
 	}
 }
 
-// TestDynamicRefreshKeepsWindows: a batch-layer Refresh of a stream-fed
+// TestDynamicRefreshKeepsWindows: a batch-layer Refresh of an installed
 // rule publishes new thresholds under the running statement, whose windows
 // stay. Two engines over one store run the rule. Nine rows fill each
 // engine's window-10 rule below its threshold, a Refresh of both lowers the

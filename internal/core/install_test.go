@@ -73,9 +73,9 @@ func TestRuleEPLAllVariantsParse(t *testing.T) {
 // TestRuleRenderingsPlanTrigger pins the premise of the CEP engine's one
 // evaluator: the rule template's rendering, on every location kind,
 // registered plain or restricted to owned locations, over its thresholds
-// table or a keep-all thresholds stream, registers, so the trigger plan
-// runs it. A template edit that misses the plan's shape would be refused
-// at registration.
+// table, registers, so the trigger plan runs it. A template edit that
+// misses the plan's shape would be refused at registration, as the
+// rendering is when its thresholds are a stream and not a table.
 func TestRuleRenderingsPlanTrigger(t *testing.T) {
 	store := newStore(t)
 	for _, kind := range []LocationKind{BusStops, QuadtreeLeaves, QuadtreeLayer} {
@@ -100,8 +100,11 @@ func TestRuleRenderingsPlanTrigger(t *testing.T) {
 				} else {
 					_, err = eng.AddStatement(r.Name, src)
 				}
-				if err != nil {
-					t.Errorf("%v table=%v owned=%v: %v\n%s", kind, table, owned, err, src)
+				switch {
+				case table && err != nil:
+					t.Errorf("%v owned=%v: %v\n%s", kind, owned, err, src)
+				case !table && (err == nil || !strings.Contains(err.Error(), "not the trigger's stream")):
+					t.Errorf("%v owned=%v over a thresholds stream: err = %v, want the second stream refused", kind, owned, err)
 				}
 			}
 		}

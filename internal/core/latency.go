@@ -212,33 +212,36 @@ type CalibrationData struct {
 }
 
 // buildMeasurementEngine creates an engine with the template rules
-// installed under the stream-fed strategy, thresholds[i] thresholds loaded
-// for rules[i], ready to measure.
+// installed as the product installs them — Listing 1 over a registered
+// thresholds table — thresholds[i] thresholds in rules[i]'s table, ready to
+// measure.
 func buildMeasurementEngine(rules []Rule, thresholds []int, locations int) (*cep.Engine, error) {
 	eng := cep.New()
 	for i, r := range rules {
-		if _, err := eng.AddStatement(r.Name, r.StreamEPL()); err != nil {
-			return nil, err
-		}
 		// Spread t thresholds over the available locations and as many
 		// hours as needed. Thresholds are set high so the rule's firing
 		// path does not dominate the measurement.
 		t := thresholds[i]
-		hours := (t + locations - 1) / locations
-		sent := 0
-		for h := 0; h < hours && sent < t; h++ {
-			for loc := 0; loc < locations && sent < t; loc++ {
-				err := eng.SendEvent(r.ThresholdStream(), map[string]cep.Value{
+		rows := make([]map[string]cep.Value, 0, t)
+		for h := 0; len(rows) < t; h++ {
+			for loc := 0; loc < locations && len(rows) < t; loc++ {
+				rows = append(rows, map[string]cep.Value{
 					"location": locName(loc),
 					"hour":     float64(h),
 					"day":      busdata.Weekday.String(),
 					"value":    1e12,
 				})
-				if err != nil {
-					return nil, err
-				}
-				sent++
 			}
+		}
+		tab, err := cep.NewTable([]string{"location", "hour", "day", "value"}, 3, rows)
+		if err != nil {
+			return nil, err
+		}
+		if err := eng.RegisterTable(r.ThresholdStream(), tab); err != nil {
+			return nil, err
+		}
+		if _, err := eng.AddStatement(r.Name, r.StreamEPL()); err != nil {
+			return nil, err
 		}
 	}
 	return eng, nil

@@ -20,8 +20,8 @@ import (
 // leaf partitions, as the Splitter routes it (EnginesFor), into two sets of
 // engines: the product's, with the shipped four rules installed by
 // InstallRule on each engine's share, and a reference built here from
-// AddStatement(StreamEPL) plus the same share's thresholds, which windows
-// every delivery under every rule. A trace reaches the engine of its stop and
+// AddStatement(StreamEPL) over a table of the same share's thresholds, which
+// windows every delivery under every rule. A trace reaches the engine of its stop and
 // the engine of its leaf, so the reference windows leaf rules under stops
 // and stop rules under leaves its engine does not own, and misses their
 // thresholds; the two detection multisets, engine included, must be equal.
@@ -135,14 +135,14 @@ func testOwnedLocations(t *testing.T, rng *rand.Rand, rules []Rule) {
 			if inst.Statement.Name != r.Name {
 				t.Fatalf("rule %s installed as %s", r.Name, inst.Statement.Name)
 			}
+			if err := registerShareTable(reference[e], r, store, locs); err != nil {
+				t.Fatal(err)
+			}
 			st, err := reference[e].AddStatement(r.Name, r.StreamEPL())
 			if err != nil {
 				t.Fatal(err)
 			}
 			st.AddListener(record(unrestricted, e))
-			if err := feedThresholdStream(reference[e], r, store, locs); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 
@@ -204,24 +204,24 @@ func testOwnedLocations(t *testing.T, rng *rand.Rand, rules []Rule) {
 	}
 }
 
-// feedThresholdStream sends the rule's stored thresholds for locations into
-// its thresholds stream, in the store's order: what an engine with no
-// thresholds table registered joins as a win:keepall() stream.
-func feedThresholdStream(eng *cep.Engine, r Rule, store *sqlstore.ThresholdStore, locations map[string]bool) error {
+// registerShareTable registers as the rule's thresholds table the rule's
+// stored thresholds for locations, in the store's order.
+func registerShareTable(eng *cep.Engine, r Rule, store *sqlstore.ThresholdStore, locations map[string]bool) error {
 	ths, err := store.Thresholds(r.Attribute, r.Sensitivity)
 	if err != nil {
 		return err
 	}
+	var rows []map[string]cep.Value
 	for _, th := range ths {
-		if !locations[th.Location] {
-			continue
-		}
-		err := eng.SendEvent(r.ThresholdStream(), map[string]cep.Value{
-			"location": th.Location, "hour": float64(th.Hour), "day": th.Day.String(), "value": th.Value,
-		})
-		if err != nil {
-			return err
+		if locations[th.Location] {
+			rows = append(rows, map[string]cep.Value{
+				"location": th.Location, "hour": float64(th.Hour), "day": th.Day.String(), "value": th.Value,
+			})
 		}
 	}
-	return nil
+	tab, err := cep.NewTable([]string{"location", "hour", "day", "value"}, 3, rows)
+	if err != nil {
+		return err
+	}
+	return eng.RegisterTable(r.ThresholdStream(), tab)
 }

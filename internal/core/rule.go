@@ -106,8 +106,9 @@ func (r Rule) LocationField() string {
 	}
 }
 
-// ThresholdStream is the per-rule Esper stream name carrying this rule's
-// thresholds: the name its thresholds table is registered under.
+// ThresholdStream is the name Listing 1 reads this rule's thresholds under
+// as a stream: the name its thresholds table is registered under
+// (cep.Engine.RegisterTable). The engine refuses the name as a stream.
 func (r Rule) ThresholdStream() string {
 	return "thresholds_" + sanitize(r.Name)
 }
@@ -126,9 +127,10 @@ func sanitize(s string) string {
 // BusStream is the stream name the EsperBolt publishes enriched traces on.
 const BusStream = "bus"
 
-// StreamEPL renders the rule as the Listing 1 EPL statement with thresholds
-// fed as a stream ("Add the Thresholds in an Esper stream", §4.3.1). The
-// bus item is unidirectional so threshold refreshes never fire the rule.
+// StreamEPL renders the rule as the Listing 1 EPL statement of the "Add the
+// Thresholds in an Esper stream" strategy (§4.3.1), as the paper prints it:
+// its thresholds item reads the rule's thresholds table, registered under
+// ThresholdStream, and only bus events fire the rule.
 func (r Rule) StreamEPL() string {
 	loc := r.LocationField()
 	return fmt.Sprintf(`SELECT bd2.%[1]s AS location, avg(bd2.%[2]s) AS observed, avg(thresholds.value) AS threshold

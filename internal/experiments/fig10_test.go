@@ -85,7 +85,8 @@ func TestRuleEPLAllVariantsParse(t *testing.T) {
 
 // TestRuleRenderingsPlanTrigger: every strategy's rendering of the rule
 // template, on every location kind, registered plain or restricted to owned
-// locations, registers, so the trigger plan runs it.
+// locations, beside the rule's thresholds table, registers, so the trigger
+// plan runs it.
 func TestRuleRenderingsPlanTrigger(t *testing.T) {
 	store := newStore(t)
 	for _, kind := range []core.LocationKind{core.BusStops, core.QuadtreeLeaves, core.QuadtreeLayer} {
@@ -96,7 +97,13 @@ func TestRuleRenderingsPlanTrigger(t *testing.T) {
 			for _, owned := range []bool{false, true} {
 				eng := cep.New()
 				registerDBThreshold(eng, store)
-				var err error
+				tab, err := store.ThresholdTable(r.Attribute, r.Sensitivity)
+				if err == nil {
+					err = eng.RegisterTable(r.ThresholdStream(), tab)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 				if owned {
 					_, err = eng.AddOwnedStatement(r.Name, src, core.BusStream, r.LocationField())
 				} else {

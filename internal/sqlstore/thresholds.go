@@ -42,7 +42,7 @@ var statColumns = []string{"attr_mean", "attr_stdv", "currentHour", "dateType", 
 // their ThresholdTable.
 type ThresholdStore struct {
 	db *DB
-	// compiled query cache per SQL text — the stream-fed strategy issues
+	// compiled query cache per SQL text — the threshold-stream strategy issues
 	// one query per refresh, but the join-with-DB strategy issues one per
 	// tuple and must not re-parse or re-compile every time. Every engine
 	// installed over the store shares it.

@@ -9,9 +9,10 @@
 #
 # With BENCH_PARENT=<commit> the same benchmarks are also run on that
 # commit's files (a `git archive` snapshot in a temporary directory, with
-# this tree's internal/cep/bench_test.go laid over it — it drives the engine
-# through AddStatement and SendEventAt, and reaches newer engine APIs only
-# where it finds them) and recorded beside this tree's numbers as the
+# this tree's internal/cep/bench_test.go laid over it in place of the
+# commit's bench_test.go and bench_table_test.go — it drives the engine
+# through RegisterTable, Own, AddStatement, AddOwnedStatement and
+# SendEventAt) and recorded beside this tree's numbers as the
 # "parent" section, so a CEP change shows its before/after from one day on
 # one box. The two sides' test binaries are built first and then run in
 # alternating order, one round per count — parent first on odd rounds,
@@ -73,6 +74,7 @@ if [ -n "${BENCH_PARENT:-}" ]; then
 	mkdir "$tmp/parent"
 	git archive "$BENCH_PARENT" | tar -x -C "$tmp/parent"
 	cp internal/cep/bench_test.go "$tmp/parent/internal/cep/bench_test.go"
+	rm -f "$tmp/parent/internal/cep/bench_table_test.go"
 	build "$tmp/parent" parent
 fi
 round=1
