@@ -196,7 +196,7 @@ func run(opt options) error {
 		tree.NodeCount(), tree.Depth(), len(tree.Leaves()))
 
 	// Telemetry: one registry shared by every layer — storm tuple tracing,
-	// per-engine CEP latency, sqlstore query latency, batch run timings.
+	// per-engine CEP counters, sqlstore query latency, batch run timings.
 	var tel *telemetry.Registry
 	if !opt.noTelemetry {
 		tel = telemetry.NewRegistry()

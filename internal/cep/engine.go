@@ -37,30 +37,14 @@ type Engine struct {
 	// eventsUnowned counts the (statement, event) turns skipped because the
 	// event's key is not one the statement's owned-key set holds.
 	eventsIn, eventsUnowned uint64
-	// procTime sums the per-event processing latency, timed only when a
-	// registry is attached.
-	procTime time.Duration
 
-	// name prefixes this engine's metric names in the telemetry registry;
-	// latHist records per-event processing latency when a registry is
-	// attached.
-	name    string
-	reg     *telemetry.Registry
-	latHist *telemetry.Histogram
+	// name prefixes this engine's metric names in the telemetry registry.
+	name string
 }
 
 // Option configures an Engine at construction; the engine is never
 // mutated after New returns, so option state needs no locking.
 type Option func(*Engine)
-
-// WithRegistry attaches a telemetry registry: the engine times every event
-// into a per-event processing-latency histogram, and can be registered as a
-// telemetry.Source publishing engine and statement counters, the summed
-// processing time among them. An engine without one reads no clock to
-// process an event.
-func WithRegistry(reg *telemetry.Registry) Option {
-	return func(e *Engine) { e.reg = reg }
-}
 
 // WithName sets the engine's metric-name prefix (default "cep"), letting
 // several engines — one per EsperBolt task — share a registry without
@@ -82,9 +66,6 @@ func New(opts ...Option) *Engine {
 	}
 	for _, opt := range opts {
 		opt(e)
-	}
-	if e.reg != nil {
-		e.latHist = e.reg.Histogram(e.name + ".event_latency_ns")
 	}
 	return e
 }
@@ -314,12 +295,9 @@ func (e *Engine) StatementCount() int {
 	return len(e.stmts)
 }
 
-// SendEvent delivers an event with the current wall-clock timestamp. The
-// same clock read serves as the event timestamp and, with a registry
-// attached, the latency-sample start.
+// SendEvent delivers an event with the current wall-clock timestamp.
 func (e *Engine) SendEvent(stream string, fields map[string]Value) error {
-	now := time.Now()
-	return e.sendEventAt(stream, now, now, fields)
+	return e.SendEventAt(stream, time.Now(), fields)
 }
 
 // SendEventAt delivers an event with an explicit timestamp (event time).
@@ -330,21 +308,9 @@ func (e *Engine) SendEvent(stream string, fields map[string]Value) error {
 // the event. fields is kept, not copied, for as long as the engine reads the
 // event — as a view's latest event, or the emit representative of its join
 // key — so the caller must not write to it after the call; the fields
-// statements reference are bound to slots here, once (see Event).
+// statements reference are bound to slots here, once (see Event). The
+// engine reads no clock here: processing time is the caller's to measure.
 func (e *Engine) SendEventAt(stream string, ts time.Time, fields map[string]Value) error {
-	// An explicit (possibly historical) event time must not pollute the
-	// latency measurement, so processing start is read separately here, and
-	// only when something records it.
-	var start time.Time
-	if e.latHist != nil {
-		start = time.Now()
-	}
-	return e.sendEventAt(stream, ts, start, fields)
-}
-
-// sendEventAt delivers the event; start is when processing began, read only
-// with a registry attached (latHist).
-func (e *Engine) sendEventAt(stream string, ts, start time.Time, fields map[string]Value) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.eventsIn++
@@ -366,11 +332,6 @@ func (e *Engine) sendEventAt(stream string, ts, start time.Time, fields map[stri
 			}
 		}
 	}
-	if e.latHist != nil {
-		elapsed := time.Since(start)
-		e.procTime += elapsed
-		e.latHist.ObserveDuration(elapsed)
-	}
 	return firstErr
 }
 
@@ -390,18 +351,11 @@ func (e *Engine) Collect(reg *telemetry.Registry) {
 	prefix := e.name + "."
 	reg.Counter(prefix + "events_in").Store(e.eventsIn)
 	reg.Counter(prefix + "events_unowned").Store(e.eventsUnowned)
-	if e.latHist != nil {
-		reg.Gauge(prefix + "proc_time_ns").Set(float64(e.procTime))
-		if e.eventsIn > 0 {
-			reg.Gauge(prefix + "avg_latency_ns").Set(float64(e.procTime) / float64(e.eventsIn))
-		}
-	}
 	reg.Gauge(prefix + "views").Set(float64(e.viewCount))
 	reg.Gauge(prefix + "view_subscriptions").Set(float64(e.viewSubs))
 	publish := func(name string, m StatementMetrics) {
 		sp := prefix + "stmt." + name + "."
 		reg.Counter(sp + "events_in").Store(m.EventsIn)
-		reg.Counter(sp + "evaluations").Store(m.Evaluations)
 		reg.Counter(sp + "firings").Store(m.Firings)
 		reg.Counter(sp + "errors").Store(m.Errors)
 	}

@@ -446,38 +446,28 @@ func TestStatementNamesSorted(t *testing.T) {
 	}
 }
 
-// TestEngineCountersViaRegistry: an engine counts its events, and times them
-// — the latency histogram, proc_time_ns and avg_latency_ns — only with a
-// registry attached.
+// TestEngineCountersViaRegistry: an engine publishes its event counters
+// through Collect, and no timing series: the engine reads no clock of its
+// own to process an event.
 func TestEngineCountersViaRegistry(t *testing.T) {
-	for _, timed := range []bool{false, true} {
-		var e *Engine
-		if timed {
-			e = New(WithRegistry(telemetry.NewRegistry()))
-		} else {
-			e = New()
-		}
-		if _, err := e.AddStatement("r", lastX); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			send(t, e, "s", map[string]Value{"x": float64(i)})
-		}
-		reg := telemetry.NewRegistry()
-		e.Collect(reg)
-		if got := reg.Counter("cep.events_in").Load(); got != 5 {
-			t.Fatalf("timed %v: events = %d, want 5", timed, got)
-		}
-		var hasProc, hasAvg bool
-		for _, m := range reg.Snapshot().Metrics {
-			hasProc = hasProc || m.Name == "cep.proc_time_ns"
-			hasAvg = hasAvg || m.Name == "cep.avg_latency_ns"
-		}
-		if hasProc != timed || hasAvg != timed {
-			t.Fatalf("timed %v: proc_time_ns published %v, avg_latency_ns %v", timed, hasProc, hasAvg)
-		}
-		if timed && (reg.Gauge("cep.proc_time_ns").Load() <= 0 || reg.Gauge("cep.avg_latency_ns").Load() <= 0) {
-			t.Fatal("processing time should be positive")
+	e := New()
+	if _, err := e.AddStatement("r", lastX); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		send(t, e, "s", map[string]Value{"x": float64(i)})
+	}
+	reg := telemetry.NewRegistry()
+	e.Collect(reg)
+	if got := reg.Counter("cep.events_in").Load(); got != 5 {
+		t.Fatalf("events = %d, want 5", got)
+	}
+	if got := reg.Counter("cep.events_unowned").Load(); got != 0 {
+		t.Fatalf("unowned events = %d, want 0", got)
+	}
+	for _, m := range reg.Snapshot().Metrics {
+		if strings.HasSuffix(m.Name, "_ns") {
+			t.Fatalf("timing series %s published", m.Name)
 		}
 	}
 }
@@ -491,7 +481,7 @@ func TestStatementMetrics(t *testing.T) {
 	send(t, e, "s", map[string]Value{"x": 1.0})
 	send(t, e, "s", map[string]Value{"x": -1.0})
 	m := st.Metrics()
-	if m.EventsIn != 2 || m.Evaluations != 2 || m.Firings != 1 {
+	if m.EventsIn != 2 || m.Firings != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }

@@ -453,7 +453,8 @@ func TestFunctionRegisteredOverBuiltinMidStream(t *testing.T) {
 }
 
 // TestIncrementalCollectPublishesCounters: Collect publishes a statement's
-// counters, and only those: evaluations counts every evaluation.
+// counters, and only those: every event in is one evaluation, so no
+// evaluations series copies events_in.
 func TestIncrementalCollectPublishesCounters(t *testing.T) {
 	eng := New()
 	if _, err := eng.AddStatement("r", triggerAvg); err != nil {
@@ -463,12 +464,12 @@ func TestIncrementalCollectPublishesCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	eng.Collect(reg)
 	snap := reg.Gather()
-	for _, name := range []string{"events_in", "evaluations", "firings"} {
+	for _, name := range []string{"events_in", "firings"} {
 		if m, ok := snap.Get("cep.stmt.r." + name); !ok || m.Value != 1 {
 			t.Fatalf("%s metric = %+v (ok=%v), want 1", name, m, ok)
 		}
 	}
-	for _, name := range []string{"incremental_evals", "recompute_fallbacks"} {
+	for _, name := range []string{"evaluations", "incremental_evals", "recompute_fallbacks"} {
 		if _, ok := snap.Get("cep.stmt.r." + name); ok {
 			t.Fatalf("%s is still published", name)
 		}
@@ -524,21 +525,19 @@ func TestListing1IncrementalMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestProcTimeSampledOnlyWithRegistry: a statement reads no clock, with a
-// telemetry registry or without one, and counts the same work either way:
-// every event in, one evaluation per event, and here a firing per event.
-func TestProcTimeSampledOnlyWithRegistry(t *testing.T) {
+// TestStatementCountsEveryEvent: a statement counts its work and nothing
+// else: every event in, and here a firing per event.
+func TestStatementCountsEveryEvent(t *testing.T) {
 	const src = `SELECT avg(w.x) AS a FROM s.std:lastevent() AS t, s.std:groupwin(k).win:length(5) AS w WHERE t.k = w.k`
-	for _, eng := range []*Engine{New(), New(WithRegistry(telemetry.NewRegistry()))} {
-		st, err := eng.AddStatement("r", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 50; i++ {
-			send(t, eng, "s", map[string]Value{"k": "a", "x": float64(i)})
-		}
-		if m, want := st.Metrics(), (StatementMetrics{EventsIn: 50, Evaluations: 50, Firings: 50}); m != want {
-			t.Fatalf("registry %v: metrics %+v, want %+v", eng.reg != nil, m, want)
-		}
+	eng := New()
+	st, err := eng.AddStatement("r", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		send(t, eng, "s", map[string]Value{"k": "a", "x": float64(i)})
+	}
+	if m, want := st.Metrics(), (StatementMetrics{EventsIn: 50, Firings: 50}); m != want {
+		t.Fatalf("metrics %+v, want %+v", m, want)
 	}
 }

@@ -381,7 +381,7 @@ func TestRemovedStatementSeriesAreZeroed(t *testing.T) {
 	}
 	eng.RemoveStatement("r")
 	eng.Collect(reg)
-	for _, series := range []string{"events_in", "evaluations", "firings"} {
+	for _, series := range []string{"events_in", "firings"} {
 		if m, _ := reg.Gather().Get("cep.stmt.r." + series); m.Value != 0 {
 			t.Fatalf("%s of a removed statement = %v, want 0", series, m.Value)
 		}

@@ -51,12 +51,12 @@ type Statement struct {
 	metrics StatementMetrics
 }
 
-// StatementMetrics counts a statement's work.
+// StatementMetrics counts a statement's work. Every event of the
+// statement's stream it is fed (EventsIn) is one evaluation.
 type StatementMetrics struct {
-	EventsIn    uint64
-	Evaluations uint64
-	Firings     uint64
-	Errors      uint64
+	EventsIn uint64
+	Firings  uint64
+	Errors   uint64
 }
 
 // fromItemState is the runtime state of one FROM item.
@@ -238,7 +238,6 @@ func (st *Statement) process(ev *Event) error {
 	for _, idx := range st.fed {
 		st.inc.applyDelta(idx, ev, st.items[idx].view.insert(ev))
 	}
-	st.metrics.Evaluations++
 	outputs, err := st.inc.evaluate(ev)
 	if err != nil {
 		st.metrics.Errors++

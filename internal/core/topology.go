@@ -658,13 +658,7 @@ func (b *esperBolt) Prepare(ctx storm.TaskContext) error {
 		return fmt.Errorf("core: %s runs %d tasks but the routing table addresses %d engines", CompEsper, ctx.NumTasks, b.engines)
 	}
 	b.ctx = ctx
-	var opts []cep.Option
-	if b.telemetry != nil {
-		opts = append(opts,
-			cep.WithRegistry(b.telemetry),
-			cep.WithName(fmt.Sprintf("cep.engine%d", ctx.TaskIndex)))
-	}
-	b.engine = cep.New(opts...)
+	b.engine = cep.New(cep.WithName(fmt.Sprintf("cep.engine%d", ctx.TaskIndex)))
 	if b.telemetry != nil {
 		b.telemetry.Register(b.engine)
 	}

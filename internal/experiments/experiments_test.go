@@ -37,6 +37,14 @@ func TestFigure9FirstOrderFitsWell(t *testing.T) {
 	if res.Order1MAE <= 0 {
 		t.Fatal("MAE must be positive on noisy measurements")
 	}
+	// Order 2 is either fitted and scored, or reported as not fitted with
+	// no score: a failed fit must not pass for an infinite error.
+	if (res.Order2 == nil) != (res.Order2Err != nil) {
+		t.Fatalf("order 2 fit %v with error %v", res.Order2, res.Order2Err)
+	}
+	if res.Order2 == nil && (res.Order2MAE != 0 || res.Order2MAPE != 0) {
+		t.Fatalf("unfitted order 2 scored MAE %v, MAPE %v", res.Order2MAE, res.Order2MAPE)
+	}
 	// The paper's headline: the first-order model is usable; its held-out
 	// MAPE should be a sane percentage (the paper reports ~60% lower
 	// error than order 2; exact ratios vary run to run on live timing).

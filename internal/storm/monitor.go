@@ -17,11 +17,10 @@ type Monitor struct {
 	r        *Runtime
 	interval time.Duration
 
-	mu      sync.Mutex
-	prev    map[string][]TaskMetrics
-	prevAt  time.Time
-	reports []Report
-	subs    []func(Report)
+	mu     sync.Mutex
+	prev   map[string][]TaskMetrics
+	prevAt time.Time
+	subs   []func(Report)
 
 	stopCh chan struct{}
 	wg     sync.WaitGroup
@@ -101,8 +100,8 @@ func (m *Monitor) stop() {
 	}
 }
 
-// SnapshotNow samples all counters, appends a report for the window since
-// the previous snapshot, and notifies subscribers.
+// SnapshotNow samples all counters, builds the report for the window since
+// the previous snapshot, and hands it to every subscriber.
 func (m *Monitor) SnapshotNow() Report {
 	now := time.Now()
 	cur := m.r.taskMetricsSnapshot()
@@ -154,7 +153,6 @@ func (m *Monitor) SnapshotNow() Report {
 	}
 	m.prev = cur
 	m.prevAt = now
-	m.reports = append(m.reports, rep)
 	subs := append([]func(Report){}, m.subs...)
 	m.mu.Unlock()
 
@@ -217,13 +215,6 @@ func (m *Monitor) Collect(reg *telemetry.Registry) {
 		// with anchored emissions.
 		reg.Gauge("storm.acker.pending").Set(float64(ak.pendingRoots()))
 	}
-}
-
-// Reports returns the accumulated report history.
-func (m *Monitor) Reports() []Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Report(nil), m.reports...)
 }
 
 // TotalsByComponent aggregates absolute counters per component (not window

@@ -22,8 +22,10 @@ func withChannelBuffer(n int) Option { return func(c *config) { c.ChannelBuffer 
 func WithMonitorInterval(d time.Duration) Option { return func(c *config) { c.MonitorInterval = d } }
 
 // WithTelemetry attaches a telemetry registry: the runtime records per-hop
-// and end-to-end tuple latency histograms on the hot path, and the monitor
-// is registered as a telemetry.Source publishing per-component counters.
+// (emitter batch arrival → receiver batch arrival) and end-to-end (spout
+// emission → arrival at the sink) tuple latency histograms from the clock
+// readings it already takes per batch, and the monitor is registered as a
+// telemetry.Source publishing per-component counters.
 func WithTelemetry(reg *telemetry.Registry) Option { return func(c *config) { c.Telemetry = reg } }
 
 // WithFailurePolicy selects how task errors and recovered panics are

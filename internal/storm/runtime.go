@@ -25,10 +25,13 @@ type config struct {
 	// periodic reporting; SnapshotNow still works.
 	MonitorInterval time.Duration
 	// Telemetry, when non-nil, enables tuple tracing: spout emissions are
-	// stamped with a telemetry.TupleTrace, each component records a
-	// per-hop latency histogram, sinks record end-to-end latency, and the
-	// monitor registers as a telemetry.Source. Nil keeps the hot path
-	// free of any tracing work.
+	// stamped with a telemetry.TupleTrace, each bolt records a per-hop
+	// latency histogram (emitter batch arrival → receiver batch arrival;
+	// a spout's emissions are stamped at the start of their NextTuple
+	// call), sinks record end-to-end latency (spout emission → arrival at
+	// the sink), and the monitor registers as a telemetry.Source. Tracing
+	// reads no clock beyond the runtime's per-batch readings. Nil keeps
+	// the hot path free of any tracing work.
 	Telemetry *telemetry.Registry
 	// FailurePolicy selects how task errors and recovered panics are
 	// treated: FailFast (default) records them as the run error, Degrade
@@ -907,10 +910,10 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 	marks, passed := r.inputMarks(ex), uint64(0)
 	// The clock is read twice per batch: btStart stamps the batch's arrival
 	// and the elapsed time is attributed to tasks proportionally to
-	// done[local], the per-task executed count of the current batch. A
-	// traced envelope after the first adds one reading at its start for the
-	// hop histogram and its emissions' stamps, and a sink one more per
-	// traced envelope for the end-to-end histogram.
+	// done[local], the per-task executed count of the current batch.
+	// Tracing reads no clock of its own: every traced envelope of the batch
+	// takes btStart for its hop and end-to-end observations and for its
+	// emissions' stamps.
 	var btStart time.Time
 	done, total := make([]uint32, len(ex.tasks)), uint32(0)
 	// inCall marks an Execute call in flight (col.ts is its task), for the
@@ -962,6 +965,7 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 				}
 				next = 0
 				btStart = time.Now()
+				col.nowNanos = btStart.UnixNano()
 			}
 			for next < len(bt.envs) {
 				// Pointer, not copy: the envelope is ~100 bytes and only
@@ -981,17 +985,10 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 					next++
 					continue
 				}
-				trace := env.tuple.Trace
-				var at time.Time
-				if trace.Active() {
-					// The batch's arrival stamp is its first envelope's start.
-					at = btStart
-					if next > 0 {
-						at = time.Now()
-					}
-					col.nowNanos = at.UnixNano()
-					if rc.hopHist != nil {
-						rc.hopHist.Observe(col.nowNanos - trace.EmitNanos)
+				if trace := env.tuple.Trace; trace.Active() && rc.hopHist != nil {
+					rc.hopHist.Observe(col.nowNanos - trace.EmitNanos)
+					if rc.e2eHist != nil {
+						rc.e2eHist.Observe(col.nowNanos - trace.StartNanos)
 					}
 				}
 				inCall = true
@@ -1000,9 +997,6 @@ func (r *Runtime) runBoltExecutor(rc *runningComponent, ex *executor) {
 				ts.executed.Add(1)
 				done[env.local]++
 				total++
-				if trace.Active() && rc.e2eHist != nil {
-					rc.e2eHist.Observe(col.nowNanos + int64(time.Since(at)) - trace.StartNanos)
-				}
 				if err != nil {
 					r.taskFailed(rc, ts, fmt.Errorf("storm: bolt %s task %d: %w", rc.spec.id, ts.ctx.TaskID, err))
 				} else {
@@ -1059,11 +1053,11 @@ type taskCollector struct {
 	// root marks a tracing spout collector: every emission starts a fresh
 	// trace. in is the input tuple's trace context on bolt collectors;
 	// emissions derive from it when it is active. nowNanos is the
-	// executor's clock reading at the start of the current traced
-	// NextTuple/Execute call (read only when it is traced) — emissions are
-	// stamped with it instead of reading the clock again, so a hop's
-	// latency spans emitter execute-start to receiver execute-start (queue
-	// wait + transport + emitter processing).
+	// executor's last clock reading: the start of the current NextTuple
+	// call on a tracing spout, the arrival of the current batch on a bolt.
+	// Emissions are stamped with it instead of reading the clock again, so
+	// a hop's latency spans emitter batch arrival to receiver batch arrival
+	// (queue wait + transport + emitter processing).
 	root     bool
 	in       telemetry.TupleTrace
 	nowNanos int64

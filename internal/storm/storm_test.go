@@ -489,6 +489,8 @@ func TestMonitorReportsWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var reports []Report
+	rt.Monitor().Subscribe(func(rep Report) { reports = append(reports, rep) })
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -508,8 +510,8 @@ func TestMonitorReportsWindows(t *testing.T) {
 	if rep2.Components["sink"].Executed != 0 {
 		t.Fatal("second window should be empty")
 	}
-	if len(rt.Monitor().Reports()) != 2 {
-		t.Fatalf("reports = %d", len(rt.Monitor().Reports()))
+	if len(reports) != 2 {
+		t.Fatalf("reports = %d", len(reports))
 	}
 	totals := rt.Monitor().TotalsByComponent()
 	found := false

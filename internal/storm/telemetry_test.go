@@ -96,6 +96,72 @@ func TestTracingRecordsHopAndEndToEnd(t *testing.T) {
 	}
 }
 
+// burstSpout emits n tuples from its one NextTuple call, noting the clock
+// just before the last emission, which fills the batch and ships it.
+type burstSpout struct {
+	n        int
+	lastEmit int64
+}
+
+func (s *burstSpout) Open(TaskContext) error { return nil }
+func (s *burstSpout) Close() error           { return nil }
+func (s *burstSpout) NextTuple(col Collector) (bool, error) {
+	for i := 0; i < s.n; i++ {
+		if i == s.n-1 {
+			s.lastEmit = time.Now().UnixNano()
+		}
+		col.Emit(map[string]any{"i": i})
+	}
+	return false, nil
+}
+
+// TestTracingStampsBatchArrival: a spout call emits one full batch to a
+// one-task bolt, and every tuple the bolt emits for that batch carries the
+// batch's arrival stamp — taken after the batch shipped and before the
+// first Execute — however long the batch's Execute calls take.
+func TestTracingStampsBatchArrival(t *testing.T) {
+	const n = 64
+	spout := &burstSpout{n: n}
+	var firstExec atomic.Int64
+	mu, got, _, sink := newSink()
+	b := NewTopologyBuilder("t")
+	b.SetSpout("src", func() Spout { return spout }, 1, 1)
+	b.SetBolt("mid", func() Bolt {
+		return &funcBolt{exec: func(tp Tuple, col Collector) error {
+			firstExec.CompareAndSwap(0, time.Now().UnixNano())
+			time.Sleep(20 * time.Microsecond)
+			col.Emit(tp.Values)
+			return nil
+		}}
+	}, 1, 1).ShuffleGrouping("src")
+	b.SetBolt("sink", sink, 1, 1).ShuffleGrouping("mid")
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(topo, WithTelemetry(telemetry.NewRegistry()), WithBatchSize(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(*got) != n {
+		t.Fatalf("sink got %d tuples, want %d", len(*got), n)
+	}
+	stamp := (*got)[0].Trace.EmitNanos
+	for _, tp := range *got {
+		if tp.Trace.EmitNanos != stamp {
+			t.Fatalf("emission stamps %d and %d differ within one batch", stamp, tp.Trace.EmitNanos)
+		}
+	}
+	if stamp < spout.lastEmit || stamp > firstExec.Load() {
+		t.Fatalf("stamp %d outside the batch's arrival: shipped after %d, first Execute at %d", stamp, spout.lastEmit, firstExec.Load())
+	}
+}
+
 // TestTracingDisabledZeroCost: without a registry the tuples carry no trace
 // at all (the zero value), so the hot path never reads the clock for tracing.
 func TestTracingDisabledZeroCost(t *testing.T) {
@@ -167,6 +233,17 @@ func TestMonitorSubscribeConcurrentSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The first subscriber collects the windows; SnapshotNow runs its
+	// subscribers outside the monitor's lock, so the collection is locked.
+	var (
+		mu      sync.Mutex
+		reports []Report
+	)
+	rt.Monitor().Subscribe(func(rep Report) {
+		mu.Lock()
+		reports = append(reports, rep)
+		mu.Unlock()
+	})
 	const subscribers = 4
 	var seen [subscribers]atomic.Int64
 	for i := 0; i < subscribers; i++ {
@@ -200,7 +277,8 @@ func TestMonitorSubscribeConcurrentSnapshots(t *testing.T) {
 	if delivered.Load() != tuples {
 		t.Fatalf("delivered = %d, want %d", delivered.Load(), tuples)
 	}
-	reports := rt.Monitor().Reports()
+	mu.Lock()
+	defer mu.Unlock()
 	if len(reports) == 0 {
 		t.Fatal("no reports recorded")
 	}
