@@ -3,8 +3,9 @@
 // a trace CSV (see cmd/trafficgen), bootstraps the dynamic thresholds from
 // per-key partials of the enriched history, partitions the rules'
 // locations over the configured Esper engines (Algorithm 1), and replays the
-// feed at full speed through the Storm-like runtime, reporting per-bolt
-// throughput and latency like the paper's monitor thread.
+// feed at full speed through the Storm-like runtime. Like the paper's
+// monitor thread, the telemetry exporter reports per-bolt throughput and
+// latency every -telemetry.interval.
 //
 // Usage:
 //
@@ -45,7 +46,6 @@ import (
 type options struct {
 	tracesPath  string
 	topoPath    string
-	monitorSec  int
 	sensitivity float64
 
 	telemetryAddr     string
@@ -80,7 +80,6 @@ func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("trafficd", flag.ContinueOnError)
 	fs.StringVar(&opt.tracesPath, "traces", "", "trace CSV (required; produce one with trafficgen)")
 	fs.StringVar(&opt.topoPath, "topology", "", "topology XML (defaults to the Figure 8 topology, internal/core/topology.xml)")
-	fs.IntVar(&opt.monitorSec, "monitor", 40, "monitor window in seconds (0 = only final totals)")
 	fs.Float64Var(&opt.sensitivity, "s", 1, "threshold sensitivity s (threshold = mean + s*stdv)")
 	fs.StringVar(&opt.telemetryAddr, "telemetry.addr", "", "serve live telemetry snapshots + pprof on this address (e.g. :8077)")
 	fs.DurationVar(&opt.telemetryInterval, "telemetry.interval", 5*time.Second, "period between telemetry JSON-lines snapshots on stdout")
@@ -161,7 +160,7 @@ func main() {
 
 func run(opt options) error {
 	tracesPath, topoPath := opt.tracesPath, opt.topoPath
-	monitorSec, s := opt.monitorSec, opt.sensitivity
+	s := opt.sensitivity
 	f, err := os.Open(tracesPath)
 	if err != nil {
 		return err
@@ -333,7 +332,6 @@ func run(opt options) error {
 		return fmt.Errorf("unknown -failure.policy %q (want failfast or degrade)", opt.failurePolicy)
 	}
 	stormOpts := []storm.Option{
-		storm.WithMonitorInterval(time.Duration(monitorSec) * time.Second),
 		storm.WithTelemetry(tel),
 		storm.WithFailurePolicy(policy),
 		storm.WithBatchSize(opt.batchSize),
@@ -366,14 +364,12 @@ func run(opt options) error {
 		reb.Bind(rt, opt.rebalanceInterval)
 		defer reb.Stop()
 	}
-	rt.Monitor().Subscribe(func(rep storm.Report) {
-		cs := rep.Components[core.CompEsper]
-		fmt.Printf("[monitor] window %.0fs: EsperBolt %d tuples (%.0f/s), avg latency %v\n",
-			rep.Window.Seconds(), cs.Executed, cs.Throughput, cs.AvgLatency)
-	})
 
-	// Telemetry exporters: JSON lines on stdout every interval plus a
-	// final line at shutdown, and the optional live HTTP endpoint.
+	// The §5 monitor thread: one JSON line of the registry on stdout every
+	// -telemetry.interval plus a final line at shutdown. A component's
+	// throughput is the rate of storm.<comp>.executed, its window's mean
+	// latency the rate of storm.<comp>.proc_ns over it. Optionally the
+	// live HTTP endpoint too.
 	var exporter *telemetry.Exporter
 	if tel != nil {
 		exporter = telemetry.NewExporter(tel, os.Stdout, opt.telemetryInterval)

@@ -218,7 +218,7 @@ func TestShippedTopologyDetectionsReproducible(t *testing.T) {
 			})
 		}
 	}
-	opt, err := parseFlags([]string{"-traces", writeFeed(t, traces), "-monitor", "0", "-telemetry.off"})
+	opt, err := parseFlags([]string{"-traces", writeFeed(t, traces), "-telemetry.off"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestShippedTopologyRebalances(t *testing.T) {
 		}
 	}
 	opt, err := parseFlags([]string{
-		"-traces", writeFeed(t, traces), "-monitor", "0", "-telemetry.off",
+		"-traces", writeFeed(t, traces), "-telemetry.off",
 		"-rebalance.interval", "5ms", "-rebalance.skew", "1.05",
 	})
 	if err != nil {

@@ -8,7 +8,8 @@
 // library only:
 //
 //   - internal/storm — a Storm-like stream-processing runtime (spouts,
-//     bolts, tasks/executors, groupings, XML topologies, 40 s monitoring);
+//     bolts, tasks/executors, groupings, XML topologies, per-component
+//     counters for the §5 monitor);
 //   - internal/epl + internal/cep — an Esper-like CEP engine with an EPL
 //     subset (views, windows, joins, aggregates, listeners);
 //   - internal/mapreduce + internal/dfs — a Hadoop/HDFS-like batch layer,

@@ -204,10 +204,11 @@ type TrafficConfig struct {
 	// Manager, when set, receives history records from the
 	// BusStopsTracker and registers rule installations for refresh.
 	Manager *DynamicManager
-	// Telemetry, when set, backs every EsperBolt task's engine with the
-	// registry (per-engine event-latency histograms, engine sources) and
-	// counts the Splitter's unroutable tuples (core.splitter.unrouted), in
-	// addition to the storm runtime's tuple tracing.
+	// Telemetry, when set, registers every EsperBolt task's engine as a
+	// source (its event and statement counters) and counts the PreProcess
+	// tasks' out-of-order traces (core.preprocess.out_of_order) and the
+	// Splitter's unroutable tuples (core.splitter.unrouted). The storm
+	// runtime's counters and tuple tracing attach with storm.WithTelemetry.
 	Telemetry *telemetry.Registry
 }
 

@@ -99,12 +99,11 @@ type ackUpdate struct {
 type xorRoot struct {
 	id uint64
 
-	rc         *runningComponent // spout component (nil on placeholders)
-	ts         *taskState        // spout task (nil on placeholders)
-	msgID      string
-	tuple      Tuple     // root tuple with ack id stamped, cached for replay (Values nil)
-	vals       []kvEntry // flat payload snapshot; rebuilt into a map only on replay
-	directTask int       // EmitDirectAnchored target task, -1 otherwise
+	rc    *runningComponent // spout component (nil on placeholders)
+	ts    *taskState        // spout task (nil on placeholders)
+	msgID string
+	tuple Tuple     // root tuple with ack id stamped, cached for replay (Values nil)
+	vals  []kvEntry // flat payload snapshot; rebuilt into a map only on replay
 
 	checksum   uint64
 	failed     bool
@@ -268,8 +267,8 @@ func (a *xorAcker) releaseLocked(p *xorRoot) {
 	delete(a.roots, p.id)
 	clear(p.vals) // drop payload references for the collector
 	p.vals = p.vals[:0]
-	// Only the fields later code branches on are reset; msgID, tuple,
-	// directTask and deadline are overwritten before anyone reads them
+	// Only the fields later code branches on are reset; msgID, tuple and
+	// deadline are overwritten before anyone reads them
 	// (register, or the placeholder path of apply). rc/ts must be nil so
 	// a reuse as placeholder doesn't credit a stale task's pending count.
 	p.rc, p.ts = nil, nil
@@ -292,7 +291,7 @@ func (a *xorAcker) releaseLocked(p *xorRoot) {
 // takes ownership of the snapshot's backing array and *vals receives the
 // root's recycled one in exchange, so the steady state flattens each
 // payload exactly once and copies nothing.
-func (a *xorAcker) register(root uint64, rc *runningComponent, ts *taskState, msgID string, t Tuple, directTask int, vals *[]kvEntry, initXor uint64, initFail bool, start time.Time) {
+func (a *xorAcker) register(root uint64, rc *runningComponent, ts *taskState, msgID string, t Tuple, vals *[]kvEntry, initXor uint64, initFail bool, start time.Time) {
 	a.mu.Lock()
 	if a.stopped.Load() {
 		a.mu.Unlock()
@@ -306,7 +305,6 @@ func (a *xorAcker) register(root uint64, rc *runningComponent, ts *taskState, ms
 	p.tuple = t
 	p.tuple.Values = nil
 	p.vals, *vals = *vals, p.vals[:0]
-	p.directTask = directTask
 	p.checksum ^= initXor
 	p.failed = p.failed || initFail
 	p.registered = true
@@ -541,10 +539,7 @@ func (a *xorAcker) redeliver(p *xorRoot, hold uint64) {
 		rt.Values[e.k] = e.v
 	}
 	for _, sub := range p.rc.subs[rt.Stream] {
-		if p.directTask >= 0 && sub.grouping.Type != DirectGrouping {
-			continue
-		}
-		col.deliver(sub, &rt, p.directTask)
+		col.deliver(sub, &rt, -1)
 	}
 	a.apply(p.id, hold^col.pendXor, col.pendFail)
 }

@@ -116,13 +116,13 @@ type diffCounts struct {
 	Replays uint64
 	AckedN  uint64
 	Dropped uint64
-	Tasks   map[string][]TaskMetrics
+	Tasks   map[string][]taskMetrics
 }
 
-func stripNanos(m map[string][]TaskMetrics) map[string][]TaskMetrics {
-	out := make(map[string][]TaskMetrics, len(m))
+func stripNanos(m map[string][]taskMetrics) map[string][]taskMetrics {
+	out := make(map[string][]taskMetrics, len(m))
 	for comp, tasks := range m {
-		ts := make([]TaskMetrics, len(tasks))
+		ts := make([]taskMetrics, len(tasks))
 		for i, tm := range tasks {
 			tm.ProcNanos = 0
 			ts[i] = tm
@@ -409,7 +409,7 @@ func TestAckerDuplicateFailKeepsBackoffDeadline(t *testing.T) {
 	root := a.newRoot()
 	const edge = uint64(0xabcdef)
 	var vals []kvEntry
-	a.register(root, rc, ts, "m", Tuple{}, -1, &vals, edge, false, time.Now())
+	a.register(root, rc, ts, "m", Tuple{}, &vals, edge, false, time.Now())
 
 	readRoot := func() (deadline int64, backoff, live bool) {
 		p, live := a.lookup(root)
@@ -459,7 +459,7 @@ func TestAckerZeroChecksumRegisterSingleAck(t *testing.T) {
 	// inline resolve.
 	a.apply(root, edge, false)
 	var vals []kvEntry
-	a.register(root, rc, ts, "m", Tuple{}, -1, &vals, edge, false, time.Now())
+	a.register(root, rc, ts, "m", Tuple{}, &vals, edge, false, time.Now())
 	spout.mu.Lock()
 	acked := spout.acked["m"]
 	spout.mu.Unlock()

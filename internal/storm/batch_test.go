@@ -78,7 +78,7 @@ func TestBatchFieldsHashRoutingStable(t *testing.T) {
 // edge: batching changes when tuples move, never how many.
 func TestBatchingEquivalentCounts(t *testing.T) {
 	const n = 1000
-	run := func(batchSize int) (*Runtime, map[string][]TaskMetrics) {
+	run := func(batchSize int) (*Runtime, map[string][]taskMetrics) {
 		esper := func() Bolt { return &passBolt{} }
 		sink := func() Bolt {
 			return &funcBolt{exec: func(Tuple, Collector) error { return nil }}

@@ -2,132 +2,21 @@ package storm
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 )
 
-// directAckSpout emits each tuple straight to a chosen task of a
-// direct-grouped bolt, anchored for at-least-once delivery — the Splitter
-// situation when routing happens at the source.
-type directAckSpout struct {
-	n, i int
-
-	mu     sync.Mutex
-	acked  map[string]int
-	failed map[string]int
-}
-
-func (s *directAckSpout) Open(TaskContext) error { return nil }
-func (s *directAckSpout) Close() error           { return nil }
-func (s *directAckSpout) NextTuple(col Collector) (bool, error) {
-	if s.i >= s.n {
-		return false, nil
-	}
-	vals := map[string]any{"i": s.i}
-	if dc, ok := col.(DirectAnchorCollector); ok && dc.Acking() {
-		dc.EmitDirectAnchored(strconv.Itoa(s.i), "routed", s.i%3, vals)
-	} else {
-		col.EmitDirect("routed", s.i%3, vals)
-	}
-	s.i++
-	return s.i < s.n, nil
-}
-func (s *directAckSpout) Ack(msgID string) {
-	s.mu.Lock()
-	s.acked[msgID]++
-	s.mu.Unlock()
-}
-func (s *directAckSpout) Fail(msgID string) {
-	s.mu.Lock()
-	s.failed[msgID]++
-	s.mu.Unlock()
-}
-
-// TestAckDirectAnchoredSpoutReplay: regression for the splitter-edge hole —
-// before EmitDirectAnchored, a spout feeding a direct-grouped bolt had no
-// way to anchor its tuples, so a downstream failure was never replayed.
-// Every tuple fails its first attempt; all must be replayed to the SAME
-// task and eventually acked.
-func TestAckDirectAnchoredSpoutReplay(t *testing.T) {
-	const n = 21
-	spout := &directAckSpout{n: n, acked: map[string]int{}, failed: map[string]int{}}
-	var mu sync.Mutex
-	attempts := map[any]int{}
-	taskOf := map[any]int{} // message → the task that executed it
-	flaky := func() Bolt {
-		fb := &funcBolt{}
-		var task int
-		fb.prep = func(ctx TaskContext) error {
-			task = ctx.TaskIndex
-			return nil
-		}
-		fb.exec = func(tp Tuple, _ Collector) error {
-			mu.Lock()
-			attempts[tp.Values["i"]]++
-			first := attempts[tp.Values["i"]] == 1
-			if prev, seen := taskOf[tp.Values["i"]]; seen && prev != task {
-				mu.Unlock()
-				return fmt.Errorf("tuple %v replayed to task %d, first seen on %d", tp.Values["i"], task, prev)
-			}
-			taskOf[tp.Values["i"]] = task
-			mu.Unlock()
-			if first {
-				return fmt.Errorf("transient failure")
-			}
-			return nil
-		}
-		return fb
-	}
-	b := NewTopologyBuilder("t")
-	b.SetSpout("src", func() Spout { return spout }, 1, 1)
-	b.SetBolt("sink", flaky, 3, 3).StreamGrouping("src", "routed", DirectGrouping)
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(topo,
-		WithAckTimeout(20*time.Millisecond),
-		WithMaxRetries(5),
-		WithFailurePolicy(Degrade),
-		withQuarantineAfter(1000),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	spout.mu.Lock()
-	defer spout.mu.Unlock()
-	if len(spout.acked) != n {
-		t.Fatalf("acked %d message ids, want %d (failed: %v)", len(spout.acked), n, spout.failed)
-	}
-	if len(spout.failed) != 0 {
-		t.Fatalf("failed callbacks for %v, want none", spout.failed)
-	}
-	ft := rt.FaultTotals()
-	if ft.Replays < n {
-		t.Fatalf("replays = %d, want ≥ %d (every tuple failed once)", ft.Replays, n)
-	}
-}
-
 // TestAckDirectAnchoredRouterReplay: the full splitter shape — an anchored
-// spout feeds a router bolt which re-emits each tuple direct to one task of
-// a direct-grouped sink. The direct emission must stay inside the root's
-// tuple tree, so a sink failure replays the whole chain.
+// spout feeds a router bolt which re-emits each tuple with a plain
+// EmitDirect to one task of a direct-grouped sink. A bolt's direct emission
+// rides its input's tuple tree, so a sink failure replays the whole chain.
 func TestAckDirectAnchoredRouterReplay(t *testing.T) {
 	const n = 15
 	spout := newAckSpout(n)
 	router := func() Bolt {
 		return &funcBolt{exec: func(tp Tuple, col Collector) error {
-			i := tp.Values["i"].(int)
-			if dc, ok := col.(DirectAnchorCollector); ok {
-				dc.EmitDirectAnchored("", "routed", i%3, tp.Values)
-			} else {
-				col.EmitDirect("routed", i%3, tp.Values)
-			}
+			col.EmitDirect("routed", tp.Values["i"].(int)%3, tp.Values)
 			return nil
 		}}
 	}

@@ -2,9 +2,11 @@
 // with Storm's programming model (§2.1.1 of the paper): topologies of
 // spouts and bolts, per-component tasks and executors, stream groupings
 // (shuffle, fields, all, global, direct), deterministic assignment of
-// executors to worker processes, and a monitor that reports per-bolt
-// throughput and latency every 40 seconds the way the paper's enhanced
-// Storm does (§5).
+// executors to worker processes, and a Monitor that sums per-component
+// counters — tuples executed, emitted, failed and dropped, and processing
+// time — for the telemetry exporter, which reports per-bolt throughput and
+// latency every window the way the paper's enhanced Storm does every 40
+// seconds (§5).
 //
 // # Execution models
 //

@@ -91,21 +91,6 @@ type AnchorCollector interface {
 	Acking() bool
 }
 
-// DirectAnchorCollector extends AnchorCollector with an anchored direct
-// emit. Plain EmitDirect from a spout has no way to register the tuple with
-// the acker (EmitAnchored only serves non-direct subscriptions), so a
-// spout feeding a direct-grouped bolt silently lost at-least-once delivery.
-// EmitDirectAnchored closes that hole: on a tracking spout collector it
-// begins a tracked tuple tree rooted at msgID and delivers to the chosen
-// task of every direct-grouped subscription; on bolt collectors it behaves
-// like EmitDirect, riding the input tuple's existing tree (msgID ignored).
-type DirectAnchorCollector interface {
-	AnchorCollector
-	// EmitDirectAnchored emits values on stream to one specific task of
-	// every direct-grouped subscription, anchored under msgID.
-	EmitDirectAnchored(msgID, stream string, task int, values map[string]any)
-}
-
 // AckingSpout is optionally implemented by spouts emitting anchored tuples.
 // Ack is invoked when a tuple's tree fully drains without failure; Fail when
 // the tuple expired after MaxRetries replays (or the run was cancelled).
@@ -132,15 +117,13 @@ type FaultTotals struct {
 func (r *Runtime) FaultTotals() FaultTotals {
 	var ft FaultTotals
 	for _, rc := range r.comps {
-		ft.Panics += rc.panics.Load()
-		ft.Replays += rc.replays.Load()
-		ft.Acked += rc.acked.Load()
-		ft.Quarantined += rc.quarantinedN.Load()
-		ft.MissingField += rc.missingField.Load()
-		ft.Dropped += rc.dropped.Load() + rc.expired.Load()
-		for _, ts := range rc.tasks {
-			ft.Dropped += ts.dropped.Load()
-		}
+		c := rc.counts()
+		ft.Panics += c.panics
+		ft.Replays += c.replays
+		ft.Acked += c.acked
+		ft.Dropped += c.dropped
+		ft.Quarantined += c.quarantined
+		ft.MissingField += c.missingField
 	}
 	return ft
 }

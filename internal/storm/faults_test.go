@@ -213,9 +213,10 @@ func TestQuarantineDegradeRoutesAround(t *testing.T) {
 		t.Fatalf("healthy task got %d tuples, want ≥ %d (routing must avoid the quarantined task)", byTask[1], n/2)
 	}
 	edgeReconciles(t, rt, "src", "flaky")
-	rep := rt.Monitor().SnapshotNow()
-	if rep.Components["flaky"].Quarantined != 1 {
-		t.Fatalf("monitor quarantined = %d, want 1", rep.Components["flaky"].Quarantined)
+	reg := telemetry.NewRegistry()
+	rt.Monitor().Collect(reg)
+	if q := reg.Counter("storm.flaky.quarantined").Load(); q != 1 {
+		t.Fatalf("monitor quarantined = %d, want 1", q)
 	}
 }
 

@@ -16,11 +16,6 @@ type Option func(*config)
 // when full, providing backpressure.
 func withChannelBuffer(n int) Option { return func(c *config) { c.ChannelBuffer = n } }
 
-// WithMonitorInterval enables the per-worker monitor thread reporting bolt
-// metrics every interval (the paper uses 40 s). Zero disables periodic
-// reporting; SnapshotNow still works.
-func WithMonitorInterval(d time.Duration) Option { return func(c *config) { c.MonitorInterval = d } }
-
 // WithTelemetry attaches a telemetry registry: the runtime records per-hop
 // (emitter batch arrival → receiver batch arrival) and end-to-end (spout
 // emission → arrival at the sink) tuple latency histograms from the clock

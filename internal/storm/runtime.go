@@ -20,10 +20,6 @@ type config struct {
 	// ChannelBuffer is the per-executor input queue length. Defaults to
 	// 1024. Sends block when full, providing backpressure.
 	ChannelBuffer int
-	// MonitorInterval enables the per-worker monitor thread reporting
-	// bolt metrics every interval (the paper uses 40 s). Zero disables
-	// periodic reporting; SnapshotNow still works.
-	MonitorInterval time.Duration
 	// Telemetry, when non-nil, enables tuple tracing: spout emissions are
 	// stamped with a telemetry.TupleTrace, each bolt records a per-hop
 	// latency histogram (emitter batch arrival → receiver batch arrival;
@@ -131,15 +127,6 @@ type Placement struct {
 	Worker    int
 }
 
-// TaskMetrics are the per-task counters sampled by the monitor.
-type TaskMetrics struct {
-	Executed  uint64
-	Emitted   uint64
-	Errors    uint64
-	Dropped   uint64
-	ProcNanos uint64
-}
-
 type taskState struct {
 	ctx   TaskContext
 	spout Spout
@@ -173,16 +160,6 @@ type taskState struct {
 	// after wiring — a slice index on the shuffle hot path, not a map).
 	// uint64 so wraparound stays a valid (non-negative) modulus operand.
 	shuffle []uint64
-}
-
-func (ts *taskState) metrics() TaskMetrics {
-	return TaskMetrics{
-		Executed:  ts.executed.Load(),
-		Emitted:   ts.emitted.Load(),
-		Errors:    ts.errors.Load(),
-		Dropped:   ts.dropped.Load(),
-		ProcNanos: ts.procNanos.Load(),
-	}
 }
 
 type envelope struct {
@@ -281,10 +258,11 @@ type Runtime struct {
 	batchPool    sync.Pool
 	execs        []*executor
 
-	// Exactly one of acker/epochs is non-nil while a run with
-	// AckTimeout > 0 is active — epochs under AckEpoch, acker under
-	// AckXOR (the default). done is the run context's cancellation
-	// channel (nil for Run/Background).
+	// With AckTimeout > 0 exactly one of acker/epochs is non-nil —
+	// epochs under AckEpoch, set when the run starts, and acker under
+	// AckXOR (the default), set by New so that a telemetry gather racing
+	// the run's start reads a settled pointer. done is the run context's
+	// cancellation channel (nil for Run/Background).
 	acker  *xorAcker
 	epochs *epochCoordinator
 	done   <-chan struct{}
@@ -472,7 +450,10 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		}
 	}
 
-	r.monitor = newMonitor(r, cfg.MonitorInterval)
+	if cfg.AckTimeout > 0 && cfg.AckMode != AckEpoch {
+		r.acker = newXorAcker(r, cfg.AckTimeout, cfg.MaxRetries)
+	}
+	r.monitor = newMonitor(r)
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Register(r.monitor)
 	}
@@ -583,7 +564,6 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 			// up — its messages ride them).
 			r.epochs = newEpochCoordinator(r)
 		} else {
-			r.acker = newXorAcker(r, r.cfg.AckTimeout, r.cfg.MaxRetries)
 			r.acker.start(r.done)
 		}
 	}
@@ -601,8 +581,6 @@ func (r *Runtime) RunContext(ctx context.Context) error {
 	}
 
 	var wg sync.WaitGroup
-	r.monitor.start()
-	defer r.monitor.stop()
 
 	for _, id := range r.topo.order {
 		rc := r.comps[id]
@@ -1159,30 +1137,25 @@ func (c *taskCollector) EmitDirect(stream string, task int, values map[string]an
 // everywhere else it is a plain Emit.
 func (c *taskCollector) EmitAnchored(msgID string, values map[string]any) {
 	if ak := c.r.acker; ak != nil && c.ts.spout != nil {
-		c.emitAnchoredXOR(ak, msgID, DefaultStream, -1, values)
+		c.emitAnchoredXOR(ak, msgID, values)
 		return
 	}
 	c.Emit(values)
 }
 
-// emitAnchoredXOR is the XOR-acker root emission shared by EmitAnchored
-// (directTask -1) and EmitDirectAnchored: allocate the root id, deliver —
-// accumulating the created edge ids in pendXor — then register the root
-// with the accumulated initial checksum. Registration comes last so the
-// hot path takes the table lock exactly once per root; updates racing
-// ahead of it merge via placeholder entries.
-func (c *taskCollector) emitAnchoredXOR(ak *xorAcker, msgID, stream string, directTask int, values map[string]any) {
+// emitAnchoredXOR is EmitAnchored's XOR-acker root emission: allocate the
+// root id, deliver — accumulating the created edge ids in pendXor — then
+// register the root with the accumulated initial checksum. Registration
+// comes last so the hot path takes the table lock exactly once per root;
+// updates racing ahead of it merge via placeholder entries.
+func (c *taskCollector) emitAnchoredXOR(ak *xorAcker, msgID string, values map[string]any) {
 	root := ak.newRoot()
 	if root == 0 { // acker stopped (cancellation): emit unanchored
-		if directTask >= 0 {
-			c.EmitDirect(stream, directTask, values)
-		} else {
-			c.EmitTo(stream, values)
-		}
+		c.Emit(values)
 		return
 	}
 	c.ts.emitted.Add(1)
-	t := Tuple{Stream: stream, Values: values, Trace: c.outTrace(), ack: root}
+	t := Tuple{Stream: DefaultStream, Values: values, Trace: c.outTrace(), ack: root}
 	// Snapshot the payload before any delivery ships: at batch size 1 (and
 	// whenever a buffer fills mid-loop) the envelope reaches its executor
 	// inside deliver, and the consumer may write to the Values map
@@ -1196,27 +1169,10 @@ func (c *taskCollector) emitAnchoredXOR(ak *xorAcker, msgID, stream string, dire
 	}
 	c.rootVals = vals
 	c.pendXor, c.pendFail = 0, false
-	for _, sub := range c.rc.subs[stream] {
-		if directTask >= 0 && sub.grouping.Type != DirectGrouping {
-			continue
-		}
-		c.deliver(sub, &t, directTask)
+	for _, sub := range c.rc.subs[DefaultStream] {
+		c.deliver(sub, &t, -1)
 	}
-	ak.register(root, c.rc, c.ts, msgID, t, directTask, &c.rootVals, c.pendXor, c.pendFail, c.start)
-}
-
-// EmitDirectAnchored implements DirectAnchorCollector. On a tracking spout
-// collector it begins a tracked tuple tree (like EmitAnchored) and delivers
-// to the chosen task of every direct-grouped subscription; replays of the
-// root are re-addressed to the same task. On bolt collectors — or when
-// tracking is off — it is exactly EmitDirect: the emission rides the input
-// tuple's tree via inAck, keeping routed tuples inside the acker's view.
-func (c *taskCollector) EmitDirectAnchored(msgID, stream string, task int, values map[string]any) {
-	if ak := c.r.acker; ak != nil && c.ts.spout != nil {
-		c.emitAnchoredXOR(ak, msgID, stream, task, values)
-		return
-	}
-	c.EmitDirect(stream, task, values)
+	ak.register(root, c.rc, c.ts, msgID, t, &c.rootVals, c.pendXor, c.pendFail, c.start)
 }
 
 // ReportDrop implements DropReporter: the current input tuple was
@@ -1380,23 +1336,6 @@ func (c *taskCollector) send(target *runningComponent, taskIdx int, t *Tuple) {
 	b.envs = append(b.envs, envelope{local: route.local, tuple: *t})
 	b.envs[len(b.envs)-1].tuple.edge = edge
 	c.r.deliverOrDrop(dest, b)
-}
-
-// taskMetricsSnapshot returns the current counters of every task, keyed by
-// component, ordered by task index. Out-of-package consumers read the same
-// counters through Monitor.SnapshotNow (per-task windows; with periodic
-// reporting off, one call at the end of a run yields absolute totals) or a
-// telemetry.Registry walk.
-func (r *Runtime) taskMetricsSnapshot() map[string][]TaskMetrics {
-	out := make(map[string][]TaskMetrics, len(r.comps))
-	for id, rc := range r.comps {
-		ms := make([]TaskMetrics, len(rc.tasks))
-		for i, ts := range rc.tasks {
-			ms[i] = ts.metrics()
-		}
-		out[id] = ms
-	}
-	return out
 }
 
 // labelGoroutine tags the calling goroutine for CPU and goroutine profiles

@@ -1,12 +1,45 @@
 package storm
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"trafficcep/internal/telemetry"
 )
+
+// taskMetrics is one task's counters, for tests that compare runs task by
+// task.
+type taskMetrics struct {
+	Executed  uint64
+	Emitted   uint64
+	Errors    uint64
+	Dropped   uint64
+	ProcNanos uint64
+}
+
+// taskMetricsSnapshot returns the current counters of every task, keyed by
+// component, ordered by task index.
+func (r *Runtime) taskMetricsSnapshot() map[string][]taskMetrics {
+	out := make(map[string][]taskMetrics, len(r.comps))
+	for id, rc := range r.comps {
+		ms := make([]taskMetrics, len(rc.tasks))
+		for i, ts := range rc.tasks {
+			ms[i] = taskMetrics{
+				Executed:  ts.executed.Load(),
+				Emitted:   ts.emitted.Load(),
+				Errors:    ts.errors.Load(),
+				Dropped:   ts.dropped.Load(),
+				ProcNanos: ts.procNanos.Load(),
+			}
+		}
+		out[id] = ms
+	}
+	return out
+}
 
 // seqSpout emits n sequential tuples {i: 0..n-1, key: i % keys}.
 type seqSpout struct {
@@ -476,8 +509,11 @@ func TestAccountingReconcilesUnderInjectedErrors(t *testing.T) {
 	}
 }
 
+// TestMonitorReportsWindows: the §5 monitor's windows are the telemetry
+// exporter's. A window spanning the run reports every tuple the sink's two
+// tasks executed at a positive rate, and the next window is empty.
 func TestMonitorReportsWindows(t *testing.T) {
-	_, _, _, sink := newSink()
+	_, _, byTask, sink := newSink()
 	b := NewTopologyBuilder("t")
 	b.SetSpout("src", func() Spout { return &seqSpout{n: 500, keys: 5} }, 1, 1)
 	b.SetBolt("sink", sink, 2, 2).ShuffleGrouping("src")
@@ -485,33 +521,32 @@ func TestMonitorReportsWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(topo)
+	reg := telemetry.NewRegistry()
+	rt, err := New(topo, WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reports []Report
-	rt.Monitor().Subscribe(func(rep Report) { reports = append(reports, rep) })
+	var lines bytes.Buffer
+	exp := telemetry.NewExporter(reg, &lines, 0)
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rep := rt.Monitor().SnapshotNow()
-	cs := rep.Components["sink"]
-	if cs.Executed != 500 {
-		t.Fatalf("window executed = %d, want 500", cs.Executed)
+	executed, _ := exp.Emit().Get("storm.sink.executed")
+	if executed.Value != 500 {
+		t.Fatalf("window executed = %v, want 500", executed.Value)
 	}
-	if cs.Throughput <= 0 {
+	if executed.Rate <= 0 {
 		t.Fatal("throughput must be positive")
 	}
-	if len(cs.Tasks) != 2 {
-		t.Fatalf("task windows = %d", len(cs.Tasks))
+	if len(byTask) != 2 {
+		t.Fatalf("tasks in the window = %d", len(byTask))
 	}
-	// A second snapshot sees an empty window.
-	rep2 := rt.Monitor().SnapshotNow()
-	if rep2.Components["sink"].Executed != 0 {
+	// A second window is empty.
+	if again, _ := exp.Emit().Get("storm.sink.executed"); again.Rate != 0 {
 		t.Fatal("second window should be empty")
 	}
-	if len(reports) != 2 {
-		t.Fatalf("reports = %d", len(reports))
+	if n := strings.Count(lines.String(), "\n"); n != 2 {
+		t.Fatalf("reports = %d", n)
 	}
 	totals := rt.Monitor().TotalsByComponent()
 	found := false

@@ -76,12 +76,12 @@ func (rig *distRig) run(t *testing.T, timeout time.Duration) {
 // summed per-task metrics across all workers: every counter is touched on
 // exactly one worker (executed at the owner, emitted at the emitter,
 // drops where they happen), so addition reassembles the global view.
-func (rig *distRig) metrics() map[string][]TaskMetrics {
-	sum := map[string][]TaskMetrics{}
+func (rig *distRig) metrics() map[string][]taskMetrics {
+	sum := map[string][]taskMetrics{}
 	for _, rt := range rig.rts {
 		for comp, tasks := range rt.taskMetricsSnapshot() {
 			if sum[comp] == nil {
-				sum[comp] = make([]TaskMetrics, len(tasks))
+				sum[comp] = make([]taskMetrics, len(tasks))
 			}
 			for i, tm := range tasks {
 				sum[comp][i].Executed += tm.Executed
@@ -156,7 +156,7 @@ func TestDistributedFigure8CountEquivalence(t *testing.T) {
 		if len(gotTasks) != len(wantTasks) {
 			t.Fatalf("%s: task count %d vs %d", comp, len(gotTasks), len(wantTasks))
 		}
-		var wantSum, gotSum TaskMetrics
+		var wantSum, gotSum taskMetrics
 		for i := range wantTasks {
 			wantSum.Executed += wantTasks[i].Executed
 			wantSum.Emitted += wantTasks[i].Emitted

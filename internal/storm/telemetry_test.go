@@ -21,10 +21,12 @@ func TestTracingRecordsHopAndEndToEnd(t *testing.T) {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			mu, got, _, sink := newSink()
+			var midIn sync.Map // i → the trace mid received
 			b := NewTopologyBuilder("t")
 			b.SetSpout("src", func() Spout { return &seqSpout{n: n, keys: 5} }, 1, 1)
 			b.SetBolt("mid", func() Bolt {
 				return &funcBolt{exec: func(tp Tuple, col Collector) error {
+					midIn.Store(tp.Values["i"], tp.Trace)
 					switch tp.Values["i"] {
 					case 3:
 						return fmt.Errorf("mid failed")
@@ -78,8 +80,11 @@ func TestTracingRecordsHopAndEndToEnd(t *testing.T) {
 				if !tp.Trace.Active() {
 					t.Fatal("sink tuple without an active trace")
 				}
-				if tp.Trace.Hops != 1 {
-					t.Fatalf("hops = %d, want 1 (spout emit + mid re-emit)", tp.Trace.Hops)
+				// mid's re-emit carries the spout's origin stamp and renews
+				// the emit stamp.
+				v, _ := midIn.Load(tp.Values["i"])
+				if in := v.(telemetry.TupleTrace); tp.Trace.StartNanos != in.StartNanos || tp.Trace.EmitNanos <= in.EmitNanos {
+					t.Fatalf("sink trace %+v from mid's input %+v: want the same start and a later emit", tp.Trace, in)
 				}
 				if tp.Trace.EmitNanos < tp.Trace.StartNanos {
 					t.Fatalf("emit %d before start %d", tp.Trace.EmitNanos, tp.Trace.StartNanos)
@@ -208,94 +213,6 @@ func TestTracingFanOutReplicates(t *testing.T) {
 	}
 }
 
-// TestMonitorSubscribeConcurrentSnapshots runs a topology while several
-// goroutines force monitor snapshots, with multiple subscribers registered.
-// Every subscriber must see every report, and the sequential windows must
-// account for exactly the tuples executed (no double counting under
-// concurrency; run with -race for the data-race proof).
-func TestMonitorSubscribeConcurrentSnapshots(t *testing.T) {
-	const tuples = 2000
-	var delivered atomic.Int64
-	b := NewTopologyBuilder("t")
-	b.SetSpout("src", func() Spout { return &seqSpout{n: tuples, keys: 7} }, 1, 1)
-	b.SetBolt("sink", func() Bolt {
-		return &funcBolt{exec: func(Tuple, Collector) error {
-			delivered.Add(1)
-			return nil
-		}}
-	}, 2, 2).ShuffleGrouping("src")
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(topo, WithMonitorInterval(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The first subscriber collects the windows; SnapshotNow runs its
-	// subscribers outside the monitor's lock, so the collection is locked.
-	var (
-		mu      sync.Mutex
-		reports []Report
-	)
-	rt.Monitor().Subscribe(func(rep Report) {
-		mu.Lock()
-		reports = append(reports, rep)
-		mu.Unlock()
-	})
-	const subscribers = 4
-	var seen [subscribers]atomic.Int64
-	for i := 0; i < subscribers; i++ {
-		i := i
-		rt.Monitor().Subscribe(func(Report) { seen[i].Add(1) })
-	}
-
-	done := make(chan struct{})
-	var snappers sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		snappers.Add(1)
-		go func() {
-			defer snappers.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-					rt.Monitor().SnapshotNow()
-				}
-			}
-		}()
-	}
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	close(done)
-	snappers.Wait()
-	rt.Monitor().SnapshotNow() // flush the final window
-
-	if delivered.Load() != tuples {
-		t.Fatalf("delivered = %d, want %d", delivered.Load(), tuples)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reports) == 0 {
-		t.Fatal("no reports recorded")
-	}
-	var windowed uint64
-	for _, rep := range reports {
-		windowed += rep.Components["sink"].Executed
-	}
-	if windowed != tuples {
-		t.Fatalf("windows sum to %d executed, want %d", windowed, tuples)
-	}
-	for i := 0; i < subscribers; i++ {
-		if got := seen[i].Load(); got != int64(len(reports)) {
-			t.Fatalf("subscriber %d saw %d reports, want %d", i, got, len(reports))
-		}
-	}
-}
-
 // TestNewOptions checks that the functional options reach the Config.
 func TestNewOptions(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -308,7 +225,6 @@ func TestNewOptions(t *testing.T) {
 	}
 	rt, err := New(topo,
 		withChannelBuffer(8),
-		WithMonitorInterval(0),
 		WithTelemetry(reg),
 	)
 	if err != nil {

@@ -4,9 +4,11 @@ package storm
 //
 // A frame is `uint32 big-endian payload length | payload`, and the payload
 // starts with a one-byte frame type. Batch frames carry the destination
-// executor's dense id and the envelopes — local task index, anchored root id and edge id, stream, optional trace
-// context, and the payload values under a typed tag-per-value codec that
-// round-trips every Go type the topologies emit. Unsupported payload types
+// executor's dense id and the envelopes — local task index, anchored root
+// id and edge id, stream, a trace flag byte (followed, when set, by the
+// trace's two stamps, origin and emit, as varints), and the payload values
+// under a typed tag-per-value codec that round-trips every Go type the
+// topologies emit. Unsupported payload types
 // fail encoding; the transport surfaces the failure as a counted drop
 // rather than shipping a lossy rendering.
 //
@@ -287,7 +289,6 @@ func appendBatchFrame(buf []byte, destEID int, envs []envelope) ([]byte, error) 
 			buf = append(buf, 1)
 			buf = appendVarint(buf, tr.StartNanos)
 			buf = appendVarint(buf, tr.EmitNanos)
-			buf = appendUvarint(buf, uint64(tr.Hops))
 		} else {
 			buf = append(buf, 0)
 		}
@@ -431,10 +432,6 @@ func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, bt *batch, err e
 			if tr.EmitNanos, b, err = decodeVarint(b); err != nil {
 				return fail(err)
 			}
-			if v, b, err = decodeUvarint(b); err != nil {
-				return fail(err)
-			}
-			tr.Hops = int32(v)
 			env.tuple.Trace = tr
 		}
 		var nvals uint64

@@ -58,7 +58,7 @@ func TestWireBatchRoundTrip(t *testing.T) {
 		{local: 2, tuple: Tuple{Stream: "speed", ack: 99, Values: map[string]any{"i": 5}}},
 		{local: 1, tuple: Tuple{
 			Stream: "default",
-			Trace:  telemetry.TupleTrace{StartNanos: 123, EmitNanos: 456, Hops: 3},
+			Trace:  telemetry.TupleTrace{StartNanos: 123, EmitNanos: 456},
 			Values: map[string]any{"key": "L07"},
 		}},
 		{local: 0, tuple: Tuple{Stream: "empty"}}, // nil Values

@@ -1,10 +1,8 @@
 package telemetry
 
-import "time"
-
 // TupleTrace is the per-tuple trace context that rides tuple metadata
 // through a topology: the spout stamps StartNanos at emission, every
-// downstream emission re-stamps EmitNanos and bumps Hops. Receivers observe
+// downstream emission carries it and re-stamps EmitNanos. Receivers observe
 //
 //	now - EmitNanos  → per-hop latency (queue wait + transport)
 //	now - StartNanos → end-to-end latency at the sink
@@ -15,7 +13,6 @@ import "time"
 type TupleTrace struct {
 	StartNanos int64 `json:"start"`
 	EmitNanos  int64 `json:"emit"`
-	Hops       int32 `json:"hops"`
 }
 
 // StartTrace begins a trace at the given wall-clock nanosecond timestamp
@@ -29,18 +26,7 @@ func StartTrace(nowNanos int64) TupleTrace {
 func (t TupleTrace) Active() bool { return t.StartNanos != 0 }
 
 // Next derives the trace carried by a tuple emitted at nowNanos while
-// processing the traced tuple: same origin, fresh emission stamp, one more
-// hop.
+// processing the traced tuple: same origin, fresh emission stamp.
 func (t TupleTrace) Next(nowNanos int64) TupleTrace {
-	return TupleTrace{StartNanos: t.StartNanos, EmitNanos: nowNanos, Hops: t.Hops + 1}
-}
-
-// HopLatency returns the latency from the upstream emission to nowNanos.
-func (t TupleTrace) HopLatency(nowNanos int64) time.Duration {
-	return time.Duration(nowNanos - t.EmitNanos)
-}
-
-// EndToEnd returns the latency from the spout emission to nowNanos.
-func (t TupleTrace) EndToEnd(nowNanos int64) time.Duration {
-	return time.Duration(nowNanos - t.StartNanos)
+	return TupleTrace{StartNanos: t.StartNanos, EmitNanos: nowNanos}
 }
